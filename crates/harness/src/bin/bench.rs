@@ -15,6 +15,7 @@
 //! mismatch would mean parallel execution changed simulation behaviour.
 
 use faultline::InvariantChecker;
+use harness::cli::{self, parse_flag, parse_flag_with, CliError};
 use harness::{run_batch, WallClock};
 use netstack::{
     topology, FlowSpec, IndexKind, MobilitySpec, SimConfig, Simulator, TcpVariant, TopologySpec,
@@ -228,42 +229,6 @@ fn move_cost_ns(n: u16, index: IndexKind, moves: usize) -> f64 {
     clock.elapsed_secs() * 1e9 / moves as f64
 }
 
-/// One conservative-PDES scaling run: a city-blocks street grid under full
-/// random-waypoint mobility with `flows` Muzha flows, executed by the
-/// requested scheduler. Returns the trace digest (asserted identical across
-/// shard counts — the speed-up claim is only meaningful because the event
-/// streams are bit-identical), the perf counters, and the wall time.
-fn pdes_scale_run(
-    spec: TopologySpec,
-    scheduler: SchedulerKind,
-    shards: usize,
-    secs: u64,
-) -> (u64, RunPerf, f64) {
-    let cfg = SimConfig {
-        topology: spec,
-        mobility: MobilitySpec::DEFAULT_WAYPOINT,
-        scheduler,
-        shards,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::from_config(cfg);
-    let count = spec.node_count();
-    let flows = (count / 100).max(1);
-    for k in 0..flows {
-        let a = k * count / flows;
-        let b = (a + count / 2) % count;
-        sim.add_flow(FlowSpec::new(
-            NodeId::new(a as u16),
-            NodeId::new(b as u16),
-            TcpVariant::Muzha,
-        ));
-    }
-    let clock = WallClock::start();
-    sim.run_until(SimTime::from_secs_f64(secs as f64));
-    let wall = clock.elapsed_secs();
-    (sim.trace_hash(), sim.perf(), wall)
-}
-
 /// Extracts `"key": <number>` from hand-rolled JSON text (enough for the
 /// baseline file this binary writes itself).
 fn json_number(text: &str, key: &str) -> Option<f64> {
@@ -283,10 +248,13 @@ fn json_number_in(text: &str, block: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    cli::run_main(run);
+}
+
+fn run(args: &[String]) -> Result<(), CliError> {
     let quick = args.iter().any(|a| a == "--quick");
-    let jobs = parse_flag(&args, "--jobs").map_or(0, |v| v.parse().expect("--jobs number"));
-    let out = parse_flag(&args, "--out").unwrap_or_else(|| "BENCH_sim.json".to_string());
+    let jobs = parse_flag_with(args, "--jobs", str::parse::<usize>)?.unwrap_or(0);
+    let out = parse_flag(args, "--out")?.unwrap_or_else(|| "BENCH_sim.json".to_string());
 
     let (seeds, secs): (Vec<u64>, u64) =
         if quick { (vec![11, 23], 5) } else { (vec![11, 23, 37, 53], 15) };
@@ -545,69 +513,14 @@ fn main() {
     }
     let topo_block = format!("  \"topo_scale\": {{\n{}\n  }}", topo_lines.join(",\n"));
 
-    // Conservative-PDES scaling: a city-blocks street grid under full
-    // waypoint mobility, executed serially (calendar queue) and by the
-    // sharded scheduler at 1/2/4 shards. Pop order is identical by
-    // construction, so every digest must match the serial one; the
-    // events/sec trajectory per shard count is the number CI watches. On a
-    // single-core host the sharded driver plans inline (no threads), so
-    // these numbers then measure pure sharding overhead, not speed-up —
-    // `host_cores` is recorded so the reader can tell which.
-    let (pdes_spec, pdes_secs) = if quick {
-        // 19×19 blocks → 20×20 = 400 intersections.
-        (TopologySpec::CityBlocks { blocks_x: 19, blocks_y: 19, extra: 0 }, 5)
-    } else {
-        // 30×30 blocks → 31×31 = 961 intersections + 39 mid-street = 1000.
-        (TopologySpec::CityBlocks { blocks_x: 30, blocks_y: 30, extra: 39 }, 10)
-    };
-    let pdes_nodes = pdes_spec.node_count();
-    eprintln!("benchmarking pdes_scale (city n={pdes_nodes}, {pdes_secs} s, shards 1/2/4)...");
-    let (pdes_hash, pdes_perf, pdes_serial_secs) =
-        pdes_scale_run(pdes_spec, SchedulerKind::Calendar, 1, pdes_secs);
-    let mut pdes_lines = vec![format!(
-        concat!(
-            "    \"scenario\": \"city_waypoint\",\n",
-            "    \"nodes\": {},\n",
-            "    \"virtual_secs\": {},\n",
-            "    \"host_cores\": {},\n",
-            "    \"events_processed\": {},\n",
-            "    \"events_per_sec_serial\": {:.1}"
-        ),
-        pdes_nodes,
-        pdes_secs,
-        host_cores,
-        pdes_perf.events_processed,
-        pdes_perf.events_processed as f64 / pdes_serial_secs.max(1e-9),
-    )];
-    for nshards in [1usize, 2, 4] {
-        let (hash, perf, wall) =
-            pdes_scale_run(pdes_spec, SchedulerKind::Sharded, nshards, pdes_secs);
-        assert_eq!(
-            hash, pdes_hash,
-            "pdes_scale: sharded run ({nshards} shards) diverged from serial"
-        );
-        assert_eq!(perf, pdes_perf, "pdes_scale: merged counters diverged at {nshards} shards");
-        pdes_lines.push(format!(
-            concat!(
-                "    \"events_per_sec_shards_{n}\": {:.1},\n",
-                "    \"sharded_speedup_{n}\": {:.3}"
-            ),
-            perf.events_processed as f64 / wall.max(1e-9),
-            pdes_serial_secs / wall.max(1e-9),
-            n = nshards,
-        ));
-    }
-    let pdes_block = format!("  \"pdes_scale\": {{\n{}\n  }}", pdes_lines.join(",\n"));
-
     let json = format!(
-        "{{\n  \"bench\": \"sim\",\n  \"quick\": {},\n  \"scenarios\": [\n{}\n  ],\n{},\n{},\n{},\n{},\n{}\n}}\n",
+        "{{\n  \"bench\": \"sim\",\n  \"quick\": {},\n  \"scenarios\": [\n{}\n  ],\n{},\n{},\n{},\n{}\n}}\n",
         quick,
         entries.join(",\n"),
         trace_overhead,
         snapshot_overhead,
         scheduler_block,
         topo_block,
-        pdes_block,
     );
 
     // Soft regression gate against the committed baseline: every watched
@@ -616,7 +529,7 @@ fn main() {
     // numbers on shared runners are advisory. Throughputs may drop at most
     // 20%; overhead ratios may grow at most 25%.
     let baseline_path =
-        parse_flag(&args, "--baseline").unwrap_or_else(|| "BENCH_baseline.json".to_string());
+        parse_flag(args, "--baseline")?.unwrap_or_else(|| "BENCH_baseline.json".to_string());
     if let Ok(baseline) = std::fs::read_to_string(&baseline_path) {
         let watched = [
             ("scheduler", "events_per_sec_calendar", true),
@@ -628,25 +541,8 @@ fn main() {
             ("topo_scale", "events_per_sec_1000", true),
             ("topo_scale", "move_cost_ns_grid_100", false),
             ("topo_scale", "move_cost_ns_grid_1000", false),
-            ("pdes_scale", "events_per_sec_serial", true),
-            ("pdes_scale", "events_per_sec_shards_1", true),
-            ("pdes_scale", "events_per_sec_shards_2", true),
-            ("pdes_scale", "events_per_sec_shards_4", true),
         ];
-        // `pdes_scale` reuses one set of key names across the quick (400
-        // node) and full (1000 node) city, so only compare runs of the
-        // same size — a 1000-node events/s figure against a 400-node
-        // baseline is a workload change, not a regression.
-        let pdes_comparable = json_number_in(&baseline, "pdes_scale", "nodes")
-            == json_number_in(&json, "pdes_scale", "nodes");
         for (block, key, higher_is_better) in watched {
-            if block == "pdes_scale" && !pdes_comparable {
-                eprintln!(
-                    "baseline check skipped: {block}.{key} measured on a different city size \
-                     than {baseline_path}"
-                );
-                continue;
-            }
             let (Some(base), Some(now)) =
                 (json_number_in(&baseline, block, key), json_number_in(&json, block, key))
             else {
@@ -667,19 +563,5 @@ fn main() {
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("{json}");
     println!("wrote {out}");
-}
-
-/// Returns the value of `--flag V` or `--flag=V`, if present.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1).unwrap_or_else(|| panic!("{flag} expects a value")).clone(),
-            );
-        }
-    }
-    None
+    Ok(())
 }

@@ -11,6 +11,7 @@
 //! 4-hop Muzha run through the trace subsystem (`crates/tracelog`) and
 //! write it as ns-2 trace lines / a pcap file.
 
+use harness::cli::{self, parse_flag, parse_flag_with, CliError};
 use harness::experiments::{
     coexistence, cwnd_traces, throughput_dynamics_batch, throughput_vs_hops, CoexistKind,
     SweepMetric,
@@ -26,7 +27,10 @@ use tracelog::{TraceEntry, TraceFilter};
 const VALUE_FLAGS: [&str; 3] = ["--jobs", "--trace", "--pcap"];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    cli::run_main(run);
+}
+
+fn run(args: &[String]) -> Result<(), CliError> {
     let which = args
         .iter()
         .enumerate()
@@ -36,9 +40,9 @@ fn main() {
         .map(|(_, a)| a.as_str())
         .next()
         .unwrap_or("all");
-    let jobs = parse_jobs(&args);
-    let trace_path = parse_flag(&args, "--trace");
-    let pcap_path = parse_flag(&args, "--pcap");
+    let jobs = parse_flag_with(args, "--jobs", str::parse::<usize>)?.unwrap_or(1);
+    let trace_path = parse_flag(args, "--trace")?;
+    let pcap_path = parse_flag(args, "--pcap")?;
 
     if which == "sweep" || which == "all" {
         let cfg = ExperimentConfig {
@@ -128,33 +132,5 @@ fn main() {
             println!("  wrote {} pcap records to {path}", entries.len());
         }
     }
-}
-
-/// Returns the value of `--flag V` or `--flag=V`, if present.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1).unwrap_or_else(|| panic!("{flag} expects a value")).clone(),
-            );
-        }
-    }
-    None
-}
-
-/// Parses `--jobs N` (or `--jobs=N`); defaults to 1 (serial).
-fn parse_jobs(args: &[String]) -> usize {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().expect("--jobs expects a number");
-        }
-        if a == "--jobs" {
-            let v = args.get(i + 1).expect("--jobs expects a number");
-            return v.parse().expect("--jobs expects a number");
-        }
-    }
-    1
+    Ok(())
 }

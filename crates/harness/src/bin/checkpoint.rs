@@ -19,21 +19,25 @@
 //! same perf counters (the twin test `tests/snapshot_twin.rs` pins this
 //! over the whole corpus). Both subcommands print the final trace hash so
 //! straight and resumed legs can be compared from the shell. Exit codes:
-//! 0 on success, 1 on usage errors, 2 when a snapshot fails to restore.
+//! 0 on success, 1 on I/O or script errors, 2 on a bad command line or when
+//! a snapshot fails to restore.
 
 use std::fs;
 
 use faultline::ScenarioScript;
+use harness::cli::{self, parse_flag_with, parse_secs, required_flag, CliError};
 use harness::mc::{corpus_duration, corpus_sim};
 use sim_core::{SimDuration, SimTime};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    cli::run_main(run);
+}
+
+fn run(args: &[String]) -> Result<(), CliError> {
     let Some(mode) = args.first().map(String::as_str) else {
         usage("missing subcommand");
     };
-    let script_path =
-        parse_flag(&args, "--script").unwrap_or_else(|| usage("--script is required"));
+    let script_path = required_flag(args, "--script")?;
     let text = fs::read_to_string(&script_path)
         .unwrap_or_else(|e| fail(&format!("read {script_path}: {e}")));
     let script =
@@ -41,24 +45,25 @@ fn main() {
     let duration = corpus_duration(&script);
 
     match mode {
-        "snapshot" => snapshot(&script, duration, &args),
-        "resume" => resume(&script, duration, &args),
+        "snapshot" => snapshot(&script, duration, args),
+        "resume" => resume(&script, duration, args),
         other => usage(&format!("unknown subcommand {other:?} (want snapshot or resume)")),
     }
 }
 
 /// `snapshot`: run to `--at` and write one snapshot, or sweep
 /// `--checkpoint-every` writing one file per checkpoint instant.
-fn snapshot(script: &ScenarioScript, duration: SimDuration, args: &[String]) {
+fn snapshot(
+    script: &ScenarioScript,
+    duration: SimDuration,
+    args: &[String],
+) -> Result<(), CliError> {
     let mut sim = corpus_sim(script);
-    if let Some(every) = parse_flag(args, "--checkpoint-every") {
-        let every: f64 =
-            every.parse().unwrap_or_else(|_| usage("--checkpoint-every wants seconds"));
-        if every.is_nan() || every <= 0.0 {
+    if let Some(every) = parse_flag_with(args, "--checkpoint-every", parse_secs)? {
+        if every == 0.0 {
             usage("--checkpoint-every must be positive");
         }
-        let out_dir = parse_flag(args, "--out-dir")
-            .unwrap_or_else(|| usage("--out-dir is required with --checkpoint-every"));
+        let out_dir = required_flag(args, "--out-dir")?;
         fs::create_dir_all(&out_dir).unwrap_or_else(|e| fail(&format!("mkdir {out_dir}: {e}")));
         let step = SimDuration::from_secs_f64(every);
         let mut at = SimTime::ZERO + step;
@@ -85,10 +90,9 @@ fn snapshot(script: &ScenarioScript, duration: SimDuration, args: &[String]) {
             sim.trace_hash()
         );
     } else {
-        let at = parse_flag(args, "--at")
+        let at = parse_flag_with(args, "--at", parse_secs)?
             .unwrap_or_else(|| usage("snapshot wants --at SECS or --checkpoint-every SECS"));
-        let at: f64 = at.parse().unwrap_or_else(|_| usage("--at wants seconds"));
-        let out = parse_flag(args, "--out").unwrap_or_else(|| usage("--out PATH is required"));
+        let out = required_flag(args, "--out")?;
         sim.run_until(SimTime::from_secs_f64(at));
         let bytes = sim.snapshot();
         fs::write(&out, &bytes).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
@@ -100,19 +104,16 @@ fn snapshot(script: &ScenarioScript, duration: SimDuration, args: &[String]) {
             sim.trace_hash()
         );
     }
+    Ok(())
 }
 
 /// `resume`: restore `--from` into a freshly built convention simulator and
 /// run to the script's duration (or `--until`).
-fn resume(script: &ScenarioScript, duration: SimDuration, args: &[String]) {
-    let from = parse_flag(args, "--from").unwrap_or_else(|| usage("resume wants --from PATH"));
+fn resume(script: &ScenarioScript, duration: SimDuration, args: &[String]) -> Result<(), CliError> {
+    let from = required_flag(args, "--from")?;
     let bytes = fs::read(&from).unwrap_or_else(|e| fail(&format!("read {from}: {e}")));
-    let end = match parse_flag(args, "--until") {
-        Some(v) => {
-            SimTime::from_secs_f64(v.parse().unwrap_or_else(|_| usage("--until wants seconds")))
-        }
-        None => SimTime::ZERO + duration,
-    };
+    let end = parse_flag_with(args, "--until", parse_secs)?
+        .map_or(SimTime::ZERO + duration, SimTime::from_secs_f64);
     let mut sim = corpus_sim(script);
     if let Err(e) = sim.restore(&bytes) {
         eprintln!("cannot resume {from}: {e}");
@@ -129,6 +130,7 @@ fn resume(script: &ScenarioScript, duration: SimDuration, args: &[String]) {
         perf.events_processed - baseline,
         sim.trace_hash()
     );
+    Ok(())
 }
 
 fn usage(msg: &str) -> ! {
@@ -137,25 +139,10 @@ fn usage(msg: &str) -> ! {
         "usage: checkpoint snapshot --script PATH.scn (--at SECS --out PATH | --checkpoint-every SECS --out-dir DIR)"
     );
     eprintln!("       checkpoint resume --script PATH.scn --from PATH [--until SECS]");
-    std::process::exit(1);
+    std::process::exit(2);
 }
 
 fn fail(msg: &str) -> ! {
     eprintln!("checkpoint: {msg}");
     std::process::exit(1);
-}
-
-/// Returns the value of `--flag V` or `--flag=V`, if present.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1).unwrap_or_else(|| panic!("{flag} expects a value")).clone(),
-            );
-        }
-    }
-    None
 }

@@ -30,41 +30,49 @@
 
 use faultline::mc::McConfig;
 use faultline::ScenarioScript;
+use harness::cli::{self, parse_flag, parse_flag_with, parse_secs, required_flag, CliError};
 use harness::mc::{explore_scenario, explore_scenario_resumed, flight_recorder_dump};
 use sim_core::SimTime;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let script_path = parse_flag(&args, "--script").expect("--script PATH.scn is required");
+    cli::run_main(run);
+}
+
+/// `START:END` in virtual seconds, `START <= END`.
+fn parse_window(text: &str) -> Result<(SimTime, SimTime), String> {
+    let (start, end) = text.split_once(':').ok_or("want START:END seconds")?;
+    let start = parse_secs(start).map_err(|e| format!("start: {e}"))?;
+    let end = parse_secs(end).map_err(|e| format!("end: {e}"))?;
+    if start > end {
+        return Err("START must not exceed END".to_string());
+    }
+    Ok((SimTime::from_secs_f64(start), SimTime::from_secs_f64(end)))
+}
+
+fn run(args: &[String]) -> Result<(), CliError> {
+    let script_path = required_flag(args, "--script")?;
     let text =
         std::fs::read_to_string(&script_path).unwrap_or_else(|e| panic!("read {script_path}: {e}"));
     let script =
         ScenarioScript::parse(&text).unwrap_or_else(|e| panic!("parse {script_path}: {e}"));
 
-    let mut cfg = McConfig::default();
-    if let Some(window) = parse_flag(&args, "--tie-window") {
-        let (start, end) = window
-            .split_once(':')
-            .unwrap_or_else(|| panic!("--tie-window wants START:END seconds, got {window:?}"));
-        let start: f64 = start.parse().expect("--tie-window start seconds");
-        let end: f64 = end.parse().expect("--tie-window end seconds");
-        assert!(start <= end, "--tie-window start must not exceed end");
-        cfg.tie_window = Some((SimTime::from_secs_f64(start), SimTime::from_secs_f64(end)));
+    let mut cfg = McConfig {
+        tie_window: parse_flag_with(args, "--tie-window", parse_window)?,
+        ..McConfig::default()
+    };
+    if let Some(n) = parse_flag_with(args, "--max-branches", str::parse)? {
+        cfg.max_branches = n;
     }
-    if let Some(v) = parse_flag(&args, "--max-branches") {
-        cfg.max_branches = v.parse().expect("--max-branches number");
+    if let Some(n) = parse_flag_with(args, "--max-depth", str::parse)? {
+        cfg.max_depth = n;
     }
-    if let Some(v) = parse_flag(&args, "--max-depth") {
-        cfg.max_depth = v.parse().expect("--max-depth number");
-    }
-    if let Some(v) = parse_flag(&args, "--shift-window") {
-        let secs: f64 = v.parse().expect("--shift-window seconds");
+    if let Some(secs) = parse_flag_with(args, "--shift-window", parse_secs)? {
         cfg.shift_window_ns = sim_core::SimDuration::from_secs_f64(secs).as_nanos();
     }
-    if let Some(v) = parse_flag(&args, "--shift-steps") {
-        cfg.shift_steps = v.parse().expect("--shift-steps number");
+    if let Some(n) = parse_flag_with(args, "--shift-steps", str::parse)? {
+        cfg.shift_steps = n;
     }
-    let report = parse_flag(&args, "--report");
+    let report = parse_flag(args, "--report")?;
     let quiet = args.iter().any(|a| a == "--quiet");
     let resume = args.iter().any(|a| a == "--resume");
     assert!(
@@ -126,19 +134,4 @@ fn main() {
         (false, true) => 3,
         (false, false) => 0,
     });
-}
-
-/// Returns the value of `--flag V` or `--flag=V`, if present.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1).unwrap_or_else(|| panic!("{flag} expects a value")).clone(),
-            );
-        }
-    }
-    None
 }

@@ -18,6 +18,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use harness::cli::{self, parse_flag, parse_flag_with, CliError};
 use harness::experiments::{
     coexistence, cwnd_traces_batch, throughput_dynamics_batch, throughput_vs_hops, CoexistKind,
     SweepMetric,
@@ -33,15 +34,18 @@ use tracelog::{TraceEntry, TraceFilter};
 const VALUE_FLAGS: [&str; 3] = ["--jobs", "--trace", "--pcap"];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    cli::run_main(run);
+}
+
+fn run(args: &[String]) -> Result<(), CliError> {
     let quick = args.iter().any(|a| a == "--quick");
-    let jobs = parse_jobs(&args);
-    let trace_path = parse_flag(&args, "--trace");
-    let pcap_path = parse_flag(&args, "--pcap");
+    let jobs = parse_flag_with(args, "--jobs", str::parse::<usize>)?.unwrap_or(1);
+    let trace_path = parse_flag(args, "--trace")?;
+    let pcap_path = parse_flag(args, "--pcap")?;
     let out_dir: PathBuf = args
         .iter()
         .enumerate()
-        .filter(|&(i, a)| !a.starts_with("--") && !is_flag_value(&args, i))
+        .filter(|&(i, a)| !a.starts_with("--") && !is_flag_value(args, i))
         .map(|(_, a)| PathBuf::from(a))
         .next()
         .unwrap_or_else(|| PathBuf::from("results"));
@@ -168,41 +172,12 @@ fn main() {
     }
 
     println!("done — results in {}", out_dir.display());
-}
-
-/// Parses `--jobs N` (or `--jobs=N`) from the argument list; defaults to 1
-/// (serial).
-fn parse_jobs(args: &[String]) -> usize {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().expect("--jobs expects a number");
-        }
-        if a == "--jobs" {
-            let v = args.get(i + 1).expect("--jobs expects a number");
-            return v.parse().expect("--jobs expects a number");
-        }
-    }
-    1
+    Ok(())
 }
 
 /// Whether `args[i]` is the value following a bare value-taking flag.
 fn is_flag_value(args: &[String], i: usize) -> bool {
     i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str())
-}
-
-/// Returns the value of `--flag V` or `--flag=V`, if present.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1).unwrap_or_else(|| panic!("{flag} expects a value")).clone(),
-            );
-        }
-    }
-    None
 }
 
 fn write(dir: &Path, name: &str, contents: &str) {

@@ -6,7 +6,7 @@
 //! ```sh
 //! cargo run --release -p harness --bin topo -- \
 //!     [--topology SPEC] [--mobility SPEC] [--phy-index grid|brute-force] \
-//!     [--secs S] [--seed S] [--flows N] [--variant NAME] [--twin] [--shards N]
+//!     [--secs S] [--seed S] [--flows N] [--variant NAME] [--twin]
 //! ```
 //!
 //! Topology specs: `chain:8`, `grid:4x5`, `random-disc:100` (dense square
@@ -18,14 +18,9 @@
 //! `--twin` runs the same scenario a second time on the brute-force PHY
 //! index and fails loudly unless the trace hashes are bit-identical — the
 //! end-to-end form of the grid/brute equivalence the PHY proptests pin.
-//!
-//! `--shards N` (N > 1) switches to the conservative sharded scheduler:
-//! nodes are partitioned into N spatial shards and mobility work is planned
-//! per shard inside propagation-delay lookahead windows. The trace hash is
-//! identical to a serial run by construction — compare against a run
-//! without the flag to check.
 
 use faultline::InvariantChecker;
+use harness::cli::{self, parse_flag_with, CliError};
 use harness::tracecap;
 use harness::WallClock;
 use netstack::{FlowSpec, IndexKind, MobilitySpec, SimConfig, Simulator, TcpVariant, TopologySpec};
@@ -33,47 +28,36 @@ use sim_core::SimTime;
 use wire::NodeId;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let topology = parse_flag(&args, "--topology")
-        .map(|v| TopologySpec::parse(&v).unwrap_or_else(|e| panic!("--topology: {e}")))
+    cli::run_main(run);
+}
+
+fn run(args: &[String]) -> Result<(), CliError> {
+    let topology = parse_flag_with(args, "--topology", TopologySpec::parse)?
         .unwrap_or_else(|| TopologySpec::random_disc_dense(40, 250.0));
-    let mobility = parse_flag(&args, "--mobility")
-        .map(|v| MobilitySpec::parse(&v).unwrap_or_else(|e| panic!("--mobility: {e}")))
+    let mobility = parse_flag_with(args, "--mobility", MobilitySpec::parse)?
         .unwrap_or(MobilitySpec::DEFAULT_WAYPOINT);
-    let index = parse_flag(&args, "--phy-index")
-        .map(|v| IndexKind::parse(&v).unwrap_or_else(|e| panic!("--phy-index: {e}")))
-        .unwrap_or_default();
-    let secs: u64 = parse_flag(&args, "--secs").map_or(30, |v| v.parse().expect("--secs number"));
-    let seed: Option<u64> = parse_flag(&args, "--seed").map(|v| v.parse().expect("--seed number"));
-    let flows: usize =
-        parse_flag(&args, "--flows").map_or(1, |v| v.parse().expect("--flows number"));
-    let variant = parse_flag(&args, "--variant").map_or(TcpVariant::Muzha, |v| {
-        tracecap::variant_by_name(&v)
-            .unwrap_or_else(|| panic!("unknown variant {v:?}; known: {:?}", TcpVariant::ALL))
-    });
+    let index = parse_flag_with(args, "--phy-index", IndexKind::parse)?.unwrap_or_default();
+    let secs = parse_flag_with(args, "--secs", str::parse::<u64>)?.unwrap_or(30);
+    let seed = parse_flag_with(args, "--seed", str::parse::<u64>)?;
+    let flows = parse_flag_with(args, "--flows", str::parse::<usize>)?.unwrap_or(1);
+    let variant =
+        parse_flag_with(args, "--variant", tracecap::variant_by_name)?.unwrap_or(TcpVariant::Muzha);
     let twin = args.iter().any(|a| a == "--twin");
-    let shards: usize =
-        parse_flag(&args, "--shards").map_or(1, |v| v.parse().expect("--shards number"));
 
     let mut cfg = SimConfig { topology, mobility, phy_index: index, ..SimConfig::default() };
-    if shards > 1 {
-        cfg.scheduler = sim_core::SchedulerKind::Sharded;
-        cfg.shards = shards;
-    }
     if let Some(seed) = seed {
         cfg.seed = seed;
     }
 
     println!(
         "topology {topology} ({} nodes), mobility {mobility}, index {index}, \
-         {flows} {} flow(s), {secs} s virtual, seed {:#x}{}",
+         {flows} {} flow(s), {secs} s virtual, seed {:#x}",
         topology.node_count(),
         variant.name(),
         cfg.seed,
-        if shards > 1 { format!(", sharded scheduler ({shards} shards)") } else { String::new() },
     );
 
-    let outcome = run(cfg, variant, flows, secs);
+    let outcome = simulate(cfg, variant, flows, secs);
     println!(
         "trace hash {:#018x}  |  {} events in {:.2} s wall = {:.0} events/s",
         outcome.hash,
@@ -116,7 +100,7 @@ fn main() {
             IndexKind::Grid => IndexKind::BruteForce,
             IndexKind::BruteForce => IndexKind::Grid,
         };
-        let other = run(twin_cfg, variant, flows, secs);
+        let other = simulate(twin_cfg, variant, flows, secs);
         assert_eq!(
             outcome.hash, other.hash,
             "PHY index kinds diverged: {index} vs {} — the spatial grid must be \
@@ -129,6 +113,7 @@ fn main() {
             other.events as f64 / other.wall_s.max(1e-9),
         );
     }
+    Ok(())
 }
 
 struct Outcome {
@@ -142,7 +127,7 @@ struct Outcome {
     checked: u64,
 }
 
-fn run(cfg: SimConfig, variant: TcpVariant, flows: usize, secs: u64) -> Outcome {
+fn simulate(cfg: SimConfig, variant: TcpVariant, flows: usize, secs: u64) -> Outcome {
     let mut sim = Simulator::from_config(cfg);
     sim.install_checker(InvariantChecker::new());
     add_spread_flows(&mut sim, variant, flows);
@@ -180,19 +165,4 @@ fn add_spread_flows(sim: &mut Simulator, variant: TcpVariant, flows: usize) {
         }
         sim.add_flow(FlowSpec::new(NodeId::new(a as u16), NodeId::new(b as u16), variant));
     }
-}
-
-/// Returns the value of `--flag V` or `--flag=V`, if present.
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-        if a == flag {
-            return Some(
-                args.get(i + 1).unwrap_or_else(|| panic!("{flag} expects a value")).clone(),
-            );
-        }
-    }
-    None
 }

@@ -1,0 +1,181 @@
+//! Flag lookup shared by the harness binaries: `--flag V` / `--flag=V`
+//! with typed errors, so a bad command line is one line on stderr and exit
+//! status 2, never a panic.
+
+use std::fmt::{self, Display};
+
+/// Why a command line was rejected.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CliError {
+    /// A flag the binary cannot run without is absent.
+    Required {
+        /// The flag's name.
+        flag: String,
+    },
+    /// `flag` was the last argument, with no value after it.
+    MissingValue {
+        /// The flag as typed.
+        flag: String,
+    },
+    /// The value given for `flag` did not parse.
+    BadValue {
+        /// The flag as typed.
+        flag: String,
+        /// The rejected value.
+        value: String,
+        /// The parser's own message.
+        reason: String,
+    },
+}
+
+impl Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Required { flag } => write!(f, "{flag} is required"),
+            CliError::MissingValue { flag } => write!(f, "{flag} expects a value"),
+            CliError::BadValue { flag, value, reason } => {
+                write!(f, "{flag}: cannot use {value:?}: {reason}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
+/// The value of `--flag V` or `--flag=V` (first occurrence), if present.
+///
+/// # Errors
+///
+/// [`CliError::MissingValue`] when `flag` is the last argument.
+pub fn parse_flag(args: &[String], flag: &str) -> Result<Option<String>, CliError> {
+    for (i, a) in args.iter().enumerate() {
+        if let Some(v) = a.strip_prefix(flag).and_then(|rest| rest.strip_prefix('=')) {
+            return Ok(Some(v.to_string()));
+        }
+        if a == flag {
+            return match args.get(i + 1) {
+                Some(v) => Ok(Some(v.clone())),
+                None => Err(CliError::MissingValue { flag: flag.to_string() }),
+            };
+        }
+    }
+    Ok(None)
+}
+
+/// [`parse_flag`] for a flag the binary cannot run without.
+///
+/// # Errors
+///
+/// [`CliError::Required`] when `flag` is absent; [`CliError::MissingValue`]
+/// as [`parse_flag`].
+pub fn required_flag(args: &[String], flag: &str) -> Result<String, CliError> {
+    parse_flag(args, flag)?.ok_or_else(|| CliError::Required { flag: flag.to_string() })
+}
+
+/// [`parse_flag`], then `parse` on the value: `str::parse::<u64>` for a
+/// number, a spec grammar's own `parse` for the rest.
+///
+/// # Errors
+///
+/// [`CliError::MissingValue`] as [`parse_flag`]; [`CliError::BadValue`]
+/// carrying `parse`'s message when it rejects the value.
+pub fn parse_flag_with<T, E: Display>(
+    args: &[String],
+    flag: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<Option<T>, CliError> {
+    let Some(value) = parse_flag(args, flag)? else { return Ok(None) };
+    match parse(&value) {
+        Ok(v) => Ok(Some(v)),
+        Err(e) => Err(CliError::BadValue { flag: flag.to_string(), value, reason: e.to_string() }),
+    }
+}
+
+/// A value parser for [`parse_flag_with`]: a finite, non-negative number of
+/// virtual seconds (what `SimTime::from_secs_f64` accepts without
+/// panicking).
+///
+/// # Errors
+///
+/// The float parser's message, or the range complaint.
+pub fn parse_secs(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(v) if v >= 0.0 && v.is_finite() => Ok(v),
+        Ok(_) => Err("want a finite, non-negative number of seconds".to_string()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// Entry point for a binary: hands `run` the process arguments (program
+/// name stripped); a rejected command line prints one line to stderr and
+/// exits with status 2.
+pub fn run_main(run: impl FnOnce(&[String]) -> Result<(), CliError>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = run(&args) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn separate_and_joined_values_are_found() {
+        let a = args(&["--quick", "--secs", "7", "--out=run.tr", "--secs", "9"]);
+        assert_eq!(parse_flag(&a, "--secs"), Ok(Some("7".to_string())), "first occurrence wins");
+        assert_eq!(parse_flag(&a, "--out"), Ok(Some("run.tr".to_string())));
+        assert_eq!(parse_flag(&a, "--seed"), Ok(None));
+        // A longer flag sharing the prefix is a different flag.
+        assert_eq!(parse_flag(&args(&["--outdir=x"]), "--out"), Ok(None));
+        assert_eq!(parse_flag_with(&a, "--secs", str::parse::<u64>), Ok(Some(7)));
+        assert_eq!(parse_flag_with(&a, "--seed", str::parse::<u64>), Ok(None));
+    }
+
+    #[test]
+    fn missing_value_is_an_error_not_a_panic() {
+        let a = args(&["--quick", "--secs"]);
+        let want = CliError::MissingValue { flag: "--secs".to_string() };
+        assert_eq!(parse_flag(&a, "--secs"), Err(want.clone()));
+        assert_eq!(parse_flag_with(&a, "--secs", str::parse::<u64>), Err(want.clone()));
+        assert_eq!(want.to_string(), "--secs expects a value");
+        // Absent altogether is a different error, and only when required.
+        assert_eq!(
+            required_flag(&a, "--script"),
+            Err(CliError::Required { flag: "--script".to_string() })
+        );
+        assert_eq!(required_flag(&args(&["--script=a.scn"]), "--script"), Ok("a.scn".to_string()));
+    }
+
+    #[test]
+    fn seconds_must_be_finite_and_non_negative() {
+        assert_eq!(parse_secs("2.5"), Ok(2.5));
+        assert_eq!(parse_secs("0"), Ok(0.0));
+        for bad in ["-1", "NaN", "inf", "soon", ""] {
+            assert!(parse_secs(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn unparsable_value_names_flag_value_and_reason() {
+        for a in [args(&["--secs", "soon"]), args(&["--secs=soon"])] {
+            let err = parse_flag_with(&a, "--secs", str::parse::<u64>).unwrap_err();
+            assert_eq!(
+                err,
+                CliError::BadValue {
+                    flag: "--secs".to_string(),
+                    value: "soon".to_string(),
+                    reason: "invalid digit found in string".to_string(),
+                }
+            );
+            let line = err.to_string();
+            assert!(!line.contains('\n'), "one line: {line:?}");
+            assert!(line.contains("--secs") && line.contains("soon"), "{line}");
+        }
+    }
+}

@@ -26,12 +26,12 @@ pub enum TraceFormat {
 
 impl TraceFormat {
     /// Parses a format name as given on a command line.
-    pub fn parse(name: &str) -> Option<TraceFormat> {
+    pub fn parse(name: &str) -> Result<TraceFormat, String> {
         match name {
-            "ns2" => Some(TraceFormat::Ns2),
-            "pcap" => Some(TraceFormat::Pcap),
-            "csv" => Some(TraceFormat::Csv),
-            _ => None,
+            "ns2" => Ok(TraceFormat::Ns2),
+            "pcap" => Ok(TraceFormat::Pcap),
+            "csv" => Ok(TraceFormat::Csv),
+            other => Err(format!("unknown format '{other}' (ns2, pcap, csv)")),
         }
     }
 
@@ -51,8 +51,11 @@ impl TraceFormat {
 }
 
 /// Looks a [`TcpVariant`] up by its display name, case-insensitively.
-pub fn variant_by_name(name: &str) -> Option<TcpVariant> {
-    TcpVariant::ALL.into_iter().find(|v| v.name().eq_ignore_ascii_case(name))
+pub fn variant_by_name(name: &str) -> Result<TcpVariant, String> {
+    TcpVariant::ALL
+        .into_iter()
+        .find(|v| v.name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown variant '{name}'; known: {:?}", TcpVariant::ALL))
 }
 
 /// Runs a single-flow `hops`-hop chain with a trace log installed and
@@ -227,13 +230,13 @@ mod tests {
 
     #[test]
     fn format_parsing() {
-        assert_eq!(TraceFormat::parse("ns2"), Some(TraceFormat::Ns2));
-        assert_eq!(TraceFormat::parse("pcap"), Some(TraceFormat::Pcap));
-        assert_eq!(TraceFormat::parse("csv"), Some(TraceFormat::Csv));
-        assert_eq!(TraceFormat::parse("json"), None);
+        assert_eq!(TraceFormat::parse("ns2"), Ok(TraceFormat::Ns2));
+        assert_eq!(TraceFormat::parse("pcap"), Ok(TraceFormat::Pcap));
+        assert_eq!(TraceFormat::parse("csv"), Ok(TraceFormat::Csv));
+        assert!(TraceFormat::parse("json").is_err());
         assert!(TraceFormat::Pcap.is_binary() && !TraceFormat::Ns2.is_binary());
-        assert_eq!(variant_by_name("muzha"), Some(TcpVariant::Muzha));
-        assert_eq!(variant_by_name("newreno"), Some(TcpVariant::NewReno));
-        assert_eq!(variant_by_name("bogus"), None);
+        assert_eq!(variant_by_name("muzha"), Ok(TcpVariant::Muzha));
+        assert_eq!(variant_by_name("newreno"), Ok(TcpVariant::NewReno));
+        assert!(variant_by_name("bogus").is_err());
     }
 }

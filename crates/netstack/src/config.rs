@@ -133,11 +133,6 @@ pub struct SimConfig {
     /// Both kinds produce bit-identical traces; the spatial grid is the
     /// fast default, brute-force remains as a differential reference.
     pub phy_index: IndexKind,
-    /// How many shards the [`SchedulerKind::Sharded`] driver partitions
-    /// nodes into (ignored by the serial drivers). Any shard count yields
-    /// a trace bit-identical to the serial schedulers; counts above 1 let
-    /// safe-window work run on worker threads.
-    pub shards: usize,
 }
 
 impl Default for SimConfig {
@@ -155,7 +150,6 @@ impl Default for SimConfig {
             topology: TopologySpec::default(),
             mobility: MobilitySpec::default(),
             phy_index: IndexKind::default(),
-            shards: 1,
         }
     }
 }
@@ -189,11 +183,6 @@ impl SimConfig {
             );
         }
         assert!(self.ifq_capacity > 0, "IFQ capacity must be positive");
-        assert!(
-            self.shards >= 1 && self.shards <= sim_core::MAX_SHARDS,
-            "shard count must be in 1..={}",
-            sim_core::MAX_SHARDS
-        );
         assert_eq!(
             self.mac.data_rate_bps, self.radio.data_rate_bps,
             "MAC and PHY data rates must agree"

@@ -38,5 +38,5 @@ pub use config::{FlowSpec, QueueDiscipline, SimConfig, TcpVariant};
 pub use queue::DropTailQueue;
 pub use red::{RedConfig, RedOutcome, RedQueue};
 pub use report::{FlowReport, NodeSummary, RunReport};
-pub use sim::{stderr_tracer, RandomWaypoint, Simulator, TraceEvent, Tracer};
+pub use sim::{RandomWaypoint, Simulator};
 pub use topo::{IndexKind, MobilitySpec, TopologySpec, WaypointLeg};

@@ -364,219 +364,6 @@ fn sq(r: f64) -> f64 {
     r * r
 }
 
-/// A batch of staged position updates for the sharded driver's
-/// plan/commit split.
-///
-/// The conservative scheduler batches the mobility ticks that fall inside
-/// one safe window, *plans* every mover's new neighbor rows in parallel
-/// ([`Channel::plan_move`], pure), then *commits* them one at a time in
-/// the serial pop order ([`Channel::apply_move`]). Planning for rank `r`
-/// sees earlier movers (rank `< r`) at their destinations and later movers
-/// at their original positions — exactly the state the serial scheduler
-/// would present — so the committed rows and churn are bit-identical to
-/// sequential [`Channel::set_position`] calls.
-#[derive(Debug, Default, Clone)]
-pub struct PendingMoves {
-    /// `(node index, destination)` in commit (rank) order.
-    moves: Vec<(usize, Position)>,
-    /// `node → rank`, sorted by node. Built by [`Channel::seal_moves`].
-    by_node: Vec<(usize, u32)>,
-    /// `(destination cell, rank)`, sorted. Built by [`Channel::seal_moves`].
-    dest_cells: Vec<((i64, i64), u32)>,
-    sealed: bool,
-}
-
-impl PendingMoves {
-    /// An empty batch.
-    pub fn new() -> Self {
-        PendingMoves::default()
-    }
-
-    /// Drops all staged moves, ready for the next batch.
-    pub fn clear(&mut self) {
-        self.moves.clear();
-        self.by_node.clear();
-        self.dest_cells.clear();
-        self.sealed = false;
-    }
-
-    /// Stages `node`'s move to `to` as the next rank. Each node may appear
-    /// at most once per batch (checked at seal time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is already sealed.
-    pub fn stage(&mut self, node: NodeId, to: Position) {
-        assert!(!self.sealed, "cannot stage into a sealed batch");
-        self.moves.push((node.index(), to));
-    }
-
-    /// Number of staged moves.
-    pub fn len(&self) -> usize {
-        self.moves.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
-
-    /// The mover at `rank`.
-    pub fn node_at(&self, rank: usize) -> NodeId {
-        NodeId::new(self.moves[rank].0 as u16)
-    }
-
-    /// The destination of the mover at `rank`.
-    pub fn target_at(&self, rank: usize) -> Position {
-        self.moves[rank].1
-    }
-
-    /// The rank at which `node` moves, if staged.
-    fn rank_of(&self, node: usize) -> Option<u32> {
-        self.by_node.binary_search_by_key(&node, |&(n, _)| n).ok().map(|at| self.by_node[at].1)
-    }
-}
-
-impl Channel {
-    /// Finalizes a staged batch: indexes movers by node and by destination
-    /// cell so [`Self::plan_move`] can run per rank in parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node was staged more than once.
-    pub fn seal_moves(&self, pending: &mut PendingMoves) {
-        pending.by_node = pending
-            .moves
-            .iter()
-            .enumerate()
-            .map(|(rank, &(node, _))| (node, rank as u32))
-            .collect();
-        pending.by_node.sort_unstable();
-        for w in pending.by_node.windows(2) {
-            assert!(w[0].0 != w[1].0, "node staged twice in one batch");
-        }
-        pending.dest_cells = pending
-            .moves
-            .iter()
-            .enumerate()
-            .map(|(rank, &(_, to))| (self.grid.cell_of(to), rank as u32))
-            .collect();
-        pending.dest_cells.sort_unstable();
-        pending.sealed = true;
-    }
-
-    /// The position of `node` as the mover at `rank` observes it: earlier
-    /// movers are already at their destinations, everyone else (later
-    /// movers included) still sits at the pre-batch position.
-    fn overlay_pos(&self, pending: &PendingMoves, rank: usize, node: usize) -> Position {
-        match pending.rank_of(node) {
-            Some(r) if (r as usize) < rank => pending.moves[r as usize].1,
-            _ => self.positions[node],
-        }
-    }
-
-    /// Plans the neighbor rows the mover at `rank` will have after its
-    /// move, as if all earlier-ranked moves had already been committed.
-    /// Pure (`&self`): ranks can be planned concurrently and committed via
-    /// [`Self::apply_move`] in rank order for results bit-identical to
-    /// sequential [`Self::set_position`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch was not sealed with [`Self::seal_moves`].
-    pub fn plan_move(&self, pending: &PendingMoves, rank: usize) -> (Vec<NodeId>, Vec<NodeId>) {
-        assert!(pending.sealed, "plan_move needs a sealed batch");
-        let (i, new_pos) = pending.moves[rank];
-        let mut rx = Vec::new();
-        let mut cs = Vec::new();
-        if self.disabled[i] {
-            return (rx, cs);
-        }
-        // Candidate superset under the overlay. Grid mode: the pre-batch
-        // 3×3 block around the destination covers every node still at its
-        // old position; earlier movers may have *entered* the block, so
-        // merge in all movers whose destination cell lands in it (a
-        // superset is fine — the distance predicate below filters, and a
-        // mover whose overlaid position left the block is geometrically
-        // out of carrier-sense range).
-        let mut candidates = Vec::new();
-        match self.index {
-            IndexKind::BruteForce => candidates.extend(0..self.positions.len()),
-            IndexKind::Grid => {
-                self.grid.candidates(new_pos, &mut candidates);
-                let (cx, cy) = self.grid.cell_of(new_pos);
-                for dx in -1..=1i64 {
-                    let lo =
-                        pending.dest_cells.partition_point(|&(cell, _)| cell < (cx + dx, cy - 1));
-                    for &(cell, r) in &pending.dest_cells[lo..] {
-                        if cell > (cx + dx, cy + 1) {
-                            break;
-                        }
-                        let j = pending.moves[r as usize].0;
-                        if let Err(at) = candidates.binary_search(&j) {
-                            candidates.insert(at, j);
-                        }
-                    }
-                }
-            }
-        }
-        // Same predicate as `rows_for`, over overlaid positions.
-        let a = NodeId::new(i as u16);
-        let tx_sq = sq(self.params.tx_range_m);
-        let cs_sq = sq(self.params.cs_range_m);
-        for &j in &candidates {
-            if j == i || self.disabled[j] {
-                continue;
-            }
-            let b = NodeId::new(j as u16);
-            if self.blocked.contains(&link_key(a, b)) {
-                continue;
-            }
-            let d_sq = new_pos.distance_sq_to(self.overlay_pos(pending, rank, j));
-            if d_sq <= tx_sq {
-                rx.push(b);
-            }
-            if d_sq <= cs_sq {
-                cs.push(b);
-            }
-        }
-        (rx, cs)
-    }
-
-    /// Commits one planned move: installs the planned rows, mirrors the
-    /// delta onto peers, and rebins the grid. Returns the link churn,
-    /// exactly as [`Self::set_position`] would have.
-    ///
-    /// Must be called in rank order with the rows [`Self::plan_move`]
-    /// produced for that rank; interleaving other mutations between plan
-    /// and apply invalidates the plan.
-    pub fn apply_move(
-        &mut self,
-        node: NodeId,
-        to: Position,
-        rows: (Vec<NodeId>, Vec<NodeId>),
-    ) -> usize {
-        let i = node.index();
-        self.positions[i] = to;
-        self.grid.set(i, to);
-        let (new_rx, new_cs) = rows;
-        let old_rx = std::mem::take(&mut self.rx_neighbors[i]);
-        let old_cs = std::mem::take(&mut self.cs_neighbors[i]);
-        let churn = patch_peers(&mut self.rx_neighbors, node, &old_rx, &new_rx)
-            + patch_peers(&mut self.cs_neighbors, node, &old_cs, &new_cs);
-        self.rx_neighbors[i] = new_rx;
-        self.cs_neighbors[i] = new_cs;
-        #[cfg(debug_assertions)]
-        {
-            let everyone: Vec<usize> = (0..self.positions.len()).collect();
-            let (want_rx, want_cs) = self.rows_for(i, &everyone);
-            debug_assert_eq!(self.rx_neighbors[i], want_rx, "planned rx rows diverged");
-            debug_assert_eq!(self.cs_neighbors[i], want_cs, "planned cs rows diverged");
-        }
-        churn
-    }
-}
-
 impl sim_core::Snapshotable for Channel {
     fn encode(&self, w: &mut sim_core::SnapshotWriter) {
         // The rx/cs adjacency lists and the grid are derived caches:
@@ -757,112 +544,6 @@ mod tests {
             assert!(back.is_link_blocked(n(0), n(1)));
             assert!(!back.is_node_enabled(n(3)));
         }
-    }
-}
-
-#[cfg(test)]
-mod plan_apply_differential {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Batched plan/apply must be observationally identical to sequential
-    /// `set_position` calls in the same order: same per-move churn, same
-    /// final rows, in both index modes — the property the sharded driver's
-    /// parallel mobility planning rests on.
-    fn check_batch(
-        kind: IndexKind,
-        starts: &[(f64, f64)],
-        moves: &[(usize, f64, f64)],
-        disable: &[usize],
-        block: &[(usize, usize)],
-    ) {
-        let n = starts.len();
-        let positions: Vec<Position> = starts.iter().map(|&(x, y)| Position::new(x, y)).collect();
-        let mut batched = Channel::with_index(positions.clone(), RadioParams::default(), kind);
-        let mut serial = Channel::with_index(positions, RadioParams::default(), kind);
-        for &d in disable {
-            batched.set_node_enabled(NodeId::new((d % n) as u16), false);
-            serial.set_node_enabled(NodeId::new((d % n) as u16), false);
-        }
-        for &(a, b) in block {
-            let (a, b) = ((a % n) as u16, (b % n) as u16);
-            if a != b {
-                batched.set_link_blocked(NodeId::new(a), NodeId::new(b), true);
-                serial.set_link_blocked(NodeId::new(a), NodeId::new(b), true);
-            }
-        }
-        // Dedup movers (a node moves at most once per batch), keep order.
-        let mut seen = vec![false; n];
-        let mut pending = PendingMoves::new();
-        let mut plan_list = Vec::new();
-        for &(node, x, y) in moves {
-            let node = node % n;
-            if std::mem::replace(&mut seen[node], true) {
-                continue;
-            }
-            pending.stage(NodeId::new(node as u16), Position::new(x, y));
-            plan_list.push((node, Position::new(x, y)));
-        }
-        batched.seal_moves(&mut pending);
-        // Plan all ranks up front against the pre-batch state...
-        let plans: Vec<_> = (0..pending.len()).map(|r| batched.plan_move(&pending, r)).collect();
-        // ...then commit in rank order, racing the serial reference.
-        for (rank, rows) in plans.into_iter().enumerate() {
-            let (node, to) = plan_list[rank];
-            let node = NodeId::new(node as u16);
-            let batched_churn = batched.apply_move(node, to, rows);
-            let serial_churn = serial.set_position(node, to);
-            assert_eq!(batched_churn, serial_churn, "churn diverged at rank {rank}");
-        }
-        for i in 0..n as u16 {
-            let node = NodeId::new(i);
-            assert_eq!(batched.rx_neighbors(node), serial.rx_neighbors(node), "rx rows at {node}");
-            assert_eq!(batched.cs_neighbors(node), serial.cs_neighbors(node), "cs rows at {node}");
-            assert_eq!(batched.position(node), serial.position(node));
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn batched_moves_match_sequential(
-            starts in proptest::collection::vec((0.0f64..2200.0, 0.0f64..2200.0), 2..20),
-            moves in proptest::collection::vec(
-                (0usize..20, 0.0f64..2200.0, 0.0f64..2200.0),
-                1..20,
-            ),
-            disable in proptest::collection::vec(0usize..20, 0..3),
-            block in proptest::collection::vec((0usize..20, 0usize..20), 0..3),
-        ) {
-            for kind in [IndexKind::Grid, IndexKind::BruteForce] {
-                check_batch(kind, &starts, &moves, &disable, &block);
-            }
-        }
-    }
-
-    #[test]
-    fn dense_swarm_batch_matches() {
-        // Everyone piled into two cells, all moving at once — maximal
-        // overlay interaction (entering/leaving the 3×3 block).
-        let starts: Vec<(f64, f64)> =
-            (0..12).map(|i| ((i % 2) as f64 * 540.0, (i / 2) as f64 * 5.0)).collect();
-        let moves: Vec<(usize, f64, f64)> =
-            (0..12).map(|i| (i, (11 - i) as f64 * 300.0, (i % 3) as f64 * 700.0)).collect();
-        for kind in [IndexKind::Grid, IndexKind::BruteForce] {
-            check_batch(kind, &starts, &moves, &[3], &[(0, 5)]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "staged twice")]
-    fn double_stage_is_rejected_at_seal() {
-        let ch = Channel::new(
-            vec![Position::new(0.0, 0.0), Position::new(100.0, 0.0)],
-            RadioParams::default(),
-        );
-        let mut pending = PendingMoves::new();
-        pending.stage(NodeId::new(0), Position::new(1.0, 0.0));
-        pending.stage(NodeId::new(0), Position::new(2.0, 0.0));
-        ch.seal_moves(&mut pending);
     }
 }
 

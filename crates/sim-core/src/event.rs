@@ -280,50 +280,6 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// The `(time, seq)` key of the earliest pending entry, if any. Equal
-    /// times share a bucket and sort contiguously at its front, so the
-    /// located bucket's head *is* the global `(time, seq)` minimum — this
-    /// is what the sharded queue's k-way merge compares across sub-queues.
-    pub(crate) fn peek_key(&self) -> Option<(SimTime, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        let Hint { bucket, .. } = self.locate_min();
-        self.buckets[bucket].front().map(|e| (e.time, e.seq))
-    }
-
-    /// Schedules `event` at `time` carrying an externally assigned sequence
-    /// number — the sharded queue's global counter. The caller must hand
-    /// out strictly increasing sequences per sub-queue (a global counter
-    /// trivially does), so `insert_sorted` keeps its append fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than this sub-queue's last popped event.
-    pub(crate) fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E)
-    where
-        E: Debug,
-    {
-        assert!(
-            time >= self.last_popped,
-            "scheduled event at {time} before current time {}: {event:?}",
-            self.last_popped
-        );
-        if self.len + 1 > self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-        let bucket = self.bucket_of(time);
-        Self::insert_sorted(&mut self.buckets[bucket], Entry { time, seq, event });
-        self.len += 1;
-        if let Some(h) = self.hint.get() {
-            if time < h.time {
-                self.hint.set(Some(Hint { time, bucket }));
-            }
-        } else if self.len == 1 {
-            self.hint.set(Some(Hint { time, bucket }));
-        }
-    }
-
     /// Number of pending events tied at the earliest time (0 when empty).
     pub fn tie_count(&self) -> usize {
         if self.len == 0 {
@@ -331,18 +287,6 @@ impl<E> EventQueue<E> {
         }
         let Hint { time, bucket } = self.locate_min();
         self.buckets[bucket].iter().take_while(|e| e.time == time).count()
-    }
-
-    /// Visits each head-time tie as `(seq, event)` in FIFO order — the
-    /// sharded queue merges these runs across sub-queues by `seq`.
-    pub(crate) fn for_each_tie_entry<'a>(&'a self, mut f: impl FnMut(u64, &'a E)) {
-        if self.len == 0 {
-            return;
-        }
-        let Hint { time, bucket } = self.locate_min();
-        for entry in self.buckets[bucket].iter().take_while(|e| e.time == time) {
-            f(entry.seq, &entry.event);
-        }
     }
 
     /// Visits each event tied at the earliest time, in FIFO order.
@@ -590,275 +534,11 @@ impl<E> HeapQueue<E> {
     }
 }
 
-/// Default sub-queue count for a [`ShardedQueue`] created without an
-/// explicit shard count (matches the 4-shard target of the PDES bench).
-pub const DEFAULT_SHARDS: usize = 4;
-
-/// Largest shard count the sharded queue accepts (its snapshot codec tags
-/// each entry's home shard with one byte).
-pub const MAX_SHARDS: usize = 255;
-
-/// The conservative-PDES event queue: one calendar sub-queue per shard,
-/// all sharing a single global sequence counter, popped by a k-way merge
-/// on `(time, seq)` across the sub-queue heads.
-///
-/// # Determinism by construction
-///
-/// `(time, seq)` totally orders events, and `seq` is assigned at push time
-/// exactly as the serial queues assign it — one global counter, one
-/// increment per push. Routing (which sub-queue physically holds an entry)
-/// therefore decides *load balance only*: the merged pop order equals the
-/// serial calendar queue's for **any** routing function, and a shard count
-/// of 1 *is* the calendar queue. This is the deterministic reduction point
-/// of the sharded driver — cross-shard deliveries are ordinary timestamped
-/// pushes into the receiver's home sub-queue, merged back here.
-///
-/// # Example
-///
-/// ```
-/// use sim_core::{ShardedQueue, SimTime};
-///
-/// let mut q = ShardedQueue::new(2);
-/// let t = SimTime::from_nanos(10);
-/// q.push_routed(t, 'a', 0);
-/// q.push_routed(t, 'b', 1); // different shard, same instant
-/// assert_eq!(q.pop(), Some((t, 'a'))); // FIFO across shards
-/// assert_eq!(q.pop(), Some((t, 'b')));
-/// ```
-#[derive(Debug)]
-pub struct ShardedQueue<E> {
-    shards: Vec<EventQueue<E>>,
-    /// The single global push counter all sub-queues share.
-    next_seq: u64,
-    /// Time of the most recent merged pop (the global "now").
-    last_popped: SimTime,
-    len: usize,
-    /// Sub-queue that served the most recent pop (per-shard accounting).
-    last_shard: usize,
-}
-
-impl<E> ShardedQueue<E> {
-    /// Creates an empty queue with `shards` sub-queues (clamped to at
-    /// least 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` exceeds [`MAX_SHARDS`].
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        assert!(shards <= MAX_SHARDS, "shard count {shards} exceeds {MAX_SHARDS}");
-        ShardedQueue {
-            shards: (0..shards).map(|_| EventQueue::new()).collect(),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-            len: 0,
-            last_shard: 0,
-        }
-    }
-
-    /// Number of sub-queues.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Sub-queue that served the most recent [`Self::pop`] (0 before any).
-    pub fn last_shard(&self) -> usize {
-        self.last_shard
-    }
-
-    /// Schedules `event` at `time` in sub-queue `shard % shard_count`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the last merged pop.
-    pub fn push_routed(&mut self, time: SimTime, event: E, shard: usize)
-    where
-        E: Debug,
-    {
-        assert!(
-            time >= self.last_popped,
-            "scheduled event at {time} before current time {}: {event:?}",
-            self.last_popped
-        );
-        let s = shard % self.shards.len();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.shards[s].push_with_seq(time, seq, event);
-        self.len += 1;
-    }
-
-    /// Schedules `event` at `time`, spreading routing round-robin (callers
-    /// that know an owner shard should use [`Self::push_routed`]; the
-    /// choice affects only which sub-queue holds the entry, never the pop
-    /// order).
-    pub fn push(&mut self, time: SimTime, event: E)
-    where
-        E: Debug,
-    {
-        let shard = (self.next_seq as usize) % self.shards.len();
-        self.push_routed(time, event, shard);
-    }
-
-    /// Sub-queue holding the globally earliest `(time, seq)` entry.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (s, q) in self.shards.iter().enumerate() {
-            if let Some((time, seq)) = q.peek_key() {
-                if best.is_none_or(|(bt, bs, _)| (time, seq) < (bt, bs)) {
-                    best = Some((time, seq, s));
-                }
-            }
-        }
-        best.map(|(_, _, s)| s)
-    }
-
-    /// Removes and returns the earliest event across all sub-queues.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.min_shard()?;
-        let popped = self.shards[s].pop()?;
-        self.len -= 1;
-        self.last_popped = popped.0;
-        self.last_shard = s;
-        Some(popped)
-    }
-
-    /// Head-time ties across all sub-queues as `(seq, shard)`, ascending by
-    /// `seq` — the merged FIFO run the tie-order hook sees.
-    fn merged_ties(&self) -> Vec<(u64, usize)> {
-        let Some(time) = self.peek_time() else { return Vec::new() };
-        let mut ties: Vec<(u64, usize)> = Vec::new();
-        for (s, q) in self.shards.iter().enumerate() {
-            if q.peek_time() == Some(time) {
-                q.for_each_tie_entry(|seq, _| ties.push((seq, s)));
-            }
-        }
-        ties.sort_unstable();
-        ties
-    }
-
-    /// Removes and returns the `n`-th event (global FIFO order) among those
-    /// tied at the earliest pending time (see [`EventQueue::pop_nth`]).
-    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, E)> {
-        let ties = self.merged_ties();
-        let &(seq, shard) = ties.get(n)?;
-        // The shard's own tie run is seq-ascending, so the local index is
-        // how many of its tied entries precede `seq` in the merged run.
-        let local = ties[..n].iter().filter(|&&(_, s)| s == shard).count();
-        debug_assert!({
-            let mut kth = None;
-            let mut i = 0;
-            self.shards[shard].for_each_tie_entry(|s, _| {
-                if i == local {
-                    kth = Some(s);
-                }
-                i += 1;
-            });
-            kth == Some(seq)
-        });
-        let popped = self.shards[shard].pop_nth(local)?;
-        self.len -= 1;
-        self.last_popped = popped.0;
-        self.last_shard = shard;
-        Some(popped)
-    }
-
-    /// Number of pending events tied at the earliest time (0 when empty).
-    pub fn tie_count(&self) -> usize {
-        let Some(time) = self.peek_time() else { return 0 };
-        self.shards.iter().filter(|q| q.peek_time() == Some(time)).map(|q| q.tie_count()).sum()
-    }
-
-    /// Visits each event tied at the earliest time, in global FIFO order
-    /// (merged across sub-queues by `seq`).
-    pub fn for_each_tie(&self, mut f: impl FnMut(&E)) {
-        let Some(time) = self.peek_time() else { return };
-        let mut ties: Vec<(u64, &E)> = Vec::new();
-        for q in &self.shards {
-            if q.peek_time() == Some(time) {
-                q.for_each_tie_entry(|seq, e| ties.push((seq, e)));
-            }
-        }
-        ties.sort_unstable_by_key(|&(seq, _)| seq);
-        for (_, e) in ties {
-            f(e);
-        }
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best: Option<(SimTime, u64)> = None;
-        for q in &self.shards {
-            if let Some(key) = q.peek_key() {
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(time, _)| time)
-    }
-
-    /// The virtual time of the most recent merged pop (see
-    /// [`EventQueue::now`]).
-    pub fn now(&self) -> SimTime {
-        self.last_popped
-    }
-
-    /// Number of pending events across all sub-queues.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl<E> ShardedQueue<E> {
-    /// Pending entries as `(time, seq, shard, event)` in `(time, seq)`
-    /// order — the canonical snapshot form, which must also record each
-    /// entry's home sub-queue so a restore rebuilds the same placement.
-    fn snapshot_entries(&self) -> Vec<(SimTime, u64, usize, &E)> {
-        let mut all: Vec<(SimTime, u64, usize, &E)> = Vec::with_capacity(self.len);
-        for (s, q) in self.shards.iter().enumerate() {
-            all.extend(q.snapshot_entries().into_iter().map(|(time, seq, e)| (time, seq, s, e)));
-        }
-        all.sort_unstable_by_key(|&(time, seq, _, _)| (time, seq));
-        all
-    }
-
-    /// Rebuilds a queue from its canonical snapshot form. Entries must
-    /// arrive in `(time, seq)` order with valid shard tags.
-    fn from_restored(
-        shard_count: usize,
-        last_popped: SimTime,
-        next_seq: u64,
-        entries: Vec<(SimTime, u64, usize, E)>,
-    ) -> Self
-    where
-        E: Debug,
-    {
-        let len = entries.len();
-        let mut per_shard: Vec<Vec<(SimTime, u64, E)>> =
-            (0..shard_count.max(1)).map(|_| Vec::new()).collect();
-        for (time, seq, shard, event) in entries {
-            per_shard[shard].push((time, seq, event));
-        }
-        let shards = per_shard
-            .into_iter()
-            .map(|entries| EventQueue::from_restored(last_popped, next_seq, entries))
-            .collect();
-        ShardedQueue { shards, next_seq, last_popped, len, last_shard: 0 }
-    }
-}
-
 /// Which scheduler backs a simulation's event queue.
 ///
-/// All kinds are contractually identical (the scenario corpus asserts equal
+/// Both kinds are contractually identical (the scenario corpus asserts equal
 /// trace hashes across them); `Heap` exists so benchmarks and differential
-/// tests can run the reference implementation end to end, and `Sharded`
-/// partitions the queue into per-shard sub-queues for the conservative
-/// parallel driver while preserving the serial pop order by construction.
+/// tests can run the reference implementation end to end.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// The calendar queue — the default, O(1) amortised.
@@ -866,9 +546,6 @@ pub enum SchedulerKind {
     Calendar,
     /// The reference `BinaryHeap`, O(log n).
     Heap,
-    /// Per-shard calendar sub-queues merged on `(time, seq)` — the
-    /// conservative parallel driver's queue. Bit-identical to `Calendar`.
-    Sharded,
 }
 
 /// An event queue dispatching on [`SchedulerKind`] at runtime, so a driver
@@ -879,25 +556,15 @@ pub enum DriverQueue<E> {
     Calendar(EventQueue<E>),
     /// Backed by the reference heap.
     Heap(HeapQueue<E>),
-    /// Backed by per-shard calendar sub-queues with a merged pop.
-    Sharded(ShardedQueue<E>),
 }
 
 impl<E: Debug> DriverQueue<E> {
-    /// Creates an empty queue backed by `kind` (`Sharded` gets
-    /// [`DEFAULT_SHARDS`] sub-queues; use [`Self::new_sharded`] for an
-    /// explicit count).
+    /// Creates an empty queue backed by `kind`.
     pub fn new(kind: SchedulerKind) -> Self {
         match kind {
             SchedulerKind::Calendar => DriverQueue::Calendar(EventQueue::new()),
             SchedulerKind::Heap => DriverQueue::Heap(HeapQueue::new()),
-            SchedulerKind::Sharded => DriverQueue::Sharded(ShardedQueue::new(DEFAULT_SHARDS)),
         }
-    }
-
-    /// Creates an empty sharded queue with `shards` sub-queues.
-    pub fn new_sharded(shards: usize) -> Self {
-        DriverQueue::Sharded(ShardedQueue::new(shards))
     }
 
     /// Schedules `event` at `time`; panics on non-monotonic times.
@@ -905,35 +572,6 @@ impl<E: Debug> DriverQueue<E> {
         match self {
             DriverQueue::Calendar(q) => q.push(time, event),
             DriverQueue::Heap(q) => q.push(time, event),
-            DriverQueue::Sharded(q) => q.push(time, event),
-        }
-    }
-
-    /// Schedules `event` at `time` with a routing hint: the sharded queue
-    /// places it in sub-queue `shard % shard_count` (the event owner's home
-    /// shard), the serial queues ignore the hint. Routing never changes pop
-    /// order — only which sub-queue carries the entry.
-    pub fn push_routed(&mut self, time: SimTime, event: E, shard: usize) {
-        match self {
-            DriverQueue::Calendar(q) => q.push(time, event),
-            DriverQueue::Heap(q) => q.push(time, event),
-            DriverQueue::Sharded(q) => q.push_routed(time, event, shard),
-        }
-    }
-
-    /// Number of sub-queues (1 for the serial kinds).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            DriverQueue::Sharded(q) => q.shard_count(),
-            _ => 1,
-        }
-    }
-
-    /// Sub-queue that served the most recent pop (0 for the serial kinds).
-    pub fn last_shard(&self) -> usize {
-        match self {
-            DriverQueue::Sharded(q) => q.last_shard(),
-            _ => 0,
         }
     }
 
@@ -942,7 +580,6 @@ impl<E: Debug> DriverQueue<E> {
         match self {
             DriverQueue::Calendar(q) => q.pop(),
             DriverQueue::Heap(q) => q.pop(),
-            DriverQueue::Sharded(q) => q.pop(),
         }
     }
 
@@ -953,7 +590,6 @@ impl<E: Debug> DriverQueue<E> {
         match self {
             DriverQueue::Calendar(q) => q.pop_nth(n),
             DriverQueue::Heap(q) => q.pop_nth(n),
-            DriverQueue::Sharded(q) => q.pop_nth(n),
         }
     }
 
@@ -962,7 +598,6 @@ impl<E: Debug> DriverQueue<E> {
         match self {
             DriverQueue::Calendar(q) => q.tie_count(),
             DriverQueue::Heap(q) => q.tie_count(),
-            DriverQueue::Sharded(q) => q.tie_count(),
         }
     }
 
@@ -971,7 +606,6 @@ impl<E: Debug> DriverQueue<E> {
         match self {
             DriverQueue::Calendar(q) => q.for_each_tie(f),
             DriverQueue::Heap(q) => q.for_each_tie(f),
-            DriverQueue::Sharded(q) => q.for_each_tie(f),
         }
     }
 
@@ -980,7 +614,6 @@ impl<E: Debug> DriverQueue<E> {
         match self {
             DriverQueue::Calendar(q) => q.peek_time(),
             DriverQueue::Heap(q) => q.peek_time(),
-            DriverQueue::Sharded(q) => q.peek_time(),
         }
     }
 
@@ -989,7 +622,6 @@ impl<E: Debug> DriverQueue<E> {
         match self {
             DriverQueue::Calendar(q) => q.now(),
             DriverQueue::Heap(q) => q.now(),
-            DriverQueue::Sharded(q) => q.now(),
         }
     }
 
@@ -998,7 +630,6 @@ impl<E: Debug> DriverQueue<E> {
         match self {
             DriverQueue::Calendar(q) => q.len(),
             DriverQueue::Heap(q) => q.len(),
-            DriverQueue::Sharded(q) => q.len(),
         }
     }
 
@@ -1010,28 +641,9 @@ impl<E: Debug> DriverQueue<E> {
 
 impl<E: crate::Snapshotable + Debug> crate::Snapshotable for DriverQueue<E> {
     fn encode(&self, w: &mut crate::SnapshotWriter) {
-        // Kind tag 2 (sharded) extends the serial layout with the shard
-        // count up front and a one-byte home-shard tag per entry; entries
-        // stay in the canonical merged `(time, seq)` order.
-        if let DriverQueue::Sharded(q) = self {
-            w.put_u8(2);
-            w.put_usize(q.shard_count());
-            w.put(&q.last_popped);
-            w.put_u64(q.next_seq);
-            let entries = q.snapshot_entries();
-            w.put_usize(entries.len());
-            for (time, seq, shard, event) in entries {
-                w.put(&time);
-                w.put_u64(seq);
-                w.put_u8(shard as u8);
-                event.encode(w);
-            }
-            return;
-        }
         let (kind, last_popped, next_seq, entries) = match self {
             DriverQueue::Calendar(q) => (0u8, q.last_popped, q.next_seq, q.snapshot_entries()),
             DriverQueue::Heap(q) => (1u8, q.last_popped, q.next_seq, q.snapshot_entries()),
-            DriverQueue::Sharded(_) => unreachable!("handled above"),
         };
         w.put_u8(kind);
         w.put(&last_popped);
@@ -1045,44 +657,13 @@ impl<E: crate::Snapshotable + Debug> crate::Snapshotable for DriverQueue<E> {
     }
 
     fn decode(r: &mut crate::SnapshotReader<'_>) -> Result<Self, crate::SnapError> {
-        let kind = r.take_u8()?;
-        if kind == 2 {
-            let shard_count = r.take_usize()?;
-            if shard_count == 0 || shard_count > MAX_SHARDS {
-                return Err(crate::SnapError::Invalid("shard count"));
-            }
-            let last_popped: SimTime = r.get()?;
-            let next_seq = r.take_u64()?;
-            let count = r.take_usize()?;
-            let mut entries: Vec<(SimTime, u64, usize, E)> = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                let time: SimTime = r.get()?;
-                let seq = r.take_u64()?;
-                let shard = usize::from(r.take_u8()?);
-                let event = E::decode(r)?;
-                if time < last_popped {
-                    return Err(crate::SnapError::Invalid("queued event before now"));
-                }
-                if seq >= next_seq {
-                    return Err(crate::SnapError::Invalid("queued event seq from the future"));
-                }
-                if shard >= shard_count {
-                    return Err(crate::SnapError::Invalid("entry shard out of range"));
-                }
-                if let Some(&(pt, ps, _, _)) = entries.last() {
-                    if (time, seq) <= (pt, ps) {
-                        return Err(crate::SnapError::Invalid("queue entries out of order"));
-                    }
-                }
-                entries.push((time, seq, shard, event));
-            }
-            return Ok(DriverQueue::Sharded(ShardedQueue::from_restored(
-                shard_count,
-                last_popped,
-                next_seq,
-                entries,
-            )));
-        }
+        // Checked before the entries: a tag this build does not know may
+        // lay them out differently.
+        let kind = match r.take_u8()? {
+            0 => SchedulerKind::Calendar,
+            1 => SchedulerKind::Heap,
+            _ => return Err(crate::SnapError::Invalid("scheduler kind tag")),
+        };
         let last_popped: SimTime = r.get()?;
         let next_seq = r.take_u64()?;
         let count = r.take_usize()?;
@@ -1104,13 +685,14 @@ impl<E: crate::Snapshotable + Debug> crate::Snapshotable for DriverQueue<E> {
             }
             entries.push((time, seq, event));
         }
-        match kind {
-            0 => {
-                Ok(DriverQueue::Calendar(EventQueue::from_restored(last_popped, next_seq, entries)))
+        Ok(match kind {
+            SchedulerKind::Calendar => {
+                DriverQueue::Calendar(EventQueue::from_restored(last_popped, next_seq, entries))
             }
-            1 => Ok(DriverQueue::Heap(HeapQueue::from_restored(last_popped, next_seq, entries))),
-            _ => Err(crate::SnapError::Invalid("scheduler kind tag")),
-        }
+            SchedulerKind::Heap => {
+                DriverQueue::Heap(HeapQueue::from_restored(last_popped, next_seq, entries))
+            }
+        })
     }
 }
 
@@ -1284,7 +866,7 @@ mod tests {
 
     #[test]
     fn tie_count_and_for_each_tie_see_the_fifo_run() {
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap, SchedulerKind::Sharded] {
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
             let mut q = DriverQueue::new(kind);
             assert_eq!(q.tie_count(), 0);
             q.push(t(10), 'a');
@@ -1305,7 +887,7 @@ mod tests {
 
     #[test]
     fn pop_nth_picks_one_tie_and_keeps_fifo_for_the_rest() {
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap, SchedulerKind::Sharded] {
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
             let mut q = DriverQueue::new(kind);
             for e in ['a', 'b', 'c', 'd'] {
                 q.push(t(10), e);
@@ -1328,7 +910,7 @@ mod tests {
     fn pop_nth_zero_is_exactly_pop() {
         // Same deterministic mixed workload on four queues: two popped with
         // `pop()`, two with `pop_nth(0)` — every observation must agree.
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap, SchedulerKind::Sharded] {
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
             let mut plain = DriverQueue::new(kind);
             let mut nth = DriverQueue::new(kind);
             let mut state = 0xdeadbeefu64;
@@ -1363,7 +945,7 @@ mod tests {
 
     #[test]
     fn driver_queue_dispatches_both_kinds() {
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap, SchedulerKind::Sharded] {
+        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
             let mut q = DriverQueue::new(kind);
             q.push(t(20), 'y');
             q.push(t(10), 'x');
@@ -1373,139 +955,6 @@ mod tests {
             assert_eq!(q.now(), t(10));
             assert_eq!(q.pop(), Some((t(20), 'y')));
             assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn sharded_pops_fifo_across_shards() {
-        // Ties spread over different home shards must still pop in global
-        // push order: the shared seq counter is the only tiebreak.
-        let mut q = ShardedQueue::new(4);
-        for (i, shard) in [2usize, 0, 3, 1, 2, 0].into_iter().enumerate() {
-            q.push_routed(t(10), i, shard);
-        }
-        q.push_routed(t(5), 99, 3);
-        assert_eq!(q.pop(), Some((t(5), 99)));
-        for i in 0..6 {
-            assert_eq!(q.pop(), Some((t(10), i)));
-        }
-        assert!(q.is_empty());
-        assert_eq!(q.now(), t(10));
-    }
-
-    #[test]
-    fn sharded_matches_calendar_for_any_routing() {
-        // The pop stream must be independent of the routing function — it
-        // only decides which sub-queue holds an entry, never its rank.
-        for shards in [1usize, 2, 4, 7] {
-            let mut sharded = ShardedQueue::new(shards);
-            let mut cal = EventQueue::new();
-            let mut state = 0xabcdefu64;
-            let step = |s: &mut u64| {
-                *s ^= *s << 13;
-                *s ^= *s >> 7;
-                *s ^= *s << 17;
-                *s
-            };
-            for i in 0..10_000u64 {
-                let r = step(&mut state);
-                if r % 10 < 6 {
-                    let base = cal.now().as_nanos();
-                    let delta = if r % 2 == 0 { r % 30 } else { r % 400_000 };
-                    sharded.push_routed(t(base + delta), i, (r % 11) as usize);
-                    cal.push(t(base + delta), i);
-                } else {
-                    assert_eq!(sharded.pop(), cal.pop(), "shards={shards}");
-                    assert_eq!(sharded.now(), cal.now(), "shards={shards}");
-                }
-                assert_eq!(sharded.len(), cal.len(), "shards={shards}");
-                assert_eq!(sharded.peek_time(), cal.peek_time(), "shards={shards}");
-                assert_eq!(sharded.tie_count(), cal.tie_count(), "shards={shards}");
-            }
-            loop {
-                let (a, b) = (sharded.pop(), cal.pop());
-                assert_eq!(a, b, "shards={shards}");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_tie_introspection_merges_in_seq_order() {
-        let mut q = ShardedQueue::new(3);
-        q.push_routed(t(10), 'a', 2);
-        q.push_routed(t(10), 'b', 0);
-        q.push_routed(t(10), 'c', 2);
-        q.push_routed(t(10), 'd', 1);
-        q.push_routed(t(20), 'z', 0);
-        assert_eq!(q.tie_count(), 4);
-        let mut seen = Vec::new();
-        q.for_each_tie(|&e| seen.push(e));
-        assert_eq!(seen, vec!['a', 'b', 'c', 'd']);
-        assert_eq!(q.pop_nth(2), Some((t(10), 'c')));
-        assert_eq!(q.pop_nth(3), None, "out-of-run index must not pop");
-        assert_eq!(q.pop(), Some((t(10), 'a')));
-        assert_eq!(q.pop(), Some((t(10), 'b')));
-        assert_eq!(q.pop(), Some((t(10), 'd')));
-        assert_eq!(q.pop(), Some((t(20), 'z')));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_last_shard_reports_pop_origin() {
-        let mut q = ShardedQueue::new(4);
-        q.push_routed(t(1), 'a', 3);
-        q.push_routed(t(2), 'b', 1);
-        q.pop();
-        assert_eq!(q.last_shard(), 3);
-        q.pop();
-        assert_eq!(q.last_shard(), 1);
-    }
-
-    #[test]
-    fn sharded_driver_snapshot_round_trip() {
-        use crate::Snapshotable;
-        let mut q: DriverQueue<u64> = DriverQueue::new_sharded(3);
-        let mut state = 0x1234_5678u64;
-        let step = |s: &mut u64| {
-            *s ^= *s << 13;
-            *s ^= *s >> 7;
-            *s ^= *s << 17;
-            *s
-        };
-        for i in 0..500u64 {
-            let r = step(&mut state);
-            let base = q.now().as_nanos();
-            q.push_routed(t(base + r % 1_000), i, (r % 5) as usize);
-            if r % 3 == 0 {
-                q.pop();
-            }
-        }
-        let mut w = crate::SnapshotWriter::new();
-        q.encode(&mut w);
-        let bytes = w.finish();
-        let mut r = crate::SnapshotReader::new(&bytes);
-        let mut restored: DriverQueue<u64> = DriverQueue::decode(&mut r).unwrap();
-        assert_eq!(restored.shard_count(), 3);
-        assert_eq!(restored.len(), q.len());
-        // Drain both twins and in parallel feed identical fresh pushes: the
-        // restored queue must be observationally identical, seqs included.
-        let mut i = 10_000u64;
-        loop {
-            let (a, b) = (q.pop(), restored.pop());
-            assert_eq!(a, b);
-            assert_eq!(q.last_shard(), restored.last_shard());
-            if a.is_none() {
-                break;
-            }
-            if i < 10_020 {
-                let at = t(q.now().as_nanos() + 7);
-                q.push_routed(at, i, 2);
-                restored.push_routed(at, i, 2);
-                i += 1;
-            }
         }
     }
 }

@@ -13,10 +13,9 @@
 //! * [`stats`] — small online statistics helpers (EWMA, time series).
 //!
 //! The simulation is bit-for-bit deterministic for a given seed: events that
-//! fire at the same virtual time are delivered in insertion order. The
-//! serial drivers are single-threaded; the conservative parallel driver
-//! ([`ShardedQueue`] plus the [`shard`] helpers) keeps the identical pop
-//! order by construction and uses threads only as a wall-clock optimization.
+//! fire at the same virtual time are delivered in insertion order. Every
+//! simulation is single-threaded: one queue, popped serially. Parallelism
+//! lives across runs, in `harness::parallel`.
 //!
 //! # Example
 //!
@@ -37,7 +36,6 @@ mod detmap;
 mod event;
 mod perf;
 mod rng;
-pub mod shard;
 mod smallvec;
 pub mod snapshot;
 pub mod stats;
@@ -47,12 +45,9 @@ mod timer;
 mod trace;
 
 pub use detmap::{DetMap, DetSet};
-pub use event::{
-    DriverQueue, EventQueue, HeapQueue, SchedulerKind, ShardedQueue, DEFAULT_SHARDS, MAX_SHARDS,
-};
+pub use event::{DriverQueue, EventQueue, HeapQueue, SchedulerKind};
 pub use perf::RunPerf;
 pub use rng::SimRng;
-pub use shard::{lookahead, run_sharded, Horizons, MAC_TURNAROUND, MIN_PROPAGATION_DELAY};
 pub use smallvec::SmallVec;
 pub use snapshot::{
     SnapError, SnapshotReader, SnapshotWriter, Snapshotable, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -121,11 +121,10 @@ mod tests {
         assert_eq!(a.classified_total(), 14);
     }
 
-    /// Merging per-shard blocks must be order-insensitive and lossless:
-    /// `merge` is associative, commutative, and has the default block as
-    /// identity. This is what lets the sharded driver accumulate counters
-    /// into per-shard blocks and still report the serial totals exactly,
-    /// regardless of how nodes were partitioned.
+    /// Merging blocks must be order-insensitive and lossless: `merge` is
+    /// associative, commutative, and has the default block as identity, so
+    /// a batch of runs aggregates to the same totals in any completion
+    /// order.
     #[test]
     fn merge_is_associative_commutative_with_identity() {
         let blocks = [

@@ -32,7 +32,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUZSNAP0";
 
 /// Current snapshot format version. Bumps on any layout change; decoders
 /// reject every other version outright (no migration).
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Why a snapshot failed to decode. Always an error value, never a panic:
 /// snapshots cross process boundaries and must be treated as untrusted
@@ -541,14 +541,36 @@ mod tests {
 
     #[test]
     fn bumped_version_is_rejected_not_misread() {
+        // The next version, and the previous one: no v2 reader exists.
+        for version in [SNAPSHOT_VERSION + 1, 2] {
+            let mut w = SnapshotWriter::new();
+            w.put_bytes(&[]); // placeholder so the buffer is non-trivial
+            let mut bytes = Vec::from(SNAPSHOT_MAGIC);
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes.extend_from_slice(&w.finish());
+            assert_eq!(
+                SnapshotReader::with_header(&bytes).err(),
+                Some(SnapError::UnsupportedVersion(version))
+            );
+        }
+    }
+
+    #[test]
+    fn retired_scheduler_kind_tag_is_rejected_not_misread() {
+        // Kind tag 2 was the sharded queue: shard count up front and a
+        // home-shard byte per entry. A decoder that fell through to the
+        // serial layout would misparse it; it must refuse the tag instead.
         let mut w = SnapshotWriter::new();
-        w.put_bytes(&[]); // placeholder so the buffer is non-trivial
-        let mut bytes = Vec::from(SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-        bytes.extend_from_slice(&w.finish());
+        w.put_u8(2);
+        w.put_usize(4); // shard count
+        w.put(&crate::SimTime::ZERO);
+        w.put_u64(0);
+        w.put_usize(0);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes);
         assert_eq!(
-            SnapshotReader::with_header(&bytes).err(),
-            Some(SnapError::UnsupportedVersion(SNAPSHOT_VERSION + 1))
+            crate::DriverQueue::<u64>::decode(&mut r).err(),
+            Some(SnapError::Invalid("scheduler kind tag"))
         );
     }
 

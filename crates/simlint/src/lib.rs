@@ -68,7 +68,7 @@ pub enum Rule {
     FloatOrder,
     /// Raw timer-slot clears bypassing the TimerSlab id-match contract.
     TimerClear,
-    /// `std::thread` use outside the licensed wall-clock/shard-driver files.
+    /// `std::thread` use outside the wall-clock measurement crates.
     ThreadSpawn,
     /// An `Event` variant missing its fold tag, `RunPerf` arm, or dispatch arm.
     EventAccounting,
@@ -195,13 +195,12 @@ impl Rule {
                 "Threads are where nondeterminism re-enters a deterministic \
                  simulator: anything computed on a worker thread and merged in \
                  completion order (instead of a fixed order) varies run to run. \
-                 Parallelism is confined to two audited places — the harness \
+                 Parallelism is confined to one audited place — the harness \
                  batch runner (independent whole runs, merged in submission \
-                 order) and crates/sim-core/src/shard.rs, the conservative \
-                 sharded driver whose workers compute pure plans merged in \
-                 shard order. Everywhere else, std::thread is banned; new \
-                 parallel code must route through sim_core::run_sharded so the \
-                 merge discipline stays in one reviewed file."
+                 order) and the measurement crates around it. A simulation \
+                 itself is single-threaded; everywhere else std::thread is \
+                 banned, and parallel work goes through harness::run_batch so \
+                 the merge discipline stays in one reviewed file."
             }
             Rule::EventAccounting => {
                 "Every netstack::sim::Event variant must appear in fold_event (with a \
@@ -309,7 +308,9 @@ pub const SIM_STATE_CRATES: [&str; 10] = [
 pub const WALLCLOCK_CRATES: [&str; 2] = ["harness", "bench"];
 
 /// Whether `rel_path` (workspace-relative, forward slashes) belongs to a
-/// crate licensed to use `Instant`.
+/// crate licensed to use `Instant` — and, with it, `std::thread`: the same
+/// measurement crates run whole simulations in parallel and merge results
+/// in submission order.
 pub fn wallclock_licensed(rel_path: &str) -> bool {
     let mut parts = rel_path.split('/');
     parts.next() == Some("crates")
@@ -324,17 +325,6 @@ pub fn wallclock_licensed(rel_path: &str) -> bool {
 /// schedule through `sim_core::EventQueue`/`DriverQueue`.
 pub fn binaryheap_licensed(rel_path: &str) -> bool {
     rel_path.starts_with("crates/sim-core/src/")
-}
-
-/// Whether `rel_path` may touch `std::thread`. Two homes are licensed: the
-/// wall-clock measurement crates (whole-run batch parallelism, results
-/// merged in submission order) and the conservative sharded driver
-/// `crates/sim-core/src/shard.rs`, whose `run_sharded` merges worker
-/// results in shard order. Everything else must route parallel work
-/// through `sim_core::run_sharded`, keeping the deterministic-merge
-/// discipline in one reviewed file.
-pub fn thread_licensed(rel_path: &str) -> bool {
-    wallclock_licensed(rel_path) || rel_path == "crates/sim-core/src/shard.rs"
 }
 
 /// Whether `rel_path` may order raw floats with handwritten comparators.

@@ -8,8 +8,7 @@
 
 use crate::lexer::{Lexed, TokKind, Token};
 use crate::{
-    binaryheap_licensed, floatorder_licensed, thread_licensed, wallclock_licensed, FileScope,
-    Finding, Rule,
+    binaryheap_licensed, floatorder_licensed, wallclock_licensed, FileScope, Finding, Rule,
 };
 
 /// Integer types an `as` cast can silently truncate into.
@@ -304,16 +303,16 @@ pub(crate) fn scan_file(rel_path: &str, scope: FileScope, lexed: &Lexed) -> Vec<
         if t.is_ident("thread")
             && punct_at(toks, i + 1, ':')
             && punct_at(toks, i + 2, ':')
-            && !thread_licensed(rel_path)
+            && !wallclock_licensed(rel_path)
         {
             push(
                 &mut findings,
                 Rule::ThreadSpawn,
                 t.line,
-                "`std::thread` outside the licensed parallel drivers".to_string(),
-                "route parallel work through sim_core::run_sharded (shard-order \
-                 merge) or the harness batch runner; raw thread spawns merge in \
-                 completion order and break replay"
+                "`std::thread` outside the licensed measurement crates".to_string(),
+                "route parallel work through the harness batch runner \
+                 (harness::run_batch, submission-order merge); raw thread spawns \
+                 merge in completion order and break replay"
                     .to_string(),
             );
         }

@@ -39,11 +39,9 @@
 pub mod sim {
     pub use sim_core::stats;
     pub use sim_core::{
-        lookahead, run_sharded, twin_run, DriverQueue, EventQueue, HeapQueue, Horizons, RunPerf,
-        SchedulerKind, ShardedQueue, SimDuration, SimRng, SimTime, SnapError, SnapshotReader,
-        SnapshotWriter, Snapshotable, TieChoice, TieClass, TieKind, TieOrder, TimerHandle,
-        TimerSlab, TraceHash, DEFAULT_SHARDS, MAC_TURNAROUND, MAX_SHARDS, MIN_PROPAGATION_DELAY,
-        SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+        twin_run, DriverQueue, EventQueue, HeapQueue, RunPerf, SchedulerKind, SimDuration, SimRng,
+        SimTime, SnapError, SnapshotReader, SnapshotWriter, Snapshotable, TieChoice, TieClass,
+        TieKind, TieOrder, TimerHandle, TimerSlab, TraceHash, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
     };
 }
 

@@ -8,6 +8,7 @@
 
 use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
 use tcp_muzha::faultline::{CheckEvent, InvariantChecker, LedgerSummary, ScenarioScript};
+use tcp_muzha::mc::{corpus_duration, corpus_sim};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::sim::{
     DriverQueue, SchedulerKind, SimDuration, SimTime, TieClass, TieKind, TieOrder, TraceHash,
@@ -116,104 +117,60 @@ fn corpus_is_scheduler_agnostic() {
     }
 }
 
-/// Same as [`run_scenario_with`] but under the conservative sharded
-/// scheduler at an explicit shard count.
-fn run_scenario_sharded(
-    script: &ScenarioScript,
-    shards: usize,
-) -> (u64, u64, LedgerSummary, Vec<String>) {
-    let seed = script.seed.expect("corpus scripts declare a seed");
-    let duration = script.duration.expect("corpus scripts declare a duration");
-    let cfg = SimConfig { seed, scheduler: SchedulerKind::Sharded, shards, ..SimConfig::default() };
-    let mut sim = Simulator::new(topology::chain(4), cfg);
-    let (src, dst) = topology::chain_flow(4);
-    let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-    sim.load_scenario(script);
-    sim.install_checker(InvariantChecker::new());
-    sim.run_until(SimTime::ZERO + duration);
-    let checker = sim.take_checker().expect("checker was installed");
-    let violations = checker.violations().iter().map(|v| v.to_string()).collect();
-    (sim.trace_hash(), sim.flow_report(flow).delivered_segments, checker.ledger(), violations)
+/// One pinned row of `tests/fixtures/corpus_digests.txt`.
+fn digest_row(name: &str, sim: &Simulator) -> String {
+    let delivered: u64 = sim.run_report().flows.iter().map(|f| f.delivered_bytes).sum();
+    format!("{name} {:016x} {delivered} {}", sim.trace_hash(), sim.perf().events_processed)
 }
 
-/// The sharded scheduler's acceptance bar on the full corpus: every script
-/// — faults, pauses, loss bursts and all — must replay the *byte-identical*
-/// trace hash of the serial calendar run at shard counts 1, 2 and 4, with
-/// the same delivery count and a clean checker.
+/// The cross-commit oracle: every other hash gate compares two runs of the
+/// *same* build, so a refactor that shifts both sides passes them all. This
+/// one compares the 8 corpus scripts plus a 60-node random-waypoint disc, on
+/// the default scheduler, against digests committed by an earlier build.
+/// A legitimate behaviour change regenerates the fixture from the table the
+/// failure prints — and says so in its PR.
 #[test]
-fn corpus_is_shard_count_agnostic() {
+fn corpus_digests_match_the_committed_fixture() {
+    use tcp_muzha::net::{MobilitySpec, TopologySpec};
+
+    let mut rows = Vec::new();
     for (name, text) in CORPUS {
         let script = ScenarioScript::parse(text)
             .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
-        let (serial_hash, serial_delivered, _, _) =
-            run_scenario_with(&script, SchedulerKind::Calendar);
-        for shards in [1usize, 2, 4] {
-            let (hash, delivered, ledger, violations) = run_scenario_sharded(&script, shards);
-            assert_eq!(
-                hash, serial_hash,
-                "{name}: sharded run ({shards} shards) diverged from the serial trace"
-            );
-            assert_eq!(delivered, serial_delivered, "{name}: delivery counts diverged");
-            assert!(
-                violations.is_empty(),
-                "{name} ({shards} shards): invariant violations:\n{}",
-                violations.join("\n")
-            );
-            assert_eq!(
-                ledger.injected,
-                ledger.delivered + ledger.dropped + ledger.fault_dropped + ledger.in_flight,
-                "{name} ({shards} shards): conservation ledger does not balance"
-            );
-        }
+        let mut sim = corpus_sim(&script);
+        sim.run_until(SimTime::ZERO + corpus_duration(&script));
+        rows.push(digest_row(name, &sim));
     }
-}
 
-/// The corpus runs on a static chain; this pins the sharded scheduler on
-/// the workload it actually parallelises — a random-waypoint mobile
-/// topology, where every lookahead window is dense with mobility ticks.
-/// The trace hash and the *merged* perf counters must match the serial run
-/// exactly at shard counts 1, 2 and 4.
-#[test]
-fn mobile_topology_is_shard_count_agnostic() {
-    use tcp_muzha::net::{MobilitySpec, TopologySpec};
-
-    let build = |scheduler: SchedulerKind, shards: usize| {
-        let cfg = SimConfig {
-            seed: 77,
-            scheduler,
-            shards,
-            topology: TopologySpec::RandomDisc { count: 60, width_m: 1500.0, height_m: 1100.0 },
-            mobility: MobilitySpec::Waypoint {
-                min_speed_mps: 2.0,
-                max_speed_mps: 20.0,
-                pause: SimDuration::from_millis(250),
-            },
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::from_config(cfg);
-        let last = sim.node_count() - 1;
-        sim.add_flow(FlowSpec::new(NodeId::new(0), NodeId::new(last as u16), TcpVariant::Muzha));
-        sim.run_until(SimTime::from_secs_f64(3.0));
-        (sim.trace_hash(), sim.perf())
+    // The corpus runs on a static chain; the disc exercises the mobility
+    // tick, grid index updates and AODV repair under motion.
+    let cfg = SimConfig {
+        seed: 77,
+        topology: TopologySpec::RandomDisc { count: 60, width_m: 1500.0, height_m: 1100.0 },
+        mobility: MobilitySpec::Waypoint {
+            min_speed_mps: 2.0,
+            max_speed_mps: 20.0,
+            pause: SimDuration::from_millis(250),
+        },
+        ..SimConfig::default()
     };
+    let mut sim = Simulator::from_config(cfg);
+    let last = sim.node_count() - 1;
+    sim.add_flow(FlowSpec::new(NodeId::new(0), NodeId::new(last as u16), TcpVariant::Muzha));
+    sim.run_until(SimTime::from_secs_f64(3.0));
+    let perf = sim.perf();
+    assert_eq!(perf.classified_total(), perf.events_processed, "classification invariant broken");
+    rows.push(digest_row("disc60-waypoint", &sim));
 
-    let (serial_hash, serial_perf) = build(SchedulerKind::Calendar, 1);
-    for shards in [1usize, 2, 4] {
-        let (hash, perf) = build(SchedulerKind::Sharded, shards);
-        assert_eq!(
-            hash, serial_hash,
-            "mobile topology: sharded run ({shards} shards) diverged from serial"
-        );
-        assert_eq!(
-            perf, serial_perf,
-            "mobile topology: merged counters diverged at {shards} shards"
-        );
-        assert_eq!(
-            perf.classified_total(),
-            perf.events_processed,
-            "mobile topology ({shards} shards): classification invariant broken"
-        );
-    }
+    let committed: Vec<&str> = include_str!("fixtures/corpus_digests.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .collect();
+    assert!(
+        rows == committed,
+        "behaviour changed against tests/fixtures/corpus_digests.txt; this build produces:\n{}\n",
+        rows.join("\n")
+    );
 }
 
 /// Scenario seeds are not decorative: two corpus entries differing only in

@@ -1,20 +1,14 @@
 //! Tier-1 differential gate for the calendar-queue scheduler: under
 //! randomised interleavings of push / pop / lazy-cancel, the calendar
-//! queue, the `BinaryHeap`-backed reference, and the sharded sub-queue
-//! scheduler must emit *identical* pop streams — same timestamps, same
-//! payloads, same FIFO order among ties, same tombstone skips. The sharded
-//! queue runs under *adversarial routing* (the shard hint cycles through
-//! every sub-queue): its single global sequence counter makes the pop order
-//! independent of where events land, and this test is what pins that claim
-//! at the op level. This is the counterpart of the end-to-end
+//! queue and the `BinaryHeap`-backed reference must emit *identical* pop
+//! streams — same timestamps, same payloads, same FIFO order among ties,
+//! same tombstone skips. This is the counterpart of the end-to-end
 //! cross-scheduler trace-hash equality checked in `tests/scenario_corpus.rs`
 //! and `netstack`'s own tests: if this property holds, swapping the
 //! scheduler cannot perturb any simulation.
 
 use proptest::prelude::*;
-use tcp_muzha::sim::{
-    EventQueue, HeapQueue, ShardedQueue, SimDuration, SimRng, SimTime, TimerSlab,
-};
+use tcp_muzha::sim::{EventQueue, HeapQueue, SimDuration, SimRng, SimTime, TimerSlab};
 
 /// One scripted operation against both queues.
 #[derive(Clone, Debug)]
@@ -54,31 +48,24 @@ proptest! {
     fn calendar_matches_heap_reference(
         ops in proptest::collection::vec(op_strategy(), 1..300),
         drain in any::<bool>(),
-        shards in 1usize..5,
     ) {
         let mut calendar = EventQueue::new();
         let mut heap = HeapQueue::new();
-        let mut sharded = ShardedQueue::new(shards);
         let mut slab = TimerSlab::new();
         let mut live = Vec::new();
         let mut stale_skips = 0u64;
         let mut pops = 0u64;
-        let mut route = 0usize;
 
         for op in &ops {
             match *op {
                 Op::Push { offset_ns } => {
-                    // All queues agree on `now` (asserted below), so the
+                    // Both queues agree on `now` (asserted below), so the
                     // same absolute time is legal for each.
                     let at = calendar.now() + SimDuration::from_nanos(offset_ns);
                     let handle = slab.schedule();
                     live.push(handle);
                     calendar.push(at, handle);
                     heap.push(at, handle);
-                    // Adversarial routing: spray pushes across every
-                    // sub-queue; pop order must not care.
-                    sharded.push_routed(at, handle, route % shards);
-                    route += 1;
                 }
                 Op::Cancel { sel } => {
                     if !live.is_empty() {
@@ -90,7 +77,6 @@ proptest! {
                     let a = calendar.pop();
                     let b = heap.pop();
                     prop_assert_eq!(a, b, "pop streams diverged");
-                    prop_assert_eq!(a, sharded.pop(), "sharded pop stream diverged");
                     if let Some((_, handle)) = a {
                         pops += 1;
                         // The dispatch choke point's stale check: a
@@ -105,8 +91,6 @@ proptest! {
             }
             prop_assert_eq!(calendar.len(), heap.len());
             prop_assert_eq!(calendar.now(), heap.now());
-            prop_assert_eq!(calendar.len(), sharded.len());
-            prop_assert_eq!(calendar.now(), sharded.now());
         }
 
         if drain {
@@ -116,7 +100,6 @@ proptest! {
                 let a = calendar.pop();
                 let b = heap.pop();
                 prop_assert_eq!(a, b, "drain streams diverged");
-                prop_assert_eq!(a, sharded.pop(), "sharded drain diverged");
                 match a {
                     None => break,
                     Some((_, handle)) => {
@@ -127,7 +110,7 @@ proptest! {
                     }
                 }
             }
-            prop_assert!(calendar.is_empty() && heap.is_empty() && sharded.is_empty());
+            prop_assert!(calendar.is_empty() && heap.is_empty());
             // Every scheduled handle was pushed exactly once and the drain
             // popped them all; each pop either fired its timer or skipped a
             // tombstone, so the books must balance exactly.
@@ -148,36 +131,28 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let mut calendar = EventQueue::new();
         let mut heap = HeapQueue::new();
-        // Worst case for a partitioned queue: every tie lands on a
-        // different shard, so FIFO order must come from the global
-        // sequence counter alone.
-        let mut sharded = ShardedQueue::new(4);
         let tie_time = SimTime::ZERO + SimDuration::from_millis(5);
         let mut payload = 0u64;
         for _ in 0..noise {
             let at = SimTime::ZERO + SimDuration::from_nanos(u64::from(rng.below(10_000_000)));
             calendar.push(at, payload);
             heap.push(at, payload);
-            sharded.push_routed(at, payload, (payload % 4) as usize);
             payload += 1;
         }
         let first_tie = payload;
         for _ in 0..tie_count {
             calendar.push(tie_time, payload);
             heap.push(tie_time, payload);
-            sharded.push_routed(tie_time, payload, (payload % 4) as usize);
             payload += 1;
         }
         let mut seen_ties = Vec::new();
         while let Some((t, p)) = calendar.pop() {
             prop_assert_eq!(Some((t, p)), heap.pop());
-            prop_assert_eq!(Some((t, p)), sharded.pop());
             if t == tie_time && p >= first_tie {
                 seen_ties.push(p);
             }
         }
         prop_assert_eq!(heap.pop(), None);
-        prop_assert_eq!(sharded.pop(), None);
         let expected: Vec<u64> = (first_tie..first_tie + tie_count as u64).collect();
         prop_assert_eq!(seen_ties, expected, "FIFO tie order violated");
     }

@@ -102,16 +102,15 @@ fn binaryheap_licence_covers_sim_core_only() {
 
 #[test]
 fn thread_licence_covers_parallel_drivers_only() {
-    // Pin the thread carve-out: `std::thread` is licensed in exactly two
-    // places — the wall-clock measurement crates (whole-run batch
-    // parallelism, merged in submission order) and the conservative sharded
-    // driver, whose `run_sharded` merges worker results in shard order.
-    // Nowhere else: a spawn that merges in completion order is
-    // nondeterminism by construction.
-    assert!(simlint::thread_licensed("crates/sim-core/src/shard.rs"));
-    assert!(simlint::thread_licensed("crates/harness/src/parallel.rs"));
-    assert!(simlint::thread_licensed("crates/bench/src/lib.rs"));
+    // Pin the thread carve-out: `std::thread` shares the wall-clock
+    // licence — the measurement crates (whole-run batch parallelism, merged
+    // in submission order) and nowhere else. A simulation is
+    // single-threaded; the path the retired in-simulation driver lived at
+    // must not be licensed again by accident.
+    assert!(simlint::wallclock_licensed("crates/harness/src/parallel.rs"));
+    assert!(simlint::wallclock_licensed("crates/bench/src/lib.rs"));
     for path in [
+        "crates/sim-core/src/shard.rs",
         "crates/sim-core/src/event.rs",
         "crates/sim-core/src/lib.rs",
         "crates/netstack/src/sim.rs",
@@ -119,7 +118,7 @@ fn thread_licence_covers_parallel_drivers_only() {
         "src/lib.rs",
         "tests/determinism.rs",
     ] {
-        assert!(!simlint::thread_licensed(path), "{path} must not spawn threads");
+        assert!(!simlint::wallclock_licensed(path), "{path} must not spawn threads");
     }
 }
 
@@ -216,8 +215,8 @@ fn fixture_token_rules_fire() {
 #[test]
 fn fixture_unlicensed_thread_spawn_is_caught() {
     // The aodv fixture spawns a raw thread from a sim-state crate; exactly
-    // that one spawn must fire, and the licensed drivers (harness batch
-    // runner, sim-core shard driver) must stay clean in the real scan —
+    // that one spawn must fire, and the licensed harness batch runner
+    // must stay clean in the real scan —
     // `workspace_satisfies_determinism_policy` above covers the latter.
     let hits: Vec<(String, usize)> = fixture_findings()
         .into_iter()
