@@ -22,24 +22,13 @@ use netstack::{SimConfig, TcpVariant};
 use sim_core::{SimDuration, SimTime};
 use tracelog::{TraceEntry, TraceFilter};
 
-/// Flags that consume the following argument (so it is not the positional
-/// experiment selector).
-const VALUE_FLAGS: [&str; 3] = ["--jobs", "--trace", "--pcap"];
-
 fn main() {
     cli::run_main(run);
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let which = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| {
-            !(a.starts_with("--") || i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str()))
-        })
-        .map(|(_, a)| a.as_str())
-        .next()
-        .unwrap_or("all");
+    let positional = cli::positionals(args, &["--jobs", "--trace", "--pcap"], &[])?;
+    let which = positional.first().copied().unwrap_or("all");
     let jobs = parse_flag_with(args, "--jobs", str::parse::<usize>)?.unwrap_or(1);
     let trace_path = parse_flag(args, "--trace")?;
     let pcap_path = parse_flag(args, "--pcap")?;

@@ -34,6 +34,9 @@ fn main() {
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
+    let valued =
+        ["--script", "--at", "--out", "--checkpoint-every", "--out-dir", "--from", "--until"];
+    cli::positionals(args, &valued, &[])?;
     let Some(mode) = args.first().map(String::as_str) else {
         usage("missing subcommand");
     };

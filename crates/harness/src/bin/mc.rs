@@ -50,6 +50,16 @@ fn parse_window(text: &str) -> Result<(SimTime, SimTime), String> {
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
+    let valued = [
+        "--script",
+        "--tie-window",
+        "--max-branches",
+        "--max-depth",
+        "--shift-window",
+        "--shift-steps",
+        "--report",
+    ];
+    cli::positionals(args, &valued, &["--quiet", "--resume"])?;
     let script_path = required_flag(args, "--script")?;
     let text =
         std::fs::read_to_string(&script_path).unwrap_or_else(|e| panic!("read {script_path}: {e}"));

@@ -29,26 +29,17 @@ use netstack::{SimConfig, TcpVariant};
 use sim_core::{SimDuration, SimTime};
 use tracelog::{TraceEntry, TraceFilter};
 
-/// Flags that consume the following argument (so it is not the OUT_DIR
-/// positional).
-const VALUE_FLAGS: [&str; 3] = ["--jobs", "--trace", "--pcap"];
-
 fn main() {
     cli::run_main(run);
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
+    let positional = cli::positionals(args, &["--jobs", "--trace", "--pcap"], &["--quick"])?;
     let quick = args.iter().any(|a| a == "--quick");
     let jobs = parse_flag_with(args, "--jobs", str::parse::<usize>)?.unwrap_or(1);
     let trace_path = parse_flag(args, "--trace")?;
     let pcap_path = parse_flag(args, "--pcap")?;
-    let out_dir: PathBuf = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| !a.starts_with("--") && !is_flag_value(args, i))
-        .map(|(_, a)| PathBuf::from(a))
-        .next()
-        .unwrap_or_else(|| PathBuf::from("results"));
+    let out_dir = PathBuf::from(positional.first().copied().unwrap_or("results"));
     fs::create_dir_all(&out_dir).expect("create output directory");
 
     let (seeds, chain_secs, cross_secs, hops): (Vec<u64>, u64, u64, Vec<usize>) = if quick {
@@ -173,11 +164,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
 
     println!("done — results in {}", out_dir.display());
     Ok(())
-}
-
-/// Whether `args[i]` is the value following a bare value-taking flag.
-fn is_flag_value(args: &[String], i: usize) -> bool {
-    i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str())
 }
 
 fn write(dir: &Path, name: &str, contents: &str) {

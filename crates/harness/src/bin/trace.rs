@@ -22,7 +22,7 @@
 
 use harness::cli::{self, parse_flag, parse_flag_with, CliError};
 use harness::tracecap::{self, TraceFormat};
-use netstack::{MobilitySpec, SimConfig, TcpVariant, TopologySpec};
+use netstack::{MobilitySpec, SimConfig, TcpVariant};
 use sim_core::SimDuration;
 use tracelog::{TraceEntry, TraceFilter};
 use wire::FlowId;
@@ -32,6 +32,19 @@ fn main() {
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
+    let valued = [
+        "--hops",
+        "--variant",
+        "--secs",
+        "--seed",
+        "--format",
+        "--follow-flow",
+        "--last",
+        "--out",
+        "--topology",
+        "--mobility",
+    ];
+    cli::positionals(args, &valued, &["--quick"])?;
     let quick = args.iter().any(|a| a == "--quick");
 
     let hops = parse_flag_with(args, "--hops", str::parse::<usize>)?.unwrap_or(4);
@@ -44,7 +57,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let follow = parse_flag_with(args, "--follow-flow", str::parse::<u32>)?.map(FlowId::new);
     let last = parse_flag_with(args, "--last", str::parse::<usize>)?;
     let out = parse_flag(args, "--out")?;
-    let topology = parse_flag_with(args, "--topology", TopologySpec::parse)?;
+    let topology = parse_flag_with(args, "--topology", tracecap::flow_topology)?;
     let mobility = parse_flag_with(args, "--mobility", MobilitySpec::parse)?;
 
     let mut cfg = SimConfig::default();

@@ -17,6 +17,11 @@ pub enum CliError {
         /// The flag as typed.
         flag: String,
     },
+    /// A `--flag` the binary does not have.
+    UnknownFlag {
+        /// The flag as typed, without any `=value`.
+        flag: String,
+    },
     /// The value given for `flag` did not parse.
     BadValue {
         /// The flag as typed.
@@ -33,6 +38,7 @@ impl Display for CliError {
         match self {
             CliError::Required { flag } => write!(f, "{flag} is required"),
             CliError::MissingValue { flag } => write!(f, "{flag} expects a value"),
+            CliError::UnknownFlag { flag } => write!(f, "unknown flag {flag}"),
             CliError::BadValue { flag, value, reason } => {
                 write!(f, "{flag}: cannot use {value:?}: {reason}")
             }
@@ -89,6 +95,42 @@ pub fn parse_flag_with<T, E: Display>(
         Ok(v) => Ok(Some(v)),
         Err(e) => Err(CliError::BadValue { flag: flag.to_string(), value, reason: e.to_string() }),
     }
+}
+
+/// The positional arguments of `args`, after checking every `--flag` against
+/// the binary's vocabulary: a `valued` flag takes a value (`--flag V` or
+/// `--flag=V`; the `V` is not a positional), a `switch` stands alone. A
+/// misspelt or retired flag is refused here rather than ignored, so a run
+/// never silently falls back to the defaults.
+///
+/// # Errors
+///
+/// [`CliError::UnknownFlag`] for the first `--flag` in neither list.
+pub fn positionals<'a>(
+    args: &'a [String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<Vec<&'a str>, CliError> {
+    let mut rest = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            rest.push(arg.as_str());
+            continue;
+        }
+        let (name, joined) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg.as_str(), false),
+        };
+        if valued.contains(&name) {
+            if !joined {
+                args.next();
+            }
+        } else if !switches.contains(&name) {
+            return Err(CliError::UnknownFlag { flag: name.to_string() });
+        }
+    }
+    Ok(rest)
 }
 
 /// A value parser for [`parse_flag_with`]: a finite, non-negative number of
@@ -150,6 +192,29 @@ mod tests {
             Err(CliError::Required { flag: "--script".to_string() })
         );
         assert_eq!(required_flag(&args(&["--script=a.scn"]), "--script"), Ok("a.scn".to_string()));
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_and_positionals_returned() {
+        let valued = ["--secs", "--out"];
+        let switches = ["--quick"];
+        let a = args(&["snapshot", "--secs", "7", "--quick", "--out=run.tr", "dir"]);
+        assert_eq!(positionals(&a, &valued, &switches), Ok(vec!["snapshot", "dir"]));
+        // A flag's value is never mistaken for a flag or a positional, even
+        // when it looks like one; a trailing valued flag is left for
+        // `parse_flag` to report as a missing value.
+        assert_eq!(positionals(&args(&["--secs", "--bogus"]), &valued, &switches), Ok(vec![]));
+        assert_eq!(positionals(&args(&["--out"]), &valued, &switches), Ok(vec![]));
+        for (line, flag) in [
+            (&["--sec", "7"][..], "--sec"),
+            (&["--quick", "--twin"][..], "--twin"),
+            (&["--phy-index=brute"][..], "--phy-index"),
+            (&["--scheduler", "heap"][..], "--scheduler"),
+        ] {
+            let err = positionals(&args(line), &valued, &switches).unwrap_err();
+            assert_eq!(err, CliError::UnknownFlag { flag: flag.to_string() });
+            assert_eq!(err.to_string(), format!("unknown flag {flag}"));
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use netstack::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
+use netstack::{topology, FlowSpec, SimConfig, Simulator, TcpVariant, TopologySpec};
 use sim_core::{SimDuration, SimTime};
 use tracelog::{ns2, pcap, TraceEntry, TraceFilter, TraceLog};
 use wire::{FlowId, NodeId};
@@ -56,6 +56,16 @@ pub fn variant_by_name(name: &str) -> Result<TcpVariant, String> {
         .into_iter()
         .find(|v| v.name().eq_ignore_ascii_case(name))
         .ok_or_else(|| format!("unknown variant '{name}'; known: {:?}", TcpVariant::ALL))
+}
+
+/// Parses a `--topology` value for a binary that drives flows across it:
+/// the spec grammar, plus the two nodes a flow needs ([`farthest_pair`]).
+pub fn flow_topology(text: &str) -> Result<TopologySpec, String> {
+    let spec = TopologySpec::parse(text)?;
+    if spec.node_count() < 2 {
+        return Err(format!("a flow needs two nodes, this topology has {}", spec.node_count()));
+    }
+    Ok(spec)
 }
 
 /// Runs a single-flow `hops`-hop chain with a trace log installed and

@@ -5,7 +5,7 @@
 //! Measurement code is different: events-per-second and batch speed-up
 //! numbers *are* wall-clock quantities. [`WallClock`] is the narrow door
 //! those measurements go through; it lives in the harness (licensed by
-//! simlint alongside the bench binary) and its readings must only ever
+//! simlint alongside the `bench` crate) and its readings must only ever
 //! flow into reports, never back into simulator inputs.
 
 use std::time::Instant;

@@ -5,8 +5,8 @@ use mac80211::MacParams;
 use muzha::{AdjustmentCadence, DraiConfig};
 
 use crate::RedConfig;
-use phy::{IndexKind, RadioParams};
-use sim_core::{SchedulerKind, SimDuration, SimTime};
+use phy::RadioParams;
+use sim_core::{SimDuration, SimTime};
 use tcp::{TcpConfig, VegasConfig};
 use topo::{MobilitySpec, TopologySpec};
 use wire::NodeId;
@@ -117,10 +117,6 @@ pub struct SimConfig {
     /// How often each node samples channel utilisation and queue length
     /// for its DRAI computer.
     pub sample_interval: SimDuration,
-    /// Which event-queue implementation drives the run. Both produce
-    /// bit-identical traces; the calendar queue is the fast default and
-    /// the binary heap remains as a differential reference.
-    pub scheduler: SchedulerKind,
     /// Initial node placement, regenerated deterministically from
     /// `(topology, seed)` by [`crate::Simulator::from_config`]. Ignored by
     /// [`crate::Simulator::new`], which takes explicit positions.
@@ -129,10 +125,6 @@ pub struct SimConfig {
     /// [`crate::Simulator::from_config`] (waypoint streams draw from the
     /// master RNG, so runs stay seed-deterministic).
     pub mobility: MobilitySpec,
-    /// Which position index the PHY channel uses for neighbor maintenance.
-    /// Both kinds produce bit-identical traces; the spatial grid is the
-    /// fast default, brute-force remains as a differential reference.
-    pub phy_index: IndexKind,
 }
 
 impl Default for SimConfig {
@@ -146,10 +138,8 @@ impl Default for SimConfig {
             queue: QueueDiscipline::DropTail,
             seed: 0x4d757a6861, // "Muzha"
             sample_interval: SimDuration::from_millis(50),
-            scheduler: SchedulerKind::Calendar,
             topology: TopologySpec::default(),
             mobility: MobilitySpec::default(),
-            phy_index: IndexKind::default(),
         }
     }
 }

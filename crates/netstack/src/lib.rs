@@ -39,4 +39,4 @@ pub use queue::DropTailQueue;
 pub use red::{RedConfig, RedOutcome, RedQueue};
 pub use report::{FlowReport, NodeSummary, RunReport};
 pub use sim::{RandomWaypoint, Simulator};
-pub use topo::{IndexKind, MobilitySpec, TopologySpec, WaypointLeg};
+pub use topo::{MobilitySpec, TopologySpec, WaypointLeg};

@@ -8,7 +8,7 @@ use faultline::{CheckEvent, FaultEvent, InvariantChecker, ScenarioScript, TimedF
 use mac80211::{Mac, MacOutput, MediumView};
 use muzha::{MuzhaSender, RouterAgent};
 use phy::{Channel, GeState, GilbertElliott, PhyState, Position, RxOutcome, TxId};
-use sim_core::{DriverQueue, SimRng, SimTime, TieClass, TieKind, TieOrder};
+use sim_core::{EventQueue, SimRng, SimTime, TieClass, TieKind, TieOrder};
 use tcp::{
     DoorSender, RenoSender, SackSender, TcpOutput, TcpReceiver, TcpTimer, Transport, VegasSender,
     VenoSender, WestwoodSender,
@@ -275,7 +275,7 @@ pub struct Simulator {
     cfg: SimConfig,
     channel: Channel,
     nodes: Vec<Node>,
-    events: DriverQueue<Event>,
+    events: EventQueue<Event>,
     rng: SimRng,
     now: SimTime,
     next_tx_id: u64,
@@ -398,7 +398,7 @@ impl Simulator {
         cfg.validate();
         assert!(!positions.is_empty(), "need at least one node");
         let mut rng = SimRng::new(cfg.seed);
-        let channel = Channel::with_index(positions, cfg.radio, cfg.phy_index);
+        let channel = Channel::new(positions, cfg.radio);
         let nodes = (0..channel.node_count())
             .map(|i| {
                 let id = NodeId::new(i as u16);
@@ -427,7 +427,7 @@ impl Simulator {
                 }
             })
             .collect();
-        let mut events = DriverQueue::new(cfg.scheduler);
+        let mut events = EventQueue::new();
         events.push(SimTime::ZERO + cfg.sample_interval, Event::Sample);
         let node_count = channel.node_count();
         let mut sim = Simulator {
@@ -2181,7 +2181,7 @@ impl Simulator {
         let rng: SimRng = r.get()?;
         let trace_hash: TraceHash = r.get()?;
         let flows: Vec<FlowSpec> = r.get()?;
-        let events: DriverQueue<Event> = r.get()?;
+        let events: EventQueue<Event> = r.get()?;
         let channel: Channel = r.get()?;
         let node_count = r.take_usize()?;
         if node_count != self.nodes.len() || channel.node_count() != node_count {
@@ -2340,24 +2340,6 @@ mod tests {
             short.delivered_bytes,
             long.delivered_bytes
         );
-    }
-
-    #[test]
-    fn schedulers_produce_identical_runs() {
-        let run = |kind| {
-            let cfg = SimConfig { scheduler: kind, ..SimConfig::default() };
-            let mut sim = Simulator::new(topology::chain(4), cfg);
-            let (src, dst) = topology::chain_flow(4);
-            let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha).with_delayed_ack());
-            sim.run_until(secs(3.0));
-            (sim.trace_hash(), sim.flow_report(flow).delivered_segments, sim.perf())
-        };
-        let (cal_hash, cal_segs, cal_perf) = run(sim_core::SchedulerKind::Calendar);
-        let (heap_hash, heap_segs, heap_perf) = run(sim_core::SchedulerKind::Heap);
-        assert_eq!(cal_hash, heap_hash, "calendar and heap must replay the same event stream");
-        assert_eq!(cal_segs, heap_segs);
-        assert_eq!(cal_perf.events_processed, heap_perf.events_processed);
-        assert_eq!(cal_perf.timers_stale_popped, heap_perf.timers_stale_popped);
     }
 
     #[test]

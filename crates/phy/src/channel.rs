@@ -4,7 +4,7 @@ use sim_core::DetSet;
 use topo::SpatialGrid;
 use wire::NodeId;
 
-use crate::{IndexKind, Position, RadioParams};
+use crate::{Position, RadioParams};
 
 /// The radio channel connecting all nodes.
 ///
@@ -13,12 +13,13 @@ use crate::{IndexKind, Position, RadioParams};
 /// whose medium it occupies). Positions can be updated (mobility hook), which
 /// updates the adjacency.
 ///
-/// Two interchangeable position indexes back the adjacency maintenance
-/// ([`IndexKind`]): the default spatial grid visits only the moved node's
-/// candidate cells, while the brute-force reference re-scans all pairs.
-/// Both produce identical neighbor rows (the grid's candidate sets are
-/// supersets filtered by the *same* squared-distance predicate, collected
-/// in the same ascending node order), so the choice never changes a trace.
+/// Adjacency is maintained incrementally through a spatial grid: a mutation
+/// visits only the moved node's candidate cells and patches the affected
+/// peers' rows. Construction and snapshot decode instead rebuild every row
+/// from scratch over all pairs; both filter through the *same*
+/// squared-distance predicate in the same ascending node order, so the
+/// incremental rows always equal a rebuild (the property test below and
+/// the snapshot twins pin that).
 ///
 /// # Example
 ///
@@ -49,10 +50,8 @@ pub struct Channel {
     /// Fault-injection: individual links forced down, stored as normalised
     /// `(min, max)` pairs so `a—b` and `b—a` are the same link.
     blocked: DetSet<(NodeId, NodeId)>,
-    /// Which maintenance strategy mutations use.
-    index: IndexKind,
     /// Cell index over `positions`, cell side = carrier-sense range (the
-    /// largest query radius), kept in sync in both index modes.
+    /// largest query radius).
     grid: SpatialGrid,
     /// Scratch buffer for grid candidate collection.
     scratch: Vec<usize>,
@@ -64,25 +63,6 @@ fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     } else {
         (b, a)
     }
-}
-
-/// Size of the symmetric difference between two ascending-sorted rows.
-fn row_diff(old: &[NodeId], new: &[NodeId]) -> usize {
-    let mut churn = 0;
-    let (mut oi, mut ni) = (0, 0);
-    while oi < old.len() && ni < new.len() {
-        if old[oi] == new[ni] {
-            oi += 1;
-            ni += 1;
-        } else if old[oi] < new[ni] {
-            churn += 1;
-            oi += 1;
-        } else {
-            churn += 1;
-            ni += 1;
-        }
-    }
-    churn + (old.len() - oi) + (new.len() - ni)
 }
 
 /// Removes `node` from `peer`'s sorted row if present.
@@ -134,22 +114,12 @@ fn patch_peers(rows: &mut [Vec<NodeId>], node: NodeId, old: &[NodeId], new: &[No
 }
 
 impl Channel {
-    /// Creates a channel for nodes at the given positions, using the
-    /// default spatial-grid index.
+    /// Creates a channel for nodes at the given positions.
     ///
     /// # Panics
     ///
     /// Panics if `params` are inconsistent (see [`RadioParams::validate`]).
     pub fn new(positions: Vec<Position>, params: RadioParams) -> Self {
-        Channel::with_index(positions, params, IndexKind::default())
-    }
-
-    /// Creates a channel with an explicit position-index strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` are inconsistent (see [`RadioParams::validate`]).
-    pub fn with_index(positions: Vec<Position>, params: RadioParams, index: IndexKind) -> Self {
         params.validate();
         let disabled = vec![false; positions.len()];
         let grid = SpatialGrid::new(params.cs_range_m, &positions);
@@ -160,7 +130,6 @@ impl Channel {
             cs_neighbors: Vec::new(),
             disabled,
             blocked: DetSet::new(),
-            index,
             grid,
             scratch: Vec::new(),
         };
@@ -176,11 +145,6 @@ impl Channel {
     /// The radio parameters.
     pub fn params(&self) -> &RadioParams {
         &self.params
-    }
-
-    /// Which position index backs adjacency maintenance.
-    pub fn index(&self) -> IndexKind {
-        self.index
     }
 
     /// A node's position.
@@ -280,8 +244,8 @@ impl Channel {
 
     /// Builds node `i`'s rx/cs rows by filtering `candidates` (ascending
     /// node indices) through the one squared-distance predicate every code
-    /// path shares — this is what makes grid and brute-force maintenance
-    /// agree bit-for-bit.
+    /// path shares — this is what makes incremental maintenance and a full
+    /// rebuild agree bit-for-bit.
     fn rows_for(&self, i: usize, candidates: &[usize]) -> (Vec<NodeId>, Vec<NodeId>) {
         let mut rx = Vec::new();
         let mut cs = Vec::new();
@@ -310,8 +274,8 @@ impl Channel {
         (rx, cs)
     }
 
-    /// Full O(N²) adjacency rebuild (construction, decode, and every
-    /// brute-force-mode mutation).
+    /// Full O(N²) adjacency rebuild (construction and decode) — also the
+    /// reference the property test checks [`Self::refresh`] against.
     fn recompute(&mut self) {
         let n = self.positions.len();
         let everyone: Vec<usize> = (0..n).collect();
@@ -332,31 +296,21 @@ impl Channel {
     /// Returns the churn of `node`'s own rows.
     fn refresh(&mut self, node: NodeId) -> usize {
         let i = node.index();
-        match self.index {
-            IndexKind::BruteForce => {
-                let old_rx = std::mem::take(&mut self.rx_neighbors[i]);
-                let old_cs = std::mem::take(&mut self.cs_neighbors[i]);
-                self.recompute();
-                row_diff(&old_rx, &self.rx_neighbors[i]) + row_diff(&old_cs, &self.cs_neighbors[i])
-            }
-            IndexKind::Grid => {
-                let mut candidates = std::mem::take(&mut self.scratch);
-                self.grid.candidates(self.positions[i], &mut candidates);
-                let (rx, cs) = self.rows_for(i, &candidates);
-                self.scratch = candidates;
-                let old_rx = std::mem::replace(&mut self.rx_neighbors[i], rx);
-                let old_cs = std::mem::replace(&mut self.cs_neighbors[i], cs);
-                // Split borrows: clone nothing, patch peers against the
-                // freshly installed rows.
-                let new_rx = std::mem::take(&mut self.rx_neighbors[i]);
-                let new_cs = std::mem::take(&mut self.cs_neighbors[i]);
-                let churn = patch_peers(&mut self.rx_neighbors, node, &old_rx, &new_rx)
-                    + patch_peers(&mut self.cs_neighbors, node, &old_cs, &new_cs);
-                self.rx_neighbors[i] = new_rx;
-                self.cs_neighbors[i] = new_cs;
-                churn
-            }
-        }
+        let mut candidates = std::mem::take(&mut self.scratch);
+        self.grid.candidates(self.positions[i], &mut candidates);
+        let (rx, cs) = self.rows_for(i, &candidates);
+        self.scratch = candidates;
+        let old_rx = std::mem::replace(&mut self.rx_neighbors[i], rx);
+        let old_cs = std::mem::replace(&mut self.cs_neighbors[i], cs);
+        // Split borrows: clone nothing, patch peers against the freshly
+        // installed rows.
+        let new_rx = std::mem::take(&mut self.rx_neighbors[i]);
+        let new_cs = std::mem::take(&mut self.cs_neighbors[i]);
+        let churn = patch_peers(&mut self.rx_neighbors, node, &old_rx, &new_rx)
+            + patch_peers(&mut self.cs_neighbors, node, &old_cs, &new_cs);
+        self.rx_neighbors[i] = new_rx;
+        self.cs_neighbors[i] = new_cs;
+        churn
     }
 }
 
@@ -372,7 +326,6 @@ impl sim_core::Snapshotable for Channel {
         w.put(&self.positions);
         w.put(&self.disabled);
         w.put(&self.blocked);
-        w.put(&self.index);
     }
 
     fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
@@ -380,7 +333,6 @@ impl sim_core::Snapshotable for Channel {
         let positions: Vec<Position> = r.get()?;
         let disabled: Vec<bool> = r.get()?;
         let blocked: DetSet<(NodeId, NodeId)> = r.get()?;
-        let index: IndexKind = r.get()?;
         if disabled.len() != positions.len() {
             return Err(sim_core::SnapError::Invalid("channel disabled-flag count"));
         }
@@ -395,7 +347,6 @@ impl sim_core::Snapshotable for Channel {
             cs_neighbors: Vec::new(),
             disabled,
             blocked,
-            index,
             grid,
             scratch: Vec::new(),
         };
@@ -524,26 +475,30 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_preserves_index_kind() {
-        use sim_core::{SnapshotReader, SnapshotWriter, Snapshotable};
-        for kind in [IndexKind::Grid, IndexKind::BruteForce] {
-            let positions = (0..6).map(|i| Position::new(i as f64 * 250.0, 0.0)).collect();
-            let mut ch = Channel::with_index(positions, RadioParams::default(), kind);
-            ch.set_link_blocked(n(0), n(1), true);
-            ch.set_node_enabled(n(3), false);
-            let mut w = SnapshotWriter::new();
-            ch.encode(&mut w);
-            let bytes = w.finish();
-            let mut r = SnapshotReader::new(&bytes);
-            let back = Channel::decode(&mut r).expect("decode");
-            assert_eq!(back.index(), kind);
-            for i in 0..6u16 {
-                assert_eq!(back.rx_neighbors(n(i)), ch.rx_neighbors(n(i)));
-                assert_eq!(back.cs_neighbors(n(i)), ch.cs_neighbors(n(i)));
-            }
-            assert!(back.is_link_blocked(n(0), n(1)));
-            assert!(!back.is_node_enabled(n(3)));
+    fn snapshot_rebuilds_adjacency_and_rejects_the_old_index_byte() {
+        use sim_core::{SnapError, SnapshotReader, SnapshotWriter, Snapshotable};
+        let positions = (0..6).map(|i| Position::new(i as f64 * 250.0, 0.0)).collect();
+        let mut ch = Channel::new(positions, RadioParams::default());
+        ch.set_link_blocked(n(0), n(1), true);
+        ch.set_node_enabled(n(3), false);
+        let mut w = SnapshotWriter::new();
+        ch.encode(&mut w);
+        let mut bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes);
+        let back = Channel::decode(&mut r).expect("decode");
+        assert_eq!(r.finish(), Ok(()));
+        for i in 0..6u16 {
+            assert_eq!(back.rx_neighbors(n(i)), ch.rx_neighbors(n(i)));
+            assert_eq!(back.cs_neighbors(n(i)), ch.cs_neighbors(n(i)));
         }
+        assert!(back.is_link_blocked(n(0), n(1)));
+        assert!(!back.is_node_enabled(n(3)));
+        // Format v3 ended the blob with an index-kind byte; v4 has no field
+        // for it, so it is left over rather than silently swallowed.
+        bytes.push(1);
+        let mut r = SnapshotReader::new(&bytes);
+        Channel::decode(&mut r).expect("the v4 fields still decode");
+        assert_eq!(r.finish(), Err(SnapError::TrailingBytes(1)));
     }
 }
 
@@ -551,6 +506,25 @@ mod tests {
 mod grid_differential {
     use super::*;
     use proptest::prelude::*;
+
+    /// Size of the symmetric difference between two ascending-sorted rows.
+    fn row_diff(old: &[NodeId], new: &[NodeId]) -> usize {
+        let mut churn = 0;
+        let (mut oi, mut ni) = (0, 0);
+        while oi < old.len() && ni < new.len() {
+            if old[oi] == new[ni] {
+                oi += 1;
+                ni += 1;
+            } else if old[oi] < new[ni] {
+                churn += 1;
+                oi += 1;
+            } else {
+                churn += 1;
+                ni += 1;
+            }
+        }
+        churn + (old.len() - oi) + (new.len() - ni)
+    }
 
     /// One randomly generated mutation against the channel.
     fn apply(ch: &mut Channel, node_count: usize, op: (u8, usize, usize, f64, f64)) -> usize {
@@ -573,10 +547,10 @@ mod grid_differential {
     }
 
     proptest! {
-        /// The grid index is a pure accelerator: after any sequence of
-        /// moves, node disables/enables and link blocks/unblocks, its
+        /// Incremental maintenance is a pure accelerator: after any sequence
+        /// of moves, node disables/enables and link blocks/unblocks, the
         /// neighbor rows — and the churn reported for every mutation —
-        /// equal the brute-force recompute's, entry for entry.
+        /// equal those of a from-scratch all-pairs rebuild, entry for entry.
         #[test]
         fn grid_matches_brute_force(
             starts in proptest::collection::vec((0.0f64..2200.0, 0.0f64..2200.0), 2..24),
@@ -588,13 +562,17 @@ mod grid_differential {
             let positions: Vec<Position> =
                 starts.iter().map(|&(x, y)| Position::new(x, y)).collect();
             let node_count = positions.len();
-            let mut fast =
-                Channel::with_index(positions.clone(), RadioParams::default(), IndexKind::Grid);
-            let mut slow =
-                Channel::with_index(positions, RadioParams::default(), IndexKind::BruteForce);
+            let mut fast = Channel::new(positions, RadioParams::default());
+            let mut slow = fast.clone();
             for &op in &ops {
                 let fast_churn = apply(&mut fast, node_count, op);
-                let slow_churn = apply(&mut slow, node_count, op);
+                let before = slow;
+                slow = fast.clone();
+                slow.recompute();
+                // Every mutation reports the churn of its first operand's rows.
+                let moved = NodeId::new((op.1 % node_count) as u16);
+                let slow_churn = row_diff(before.rx_neighbors(moved), slow.rx_neighbors(moved))
+                    + row_diff(before.cs_neighbors(moved), slow.cs_neighbors(moved));
                 prop_assert_eq!(fast_churn, slow_churn, "churn diverged on {:?}", op);
                 for i in 0..node_count as u16 {
                     let node = NodeId::new(i);

@@ -27,6 +27,6 @@ pub use channel::Channel;
 pub use loss::{GeState, GilbertElliott};
 pub use params::RadioParams;
 pub use state::{PhyState, RxOutcome, TxId};
-// Geometry and the position index live in the `topo` subsystem; re-exported
-// here so PHY users keep a single import path.
-pub use topo::{IndexKind, Position};
+// Geometry lives in the `topo` subsystem; re-exported here so PHY users keep
+// a single import path.
+pub use topo::Position;

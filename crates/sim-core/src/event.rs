@@ -4,12 +4,11 @@
 //!
 //! * [`EventQueue`] — a calendar queue (Brown's O(1) event list, the
 //!   scheduler ns-2 ships as its default), used by the driver loop.
-//! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept as the
-//!   reference oracle for differential tests and scheduler benchmarks.
+//! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept only as
+//!   the oracle the calendar is checked against (`calendar_matches_heap*`
+//!   below, `tests/scheduler_differential.rs`); no simulation runs on it.
 //!
-//! Both pop events in `(time, seq)` order with FIFO tie-break, so swapping
-//! one for the other must never change a simulation's event stream — the
-//! scenario-corpus trace hashes pin exactly that.
+//! Both pop events in `(time, seq)` order with FIFO tie-break.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -401,8 +400,8 @@ impl<E> EventQueue<E> {
 
 /// The original `BinaryHeap`-backed queue: same contract as [`EventQueue`]
 /// (time order, FIFO ties, monotonic push), O(log n) push/pop. Kept as the
-/// reference implementation the differential property tests and the
-/// scheduler microbenchmarks compare the calendar queue against.
+/// reference implementation the differential property tests compare the
+/// calendar queue against; it is not selectable for a simulation.
 #[derive(Debug)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -515,139 +514,11 @@ impl<E> Default for HeapQueue<E> {
     }
 }
 
-impl<E> HeapQueue<E> {
-    /// Pending entries in `(time, seq)` order (see
-    /// [`EventQueue::snapshot_entries`]).
-    fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut all: Vec<(SimTime, u64, &E)> =
-            self.heap.iter().map(|e| (e.time, e.seq, &e.event)).collect();
-        all.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
-        all
-    }
-
-    /// Rebuilds a queue from its canonical snapshot form with sequence
-    /// numbers preserved.
-    fn from_restored(last_popped: SimTime, next_seq: u64, entries: Vec<(SimTime, u64, E)>) -> Self {
-        let heap =
-            entries.into_iter().map(|(time, seq, event)| Entry { time, seq, event }).collect();
-        HeapQueue { heap, next_seq, last_popped }
-    }
-}
-
-/// Which scheduler backs a simulation's event queue.
-///
-/// Both kinds are contractually identical (the scenario corpus asserts equal
-/// trace hashes across them); `Heap` exists so benchmarks and differential
-/// tests can run the reference implementation end to end.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The calendar queue — the default, O(1) amortised.
-    #[default]
-    Calendar,
-    /// The reference `BinaryHeap`, O(log n).
-    Heap,
-}
-
-/// An event queue dispatching on [`SchedulerKind`] at runtime, so a driver
-/// can be steered onto either scheduler by configuration.
-#[derive(Debug)]
-pub enum DriverQueue<E> {
-    /// Backed by the calendar queue.
-    Calendar(EventQueue<E>),
-    /// Backed by the reference heap.
-    Heap(HeapQueue<E>),
-}
-
-impl<E: Debug> DriverQueue<E> {
-    /// Creates an empty queue backed by `kind`.
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Calendar => DriverQueue::Calendar(EventQueue::new()),
-            SchedulerKind::Heap => DriverQueue::Heap(HeapQueue::new()),
-        }
-    }
-
-    /// Schedules `event` at `time`; panics on non-monotonic times.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        match self {
-            DriverQueue::Calendar(q) => q.push(time, event),
-            DriverQueue::Heap(q) => q.push(time, event),
-        }
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            DriverQueue::Calendar(q) => q.pop(),
-            DriverQueue::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Removes and returns the `n`-th event (FIFO order) among those tied at
-    /// the earliest time; `pop_nth(0)` is exactly [`Self::pop`]. See
-    /// [`EventQueue::pop_nth`].
-    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, E)> {
-        match self {
-            DriverQueue::Calendar(q) => q.pop_nth(n),
-            DriverQueue::Heap(q) => q.pop_nth(n),
-        }
-    }
-
-    /// Number of pending events tied at the earliest time (0 when empty).
-    pub fn tie_count(&self) -> usize {
-        match self {
-            DriverQueue::Calendar(q) => q.tie_count(),
-            DriverQueue::Heap(q) => q.tie_count(),
-        }
-    }
-
-    /// Visits each event tied at the earliest time, in FIFO order.
-    pub fn for_each_tie(&self, f: impl FnMut(&E)) {
-        match self {
-            DriverQueue::Calendar(q) => q.for_each_tie(f),
-            DriverQueue::Heap(q) => q.for_each_tie(f),
-        }
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            DriverQueue::Calendar(q) => q.peek_time(),
-            DriverQueue::Heap(q) => q.peek_time(),
-        }
-    }
-
-    /// The virtual time of the most recently popped event.
-    pub fn now(&self) -> SimTime {
-        match self {
-            DriverQueue::Calendar(q) => q.now(),
-            DriverQueue::Heap(q) => q.now(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            DriverQueue::Calendar(q) => q.len(),
-            DriverQueue::Heap(q) => q.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<E: crate::Snapshotable + Debug> crate::Snapshotable for DriverQueue<E> {
+impl<E: crate::Snapshotable + Debug> crate::Snapshotable for EventQueue<E> {
     fn encode(&self, w: &mut crate::SnapshotWriter) {
-        let (kind, last_popped, next_seq, entries) = match self {
-            DriverQueue::Calendar(q) => (0u8, q.last_popped, q.next_seq, q.snapshot_entries()),
-            DriverQueue::Heap(q) => (1u8, q.last_popped, q.next_seq, q.snapshot_entries()),
-        };
-        w.put_u8(kind);
-        w.put(&last_popped);
-        w.put_u64(next_seq);
+        let entries = self.snapshot_entries();
+        w.put(&self.last_popped);
+        w.put_u64(self.next_seq);
         w.put_usize(entries.len());
         for (time, seq, event) in entries {
             w.put(&time);
@@ -657,13 +528,6 @@ impl<E: crate::Snapshotable + Debug> crate::Snapshotable for DriverQueue<E> {
     }
 
     fn decode(r: &mut crate::SnapshotReader<'_>) -> Result<Self, crate::SnapError> {
-        // Checked before the entries: a tag this build does not know may
-        // lay them out differently.
-        let kind = match r.take_u8()? {
-            0 => SchedulerKind::Calendar,
-            1 => SchedulerKind::Heap,
-            _ => return Err(crate::SnapError::Invalid("scheduler kind tag")),
-        };
         let last_popped: SimTime = r.get()?;
         let next_seq = r.take_u64()?;
         let count = r.take_usize()?;
@@ -685,14 +549,7 @@ impl<E: crate::Snapshotable + Debug> crate::Snapshotable for DriverQueue<E> {
             }
             entries.push((time, seq, event));
         }
-        Ok(match kind {
-            SchedulerKind::Calendar => {
-                DriverQueue::Calendar(EventQueue::from_restored(last_popped, next_seq, entries))
-            }
-            SchedulerKind::Heap => {
-                DriverQueue::Heap(HeapQueue::from_restored(last_popped, next_seq, entries))
-            }
-        })
+        Ok(EventQueue::from_restored(last_popped, next_seq, entries))
     }
 }
 
@@ -864,10 +721,25 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// Runs `$body` once per queue type, `$new` bound to its constructor and
+    /// `$kind` to its name for assertion messages.
+    macro_rules! on_both_queues {
+        (|$new:ident, $kind:ident| $body:block) => {{
+            {
+                let ($new, $kind) = (EventQueue::new, "calendar");
+                $body
+            }
+            {
+                let ($new, $kind) = (HeapQueue::new, "heap");
+                $body
+            }
+        }};
+    }
+
     #[test]
     fn tie_count_and_for_each_tie_see_the_fifo_run() {
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-            let mut q = DriverQueue::new(kind);
+        on_both_queues!(|new, kind| {
+            let mut q = new();
             assert_eq!(q.tie_count(), 0);
             q.push(t(10), 'a');
             q.push(t(10), 'b');
@@ -876,43 +748,43 @@ mod tests {
             assert_eq!(q.tie_count(), 3);
             let mut seen = Vec::new();
             q.for_each_tie(|&e| seen.push(e));
-            assert_eq!(seen, vec!['a', 'b', 'c'], "{kind:?}: ties must visit in FIFO order");
+            assert_eq!(seen, vec!['a', 'b', 'c'], "{kind}: ties must visit in FIFO order");
             q.pop();
             assert_eq!(q.tie_count(), 2);
             q.pop();
             q.pop();
-            assert_eq!(q.tie_count(), 1, "{kind:?}: a lone head is a tie run of one");
-        }
+            assert_eq!(q.tie_count(), 1, "{kind}: a lone head is a tie run of one");
+        });
     }
 
     #[test]
     fn pop_nth_picks_one_tie_and_keeps_fifo_for_the_rest() {
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-            let mut q = DriverQueue::new(kind);
+        on_both_queues!(|new, kind| {
+            let mut q = new();
             for e in ['a', 'b', 'c', 'd'] {
                 q.push(t(10), e);
             }
             q.push(t(20), 'z');
-            assert_eq!(q.pop_nth(2), Some((t(10), 'c')), "{kind:?}");
-            assert_eq!(q.pop_nth(4), None, "{kind:?}: out-of-run index must not pop");
-            assert_eq!(q.len(), 4, "{kind:?}: failed pop_nth must not lose events");
-            assert_eq!(q.pop(), Some((t(10), 'a')), "{kind:?}");
-            assert_eq!(q.pop(), Some((t(10), 'b')), "{kind:?}");
-            assert_eq!(q.pop(), Some((t(10), 'd')), "{kind:?}");
-            assert_eq!(q.pop(), Some((t(20), 'z')), "{kind:?}");
+            assert_eq!(q.pop_nth(2), Some((t(10), 'c')), "{kind}");
+            assert_eq!(q.pop_nth(4), None, "{kind}: out-of-run index must not pop");
+            assert_eq!(q.len(), 4, "{kind}: failed pop_nth must not lose events");
+            assert_eq!(q.pop(), Some((t(10), 'a')), "{kind}");
+            assert_eq!(q.pop(), Some((t(10), 'b')), "{kind}");
+            assert_eq!(q.pop(), Some((t(10), 'd')), "{kind}");
+            assert_eq!(q.pop(), Some((t(20), 'z')), "{kind}");
             // Pushing at `now` after a pop_nth keeps working (cursor committed).
             q.push(t(20), 'y');
-            assert_eq!(q.pop_nth(0), Some((t(20), 'y')), "{kind:?}");
-        }
+            assert_eq!(q.pop_nth(0), Some((t(20), 'y')), "{kind}");
+        });
     }
 
     #[test]
     fn pop_nth_zero_is_exactly_pop() {
         // Same deterministic mixed workload on four queues: two popped with
         // `pop()`, two with `pop_nth(0)` — every observation must agree.
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-            let mut plain = DriverQueue::new(kind);
-            let mut nth = DriverQueue::new(kind);
+        on_both_queues!(|new, kind| {
+            let mut plain = new();
+            let mut nth = new();
             let mut state = 0xdeadbeefu64;
             let step = |s: &mut u64| {
                 *s ^= *s << 13;
@@ -928,34 +800,19 @@ mod tests {
                     plain.push(t(base + delta), i);
                     nth.push(t(base + delta), i);
                 } else {
-                    assert_eq!(plain.pop(), nth.pop_nth(0), "{kind:?}");
-                    assert_eq!(plain.now(), nth.now(), "{kind:?}");
-                    assert_eq!(plain.peek_time(), nth.peek_time(), "{kind:?}");
+                    assert_eq!(plain.pop(), nth.pop_nth(0), "{kind}");
+                    assert_eq!(plain.now(), nth.now(), "{kind}");
+                    assert_eq!(plain.peek_time(), nth.peek_time(), "{kind}");
                 }
             }
             loop {
                 let (a, b) = (plain.pop(), nth.pop_nth(0));
-                assert_eq!(a, b, "{kind:?}");
+                assert_eq!(a, b, "{kind}");
                 if a.is_none() {
                     break;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn driver_queue_dispatches_both_kinds() {
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-            let mut q = DriverQueue::new(kind);
-            q.push(t(20), 'y');
-            q.push(t(10), 'x');
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(t(10)));
-            assert_eq!(q.pop(), Some((t(10), 'x')));
-            assert_eq!(q.now(), t(10));
-            assert_eq!(q.pop(), Some((t(20), 'y')));
-            assert!(q.is_empty());
-        }
+        });
     }
 }
 

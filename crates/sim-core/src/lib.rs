@@ -5,8 +5,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`EventQueue`] — a stable (FIFO-on-tie) calendar queue of timed events,
-//!   with [`HeapQueue`] as the reference implementation and [`DriverQueue`]
-//!   to pick one at runtime,
+//!   with [`HeapQueue`] as the reference the differential tests compare it
+//!   against,
 //! * [`TimerSlab`] — generation-checked timer handles for lazy cancellation,
 //! * [`SmallVec`] — an inline-first vector for hot-path output batches,
 //! * [`SimRng`] — a seeded, reproducible random number generator,
@@ -45,7 +45,7 @@ mod timer;
 mod trace;
 
 pub use detmap::{DetMap, DetSet};
-pub use event::{DriverQueue, EventQueue, HeapQueue, SchedulerKind};
+pub use event::{EventQueue, HeapQueue};
 pub use perf::RunPerf;
 pub use rng::SimRng;
 pub use smallvec::SmallVec;

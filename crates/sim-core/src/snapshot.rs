@@ -32,7 +32,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUZSNAP0";
 
 /// Current snapshot format version. Bumps on any layout change; decoders
 /// reject every other version outright (no migration).
-pub const SNAPSHOT_VERSION: u16 = 3;
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Why a snapshot failed to decode. Always an error value, never a panic:
 /// snapshots cross process boundaries and must be treated as untrusted
@@ -541,8 +541,8 @@ mod tests {
 
     #[test]
     fn bumped_version_is_rejected_not_misread() {
-        // The next version, and the previous one: no v2 reader exists.
-        for version in [SNAPSHOT_VERSION + 1, 2] {
+        // The next version, and the previous one: no v3 reader exists.
+        for version in [SNAPSHOT_VERSION + 1, 3] {
             let mut w = SnapshotWriter::new();
             w.put_bytes(&[]); // placeholder so the buffer is non-trivial
             let mut bytes = Vec::from(SNAPSHOT_MAGIC);
@@ -556,22 +556,27 @@ mod tests {
     }
 
     #[test]
-    fn retired_scheduler_kind_tag_is_rejected_not_misread() {
-        // Kind tag 2 was the sharded queue: shard count up front and a
-        // home-shard byte per entry. A decoder that fell through to the
-        // serial layout would misparse it; it must refuse the tag instead.
+    fn queue_blob_with_the_old_kind_byte_is_rejected_not_misread() {
+        // Format v3 tagged the queue with a scheduler-kind byte. v4 has no
+        // field for it: wherever the stray byte sits, decoding ends in a
+        // typed error instead of a queue built from shifted fields.
+        let mut q = crate::EventQueue::new();
+        q.push(crate::SimTime::from_nanos(5), 7u64);
+        q.push(crate::SimTime::from_nanos(9), 8u64);
         let mut w = SnapshotWriter::new();
-        w.put_u8(2);
-        w.put_usize(4); // shard count
-        w.put(&crate::SimTime::ZERO);
-        w.put_u64(0);
-        w.put_usize(0);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(
-            crate::DriverQueue::<u64>::decode(&mut r).err(),
-            Some(SnapError::Invalid("scheduler kind tag"))
-        );
+        q.encode(&mut w);
+        let clean = w.finish();
+        let decode = |bytes: &[u8]| {
+            let mut r = SnapshotReader::new(bytes);
+            crate::EventQueue::<u64>::decode(&mut r).and_then(|q| r.finish().map(|()| q.len()))
+        };
+        assert_eq!(decode(&clean), Ok(2));
+        let mut trailing = clean.clone();
+        trailing.push(1);
+        assert_eq!(decode(&trailing), Err(SnapError::TrailingBytes(1)));
+        let mut leading = vec![1u8];
+        leading.extend_from_slice(&clean);
+        assert_eq!(decode(&leading), Err(SnapError::Truncated));
     }
 
     #[test]

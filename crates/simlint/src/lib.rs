@@ -322,7 +322,7 @@ pub fn wallclock_licensed(rel_path: &str) -> bool {
 /// breaks ties arbitrarily, so any ad-hoc priority queue elsewhere risks
 /// reintroducing the event-ordering nondeterminism the calendar queue and
 /// its FIFO tie discipline were built to rule out. Everything else must
-/// schedule through `sim_core::EventQueue`/`DriverQueue`.
+/// schedule through `sim_core::EventQueue`.
 pub fn binaryheap_licensed(rel_path: &str) -> bool {
     rel_path.starts_with("crates/sim-core/src/")
 }
@@ -721,7 +721,7 @@ mod tests {
         for src in ["let t = Instant::now();", "use std::time::Instant;"] {
             // Licensed: the harness WallClock shim and the bench crate.
             assert!(rules_at("crates/harness/src/wallclock.rs", src).is_empty(), "{src}");
-            assert!(rules_at("crates/harness/src/bin/bench.rs", src).is_empty(), "{src}");
+            assert!(rules_at("crates/harness/src/bin/topo.rs", src).is_empty(), "{src}");
             assert!(rules_at("crates/bench/src/lib.rs", src).is_empty(), "{src}");
             // Still banned in every sim-state crate and in root trees.
             assert!(rules_at(SIM_PATH, src).contains(&Rule::Nondeterminism), "{src}");

@@ -287,10 +287,10 @@ pub(crate) fn scan_file(rel_path: &str, scope: FileScope, lexed: &Lexed) -> Vec<
                 Rule::AdHocHeap,
                 t.line,
                 "`BinaryHeap` breaks ties arbitrarily; schedule through \
-                 sim_core::EventQueue/DriverQueue (or HeapQueue as a reference)"
+                 sim_core::EventQueue (or HeapQueue as a reference)"
                     .to_string(),
-                "schedule through sim_core::EventQueue/DriverQueue; for a reference \
-                 ordering use sim_core::HeapQueue (FIFO ties)"
+                "schedule through sim_core::EventQueue; for a reference ordering use \
+                 sim_core::HeapQueue (FIFO ties)"
                     .to_string(),
             );
         }

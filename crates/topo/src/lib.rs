@@ -10,11 +10,11 @@
 //!   to the carrier-sense radius so neighbor queries and position updates
 //!   visit O(density) candidates instead of all N nodes. Candidate sets
 //!   are returned in ascending node order, making the grid a *pure
-//!   accelerator*: byte-identical traces to the brute-force scan.
+//!   accelerator*: the same rows an all-pairs scan would produce.
 //! * **Scenario vocabulary** — topology generators ([`generators`]) and
-//!   the declarative [`TopologySpec`] / [`MobilitySpec`] / [`IndexKind`]
-//!   specs that `SimConfig` and the harness `--topology`/`--mobility`
-//!   flags speak, plus [`WaypointLeg`] for scripted, replayable motion.
+//!   the declarative [`TopologySpec`] / [`MobilitySpec`] specs that
+//!   `SimConfig` and the harness `--topology`/`--mobility` flags speak,
+//!   plus [`WaypointLeg`] for scripted, replayable motion.
 //!
 //! Everything is seed-deterministic: random placements and waypoint
 //! streams derive from `SimRng`, never from ambient randomness.
@@ -29,4 +29,4 @@ mod spec;
 
 pub use geometry::Position;
 pub use grid::SpatialGrid;
-pub use spec::{IndexKind, MobilitySpec, TopologySpec, WaypointLeg};
+pub use spec::{MobilitySpec, TopologySpec, WaypointLeg};

@@ -1,10 +1,9 @@
-//! Declarative topology / mobility / PHY-index specifications.
+//! Declarative topology / mobility specifications.
 //!
 //! These are the `SimConfig`-level descriptions of *where nodes start*
-//! ([`TopologySpec`]), *how they move* ([`MobilitySpec`]) and *how the PHY
-//! indexes them* ([`IndexKind`]). All three parse from the compact CLI
-//! syntax the harness bins accept (`--topology random-disc:100`,
-//! `--mobility waypoint:1-20@2`, `--phy-index brute-force`) and render
+//! ([`TopologySpec`]) and *how they move* ([`MobilitySpec`]). Both parse
+//! from the compact CLI syntax the harness bins accept
+//! (`--topology random-disc:100`, `--mobility waypoint:1-20@2`) and render
 //! back to it via `Display`.
 
 use std::fmt;
@@ -12,54 +11,6 @@ use std::fmt;
 use sim_core::SimDuration;
 
 use crate::{generators, Position};
-
-/// How the PHY indexes node positions for neighbor queries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Spatial-grid index: position updates touch only candidate cells.
-    /// The default; produces byte-identical traces to [`Self::BruteForce`].
-    #[default]
-    Grid,
-    /// Reference O(N²) full recompute, kept as the differential baseline.
-    BruteForce,
-}
-
-impl IndexKind {
-    /// Parses `"grid"` or `"brute-force"`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "grid" => Ok(IndexKind::Grid),
-            "brute-force" | "brute" => Ok(IndexKind::BruteForce),
-            other => Err(format!("unknown PHY index '{other}' (grid, brute-force)")),
-        }
-    }
-}
-
-impl fmt::Display for IndexKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            IndexKind::Grid => "grid",
-            IndexKind::BruteForce => "brute-force",
-        })
-    }
-}
-
-impl sim_core::Snapshotable for IndexKind {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u8(match self {
-            IndexKind::Grid => 0,
-            IndexKind::BruteForce => 1,
-        });
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        match r.take_u8()? {
-            0 => Ok(IndexKind::Grid),
-            1 => Ok(IndexKind::BruteForce),
-            _ => Err(sim_core::SnapError::Invalid("phy index kind tag")),
-        }
-    }
-}
 
 /// A generated initial node placement.
 ///
@@ -493,21 +444,6 @@ mod tests {
         assert!(MobilitySpec::parse("waypoint:15-5").is_err(), "inverted range");
         assert!(MobilitySpec::parse("waypoint:0-5").is_err(), "zero speed");
         assert!(MobilitySpec::parse("brownian").is_err());
-    }
-
-    #[test]
-    fn index_kind_parse_and_codec() {
-        use sim_core::{SnapshotReader, SnapshotWriter, Snapshotable};
-        assert_eq!(IndexKind::parse("grid"), Ok(IndexKind::Grid));
-        assert_eq!(IndexKind::parse("brute-force"), Ok(IndexKind::BruteForce));
-        assert!(IndexKind::parse("quadtree").is_err());
-        for kind in [IndexKind::Grid, IndexKind::BruteForce] {
-            let mut w = SnapshotWriter::new();
-            kind.encode(&mut w);
-            let bytes = w.finish();
-            let mut r = SnapshotReader::new(&bytes);
-            assert_eq!(IndexKind::decode(&mut r).expect("decode"), kind);
-        }
     }
 
     #[test]

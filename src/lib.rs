@@ -39,9 +39,9 @@
 pub mod sim {
     pub use sim_core::stats;
     pub use sim_core::{
-        twin_run, DriverQueue, EventQueue, HeapQueue, RunPerf, SchedulerKind, SimDuration, SimRng,
-        SimTime, SnapError, SnapshotReader, SnapshotWriter, Snapshotable, TieChoice, TieClass,
-        TieKind, TieOrder, TimerHandle, TimerSlab, TraceHash, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+        twin_run, EventQueue, HeapQueue, RunPerf, SimDuration, SimRng, SimTime, SnapError,
+        SnapshotReader, SnapshotWriter, Snapshotable, TieChoice, TieClass, TieKind, TieOrder,
+        TimerHandle, TimerSlab, TraceHash, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
     };
 }
 
@@ -77,9 +77,9 @@ pub use tracelog;
 /// Assembled network stack: nodes, simulator, topologies, flow reports.
 pub mod net {
     pub use netstack::{
-        topology, BusyTracker, DropTailQueue, FlowReport, FlowSpec, IndexKind, MobilitySpec,
-        NodeSummary, QueueDiscipline, RedConfig, RunReport, SimConfig, Simulator, TcpVariant,
-        TopologySpec, WaypointLeg,
+        topology, BusyTracker, DropTailQueue, FlowReport, FlowSpec, MobilitySpec, NodeSummary,
+        QueueDiscipline, RedConfig, RunReport, SimConfig, Simulator, TcpVariant, TopologySpec,
+        WaypointLeg,
     };
 }
 

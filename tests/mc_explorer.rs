@@ -2,7 +2,7 @@
 //! `harness::mc` glue, PR 7).
 //!
 //! The first half drives the explorer over a *toy* scheduler — a real
-//! `DriverQueue` popped through the same tie-order choke point as
+//! `EventQueue` popped through the same tie-order choke point as
 //! `netstack::Simulator` — where ground truth is computable: the branch
 //! count of an all-conflicting workload is the product of tie-group
 //! factorials, every decision vector must be distinct, every branch must
@@ -18,12 +18,10 @@ use proptest::prelude::*;
 use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
 use tcp_muzha::faultline::{InvariantChecker, ScenarioScript};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
-use tcp_muzha::sim::{
-    twin_run, DriverQueue, SchedulerKind, SimTime, TieClass, TieKind, TieOrder, TraceHash,
-};
+use tcp_muzha::sim::{twin_run, EventQueue, SimTime, TieClass, TieKind, TieOrder, TraceHash};
 
 // ---------------------------------------------------------------------------
-// Toy model: a DriverQueue popped exactly the way netstack pops it.
+// Toy model: an EventQueue popped exactly the way netstack pops it.
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Copy, Debug)]
@@ -34,7 +32,7 @@ struct ToyEvent {
 
 /// Mirror of `Simulator::pop_event`: when the head of the queue is a tie
 /// inside the window, ask the `TieOrder` which member to dispatch first.
-fn pop_toy(q: &mut DriverQueue<ToyEvent>, order: &mut TieOrder) -> Option<(SimTime, ToyEvent)> {
+fn pop_toy(q: &mut EventQueue<ToyEvent>, order: &mut TieOrder) -> Option<(SimTime, ToyEvent)> {
     if let Some(t) = q.peek_time() {
         if order.covers(t) && q.tie_count() > 1 {
             let mut group = Vec::new();
@@ -54,12 +52,8 @@ fn pop_toy(q: &mut DriverQueue<ToyEvent>, order: &mut TieOrder) -> Option<(SimTi
 /// shared state. Two interleavings that differ only by commuting listens
 /// across nodes agree on the state digest — that is exactly the equivalence
 /// the DPOR pruning is allowed to exploit.
-fn run_toy(
-    batch: &[(u64, ToyEvent)],
-    kind: SchedulerKind,
-    decisions: &[usize],
-) -> (BranchOutcome, u64) {
-    let mut q = DriverQueue::new(kind);
+fn run_toy(batch: &[(u64, ToyEvent)], decisions: &[usize]) -> (BranchOutcome, u64) {
+    let mut q = EventQueue::new();
     for &(at, ev) in batch {
         q.push(SimTime::from_nanos(at), ev);
     }
@@ -141,14 +135,10 @@ proptest! {
     fn conflicting_ties_enumerate_the_exact_factorial_product(
         times in proptest::collection::vec(0u8..3, 2..6),
         nodes in proptest::collection::vec(any::<u8>(), 6),
-        kind_pick in any::<bool>(),
     ) {
-        let kind = if kind_pick { SchedulerKind::Calendar } else { SchedulerKind::Heap };
         let listen = vec![false; times.len()];
         let batch = toy_batch(&times, &listen, &nodes);
-        let verdict = mc::explore("toy", 1, &McConfig::default(), |_, d| {
-            run_toy(&batch, kind, d).0
-        });
+        let verdict = mc::explore("toy", 1, &McConfig::default(), |_, d| run_toy(&batch, d).0);
         prop_assert!(verdict.proved());
         prop_assert_eq!(verdict.branches_explored, factorial_product(&batch));
         prop_assert_eq!(verdict.branches_pruned, 0);
@@ -164,7 +154,7 @@ proptest! {
         prop_assert_eq!(hashes.len(), verdict.log.len(), "each branch is a distinct order");
 
         for rec in &verdict.log {
-            let (replay, _) = run_toy(&batch, kind, &rec.decisions);
+            let (replay, _) = run_toy(&batch, &rec.decisions);
             prop_assert_eq!(replay.trace_hash, rec.trace_hash, "replay must reproduce the branch");
         }
     }
@@ -195,7 +185,7 @@ proptest! {
 
         let mut pruned_states = std::collections::BTreeSet::new();
         let pruned = mc::explore("pruned", 1, &McConfig::default(), |_, d| {
-            let (out, state) = run_toy(&batch, SchedulerKind::Calendar, d);
+            let (out, state) = run_toy(&batch, d);
             pruned_states.insert(state);
             out
         });
@@ -207,8 +197,8 @@ proptest! {
         // recorded against the coarse batch replays 1:1 against the real one.
         let mut full_states = std::collections::BTreeSet::new();
         let full = mc::explore("full", 1, &McConfig::default(), |_, d| {
-            let (out, _) = run_toy(&coarse, SchedulerKind::Calendar, d);
-            let (_, state) = run_toy(&batch, SchedulerKind::Calendar, d);
+            let (out, _) = run_toy(&coarse, d);
+            let (_, state) = run_toy(&batch, d);
             full_states.insert(state);
             out
         });
@@ -220,25 +210,6 @@ proptest! {
         // ones (otherwise the state digests could not distinguish listens).
         let _ = real_kind(0);
     }
-}
-
-/// Both scheduler kinds expose the same tie groups to the explorer, so the
-/// canonical branch logs are byte-identical — the model checker's results
-/// do not depend on which queue implementation backs the run.
-#[test]
-fn toy_exploration_is_scheduler_agnostic() {
-    let times = [0u8, 0, 1, 1, 1];
-    let listen = [false, true, false, false, true];
-    let nodes = [0u8, 1, 2, 3, 2];
-    let batch = toy_batch(&times, &listen, &nodes);
-    let explore_with = |kind: SchedulerKind| {
-        mc::explore("agnostic", 1, &McConfig::default(), |_, d| run_toy(&batch, kind, d).0)
-    };
-    let cal = explore_with(SchedulerKind::Calendar);
-    let heap = explore_with(SchedulerKind::Heap);
-    assert_eq!(cal.render_log(), heap.render_log());
-    assert_eq!(cal.render(), heap.render());
-    assert!(cal.branches_explored > 1, "the workload must actually branch");
 }
 
 // ---------------------------------------------------------------------------

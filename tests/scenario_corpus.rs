@@ -10,9 +10,7 @@ use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
 use tcp_muzha::faultline::{CheckEvent, InvariantChecker, LedgerSummary, ScenarioScript};
 use tcp_muzha::mc::{corpus_duration, corpus_sim};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
-use tcp_muzha::sim::{
-    DriverQueue, SchedulerKind, SimDuration, SimTime, TieClass, TieKind, TieOrder, TraceHash,
-};
+use tcp_muzha::sim::{EventQueue, SimDuration, SimTime, TieClass, TieKind, TieOrder, TraceHash};
 use tcp_muzha::wire::{FlowId, NodeId};
 
 /// The corpus, embedded so the test binary is self-contained and the run
@@ -32,17 +30,9 @@ const CORPUS: [(&str, &str); 8] = [
 /// with one NewReno flow end to end, the script's seed, and the script's
 /// duration.
 fn run_scenario(script: &ScenarioScript) -> (u64, u64, LedgerSummary, Vec<String>) {
-    run_scenario_with(script, SimConfig::default().scheduler)
-}
-
-/// Same as [`run_scenario`] but pinning the event-queue implementation.
-fn run_scenario_with(
-    script: &ScenarioScript,
-    scheduler: SchedulerKind,
-) -> (u64, u64, LedgerSummary, Vec<String>) {
     let seed = script.seed.expect("corpus scripts declare a seed");
     let duration = script.duration.expect("corpus scripts declare a duration");
-    let cfg = SimConfig { seed, scheduler, ..SimConfig::default() };
+    let cfg = SimConfig { seed, ..SimConfig::default() };
     let mut sim = Simulator::new(topology::chain(4), cfg);
     let (src, dst) = topology::chain_flow(4);
     let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
@@ -97,26 +87,6 @@ fn corpus_runs_clean_and_twin_runs_are_bit_identical() {
     }
 }
 
-/// The scheduler swap is invisible at the trace level: every corpus script
-/// must produce the *same* trace hash and delivery count under the calendar
-/// queue and under the binary-heap reference. Together with the twin-run
-/// check above, this pins the PR's bit-identical acceptance bar — faults,
-/// pauses and all — not just on the happy path.
-#[test]
-fn corpus_is_scheduler_agnostic() {
-    for (name, text) in CORPUS {
-        let script = ScenarioScript::parse(text)
-            .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
-        let (cal_hash, cal_delivered, _, _) = run_scenario_with(&script, SchedulerKind::Calendar);
-        let (heap_hash, heap_delivered, _, _) = run_scenario_with(&script, SchedulerKind::Heap);
-        assert_eq!(
-            cal_hash, heap_hash,
-            "{name}: calendar and heap schedulers must replay identical event streams"
-        );
-        assert_eq!(cal_delivered, heap_delivered, "{name}: delivery counts diverged");
-    }
-}
-
 /// One pinned row of `tests/fixtures/corpus_digests.txt`.
 fn digest_row(name: &str, sim: &Simulator) -> String {
     let delivered: u64 = sim.run_report().flows.iter().map(|f| f.delivered_bytes).sum();
@@ -125,8 +95,8 @@ fn digest_row(name: &str, sim: &Simulator) -> String {
 
 /// The cross-commit oracle: every other hash gate compares two runs of the
 /// *same* build, so a refactor that shifts both sides passes them all. This
-/// one compares the 8 corpus scripts plus a 60-node random-waypoint disc, on
-/// the default scheduler, against digests committed by an earlier build.
+/// one compares the 8 corpus scripts plus a 60-node random-waypoint disc
+/// against digests committed by an earlier build.
 /// A legitimate behaviour change regenerates the fixture from the table the
 /// failure prints — and says so in its PR.
 #[test]
@@ -288,7 +258,7 @@ fn run_timer_toy(
     decisions: &[usize],
 ) -> BranchOutcome {
     let at = script.events.first().expect("fixture pins the tie instant").at;
-    let mut q = DriverQueue::new(SchedulerKind::Calendar);
+    let mut q = EventQueue::new();
     q.push(at, TimerToyEvent::Fire { token: 1 }); // queued before the ACK ⇒ FIFO runs it first
     q.push(at, TimerToyEvent::AckRearm { next: 2 });
     let mut order = TieOrder::new(decisions.to_vec());

@@ -2,10 +2,12 @@
 //! randomised interleavings of push / pop / lazy-cancel, the calendar
 //! queue and the `BinaryHeap`-backed reference must emit *identical* pop
 //! streams — same timestamps, same payloads, same FIFO order among ties,
-//! same tombstone skips. This is the counterpart of the end-to-end
-//! cross-scheduler trace-hash equality checked in `tests/scenario_corpus.rs`
-//! and `netstack`'s own tests: if this property holds, swapping the
-//! scheduler cannot perturb any simulation.
+//! same tombstone skips. The heap is a reference only — no simulation can
+//! be configured onto it — so this queue-level stream equality, with
+//! sim-core's `calendar_matches_heap*` proptests, is where the calendar's
+//! bucket/resize/lap machinery is checked against an implementation that
+//! has none. End to end, `tests/snapshot_twin.rs` checks that a calendar
+//! laid out afresh by `restore` pops as the long-running one does.
 
 use proptest::prelude::*;
 use tcp_muzha::sim::{EventQueue, HeapQueue, SimDuration, SimRng, SimTime, TimerSlab};

@@ -29,7 +29,7 @@ fn wallclock_licence_covers_measurement_crates_only() {
     // nowhere else — in particular not in any sim-state crate, where wall
     // time entering the event loop would break twin-run determinism.
     assert!(simlint::wallclock_licensed("crates/harness/src/wallclock.rs"));
-    assert!(simlint::wallclock_licensed("crates/harness/src/bin/bench.rs"));
+    assert!(simlint::wallclock_licensed("crates/harness/src/bin/topo.rs"));
     assert!(simlint::wallclock_licensed("crates/bench/src/lib.rs"));
     for path in [
         "crates/sim-core/src/time.rs",

@@ -1,17 +1,24 @@
 //! The snapshot/restore honesty gate: for every script in the scenario
-//! corpus, under both scheduler kinds, a run snapshotted at a
-//! pseudo-random mid-run instant T and resumed in a *fresh* simulator must
-//! be indistinguishable from the straight run — equal `trace_hash`, equal
-//! `RunPerf`, and a byte-identical ns-2 trace stream for the resumed
-//! suffix. Any layer state the snapshot forgot to carry (a stale timer
-//! slot, an un-reset RTO backoff, a dangling DOOR recovery point) shows up
-//! here as a hash divergence.
+//! corpus, a run snapshotted at a pseudo-random mid-run instant T and
+//! resumed in a *fresh* simulator must be indistinguishable from the
+//! straight run — equal `trace_hash`, equal `RunPerf`, and a byte-identical
+//! ns-2 trace stream for the resumed suffix. Any layer state the snapshot
+//! forgot to carry (a stale timer slot, an un-reset RTO backoff, a dangling
+//! DOOR recovery point) shows up here as a hash divergence.
+//!
+//! The twin is also the end-to-end differential for the two derived
+//! structures a snapshot does *not* carry: `restore` lays the calendar
+//! queue out afresh from the canonical `(time, seq)` entries and rebuilds
+//! the PHY adjacency from scratch over all pairs, while the straight leg
+//! keeps the bucket layout and the incrementally patched rows it has
+//! accumulated since t = 0. Equal hashes mean neither history leaks into
+//! behaviour.
 
-use tcp_muzha::faultline::ScenarioScript;
+use tcp_muzha::faultline::{InvariantChecker, ScenarioScript};
 use tcp_muzha::net::{
     topology, FlowSpec, MobilitySpec, SimConfig, Simulator, TcpVariant, TopologySpec,
 };
-use tcp_muzha::sim::{SchedulerKind, SimTime, TraceHash};
+use tcp_muzha::sim::{SimTime, SnapError, TraceHash, SNAPSHOT_MAGIC};
 use tcp_muzha::tracecap;
 use tracelog::{ns2, TraceEntry, TraceLog};
 
@@ -28,11 +35,11 @@ const CORPUS: [(&str, &str); 8] = [
 ];
 
 /// Corpus-convention simulator: 4-hop chain, one NewReno flow end to end,
-/// the script's seed, the given scheduler. The scenario is *not* loaded —
-/// the straight leg loads it, the resumed leg gets it via `restore`.
-fn build_sim(script: &ScenarioScript, scheduler: SchedulerKind) -> Simulator {
+/// the script's seed. The scenario is *not* loaded — the straight leg
+/// loads it, the resumed leg gets it via `restore`.
+fn build_sim(script: &ScenarioScript) -> Simulator {
     let seed = script.seed.expect("corpus scripts declare a seed");
-    let cfg = SimConfig { seed, scheduler, ..SimConfig::default() };
+    let cfg = SimConfig { seed, ..SimConfig::default() };
     let mut sim = Simulator::new(topology::chain(4), cfg);
     let (src, dst) = topology::chain_flow(4);
     sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
@@ -40,11 +47,11 @@ fn build_sim(script: &ScenarioScript, scheduler: SchedulerKind) -> Simulator {
 }
 
 /// A deterministic pseudo-random snapshot instant in the middle 80% of the
-/// run, derived from the scenario name and scheduler so every corpus entry
-/// gets a different T and reruns are reproducible.
-fn snapshot_instant(name: &str, scheduler: SchedulerKind, duration_ns: u64) -> SimTime {
+/// run, derived from the scenario name so every corpus entry gets a
+/// different T and reruns are reproducible.
+fn snapshot_instant(name: &str, duration_ns: u64) -> SimTime {
     let mut h = TraceHash::new();
-    h.write_str(name).write_str(&format!("{scheduler:?}"));
+    h.write_str(name);
     let lo = duration_ns / 10;
     let span = duration_ns - 2 * lo;
     SimTime::from_nanos(lo + h.digest() % span.max(1))
@@ -64,50 +71,42 @@ fn snapshot_then_resume_is_bit_identical_across_the_corpus() {
             .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
         let duration = script.duration.expect("corpus scripts declare a duration");
         let end = SimTime::ZERO + duration;
-        for scheduler in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-            let t = snapshot_instant(name, scheduler, duration.as_nanos());
+        let t = snapshot_instant(name, duration.as_nanos());
 
-            // Straight leg: run to T, snapshot (a pure observation), then
-            // run on to the end of the scripted duration.
-            let mut straight = build_sim(&script, scheduler);
-            straight.load_scenario(&script);
-            straight.install_trace_log(TraceLog::new());
-            straight.run_until(t);
-            let bytes = straight.snapshot();
-            straight.run_until(end);
-            let straight_log = straight.take_trace_log().expect("log was installed");
+        // Straight leg: run to T, snapshot (a pure observation), then
+        // run on to the end of the scripted duration.
+        let mut straight = build_sim(&script);
+        straight.load_scenario(&script);
+        straight.install_trace_log(TraceLog::new());
+        straight.run_until(t);
+        let bytes = straight.snapshot();
+        straight.run_until(end);
+        let straight_log = straight.take_trace_log().expect("log was installed");
 
-            // Resumed leg: a fresh simulator (scenario never loaded — the
-            // snapshot carries the scripted faults) restored from T.
-            let mut resumed = build_sim(&script, scheduler);
-            resumed
-                .restore(&bytes)
-                .unwrap_or_else(|e| panic!("{name}/{scheduler:?}: restore at {t} failed: {e}"));
-            resumed.install_trace_log(TraceLog::new());
-            resumed.run_until(end);
-            let resumed_log = resumed.take_trace_log().expect("log was installed");
+        // Resumed leg: a fresh simulator (scenario never loaded — the
+        // snapshot carries the scripted faults) restored from T.
+        let mut resumed = build_sim(&script);
+        resumed.restore(&bytes).unwrap_or_else(|e| panic!("{name}: restore at {t} failed: {e}"));
+        resumed.install_trace_log(TraceLog::new());
+        resumed.run_until(end);
+        let resumed_log = resumed.take_trace_log().expect("log was installed");
 
-            assert_eq!(
-                straight.trace_hash(),
-                resumed.trace_hash(),
-                "{name}/{scheduler:?}: trace hash diverged after resume at {t}"
-            );
-            assert_eq!(
-                straight.perf(),
-                resumed.perf(),
-                "{name}/{scheduler:?}: RunPerf diverged after resume at {t}"
-            );
-            let straight_suffix = suffix_stream(&straight_log, t);
-            let resumed_stream = ns2::render(resumed_log.iter());
-            assert!(
-                !resumed_stream.is_empty(),
-                "{name}/{scheduler:?}: the resumed suffix traced nothing — T {t} too late?"
-            );
-            assert_eq!(
-                straight_suffix, resumed_stream,
-                "{name}/{scheduler:?}: ns-2 trace streams diverged after resume at {t}"
-            );
-        }
+        assert_eq!(
+            straight.trace_hash(),
+            resumed.trace_hash(),
+            "{name}: trace hash diverged after resume at {t}"
+        );
+        assert_eq!(straight.perf(), resumed.perf(), "{name}: RunPerf diverged after resume at {t}");
+        let straight_suffix = suffix_stream(&straight_log, t);
+        let resumed_stream = ns2::render(resumed_log.iter());
+        assert!(
+            !resumed_stream.is_empty(),
+            "{name}: the resumed suffix traced nothing — T {t} too late?"
+        );
+        assert_eq!(
+            straight_suffix, resumed_stream,
+            "{name}: ns-2 trace streams diverged after resume at {t}"
+        );
     }
 }
 
@@ -120,13 +119,13 @@ fn taking_a_snapshot_is_a_pure_observation() {
     let script = ScenarioScript::parse(text).expect("corpus parses");
     let duration = script.duration.expect("corpus scripts declare a duration");
     let end = SimTime::ZERO + duration;
-    let t = snapshot_instant(name, SchedulerKind::Calendar, duration.as_nanos());
+    let t = snapshot_instant(name, duration.as_nanos());
 
-    let mut plain = build_sim(&script, SchedulerKind::Calendar);
+    let mut plain = build_sim(&script);
     plain.load_scenario(&script);
     plain.run_until(end);
 
-    let mut observed = build_sim(&script, SchedulerKind::Calendar);
+    let mut observed = build_sim(&script);
     observed.load_scenario(&script);
     observed.run_until(t);
     let _bytes = observed.snapshot();
@@ -136,20 +135,26 @@ fn taking_a_snapshot_is_a_pure_observation() {
     assert_eq!(plain.perf(), observed.perf());
 }
 
-/// Mobility state rides the snapshot too: a generated random-waypoint
-/// topology (`Simulator::from_config`, every node roaming) snapshotted
-/// mid-flight — motion plans in progress, pause timers pending, the
-/// spatial grid index mid-churn — and resumed in a fresh simulator must
-/// replay bit-identically to the straight run, under both schedulers.
+/// Mobility state rides the snapshot too: every generator family
+/// (`Simulator::from_config`, every node roaming under random waypoint)
+/// snapshotted mid-flight — motion plans in progress, pause timers pending,
+/// adjacency rows patched move by move since t = 0 — and resumed in a fresh
+/// simulator, whose adjacency is an all-pairs rebuild, must replay
+/// bit-identically to the straight run. The straight leg runs under the
+/// invariant checker and must itself stay clean.
 #[test]
 fn mobile_run_resumes_bit_identically() {
     let end = SimTime::from_secs_f64(5.0);
     let t = SimTime::from_secs_f64(2.0);
-    for scheduler in [SchedulerKind::Calendar, SchedulerKind::Heap] {
+    let cases = [
+        ("random-disc", TopologySpec::random_disc_dense(24, 250.0)),
+        ("grid", TopologySpec::Grid { rows: 4, cols: 4 }),
+        ("city-blocks", TopologySpec::CityBlocks { blocks_x: 3, blocks_y: 3, extra: 4 }),
+    ];
+    for (name, topology) in cases {
         let cfg = SimConfig {
             seed: 0x0B11_E77E,
-            scheduler,
-            topology: TopologySpec::random_disc_dense(16, 250.0),
+            topology,
             mobility: MobilitySpec::DEFAULT_WAYPOINT,
             ..SimConfig::default()
         };
@@ -161,29 +166,44 @@ fn mobile_run_resumes_bit_identically() {
         };
 
         let mut straight = build();
+        straight.install_checker(InvariantChecker::new());
         straight.run_until(t);
-        assert!(
-            straight.perf().position_updates > 0,
-            "{scheduler:?}: no motion before the snapshot instant — T too early?"
-        );
+        let moved_before = straight.perf().position_updates;
+        assert!(moved_before > 0, "{name}: no motion before the snapshot instant — T too early?");
         let bytes = straight.snapshot();
         straight.run_until(end);
+        assert!(
+            straight.perf().position_updates > moved_before,
+            "{name}: no motion after the snapshot instant — the resumed rows are never patched"
+        );
 
         let mut resumed = build();
-        resumed
-            .restore(&bytes)
-            .unwrap_or_else(|e| panic!("{scheduler:?}: mobile restore at {t} failed: {e}"));
+        resumed.restore(&bytes).unwrap_or_else(|e| panic!("{name}: restore at {t} failed: {e}"));
         resumed.run_until(end);
 
         assert_eq!(
             straight.trace_hash(),
             resumed.trace_hash(),
-            "{scheduler:?}: mobile trace hash diverged after resume at {t}"
+            "{name}: mobile trace hash diverged after resume at {t}"
         );
         assert_eq!(
             straight.perf(),
             resumed.perf(),
-            "{scheduler:?}: mobile RunPerf diverged after resume at {t}"
+            "{name}: mobile RunPerf diverged after resume at {t}"
+        );
+
+        let checker = straight.take_checker().expect("checker installed above");
+        let violations: Vec<String> = checker.violations().iter().map(|v| v.to_string()).collect();
+        assert!(
+            violations.is_empty(),
+            "{name}: invariant violations under mobility:\n{}",
+            violations.join("\n")
+        );
+        let l = checker.ledger();
+        assert_eq!(
+            l.injected,
+            l.delivered + l.dropped + l.fault_dropped + l.in_flight,
+            "{name}: conservation ledger does not balance under mobility: {l:?}"
         );
     }
 }
@@ -193,7 +213,7 @@ fn mobile_run_resumes_bit_identically() {
 #[test]
 fn restore_rejects_a_config_mismatch() {
     let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
-    let mut sim = build_sim(&script, SchedulerKind::Calendar);
+    let mut sim = build_sim(&script);
     sim.load_scenario(&script);
     sim.run_until(SimTime::from_secs_f64(0.5));
     let bytes = sim.snapshot();
@@ -201,15 +221,24 @@ fn restore_rejects_a_config_mismatch() {
     // Different seed ⇒ different fingerprint.
     let mut reseeded = script.clone();
     reseeded.seed = Some(4242);
-    let mut other = build_sim(&reseeded, SchedulerKind::Calendar);
+    let mut other = build_sim(&reseeded);
     let err = other.restore(&bytes).expect_err("a reseeded twin must be rejected");
-    assert!(
-        matches!(err, tcp_muzha::sim::SnapError::Mismatch(_)),
-        "expected a fingerprint mismatch, got {err}"
-    );
+    assert!(matches!(err, SnapError::Mismatch(_)), "expected a fingerprint mismatch, got {err}");
 
     // A failed restore leaves the target untouched: it still runs from 0.
     other.load_scenario(&reseeded);
     other.run_until(SimTime::from_secs_f64(0.5));
     assert!(other.perf().events_processed > 0);
+}
+
+/// Format v3 (scheduler- and index-kind bytes in the queue and channel
+/// blobs) has no reader: its header is refused before any field is read.
+#[test]
+fn restore_rejects_the_previous_format_version() {
+    let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
+    let mut sim = build_sim(&script);
+    sim.run_until(SimTime::from_secs_f64(0.5));
+    let mut bytes = sim.snapshot();
+    bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 2].copy_from_slice(&3u16.to_le_bytes());
+    assert_eq!(build_sim(&script).restore(&bytes), Err(SnapError::UnsupportedVersion(3)));
 }
