@@ -1,8 +1,7 @@
 //! The TCP Muzha sender (paper Table 4.1 + Table 5.2).
 
-use sim_core::stats::TimeSeries;
 use sim_core::SimTime;
-use tcp::{SendState, TcpConfig, TcpOutput, TcpStats, TcpTimer, Transport};
+use tcp::{SendState, TcpConfig, TcpOutput, TcpTimer, Transport};
 use wire::{Drai, FlowId, TcpSegment, TcpSegmentKind};
 
 /// How the Table 5.2 actions are applied over time.
@@ -37,6 +36,10 @@ impl sim_core::Snapshotable for AdjustmentCadence {
         }
     }
 }
+
+/// Muzha data carries the AVBW-S option, initialised to the maximum level;
+/// routers along the path fold their DRAI into it (§4.4).
+const AVBW_INIT: Option<Drai> = Some(Drai::MAX);
 
 /// The TCP Muzha sender.
 ///
@@ -128,33 +131,6 @@ impl MuzhaSender {
         self.recovery_point.is_some()
     }
 
-    fn make_segment(&self, seq: u64) -> TcpSegment {
-        // Muzha data carries the AVBW-S option, initialised to the maximum
-        // level; routers along the path fold their DRAI into it (§4.4).
-        TcpSegment::data(self.flow, seq, self.s.cfg().payload_bytes, Some(Drai::MAX))
-    }
-
-    fn send_fresh(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
-        while self.s.can_send_fresh(self.cwnd) {
-            let seq = self.s.nxt;
-            self.s.nxt += 1;
-            self.s.register_send(seq, now);
-            out.push(TcpOutput::SendSegment(self.make_segment(seq)));
-        }
-        if self.s.flight() > 0 {
-            self.s.ensure_timer(now, out);
-        }
-    }
-
-    fn retransmit(&mut self, seq: u64, now: SimTime, out: &mut Vec<TcpOutput>) {
-        self.s.register_send(seq, now);
-        let mut seg = self.make_segment(seq);
-        if let TcpSegmentKind::Data { retransmit, .. } = &mut seg.kind {
-            *retransmit = true;
-        }
-        out.push(TcpOutput::SendSegment(seg));
-    }
-
     /// Applies Table 5.2 once per RTT round.
     fn apply_round_adjustment(&mut self) {
         let Some(level) = self.round_mrai.take() else { return };
@@ -200,7 +176,7 @@ impl MuzhaSender {
                 // recovery, §4.8 "inherits most of the congestion control
                 // mechanisms from traditional TCP NewReno").
                 let _ = self.s.advance_una(ack, now);
-                self.retransmit(ack, now, out);
+                self.s.retransmit(self.flow, AVBW_INIT, ack, now, out);
                 self.s.arm_timer(now, out);
             }
             None => {
@@ -227,7 +203,7 @@ impl MuzhaSender {
                 self.s.cancel_timer();
             }
         }
-        self.send_fresh(now, out);
+        self.s.send_fresh(self.flow, AVBW_INIT, self.cwnd, now, out);
         self.s.trace_cwnd(now, self.cwnd);
     }
 
@@ -237,7 +213,7 @@ impl MuzhaSender {
         }
         if self.in_ff() {
             // ACK-clocked transmission of new data while repairing.
-            self.send_fresh(now, out);
+            self.s.send_fresh(self.flow, AVBW_INIT, self.cwnd, now, out);
             return;
         }
         if marked {
@@ -256,7 +232,7 @@ impl MuzhaSender {
             // Table 4.1 row 3: unmarked run → random loss → retransmit
             // without any window reduction.
             let una = self.s.una;
-            self.retransmit(una, now, out);
+            self.s.retransmit(self.flow, AVBW_INIT, una, now, out);
             self.s.arm_timer(now, out);
             self.s.trace_cwnd(now, self.cwnd);
         }
@@ -276,7 +252,7 @@ impl Transport for MuzhaSender {
         let mut out = Vec::new();
         self.s.trace_cwnd(now, self.cwnd);
         self.round_end = self.s.usable_window(self.cwnd);
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, AVBW_INIT, self.cwnd, now, &mut out);
         out
     }
 
@@ -311,37 +287,17 @@ impl Transport for MuzhaSender {
         self.round_end = self.s.una + 1;
         self.s.clear_rtt_candidates();
         self.s.note_timeout();
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, AVBW_INIT, self.cwnd, now, &mut out);
         self.s.trace_cwnd(now, self.cwnd);
         out
     }
 
+    fn send_state(&self) -> &SendState {
+        &self.s
+    }
+
     fn cwnd(&self) -> f64 {
         self.cwnd
-    }
-
-    fn stats(&self) -> TcpStats {
-        self.s.stats
-    }
-
-    fn cwnd_trace(&self) -> &TimeSeries {
-        self.s.cwnd_trace()
-    }
-
-    fn timer_is_live(&self, id: TcpTimer) -> bool {
-        self.s.timer_is_live(id)
-    }
-
-    fn timers_cancelled(&self) -> u64 {
-        self.s.timers_cancelled()
-    }
-
-    fn srtt(&self) -> Option<sim_core::SimDuration> {
-        self.s.rtt.srtt()
-    }
-
-    fn rto(&self) -> Option<sim_core::SimDuration> {
-        Some(self.s.rtt.rto())
     }
 
     fn phase(&self) -> &'static str {

@@ -34,7 +34,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         .unwrap_or_else(|| TopologySpec::random_disc_dense(40, 250.0));
     let mobility = parse_flag_with(args, "--mobility", MobilitySpec::parse)?
         .unwrap_or(MobilitySpec::DEFAULT_WAYPOINT);
-    let secs = parse_flag_with(args, "--secs", str::parse::<u64>)?.unwrap_or(30);
+    let secs = parse_flag_with(args, "--secs", cli::parse_secs)?.unwrap_or(30.0);
     let seed = parse_flag_with(args, "--seed", str::parse::<u64>)?;
     let flows = parse_flag_with(args, "--flows", str::parse::<usize>)?.unwrap_or(1);
     let variant =
@@ -57,7 +57,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     sim.install_checker(InvariantChecker::new());
     add_spread_flows(&mut sim, variant, flows);
     let clock = WallClock::start();
-    sim.run_until(SimTime::from_secs_f64(secs as f64));
+    sim.run_until(SimTime::from_secs_f64(secs));
     let wall_s = clock.elapsed_secs();
     let perf = sim.perf();
     let checker = sim.take_checker().expect("checker installed above");

@@ -133,17 +133,17 @@ pub fn positionals<'a>(
     Ok(rest)
 }
 
-/// A value parser for [`parse_flag_with`]: a finite, non-negative number of
-/// virtual seconds (what `SimTime::from_secs_f64` accepts without
-/// panicking).
+/// A value parser for [`parse_flag_with`]: a non-negative number of virtual
+/// seconds that fits `SimTime`'s `u64` nanoseconds (what
+/// `SimTime::from_secs_f64` accepts without panicking).
 ///
 /// # Errors
 ///
 /// The float parser's message, or the range complaint.
 pub fn parse_secs(text: &str) -> Result<f64, String> {
     match text.parse::<f64>() {
-        Ok(v) if v >= 0.0 && v.is_finite() => Ok(v),
-        Ok(_) => Err("want a finite, non-negative number of seconds".to_string()),
+        Ok(v) if v >= 0.0 && v * 1e9 <= u64::MAX as f64 => Ok(v),
+        Ok(_) => Err("want a non-negative number of seconds below 2^64 ns".to_string()),
         Err(e) => Err(e.to_string()),
     }
 }
@@ -218,11 +218,16 @@ mod tests {
     }
 
     #[test]
-    fn seconds_must_be_finite_and_non_negative() {
+    fn seconds_must_be_non_negative_and_fit_simtime() {
         assert_eq!(parse_secs("2.5"), Ok(2.5));
         assert_eq!(parse_secs("0"), Ok(0.0));
-        for bad in ["-1", "NaN", "inf", "soon", ""] {
+        for bad in ["-1", "NaN", "inf", "soon", "", "99999999999999", "1.9e10"] {
             assert!(parse_secs(bad).is_err(), "{bad:?} must be rejected");
+        }
+        // Everything accepted converts without tripping SimTime's own check.
+        for edge in ["18446744073", "1.8e10"] {
+            let secs = parse_secs(edge).expect(edge);
+            assert!(sim_core::SimTime::from_secs_f64(secs) > sim_core::SimTime::ZERO);
         }
     }
 

@@ -36,3 +36,32 @@ fn one_node_topology_is_a_bad_value_not_a_panic() {
         assert_rejected(bin, &["--topology", "grid:1x1"], "a flow needs two nodes");
     }
 }
+
+/// Values the parsers used to accept and a later layer panicked on (exit
+/// 101 after the banner): a degenerate or unaddressable topology, and a
+/// time past `SimTime`'s `u64` nanoseconds.
+#[test]
+fn hostile_topologies_and_times_are_bad_values_not_panics() {
+    for bin in [env!("CARGO_BIN_EXE_topo"), env!("CARGO_BIN_EXE_trace")] {
+        for area in ["0x0", "-5x10", "NaNxNaN"] {
+            let spec = format!("random-disc:50@{area}");
+            assert_rejected(bin, &["--topology", &spec], "positive and finite");
+        }
+        for spec in ["grid:300x300", "city-blocks:300x300"] {
+            assert_rejected(bin, &["--topology", spec], "at most 65535");
+        }
+    }
+    let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");
+    let never = "99999999999999";
+    assert_rejected(env!("CARGO_BIN_EXE_topo"), &["--secs", never], "below 2^64 ns");
+    assert_rejected(
+        env!("CARGO_BIN_EXE_checkpoint"),
+        &["snapshot", "--script", script, "--at", never, "--out", "unwritten.snap"],
+        "below 2^64 ns",
+    );
+    assert_rejected(
+        env!("CARGO_BIN_EXE_mc"),
+        &["--script", script, "--quiet", "--tie-window", &format!("4.0:{never}")],
+        "below 2^64 ns",
+    );
+}

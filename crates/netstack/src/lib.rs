@@ -27,6 +27,10 @@
 
 mod busy;
 mod config;
+mod event;
+mod fault;
+mod mobility;
+mod node;
 mod queue;
 mod red;
 mod report;
@@ -35,8 +39,9 @@ pub mod topology;
 
 pub use busy::BusyTracker;
 pub use config::{FlowSpec, QueueDiscipline, SimConfig, TcpVariant};
+pub use mobility::RandomWaypoint;
 pub use queue::DropTailQueue;
 pub use red::{RedConfig, RedOutcome, RedQueue};
 pub use report::{FlowReport, NodeSummary, RunReport};
-pub use sim::{RandomWaypoint, Simulator};
+pub use sim::Simulator;
 pub use topo::{MobilitySpec, TopologySpec, WaypointLeg};

@@ -1,0 +1,322 @@
+//! One node's protocol stack — PHY state, MAC, AODV, interface queue,
+//! Muzha router agent, TCP endpoints — and its snapshot codec.
+
+use aodv::Aodv;
+use mac80211::Mac;
+use muzha::{MuzhaSender, RouterAgent};
+use phy::PhyState;
+use sim_core::{DetMap, SimRng, SimTime, SnapError, SnapshotReader, SnapshotWriter};
+use tcp::{
+    DoorSender, RenoSender, SackSender, TcpReceiver, Transport, VegasSender, VenoSender,
+    WestwoodSender,
+};
+use wire::{FlowId, NodeId, Packet, UidGen};
+
+use crate::config::QueueDiscipline;
+use crate::{
+    BusyTracker, DropTailQueue, FlowSpec, RedConfig, RedOutcome, RedQueue, SimConfig, TcpVariant,
+};
+
+pub(crate) struct SenderEndpoint {
+    pub(crate) dst: NodeId,
+    pub(crate) transport: Box<dyn Transport>,
+    /// Samples of `transport.cwnd_trace()` already mirrored into the trace
+    /// log as `TraceRecord::TcpCwnd` records.
+    pub(crate) traced_cwnd: usize,
+}
+
+pub(crate) struct ReceiverEndpoint {
+    pub(crate) receiver: TcpReceiver,
+}
+
+/// The node's interface queue under either discipline.
+#[derive(Debug)]
+pub(crate) enum Ifq {
+    DropTail(DropTailQueue),
+    Red(RedQueue),
+}
+
+/// What the interface queue did with an arriving packet, in the vocabulary
+/// the trace log needs (mark and early-drop provenance preserved).
+pub(crate) enum IfqPush {
+    /// Stored; `marked` is true when RED ECN-marked the packet on the way
+    /// in (drop-tail never marks).
+    Stored { marked: bool },
+    /// Shed; the packet returned may differ from the arrival (RED's
+    /// priority path evicts stored data to protect routing control).
+    Dropped { packet: Packet, early: bool },
+}
+
+impl Ifq {
+    /// Enqueues a packet. `now` feeds RED's idle-time aging; drop-tail
+    /// ignores it.
+    pub(crate) fn push(
+        &mut self,
+        packet: Packet,
+        next_hop: NodeId,
+        priority: bool,
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> IfqPush {
+        match self {
+            Ifq::DropTail(q) => match q.push(packet, next_hop, priority) {
+                None => IfqPush::Stored { marked: false },
+                Some(packet) => IfqPush::Dropped { packet, early: false },
+            },
+            Ifq::Red(q) => match q.push(packet, next_hop, priority, now, rng) {
+                RedOutcome::Enqueued => IfqPush::Stored { marked: false },
+                RedOutcome::EnqueuedMarked => IfqPush::Stored { marked: true },
+                RedOutcome::Dropped { packet, early } => IfqPush::Dropped { packet, early },
+            },
+        }
+    }
+
+    pub(crate) fn pop(&mut self, now: SimTime) -> Option<(Packet, NodeId)> {
+        match self {
+            Ifq::DropTail(q) => q.pop(),
+            Ifq::Red(q) => q.pop(now),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Ifq::DropTail(q) => q.len(),
+            Ifq::Red(q) => q.len(),
+        }
+    }
+
+    pub(crate) fn stats(&self) -> crate::queue::QueueStats {
+        match self {
+            Ifq::DropTail(q) => q.stats(),
+            Ifq::Red(q) => q.stats(),
+        }
+    }
+}
+
+pub(crate) struct Node {
+    pub(crate) phy: PhyState,
+    /// MAC stats snapshot at the previous DRAI sample (for retry deltas).
+    pub(crate) last_mac_stats: mac80211::MacStats,
+    pub(crate) mac: Mac,
+    pub(crate) aodv: Aodv,
+    pub(crate) ifq: Ifq,
+    pub(crate) router: RouterAgent,
+    pub(crate) uid: UidGen,
+    pub(crate) busy: BusyTracker,
+    pub(crate) senders: DetMap<FlowId, SenderEndpoint>,
+    pub(crate) receivers: DetMap<FlowId, ReceiverEndpoint>,
+    pub(crate) routing_drops: u64,
+}
+
+/// Builds the sender implementation a flow spec asks for. Shared by
+/// `Simulator::add_flow` and snapshot restore, which must reconstruct the
+/// exact same variant before handing it the serialized state.
+pub(crate) fn make_transport(flow: FlowId, spec: &FlowSpec) -> Box<dyn Transport> {
+    match spec.variant {
+        TcpVariant::Tahoe => Box::new(RenoSender::tahoe(flow, spec.tcp)),
+        TcpVariant::Reno => Box::new(RenoSender::reno(flow, spec.tcp)),
+        TcpVariant::NewReno => Box::new(RenoSender::new_reno(flow, spec.tcp)),
+        TcpVariant::Sack => Box::new(SackSender::new(flow, spec.tcp)),
+        TcpVariant::Vegas => Box::new(VegasSender::new(flow, spec.tcp, spec.vegas)),
+        TcpVariant::Veno => Box::new(VenoSender::new(flow, spec.tcp)),
+        TcpVariant::Westwood => Box::new(WestwoodSender::new(flow, spec.tcp)),
+        TcpVariant::Door => Box::new(DoorSender::new(flow, spec.tcp)),
+        TcpVariant::Muzha => {
+            Box::new(MuzhaSender::with_cadence(flow, spec.tcp, spec.muzha_cadence))
+        }
+    }
+}
+
+impl Node {
+    /// A fresh stack for node `id`; the MAC's backoff stream forks off `rng`.
+    pub(crate) fn new(id: NodeId, cfg: &SimConfig, rng: &mut SimRng) -> Node {
+        Node {
+            phy: PhyState::new(),
+            last_mac_stats: mac80211::MacStats::default(),
+            mac: Mac::new(id, cfg.mac, rng.fork()),
+            aodv: Aodv::new(id, cfg.aodv, UidGen::new(id)),
+            ifq: match cfg.queue {
+                QueueDiscipline::DropTail => Ifq::DropTail(DropTailQueue::new(cfg.ifq_capacity)),
+                QueueDiscipline::Red(red) => {
+                    Ifq::Red(RedQueue::new(RedConfig { capacity: cfg.ifq_capacity, ..red }))
+                }
+            },
+            router: RouterAgent::new(cfg.drai),
+            // Transport packets use a separate uid stream so MAC dedup
+            // never confuses them with routing packets.
+            uid: UidGen::with_stream(id, 1),
+            busy: BusyTracker::new(SimTime::ZERO),
+            senders: DetMap::new(),
+            receivers: DetMap::new(),
+            routing_drops: 0,
+        }
+    }
+
+    pub(crate) fn encode_state(&self, w: &mut SnapshotWriter) {
+        w.put(&self.phy);
+        w.put(&self.last_mac_stats);
+        self.mac.encode_state(w);
+        self.aodv.encode_state(w);
+        match &self.ifq {
+            Ifq::DropTail(q) => {
+                w.put_u8(0);
+                w.put(q);
+            }
+            Ifq::Red(q) => {
+                w.put_u8(1);
+                w.put(q);
+            }
+        }
+        self.router.encode_state(w);
+        w.put(&self.uid);
+        w.put(&self.busy);
+        w.put_usize(self.senders.len());
+        for (flow, ep) in self.senders.iter() {
+            w.put(flow);
+            w.put(&ep.dst);
+            w.put_usize(ep.traced_cwnd);
+            ep.transport.encode_state(w);
+        }
+        w.put_usize(self.receivers.len());
+        for (flow, ep) in self.receivers.iter() {
+            w.put(flow);
+            ep.receiver.encode_state(w);
+        }
+        w.put_u64(self.routing_drops);
+    }
+
+    /// Decodes one node's state. `flows` is the already-decoded flow table:
+    /// each serialized sender names its flow, whose spec determines which
+    /// transport variant to rebuild before restoring its state into it.
+    /// `index` is the node's own position, used to reject snapshots whose
+    /// endpoints landed on the wrong node.
+    pub(crate) fn decode_state(
+        r: &mut SnapshotReader<'_>,
+        flows: &[FlowSpec],
+        index: usize,
+    ) -> Result<Node, SnapError> {
+        let phy = r.get()?;
+        let last_mac_stats = r.get()?;
+        let mac = Mac::decode_state(r)?;
+        let aodv = Aodv::decode_state(r)?;
+        let ifq = match r.take_u8()? {
+            0 => Ifq::DropTail(r.get()?),
+            1 => Ifq::Red(r.get()?),
+            _ => return Err(SnapError::Invalid("ifq discipline tag")),
+        };
+        let router = RouterAgent::decode_state(r)?;
+        let uid = r.get()?;
+        let busy = r.get()?;
+        let mut senders = DetMap::new();
+        for _ in 0..r.take_usize()? {
+            let flow: FlowId = r.get()?;
+            let dst: NodeId = r.get()?;
+            let traced_cwnd = r.take_usize()?;
+            let spec = flows.get(flow.index()).ok_or(SnapError::Invalid("sender flow id"))?;
+            if spec.src.index() != index || spec.dst != dst {
+                return Err(SnapError::Invalid("sender endpoint mismatch"));
+            }
+            let mut transport = make_transport(flow, spec);
+            transport.restore_state(r)?;
+            senders.insert(flow, SenderEndpoint { dst, transport, traced_cwnd });
+        }
+        let mut receivers = DetMap::new();
+        for _ in 0..r.take_usize()? {
+            let flow: FlowId = r.get()?;
+            let spec = flows.get(flow.index()).ok_or(SnapError::Invalid("receiver flow id"))?;
+            if spec.dst.index() != index {
+                return Err(SnapError::Invalid("receiver endpoint mismatch"));
+            }
+            receivers.insert(flow, ReceiverEndpoint { receiver: TcpReceiver::decode_state(r)? });
+        }
+        let routing_drops = r.take_u64()?;
+        Ok(Node {
+            phy,
+            last_mac_stats,
+            mac,
+            aodv,
+            ifq,
+            router,
+            uid,
+            busy,
+            senders,
+            receivers,
+            routing_drops,
+        })
+    }
+}
+
+#[cfg(test)]
+mod red_integration_tests {
+    use super::*;
+    use crate::{topology, Simulator};
+
+    fn secs(s: f64) -> SimTime {
+        SimTime::from_secs_f64(s)
+    }
+
+    #[test]
+    fn red_discipline_carries_traffic() {
+        let cfg =
+            SimConfig { queue: QueueDiscipline::Red(RedConfig::default()), ..SimConfig::default() };
+        let mut sim = Simulator::new(topology::chain(4), cfg);
+        let (src, dst) = topology::chain_flow(4);
+        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
+        sim.run_until(secs(5.0));
+        assert!(sim.flow_report(flow).delivered_segments > 20);
+    }
+
+    #[test]
+    fn red_ecn_marks_reach_a_muzha_sender() {
+        // An aggressive RED (tiny thresholds, heavy averaging) on every
+        // node: Muzha's data is ECN-marked in the queue, so its dup-ACK
+        // discrimination sees "congestion" even without Muzha's own
+        // marking (queue thresholds here are far below the DRAI mark_at).
+        let red = RedConfig {
+            min_threshold: 0.0,
+            max_threshold: 1.0,
+            queue_weight: 0.9,
+            ecn: true,
+            ..RedConfig::default()
+        };
+        let cfg = SimConfig { queue: QueueDiscipline::Red(red), ..SimConfig::default() };
+        let mut sim = Simulator::new(topology::chain(2), cfg);
+        let (src, dst) = topology::chain_flow(2);
+        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
+        sim.run_until(secs(5.0));
+        // Flow still works end to end with ECN marking in the path.
+        assert!(sim.flow_report(flow).delivered_segments > 20);
+        let marked: u64 = (0..sim.node_count())
+            .map(|i| match &sim.nodes[i].ifq {
+                Ifq::Red(q) => q.early_marks(),
+                Ifq::DropTail(_) => 0,
+            })
+            .sum();
+        assert!(marked > 0, "aggressive RED must have marked something");
+    }
+
+    #[test]
+    fn red_without_ecn_drops_early() {
+        let red = RedConfig {
+            min_threshold: 0.0,
+            max_threshold: 2.0,
+            queue_weight: 0.9,
+            ecn: false,
+            ..RedConfig::default()
+        };
+        let cfg = SimConfig { queue: QueueDiscipline::Red(red), ..SimConfig::default() };
+        let mut sim = Simulator::new(topology::chain(2), cfg);
+        let (src, dst) = topology::chain_flow(2);
+        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
+        sim.run_until(secs(10.0));
+        let report = sim.flow_report(flow);
+        assert!(report.delivered_segments > 10, "flow survives RED drops");
+        let early: u64 = (0..sim.node_count())
+            .map(|i| match &sim.nodes[i].ifq {
+                Ifq::Red(q) => q.early_drops(),
+                Ifq::DropTail(_) => 0,
+            })
+            .sum();
+        assert!(early > 0, "early drops expected with tiny thresholds");
+    }
+}

@@ -1,259 +1,26 @@
-//! The discrete-event simulator: per-node stack assembly and the driver
-//! loop executing layer state-machine outputs.
+//! The discrete-event simulator: the `Simulator` struct, its construction,
+//! the run loop and `dispatch`, and the plumbing that executes the layer
+//! state machines' outputs. Per-node state lives in `node.rs`, the event
+//! taxonomy in `event.rs`, scripted faults in `fault.rs`, mobility in
+//! `mobility.rs`.
 
-use sim_core::{DetMap, DetSet, RunPerf, TraceHash};
-
-use aodv::{Aodv, AodvOutput, AodvTimer};
-use faultline::{CheckEvent, FaultEvent, InvariantChecker, ScenarioScript, TimedFault};
-use mac80211::{Mac, MacOutput, MediumView};
-use muzha::{MuzhaSender, RouterAgent};
-use phy::{Channel, GeState, GilbertElliott, PhyState, Position, RxOutcome, TxId};
-use sim_core::{EventQueue, SimRng, SimTime, TieClass, TieKind, TieOrder};
-use tcp::{
-    DoorSender, RenoSender, SackSender, TcpOutput, TcpReceiver, TcpTimer, Transport, VegasSender,
-    VenoSender, WestwoodSender,
-};
-use topo::{MobilitySpec, WaypointLeg};
+use aodv::AodvOutput;
+use faultline::{CheckEvent, InvariantChecker};
+use mac80211::{MacOutput, MediumView};
+use phy::{Channel, Position, RxOutcome, TxId};
+use sim_core::{DetMap, EventQueue, RunPerf, SimRng, SimTime, TieOrder, TraceHash};
+use tcp::{TcpOutput, TcpReceiver};
+use topo::MobilitySpec;
 use tracelog::{PacketKind, TraceLog, TraceRecord};
 use wire::{
     AodvMessage, FlowId, FrameKind, MacFrame, NodeId, Packet, Payload, TcpSegment, TcpSegmentKind,
-    UidGen,
 };
 
-use crate::config::QueueDiscipline;
-use crate::{
-    BusyTracker, DropTailQueue, FlowReport, FlowSpec, NodeSummary, RedOutcome, RedQueue, SimConfig,
-    TcpVariant,
-};
-
-/// Events driving the simulation.
-#[derive(Debug)]
-enum Event {
-    /// A signal starts impinging on `node` with relative received `power`.
-    RxStart { node: NodeId, tx_id: TxId, end: SimTime, decodable: bool, power: f64 },
-    /// The signal ends; `frame` is what was on the air.
-    RxEnd { node: NodeId, tx_id: TxId, frame: MacFrame, in_rx_range: bool },
-    /// `node`'s own transmission left the air.
-    TxDone { node: NodeId },
-    /// MAC timer.
-    MacTimer { node: NodeId, id: mac80211::TimerId },
-    /// AODV discovery timer.
-    AodvTimer { node: NodeId, id: AodvTimer },
-    /// TCP retransmission timer for `flow` at `node`.
-    TcpTimer { node: NodeId, flow: FlowId, id: TcpTimer },
-    /// An FTP source starts.
-    FlowStart { flow: FlowId },
-    /// A jittered broadcast enqueue (AODV flood desynchronisation).
-    JitteredEnqueue { node: NodeId, packet: Packet, next_hop: NodeId },
-    /// Periodic position update for a moving node.
-    MobilityTick { node: NodeId },
-    /// Delayed-ACK release timer at a flow's receiver.
-    DelAckTimer { node: NodeId, flow: FlowId, id: tcp::DelAckTimer },
-    /// Periodic DRAI sampling tick.
-    Sample,
-    /// A scripted fault fires (index into the loaded scenario fault list).
-    Fault { index: usize },
-}
-
-/// Folds one dispatched event into the running trace digest. Every variant
-/// contributes a distinct tag plus its scheduling-relevant fields, so any
-/// reordering or content change between two same-seed runs flips the digest.
-fn fold_event(hash: &mut TraceHash, now: SimTime, event: &Event) {
-    hash.write_u64(now.as_nanos());
-    match event {
-        Event::RxStart { node, tx_id, end, decodable, power } => {
-            hash.write_u64(1)
-                .write_u64(node.index() as u64)
-                .write_u64(tx_id.0)
-                .write_u64(end.as_nanos())
-                .write_u64(u64::from(*decodable))
-                .write_f64(*power);
-        }
-        Event::RxEnd { node, tx_id, frame, in_rx_range } => {
-            hash.write_u64(2)
-                .write_u64(node.index() as u64)
-                .write_u64(tx_id.0)
-                .write_u64(frame.src.index() as u64)
-                .write_u64(frame.dst.index() as u64)
-                .write_u64(u64::from(*in_rx_range));
-        }
-        Event::TxDone { node } => {
-            hash.write_u64(3).write_u64(node.index() as u64);
-        }
-        Event::MacTimer { node, .. } => {
-            hash.write_u64(4).write_u64(node.index() as u64);
-        }
-        Event::AodvTimer { node, .. } => {
-            hash.write_u64(5).write_u64(node.index() as u64);
-        }
-        Event::TcpTimer { node, flow, .. } => {
-            hash.write_u64(6).write_u64(node.index() as u64).write_u64(flow.index() as u64);
-        }
-        Event::FlowStart { flow } => {
-            hash.write_u64(7).write_u64(flow.index() as u64);
-        }
-        Event::JitteredEnqueue { node, next_hop, .. } => {
-            hash.write_u64(8).write_u64(node.index() as u64).write_u64(next_hop.index() as u64);
-        }
-        Event::MobilityTick { node } => {
-            hash.write_u64(9).write_u64(node.index() as u64);
-        }
-        Event::DelAckTimer { node, flow, .. } => {
-            hash.write_u64(10).write_u64(node.index() as u64).write_u64(flow.index() as u64);
-        }
-        Event::Sample => {
-            hash.write_u64(11);
-        }
-        Event::Fault { index } => {
-            hash.write_u64(12).write_u64(*index as u64);
-        }
-    }
-}
-
-/// Folds one dispatched event into the run's work counters, classifying it
-/// by owning subsystem. Every variant is counted exactly once, so
-/// [`RunPerf::classified_total`] always equals `events_processed`.
-fn account_event(perf: &mut RunPerf, event: &Event) {
-    perf.events_processed += 1;
-    match event {
-        Event::RxStart { .. } | Event::RxEnd { .. } | Event::TxDone { .. } => {
-            perf.phy_events += 1;
-        }
-        Event::MacTimer { .. } => perf.mac_events += 1,
-        Event::AodvTimer { .. } | Event::JitteredEnqueue { .. } => perf.routing_events += 1,
-        Event::TcpTimer { .. } | Event::FlowStart { .. } | Event::DelAckTimer { .. } => {
-            perf.transport_events += 1;
-        }
-        Event::MobilityTick { .. } => perf.mobility_events += 1,
-        Event::Sample => perf.sampling_events += 1,
-        Event::Fault { .. } => perf.fault_events += 1,
-    }
-}
-
-/// Classifies one pending event into the scheduling fingerprint the
-/// tie-order hook shows the model-checking explorer. The mapping must stay
-/// *sound* for the explorer's independence relation: any variant that can
-/// transmit, draw the shared RNG stream (`transmit`'s loss draw, broadcast
-/// jitter, waypoint picks) or touch cross-node state must NOT claim the
-/// commuting [`TieKind::RxListen`] class. Only `RxStart` qualifies today:
-/// its dispatch merely notes the arriving signal in the owning node's
-/// PHY/MAC state.
-fn tie_class(event: &Event) -> TieClass {
-    match event {
-        Event::RxStart { node, .. } => TieClass::node(node.index() as u32, TieKind::RxListen),
-        Event::RxEnd { node, .. }
-        | Event::TxDone { node }
-        | Event::MacTimer { node, .. }
-        | Event::AodvTimer { node, .. }
-        | Event::TcpTimer { node, .. }
-        | Event::JitteredEnqueue { node, .. }
-        | Event::DelAckTimer { node, .. } => TieClass::node(node.index() as u32, TieKind::NodeWork),
-        Event::MobilityTick { node } => TieClass::node(node.index() as u32, TieKind::ChannelWrite),
-        Event::FlowStart { .. } | Event::Sample | Event::Fault { .. } => TieClass::global(),
-    }
-}
-
-/// Scenario-driven liveness of a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum NodeStatus {
-    /// Normal operation.
-    Up,
-    /// Frozen by [`FaultEvent::Pause`]: state kept, work deferred.
-    Paused,
-    /// Crashed by [`FaultEvent::Kill`]: state flushed, events discarded.
-    Killed,
-}
-
-struct SenderEndpoint {
-    dst: NodeId,
-    transport: Box<dyn Transport>,
-    /// Samples of `transport.cwnd_trace()` already mirrored into the trace
-    /// log as [`TraceRecord::TcpCwnd`] records.
-    traced_cwnd: usize,
-}
-
-struct ReceiverEndpoint {
-    receiver: TcpReceiver,
-}
-
-/// The node's interface queue under either discipline.
-#[derive(Debug)]
-enum Ifq {
-    DropTail(DropTailQueue),
-    Red(RedQueue),
-}
-
-/// What the interface queue did with an arriving packet, in the vocabulary
-/// the trace log needs (mark and early-drop provenance preserved).
-enum IfqPush {
-    /// Stored; `marked` is true when RED ECN-marked the packet on the way
-    /// in (drop-tail never marks).
-    Stored { marked: bool },
-    /// Shed; the packet returned may differ from the arrival (RED's
-    /// priority path evicts stored data to protect routing control).
-    Dropped { packet: Packet, early: bool },
-}
-
-impl Ifq {
-    /// Enqueues a packet. `now` feeds RED's idle-time aging; drop-tail
-    /// ignores it.
-    fn push(
-        &mut self,
-        packet: Packet,
-        next_hop: NodeId,
-        priority: bool,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> IfqPush {
-        match self {
-            Ifq::DropTail(q) => match q.push(packet, next_hop, priority) {
-                None => IfqPush::Stored { marked: false },
-                Some(packet) => IfqPush::Dropped { packet, early: false },
-            },
-            Ifq::Red(q) => match q.push(packet, next_hop, priority, now, rng) {
-                RedOutcome::Enqueued => IfqPush::Stored { marked: false },
-                RedOutcome::EnqueuedMarked => IfqPush::Stored { marked: true },
-                RedOutcome::Dropped { packet, early } => IfqPush::Dropped { packet, early },
-            },
-        }
-    }
-
-    fn pop(&mut self, now: SimTime) -> Option<(Packet, NodeId)> {
-        match self {
-            Ifq::DropTail(q) => q.pop(),
-            Ifq::Red(q) => q.pop(now),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Ifq::DropTail(q) => q.len(),
-            Ifq::Red(q) => q.len(),
-        }
-    }
-
-    fn stats(&self) -> crate::queue::QueueStats {
-        match self {
-            Ifq::DropTail(q) => q.stats(),
-            Ifq::Red(q) => q.stats(),
-        }
-    }
-}
-
-struct Node {
-    phy: PhyState,
-    /// MAC stats snapshot at the previous DRAI sample (for retry deltas).
-    last_mac_stats: mac80211::MacStats,
-    mac: Mac,
-    aodv: Aodv,
-    ifq: Ifq,
-    router: RouterAgent,
-    uid: UidGen,
-    busy: BusyTracker,
-    senders: DetMap<FlowId, SenderEndpoint>,
-    receivers: DetMap<FlowId, ReceiverEndpoint>,
-    routing_drops: u64,
-}
+use crate::event::Event;
+use crate::fault::FaultState;
+use crate::mobility::Movement;
+use crate::node::{make_transport, IfqPush, Node, ReceiverEndpoint, SenderEndpoint};
+use crate::{FlowReport, FlowSpec, NodeSummary, RandomWaypoint, SimConfig, TcpVariant};
 
 /// The simulator: a set of nodes on a shared radio channel plus the global
 /// event loop.
@@ -272,120 +39,30 @@ struct Node {
 /// assert!(report.delivered_segments > 0);
 /// ```
 pub struct Simulator {
-    cfg: SimConfig,
-    channel: Channel,
-    nodes: Vec<Node>,
+    pub(crate) cfg: SimConfig,
+    pub(crate) channel: Channel,
+    pub(crate) nodes: Vec<Node>,
     events: EventQueue<Event>,
-    rng: SimRng,
-    now: SimTime,
+    pub(crate) rng: SimRng,
+    pub(crate) now: SimTime,
     next_tx_id: u64,
-    flows: Vec<FlowSpec>,
-    movements: DetMap<NodeId, Movement>,
+    pub(crate) flows: Vec<FlowSpec>,
+    pub(crate) movements: DetMap<NodeId, Movement>,
     trace_hash: TraceHash,
     /// Structured trace log fed from the same choke points as the checker
     /// and the trace hash. A pure observer: `None` costs one branch per
     /// choke point and recording never changes simulation behaviour.
-    log: Option<TraceLog>,
+    pub(crate) log: Option<TraceLog>,
     /// Runtime invariant checker fed from the cross-layer event stream.
     checker: Option<InvariantChecker>,
     /// Tie-order hook for the model-checking explorer: when installed,
     /// same-instant ties inside its window are broken by its decision
     /// vector instead of FIFO. `None` costs one branch per pop.
     tie_order: Option<TieOrder>,
-    /// Every scripted fault loaded so far, addressed by [`Event::Fault`].
-    scripted_faults: Vec<TimedFault>,
-    /// Per-node scenario liveness.
-    node_status: Vec<NodeStatus>,
-    /// Per-node events deferred while the node is paused.
-    deferred: Vec<Vec<Event>>,
-    /// Active Gilbert–Elliott bursty-loss episode, if any.
-    ge_episode: Option<GilbertElliott>,
-    /// Per-receiver channel state during a Gilbert–Elliott episode.
-    ge_states: Vec<GeState>,
-    /// Nodes whose interface queue currently blackholes every enqueue.
-    blackholes: DetSet<NodeId>,
-    /// Scripted interface-queue capacity clamps.
-    saturated: DetMap<NodeId, usize>,
-    /// Links currently forced down by the scenario (normalised pairs).
-    scripted_down: DetSet<(NodeId, NodeId)>,
+    /// Everything a loaded fault scenario has changed.
+    pub(crate) fault: FaultState,
     /// Deterministic work counters for this run (virtual events only).
-    perf: RunPerf,
-}
-
-/// An active movement: the node heads toward `target` at `speed_mps`; when
-/// it arrives, `plan` picks the next waypoint (or the movement ends).
-#[derive(Clone, Debug)]
-struct Movement {
-    target: phy::Position,
-    speed_mps: f64,
-    plan: MobilityPlan,
-}
-
-/// What a node does when it reaches its current waypoint.
-#[derive(Clone, Debug)]
-enum MobilityPlan {
-    /// Stop: the movement was a one-off [`Simulator::move_node`].
-    OneShot,
-    /// Draw the next waypoint from the random-waypoint model.
-    Waypoint(RandomWaypoint),
-    /// Follow a scripted leg list; `next` indexes the leg to start after
-    /// the current one completes (past-the-end means the script is done).
-    Script { legs: Vec<WaypointLeg>, next: usize },
-}
-
-/// Parameters of the classic random-waypoint mobility model.
-#[derive(Clone, Copy, Debug)]
-pub struct RandomWaypoint {
-    /// Nodes roam inside `[0, width] × [0, height]` metres.
-    pub width_m: f64,
-    /// Area height in metres.
-    pub height_m: f64,
-    /// Uniformly drawn speed range in m/s.
-    pub min_speed_mps: f64,
-    /// Maximum speed in m/s.
-    pub max_speed_mps: f64,
-    /// Minimum pause at each waypoint before heading to the next.
-    pub min_pause: sim_core::SimDuration,
-    /// Maximum pause at each waypoint. When equal to `min_pause` the pause
-    /// is fixed and no random draw is made for it.
-    pub max_pause: sim_core::SimDuration,
-}
-
-impl RandomWaypoint {
-    /// A plan roaming the whole `width × height` area without pausing,
-    /// with the given uniform speed range.
-    pub fn roaming(width_m: f64, height_m: f64, min_speed_mps: f64, max_speed_mps: f64) -> Self {
-        RandomWaypoint {
-            width_m,
-            height_m,
-            min_speed_mps,
-            max_speed_mps,
-            min_pause: sim_core::SimDuration::ZERO,
-            max_pause: sim_core::SimDuration::ZERO,
-        }
-    }
-}
-
-/// How often moving nodes' positions are refreshed.
-const MOBILITY_TICK: sim_core::SimDuration = sim_core::SimDuration::from_millis(100);
-
-/// Builds the sender implementation a flow spec asks for. Shared by
-/// [`Simulator::add_flow`] and snapshot restore, which must reconstruct the
-/// exact same variant before handing it the serialized state.
-fn make_transport(flow: FlowId, spec: &FlowSpec) -> Box<dyn Transport> {
-    match spec.variant {
-        TcpVariant::Tahoe => Box::new(RenoSender::tahoe(flow, spec.tcp)),
-        TcpVariant::Reno => Box::new(RenoSender::reno(flow, spec.tcp)),
-        TcpVariant::NewReno => Box::new(RenoSender::new_reno(flow, spec.tcp)),
-        TcpVariant::Sack => Box::new(SackSender::new(flow, spec.tcp)),
-        TcpVariant::Vegas => Box::new(VegasSender::new(flow, spec.tcp, spec.vegas)),
-        TcpVariant::Veno => Box::new(VenoSender::new(flow, spec.tcp)),
-        TcpVariant::Westwood => Box::new(WestwoodSender::new(flow, spec.tcp)),
-        TcpVariant::Door => Box::new(DoorSender::new(flow, spec.tcp)),
-        TcpVariant::Muzha => {
-            Box::new(MuzhaSender::with_cadence(flow, spec.tcp, spec.muzha_cadence))
-        }
-    }
+    pub(crate) perf: RunPerf,
 }
 
 impl Simulator {
@@ -399,40 +76,15 @@ impl Simulator {
         assert!(!positions.is_empty(), "need at least one node");
         let mut rng = SimRng::new(cfg.seed);
         let channel = Channel::new(positions, cfg.radio);
-        let nodes = (0..channel.node_count())
-            .map(|i| {
-                let id = NodeId::new(i as u16);
-                Node {
-                    phy: PhyState::new(),
-                    last_mac_stats: mac80211::MacStats::default(),
-                    mac: Mac::new(id, cfg.mac, rng.fork()),
-                    aodv: Aodv::new(id, cfg.aodv, UidGen::new(id)),
-                    ifq: match cfg.queue {
-                        QueueDiscipline::DropTail => {
-                            Ifq::DropTail(DropTailQueue::new(cfg.ifq_capacity))
-                        }
-                        QueueDiscipline::Red(red) => Ifq::Red(RedQueue::new(crate::RedConfig {
-                            capacity: cfg.ifq_capacity,
-                            ..red
-                        })),
-                    },
-                    router: RouterAgent::new(cfg.drai),
-                    // Transport packets use a separate uid stream so MAC
-                    // dedup never confuses them with routing packets.
-                    uid: UidGen::with_stream(id, 1),
-                    busy: BusyTracker::new(SimTime::ZERO),
-                    senders: DetMap::new(),
-                    receivers: DetMap::new(),
-                    routing_drops: 0,
-                }
-            })
+        let nodes: Vec<Node> = (0..channel.node_count())
+            .map(|i| Node::new(NodeId::new(i as u16), &cfg, &mut rng))
             .collect();
         let mut events = EventQueue::new();
         events.push(SimTime::ZERO + cfg.sample_interval, Event::Sample);
-        let node_count = channel.node_count();
         let mut sim = Simulator {
             cfg,
             channel,
+            fault: FaultState::new(nodes.len()),
             nodes,
             events,
             rng,
@@ -444,14 +96,6 @@ impl Simulator {
             log: None,
             checker: None,
             tie_order: None,
-            scripted_faults: Vec::new(),
-            node_status: vec![NodeStatus::Up; node_count],
-            deferred: (0..node_count).map(|_| Vec::new()).collect(),
-            ge_episode: None,
-            ge_states: vec![GeState::new(); node_count],
-            blackholes: DetSet::new(),
-            saturated: DetMap::new(),
-            scripted_down: DetSet::new(),
             perf: RunPerf::default(),
         };
         // Kick off HELLO beaconing if the AODV config asks for it.
@@ -535,22 +179,8 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // Fault injection & invariant checking (crates/faultline)
+    // Invariant checking & tie ordering (crates/faultline)
     // ------------------------------------------------------------------
-
-    /// Loads a fault scenario: every timed fault is scheduled on the
-    /// ordinary event queue at its scripted virtual time (past times fire
-    /// immediately), so twin runs with the same seed and script stay
-    /// bit-identical. Same-time faults keep script order. The script's
-    /// `seed` / `duration` headers are advisory metadata for harnesses —
-    /// they do not reconfigure an already-built simulator.
-    pub fn load_scenario(&mut self, script: &ScenarioScript) {
-        for timed in &script.events {
-            let index = self.scripted_faults.len();
-            self.scripted_faults.push(timed.clone());
-            self.schedule(timed.at.max(self.now), Event::Fault { index });
-        }
-    }
 
     /// Installs a runtime invariant checker fed from this simulator's
     /// cross-layer event stream. Replaces any previous checker.
@@ -597,7 +227,7 @@ impl Simulator {
 
     /// Records one trace observation at the current virtual time.
     #[inline]
-    fn rec(&mut self, record: TraceRecord) {
+    pub(crate) fn rec(&mut self, record: TraceRecord) {
         if let Some(log) = &mut self.log {
             log.record(self.now, record);
         }
@@ -625,7 +255,7 @@ impl Simulator {
     }
 
     #[inline]
-    fn emit(&mut self, event: CheckEvent) {
+    pub(crate) fn emit(&mut self, event: CheckEvent) {
         let Some(checker) = &mut self.checker else { return };
         let before = checker.violations().len();
         checker.on_event(self.now, &event);
@@ -642,219 +272,40 @@ impl Simulator {
         }
     }
 
-    /// Filters an event through the scenario's node liveness: events owned
-    /// by a killed node are discarded (packets inside them become fault
-    /// drops), and most events owned by a paused node are deferred for
-    /// replay at resume time. Receptions at a paused node are discarded —
-    /// its radio is off.
-    fn gate_event(&mut self, event: Event) -> Option<Event> {
-        if self.scripted_faults.is_empty() {
-            return Some(event);
-        }
-        let node = match &event {
-            Event::RxStart { node, .. }
-            | Event::RxEnd { node, .. }
-            | Event::TxDone { node }
-            | Event::MacTimer { node, .. }
-            | Event::AodvTimer { node, .. }
-            | Event::TcpTimer { node, .. }
-            | Event::JitteredEnqueue { node, .. }
-            | Event::MobilityTick { node }
-            | Event::DelAckTimer { node, .. } => *node,
-            Event::FlowStart { flow } => self.flows[flow.index()].src,
-            Event::Sample | Event::Fault { .. } => return Some(event),
-        };
-        match self.node_status[node.index()] {
-            NodeStatus::Up => Some(event),
-            NodeStatus::Killed => match event {
-                // The physical node keeps moving even while crashed.
-                Event::MobilityTick { .. } => Some(event),
-                Event::JitteredEnqueue { packet, .. } => {
-                    self.emit(CheckEvent::FaultDrop { node, uid: packet.uid });
-                    None
-                }
-                _ => None,
-            },
-            NodeStatus::Paused => match event {
-                Event::RxStart { .. } | Event::RxEnd { .. } => None,
-                _ => {
-                    self.deferred[node.index()].push(event);
-                    None
-                }
-            },
-        }
-    }
-
-    /// Applies scripted fault `index` at the current virtual time.
-    fn apply_fault(&mut self, index: usize) {
-        let Some(fault) = self.scripted_faults.get(index).map(|t| t.fault.clone()) else {
-            return;
-        };
-        match fault {
-            FaultEvent::LinkDown { a, b } => self.script_link(a, b, false),
-            FaultEvent::LinkUp { a, b } => self.script_link(a, b, true),
-            FaultEvent::Kill { node } => self.kill_node(node),
-            FaultEvent::Revive { node } => self.revive_node(node),
-            FaultEvent::Pause { node } => {
-                if self.node_status[node.index()] == NodeStatus::Up {
-                    self.node_status[node.index()] = NodeStatus::Paused;
-                    self.channel.set_node_enabled(node, false);
-                    self.emit(CheckEvent::NodeDown { node });
-                }
-            }
-            FaultEvent::Resume { node } => {
-                if self.node_status[node.index()] == NodeStatus::Paused {
-                    self.node_status[node.index()] = NodeStatus::Up;
-                    self.channel.set_node_enabled(node, true);
-                    self.emit(CheckEvent::NodeUp { node });
-                    let backlog = std::mem::take(&mut self.deferred[node.index()]);
-                    let now = self.now;
-                    for deferred in backlog {
-                        self.schedule(now, deferred);
-                    }
-                }
-            }
-            FaultEvent::GeStart(ge) => {
-                self.ge_episode = Some(ge);
-                // Every receiver starts the episode in the good state.
-                self.ge_states = vec![GeState::new(); self.nodes.len()];
-            }
-            FaultEvent::GeStop => self.ge_episode = None,
-            FaultEvent::Blackhole { node } => {
-                self.blackholes.insert(node);
-            }
-            FaultEvent::BlackholeOff { node } => {
-                self.blackholes.remove(&node);
-            }
-            FaultEvent::Saturate { node, capacity } => {
-                self.saturated.insert(node, capacity);
-            }
-            FaultEvent::SaturateOff { node } => {
-                self.saturated.remove(&node);
-            }
-            FaultEvent::Partition { left, right } => {
-                for &a in &left {
-                    for &b in &right {
-                        if a != b {
-                            self.script_link(a, b, false);
-                        }
-                    }
-                }
-            }
-            FaultEvent::Heal => {
-                let blocked: Vec<(NodeId, NodeId)> = self.scripted_down.iter().copied().collect();
-                for (a, b) in blocked {
-                    self.script_link(a, b, true);
-                }
-            }
-        }
-    }
-
-    /// Blocks or releases one scripted link, keeping the channel, the
-    /// bookkeeping set and the checker in sync. No-op if the link already
-    /// is in the requested state.
-    fn script_link(&mut self, a: NodeId, b: NodeId, up: bool) {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if up {
-            if self.scripted_down.remove(&key) {
-                self.channel.set_link_blocked(a, b, false);
-                self.emit(CheckEvent::ScriptedLinkUp { a, b });
-            }
-        } else if self.scripted_down.insert(key) {
-            self.channel.set_link_blocked(a, b, true);
-            self.emit(CheckEvent::ScriptedLinkDown { a, b });
-        }
-    }
-
-    /// Crashes a node: radio off, every packet in its custody (interface
-    /// queue, MAC, AODV discovery buffers, deferred work) becomes a fault
-    /// drop, and its routing state is wiped. Identity — in particular the
-    /// packet uid streams — survives, so MAC deduplication at the
-    /// neighbours keeps working across a revive.
-    fn kill_node(&mut self, node: NodeId) {
-        if self.node_status[node.index()] == NodeStatus::Killed {
-            return;
-        }
-        self.node_status[node.index()] = NodeStatus::Killed;
-        self.channel.set_node_enabled(node, false);
-        let mut orphans: Vec<u64> = Vec::new();
-        {
-            let now = self.now;
-            let n = &mut self.nodes[node.index()];
-            while let Some((packet, _)) = n.ifq.pop(now) {
-                orphans.push(packet.uid);
-            }
-            if let Some(packet) = n.mac.abort() {
-                orphans.push(packet.uid);
-            }
-            for packet in n.aodv.reset_routes() {
-                orphans.push(packet.uid);
-            }
-        }
-        for deferred in std::mem::take(&mut self.deferred[node.index()]) {
-            if let Event::JitteredEnqueue { packet, .. } = deferred {
-                orphans.push(packet.uid);
-            }
-        }
-        for uid in orphans {
-            self.emit(CheckEvent::FaultDrop { node, uid });
-        }
-        self.emit(CheckEvent::NodeDown { node });
-    }
-
-    /// Powers a killed node back up with empty routing state.
-    fn revive_node(&mut self, node: NodeId) {
-        if self.node_status[node.index()] != NodeStatus::Killed {
-            return;
-        }
-        self.node_status[node.index()] = NodeStatus::Up;
-        self.channel.set_node_enabled(node, true);
-        self.emit(CheckEvent::NodeUp { node });
-        if self.cfg.aodv.hello_interval.is_some() {
-            let now = self.now;
-            let outs = self.nodes[node.index()].aodv.start_hello(now);
-            self.process_aodv_outputs(node, outs);
-        }
-    }
-
-    /// Pops the next event through the tie-order hook: when one is
-    /// installed, the tie at the queue head falls inside its window and
-    /// more than one event is pending at that instant, the hook picks which
-    /// tied event dispatches first. Everywhere else this is a plain FIFO
-    /// pop, so an absent hook costs one branch per event.
-    fn pop_event(&mut self) -> Option<(SimTime, Event)> {
+    /// Pops the next event due at or before `end`, through the tie-order
+    /// hook: when one is installed, the tie at the queue head falls inside
+    /// its window and more than one event is pending at that instant, the
+    /// hook picks which tied event dispatches first. Everywhere else this
+    /// is a plain FIFO pop, so an absent hook costs one branch per event.
+    fn pop_event(&mut self, end: SimTime) -> Option<(SimTime, Event)> {
+        let t = self.events.peek_time().filter(|&t| t <= end)?;
         if let Some(order) = &mut self.tie_order {
-            if let Some(t) = self.events.peek_time() {
-                if order.covers(t) {
-                    let ties = self.events.tie_count();
-                    if ties > 1 {
-                        let mut group = Vec::with_capacity(ties);
-                        self.events.for_each_tie(|e| group.push(tie_class(e)));
-                        let chosen = order.choose(t, group);
-                        return self.events.pop_nth(chosen);
-                    }
+            if order.covers(t) {
+                let ties = self.events.tie_count();
+                if ties > 1 {
+                    let mut group = Vec::with_capacity(ties);
+                    self.events.for_each_tie(|e| group.push(e.fingerprint()));
+                    let chosen = order.choose(t, group);
+                    return self.events.pop_nth(chosen);
                 }
             }
         }
         self.events.pop()
     }
 
-    fn schedule(&mut self, at: SimTime, event: Event) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
         self.events.push(at, event);
     }
 
     /// Runs the event loop until virtual time `end`.
     pub fn run_until(&mut self, end: SimTime) {
-        while let Some(t) = self.events.peek_time() {
-            if t > end {
-                break;
-            }
-            let qlen = self.events.len();
-            let (now, event) = self.pop_event().expect("peeked event vanished");
+        while let Some((now, event)) = self.pop_event(end) {
             self.now = now;
-            fold_event(&mut self.trace_hash, now, &event);
-            account_event(&mut self.perf, &event);
-            self.perf.peak_event_queue = self.perf.peak_event_queue.max(qlen);
+            event.fold(&mut self.trace_hash, now);
+            self.perf.events_processed += 1;
+            *event.kind().layer(&mut self.perf) += 1;
+            // The queue's length before this pop.
+            self.perf.peak_event_queue = self.perf.peak_event_queue.max(self.events.len() + 1);
             self.dispatch(event);
         }
         self.now = end.max(self.now);
@@ -935,189 +386,6 @@ impl Simulator {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Moves a node to a new position (mobility hook). Takes effect for
-    /// all transmissions that *start* after the call; signals already on
-    /// the air are unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn set_position(&mut self, node: NodeId, position: phy::Position) {
-        self.apply_position(node, position);
-    }
-
-    /// Writes a node's position through to the channel, accounting the
-    /// neighbor-row churn and logging the move. Every position change —
-    /// scripted teleport or mobility-tick step — funnels through here so
-    /// the perf counters and the trace log see identical motion regardless
-    /// of which index the channel uses.
-    fn apply_position(&mut self, node: NodeId, position: phy::Position) {
-        let churn = self.channel.set_position(node, position);
-        self.perf.position_updates += 1;
-        self.perf.link_churn += churn as u64;
-        if self.log.is_some() {
-            self.rec(TraceRecord::PhyMove { node, x: position.x, y: position.y });
-        }
-    }
-
-    /// Starts moving `node` in a straight line toward `target` at
-    /// `speed_mps`, updating its position every 100 ms of virtual time.
-    /// Replaces any movement in progress for the node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speed_mps` is not positive.
-    pub fn move_node(&mut self, node: NodeId, target: phy::Position, speed_mps: f64) {
-        assert!(speed_mps > 0.0, "speed must be positive");
-        let fresh = self
-            .movements
-            .insert(node, Movement { target, speed_mps, plan: MobilityPlan::OneShot });
-        if fresh.is_none() {
-            self.schedule(self.now + MOBILITY_TICK, Event::MobilityTick { node });
-        }
-    }
-
-    /// Puts `node` under the random-waypoint mobility model: it repeatedly
-    /// picks a uniform point in the area, moves there at a uniformly drawn
-    /// speed, pauses for a uniformly drawn time, and repeats. Replaces any
-    /// movement in progress.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the area, the speed range or the pause range is
-    /// degenerate.
-    pub fn set_random_waypoint(&mut self, node: NodeId, plan: RandomWaypoint) {
-        assert!(plan.width_m > 0.0 && plan.height_m > 0.0, "area must be positive");
-        assert!(
-            plan.min_speed_mps > 0.0 && plan.min_speed_mps <= plan.max_speed_mps,
-            "speed range must be positive and ordered"
-        );
-        assert!(plan.min_pause <= plan.max_pause, "pause range must be ordered");
-        let (target, speed) = self.draw_waypoint(&plan);
-        let fresh = self.movements.insert(
-            node,
-            Movement { target, speed_mps: speed, plan: MobilityPlan::Waypoint(plan) },
-        );
-        if fresh.is_none() {
-            self.schedule(self.now + MOBILITY_TICK, Event::MobilityTick { node });
-        }
-    }
-
-    /// Puts `node` on a scripted waypoint tour: it visits each leg's target
-    /// at the leg's speed, pausing for the leg's pause after arriving, and
-    /// stops after the last leg. Replaces any movement in progress. Unlike
-    /// [`Simulator::set_random_waypoint`] this consumes no randomness, so a
-    /// script replays identically regardless of what else the run does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `legs` is empty or any leg's speed is not positive.
-    pub fn set_waypoint_script(&mut self, node: NodeId, legs: Vec<WaypointLeg>) {
-        for leg in &legs {
-            assert!(leg.speed_mps > 0.0, "every leg speed must be positive");
-        }
-        let Some(first) = legs.first().copied() else {
-            panic!("a waypoint script needs at least one leg");
-        };
-        let fresh = self.movements.insert(
-            node,
-            Movement {
-                target: first.target,
-                speed_mps: first.speed_mps,
-                plan: MobilityPlan::Script { legs, next: 1 },
-            },
-        );
-        if fresh.is_none() {
-            self.schedule(self.now + MOBILITY_TICK, Event::MobilityTick { node });
-        }
-    }
-
-    /// Stops any movement in progress for `node`.
-    pub fn stop_node(&mut self, node: NodeId) {
-        self.movements.remove(&node);
-    }
-
-    fn draw_waypoint(&mut self, plan: &RandomWaypoint) -> (phy::Position, f64) {
-        let x = self.rng.unit_f64() * plan.width_m;
-        let y = self.rng.unit_f64() * plan.height_m;
-        let speed =
-            plan.min_speed_mps + self.rng.unit_f64() * (plan.max_speed_mps - plan.min_speed_mps);
-        (phy::Position::new(x, y), speed)
-    }
-
-    /// Draws a pause from the plan's range. A degenerate range consumes no
-    /// randomness, so plans without pauses leave the RNG stream exactly as
-    /// it was before pauses existed.
-    fn draw_pause(&mut self, plan: &RandomWaypoint) -> sim_core::SimDuration {
-        if plan.max_pause <= plan.min_pause {
-            return plan.min_pause;
-        }
-        let span = (plan.max_pause - plan.min_pause).as_secs_f64();
-        plan.min_pause + sim_core::SimDuration::from_secs_f64(self.rng.unit_f64() * span)
-    }
-
-    fn mobility_tick(&mut self, node: NodeId) {
-        let Some(movement) = self.movements.get(&node).cloned() else { return };
-        let here = self.channel.position(node);
-        let distance = here.distance_to(movement.target);
-        let step = movement.speed_mps * MOBILITY_TICK.as_secs_f64();
-        if distance <= step {
-            // Arrived: snap to the waypoint, then let the plan decide what
-            // happens next (pauses delay the next tick rather than adding a
-            // dedicated event class).
-            self.apply_position(node, movement.target);
-            match movement.plan {
-                MobilityPlan::OneShot => {
-                    self.movements.remove(&node);
-                }
-                MobilityPlan::Waypoint(plan) => {
-                    let (target, speed) = self.draw_waypoint(&plan);
-                    let pause = self.draw_pause(&plan);
-                    self.movements.insert(
-                        node,
-                        Movement { target, speed_mps: speed, plan: MobilityPlan::Waypoint(plan) },
-                    );
-                    self.schedule(self.now + pause + MOBILITY_TICK, Event::MobilityTick { node });
-                }
-                MobilityPlan::Script { legs, next } => {
-                    // The pause belongs to the leg that just finished: the
-                    // one before `next`.
-                    let pause = legs[next - 1].pause;
-                    if next < legs.len() {
-                        let leg = legs[next];
-                        self.movements.insert(
-                            node,
-                            Movement {
-                                target: leg.target,
-                                speed_mps: leg.speed_mps,
-                                plan: MobilityPlan::Script { legs, next: next + 1 },
-                            },
-                        );
-                        self.schedule(
-                            self.now + pause + MOBILITY_TICK,
-                            Event::MobilityTick { node },
-                        );
-                    } else {
-                        self.movements.remove(&node);
-                    }
-                }
-            }
-        } else {
-            let frac = step / distance;
-            let next = phy::Position::new(
-                here.x + (movement.target.x - here.x) * frac,
-                here.y + (movement.target.y - here.y) * frac,
-            );
-            self.apply_position(node, next);
-            self.schedule(self.now + MOBILITY_TICK, Event::MobilityTick { node });
-        }
-    }
-
-    /// A node's current position.
-    pub fn position(&self, node: NodeId) -> phy::Position {
-        self.channel.position(node)
     }
 
     /// Diagnostic view of a node's DRAI inputs:
@@ -1382,7 +650,7 @@ impl Simulator {
         }
     }
 
-    fn process_aodv_outputs(
+    pub(crate) fn process_aodv_outputs(
         &mut self,
         node: NodeId,
         outputs: impl IntoIterator<Item = AodvOutput>,
@@ -1556,14 +824,14 @@ impl Simulator {
     /// (DRAI fold + congestion marking) on the way in.
     fn enqueue_ifq(&mut self, node: NodeId, mut packet: Packet, next_hop: NodeId) {
         let now = self.now;
-        if self.blackholes.contains(&node) {
+        if self.fault.blackholed(node) {
             // A scripted blackhole eats the packet with no feedback at all;
             // the checker accounts it as a fault drop, not congestion.
             let uid = packet.uid;
             self.emit(CheckEvent::FaultDrop { node, uid });
             return;
         }
-        if let Some(cap) = self.saturated.get(&node).copied() {
+        if let Some(cap) = self.fault.saturate_cap(node) {
             if self.nodes[node.index()].ifq.len() >= cap {
                 let uid = packet.uid;
                 let flow = packet.tcp().map(|s| s.flow);
@@ -1686,18 +954,6 @@ impl Simulator {
         }
         self.schedule(end, Event::TxDone { node: sender });
     }
-
-    /// Whether the channel corrupts a data frame heading to `nb`: the
-    /// scripted Gilbert–Elliott episode when one is active, otherwise the
-    /// configured flat Bernoulli loss. The flat path draws from the RNG
-    /// exactly as it did before fault injection existed, so fault-free
-    /// runs stay bit-identical with older seeds.
-    fn frame_lost(&mut self, nb: NodeId, loss_p: f64) -> bool {
-        match self.ge_episode {
-            Some(ge) => self.ge_states[nb.index()].frame_lost(&ge, &mut self.rng),
-            None => loss_p > 0.0 && self.rng.chance(loss_p),
-        }
-    }
 }
 
 impl std::fmt::Debug for Simulator {
@@ -1799,312 +1055,6 @@ impl Simulator {
 // Snapshot / restore (DESIGN.md §11)
 // ----------------------------------------------------------------------
 
-impl sim_core::Snapshotable for Event {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        // Tags match the `fold_event` numbering so the format and the trace
-        // digest stay aligned when a variant is added.
-        match self {
-            Event::RxStart { node, tx_id, end, decodable, power } => {
-                w.put_u8(1);
-                w.put(node);
-                w.put(tx_id);
-                w.put(end);
-                w.put_bool(*decodable);
-                w.put_f64(*power);
-            }
-            Event::RxEnd { node, tx_id, frame, in_rx_range } => {
-                w.put_u8(2);
-                w.put(node);
-                w.put(tx_id);
-                w.put(frame);
-                w.put_bool(*in_rx_range);
-            }
-            Event::TxDone { node } => {
-                w.put_u8(3);
-                w.put(node);
-            }
-            Event::MacTimer { node, id } => {
-                w.put_u8(4);
-                w.put(node);
-                w.put(id);
-            }
-            Event::AodvTimer { node, id } => {
-                w.put_u8(5);
-                w.put(node);
-                w.put(id);
-            }
-            Event::TcpTimer { node, flow, id } => {
-                w.put_u8(6);
-                w.put(node);
-                w.put(flow);
-                w.put(id);
-            }
-            Event::FlowStart { flow } => {
-                w.put_u8(7);
-                w.put(flow);
-            }
-            Event::JitteredEnqueue { node, packet, next_hop } => {
-                w.put_u8(8);
-                w.put(node);
-                w.put(packet);
-                w.put(next_hop);
-            }
-            Event::MobilityTick { node } => {
-                w.put_u8(9);
-                w.put(node);
-            }
-            Event::DelAckTimer { node, flow, id } => {
-                w.put_u8(10);
-                w.put(node);
-                w.put(flow);
-                w.put(id);
-            }
-            Event::Sample => w.put_u8(11),
-            Event::Fault { index } => {
-                w.put_u8(12);
-                w.put_usize(*index);
-            }
-        }
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(match r.take_u8()? {
-            1 => Event::RxStart {
-                node: r.get()?,
-                tx_id: r.get()?,
-                end: r.get()?,
-                decodable: r.take_bool()?,
-                power: r.take_f64()?,
-            },
-            2 => Event::RxEnd {
-                node: r.get()?,
-                tx_id: r.get()?,
-                frame: r.get()?,
-                in_rx_range: r.take_bool()?,
-            },
-            3 => Event::TxDone { node: r.get()? },
-            4 => Event::MacTimer { node: r.get()?, id: r.get()? },
-            5 => Event::AodvTimer { node: r.get()?, id: r.get()? },
-            6 => Event::TcpTimer { node: r.get()?, flow: r.get()?, id: r.get()? },
-            7 => Event::FlowStart { flow: r.get()? },
-            8 => Event::JitteredEnqueue { node: r.get()?, packet: r.get()?, next_hop: r.get()? },
-            9 => Event::MobilityTick { node: r.get()? },
-            10 => Event::DelAckTimer { node: r.get()?, flow: r.get()?, id: r.get()? },
-            11 => Event::Sample,
-            12 => Event::Fault { index: r.take_usize()? },
-            _ => return Err(sim_core::SnapError::Invalid("event tag")),
-        })
-    }
-}
-
-impl sim_core::Snapshotable for NodeStatus {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u8(match self {
-            NodeStatus::Up => 0,
-            NodeStatus::Paused => 1,
-            NodeStatus::Killed => 2,
-        });
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        match r.take_u8()? {
-            0 => Ok(NodeStatus::Up),
-            1 => Ok(NodeStatus::Paused),
-            2 => Ok(NodeStatus::Killed),
-            _ => Err(sim_core::SnapError::Invalid("node status tag")),
-        }
-    }
-}
-
-impl sim_core::Snapshotable for RandomWaypoint {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_f64(self.width_m);
-        w.put_f64(self.height_m);
-        w.put_f64(self.min_speed_mps);
-        w.put_f64(self.max_speed_mps);
-        w.put(&self.min_pause);
-        w.put(&self.max_pause);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let plan = RandomWaypoint {
-            width_m: r.take_f64()?,
-            height_m: r.take_f64()?,
-            min_speed_mps: r.take_f64()?,
-            max_speed_mps: r.take_f64()?,
-            min_pause: r.get()?,
-            max_pause: r.get()?,
-        };
-        let ok = plan.width_m > 0.0
-            && plan.height_m > 0.0
-            && plan.min_speed_mps > 0.0
-            && plan.min_speed_mps <= plan.max_speed_mps
-            && plan.min_pause <= plan.max_pause;
-        if !ok {
-            return Err(sim_core::SnapError::Invalid("random waypoint plan"));
-        }
-        Ok(plan)
-    }
-}
-
-impl sim_core::Snapshotable for MobilityPlan {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        match self {
-            MobilityPlan::OneShot => w.put_u8(0),
-            MobilityPlan::Waypoint(plan) => {
-                w.put_u8(1);
-                w.put(plan);
-            }
-            MobilityPlan::Script { legs, next } => {
-                w.put_u8(2);
-                w.put_usize(legs.len());
-                for leg in legs {
-                    w.put(leg);
-                }
-                w.put_usize(*next);
-            }
-        }
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        match r.take_u8()? {
-            0 => Ok(MobilityPlan::OneShot),
-            1 => Ok(MobilityPlan::Waypoint(r.get()?)),
-            2 => {
-                let count = r.take_usize()?;
-                if count == 0 {
-                    return Err(sim_core::SnapError::Invalid("empty waypoint script"));
-                }
-                let mut legs = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    legs.push(r.get::<WaypointLeg>()?);
-                }
-                let next = r.take_usize()?;
-                // A live script is always travelling toward `legs[next-1]`,
-                // so the resume index sits in 1..=len.
-                if next == 0 || next > legs.len() {
-                    return Err(sim_core::SnapError::Invalid("waypoint script index"));
-                }
-                Ok(MobilityPlan::Script { legs, next })
-            }
-            _ => Err(sim_core::SnapError::Invalid("mobility plan tag")),
-        }
-    }
-}
-
-impl sim_core::Snapshotable for Movement {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.target);
-        w.put_f64(self.speed_mps);
-        w.put(&self.plan);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let m = Movement { target: r.get()?, speed_mps: r.take_f64()?, plan: r.get()? };
-        if m.speed_mps.is_nan() || m.speed_mps <= 0.0 {
-            return Err(sim_core::SnapError::Invalid("movement speed"));
-        }
-        Ok(m)
-    }
-}
-
-impl Node {
-    fn encode_state(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.phy);
-        w.put(&self.last_mac_stats);
-        self.mac.encode_state(w);
-        self.aodv.encode_state(w);
-        match &self.ifq {
-            Ifq::DropTail(q) => {
-                w.put_u8(0);
-                w.put(q);
-            }
-            Ifq::Red(q) => {
-                w.put_u8(1);
-                w.put(q);
-            }
-        }
-        self.router.encode_state(w);
-        w.put(&self.uid);
-        w.put(&self.busy);
-        w.put_usize(self.senders.len());
-        for (flow, ep) in self.senders.iter() {
-            w.put(flow);
-            w.put(&ep.dst);
-            w.put_usize(ep.traced_cwnd);
-            ep.transport.encode_state(w);
-        }
-        w.put_usize(self.receivers.len());
-        for (flow, ep) in self.receivers.iter() {
-            w.put(flow);
-            ep.receiver.encode_state(w);
-        }
-        w.put_u64(self.routing_drops);
-    }
-
-    /// Decodes one node's state. `flows` is the already-decoded flow table:
-    /// each serialized sender names its flow, whose spec determines which
-    /// transport variant to rebuild before restoring its state into it.
-    /// `index` is the node's own position, used to reject snapshots whose
-    /// endpoints landed on the wrong node.
-    fn decode_state(
-        r: &mut sim_core::SnapshotReader<'_>,
-        flows: &[FlowSpec],
-        index: usize,
-    ) -> Result<Node, sim_core::SnapError> {
-        let phy = r.get()?;
-        let last_mac_stats = r.get()?;
-        let mac = Mac::decode_state(r)?;
-        let aodv = Aodv::decode_state(r)?;
-        let ifq = match r.take_u8()? {
-            0 => Ifq::DropTail(r.get()?),
-            1 => Ifq::Red(r.get()?),
-            _ => return Err(sim_core::SnapError::Invalid("ifq discipline tag")),
-        };
-        let router = RouterAgent::decode_state(r)?;
-        let uid = r.get()?;
-        let busy = r.get()?;
-        let mut senders = DetMap::new();
-        for _ in 0..r.take_usize()? {
-            let flow: FlowId = r.get()?;
-            let dst: NodeId = r.get()?;
-            let traced_cwnd = r.take_usize()?;
-            let spec =
-                flows.get(flow.index()).ok_or(sim_core::SnapError::Invalid("sender flow id"))?;
-            if spec.src.index() != index || spec.dst != dst {
-                return Err(sim_core::SnapError::Invalid("sender endpoint mismatch"));
-            }
-            let mut transport = make_transport(flow, spec);
-            transport.restore_state(r)?;
-            senders.insert(flow, SenderEndpoint { dst, transport, traced_cwnd });
-        }
-        let mut receivers = DetMap::new();
-        for _ in 0..r.take_usize()? {
-            let flow: FlowId = r.get()?;
-            let spec =
-                flows.get(flow.index()).ok_or(sim_core::SnapError::Invalid("receiver flow id"))?;
-            if spec.dst.index() != index {
-                return Err(sim_core::SnapError::Invalid("receiver endpoint mismatch"));
-            }
-            receivers.insert(flow, ReceiverEndpoint { receiver: TcpReceiver::decode_state(r)? });
-        }
-        let routing_drops = r.take_u64()?;
-        Ok(Node {
-            phy,
-            last_mac_stats,
-            mac,
-            aodv,
-            ifq,
-            router,
-            uid,
-            busy,
-            senders,
-            receivers,
-            routing_drops,
-        })
-    }
-}
-
 impl Simulator {
     /// Fingerprint of the run's immutable configuration: the `Debug`
     /// rendering of [`SimConfig`] plus the node count, folded through the
@@ -2141,14 +1091,7 @@ impl Simulator {
             node.encode_state(&mut w);
         }
         w.put(&self.movements);
-        w.put(&self.scripted_faults);
-        w.put(&self.node_status);
-        w.put(&self.deferred);
-        w.put(&self.ge_episode);
-        w.put(&self.ge_states);
-        w.put(&self.blackholes);
-        w.put(&self.saturated);
-        w.put(&self.scripted_down);
+        w.put(&self.fault);
         w.put(&self.perf);
         w.finish()
     }
@@ -2197,20 +1140,10 @@ impl Simulator {
             nodes.push(Node::decode_state(&mut r, &flows, i)?);
         }
         let movements: DetMap<NodeId, Movement> = r.get()?;
-        let scripted_faults: Vec<TimedFault> = r.get()?;
-        let node_status: Vec<NodeStatus> = r.get()?;
-        let deferred: Vec<Vec<Event>> = r.get()?;
-        let ge_episode: Option<GilbertElliott> = r.get()?;
-        let ge_states: Vec<GeState> = r.get()?;
-        if node_status.len() != node_count
-            || deferred.len() != node_count
-            || ge_states.len() != node_count
-        {
-            return Err(sim_core::SnapError::Invalid("per-node vector length"));
+        let fault: FaultState = r.get()?;
+        if fault.node_count() != node_count {
+            return Err(sim_core::SnapError::Invalid("fault state node count"));
         }
-        let blackholes: DetSet<NodeId> = r.get()?;
-        let saturated: DetMap<NodeId, usize> = r.get()?;
-        let scripted_down: DetSet<(NodeId, NodeId)> = r.get()?;
         let perf: RunPerf = r.get()?;
         r.finish()?;
         self.now = now;
@@ -2222,14 +1155,7 @@ impl Simulator {
         self.channel = channel;
         self.nodes = nodes;
         self.movements = movements;
-        self.scripted_faults = scripted_faults;
-        self.node_status = node_status;
-        self.deferred = deferred;
-        self.ge_episode = ge_episode;
-        self.ge_states = ge_states;
-        self.blackholes = blackholes;
-        self.saturated = saturated;
-        self.scripted_down = scripted_down;
+        self.fault = fault;
         self.perf = perf;
         Ok(())
     }
@@ -2443,105 +1369,6 @@ mod tests {
         sim.add_flow(FlowSpec::new(NodeId::new(0), NodeId::new(0), TcpVariant::Reno));
     }
 
-    fn faulted_chain(
-        hops: usize,
-        script: &ScenarioScript,
-        duration: f64,
-    ) -> (FlowReport, InvariantChecker, u64) {
-        let mut sim = Simulator::new(topology::chain(hops), SimConfig::default());
-        let (src, dst) = topology::chain_flow(hops);
-        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-        sim.load_scenario(script);
-        sim.install_checker(InvariantChecker::new());
-        sim.run_until(secs(duration));
-        let checker = sim.take_checker().unwrap();
-        (sim.flow_report(flow), checker, sim.trace_hash())
-    }
-
-    #[test]
-    fn scripted_link_break_twin_runs_bit_identical() {
-        let script = ScenarioScript::new("break")
-            .at(2.0, FaultEvent::LinkDown { a: NodeId::new(1), b: NodeId::new(2) })
-            .at(4.0, FaultEvent::Heal);
-        let (ra, ca, ha) = faulted_chain(4, &script, 8.0);
-        let (rb, cb, hb) = faulted_chain(4, &script, 8.0);
-        assert_eq!(ha, hb, "same seed + script must give identical trace hashes");
-        assert_eq!(ra.delivered_segments, rb.delivered_segments);
-        assert!(ca.is_clean(), "{:?}", ca.violations());
-        assert!(cb.is_clean());
-        assert!(ra.delivered_segments > 10, "flow should recover after heal");
-    }
-
-    #[test]
-    fn kill_and_revive_relay_stalls_then_recovers() {
-        let script = ScenarioScript::new("crash")
-            .at(2.0, FaultEvent::Kill { node: NodeId::new(1) })
-            .at(5.0, FaultEvent::Revive { node: NodeId::new(1) });
-        let (report, checker, _) = faulted_chain(2, &script, 10.0);
-        assert!(checker.is_clean(), "{:?}", checker.violations());
-        assert!(report.delivered_segments > 10, "flow must resume after revive");
-        // Everything injected is accounted for: delivered, dropped
-        // somewhere, destroyed by the kill, or genuinely still in flight.
-        let ledger = checker.ledger();
-        assert_eq!(
-            ledger.injected,
-            ledger.delivered + ledger.dropped + ledger.fault_dropped + ledger.in_flight
-        );
-    }
-
-    #[test]
-    fn blackhole_window_shows_up_as_fault_drops() {
-        let script = ScenarioScript::new("blackhole")
-            .at(2.0, FaultEvent::Blackhole { node: NodeId::new(1) })
-            .at(4.0, FaultEvent::BlackholeOff { node: NodeId::new(1) });
-        let (report, checker, _) = faulted_chain(2, &script, 8.0);
-        assert!(checker.is_clean(), "{:?}", checker.violations());
-        assert!(checker.ledger().fault_dropped > 0, "blackhole ate nothing?");
-        assert!(report.delivered_segments > 10, "flow must survive the window");
-    }
-
-    #[test]
-    fn ge_episode_hurts_throughput_and_stays_deterministic() {
-        let ge = GilbertElliott::new(0.05, 0.3, 0.0, 0.9).unwrap();
-        let script = ScenarioScript::new("bursts")
-            .at(1.0, FaultEvent::GeStart(ge))
-            .at(4.0, FaultEvent::GeStop);
-        let (bursty_a, ca, ha) = faulted_chain(4, &script, 5.0);
-        let (bursty_b, _, hb) = faulted_chain(4, &script, 5.0);
-        let (clean, _, _) = faulted_chain(4, &ScenarioScript::new("idle"), 5.0);
-        assert_eq!(ha, hb);
-        assert_eq!(bursty_a.delivered_segments, bursty_b.delivered_segments);
-        assert!(ca.is_clean(), "{:?}", ca.violations());
-        assert!(
-            bursty_a.delivered_segments < clean.delivered_segments,
-            "bursty loss ({}) should undercut the clean run ({})",
-            bursty_a.delivered_segments,
-            clean.delivered_segments
-        );
-        assert!(bursty_a.delivered_segments > 0, "some data must still get through");
-    }
-
-    #[test]
-    fn saturate_clamps_the_queue() {
-        let script = ScenarioScript::new("squeeze")
-            .at(1.0, FaultEvent::Saturate { node: NodeId::new(1), capacity: 1 })
-            .at(4.0, FaultEvent::SaturateOff { node: NodeId::new(1) });
-        let (report, checker, _) = faulted_chain(2, &script, 8.0);
-        assert!(checker.is_clean(), "{:?}", checker.violations());
-        assert!(checker.ledger().dropped > 0, "a 1-slot queue must shed load");
-        assert!(report.delivered_segments > 10);
-    }
-
-    #[test]
-    fn pause_defers_and_resume_replays() {
-        let script = ScenarioScript::new("freeze")
-            .at(2.0, FaultEvent::Pause { node: NodeId::new(1) })
-            .at(4.0, FaultEvent::Resume { node: NodeId::new(1) });
-        let (report, checker, _) = faulted_chain(2, &script, 10.0);
-        assert!(checker.is_clean(), "{:?}", checker.violations());
-        assert!(report.delivered_segments > 10, "flow must resume after unfreeze");
-    }
-
     #[test]
     fn fault_free_scenario_matches_plain_run_hash() {
         // Loading an empty scenario and a checker must not perturb the
@@ -2708,291 +1535,6 @@ mod tracelog_tests {
         let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
         assert!(sim.trace_log().is_none());
         assert!(sim.take_trace_log().is_none());
-    }
-}
-
-#[cfg(test)]
-mod mobility_tests {
-    use super::*;
-    use crate::topology;
-    use phy::Position;
-    use topo::TopologySpec;
-
-    fn secs(s: f64) -> SimTime {
-        SimTime::from_secs_f64(s)
-    }
-
-    #[test]
-    fn linear_motion_reaches_target_and_stops() {
-        let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
-        let node = NodeId::new(2);
-        // 100 m away at 20 m/s: arrives at t = 5 s.
-        let start = sim.position(node);
-        let target = Position::new(start.x + 100.0, start.y);
-        sim.move_node(node, target, 20.0);
-        sim.run_until(secs(2.5));
-        let mid = sim.position(node);
-        assert!(mid.x > start.x && mid.x < target.x, "mid-flight at {mid}");
-        sim.run_until(secs(6.0));
-        assert_eq!(sim.position(node), target);
-        // No further drift after arrival.
-        sim.run_until(secs(10.0));
-        assert_eq!(sim.position(node), target);
-    }
-
-    #[test]
-    fn movement_speed_is_respected() {
-        let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
-        let node = NodeId::new(0);
-        let start = sim.position(node);
-        sim.move_node(node, Position::new(start.x + 1000.0, 0.0), 10.0);
-        sim.run_until(secs(10.0));
-        let moved = sim.position(node).distance_to(start);
-        assert!((moved - 100.0).abs() < 2.0, "10 m/s for 10 s ≈ 100 m, got {moved}");
-    }
-
-    #[test]
-    fn random_waypoint_stays_in_area() {
-        let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
-        let node = NodeId::new(1);
-        sim.set_random_waypoint(node, RandomWaypoint::roaming(500.0, 500.0, 50.0, 100.0));
-        for step in 1..=60 {
-            sim.run_until(secs(step as f64));
-            let p = sim.position(node);
-            assert!(
-                (-1.0..=501.0).contains(&p.x) && (-1.0..=501.0).contains(&p.y),
-                "escaped the area: {p}"
-            );
-        }
-        // It actually moved.
-        assert_ne!(sim.position(node), Position::new(250.0, 0.0));
-        sim.stop_node(node);
-        let frozen = sim.position(node);
-        sim.run_until(secs(65.0));
-        assert_eq!(sim.position(node), frozen);
-    }
-
-    #[test]
-    fn replacing_a_movement_does_not_double_tick() {
-        let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
-        let node = NodeId::new(0);
-        sim.move_node(node, Position::new(1000.0, 0.0), 10.0);
-        // Redirect mid-flight; speed unchanged, so distance covered in a
-        // fixed time must not exceed speed × time (a double tick chain
-        // would move the node twice per tick).
-        sim.run_until(secs(1.0));
-        sim.move_node(node, Position::new(0.0, 1000.0), 10.0);
-        let at_redirect = sim.position(node);
-        sim.run_until(secs(6.0));
-        let moved = sim.position(node).distance_to(at_redirect);
-        assert!(moved <= 51.0, "5 s at 10 m/s must cover ≤ 50 m, got {moved}");
-    }
-
-    #[test]
-    fn scripted_waypoints_visit_each_leg_and_stop() {
-        use topo::WaypointLeg;
-        let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
-        let node = NodeId::new(0);
-        let a = Position::new(100.0, 0.0);
-        let b = Position::new(100.0, 100.0);
-        sim.set_waypoint_script(
-            node,
-            vec![
-                WaypointLeg::to(a, 50.0).pausing(sim_core::SimDuration::from_secs_f64(1.0)),
-                WaypointLeg::to(b, 50.0),
-            ],
-        );
-        sim.run_until(secs(2.5));
-        assert_eq!(sim.position(node), a, "arrived (~2 s at 50 m/s) and pausing at leg 1");
-        sim.run_until(secs(6.0));
-        assert_eq!(sim.position(node), b, "second leg reached");
-        // Script exhausted: the node stays put.
-        sim.run_until(secs(10.0));
-        assert_eq!(sim.position(node), b);
-    }
-
-    #[test]
-    fn scripted_pause_delays_the_next_leg() {
-        use topo::WaypointLeg;
-        let mut paused = Simulator::new(topology::chain(2), SimConfig::default());
-        let mut eager = Simulator::new(topology::chain(2), SimConfig::default());
-        let node = NodeId::new(0);
-        let a = Position::new(100.0, 0.0);
-        let b = Position::new(100.0, 100.0);
-        paused.set_waypoint_script(
-            node,
-            vec![
-                WaypointLeg::to(a, 50.0).pausing(sim_core::SimDuration::from_secs_f64(3.0)),
-                WaypointLeg::to(b, 50.0),
-            ],
-        );
-        eager.set_waypoint_script(node, vec![WaypointLeg::to(a, 50.0), WaypointLeg::to(b, 50.0)]);
-        // At t = 3 s the eager twin is already on (or done with) leg 2,
-        // while the paused twin is still sitting at leg 1's waypoint.
-        paused.run_until(secs(3.0));
-        eager.run_until(secs(3.0));
-        assert_eq!(paused.position(node), a, "pausing at the first waypoint");
-        assert!(eager.position(node).y > 0.0, "no pause: second leg under way");
-        // Both finish eventually.
-        paused.run_until(secs(12.0));
-        assert_eq!(paused.position(node), b);
-    }
-
-    #[test]
-    fn waypoint_pause_draw_preserves_zero_pause_stream() {
-        // A plan whose pause range is degenerate must consume exactly the
-        // randomness the pre-pause model did: same seed, same trajectory.
-        let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
-        let node = NodeId::new(1);
-        sim.set_random_waypoint(
-            node,
-            RandomWaypoint {
-                min_pause: sim_core::SimDuration::from_secs_f64(1.0),
-                max_pause: sim_core::SimDuration::from_secs_f64(1.0),
-                ..RandomWaypoint::roaming(500.0, 500.0, 50.0, 100.0)
-            },
-        );
-        let mut twin = Simulator::new(topology::chain(2), SimConfig::default());
-        twin.set_random_waypoint(node, RandomWaypoint::roaming(500.0, 500.0, 50.0, 100.0));
-        sim.run_until(secs(30.0));
-        twin.run_until(secs(30.0));
-        // Same waypoint sequence (same RNG draws), different timing.
-        assert!(sim.position(node).x >= 0.0 && twin.position(node).x >= 0.0);
-    }
-
-    #[test]
-    fn from_config_builds_topology_and_applies_mobility() {
-        let cfg = SimConfig {
-            topology: TopologySpec::Grid { rows: 3, cols: 3 },
-            mobility: MobilitySpec::Waypoint {
-                min_speed_mps: 5.0,
-                max_speed_mps: 10.0,
-                pause: sim_core::SimDuration::ZERO,
-            },
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::from_config(cfg);
-        assert_eq!(sim.node_count(), 9);
-        let before: Vec<Position> = (0..9).map(|i| sim.position(NodeId::new(i as u16))).collect();
-        sim.run_until(secs(5.0));
-        let moved = (0..9).any(|i| sim.position(NodeId::new(i as u16)) != before[i]);
-        assert!(moved, "waypoint mobility moves nodes");
-        // Deterministic in the config.
-        let mut twin = Simulator::from_config(cfg);
-        twin.run_until(secs(5.0));
-        assert_eq!(sim.trace_hash(), twin.trace_hash());
-    }
-
-    #[test]
-    fn from_config_static_matches_explicit_positions() {
-        let cfg = SimConfig { topology: TopologySpec::Chain { hops: 4 }, ..SimConfig::default() };
-        let mut a = Simulator::from_config(cfg);
-        let mut b = Simulator::new(topology::chain(4), cfg);
-        let (src, dst) = topology::chain_flow(4);
-        let fa = a.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-        let fb = b.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-        a.run_until(secs(5.0));
-        b.run_until(secs(5.0));
-        assert_eq!(a.trace_hash(), b.trace_hash(), "config-built chain is the explicit chain");
-        assert_eq!(a.flow_report(fa).delivered_segments, b.flow_report(fb).delivered_segments);
-    }
-
-    #[test]
-    fn mobile_relay_flow_survives_with_rediscovery() {
-        // 5-node chain; the flow runs 0 -> 4. Node 2 wanders slowly around
-        // its home; AODV re-discovers through node positions as needed.
-        let mut sim = Simulator::new(topology::chain(4), SimConfig::default());
-        let (src, dst) = topology::chain_flow(4);
-        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-        sim.run_until(secs(3.0));
-        // Drift node 2 100 m north and back; connectivity is preserved
-        // (neighbours at 250 m spacing, range 250 m... moving north breaks
-        // 1-2 and 2-3 links at ~? sqrt(250^2+100^2)=269>250: breaks!) so
-        // the route must fail and recover.
-        let home = sim.position(NodeId::new(2));
-        sim.move_node(NodeId::new(2), Position::new(home.x, 100.0), 25.0);
-        sim.run_until(secs(8.0));
-        sim.move_node(NodeId::new(2), home, 25.0);
-        sim.run_until(secs(20.0));
-        let r = sim.flow_report(flow);
-        let tail = r.delivered_in_window(secs(15.0), secs(20.0));
-        assert!(tail > 5, "flow must recover after the relay returns, got {tail}");
-    }
-}
-
-#[cfg(test)]
-mod red_integration_tests {
-    use super::*;
-    use crate::topology;
-    use crate::{QueueDiscipline, RedConfig};
-
-    fn secs(s: f64) -> SimTime {
-        SimTime::from_secs_f64(s)
-    }
-
-    #[test]
-    fn red_discipline_carries_traffic() {
-        let cfg =
-            SimConfig { queue: QueueDiscipline::Red(RedConfig::default()), ..SimConfig::default() };
-        let mut sim = Simulator::new(topology::chain(4), cfg);
-        let (src, dst) = topology::chain_flow(4);
-        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-        sim.run_until(secs(5.0));
-        assert!(sim.flow_report(flow).delivered_segments > 20);
-    }
-
-    #[test]
-    fn red_ecn_marks_reach_a_muzha_sender() {
-        // An aggressive RED (tiny thresholds, heavy averaging) on every
-        // node: Muzha's data is ECN-marked in the queue, so its dup-ACK
-        // discrimination sees "congestion" even without Muzha's own
-        // marking (queue thresholds here are far below the DRAI mark_at).
-        let red = RedConfig {
-            min_threshold: 0.0,
-            max_threshold: 1.0,
-            queue_weight: 0.9,
-            ecn: true,
-            ..RedConfig::default()
-        };
-        let cfg = SimConfig { queue: QueueDiscipline::Red(red), ..SimConfig::default() };
-        let mut sim = Simulator::new(topology::chain(2), cfg);
-        let (src, dst) = topology::chain_flow(2);
-        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-        sim.run_until(secs(5.0));
-        // Flow still works end to end with ECN marking in the path.
-        assert!(sim.flow_report(flow).delivered_segments > 20);
-        let marked: u64 = (0..sim.node_count())
-            .map(|i| match &sim.nodes[i].ifq {
-                Ifq::Red(q) => q.early_marks(),
-                Ifq::DropTail(_) => 0,
-            })
-            .sum();
-        assert!(marked > 0, "aggressive RED must have marked something");
-    }
-
-    #[test]
-    fn red_without_ecn_drops_early() {
-        let red = RedConfig {
-            min_threshold: 0.0,
-            max_threshold: 2.0,
-            queue_weight: 0.9,
-            ecn: false,
-            ..RedConfig::default()
-        };
-        let cfg = SimConfig { queue: QueueDiscipline::Red(red), ..SimConfig::default() };
-        let mut sim = Simulator::new(topology::chain(2), cfg);
-        let (src, dst) = topology::chain_flow(2);
-        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-        sim.run_until(secs(10.0));
-        let report = sim.flow_report(flow);
-        assert!(report.delivered_segments > 10, "flow survives RED drops");
-        let early: u64 = (0..sim.node_count())
-            .map(|i| match &sim.nodes[i].ifq {
-                Ifq::Red(q) => q.early_drops(),
-                Ifq::DropTail(_) => 0,
-            })
-            .sum();
-        assert!(early > 0, "early drops expected with tiny thresholds");
     }
 }
 

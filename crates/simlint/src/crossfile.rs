@@ -2,38 +2,25 @@
 //! compiler cannot enforce, because they tie *separate* match statements —
 //! and separate files — to one enum.
 //!
-//! Two rule families:
+//! One rule family, **`trace-coverage`**: every `tracelog::TraceRecord`
+//! variant must be constructed from at least one simulator choke point
+//! (`crates/netstack/src/`, live code) and consumed by the by-name ns-2
+//! sink (`tracelog::ns2::line`). The pcap and csv sinks consume records
+//! through the `layer`/`node`/`flow`/`uid`/`direction` accessors, so
+//! those accessors (and `ns2::line`) must stay wildcard-free, and
+//! `Layer::ALL` must name every `Layer` variant — that is what keeps the
+//! accessor-generic sinks total.
 //!
-//! * **`event-accounting`** — every `netstack::sim::Event` variant must (1)
-//!   fold a distinct integer tag into the trace hash in `fold_event`, (2)
-//!   increment a subsystem counter in `account_event` (so
-//!   `RunPerf::classified_total() == events_processed` holds by
-//!   construction, not just at runtime), and (3) have a `dispatch` arm.
-//!   Wildcard arms in `fold_event`/`account_event` are themselves findings:
-//!   a `_ =>` would swallow the next variant silently and defeat the check.
-//!
-//! * **`trace-coverage`** — every `tracelog::TraceRecord` variant must be
-//!   constructed from at least one simulator choke point
-//!   (`crates/netstack/src/`, live code) and consumed by the by-name ns-2
-//!   sink (`tracelog::ns2::line`). The pcap and csv sinks consume records
-//!   through the `layer`/`node`/`flow`/`uid`/`direction` accessors, so
-//!   those accessors (and `ns2::line`) must stay wildcard-free, and
-//!   `Layer::ALL` must name every `Layer` variant — that is what keeps the
-//!   accessor-generic sinks total.
-//!
-//! Both families parse enum bodies and fn-body spans out of the token
-//! streams; they are anchored to the files named below and quietly skip a
-//! tree that doesn't contain them (which is how the intentionally-bad
-//! fixture workspace under `tests/fixtures/` gets checked with the same
-//! code).
+//! The rule parses enum bodies and fn-body spans out of the token streams;
+//! it is anchored to the files named below and quietly skips a tree that
+//! doesn't contain them (which is how the intentionally-bad fixture
+//! workspace under `tests/fixtures/` gets checked with the same code).
 
 use std::collections::BTreeMap;
 
 use crate::lexer::{Lexed, TokKind, Token};
 use crate::{Finding, Rule};
 
-/// Home of `enum Event`, `fold_event`, `account_event`, and `dispatch`.
-const EVENT_FILE: &str = "crates/netstack/src/sim.rs";
 /// Home of `enum TraceRecord`, `enum Layer`, and the record accessors.
 const RECORD_FILE: &str = "crates/tracelog/src/record.rs";
 /// Home of the by-name ns-2 sink (`fn line`).
@@ -41,179 +28,11 @@ const NS2_FILE: &str = "crates/tracelog/src/ns2.rs";
 /// Directory holding the simulator choke points that may produce records.
 const PRODUCER_DIR: &str = "crates/netstack/src/";
 
-/// Runs both cross-file families over the lexed workspace.
+/// Runs the cross-file family over the lexed workspace.
 pub(crate) fn scan(files: &BTreeMap<String, Lexed>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    event_accounting(files, &mut findings);
     trace_coverage(files, &mut findings);
     findings
-}
-
-// ---------------------------------------------------------------------------
-// event-accounting
-// ---------------------------------------------------------------------------
-
-fn event_accounting(files: &BTreeMap<String, Lexed>, findings: &mut Vec<Finding>) {
-    let Some(sim) = files.get(EVENT_FILE) else { return };
-    let push = |findings: &mut Vec<Finding>, line: usize, message: String, fixit: String| {
-        findings.push(Finding {
-            rule: Rule::EventAccounting,
-            path: EVENT_FILE.to_string(),
-            line,
-            snippet: sim.snippet(line),
-            message,
-            fixit,
-        });
-    };
-
-    let Some(variants) = enum_variants(sim, "Event") else {
-        push(
-            findings,
-            1,
-            "`enum Event` not found — the event-accounting closure checks have lost \
-             their anchor"
-                .to_string(),
-            "keep the event taxonomy in crates/netstack/src/sim.rs, or retarget the \
-             checks in crates/simlint/src/crossfile.rs"
-                .to_string(),
-        );
-        return;
-    };
-
-    let mut spans = BTreeMap::new();
-    for name in ["fold_event", "account_event", "dispatch"] {
-        match fn_body_span(&sim.tokens, name) {
-            Some(span) => {
-                spans.insert(name, span);
-            }
-            None => push(
-                findings,
-                1,
-                format!("`fn {name}` not found — every Event variant must flow through it"),
-                "restore the function (or retarget crates/simlint/src/crossfile.rs if it \
-                 moved)"
-                    .to_string(),
-            ),
-        }
-    }
-
-    // Per-variant closure: a fold arm with a distinct tag, a counted
-    // account arm, a dispatch arm.
-    let mut tags: BTreeMap<u64, String> = BTreeMap::new();
-    for (variant, v_line) in &variants {
-        if let Some(&(start, end)) = spans.get("fold_event") {
-            match variant_arm(&sim.tokens, start, end, "Event", variant) {
-                None => push(
-                    findings,
-                    *v_line,
-                    format!(
-                        "`Event::{variant}` has no arm in `fold_event` — the trace hash \
-                         would silently ignore it and same-digest runs could diverge"
-                    ),
-                    format!(
-                        "add an arm folding a fresh distinct tag: \
-                         `Event::{variant} {{ .. }} => {{ hash.write_u64(<next tag>); }}`"
-                    ),
-                ),
-                Some((arm_start, arm_end)) => {
-                    match first_literal_tag(&sim.tokens[arm_start..arm_end]) {
-                        None => push(
-                            findings,
-                            *v_line,
-                            format!(
-                                "`Event::{variant}`'s fold arm writes no literal tag — \
-                                 without one, two variants with equal fields hash \
-                                 identically"
-                            ),
-                            "make `hash.write_u64(<literal>)` the arm's first write".to_string(),
-                        ),
-                        Some(tag) => {
-                            if let Some(prev) = tags.insert(tag, variant.clone()) {
-                                push(
-                                    findings,
-                                    *v_line,
-                                    format!(
-                                        "fold tag {tag} is reused by `Event::{variant}` \
-                                         (already used by `Event::{prev}`) — tags must \
-                                         be pairwise distinct"
-                                    ),
-                                    "assign the next unused integer tag".to_string(),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(&(start, end)) = spans.get("account_event") {
-            match variant_arm(&sim.tokens, start, end, "Event", variant) {
-                None => push(
-                    findings,
-                    *v_line,
-                    format!(
-                        "`Event::{variant}` has no arm in `account_event` — \
-                         `RunPerf::classified_total()` would fall behind \
-                         `events_processed`"
-                    ),
-                    format!(
-                        "add `Event::{variant} {{ .. }} => perf.<subsystem>_events += 1` \
-                         for the owning subsystem"
-                    ),
-                ),
-                Some((arm_start, arm_end)) => {
-                    let body = &sim.tokens[arm_start..arm_end];
-                    let increments =
-                        body.windows(2).any(|w| w[0].is_punct('+') && w[1].is_punct('='));
-                    if !increments {
-                        push(
-                            findings,
-                            *v_line,
-                            format!(
-                                "`Event::{variant}`'s arm in `account_event` increments \
-                                 nothing — the event would be processed but never \
-                                 classified"
-                            ),
-                            "increment exactly one `perf.<subsystem>_events` counter in \
-                             the arm"
-                                .to_string(),
-                        );
-                    }
-                }
-            }
-        }
-        if let Some(&(start, end)) = spans.get("dispatch") {
-            if variant_arm(&sim.tokens, start, end, "Event", variant).is_none() {
-                push(
-                    findings,
-                    *v_line,
-                    format!(
-                        "`Event::{variant}` has no `dispatch` arm — the event would be \
-                         scheduled but never handled"
-                    ),
-                    format!("add a `Event::{variant} {{ .. }} => ...` arm to `dispatch`"),
-                );
-            }
-        }
-    }
-
-    // Wildcard arms in the two flat accounting fns defeat the closure check
-    // (dispatch legitimately contains nested matches, so it is exempt; a
-    // missing variant there is caught by the per-variant check above).
-    for name in ["fold_event", "account_event"] {
-        if let Some(&(start, end)) = spans.get(name) {
-            if let Some(t) = wildcard_arm(&sim.tokens[start..end]) {
-                push(
-                    findings,
-                    t,
-                    format!(
-                        "wildcard arm in `{name}` — a `_ =>` would silently swallow the \
-                         next Event variant and defeat the static closure check"
-                    ),
-                    "enumerate every variant explicitly".to_string(),
-                );
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -456,61 +275,6 @@ fn fn_body_span(toks: &[Token], name: &str) -> Option<(usize, usize)> {
         }
     }
     None
-}
-
-/// The body span of the match arm for `Enum::Variant` within `[start, end)`:
-/// from just past its `=>` to the arm's end (matching `}` for block bodies,
-/// the `,` at arm depth otherwise). Grouped arms (`A | B => …`) resolve to
-/// the shared body for each grouped variant.
-fn variant_arm(
-    toks: &[Token],
-    start: usize,
-    end: usize,
-    enum_name: &str,
-    variant: &str,
-) -> Option<(usize, usize)> {
-    let mention = (start..end.saturating_sub(3)).find(|&i| {
-        toks[i].is_ident(enum_name)
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].is_ident(variant)
-    })?;
-    // Scan forward to the arm's `=>`.
-    let mut i = mention + 4;
-    while i + 1 < end {
-        if toks[i].is_punct('=') && toks[i + 1].is_punct('>') {
-            let body_start = i + 2;
-            if body_start < end && toks[body_start].is_punct('{') {
-                let close = matching_close(toks, body_start, '{', '}')?;
-                return Some((body_start + 1, close.min(end)));
-            }
-            // Expression body: runs to the `,` at depth 0 (or the end).
-            let mut depth = 0usize;
-            let mut j = body_start;
-            while j < end {
-                let t = &toks[j];
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                    depth += 1;
-                } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                    depth = depth.saturating_sub(1);
-                } else if depth == 0 && t.is_punct(',') {
-                    return Some((body_start, j));
-                }
-                j += 1;
-            }
-            return Some((body_start, end));
-        }
-        i += 1;
-    }
-    None
-}
-
-/// The first integer literal written via `write_u64(<literal>)` in an arm
-/// body — the variant's fold tag.
-fn first_literal_tag(span: &[Token]) -> Option<u64> {
-    span.windows(3)
-        .find(|w| w[0].is_ident("write_u64") && w[1].is_punct('(') && w[2].kind == TokKind::Num)
-        .and_then(|w| w[2].text.replace('_', "").parse().ok())
 }
 
 /// The line of the first bare `_ =>` arm in `span`, if any.

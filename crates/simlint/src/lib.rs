@@ -17,9 +17,7 @@
 //!    on time/seq/uid arithmetic), `float-order` (comparators ordering raw
 //!    floats), and `timer-clear` (raw timer-slot clears bypassing the
 //!    TimerSlab id-match contract).
-//! 3. **Cross-file rules** — `event-accounting` (every `netstack::sim::Event`
-//!    variant has a distinct fold tag, a `RunPerf` classification arm, and a
-//!    dispatch arm) and `trace-coverage` (every `TraceRecord` variant is
+//! 3. **Cross-file rule** — `trace-coverage` (every `TraceRecord` variant is
 //!    producible from a simulator choke point and consumed by every sink).
 //! 4. **Allowlist ratchet** — remaining true positives are budgeted
 //!    per-(rule, path) in `simlint.allow`; budgets only move down, and
@@ -70,8 +68,6 @@ pub enum Rule {
     TimerClear,
     /// `std::thread` use outside the wall-clock measurement crates.
     ThreadSpawn,
-    /// An `Event` variant missing its fold tag, `RunPerf` arm, or dispatch arm.
-    EventAccounting,
     /// A `TraceRecord` variant no choke point produces or a sink drops.
     TraceCoverage,
 }
@@ -89,7 +85,6 @@ impl Rule {
             Rule::FloatOrder => "float-order",
             Rule::TimerClear => "timer-clear",
             Rule::ThreadSpawn => "thread-spawn",
-            Rule::EventAccounting => "event-accounting",
             Rule::TraceCoverage => "trace-coverage",
         }
     }
@@ -100,7 +95,7 @@ impl Rule {
     }
 
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 10] = [
         Rule::Nondeterminism,
         Rule::HashCollections,
         Rule::PanicUnwrap,
@@ -110,7 +105,6 @@ impl Rule {
         Rule::FloatOrder,
         Rule::TimerClear,
         Rule::ThreadSpawn,
-        Rule::EventAccounting,
         Rule::TraceCoverage,
     ];
 
@@ -126,7 +120,6 @@ impl Rule {
             Rule::FloatOrder => "comparator method ordering raw floats",
             Rule::TimerClear => "raw timer-slot clear bypassing the id-match contract",
             Rule::ThreadSpawn => "std::thread use outside the licensed parallel drivers",
-            Rule::EventAccounting => "Event variant not folded, classified, and dispatched",
             Rule::TraceCoverage => "TraceRecord variant unproduced or dropped by a sink",
         }
     }
@@ -202,15 +195,6 @@ impl Rule {
                  banned, and parallel work goes through harness::run_batch so \
                  the merge discipline stays in one reviewed file."
             }
-            Rule::EventAccounting => {
-                "Every netstack::sim::Event variant must appear in fold_event (with a \
-                 distinct integer tag), account_event (incrementing a subsystem \
-                 counter), and dispatch. These are three separate match statements \
-                 the compiler checks only for exhaustiveness-with-wildcards; this \
-                 rule closes them statically, so classified_total() == \
-                 events_processed and trace-hash coverage can never be broken by an \
-                 unhandled new variant — previously that only failed at runtime."
-            }
             Rule::TraceCoverage => {
                 "The trace subsystem is the reproduction's evidence. Every \
                  TraceRecord variant must be producible from at least one simulator \
@@ -265,11 +249,6 @@ impl Rule {
                 "crates/aodv/src/engine.rs:92: [thread-spawn] `std::thread` outside \
                  the licensed parallel drivers\n    std::thread::spawn(move || \
                  rebuild_table(routes));"
-            }
-            Rule::EventAccounting => {
-                "crates/netstack/src/sim.rs:54: [event-accounting] `Event::Fault` has \
-                 no arm in `account_event` — `RunPerf::classified_total()` would fall \
-                 behind `events_processed`\n    Fault { index: usize },"
             }
             Rule::TraceCoverage => {
                 "crates/tracelog/src/record.rs:313: [trace-coverage] \
@@ -931,7 +910,7 @@ mod tests {
             assert!(!rule.example().is_empty());
         }
         assert!(Allowlist::parse("cast-truncate crates/x.rs 1 pcap header seconds").is_ok());
-        assert!(Allowlist::parse("event-accounting crates/netstack/src/sim.rs 1 migration").is_ok());
+        assert!(Allowlist::parse("trace-coverage crates/x.rs 1 migration").is_ok());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use sim_core::stats::TimeSeries;
 use sim_core::{DetMap, SimDuration, SimTime};
+use wire::{Drai, FlowId, TcpSegment, TcpSegmentKind};
 
 use crate::{RttEstimator, TcpConfig, TcpOutput, TcpStats, TcpTimer};
 
@@ -79,6 +80,51 @@ impl SendState {
         self.flight() < self.usable_window(cwnd)
     }
 
+    /// Data segment `seq` of `flow`. `avbw` is the initial AVBW-S option a
+    /// router-assisted variant stamps on its data (`None` for plain TCP).
+    pub fn make_segment(&self, flow: FlowId, seq: u64, avbw: Option<Drai>) -> TcpSegment {
+        TcpSegment::data(flow, seq, self.cfg.payload_bytes, avbw)
+    }
+
+    /// Sends fresh segments while the window `min(cwnd, advertised)` has
+    /// room, then makes sure the retransmission timer covers the flight.
+    pub fn send_fresh(
+        &mut self,
+        flow: FlowId,
+        avbw: Option<Drai>,
+        cwnd: f64,
+        now: SimTime,
+        out: &mut Vec<TcpOutput>,
+    ) {
+        while self.can_send_fresh(cwnd) {
+            let seq = self.nxt;
+            self.nxt += 1;
+            self.register_send(seq, now);
+            out.push(TcpOutput::SendSegment(self.make_segment(flow, seq, avbw)));
+        }
+        if self.flight() > 0 {
+            self.ensure_timer(now, out);
+        }
+    }
+
+    /// Resends segment `seq`, flagged as a retransmission. Timer handling is
+    /// the caller's: variants differ on whether a resend re-arms it.
+    pub fn retransmit(
+        &mut self,
+        flow: FlowId,
+        avbw: Option<Drai>,
+        seq: u64,
+        now: SimTime,
+        out: &mut Vec<TcpOutput>,
+    ) {
+        self.register_send(seq, now);
+        let mut seg = self.make_segment(flow, seq, avbw);
+        if let TcpSegmentKind::Data { retransmit, .. } = &mut seg.kind {
+            *retransmit = true;
+        }
+        out.push(TcpOutput::SendSegment(seg));
+    }
+
     /// Records the transmission of segment `seq` at `now` and returns
     /// whether it was a retransmission (i.e. `seq` had been sent before).
     ///
@@ -105,9 +151,11 @@ impl SendState {
     /// Advances `una` for a cumulative ACK and returns an RTT sample from
     /// the newest acknowledged, never-retransmitted segment (if any).
     ///
-    /// Returns `None` if the ACK does not advance `una`.
+    /// Returns `None` if the ACK does not advance `una` — it is old, or it
+    /// acknowledges data never sent (RFC 793: such an ACK is dropped; taking
+    /// it would empty the flight and let the window refill without bound).
     pub fn advance_una(&mut self, ack: u64, now: SimTime) -> Option<SimDuration> {
-        if ack <= self.una {
+        if ack <= self.una || ack > self.high_water {
             return None;
         }
         let mut sample: Option<SimDuration> = None;
@@ -317,6 +365,26 @@ mod tests {
         assert!(s.advance_una(1, t(10)).is_some());
         assert!(s.advance_una(1, t(20)).is_none());
         assert!(s.advance_una(0, t(20)).is_none());
+    }
+
+    #[test]
+    fn ack_for_unsent_data_is_ignored() {
+        let mut s = st();
+        let mut out = Vec::new();
+        s.send_fresh(FlowId::new(0), None, 3.0, t(0), &mut out);
+        assert_eq!((s.nxt, s.high_water(), s.flight()), (3, 3, 3));
+        // One past everything sent, and a corrupted-looking huge number.
+        for bogus in [4, 0x8000_0008] {
+            assert_eq!(s.advance_una(bogus, t(10)), None);
+            assert_eq!((s.una, s.flight()), (0, 3), "ack {bogus} must not move the window");
+        }
+        s.send_fresh(FlowId::new(0), None, 3.0, t(10), &mut out);
+        assert_eq!(s.nxt, 3, "a full window stays full");
+        // After a timeout rewinds `nxt`, segments up to the high-water mark
+        // were still sent once and may yet be acknowledged.
+        s.nxt = s.una;
+        assert!(s.advance_una(3, t(20)).is_none(), "no RTT sample below the rewound nxt");
+        assert_eq!(s.una, 3);
     }
 
     #[test]

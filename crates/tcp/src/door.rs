@@ -2,11 +2,10 @@
 //! and response, the paper's §3.1 pure end-to-end route-change heuristic
 //! (\[39\]).
 
-use sim_core::stats::TimeSeries;
 use sim_core::{SimDuration, SimTime};
 use wire::{FlowId, TcpSegment, TcpSegmentKind};
 
-use crate::{SendState, TcpConfig, TcpOutput, TcpStats, TcpTimer, Transport};
+use crate::{SendState, TcpConfig, TcpOutput, TcpTimer, Transport};
 
 /// A TCP-DOOR sender: NewReno plus two responses to out-of-order (OOO)
 /// delivery events, which in a MANET almost always mean a route changed
@@ -107,31 +106,6 @@ impl DoorSender {
     fn note_reduction(&mut self, now: SimTime, prev_cwnd: f64, prev_ssthresh: f64) {
         self.last_reduction = Some(Reduction { at: now, prev_cwnd, prev_ssthresh });
     }
-
-    fn make_segment(&self, seq: u64) -> TcpSegment {
-        TcpSegment::data(self.flow, seq, self.s.cfg().payload_bytes, None)
-    }
-
-    fn send_fresh(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
-        while self.s.can_send_fresh(self.cwnd) {
-            let seq = self.s.nxt;
-            self.s.nxt += 1;
-            self.s.register_send(seq, now);
-            out.push(TcpOutput::SendSegment(self.make_segment(seq)));
-        }
-        if self.s.flight() > 0 {
-            self.s.ensure_timer(now, out);
-        }
-    }
-
-    fn retransmit(&mut self, seq: u64, now: SimTime, out: &mut Vec<TcpOutput>) {
-        self.s.register_send(seq, now);
-        let mut seg = self.make_segment(seq);
-        if let TcpSegmentKind::Data { retransmit, .. } = &mut seg.kind {
-            *retransmit = true;
-        }
-        out.push(TcpOutput::SendSegment(seg));
-    }
 }
 
 impl Transport for DoorSender {
@@ -146,7 +120,7 @@ impl Transport for DoorSender {
     fn open(&mut self, now: SimTime) -> Vec<TcpOutput> {
         let mut out = Vec::new();
         self.s.trace_cwnd(now, self.cwnd);
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         out
     }
 
@@ -167,7 +141,7 @@ impl Transport for DoorSender {
                     self.cwnd = self.ssthresh;
                 }
                 Some(_) => {
-                    self.retransmit(ack, now, &mut out);
+                    self.s.retransmit(self.flow, None, ack, now, &mut out);
                     self.s.arm_timer(now, &mut out);
                 }
                 None => {
@@ -185,11 +159,11 @@ impl Transport for DoorSender {
                     self.s.cancel_timer();
                 }
             }
-            self.send_fresh(now, &mut out);
+            self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         } else if self.s.flight() > 0 {
             if self.in_fast_recovery() {
                 self.cwnd += 1.0;
-                self.send_fresh(now, &mut out);
+                self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
             } else {
                 let count = self.s.register_dupack();
                 if count == self.s.cfg().dupack_threshold {
@@ -199,13 +173,13 @@ impl Transport for DoorSender {
                     if self.congestion_control_disabled(now) {
                         // Route-change window: repair the hole without
                         // touching the window.
-                        self.retransmit(una, now, &mut out);
+                        self.s.retransmit(self.flow, None, una, now, &mut out);
                     } else {
                         let (pc, ps) = (self.cwnd, self.ssthresh);
                         self.ssthresh = (self.s.flight() as f64 / 2.0).max(2.0);
                         self.cwnd = self.ssthresh + self.s.cfg().dupack_threshold as f64;
                         self.note_reduction(now, pc, ps);
-                        self.retransmit(una, now, &mut out);
+                        self.s.retransmit(self.flow, None, una, now, &mut out);
                     }
                     self.s.arm_timer(now, &mut out);
                 }
@@ -232,41 +206,21 @@ impl Transport for DoorSender {
             self.cwnd = 1.0;
             self.note_reduction(now, pc, ps);
         }
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         self.s.trace_cwnd(now, self.cwnd);
         out
+    }
+
+    fn send_state(&self) -> &SendState {
+        &self.s
     }
 
     fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
-    fn stats(&self) -> TcpStats {
-        self.s.stats
-    }
-
-    fn cwnd_trace(&self) -> &TimeSeries {
-        self.s.cwnd_trace()
-    }
-
-    fn timer_is_live(&self, id: TcpTimer) -> bool {
-        self.s.timer_is_live(id)
-    }
-
-    fn timers_cancelled(&self) -> u64 {
-        self.s.timers_cancelled()
-    }
-
-    fn srtt(&self) -> Option<sim_core::SimDuration> {
-        self.s.rtt.srtt()
-    }
-
     fn ssthresh(&self) -> Option<f64> {
         Some(self.ssthresh)
-    }
-
-    fn rto(&self) -> Option<sim_core::SimDuration> {
-        Some(self.s.rtt.rto())
     }
 
     fn phase(&self) -> &'static str {

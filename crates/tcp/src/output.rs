@@ -4,6 +4,8 @@ use sim_core::stats::TimeSeries;
 use sim_core::SimTime;
 use wire::{FlowId, TcpSegment};
 
+use crate::SendState;
+
 /// Identifies one transport timer (retransmission timer). The driver
 /// schedules an event at the requested time and calls
 /// [`Transport::on_timer`]; stale ids must be ignored by the agent.
@@ -62,43 +64,49 @@ pub trait Transport: std::fmt::Debug {
     /// A timer set via [`TcpOutput::SetTimer`] fired.
     fn on_timer(&mut self, id: TcpTimer, now: SimTime) -> Vec<TcpOutput>;
 
-    /// Whether a timer id is still the currently armed one. The driver may
-    /// consult this to discard stale timer pops before calling
-    /// [`Transport::on_timer`]; the default claims liveness, so variants
-    /// that don't track it fall back to their own stale handling.
-    fn timer_is_live(&self, _id: TcpTimer) -> bool {
-        true
+    /// The sequence, RTT and timer bookkeeping every variant layers its
+    /// congestion control on; the accessors below read it.
+    fn send_state(&self) -> &SendState;
+
+    /// Whether a timer id is still the currently armed one. The driver
+    /// consults this to discard stale timer pops before calling
+    /// [`Transport::on_timer`].
+    fn timer_is_live(&self, id: TcpTimer) -> bool {
+        self.send_state().timer_is_live(id)
     }
 
     /// Number of timers tombstoned before firing (lazy cancellations whose
-    /// queued events pop stale). Zero for variants that don't track it.
+    /// queued events pop stale).
     fn timers_cancelled(&self) -> u64 {
-        0
+        self.send_state().timers_cancelled()
     }
 
     /// Current congestion window in segments.
     fn cwnd(&self) -> f64;
 
     /// Counters.
-    fn stats(&self) -> TcpStats;
+    fn stats(&self) -> TcpStats {
+        self.send_state().stats
+    }
 
     /// The congestion-window trace recorded so far (Figs. 5.2–5.7).
-    fn cwnd_trace(&self) -> &TimeSeries;
+    fn cwnd_trace(&self) -> &TimeSeries {
+        self.send_state().cwnd_trace()
+    }
 
     /// The smoothed round-trip time, once at least one valid sample exists.
     fn srtt(&self) -> Option<sim_core::SimDuration> {
-        None
+        self.send_state().rtt.srtt()
+    }
+
+    /// The current retransmission timeout. Consumed by trace observers.
+    fn rto(&self) -> Option<sim_core::SimDuration> {
+        Some(self.send_state().rtt.rto())
     }
 
     /// The slow-start threshold in segments, for variants that maintain one
     /// (Vegas and Muzha do not). Consumed by the runtime invariant checker.
     fn ssthresh(&self) -> Option<f64> {
-        None
-    }
-
-    /// The current retransmission timeout, for variants that expose their
-    /// RTT estimator. Consumed by trace observers.
-    fn rto(&self) -> Option<sim_core::SimDuration> {
         None
     }
 

@@ -1,10 +1,9 @@
 //! TCP Reno and TCP NewReno senders.
 
-use sim_core::stats::TimeSeries;
 use sim_core::SimTime;
 use wire::{FlowId, TcpSegment, TcpSegmentKind};
 
-use crate::{SendState, TcpConfig, TcpOutput, TcpStats, TcpTimer, Transport};
+use crate::{SendState, TcpConfig, TcpOutput, TcpTimer, Transport};
 
 /// Which member of the Tahoe/Reno lineage this sender is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,31 +93,6 @@ impl RenoSender {
         self.recovery_point.is_some()
     }
 
-    fn make_segment(&self, seq: u64) -> TcpSegment {
-        TcpSegment::data(self.flow, seq, self.s.cfg().payload_bytes, None)
-    }
-
-    fn send_fresh(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
-        while self.s.can_send_fresh(self.cwnd) {
-            let seq = self.s.nxt;
-            self.s.nxt += 1;
-            self.s.register_send(seq, now);
-            out.push(TcpOutput::SendSegment(self.make_segment(seq)));
-        }
-        if self.s.flight() > 0 {
-            self.s.ensure_timer(now, out);
-        }
-    }
-
-    fn retransmit(&mut self, seq: u64, now: SimTime, out: &mut Vec<TcpOutput>) {
-        self.s.register_send(seq, now);
-        let mut seg = self.make_segment(seq);
-        if let TcpSegmentKind::Data { retransmit, .. } = &mut seg.kind {
-            *retransmit = true;
-        }
-        out.push(TcpOutput::SendSegment(seg));
-    }
-
     fn halve_on_loss(&mut self) {
         self.ssthresh = (self.s.flight() as f64 / 2.0).max(2.0);
     }
@@ -138,7 +112,7 @@ impl RenoSender {
                 // Deflate by the amount acknowledged, re-inflate by one for
                 // the retransmission (RFC 3782).
                 self.cwnd = (self.cwnd - newly_acked as f64 + 1.0).max(1.0);
-                self.retransmit(ack, now, out);
+                self.s.retransmit(self.flow, None, ack, now, out);
                 self.s.arm_timer(now, out);
             }
             Some(_) => {
@@ -163,7 +137,7 @@ impl RenoSender {
                 self.s.cancel_timer();
             }
         }
-        self.send_fresh(now, out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, out);
         self.s.trace_cwnd(now, self.cwnd);
     }
 
@@ -174,7 +148,7 @@ impl RenoSender {
         if self.in_fast_recovery() {
             // Window inflation: each dup ACK signals a departure.
             self.cwnd += 1.0;
-            self.send_fresh(now, out);
+            self.s.send_fresh(self.flow, None, self.cwnd, now, out);
             self.s.trace_cwnd(now, self.cwnd);
             return;
         }
@@ -183,7 +157,7 @@ impl RenoSender {
             self.halve_on_loss();
             self.s.stats.fast_retransmits += 1;
             let una = self.s.una;
-            self.retransmit(una, now, out);
+            self.s.retransmit(self.flow, None, una, now, out);
             if self.flavor == RenoFlavor::Tahoe {
                 // No fast recovery: collapse to one segment and slow-start.
                 self.cwnd = 1.0;
@@ -214,7 +188,7 @@ impl Transport for RenoSender {
     fn open(&mut self, now: SimTime) -> Vec<TcpOutput> {
         let mut out = Vec::new();
         self.s.trace_cwnd(now, self.cwnd);
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         out
     }
 
@@ -250,41 +224,21 @@ impl Transport for RenoSender {
         self.s.nxt = self.s.una;
         self.s.clear_rtt_candidates();
         self.s.note_timeout();
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         self.s.trace_cwnd(now, self.cwnd);
         out
+    }
+
+    fn send_state(&self) -> &SendState {
+        &self.s
     }
 
     fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
-    fn stats(&self) -> TcpStats {
-        self.s.stats
-    }
-
-    fn cwnd_trace(&self) -> &TimeSeries {
-        self.s.cwnd_trace()
-    }
-
-    fn timer_is_live(&self, id: TcpTimer) -> bool {
-        self.s.timer_is_live(id)
-    }
-
-    fn timers_cancelled(&self) -> u64 {
-        self.s.timers_cancelled()
-    }
-
-    fn srtt(&self) -> Option<sim_core::SimDuration> {
-        self.s.rtt.srtt()
-    }
-
     fn ssthresh(&self) -> Option<f64> {
         Some(self.ssthresh)
-    }
-
-    fn rto(&self) -> Option<sim_core::SimDuration> {
-        Some(self.s.rtt.rto())
     }
 
     fn phase(&self) -> &'static str {

@@ -2,11 +2,10 @@
 
 use std::collections::BTreeSet;
 
-use sim_core::stats::TimeSeries;
 use sim_core::SimTime;
 use wire::{FlowId, SackBlock, TcpSegment, TcpSegmentKind};
 
-use crate::{SendState, TcpConfig, TcpOutput, TcpStats, TcpTimer, Transport};
+use crate::{SendState, TcpConfig, TcpOutput, TcpTimer, Transport};
 
 /// A TCP sender using selective acknowledgements.
 ///
@@ -56,10 +55,6 @@ impl SackSender {
         self.ssthresh
     }
 
-    fn make_segment(&self, seq: u64) -> TcpSegment {
-        TcpSegment::data(self.flow, seq, self.s.cfg().payload_bytes, None)
-    }
-
     fn absorb_sack(&mut self, blocks: &[SackBlock]) {
         for b in blocks {
             for seq in b.start..b.end {
@@ -89,36 +84,18 @@ impl SackSender {
         None
     }
 
-    fn send_fresh(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
-        while self.s.can_send_fresh(self.cwnd) {
-            let seq = self.s.nxt;
-            self.s.nxt += 1;
-            self.s.register_send(seq, now);
-            out.push(TcpOutput::SendSegment(self.make_segment(seq)));
-        }
-        if self.s.flight() > 0 {
-            self.s.ensure_timer(now, out);
-        }
-    }
-
     /// One ACK-clocked transmission during recovery: hole first, else fresh.
     fn recovery_transmit(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
         if let Some(hole) = self.next_hole() {
             self.retransmitted.insert(hole);
-            self.s.register_send(hole, now);
-            let mut seg = self.make_segment(hole);
-            if let TcpSegmentKind::Data { retransmit, .. } = &mut seg.kind {
-                *retransmit = true;
-            }
-            out.push(TcpOutput::SendSegment(seg));
-            self.s.ensure_timer(now, out);
+            self.s.retransmit(self.flow, None, hole, now, out);
         } else {
             let seq = self.s.nxt;
             self.s.nxt += 1;
             self.s.register_send(seq, now);
-            out.push(TcpOutput::SendSegment(self.make_segment(seq)));
-            self.s.ensure_timer(now, out);
+            out.push(TcpOutput::SendSegment(self.s.make_segment(self.flow, seq, None)));
         }
+        self.s.ensure_timer(now, out);
     }
 }
 
@@ -134,7 +111,7 @@ impl Transport for SackSender {
     fn open(&mut self, now: SimTime) -> Vec<TcpOutput> {
         let mut out = Vec::new();
         self.s.trace_cwnd(now, self.cwnd);
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         out
     }
 
@@ -154,7 +131,7 @@ impl Transport for SackSender {
                     self.retransmitted.clear();
                     self.cwnd = self.ssthresh;
                     self.s.arm_timer(now, out.as_mut());
-                    self.send_fresh(now, &mut out);
+                    self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
                 }
                 Some(_) => {
                     // Partial ACK: keep repairing, one transmission per ACK.
@@ -172,7 +149,7 @@ impl Transport for SackSender {
                     } else {
                         self.s.cancel_timer();
                     }
-                    self.send_fresh(now, &mut out);
+                    self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
                 }
             }
         } else if self.s.flight() > 0 {
@@ -209,41 +186,21 @@ impl Transport for SackSender {
         self.s.nxt = self.s.una;
         self.s.clear_rtt_candidates();
         self.s.note_timeout();
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         self.s.trace_cwnd(now, self.cwnd);
         out
+    }
+
+    fn send_state(&self) -> &SendState {
+        &self.s
     }
 
     fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
-    fn stats(&self) -> TcpStats {
-        self.s.stats
-    }
-
-    fn cwnd_trace(&self) -> &TimeSeries {
-        self.s.cwnd_trace()
-    }
-
-    fn timer_is_live(&self, id: TcpTimer) -> bool {
-        self.s.timer_is_live(id)
-    }
-
-    fn timers_cancelled(&self) -> u64 {
-        self.s.timers_cancelled()
-    }
-
-    fn srtt(&self) -> Option<sim_core::SimDuration> {
-        self.s.rtt.srtt()
-    }
-
     fn ssthresh(&self) -> Option<f64> {
         Some(self.ssthresh)
-    }
-
-    fn rto(&self) -> Option<sim_core::SimDuration> {
-        Some(self.s.rtt.rto())
     }
 
     fn phase(&self) -> &'static str {

@@ -1,10 +1,9 @@
 //! TCP Vegas sender: delay-based congestion avoidance.
 
-use sim_core::stats::TimeSeries;
 use sim_core::{SimDuration, SimTime};
 use wire::{FlowId, TcpSegment, TcpSegmentKind};
 
-use crate::{SendState, TcpConfig, TcpOutput, TcpStats, TcpTimer, Transport, VegasConfig};
+use crate::{SendState, TcpConfig, TcpOutput, TcpTimer, Transport, VegasConfig};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
@@ -87,22 +86,6 @@ impl VegasSender {
         self.mode == Mode::SlowStart
     }
 
-    fn make_segment(&self, seq: u64) -> TcpSegment {
-        TcpSegment::data(self.flow, seq, self.s.cfg().payload_bytes, None)
-    }
-
-    fn send_fresh(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
-        while self.s.can_send_fresh(self.cwnd) {
-            let seq = self.s.nxt;
-            self.s.nxt += 1;
-            self.s.register_send(seq, now);
-            out.push(TcpOutput::SendSegment(self.make_segment(seq)));
-        }
-        if self.s.flight() > 0 {
-            self.s.ensure_timer(now, out);
-        }
-    }
-
     fn observe_rtt(&mut self, rtt: SimDuration) {
         self.last_rtt = Some(rtt);
         self.base_rtt = Some(match self.base_rtt {
@@ -141,16 +124,6 @@ impl VegasSender {
             }
         }
     }
-
-    fn retransmit(&mut self, seq: u64, now: SimTime, out: &mut Vec<TcpOutput>) {
-        self.s.register_send(seq, now);
-        let mut seg = self.make_segment(seq);
-        if let TcpSegmentKind::Data { retransmit, .. } = &mut seg.kind {
-            *retransmit = true;
-        }
-        out.push(TcpOutput::SendSegment(seg));
-        self.s.arm_timer(now, out);
-    }
 }
 
 impl Transport for VegasSender {
@@ -166,7 +139,7 @@ impl Transport for VegasSender {
         let mut out = Vec::new();
         self.s.trace_cwnd(now, self.cwnd);
         self.round_end = self.s.usable_window(self.cwnd);
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         out
     }
 
@@ -189,7 +162,7 @@ impl Transport for VegasSender {
             } else {
                 self.s.cancel_timer();
             }
-            self.send_fresh(now, &mut out);
+            self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         } else if self.s.flight() > 0 {
             let count = self.s.register_dupack();
             if count == self.s.cfg().dupack_threshold {
@@ -198,7 +171,8 @@ impl Transport for VegasSender {
                 self.mode = Mode::CongestionAvoidance;
                 self.s.stats.fast_retransmits += 1;
                 let una = self.s.una;
-                self.retransmit(una, now, &mut out);
+                self.s.retransmit(self.flow, None, una, now, &mut out);
+                self.s.arm_timer(now, &mut out);
             }
         }
         self.s.trace_cwnd(now, self.cwnd);
@@ -218,37 +192,17 @@ impl Transport for VegasSender {
         self.round_end = self.s.una + 1;
         self.s.clear_rtt_candidates();
         self.s.note_timeout();
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         self.s.trace_cwnd(now, self.cwnd);
         out
     }
 
+    fn send_state(&self) -> &SendState {
+        &self.s
+    }
+
     fn cwnd(&self) -> f64 {
         self.cwnd
-    }
-
-    fn stats(&self) -> TcpStats {
-        self.s.stats
-    }
-
-    fn cwnd_trace(&self) -> &TimeSeries {
-        self.s.cwnd_trace()
-    }
-
-    fn timer_is_live(&self, id: TcpTimer) -> bool {
-        self.s.timer_is_live(id)
-    }
-
-    fn timers_cancelled(&self) -> u64 {
-        self.s.timers_cancelled()
-    }
-
-    fn srtt(&self) -> Option<sim_core::SimDuration> {
-        self.s.rtt.srtt()
-    }
-
-    fn rto(&self) -> Option<sim_core::SimDuration> {
-        Some(self.s.rtt.rto())
     }
 
     fn phase(&self) -> &'static str {

@@ -1,11 +1,10 @@
 //! TCP Veno sender (Fu & Liew 2003) — the paper's cited *end-to-end* rival
 //! to router-assisted loss discrimination.
 
-use sim_core::stats::TimeSeries;
 use sim_core::{SimDuration, SimTime};
 use wire::{FlowId, TcpSegment, TcpSegmentKind};
 
-use crate::{SendState, TcpConfig, TcpOutput, TcpStats, TcpTimer, Transport};
+use crate::{SendState, TcpConfig, TcpOutput, TcpTimer, Transport};
 
 /// A TCP Veno sender.
 ///
@@ -75,31 +74,6 @@ impl VenoSender {
         self.backlog().is_some_and(|n| n >= self.beta)
     }
 
-    fn make_segment(&self, seq: u64) -> TcpSegment {
-        TcpSegment::data(self.flow, seq, self.s.cfg().payload_bytes, None)
-    }
-
-    fn send_fresh(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
-        while self.s.can_send_fresh(self.cwnd) {
-            let seq = self.s.nxt;
-            self.s.nxt += 1;
-            self.s.register_send(seq, now);
-            out.push(TcpOutput::SendSegment(self.make_segment(seq)));
-        }
-        if self.s.flight() > 0 {
-            self.s.ensure_timer(now, out);
-        }
-    }
-
-    fn retransmit(&mut self, seq: u64, now: SimTime, out: &mut Vec<TcpOutput>) {
-        self.s.register_send(seq, now);
-        let mut seg = self.make_segment(seq);
-        if let TcpSegmentKind::Data { retransmit, .. } = &mut seg.kind {
-            *retransmit = true;
-        }
-        out.push(TcpOutput::SendSegment(seg));
-    }
-
     fn observe_rtt(&mut self, rtt: SimDuration) {
         self.last_rtt = Some(rtt);
         self.base_rtt = Some(match self.base_rtt {
@@ -121,7 +95,7 @@ impl Transport for VenoSender {
     fn open(&mut self, now: SimTime) -> Vec<TcpOutput> {
         let mut out = Vec::new();
         self.s.trace_cwnd(now, self.cwnd);
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         out
     }
 
@@ -142,7 +116,7 @@ impl Transport for VenoSender {
                 }
                 Some(_) => {
                     // NewReno-style partial-ACK repair.
-                    self.retransmit(ack, now, &mut out);
+                    self.s.retransmit(self.flow, None, ack, now, &mut out);
                     self.s.arm_timer(now, &mut out);
                 }
                 None => {
@@ -167,11 +141,11 @@ impl Transport for VenoSender {
                     self.s.cancel_timer();
                 }
             }
-            self.send_fresh(now, &mut out);
+            self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         } else if self.s.flight() > 0 {
             if self.in_fast_recovery() {
                 self.cwnd += 1.0;
-                self.send_fresh(now, &mut out);
+                self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
             } else {
                 let count = self.s.register_dupack();
                 if count == self.s.cfg().dupack_threshold {
@@ -183,7 +157,7 @@ impl Transport for VenoSender {
                     self.recovery_point = Some(self.s.nxt);
                     self.cwnd = self.ssthresh + self.s.cfg().dupack_threshold as f64;
                     let una = self.s.una;
-                    self.retransmit(una, now, &mut out);
+                    self.s.retransmit(self.flow, None, una, now, &mut out);
                     self.s.arm_timer(now, &mut out);
                 }
             }
@@ -205,41 +179,21 @@ impl Transport for VenoSender {
         self.s.nxt = self.s.una;
         self.s.clear_rtt_candidates();
         self.s.note_timeout();
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         self.s.trace_cwnd(now, self.cwnd);
         out
+    }
+
+    fn send_state(&self) -> &SendState {
+        &self.s
     }
 
     fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
-    fn stats(&self) -> TcpStats {
-        self.s.stats
-    }
-
-    fn cwnd_trace(&self) -> &TimeSeries {
-        self.s.cwnd_trace()
-    }
-
-    fn timer_is_live(&self, id: TcpTimer) -> bool {
-        self.s.timer_is_live(id)
-    }
-
-    fn timers_cancelled(&self) -> u64 {
-        self.s.timers_cancelled()
-    }
-
-    fn srtt(&self) -> Option<sim_core::SimDuration> {
-        self.s.rtt.srtt()
-    }
-
     fn ssthresh(&self) -> Option<f64> {
         Some(self.ssthresh)
-    }
-
-    fn rto(&self) -> Option<sim_core::SimDuration> {
-        Some(self.s.rtt.rto())
     }
 
     fn phase(&self) -> &'static str {

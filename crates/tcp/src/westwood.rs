@@ -2,11 +2,10 @@
 //! estimation, cited by the paper (\[24\]) among the wireless TCP
 //! enhancements.
 
-use sim_core::stats::TimeSeries;
 use sim_core::{SimDuration, SimTime};
 use wire::{FlowId, TcpSegment, TcpSegmentKind};
 
-use crate::{SendState, TcpConfig, TcpOutput, TcpStats, TcpTimer, Transport};
+use crate::{SendState, TcpConfig, TcpOutput, TcpTimer, Transport};
 
 /// A TCP Westwood+ sender.
 ///
@@ -104,31 +103,6 @@ impl WestwoodSender {
         self.round_start = now;
         self.round_end = self.s.nxt.max(ack + 1);
     }
-
-    fn make_segment(&self, seq: u64) -> TcpSegment {
-        TcpSegment::data(self.flow, seq, self.s.cfg().payload_bytes, None)
-    }
-
-    fn send_fresh(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
-        while self.s.can_send_fresh(self.cwnd) {
-            let seq = self.s.nxt;
-            self.s.nxt += 1;
-            self.s.register_send(seq, now);
-            out.push(TcpOutput::SendSegment(self.make_segment(seq)));
-        }
-        if self.s.flight() > 0 {
-            self.s.ensure_timer(now, out);
-        }
-    }
-
-    fn retransmit(&mut self, seq: u64, now: SimTime, out: &mut Vec<TcpOutput>) {
-        self.s.register_send(seq, now);
-        let mut seg = self.make_segment(seq);
-        if let TcpSegmentKind::Data { retransmit, .. } = &mut seg.kind {
-            *retransmit = true;
-        }
-        out.push(TcpOutput::SendSegment(seg));
-    }
 }
 
 impl Transport for WestwoodSender {
@@ -145,7 +119,7 @@ impl Transport for WestwoodSender {
         self.round_start = now;
         self.round_end = self.s.usable_window(self.cwnd);
         self.s.trace_cwnd(now, self.cwnd);
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         out
     }
 
@@ -171,7 +145,7 @@ impl Transport for WestwoodSender {
                     self.cwnd = self.ssthresh;
                 }
                 Some(_) => {
-                    self.retransmit(ack, now, &mut out);
+                    self.s.retransmit(self.flow, None, ack, now, &mut out);
                     self.s.arm_timer(now, &mut out);
                 }
                 None => {
@@ -189,11 +163,11 @@ impl Transport for WestwoodSender {
                     self.s.cancel_timer();
                 }
             }
-            self.send_fresh(now, &mut out);
+            self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         } else if self.s.flight() > 0 {
             if self.in_fast_recovery() {
                 self.cwnd += 1.0;
-                self.send_fresh(now, &mut out);
+                self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
             } else {
                 let count = self.s.register_dupack();
                 if count == self.s.cfg().dupack_threshold {
@@ -203,7 +177,7 @@ impl Transport for WestwoodSender {
                     self.recovery_point = Some(self.s.nxt);
                     self.cwnd = self.cwnd.min(self.ssthresh) + 3.0;
                     let una = self.s.una;
-                    self.retransmit(una, now, &mut out);
+                    self.s.retransmit(self.flow, None, una, now, &mut out);
                     self.s.arm_timer(now, &mut out);
                 }
             }
@@ -226,41 +200,21 @@ impl Transport for WestwoodSender {
         self.round_end = self.s.una + 1;
         self.s.clear_rtt_candidates();
         self.s.note_timeout();
-        self.send_fresh(now, &mut out);
+        self.s.send_fresh(self.flow, None, self.cwnd, now, &mut out);
         self.s.trace_cwnd(now, self.cwnd);
         out
+    }
+
+    fn send_state(&self) -> &SendState {
+        &self.s
     }
 
     fn cwnd(&self) -> f64 {
         self.cwnd
     }
 
-    fn stats(&self) -> TcpStats {
-        self.s.stats
-    }
-
-    fn cwnd_trace(&self) -> &TimeSeries {
-        self.s.cwnd_trace()
-    }
-
-    fn timer_is_live(&self, id: TcpTimer) -> bool {
-        self.s.timer_is_live(id)
-    }
-
-    fn timers_cancelled(&self) -> u64 {
-        self.s.timers_cancelled()
-    }
-
-    fn srtt(&self) -> Option<sim_core::SimDuration> {
-        self.s.rtt.srtt()
-    }
-
     fn ssthresh(&self) -> Option<f64> {
         Some(self.ssthresh)
-    }
-
-    fn rto(&self) -> Option<sim_core::SimDuration> {
-        Some(self.s.rtt.rto())
     }
 
     fn phase(&self) -> &'static str {

@@ -12,6 +12,10 @@ use sim_core::SimDuration;
 
 use crate::{generators, Position};
 
+/// The most nodes a topology may have: `wire::NodeId` is a `u16` whose top
+/// value is the broadcast address.
+const MAX_NODES: usize = u16::MAX as usize;
+
 /// A generated initial node placement.
 ///
 /// Every variant regenerates bit-identically from `(spec, seed)`, so a
@@ -154,7 +158,30 @@ impl TopologySpec {
     ///
     /// Counts without an explicit area get a density that keeps the
     /// connectivity retry fast (mean degree ~12 at 250 m range).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the bad part: unknown family, malformed or zero
+    /// count, an area that is not positive and finite, or more nodes than
+    /// a `NodeId` can address (65,535).
     pub fn parse(text: &str) -> Result<Self, String> {
+        let spec = Self::parse_grammar(text)?;
+        if let TopologySpec::RandomDisc { width_m, height_m, .. } = spec {
+            let positive = |m: f64| m > 0.0 && m.is_finite();
+            if !(positive(width_m) && positive(height_m)) {
+                return Err(format!("random-disc area in '{text}' must be positive and finite"));
+            }
+        }
+        if spec.node_count() > MAX_NODES {
+            return Err(format!(
+                "'{text}' is {} nodes; node ids address at most {MAX_NODES}",
+                spec.node_count()
+            ));
+        }
+        Ok(spec)
+    }
+
+    fn parse_grammar(text: &str) -> Result<Self, String> {
         let (name, arg) = match text.split_once(':') {
             Some((n, a)) => (n, Some(a)),
             None => (text, None),
@@ -415,6 +442,21 @@ mod tests {
         }
         assert!(TopologySpec::parse("torus").is_err());
         assert!(TopologySpec::parse("chain:0").is_err());
+    }
+
+    #[test]
+    fn topology_parse_rejects_what_build_would_panic_on() {
+        for area in ["0x0", "-5x10", "NaNxNaN", "infx100", "100x0"] {
+            let text = format!("random-disc:50@{area}");
+            let err = TopologySpec::parse(&text).expect_err(&text);
+            assert!(err.contains("positive and finite"), "{text}: {err}");
+        }
+        // 90,000 and 65,536 nodes: past what a NodeId can name.
+        for text in ["grid:300x300", "city-blocks:300x300", "chain:65535"] {
+            let err = TopologySpec::parse(text).expect_err(text);
+            assert!(err.contains("at most 65535"), "{text}: {err}");
+        }
+        assert_eq!(TopologySpec::parse("chain:65534").map(|s| s.node_count()), Ok(MAX_NODES));
     }
 
     #[test]

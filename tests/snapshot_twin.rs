@@ -231,14 +231,76 @@ fn restore_rejects_a_config_mismatch() {
     assert!(other.perf().events_processed > 0);
 }
 
-/// Format v3 (scheduler- and index-kind bytes in the queue and channel
-/// blobs) has no reader: its header is refused before any field is read.
+/// Formats v3 (scheduler- and index-kind bytes in the queue and channel
+/// blobs) and v4 (fault state as eight parallel fields, a third mobility
+/// plan tag) have no reader: the header is refused before any field is read.
 #[test]
 fn restore_rejects_the_previous_format_version() {
     let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
     let mut sim = build_sim(&script);
     sim.run_until(SimTime::from_secs_f64(0.5));
     let mut bytes = sim.snapshot();
-    bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 2].copy_from_slice(&3u16.to_le_bytes());
-    assert_eq!(build_sim(&script).restore(&bytes), Err(SnapError::UnsupportedVersion(3)));
+    for version in [3u16, 4] {
+        bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 2]
+            .copy_from_slice(&version.to_le_bytes());
+        assert_eq!(build_sim(&script).restore(&bytes), Err(SnapError::UnsupportedVersion(version)));
+    }
+}
+
+/// A snapshot is untrusted input. A flipped bit in a queued cumulative ACK
+/// still decodes, so the sender later receives an acknowledgement for data
+/// it never sent; it must drop it (RFC 793), not empty its flight and push
+/// segments until `nxt` catches up with the bogus number — which, before the
+/// guard in `SendState::advance_una`, was a multi-GiB `Vec<TcpOutput>`.
+///
+/// The ACKs are found by their encoding rather than by offset, so a layout
+/// change cannot quietly turn this into a test of nothing.
+#[test]
+fn ack_for_unsent_data_in_a_snapshot_cannot_run_the_sender_away() {
+    use tcp_muzha::sim::SnapshotWriter;
+    use tcp_muzha::wire::FlowId;
+
+    let build = || {
+        let mut sim = Simulator::new(topology::chain(3), SimConfig::default());
+        let (src, dst) = topology::chain_flow(3);
+        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
+        (sim, flow)
+    };
+    let (mut sim, flow) = build();
+    let t = SimTime::from_nanos(1_003_710_000);
+    sim.run_until(t);
+    let bytes = sim.snapshot();
+    let sent = sim.flow_report(flow).sender.segments_sent;
+
+    // `Payload::Tcp`, the flow id, `TcpSegmentKind::Ack`, then the number.
+    let mut prefix = SnapshotWriter::new();
+    prefix.put_u8(0);
+    prefix.put(&FlowId::new(flow.index() as u32));
+    prefix.put_u8(1);
+    let prefix = prefix.finish();
+    let acks: Vec<usize> = (0..bytes.len().saturating_sub(prefix.len() + 8))
+        .filter(|&i| bytes[i..].starts_with(&prefix))
+        .map(|i| i + prefix.len())
+        .filter(|&at| {
+            let mut ack = [0u8; 8];
+            ack.copy_from_slice(&bytes[at..at + 8]);
+            (1..=sent).contains(&u64::from_le_bytes(ack))
+        })
+        .collect();
+    assert!(!acks.is_empty(), "no cumulative ACK queued at {t}: pick another instant");
+
+    let mut resumed_with_a_bogus_ack = 0;
+    for at in acks {
+        let mut mutated = bytes.clone();
+        mutated[at + 3] += 0x80; // ack + 0x8000_0000, far past anything sent
+        let (mut twin, flow) = build();
+        if twin.restore(&mutated).is_err() {
+            continue; // the pattern sat in a field with a domain check
+        }
+        resumed_with_a_bogus_ack += 1;
+        twin.run_until(t + tcp_muzha::sim::SimDuration::from_millis(300));
+        let after = twin.flow_report(flow).sender.segments_sent;
+        assert!(after < sent + 1_000, "byte {at}: {sent} segments became {after} in 0.3 s");
+    }
+    assert!(resumed_with_a_bogus_ack > 0, "every mutation was refused at restore");
 }
