@@ -19,13 +19,11 @@
 //! same perf counters (the twin test `tests/snapshot_twin.rs` pins this
 //! over the whole corpus). Both subcommands print the final trace hash so
 //! straight and resumed legs can be compared from the shell. Exit codes:
-//! 0 on success, 1 on I/O or script errors, 2 on a bad command line or when
-//! a snapshot fails to restore.
-
-use std::fs;
+//! 0 on success, 2 on a bad command line, an unusable file or a snapshot
+//! that fails to restore.
 
 use faultline::ScenarioScript;
-use harness::cli::{self, parse_flag_with, parse_secs, required_flag, CliError};
+use harness::cli::{self, parse_flag_with, parse_secs, required_flag, write_output, CliError};
 use harness::mc::{corpus_duration, corpus_sim};
 use sim_core::{SimDuration, SimTime};
 
@@ -40,11 +38,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let Some(mode) = args.first().map(String::as_str) else {
         usage("missing subcommand");
     };
-    let script_path = required_flag(args, "--script")?;
-    let text = fs::read_to_string(&script_path)
-        .unwrap_or_else(|e| fail(&format!("read {script_path}: {e}")));
-    let script =
-        ScenarioScript::parse(&text).unwrap_or_else(|e| fail(&format!("parse {script_path}: {e}")));
+    let script = cli::read_script(args)?;
     let duration = corpus_duration(&script);
 
     match mode {
@@ -67,15 +61,14 @@ fn snapshot(
             usage("--checkpoint-every must be positive");
         }
         let out_dir = required_flag(args, "--out-dir")?;
-        fs::create_dir_all(&out_dir).unwrap_or_else(|e| fail(&format!("mkdir {out_dir}: {e}")));
+        std::fs::create_dir_all(&out_dir).map_err(|e| CliError::file("create", &out_dir, e))?;
         let step = SimDuration::from_secs_f64(every);
         let mut at = SimTime::ZERO + step;
         let mut written = 0usize;
         while at < SimTime::ZERO + duration {
             sim.run_until(at);
             let path = format!("{out_dir}/{}-t{:.3}.snap", script.name, at.as_secs_f64());
-            fs::write(&path, sim.snapshot())
-                .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+            write_output(&path, sim.snapshot())?;
             println!(
                 "checkpoint {path}: t={} events={} hash={:#018x}",
                 at,
@@ -98,7 +91,7 @@ fn snapshot(
         let out = required_flag(args, "--out")?;
         sim.run_until(SimTime::from_secs_f64(at));
         let bytes = sim.snapshot();
-        fs::write(&out, &bytes).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
+        write_output(&out, &bytes)?;
         println!(
             "snapshot {out}: {} bytes, t={} events={} hash={:#018x}",
             bytes.len(),
@@ -114,14 +107,11 @@ fn snapshot(
 /// run to the script's duration (or `--until`).
 fn resume(script: &ScenarioScript, duration: SimDuration, args: &[String]) -> Result<(), CliError> {
     let from = required_flag(args, "--from")?;
-    let bytes = fs::read(&from).unwrap_or_else(|e| fail(&format!("read {from}: {e}")));
+    let bytes = std::fs::read(&from).map_err(|e| CliError::file("read", &from, e))?;
     let end = parse_flag_with(args, "--until", parse_secs)?
         .map_or(SimTime::ZERO + duration, SimTime::from_secs_f64);
     let mut sim = corpus_sim(script);
-    if let Err(e) = sim.restore(&bytes) {
-        eprintln!("cannot resume {from}: {e}");
-        std::process::exit(2);
-    }
+    sim.restore(&bytes).map_err(|e| CliError::file("resume", &from, e))?;
     let resumed_from = sim.now();
     let baseline = sim.perf().events_processed;
     sim.run_until(end);
@@ -143,9 +133,4 @@ fn usage(msg: &str) -> ! {
     );
     eprintln!("       checkpoint resume --script PATH.scn --from PATH [--until SECS]");
     std::process::exit(2);
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("checkpoint: {msg}");
-    std::process::exit(1);
 }

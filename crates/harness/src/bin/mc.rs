@@ -17,11 +17,11 @@
 //! writes the canonical branch log (byte-identical across runs of the same
 //! exploration — CI diffs it to pin determinism).
 //!
-//! `--resume` (requires `--tie-window`) switches to checkpointed branch
-//! resume: the shared prefix before the window runs once per placement, is
-//! snapshotted, and every branch restores the snapshot and replays only
-//! its suffix. Verdicts are bit-identical to full replay; the saved event
-//! count is reported on stderr.
+//! With a `--tie-window` every branch shares the run up to the window, so
+//! that prefix runs once per placement, is snapshotted, and each branch
+//! restores the snapshot and replays only its suffix; without one every
+//! branch replays from t = 0. Verdicts and branch logs are bit-identical
+//! either way; the saved event count is reported on stderr.
 //!
 //! The verdict block goes to stdout. On a violation the counter-example's
 //! decision vector and a flight-recorder dump of the lead-up window are
@@ -29,9 +29,8 @@
 //! search exits 3; a proof exits 0.
 
 use faultline::mc::McConfig;
-use faultline::ScenarioScript;
-use harness::cli::{self, parse_flag, parse_flag_with, parse_secs, required_flag, CliError};
-use harness::mc::{explore_scenario, explore_scenario_resumed, flight_recorder_dump};
+use harness::cli::{self, parse_flag, parse_flag_with, parse_secs, CliError};
+use harness::mc::{explore_scenario, flight_recorder_dump};
 use sim_core::SimTime;
 
 fn main() {
@@ -59,12 +58,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "--shift-steps",
         "--report",
     ];
-    cli::positionals(args, &valued, &["--quiet", "--resume"])?;
-    let script_path = required_flag(args, "--script")?;
-    let text =
-        std::fs::read_to_string(&script_path).unwrap_or_else(|e| panic!("read {script_path}: {e}"));
-    let script =
-        ScenarioScript::parse(&text).unwrap_or_else(|e| panic!("parse {script_path}: {e}"));
+    cli::positionals(args, &valued, &["--quiet"])?;
+    let script = cli::read_script(args)?;
 
     let mut cfg = McConfig {
         tie_window: parse_flag_with(args, "--tie-window", parse_window)?,
@@ -84,38 +79,23 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
     let report = parse_flag(args, "--report")?;
     let quiet = args.iter().any(|a| a == "--quiet");
-    let resume = args.iter().any(|a| a == "--resume");
-    assert!(
-        !resume || cfg.tie_window.is_some(),
-        "--resume needs --tie-window: the checkpoint sits at the window start"
-    );
 
     if !quiet {
         eprintln!(
-            "exploring {} (window {:?}, max {} branches, depth {}, {} placement step(s){})...",
-            script.name,
-            cfg.tie_window,
-            cfg.max_branches,
-            cfg.max_depth,
-            cfg.shift_steps,
-            if resume { ", checkpointed" } else { "" }
+            "exploring {} (window {:?}, max {} branches, depth {}, {} placement step(s))...",
+            script.name, cfg.tie_window, cfg.max_branches, cfg.max_depth, cfg.shift_steps
         );
     }
-    let verdict = if resume {
-        let (verdict, stats) = explore_scenario_resumed(&script, &cfg);
-        if !quiet {
-            eprintln!(
-                "checkpoint resume: {} events dispatched ({} prefix + {} replayed) vs {} for full replay",
-                stats.resumed_events(),
-                stats.prefix_events,
-                stats.replayed_events,
-                stats.full_replay_events
-            );
-        }
-        verdict
-    } else {
-        explore_scenario(&script, &cfg)
-    };
+    let (verdict, stats) = explore_scenario(&script, &cfg);
+    if !quiet && stats.prefix_events > 0 {
+        eprintln!(
+            "checkpoint resume: {} events dispatched ({} prefix + {} replayed) vs {} for full replay",
+            stats.resumed_events(),
+            stats.prefix_events,
+            stats.replayed_events,
+            stats.full_replay_events
+        );
+    }
     if !quiet {
         eprintln!(
             "{}: {} branches explored, {} pruned, {} choice points deep",
@@ -133,7 +113,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         }
     }
     if let Some(path) = report {
-        std::fs::write(&path, verdict.render_log()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        cli::write_output(&path, verdict.render_log())?;
         if !quiet {
             eprintln!("branch log ({} branches) written to {path}", verdict.log.len());
         }

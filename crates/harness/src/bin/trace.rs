@@ -91,7 +91,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
 
     match out {
         Some(path) => {
-            std::fs::write(&path, &bytes).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            cli::write_output(&path, &bytes)?;
             eprintln!("wrote {} records ({} bytes) to {path}", entries.len(), bytes.len());
         }
         None => {

@@ -1,8 +1,12 @@
 //! Flag lookup shared by the harness binaries: `--flag V` / `--flag=V`
-//! with typed errors, so a bad command line is one line on stderr and exit
+//! with typed errors, and the file reads and writes those flags name, so a
+//! bad command line or an unusable file is one line on stderr and exit
 //! status 2, never a panic.
 
 use std::fmt::{self, Display};
+use std::path::Path;
+
+use faultline::ScenarioScript;
 
 /// Why a command line was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,6 +35,23 @@ pub enum CliError {
         /// The parser's own message.
         reason: String,
     },
+    /// A file or directory the command line names could not be used.
+    File {
+        /// What was attempted: `read`, `parse`, `write`, `create`.
+        action: &'static str,
+        /// The path as typed.
+        path: String,
+        /// The operating system's or the parser's own message.
+        reason: String,
+    },
+}
+
+impl CliError {
+    /// A [`CliError::File`] for `action` on `path` failing with `reason`.
+    pub fn file(action: &'static str, path: impl AsRef<Path>, reason: impl Display) -> Self {
+        let path = path.as_ref().display().to_string();
+        CliError::File { action, path, reason: reason.to_string() }
+    }
 }
 
 impl Display for CliError {
@@ -41,6 +62,9 @@ impl Display for CliError {
             CliError::UnknownFlag { flag } => write!(f, "unknown flag {flag}"),
             CliError::BadValue { flag, value, reason } => {
                 write!(f, "{flag}: cannot use {value:?}: {reason}")
+            }
+            CliError::File { action, path, reason } => {
+                write!(f, "cannot {action} {path}: {reason}")
             }
         }
     }
@@ -146,6 +170,27 @@ pub fn parse_secs(text: &str) -> Result<f64, String> {
         Ok(_) => Err("want a non-negative number of seconds below 2^64 ns".to_string()),
         Err(e) => Err(e.to_string()),
     }
+}
+
+/// The scenario the required `--script PATH` flag names, read and parsed.
+///
+/// # Errors
+///
+/// As [`required_flag`]; [`CliError::File`] when the file cannot be read
+/// or is not a scenario script.
+pub fn read_script(args: &[String]) -> Result<ScenarioScript, CliError> {
+    let path = required_flag(args, "--script")?;
+    let text = std::fs::read_to_string(&path).map_err(|e| CliError::file("read", &path, e))?;
+    ScenarioScript::parse(&text).map_err(|e| CliError::file("parse", &path, e))
+}
+
+/// Writes `contents` to `path`.
+///
+/// # Errors
+///
+/// [`CliError::File`] carrying the operating system's message.
+pub fn write_output(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(&path, contents).map_err(|e| CliError::file("write", &path, e))
 }
 
 /// Entry point for a binary: hands `run` the process arguments (program

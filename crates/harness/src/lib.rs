@@ -10,6 +10,10 @@
 //! | Figs. 5.11–5.13 (retransmissions vs. hops)         | same sweep, retransmission column |
 //! | Figs. 5.15–5.18 (coexistence & Jain fairness)      | [`experiments::coexistence`] |
 //! | Figs. 5.19–5.22 (throughput dynamics, 3 flows)     | [`experiments::throughput_dynamics`] |
+//! | §4.6 DRAI / cadence ablations (EXPERIMENTS.md)     | [`experiments::ablations`] |
+//!
+//! `--bin reproduce` is the one program that runs them all and writes the
+//! outputs; timing the simulator is `benchmark/`'s job, not this crate's.
 //!
 //! Runs are averaged over several seeds (the paper reports single NS2 runs;
 //! we prefer mean ± spread for honesty about variance). All entry points

@@ -46,63 +46,108 @@ pub fn corpus_duration(script: &ScenarioScript) -> SimDuration {
     script.duration.unwrap_or(DEFAULT_DURATION)
 }
 
-/// Builds the corpus-convention simulator for `script` and runs it to the
-/// script's duration under `order`, returning the sealed simulator, the
-/// consumed tie order, and the sealed checker.
-fn run_with_order(
+/// Runs `sim` — corpus-convention, checker installed — to the script's
+/// duration under `order`, returning the sealed simulator, the consumed tie
+/// order, and the sealed checker.
+fn run_to_end(
+    mut sim: Simulator,
     script: &ScenarioScript,
     order: TieOrder,
-    log: Option<TraceLog>,
 ) -> (Simulator, TieOrder, InvariantChecker) {
-    let duration = script.duration.unwrap_or(DEFAULT_DURATION);
-    let mut sim = build_sim(script);
-    sim.load_scenario(script);
-    sim.install_checker(InvariantChecker::new());
     sim.install_tie_order(order);
-    if let Some(log) = log {
-        sim.install_trace_log(log);
-    }
-    sim.run_until(SimTime::ZERO + duration);
+    sim.run_until(SimTime::ZERO + corpus_duration(script));
     let order = sim.take_tie_order().expect("tie order was installed");
     let checker = sim.take_checker().expect("checker was installed");
     (sim, order, checker)
 }
 
-/// Runs one branch of the exploration: `script` (already shifted to its
-/// placement) replayed under `decisions` with the tie window from `cfg`.
-pub fn run_branch(script: &ScenarioScript, cfg: &McConfig, decisions: &[usize]) -> BranchOutcome {
-    run_branch_counted(script, cfg, decisions).0
+/// [`run_to_end`] from t = 0 on a freshly built simulator, optionally traced.
+fn run_with_order(
+    script: &ScenarioScript,
+    order: TieOrder,
+    log: Option<TraceLog>,
+) -> (Simulator, TieOrder, InvariantChecker) {
+    let mut sim = corpus_sim(script);
+    sim.install_checker(InvariantChecker::new());
+    if let Some(log) = log {
+        sim.install_trace_log(log);
+    }
+    run_to_end(sim, script, order)
 }
 
-/// [`run_branch`] plus the branch's total dispatched-event count — the
-/// denominator for measuring what checkpoint resume saves.
-pub fn run_branch_counted(
+/// Runs one branch of the exploration from t = 0: `script` (already shifted
+/// to its placement) replayed under `decisions` with the tie window from
+/// `cfg`. Returns the outcome and the branch's dispatched-event count. This
+/// is the reference [`run_branch_resumed`] must match bit for bit.
+pub fn run_branch(
     script: &ScenarioScript,
     cfg: &McConfig,
     decisions: &[usize],
 ) -> (BranchOutcome, u64) {
-    let mut order = TieOrder::new(decisions.to_vec());
-    if let Some((start, end)) = cfg.tie_window {
-        order = order.with_window(start, end);
+    let (sim, order, checker) = run_with_order(script, windowed_order(cfg, decisions), None);
+    let events = sim.perf().events_processed;
+    (seal_branch(&sim, order, &checker), events)
+}
+
+/// The tie order for one branch: `decisions`, confined to `cfg`'s window.
+fn windowed_order(cfg: &McConfig, decisions: &[usize]) -> TieOrder {
+    let order = TieOrder::new(decisions.to_vec());
+    match cfg.tie_window {
+        Some((start, end)) => order.with_window(start, end),
+        None => order,
     }
-    let (sim, order, checker) = run_with_order(script, order, None);
+}
+
+/// What the search sees of a finished branch.
+fn seal_branch(sim: &Simulator, order: TieOrder, checker: &InvariantChecker) -> BranchOutcome {
     let mut violations: Vec<String> = checker.violations().iter().map(|v| v.to_string()).collect();
     if order.diverged() {
         violations.push("replay-divergence: a decision exceeded its tie group".to_string());
     }
-    let outcome =
-        BranchOutcome { trace_hash: sim.trace_hash(), choices: order.into_choices(), violations };
-    (outcome, sim.perf().events_processed)
+    BranchOutcome { trace_hash: sim.trace_hash(), choices: order.into_choices(), violations }
 }
 
 /// Explores every bounded interleaving of `script` under `cfg`: fault
 /// placements on the shift grid × tie permutations inside the window, the
 /// full invariant checker on every branch. See [`faultline::mc::explore`].
-pub fn explore_scenario(script: &ScenarioScript, cfg: &McConfig) -> McVerdict {
+///
+/// A tie window means every branch of a placement shares the run up to the
+/// window: that prefix runs once, is snapshotted, and each branch restores
+/// the snapshot and replays only its suffix. Without a window there is no
+/// shared prefix and every branch replays from t = 0 ([`run_branch`]). The
+/// verdict is bit-identical either way — same hashes, same choices, same
+/// violations.
+pub fn explore_scenario(script: &ScenarioScript, cfg: &McConfig) -> (McVerdict, ResumeStats) {
     let placed = mc::placements(script, cfg);
-    mc::explore(&script.name, placed.len(), cfg, |placement, decisions| {
-        run_branch(&placed[placement], cfg, decisions)
-    })
+    // A window opening at t = 0 has no prefix either: the checkpoint would
+    // have to sit before the first instant.
+    let checkpoints: Vec<Checkpoint> = match cfg.tie_window {
+        Some((start, _)) if start > SimTime::ZERO => {
+            placed.iter().map(|p| checkpoint_before(p, start)).collect()
+        }
+        _ => Vec::new(),
+    };
+    let mut stats = ResumeStats {
+        prefix_events: checkpoints.iter().map(|c| c.prefix_events).sum(),
+        ..ResumeStats::default()
+    };
+    let verdict = mc::explore(&script.name, placed.len(), cfg, |placement, decisions| {
+        let (outcome, replayed, prefix) = match checkpoints.get(placement) {
+            Some(checkpoint) => {
+                let (outcome, replayed) =
+                    run_branch_resumed(&placed[placement], cfg, checkpoint, decisions);
+                (outcome, replayed, checkpoint.prefix_events)
+            }
+            None => {
+                let (outcome, events) = run_branch(&placed[placement], cfg, decisions);
+                (outcome, events, 0)
+            }
+        };
+        stats.replayed_events += replayed;
+        stats.full_replay_events += prefix + replayed;
+        outcome
+    });
+    (verdict, stats)
 }
 
 // ----------------------------------------------------------------------
@@ -122,13 +167,14 @@ pub struct Checkpoint {
     pub prefix_events: u64,
 }
 
-/// Work accounting for a checkpointed exploration, for asserting (and
-/// reporting) the win over replaying every branch from t = 0.
+/// Work accounting for an exploration, for asserting (and reporting) what
+/// checkpointed resume saves over replaying every branch from t = 0.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ResumeStats {
     /// Events executed once per placement to build its checkpoint.
     pub prefix_events: u64,
-    /// Events replayed across all branches after restoring a checkpoint.
+    /// Events replayed across all branches (after restoring a checkpoint,
+    /// when there is one).
     pub replayed_events: u64,
     /// Events the same branches cost replayed from t = 0 (each branch's
     /// prefix plus its suffix — the prefix is shared, so a full replay
@@ -137,7 +183,7 @@ pub struct ResumeStats {
 }
 
 impl ResumeStats {
-    /// Total events a checkpointed exploration actually dispatched.
+    /// Total events the exploration actually dispatched.
     pub fn resumed_events(&self) -> u64 {
         self.prefix_events + self.replayed_events
     }
@@ -146,13 +192,14 @@ impl ResumeStats {
 /// Runs the shared prefix of `script` once — up to, but *not* including,
 /// the instant `at` — and captures a [`Checkpoint`]. Events at exactly
 /// `at` are tie candidates of the exploration window, so they must be
-/// dispatched under each branch's tie order, not consumed FIFO here.
+/// dispatched under each branch's tie order, not consumed FIFO here. An
+/// `at` past the script's duration checkpoints the end of the run: no
+/// branch may see events the full replay never dispatches.
 pub fn checkpoint_before(script: &ScenarioScript, at: SimTime) -> Checkpoint {
-    let mut sim = build_sim(script);
-    sim.load_scenario(script);
+    let mut sim = corpus_sim(script);
     sim.install_checker(InvariantChecker::new());
     let stop = SimTime::from_nanos(at.as_nanos().saturating_sub(1));
-    sim.run_until(stop);
+    sim.run_until(stop.min(SimTime::ZERO + corpus_duration(script)));
     let checker = sim.checker().cloned().expect("checker was installed");
     Checkpoint { bytes: sim.snapshot(), checker, prefix_events: sim.perf().events_processed }
 }
@@ -167,57 +214,12 @@ pub fn run_branch_resumed(
     checkpoint: &Checkpoint,
     decisions: &[usize],
 ) -> (BranchOutcome, u64) {
-    let duration = script.duration.unwrap_or(DEFAULT_DURATION);
     let mut sim = build_sim(script);
     sim.restore(&checkpoint.bytes).expect("checkpoint restores into its config twin");
     sim.install_checker(checkpoint.checker.clone());
-    let mut order = TieOrder::new(decisions.to_vec());
-    if let Some((start, end)) = cfg.tie_window {
-        order = order.with_window(start, end);
-    }
-    sim.install_tie_order(order);
-    sim.run_until(SimTime::ZERO + duration);
-    let order = sim.take_tie_order().expect("tie order was installed");
-    let checker = sim.take_checker().expect("checker was installed");
-    let mut violations: Vec<String> = checker.violations().iter().map(|v| v.to_string()).collect();
-    if order.diverged() {
-        violations.push("replay-divergence: a decision exceeded its tie group".to_string());
-    }
+    let (sim, order, checker) = run_to_end(sim, script, windowed_order(cfg, decisions));
     let replayed = sim.perf().events_processed - checkpoint.prefix_events;
-    let outcome =
-        BranchOutcome { trace_hash: sim.trace_hash(), choices: order.into_choices(), violations };
-    (outcome, replayed)
-}
-
-/// [`explore_scenario`] with restore-from-checkpoint branch resume: the
-/// prefix before the tie window runs once per fault placement, is
-/// snapshotted, and every branch restores that snapshot and replays only
-/// its suffix. Verdicts are bit-identical to the full-replay explorer —
-/// same hashes, same choices, same violations — at O(suffix) per branch.
-///
-/// # Panics
-///
-/// Panics if `cfg.tie_window` is `None`: without a window there is no
-/// shared prefix to checkpoint.
-pub fn explore_scenario_resumed(
-    script: &ScenarioScript,
-    cfg: &McConfig,
-) -> (McVerdict, ResumeStats) {
-    let (start, _) = cfg.tie_window.expect("checkpoint resume needs a tie window");
-    let placed = mc::placements(script, cfg);
-    let checkpoints: Vec<Checkpoint> = placed.iter().map(|p| checkpoint_before(p, start)).collect();
-    let mut stats = ResumeStats {
-        prefix_events: checkpoints.iter().map(|c| c.prefix_events).sum(),
-        ..ResumeStats::default()
-    };
-    let verdict = mc::explore(&script.name, placed.len(), cfg, |placement, decisions| {
-        let (outcome, replayed) =
-            run_branch_resumed(&placed[placement], cfg, &checkpoints[placement], decisions);
-        stats.replayed_events += replayed;
-        stats.full_replay_events += checkpoints[placement].prefix_events + replayed;
-        outcome
-    });
-    (verdict, stats)
+    (seal_branch(&sim, order, &checker), replayed)
 }
 
 /// Replays the counter-example branch of `verdict` with a flight recorder
@@ -233,10 +235,7 @@ pub fn flight_recorder_dump(
     let ce = verdict.counter_example.as_ref()?;
     let placed = mc::placements(script, cfg);
     let placement = placed.get(ce.placement)?;
-    let mut order = TieOrder::new(ce.decisions.clone());
-    if let Some((start, end)) = cfg.tie_window {
-        order = order.with_window(start, end);
-    }
+    let order = windowed_order(cfg, &ce.decisions);
     let (mut sim, _, _) = run_with_order(placement, order, Some(TraceLog::flight_recorder(64)));
     let log = sim.take_trace_log().expect("flight recorder was installed");
     let mut out = String::new();
@@ -262,8 +261,8 @@ mod tests {
     fn branch_zero_matches_the_plain_corpus_run() {
         let script = chain_break();
         let cfg = McConfig::default();
-        let a = run_branch(&script, &cfg, &[]);
-        let b = run_branch(&script, &cfg, &[]);
+        let (a, _) = run_branch(&script, &cfg, &[]);
+        let (b, _) = run_branch(&script, &cfg, &[]);
         assert_eq!(a.trace_hash, b.trace_hash, "replays of the same branch must agree");
         assert_eq!(a.choices, b.choices);
         assert!(a.violations.is_empty(), "violations: {:?}", a.violations);
@@ -272,12 +271,7 @@ mod tests {
     #[test]
     fn windowed_exploration_of_a_short_break_proves_clean() {
         let script = chain_break();
-        let cfg = McConfig {
-            tie_window: Some((SimTime::from_secs_f64(1.5), SimTime::from_secs_f64(1.502))),
-            max_branches: 200,
-            ..McConfig::default()
-        };
-        let verdict = explore_scenario(&script, &cfg);
+        let (verdict, _) = explore_scenario(&script, &windowed_cfg());
         assert!(
             verdict.proved(),
             "expected a proof, got {} ({} branches)",
@@ -301,7 +295,7 @@ mod tests {
         let cfg = windowed_cfg();
         let checkpoint = checkpoint_before(&script, SimTime::from_secs_f64(1.5));
         for decisions in [vec![], vec![1]] {
-            let (full, total) = run_branch_counted(&script, &cfg, &decisions);
+            let (full, total) = run_branch(&script, &cfg, &decisions);
             let (resumed, replayed) = run_branch_resumed(&script, &cfg, &checkpoint, &decisions);
             assert_eq!(full.trace_hash, resumed.trace_hash, "hash for decisions {decisions:?}");
             assert_eq!(full.choices, resumed.choices, "choices for decisions {decisions:?}");
@@ -319,8 +313,11 @@ mod tests {
     fn checkpointed_exploration_matches_full_replay_with_fewer_events() {
         let script = chain_break();
         let cfg = windowed_cfg();
-        let full = explore_scenario(&script, &cfg);
-        let (resumed, stats) = explore_scenario_resumed(&script, &cfg);
+        let placed = mc::placements(&script, &cfg);
+        let full = mc::explore(&script.name, placed.len(), &cfg, |p, decisions| {
+            run_branch(&placed[p], &cfg, decisions).0
+        });
+        let (resumed, stats) = explore_scenario(&script, &cfg);
         assert_eq!(
             full.render_log(),
             resumed.render_log(),
@@ -331,6 +328,11 @@ mod tests {
             stats.resumed_events() < stats.full_replay_events,
             "resume must dispatch fewer events than full replay: {stats:?}"
         );
+        // No window, no shared prefix: the same entry point replays in full.
+        let unwindowed = McConfig { max_branches: 3, ..McConfig::default() };
+        let (_, unwindowed) = explore_scenario(&script, &unwindowed);
+        assert_eq!(unwindowed.prefix_events, 0);
+        assert_eq!(unwindowed.resumed_events(), unwindowed.full_replay_events);
     }
 
     /// The PR 7 planted ordering bug, re-planted at the harness level: a
@@ -352,7 +354,7 @@ mod tests {
         let placed = mc::placements(&script, &cfg);
         let mut full_events = 0u64;
         let full = mc::explore(&script.name, placed.len(), &cfg, |p, decisions| {
-            let (outcome, events) = run_branch_counted(&placed[p], &cfg, decisions);
+            let (outcome, events) = run_branch(&placed[p], &cfg, decisions);
             full_events += events;
             plant(outcome)
         });

@@ -4,9 +4,10 @@
 //! it, and `simlint` bans `std::time::Instant` in every sim-state crate.
 //! Measurement code is different: events-per-second and batch speed-up
 //! numbers *are* wall-clock quantities. [`WallClock`] is the narrow door
-//! those measurements go through; it lives in the harness (licensed by
-//! simlint alongside the `bench` crate) and its readings must only ever
-//! flow into reports, never back into simulator inputs.
+//! those measurements go through; it lives in the harness (the one crate
+//! simlint licenses, so this is the only `Instant` in the tree) and its
+//! readings must only ever flow into reports, never back into simulator
+//! inputs.
 
 use std::time::Instant;
 

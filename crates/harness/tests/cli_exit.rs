@@ -1,16 +1,29 @@
-//! A rejected command line is one `error: …` line on stderr and exit
-//! status 2, from the real binaries: no panic (101), and no silent run on
-//! the defaults (0) when a flag is misspelt or has been retired.
+//! A rejected command line or an unusable file is one `error: …` line on
+//! stderr and exit status 2, from the real binaries: no panic (101), and no
+//! silent run on the defaults (0) when a flag is misspelt or has been
+//! retired.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn assert_rejected(bin: &str, args: &[&str], needle: &str) {
+/// Exactly one `error:` line naming `needle`, status 2, and never a panic —
+/// whatever else the binary had already said on stderr.
+fn assert_error(bin: &str, args: &[&str], needle: &str) -> Output {
     let out = Command::new(bin).args(args).output().expect("spawn harness binary");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error: ")).collect();
+    assert_eq!(errors.len(), 1, "{bin} {args:?}: {stderr}");
+    assert!(errors[0].contains(needle), "{bin} {args:?}: {stderr}");
+    out
+}
+
+/// [`assert_error`] before anything ran: that line is all of stderr, and
+/// stdout is empty.
+fn assert_rejected(bin: &str, args: &[&str], needle: &str) {
+    let out = assert_error(bin, args, needle);
     assert!(out.stdout.is_empty(), "{bin} {args:?} must not start a run");
-    assert_eq!(stderr.lines().count(), 1, "{bin} {args:?}: {stderr}");
-    assert!(stderr.starts_with("error: ") && stderr.contains(needle), "{bin} {args:?}: {stderr}");
+    assert_eq!(out.stderr.iter().filter(|&&b| b == b'\n').count(), 1, "{bin} {args:?}");
 }
 
 #[test]
@@ -27,7 +40,49 @@ fn retired_and_misspelt_flags_exit_2() {
     assert_rejected(env!("CARGO_BIN_EXE_mc"), &["--script", "x.scn", "--quite"], "--quite");
     assert_rejected(env!("CARGO_BIN_EXE_checkpoint"), &["snapshot", "--att", "1"], "--att");
     assert_rejected(env!("CARGO_BIN_EXE_reproduce"), &["--quik"], "--quik");
-    assert_rejected(env!("CARGO_BIN_EXE_calibrate"), &["cwnd", "--job", "2"], "--job");
+    // Forks the program now chooses for itself, and the capture `trace` owns.
+    assert_rejected(env!("CARGO_BIN_EXE_mc"), &["--script", "x.scn", "--resume"], "--resume");
+    assert_rejected(env!("CARGO_BIN_EXE_reproduce"), &["--trace", "x"], "unknown flag --trace");
+    assert_rejected(env!("CARGO_BIN_EXE_reproduce"), &["--pcap", "x"], "unknown flag --pcap");
+}
+
+/// Files that cannot be read, parsed or written used to be panics (`mc`,
+/// `trace`, `reproduce`) or `checkpoint`'s private exit status 1.
+#[test]
+fn unusable_files_are_one_error_line_not_panics() {
+    let dir = std::env::temp_dir().join(format!("cli_exit_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let bad_script = dir.join("bad.scn");
+    std::fs::write(&bad_script, "at zzz link-down 1 2\n").expect("write fixture");
+    let bad_script = bad_script.to_str().expect("utf-8 temp path");
+    let a_file = dir.join("file");
+    std::fs::write(&a_file, "").expect("write fixture");
+    let under_a_file = a_file.join("x");
+    let under_a_file = under_a_file.to_str().expect("utf-8 temp path");
+    let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");
+
+    let mc = env!("CARGO_BIN_EXE_mc");
+    assert_rejected(mc, &["--script", "/nonexistent.scn"], "cannot read /nonexistent.scn");
+    assert_rejected(mc, &["--script", bad_script], "cannot parse");
+    let report = ["--script", script, "--tie-window", "99:99", "--report", under_a_file];
+    assert_error(mc, &report, "cannot write");
+
+    let checkpoint = env!("CARGO_BIN_EXE_checkpoint");
+    for (script, out, needle) in [
+        ("/nonexistent.scn", "unwritten.snap", "cannot read /nonexistent.scn"),
+        (bad_script, "unwritten.snap", "cannot parse"),
+        (script, under_a_file, "cannot write"),
+    ] {
+        let args = ["snapshot", "--script", script, "--at", "1", "--out", out];
+        assert_rejected(checkpoint, &args, needle);
+    }
+    for (from, needle) in [("/nonexistent.snap", "cannot read"), (script, "cannot resume")] {
+        assert_rejected(checkpoint, &["resume", "--script", script, "--from", from], needle);
+    }
+
+    assert_error(env!("CARGO_BIN_EXE_trace"), &["--quick", "--out", under_a_file], "cannot write");
+    assert_rejected(env!("CARGO_BIN_EXE_reproduce"), &[under_a_file, "--quick"], "cannot create");
+    std::fs::remove_dir_all(&dir).expect("remove scratch directory");
 }
 
 #[test]

@@ -179,6 +179,35 @@ impl Event {
         }
     }
 
+    /// Whether every node, flow and fault index this event carries exists in
+    /// a simulator with `nodes` nodes, `flows` flows and `faults` scripted
+    /// faults. `dispatch` indexes with them unchecked, so `restore` asks
+    /// this of every event a snapshot queues before it accepts the bytes.
+    /// Addresses (a next hop, which may be broadcast, and those inside a
+    /// frame or packet) are looked up in maps, never indexed; the flow of a
+    /// carried TCP segment is the exception.
+    pub(crate) fn in_range(&self, nodes: usize, flows: usize, faults: usize) -> bool {
+        let segment_ok =
+            |p: Option<&Packet>| p.and_then(Packet::tcp).is_none_or(|s| s.flow.index() < flows);
+        match self {
+            Event::RxStart { node, .. }
+            | Event::TxDone { node }
+            | Event::MacTimer { node, .. }
+            | Event::AodvTimer { node, .. }
+            | Event::MobilityTick { node } => node.index() < nodes,
+            Event::RxEnd { node, frame, .. } => node.index() < nodes && segment_ok(frame.packet()),
+            Event::TcpTimer { node, flow, .. } | Event::DelAckTimer { node, flow, .. } => {
+                node.index() < nodes && flow.index() < flows
+            }
+            Event::FlowStart { flow } => flow.index() < flows,
+            Event::JitteredEnqueue { node, packet, next_hop: _ } => {
+                node.index() < nodes && segment_ok(Some(packet))
+            }
+            Event::Sample => true,
+            Event::Fault { index } => *index < faults,
+        }
+    }
+
     /// The fingerprint the tie-order hook shows the explorer: the kind's
     /// class, pinned to the owning node when there is exactly one.
     pub(crate) fn fingerprint(&self) -> TieClass {

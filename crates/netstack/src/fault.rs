@@ -68,6 +68,17 @@ impl FaultState {
         self.nodes.len()
     }
 
+    /// How many scripted faults [`Event::Fault`] may address.
+    pub(crate) fn scripted_count(&self) -> usize {
+        self.scripted.len()
+    }
+
+    /// Every event parked at a paused node; resume puts them back on the
+    /// queue, so `restore` vets them with the queued ones.
+    pub(crate) fn deferred(&self) -> impl Iterator<Item = &Event> {
+        self.nodes.iter().flat_map(|n| &n.deferred)
+    }
+
     /// The two queue faults are no-ops for a node this topology lacks: a
     /// script naming one has nothing to clamp.
     fn set_blackhole(&mut self, node: NodeId, on: bool) {

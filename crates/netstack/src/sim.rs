@@ -1144,6 +1144,17 @@ impl Simulator {
         if fault.node_count() != node_count {
             return Err(sim_core::SnapError::Invalid("fault state node count"));
         }
+        let faults = fault.scripted_count();
+        if !events
+            .iter()
+            .chain(fault.deferred())
+            .all(|e| e.in_range(node_count, flows.len(), faults))
+        {
+            return Err(sim_core::SnapError::Invalid("queued event index out of range"));
+        }
+        if movements.keys().any(|node| node.index() >= node_count) {
+            return Err(sim_core::SnapError::Invalid("movement for a missing node"));
+        }
         let perf: RunPerf = r.get()?;
         r.finish()?;
         self.now = now;

@@ -1,36 +1,13 @@
 //! The paper's network topologies.
 //!
-//! The geometry itself lives in [`topo::generators`]; this module keeps the
-//! historical `netstack::topology` entry points (and the paper-specific
-//! cross / parallel-chain layouts plus flow-endpoint helpers) as thin
-//! wrappers so existing harness code keeps a single import path.
+//! The generic placements are [`topo::generators`]' own, re-exported so
+//! harness code keeps a single import path; the paper-specific cross and
+//! parallel-chain layouts and the flow-endpoint helpers live here.
 
 use phy::Position;
 use wire::NodeId;
 
-/// Node spacing used throughout the paper: exactly the 250 m transmission
-/// range, so each node connects only to its immediate neighbours.
-pub const SPACING_M: f64 = topo::generators::SPACING_M;
-
-/// An `hops`-hop chain: `hops + 1` nodes in a straight line, 250 m apart
-/// (paper Fig. 5.1). Node 0 is the conventional source, node `hops` the
-/// destination.
-///
-/// # Example
-///
-/// ```
-/// use netstack::topology;
-/// let positions = topology::chain(4);
-/// assert_eq!(positions.len(), 5);
-/// assert_eq!(positions[4].x, 1000.0);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `hops` is zero.
-pub fn chain(hops: usize) -> Vec<Position> {
-    topo::generators::chain(hops)
-}
+pub use topo::generators::{chain, grid, is_connected, random_disc as random_connected, SPACING_M};
 
 /// Endpoints of the single flow on a [`chain`].
 pub fn chain_flow(hops: usize) -> (NodeId, NodeId) {
@@ -82,27 +59,6 @@ pub fn cross_vertical_flow(hops: usize) -> (NodeId, NodeId) {
     (NodeId::new(first_vertical), NodeId::new(last_vertical))
 }
 
-/// An `rows × cols` grid with 250 m spacing — a denser testbed than the
-/// paper's chain/cross, useful for exercising AODV path diversity (the
-/// chain has none: every break partitions the network).
-///
-/// Node `(r, c)` has index `r * cols + c`.
-///
-/// # Example
-///
-/// ```
-/// use netstack::topology;
-/// let p = topology::grid(3, 4);
-/// assert_eq!(p.len(), 12);
-/// ```
-///
-/// # Panics
-///
-/// Panics if either dimension is zero.
-pub fn grid(rows: usize, cols: usize) -> Vec<Position> {
-    topo::generators::grid(rows, cols)
-}
-
 /// The node at grid coordinate `(row, col)` of a [`grid`] with `cols`
 /// columns.
 pub fn grid_node(row: usize, col: usize, cols: usize) -> NodeId {
@@ -137,42 +93,13 @@ pub fn parallel_chain_flow(k: usize, hops: usize) -> (NodeId, NodeId) {
     (NodeId::new(base), NodeId::new(base + hops as u16))
 }
 
-/// `count` nodes placed uniformly at random in a `width × height` area,
-/// re-sampled (up to a bounded number of attempts) until the topology is
-/// connected under the given transmission range. Deterministic in `seed`.
-///
-/// # Panics
-///
-/// Panics if no connected placement is found within 1000 attempts —
-/// choose a denser configuration.
-pub fn random_connected(
-    count: usize,
-    width_m: f64,
-    height_m: f64,
-    range_m: f64,
-    seed: u64,
-) -> Vec<Position> {
-    topo::generators::random_disc(count, width_m, height_m, range_m, seed)
-}
-
-/// Whether the unit-disc graph over `positions` with radius `range_m` is
-/// connected.
-pub fn is_connected(positions: &[Position], range_m: f64) -> bool {
-    topo::generators::is_connected(positions, range_m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn chain_geometry() {
-        let p = chain(8);
-        assert_eq!(p.len(), 9);
-        for (i, pos) in p.iter().enumerate() {
-            assert_eq!(pos.x, i as f64 * 250.0);
-            assert_eq!(pos.y, 0.0);
-        }
+    fn chain_flow_spans_the_chain() {
+        assert_eq!(chain(8).len(), 9);
         let (s, d) = chain_flow(8);
         assert_eq!((s.index(), d.index()), (0, 8));
     }
@@ -236,37 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn random_connected_is_deterministic_and_connected() {
-        let a = random_connected(12, 800.0, 800.0, 250.0, 7);
-        let b = random_connected(12, 800.0, 800.0, 250.0, 7);
-        assert_eq!(a.len(), 12);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x, y, "same seed, same placement");
-        }
-        assert!(is_connected(&a, 250.0));
-        let c = random_connected(12, 800.0, 800.0, 250.0, 8);
-        assert!(a.iter().zip(&c).any(|(x, y)| x != y), "different seeds differ");
-    }
-
-    #[test]
-    fn connectivity_check() {
-        assert!(is_connected(&[], 100.0));
-        let split = vec![Position::new(0.0, 0.0), Position::new(1000.0, 0.0)];
-        assert!(!is_connected(&split, 250.0));
-        let joined =
-            vec![Position::new(0.0, 0.0), Position::new(200.0, 0.0), Position::new(400.0, 0.0)];
-        assert!(is_connected(&joined, 250.0));
-    }
-
-    #[test]
     #[should_panic(expected = "even")]
     fn odd_cross_rejected() {
         let _ = cross(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one hop")]
-    fn zero_chain_rejected() {
-        let _ = chain(0);
     }
 }

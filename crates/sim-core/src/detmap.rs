@@ -1,15 +1,15 @@
-//! Deterministically ordered map/set wrappers.
+//! Deterministically ordered map/set names.
 //!
 //! `std::collections::HashMap`/`HashSet` use a per-process random hash seed
 //! (`RandomState`), so their iteration order differs between runs. Any such
 //! iteration feeding the event loop silently breaks bit-for-bit replay — the
 //! property every figure reproduced from the paper depends on. The `simlint`
 //! analyzer therefore forbids hash containers in simulation-state crates;
-//! these wrappers are the sanctioned replacement.
+//! these aliases are the sanctioned replacement.
 //!
-//! Both are thin facades over `BTreeMap`/`BTreeSet`: iteration order is the
-//! key order, identical on every run and every platform. The API mirrors the
-//! `HashMap` subset the simulator uses, so call sites migrate verbatim.
+//! Both *are* `BTreeMap`/`BTreeSet`: iteration order is the key order,
+//! identical on every run and every platform. The alias records at the
+//! declaration that the ordering is load-bearing, not incidental.
 //!
 //! # Example
 //!
@@ -22,307 +22,10 @@
 //! assert_eq!(keys, [1, 3]); // always sorted, never hash order
 //! ```
 
-use std::collections::{btree_map, btree_set, BTreeMap, BTreeSet};
-use std::fmt;
-use std::ops::Index;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A map with deterministic (key-sorted) iteration order.
-#[derive(Clone, PartialEq, Eq)]
-pub struct DetMap<K, V> {
-    inner: BTreeMap<K, V>,
-}
-
-impl<K: Ord, V> DetMap<K, V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        DetMap { inner: BTreeMap::new() }
-    }
-
-    /// Inserts a key-value pair, returning the previous value if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.inner.insert(key, value)
-    }
-
-    /// Borrows the value for `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.inner.get(key)
-    }
-
-    /// Mutably borrows the value for `key`.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.inner.get_mut(key)
-    }
-
-    /// Removes `key`, returning its value if present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.inner.remove(key)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.inner.contains_key(key)
-    }
-
-    /// The entry API, for insert-or-update call sites.
-    pub fn entry(&mut self, key: K) -> btree_map::Entry<'_, K, V> {
-        self.inner.entry(key)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Removes all entries.
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-
-    /// Iterates `(key, value)` pairs in ascending key order.
-    pub fn iter(&self) -> btree_map::Iter<'_, K, V> {
-        self.inner.iter()
-    }
-
-    /// Iterates with mutable values, in ascending key order.
-    pub fn iter_mut(&mut self) -> btree_map::IterMut<'_, K, V> {
-        self.inner.iter_mut()
-    }
-
-    /// Iterates keys in ascending order.
-    pub fn keys(&self) -> btree_map::Keys<'_, K, V> {
-        self.inner.keys()
-    }
-
-    /// Iterates values in ascending key order.
-    pub fn values(&self) -> btree_map::Values<'_, K, V> {
-        self.inner.values()
-    }
-
-    /// Iterates mutable values in ascending key order.
-    pub fn values_mut(&mut self) -> btree_map::ValuesMut<'_, K, V> {
-        self.inner.values_mut()
-    }
-
-    /// Keeps only the entries for which `f` returns true.
-    pub fn retain(&mut self, f: impl FnMut(&K, &mut V) -> bool) {
-        self.inner.retain(f);
-    }
-}
-
-impl<K: Ord, V> Default for DetMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for DetMap<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-impl<K: Ord, V> Index<&K> for DetMap<K, V> {
-    type Output = V;
-    fn index(&self, key: &K) -> &V {
-        self.inner.get(key).expect("no entry found for key")
-    }
-}
-
-impl<K: Ord, V> FromIterator<(K, V)> for DetMap<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        DetMap { inner: BTreeMap::from_iter(iter) }
-    }
-}
-
-impl<K: Ord, V> Extend<(K, V)> for DetMap<K, V> {
-    fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
-        self.inner.extend(iter);
-    }
-}
-
-impl<'a, K, V> IntoIterator for &'a DetMap<K, V> {
-    type Item = (&'a K, &'a V);
-    type IntoIter = btree_map::Iter<'a, K, V>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter()
-    }
-}
-
-impl<'a, K, V> IntoIterator for &'a mut DetMap<K, V> {
-    type Item = (&'a K, &'a mut V);
-    type IntoIter = btree_map::IterMut<'a, K, V>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter_mut()
-    }
-}
-
-impl<K, V> IntoIterator for DetMap<K, V> {
-    type Item = (K, V);
-    type IntoIter = btree_map::IntoIter<K, V>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.into_iter()
-    }
-}
+pub type DetMap<K, V> = BTreeMap<K, V>;
 
 /// A set with deterministic (sorted) iteration order.
-#[derive(Clone, PartialEq, Eq)]
-pub struct DetSet<T> {
-    inner: BTreeSet<T>,
-}
-
-impl<T: Ord> DetSet<T> {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        DetSet { inner: BTreeSet::new() }
-    }
-
-    /// Inserts `value`; returns whether it was newly added.
-    pub fn insert(&mut self, value: T) -> bool {
-        self.inner.insert(value)
-    }
-
-    /// Removes `value`; returns whether it was present.
-    pub fn remove(&mut self, value: &T) -> bool {
-        self.inner.remove(value)
-    }
-
-    /// Whether `value` is present.
-    pub fn contains(&self, value: &T) -> bool {
-        self.inner.contains(value)
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Removes all elements.
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-
-    /// Iterates elements in ascending order.
-    pub fn iter(&self) -> btree_set::Iter<'_, T> {
-        self.inner.iter()
-    }
-
-    /// Keeps only the elements for which `f` returns true.
-    pub fn retain(&mut self, f: impl FnMut(&T) -> bool) {
-        self.inner.retain(f);
-    }
-}
-
-impl<T: Ord> Default for DetSet<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for DetSet<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-impl<T: Ord> FromIterator<T> for DetSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        DetSet { inner: BTreeSet::from_iter(iter) }
-    }
-}
-
-impl<T: Ord> Extend<T> for DetSet<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        self.inner.extend(iter);
-    }
-}
-
-impl<'a, T> IntoIterator for &'a DetSet<T> {
-    type Item = &'a T;
-    type IntoIter = btree_set::Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter()
-    }
-}
-
-impl<T> IntoIterator for DetSet<T> {
-    type Item = T;
-    type IntoIter = btree_set::IntoIter<T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.into_iter()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn map_iteration_is_key_sorted() {
-        let mut m = DetMap::new();
-        for k in [5u32, 1, 9, 3, 7] {
-            m.insert(k, k * 10);
-        }
-        let keys: Vec<u32> = m.keys().copied().collect();
-        assert_eq!(keys, [1, 3, 5, 7, 9]);
-        let vals: Vec<u32> = m.values().copied().collect();
-        assert_eq!(vals, [10, 30, 50, 70, 90]);
-    }
-
-    #[test]
-    fn map_basic_ops() {
-        let mut m = DetMap::new();
-        assert!(m.is_empty());
-        assert_eq!(m.insert("a", 1), None);
-        assert_eq!(m.insert("a", 2), Some(1));
-        assert_eq!(m.get(&"a"), Some(&2));
-        assert!(m.contains_key(&"a"));
-        assert_eq!(m[&"a"], 2);
-        *m.get_mut(&"a").unwrap() += 1;
-        assert_eq!(m.remove(&"a"), Some(3));
-        assert_eq!(m.remove(&"a"), None);
-        m.entry("b").or_insert(7);
-        *m.entry("b").or_insert(0) += 1;
-        assert_eq!(m[&"b"], 8);
-        assert_eq!(m.len(), 1);
-        m.clear();
-        assert!(m.is_empty());
-    }
-
-    #[test]
-    fn map_retain_and_collect() {
-        let mut m: DetMap<u8, u8> = (0..10).map(|i| (i, i)).collect();
-        m.retain(|k, _| k % 2 == 0);
-        assert_eq!(m.len(), 5);
-        let pairs: Vec<(u8, u8)> = m.into_iter().collect();
-        assert_eq!(pairs, [(0, 0), (2, 2), (4, 4), (6, 6), (8, 8)]);
-    }
-
-    #[test]
-    fn set_iteration_is_sorted() {
-        let s: DetSet<u32> = [5, 1, 9, 3].into_iter().collect();
-        let elems: Vec<u32> = s.iter().copied().collect();
-        assert_eq!(elems, [1, 3, 5, 9]);
-    }
-
-    #[test]
-    fn set_basic_ops() {
-        let mut s = DetSet::new();
-        assert!(s.insert(2));
-        assert!(!s.insert(2));
-        assert!(s.contains(&2));
-        assert_eq!(s.len(), 1);
-        assert!(s.remove(&2));
-        assert!(!s.remove(&2));
-        assert!(s.is_empty());
-    }
-}
+pub type DetSet<T> = BTreeSet<T>;

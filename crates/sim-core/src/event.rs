@@ -330,6 +330,12 @@ impl<E> EventQueue<E> {
         Some(self.locate_min().time)
     }
 
+    /// Every pending event, in no particular order — for validating a
+    /// restored queue's contents, never for deciding what runs next.
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
+        self.buckets.iter().flatten().map(|entry| &entry.event)
+    }
+
     /// The virtual time of the most recently popped event — the tie stamp
     /// against which [`Self::push`] enforces monotonicity.
     ///

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use crate::{DetMap, DetSet, SimDuration, SimTime};
+use crate::{SimDuration, SimTime};
 
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUZSNAP0";
@@ -446,43 +446,6 @@ impl<K: Snapshotable + Ord, V: Snapshotable> Snapshotable for BTreeMap<K, V> {
     }
 }
 
-impl<K: Snapshotable + Ord, V: Snapshotable> Snapshotable for DetMap<K, V> {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.len());
-        for (k, v) in self.iter() {
-            k.encode(w);
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        let len = r.take_usize()?;
-        let mut out = DetMap::new();
-        for _ in 0..len {
-            let k = K::decode(r)?;
-            let v = V::decode(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
-    }
-}
-
-impl<T: Snapshotable + Ord> Snapshotable for DetSet<T> {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.len());
-        for item in self.iter() {
-            item.encode(w);
-        }
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        let len = r.take_usize()?;
-        let mut out = DetSet::new();
-        for _ in 0..len {
-            out.insert(T::decode(r)?);
-        }
-        Ok(out)
-    }
-}
-
 impl<T: Snapshotable> Snapshotable for Rc<T> {
     fn encode(&self, w: &mut SnapshotWriter) {
         self.as_ref().encode(w);
@@ -634,10 +597,8 @@ mod proptests {
         v: Vec<u64>,
         dq: VecDeque<(u32, bool)>,
         o: Option<(u64, String, SimTime)>,
-        map: BTreeMap<u32, u64>,
-        det: DetMap<u16, SimDuration>,
+        map: BTreeMap<u32, SimDuration>,
         set: BTreeSet<u16>,
-        dset: DetSet<u64>,
         rc: Rc<u32>,
     }
 
@@ -655,9 +616,7 @@ mod proptests {
             w.put(&self.dq);
             w.put(&self.o);
             w.put(&self.map);
-            w.put(&self.det);
             w.put(&self.set);
-            w.put(&self.dset);
             w.put(&self.rc);
         }
         fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
@@ -674,9 +633,7 @@ mod proptests {
                 dq: r.get()?,
                 o: r.get()?,
                 map: r.get()?,
-                det: r.get()?,
                 set: r.get()?,
-                dset: r.get()?,
                 rc: r.get()?,
             })
         }
@@ -703,22 +660,10 @@ mod proptests {
             } else {
                 Some((next(), String::new(), SimTime::from_nanos(next())))
             },
-            map: (0..next() % 6).map(|_| (next() as u32, next())).collect(),
-            det: {
-                let mut m = DetMap::new();
-                for _ in 0..next() % 6 {
-                    m.insert(next() as u16, SimDuration::from_nanos(next()));
-                }
-                m
-            },
+            map: (0..next() % 6)
+                .map(|_| (next() as u32, SimDuration::from_nanos(next())))
+                .collect(),
             set: (0..next() % 6).map(|_| next() as u16).collect(),
-            dset: {
-                let mut s = DetSet::new();
-                for _ in 0..next() % 6 {
-                    s.insert(next());
-                }
-                s
-            },
             rc: Rc::new(next() as u32),
         }
     }

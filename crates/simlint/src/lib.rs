@@ -134,9 +134,9 @@ impl Rule {
                  entropy are invisible inputs: they cannot be replayed, so a single \
                  Instant/SystemTime/thread_rng touching simulation state silently \
                  voids the reproduction. All time must flow from sim_core::SimTime, \
-                 all randomness from sim_core::SimRng. The measurement crates \
-                 (harness, bench) are licensed for Instant only: wall-clock numbers \
-                 are their product and never feed back into simulator state."
+                 all randomness from sim_core::SimRng. The measurement crate \
+                 (harness) is licensed for Instant only: wall-clock numbers \
+                 are its product and never feed back into simulator state."
             }
             Rule::HashCollections => {
                 "HashMap/HashSet iterate in per-process randomized order. If such a \
@@ -190,7 +190,7 @@ impl Rule {
                  completion order (instead of a fixed order) varies run to run. \
                  Parallelism is confined to one audited place — the harness \
                  batch runner (independent whole runs, merged in submission \
-                 order) and the measurement crates around it. A simulation \
+                 order) and the measurement crate around it. A simulation \
                  itself is single-threaded; everywhere else std::thread is \
                  banned, and parallel work goes through harness::run_batch so \
                  the merge discipline stays in one reviewed file."
@@ -282,13 +282,13 @@ pub const SIM_STATE_CRATES: [&str; 10] = [
 
 /// Crates licensed to read the wall clock (`std::time::Instant`): the
 /// measurement layer, whose events/sec and speed-up numbers *are*
-/// wall-clock quantities. Everything they time is simulator *output*;
+/// wall-clock quantities. Everything it times is simulator *output*;
 /// nothing flows back into simulator state, so determinism is unharmed.
-pub const WALLCLOCK_CRATES: [&str; 2] = ["harness", "bench"];
+pub const WALLCLOCK_CRATES: [&str; 1] = ["harness"];
 
 /// Whether `rel_path` (workspace-relative, forward slashes) belongs to a
 /// crate licensed to use `Instant` — and, with it, `std::thread`: the same
-/// measurement crates run whole simulations in parallel and merge results
+/// measurement crate runs whole simulations in parallel and merges results
 /// in submission order.
 pub fn wallclock_licensed(rel_path: &str) -> bool {
     let mut parts = rel_path.split('/');
@@ -698,20 +698,17 @@ mod tests {
     #[test]
     fn instant_licensed_only_in_measurement_crates() {
         for src in ["let t = Instant::now();", "use std::time::Instant;"] {
-            // Licensed: the harness WallClock shim and the bench crate.
+            // Licensed: the harness, home of the WallClock shim.
             assert!(rules_at("crates/harness/src/wallclock.rs", src).is_empty(), "{src}");
             assert!(rules_at("crates/harness/src/bin/topo.rs", src).is_empty(), "{src}");
-            assert!(rules_at("crates/bench/src/lib.rs", src).is_empty(), "{src}");
             // Still banned in every sim-state crate and in root trees.
             assert!(rules_at(SIM_PATH, src).contains(&Rule::Nondeterminism), "{src}");
             assert!(rules_at("crates/sim-core/src/time.rs", src).contains(&Rule::Nondeterminism));
             assert!(rules_at("tests/determinism.rs", src).contains(&Rule::Nondeterminism));
             assert!(rules_at("src/lib.rs", src).contains(&Rule::Nondeterminism));
         }
-        // SystemTime has no licence anywhere, measurement crates included.
+        // SystemTime has no licence anywhere, the measurement crate included.
         assert!(rules_at("crates/harness/src/wallclock.rs", "SystemTime::now()")
-            .contains(&Rule::Nondeterminism));
-        assert!(rules_at("crates/bench/src/lib.rs", "SystemTime::now()")
             .contains(&Rule::Nondeterminism));
     }
 

@@ -99,6 +99,6 @@ pub use harness::export;
 /// explorer over `faultline::mc` (the `harness --bin mc` engine).
 pub use harness::mc;
 
-/// Trace capture and rendering plumbing shared by the harness binaries
-/// (`trace`, `reproduce --trace`, `calibrate --pcap`).
+/// Trace capture and rendering plumbing behind the `trace` and `topo`
+/// binaries.
 pub use harness::tracecap;

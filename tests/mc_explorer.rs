@@ -243,7 +243,7 @@ fn empty_window_exploration_is_exactly_the_plain_run() {
         .expect("corpus script parses");
     let past_end = SimTime::from_secs_f64(1_000.0);
     let cfg = McConfig { tie_window: Some((past_end, past_end)), ..McConfig::default() };
-    let verdict = tcp_muzha::mc::explore_scenario(&script, &cfg);
+    let (verdict, _) = tcp_muzha::mc::explore_scenario(&script, &cfg);
     assert!(verdict.proved(), "got {}", verdict.status());
     assert_eq!(verdict.placements, 1);
     assert_eq!(verdict.branches_explored, 1, "no ties in window ⇒ exactly one branch");
@@ -277,7 +277,7 @@ fn explorer_proves_corpus_scripts_with_canonical_logs() {
             max_branches: 600,
             ..McConfig::default()
         };
-        let run = || tcp_muzha::mc::explore_scenario(&script, &cfg);
+        let run = || tcp_muzha::mc::explore_scenario(&script, &cfg).0;
         let verdict = run();
         assert!(
             verdict.proved(),
@@ -312,7 +312,7 @@ fn rerr_versus_data_delivery_ties_hold_invariants_in_every_order() {
         max_branches: 600,
         ..McConfig::default()
     };
-    let verdict = tcp_muzha::mc::explore_scenario(&script, &cfg);
+    let (verdict, _) = tcp_muzha::mc::explore_scenario(&script, &cfg);
     assert!(
         verdict.proved(),
         "expected a proof, got {} ({:?})",

@@ -8,8 +8,8 @@
 
 use sim_core::twin_run;
 use tcp_muzha::experiments::{
-    coexistence, cwnd_traces_batch, throughput_dynamics_batch, throughput_vs_hops, CoexistKind,
-    ExperimentConfig, SweepMetric,
+    ablations, coexistence, cwnd_traces_batch, throughput_dynamics_batch, throughput_vs_hops,
+    CoexistKind, ExperimentConfig, SweepMetric,
 };
 use tcp_muzha::export;
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
@@ -52,6 +52,10 @@ fn parallel_coexistence_output_is_byte_identical() {
     let parallel = coexistence(&[4], &pairs, &cfg(0)); // 0 = all cores
     assert_eq!(serial.render(), parallel.render());
     assert_eq!(export::coexist_csv(&serial), export::coexist_csv(&parallel));
+    // `reproduce`'s ablation step: the same pair under each DRAI variant,
+    // beside a batch of single-flow chain runs.
+    let cross = SimDuration::from_secs(4);
+    assert_eq!(ablations(&cfg(1), cross), ablations(&cfg(3), cross));
 }
 
 #[test]

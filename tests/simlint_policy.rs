@@ -25,12 +25,11 @@ fn workspace_satisfies_determinism_policy() {
 #[test]
 fn wallclock_licence_covers_measurement_crates_only() {
     // Pin the nondet carve-out: `Instant` is licensed in the measurement
-    // crates (harness owns the `WallClock` shim, bench consumes it) and
-    // nowhere else — in particular not in any sim-state crate, where wall
-    // time entering the event loop would break twin-run determinism.
+    // crate (harness owns the `WallClock` shim) and nowhere else — in
+    // particular not in any sim-state crate, where wall time entering the
+    // event loop would break twin-run determinism.
     assert!(simlint::wallclock_licensed("crates/harness/src/wallclock.rs"));
     assert!(simlint::wallclock_licensed("crates/harness/src/bin/topo.rs"));
-    assert!(simlint::wallclock_licensed("crates/bench/src/lib.rs"));
     for path in [
         "crates/sim-core/src/time.rs",
         "crates/netstack/src/sim.rs",
@@ -103,12 +102,11 @@ fn binaryheap_licence_covers_sim_core_only() {
 #[test]
 fn thread_licence_covers_parallel_drivers_only() {
     // Pin the thread carve-out: `std::thread` shares the wall-clock
-    // licence — the measurement crates (whole-run batch parallelism, merged
+    // licence — the measurement crate (whole-run batch parallelism, merged
     // in submission order) and nowhere else. A simulation is
     // single-threaded; the path the retired in-simulation driver lived at
     // must not be licensed again by accident.
     assert!(simlint::wallclock_licensed("crates/harness/src/parallel.rs"));
-    assert!(simlint::wallclock_licensed("crates/bench/src/lib.rs"));
     for path in [
         "crates/sim-core/src/shard.rs",
         "crates/sim-core/src/event.rs",

@@ -304,3 +304,72 @@ fn ack_for_unsent_data_in_a_snapshot_cannot_run_the_sender_away() {
     }
     assert!(resumed_with_a_bogus_ack > 0, "every mutation was refused at restore");
 }
+
+/// `dispatch` indexes `nodes`, `flows` and the fault script with what a
+/// queued event carries, and ids decode unranged: a snapshot whose queue
+/// names a node, flow or fault the simulator does not have must be refused
+/// whole, before any state is touched.
+///
+/// Queue entries are found by their encoding — a time inside the run, a
+/// sequence number, the kind's tag — never by offset.
+#[test]
+fn queued_events_naming_missing_nodes_flows_or_faults_are_refused() {
+    let build = || {
+        let mut sim = Simulator::new(topology::chain(3), SimConfig::default());
+        let (src, dst) = topology::chain_flow(3);
+        sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
+        sim.load_scenario(&ScenarioScript::parse("at 5 link-down 1 2\n").expect("script parses"));
+        sim
+    };
+    let mut sim = build();
+    let t = SimTime::from_nanos(297_370_000);
+    sim.run_until(t);
+    let bytes = sim.snapshot();
+    let pushed = sim.perf().events_processed * 8;
+
+    let u64_at = |at: usize| {
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(&bytes[at..at + 8]);
+        u64::from_le_bytes(raw)
+    };
+    // Offsets just past `time, seq, tag` of every queued event of kind `tag`.
+    let queued = |tag: u8| -> Vec<usize> {
+        (0..bytes.len().saturating_sub(32))
+            .filter(|&i| {
+                (t.as_nanos()..=6_000_000_000).contains(&u64_at(i))
+                    && u64_at(i + 8) < pushed
+                    && bytes[i + 16] == tag
+            })
+            .map(|i| i + 17)
+            .collect()
+    };
+    // (what, tag, field offset past the tag, width, how many the simulator has)
+    let cases = [
+        ("MacTimer node", 4u8, 0usize, 2usize, 4u8),
+        ("TcpTimer flow", 6, 2, 4, 1),
+        ("Fault index", 12, 0, 8, 1),
+    ];
+    for (what, tag, field, width, count) in cases {
+        let hits: Vec<usize> = queued(tag)
+            .into_iter()
+            .map(|at| at + field)
+            .filter(|&at| bytes[at] < count && bytes[at + 1..at + width].iter().all(|&b| b == 0))
+            .collect();
+        assert!(!hits.is_empty(), "no {what} queued at {t}: pick another instant");
+        for at in hits {
+            let mut mutated = bytes.clone();
+            mutated[at] = 0x7f; // past four nodes, one flow, one fault
+            let mut twin = build();
+            twin.run_until(SimTime::from_nanos(100_000_000));
+            let before = twin.trace_hash();
+            assert_eq!(
+                twin.restore(&mutated),
+                Err(SnapError::Invalid("queued event index out of range")),
+                "{what} at byte {at}"
+            );
+            assert_eq!(twin.trace_hash(), before, "{what}: a refused restore must change nothing");
+            twin.run_until(t);
+            assert_eq!(twin.trace_hash(), sim.trace_hash(), "{what}: and the twin runs on");
+        }
+    }
+}
