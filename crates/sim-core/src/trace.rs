@@ -6,9 +6,10 @@
 //! the same digest. Any hash-ordered iteration, uninitialised read, or
 //! wall-clock leak shows up as a digest mismatch within one test run.
 //!
-//! The digest is FNV-1a (64-bit): tiny, dependency-free, and plenty for
-//! equality comparison (this is a replication check, not a cryptographic
-//! commitment).
+//! The digest is tiny, dependency-free, and plenty for equality comparison
+//! (this is a replication check, not a cryptographic commitment): words —
+//! what the simulator folds per event — cost one xor–multiply–rotate each,
+//! bytes and strings go through FNV-1a (64-bit) on the same state.
 //!
 //! # Example
 //!
@@ -29,6 +30,11 @@ pub struct TraceHash {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Odd, so multiplying by it permutes the state: two digests that differ
+/// before a word is folded still differ after it.
+const WORD_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Brings the well-mixed high half down for the next word's multiply.
+const WORD_ROTATE: u32 = 29;
 
 impl TraceHash {
     /// A fresh digest.
@@ -45,9 +51,16 @@ impl TraceHash {
         self
     }
 
-    /// Folds a `u64` (little-endian) into the digest.
+    /// Folds a `u64` into the digest as one word: a single
+    /// xor–multiply–rotate, not eight byte steps — an event folds five to
+    /// seven words, and the multiplies of a byte-wise fold are all
+    /// dependent. Each step is a bijection of the state for a given word
+    /// and of the word for a given state, so changing any bit of any one
+    /// word always changes the digest.
+    #[inline]
     pub fn write_u64(&mut self, value: u64) -> &mut Self {
-        self.write_bytes(&value.to_le_bytes())
+        self.state = (self.state ^ value).wrapping_mul(WORD_MULTIPLIER).rotate_left(WORD_ROTATE);
+        self
     }
 
     /// Folds a string into the digest (length-prefixed, so `"ab", "c"` and
@@ -129,6 +142,38 @@ mod tests {
         let mut b = TraceHash::new();
         b.write_u64(2).write_u64(1);
         assert_ne!(a.digest(), b.digest());
+    }
+
+    /// The word fold must keep everything the byte fold discriminated:
+    /// which words, in which order, down to a single bit.
+    #[test]
+    fn word_fold_is_sensitive_to_order_and_to_every_bit() {
+        let digest = |words: &[u64]| {
+            let mut h = TraceHash::new();
+            for &w in words {
+                h.write_u64(w);
+            }
+            h.digest()
+        };
+        let words = [0u64, 1, 1 << 63, 0xDEAD_BEEF, u64::MAX, 42, 4_000_000_000];
+        let base = digest(&words);
+        for i in 0..words.len() {
+            for j in i + 1..words.len() {
+                let mut swapped = words;
+                swapped.swap(i, j);
+                assert_ne!(digest(&swapped), base, "swapping words {i} and {j} went unnoticed");
+            }
+            for bit in 0..64 {
+                let mut flipped = words;
+                flipped[i] ^= 1 << bit;
+                assert_ne!(digest(&flipped), base, "bit {bit} of word {i} went unnoticed");
+            }
+        }
+        // A word is not its bytes: the two folds are different functions of
+        // the same state and must not be confused for one another.
+        let mut bytes = TraceHash::new();
+        bytes.write_bytes(&7u64.to_le_bytes());
+        assert_ne!(digest(&[7]), bytes.digest());
     }
 
     #[test]
