@@ -11,6 +11,7 @@ use tcp_muzha::faultline::{CheckEvent, InvariantChecker, LedgerSummary, Scenario
 use tcp_muzha::mc::{corpus_duration, corpus_sim};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::sim::{EventQueue, SimDuration, SimTime, TieClass, TieKind, TieOrder, TraceHash};
+use tcp_muzha::tracelog::TraceLog;
 use tcp_muzha::wire::{FlowId, NodeId};
 
 /// The corpus, embedded so the test binary is self-contained and the run
@@ -101,8 +102,6 @@ fn digest_row(name: &str, sim: &Simulator) -> String {
 /// failure prints — and says so in its PR.
 #[test]
 fn corpus_digests_match_the_committed_fixture() {
-    use tcp_muzha::net::{MobilitySpec, TopologySpec};
-
     let mut rows = Vec::new();
     for (name, text) in CORPUS {
         let script = ScenarioScript::parse(text)
@@ -114,19 +113,7 @@ fn corpus_digests_match_the_committed_fixture() {
 
     // The corpus runs on a static chain; the disc exercises the mobility
     // tick, grid index updates and AODV repair under motion.
-    let cfg = SimConfig {
-        seed: 77,
-        topology: TopologySpec::RandomDisc { count: 60, width_m: 1500.0, height_m: 1100.0 },
-        mobility: MobilitySpec::Waypoint {
-            min_speed_mps: 2.0,
-            max_speed_mps: 20.0,
-            pause: SimDuration::from_millis(250),
-        },
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::from_config(cfg);
-    let last = sim.node_count() - 1;
-    sim.add_flow(FlowSpec::new(NodeId::new(0), NodeId::new(last as u16), TcpVariant::Muzha));
+    let mut sim = disc60_waypoint();
     sim.run_until(SimTime::from_secs_f64(3.0));
     let perf = sim.perf();
     assert_eq!(perf.classified_total(), perf.events_processed, "classification invariant broken");
@@ -141,6 +128,185 @@ fn corpus_digests_match_the_committed_fixture() {
         "behaviour changed against tests/fixtures/corpus_digests.txt; this build produces:\n{}\n",
         rows.join("\n")
     );
+}
+
+/// Digest of everything a run shows the outside: every [`TraceRecord`]
+/// (unbounded log) in order, then every field of every flow report, each
+/// node's summary and AODV counters, and the checker's conservation ledger.
+/// Folded through the `Debug` renderings, which name every field and print
+/// floats shortest-round-trip, so no field can be forgotten here.
+///
+/// Unlike `trace_hash` it sees no scheduler event, so it is the oracle for
+/// a change to *which events exist* that must leave behaviour alone.
+///
+/// [`TraceRecord`]: tcp_muzha::tracelog::TraceRecord
+fn observable_digest(sim: &mut Simulator) -> u64 {
+    let log = sim.take_trace_log().expect("an unbounded trace log was installed");
+    let checker = sim.take_checker().expect("a checker was installed");
+    assert_eq!(log.kept(), log.seen(), "the log must be unbounded and unfiltered");
+    let mut h = TraceHash::new();
+    for entry in log.iter() {
+        h.write_str(&format!("{entry:?}"));
+    }
+    for flow in sim.all_flow_reports() {
+        h.write_str(&format!("{flow:?}"));
+    }
+    for i in 0..sim.node_count() {
+        let node = NodeId::new(i as u16);
+        h.write_str(&format!("{:?} {:?}", sim.node_summary(node), sim.aodv_stats(node)));
+    }
+    h.write_str(&format!("{:?}", checker.ledger()));
+    h.digest()
+}
+
+/// Installs the two observers [`observable_digest`] reads.
+fn observe(sim: &mut Simulator) {
+    sim.install_checker(InvariantChecker::new());
+    sim.install_trace_log(TraceLog::new());
+}
+
+/// The corpus-convention run of `script` under tie order `order`, observed.
+fn observed_corpus_run(script: &ScenarioScript, order: TieOrder) -> (Simulator, TieOrder) {
+    let mut sim = corpus_sim(script);
+    observe(&mut sim);
+    sim.install_tie_order(order);
+    sim.run_until(SimTime::ZERO + corpus_duration(script));
+    let order = sim.take_tie_order().expect("tie order was installed");
+    (sim, order)
+}
+
+/// The 60-node random-waypoint disc of the digest fixtures, built but not run.
+fn disc60_waypoint() -> Simulator {
+    use tcp_muzha::net::{MobilitySpec, TopologySpec};
+    let cfg = SimConfig {
+        seed: 77,
+        topology: TopologySpec::RandomDisc { count: 60, width_m: 1500.0, height_m: 1100.0 },
+        mobility: MobilitySpec::Waypoint {
+            min_speed_mps: 2.0,
+            max_speed_mps: 20.0,
+            pause: SimDuration::from_millis(250),
+        },
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::from_config(cfg);
+    let last = sim.node_count() - 1;
+    sim.add_flow(FlowSpec::new(NodeId::new(0), NodeId::new(last as u16), TcpVariant::Muzha));
+    sim
+}
+
+/// The three CI `mc-verify` proofs: script, tie window (s), fault-shift
+/// half-window (ns) and grid steps.
+const MC_PROOFS: [(&str, (f64, f64), u64, usize); 3] = [
+    (include_str!("scenarios/chain-break.scn"), (4.0, 4.004), 2_000_000, 3),
+    (include_str!("scenarios/relay-crash.scn"), (4.0, 4.004), 0, 1),
+    (include_str!("scenarios/pause-resume.scn"), (3.0, 3.004), 0, 1),
+];
+
+/// One `mc` proof's branch log with each branch's `trace_hash` replaced by
+/// its observable digest: the exploration runs as `--bin mc` runs it, then
+/// every logged branch is replayed observed.
+fn observable_branch_log(script: &ScenarioScript, cfg: &McConfig) -> String {
+    let (verdict, _) = tcp_muzha::mc::explore_scenario(script, cfg);
+    assert!(verdict.proved(), "{}: {}", script.name, verdict.status());
+    let placed = mc::placements(script, cfg);
+    let (start, end) = cfg.tie_window.expect("the CI proofs pin a tie window");
+    let mut out = String::new();
+    for rec in &verdict.log {
+        let order = TieOrder::new(rec.decisions.clone()).with_window(start, end);
+        let (mut sim, _) = observed_corpus_run(&placed[rec.placement], order);
+        assert_eq!(sim.trace_hash(), rec.trace_hash, "the replay must be the logged branch");
+        out.push_str(&format!(
+            "branch placement={} decisions={:?} choice_points={} violations={} observable={:016x}\n",
+            rec.placement,
+            rec.decisions,
+            rec.choice_points,
+            rec.violations,
+            observable_digest(&mut sim)
+        ));
+    }
+    out
+}
+
+/// The second cross-commit oracle (ROADMAP item 2(a)): `corpus_digests.txt`
+/// pins the scheduler's event stream, this pins what the run *showed* — for
+/// the eight corpus scripts and the mobile disc, [`observable_digest`]; for
+/// the three CI `mc` proofs, the digest of [`observable_branch_log`]. A
+/// change that only moves work between scheduler events (or off the queue)
+/// regenerates the first fixture and must leave this one byte-identical.
+#[test]
+fn observable_digests_match_the_committed_fixture() {
+    let mut rows = Vec::new();
+    for (name, text) in CORPUS {
+        let script = ScenarioScript::parse(text).expect("corpus parses");
+        let (mut sim, _) = observed_corpus_run(&script, TieOrder::default());
+        rows.push(format!("{name} {:016x}", observable_digest(&mut sim)));
+    }
+    let mut sim = disc60_waypoint();
+    observe(&mut sim);
+    sim.run_until(SimTime::from_secs_f64(3.0));
+    rows.push(format!("disc60-waypoint {:016x}", observable_digest(&mut sim)));
+    for (text, (from, to), shift_window_ns, shift_steps) in MC_PROOFS {
+        let script = ScenarioScript::parse(text).expect("corpus parses");
+        let cfg = McConfig {
+            tie_window: Some((SimTime::from_secs_f64(from), SimTime::from_secs_f64(to))),
+            max_branches: 2000,
+            shift_window_ns,
+            shift_steps,
+            ..McConfig::default()
+        };
+        let mut h = TraceHash::new();
+        h.write_str(&observable_branch_log(&script, &cfg));
+        rows.push(format!("mc:{} {:016x}", script.name, h.digest()));
+    }
+
+    let committed: Vec<&str> = include_str!("fixtures/observable_digests.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .collect();
+    assert!(
+        rows == committed,
+        "observable behaviour changed against tests/fixtures/observable_digests.txt; this build \
+         produces:\n{}\n",
+        rows.join("\n")
+    );
+}
+
+/// The observable digest discriminates what `trace_hash` does wherever the
+/// difference reaches behaviour: one flipped same-instant tie and one fault
+/// moved by a millisecond each change both.
+#[test]
+fn observable_digest_sees_a_flipped_tie_and_a_shifted_fault() {
+    let script = ScenarioScript::parse(include_str!("scenarios/chain-break.scn")).unwrap();
+    let run = |script: &ScenarioScript, decisions: Vec<usize>| {
+        let (mut sim, order) = observed_corpus_run(script, TieOrder::new(decisions));
+        (sim.trace_hash(), observable_digest(&mut sim), order.into_choices())
+    };
+    let (fifo_hash, fifo_seen, choices) = run(&script, Vec::new());
+
+    // Most ties commute (two neighbours hearing one frame end): flipping
+    // them moves `trace_hash` and, rightly, nothing observable. Flip ties in
+    // encounter order until one steers the run.
+    let steering = choices.iter().enumerate().filter(|(_, c)| c.group.len() >= 2).take(16).find(
+        |&(target, _)| {
+            let mut decisions = vec![0; target];
+            decisions.push(1);
+            let (hash, seen, _) = run(&script, decisions);
+            assert_ne!(hash, fifo_hash, "tie {target}: a permuted tie must move the trace hash");
+            seen != fifo_seen
+        },
+    );
+    assert!(steering.is_some(), "none of the first 16 ties changes what the run shows");
+
+    // A fault shows only through its consequences (there is no trace record
+    // for the fault itself), so shift one that lands on a busy relay: the
+    // kill of relay-crash, with packets in custody.
+    let script = ScenarioScript::parse(include_str!("scenarios/relay-crash.scn")).unwrap();
+    let mut shifted = script.clone();
+    shifted.events[0].at = shifted.events[0].at + SimDuration::from_millis(1);
+    let (hash, seen, _) = run(&script, Vec::new());
+    let (shifted_hash, shifted_seen, _) = run(&shifted, Vec::new());
+    assert_ne!(shifted_hash, hash);
+    assert_ne!(shifted_seen, seen, "a kill 1 ms later must show in the observable stream");
 }
 
 /// Scenario seeds are not decorative: two corpus entries differing only in
