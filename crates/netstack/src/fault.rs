@@ -224,7 +224,7 @@ impl Simulator {
             FaultEvent::Pause { node } => {
                 if self.fault.nodes[node.index()].status == NodeStatus::Up {
                     self.fault.nodes[node.index()].status = NodeStatus::Paused;
-                    self.channel.set_node_enabled(node, false);
+                    self.radio_off(node);
                     self.emit(CheckEvent::NodeDown { node });
                 }
             }
@@ -289,6 +289,15 @@ impl Simulator {
         }
     }
 
+    /// Takes `node` off the channel and makes its receiver forget the signals
+    /// in flight: their end edges are discarded by [`Self::gate_event`] while
+    /// it is down, so a reception left in the PHY would jam its carrier
+    /// sense for the rest of the run.
+    fn radio_off(&mut self, node: NodeId) {
+        self.channel.set_node_enabled(node, false);
+        self.nodes[node.index()].phy.radio_off();
+    }
+
     /// Crashes a node: radio off, every packet in its custody (interface
     /// queue, MAC, AODV discovery buffers, deferred work) becomes a fault
     /// drop, and its routing state is wiped. Identity — in particular the
@@ -299,7 +308,7 @@ impl Simulator {
             return;
         }
         self.fault.nodes[node.index()].status = NodeStatus::Killed;
-        self.channel.set_node_enabled(node, false);
+        self.radio_off(node);
         let mut orphans: Vec<u64> = Vec::new();
         {
             let now = self.now;
@@ -526,6 +535,114 @@ mod tests {
         assert!(checker.is_clean(), "{:?}", checker.violations());
         assert!(checker.ledger().dropped > 0, "a 1-slot queue must shed load");
         assert!(report.delivered_segments > 10);
+    }
+
+    /// Segments `flow` delivers within 20 s of virtual time after `from`,
+    /// stopping as soon as `enough` have arrived.
+    fn delivered_after(sim: &mut Simulator, flow: wire::FlowId, from: f64, enough: u64) -> u64 {
+        sim.run_until(secs(from));
+        let before = sim.flow_report(flow).delivered_segments;
+        let mut t = from;
+        while t < from + 20.0 && sim.flow_report(flow).delivered_segments < before + enough {
+            t += 0.5;
+            sim.run_until(secs(t));
+        }
+        sim.flow_report(flow).delivered_segments - before
+    }
+
+    /// A pause that lands mid-reception used to drop the frame's end edge
+    /// and leave its `Reception` in the relay's PHY for ever: carrier sense
+    /// stuck busy, every later frame `CollisionLost`. Sweep the pause over
+    /// the frame exchanges of a busy relay — resuming inside the frame's
+    /// airtime, just after it, and much later — and require the flow to
+    /// come back every time.
+    #[test]
+    fn no_pause_placement_leaves_the_relay_deaf() {
+        let relay = NodeId::new(1);
+        let mut deaf = Vec::new();
+        for i in 0..200u32 {
+            let pause = 2.0 + f64::from(i) * 0.000_37;
+            for outage in [0.000_5, 0.002, 0.5] {
+                let script = ScenarioScript::new("sweep")
+                    .at(pause, FaultEvent::Pause { node: relay })
+                    .at(pause + outage, FaultEvent::Resume { node: relay });
+                let (mut sim, flow) = two_hop_flow();
+                sim.load_scenario(&script);
+                if delivered_after(&mut sim, flow, pause + outage, 50) < 50 {
+                    let stuck = sim.nodes[relay.index()].phy.active_receptions();
+                    deaf.push((pause, outage, stuck));
+                }
+            }
+        }
+        assert!(deaf.is_empty(), "{} of 600 placements stalled the flow: {deaf:?}", deaf.len());
+    }
+
+    /// `chain(2)` with one NewReno flow — the sweep's topology.
+    fn two_hop_flow() -> (Simulator, wire::FlowId) {
+        let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
+        let (src, dst) = topology::chain_flow(2);
+        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
+        (sim, flow)
+    }
+
+    /// From a traced twin of [`two_hop_flow`]: when the first full-size data
+    /// frame after t = 2 s goes on the air toward the relay (node 1). It
+    /// stays there for over 5 ms.
+    fn data_frame_toward_the_relay() -> f64 {
+        let (mut twin, _) = two_hop_flow();
+        twin.install_trace_log(tracelog::TraceLog::new());
+        twin.run_until(secs(2.5));
+        let log = twin.take_trace_log().expect("log was installed");
+        let sent = log.iter().find_map(|e| match e.record {
+            tracelog::TraceRecord::PhyTx { dst, frame: wire::FrameKind::Data, bytes, .. }
+                if dst == NodeId::new(1) && e.at > secs(2.0) && bytes > 1000 =>
+            {
+                Some(e.at.as_secs_f64())
+            }
+            _ => None,
+        });
+        sent.expect("the source sends data frames to the relay after t = 2 s")
+    }
+
+    /// The same race through a crash: the relay is killed while a frame is
+    /// arriving and revived before that frame's end edge.
+    #[test]
+    fn kill_and_revive_inside_one_frame_keeps_the_relay_usable() {
+        let relay = NodeId::new(1);
+        let mid_frame = data_frame_toward_the_relay() + 0.001;
+        let script = ScenarioScript::new("blink")
+            .at(mid_frame, FaultEvent::Kill { node: relay })
+            .at(mid_frame + 0.000_5, FaultEvent::Revive { node: relay });
+        let (mut sim, flow) = two_hop_flow();
+        sim.load_scenario(&script);
+        sim.install_checker(InvariantChecker::new());
+        sim.run_until(secs(mid_frame));
+        assert_eq!(
+            sim.nodes[relay.index()].phy.active_receptions(),
+            0,
+            "a dead radio hears nothing"
+        );
+        assert!(delivered_after(&mut sim, flow, mid_frame + 0.001, 50) >= 50);
+        let checker = sim.take_checker().unwrap();
+        assert!(checker.is_clean(), "{:?}", checker.violations());
+    }
+
+    /// A radio switched off while a frame's leading edge is still in flight
+    /// toward it (the 667 ns a signal needs for 200 m) and back on inside
+    /// the frame's airtime gets an end edge for a signal it never tracked;
+    /// that used to be an `expect` in the PHY.
+    #[test]
+    fn resume_inside_a_frame_whose_start_was_gated_ignores_its_end_edge() {
+        let relay = NodeId::new(1);
+        let sent = data_frame_toward_the_relay();
+        let script = ScenarioScript::new("blink")
+            .at(sent + 0.000_000_3, FaultEvent::Pause { node: relay })
+            .at(sent + 0.001, FaultEvent::Resume { node: relay });
+        let (mut sim, flow) = two_hop_flow();
+        sim.load_scenario(&script);
+        sim.run_until(secs(sent + 0.001));
+        assert_eq!(sim.nodes[relay.index()].phy.active_receptions(), 0, "the start edge was gated");
+        assert!(delivered_after(&mut sim, flow, sent + 0.001, 50) >= 50);
     }
 
     #[test]

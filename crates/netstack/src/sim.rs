@@ -415,7 +415,11 @@ impl Simulator {
             }
             Event::RxEnd { node, tx_id, frame, in_rx_range } => {
                 let now = self.now;
-                let outcome = self.nodes[node.index()].phy.on_rx_end(tx_id, now);
+                // The radio was off when this signal started, or has been
+                // off since: the edge means nothing to it.
+                let Some(outcome) = self.nodes[node.index()].phy.on_rx_end(tx_id, now) else {
+                    return;
+                };
                 if self.log.is_some() {
                     let uid = frame.packet().map(|p| p.uid);
                     match outcome {

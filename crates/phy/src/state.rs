@@ -49,7 +49,7 @@ struct Reception {
 /// let t1 = SimTime::from_nanos(1_000);
 /// phy.on_rx_start(TxId(1), t0, t1, true, 1.0);
 /// assert!(phy.carrier_busy(t0));
-/// assert_eq!(phy.on_rx_end(TxId(1), t1), RxOutcome::Decoded);
+/// assert_eq!(phy.on_rx_end(TxId(1), t1), Some(RxOutcome::Decoded));
 /// assert!(!phy.carrier_busy(t1));
 /// ```
 #[derive(Clone, Debug)]
@@ -135,26 +135,32 @@ impl PhyState {
         self.energy_until = self.energy_until.max(end);
     }
 
-    /// Completes a reception and reports its outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tx_id` does not match a registered reception (an event
-    /// plumbing bug).
-    pub fn on_rx_end(&mut self, tx_id: TxId, _now: SimTime) -> RxOutcome {
-        let idx = self
-            .receptions
-            .iter()
-            .position(|r| r.tx_id == tx_id)
-            .expect("rx end without matching rx start");
+    /// Completes a reception and reports its outcome, or `None` when the
+    /// radio is not tracking `tx_id`: it was switched off
+    /// ([`Self::radio_off`]) after the signal started, or was off when it
+    /// did. Such an end edge means nothing to this receiver and the caller
+    /// ignores it.
+    pub fn on_rx_end(&mut self, tx_id: TxId, _now: SimTime) -> Option<RxOutcome> {
+        let idx = self.receptions.iter().position(|r| r.tx_id == tx_id)?;
         let r = self.receptions.swap_remove(idx);
-        if !r.decodable {
+        Some(if !r.decodable {
             RxOutcome::NotDecodable
         } else if r.corrupted {
             RxOutcome::CollisionLost
         } else {
             RxOutcome::Decoded
-        }
+        })
+    }
+
+    /// Switches the receiver off (a paused or crashed node): every signal it
+    /// was tracking and its sensed-energy horizon are forgotten, so carrier
+    /// sense reads idle when it comes back. The end edges of the forgotten
+    /// signals still arrive and find nothing ([`Self::on_rx_end`] returns
+    /// `None`). The node's own transmission, if one is on the air, is not
+    /// this receiver's business and runs out by itself.
+    pub fn radio_off(&mut self) {
+        self.receptions.clear();
+        self.energy_until = SimTime::ZERO;
     }
 
     /// Physical carrier sense: busy while transmitting or while any sensed
@@ -235,7 +241,7 @@ mod tests {
         let mut phy = PhyState::new();
         phy.on_rx_start(TxId(1), t(0), t(100), true, 1.0);
         assert_eq!(phy.active_receptions(), 1);
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::Decoded);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::Decoded));
         assert_eq!(phy.active_receptions(), 0);
     }
 
@@ -244,8 +250,8 @@ mod tests {
         let mut phy = PhyState::new();
         phy.on_rx_start(TxId(1), t(0), t(100), true, 1.0);
         phy.on_rx_start(TxId(2), t(50), t(150), true, 1.0);
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::CollisionLost);
-        assert_eq!(phy.on_rx_end(TxId(2), t(150)), RxOutcome::CollisionLost);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::CollisionLost));
+        assert_eq!(phy.on_rx_end(TxId(2), t(150)), Some(RxOutcome::CollisionLost));
     }
 
     #[test]
@@ -255,17 +261,17 @@ mod tests {
         phy.on_rx_start(TxId(1), t(0), t(100), false, 1.0);
         // ...overlaps a frame we would otherwise decode.
         phy.on_rx_start(TxId(2), t(10), t(90), true, 1.0);
-        assert_eq!(phy.on_rx_end(TxId(2), t(90)), RxOutcome::CollisionLost);
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::NotDecodable);
+        assert_eq!(phy.on_rx_end(TxId(2), t(90)), Some(RxOutcome::CollisionLost));
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::NotDecodable));
     }
 
     #[test]
     fn sequential_receptions_both_decode() {
         let mut phy = PhyState::new();
         phy.on_rx_start(TxId(1), t(0), t(100), true, 1.0);
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::Decoded);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::Decoded));
         phy.on_rx_start(TxId(2), t(100), t(200), true, 1.0);
-        assert_eq!(phy.on_rx_end(TxId(2), t(200)), RxOutcome::Decoded);
+        assert_eq!(phy.on_rx_end(TxId(2), t(200)), Some(RxOutcome::Decoded));
     }
 
     #[test]
@@ -273,7 +279,7 @@ mod tests {
         let mut phy = PhyState::new();
         phy.on_rx_start(TxId(1), t(0), t(100), true, 1.0);
         phy.begin_transmit(t(10), t(50));
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::CollisionLost);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::CollisionLost));
     }
 
     #[test]
@@ -281,7 +287,7 @@ mod tests {
         let mut phy = PhyState::new();
         phy.begin_transmit(t(0), t(100));
         phy.on_rx_start(TxId(1), t(50), t(150), true, 1.0);
-        assert_eq!(phy.on_rx_end(TxId(1), t(150)), RxOutcome::CollisionLost);
+        assert_eq!(phy.on_rx_end(TxId(1), t(150)), Some(RxOutcome::CollisionLost));
     }
 
     #[test]
@@ -289,14 +295,14 @@ mod tests {
         let mut phy = PhyState::new();
         phy.begin_transmit(t(0), t(100));
         phy.on_rx_start(TxId(1), t(100), t(200), true, 1.0);
-        assert_eq!(phy.on_rx_end(TxId(1), t(200)), RxOutcome::Decoded);
+        assert_eq!(phy.on_rx_end(TxId(1), t(200)), Some(RxOutcome::Decoded));
     }
 
     #[test]
     fn random_loss_is_not_decodable() {
         let mut phy = PhyState::new();
         phy.on_rx_start(TxId(1), t(0), t(100), false, 1.0);
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::NotDecodable);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::NotDecodable));
     }
 
     #[test]
@@ -305,7 +311,7 @@ mod tests {
         assert!(!phy.carrier_busy(t(0)));
         phy.on_rx_start(TxId(1), t(0), t(100), false, 1.0);
         assert!(phy.carrier_busy(t(50)));
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::NotDecodable);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::NotDecodable));
         assert!(!phy.carrier_busy(t(100)));
         assert_eq!(phy.idle_at(t(100)), t(100));
     }
@@ -330,10 +336,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "without matching rx start")]
-    fn unmatched_rx_end_panics() {
+    fn radio_off_forgets_signals_and_their_end_edges_find_nothing() {
         let mut phy = PhyState::new();
-        let _ = phy.on_rx_end(TxId(9), t(0));
+        phy.on_rx_start(TxId(1), t(0), t(100), true, 1.0);
+        phy.on_rx_start(TxId(2), t(10), t(300), false, 1.0);
+        phy.radio_off();
+        assert_eq!(phy.active_receptions(), 0);
+        assert!(!phy.carrier_busy(t(20)), "no reception and no energy horizon left");
+        assert_eq!(phy.idle_at(t(20)), t(20));
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), None);
+        // Back on: a fresh frame is received as on an idle radio.
+        phy.on_rx_start(TxId(3), t(120), t(200), true, 1.0);
+        assert_eq!(phy.on_rx_end(TxId(3), t(200)), Some(RxOutcome::Decoded));
+        assert_eq!(phy.on_rx_end(TxId(2), t(300)), None);
     }
 
     #[test]
@@ -343,7 +358,7 @@ mod tests {
         phy.on_rx_start(TxId(2), t(10), t(110), true, 1.0);
         phy.on_rx_start(TxId(3), t(20), t(120), true, 1.0);
         for (id, end) in [(1, 100), (2, 110), (3, 120)] {
-            assert_eq!(phy.on_rx_end(TxId(id), t(end)), RxOutcome::CollisionLost);
+            assert_eq!(phy.on_rx_end(TxId(id), t(end)), Some(RxOutcome::CollisionLost));
         }
     }
 }
@@ -362,8 +377,8 @@ mod capture_tests {
         // Neighbour at 250 m (power 1.0) vs interferer at 500 m (1/16).
         phy.on_rx_start(TxId(1), t(0), t(100), true, 1.0);
         phy.on_rx_start(TxId(2), t(10), t(110), false, 1.0 / 16.0);
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::Decoded, "captured");
-        assert_eq!(phy.on_rx_end(TxId(2), t(110)), RxOutcome::NotDecodable);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::Decoded), "captured");
+        assert_eq!(phy.on_rx_end(TxId(2), t(110)), Some(RxOutcome::NotDecodable));
     }
 
     #[test]
@@ -371,8 +386,8 @@ mod capture_tests {
         let mut phy = PhyState::default();
         phy.on_rx_start(TxId(1), t(0), t(100), true, 16.0);
         phy.on_rx_start(TxId(2), t(10), t(110), true, 1.0);
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::Decoded);
-        assert_eq!(phy.on_rx_end(TxId(2), t(110)), RxOutcome::CollisionLost);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::Decoded));
+        assert_eq!(phy.on_rx_end(TxId(2), t(110)), Some(RxOutcome::CollisionLost));
     }
 
     #[test]
@@ -382,8 +397,8 @@ mod capture_tests {
         // cannot be re-locked onto: both are lost (ns-2 semantics).
         phy.on_rx_start(TxId(1), t(0), t(100), true, 1.0);
         phy.on_rx_start(TxId(2), t(10), t(110), true, 16.0);
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::CollisionLost);
-        assert_eq!(phy.on_rx_end(TxId(2), t(110)), RxOutcome::CollisionLost);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::CollisionLost));
+        assert_eq!(phy.on_rx_end(TxId(2), t(110)), Some(RxOutcome::CollisionLost));
     }
 
     #[test]
@@ -391,8 +406,8 @@ mod capture_tests {
         let mut phy = PhyState::default();
         phy.on_rx_start(TxId(1), t(0), t(100), true, 1.0);
         phy.on_rx_start(TxId(2), t(10), t(110), true, 2.0);
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::CollisionLost);
-        assert_eq!(phy.on_rx_end(TxId(2), t(110)), RxOutcome::CollisionLost);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::CollisionLost));
+        assert_eq!(phy.on_rx_end(TxId(2), t(110)), Some(RxOutcome::CollisionLost));
     }
 
     #[test]
@@ -400,7 +415,7 @@ mod capture_tests {
         let mut phy = PhyState::default();
         phy.on_rx_start(TxId(1), t(0), t(100), true, 10.0);
         phy.on_rx_start(TxId(2), t(10), t(110), true, 1.0);
-        assert_eq!(phy.on_rx_end(TxId(1), t(100)), RxOutcome::Decoded);
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), Some(RxOutcome::Decoded));
     }
 }
 
@@ -442,7 +457,7 @@ mod proptests {
                 let overlaps_any = intervals.iter().enumerate().any(|(j, &(s2, e2))| {
                     i != j && s1 < e2 && s2 < e1
                 });
-                match outcome[i].unwrap() {
+                match outcome[i].flatten().unwrap() {
                     RxOutcome::Decoded => prop_assert!(!overlaps_any,
                         "frame {i} decoded despite overlap"),
                     RxOutcome::CollisionLost => prop_assert!(overlaps_any,

@@ -88,6 +88,31 @@ fn corpus_runs_clean_and_twin_runs_are_bit_identical() {
     }
 }
 
+/// `delivered > 0` above cannot see a flow that dies half way. The frozen
+/// relay of `pause-resume` used to come back with a ghost reception jamming
+/// its carrier sense, and the committed digest pinned the result: 51
+/// segments by t = 4 s and not one more. The flow must outlive the outage.
+#[test]
+fn pause_resume_delivers_more_after_the_resume_than_before_the_pause() {
+    let script = ScenarioScript::parse(include_str!("scenarios/pause-resume.scn")).unwrap();
+    let [pause, resume] = [script.events[0].at, script.events[1].at];
+    let mut sim = corpus_sim(&script);
+    let delivered = |sim: &Simulator| sim.flow_report(FlowId::new(0)).delivered_segments;
+    sim.run_until(pause);
+    let before_pause = delivered(&sim);
+    sim.run_until(resume);
+    let at_resume = delivered(&sim);
+    sim.run_until(SimTime::ZERO + corpus_duration(&script));
+    let after_resume = delivered(&sim) - at_resume;
+    assert!(before_pause > 0, "the flow never got going before the pause");
+    assert!(
+        after_resume > before_pause,
+        "{before_pause} segments in the {pause} before the pause, {after_resume} in the {} after \
+         the resume",
+        corpus_duration(&script) - (resume - SimTime::ZERO)
+    );
+}
+
 /// One pinned row of `tests/fixtures/corpus_digests.txt`.
 fn digest_row(name: &str, sim: &Simulator) -> String {
     let delivered: u64 = sim.run_report().flows.iter().map(|f| f.delivered_bytes).sum();
