@@ -11,9 +11,10 @@
 //!    grid inside a configurable window,
 //!
 //! running the caller's branch closure (which installs the full invariant
-//! checker) on every branch. A DPOR-style independence relation prunes
-//! permutations that provably commute, and hard branch budgets keep the
-//! search bounded. Exploration order is canonical — depth-first, earliest
+//! checker) on every branch. Every permutation is explored — no class of
+//! scheduler event commutes with another (see `sim_core::TieKind`) — and
+//! hard branch budgets keep the search bounded. Exploration order is
+//! canonical — depth-first, earliest
 //! choice point first, lowest alternative first — so two runs over the same
 //! script produce byte-identical branch logs.
 //!
@@ -28,7 +29,7 @@
 
 use std::fmt::Write as _;
 
-use sim_core::{SimTime, TieChoice, TieClass, TieKind};
+use sim_core::{SimTime, TieChoice};
 
 use crate::scenario::ScenarioScript;
 
@@ -37,7 +38,8 @@ use crate::scenario::ScenarioScript;
 pub struct McConfig {
     /// Only scheduler ties with `start <= time <= end` become choice
     /// points; `None` explores ties over the whole run (use with care —
-    /// every RxStart flurry multiplies the branch count).
+    /// every frame ends at all its listeners together, and each such tie
+    /// multiplies the branch count).
     pub tie_window: Option<(SimTime, SimTime)>,
     /// Hard cap on branches (full replays) across all placements; hitting
     /// it marks the verdict truncated, i.e. *not* a proof.
@@ -114,8 +116,6 @@ pub struct McVerdict {
     pub placements: usize,
     /// Branches actually replayed.
     pub branches_explored: usize,
-    /// Alternatives skipped by the independence relation.
-    pub branches_pruned: usize,
     /// True when a budget (branches or depth) cut the search short — the
     /// clean verdict is then a bounded search, not a proof.
     pub truncated: bool,
@@ -156,7 +156,6 @@ impl McVerdict {
         let _ = writeln!(out, "status={}", self.status());
         let _ = writeln!(out, "placements={}", self.placements);
         let _ = writeln!(out, "branches_explored={}", self.branches_explored);
-        let _ = writeln!(out, "branches_pruned={}", self.branches_pruned);
         let _ = writeln!(out, "truncated={}", self.truncated);
         let _ = writeln!(out, "max_choice_points={}", self.max_choice_points);
         let _ = writeln!(out, "max_group={}", self.max_group);
@@ -206,34 +205,6 @@ fn render_decisions(decisions: &[usize]) -> String {
     s
 }
 
-/// The DPOR independence relation over tie fingerprints — deliberately
-/// conservative. Two tied events commute only when they belong to distinct
-/// concrete nodes *and* at least one of them is pure listening bookkeeping
-/// ([`TieKind::RxListen`]): anything else may transmit, draw the shared RNG
-/// stream (whose draw order is itself state), or touch shared channel or
-/// global state, so its position in the tie matters. Global events conflict
-/// with everything.
-pub fn independent(a: &TieClass, b: &TieClass) -> bool {
-    match (a.node, b.node) {
-        (Some(na), Some(nb)) if na != nb => !(conflicts(a.kind) && conflicts(b.kind)),
-        _ => false,
-    }
-}
-
-/// Whether a kind can interfere with other nodes' same-instant work.
-fn conflicts(kind: TieKind) -> bool {
-    !matches!(kind, TieKind::RxListen)
-}
-
-/// Whether promoting alternative `j` of a FIFO tie group to the front is
-/// redundant: it is when the promoted event is independent of *every* event
-/// it would jump over — the two executions provably reach the same state,
-/// so the explorer only needs one of them.
-fn prunable(group: &[TieClass], j: usize) -> bool {
-    let Some(promoted) = group.get(j) else { return true };
-    group.iter().take(j).all(|earlier| independent(promoted, earlier))
-}
-
 /// The fault placements explored for `script` under `cfg`: the scripted
 /// placement plus shifted copies on a deterministic integer-nanosecond grid
 /// over `±shift_window_ns`. Shifted fault times clamp at zero; shifts past
@@ -271,8 +242,7 @@ pub fn placements(script: &ScenarioScript, cfg: &McConfig) -> Vec<ScenarioScript
 /// must deterministically replay the simulation with that tie order and
 /// report the outcome. Exploration starts from the all-FIFO branch of each
 /// placement and extends decision vectors depth-first in canonical order
-/// (earliest choice point first, lowest alternative first); alternatives
-/// whose promotion provably commutes are pruned. The search stops at the
+/// (earliest choice point first, lowest alternative first). The search stops at the
 /// first violating branch, a exhausted branch budget, or exhaustion of the
 /// bounded space — in that last case the verdict is a proof.
 pub fn explore<F>(script_name: &str, n_placements: usize, cfg: &McConfig, mut run: F) -> McVerdict
@@ -283,7 +253,6 @@ where
         script: script_name.to_string(),
         placements: n_placements,
         branches_explored: 0,
-        branches_pruned: 0,
         truncated: false,
         max_choice_points: 0,
         max_group: 0,
@@ -342,10 +311,6 @@ where
                     continue;
                 }
                 for j in 1..choice.group.len() {
-                    if prunable(&choice.group, j) {
-                        verdict.branches_pruned += 1;
-                        continue;
-                    }
                     let mut child = Vec::with_capacity(i + 1);
                     child.extend_from_slice(&decisions);
                     child.resize(i, 0);
@@ -364,7 +329,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::SimDuration;
+    use sim_core::{SimDuration, TieClass, TieKind};
 
     fn t(n: u64) -> SimTime {
         SimTime::from_nanos(n)
@@ -372,30 +337,6 @@ mod tests {
 
     fn work(node: u32) -> TieClass {
         TieClass::node(node, TieKind::NodeWork)
-    }
-
-    fn listen(node: u32) -> TieClass {
-        TieClass::node(node, TieKind::RxListen)
-    }
-
-    #[test]
-    fn independence_relation_is_conservative_and_symmetric() {
-        // Same node: always dependent, whatever the kinds.
-        assert!(!independent(&listen(1), &listen(1)));
-        assert!(!independent(&work(2), &work(2)));
-        // Distinct nodes: only pure listening commutes.
-        assert!(independent(&listen(1), &listen(2)));
-        assert!(independent(&listen(1), &work(2)));
-        assert!(!independent(&work(1), &work(2)));
-        // Globals conflict with everything.
-        assert!(!independent(&TieClass::global(), &listen(1)));
-        assert!(!independent(&TieClass::global(), &TieClass::global()));
-        // Symmetry on a mixed sample.
-        for a in [listen(1), work(1), TieClass::global()] {
-            for b in [listen(2), work(2), TieClass::global()] {
-                assert_eq!(independent(&a, &b), independent(&b, &a), "{a:?} vs {b:?}");
-            }
-        }
     }
 
     /// A toy branch runner over a fixed list of tie groups: "dispatching"
@@ -427,9 +368,8 @@ mod tests {
     }
 
     #[test]
-    fn fully_dependent_group_explores_every_permutation() {
-        // One group of 3 mutually-conflicting events: 3! = 6 branches, no
-        // pruning, all trace hashes distinct.
+    fn a_tie_group_explores_every_permutation() {
+        // One group of 3 events: 3! = 6 branches, all trace hashes distinct.
         let verdict = explore(
             "toy",
             1,
@@ -438,26 +378,10 @@ mod tests {
         );
         assert!(verdict.proved());
         assert_eq!(verdict.branches_explored, 6);
-        assert_eq!(verdict.branches_pruned, 0);
         let mut hashes: Vec<u64> = verdict.log.iter().map(|r| r.trace_hash).collect();
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), 6, "every permutation must produce a distinct order");
-    }
-
-    #[test]
-    fn fully_independent_group_collapses_to_one_branch() {
-        // One group of 4 pairwise-independent events: 1 branch, the other
-        // 3+2+1 first-pop alternatives (and deeper ones) pruned.
-        let verdict = explore(
-            "toy",
-            1,
-            &McConfig::default(),
-            toy_runner(vec![vec![listen(0), listen(1), listen(2), listen(3)]]),
-        );
-        assert!(verdict.proved());
-        assert_eq!(verdict.branches_explored, 1);
-        assert_eq!(verdict.branches_pruned, 3 + 2 + 1);
     }
 
     #[test]
@@ -501,7 +425,7 @@ mod tests {
                 "toy",
                 1,
                 &McConfig::default(),
-                toy_runner(vec![vec![work(0), work(1)], vec![listen(3), work(4), work(5)]]),
+                toy_runner(vec![vec![work(0), work(1)], vec![work(3), work(4), work(5)]]),
             )
         };
         let (a, b) = (run(), run());

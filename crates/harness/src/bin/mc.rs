@@ -98,10 +98,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
     if !quiet {
         eprintln!(
-            "{}: {} branches explored, {} pruned, {} choice points deep",
+            "{}: {} branches explored, {} choice points deep",
             verdict.status(),
             verdict.branches_explored,
-            verdict.branches_pruned,
             verdict.max_choice_points
         );
     }

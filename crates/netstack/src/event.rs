@@ -7,6 +7,12 @@
 //! enums, so a new variant is a compile error until it is wired, and two
 //! variants cannot share a tag (rustc E0081). Wildcard arms are refused in
 //! this module, which is what keeps those matches total.
+//!
+//! A signal's *start* edge is not in the taxonomy: it touches only the
+//! receiving node and produces nothing, so `transmit` parks it in the
+//! receiver's `PhyState` under the `(time, seq)` key the event would have
+//! had and `Simulator::settle` applies it before the node's next event.
+//! Tag 1, which it used to carry, is retired and never reused.
 
 #![deny(clippy::wildcard_enum_match_arm)]
 
@@ -22,9 +28,7 @@ use wire::{FlowId, MacFrame, NodeId, Packet};
 /// Events driving the simulation.
 #[derive(Debug)]
 pub(crate) enum Event {
-    /// A signal starts impinging on `node` with relative received `power`.
-    RxStart { node: NodeId, tx_id: TxId, end: SimTime, decodable: bool, power: f64 },
-    /// The signal ends; `frame` is what was on the air.
+    /// A signal ends at `node`; `frame` is what was on the air.
     RxEnd { node: NodeId, tx_id: TxId, frame: MacFrame, in_rx_range: bool },
     /// `node`'s own transmission left the air.
     TxDone { node: NodeId },
@@ -48,12 +52,16 @@ pub(crate) enum Event {
     Fault { index: usize },
 }
 
+/// Every queue entry, and every shift of a calendar bucket, moves one of
+/// these: a variant that grows it is paid for by all the others.
+const _: () = assert!(std::mem::size_of::<Event>() <= 72);
+
 /// Which [`Event`] variant, without its fields. The discriminant is the
 /// variant's tag in the trace digest and in the snapshot format.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum EventKind {
-    RxStart = 1,
+    // 1 was `RxStart`.
     RxEnd = 2,
     TxDone = 3,
     MacTimer = 4,
@@ -79,8 +87,7 @@ pub(crate) enum Owner {
 
 impl EventKind {
     /// Every kind, in tag order.
-    const ALL: [EventKind; 12] = [
-        EventKind::RxStart,
+    const ALL: [EventKind; 11] = [
         EventKind::RxEnd,
         EventKind::TxDone,
         EventKind::MacTimer,
@@ -99,7 +106,7 @@ impl EventKind {
     /// `events_processed` by construction.
     pub(crate) fn layer(self, perf: &mut RunPerf) -> &mut u64 {
         match self {
-            EventKind::RxStart | EventKind::RxEnd | EventKind::TxDone => &mut perf.phy_events,
+            EventKind::RxEnd | EventKind::TxDone => &mut perf.phy_events,
             EventKind::MacTimer => &mut perf.mac_events,
             EventKind::AodvTimer | EventKind::JitteredEnqueue => &mut perf.routing_events,
             EventKind::TcpTimer | EventKind::FlowStart | EventKind::DelAckTimer => {
@@ -111,16 +118,10 @@ impl EventKind {
         }
     }
 
-    /// The scheduling class the model-checking explorer sees. The mapping
-    /// must stay *sound* for the explorer's independence relation: any kind
-    /// that can transmit, draw the shared RNG stream (`transmit`'s loss
-    /// draw, broadcast jitter, waypoint picks) or touch cross-node state must
-    /// NOT claim the commuting [`TieKind::RxListen`] class. Only `RxStart`
-    /// qualifies today: its dispatch merely notes the arriving signal in the
-    /// owning node's PHY/MAC state.
+    /// The scheduling class recorded for the model-checking explorer: what
+    /// kind of state the event's dispatch can reach beyond its own node.
     pub(crate) fn tie(self) -> TieKind {
         match self {
-            EventKind::RxStart => TieKind::RxListen,
             EventKind::RxEnd
             | EventKind::TxDone
             | EventKind::MacTimer
@@ -148,7 +149,6 @@ impl Snapshotable for EventKind {
 impl Event {
     pub(crate) fn kind(&self) -> EventKind {
         match self {
-            Event::RxStart { .. } => EventKind::RxStart,
             Event::RxEnd { .. } => EventKind::RxEnd,
             Event::TxDone { .. } => EventKind::TxDone,
             Event::MacTimer { .. } => EventKind::MacTimer,
@@ -165,8 +165,7 @@ impl Event {
 
     pub(crate) fn owner(&self) -> Owner {
         match self {
-            Event::RxStart { node, .. }
-            | Event::RxEnd { node, .. }
+            Event::RxEnd { node, .. }
             | Event::TxDone { node }
             | Event::MacTimer { node, .. }
             | Event::AodvTimer { node, .. }
@@ -190,8 +189,7 @@ impl Event {
         let segment_ok =
             |p: Option<&Packet>| p.and_then(Packet::tcp).is_none_or(|s| s.flow.index() < flows);
         match self {
-            Event::RxStart { node, .. }
-            | Event::TxDone { node }
+            Event::TxDone { node }
             | Event::MacTimer { node, .. }
             | Event::AodvTimer { node, .. }
             | Event::MobilityTick { node } => node.index() < nodes,
@@ -225,13 +223,6 @@ impl Event {
     pub(crate) fn fold(&self, hash: &mut TraceHash, now: SimTime) {
         hash.write_u64(now.as_nanos()).write_u64(self.kind() as u64);
         match self {
-            Event::RxStart { node, tx_id, end, decodable, power } => {
-                hash.write_u64(node.index() as u64)
-                    .write_u64(tx_id.0)
-                    .write_u64(end.as_nanos())
-                    .write_u64(u64::from(*decodable))
-                    .write_f64(*power);
-            }
             Event::RxEnd { node, tx_id, frame, in_rx_range } => {
                 hash.write_u64(node.index() as u64)
                     .write_u64(tx_id.0)
@@ -266,13 +257,6 @@ impl Snapshotable for Event {
     fn encode(&self, w: &mut SnapshotWriter) {
         w.put(&self.kind());
         match self {
-            Event::RxStart { node, tx_id, end, decodable, power } => {
-                w.put(node);
-                w.put(tx_id);
-                w.put(end);
-                w.put_bool(*decodable);
-                w.put_f64(*power);
-            }
             Event::RxEnd { node, tx_id, frame, in_rx_range } => {
                 w.put(node);
                 w.put(tx_id);
@@ -311,13 +295,6 @@ impl Snapshotable for Event {
 
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.get::<EventKind>()? {
-            EventKind::RxStart => Event::RxStart {
-                node: r.get()?,
-                tx_id: r.get()?,
-                end: r.get()?,
-                decodable: r.take_bool()?,
-                power: r.take_f64()?,
-            },
             EventKind::RxEnd => Event::RxEnd {
                 node: r.get()?,
                 tx_id: r.get()?,
@@ -346,19 +323,19 @@ impl Snapshotable for Event {
 mod tests {
     use super::*;
 
-    /// The tags are the discriminants: 1..=12 decode to the kind that
-    /// re-encodes to the same byte, and the neighbours on either side are
-    /// refused rather than misread.
+    /// The tags are the discriminants: 2..=12 decode to the kind that
+    /// re-encodes to the same byte; the neighbours on either side — 1 is
+    /// the retired start-edge tag — are refused rather than misread.
     #[test]
     fn kind_tags_round_trip_and_reject_out_of_range() {
-        for tag in 1..=12u8 {
+        for tag in 2..=12u8 {
             let kind = EventKind::decode(&mut SnapshotReader::new(&[tag])).expect("tag in range");
             assert_eq!(kind as u8, tag);
             let mut w = SnapshotWriter::new();
             w.put(&kind);
             assert_eq!(w.finish(), [tag]);
         }
-        for tag in [0u8, 13] {
+        for tag in [0u8, 1, 13] {
             assert_eq!(
                 EventKind::decode(&mut SnapshotReader::new(&[tag])),
                 Err(SnapError::Invalid("event tag"))

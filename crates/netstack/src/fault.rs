@@ -93,6 +93,12 @@ impl FaultState {
         }
     }
 
+    /// Whether `node` is neither paused nor killed — the test
+    /// [`Simulator::gate_event`] passes an event on.
+    pub(crate) fn is_up(&self, node: NodeId) -> bool {
+        self.scripted.is_empty() || self.nodes[node.index()].status == NodeStatus::Up
+    }
+
     /// Whether a scripted blackhole is eating `node`'s enqueues.
     pub(crate) fn blackholed(&self, node: NodeId) -> bool {
         self.nodes.get(node.index()).is_some_and(|n| n.blackhole)
@@ -179,8 +185,9 @@ impl Simulator {
     /// Filters an event through the scenario's node liveness: events owned
     /// by a killed node are discarded (packets inside them become fault
     /// drops), and most events owned by a paused node are deferred for
-    /// replay at resume time. Receptions at a paused node are discarded —
-    /// its radio is off.
+    /// replay at resume time. Signal edges at a paused node are discarded —
+    /// its radio is off: end edges here, start edges by the same test in
+    /// [`Simulator::settle`].
     pub(crate) fn gate_event(&mut self, event: Event) -> Option<Event> {
         if self.fault.scripted.is_empty() {
             return Some(event);
@@ -202,7 +209,7 @@ impl Simulator {
                 _ => None,
             },
             NodeStatus::Paused => match event {
-                Event::RxStart { .. } | Event::RxEnd { .. } => None,
+                Event::RxEnd { .. } => None,
                 _ => {
                     self.fault.nodes[node.index()].deferred.push(event);
                     None
@@ -290,8 +297,8 @@ impl Simulator {
     }
 
     /// Takes `node` off the channel and makes its receiver forget the signals
-    /// in flight: their end edges are discarded by [`Self::gate_event`] while
-    /// it is down, so a reception left in the PHY would jam its carrier
+    /// impinging on it: their end edges are discarded by [`Self::gate_event`]
+    /// while it is down, so a reception left in the PHY would jam its carrier
     /// sense for the rest of the run.
     fn radio_off(&mut self, node: NodeId) {
         self.channel.set_node_enabled(node, false);

@@ -7,7 +7,7 @@
 use aodv::AodvOutput;
 use faultline::{CheckEvent, InvariantChecker};
 use mac80211::{MacOutput, MediumView};
-use phy::{Channel, Position, RxOutcome, TxId};
+use phy::{Arrival, Channel, Position, RxOutcome, TxId};
 use sim_core::{DetMap, EventQueue, RunPerf, SimRng, SimTime, TieOrder, TraceHash};
 use tcp::{TcpOutput, TcpReceiver};
 use topo::MobilitySpec;
@@ -16,7 +16,7 @@ use wire::{
     AodvMessage, FlowId, FrameKind, MacFrame, NodeId, Packet, Payload, TcpSegment, TcpSegmentKind,
 };
 
-use crate::event::Event;
+use crate::event::{Event, Owner};
 use crate::fault::FaultState;
 use crate::mobility::Movement;
 use crate::node::{make_transport, IfqPush, Node, ReceiverEndpoint, SenderEndpoint};
@@ -272,12 +272,13 @@ impl Simulator {
         }
     }
 
-    /// Pops the next event due at or before `end`, through the tie-order
-    /// hook: when one is installed, the tie at the queue head falls inside
-    /// its window and more than one event is pending at that instant, the
-    /// hook picks which tied event dispatches first. Everywhere else this
-    /// is a plain FIFO pop, so an absent hook costs one branch per event.
-    fn pop_event(&mut self, end: SimTime) -> Option<(SimTime, Event)> {
+    /// Pops the next event due at or before `end`, with its `(time, seq)`
+    /// key, through the tie-order hook: when one is installed, the tie at
+    /// the queue head falls inside its window and more than one event is
+    /// pending at that instant, the hook picks which tied event dispatches
+    /// first. Everywhere else this is a plain FIFO pop, so an absent hook
+    /// costs one branch per event.
+    fn pop_event(&mut self, end: SimTime) -> Option<(SimTime, u64, Event)> {
         let t = self.events.peek_time().filter(|&t| t <= end)?;
         if let Some(order) = &mut self.tie_order {
             if order.covers(t) {
@@ -290,7 +291,7 @@ impl Simulator {
                 }
             }
         }
-        self.events.pop()
+        self.events.pop_nth(0)
     }
 
     pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
@@ -299,16 +300,53 @@ impl Simulator {
 
     /// Runs the event loop until virtual time `end`.
     pub fn run_until(&mut self, end: SimTime) {
-        while let Some((now, event)) = self.pop_event(end) {
+        while let Some((now, seq, event)) = self.pop_event(end) {
             self.now = now;
             event.fold(&mut self.trace_hash, now);
             self.perf.events_processed += 1;
             *event.kind().layer(&mut self.perf) += 1;
             // The queue's length before this pop.
             self.perf.peak_event_queue = self.perf.peak_event_queue.max(self.events.len() + 1);
+            // Bring whoever this event can read up to date with the signal
+            // edges that, as queue entries, would have popped before it.
+            match event.owner() {
+                Owner::Node(node) => self.settle(node, now, seq),
+                Owner::FlowSource(flow) => self.settle(self.flows[flow.index()].src, now, seq),
+                Owner::Global => self.settle_all(now, seq),
+            }
             self.dispatch(event);
         }
         self.now = end.max(self.now);
+        // Everything due by `end` has happened before the caller looks.
+        self.settle_all(self.now, u64::MAX);
+    }
+
+    /// Applies the signal start edges due at `node` before scheduler key
+    /// `(time, seq)`, in `(start, seq)` order: what the `RxStart` event of
+    /// each did at its own instant — note the signal in the PHY, the busy
+    /// period in the utilisation tracker, the busy edge in the MAC — behind
+    /// the liveness test [`Self::gate_event`] applied to it.
+    ///
+    /// A start edge reads and writes only its own node and emits nothing,
+    /// and nothing reads a node between two of its own events except a
+    /// `Global` one and the caller between runs, each of which settles every
+    /// node first. So the node is, whenever it is looked at, in the state
+    /// the never-materialised queue entries would have left it in.
+    fn settle(&mut self, node: NodeId, time: SimTime, seq: u64) {
+        let Node { phy, busy, mac, .. } = &mut self.nodes[node.index()];
+        if phy.pending().is_empty() {
+            return;
+        }
+        phy.settle(time, seq, self.fault.is_up(node), |edge| {
+            busy.note(edge.start, edge.end);
+            mac.on_medium_busy(edge.start);
+        });
+    }
+
+    fn settle_all(&mut self, time: SimTime, seq: u64) {
+        for i in 0..self.nodes.len() {
+            self.settle(NodeId::new(i as u16), time, seq);
+        }
     }
 
     /// This run's deterministic work counters so far. Timer cancellations
@@ -406,13 +444,6 @@ impl Simulator {
     fn dispatch(&mut self, event: Event) {
         let Some(event) = self.gate_event(event) else { return };
         match event {
-            Event::RxStart { node, tx_id, end, decodable, power } => {
-                let now = self.now;
-                let n = &mut self.nodes[node.index()];
-                n.phy.on_rx_start(tx_id, now, end, decodable, power);
-                n.busy.note(now, end);
-                n.mac.on_medium_busy(now);
-            }
             Event::RxEnd { node, tx_id, frame, in_rx_range } => {
                 let now = self.now;
                 // The radio was off when this signal started, or has been
@@ -910,8 +941,10 @@ impl Simulator {
         self.process_mac_outputs(node, outputs);
     }
 
-    /// Puts a frame on the air: marks the PHY, schedules receptions at
-    /// every node in carrier-sense range, and the sender's TxDone.
+    /// Puts a frame on the air: marks the PHY, announces the signal to every
+    /// node in carrier-sense range and schedules its end there, and the
+    /// sender's TxDone. The start edge takes the sequence number its event
+    /// would have had, so every queued entry keeps its `(time, seq)` key.
     fn transmit(&mut self, sender: NodeId, frame: MacFrame, airtime: sim_core::SimDuration) {
         let now = self.now;
         if self.log.is_some() {
@@ -947,10 +980,9 @@ impl Simulator {
             let power = self.cfg.radio.rx_power(distance);
             let rx_start = now + prop;
             let rx_end = rx_start + airtime;
-            self.schedule(
-                rx_start,
-                Event::RxStart { node: nb, tx_id, end: rx_end, decodable, power },
-            );
+            let seq = self.events.reserve_seq();
+            let edge = Arrival { start: rx_start, seq, tx_id, end: rx_end, decodable, power };
+            self.nodes[nb.index()].phy.announce(edge);
             self.schedule(
                 rx_end,
                 Event::RxEnd { node: nb, tx_id, frame: frame.clone(), in_rx_range },
@@ -1143,6 +1175,14 @@ impl Simulator {
         for i in 0..node_count {
             nodes.push(Node::decode_state(&mut r, &flows, i)?);
         }
+        for edge in nodes.iter().flat_map(|n| n.phy.pending()) {
+            if edge.start <= now {
+                return Err(sim_core::SnapError::Invalid("pending arrival not after now"));
+            }
+            if edge.seq >= events.next_seq() {
+                return Err(sim_core::SnapError::Invalid("pending arrival seq from the future"));
+            }
+        }
         let movements: DetMap<NodeId, Movement> = r.get()?;
         let fault: FaultState = r.get()?;
         if fault.node_count() != node_count {
@@ -1191,6 +1231,143 @@ mod tests {
         let flow = sim.add_flow(FlowSpec::new(src, dst, variant));
         sim.run_until(secs(duration));
         (sim.flow_report(flow), sim)
+    }
+
+    /// One listener's share of `transmit` for a frame from a sender the test
+    /// does not model: the start edge parked under the next sequence number,
+    /// the end edge queued under the one after.
+    fn signal_from_nowhere(sim: &mut Simulator, node: NodeId, start: SimTime) -> SimTime {
+        let tx_id = TxId(sim.next_tx_id);
+        sim.next_tx_id += 1;
+        let end = start + sim.cfg.mac.control_airtime(14);
+        let seq = sim.events.reserve_seq();
+        let edge = Arrival { start, seq, tx_id, end, decodable: true, power: 1.0 };
+        sim.nodes[node.index()].phy.announce(edge);
+        let frame = MacFrame {
+            src: NodeId::new(7),
+            dst: NodeId::new(8),
+            body: wire::FrameBody::Control(FrameKind::Ack),
+            nav_until_nanos: 0,
+        };
+        sim.schedule(end, Event::RxEnd { node, tx_id, frame, in_rx_range: true });
+        end
+    }
+
+    /// Hands `node`'s idle MAC a broadcast: with nothing to defer to, its
+    /// attempt timer is queued for exactly one DIFS from now.
+    fn start_a_broadcast(sim: &mut Simulator, node: NodeId) {
+        let hello = Payload::Aodv(AodvMessage::Hello(wire::Hello { seq: 1 }));
+        let packet = Packet::new(1, node, NodeId::BROADCAST, hello);
+        sim.enqueue_ifq(node, packet, NodeId::BROADCAST);
+    }
+
+    /// A signal edge and a `MacTimer` on the same nanosecond at one node
+    /// resolve by sequence number, as two queue entries would have: the
+    /// timer scheduled first fires on an idle medium, transmits, and the
+    /// edge then finds a radio that is sending.
+    #[test]
+    fn a_timer_queued_before_a_same_instant_signal_edge_transmits_over_it() {
+        let mut sim = Simulator::new(topology::chain(1), SimConfig::default());
+        let node = NodeId::new(0);
+        let tie = SimTime::ZERO + sim.cfg.mac.difs();
+        start_a_broadcast(&mut sim, node);
+        assert_eq!(sim.events.peek_time(), Some(tie), "the attempt timer");
+        let signal_end = signal_from_nowhere(&mut sim, node, tie);
+        sim.run_until(tie);
+        let n = &sim.nodes[node.index()];
+        assert_eq!(n.mac.stats().data_sent, 1, "the timer came first and saw an idle medium");
+        assert!(n.phy.is_transmitting(tie));
+        assert!(n.phy.pending().is_empty(), "the run's end settles the edge at its own instant");
+        sim.run_until(signal_end);
+        assert_eq!(sim.nodes[node.index()].mac.stats().rx_collisions, 1, "half duplex");
+        assert_eq!(sim.perf().timers_stale_popped, 0);
+    }
+
+    /// The other push order: the edge comes first, freezes the countdown and
+    /// tombstones the timer, which then pops stale on the same nanosecond.
+    #[test]
+    fn a_signal_edge_queued_before_a_same_instant_timer_freezes_the_countdown() {
+        let mut sim = Simulator::new(topology::chain(1), SimConfig::default());
+        let node = NodeId::new(0);
+        let tie = SimTime::ZERO + sim.cfg.mac.difs();
+        let signal_end = signal_from_nowhere(&mut sim, node, tie);
+        start_a_broadcast(&mut sim, node);
+        assert_eq!(sim.events.peek_time(), Some(tie), "the attempt timer");
+        sim.run_until(tie);
+        assert_eq!(sim.nodes[node.index()].mac.stats().data_sent, 0, "the medium went busy first");
+        assert_eq!(sim.perf().timers_stale_popped, 1, "the frozen countdown's timer");
+        assert!(sim.nodes[node.index()].phy.carrier_busy(tie));
+        // The deferred attempt goes out once the signal has passed, intact.
+        sim.run_until(signal_end + sim_core::SimDuration::from_millis(2));
+        let stats = sim.nodes[node.index()].mac.stats();
+        assert_eq!((stats.data_sent, stats.rx_collisions), (1, 0));
+    }
+
+    /// Under a tie-order hook the edge is no member of the tie group: it is
+    /// applied before whichever of the node's tied events with a larger
+    /// sequence number the hook runs first. Here FIFO runs the timer (queued
+    /// before the edge) on an idle medium; promoting a no-op tick queued
+    /// *after* the edge brings the edge forward with it, and the timer, now
+    /// second, finds its countdown frozen.
+    #[test]
+    fn a_promoted_tie_member_settles_edges_against_its_own_seq() {
+        let run = |decisions: Vec<usize>| {
+            let mut sim = Simulator::new(topology::chain(1), SimConfig::default());
+            let node = NodeId::new(0);
+            let tie = SimTime::ZERO + sim.cfg.mac.difs();
+            start_a_broadcast(&mut sim, node);
+            signal_from_nowhere(&mut sim, node, tie);
+            sim.schedule(tie, Event::MobilityTick { node }); // nothing is moving
+            sim.install_tie_order(TieOrder::new(decisions));
+            sim.run_until(tie);
+            let choices = sim.take_tie_order().expect("hook was installed").into_choices();
+            assert_eq!(choices[0].group.len(), 2, "the timer and the tick; the edge is not listed");
+            (sim.nodes[node.index()].mac.stats().data_sent, sim.perf().timers_stale_popped)
+        };
+        assert_eq!(run(Vec::new()), (1, 0), "FIFO: timer, then edge, then tick");
+        assert_eq!(run(vec![1]), (0, 1), "tick promoted: edge, tick, then a stale timer");
+    }
+
+    /// A start edge due exactly at a `run_until` boundary is applied by the
+    /// first call's closing settle, and not again: one call across the
+    /// boundary and two calls meeting at it leave byte-identical simulators.
+    #[test]
+    fn an_edge_due_at_a_run_boundary_is_applied_once_either_way() {
+        let build = || {
+            let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
+            let (src, dst) = topology::chain_flow(2);
+            sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
+            sim
+        };
+        // A frame goes on the air at `sent`; its edge reaches a listener at
+        // `boundary`.
+        let mut traced = build();
+        traced.install_trace_log(TraceLog::new());
+        traced.run_until(secs(1.1));
+        let log = traced.take_trace_log().expect("log was installed");
+        let sent = log
+            .iter()
+            .find(|e| e.at > secs(1.0) && matches!(e.record, TraceRecord::PhyTx { .. }))
+            .map(|e| e.at);
+        let sent = sent.expect("a busy chain transmits within 100 ms");
+        let mut probe = build();
+        probe.run_until(sent);
+        let due = probe.nodes.iter().flat_map(|n| n.phy.pending()).map(|edge| edge.start).min();
+        let boundary = due.expect("the frame just sent is in flight toward its listeners");
+        assert!(boundary > sent);
+
+        let mut split = build();
+        split.run_until(boundary);
+        let heard =
+            |sim: &Simulator| sim.nodes.iter().map(|n| n.phy.active_receptions()).sum::<usize>();
+        assert!(heard(&split) > heard(&probe), "the boundary edge has been applied");
+        assert!(split.nodes.iter().flat_map(|n| n.phy.pending()).all(|e| e.start > boundary));
+        split.run_until(secs(2.0));
+        let mut whole = build();
+        whole.run_until(secs(2.0));
+        assert_eq!(split.trace_hash(), whole.trace_hash());
+        assert_eq!(split.perf(), whole.perf());
+        assert!(split.snapshot() == whole.snapshot(), "the two simulators differ somewhere");
     }
 
     /// An installed tie-order hook with an empty decision vector must be a

@@ -19,7 +19,7 @@ pub enum RxOutcome {
     NotDecodable,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Reception {
     tx_id: TxId,
     decodable: bool,
@@ -27,8 +27,45 @@ struct Reception {
     power: f64,
 }
 
+/// A signal on its way to a receiver: announced when the frame went on the
+/// air, its leading edge not yet applied to the receiver's state.
+///
+/// `(start, seq)` is the key of the scheduler entry the start edge would
+/// have been — `seq` is taken from the event queue at announce time
+/// (`EventQueue::reserve_seq`) — so a driver can order the edge against
+/// queued work exactly as the queue would have.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Arrival {
+    /// When the leading edge reaches the receiver.
+    pub start: SimTime,
+    /// The edge's place in the scheduler's FIFO order.
+    pub seq: u64,
+    /// The transmission the signal belongs to.
+    pub tx_id: TxId,
+    /// When the trailing edge reaches the receiver.
+    pub end: SimTime,
+    /// See [`PhyState::on_rx_start`].
+    pub decodable: bool,
+    /// Relative received power.
+    pub power: f64,
+}
+
+impl Arrival {
+    fn key(&self) -> (SimTime, u64) {
+        (self.start, self.seq)
+    }
+}
+
 /// The radio state of one node: whether it is transmitting, which signals
-/// currently impinge on it, and whether its carrier-sense reports busy.
+/// currently impinge on it, which are about to, and whether its
+/// carrier-sense reports busy.
+///
+/// A start edge touches nothing but this receiver, so it need not be a
+/// scheduler event of its own: [`Self::announce`] parks it and
+/// [`Self::settle`] applies, in `(start, seq)` order, every parked edge that
+/// precedes a given scheduler key. A driver that settles a node before each
+/// piece of work it runs there leaves the node in exactly the state eager
+/// [`Self::on_rx_start`] calls at each edge's own instant would have.
 ///
 /// The collision model includes *capture*, mirroring ns-2's wireless PHY:
 /// when two signals overlap at a receiver, the earlier one survives if it is
@@ -52,10 +89,13 @@ struct Reception {
 /// assert_eq!(phy.on_rx_end(TxId(1), t1), Some(RxOutcome::Decoded));
 /// assert!(!phy.carrier_busy(t1));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PhyState {
     transmitting_until: Option<SimTime>,
     receptions: Vec<Reception>,
+    /// Announced signals whose start edge is still to be applied, sorted by
+    /// `(start, seq)`.
+    pending: Vec<Arrival>,
     /// Latest instant at which any sensed signal (decodable or not) ends.
     energy_until: SimTime,
     /// Power ratio above which the stronger frame survives an overlap
@@ -68,6 +108,7 @@ impl Default for PhyState {
         PhyState {
             transmitting_until: None,
             receptions: Vec::new(),
+            pending: Vec::new(),
             energy_until: SimTime::ZERO,
             capture_ratio: 10.0,
         }
@@ -135,6 +176,48 @@ impl PhyState {
         self.energy_until = self.energy_until.max(end);
     }
 
+    /// Parks a signal whose start edge [`Self::settle`] will apply.
+    pub fn announce(&mut self, arrival: Arrival) {
+        // Edges mostly arrive in the order they were announced: walk back
+        // only past the ones a nearer sender has overtaken.
+        let at = self.pending.iter().rposition(|a| a.key() < arrival.key()).map_or(0, |i| i + 1);
+        self.pending.insert(at, arrival);
+    }
+
+    /// Applies, in `(start, seq)` order, the start edge of every announced
+    /// signal that precedes the scheduler key `(time, seq)`: one
+    /// [`Self::on_rx_start`] stamped with the arrival's own `start`, then
+    /// `heard` for the caller's bookkeeping of the same edge. With
+    /// `radio_on` false the due edges reach a receiver that is switched off
+    /// and are dropped unheard.
+    #[inline]
+    pub fn settle(
+        &mut self,
+        time: SimTime,
+        seq: u64,
+        radio_on: bool,
+        mut heard: impl FnMut(&Arrival),
+    ) {
+        let due = self.pending.iter().take_while(|a| a.key() < (time, seq)).count();
+        if due == 0 {
+            return;
+        }
+        for i in 0..due {
+            let a = self.pending[i];
+            if radio_on {
+                self.on_rx_start(a.tx_id, a.start, a.end, a.decodable, a.power);
+                heard(&a);
+            }
+        }
+        self.pending.drain(..due);
+    }
+
+    /// The announced signals whose start edge is still to come, in
+    /// `(start, seq)` order.
+    pub fn pending(&self) -> &[Arrival] {
+        &self.pending
+    }
+
     /// Completes a reception and reports its outcome, or `None` when the
     /// radio is not tracking `tx_id`: it was switched off
     /// ([`Self::radio_off`]) after the signal started, or was off when it
@@ -156,8 +239,11 @@ impl PhyState {
     /// was tracking and its sensed-energy horizon are forgotten, so carrier
     /// sense reads idle when it comes back. The end edges of the forgotten
     /// signals still arrive and find nothing ([`Self::on_rx_end`] returns
-    /// `None`). The node's own transmission, if one is on the air, is not
-    /// this receiver's business and runs out by itself.
+    /// `None`). Signals announced but still in flight are not touched here:
+    /// each is dropped when its edge comes due, if the radio is still off
+    /// then ([`Self::settle`] with `radio_on` false). The node's own
+    /// transmission, if one is on the air, is not this receiver's business
+    /// and runs out by itself.
     pub fn radio_off(&mut self) {
         self.receptions.clear();
         self.energy_until = SimTime::ZERO;
@@ -210,18 +296,56 @@ impl sim_core::Snapshotable for Reception {
     }
 }
 
+impl sim_core::Snapshotable for Arrival {
+    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
+        w.put(&self.start);
+        w.put_u64(self.seq);
+        w.put(&self.tx_id);
+        w.put(&self.end);
+        w.put_bool(self.decodable);
+        w.put_f64(self.power);
+    }
+
+    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
+        let arrival = Arrival {
+            start: r.get()?,
+            seq: r.take_u64()?,
+            tx_id: r.get()?,
+            end: r.get()?,
+            decodable: r.take_bool()?,
+            power: r.take_f64()?,
+        };
+        if arrival.end < arrival.start {
+            return Err(sim_core::SnapError::Invalid("pending arrival ends before it starts"));
+        }
+        if !arrival.power.is_finite() {
+            return Err(sim_core::SnapError::Invalid("pending arrival power"));
+        }
+        Ok(arrival)
+    }
+}
+
 impl sim_core::Snapshotable for PhyState {
     fn encode(&self, w: &mut sim_core::SnapshotWriter) {
         w.put(&self.transmitting_until);
         w.put(&self.receptions);
+        w.put(&self.pending);
         w.put(&self.energy_until);
         w.put_f64(self.capture_ratio);
     }
 
     fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
+        let transmitting_until = r.get()?;
+        let receptions = r.get()?;
+        let pending: Vec<Arrival> = r.get()?;
+        // `settle` stops at the first entry that is not due.
+        if pending.windows(2).any(|w| w[0].key() >= w[1].key()) {
+            return Err(sim_core::SnapError::Invalid("pending arrivals out of order"));
+        }
         Ok(PhyState {
-            transmitting_until: r.get()?,
-            receptions: r.get()?,
+            transmitting_until,
+            receptions,
+            pending,
             energy_until: r.get()?,
             capture_ratio: r.take_f64()?,
         })
@@ -351,6 +475,86 @@ mod tests {
         assert_eq!(phy.on_rx_end(TxId(2), t(300)), None);
     }
 
+    fn edge(start: u64, seq: u64, tx: u64, end: u64) -> Arrival {
+        Arrival { start: t(start), seq, tx_id: TxId(tx), end: t(end), decodable: true, power: 1.0 }
+    }
+
+    #[test]
+    fn settle_applies_what_precedes_the_key_in_key_order() {
+        let mut phy = PhyState::new();
+        // Announced out of key order: a nearer sender overtakes.
+        phy.announce(edge(50, 0, 1, 150));
+        phy.announce(edge(40, 2, 2, 140));
+        phy.announce(edge(50, 4, 3, 150));
+        let keys = |phy: &PhyState| phy.pending().iter().map(|a| a.seq).collect::<Vec<_>>();
+        assert_eq!(keys(&phy), [2, 0, 4]);
+        let mut heard = Vec::new();
+        // An event at t = 50 with seq 3 sits between the two t = 50 edges.
+        phy.settle(t(50), 3, true, |a| heard.push(a.tx_id.0));
+        assert_eq!(heard, [2, 1]);
+        assert_eq!(keys(&phy), [4], "the edge behind the key stays parked");
+        assert_eq!(phy.active_receptions(), 2);
+        assert!(phy.carrier_busy(t(50)));
+        phy.settle(t(50), 3, true, |_| unreachable!("nothing new is due"));
+        phy.settle(t(50), u64::MAX, true, |a| heard.push(a.tx_id.0));
+        assert_eq!(heard, [2, 1, 3]);
+        assert!(phy.pending().is_empty());
+    }
+
+    #[test]
+    fn edges_due_while_the_radio_is_off_are_dropped_unheard() {
+        let mut phy = PhyState::new();
+        phy.announce(edge(10, 0, 1, 100));
+        phy.announce(edge(30, 2, 2, 130));
+        phy.settle(t(20), 0, false, |_| unreachable!("an off radio hears nothing"));
+        assert_eq!(phy.active_receptions(), 0);
+        assert!(!phy.carrier_busy(t(20)));
+        assert_eq!(phy.pending().len(), 1, "the edge still in flight is not touched");
+        assert_eq!(phy.on_rx_end(TxId(1), t(100)), None);
+        phy.settle(t(40), 0, true, |_| {});
+        assert_eq!(phy.on_rx_end(TxId(2), t(130)), Some(RxOutcome::Decoded));
+    }
+
+    #[test]
+    fn pending_arrivals_round_trip_and_malformed_ones_are_refused() {
+        use sim_core::{SnapError, SnapshotReader, SnapshotWriter};
+        let encoded = |phy: &PhyState| {
+            let mut w = SnapshotWriter::new();
+            w.put(phy);
+            w.finish()
+        };
+        let decode = |bytes: &[u8]| SnapshotReader::new(bytes).get::<PhyState>();
+        let mut phy = PhyState::new();
+        phy.on_rx_start(TxId(7), t(0), t(90), true, 2.0);
+        phy.announce(edge(40, 2, 2, 140));
+        phy.announce(edge(50, 0, 1, 150));
+        assert_eq!(decode(&encoded(&phy)), Ok(phy.clone()));
+
+        let mut unsorted = phy.clone();
+        unsorted.pending.swap(0, 1);
+        assert_eq!(
+            decode(&encoded(&unsorted)),
+            Err(SnapError::Invalid("pending arrivals out of order"))
+        );
+        let mut twice = phy.clone();
+        twice.pending[1] = twice.pending[0];
+        assert_eq!(
+            decode(&encoded(&twice)),
+            Err(SnapError::Invalid("pending arrivals out of order"))
+        );
+        let mut backwards = phy.clone();
+        backwards.pending[0].end = t(39);
+        assert_eq!(
+            decode(&encoded(&backwards)),
+            Err(SnapError::Invalid("pending arrival ends before it starts"))
+        );
+        for power in [f64::NAN, f64::INFINITY] {
+            let mut odd = phy.clone();
+            odd.pending[1].power = power;
+            assert_eq!(decode(&encoded(&odd)), Err(SnapError::Invalid("pending arrival power")));
+        }
+    }
+
     #[test]
     fn three_way_collision() {
         let mut phy = PhyState::new();
@@ -465,6 +669,103 @@ mod proptests {
                     RxOutcome::NotDecodable => unreachable!(),
                 }
             }
+        }
+
+        /// Lazy start edges are exact. One receiver lives the same history
+        /// twice: eagerly, every start edge, end edge and own transmission
+        /// applied at its own `(time, seq)` key — the queue the simulator no
+        /// longer builds; lazily, start edges announced when the frame goes
+        /// on the air and settled before each end edge, transmission and
+        /// arbitrary extra key. Overlaps, capture ratios, half-duplex
+        /// corruption and same-instant ties included, both must report the
+        /// same outcomes, hear the edges in the same order and end in equal
+        /// states.
+        #[test]
+        fn settled_start_edges_match_eager_ones(
+            frames in proptest::collection::vec(
+                (0u64..300, 0u64..4, 1u64..60, any::<bool>(), 0usize..5), 1..24),
+            transmits in proptest::collection::vec((0u64..300, 1u64..40), 0..6),
+            extra_settles in proptest::collection::vec(0u64..400, 0..12),
+        ) {
+            const POWERS: [f64; 5] = [1.0 / 16.0, 1.0, 2.0, 10.0, 16.0];
+            #[derive(Clone, Copy)]
+            enum Act {
+                /// The frame goes on the air (lazy world only).
+                Announce(usize),
+                /// The frame's start edge comes due (eager world only).
+                Start(usize),
+                End(usize),
+                Transmit(u64),
+                Settle,
+            }
+            // Sequence numbers as the queue would issue them: a start edge
+            // and its end edge when the frame is sent, everything else when
+            // it happens to be scheduled — any total order will do.
+            let mut seq = 0u64;
+            let mut next_seq = || { seq += 1; seq };
+            let mut eager: Vec<((u64, u64), Act)> = Vec::new();
+            let mut lazy: Vec<((u64, u64), Act)> = Vec::new();
+            let mut arrivals = Vec::new();
+            for (i, &(sent, flight, airtime, decodable, power)) in frames.iter().enumerate() {
+                let (start, end) = (sent + flight, sent + flight + airtime);
+                let (start_seq, end_seq) = (next_seq(), next_seq());
+                arrivals.push(Arrival {
+                    start: SimTime::from_nanos(start),
+                    seq: start_seq,
+                    tx_id: TxId(i as u64),
+                    end: SimTime::from_nanos(end),
+                    decodable,
+                    power: POWERS[power],
+                });
+                eager.push(((start, start_seq), Act::Start(i)));
+                eager.push(((end, end_seq), Act::End(i)));
+                // Announced no later than the edge is due, under the same seq.
+                lazy.push(((sent, start_seq), Act::Announce(i)));
+                lazy.push(((end, end_seq), Act::End(i)));
+            }
+            for &(at, airtime) in &transmits {
+                let key = (at, next_seq());
+                eager.push((key, Act::Transmit(airtime)));
+                lazy.push((key, Act::Transmit(airtime)));
+            }
+            for &at in &extra_settles {
+                lazy.push(((at, next_seq()), Act::Settle));
+            }
+            eager.sort_by_key(|&(key, _)| key);
+            lazy.sort_by_key(|&(key, _)| key);
+
+            let run = |script: &[((u64, u64), Act)]| {
+                let mut phy = PhyState::new();
+                let mut heard = Vec::new();
+                let mut outcomes = vec![None; arrivals.len()];
+                for &((time, seq), act) in script {
+                    let now = SimTime::from_nanos(time);
+                    if !matches!(act, Act::Announce(_) | Act::Start(_)) {
+                        phy.settle(now, seq, true, |a| heard.push(a.tx_id));
+                    }
+                    match act {
+                        Act::Announce(i) => phy.announce(arrivals[i]),
+                        Act::Start(i) => {
+                            let a = arrivals[i];
+                            phy.on_rx_start(a.tx_id, a.start, a.end, a.decodable, a.power);
+                            heard.push(a.tx_id);
+                        }
+                        Act::End(i) => outcomes[i] = phy.on_rx_end(arrivals[i].tx_id, now),
+                        Act::Transmit(airtime) if !phy.is_transmitting(now) => {
+                            phy.begin_transmit(now, now + sim_core::SimDuration::from_nanos(airtime));
+                        }
+                        Act::Transmit(_) | Act::Settle => {}
+                    }
+                }
+                phy.settle(SimTime::MAX, u64::MAX, true, |a| heard.push(a.tx_id));
+                (phy, heard, outcomes)
+            };
+            let (eager_phy, eager_heard, eager_outcomes) = run(&eager);
+            let (lazy_phy, lazy_heard, lazy_outcomes) = run(&lazy);
+            prop_assert!(eager_outcomes.iter().all(Option::is_some));
+            prop_assert_eq!(lazy_outcomes, eager_outcomes);
+            prop_assert_eq!(lazy_heard, eager_heard);
+            prop_assert_eq!(lazy_phy, eager_phy);
         }
     }
 }

@@ -181,6 +181,24 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Issues the sequence number the next [`Self::push`] would have been
+    /// given, without queueing anything. A driver that applies some piece of
+    /// work lazily instead of scheduling it takes the work's place in the
+    /// FIFO order this way: whatever is pushed afterwards keeps exactly the
+    /// `(time, seq)` key it would have had, and the driver can order the
+    /// lazy work against popped entries by comparing keys.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// The sequence number the next push or [`Self::reserve_seq`] will be
+    /// given: every number issued so far is below it.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Inserts keeping the deque sorted by `(time, seq)`. Fresh pushes carry
     /// the largest `seq` so far, so this walks back only past strictly later
     /// times — O(1) for the common append case.
@@ -233,15 +251,16 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_nth(0)
+        self.pop_nth(0).map(|(time, _, event)| (time, event))
     }
 
-    /// Removes and returns the `n`-th event (FIFO order) among those tied at
-    /// the earliest pending time; `pop_nth(0)` is exactly [`Self::pop`].
-    /// Returns `None` when the queue is empty or `n` is outside the tie run
-    /// (the queue is untouched in that case). The remaining tied events keep
-    /// their original insertion sequence, so FIFO order among them survives.
-    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, E)> {
+    /// Removes the `n`-th event (FIFO order) among those tied at the
+    /// earliest pending time and returns it with its `(time, seq)` key;
+    /// `pop_nth(0)` pops what [`Self::pop`] pops. Returns `None` when the
+    /// queue is empty or `n` is outside the tie run (the queue is untouched
+    /// in that case). The remaining tied events keep their original
+    /// insertion sequence, so FIFO order among them survives.
+    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, u64, E)> {
         if self.len == 0 {
             return None;
         }
@@ -276,7 +295,7 @@ impl<E> EventQueue<E> {
                 self.hint.set(Some(Hint { time: head.time, bucket }));
             }
         }
-        Some((entry.time, entry.event))
+        Some((entry.time, entry.seq, entry.event))
     }
 
     /// Number of pending events tied at the earliest time (0 when empty).
@@ -441,6 +460,14 @@ impl<E> HeapQueue<E> {
         self.heap.push(Entry { time, seq, event });
     }
 
+    /// Issues the next sequence number without queueing anything (see
+    /// [`EventQueue::reserve_seq`]).
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
     /// Removes and returns the earliest event, or `None` if the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
@@ -449,11 +476,12 @@ impl<E> HeapQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// Removes and returns the `n`-th event (FIFO order) among those tied at
-    /// the earliest pending time (see [`EventQueue::pop_nth`]). The other
-    /// tied entries are re-inserted with their original sequence numbers, so
-    /// FIFO order among the survivors is preserved.
-    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, E)> {
+    /// Removes the `n`-th event (FIFO order) among those tied at the
+    /// earliest pending time and returns it with its `(time, seq)` key (see
+    /// [`EventQueue::pop_nth`]). The other tied entries are re-inserted with
+    /// their original sequence numbers, so FIFO order among the survivors
+    /// is preserved.
+    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, u64, E)> {
         let time = self.heap.peek()?.time;
         // The heap pops `(time, seq)` ascending, so draining the tie run
         // yields it already in FIFO order.
@@ -473,7 +501,7 @@ impl<E> HeapQueue<E> {
         self.heap.extend(tied);
         debug_assert!(entry.time >= self.last_popped, "event queue went backwards");
         self.last_popped = entry.time;
-        Some((entry.time, entry.event))
+        Some((entry.time, entry.seq, entry.event))
     }
 
     /// Number of pending events tied at the earliest time (0 when empty).
@@ -771,7 +799,7 @@ mod tests {
                 q.push(t(10), e);
             }
             q.push(t(20), 'z');
-            assert_eq!(q.pop_nth(2), Some((t(10), 'c')), "{kind}");
+            assert_eq!(q.pop_nth(2), Some((t(10), 2, 'c')), "{kind}: third pushed, seq 2");
             assert_eq!(q.pop_nth(4), None, "{kind}: out-of-run index must not pop");
             assert_eq!(q.len(), 4, "{kind}: failed pop_nth must not lose events");
             assert_eq!(q.pop(), Some((t(10), 'a')), "{kind}");
@@ -780,8 +808,25 @@ mod tests {
             assert_eq!(q.pop(), Some((t(20), 'z')), "{kind}");
             // Pushing at `now` after a pop_nth keeps working (cursor committed).
             q.push(t(20), 'y');
-            assert_eq!(q.pop_nth(0), Some((t(20), 'y')), "{kind}");
+            assert_eq!(q.pop_nth(0), Some((t(20), 5, 'y')), "{kind}");
         });
+    }
+
+    /// A reserved number is one no entry will ever carry: the pushes around
+    /// it keep the keys they would have had if it had been a push.
+    #[test]
+    fn reserve_seq_takes_a_place_in_the_fifo_order() {
+        on_both_queues!(|new, kind| {
+            let mut q = new();
+            q.push(t(10), 'a');
+            assert_eq!(q.reserve_seq(), 1, "{kind}");
+            q.push(t(10), 'b');
+            assert_eq!(q.reserve_seq(), 3, "{kind}");
+            assert_eq!(q.len(), 2, "{kind}: reserving queues nothing");
+            assert_eq!(q.pop_nth(1), Some((t(10), 2, 'b')), "{kind}");
+            assert_eq!(q.pop_nth(0), Some((t(10), 0, 'a')), "{kind}");
+        });
+        assert_eq!(EventQueue::<()>::new().next_seq(), 0);
     }
 
     #[test]
@@ -806,13 +851,13 @@ mod tests {
                     plain.push(t(base + delta), i);
                     nth.push(t(base + delta), i);
                 } else {
-                    assert_eq!(plain.pop(), nth.pop_nth(0), "{kind}");
+                    assert_eq!(plain.pop(), nth.pop_nth(0).map(|(t, _, e)| (t, e)), "{kind}");
                     assert_eq!(plain.now(), nth.now(), "{kind}");
                     assert_eq!(plain.peek_time(), nth.peek_time(), "{kind}");
                 }
             }
             loop {
-                let (a, b) = (plain.pop(), nth.pop_nth(0));
+                let (a, b) = (plain.pop(), nth.pop_nth(0).map(|(t, _, e)| (t, e)));
                 assert_eq!(a, b, "{kind}");
                 if a.is_none() {
                     break;

@@ -12,30 +12,25 @@
 //! deterministic given the seed and the decision vector.
 //!
 //! `sim_core` stays agnostic about what the events *are*: the driver
-//! classifies its own event type into [`TieClass`] fingerprints, and the
-//! independence relation over those fingerprints lives with the explorer
-//! (`faultline::mc`).
+//! classifies its own event type into [`TieClass`] fingerprints, which the
+//! choice log carries so a counter-example says what was tied with what.
 
 use crate::SimTime;
 
-/// Coarse behavioural class of one tied event, as declared by the driver.
-///
-/// The classes only need to be precise enough for a *sound* independence
-/// relation: when in doubt a driver must use a more conservative (more
-/// conflicting) class, never a less conflicting one.
+/// Coarse behavioural class of one tied event, as declared by the driver:
+/// how far beyond its own node the event's dispatch can reach. No two
+/// classes commute — each can transmit, draw the shared RNG stream or write
+/// shared state, so the position of every tied event matters and the
+/// explorer permutes them all. (A class for work that touches one node only
+/// existed for signal start edges; those are no longer scheduler events.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TieKind {
-    /// Pure listening bookkeeping: notes a signal arriving at the owning
-    /// node, touches only that node's state, never draws shared RNG, never
-    /// transmits and never schedules work for other nodes.
-    RxListen,
     /// General node work: may transmit, draw the shared RNG stream, or touch
-    /// a shared queue. Conflicts with every other `NodeWork`/`ChannelWrite`.
+    /// a shared queue.
     NodeWork,
     /// Writes shared channel state (e.g. mobility position updates).
     ChannelWrite,
-    /// Global events (sampling ticks, scripted faults, flow starts):
-    /// conflict with everything.
+    /// Global events (sampling ticks, scripted faults, flow starts).
     Global,
 }
 
@@ -54,7 +49,7 @@ impl TieClass {
         TieClass { node: Some(node), kind }
     }
 
-    /// A global fingerprint (conflicts with everything).
+    /// A global fingerprint.
     pub fn global() -> Self {
         TieClass { node: None, kind: TieKind::Global }
     }

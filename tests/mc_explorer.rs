@@ -4,10 +4,9 @@
 //! The first half drives the explorer over a *toy* scheduler — a real
 //! `EventQueue` popped through the same tie-order choke point as
 //! `netstack::Simulator` — where ground truth is computable: the branch
-//! count of an all-conflicting workload is the product of tie-group
-//! factorials, every decision vector must be distinct, every branch must
-//! replay to its recorded hash, and DPOR pruning must preserve the set of
-//! reachable final states. The second half runs the real simulator:
+//! count is the product of tie-group factorials, every decision vector
+//! must be distinct and every branch must replay to its recorded hash. The
+//! second half runs the real simulator:
 //! a window with no ties degenerates to exactly the plain corpus run
 //! (the hook is a pure wrapper), three corpus scripts are *proved* clean
 //! over a small window around their first fault, and the two tie races the
@@ -38,80 +37,49 @@ fn pop_toy(q: &mut EventQueue<ToyEvent>, order: &mut TieOrder) -> Option<(SimTim
             let mut group = Vec::new();
             q.for_each_tie(|e| group.push(e.class));
             let chosen = order.choose(t, group);
-            return q.pop_nth(chosen);
+            return q.pop_nth(chosen).map(|(t, _, ev)| (t, ev));
         }
     }
     q.pop()
 }
 
-/// Replays `batch` under `decisions` and returns the branch outcome plus a
-/// *state* digest. The trace hash folds the total dispatch order (every
-/// interleaving is distinguishable); the state digest folds only what a
-/// simulator would retain if `RxListen` events were truly node-local: the
-/// per-node dispatch orders plus the order of everything that touches
-/// shared state. Two interleavings that differ only by commuting listens
-/// across nodes agree on the state digest — that is exactly the equivalence
-/// the DPOR pruning is allowed to exploit.
-fn run_toy(batch: &[(u64, ToyEvent)], decisions: &[usize]) -> (BranchOutcome, u64) {
+/// Replays `batch` under `decisions`; the trace hash folds the total
+/// dispatch order, so every interleaving is distinguishable.
+fn run_toy(batch: &[(u64, ToyEvent)], decisions: &[usize]) -> BranchOutcome {
     let mut q = EventQueue::new();
     for &(at, ev) in batch {
         q.push(SimTime::from_nanos(at), ev);
     }
     let mut order = TieOrder::new(decisions.to_vec());
     let mut trace = TraceHash::new();
-    let mut node_logs: Vec<Vec<u32>> = vec![Vec::new(); 8];
-    let mut shared: Vec<u32> = Vec::new();
     while let Some((t, ev)) = pop_toy(&mut q, &mut order) {
         trace.write_u64(t.as_nanos());
         trace.write_u64(u64::from(ev.id));
-        match (ev.class.node, ev.class.kind) {
-            (Some(n), TieKind::RxListen) => node_logs[n as usize].push(ev.id),
-            (Some(n), _) => {
-                node_logs[n as usize].push(ev.id);
-                shared.push(ev.id);
-            }
-            (None, _) => shared.push(ev.id),
-        }
     }
-    let mut state = TraceHash::new();
-    for log in &node_logs {
-        state.write_u64(u64::MAX); // per-node log separator
-        for &id in log {
-            state.write_u64(u64::from(id));
-        }
+    BranchOutcome {
+        trace_hash: trace.digest(),
+        choices: order.into_choices(),
+        violations: Vec::new(),
     }
-    for &id in &shared {
-        state.write_u64(u64::from(id));
-    }
-    (
-        BranchOutcome {
-            trace_hash: trace.digest(),
-            choices: order.into_choices(),
-            violations: Vec::new(),
-        },
-        state.digest(),
-    )
 }
 
 /// Builds a toy batch from proptest picks: `times` are drawn from a tiny
-/// alphabet so ties actually form, ids stay unique so orders are
-/// distinguishable, and `listen[i]` decides each event's tie kind.
-fn toy_batch(times: &[u8], listen: &[bool], nodes: &[u8]) -> Vec<(u64, ToyEvent)> {
+/// alphabet so ties actually form, and ids stay unique so orders are
+/// distinguishable.
+fn toy_batch(times: &[u8], nodes: &[u8]) -> Vec<(u64, ToyEvent)> {
     times
         .iter()
-        .zip(listen)
         .zip(nodes)
         .enumerate()
-        .map(|(i, ((&t, &l), &n))| {
-            let kind = if l { TieKind::RxListen } else { TieKind::NodeWork };
-            let class = TieClass::node(u32::from(n % 4), kind);
+        .map(|(i, (&t, &n))| {
+            let class = TieClass::node(u32::from(n % 4), TieKind::NodeWork);
             (u64::from(t % 3) * 1_000, ToyEvent { id: i as u32, class })
         })
         .collect()
 }
 
 /// Product of k! over the tie-group sizes of `batch` — the exact number of
-/// interleavings when every pair of tied events conflicts.
+/// interleavings.
 fn factorial_product(batch: &[(u64, ToyEvent)]) -> usize {
     let mut counts = std::collections::BTreeMap::new();
     for &(at, _) in batch {
@@ -126,22 +94,18 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// All-conflicting workloads (every event `NodeWork`, so nothing is
-    /// prunable even across nodes): the explorer enumerates exactly the
-    /// product of tie-group factorials, every decision vector is distinct,
-    /// every total order is distinct, and replaying any recorded vector
-    /// reproduces its recorded hash.
+    /// The explorer enumerates exactly the product of tie-group factorials,
+    /// every decision vector is distinct, every total order is distinct,
+    /// and replaying any recorded vector reproduces its recorded hash.
     #[test]
     fn conflicting_ties_enumerate_the_exact_factorial_product(
         times in proptest::collection::vec(0u8..3, 2..6),
         nodes in proptest::collection::vec(any::<u8>(), 6),
     ) {
-        let listen = vec![false; times.len()];
-        let batch = toy_batch(&times, &listen, &nodes);
-        let verdict = mc::explore("toy", 1, &McConfig::default(), |_, d| run_toy(&batch, d).0);
+        let batch = toy_batch(&times, &nodes);
+        let verdict = mc::explore("toy", 1, &McConfig::default(), |_, d| run_toy(&batch, d));
         prop_assert!(verdict.proved());
         prop_assert_eq!(verdict.branches_explored, factorial_product(&batch));
-        prop_assert_eq!(verdict.branches_pruned, 0);
 
         let mut vectors: Vec<_> = verdict.log.iter().map(|r| r.decisions.clone()).collect();
         vectors.sort();
@@ -154,62 +118,11 @@ proptest! {
         prop_assert_eq!(hashes.len(), verdict.log.len(), "each branch is a distinct order");
 
         for rec in &verdict.log {
-            let (replay, _) = run_toy(&batch, &rec.decisions);
+            let replay = run_toy(&batch, &rec.decisions);
             prop_assert_eq!(replay.trace_hash, rec.trace_hash, "replay must reproduce the branch");
         }
     }
 
-    /// DPOR soundness: pruning independent promotions must not lose any
-    /// reachable final state. The pruned exploration (real classes) and an
-    /// unpruned one (the same events coarsened to all-conflicting for the
-    /// *search*, while execution semantics stay untouched) reach the same
-    /// set of state digests.
-    #[test]
-    fn pruning_preserves_the_reachable_state_set(
-        times in proptest::collection::vec(0u8..2, 2..5),
-        listen in proptest::collection::vec(any::<bool>(), 5),
-        nodes in proptest::collection::vec(any::<u8>(), 5),
-    ) {
-        let batch = toy_batch(&times, &listen, &nodes);
-        // Coarsened copy: same ids, times and *semantics-relevant* kinds are
-        // re-derived from `batch` inside run_toy via id lookup below, but the
-        // classes the TieOrder (and hence the pruner) sees are all NodeWork.
-        let coarse: Vec<(u64, ToyEvent)> = batch
-            .iter()
-            .map(|&(at, ev)| {
-                let node = ev.class.node.unwrap_or(0);
-                (at, ToyEvent { id: ev.id, class: TieClass::node(node, TieKind::NodeWork) })
-            })
-            .collect();
-        let real_kind = |id: u32| batch[id as usize].1.class.kind;
-
-        let mut pruned_states = std::collections::BTreeSet::new();
-        let pruned = mc::explore("pruned", 1, &McConfig::default(), |_, d| {
-            let (out, state) = run_toy(&batch, d);
-            pruned_states.insert(state);
-            out
-        });
-
-        // The unpruned run executes the *coarse* batch but must compute the
-        // state digest with the real kinds, so both explorations measure the
-        // same semantics. Re-run the real batch under the coarse vector: the
-        // queues hold identical (time, seq) entries, so any decision vector
-        // recorded against the coarse batch replays 1:1 against the real one.
-        let mut full_states = std::collections::BTreeSet::new();
-        let full = mc::explore("full", 1, &McConfig::default(), |_, d| {
-            let (out, _) = run_toy(&coarse, d);
-            let (_, state) = run_toy(&batch, d);
-            full_states.insert(state);
-            out
-        });
-
-        prop_assert!(pruned.proved() && full.proved());
-        prop_assert!(pruned.branches_explored <= full.branches_explored);
-        prop_assert_eq!(pruned_states, full_states, "pruning must not lose reachable states");
-        // Sanity on the coarsening: real kinds were consulted, not the coarse
-        // ones (otherwise the state digests could not distinguish listens).
-        let _ = real_kind(0);
-    }
 }
 
 // ---------------------------------------------------------------------------

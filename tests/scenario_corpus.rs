@@ -327,7 +327,7 @@ fn observable_digest_sees_a_flipped_tie_and_a_shifted_fault() {
     // kill of relay-crash, with packets in custody.
     let script = ScenarioScript::parse(include_str!("scenarios/relay-crash.scn")).unwrap();
     let mut shifted = script.clone();
-    shifted.events[0].at = shifted.events[0].at + SimDuration::from_millis(1);
+    shifted.events[0].at += SimDuration::from_millis(1);
     let (hash, seen, _) = run(&script, Vec::new());
     let (shifted_hash, shifted_seen, _) = run(&shifted, Vec::new());
     assert_ne!(shifted_hash, hash);
@@ -458,12 +458,11 @@ fn run_timer_toy(
     let mut trace = TraceHash::new();
     trace.write_u64(seed);
     loop {
-        // The same choke point as `Simulator::pop_event`: both events are
-        // same-node work, so nothing here is prunable.
+        // The same choke point as `Simulator::pop_event`.
         let popped = if q.tie_count() > 1 {
             let group = vec![TieClass::node(0, TieKind::NodeWork); q.tie_count()];
             let chosen = order.choose(q.peek_time().expect("tie implies a head"), group);
-            q.pop_nth(chosen)
+            q.pop_nth(chosen).map(|(now, _, ev)| (now, ev))
         } else {
             q.pop()
         };

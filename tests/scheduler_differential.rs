@@ -122,6 +122,53 @@ proptest! {
         }
     }
 
+    /// Sequence numbers are part of the contract now that a driver can take
+    /// one without queueing anything (`reserve_seq`) and order lazily
+    /// applied work against popped entries by `(time, seq)`: reservations
+    /// interleaved with pushes leave both queues issuing the same numbers,
+    /// every reserved number is one no entry carries, and `pop_nth(k)`
+    /// reports the key of the entry it chose — here predicted by a counter
+    /// the test keeps itself.
+    #[test]
+    fn reserved_seqs_keep_the_queues_in_lock_step(
+        ops in proptest::collection::vec((0u8..6, 0u64..4, 0usize..4), 1..200),
+    ) {
+        let mut calendar = EventQueue::new();
+        let mut heap = HeapQueue::new();
+        let mut issued = 0u64;
+        let mut reserved = Vec::new();
+        for &(kind, slot, pick) in &ops {
+            match kind {
+                // Coarse time slots: most pushes tie with an earlier one.
+                0..=2 => {
+                    let at = calendar.now() + SimDuration::from_nanos(slot * 1_000);
+                    // The payload is the seq the entry must be given.
+                    calendar.push(at, issued);
+                    heap.push(at, issued);
+                    issued += 1;
+                }
+                3 => {
+                    prop_assert_eq!(calendar.reserve_seq(), issued);
+                    prop_assert_eq!(heap.reserve_seq(), issued);
+                    reserved.push(issued);
+                    issued += 1;
+                }
+                _ => {
+                    prop_assert_eq!(calendar.tie_count(), heap.tie_count());
+                    let k = pick.min(calendar.tie_count().saturating_sub(1));
+                    let popped = calendar.pop_nth(k);
+                    prop_assert_eq!(popped, heap.pop_nth(k));
+                    if let Some((_, seq, payload)) = popped {
+                        prop_assert_eq!(seq, payload, "pop_nth reported another entry's seq");
+                        prop_assert!(!reserved.contains(&seq), "a reserved seq was queued");
+                    }
+                }
+            }
+            prop_assert_eq!(calendar.next_seq(), issued);
+            prop_assert_eq!(calendar.len(), heap.len());
+        }
+    }
+
     /// Ties at one timestamp pop in exact insertion order from both queues,
     /// regardless of how many other timestamps surround them.
     #[test]

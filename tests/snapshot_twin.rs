@@ -232,15 +232,17 @@ fn restore_rejects_a_config_mismatch() {
 }
 
 /// Formats v3 (scheduler- and index-kind bytes in the queue and channel
-/// blobs) and v4 (fault state as eight parallel fields, a third mobility
-/// plan tag) have no reader: the header is refused before any field is read.
+/// blobs), v4 (fault state as eight parallel fields, a third mobility plan
+/// tag) and v5 (signal start edges as queued events under tag 1, no pending
+/// arrivals in the PHY state) have no reader: the header is refused before
+/// any field is read.
 #[test]
 fn restore_rejects_the_previous_format_version() {
     let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
     let mut sim = build_sim(&script);
     sim.run_until(SimTime::from_secs_f64(0.5));
     let mut bytes = sim.snapshot();
-    for version in [3u16, 4] {
+    for version in [3u16, 4, 5] {
         bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 2]
             .copy_from_slice(&version.to_le_bytes());
         assert_eq!(build_sim(&script).restore(&bytes), Err(SnapError::UnsupportedVersion(version)));
@@ -372,4 +374,126 @@ fn queued_events_naming_missing_nodes_flows_or_faults_are_refused() {
             assert_eq!(twin.trace_hash(), sim.trace_hash(), "{what}: and the twin runs on");
         }
     }
+}
+
+/// Signal start edges are not queue entries: between a frame going on the
+/// air and its leading edge reaching a listener (at most 1.8 µs) they are
+/// parked in the listener's PHY state. A snapshot at an arbitrary instant
+/// holds none, so this one is cut at a `PhyTx` record's own timestamp: the
+/// edges of that transmission are in flight, the snapshot carries them —
+/// they are found in the bytes by their encoding — and the resumed run must
+/// equal the uninterrupted one in `trace_hash`, `RunPerf` and trace records.
+///
+/// The same bytes then serve as untrusted input: an arrival that is due, ends
+/// before it starts, has no finite power or carries a sequence number the
+/// queue never issued, and a queued event under the retired start-edge tag,
+/// are each refused with a typed error.
+#[test]
+fn a_cut_at_a_transmission_carries_its_start_edges_across() {
+    use tcp_muzha::tracelog::TraceRecord;
+
+    let build = || {
+        let mut sim = Simulator::new(topology::chain(3), SimConfig::default());
+        let (src, dst) = topology::chain_flow(3);
+        sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
+        sim
+    };
+    let end = SimTime::from_secs_f64(2.0);
+    let mut traced = build();
+    traced.install_trace_log(TraceLog::new());
+    traced.run_until(end);
+    let traced_log = traced.take_trace_log().expect("log was installed");
+    let t = traced_log
+        .iter()
+        .find(|e| e.at.as_nanos() > 1_000_000_000 && matches!(e.record, TraceRecord::PhyTx { .. }))
+        .map(|e| e.at)
+        .expect("a busy chain transmits after t = 1 s");
+
+    let mut straight = build();
+    straight.install_trace_log(TraceLog::new());
+    straight.run_until(t);
+    let bytes = straight.snapshot();
+    straight.run_until(end);
+    let straight_log = straight.take_trace_log().expect("log was installed");
+
+    let mut resumed = build();
+    resumed.restore(&bytes).expect("the cut restores");
+    resumed.install_trace_log(TraceLog::new());
+    resumed.run_until(end);
+    let resumed_log = resumed.take_trace_log().expect("log was installed");
+    assert_eq!(straight.trace_hash(), resumed.trace_hash());
+    assert_eq!(straight.trace_hash(), traced.trace_hash(), "and snapshotting changed nothing");
+    assert_eq!(straight.perf(), resumed.perf());
+    let suffix: Vec<TraceEntry> = straight_log.iter().filter(|e| e.at > t).copied().collect();
+    assert!(!suffix.is_empty());
+    assert_eq!(suffix, resumed_log.snapshot());
+
+    // A pending arrival: a start within the longest flight after `t`, a
+    // sequence number the run can have issued, a small transmission id, an
+    // end after the start, a bool, a power in (0, 1e6].
+    let u64_at = |at: usize| {
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(&bytes[at..at + 8]);
+        u64::from_le_bytes(raw)
+    };
+    let issued = straight.perf().events_processed * 8;
+    let arrivals: Vec<usize> = (0..bytes.len().saturating_sub(41))
+        .filter(|&i| {
+            let (start, power) = (u64_at(i), f64::from_bits(u64_at(i + 33)));
+            (t.as_nanos() + 1..=t.as_nanos() + 1_800).contains(&start)
+                && u64_at(i + 8) < issued
+                && u64_at(i + 16) < issued
+                && u64_at(i + 24) > start
+                && bytes[i + 32] <= 1
+                && power > 0.0
+                && power <= 1e6
+        })
+        .collect();
+    assert!(!arrivals.is_empty(), "the snapshot at {t} carries no start edge in flight");
+
+    let refused = |mutated: &[u8]| {
+        let mut twin = build();
+        let err = twin.restore(mutated).expect_err("malformed bytes must not restore");
+        twin.run_until(end);
+        assert_eq!(twin.trace_hash(), traced.trace_hash(), "a refused restore changes nothing");
+        err
+    };
+    let put = |at: usize, value: u64| {
+        let mut mutated = bytes.clone();
+        mutated[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        mutated
+    };
+    for &at in &arrivals {
+        assert_eq!(
+            refused(&put(at, t.as_nanos())),
+            SnapError::Invalid("pending arrival not after now")
+        );
+        assert_eq!(
+            refused(&put(at + 24, u64_at(at) - 1)),
+            SnapError::Invalid("pending arrival ends before it starts")
+        );
+        assert_eq!(
+            refused(&put(at + 33, f64::NAN.to_bits())),
+            SnapError::Invalid("pending arrival power")
+        );
+        assert_eq!(
+            refused(&put(at + 8, u64::MAX)),
+            SnapError::Invalid("pending arrival seq from the future")
+        );
+    }
+
+    // The transmission's end edges are queued (tag 2) well after `t`; under
+    // tag 1 they would be the start-edge events v5 queued.
+    let retagged = (0..bytes.len().saturating_sub(17))
+        .filter(|&i| {
+            (t.as_nanos() + 1..=t.as_nanos() + 10_000_000).contains(&u64_at(i))
+                && u64_at(i + 8) < issued
+                && bytes[i + 16] == 2
+        })
+        .any(|i| {
+            let mut mutated = bytes.clone();
+            mutated[i + 16] = 1;
+            build().restore(&mutated) == Err(SnapError::Invalid("event tag"))
+        });
+    assert!(retagged, "no end edge queued at {t} to retag as a start edge");
 }
