@@ -334,9 +334,6 @@ impl Simulator {
     /// the never-materialised queue entries would have left it in.
     fn settle(&mut self, node: NodeId, time: SimTime, seq: u64) {
         let Node { phy, busy, mac, .. } = &mut self.nodes[node.index()];
-        if phy.pending().is_empty() {
-            return;
-        }
         phy.settle(time, seq, self.fault.is_up(node), |edge| {
             busy.note(edge.start, edge.end);
             mac.on_medium_busy(edge.start);

@@ -202,9 +202,9 @@ impl PhyState {
         if due == 0 {
             return;
         }
-        for i in 0..due {
-            let a = self.pending[i];
-            if radio_on {
+        if radio_on {
+            for i in 0..due {
+                let a = self.pending[i];
                 self.on_rx_start(a.tx_id, a.start, a.end, a.decodable, a.power);
                 heard(&a);
             }

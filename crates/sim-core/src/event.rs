@@ -162,8 +162,7 @@ impl<E> EventQueue<E> {
             "scheduled event at {time} before current time {}: {event:?}",
             self.last_popped
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
         if self.len + 1 > self.buckets.len() * 2 {
             self.resize(self.buckets.len() * 2);
         }
@@ -455,8 +454,7 @@ impl<E> HeapQueue<E> {
             "scheduled event at {time} before current time {}: {event:?}",
             self.last_popped
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
         self.heap.push(Entry { time, seq, event });
     }
 

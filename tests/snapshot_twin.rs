@@ -208,6 +208,14 @@ fn mobile_run_resumes_bit_identically() {
     }
 }
 
+/// The little-endian `u64` at byte `at` of a snapshot — how the tests below
+/// find fields by their encoding instead of by offset.
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(raw)
+}
+
 /// A snapshot refuses to restore into a simulator built under a different
 /// configuration or topology — the fingerprint gate.
 #[test]
@@ -329,11 +337,7 @@ fn queued_events_naming_missing_nodes_flows_or_faults_are_refused() {
     let bytes = sim.snapshot();
     let pushed = sim.perf().events_processed * 8;
 
-    let u64_at = |at: usize| {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&bytes[at..at + 8]);
-        u64::from_le_bytes(raw)
-    };
+    let u64_at = |at: usize| u64_at(&bytes, at);
     // Offsets just past `time, seq, tag` of every queued event of kind `tag`.
     let queued = |tag: u8| -> Vec<usize> {
         (0..bytes.len().saturating_sub(32))
@@ -431,11 +435,7 @@ fn a_cut_at_a_transmission_carries_its_start_edges_across() {
     // A pending arrival: a start within the longest flight after `t`, a
     // sequence number the run can have issued, a small transmission id, an
     // end after the start, a bool, a power in (0, 1e6].
-    let u64_at = |at: usize| {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&bytes[at..at + 8]);
-        u64::from_le_bytes(raw)
-    };
+    let u64_at = |at: usize| u64_at(&bytes, at);
     let issued = straight.perf().events_processed * 8;
     let arrivals: Vec<usize> = (0..bytes.len().saturating_sub(41))
         .filter(|&i| {
