@@ -2,90 +2,15 @@
 
 use aodv::AodvConfig;
 use mac80211::MacParams;
-use muzha::{AdjustmentCadence, DraiConfig};
+use muzha::DraiConfig;
 
 use crate::RedConfig;
 use phy::RadioParams;
 use sim_core::{SimDuration, SimTime};
-use tcp::{TcpConfig, VegasConfig};
+pub use tcp::TcpVariant;
+use tcp::{AdjustmentCadence, TcpConfig, VegasConfig};
 use topo::{MobilitySpec, TopologySpec};
 use wire::NodeId;
-
-/// Which TCP sender implementation a flow uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TcpVariant {
-    /// TCP Tahoe (no fast recovery; background §2.1).
-    Tahoe,
-    /// TCP Reno.
-    Reno,
-    /// TCP NewReno (the paper's main baseline).
-    NewReno,
-    /// TCP SACK.
-    Sack,
-    /// TCP Vegas.
-    Vegas,
-    /// TCP Veno (end-to-end loss discrimination, paper ref. \[22\]).
-    Veno,
-    /// TCP Westwood+ (bandwidth-estimation decrease, paper ref. \[24\]).
-    Westwood,
-    /// TCP-DOOR (out-of-order route-change detection, paper ref. \[39\]).
-    Door,
-    /// TCP Muzha (the paper's contribution).
-    Muzha,
-}
-
-impl TcpVariant {
-    /// All implemented variants.
-    pub const ALL: [TcpVariant; 9] = [
-        TcpVariant::Tahoe,
-        TcpVariant::Reno,
-        TcpVariant::NewReno,
-        TcpVariant::Sack,
-        TcpVariant::Vegas,
-        TcpVariant::Veno,
-        TcpVariant::Westwood,
-        TcpVariant::Door,
-        TcpVariant::Muzha,
-    ];
-
-    /// The variants compared in the paper's figures (Reno itself is
-    /// subsumed by NewReno there).
-    pub const PAPER: [TcpVariant; 4] =
-        [TcpVariant::NewReno, TcpVariant::Sack, TcpVariant::Vegas, TcpVariant::Muzha];
-
-    /// Display name matching the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            TcpVariant::Tahoe => "Tahoe",
-            TcpVariant::Reno => "Reno",
-            TcpVariant::NewReno => "NewReno",
-            TcpVariant::Sack => "SACK",
-            TcpVariant::Vegas => "Vegas",
-            TcpVariant::Veno => "Veno",
-            TcpVariant::Westwood => "Westwood",
-            TcpVariant::Door => "DOOR",
-            TcpVariant::Muzha => "Muzha",
-        }
-    }
-}
-
-impl std::fmt::Display for TcpVariant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl sim_core::Snapshotable for TcpVariant {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        let tag = TcpVariant::ALL.iter().position(|v| v == self).unwrap_or(0) as u8;
-        w.put_u8(tag);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let tag = r.take_u8()? as usize;
-        TcpVariant::ALL.get(tag).copied().ok_or(sim_core::SnapError::Invalid("tcp variant tag"))
-    }
-}
 
 /// Which queueing discipline every node's interface queue uses.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -317,14 +242,6 @@ mod tests {
         let cfg = SimConfig::default().with_radio(radio);
         cfg.validate();
         assert_eq!(cfg.mac.data_rate_bps, 11_000_000);
-    }
-
-    #[test]
-    fn variant_names() {
-        assert_eq!(TcpVariant::Muzha.name(), "Muzha");
-        assert_eq!(TcpVariant::NewReno.to_string(), "NewReno");
-        assert_eq!(TcpVariant::ALL.len(), 9);
-        assert_eq!(TcpVariant::PAPER.len(), 4);
     }
 
     #[test]

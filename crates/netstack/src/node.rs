@@ -3,23 +3,18 @@
 
 use aodv::Aodv;
 use mac80211::Mac;
-use muzha::{MuzhaSender, RouterAgent};
+use muzha::RouterAgent;
 use phy::PhyState;
 use sim_core::{DetMap, SimRng, SimTime, SnapError, SnapshotReader, SnapshotWriter};
-use tcp::{
-    DoorSender, RenoSender, SackSender, TcpReceiver, Transport, VegasSender, VenoSender,
-    WestwoodSender,
-};
+use tcp::{Sender, TcpReceiver};
 use wire::{FlowId, NodeId, Packet, UidGen};
 
 use crate::config::QueueDiscipline;
-use crate::{
-    BusyTracker, DropTailQueue, FlowSpec, RedConfig, RedOutcome, RedQueue, SimConfig, TcpVariant,
-};
+use crate::{BusyTracker, DropTailQueue, FlowSpec, RedConfig, RedOutcome, RedQueue, SimConfig};
 
 pub(crate) struct SenderEndpoint {
     pub(crate) dst: NodeId,
-    pub(crate) transport: Box<dyn Transport>,
+    pub(crate) transport: Sender,
     /// Samples of `transport.cwnd_trace()` already mirrored into the trace
     /// log as `TraceRecord::TcpCwnd` records.
     pub(crate) traced_cwnd: usize,
@@ -108,25 +103,6 @@ pub(crate) struct Node {
     pub(crate) routing_drops: u64,
 }
 
-/// Builds the sender implementation a flow spec asks for. Shared by
-/// `Simulator::add_flow` and snapshot restore, which must reconstruct the
-/// exact same variant before handing it the serialized state.
-pub(crate) fn make_transport(flow: FlowId, spec: &FlowSpec) -> Box<dyn Transport> {
-    match spec.variant {
-        TcpVariant::Tahoe => Box::new(RenoSender::tahoe(flow, spec.tcp)),
-        TcpVariant::Reno => Box::new(RenoSender::reno(flow, spec.tcp)),
-        TcpVariant::NewReno => Box::new(RenoSender::new_reno(flow, spec.tcp)),
-        TcpVariant::Sack => Box::new(SackSender::new(flow, spec.tcp)),
-        TcpVariant::Vegas => Box::new(VegasSender::new(flow, spec.tcp, spec.vegas)),
-        TcpVariant::Veno => Box::new(VenoSender::new(flow, spec.tcp)),
-        TcpVariant::Westwood => Box::new(WestwoodSender::new(flow, spec.tcp)),
-        TcpVariant::Door => Box::new(DoorSender::new(flow, spec.tcp)),
-        TcpVariant::Muzha => {
-            Box::new(MuzhaSender::with_cadence(flow, spec.tcp, spec.muzha_cadence))
-        }
-    }
-}
-
 impl Node {
     /// A fresh stack for node `id`; the MAC's backoff stream forks off `rng`.
     pub(crate) fn new(id: NodeId, cfg: &SimConfig, rng: &mut SimRng) -> Node {
@@ -186,8 +162,8 @@ impl Node {
     }
 
     /// Decodes one node's state. `flows` is the already-decoded flow table:
-    /// each serialized sender names its flow, whose spec determines which
-    /// transport variant to rebuild before restoring its state into it.
+    /// each serialized sender names its flow, whose spec says which variant
+    /// its record must be for.
     /// `index` is the node's own position, used to reject snapshots whose
     /// endpoints landed on the wrong node.
     pub(crate) fn decode_state(
@@ -216,8 +192,7 @@ impl Node {
             if spec.src.index() != index || spec.dst != dst {
                 return Err(SnapError::Invalid("sender endpoint mismatch"));
             }
-            let mut transport = make_transport(flow, spec);
-            transport.restore_state(r)?;
+            let transport = Sender::decode_state(r, flow, spec.variant)?;
             senders.insert(flow, SenderEndpoint { dst, transport, traced_cwnd });
         }
         let mut receivers = DetMap::new();
@@ -249,7 +224,7 @@ impl Node {
 #[cfg(test)]
 mod red_integration_tests {
     use super::*;
-    use crate::{topology, Simulator};
+    use crate::{topology, Simulator, TcpVariant};
 
     fn secs(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)

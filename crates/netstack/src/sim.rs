@@ -9,7 +9,7 @@ use faultline::{CheckEvent, InvariantChecker};
 use mac80211::{MacOutput, MediumView};
 use phy::{Arrival, Channel, Position, RxOutcome, TxId};
 use sim_core::{DetMap, EventQueue, RunPerf, SimRng, SimTime, TieOrder, TraceHash};
-use tcp::{TcpOutput, TcpReceiver};
+use tcp::{Sender, TcpOutput, TcpReceiver, Transport};
 use topo::MobilitySpec;
 use tracelog::{PacketKind, TraceLog, TraceRecord};
 use wire::{
@@ -19,7 +19,7 @@ use wire::{
 use crate::event::{Event, Owner};
 use crate::fault::FaultState;
 use crate::mobility::Movement;
-use crate::node::{make_transport, IfqPush, Node, ReceiverEndpoint, SenderEndpoint};
+use crate::node::{IfqPush, Node, ReceiverEndpoint, SenderEndpoint};
 use crate::{FlowReport, FlowSpec, NodeSummary, RandomWaypoint, SimConfig, TcpVariant};
 
 /// The simulator: a set of nodes on a shared radio channel plus the global
@@ -148,7 +148,7 @@ impl Simulator {
         assert!(spec.dst.index() < self.nodes.len(), "flow dst out of range");
         assert_ne!(spec.src, spec.dst, "flow endpoints must differ");
         let flow = FlowId::new(self.flows.len() as u32);
-        let transport = make_transport(flow, &spec);
+        let transport = Sender::new(flow, spec.variant, spec.tcp, spec.vegas, spec.muzha_cadence);
         self.nodes[spec.src.index()]
             .senders
             .insert(flow, SenderEndpoint { dst: spec.dst, transport, traced_cwnd: 0 });

@@ -1,4 +1,4 @@
-//! Sender bookkeeping shared by every TCP variant.
+//! The sender's sequence, RTT and timer bookkeeping.
 
 use sim_core::stats::TimeSeries;
 use sim_core::{DetMap, SimDuration, SimTime};
@@ -6,11 +6,10 @@ use wire::{Drai, FlowId, TcpSegment, TcpSegmentKind};
 
 use crate::{RttEstimator, TcpConfig, TcpOutput, TcpStats, TcpTimer};
 
-/// Sequence, timing and timer bookkeeping common to all sender variants.
-///
-/// Variants own one `SendState` and layer their congestion control on top.
-/// Sequence numbers are in segments; `una` is the lowest unacknowledged
-/// segment, `nxt` the next fresh segment to transmit.
+/// Sequence, timing and timer bookkeeping of a [`crate::Sender`], readable
+/// from outside through [`crate::Transport::send_state`]; only the sender
+/// changes it. Sequence numbers are in segments; `una` is the lowest
+/// unacknowledged segment, `nxt` the next fresh segment to transmit.
 #[derive(Debug)]
 pub struct SendState {
     /// Lowest unacknowledged segment.
@@ -18,11 +17,11 @@ pub struct SendState {
     /// Next fresh (never sent) segment.
     pub nxt: u64,
     /// Consecutive duplicate ACK count.
-    pub dupacks: u32,
+    pub(crate) dupacks: u32,
     /// RTT estimation and RTO computation.
-    pub rtt: RttEstimator,
+    pub(crate) rtt: RttEstimator,
     /// Counters.
-    pub stats: TcpStats,
+    pub(crate) stats: TcpStats,
     cfg: TcpConfig,
     high_water: u64,
     consecutive_timeouts: u32,
@@ -38,7 +37,7 @@ pub struct SendState {
 
 impl SendState {
     /// Creates fresh state for one flow.
-    pub fn new(cfg: TcpConfig) -> Self {
+    pub(crate) fn new(cfg: TcpConfig) -> Self {
         cfg.validate();
         SendState {
             una: 0,
@@ -82,13 +81,13 @@ impl SendState {
 
     /// Data segment `seq` of `flow`. `avbw` is the initial AVBW-S option a
     /// router-assisted variant stamps on its data (`None` for plain TCP).
-    pub fn make_segment(&self, flow: FlowId, seq: u64, avbw: Option<Drai>) -> TcpSegment {
+    pub(crate) fn make_segment(&self, flow: FlowId, seq: u64, avbw: Option<Drai>) -> TcpSegment {
         TcpSegment::data(flow, seq, self.cfg.payload_bytes, avbw)
     }
 
     /// Sends fresh segments while the window `min(cwnd, advertised)` has
     /// room, then makes sure the retransmission timer covers the flight.
-    pub fn send_fresh(
+    pub(crate) fn send_fresh(
         &mut self,
         flow: FlowId,
         avbw: Option<Drai>,
@@ -109,7 +108,7 @@ impl SendState {
 
     /// Resends segment `seq`, flagged as a retransmission. Timer handling is
     /// the caller's: variants differ on whether a resend re-arms it.
-    pub fn retransmit(
+    pub(crate) fn retransmit(
         &mut self,
         flow: FlowId,
         avbw: Option<Drai>,
@@ -130,7 +129,7 @@ impl SendState {
     ///
     /// Retransmissions are excluded from RTT sampling (Karn's algorithm)
     /// and counted in the retransmission statistic.
-    pub fn register_send(&mut self, seq: u64, now: SimTime) -> bool {
+    pub(crate) fn register_send(&mut self, seq: u64, now: SimTime) -> bool {
         let retransmit = seq < self.high_water;
         self.high_water = self.high_water.max(seq + 1);
         self.stats.segments_sent += 1;
@@ -154,7 +153,7 @@ impl SendState {
     /// Returns `None` if the ACK does not advance `una` — it is old, or it
     /// acknowledges data never sent (RFC 793: such an ACK is dropped; taking
     /// it would empty the flight and let the window refill without bound).
-    pub fn advance_una(&mut self, ack: u64, now: SimTime) -> Option<SimDuration> {
+    pub(crate) fn advance_una(&mut self, ack: u64, now: SimTime) -> Option<SimDuration> {
         if ack <= self.una || ack > self.high_water {
             return None;
         }
@@ -175,7 +174,7 @@ impl SendState {
     }
 
     /// Records a duplicate ACK and returns the new count.
-    pub fn register_dupack(&mut self) -> u32 {
+    pub(crate) fn register_dupack(&mut self) -> u32 {
         self.dupacks += 1;
         self.stats.dupacks += 1;
         self.dupacks
@@ -184,7 +183,7 @@ impl SendState {
     /// Arms (or re-arms) the retransmission timer to fire one RTO from now,
     /// pushing the `SetTimer` output. Re-arming tombstones the previously
     /// armed id: its queued event will pop stale.
-    pub fn arm_timer(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
+    pub(crate) fn arm_timer(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
         let id = TcpTimer(self.next_timer_id);
         self.next_timer_id += 1;
         if self.armed_timer.replace(id).is_some() {
@@ -194,14 +193,14 @@ impl SendState {
     }
 
     /// Arms the timer only if none is pending.
-    pub fn ensure_timer(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
+    pub(crate) fn ensure_timer(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
         if self.armed_timer.is_none() {
             self.arm_timer(now, out);
         }
     }
 
     /// Cancels the pending timer (future firings of old ids are stale).
-    pub fn cancel_timer(&mut self) {
+    pub(crate) fn cancel_timer(&mut self) {
         if self.armed_timer.take().is_some() {
             self.cancelled_timers += 1;
         }
@@ -221,7 +220,7 @@ impl SendState {
     }
 
     /// Whether `id` is the currently armed timer; consumes it if so.
-    pub fn take_timer_if_current(&mut self, id: TcpTimer) -> bool {
+    pub(crate) fn take_timer_if_current(&mut self, id: TcpTimer) -> bool {
         if self.armed_timer == Some(id) {
             self.armed_timer = None;
             true
@@ -232,7 +231,7 @@ impl SendState {
 
     /// Invalidates all pending RTT samples (after a timeout, every
     /// outstanding segment is ambiguous).
-    pub fn clear_rtt_candidates(&mut self) {
+    pub(crate) fn clear_rtt_candidates(&mut self) {
         self.send_times.clear();
     }
 
@@ -241,7 +240,7 @@ impl SendState {
     /// is at least the second consecutive timeout — consecutive timeouts
     /// are read as a route loss, so the timer is held to probe promptly
     /// once the route returns.
-    pub fn note_timeout(&mut self) {
+    pub(crate) fn note_timeout(&mut self) {
         self.consecutive_timeouts += 1;
         if self.cfg.fixed_rto && self.consecutive_timeouts >= 2 {
             return;
@@ -255,7 +254,7 @@ impl SendState {
     }
 
     /// Records the congestion window for the trace (skips no-op changes).
-    pub fn trace_cwnd(&mut self, now: SimTime, cwnd: f64) {
+    pub(crate) fn trace_cwnd(&mut self, now: SimTime, cwnd: f64) {
         if (cwnd - self.last_traced_cwnd).abs() > f64::EPSILON || self.cwnd_trace.is_empty() {
             self.cwnd_trace.record(now, cwnd);
             self.last_traced_cwnd = cwnd;

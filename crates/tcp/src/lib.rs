@@ -1,27 +1,34 @@
-//! TCP transport agents: the baselines the paper evaluates against.
+//! TCP transport agents: the baselines the paper evaluates against, and the
+//! end-host halves of TCP Muzha.
 //!
 //! Like ns-2 (which the paper used), TCP is modelled with *one-way agents at
 //! segment granularity*: a sender paired with a receiver ("sink"); sequence
 //! numbers count segments; the congestion window is in segments. An infinite
 //! backlog (FTP) is assumed — the sender always has data.
 //!
-//! Implemented senders:
+//! There is one sender, [`Sender`], which owns what every variant shares
+//! (sequence space, timers, the dup-ACK count, fast-recovery bracketing,
+//! go-back-N on timeout) and delegates the window arithmetic to one of a
+//! closed set of policies, selected by [`TcpVariant`]:
 //!
-//! * [`RenoSender`] — slow start, congestion avoidance, fast retransmit,
-//!   fast recovery; with the NewReno partial-ACK modification toggled on it
-//!   becomes **TCP NewReno** (the paper's main baseline),
-//! * [`SackSender`] — selective acknowledgements with a scoreboard and pipe
-//!   algorithm (ns-2 `sack1` style),
-//! * [`VegasSender`] — RTT-based congestion avoidance with α/β thresholds,
+//! * **Tahoe / Reno / NewReno** — slow start, congestion avoidance, fast
+//!   retransmit and (Reno, NewReno) fast recovery; NewReno, with its
+//!   partial-ACK modification, is the paper's main baseline,
+//! * **SACK** — selective acknowledgements with a scoreboard (ns-2 `sack1`
+//!   style),
+//! * **Vegas** — RTT-based congestion avoidance with α/β thresholds,
 //!   slow-start every other RTT and the γ early-exit,
-//! * [`VenoSender`] — the paper's cited end-to-end rival (\[22\]): Vegas's
+//! * **Veno** — the paper's cited end-to-end rival (\[22\]): Vegas's
 //!   backlog estimate used to *discriminate* random from congestion losses,
-//! * [`WestwoodSender`] — bandwidth-estimation decrease (\[24\]),
-//! * [`DoorSender`] — TCP-DOOR (\[39\]): out-of-order delivery treated as a
-//!   route-change signal (§3.1).
-//!
-//! TCP Muzha lives in the `muzha` crate and implements the same
-//! [`Transport`] interface.
+//! * **Westwood+** — bandwidth-estimation decrease (\[24\]),
+//! * **TCP-DOOR** (\[39\]) — out-of-order delivery treated as a
+//!   route-change signal (§3.1),
+//! * **Muzha** — the paper's contribution, sender half: the window moves by
+//!   the routers' recommendation echoed in every ACK (Tables 4.1, 5.2). It
+//!   lives here because it needs nothing but `wire::Drai` and because its
+//!   receiver half — [`TcpReceiver`] echoing the MRAI and the mark — already
+//!   does; the router half (DRAI computation, the AVBW-S fold, marking) is
+//!   the `muzha` crate.
 //!
 //! All agents are pure state machines: the `netstack` crate wraps emitted
 //! segments into packets, routes them, and fires timers.
@@ -31,24 +38,16 @@
 
 mod common;
 mod config;
-mod door;
 mod output;
 mod receiver;
-mod reno;
 mod rtt;
-mod sack;
-mod vegas;
-mod veno;
-mod westwood;
+mod sender;
+mod variant;
 
 pub use common::SendState;
 pub use config::{TcpConfig, VegasConfig};
-pub use door::DoorSender;
 pub use output::{TcpOutput, TcpStats, TcpTimer, Transport};
 pub use receiver::{DelAckTimer, ReceiverOutput, TcpReceiver};
-pub use reno::{RenoFlavor, RenoSender};
 pub use rtt::RttEstimator;
-pub use sack::SackSender;
-pub use vegas::VegasSender;
-pub use veno::VenoSender;
-pub use westwood::WestwoodSender;
+pub use sender::{RenoSender, Sender};
+pub use variant::{AdjustmentCadence, TcpVariant};

@@ -44,10 +44,9 @@ pub struct TcpStats {
     pub dupacks: u64,
 }
 
-/// A one-way TCP sender agent with an infinite (FTP) backlog.
-///
-/// Implementations: [`crate::RenoSender`] (Reno / NewReno),
-/// [`crate::SackSender`], [`crate::VegasSender`], and `muzha::MuzhaSender`.
+/// A one-way TCP sender agent with an infinite (FTP) backlog: the
+/// interface the driver and the observers see of [`crate::Sender`], its one
+/// implementation.
 pub trait Transport: std::fmt::Debug {
     /// Human-readable variant name ("NewReno", "Vegas", ...).
     fn name(&self) -> &'static str;
@@ -106,42 +105,11 @@ pub trait Transport: std::fmt::Debug {
 
     /// The slow-start threshold in segments, for variants that maintain one
     /// (Vegas and Muzha do not). Consumed by the runtime invariant checker.
-    fn ssthresh(&self) -> Option<f64> {
-        None
-    }
+    fn ssthresh(&self) -> Option<f64>;
 
     /// A short label for the congestion-control phase the sender is in,
-    /// recorded in trace snapshots. The default derives slow start vs.
-    /// congestion avoidance from `cwnd`/`ssthresh`; variants with richer
-    /// state (fast recovery, rate control) override it.
-    fn phase(&self) -> &'static str {
-        match self.ssthresh() {
-            Some(ss) if self.cwnd() < ss => "slow-start",
-            Some(_) => "congestion-avoidance",
-            None => "steady",
-        }
-    }
-
-    /// Serialises the sender's complete mutable state (sequence space,
-    /// congestion state, RTT estimator, timer bookkeeping, traces) into
-    /// `w`. Object-safe counterpart of [`sim_core::Snapshotable::encode`]
-    /// for trait-object transports.
-    fn encode_state(&self, w: &mut sim_core::SnapshotWriter);
-
-    /// Overwrites this sender's mutable state from bytes written by
-    /// [`Transport::encode_state`] on a sender of the same variant.
-    /// The caller (the simulator's restore path) reconstructs the right
-    /// variant from the serialized flow table first, so a tag mismatch
-    /// here means a corrupted snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Any [`sim_core::SnapError`] on truncated or out-of-domain input;
-    /// `self` may be partially overwritten on error and must be discarded.
-    fn restore_state(
-        &mut self,
-        r: &mut sim_core::SnapshotReader<'_>,
-    ) -> Result<(), sim_core::SnapError>;
+    /// recorded in trace snapshots.
+    fn phase(&self) -> &'static str;
 }
 
 impl sim_core::Snapshotable for TcpTimer {

@@ -13,12 +13,11 @@
 //! `TcpOutput`s rather than whole-simulation hashes. It folds no snapshot
 //! byte, so a snapshot format change leaves it alone.
 
-use tcp_muzha::muzha::{AdjustmentCadence, MuzhaSender};
+use tcp_muzha::muzha::AdjustmentCadence;
 use tcp_muzha::net::TcpVariant;
 use tcp_muzha::sim::{SimDuration, SimRng, SimTime, TraceHash};
 use tcp_muzha::transport::{
-    DoorSender, RenoSender, SackSender, TcpConfig, TcpOutput, TcpStats, TcpTimer, Transport,
-    VegasConfig, VegasSender, VenoSender, WestwoodSender,
+    Sender, TcpConfig, TcpOutput, TcpStats, TcpTimer, Transport, VegasConfig,
 };
 use tcp_muzha::wire::{Drai, FlowId, SackBlock, TcpSegment, TcpSegmentKind};
 
@@ -284,18 +283,7 @@ fn row(name: &str, variant: TcpVariant, cadence: AdjustmentCadence) -> String {
             dup_run: 0,
             h: TraceHash::new(),
         };
-        let flow = FlowId::new(FLOW);
-        let st = match variant {
-            TcpVariant::Tahoe => script.run(RenoSender::tahoe(flow, cfg)),
-            TcpVariant::Reno => script.run(RenoSender::reno(flow, cfg)),
-            TcpVariant::NewReno => script.run(RenoSender::new_reno(flow, cfg)),
-            TcpVariant::Sack => script.run(SackSender::new(flow, cfg)),
-            TcpVariant::Vegas => script.run(VegasSender::new(flow, cfg, vegas)),
-            TcpVariant::Veno => script.run(VenoSender::new(flow, cfg)),
-            TcpVariant::Westwood => script.run(WestwoodSender::new(flow, cfg)),
-            TcpVariant::Door => script.run(DoorSender::new(flow, cfg)),
-            TcpVariant::Muzha => script.run(MuzhaSender::with_cadence(flow, cfg, cadence)),
-        };
+        let st = script.run(Sender::new(FlowId::new(FLOW), variant, cfg, vegas, cadence));
         h.write_u64(script.h.digest());
         sent += st.segments_sent;
         retx += st.retransmissions;

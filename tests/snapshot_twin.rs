@@ -241,16 +241,17 @@ fn restore_rejects_a_config_mismatch() {
 
 /// Formats v3 (scheduler- and index-kind bytes in the queue and channel
 /// blobs), v4 (fault state as eight parallel fields, a third mobility plan
-/// tag) and v5 (signal start edges as queued events under tag 1, no pending
-/// arrivals in the PHY state) have no reader: the header is refused before
-/// any field is read.
+/// tag), v5 (signal start edges as queued events under tag 1, no pending
+/// arrivals in the PHY state) and v6 (one sender record layout per variant,
+/// seven in all) have no reader: the header is refused before any field is
+/// read.
 #[test]
 fn restore_rejects_the_previous_format_version() {
     let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
     let mut sim = build_sim(&script);
     sim.run_until(SimTime::from_secs_f64(0.5));
     let mut bytes = sim.snapshot();
-    for version in [3u16, 4, 5] {
+    for version in [3u16, 4, 5, 6] {
         bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 2]
             .copy_from_slice(&version.to_le_bytes());
         assert_eq!(build_sim(&script).restore(&bytes), Err(SnapError::UnsupportedVersion(version)));
@@ -496,4 +497,70 @@ fn a_cut_at_a_transmission_carries_its_start_edges_across() {
             build().restore(&mutated) == Err(SnapError::Invalid("event tag"))
         });
     assert!(retagged, "no end edge queued at {t} to retag as a start edge");
+}
+
+/// The cut of one variant's lossy run: inside a loss episode. The first
+/// window record after t = 1 s taken in fast recovery, or — Tahoe and Vegas
+/// never recover — the first one whose window fell.
+fn loss_episode_instant(log: &TraceLog) -> Option<SimTime> {
+    use tcp_muzha::tracelog::TraceRecord;
+    let windows: Vec<(SimTime, f64, &str)> = log
+        .iter()
+        .filter_map(|e| match e.record {
+            TraceRecord::TcpCwnd { cwnd, phase, .. } => Some((e.at, cwnd, phase)),
+            _ => None,
+        })
+        .collect();
+    let late = |at: SimTime| at.as_nanos() > 1_000_000_000;
+    let recovering = windows.iter().find(|w| late(w.0) && w.2 == "fast-recovery").map(|w| w.0);
+    let fell = windows.windows(2).find(|w| late(w[1].0) && w[1].1 < w[0].1).map(|w| w[1].0);
+    recovering.or(fell)
+}
+
+/// Every variant's sender record crosses a snapshot. The corpus twin cuts
+/// NewReno runs and the mobile one Muzha; this one cuts all nine on a
+/// two-hop chain with random frame loss on, inside a loss episode, so the
+/// record is live when it is written: a dup-ACK count, a recovery point, a
+/// SACK scoreboard, Vegas / Veno / Westwood RTT and round state, a DOOR
+/// reduction. The resumed run must equal the uninterrupted one in
+/// `trace_hash`, `RunPerf` and every field of the flow reports.
+#[test]
+fn every_variant_resumes_bit_identically_from_a_loss_episode() {
+    use tcp_muzha::phy::RadioParams;
+
+    let radio = RadioParams { per_frame_loss: 0.25, ..RadioParams::default() };
+    let cfg = SimConfig::default().with_radio(radio);
+    let end = SimTime::from_secs_f64(8.0);
+    for variant in TcpVariant::ALL {
+        let build = || {
+            let mut sim = Simulator::new(topology::chain(3), cfg);
+            let (src, dst) = topology::chain_flow(3);
+            sim.add_flow(FlowSpec::new(src, dst, variant));
+            sim
+        };
+        let mut traced = build();
+        traced.install_trace_log(TraceLog::new());
+        traced.run_until(end);
+        let log = traced.take_trace_log().expect("log was installed");
+        let t = loss_episode_instant(&log)
+            .unwrap_or_else(|| panic!("{variant}: no loss episode after t = 1 s: raise the loss"));
+
+        let mut straight = build();
+        straight.run_until(t);
+        let bytes = straight.snapshot();
+        straight.run_until(end);
+
+        let mut resumed = build();
+        resumed.restore(&bytes).unwrap_or_else(|e| panic!("{variant}: restore at {t} failed: {e}"));
+        resumed.run_until(end);
+
+        assert_eq!(straight.trace_hash(), traced.trace_hash(), "{variant}: snapshot() perturbed");
+        assert_eq!(straight.trace_hash(), resumed.trace_hash(), "{variant}: cut at {t}");
+        assert_eq!(straight.perf(), resumed.perf(), "{variant}: RunPerf diverged, cut at {t}");
+        assert_eq!(
+            format!("{:?}", straight.run_report().flows),
+            format!("{:?}", resumed.run_report().flows),
+            "{variant}: flow reports diverged, cut at {t}"
+        );
+    }
 }
