@@ -240,10 +240,20 @@ impl Policy {
     }
 
     /// Recovery is over: deflate to `ssthresh`. Muzha keeps none — its
-    /// window was halved, or deliberately left alone, on entry.
+    /// window was halved, or deliberately left alone, on entry — and a DOOR
+    /// episode that opened without a reduction closes without one.
     pub(crate) fn on_recovery_exit(&mut self, cwnd: &mut f64) {
-        if let Some(ssthresh) = self.ssthresh() {
-            *cwnd = ssthresh;
+        let unreduced = match self {
+            Policy::Door(d) => d.unreduced.take(),
+            Policy::Reno { .. }
+            | Policy::Sack(_)
+            | Policy::Vegas(_)
+            | Policy::Veno(_)
+            | Policy::Westwood(_)
+            | Policy::Muzha(_) => None,
+        };
+        if let Some(window) = unreduced.or(self.ssthresh()) {
+            *cwnd = window;
         }
     }
 
@@ -296,8 +306,11 @@ impl Policy {
                 w.ssthresh = w.eligible_window();
                 *cx.cwnd = inflated(cx.cwnd.min(w.ssthresh), cx.s);
             }
-            // T1: the hole is repaired without touching the window.
-            Policy::Door(d) if d.congestion_control_disabled(cx.now) => {}
+            // T1: the hole is repaired without touching the window, which
+            // the episode's exit takes the dup-ACK inflation off again.
+            Policy::Door(d) if d.congestion_control_disabled(cx.now) => {
+                d.unreduced = Some(*cx.cwnd);
+            }
             Policy::Door(d) => {
                 d.note_reduction(&cx);
                 d.ssthresh = half_flight(cx.s);
@@ -343,8 +356,11 @@ impl Policy {
                 1.0
             }
             // T1: retransmit without collapsing the window.
-            Policy::Door(d) if d.congestion_control_disabled(cx.now) => *cx.cwnd,
+            Policy::Door(d) if d.congestion_control_disabled(cx.now) => {
+                d.unreduced.take().unwrap_or(*cx.cwnd)
+            }
             Policy::Door(d) => {
+                d.unreduced = None;
                 d.note_reduction(&cx);
                 // The standalone DOOR sender halved a flight it had already
                 // rewound to nothing, which is always the floor.
@@ -439,6 +455,7 @@ impl Policy {
                 w.put_f64(d.ssthresh);
                 w.put(&d.cc_disabled_until);
                 w.put(&d.last_reduction);
+                w.put(&d.unreduced);
                 w.put_u64(d.ooo_events);
             }
             Policy::Muzha(m) => {
@@ -495,6 +512,7 @@ impl Policy {
                     ssthresh: r.take_f64()?,
                     cc_disabled_until: r.get()?,
                     last_reduction: r.get()?,
+                    unreduced: r.get()?,
                     ooo_events: r.take_u64()?,
                 }
             }
@@ -735,6 +753,9 @@ pub(crate) struct Door {
     pub cc_disabled_until: SimTime,
     /// The state saved at the last window reduction, for instant recovery.
     pub last_reduction: Option<Reduction>,
+    /// While in a recovery episode opened inside T1, without a reduction:
+    /// the window it opened at.
+    pub unreduced: Option<f64>,
     /// OOO events acted upon (diagnostics).
     pub ooo_events: u64,
 }
@@ -763,6 +784,7 @@ impl Door {
         if let Some(red) = undo {
             *cx.cwnd = cx.cwnd.max(red.prev_cwnd);
             self.ssthresh = self.ssthresh.max(red.prev_ssthresh);
+            self.unreduced = None;
         }
         // And don't react to the disorder that is still in flight.
         self.cc_disabled_until = cx.now + span;
@@ -1325,7 +1347,28 @@ mod tests {
             assert_eq!(tx.cwnd(), w, "timeout in T1 must not collapse the window");
             assert_eq!(tx.stats().timeouts, 1);
         }
+
+        /// An episode opened inside T1 without a reduction closes without
+        /// one: the full ACK takes the dup-ACK inflation off again. Leaving
+        /// through the shared `cwnd = ssthresh` exit took the window from 5
+        /// to the untouched ssthresh of 64 and put the whole advertised
+        /// window — 32 segments — on the air in one call.
+        #[test]
+        fn repair_without_reduction_closes_without_one() {
+            let mut tx = grown();
+            let before = tx.cwnd();
+            let _ = tx.on_ack_segment(&ooo_ack(3), t(300));
+            dupacks(&mut tx, 3, 3, 310);
+            assert!(recovering(&tx));
+            assert_eq!(ssthresh(&tx), 64.0, "T1: no reduction on entry");
+            let out = tx.on_ack_segment(&ack(7), t(340));
+            assert!(!recovering(&tx));
+            assert!((tx.cwnd() - before).abs() <= 1.0, "cwnd {before} became {}", tx.cwnd());
+            let sent = sent_seqs(&out).len();
+            assert!(sent as f64 <= tx.cwnd(), "{sent} segments left on a window of {}", tx.cwnd());
+        }
     }
+
     /// Muzha: Table 5.2 (window by MRAI, per RTT or per ACK) and Table 4.1
     /// (marked against unmarked dup-ACK runs, FF phase, timeout).
     mod muzha {
