@@ -362,9 +362,7 @@ impl Policy {
             Policy::Door(d) => {
                 d.unreduced = None;
                 d.note_reduction(&cx);
-                // The standalone DOOR sender halved a flight it had already
-                // rewound to nothing, which is always the floor.
-                d.ssthresh = 2.0;
+                d.ssthresh = half_flight(cx.s);
                 1.0
             }
             // Table 4.1 row 4: timeout → cwnd = 1, stay in CA.
@@ -1346,6 +1344,22 @@ mod tests {
             let _ = tx.on_timer(id, t(310));
             assert_eq!(tx.cwnd(), w, "timeout in T1 must not collapse the window");
             assert_eq!(tx.stats().timeouts, 1);
+        }
+
+        /// A timeout outside T1 halves the flight it found, like every
+        /// other Reno-lineage policy. The standalone DOOR sender rewound
+        /// `nxt` first and so halved an empty flight: `ssthresh` 2, always.
+        #[test]
+        fn timeout_halves_the_flight() {
+            let mut tx = mk(TcpVariant::Door);
+            let _ = tx.open(t(0));
+            for n in 1..=7 {
+                let _ = tx.on_ack_segment(&ack(n), t(90 + n * 10));
+            }
+            assert_eq!(tx.s.flight(), 8);
+            let id = arm(&mut tx, t(200));
+            let _ = tx.on_timer(id, t(3_000));
+            assert_eq!((tx.cwnd(), ssthresh(&tx)), (1.0, 4.0));
         }
 
         /// An episode opened inside T1 without a reduction closes without
