@@ -315,13 +315,10 @@ impl sim_core::Snapshotable for SendState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sender::testkit::t;
 
     fn st() -> SendState {
         SendState::new(TcpConfig::default())
-    }
-
-    fn t(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
     #[test]
@@ -456,10 +453,7 @@ mod tests {
 #[cfg(test)]
 mod fixed_rto_tests {
     use super::*;
-
-    fn t(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
-    }
+    use crate::sender::testkit::t;
 
     #[test]
     fn standard_backoff_keeps_doubling() {

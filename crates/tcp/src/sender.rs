@@ -16,7 +16,7 @@ use crate::{
 ///
 /// It owns what the variants share — sequence space, the retransmission
 /// timer, the dup-ACK count, the fast-recovery bracket and go-back-N on
-/// timeout — and asks its window policy for the rest (DESIGN §3.4). The
+/// timeout — and asks its window policy for the rest (DESIGN §3.1). The
 /// order of one call's outputs, `SetTimer` before or after the segments, is
 /// part of each variant's behaviour; `tests/sender_transcripts.rs` pins it.
 ///
@@ -185,14 +185,10 @@ impl Sender {
 
     /// Rebuilds the sender of `flow` from bytes written by
     /// [`Sender::encode_state`]; `variant` is what the caller's flow table
-    /// says the flow runs.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Invalid`] when the record is for another variant, the
-    /// window is not a number of at least one segment, the recovery point
-    /// lies past everything ever sent or the policy's state is out of
-    /// domain; any other [`SnapError`] on truncated input.
+    /// says the flow runs. [`SnapError::Invalid`] for another variant's
+    /// record, a window that is not a number of at least one segment, a
+    /// recovery point past everything ever sent or policy state out of
+    /// domain; any other [`SnapError`] as the input is cut short.
     pub fn decode_state(
         r: &mut SnapshotReader<'_>,
         flow: FlowId,
@@ -257,8 +253,7 @@ impl Transport for Sender {
         if !self.s.take_timer_if_current(id) || self.s.flight() == 0 {
             return out;
         }
-        // Retransmission timeout: the policy takes its loss, then go-back-N
-        // from `una`.
+        // The policy takes its loss, then go-back-N from `una`.
         self.s.stats.timeouts += 1;
         let (policy, cx) = self.hooks(now);
         policy.on_timeout(cx);
@@ -431,10 +426,6 @@ mod tests {
     mod reno {
         use super::*;
 
-        fn newreno() -> Sender {
-            mk(TcpVariant::NewReno)
-        }
-
         #[test]
         fn tahoe_collapses_instead_of_recovering() {
             let mut tx = mk(TcpVariant::Tahoe);
@@ -450,7 +441,7 @@ mod tests {
 
         #[test]
         fn open_sends_initial_window() {
-            let mut tx = newreno();
+            let mut tx = mk(TcpVariant::NewReno);
             let out = tx.open(t(0));
             assert_eq!(sent_seqs(&out), vec![0]);
             assert!(out.iter().any(|o| matches!(o, TcpOutput::SetTimer { .. })));
@@ -489,7 +480,7 @@ mod tests {
 
         #[test]
         fn three_dupacks_trigger_fast_retransmit() {
-            let mut tx = newreno();
+            let mut tx = mk(TcpVariant::NewReno);
             grow(&mut tx, 100); // cwnd 4; 3, 4, 5, 6 in flight
             let _ = tx.on_ack_segment(&ack(3), t(300));
             let _ = tx.on_ack_segment(&ack(3), t(301));
@@ -505,7 +496,7 @@ mod tests {
 
         #[test]
         fn newreno_partial_ack_retransmits_next_hole() {
-            let mut tx = newreno();
+            let mut tx = mk(TcpVariant::NewReno);
             grow(&mut tx, 100);
             // flight: 3,4,5,6. Lose 3 and 5. Dup ACKs for 3:
             dupacks(&mut tx, 3, 3, 300);
@@ -540,7 +531,7 @@ mod tests {
 
         #[test]
         fn dupacks_inflate_window_in_recovery() {
-            let mut tx = newreno();
+            let mut tx = mk(TcpVariant::NewReno);
             grow(&mut tx, 100);
             dupacks(&mut tx, 3, 3, 300);
             let before = tx.cwnd();
@@ -550,7 +541,7 @@ mod tests {
 
         #[test]
         fn timeout_resets_to_one_and_resends() {
-            let mut tx = newreno();
+            let mut tx = mk(TcpVariant::NewReno);
             let timer = timer_id(&tx.open(t(0)));
             let out = tx.on_timer(timer, t(3000));
             assert_eq!(tx.cwnd(), 1.0);
@@ -562,7 +553,7 @@ mod tests {
 
         #[test]
         fn stale_timer_ignored() {
-            let mut tx = newreno();
+            let mut tx = mk(TcpVariant::NewReno);
             let timer = timer_id(&tx.open(t(0)));
             // A new ACK re-arms with a fresh id; the old one must be stale.
             let out2 = tx.on_ack_segment(&ack(1), t(100));
@@ -588,7 +579,7 @@ mod tests {
 
         #[test]
         fn cwnd_trace_records_evolution() {
-            let mut tx = newreno();
+            let mut tx = mk(TcpVariant::NewReno);
             let _ = tx.open(t(0));
             let _ = tx.on_ack_segment(&ack(1), t(100));
             let _ = tx.on_ack_segment(&ack(2), t(200));
@@ -605,6 +596,7 @@ mod tests {
             assert_eq!((tx.name(), tx.cwnd()), ("NewReno", 1.0));
         }
     }
+
     /// The sender's snapshot record: round trips for every construction, and a
     /// typed refusal for each way the bytes can be out of domain.
     mod codec {

@@ -1,4 +1,4 @@
-//! The window policies of the one [`crate::Sender`] (DESIGN §3.4): a closed
+//! The window policies of the one [`crate::Sender`] (DESIGN §3.1): a closed
 //! set, every hook a total `match`, so a tenth variant fails to compile at
 //! each of them instead of inheriting a default.
 #![deny(clippy::wildcard_enum_match_arm)]
@@ -32,8 +32,7 @@ pub(crate) struct NewAck {
 pub(crate) enum PartialAck {
     /// Leave recovery as on a full ACK (plain Reno).
     Exit,
-    /// Retransmit the next hole, window deflated by the amount acknowledged
-    /// less one (NewReno, RFC 3782).
+    /// Retransmit the next hole, `cwnd −= newly − 1` (NewReno, RFC 3782).
     Deflate,
     /// Retransmit the next hole, window untouched.
     Hold,
@@ -55,8 +54,7 @@ pub(crate) enum Loss {
 /// Which member of the Tahoe / Reno lineage a [`Policy::Reno`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Flavor {
-    /// Fast retransmit but **no** fast recovery: the window collapses to one
-    /// segment and slow start begins again (1988 behaviour, paper §2.1).
+    /// Fast retransmit, then one segment and slow start: no fast recovery.
     Tahoe,
     /// Fast recovery, exited on the first new ACK.
     Reno,
@@ -749,20 +747,14 @@ pub(crate) struct Door {
     pub ssthresh: f64,
     /// Congestion responses are suppressed until this instant.
     pub cc_disabled_until: SimTime,
-    /// The state saved at the last window reduction, for instant recovery.
-    pub last_reduction: Option<Reduction>,
+    /// When the window was last reduced, and the `cwnd` and `ssthresh` it
+    /// was reduced from, for instant recovery.
+    pub last_reduction: Option<(SimTime, f64, f64)>,
     /// While in a recovery episode opened inside T1, without a reduction:
     /// the window it opened at.
     pub unreduced: Option<f64>,
     /// OOO events acted upon (diagnostics).
     pub ooo_events: u64,
-}
-
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Reduction {
-    at: SimTime,
-    prev_cwnd: f64,
-    prev_ssthresh: f64,
 }
 
 impl Door {
@@ -778,10 +770,10 @@ impl Door {
         self.ooo_events += 1;
         // T1/T2: DOOR ties both to the RTT scale.
         let span = cx.s.rtt.srtt().unwrap_or(SimDuration::from_millis(100));
-        let undo = self.last_reduction.take_if(|red| cx.now.saturating_since(red.at) <= span);
-        if let Some(red) = undo {
-            *cx.cwnd = cx.cwnd.max(red.prev_cwnd);
-            self.ssthresh = self.ssthresh.max(red.prev_ssthresh);
+        let undo = self.last_reduction.take_if(|(at, ..)| cx.now.saturating_since(*at) <= span);
+        if let Some((_, prev_cwnd, prev_ssthresh)) = undo {
+            *cx.cwnd = cx.cwnd.max(prev_cwnd);
+            self.ssthresh = self.ssthresh.max(prev_ssthresh);
             self.unreduced = None;
         }
         // And don't react to the disorder that is still in flight.
@@ -790,8 +782,7 @@ impl Door {
     }
 
     fn note_reduction(&mut self, cx: &Cx<'_>) {
-        self.last_reduction =
-            Some(Reduction { at: cx.now, prev_cwnd: *cx.cwnd, prev_ssthresh: self.ssthresh });
+        self.last_reduction = Some((cx.now, *cx.cwnd, self.ssthresh));
     }
 }
 
@@ -861,18 +852,6 @@ impl Snapshotable for Backlog {
 
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
         Ok(Backlog { base_rtt: r.get()?, last_rtt: r.get()? })
-    }
-}
-
-impl Snapshotable for Reduction {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put(&self.at);
-        w.put_f64(self.prev_cwnd);
-        w.put_f64(self.prev_ssthresh);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(Reduction { at: r.get()?, prev_cwnd: r.take_f64()?, prev_ssthresh: r.take_f64()? })
     }
 }
 
@@ -968,13 +947,10 @@ mod tests {
             assert!(matches!(out[0], TcpOutput::SetTimer { .. }));
         }
     }
+
     /// Vegas: α/β/γ regulation once per RTT.
     mod vegas {
         use super::*;
-
-        fn mk_vegas() -> Sender {
-            mk(TcpVariant::Vegas)
-        }
 
         fn sent_count(out: &[TcpOutput]) -> usize {
             sent_seqs(out).len()
@@ -1003,7 +979,7 @@ mod tests {
 
         #[test]
         fn starts_with_two_segments() {
-            let mut tx = mk_vegas();
+            let mut tx = mk(TcpVariant::Vegas);
             let out = tx.open(t(0));
             assert_eq!(tx.cwnd(), 2.0);
             assert_eq!(sent_count(&out), 2);
@@ -1013,7 +989,7 @@ mod tests {
 
         #[test]
         fn base_rtt_tracks_minimum() {
-            let mut tx = mk_vegas();
+            let mut tx = mk(TcpVariant::Vegas);
             let _ = tx.open(t(0));
             run_round(&mut tx, 100); // RTT 100 ms
             run_round(&mut tx, 150); // RTT 50 ms
@@ -1022,7 +998,7 @@ mod tests {
 
         #[test]
         fn slow_start_grows_every_other_round_only() {
-            let mut tx = mk_vegas();
+            let mut tx = mk(TcpVariant::Vegas);
             let _ = tx.open(t(0));
             // Constant RTT → diff 0 → stays in slow start.
             let w0 = tx.cwnd();
@@ -1036,7 +1012,7 @@ mod tests {
 
         #[test]
         fn leaves_slow_start_when_diff_exceeds_gamma() {
-            let mut tx = mk_vegas();
+            let mut tx = mk(TcpVariant::Vegas);
             let _ = tx.open(t(0));
             // Round 1: establish baseRTT = 100 ms. Round 2: doubles (constant RTT).
             run_round(&mut tx, 100);
@@ -1051,7 +1027,7 @@ mod tests {
 
         #[test]
         fn ca_band_holds_window() {
-            let mut tx = mk_vegas();
+            let mut tx = mk(TcpVariant::Vegas);
             let _ = tx.open(t(0));
             run_round(&mut tx, 100);
             // diff = cwnd * (1 - base/last) = 4 * (1 - 100/200) = 2: between
@@ -1063,7 +1039,7 @@ mod tests {
 
         #[test]
         fn ca_grows_below_alpha_and_shrinks_above_beta() {
-            let mut tx = mk_vegas();
+            let mut tx = mk(TcpVariant::Vegas);
             // diff = 8 * (1 - 100/105) ≈ 0.38 < alpha → grow.
             in_ca(&mut tx, 8.0, 100, 105);
             end_of_round(&mut tx);
@@ -1076,7 +1052,7 @@ mod tests {
 
         #[test]
         fn fast_retransmit_reduces_by_quarter() {
-            let mut tx = mk_vegas();
+            let mut tx = mk(TcpVariant::Vegas);
             let _ = tx.open(t(0));
             run_round(&mut tx, 100);
             run_round(&mut tx, 200); // cwnd = 4 now
@@ -1093,7 +1069,7 @@ mod tests {
 
         #[test]
         fn timeout_resets_to_two() {
-            let mut tx = mk_vegas();
+            let mut tx = mk(TcpVariant::Vegas);
             let id = timer_id(&tx.open(t(0)));
             let out = tx.on_timer(id, t(3000));
             assert_eq!(tx.cwnd(), 2.0);
@@ -1104,7 +1080,7 @@ mod tests {
 
         #[test]
         fn window_never_below_two() {
-            let mut tx = mk_vegas();
+            let mut tx = mk(TcpVariant::Vegas);
             in_ca(&mut tx, 2.0, 100, 1000);
             for _ in 0..5 {
                 end_of_round(&mut tx);
@@ -1112,6 +1088,7 @@ mod tests {
             assert_eq!(tx.cwnd(), 2.0);
         }
     }
+
     /// Veno: the backlog estimate discriminates random from congestion losses.
     mod veno {
         use super::*;
@@ -1180,6 +1157,7 @@ mod tests {
             assert!(veno(&mut tx).saturated(10.0));
         }
     }
+
     /// Westwood+: `ssthresh = BWE × RTTmin` on loss.
     mod westwood {
         use super::*;
@@ -1246,6 +1224,7 @@ mod tests {
             assert_eq!(westwood(&mut tx).eligible_window(), 2.0, "floor of two segments");
         }
     }
+
     /// TCP-DOOR: T1 (no congestion response after an OOO signal) and T2
     /// (instant recovery of a recent reduction).
     mod door {
@@ -1388,10 +1367,6 @@ mod tests {
     mod muzha {
         use super::*;
 
-        fn mk_muzha() -> Sender {
-            mk(TcpVariant::Muzha)
-        }
-
         fn per_ack() -> Sender {
             mk_with(TcpVariant::Muzha, TcpConfig::default(), AdjustmentCadence::PerAck)
         }
@@ -1416,7 +1391,7 @@ mod tests {
 
         /// A sender grown to cwnd 8 by two rounds of aggressive acceleration.
         fn at_eight() -> Sender {
-            let mut tx = mk_muzha();
+            let mut tx = mk(TcpVariant::Muzha);
             let _ = tx.open(t(0));
             for _ in 0..2 {
                 run_round(&mut tx, Drai::AggressiveAcceleration, 100);
@@ -1453,7 +1428,7 @@ mod tests {
 
         #[test]
         fn opens_in_ca_with_two_segments() {
-            let mut tx = mk_muzha();
+            let mut tx = mk(TcpVariant::Muzha);
             let out = tx.open(t(0));
             assert_eq!(sent_seqs(&out), vec![0, 1]);
             assert!(!recovering(&tx));
@@ -1465,7 +1440,7 @@ mod tests {
 
         #[test]
         fn aggressive_acceleration_doubles_per_round() {
-            let mut tx = mk_muzha();
+            let mut tx = mk(TcpVariant::Muzha);
             let _ = tx.open(t(0));
             run_round(&mut tx, Drai::AggressiveAcceleration, 100);
             assert_eq!(tx.cwnd(), 4.0);
@@ -1475,7 +1450,7 @@ mod tests {
 
         #[test]
         fn moderate_acceleration_adds_one_per_round() {
-            let mut tx = mk_muzha();
+            let mut tx = mk(TcpVariant::Muzha);
             let _ = tx.open(t(0));
             run_round(&mut tx, Drai::ModerateAcceleration, 100);
             assert_eq!(tx.cwnd(), 3.0);
@@ -1485,7 +1460,7 @@ mod tests {
 
         #[test]
         fn stabilizing_holds() {
-            let mut tx = mk_muzha();
+            let mut tx = mk(TcpVariant::Muzha);
             let _ = tx.open(t(0));
             run_round(&mut tx, Drai::Stabilizing, 100);
             run_round(&mut tx, Drai::Stabilizing, 200);
@@ -1494,7 +1469,7 @@ mod tests {
 
         #[test]
         fn decelerations_shrink() {
-            let mut tx = mk_muzha();
+            let mut tx = mk(TcpVariant::Muzha);
             let _ = tx.open(t(0));
             for _ in 0..3 {
                 run_round(&mut tx, Drai::AggressiveAcceleration, 100);
@@ -1524,7 +1499,7 @@ mod tests {
 
         #[test]
         fn round_uses_worst_mrai() {
-            let mut tx = mk_muzha();
+            let mut tx = mk(TcpVariant::Muzha);
             let _ = tx.open(t(0));
             // Two ACKs in one round: one says accelerate, one says decelerate.
             let _ = tx.on_ack_segment(&level_ack(1, Drai::AggressiveAcceleration), t(100));
@@ -1602,7 +1577,7 @@ mod tests {
 
         #[test]
         fn timeout_resets_to_one_stays_ca() {
-            let mut tx = mk_muzha();
+            let mut tx = mk(TcpVariant::Muzha);
             let id = timer_id(&tx.open(t(0)));
             let out = tx.on_timer(id, t(3000));
             assert_eq!(tx.cwnd(), 1.0);
@@ -1613,7 +1588,7 @@ mod tests {
 
         #[test]
         fn no_mrai_means_no_adjustment() {
-            let mut tx = mk_muzha();
+            let mut tx = mk(TcpVariant::Muzha);
             let _ = tx.open(t(0));
             // Plain ACKs without the option (e.g. a misconfigured receiver).
             let _ = tx.on_ack_segment(&ack(1), t(100));
