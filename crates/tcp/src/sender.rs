@@ -232,10 +232,10 @@ impl Transport for Sender {
         let TcpSegmentKind::Ack { ack, mrai, marked, ooo, sack } = &segment.kind else {
             return Vec::new();
         };
-        let (ack, mrai, marked) = (*ack, *mrai, *marked);
+        let (ack, mrai, marked, ooo) = (*ack, *mrai, *marked, *ooo);
         let mut out = Vec::new();
         let (policy, cx) = self.hooks(now);
-        if policy.before_ack(cx, mrai, *ooo, sack) {
+        if policy.before_ack(cx, mrai, ooo, sack) {
             self.recovery_point = None;
             self.s.dupacks = 0;
         }

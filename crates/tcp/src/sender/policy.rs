@@ -127,7 +127,6 @@ impl Policy {
         }
     }
 
-    /// The variant this policy implements.
     pub(crate) fn variant(&self) -> TcpVariant {
         match self {
             Policy::Reno { flavor: Flavor::Tahoe, .. } => TcpVariant::Tahoe,
@@ -477,7 +476,8 @@ impl Policy {
             Policy::Sack(sb) => {
                 *sb =
                     Sack { ssthresh: r.take_f64()?, scoreboard: r.get()?, retransmitted: r.get()? };
-                if sb.scoreboard.iter().chain(&sb.retransmitted).any(|&seq| seq < s.una) {
+                let lowest = [sb.scoreboard.first(), sb.retransmitted.first()];
+                if lowest.into_iter().flatten().any(|&seq| seq < s.una) {
                     return Err(SnapError::Invalid("sack scoreboard below una"));
                 }
             }
