@@ -208,6 +208,63 @@ fn mobile_run_resumes_bit_identically() {
     }
 }
 
+/// One row of `tests/fixtures/snapshot_layout.txt`: where the run was cut,
+/// how long its snapshot is and the digest of its bytes.
+fn layout_row(name: &str, t: SimTime, bytes: &[u8]) -> String {
+    let mut h = TraceHash::new();
+    h.write_bytes(bytes);
+    format!("{name} {} {} {:016x}", t.as_nanos(), bytes.len(), h.digest())
+}
+
+/// "Any layout change bumps `SNAPSHOT_VERSION`" as a gate: the snapshot of
+/// every corpus script at its twin's cut instant, and of one run that puts
+/// what the corpus never holds into the bytes — all nine sender records, a
+/// delayed-ACK receiver, RED queues, waypoint plans in progress — pinned
+/// beside the version that wrote them. Behaviour changes move these rows too,
+/// but they move `corpus_digests.txt` first; when that fixture holds and this
+/// one fails, the bytes changed under an unchanged run.
+#[test]
+fn snapshot_layout_matches_the_committed_fixture() {
+    use tcp_muzha::net::{QueueDiscipline, RedConfig};
+    use tcp_muzha::sim::SNAPSHOT_VERSION;
+
+    let mut rows = vec![format!("version {SNAPSHOT_VERSION}")];
+    for (name, text) in CORPUS {
+        let script = ScenarioScript::parse(text).expect("corpus parses");
+        let t = snapshot_instant(name, script.duration.expect("declared").as_nanos());
+        let mut sim = build_sim(&script);
+        sim.load_scenario(&script);
+        sim.run_until(t);
+        rows.push(layout_row(name, t, &sim.snapshot()));
+    }
+    let cfg = SimConfig {
+        seed: 0x1A_7007,
+        topology: TopologySpec::random_disc_dense(24, 250.0),
+        mobility: MobilitySpec::DEFAULT_WAYPOINT,
+        queue: QueueDiscipline::Red(RedConfig::default()),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::from_config(cfg);
+    let (src, dst) = tracecap::farthest_pair(&sim);
+    for variant in TcpVariant::ALL {
+        sim.add_flow(FlowSpec::new(src, dst, variant).with_delayed_ack());
+    }
+    let t = SimTime::from_secs_f64(2.0);
+    sim.run_until(t);
+    rows.push(layout_row("disc24-every-variant-red", t, &sim.snapshot()));
+
+    let committed: Vec<&str> = include_str!("fixtures/snapshot_layout.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .collect();
+    assert!(
+        rows == committed,
+        "layout changed: bump `SNAPSHOT_VERSION`, regenerate \
+         tests/fixtures/snapshot_layout.txt; this build produces:\n{}\n",
+        rows.join("\n")
+    );
+}
+
 /// The little-endian `u64` at byte `at` of a snapshot — how the tests below
 /// find fields by their encoding instead of by offset.
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
