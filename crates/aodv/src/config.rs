@@ -85,48 +85,28 @@ impl AodvConfig {
     }
 }
 
-impl sim_core::Snapshotable for AodvConfig {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.active_route_timeout);
-        w.put(&self.net_traversal_time);
-        w.put_u32(self.rreq_retries);
-        w.put_u8(self.rreq_ttl);
-        w.put_u8(self.ring_ttl_start);
-        w.put_u8(self.ring_ttl_increment);
-        w.put_u8(self.ring_ttl_threshold);
-        w.put_usize(self.buffer_capacity);
-        w.put(&self.rreq_seen_lifetime);
-        w.put(&self.hello_interval);
-        w.put_u32(self.allowed_hello_loss);
+sim_core::snap_record! {
+    AodvConfig {
+        active_route_timeout,
+        net_traversal_time,
+        rreq_retries,
+        rreq_ttl,
+        ring_ttl_start,
+        ring_ttl_increment,
+        ring_ttl_threshold,
+        buffer_capacity,
+        rreq_seen_lifetime,
+        hello_interval,
+        allowed_hello_loss,
     }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let cfg = AodvConfig {
-            active_route_timeout: r.get()?,
-            net_traversal_time: r.get()?,
-            rreq_retries: r.take_u32()?,
-            rreq_ttl: r.take_u8()?,
-            ring_ttl_start: r.take_u8()?,
-            ring_ttl_increment: r.take_u8()?,
-            ring_ttl_threshold: r.take_u8()?,
-            buffer_capacity: r.take_usize()?,
-            rreq_seen_lifetime: r.get()?,
-            hello_interval: r.get()?,
-            allowed_hello_loss: r.take_u32()?,
-        };
-        // Mirror `validate()` as total checks: a snapshot must never panic.
-        if cfg.rreq_ttl == 0
-            || cfg.ring_ttl_start == 0
-            || cfg.ring_ttl_increment == 0
-            || cfg.buffer_capacity == 0
-            || cfg.net_traversal_time == SimDuration::ZERO
-            || cfg.hello_interval.is_some_and(|i| i == SimDuration::ZERO)
-            || (cfg.hello_interval.is_some() && cfg.allowed_hello_loss == 0)
-        {
-            return Err(sim_core::SnapError::Invalid("aodv config"));
-        }
-        Ok(cfg)
-    }
+    // Mirror `validate()` as a total check: a snapshot must never panic.
+    check |c| c.rreq_ttl > 0
+        && c.ring_ttl_start > 0
+        && c.ring_ttl_increment > 0
+        && c.buffer_capacity > 0
+        && c.net_traversal_time > SimDuration::ZERO
+        && c.hello_interval.is_none_or(|i| i > SimDuration::ZERO && c.allowed_hello_loss > 0)
+        => "aodv config";
 }
 
 #[cfg(test)]

@@ -99,47 +99,11 @@ struct Pending {
     buffered: VecDeque<Packet>,
 }
 
-impl sim_core::Snapshotable for AodvTimer {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.0);
-    }
+sim_core::snap_record! { AodvTimer { 0 } }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(AodvTimer(r.get()?))
-    }
-}
+sim_core::snap_record! { AodvStats { discoveries, rreq_sent, rrep_sent, rerr_sent, data_drops } }
 
-impl sim_core::Snapshotable for AodvStats {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.discoveries);
-        w.put_u64(self.rreq_sent);
-        w.put_u64(self.rrep_sent);
-        w.put_u64(self.rerr_sent);
-        w.put_u64(self.data_drops);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(AodvStats {
-            discoveries: r.take_u64()?,
-            rreq_sent: r.take_u64()?,
-            rrep_sent: r.take_u64()?,
-            rerr_sent: r.take_u64()?,
-            data_drops: r.take_u64()?,
-        })
-    }
-}
-
-impl sim_core::Snapshotable for Pending {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u32(self.retries);
-        w.put(&self.timer);
-        w.put(&self.buffered);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(Pending { retries: r.take_u32()?, timer: r.get()?, buffered: r.get()? })
-    }
-}
+sim_core::snap_record! { Pending { retries, timer, buffered } }
 
 /// The AODV routing engine for one node.
 ///
@@ -162,6 +126,26 @@ pub struct Aodv {
     timers: TimerSlab,
     uid: UidGen,
     stats: AodvStats,
+}
+
+// The engine's full state: routing table, sequence and broadcast counters,
+// duplicate-RREQ memory, pending discoveries with their buffered packets,
+// neighbour liveness, the timer slab and counters.
+sim_core::snap_record! {
+    given () Aodv {
+        addr,
+        cfg,
+        table,
+        seq,
+        bcast_id,
+        seen,
+        pending,
+        last_heard,
+        hello_timer,
+        timers,
+        uid,
+        stats,
+    }
 }
 
 impl Aodv {
@@ -250,46 +234,6 @@ impl Aodv {
             self.timers.cancel(id.0);
         }
         flushed
-    }
-
-    /// Serialises the engine's full state: routing table, sequence/broadcast
-    /// counters, duplicate-RREQ memory, pending discoveries with their
-    /// buffered packets, neighbour liveness, the timer slab and counters.
-    pub fn encode_state(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.addr);
-        w.put(&self.cfg);
-        w.put(&self.table);
-        w.put_u32(self.seq);
-        w.put_u32(self.bcast_id);
-        w.put(&self.seen);
-        w.put(&self.pending);
-        w.put(&self.last_heard);
-        w.put(&self.hello_timer);
-        w.put(&self.timers);
-        w.put(&self.uid);
-        w.put(&self.stats);
-    }
-
-    /// Rebuilds an engine from bytes written by [`Self::encode_state`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`sim_core::SnapError`] on truncated or out-of-domain input.
-    pub fn decode_state(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(Aodv {
-            addr: r.get()?,
-            cfg: r.get()?,
-            table: r.get()?,
-            seq: r.take_u32()?,
-            bcast_id: r.take_u32()?,
-            seen: r.get()?,
-            pending: r.get()?,
-            last_heard: r.get()?,
-            hello_timer: r.get()?,
-            timers: r.get()?,
-            uid: r.get()?,
-            stats: r.get()?,
-        })
     }
 
     /// Routes a locally-originated packet: forward if a route exists,

@@ -185,37 +185,9 @@ impl RouteTable {
     }
 }
 
-impl sim_core::Snapshotable for Route {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.next_hop);
-        w.put_u8(self.hop_count);
-        w.put_u32(self.dst_seq);
-        w.put_bool(self.valid);
-        w.put(&self.expires);
-        w.put(&self.precursors);
-    }
+sim_core::snap_record! { Route { next_hop, hop_count, dst_seq, valid, expires, precursors } }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(Route {
-            next_hop: r.get()?,
-            hop_count: r.take_u8()?,
-            dst_seq: r.take_u32()?,
-            valid: r.take_bool()?,
-            expires: r.get()?,
-            precursors: r.get()?,
-        })
-    }
-}
-
-impl sim_core::Snapshotable for RouteTable {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.routes);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(RouteTable { routes: r.get()? })
-    }
-}
+sim_core::snap_record! { RouteTable { routes } }
 
 #[cfg(test)]
 mod tests {

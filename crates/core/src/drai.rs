@@ -274,77 +274,39 @@ impl DraiComputer {
     }
 }
 
-impl sim_core::Snapshotable for DraiConfig {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_f64(self.accel_fast_below);
-        w.put_f64(self.accel_below);
-        w.put_f64(self.stable_below);
-        w.put_f64(self.decel_below);
-        w.put_f64(self.mark_at);
-        w.put_f64(self.util_moderate_above);
-        w.put_f64(self.util_stable_above);
-        w.put_f64(self.util_decel_above);
-        w.put_f64(self.util_alpha);
-        w.put_f64(self.retry_stable_above);
-        w.put_f64(self.retry_decel_above);
-        w.put_f64(self.mark_retry_above);
-        w.put_f64(self.ewma_alpha);
-        w.put_u64(self.mark_hold_nanos);
+sim_core::snap_record! {
+    DraiConfig {
+        accel_fast_below,
+        accel_below,
+        stable_below,
+        decel_below,
+        mark_at,
+        util_moderate_above,
+        util_stable_above,
+        util_decel_above,
+        util_alpha,
+        retry_stable_above,
+        retry_decel_above,
+        mark_retry_above,
+        ewma_alpha,
+        mark_hold_nanos,
     }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let cfg = DraiConfig {
-            accel_fast_below: r.take_f64()?,
-            accel_below: r.take_f64()?,
-            stable_below: r.take_f64()?,
-            decel_below: r.take_f64()?,
-            mark_at: r.take_f64()?,
-            util_moderate_above: r.take_f64()?,
-            util_stable_above: r.take_f64()?,
-            util_decel_above: r.take_f64()?,
-            util_alpha: r.take_f64()?,
-            retry_stable_above: r.take_f64()?,
-            retry_decel_above: r.take_f64()?,
-            mark_retry_above: r.take_f64()?,
-            ewma_alpha: r.take_f64()?,
-            mark_hold_nanos: r.take_u64()?,
-        };
-        // Mirror `validate()` as total checks: a snapshot must never panic.
-        if !(cfg.accel_fast_below <= cfg.accel_below
-            && cfg.accel_below <= cfg.stable_below
-            && cfg.stable_below <= cfg.decel_below
-            && cfg.util_moderate_above <= cfg.util_stable_above
-            && cfg.util_stable_above <= cfg.util_decel_above
-            && cfg.util_alpha > 0.0
-            && cfg.util_alpha <= 1.0
-            && cfg.retry_stable_above <= cfg.retry_decel_above
-            && cfg.ewma_alpha > 0.0
-            && cfg.ewma_alpha <= 1.0)
-        {
-            return Err(sim_core::SnapError::Invalid("drai config"));
-        }
-        Ok(cfg)
-    }
+    // Mirror `validate()` as a total check: a snapshot must never panic.
+    check |c| c.accel_fast_below <= c.accel_below
+        && c.accel_below <= c.stable_below
+        && c.stable_below <= c.decel_below
+        && c.util_moderate_above <= c.util_stable_above
+        && c.util_stable_above <= c.util_decel_above
+        && c.util_alpha > 0.0
+        && c.util_alpha <= 1.0
+        && c.retry_stable_above <= c.retry_decel_above
+        && c.ewma_alpha > 0.0
+        && c.ewma_alpha <= 1.0
+        => "drai config";
 }
 
-impl sim_core::Snapshotable for DraiComputer {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.cfg);
-        w.put(&self.queue);
-        w.put(&self.utilisation);
-        w.put(&self.retry_ratio);
-        w.put(&self.last_congestion_drop);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(DraiComputer {
-            cfg: r.get()?,
-            queue: r.get()?,
-            utilisation: r.get()?,
-            retry_ratio: r.get()?,
-            last_congestion_drop: r.get()?,
-        })
-    }
+sim_core::snap_record! {
+    DraiComputer { cfg, queue, utilisation, retry_ratio, last_congestion_drop }
 }
 
 #[cfg(test)]

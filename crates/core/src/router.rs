@@ -14,16 +14,7 @@ pub struct RouterStats {
     pub packets_marked: u64,
 }
 
-impl sim_core::Snapshotable for RouterStats {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.packets_stamped);
-        w.put_u64(self.packets_marked);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(RouterStats { packets_stamped: r.take_u64()?, packets_marked: r.take_u64()? })
-    }
-}
+sim_core::snap_record! { RouterStats { packets_stamped, packets_marked } }
 
 /// The Muzha router agent: every node (source, relays, even the
 /// destination) runs one and applies it to every TCP data packet it
@@ -63,6 +54,8 @@ pub struct RouterAgent {
     stats: RouterStats,
 }
 
+sim_core::snap_record! { given () RouterAgent { drai, stats } }
+
 impl RouterAgent {
     /// Creates an agent with the given DRAI thresholds.
     pub fn new(cfg: DraiConfig) -> Self {
@@ -82,21 +75,6 @@ impl RouterAgent {
     /// Counters.
     pub fn stats(&self) -> RouterStats {
         self.stats
-    }
-
-    /// Serialises the agent's full state (DRAI smoothing + counters).
-    pub fn encode_state(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.drai);
-        w.put(&self.stats);
-    }
-
-    /// Rebuilds an agent from bytes written by [`Self::encode_state`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`sim_core::SnapError`] on truncated or out-of-domain input.
-    pub fn decode_state(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(RouterAgent { drai: r.get()?, stats: r.get()? })
     }
 
     /// Applies the node's recommendation and marking policy to a packet

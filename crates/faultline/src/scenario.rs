@@ -107,84 +107,22 @@ pub enum FaultEvent {
     Heal,
 }
 
-impl sim_core::Snapshotable for FaultEvent {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        match self {
-            FaultEvent::LinkDown { a, b } => {
-                w.put_u8(0);
-                w.put(a);
-                w.put(b);
-            }
-            FaultEvent::LinkUp { a, b } => {
-                w.put_u8(1);
-                w.put(a);
-                w.put(b);
-            }
-            FaultEvent::Kill { node } => {
-                w.put_u8(2);
-                w.put(node);
-            }
-            FaultEvent::Revive { node } => {
-                w.put_u8(3);
-                w.put(node);
-            }
-            FaultEvent::Pause { node } => {
-                w.put_u8(4);
-                w.put(node);
-            }
-            FaultEvent::Resume { node } => {
-                w.put_u8(5);
-                w.put(node);
-            }
-            FaultEvent::GeStart(ge) => {
-                w.put_u8(6);
-                w.put(ge);
-            }
-            FaultEvent::GeStop => w.put_u8(7),
-            FaultEvent::Blackhole { node } => {
-                w.put_u8(8);
-                w.put(node);
-            }
-            FaultEvent::BlackholeOff { node } => {
-                w.put_u8(9);
-                w.put(node);
-            }
-            FaultEvent::Saturate { node, capacity } => {
-                w.put_u8(10);
-                w.put(node);
-                w.put_usize(*capacity);
-            }
-            FaultEvent::SaturateOff { node } => {
-                w.put_u8(11);
-                w.put(node);
-            }
-            FaultEvent::Partition { left, right } => {
-                w.put_u8(12);
-                w.put(left);
-                w.put(right);
-            }
-            FaultEvent::Heal => w.put_u8(13),
-        }
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(match r.take_u8()? {
-            0 => FaultEvent::LinkDown { a: r.get()?, b: r.get()? },
-            1 => FaultEvent::LinkUp { a: r.get()?, b: r.get()? },
-            2 => FaultEvent::Kill { node: r.get()? },
-            3 => FaultEvent::Revive { node: r.get()? },
-            4 => FaultEvent::Pause { node: r.get()? },
-            5 => FaultEvent::Resume { node: r.get()? },
-            6 => FaultEvent::GeStart(r.get()?),
-            7 => FaultEvent::GeStop,
-            8 => FaultEvent::Blackhole { node: r.get()? },
-            9 => FaultEvent::BlackholeOff { node: r.get()? },
-            10 => FaultEvent::Saturate { node: r.get()?, capacity: r.take_usize()? },
-            11 => FaultEvent::SaturateOff { node: r.get()? },
-            12 => FaultEvent::Partition { left: r.get()?, right: r.get()? },
-            13 => FaultEvent::Heal,
-            _ => return Err(sim_core::SnapError::Invalid("fault event tag")),
-        })
+sim_core::snap_enum! {
+    FaultEvent, "fault event tag" {
+        0 => LinkDown { a, b },
+        1 => LinkUp { a, b },
+        2 => Kill { node },
+        3 => Revive { node },
+        4 => Pause { node },
+        5 => Resume { node },
+        6 => GeStart(ge),
+        7 => GeStop,
+        8 => Blackhole { node },
+        9 => BlackholeOff { node },
+        10 => Saturate { node, capacity },
+        11 => SaturateOff { node },
+        12 => Partition { left, right },
+        13 => Heal,
     }
 }
 
@@ -197,16 +135,7 @@ pub struct TimedFault {
     pub fault: FaultEvent,
 }
 
-impl sim_core::Snapshotable for TimedFault {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.at);
-        w.put(&self.fault);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(TimedFault { at: r.get()?, fault: r.get()? })
-    }
-}
+sim_core::snap_record! { TimedFault { at, fault } }
 
 /// A parsed, ordered fault scenario.
 ///

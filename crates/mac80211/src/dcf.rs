@@ -206,142 +206,59 @@ enum TxKind {
     Response(FrameKind),
 }
 
-impl sim_core::Snapshotable for TimerId {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.0);
-    }
+sim_core::snap_record! { TimerId { 0 } }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(TimerId(r.get()?))
+sim_core::snap_record! {
+    MacStats {
+        data_delivered, rts_sent, data_sent, cts_timeouts, ack_timeouts, drops, rx_collisions
     }
 }
 
-impl sim_core::Snapshotable for MacStats {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.data_delivered);
-        w.put_u64(self.rts_sent);
-        w.put_u64(self.data_sent);
-        w.put_u64(self.cts_timeouts);
-        w.put_u64(self.ack_timeouts);
-        w.put_u64(self.drops);
-        w.put_u64(self.rx_collisions);
-    }
+sim_core::snap_record! { Outgoing { packet, next_hop, short_retries, long_retries } }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(MacStats {
-            data_delivered: r.take_u64()?,
-            rts_sent: r.take_u64()?,
-            data_sent: r.take_u64()?,
-            cts_timeouts: r.take_u64()?,
-            ack_timeouts: r.take_u64()?,
-            drops: r.take_u64()?,
-            rx_collisions: r.take_u64()?,
-        })
+sim_core::snap_enum! {
+    Phase, "mac phase tag" {
+        0 => NoPacket, 1 => Defer, 2 => Count, 3 => TxRts, 4 => TxData, 5 => WaitCts, 6 => WaitAck
     }
 }
 
-impl sim_core::Snapshotable for Outgoing {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.packet);
-        w.put(&self.next_hop);
-        w.put_u32(self.short_retries);
-        w.put_u32(self.long_retries);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(Outgoing {
-            packet: r.get()?,
-            next_hop: r.get()?,
-            short_retries: r.take_u32()?,
-            long_retries: r.take_u32()?,
-        })
-    }
+sim_core::snap_enum! {
+    ResponseKind, "mac response tag" { 0 => Cts { peer, nav_until }, 1 => Ack { peer }, 2 => AttemptData }
 }
 
-impl sim_core::Snapshotable for Phase {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u8(match self {
-            Phase::NoPacket => 0,
-            Phase::Defer => 1,
-            Phase::Count => 2,
-            Phase::TxRts => 3,
-            Phase::TxData => 4,
-            Phase::WaitCts => 5,
-            Phase::WaitAck => 6,
-        });
-    }
+sim_core::snap_record! { Countdown { started, ifs, slots } }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(match r.take_u8()? {
-            0 => Phase::NoPacket,
-            1 => Phase::Defer,
-            2 => Phase::Count,
-            3 => Phase::TxRts,
-            4 => Phase::TxData,
-            5 => Phase::WaitCts,
-            6 => Phase::WaitAck,
-            _ => return Err(sim_core::SnapError::Invalid("mac phase tag")),
-        })
-    }
+sim_core::snap_enum! {
+    TxKind, "mac tx kind tag" { 0 => AttemptRts, 1 => AttemptData, 2 => Response(kind) }
 }
 
-impl sim_core::Snapshotable for ResponseKind {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        match self {
-            ResponseKind::Cts { peer, nav_until } => {
-                w.put_u8(0);
-                w.put(peer);
-                w.put(nav_until);
-            }
-            ResponseKind::Ack { peer } => {
-                w.put_u8(1);
-                w.put(peer);
-            }
-            ResponseKind::AttemptData => w.put_u8(2),
-        }
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(match r.take_u8()? {
-            0 => ResponseKind::Cts { peer: r.get()?, nav_until: r.get()? },
-            1 => ResponseKind::Ack { peer: r.get()? },
-            2 => ResponseKind::AttemptData,
-            _ => return Err(sim_core::SnapError::Invalid("mac response tag")),
-        })
-    }
-}
-
-impl sim_core::Snapshotable for Countdown {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.started);
-        w.put(&self.ifs);
-        w.put_u32(self.slots);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(Countdown { started: r.get()?, ifs: r.get()?, slots: r.take_u32()? })
-    }
-}
-
-impl sim_core::Snapshotable for TxKind {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        match self {
-            TxKind::AttemptRts => w.put_u8(0),
-            TxKind::AttemptData => w.put_u8(1),
-            TxKind::Response(kind) => {
-                w.put_u8(2);
-                w.put(kind);
-            }
-        }
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(match r.take_u8()? {
-            0 => TxKind::AttemptRts,
-            1 => TxKind::AttemptData,
-            2 => TxKind::Response(r.get()?),
-            _ => return Err(sim_core::SnapError::Invalid("mac tx kind tag")),
-        })
+// The MAC's full state: DCF phase, packet in custody, countdown and backoff,
+// NAV, pending response, timer slab, the private RNG and counters.
+sim_core::snap_record! {
+    given () Mac {
+        params,
+        addr,
+        rng,
+        phase,
+        current,
+        countdown,
+        carried_slots,
+        cw,
+        needs_backoff,
+        use_eifs,
+        nav_until,
+        response,
+        transmitting,
+        timers,
+        attempt_timer,
+        response_timer,
+        wait_timer,
+        nav_timer,
+        nav_reset_timer,
+        nav_reset_armed_at,
+        last_busy,
+        rx_dedup,
+        stats,
     }
 }
 
@@ -448,68 +365,6 @@ impl Mac {
         self.nav_reset_armed_at = SimTime::ZERO;
         self.last_busy = None;
         packet
-    }
-
-    /// Serialises the MAC's full state: DCF phase, packet in custody,
-    /// countdown/backoff state, NAV, pending response, timer slab, the
-    /// private RNG and counters.
-    pub fn encode_state(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.params);
-        w.put(&self.addr);
-        w.put(&self.rng);
-        w.put(&self.phase);
-        w.put(&self.current);
-        w.put(&self.countdown);
-        w.put(&self.carried_slots);
-        w.put_u32(self.cw);
-        w.put_bool(self.needs_backoff);
-        w.put_bool(self.use_eifs);
-        w.put(&self.nav_until);
-        w.put(&self.response);
-        w.put(&self.transmitting);
-        w.put(&self.timers);
-        w.put(&self.attempt_timer);
-        w.put(&self.response_timer);
-        w.put(&self.wait_timer);
-        w.put(&self.nav_timer);
-        w.put(&self.nav_reset_timer);
-        w.put(&self.nav_reset_armed_at);
-        w.put(&self.last_busy);
-        w.put(&self.rx_dedup);
-        w.put(&self.stats);
-    }
-
-    /// Rebuilds a MAC from bytes written by [`Self::encode_state`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`sim_core::SnapError`] on truncated or out-of-domain input.
-    pub fn decode_state(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(Mac {
-            params: r.get()?,
-            addr: r.get()?,
-            rng: r.get()?,
-            phase: r.get()?,
-            current: r.get()?,
-            countdown: r.get()?,
-            carried_slots: r.get()?,
-            cw: r.take_u32()?,
-            needs_backoff: r.take_bool()?,
-            use_eifs: r.take_bool()?,
-            nav_until: r.get()?,
-            response: r.get()?,
-            transmitting: r.get()?,
-            timers: r.get()?,
-            attempt_timer: r.get()?,
-            response_timer: r.get()?,
-            wait_timer: r.get()?,
-            nav_timer: r.get()?,
-            nav_reset_timer: r.get()?,
-            nav_reset_armed_at: r.get()?,
-            last_busy: r.get()?,
-            rx_dedup: r.get()?,
-            stats: r.get()?,
-        })
     }
 
     /// Hands the MAC its next packet to transmit toward `next_hop`

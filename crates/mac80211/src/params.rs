@@ -132,47 +132,28 @@ impl MacParams {
     }
 }
 
-impl sim_core::Snapshotable for MacParams {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.slot);
-        w.put(&self.sifs);
-        w.put_u32(self.cw_min);
-        w.put_u32(self.cw_max);
-        w.put_u32(self.short_retry_limit);
-        w.put_u32(self.long_retry_limit);
-        w.put_u64(self.data_rate_bps);
-        w.put_u64(self.basic_rate_bps);
-        w.put(&self.plcp);
-        w.put(&self.max_prop);
-        w.put_bool(self.rts_enabled);
+sim_core::snap_record! {
+    MacParams {
+        slot,
+        sifs,
+        cw_min,
+        cw_max,
+        short_retry_limit,
+        long_retry_limit,
+        data_rate_bps,
+        basic_rate_bps,
+        plcp,
+        max_prop,
+        rts_enabled,
     }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let p = MacParams {
-            slot: r.get()?,
-            sifs: r.get()?,
-            cw_min: r.take_u32()?,
-            cw_max: r.take_u32()?,
-            short_retry_limit: r.take_u32()?,
-            long_retry_limit: r.take_u32()?,
-            data_rate_bps: r.take_u64()?,
-            basic_rate_bps: r.take_u64()?,
-            plcp: r.get()?,
-            max_prop: r.get()?,
-            rts_enabled: r.take_bool()?,
-        };
-        // Mirror `validate()` as total checks: a snapshot must never panic.
-        if p.data_rate_bps == 0
-            || p.basic_rate_bps == 0
-            || p.cw_min == 0
-            || p.cw_min > p.cw_max
-            || p.short_retry_limit == 0
-            || p.long_retry_limit == 0
-        {
-            return Err(sim_core::SnapError::Invalid("mac params"));
-        }
-        Ok(p)
-    }
+    // Mirror `validate()` as a total check: a snapshot must never panic.
+    check |p| p.data_rate_bps > 0
+        && p.basic_rate_bps > 0
+        && p.cw_min > 0
+        && p.cw_min <= p.cw_max
+        && p.short_retry_limit > 0
+        && p.long_retry_limit > 0
+        => "mac params";
 }
 
 #[cfg(test)]

@@ -51,17 +51,7 @@ impl BusyTracker {
     }
 }
 
-impl sim_core::Snapshotable for BusyTracker {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.busy_until);
-        w.put(&self.accumulated);
-        w.put(&self.window_start);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(BusyTracker { busy_until: r.get()?, accumulated: r.get()?, window_start: r.get()? })
-    }
-}
+sim_core::snap_record! { BusyTracker { busy_until, accumulated, window_start } }
 
 #[cfg(test)]
 mod tests {

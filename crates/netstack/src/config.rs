@@ -195,36 +195,9 @@ impl FlowSpec {
     }
 }
 
-impl sim_core::Snapshotable for FlowSpec {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.src);
-        w.put(&self.dst);
-        w.put(&self.variant);
-        w.put(&self.start);
-        w.put(&self.tcp);
-        w.put(&self.vegas);
-        w.put(&self.muzha_cadence);
-        w.put_bool(self.delayed_ack);
-        w.put_bool(self.elfn);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let spec = FlowSpec {
-            src: r.get()?,
-            dst: r.get()?,
-            variant: r.get()?,
-            start: r.get()?,
-            tcp: r.get()?,
-            vegas: r.get()?,
-            muzha_cadence: r.get()?,
-            delayed_ack: r.take_bool()?,
-            elfn: r.take_bool()?,
-        };
-        if spec.src == spec.dst {
-            return Err(sim_core::SnapError::Invalid("flow endpoints equal"));
-        }
-        Ok(spec)
-    }
+sim_core::snap_record! {
+    FlowSpec { src, dst, variant, start, tcp, vegas, muzha_cadence, delayed_ack, elfn }
+    check |f| f.src != f.dst => "flow endpoints equal";
 }
 
 #[cfg(test)]

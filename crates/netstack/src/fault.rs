@@ -4,7 +4,7 @@
 
 use faultline::{CheckEvent, FaultEvent, ScenarioScript, TimedFault};
 use phy::{GeState, GilbertElliott};
-use sim_core::{DetSet, SnapError, SnapshotReader, SnapshotWriter, Snapshotable};
+use sim_core::{snap_enum, snap_record, DetSet};
 use wire::NodeId;
 
 use crate::event::{Event, Owner};
@@ -110,62 +110,11 @@ impl FaultState {
     }
 }
 
-impl Snapshotable for NodeStatus {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            NodeStatus::Up => 0,
-            NodeStatus::Paused => 1,
-            NodeStatus::Killed => 2,
-        });
-    }
+snap_enum! { NodeStatus, "node status tag" { 0 => Up, 1 => Paused, 2 => Killed } }
 
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => Ok(NodeStatus::Up),
-            1 => Ok(NodeStatus::Paused),
-            2 => Ok(NodeStatus::Killed),
-            _ => Err(SnapError::Invalid("node status tag")),
-        }
-    }
-}
+snap_record! { NodeFault { status, deferred, blackhole, saturate_cap, ge } }
 
-impl Snapshotable for NodeFault {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put(&self.status);
-        w.put(&self.deferred);
-        w.put_bool(self.blackhole);
-        w.put(&self.saturate_cap);
-        w.put(&self.ge);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeFault {
-            status: r.get()?,
-            deferred: r.get()?,
-            blackhole: r.take_bool()?,
-            saturate_cap: r.get()?,
-            ge: r.get()?,
-        })
-    }
-}
-
-impl Snapshotable for FaultState {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put(&self.scripted);
-        w.put(&self.nodes);
-        w.put(&self.ge_episode);
-        w.put(&self.scripted_down);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultState {
-            scripted: r.get()?,
-            nodes: r.get()?,
-            ge_episode: r.get()?,
-            scripted_down: r.get()?,
-        })
-    }
-}
+snap_record! { FaultState { scripted, nodes, ge_episode, scripted_down } }
 
 impl Simulator {
     /// Loads a fault scenario: every timed fault is scheduled on the
@@ -374,7 +323,7 @@ mod tests {
     use super::*;
     use crate::{topology, FlowReport, FlowSpec, SimConfig, TcpVariant};
     use faultline::InvariantChecker;
-    use sim_core::SimTime;
+    use sim_core::{SimTime, SnapError, SnapshotReader, SnapshotWriter};
 
     fn secs(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)

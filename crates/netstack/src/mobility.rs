@@ -2,7 +2,7 @@
 //! next waypoint, and the periodic tick that walks it there.
 
 use phy::Position;
-use sim_core::{SimDuration, SnapError, SnapshotReader, SnapshotWriter, Snapshotable};
+use sim_core::{snap_enum, snap_record, SimDuration};
 use topo::WaypointLeg;
 use tracelog::TraceRecord;
 use wire::NodeId;
@@ -243,80 +243,22 @@ impl Simulator {
     }
 }
 
-impl Snapshotable for RandomWaypoint {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.width_m);
-        w.put_f64(self.height_m);
-        w.put_f64(self.min_speed_mps);
-        w.put_f64(self.max_speed_mps);
-        w.put(&self.min_pause);
-        w.put(&self.max_pause);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        let plan = RandomWaypoint {
-            width_m: r.take_f64()?,
-            height_m: r.take_f64()?,
-            min_speed_mps: r.take_f64()?,
-            max_speed_mps: r.take_f64()?,
-            min_pause: r.get()?,
-            max_pause: r.get()?,
-        };
-        if !plan.is_well_formed() {
-            return Err(SnapError::Invalid("random waypoint plan"));
-        }
-        Ok(plan)
-    }
+snap_record! {
+    RandomWaypoint { width_m, height_m, min_speed_mps, max_speed_mps, min_pause, max_pause }
+    check |p| p.is_well_formed() => "random waypoint plan";
 }
 
-impl Snapshotable for MobilityPlan {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        match self {
-            MobilityPlan::Waypoint(plan) => {
-                w.put_u8(0);
-                w.put(plan);
-            }
-            MobilityPlan::Script { legs, next } => {
-                w.put_u8(1);
-                w.put(legs);
-                w.put_usize(*next);
-            }
-        }
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => Ok(MobilityPlan::Waypoint(r.get()?)),
-            1 => {
-                let legs: Vec<WaypointLeg> = r.get()?;
-                let next = r.take_usize()?;
-                // A live script is always travelling toward `legs[next-1]`,
-                // so the resume index sits in 1..=len (and `legs` is not
-                // empty).
-                if next == 0 || next > legs.len() {
-                    return Err(SnapError::Invalid("waypoint script index"));
-                }
-                Ok(MobilityPlan::Script { legs, next })
-            }
-            _ => Err(SnapError::Invalid("mobility plan tag")),
-        }
-    }
+snap_enum! {
+    MobilityPlan, "mobility plan tag" { 0 => Waypoint(plan), 1 => Script { legs, next } }
+    // A live script is always travelling toward `legs[next-1]`, so the resume
+    // index sits in 1..=len (and `legs` is not empty).
+    check |p| !matches!(p, MobilityPlan::Script { legs, next } if *next == 0 || *next > legs.len())
+        => "waypoint script index";
 }
 
-impl Snapshotable for Movement {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put(&self.target);
-        w.put_f64(self.speed_mps);
-        w.put(&self.plan);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        let m = Movement { target: r.get()?, speed_mps: r.take_f64()?, plan: r.get()? };
-        if m.speed_mps.is_nan() || m.speed_mps <= 0.0 {
-            return Err(SnapError::Invalid("movement speed"));
-        }
-        Ok(m)
-    }
+snap_record! {
+    Movement { target, speed_mps, plan }
+    check |m| m.speed_mps > 0.0 => "movement speed";
 }
 
 #[cfg(test)]

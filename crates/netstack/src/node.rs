@@ -156,7 +156,7 @@ impl Node {
         w.put_usize(self.receivers.len());
         for (flow, ep) in self.receivers.iter() {
             w.put(flow);
-            ep.receiver.encode_state(w);
+            w.put(&ep.receiver);
         }
         w.put_u64(self.routing_drops);
     }
@@ -202,7 +202,7 @@ impl Node {
             if spec.dst.index() != index {
                 return Err(SnapError::Invalid("receiver endpoint mismatch"));
             }
-            receivers.insert(flow, ReceiverEndpoint { receiver: TcpReceiver::decode_state(r)? });
+            receivers.insert(flow, ReceiverEndpoint { receiver: r.get()? });
         }
         let routing_drops = r.take_u64()?;
         Ok(Node {

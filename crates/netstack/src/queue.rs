@@ -115,35 +115,12 @@ impl DropTailQueue {
     }
 }
 
-impl sim_core::Snapshotable for QueueStats {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.enqueued);
-        w.put_u64(self.dropped);
-        w.put_usize(self.max_len);
-    }
+sim_core::snap_record! { QueueStats { enqueued, dropped, max_len } }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(QueueStats { enqueued: r.take_u64()?, dropped: r.take_u64()?, max_len: r.take_usize()? })
-    }
-}
-
-impl sim_core::Snapshotable for DropTailQueue {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.items);
-        w.put_usize(self.capacity);
-        w.put(&self.stats);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let q = DropTailQueue { items: r.get()?, capacity: r.take_usize()?, stats: r.get()? };
-        if q.capacity == 0 {
-            return Err(sim_core::SnapError::Invalid("drop-tail queue capacity"));
-        }
-        if q.items.len() > q.capacity {
-            return Err(sim_core::SnapError::Invalid("drop-tail queue over capacity"));
-        }
-        Ok(q)
-    }
+sim_core::snap_record! {
+    DropTailQueue { items, capacity, stats }
+    check |q| q.capacity > 0 => "drop-tail queue capacity";
+    check |q| q.items.len() <= q.capacity => "drop-tail queue over capacity";
 }
 
 #[cfg(test)]

@@ -250,68 +250,30 @@ impl RedQueue {
     }
 }
 
-impl sim_core::Snapshotable for RedConfig {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_f64(self.min_threshold);
-        w.put_f64(self.max_threshold);
-        w.put_f64(self.max_probability);
-        w.put_f64(self.queue_weight);
-        w.put_bool(self.ecn);
-        w.put_usize(self.capacity);
-        w.put(&self.idle_service_time);
+sim_core::snap_record! {
+    RedConfig {
+        min_threshold,
+        max_threshold,
+        max_probability,
+        queue_weight,
+        ecn,
+        capacity,
+        idle_service_time,
     }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let cfg = RedConfig {
-            min_threshold: r.take_f64()?,
-            max_threshold: r.take_f64()?,
-            max_probability: r.take_f64()?,
-            queue_weight: r.take_f64()?,
-            ecn: r.take_bool()?,
-            capacity: r.take_usize()?,
-            idle_service_time: r.get()?,
-        };
-        // Total mirror of `RedConfig::validate` — decode must never panic.
-        let ok = 0.0 <= cfg.min_threshold
-            && cfg.min_threshold < cfg.max_threshold
-            && (0.0..=1.0).contains(&cfg.max_probability)
-            && cfg.queue_weight > 0.0
-            && cfg.queue_weight <= 1.0
-            && cfg.capacity > 0
-            && cfg.idle_service_time > SimDuration::ZERO;
-        if !ok {
-            return Err(sim_core::SnapError::Invalid("red config"));
-        }
-        Ok(cfg)
-    }
+    // Total mirror of `RedConfig::validate` — decode must never panic.
+    check |c| 0.0 <= c.min_threshold
+        && c.min_threshold < c.max_threshold
+        && (0.0..=1.0).contains(&c.max_probability)
+        && c.queue_weight > 0.0
+        && c.queue_weight <= 1.0
+        && c.capacity > 0
+        && c.idle_service_time > SimDuration::ZERO
+        => "red config";
 }
 
-impl sim_core::Snapshotable for RedQueue {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.items);
-        w.put(&self.cfg);
-        w.put(&self.avg);
-        w.put(&self.stats);
-        w.put_u64(self.early_marks);
-        w.put_u64(self.early_drops);
-        w.put(&self.idle_since);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let q = RedQueue {
-            items: r.get()?,
-            cfg: r.get()?,
-            avg: r.get()?,
-            stats: r.get()?,
-            early_marks: r.take_u64()?,
-            early_drops: r.take_u64()?,
-            idle_since: r.get()?,
-        };
-        if q.items.len() > q.cfg.capacity {
-            return Err(sim_core::SnapError::Invalid("red queue over capacity"));
-        }
-        Ok(q)
-    }
+sim_core::snap_record! {
+    RedQueue { items, cfg, avg, stats, early_marks, early_drops, idle_since }
+    check |q| q.items.len() <= q.cfg.capacity => "red queue over capacity";
 }
 
 #[cfg(test)]

@@ -147,35 +147,12 @@ impl GeState {
     }
 }
 
-impl sim_core::Snapshotable for GilbertElliott {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_f64(self.p_gb);
-        w.put_f64(self.p_bg);
-        w.put_f64(self.loss_good);
-        w.put_f64(self.loss_bad);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let ge = GilbertElliott {
-            p_gb: r.take_f64()?,
-            p_bg: r.take_f64()?,
-            loss_good: r.take_f64()?,
-            loss_bad: r.take_f64()?,
-        };
-        ge.check().map_err(|_| sim_core::SnapError::Invalid("gilbert-elliott params"))?;
-        Ok(ge)
-    }
+sim_core::snap_record! {
+    GilbertElliott { p_gb, p_bg, loss_good, loss_bad }
+    check |ge| ge.check().is_ok() => "gilbert-elliott params";
 }
 
-impl sim_core::Snapshotable for GeState {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_bool(self.bad);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(GeState { bad: r.take_bool()? })
-    }
-}
+sim_core::snap_record! { GeState { bad } }
 
 #[cfg(test)]
 mod tests {

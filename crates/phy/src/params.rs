@@ -101,30 +101,11 @@ impl RadioParams {
     }
 }
 
-impl sim_core::Snapshotable for RadioParams {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.data_rate_bps);
-        w.put_u64(self.basic_rate_bps);
-        w.put(&self.plcp_overhead);
-        w.put_f64(self.tx_range_m);
-        w.put_f64(self.cs_range_m);
-        w.put_f64(self.per_frame_loss);
+sim_core::snap_record! {
+    RadioParams {
+        data_rate_bps, basic_rate_bps, plcp_overhead, tx_range_m, cs_range_m, per_frame_loss
     }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let p = RadioParams {
-            data_rate_bps: r.take_u64()?,
-            basic_rate_bps: r.take_u64()?,
-            plcp_overhead: r.get()?,
-            tx_range_m: r.take_f64()?,
-            cs_range_m: r.take_f64()?,
-            per_frame_loss: r.take_f64()?,
-        };
-        if !p.is_consistent() {
-            return Err(sim_core::SnapError::Invalid("radio params"));
-        }
-        Ok(p)
-    }
+    check |p| p.is_consistent() => "radio params";
 }
 
 #[cfg(test)]

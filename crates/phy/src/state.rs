@@ -268,88 +268,21 @@ impl PhyState {
     }
 }
 
-impl sim_core::Snapshotable for TxId {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.0);
-    }
+sim_core::snap_record! { TxId { 0 } }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(TxId(r.take_u64()?))
-    }
+sim_core::snap_record! { Reception { tx_id, decodable, corrupted, power } }
+
+sim_core::snap_record! {
+    Arrival { start, seq, tx_id, end, decodable, power }
+    check |a| a.start <= a.end => "pending arrival ends before it starts";
+    check |a| a.power.is_finite() => "pending arrival power";
 }
 
-impl sim_core::Snapshotable for Reception {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.tx_id);
-        w.put_bool(self.decodable);
-        w.put_bool(self.corrupted);
-        w.put_f64(self.power);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(Reception {
-            tx_id: r.get()?,
-            decodable: r.take_bool()?,
-            corrupted: r.take_bool()?,
-            power: r.take_f64()?,
-        })
-    }
-}
-
-impl sim_core::Snapshotable for Arrival {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.start);
-        w.put_u64(self.seq);
-        w.put(&self.tx_id);
-        w.put(&self.end);
-        w.put_bool(self.decodable);
-        w.put_f64(self.power);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let arrival = Arrival {
-            start: r.get()?,
-            seq: r.take_u64()?,
-            tx_id: r.get()?,
-            end: r.get()?,
-            decodable: r.take_bool()?,
-            power: r.take_f64()?,
-        };
-        if arrival.end < arrival.start {
-            return Err(sim_core::SnapError::Invalid("pending arrival ends before it starts"));
-        }
-        if !arrival.power.is_finite() {
-            return Err(sim_core::SnapError::Invalid("pending arrival power"));
-        }
-        Ok(arrival)
-    }
-}
-
-impl sim_core::Snapshotable for PhyState {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.transmitting_until);
-        w.put(&self.receptions);
-        w.put(&self.pending);
-        w.put(&self.energy_until);
-        w.put_f64(self.capture_ratio);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let transmitting_until = r.get()?;
-        let receptions = r.get()?;
-        let pending: Vec<Arrival> = r.get()?;
-        // `settle` stops at the first entry that is not due.
-        if pending.windows(2).any(|w| w[0].key() >= w[1].key()) {
-            return Err(sim_core::SnapError::Invalid("pending arrivals out of order"));
-        }
-        Ok(PhyState {
-            transmitting_until,
-            receptions,
-            pending,
-            energy_until: r.get()?,
-            capture_ratio: r.take_f64()?,
-        })
-    }
+sim_core::snap_record! {
+    PhyState { transmitting_until, receptions, pending, energy_until, capture_ratio }
+    // `settle` stops at the first entry that is not due.
+    check |p| p.pending.windows(2).all(|w| matches!(w, [a, b] if a.key() < b.key()))
+        => "pending arrivals out of order";
 }
 
 #[cfg(test)]

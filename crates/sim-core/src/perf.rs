@@ -71,3 +71,22 @@ impl RunPerf {
             + self.fault_events
     }
 }
+
+crate::snap_record! {
+    RunPerf {
+        events_processed,
+        phy_events,
+        mac_events,
+        routing_events,
+        transport_events,
+        mobility_events,
+        sampling_events,
+        fault_events,
+        timers_cancelled,
+        timers_stale_popped,
+        position_updates,
+        link_churn,
+        peak_event_queue,
+        peak_ifq_depth,
+    }
+}

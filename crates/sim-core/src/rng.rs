@@ -108,18 +108,7 @@ impl SimRng {
     }
 }
 
-impl crate::Snapshotable for SimRng {
-    fn encode(&self, w: &mut crate::SnapshotWriter) {
-        w.put_u64(self.s0);
-        w.put_u64(self.s1);
-        w.put_u64(self.s2);
-        w.put_u64(self.s3);
-    }
-
-    fn decode(r: &mut crate::SnapshotReader<'_>) -> Result<Self, crate::SnapError> {
-        Ok(SimRng { s0: r.take_u64()?, s1: r.take_u64()?, s2: r.take_u64()?, s3: r.take_u64()? })
-    }
-}
+crate::snap_record! { SimRng { s0, s1, s2, s3 } }
 
 #[cfg(test)]
 mod tests {

@@ -481,6 +481,165 @@ impl<A: Snapshotable, B: Snapshotable, C: Snapshotable> Snapshotable for (A, B, 
     }
 }
 
+/// States a field-list record's snapshot layout once: the fields, in wire
+/// order, each travelling through its own [`Snapshotable`] impl, then any
+/// number of `check |v| <bool> => "what";` clauses that run on the decoded
+/// value after its last field and yield [`SnapError::Invalid`]`("what")`.
+/// Expand it in the module that owns the type; private fields stay private,
+/// and a tuple struct names its fields `0`, `1`, ….
+///
+/// ```
+/// use sim_core::{snap_record, SnapError, SnapshotReader, Snapshotable};
+///
+/// struct Span { start: u64, end: u64 }
+/// snap_record! {
+///     Span { start, end }
+///     check |s| s.start < s.end => "span bounds";
+/// }
+/// let mut r = SnapshotReader::new(&[9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
+/// assert_eq!(Span::decode(&mut r).err(), Some(SnapError::Invalid("span bounds")));
+/// ```
+///
+/// A record that holds configuration does not write it. `given (cfg: Cfg)`
+/// names what the decoder is handed instead, and the record gets inherent
+/// `encode_state(&self, w)` / `decode_state(r, cfg)` in place of the trait,
+/// which has no room for the argument. In such a record `field = expr` is a
+/// field that is not on the wire, and `field: Type(args)` one whose own
+/// record is of this kind.
+///
+/// ```
+/// use sim_core::{snap_record, SnapshotReader, SnapshotWriter};
+///
+/// struct Queue { capacity: usize, items: Vec<u32> }
+/// snap_record! {
+///     given (capacity: usize) Queue { capacity = capacity, items }
+///     check |q| q.items.len() <= q.capacity => "queue over capacity";
+/// }
+/// struct Port { queue: Queue, drops: u64 }
+/// snap_record! { given (capacity: usize) Port { queue: Queue(capacity), drops } }
+///
+/// let port = Port { queue: Queue { capacity: 2, items: vec![7] }, drops: 1 };
+/// let mut w = SnapshotWriter::new();
+/// port.encode_state(&mut w);
+/// let bytes = w.finish();
+/// assert_eq!(bytes.len(), 8 + 4 + 8); // no capacity on the wire
+/// assert!(Port::decode_state(&mut SnapshotReader::new(&bytes), 2).is_ok());
+/// assert!(Port::decode_state(&mut SnapshotReader::new(&bytes), 0).is_err());
+/// ```
+#[macro_export]
+macro_rules! snap_record {
+    (@put $w:ident, $val:expr) => { $crate::Snapshotable::encode(&$val, $w) };
+    (@put $w:ident, $val:expr, $fty:ident) => { $val.encode_state($w) };
+    (@put $w:ident, $val:expr; $from:expr) => {};
+    (@get $r:ident) => { $crate::Snapshotable::decode($r)? };
+    (@get $r:ident, $fty:ident($($arg:expr),*)) => { $fty::decode_state($r $(, $arg)*)? };
+    (@get $r:ident; $from:expr) => { $from };
+    (@checked $value:ident $(, |$v:ident| $ok:expr => $what:literal)*) => {{
+        $({
+            let $v = &$value;
+            if !($ok) {
+                return Err($crate::SnapError::Invalid($what));
+            }
+        })*
+        Ok($value)
+    }};
+    (
+        given ($($ctx:ident: $cty:ty),*)
+        $ty:ident {
+            $($field:tt $(: $fty:ident($($arg:expr),*))? $(= $from:expr)?),+ $(,)?
+        }
+        $(check |$v:ident| $ok:expr => $what:literal;)*
+    ) => {
+        impl $ty {
+            /// Appends this record's fields to `w` in their declared order;
+            /// what `decode_state` is given is not written.
+            pub fn encode_state(&self, w: &mut $crate::SnapshotWriter) {
+                $($crate::snap_record!(@put w, self.$field $(, $fty)? $(; $from)?);)+
+            }
+
+            /// Reads back what [`Self::encode_state`] wrote, around the
+            /// configuration it is given.
+            ///
+            /// # Errors
+            ///
+            /// Any `SnapError` on truncated or out-of-domain input.
+            pub fn decode_state(
+                r: &mut $crate::SnapshotReader<'_>
+                $(, $ctx: $cty)*
+            ) -> Result<Self, $crate::SnapError> {
+                let value = Self {
+                    $($field: $crate::snap_record!(@get r $(, $fty($($arg),*))? $(; $from)?),)+
+                };
+                $crate::snap_record!(@checked value $(, |$v| $ok => $what)*)
+            }
+        }
+    };
+    (
+        $ty:ty { $($field:tt),+ $(,)? }
+        $(check |$v:ident| $ok:expr => $what:literal;)*
+    ) => {
+        impl $crate::Snapshotable for $ty {
+            fn encode(&self, w: &mut $crate::SnapshotWriter) {
+                $($crate::Snapshotable::encode(&self.$field, w);)+
+            }
+
+            fn decode(r: &mut $crate::SnapshotReader<'_>) -> Result<Self, $crate::SnapError> {
+                let value = Self { $($field: $crate::Snapshotable::decode(r)?,)+ };
+                $crate::snap_record!(@checked value $(, |$v| $ok => $what)*)
+            }
+        }
+    };
+}
+
+/// States a tagged enum's snapshot layout once: one explicit `u8` tag per
+/// variant — unit, tuple (name the fields to bind them) or struct — then the
+/// variant's fields in the order written, each through [`Snapshotable`]. A
+/// tag no variant claims is [`SnapError::Invalid`] under the name given
+/// after the type; `check` clauses work as in [`snap_record!`].
+///
+/// ```
+/// use sim_core::{snap_enum, SnapError, SnapshotReader, Snapshotable};
+///
+/// enum Shape { Dot, Circle(f64), Rect { w: f64, h: f64 } }
+/// snap_enum! {
+///     Shape, "shape tag" { 0 => Dot, 1 => Circle(radius), 2 => Rect { w, h } }
+/// }
+/// let bad = Shape::decode(&mut SnapshotReader::new(&[3]));
+/// assert_eq!(bad.err(), Some(SnapError::Invalid("shape tag")));
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    (@get $r:ident $bound:ident) => { $crate::Snapshotable::decode($r)? };
+    (
+        $ty:ty, $bad_tag:literal {
+            $($tag:literal => $variant:ident $(($($tf:ident),+))? $({ $($sf:ident),+ })?),+ $(,)?
+        }
+        $(check |$v:ident| $ok:expr => $what:literal;)*
+    ) => {
+        impl $crate::Snapshotable for $ty {
+            fn encode(&self, w: &mut $crate::SnapshotWriter) {
+                match self {
+                    $(Self::$variant $(($($tf),+))? $({ $($sf),+ })? => {
+                        w.put_u8($tag);
+                        $($($crate::Snapshotable::encode($tf, w);)+)?
+                        $($($crate::Snapshotable::encode($sf, w);)+)?
+                    })+
+                }
+            }
+
+            fn decode(r: &mut $crate::SnapshotReader<'_>) -> Result<Self, $crate::SnapError> {
+                let value = match r.take_u8()? {
+                    $($tag => Self::$variant
+                        $(($($crate::snap_enum!(@get r $tf)),+))?
+                        $({ $($sf: $crate::Snapshotable::decode(r)?),+ })?,)+
+                    _ => return Err($crate::SnapError::Invalid($bad_tag)),
+                };
+                $crate::snap_record!(@checked value $(, |$v| $ok => $what)*)
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,43 +760,26 @@ mod proptests {
         map: BTreeMap<u32, SimDuration>,
         set: BTreeSet<u16>,
         rc: Rc<u32>,
+        tagged: Vec<Tagged>,
     }
 
-    impl Snapshotable for Mixed {
-        fn encode(&self, w: &mut SnapshotWriter) {
-            w.put_u8(self.a);
-            w.put_u16(self.b);
-            w.put_u32(self.c);
-            w.put_u64(self.d);
-            w.put_usize(self.e);
-            w.put_bool(self.f);
-            w.put_f64(self.g);
-            w.put_str(&self.s);
-            w.put(&self.v);
-            w.put(&self.dq);
-            w.put(&self.o);
-            w.put(&self.map);
-            w.put(&self.set);
-            w.put(&self.rc);
-        }
-        fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-            Ok(Mixed {
-                a: r.take_u8()?,
-                b: r.take_u16()?,
-                c: r.take_u32()?,
-                d: r.take_u64()?,
-                e: r.take_usize()?,
-                f: r.take_bool()?,
-                g: r.take_f64()?,
-                s: r.take_str()?,
-                v: r.get()?,
-                dq: r.get()?,
-                o: r.get()?,
-                map: r.get()?,
-                set: r.get()?,
-                rc: r.get()?,
-            })
-        }
+    /// Unit, tuple and struct variants under tags that are not `0, 1, 2`.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Tagged {
+        Unit,
+        Pair(u32, bool),
+        Named { at: SimTime, label: String },
+    }
+
+    snap_enum! {
+        Tagged, "tagged tag" { 2 => Unit, 5 => Pair(n, flag), 9 => Named { at, label } }
+        check |t| !matches!(t, Tagged::Pair(0, true)) => "tagged pair";
+    }
+
+    snap_record! {
+        Mixed { a, b, c, d, e, f, g, s, v, dq, o, map, set, rc, tagged }
+        check |m| m.a != 0xee || m.b != 0xeeee => "mixed sentinel";
+        check |m| m.v.len() < 9 => "mixed vector length";
     }
 
     fn mixed_from(seed: u64) -> Mixed {
@@ -666,7 +808,78 @@ mod proptests {
                 .collect(),
             set: (0..next() % 6).map(|_| next() as u16).collect(),
             rc: Rc::new(next() as u32),
+            tagged: (0..next() % 4)
+                .map(|_| match next() % 3 {
+                    0 => Tagged::Unit,
+                    1 => Tagged::Pair(next() as u32 | 1, next() % 2 == 0),
+                    _ => Tagged::Named { at: SimTime::from_nanos(next()), label: "lá".into() },
+                })
+                .collect(),
         }
+    }
+
+    fn encoded(value: &Mixed) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        value.encode(&mut w);
+        w.finish()
+    }
+
+    /// The macros write exactly the `put_*` calls a hand-written impl made,
+    /// in the declared order.
+    #[test]
+    fn macro_layout_is_the_field_list() {
+        let mut value = mixed_from(1);
+        value.tagged = vec![Tagged::Pair(7, true), Tagged::Unit];
+        let mut w = SnapshotWriter::new();
+        w.put_u8(value.a);
+        w.put_u16(value.b);
+        w.put_u32(value.c);
+        w.put_u64(value.d);
+        w.put_usize(value.e);
+        w.put_bool(value.f);
+        w.put_f64(value.g);
+        w.put_str(&value.s);
+        w.put(&value.v);
+        w.put(&value.dq);
+        w.put(&value.o);
+        w.put(&value.map);
+        w.put(&value.set);
+        w.put(&value.rc);
+        w.put_usize(2);
+        w.put_u8(5);
+        w.put_u32(7);
+        w.put_bool(true);
+        w.put_u8(2);
+        assert_eq!(encoded(&value), w.finish());
+    }
+
+    /// `check` clauses run after the last field, in order, and name what
+    /// failed; a tag no variant claims is the enum's own named error.
+    #[test]
+    fn failing_checks_and_unknown_tags_are_named() {
+        let decode = |bytes: &[u8]| Mixed::decode(&mut SnapshotReader::new(bytes)).err();
+        let mut value = mixed_from(2);
+        value.tagged = vec![Tagged::Unit];
+        assert_eq!(decode(&encoded(&value)), None);
+
+        let mut bytes = encoded(&value);
+        *bytes.last_mut().expect("non-empty") = 3;
+        assert_eq!(decode(&bytes), Some(SnapError::Invalid("tagged tag")));
+
+        (value.a, value.b) = (0xee, 0xeeee);
+        assert_eq!(decode(&encoded(&value)), Some(SnapError::Invalid("mixed sentinel")));
+        // Both clauses fail: the first one declared reports.
+        value.v = vec![0; 9];
+        assert_eq!(decode(&encoded(&value)), Some(SnapError::Invalid("mixed sentinel")));
+        value.a = 0;
+        assert_eq!(decode(&encoded(&value)), Some(SnapError::Invalid("mixed vector length")));
+        // A truncated record never reaches its checks.
+        let bytes = encoded(&value);
+        assert_eq!(decode(&bytes[..bytes.len() - 1]), Some(SnapError::Truncated));
+
+        value.v.clear();
+        value.tagged = vec![Tagged::Pair(0, true)];
+        assert_eq!(decode(&encoded(&value)), Some(SnapError::Invalid("tagged pair")));
     }
 
     /// Bit-equality for `Mixed` that treats NaN by pattern, not by `==`.
@@ -729,42 +942,5 @@ mod proptests {
                 Ok(v)
             });
         }
-    }
-}
-
-impl Snapshotable for crate::RunPerf {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.events_processed);
-        w.put_u64(self.phy_events);
-        w.put_u64(self.mac_events);
-        w.put_u64(self.routing_events);
-        w.put_u64(self.transport_events);
-        w.put_u64(self.mobility_events);
-        w.put_u64(self.sampling_events);
-        w.put_u64(self.fault_events);
-        w.put_u64(self.timers_cancelled);
-        w.put_u64(self.timers_stale_popped);
-        w.put_u64(self.position_updates);
-        w.put_u64(self.link_churn);
-        w.put_usize(self.peak_event_queue);
-        w.put_usize(self.peak_ifq_depth);
-    }
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::RunPerf {
-            events_processed: r.take_u64()?,
-            phy_events: r.take_u64()?,
-            mac_events: r.take_u64()?,
-            routing_events: r.take_u64()?,
-            transport_events: r.take_u64()?,
-            mobility_events: r.take_u64()?,
-            sampling_events: r.take_u64()?,
-            fault_events: r.take_u64()?,
-            timers_cancelled: r.take_u64()?,
-            timers_stale_popped: r.take_u64()?,
-            position_updates: r.take_u64()?,
-            link_churn: r.take_u64()?,
-            peak_event_queue: r.take_usize()?,
-            peak_ifq_depth: r.take_usize()?,
-        })
     }
 }

@@ -69,20 +69,9 @@ impl Ewma {
     }
 }
 
-impl crate::Snapshotable for Ewma {
-    fn encode(&self, w: &mut crate::SnapshotWriter) {
-        w.put_f64(self.alpha);
-        w.put_f64(self.value);
-        w.put_bool(self.initialised);
-    }
-
-    fn decode(r: &mut crate::SnapshotReader<'_>) -> Result<Self, crate::SnapError> {
-        let alpha = r.take_f64()?;
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(crate::SnapError::Invalid("ewma alpha"));
-        }
-        Ok(Ewma { alpha, value: r.take_f64()?, initialised: r.take_bool()? })
-    }
+crate::snap_record! {
+    Ewma { alpha, value, initialised }
+    check |e| e.alpha > 0.0 && e.alpha <= 1.0 => "ewma alpha";
 }
 
 /// A time series of `(time, value)` samples, e.g. a congestion-window trace.
@@ -190,18 +179,10 @@ impl TimeSeries {
     }
 }
 
-impl crate::Snapshotable for TimeSeries {
-    fn encode(&self, w: &mut crate::SnapshotWriter) {
-        w.put(&self.samples);
-    }
-
-    fn decode(r: &mut crate::SnapshotReader<'_>) -> Result<Self, crate::SnapError> {
-        let samples: Vec<(SimTime, f64)> = r.get()?;
-        if samples.windows(2).any(|p| matches!(p, [a, b] if b.0 < a.0)) {
-            return Err(crate::SnapError::Invalid("time series out of order"));
-        }
-        Ok(TimeSeries { samples })
-    }
+crate::snap_record! {
+    TimeSeries { samples }
+    check |ts| !ts.samples.windows(2).any(|p| matches!(p, [a, b] if b.0 < a.0))
+        => "time series out of order";
 }
 
 /// Jain's fairness index over per-flow allocations:

@@ -112,38 +112,14 @@ impl TimerSlab {
     }
 }
 
-impl crate::Snapshotable for TimerHandle {
-    fn encode(&self, w: &mut crate::SnapshotWriter) {
-        w.put_u32(self.slot);
-        w.put_u64(self.generation);
-    }
+crate::snap_record! { TimerHandle { slot, generation } }
 
-    fn decode(r: &mut crate::SnapshotReader<'_>) -> Result<Self, crate::SnapError> {
-        Ok(TimerHandle { slot: r.take_u32()?, generation: r.take_u64()? })
-    }
-}
-
-impl crate::Snapshotable for TimerSlab {
-    fn encode(&self, w: &mut crate::SnapshotWriter) {
-        w.put(&self.generations);
-        w.put(&self.free);
-        w.put_u64(self.scheduled);
-        w.put_u64(self.cancelled);
-    }
-
-    fn decode(r: &mut crate::SnapshotReader<'_>) -> Result<Self, crate::SnapError> {
-        let generations: Vec<u64> = r.get()?;
-        let free: Vec<u32> = r.get()?;
-        // Free-list entries must point at even-generation (free) slots, or a
-        // corrupted snapshot could hand out a slot twice.
-        for &slot in &free {
-            match generations.get(slot as usize) {
-                Some(g) if g % 2 == 0 => {}
-                _ => return Err(crate::SnapError::Invalid("timer free-list slot")),
-            }
-        }
-        Ok(TimerSlab { generations, free, scheduled: r.take_u64()?, cancelled: r.take_u64()? })
-    }
+crate::snap_record! {
+    TimerSlab { generations, free, scheduled, cancelled }
+    // A free-list entry must point at an even-generation (free) slot, or a
+    // corrupted snapshot could hand out a slot twice.
+    check |s| s.free.iter().all(|&f| s.generations.get(f as usize).is_some_and(|g| g % 2 == 0))
+        => "timer free-list slot";
 }
 
 #[cfg(test)]

@@ -88,15 +88,7 @@ impl Default for TraceHash {
     }
 }
 
-impl crate::Snapshotable for TraceHash {
-    fn encode(&self, w: &mut crate::SnapshotWriter) {
-        w.put_u64(self.state);
-    }
-
-    fn decode(r: &mut crate::SnapshotReader<'_>) -> Result<Self, crate::SnapError> {
-        Ok(TraceHash { state: r.take_u64()? })
-    }
-}
+crate::snap_record! { TraceHash { state } }
 
 /// Runs `f` twice and asserts both runs produce equal output — the
 /// twin-run determinism check. Returns the (verified identical) result.

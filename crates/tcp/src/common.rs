@@ -267,49 +267,25 @@ impl SendState {
     }
 }
 
-impl sim_core::Snapshotable for SendState {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.una);
-        w.put_u64(self.nxt);
-        w.put_u32(self.dupacks);
-        w.put(&self.rtt);
-        w.put(&self.stats);
-        w.put(&self.cfg);
-        w.put_u64(self.high_water);
-        w.put_u32(self.consecutive_timeouts);
-        w.put(&self.send_times);
-        w.put(&self.armed_timer);
-        w.put_u64(self.next_timer_id);
-        w.put_u64(self.cancelled_timers);
-        w.put(&self.cwnd_trace);
-        w.put_f64(self.last_traced_cwnd);
+sim_core::snap_record! {
+    SendState {
+        una,
+        nxt,
+        dupacks,
+        rtt,
+        stats,
+        cfg,
+        high_water,
+        consecutive_timeouts,
+        send_times,
+        armed_timer,
+        next_timer_id,
+        cancelled_timers,
+        cwnd_trace,
+        last_traced_cwnd,
     }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let s = SendState {
-            una: r.take_u64()?,
-            nxt: r.take_u64()?,
-            dupacks: r.take_u32()?,
-            rtt: r.get()?,
-            stats: r.get()?,
-            cfg: r.get()?,
-            high_water: r.take_u64()?,
-            consecutive_timeouts: r.take_u32()?,
-            send_times: r.get()?,
-            armed_timer: r.get()?,
-            next_timer_id: r.take_u64()?,
-            cancelled_timers: r.take_u64()?,
-            cwnd_trace: r.get()?,
-            last_traced_cwnd: r.take_f64()?,
-        };
-        if s.una > s.nxt {
-            return Err(sim_core::SnapError::Invalid("send state una past nxt"));
-        }
-        if s.nxt > s.high_water {
-            return Err(sim_core::SnapError::Invalid("send state nxt past high water"));
-        }
-        Ok(s)
-    }
+    check |s| s.una <= s.nxt => "send state una past nxt";
+    check |s| s.nxt <= s.high_water => "send state nxt past high water";
 }
 
 #[cfg(test)]

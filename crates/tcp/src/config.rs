@@ -95,60 +95,32 @@ impl VegasConfig {
     }
 }
 
-impl sim_core::Snapshotable for TcpConfig {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u32(self.payload_bytes);
-        w.put_u32(self.advertised_window);
-        w.put_f64(self.initial_cwnd);
-        w.put_f64(self.initial_ssthresh);
-        w.put_u32(self.dupack_threshold);
-        w.put(&self.initial_rto);
-        w.put(&self.min_rto);
-        w.put(&self.max_rto);
-        w.put_bool(self.fixed_rto);
+sim_core::snap_record! {
+    TcpConfig {
+        payload_bytes,
+        advertised_window,
+        initial_cwnd,
+        initial_ssthresh,
+        dupack_threshold,
+        initial_rto,
+        min_rto,
+        max_rto,
+        fixed_rto,
     }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let cfg = TcpConfig {
-            payload_bytes: r.take_u32()?,
-            advertised_window: r.take_u32()?,
-            initial_cwnd: r.take_f64()?,
-            initial_ssthresh: r.take_f64()?,
-            dupack_threshold: r.take_u32()?,
-            initial_rto: r.get()?,
-            min_rto: r.get()?,
-            max_rto: r.get()?,
-            fixed_rto: r.take_bool()?,
-        };
-        // Mirror `validate()` as total checks: a snapshot must never panic.
-        if cfg.payload_bytes == 0
-            || cfg.advertised_window == 0
-            || cfg.initial_cwnd.is_nan()
-            || cfg.initial_cwnd < 1.0
-            || cfg.dupack_threshold == 0
-            || cfg.min_rto > cfg.max_rto
-            || cfg.min_rto == SimDuration::ZERO
-        {
-            return Err(sim_core::SnapError::Invalid("tcp config"));
-        }
-        Ok(cfg)
-    }
+    // Mirror `validate()` as a total check: a flow table must never panic.
+    check |c| c.payload_bytes > 0
+        && c.advertised_window > 0
+        && c.initial_cwnd >= 1.0
+        && c.dupack_threshold > 0
+        && c.min_rto <= c.max_rto
+        && c.min_rto > SimDuration::ZERO
+        => "tcp config";
 }
 
-impl sim_core::Snapshotable for VegasConfig {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_f64(self.alpha);
-        w.put_f64(self.beta);
-        w.put_f64(self.gamma);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let cfg = VegasConfig { alpha: r.take_f64()?, beta: r.take_f64()?, gamma: r.take_f64()? };
-        if !(cfg.alpha >= 0.0 && cfg.beta >= 0.0 && cfg.gamma >= 0.0 && cfg.alpha <= cfg.beta) {
-            return Err(sim_core::SnapError::Invalid("vegas config"));
-        }
-        Ok(cfg)
-    }
+sim_core::snap_record! {
+    VegasConfig { alpha, beta, gamma }
+    check |c| c.alpha >= 0.0 && c.beta >= 0.0 && c.gamma >= 0.0 && c.alpha <= c.beta
+        => "vegas config";
 }
 
 #[cfg(test)]

@@ -112,34 +112,10 @@ pub trait Transport: std::fmt::Debug {
     fn phase(&self) -> &'static str;
 }
 
-impl sim_core::Snapshotable for TcpTimer {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.0);
-    }
+sim_core::snap_record! { TcpTimer { 0 } }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(TcpTimer(r.take_u64()?))
-    }
-}
-
-impl sim_core::Snapshotable for TcpStats {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.segments_sent);
-        w.put_u64(self.retransmissions);
-        w.put_u64(self.timeouts);
-        w.put_u64(self.fast_retransmits);
-        w.put_u64(self.acked_segments);
-        w.put_u64(self.dupacks);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(TcpStats {
-            segments_sent: r.take_u64()?,
-            retransmissions: r.take_u64()?,
-            timeouts: r.take_u64()?,
-            fast_retransmits: r.take_u64()?,
-            acked_segments: r.take_u64()?,
-            dupacks: r.take_u64()?,
-        })
+sim_core::snap_record! {
+    TcpStats {
+        segments_sent, retransmissions, timeouts, fast_retransmits, acked_segments, dupacks
     }
 }

@@ -35,31 +35,9 @@ pub struct ReceiverStats {
     pub acks_sent: u64,
 }
 
-impl sim_core::Snapshotable for DelAckTimer {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.0);
-    }
+sim_core::snap_record! { DelAckTimer { 0 } }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(DelAckTimer(r.take_u64()?))
-    }
-}
-
-impl sim_core::Snapshotable for ReceiverStats {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.segments_received);
-        w.put_u64(self.duplicates);
-        w.put_u64(self.acks_sent);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(ReceiverStats {
-            segments_received: r.take_u64()?,
-            duplicates: r.take_u64()?,
-            acks_sent: r.take_u64()?,
-        })
-    }
-}
+sim_core::snap_record! { ReceiverStats { segments_received, duplicates, acks_sent } }
 
 /// A one-way TCP receiver: acknowledges every arriving data segment with a
 /// cumulative ACK (generating duplicate ACKs on reordering/loss), optionally
@@ -98,6 +76,27 @@ pub struct TcpReceiver {
     delack_timer: Option<DelAckTimer>,
     next_delack_id: u64,
     delack_cancelled: u64,
+}
+
+sim_core::snap_record! {
+    TcpReceiver {
+        flow,
+        rcv_nxt,
+        out_of_order,
+        sack_enabled,
+        stats,
+        delivered_trace,
+        payload_bytes_seen,
+        max_seq_seen,
+        delack_enabled,
+        pending_ack,
+        delack_timer,
+        next_delack_id,
+        delack_cancelled,
+    }
+    // Already delivered data cannot also be buffered.
+    check |rx| rx.out_of_order.first().is_none_or(|&lo| lo > rx.rcv_nxt)
+        => "receiver ooo below rcv_nxt";
 }
 
 /// Maximum SACK blocks attached to one ACK (TCP option-space limit).
@@ -277,52 +276,6 @@ impl TcpReceiver {
             },
         };
         (ack, advanced)
-    }
-
-    /// Serialises the receiver's full mutable state into `w`.
-    pub fn encode_state(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.flow);
-        w.put_u64(self.rcv_nxt);
-        w.put(&self.out_of_order);
-        w.put_bool(self.sack_enabled);
-        w.put(&self.stats);
-        w.put(&self.delivered_trace);
-        w.put_u32(self.payload_bytes_seen);
-        w.put(&self.max_seq_seen);
-        w.put_bool(self.delack_enabled);
-        w.put(&self.pending_ack);
-        w.put(&self.delack_timer);
-        w.put_u64(self.next_delack_id);
-        w.put_u64(self.delack_cancelled);
-    }
-
-    /// Rebuilds a receiver from bytes written by [`Self::encode_state`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`sim_core::SnapError`] on truncated or out-of-domain input,
-    /// including out-of-order entries at or below `rcv_nxt` (already
-    /// delivered data cannot also be buffered).
-    pub fn decode_state(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let rx = TcpReceiver {
-            flow: r.get()?,
-            rcv_nxt: r.take_u64()?,
-            out_of_order: r.get()?,
-            sack_enabled: r.take_bool()?,
-            stats: r.get()?,
-            delivered_trace: r.get()?,
-            payload_bytes_seen: r.take_u32()?,
-            max_seq_seen: r.get()?,
-            delack_enabled: r.take_bool()?,
-            pending_ack: r.get()?,
-            delack_timer: r.get()?,
-            next_delack_id: r.take_u64()?,
-            delack_cancelled: r.take_u64()?,
-        };
-        if rx.out_of_order.iter().next().is_some_and(|&lo| lo <= rx.rcv_nxt) {
-            return Err(sim_core::SnapError::Invalid("receiver ooo below rcv_nxt"));
-        }
-        Ok(rx)
     }
 
     /// Contiguous runs of out-of-order data, lowest first, capped at

@@ -93,30 +93,9 @@ impl RttEstimator {
     }
 }
 
-impl sim_core::Snapshotable for RttEstimator {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.srtt);
-        w.put(&self.rttvar);
-        w.put(&self.initial_rto);
-        w.put(&self.min_rto);
-        w.put(&self.max_rto);
-        w.put_u32(self.backoff);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let est = RttEstimator {
-            srtt: r.get()?,
-            rttvar: r.get()?,
-            initial_rto: r.get()?,
-            min_rto: r.get()?,
-            max_rto: r.get()?,
-            backoff: r.take_u32()?,
-        };
-        if est.backoff > 16 {
-            return Err(sim_core::SnapError::Invalid("rtt backoff exponent"));
-        }
-        Ok(est)
-    }
+sim_core::snap_record! {
+    RttEstimator { srtt, rttvar, initial_rto, min_rto, max_rto, backoff }
+    check |e| e.backoff <= 16 => "rtt backoff exponent";
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use sim_core::{SimDuration, SimTime, SnapError, SnapshotReader, SnapshotWriter, Snapshotable};
+use sim_core::{snap_record, SimDuration, SimTime, SnapError, SnapshotReader, SnapshotWriter};
 use wire::{Drai, SackBlock};
 
 use crate::{AdjustmentCadence, SendState, TcpConfig, TcpVariant, VegasConfig};
@@ -420,45 +420,13 @@ impl Policy {
     /// The snapshot record; the sender's variant tag says which one it is.
     pub(crate) fn encode(&self, w: &mut SnapshotWriter) {
         match self {
-            Policy::Reno { ssthresh, .. } => w.put_f64(*ssthresh),
-            Policy::Sack(sb) => {
-                w.put_f64(sb.ssthresh);
-                w.put(&sb.scoreboard);
-                w.put(&sb.retransmitted);
-            }
-            Policy::Vegas(v) => {
-                w.put(&v.cfg);
-                w.put_bool(v.slow_start);
-                w.put(&v.rtts);
-                w.put_u64(v.round_end);
-                w.put_u64(v.rounds);
-            }
-            Policy::Veno(v) => {
-                w.put_f64(v.ssthresh);
-                w.put(&v.rtts);
-                w.put_u64(v.ca_acks);
-            }
-            Policy::Westwood(x) => {
-                w.put_f64(x.ssthresh);
-                w.put_f64(x.bwe);
-                w.put(&x.rtt_min);
-                w.put_u64(x.round_acked);
-                w.put(&x.round_start);
-                w.put_u64(x.round_end);
-            }
-            Policy::Door(d) => {
-                w.put_f64(d.ssthresh);
-                w.put(&d.cc_disabled_until);
-                w.put(&d.last_reduction);
-                w.put(&d.unreduced);
-                w.put_u64(d.ooo_events);
-            }
-            Policy::Muzha(m) => {
-                w.put(&m.cadence);
-                w.put_u64(m.round_end);
-                w.put(&m.round_mrai);
-                w.put_u32(m.marked_dupacks);
-            }
+            Policy::Reno { ssthresh, .. } => w.put(ssthresh),
+            Policy::Sack(p) => w.put(p),
+            Policy::Vegas(p) => w.put(p),
+            Policy::Veno(p) => w.put(p),
+            Policy::Westwood(p) => w.put(p),
+            Policy::Door(p) => w.put(p),
+            Policy::Muzha(p) => w.put(p),
         }
     }
 
@@ -472,54 +440,19 @@ impl Policy {
         let (mut policy, _) =
             Policy::new(variant, s.cfg(), VegasConfig::default(), AdjustmentCadence::default());
         match &mut policy {
-            Policy::Reno { ssthresh, .. } => *ssthresh = r.take_f64()?,
-            Policy::Sack(sb) => {
-                *sb =
-                    Sack { ssthresh: r.take_f64()?, scoreboard: r.get()?, retransmitted: r.get()? };
-                let lowest = [sb.scoreboard.first(), sb.retransmitted.first()];
+            Policy::Reno { ssthresh, .. } => *ssthresh = r.get()?,
+            Policy::Sack(p) => {
+                *p = r.get()?;
+                let lowest = [p.scoreboard.first(), p.retransmitted.first()];
                 if lowest.into_iter().flatten().any(|&seq| seq < s.una) {
                     return Err(SnapError::Invalid("sack scoreboard below una"));
                 }
             }
-            Policy::Vegas(v) => {
-                *v = Vegas {
-                    cfg: r.get()?,
-                    slow_start: r.take_bool()?,
-                    rtts: r.get()?,
-                    round_end: r.take_u64()?,
-                    rounds: r.take_u64()?,
-                }
-            }
-            Policy::Veno(v) => {
-                *v = Veno { ssthresh: r.take_f64()?, rtts: r.get()?, ca_acks: r.take_u64()? }
-            }
-            Policy::Westwood(w) => {
-                *w = Westwood {
-                    ssthresh: r.take_f64()?,
-                    bwe: r.take_f64()?,
-                    rtt_min: r.get()?,
-                    round_acked: r.take_u64()?,
-                    round_start: r.get()?,
-                    round_end: r.take_u64()?,
-                }
-            }
-            Policy::Door(d) => {
-                *d = Door {
-                    ssthresh: r.take_f64()?,
-                    cc_disabled_until: r.get()?,
-                    last_reduction: r.get()?,
-                    unreduced: r.get()?,
-                    ooo_events: r.take_u64()?,
-                }
-            }
-            Policy::Muzha(m) => {
-                *m = Muzha {
-                    cadence: r.get()?,
-                    round_end: r.take_u64()?,
-                    round_mrai: r.get()?,
-                    marked_dupacks: r.take_u32()?,
-                }
-            }
+            Policy::Vegas(p) => *p = r.get()?,
+            Policy::Veno(p) => *p = r.get()?,
+            Policy::Westwood(p) => *p = r.get()?,
+            Policy::Door(p) => *p = r.get()?,
+            Policy::Muzha(p) => *p = r.get()?,
         }
         if policy.ssthresh().is_some_and(|ss| !ss.is_finite()) {
             return Err(SnapError::Invalid("sender ssthresh"));
@@ -527,6 +460,14 @@ impl Policy {
         Ok(policy)
     }
 }
+
+snap_record! { Sack { ssthresh, scoreboard, retransmitted } }
+snap_record! { Backlog { base_rtt, last_rtt } }
+snap_record! { Vegas { cfg, slow_start, rtts, round_end, rounds } }
+snap_record! { Veno { ssthresh, rtts, ca_acks } }
+snap_record! { Westwood { ssthresh, bwe, rtt_min, round_acked, round_start, round_end } }
+snap_record! { Door { ssthresh, cc_disabled_until, last_reduction, unreduced, ooo_events } }
+snap_record! { Muzha { cadence, round_end, round_mrai, marked_dupacks } }
 
 /// TCP SACK (ns-2 `sack1` style): Reno outside recovery; inside it each ACK
 /// clocks out one transmission, the lowest un-SACKed hole first and fresh
@@ -841,17 +782,6 @@ impl Muzha {
         if let Some(moved) = moved {
             *cx.cwnd = moved.min(f64::from(cx.s.cfg().advertised_window));
         }
-    }
-}
-
-impl Snapshotable for Backlog {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put(&self.base_rtt);
-        w.put(&self.last_rtt);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(Backlog { base_rtt: r.get()?, last_rtt: r.get()? })
     }
 }
 

@@ -1,6 +1,6 @@
 //! Which sender a flow runs: the variant names and Muzha's cadence.
 
-use sim_core::{SnapError, SnapshotReader, SnapshotWriter, Snapshotable};
+use sim_core::snap_enum;
 
 /// Which TCP sender implementation a flow uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -66,15 +66,18 @@ impl std::fmt::Display for TcpVariant {
     }
 }
 
-impl Snapshotable for TcpVariant {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        let tag = TcpVariant::ALL.iter().position(|v| v == self).unwrap_or(0) as u8;
-        w.put_u8(tag);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        let tag = r.take_u8()? as usize;
-        TcpVariant::ALL.get(tag).copied().ok_or(SnapError::Invalid("tcp variant tag"))
+// The tags are the positions in [`TcpVariant::ALL`].
+snap_enum! {
+    TcpVariant, "tcp variant tag" {
+        0 => Tahoe,
+        1 => Reno,
+        2 => NewReno,
+        3 => Sack,
+        4 => Vegas,
+        5 => Veno,
+        6 => Westwood,
+        7 => Door,
+        8 => Muzha,
     }
 }
 
@@ -94,22 +97,7 @@ pub enum AdjustmentCadence {
     PerAck,
 }
 
-impl Snapshotable for AdjustmentCadence {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            AdjustmentCadence::PerRtt => 0,
-            AdjustmentCadence::PerAck => 1,
-        });
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => Ok(AdjustmentCadence::PerRtt),
-            1 => Ok(AdjustmentCadence::PerAck),
-            _ => Err(SnapError::Invalid("muzha cadence tag")),
-        }
-    }
-}
+snap_enum! { AdjustmentCadence, "muzha cadence tag" { 0 => PerRtt, 1 => PerAck } }
 
 #[cfg(test)]
 mod tests {

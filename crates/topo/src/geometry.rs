@@ -47,16 +47,7 @@ impl Position {
     }
 }
 
-impl sim_core::Snapshotable for Position {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_f64(self.x);
-        w.put_f64(self.y);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        Ok(Position { x: r.take_f64()?, y: r.take_f64()? })
-    }
-}
+sim_core::snap_record! { Position { x, y } }
 
 impl fmt::Display for Position {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

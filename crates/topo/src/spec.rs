@@ -374,20 +374,9 @@ impl WaypointLeg {
     }
 }
 
-impl sim_core::Snapshotable for WaypointLeg {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put(&self.target);
-        w.put_f64(self.speed_mps);
-        w.put(&self.pause);
-    }
-
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let leg = WaypointLeg { target: r.get()?, speed_mps: r.take_f64()?, pause: r.get()? };
-        if !(leg.speed_mps > 0.0 && leg.speed_mps.is_finite()) {
-            return Err(sim_core::SnapError::Invalid("waypoint leg speed"));
-        }
-        Ok(leg)
-    }
+sim_core::snap_record! {
+    WaypointLeg { target, speed_mps, pause }
+    check |leg| leg.speed_mps > 0.0 && leg.speed_mps.is_finite() => "waypoint leg speed";
 }
 
 fn parse_u16(text: &str, what: &str) -> Result<u16, String> {

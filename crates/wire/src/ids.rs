@@ -137,20 +137,11 @@ impl UidGen {
     }
 }
 
-impl sim_core::Snapshotable for UidGen {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        w.put_u64(self.base);
-        w.put_u64(self.counter);
-    }
+sim_core::snap_record! { FlowId { 0 } }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let base = r.take_u64()?;
-        let counter = r.take_u64()?;
-        if counter >= (1 << 40) {
-            return Err(sim_core::SnapError::Invalid("uid counter overflow"));
-        }
-        Ok(UidGen { base, counter })
-    }
+sim_core::snap_record! {
+    UidGen { base, counter }
+    check |g| g.counter < (1 << 40) => "uid counter overflow";
 }
 
 #[cfg(test)]

@@ -1,16 +1,16 @@
-//! [`Snapshotable`] implementations for the on-the-wire vocabulary.
-//!
-//! Enum layouts use one tag byte in declaration order; every tag is
-//! validated on decode so a corrupted snapshot surfaces as a
-//! [`SnapError::Invalid`] rather than a mis-typed packet.
+//! The snapshot layouts of the on-the-wire vocabulary, each stated once
+//! through [`snap_record!`] / [`snap_enum!`]: a corrupted tag or bound is a
+//! [`SnapError::Invalid`], never a mis-typed packet.
 
-use sim_core::{SnapError, SnapshotReader, SnapshotWriter, Snapshotable};
+use sim_core::{snap_enum, snap_record, SnapError, SnapshotReader, SnapshotWriter, Snapshotable};
 
 use crate::{
-    AodvMessage, Drai, FlowId, FrameBody, FrameKind, Hello, MacFrame, NodeId, Packet, Payload,
-    RouteError, RouteReply, RouteRequest, SackBlock, SharedPacket, TcpSegment, TcpSegmentKind,
+    AodvMessage, Drai, FrameBody, FrameKind, Hello, MacFrame, NodeId, Packet, Payload, RouteError,
+    RouteReply, RouteRequest, SackBlock, SharedPacket, TcpSegment, TcpSegmentKind,
 };
 
+/// Hand-written: the broadcast address travels as the `u16::MAX` sentinel
+/// that `NodeId::new` refuses.
 impl Snapshotable for NodeId {
     fn encode(&self, w: &mut SnapshotWriter) {
         let raw = if self.is_broadcast() { u16::MAX } else { self.index() as u16 };
@@ -27,16 +27,8 @@ impl Snapshotable for NodeId {
     }
 }
 
-impl Snapshotable for FlowId {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.index() as u32);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(FlowId::new(r.take_u32()?))
-    }
-}
-
+/// Hand-written: the byte is the DRAI level's wire code (1..=5), not a
+/// variant tag of the format's own.
 impl Snapshotable for Drai {
     fn encode(&self, w: &mut SnapshotWriter) {
         w.put_u8(self.code());
@@ -47,289 +39,53 @@ impl Snapshotable for Drai {
     }
 }
 
-impl Snapshotable for SackBlock {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.start);
-        w.put_u64(self.end);
-    }
+snap_record! {
+    SackBlock { start, end }
+    check |b| b.start < b.end => "sack block bounds";
+}
 
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        let start = r.take_u64()?;
-        let end = r.take_u64()?;
-        if start >= end {
-            return Err(SnapError::Invalid("sack block bounds"));
-        }
-        Ok(SackBlock::new(start, end))
+snap_enum! {
+    TcpSegmentKind, "tcp segment kind tag" {
+        0 => Data { seq, payload_bytes, avbw, marked, retransmit },
+        1 => Ack { ack, mrai, marked, ooo, sack },
     }
 }
 
-impl Snapshotable for TcpSegmentKind {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        match self {
-            TcpSegmentKind::Data { seq, payload_bytes, avbw, marked, retransmit } => {
-                w.put_u8(0);
-                w.put_u64(*seq);
-                w.put_u32(*payload_bytes);
-                w.put(avbw);
-                w.put_bool(*marked);
-                w.put_bool(*retransmit);
-            }
-            TcpSegmentKind::Ack { ack, mrai, marked, ooo, sack } => {
-                w.put_u8(1);
-                w.put_u64(*ack);
-                w.put(mrai);
-                w.put_bool(*marked);
-                w.put_bool(*ooo);
-                w.put(sack);
-            }
-        }
-    }
+snap_record! { TcpSegment { flow, kind } }
 
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => Ok(TcpSegmentKind::Data {
-                seq: r.take_u64()?,
-                payload_bytes: r.take_u32()?,
-                avbw: r.get()?,
-                marked: r.take_bool()?,
-                retransmit: r.take_bool()?,
-            }),
-            1 => Ok(TcpSegmentKind::Ack {
-                ack: r.take_u64()?,
-                mrai: r.get()?,
-                marked: r.take_bool()?,
-                ooo: r.take_bool()?,
-                sack: r.get()?,
-            }),
-            _ => Err(SnapError::Invalid("tcp segment kind tag")),
-        }
-    }
+snap_record! { RouteRequest { origin, origin_seq, broadcast_id, dst, dst_seq, hop_count } }
+
+snap_record! { RouteReply { origin, dst, dst_seq, hop_count } }
+
+snap_record! { RouteError { unreachable } }
+
+snap_record! { Hello { seq } }
+
+snap_enum! {
+    AodvMessage, "aodv message tag" { 0 => Rreq(m), 1 => Rrep(m), 2 => Rerr(m), 3 => Hello(m) }
 }
 
-impl Snapshotable for TcpSegment {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put(&self.flow);
-        w.put(&self.kind);
-    }
+snap_enum! { Payload, "payload tag" { 0 => Tcp(segment), 1 => Aodv(message) } }
 
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(TcpSegment { flow: r.get()?, kind: r.get()? })
-    }
-}
+snap_record! { Packet { uid, src, dst, ttl, payload } }
 
-impl Snapshotable for RouteRequest {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put(&self.origin);
-        w.put_u32(self.origin_seq);
-        w.put_u32(self.broadcast_id);
-        w.put(&self.dst);
-        w.put_u32(self.dst_seq);
-        w.put_u8(self.hop_count);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(RouteRequest {
-            origin: r.get()?,
-            origin_seq: r.take_u32()?,
-            broadcast_id: r.take_u32()?,
-            dst: r.get()?,
-            dst_seq: r.take_u32()?,
-            hop_count: r.take_u8()?,
-        })
-    }
-}
-
-impl Snapshotable for RouteReply {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put(&self.origin);
-        w.put(&self.dst);
-        w.put_u32(self.dst_seq);
-        w.put_u8(self.hop_count);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(RouteReply {
-            origin: r.get()?,
-            dst: r.get()?,
-            dst_seq: r.take_u32()?,
-            hop_count: r.take_u8()?,
-        })
-    }
-}
-
-impl Snapshotable for RouteError {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put(&self.unreachable);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(RouteError { unreachable: r.get()? })
-    }
-}
-
-impl Snapshotable for Hello {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.seq);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(Hello { seq: r.take_u32()? })
-    }
-}
-
-impl Snapshotable for AodvMessage {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        match self {
-            AodvMessage::Rreq(m) => {
-                w.put_u8(0);
-                w.put(m);
-            }
-            AodvMessage::Rrep(m) => {
-                w.put_u8(1);
-                w.put(m);
-            }
-            AodvMessage::Rerr(m) => {
-                w.put_u8(2);
-                w.put(m);
-            }
-            AodvMessage::Hello(m) => {
-                w.put_u8(3);
-                w.put(m);
-            }
-        }
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => Ok(AodvMessage::Rreq(r.get()?)),
-            1 => Ok(AodvMessage::Rrep(r.get()?)),
-            2 => Ok(AodvMessage::Rerr(r.get()?)),
-            3 => Ok(AodvMessage::Hello(r.get()?)),
-            _ => Err(SnapError::Invalid("aodv message tag")),
-        }
-    }
-}
-
-impl Snapshotable for Payload {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        match self {
-            Payload::Tcp(seg) => {
-                w.put_u8(0);
-                w.put(seg);
-            }
-            Payload::Aodv(msg) => {
-                w.put_u8(1);
-                w.put(msg);
-            }
-        }
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => Ok(Payload::Tcp(r.get()?)),
-            1 => Ok(Payload::Aodv(r.get()?)),
-            _ => Err(SnapError::Invalid("payload tag")),
-        }
-    }
-}
-
-impl Snapshotable for Packet {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.uid);
-        w.put(&self.src);
-        w.put(&self.dst);
-        w.put_u8(self.ttl);
-        w.put(&self.payload);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(Packet {
-            uid: r.take_u64()?,
-            src: r.get()?,
-            dst: r.get()?,
-            ttl: r.take_u8()?,
-            payload: r.get()?,
-        })
-    }
-}
-
+/// Hand-written: sharing is a transient aliasing optimisation, not state. A
+/// restored frame copy owns its packet; equality and behaviour are by value.
 impl Snapshotable for SharedPacket {
     fn encode(&self, w: &mut SnapshotWriter) {
         self.get().encode(w);
     }
 
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        // Sharing is a transient aliasing optimisation; a restored frame copy
-        // owns its packet. Behaviour is unchanged — SharedPacket equality and
-        // decode semantics are by value.
         Ok(SharedPacket::new(Packet::decode(r)?))
     }
 }
 
-impl Snapshotable for FrameKind {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            FrameKind::Rts => 0,
-            FrameKind::Cts => 1,
-            FrameKind::Data => 2,
-            FrameKind::Ack => 3,
-        });
-    }
+snap_enum! { FrameKind, "frame kind tag" { 0 => Rts, 1 => Cts, 2 => Data, 3 => Ack } }
 
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => Ok(FrameKind::Rts),
-            1 => Ok(FrameKind::Cts),
-            2 => Ok(FrameKind::Data),
-            3 => Ok(FrameKind::Ack),
-            _ => Err(SnapError::Invalid("frame kind tag")),
-        }
-    }
+snap_enum! {
+    FrameBody, "frame body tag" { 0 => Control(kind), 1 => Data(packet) }
+    check |b| !matches!(b, FrameBody::Control(FrameKind::Data)) => "control frame with data kind";
 }
 
-impl Snapshotable for FrameBody {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        match self {
-            FrameBody::Control(kind) => {
-                w.put_u8(0);
-                w.put(kind);
-            }
-            FrameBody::Data(pkt) => {
-                w.put_u8(1);
-                w.put(pkt);
-            }
-        }
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => {
-                let kind = FrameKind::decode(r)?;
-                if kind == FrameKind::Data {
-                    return Err(SnapError::Invalid("control frame with data kind"));
-                }
-                Ok(FrameBody::Control(kind))
-            }
-            1 => Ok(FrameBody::Data(r.get()?)),
-            _ => Err(SnapError::Invalid("frame body tag")),
-        }
-    }
-}
-
-impl Snapshotable for MacFrame {
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.put(&self.src);
-        w.put(&self.dst);
-        w.put(&self.body);
-        w.put_u64(self.nav_until_nanos);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
-        Ok(MacFrame {
-            src: r.get()?,
-            dst: r.get()?,
-            body: r.get()?,
-            nav_until_nanos: r.take_u64()?,
-        })
-    }
-}
+snap_record! { MacFrame { src, dst, body, nav_until_nanos } }
