@@ -85,30 +85,6 @@ impl AodvConfig {
     }
 }
 
-sim_core::snap_record! {
-    AodvConfig {
-        active_route_timeout,
-        net_traversal_time,
-        rreq_retries,
-        rreq_ttl,
-        ring_ttl_start,
-        ring_ttl_increment,
-        ring_ttl_threshold,
-        buffer_capacity,
-        rreq_seen_lifetime,
-        hello_interval,
-        allowed_hello_loss,
-    }
-    // Mirror `validate()` as a total check: a snapshot must never panic.
-    check |c| c.rreq_ttl > 0
-        && c.ring_ttl_start > 0
-        && c.ring_ttl_increment > 0
-        && c.buffer_capacity > 0
-        && c.net_traversal_time > SimDuration::ZERO
-        && c.hello_interval.is_none_or(|i| i > SimDuration::ZERO && c.allowed_hello_loss > 0)
-        => "aodv config";
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -132,9 +132,9 @@ pub struct Aodv {
 // duplicate-RREQ memory, pending discoveries with their buffered packets,
 // neighbour liveness, the timer slab and counters.
 sim_core::snap_record! {
-    given () Aodv {
+    given (cfg: AodvConfig) Aodv {
         addr,
-        cfg,
+        cfg = cfg,
         table,
         seq,
         bcast_id,

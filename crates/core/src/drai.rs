@@ -275,38 +275,13 @@ impl DraiComputer {
 }
 
 sim_core::snap_record! {
-    DraiConfig {
-        accel_fast_below,
-        accel_below,
-        stable_below,
-        decel_below,
-        mark_at,
-        util_moderate_above,
-        util_stable_above,
-        util_decel_above,
-        util_alpha,
-        retry_stable_above,
-        retry_decel_above,
-        mark_retry_above,
-        ewma_alpha,
-        mark_hold_nanos,
+    given (cfg: DraiConfig) DraiComputer {
+        cfg = cfg,
+        queue,
+        utilisation,
+        retry_ratio,
+        last_congestion_drop,
     }
-    // Mirror `validate()` as a total check: a snapshot must never panic.
-    check |c| c.accel_fast_below <= c.accel_below
-        && c.accel_below <= c.stable_below
-        && c.stable_below <= c.decel_below
-        && c.util_moderate_above <= c.util_stable_above
-        && c.util_stable_above <= c.util_decel_above
-        && c.util_alpha > 0.0
-        && c.util_alpha <= 1.0
-        && c.retry_stable_above <= c.retry_decel_above
-        && c.ewma_alpha > 0.0
-        && c.ewma_alpha <= 1.0
-        => "drai config";
-}
-
-sim_core::snap_record! {
-    DraiComputer { cfg, queue, utilisation, retry_ratio, last_congestion_drop }
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub struct RouterAgent {
     stats: RouterStats,
 }
 
-sim_core::snap_record! { given () RouterAgent { drai, stats } }
+sim_core::snap_record! { given (cfg: DraiConfig) RouterAgent { drai: DraiComputer(cfg), stats } }
 
 impl RouterAgent {
     /// Creates an agent with the given DRAI thresholds.

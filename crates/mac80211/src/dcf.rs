@@ -235,8 +235,8 @@ sim_core::snap_enum! {
 // The MAC's full state: DCF phase, packet in custody, countdown and backoff,
 // NAV, pending response, timer slab, the private RNG and counters.
 sim_core::snap_record! {
-    given () Mac {
-        params,
+    given (params: MacParams) Mac {
+        params = params,
         addr,
         rng,
         phase,

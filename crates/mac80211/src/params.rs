@@ -132,30 +132,6 @@ impl MacParams {
     }
 }
 
-sim_core::snap_record! {
-    MacParams {
-        slot,
-        sifs,
-        cw_min,
-        cw_max,
-        short_retry_limit,
-        long_retry_limit,
-        data_rate_bps,
-        basic_rate_bps,
-        plcp,
-        max_prop,
-        rts_enabled,
-    }
-    // Mirror `validate()` as a total check: a snapshot must never panic.
-    check |p| p.data_rate_bps > 0
-        && p.basic_rate_bps > 0
-        && p.cw_min > 0
-        && p.cw_min <= p.cw_max
-        && p.short_retry_limit > 0
-        && p.long_retry_limit > 0
-        => "mac params";
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -88,6 +88,12 @@ impl Ifq {
     }
 }
 
+/// The RED parameters a node runs: the discipline's, at the simulation's
+/// queue capacity.
+fn red_at(capacity: usize, red: RedConfig) -> RedConfig {
+    RedConfig { capacity, ..red }
+}
+
 pub(crate) struct Node {
     pub(crate) phy: PhyState,
     /// MAC stats snapshot at the previous DRAI sample (for retry deltas).
@@ -113,9 +119,7 @@ impl Node {
             aodv: Aodv::new(id, cfg.aodv, UidGen::new(id)),
             ifq: match cfg.queue {
                 QueueDiscipline::DropTail => Ifq::DropTail(DropTailQueue::new(cfg.ifq_capacity)),
-                QueueDiscipline::Red(red) => {
-                    Ifq::Red(RedQueue::new(RedConfig { capacity: cfg.ifq_capacity, ..red }))
-                }
+                QueueDiscipline::Red(red) => Ifq::Red(RedQueue::new(red_at(cfg.ifq_capacity, red))),
             },
             router: RouterAgent::new(cfg.drai),
             // Transport packets use a separate uid stream so MAC dedup
@@ -128,20 +132,17 @@ impl Node {
         }
     }
 
+    /// Hand-written, with [`Node::decode_state`]: the endpoint maps are
+    /// checked entry by entry against the flow table, and every layer's
+    /// configuration is handed down from `cfg` instead of read.
     pub(crate) fn encode_state(&self, w: &mut SnapshotWriter) {
         w.put(&self.phy);
         w.put(&self.last_mac_stats);
         self.mac.encode_state(w);
         self.aodv.encode_state(w);
         match &self.ifq {
-            Ifq::DropTail(q) => {
-                w.put_u8(0);
-                w.put(q);
-            }
-            Ifq::Red(q) => {
-                w.put_u8(1);
-                w.put(q);
-            }
+            Ifq::DropTail(q) => q.encode_state(w),
+            Ifq::Red(q) => q.encode_state(w),
         }
         self.router.encode_state(w);
         w.put(&self.uid);
@@ -161,26 +162,32 @@ impl Node {
         w.put_u64(self.routing_drops);
     }
 
-    /// Decodes one node's state. `flows` is the already-decoded flow table:
-    /// each serialized sender names its flow, whose spec says which variant
-    /// its record must be for.
+    /// Decodes one node's state around `cfg`, the target simulator's
+    /// configuration: MAC, AODV and DRAI parameters, the queue discipline and
+    /// its capacity are not in the bytes. `flows` is the already-decoded flow
+    /// table: each serialized sender names its flow, whose spec says which
+    /// variant its record must be for and what it was configured with.
     /// `index` is the node's own position, used to reject snapshots whose
     /// endpoints landed on the wrong node.
     pub(crate) fn decode_state(
         r: &mut SnapshotReader<'_>,
+        cfg: &SimConfig,
         flows: &[FlowSpec],
         index: usize,
     ) -> Result<Node, SnapError> {
         let phy = r.get()?;
         let last_mac_stats = r.get()?;
-        let mac = Mac::decode_state(r)?;
-        let aodv = Aodv::decode_state(r)?;
-        let ifq = match r.take_u8()? {
-            0 => Ifq::DropTail(r.get()?),
-            1 => Ifq::Red(r.get()?),
-            _ => return Err(SnapError::Invalid("ifq discipline tag")),
+        let mac = Mac::decode_state(r, cfg.mac)?;
+        let aodv = Aodv::decode_state(r, cfg.aodv)?;
+        let ifq = match cfg.queue {
+            QueueDiscipline::DropTail => {
+                Ifq::DropTail(DropTailQueue::decode_state(r, cfg.ifq_capacity)?)
+            }
+            QueueDiscipline::Red(red) => {
+                Ifq::Red(RedQueue::decode_state(r, red_at(cfg.ifq_capacity, red))?)
+            }
         };
-        let router = RouterAgent::decode_state(r)?;
+        let router = RouterAgent::decode_state(r, cfg.drai)?;
         let uid = r.get()?;
         let busy = r.get()?;
         let mut senders = DetMap::new();
@@ -192,7 +199,14 @@ impl Node {
             if spec.src.index() != index || spec.dst != dst {
                 return Err(SnapError::Invalid("sender endpoint mismatch"));
             }
-            let transport = Sender::decode_state(r, flow, spec.variant)?;
+            let transport = Sender::decode_state(
+                r,
+                flow,
+                spec.variant,
+                spec.tcp,
+                spec.vegas,
+                spec.muzha_cadence,
+            )?;
             senders.insert(flow, SenderEndpoint { dst, transport, traced_cwnd });
         }
         let mut receivers = DetMap::new();

@@ -118,8 +118,7 @@ impl DropTailQueue {
 sim_core::snap_record! { QueueStats { enqueued, dropped, max_len } }
 
 sim_core::snap_record! {
-    DropTailQueue { items, capacity, stats }
-    check |q| q.capacity > 0 => "drop-tail queue capacity";
+    given (capacity: usize) DropTailQueue { items, capacity = capacity, stats }
     check |q| q.items.len() <= q.capacity => "drop-tail queue over capacity";
 }
 

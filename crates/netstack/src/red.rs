@@ -251,28 +251,15 @@ impl RedQueue {
 }
 
 sim_core::snap_record! {
-    RedConfig {
-        min_threshold,
-        max_threshold,
-        max_probability,
-        queue_weight,
-        ecn,
-        capacity,
-        idle_service_time,
+    given (cfg: RedConfig) RedQueue {
+        items,
+        cfg = cfg,
+        avg,
+        stats,
+        early_marks,
+        early_drops,
+        idle_since,
     }
-    // Total mirror of `RedConfig::validate` — decode must never panic.
-    check |c| 0.0 <= c.min_threshold
-        && c.min_threshold < c.max_threshold
-        && (0.0..=1.0).contains(&c.max_probability)
-        && c.queue_weight > 0.0
-        && c.queue_weight <= 1.0
-        && c.capacity > 0
-        && c.idle_service_time > SimDuration::ZERO
-        => "red config";
-}
-
-sim_core::snap_record! {
-    RedQueue { items, cfg, avg, stats, early_marks, early_drops, idle_since }
     check |q| q.items.len() <= q.cfg.capacity => "red queue over capacity";
 }
 

@@ -1031,19 +1031,17 @@ impl Simulator {
             self.rec(record);
         }
         if is_data {
-            let delayed = self.flows[flow.index()].delayed_ack;
-            let (ack_segment, timer, rcv_nxt_after) = {
-                let n = &mut self.nodes[node.index()];
-                let Some(ep) = n.receivers.get_mut(&flow) else { return };
-                if delayed {
-                    let out = ep.receiver.on_data_segment_delack(segment, now);
-                    (out.ack, out.set_timer, ep.receiver.rcv_nxt())
-                } else {
-                    let ack = ep.receiver.on_data_segment(segment, now);
-                    let nxt = ep.receiver.rcv_nxt();
-                    (Some(ack), None, nxt)
-                }
+            // The endpoint first: a node holds receivers only for flows the
+            // table has, and a segment may name any flow at all.
+            let n = &mut self.nodes[node.index()];
+            let Some(ep) = n.receivers.get_mut(&flow) else { return };
+            let (ack_segment, timer) = if self.flows[flow.index()].delayed_ack {
+                let out = ep.receiver.on_data_segment_delack(segment, now);
+                (out.ack, out.set_timer)
+            } else {
+                (Some(ep.receiver.on_data_segment(segment, now)), None)
             };
+            let rcv_nxt_after = ep.receiver.rcv_nxt();
             self.emit(CheckEvent::Delivered { node, flow, uid, is_data: true, rcv_nxt_after });
             if let Some((id, at)) = timer {
                 self.schedule(at, Event::DelAckTimer { node, flow, id });
@@ -1118,7 +1116,7 @@ impl Simulator {
         w.put(&self.trace_hash);
         w.put(&self.flows);
         w.put(&self.events);
-        w.put(&self.channel);
+        self.channel.encode_state(&mut w);
         w.put_usize(self.nodes.len());
         for node in &self.nodes {
             node.encode_state(&mut w);
@@ -1158,7 +1156,7 @@ impl Simulator {
         let trace_hash: TraceHash = r.get()?;
         let flows: Vec<FlowSpec> = r.get()?;
         let events: EventQueue<Event> = r.get()?;
-        let channel: Channel = r.get()?;
+        let channel = Channel::decode_state(&mut r, self.cfg.radio)?;
         let node_count = r.take_usize()?;
         if node_count != self.nodes.len() || channel.node_count() != node_count {
             return Err(sim_core::SnapError::Invalid("node count mismatch"));
@@ -1170,7 +1168,16 @@ impl Simulator {
         }
         let mut nodes = Vec::with_capacity(node_count);
         for i in 0..node_count {
-            nodes.push(Node::decode_state(&mut r, &flows, i)?);
+            nodes.push(Node::decode_state(&mut r, &self.cfg, &flows, i)?);
+        }
+        // `TimeSeries::record` asserts its samples arrive in order, and the
+        // next one is stamped `now` or later.
+        let traces = nodes.iter().flat_map(|n| {
+            let senders = n.senders.values().map(|ep| ep.transport.cwnd_trace());
+            senders.chain(n.receivers.values().map(|ep| ep.receiver.delivery_trace()))
+        });
+        if traces.filter_map(|trace| trace.last()).any(|(at, _)| at > now) {
+            return Err(sim_core::SnapError::Invalid("time series ahead of now"));
         }
         for edge in nodes.iter().flat_map(|n| n.phy.pending()) {
             if edge.start <= now {

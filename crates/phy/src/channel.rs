@@ -318,18 +318,29 @@ fn sq(r: f64) -> f64 {
     r * r
 }
 
-impl sim_core::Snapshotable for Channel {
-    fn encode(&self, w: &mut sim_core::SnapshotWriter) {
-        // The rx/cs adjacency lists and the grid are derived caches:
-        // recomputed on decode from positions + params + fault state.
-        w.put(&self.params);
+/// Hand-written: the adjacency rows and the grid are derived caches, rebuilt
+/// from positions, the radio parameters the decoder is given and the fault
+/// state.
+impl Channel {
+    /// Appends the channel's state — positions, disabled radios, blocked
+    /// links — to `w`. The radio parameters are configuration and are not
+    /// written.
+    pub fn encode_state(&self, w: &mut sim_core::SnapshotWriter) {
         w.put(&self.positions);
         w.put(&self.disabled);
         w.put(&self.blocked);
     }
 
-    fn decode(r: &mut sim_core::SnapshotReader<'_>) -> Result<Self, sim_core::SnapError> {
-        let params: RadioParams = r.get()?;
+    /// Rebuilds a channel under `params` from bytes written by
+    /// [`Self::encode_state`].
+    ///
+    /// # Errors
+    ///
+    /// Any [`sim_core::SnapError`] on truncated or out-of-domain input.
+    pub fn decode_state(
+        r: &mut sim_core::SnapshotReader<'_>,
+        params: RadioParams,
+    ) -> Result<Self, sim_core::SnapError> {
         let positions: Vec<Position> = r.get()?;
         let disabled: Vec<bool> = r.get()?;
         let blocked: DetSet<(NodeId, NodeId)> = r.get()?;
@@ -476,16 +487,16 @@ mod tests {
 
     #[test]
     fn snapshot_rebuilds_adjacency_and_rejects_the_old_index_byte() {
-        use sim_core::{SnapError, SnapshotReader, SnapshotWriter, Snapshotable};
+        use sim_core::{SnapError, SnapshotReader, SnapshotWriter};
         let positions = (0..6).map(|i| Position::new(i as f64 * 250.0, 0.0)).collect();
         let mut ch = Channel::new(positions, RadioParams::default());
         ch.set_link_blocked(n(0), n(1), true);
         ch.set_node_enabled(n(3), false);
         let mut w = SnapshotWriter::new();
-        ch.encode(&mut w);
+        ch.encode_state(&mut w);
         let mut bytes = w.finish();
         let mut r = SnapshotReader::new(&bytes);
-        let back = Channel::decode(&mut r).expect("decode");
+        let back = Channel::decode_state(&mut r, RadioParams::default()).expect("decode");
         assert_eq!(r.finish(), Ok(()));
         for i in 0..6u16 {
             assert_eq!(back.rx_neighbors(n(i)), ch.rx_neighbors(n(i)));
@@ -497,7 +508,7 @@ mod tests {
         // for it, so it is left over rather than silently swallowed.
         bytes.push(1);
         let mut r = SnapshotReader::new(&bytes);
-        Channel::decode(&mut r).expect("the v4 fields still decode");
+        Channel::decode_state(&mut r, RadioParams::default()).expect("the fields still decode");
         assert_eq!(r.finish(), Err(SnapError::TrailingBytes(1)));
     }
 }

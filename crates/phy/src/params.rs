@@ -63,15 +63,6 @@ impl RadioParams {
         assert!((0.0..=1.0).contains(&self.per_frame_loss), "loss probability must be in [0, 1]");
     }
 
-    /// Total decode-side mirror of [`Self::validate`] for snapshot restore.
-    fn is_consistent(&self) -> bool {
-        self.data_rate_bps > 0
-            && self.basic_rate_bps > 0
-            && self.tx_range_m > 0.0
-            && self.cs_range_m >= self.tx_range_m
-            && (0.0..=1.0).contains(&self.per_frame_loss)
-    }
-
     /// Airtime of a DATA frame of `bytes` bytes (PLCP + payload at the data
     /// rate).
     pub fn data_tx_time(&self, bytes: u32) -> SimDuration {
@@ -99,13 +90,6 @@ impl RadioParams {
         let d = distance_m.max(1.0);
         (self.tx_range_m / d).powi(4)
     }
-}
-
-sim_core::snap_record! {
-    RadioParams {
-        data_rate_bps, basic_rate_bps, plcp_overhead, tx_range_m, cs_range_m, per_frame_loss
-    }
-    check |p| p.is_consistent() => "radio params";
 }
 
 #[cfg(test)]

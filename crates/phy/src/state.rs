@@ -69,7 +69,7 @@ impl Arrival {
 ///
 /// The collision model includes *capture*, mirroring ns-2's wireless PHY:
 /// when two signals overlap at a receiver, the earlier one survives if it is
-/// at least `capture_ratio` times stronger than the newcomer (the receiver
+/// at least `CAPTURE_RATIO` times stronger than the newcomer (the receiver
 /// stays locked on); a newcomer that much stronger than the current signal
 /// corrupts both (the receiver cannot re-lock mid-frame); comparable powers
 /// corrupt both. A node that is transmitting cannot decode anything
@@ -89,7 +89,7 @@ impl Arrival {
 /// assert_eq!(phy.on_rx_end(TxId(1), t1), Some(RxOutcome::Decoded));
 /// assert!(!phy.carrier_busy(t1));
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhyState {
     transmitting_until: Option<SimTime>,
     receptions: Vec<Reception>,
@@ -98,22 +98,11 @@ pub struct PhyState {
     pending: Vec<Arrival>,
     /// Latest instant at which any sensed signal (decodable or not) ends.
     energy_until: SimTime,
-    /// Power ratio above which the stronger frame survives an overlap
-    /// (ns-2's `CPThresh_`, 10 = 10 dB).
-    capture_ratio: f64,
 }
 
-impl Default for PhyState {
-    fn default() -> Self {
-        PhyState {
-            transmitting_until: None,
-            receptions: Vec::new(),
-            pending: Vec::new(),
-            energy_until: SimTime::ZERO,
-            capture_ratio: 10.0,
-        }
-    }
-}
+/// Power ratio above which the stronger frame survives an overlap (ns-2's
+/// `CPThresh_`, 10 = 10 dB).
+const CAPTURE_RATIO: f64 = 10.0;
 
 impl PhyState {
     /// Creates an idle radio.
@@ -161,7 +150,7 @@ impl PhyState {
         let corrupted_by_tx = self.is_transmitting(now);
         let mut new_corrupted = corrupted_by_tx;
         for r in &mut self.receptions {
-            if r.power >= power * self.capture_ratio {
+            if r.power >= power * CAPTURE_RATIO {
                 // Receiver stays locked on the clearly stronger signal;
                 // the weak newcomer is lost, the current frame survives.
                 new_corrupted = true;
@@ -279,7 +268,7 @@ sim_core::snap_record! {
 }
 
 sim_core::snap_record! {
-    PhyState { transmitting_until, receptions, pending, energy_until, capture_ratio }
+    PhyState { transmitting_until, receptions, pending, energy_until }
     // `settle` stops at the first entry that is not due.
     check |p| p.pending.windows(2).all(|w| matches!(w, [a, b] if a.key() < b.key()))
         => "pending arrivals out of order";

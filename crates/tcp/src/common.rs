@@ -268,13 +268,13 @@ impl SendState {
 }
 
 sim_core::snap_record! {
-    SendState {
+    given (cfg: TcpConfig) SendState {
         una,
         nxt,
         dupacks,
         rtt,
         stats,
-        cfg,
+        cfg = cfg,
         high_water,
         consecutive_timeouts,
         send_times,

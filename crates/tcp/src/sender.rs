@@ -174,30 +174,35 @@ impl Sender {
     }
 
     /// Serialises the sender's complete mutable state: variant tag,
-    /// `SendState`, window, recovery point, the policy's record.
+    /// `SendState`, window, recovery point, the policy's record. What
+    /// [`Sender::new`] is given is configuration and is not written.
     pub fn encode_state(&self, w: &mut SnapshotWriter) {
         w.put(&self.policy.variant());
-        w.put(&self.s);
+        self.s.encode_state(w);
         w.put_f64(self.cwnd);
         w.put(&self.recovery_point);
         self.policy.encode(w);
     }
 
     /// Rebuilds the sender of `flow` from bytes written by
-    /// [`Sender::encode_state`]; `variant` is what the caller's flow table
-    /// says the flow runs. [`SnapError::Invalid`] for another variant's
-    /// record, a window that is not a number of at least one segment, a
-    /// recovery point past everything ever sent or policy state out of
-    /// domain; any other [`SnapError`] as the input is cut short.
+    /// [`Sender::encode_state`]; the other arguments are [`Sender::new`]'s,
+    /// as the caller's flow table has them. [`SnapError::Invalid`] for
+    /// another variant's record, a window that is not a number of at least
+    /// one segment, a recovery point past everything ever sent or policy
+    /// state out of domain; any other [`SnapError`] as the input is cut
+    /// short.
     pub fn decode_state(
         r: &mut SnapshotReader<'_>,
         flow: FlowId,
         variant: TcpVariant,
+        cfg: TcpConfig,
+        vegas: VegasConfig,
+        cadence: AdjustmentCadence,
     ) -> Result<Sender, SnapError> {
         if r.get::<TcpVariant>()? != variant {
             return Err(SnapError::Invalid("sender variant disagrees with its flow"));
         }
-        let s: SendState = r.get()?;
+        let s = SendState::decode_state(r, cfg)?;
         let cwnd = r.take_f64()?;
         if !(cwnd.is_finite() && cwnd >= 1.0) {
             return Err(SnapError::Invalid("sender cwnd"));
@@ -206,7 +211,7 @@ impl Sender {
         if recovery_point.is_some_and(|point| point > s.high_water()) {
             return Err(SnapError::Invalid("sender recovery point past high water"));
         }
-        let policy = Policy::decode(r, variant, &s)?;
+        let policy = Policy::decode(r, variant, &s, vegas, cadence)?;
         Ok(Sender { flow, s, cwnd, recovery_point, policy })
     }
 }
@@ -610,10 +615,20 @@ mod tests {
             w.finish()
         }
 
-        fn decode(bytes: &[u8], variant: TcpVariant) -> Result<Sender, SnapError> {
+        /// Decodes around the configuration `mk_with` builds with.
+        fn decode_with(
+            bytes: &[u8],
+            variant: TcpVariant,
+            cadence: AdjustmentCadence,
+        ) -> Result<Sender, SnapError> {
             let mut r = SnapshotReader::new(bytes);
-            let tx = Sender::decode_state(&mut r, FLOW, variant)?;
+            let (cfg, vegas) = (TcpConfig::default(), VegasConfig::default());
+            let tx = Sender::decode_state(&mut r, FLOW, variant, cfg, vegas, cadence)?;
             r.finish().map(|()| tx)
+        }
+
+        fn decode(bytes: &[u8], variant: TcpVariant) -> Result<Sender, SnapError> {
+            decode_with(bytes, variant, AdjustmentCadence::PerRtt)
         }
 
         /// A sender of `variant` in fast recovery (Tahoe and Vegas: just past the
@@ -638,7 +653,8 @@ mod tests {
             for (variant, cadence) in constructions() {
                 let mut tx = busy(variant, cadence);
                 let bytes = encode(&tx);
-                let mut twin = decode(&bytes, variant).unwrap_or_else(|e| panic!("{variant}: {e}"));
+                let mut twin = decode_with(&bytes, variant, cadence)
+                    .unwrap_or_else(|e| panic!("{variant}: {e}"));
                 assert_eq!(encode(&twin), bytes, "{variant}: re-encoding differs");
                 // And the twin behaves as the original from here on.
                 for (n, at) in [(tx.s.una, 300), (tx.s.nxt, 310), (tx.s.nxt + 1, 320)] {

@@ -422,23 +422,25 @@ impl Policy {
         match self {
             Policy::Reno { ssthresh, .. } => w.put(ssthresh),
             Policy::Sack(p) => w.put(p),
-            Policy::Vegas(p) => w.put(p),
+            Policy::Vegas(p) => p.encode_state(w),
             Policy::Veno(p) => w.put(p),
             Policy::Westwood(p) => w.put(p),
             Policy::Door(p) => w.put(p),
-            Policy::Muzha(p) => w.put(p),
+            Policy::Muzha(p) => p.encode_state(w),
         }
     }
 
-    /// Reads `variant`'s record back, refusing an `ssthresh` that is not a
-    /// number and scoreboard entries below `una`.
+    /// Reads `variant`'s record back around the flow's `vegas` and `cadence`,
+    /// refusing an `ssthresh` that is not a number and scoreboard entries
+    /// below `una`.
     pub(crate) fn decode(
         r: &mut SnapshotReader<'_>,
         variant: TcpVariant,
         s: &SendState,
+        vegas: VegasConfig,
+        cadence: AdjustmentCadence,
     ) -> Result<Policy, SnapError> {
-        let (mut policy, _) =
-            Policy::new(variant, s.cfg(), VegasConfig::default(), AdjustmentCadence::default());
+        let (mut policy, _) = Policy::new(variant, s.cfg(), vegas, cadence);
         match &mut policy {
             Policy::Reno { ssthresh, .. } => *ssthresh = r.get()?,
             Policy::Sack(p) => {
@@ -448,11 +450,11 @@ impl Policy {
                     return Err(SnapError::Invalid("sack scoreboard below una"));
                 }
             }
-            Policy::Vegas(p) => *p = r.get()?,
+            Policy::Vegas(p) => *p = Vegas::decode_state(r, vegas)?,
             Policy::Veno(p) => *p = r.get()?,
             Policy::Westwood(p) => *p = r.get()?,
             Policy::Door(p) => *p = r.get()?,
-            Policy::Muzha(p) => *p = r.get()?,
+            Policy::Muzha(p) => *p = Muzha::decode_state(r, cadence)?,
         }
         if policy.ssthresh().is_some_and(|ss| !ss.is_finite()) {
             return Err(SnapError::Invalid("sender ssthresh"));
@@ -463,11 +465,20 @@ impl Policy {
 
 snap_record! { Sack { ssthresh, scoreboard, retransmitted } }
 snap_record! { Backlog { base_rtt, last_rtt } }
-snap_record! { Vegas { cfg, slow_start, rtts, round_end, rounds } }
+snap_record! {
+    given (cfg: VegasConfig) Vegas { cfg = cfg, slow_start, rtts, round_end, rounds }
+}
 snap_record! { Veno { ssthresh, rtts, ca_acks } }
 snap_record! { Westwood { ssthresh, bwe, rtt_min, round_acked, round_start, round_end } }
 snap_record! { Door { ssthresh, cc_disabled_until, last_reduction, unreduced, ooo_events } }
-snap_record! { Muzha { cadence, round_end, round_mrai, marked_dupacks } }
+snap_record! {
+    given (cadence: AdjustmentCadence) Muzha {
+        cadence = cadence,
+        round_end,
+        round_mrai,
+        marked_dupacks,
+    }
+}
 
 /// TCP SACK (ns-2 `sack1` style): Reno outside recovery; inside it each ACK
 /// clocks out one transmission, the lowest un-SACKed hole first and fresh

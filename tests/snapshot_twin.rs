@@ -299,16 +299,16 @@ fn restore_rejects_a_config_mismatch() {
 /// Formats v3 (scheduler- and index-kind bytes in the queue and channel
 /// blobs), v4 (fault state as eight parallel fields, a third mobility plan
 /// tag), v5 (signal start edges as queued events under tag 1, no pending
-/// arrivals in the PHY state) and v6 (one sender record layout per variant,
-/// seven in all) have no reader: the header is refused before any field is
-/// read.
+/// arrivals in the PHY state), v6 (one sender record layout per variant,
+/// seven in all) and v7 (every layer's configuration inside its record) have
+/// no reader: the header is refused before any field is read.
 #[test]
 fn restore_rejects_the_previous_format_version() {
     let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
     let mut sim = build_sim(&script);
     sim.run_until(SimTime::from_secs_f64(0.5));
     let mut bytes = sim.snapshot();
-    for version in [3u16, 4, 5, 6] {
+    for version in [3u16, 4, 5, 6, 7] {
         bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 2]
             .copy_from_slice(&version.to_le_bytes());
         assert_eq!(build_sim(&script).restore(&bytes), Err(SnapError::UnsupportedVersion(version)));
@@ -371,6 +371,107 @@ fn ack_for_unsent_data_in_a_snapshot_cannot_run_the_sender_away() {
         assert!(after < sent + 1_000, "byte {at}: {sent} segments became {after} in 0.3 s");
     }
     assert!(resumed_with_a_bogus_ack > 0, "every mutation was refused at restore");
+}
+
+/// A three-hop NewReno chain cut mid-transfer, its queues a few segments
+/// deep, and what it takes to build its twin: the untrusted-input tests
+/// below mutate these bytes.
+fn newreno_chain_cut() -> (Vec<u8>, SimTime, u64, impl Fn() -> Simulator) {
+    let build = || {
+        let mut sim = Simulator::new(topology::chain(3), SimConfig::default());
+        let (src, dst) = topology::chain_flow(3);
+        sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
+        sim
+    };
+    let mut sim = build();
+    let t = SimTime::from_secs_f64(1.0);
+    sim.run_until(t);
+    let sent = sim.run_report().flows[0].sender.segments_sent;
+    (sim.snapshot(), t, sent, build)
+}
+
+/// A TCP segment waits in interface queues and MAC custody as well as in
+/// events, and `restore` vets only the events: a data segment parked in an
+/// IFQ may name a flow the simulator does not have. It travels on like any
+/// other packet, and the node it is addressed to, which has no receiver for
+/// that flow, must drop it — not index the flow table with it.
+///
+/// The segments are found by their encoding: `Payload::Tcp`, the flow id,
+/// `TcpSegmentKind::Data`, a sequence number the sender has used, the
+/// payload size.
+#[test]
+fn a_parked_segment_naming_a_missing_flow_is_dropped_not_indexed() {
+    use tcp_muzha::wire::TCP_PAYLOAD_BYTES;
+
+    let (bytes, t, sent, build) = newreno_chain_cut();
+    let parked: Vec<usize> = (0..bytes.len().saturating_sub(18))
+        .filter(|&i| {
+            bytes[i..i + 6] == [0, 0, 0, 0, 0, 0]
+                && u64_at(&bytes, i + 6) < sent
+                && bytes[i + 14..i + 18] == TCP_PAYLOAD_BYTES.to_le_bytes()
+        })
+        .map(|i| i + 1)
+        .collect();
+    let mut resumed = 0;
+    for at in parked {
+        let mut mutated = bytes.clone();
+        mutated[at] = 9; // flow 9 of 1
+        let mut twin = build();
+        match twin.restore(&mutated) {
+            // The segment sat in a queued event, which `restore` does vet.
+            Err(e) => assert_eq!(e, SnapError::Invalid("queued event index out of range")),
+            Ok(()) => {
+                resumed += 1;
+                let before = twin.run_report().flows[0].delivered_segments;
+                // Long enough for a retransmission timeout to repair the loss.
+                twin.run_until(t + tcp_muzha::sim::SimDuration::from_secs(3));
+                let after = twin.run_report().flows[0].delivered_segments;
+                assert!(after > before, "byte {at}: the flow never recovered the lost segment");
+            }
+        }
+    }
+    assert!(resumed > 0, "no data segment parked outside the event queue at {t}");
+}
+
+/// `TimeSeries::record` asserts that samples arrive in order, and the next
+/// sample a resumed run takes is stamped `now` or later: a trace whose last
+/// sample lies beyond the snapshot's `now` must be refused at `restore`, not
+/// found by that assertion at the next window move or delivery.
+///
+/// The traces — the sender's window, the receiver's deliveries — are found
+/// by their encoding: a count, then that many `(time, value)` pairs with
+/// times in order up to `now` and values a window or a segment count can
+/// take.
+#[test]
+fn a_time_series_running_ahead_of_now_is_refused() {
+    let (bytes, t, _, build) = newreno_chain_cut();
+    let sample = |at: usize| (u64_at(&bytes, at), f64::from_bits(u64_at(&bytes, at + 8)));
+    let series: Vec<(usize, usize)> = (0..bytes.len().saturating_sub(40))
+        .filter_map(|i| {
+            let n = usize::try_from(u64_at(&bytes, i)).ok().filter(|n| (2..10_000).contains(n))?;
+            let first = i + 8;
+            (first + 16 * n <= bytes.len()).then_some(())?;
+            let samples: Vec<(u64, f64)> = (0..n).map(|k| sample(first + 16 * k)).collect();
+            let in_order = samples.windows(2).all(|p| p[0].0 <= p[1].0);
+            let plausible =
+                samples.iter().all(|&(at, v)| at <= t.as_nanos() && (1.0..1e6).contains(&v));
+            (in_order && plausible).then_some((first, n))
+        })
+        .collect();
+    assert!(series.len() >= 2, "expected a window trace and a delivery trace, found {series:?}");
+    for (first, n) in series {
+        let last = first + 16 * (n - 1);
+        let mut mutated = bytes.clone();
+        mutated[last..last + 8].copy_from_slice(&(t.as_nanos() + 1).to_le_bytes());
+        assert_eq!(
+            build().restore(&mutated),
+            Err(SnapError::Invalid("time series ahead of now")),
+            "series of {n} at byte {first}"
+        );
+        // At `now` itself it is an ordinary sample.
+        mutated[last..last + 8].copy_from_slice(&t.as_nanos().to_le_bytes());
+        assert_eq!(build().restore(&mutated), Ok(()), "series of {n} at byte {first}");
+    }
 }
 
 /// `dispatch` indexes `nodes`, `flows` and the fault script with what a
