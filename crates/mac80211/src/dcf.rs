@@ -223,7 +223,9 @@ sim_core::snap_enum! {
 }
 
 sim_core::snap_enum! {
-    ResponseKind, "mac response tag" { 0 => Cts { peer, nav_until }, 1 => Ack { peer }, 2 => AttemptData }
+    ResponseKind, "mac response tag" {
+        0 => Cts { peer, nav_until }, 1 => Ack { peer }, 2 => AttemptData
+    }
 }
 
 sim_core::snap_record! { Countdown { started, ifs, slots } }

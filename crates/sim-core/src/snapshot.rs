@@ -2,12 +2,11 @@
 //! back, bit-identically.
 //!
 //! The format is deliberately primitive — little-endian fixed-width
-//! integers, `u64` length prefixes, one tag byte per enum/option — so the
-//! encoder and decoder can be audited side by side and no external
-//! serialisation dependency enters the workspace. Floats travel as raw IEEE
-//! bit patterns ([`f64::to_bits`]): restoring a run must reproduce *bit*
-//! equality, including signed zeros and NaN payloads, or twin traces would
-//! diverge after a resume.
+//! integers, `u64` length prefixes, one tag byte per enum/option — and no
+//! external serialisation dependency enters the workspace. Floats travel as
+//! raw IEEE bit patterns ([`f64::to_bits`]): restoring a run must reproduce
+//! *bit* equality, including signed zeros and NaN payloads, or twin traces
+//! would diverge after a resume.
 //!
 //! A complete snapshot starts with an 8-byte magic and a `u16` version
 //! (see [`SnapshotWriter::with_header`] / [`SnapshotReader::with_header`]).
@@ -15,11 +14,18 @@
 //! trailing bytes yield a clean [`SnapError`], never a panic and never a
 //! silently defaulted field. Compatibility rule: the version bumps on *any*
 //! layout change — there is no in-place migration, a simulator only
-//! restores snapshots taken by its own format version.
+//! restores snapshots taken by its own format version
+//! (`tests/fixtures/snapshot_layout.txt` is the gate).
 //!
-//! Layer crates implement [`Snapshotable`] for their own state structs
-//! (private fields stay private); composite state concatenates its fields
-//! in declaration order, which the round-trip property tests pin.
+//! Layer crates state each record's layout once, through
+//! [`snap_record!`](crate::snap_record) for a list of fields and
+//! [`snap_enum!`](crate::snap_enum) for a tagged enum: the macro writes the
+//! encoder and the decoder from the one list, in the module that owns the
+//! type, so private fields stay private and the two halves cannot drift.
+//! Only what is not a field list — a sentinel, a derived structure rebuilt
+//! on decode — implements [`Snapshotable`] by hand (DESIGN §11.1 lists
+//! them). Configuration is not state: a record that holds some decodes
+//! *given* it (`given (cfg: Cfg)`), and the bytes never carry it.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;

@@ -66,7 +66,7 @@ impl std::fmt::Display for TcpVariant {
     }
 }
 
-// The tags are the positions in [`TcpVariant::ALL`].
+// The tags are fixed here; reordering [`TcpVariant::ALL`] does not move them.
 snap_enum! {
     TcpVariant, "tcp variant tag" {
         0 => Tahoe,
