@@ -96,23 +96,26 @@ pub fn throughput_dynamics(
         .map(|&start| sim.add_flow(FlowSpec::new(src, dst, variant).starting_at(start)))
         .collect();
     let end = SimTime::ZERO + duration;
+    // One point per window `[t - window, t)`: each receiver's cumulative
+    // count read one clock tick before `t`, less its reading a window ago.
+    let tick = SimDuration::from_nanos(1);
+    let payload_bits = f64::from(wire::TCP_PAYLOAD_BYTES) * 8.0;
+    let mut series = vec![Vec::new(); flows.len()];
+    let mut delivered = vec![0u64; flows.len()];
+    let mut t = SimTime::ZERO + window;
+    while t <= end {
+        sim.run_until(t - tick);
+        for (i, &flow) in flows.iter().enumerate() {
+            let so_far = sim.flow_report(flow).delivered_segments;
+            let segs = so_far - delivered[i];
+            let kbps = segs as f64 * payload_bits / window.as_secs_f64() / 1_000.0;
+            series[i].push((t.as_secs_f64(), kbps));
+            delivered[i] = so_far;
+        }
+        t += window;
+    }
     sim.run_until(end);
     let reports: Vec<FlowReport> = flows.iter().map(|&f| sim.flow_report(f)).collect();
-    let payload_bits = f64::from(wire::TCP_PAYLOAD_BYTES) * 8.0;
-    let series = reports
-        .iter()
-        .map(|r| {
-            let mut s = Vec::new();
-            let mut t = SimTime::ZERO + window;
-            while t <= end {
-                let segs = r.delivered_in_window(t - window, t);
-                let kbps = segs as f64 * payload_bits / window.as_secs_f64() / 1_000.0;
-                s.push((t.as_secs_f64(), kbps));
-                t += window;
-            }
-            s
-        })
-        .collect();
     DynamicsResult { variant, window, series, starts: starts.to_vec(), reports }
 }
 

@@ -1760,9 +1760,10 @@ mod elfn_tests {
         sim.set_position(NodeId::new(2), Position::new(10_000.0, 10_000.0));
         sim.run_until(secs(15.0));
         sim.set_position(NodeId::new(2), home);
+        let at_return = sim.flow_report(flow).delivered_segments;
         sim.run_until(secs(30.0));
         let r = sim.flow_report(flow);
-        (r.delivered_in_window(secs(15.0), secs(30.0)), r.sender.timeouts)
+        (r.delivered_segments - at_return, r.sender.timeouts)
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::sim::SimTime;
+use tcp_muzha::tracelog::{FlowSeries, Layer, TraceFilter, TraceLog};
 
 fn main() {
     // The paper's Table 5.1 setup: 2 Mbps 802.11 DCF radios, 250 m spacing,
@@ -21,9 +22,14 @@ fn main() {
     // recommendation into every data packet; the receiver echoes it in ACKs.
     let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
 
+    // Curves come from the trace log, as ns-2 takes them from its trace
+    // file: keep the transport layer's records and read the window off them.
+    sim.install_trace_log(TraceLog::with_filter(TraceFilter::all().layer(Layer::Agt)));
+
     // Run 10 virtual seconds.
     let end = SimTime::from_secs_f64(10.0);
     sim.run_until(end);
+    let log = sim.take_trace_log().expect("installed above");
 
     let report = sim.flow_report(flow);
     println!("TCP Muzha over a 4-hop 802.11 chain, 10 s:");
@@ -37,7 +43,8 @@ fn main() {
     println!("  timeouts  : {}", report.sender.timeouts);
     println!();
     println!("congestion window over time (first 20 changes):");
-    for &(t, cwnd) in report.cwnd_trace.samples().iter().take(20) {
+    let series = FlowSeries::collect(flow, None, log.iter());
+    for &(t, cwnd) in series.cwnd.samples().iter().take(20) {
         println!("  {:>8.3}s  cwnd = {cwnd}", t.as_secs_f64());
     }
     println!();

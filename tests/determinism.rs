@@ -12,6 +12,7 @@ use sim_core::twin_run;
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::phy::RadioParams;
 use tcp_muzha::sim::SimTime;
+use tcp_muzha::tracelog::{FlowSeries, Layer, TraceFilter, TraceLog};
 
 fn secs(s: f64) -> SimTime {
     SimTime::from_secs_f64(s)
@@ -25,14 +26,16 @@ fn same_seed_runs_are_identical_including_trace_hash() {
             let mut sim = Simulator::new(topology::chain(5), cfg);
             let (src, dst) = topology::chain_flow(5);
             let flow = sim.add_flow(FlowSpec::new(src, dst, variant));
+            sim.install_trace_log(TraceLog::with_filter(TraceFilter::all().layer(Layer::Agt)));
             sim.run_until(secs(6.0));
+            let log = sim.take_trace_log().expect("log was installed");
             let r = sim.flow_report(flow);
             (
                 sim.trace_hash(),
                 r.delivered_segments,
                 r.sender.segments_sent,
                 r.sender.retransmissions,
-                r.cwnd_trace.samples().to_vec(),
+                FlowSeries::collect(flow, None, log.iter()).cwnd.samples().to_vec(),
             )
         });
     }

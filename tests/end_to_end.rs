@@ -4,6 +4,7 @@
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::phy::{Position, RadioParams};
 use tcp_muzha::sim::SimTime;
+use tcp_muzha::tracelog::{Layer, TraceFilter, TraceLog, TraceRecord};
 use tcp_muzha::wire::NodeId;
 
 fn secs(s: f64) -> SimTime {
@@ -30,19 +31,30 @@ fn every_variant_moves_data_across_a_chain() {
 
 #[test]
 fn delivery_is_reliable_and_in_order() {
-    // The receiver's delivery trace must be strictly increasing in both
-    // time and value (cumulative in-order segments).
+    // The receiver acknowledges cumulatively: the `ack` of its successive
+    // `TcpAckTx` records never goes back (a repeat is a duplicate ACK), moves
+    // forward, and ends at the delivery count the report gives.
     let mut sim = Simulator::new(topology::chain(6), SimConfig::default());
     let (src, dst) = topology::chain_flow(6);
     let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
+    sim.install_trace_log(TraceLog::with_filter(TraceFilter::all().layer(Layer::Agt)));
     sim.run_until(secs(10.0));
-    let r = sim.flow_report(flow);
-    let samples = r.delivery_trace.samples();
-    assert!(!samples.is_empty());
-    for pair in samples.windows(2) {
+    let log = sim.take_trace_log().expect("log was installed");
+    let acks: Vec<(SimTime, u64)> = log
+        .iter()
+        .filter_map(|e| match e.record {
+            TraceRecord::TcpAckTx { ack, .. } => Some((e.at, ack)),
+            _ => None,
+        })
+        .collect();
+    assert!(!acks.is_empty());
+    for pair in acks.windows(2) {
         assert!(pair[0].0 <= pair[1].0, "time went backwards");
-        assert!(pair[0].1 < pair[1].1, "delivery count not increasing");
+        assert!(pair[0].1 <= pair[1].1, "delivery count went backwards");
     }
+    let advances = acks.windows(2).filter(|pair| pair[0].1 < pair[1].1).count();
+    assert!(advances > 20, "only {advances} acknowledgements moved forward in 10 s");
+    assert_eq!(acks.last().map(|a| a.1), Some(sim.flow_report(flow).delivered_segments));
 }
 
 #[test]

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::phy::{Position, RadioParams};
 use tcp_muzha::sim::SimTime;
+use tcp_muzha::tracelog::{Layer, TraceFilter, TraceLog, TraceRecord};
 use tcp_muzha::wire::NodeId;
 
 fn variant_from(idx: u8) -> TcpVariant {
@@ -62,6 +63,7 @@ proptest! {
             if wander {
                 sim.move_node(NodeId::new(0), Position::new(350.0, 350.0), 40.0);
             }
+            sim.install_trace_log(TraceLog::with_filter(TraceFilter::all().layer(Layer::Agt)));
             sim.run_until(SimTime::from_secs_f64(2.0));
             (sim, flows)
         };
@@ -70,8 +72,9 @@ proptest! {
         // event trace and the same per-flow counters. Any hash-ordered
         // iteration or unseeded randomness fails the case here even when
         // the structural invariants below still hold.
-        let (sim, flows) = run_once();
+        let (mut sim, flows) = run_once();
         let (twin, twin_flows) = run_once();
+        let log = sim.take_trace_log().expect("log was installed");
         prop_assert_eq!(
             sim.trace_hash(),
             twin.trace_hash(),
@@ -94,10 +97,17 @@ proptest! {
                 r.sender.segments_sent
             );
             prop_assert!(r.sender.retransmissions <= r.sender.segments_sent);
-            // Delivery trace is a nondecreasing step function.
-            for pair in r.delivery_trace.samples().windows(2) {
-                prop_assert!(pair[0].1 < pair[1].1);
-            }
+            // Delivery is a nondecreasing step function: the receiver's
+            // successive cumulative ACKs never go back, and end at the count.
+            let acks: Vec<u64> = log
+                .iter()
+                .filter_map(|e| match e.record {
+                    TraceRecord::TcpAckTx { flow: f, ack, .. } if f == flow => Some(ack),
+                    _ => None,
+                })
+                .collect();
+            prop_assert!(acks.windows(2).all(|pair| pair[0] <= pair[1]), "{:?}", acks);
+            prop_assert_eq!(acks.last().copied().unwrap_or(0), r.delivered_segments);
         }
         // Virtual time never exceeds the requested horizon... it equals it.
         prop_assert_eq!(sim.now(), SimTime::from_secs_f64(2.0));

@@ -82,6 +82,10 @@ struct Script {
     timers: Vec<(TcpTimer, SimTime)>,
     /// Dup ACKs still to deliver in the current run.
     dup_run: u32,
+    /// The window after the last call, and how many calls have moved it
+    /// (opening the flow counts): the `TcpCwnd` records a driver would write.
+    cwnd: Option<f64>,
+    cwnd_moves: u64,
     h: TraceHash,
 }
 
@@ -148,6 +152,9 @@ impl Script {
     }
 
     fn fold_state(&mut self, tx: &impl Transport) {
+        if self.cwnd.replace(tx.cwnd()) != Some(tx.cwnd()) {
+            self.cwnd_moves += 1;
+        }
         let s = tx.send_state();
         self.h.write_u64(s.una).write_u64(s.nxt);
         self.h.write_f64(tx.cwnd());
@@ -164,7 +171,7 @@ impl Script {
             tx.timers_cancelled(),
             tx.rto().map_or(u64::MAX, SimDuration::as_nanos),
             tx.srtt().map_or(u64::MAX, SimDuration::as_nanos),
-            tx.cwnd_trace().len() as u64,
+            self.cwnd_moves,
         ] {
             self.h.write_u64(n);
         }
@@ -281,6 +288,8 @@ fn row(name: &str, variant: TcpVariant, cadence: AdjustmentCadence) -> String {
             now: SimTime::from_nanos(i as u64 * 250_000_000),
             timers: Vec::new(),
             dup_run: 0,
+            cwnd: None,
+            cwnd_moves: 0,
             h: TraceHash::new(),
         };
         let st = script.run(Sender::new(FlowId::new(FLOW), variant, cfg, vegas, cadence));
