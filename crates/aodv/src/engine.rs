@@ -540,7 +540,9 @@ impl Aodv {
             }
         }
         self.seen.insert(key, now + self.cfg.rreq_seen_lifetime);
-        self.purge_seen(now);
+        // Only an unexpired id suppresses anything: keep no others, so the
+        // table (and a snapshot of it) holds `rreq_seen_lifetime` of floods.
+        self.seen.retain(|_, &mut until| until > now);
         // Learn/refresh the reverse route to the origin.
         if self.table.update(
             rreq.origin,
@@ -724,12 +726,6 @@ impl Aodv {
         );
         self.stats.rerr_sent += 1;
         out.push(AodvOutput::Forward { packet, next_hop: NodeId::BROADCAST });
-    }
-
-    fn purge_seen(&mut self, now: SimTime) {
-        if self.seen.len() > 1024 {
-            self.seen.retain(|_, &mut until| until > now);
-        }
     }
 
     fn alloc_timer(&mut self) -> AodvTimer {

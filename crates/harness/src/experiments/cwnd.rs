@@ -77,10 +77,8 @@ pub fn cwnd_traces_batch(
         let mut sim = Simulator::new(topology::chain(hops), cfg);
         let (src, dst) = topology::chain_flow(hops);
         let flow = sim.add_flow(FlowSpec::new(src, dst, variant));
-        // The window curve comes from the trace subsystem: transport-layer
-        // records only, extracted per flow. The `TcpCwnd` stream mirrors the
-        // sender's internal change-triggered trace exactly, so this is
-        // byte-identical with reading `FlowReport::cwnd_trace` directly.
+        // The window curve is the run's `TcpCwnd` records, as ns-2 reads it
+        // from a trace file: keep the transport layer, extract per flow.
         sim.install_trace_log(TraceLog::with_filter(TraceFilter::all().layer(Layer::Agt)));
         sim.run_until(SimTime::ZERO + duration);
         let log = sim.take_trace_log().expect("log installed above");

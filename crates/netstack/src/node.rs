@@ -15,9 +15,6 @@ use crate::{BusyTracker, DropTailQueue, FlowSpec, RedConfig, RedOutcome, RedQueu
 pub(crate) struct SenderEndpoint {
     pub(crate) dst: NodeId,
     pub(crate) transport: Sender,
-    /// Samples of `transport.cwnd_trace()` already mirrored into the trace
-    /// log as `TraceRecord::TcpCwnd` records.
-    pub(crate) traced_cwnd: usize,
 }
 
 pub(crate) struct ReceiverEndpoint {
@@ -151,7 +148,6 @@ impl Node {
         for (flow, ep) in self.senders.iter() {
             w.put(flow);
             w.put(&ep.dst);
-            w.put_usize(ep.traced_cwnd);
             ep.transport.encode_state(w);
         }
         w.put_usize(self.receivers.len());
@@ -194,7 +190,6 @@ impl Node {
         for _ in 0..r.take_usize()? {
             let flow: FlowId = r.get()?;
             let dst: NodeId = r.get()?;
-            let traced_cwnd = r.take_usize()?;
             let spec = flows.get(flow.index()).ok_or(SnapError::Invalid("sender flow id"))?;
             if spec.src.index() != index || spec.dst != dst {
                 return Err(SnapError::Invalid("sender endpoint mismatch"));
@@ -207,7 +202,7 @@ impl Node {
                 spec.vegas,
                 spec.muzha_cadence,
             )?;
-            senders.insert(flow, SenderEndpoint { dst, transport, traced_cwnd });
+            senders.insert(flow, SenderEndpoint { dst, transport });
         }
         let mut receivers = DetMap::new();
         for _ in 0..r.take_usize()? {

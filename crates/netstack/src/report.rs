@@ -1,13 +1,19 @@
 //! Result extraction.
 
-use sim_core::stats::TimeSeries;
 use sim_core::{RunPerf, SimDuration, SimTime};
 use tcp::TcpStats;
 use wire::{FlowId, NodeId};
 
 use crate::TcpVariant;
 
-/// Everything the harness needs about one flow after a run.
+/// One flow's counters as they stand when the report is taken: scalars
+/// only, so taking one costs nothing that grows with the run.
+///
+/// Curves are not here. The window over time is the run's `TcpCwnd` trace
+/// records (`tracelog::FlowSeries::collect(..).cwnd`, with a `TraceLog`
+/// installed), as ns-2 reads it from a trace file; goodput over a window is
+/// the difference of [`FlowReport::delivered_segments`] between two reports
+/// taken at the window's ends of a sliced `Simulator::run_until`.
 #[derive(Clone, Debug)]
 pub struct FlowReport {
     /// The flow.
@@ -28,10 +34,6 @@ pub struct FlowReport {
     pub delivered_segments: u64,
     /// In-order payload bytes delivered (goodput numerator).
     pub delivered_bytes: u64,
-    /// Congestion-window trace (Figs. 5.2–5.7).
-    pub cwnd_trace: TimeSeries,
-    /// `(time, delivered segments)` trace (Figs. 5.19–5.22).
-    pub delivery_trace: TimeSeries,
 }
 
 impl FlowReport {
@@ -50,22 +52,6 @@ impl FlowReport {
     /// Goodput in kilobits per second over `[start, end)`.
     pub fn throughput_kbps(&self, end: SimTime) -> f64 {
         self.throughput_bps(end) / 1_000.0
-    }
-
-    /// Segments delivered during `[from, to)`, from the delivery trace —
-    /// the basis of windowed throughput-dynamics plots.
-    pub fn delivered_in_window(&self, from: SimTime, to: SimTime) -> u64 {
-        let at = |t: SimTime| -> f64 {
-            // Value of the trace at time t (step function, 0 before start).
-            let samples = self.delivery_trace.samples();
-            let idx = samples.partition_point(|&(st, _)| st < t);
-            if idx == 0 {
-                0.0
-            } else {
-                samples[idx - 1].1
-            }
-        };
-        (at(to) - at(from)).max(0.0) as u64
     }
 }
 
@@ -111,8 +97,6 @@ mod tests {
             srtt: None,
             delivered_segments: bytes / 1460,
             delivered_bytes: bytes,
-            cwnd_trace: TimeSeries::new(),
-            delivery_trace: TimeSeries::new(),
         }
     }
 
@@ -137,24 +121,5 @@ mod tests {
         let r = report(1000, 3.0);
         assert_eq!(r.throughput_bps(SimTime::from_secs_f64(3.0)), 0.0);
         assert_eq!(r.throughput_bps(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn windowed_delivery() {
-        let mut r = report(0, 0.0);
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_secs_f64(1.0), 10.0);
-        ts.record(SimTime::from_secs_f64(2.0), 25.0);
-        ts.record(SimTime::from_secs_f64(3.0), 40.0);
-        r.delivery_trace = ts;
-        assert_eq!(
-            r.delivered_in_window(SimTime::from_secs_f64(1.5), SimTime::from_secs_f64(2.5)),
-            15
-        );
-        assert_eq!(r.delivered_in_window(SimTime::ZERO, SimTime::from_secs_f64(10.0)), 40);
-        assert_eq!(
-            r.delivered_in_window(SimTime::from_secs_f64(5.0), SimTime::from_secs_f64(6.0)),
-            0
-        );
     }
 }

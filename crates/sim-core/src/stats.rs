@@ -179,12 +179,6 @@ impl TimeSeries {
     }
 }
 
-crate::snap_record! {
-    TimeSeries { samples }
-    check |ts| !ts.samples.windows(2).any(|p| matches!(p, [a, b] if b.0 < a.0))
-        => "time series out of order";
-}
-
 /// Jain's fairness index over per-flow allocations:
 /// `(Σxᵢ)² / (n · Σxᵢ²)`.
 ///

@@ -1,6 +1,5 @@
 //! The sender's sequence, RTT and timer bookkeeping.
 
-use sim_core::stats::TimeSeries;
 use sim_core::{DetMap, SimDuration, SimTime};
 use wire::{Drai, FlowId, TcpSegment, TcpSegmentKind};
 
@@ -31,8 +30,6 @@ pub struct SendState {
     armed_timer: Option<TcpTimer>,
     next_timer_id: u64,
     cancelled_timers: u64,
-    cwnd_trace: TimeSeries,
-    last_traced_cwnd: f64,
 }
 
 impl SendState {
@@ -52,8 +49,6 @@ impl SendState {
             armed_timer: None,
             next_timer_id: 0,
             cancelled_timers: 0,
-            cwnd_trace: TimeSeries::new(),
-            last_traced_cwnd: f64::NAN,
         }
     }
 
@@ -252,19 +247,6 @@ impl SendState {
     pub fn consecutive_timeouts(&self) -> u32 {
         self.consecutive_timeouts
     }
-
-    /// Records the congestion window for the trace (skips no-op changes).
-    pub(crate) fn trace_cwnd(&mut self, now: SimTime, cwnd: f64) {
-        if (cwnd - self.last_traced_cwnd).abs() > f64::EPSILON || self.cwnd_trace.is_empty() {
-            self.cwnd_trace.record(now, cwnd);
-            self.last_traced_cwnd = cwnd;
-        }
-    }
-
-    /// The recorded congestion-window trace.
-    pub fn cwnd_trace(&self) -> &TimeSeries {
-        &self.cwnd_trace
-    }
 }
 
 sim_core::snap_record! {
@@ -281,8 +263,6 @@ sim_core::snap_record! {
         armed_timer,
         next_timer_id,
         cancelled_timers,
-        cwnd_trace,
-        last_traced_cwnd,
     }
     check |s| s.una <= s.nxt => "send state una past nxt";
     check |s| s.nxt <= s.high_water => "send state nxt past high water";
@@ -414,15 +394,6 @@ mod tests {
         s.arm_timer(t(3), &mut out);
         s.arm_timer(t(4), &mut out);
         assert_eq!(s.timers_cancelled(), 2);
-    }
-
-    #[test]
-    fn cwnd_trace_dedups() {
-        let mut s = st();
-        s.trace_cwnd(t(0), 1.0);
-        s.trace_cwnd(t(1), 1.0);
-        s.trace_cwnd(t(2), 2.0);
-        assert_eq!(s.cwnd_trace().len(), 2);
     }
 }
 

@@ -1,6 +1,5 @@
 //! The interface between transport agents and the network stack driver.
 
-use sim_core::stats::TimeSeries;
 use sim_core::SimTime;
 use wire::{FlowId, TcpSegment};
 
@@ -86,11 +85,6 @@ pub trait Transport: std::fmt::Debug {
     /// Counters.
     fn stats(&self) -> TcpStats {
         self.send_state().stats
-    }
-
-    /// The congestion-window trace recorded so far (Figs. 5.2–5.7).
-    fn cwnd_trace(&self) -> &TimeSeries {
-        self.send_state().cwnd_trace()
     }
 
     /// The smoothed round-trip time, once at least one valid sample exists.

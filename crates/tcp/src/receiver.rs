@@ -2,7 +2,6 @@
 
 use std::collections::BTreeSet;
 
-use sim_core::stats::TimeSeries;
 use sim_core::{SimDuration, SimTime};
 use wire::{FlowId, SackBlock, TcpSegment, TcpSegmentKind};
 
@@ -66,7 +65,6 @@ pub struct TcpReceiver {
     out_of_order: BTreeSet<u64>,
     sack_enabled: bool,
     stats: ReceiverStats,
-    delivered_trace: TimeSeries,
     payload_bytes_seen: u32,
     /// Highest sequence number ever seen (for out-of-order detection).
     max_seq_seen: Option<u64>,
@@ -85,7 +83,6 @@ sim_core::snap_record! {
         out_of_order,
         sack_enabled,
         stats,
-        delivered_trace,
         payload_bytes_seen,
         max_seq_seen,
         delack_enabled,
@@ -112,7 +109,6 @@ impl TcpReceiver {
             out_of_order: BTreeSet::new(),
             sack_enabled,
             stats: ReceiverStats::default(),
-            delivered_trace: TimeSeries::new(),
             payload_bytes_seen: wire::TCP_PAYLOAD_BYTES,
             max_seq_seen: None,
             delack_enabled: false,
@@ -153,22 +149,15 @@ impl TcpReceiver {
         self.rcv_nxt * u64::from(self.payload_bytes_seen)
     }
 
-    /// Time series of `(time, delivered segments)` recorded at every
-    /// in-order advance — the basis of the throughput-dynamics figures.
-    pub fn delivery_trace(&self) -> &TimeSeries {
-        &self.delivered_trace
-    }
-
     /// Processes a data segment and returns the ACK to send back
     /// (immediate-ACK mode; see [`Self::on_data_segment_delack`] for the
-    /// delayed variant).
+    /// delayed variant, the only one of the two that reads the clock).
     ///
     /// # Panics
     ///
     /// Panics if called with a non-data segment or one for another flow.
-    pub fn on_data_segment(&mut self, segment: &TcpSegment, now: SimTime) -> TcpSegment {
-        let (ack, advanced) = self.absorb(segment, now);
-        let _ = advanced;
+    pub fn on_data_segment(&mut self, segment: &TcpSegment, _now: SimTime) -> TcpSegment {
+        let (ack, _advanced) = self.absorb(segment);
         self.stats.acks_sent += 1;
         ack
     }
@@ -180,7 +169,7 @@ impl TcpReceiver {
     /// Panics if called with a non-data segment or one for another flow.
     pub fn on_data_segment_delack(&mut self, segment: &TcpSegment, now: SimTime) -> ReceiverOutput {
         assert!(self.delack_enabled, "receiver not in delayed-ACK mode");
-        let (ack, advanced_in_order) = self.absorb(segment, now);
+        let (ack, advanced_in_order) = self.absorb(segment);
         if !advanced_in_order {
             // Dup or out-of-order: the sender needs this signal now. Any
             // pending delayed ACK is superseded by this fresher one.
@@ -238,7 +227,7 @@ impl TcpReceiver {
 
     /// Core segment processing; returns the (possibly withheld) ACK and
     /// whether the segment advanced the in-order stream.
-    fn absorb(&mut self, segment: &TcpSegment, now: SimTime) -> (TcpSegment, bool) {
+    fn absorb(&mut self, segment: &TcpSegment) -> (TcpSegment, bool) {
         assert_eq!(segment.flow, self.flow, "segment for wrong flow");
         let TcpSegmentKind::Data { seq, payload_bytes, avbw, marked, retransmit } = segment.kind
         else {
@@ -260,7 +249,6 @@ impl TcpReceiver {
             while self.out_of_order.remove(&self.rcv_nxt) {
                 self.rcv_nxt += 1;
             }
-            self.delivered_trace.record(now, self.rcv_nxt as f64);
             advanced = true;
         } else {
             self.out_of_order.insert(seq);
@@ -361,7 +349,6 @@ mod tests {
         }
         assert_eq!(r.rcv_nxt(), 5);
         assert_eq!(r.delivered_bytes(), 5 * 1460);
-        assert_eq!(r.delivery_trace().len(), 5);
     }
 
     #[test]

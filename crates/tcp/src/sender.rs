@@ -227,7 +227,6 @@ impl Transport for Sender {
 
     fn open(&mut self, now: SimTime) -> Vec<TcpOutput> {
         let mut out = Vec::new();
-        self.s.trace_cwnd(now, self.cwnd);
         self.policy.on_open(self.s.usable_window(self.cwnd), now);
         self.send_fresh(now, &mut out);
         out
@@ -249,7 +248,6 @@ impl Transport for Sender {
         } else if self.s.flight() > 0 {
             self.on_dupack(marked, now, &mut out);
         }
-        self.s.trace_cwnd(now, self.cwnd);
         out
     }
 
@@ -268,7 +266,6 @@ impl Transport for Sender {
         self.s.clear_rtt_candidates();
         self.s.note_timeout();
         self.send_fresh(now, &mut out);
-        self.s.trace_cwnd(now, self.cwnd);
         out
     }
 
@@ -580,17 +577,6 @@ mod tests {
             // cwnd grew well past 4, but flight never exceeds the advertised window.
             assert!(tx.cwnd() > 4.0);
             assert!(tx.s.flight() <= 4);
-        }
-
-        #[test]
-        fn cwnd_trace_records_evolution() {
-            let mut tx = mk(TcpVariant::NewReno);
-            let _ = tx.open(t(0));
-            let _ = tx.on_ack_segment(&ack(1), t(100));
-            let _ = tx.on_ack_segment(&ack(2), t(200));
-            assert!(tx.cwnd_trace().len() >= 3);
-            let last = tx.cwnd_trace().last().unwrap();
-            assert_eq!(last.1, tx.cwnd());
         }
 
         /// The facade `benchmark/` builds its NewReno kernel through is the same

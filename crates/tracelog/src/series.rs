@@ -8,13 +8,14 @@ use wire::{FlowId, NodeId};
 /// The classic per-flow curves (cwnd, ssthresh, RTT, RTO, queue depth,
 /// AVBW-S) assembled from a trace stream.
 ///
-/// This replaces the bespoke `(time, cwnd)` plumbing experiments used to
-/// carry: run a simulation with a `TraceLog`, then fold the entries through
-/// [`FlowSeries::observe`] (or build in one go with [`FlowSeries::collect`]).
+/// The log is the one place these curves exist — senders, receivers and flow
+/// reports keep counters, not samples. Run a simulation with a `TraceLog`,
+/// then fold the entries through [`FlowSeries::observe`] (or build in one go
+/// with [`FlowSeries::collect`]).
 ///
-/// The `cwnd` series mirrors the transport's internal change-triggered trace
-/// exactly — same sample times, same sample count — so consumers migrating
-/// from `FlowReport::cwnd_trace` see byte-identical data.
+/// The `cwnd` series has the flow's opening window and then one sample per
+/// sender call (ACK or timeout) that moved the window, stamped at that call.
+/// A log installed mid-run yields the curve from its install instant on.
 #[derive(Clone, Debug)]
 pub struct FlowSeries {
     /// The flow being followed.

@@ -155,29 +155,11 @@ fn corpus_digests_match_the_committed_fixture() {
     );
 }
 
-/// A flow report as the digest folds it: every field but the two sample
-/// series. The window series is the run's `TcpCwnd` records and the delivery
-/// series the `ack` of its `TcpAckTx` records, both folded already, so the
-/// digest loses nothing and no longer depends on the report carrying them.
-#[derive(Debug)]
-#[allow(dead_code)] // read through `Debug` only
-struct FlowReport {
-    flow: FlowId,
-    variant: TcpVariant,
-    src: NodeId,
-    dst: NodeId,
-    start: SimTime,
-    sender: tcp_muzha::transport::TcpStats,
-    srtt: Option<SimDuration>,
-    delivered_segments: u64,
-    delivered_bytes: u64,
-}
-
 /// Digest of everything a run shows the outside: every [`TraceRecord`]
-/// (unbounded log) in order, then every scalar field of every flow report,
-/// each node's summary and AODV counters, and the checker's conservation
-/// ledger. Folded through the `Debug` renderings, which name every field and
-/// print floats shortest-round-trip, so no field can be forgotten here.
+/// (unbounded log) in order, then every field of every flow report, each
+/// node's summary and AODV counters, and the checker's conservation ledger.
+/// Folded through the `Debug` renderings, which name every field and print
+/// floats shortest-round-trip, so no field can be forgotten here.
 ///
 /// Unlike `trace_hash` it sees no scheduler event, so it is the oracle for
 /// a change to *which events exist* that must leave behaviour alone.
@@ -191,19 +173,8 @@ fn observable_digest(sim: &mut Simulator) -> u64 {
     for entry in log.iter() {
         h.write_str(&format!("{entry:?}"));
     }
-    for r in sim.all_flow_reports() {
-        let scalars = FlowReport {
-            flow: r.flow,
-            variant: r.variant,
-            src: r.src,
-            dst: r.dst,
-            start: r.start,
-            sender: r.sender,
-            srtt: r.srtt,
-            delivered_segments: r.delivered_segments,
-            delivered_bytes: r.delivered_bytes,
-        };
-        h.write_str(&format!("{scalars:?}"));
+    for flow in sim.all_flow_reports() {
+        h.write_str(&format!("{flow:?}"));
     }
     for i in 0..sim.node_count() {
         let node = NodeId::new(i as u16);

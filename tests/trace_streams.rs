@@ -60,6 +60,43 @@ fn corpus_twin_runs_produce_byte_identical_trace_streams() {
     }
 }
 
+/// A log installed on a restored simulator is the log of the run from the
+/// restore instant on: whether or not the first leg was traced, it holds
+/// nothing stamped earlier, its entries are in time order, and it equals the
+/// uninterrupted traced run's suffix.
+#[test]
+fn a_log_installed_after_restore_starts_at_the_restore_instant() {
+    let build = || {
+        let mut sim = Simulator::new(topology::chain(4), SimConfig::default());
+        let (src, dst) = topology::chain_flow(4);
+        sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
+        sim
+    };
+    let (t, end) = (SimTime::from_secs_f64(5.0), SimTime::from_secs_f64(8.0));
+    let mut first_leg = build();
+    first_leg.run_until(t);
+    let bytes = first_leg.snapshot();
+
+    let mut resumed = build();
+    resumed.restore(&bytes).expect("the cut restores");
+    resumed.install_trace_log(TraceLog::new());
+    resumed.run_until(end);
+    let resumed = resumed.take_trace_log().expect("log was installed").snapshot();
+
+    let back_dated = resumed.iter().filter(|e| e.at < t).count();
+    assert_eq!(back_dated, 0, "entries stamped before the restore at {t}");
+    let inversions = resumed.windows(2).filter(|pair| pair[1].at < pair[0].at).count();
+    assert_eq!(inversions, 0, "entries out of time order");
+
+    let mut straight = build();
+    straight.install_trace_log(TraceLog::new());
+    straight.run_until(end);
+    let straight = straight.take_trace_log().expect("log was installed");
+    let suffix: Vec<TraceEntry> = straight.iter().filter(|e| e.at > t).copied().collect();
+    assert!(!suffix.is_empty());
+    assert_eq!(resumed, suffix);
+}
+
 #[test]
 fn batch_worker_count_does_not_change_traces() {
     // `cwnd_traces_batch` runs every (hops, variant) combo through the
