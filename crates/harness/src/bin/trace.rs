@@ -31,6 +31,20 @@ fn main() {
     cli::run_main(run);
 }
 
+/// `--hops`: a chain of one hop up to what node ids can address.
+fn parse_hops(text: &str) -> Result<usize, String> {
+    match text.parse::<u16>() {
+        Ok(hops) if (1..u16::MAX).contains(&hops) => Ok(usize::from(hops)),
+        _ => Err("a chain needs at least one hop and at most 65534".to_string()),
+    }
+}
+
+/// A flag whose value parsed but cannot be honoured beside the rest.
+fn unusable(args: &[String], flag: &str, reason: &str) -> CliError {
+    let value = parse_flag(args, flag).ok().flatten().unwrap_or_default();
+    CliError::BadValue { flag: flag.to_string(), value, reason: reason.to_string() }
+}
+
 fn run(args: &[String]) -> Result<(), CliError> {
     let valued = [
         "--hops",
@@ -47,7 +61,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     cli::positionals(args, &valued, &["--quick"])?;
     let quick = args.iter().any(|a| a == "--quick");
 
-    let hops = parse_flag_with(args, "--hops", str::parse::<usize>)?.unwrap_or(4);
+    let hops = parse_flag_with(args, "--hops", parse_hops)?.unwrap_or(4);
     let variant =
         parse_flag_with(args, "--variant", tracecap::variant_by_name)?.unwrap_or(TcpVariant::Muzha);
     let secs =
@@ -59,6 +73,16 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let out = parse_flag(args, "--out")?;
     let topology = parse_flag_with(args, "--topology", tracecap::flow_topology)?;
     let mobility = parse_flag_with(args, "--mobility", MobilitySpec::parse)?;
+    if mobility.is_some() && topology.is_none() {
+        return Err(unusable(
+            args,
+            "--mobility",
+            "needs --topology SPEC; the default chain is fixed",
+        ));
+    }
+    if format.is_binary() && out.is_none() {
+        return Err(unusable(args, "--format", "binary output needs --out PATH"));
+    }
 
     let mut cfg = SimConfig::default();
     if let Some(seed) = seed {
@@ -80,7 +104,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
         );
         tracecap::capture_topology(variant, SimDuration::from_secs(secs), cfg, filter)
     } else {
-        assert!(mobility.is_none(), "--mobility needs --topology");
         eprintln!("capturing {hops}-hop chain, {} flow, {secs} s virtual...", variant.name());
         tracecap::capture_chain(hops, variant, SimDuration::from_secs(secs), cfg, filter)
     };
@@ -95,10 +118,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
             eprintln!("wrote {} records ({} bytes) to {path}", entries.len(), bytes.len());
         }
         None => {
-            assert!(
-                !format.is_binary(),
-                "pcap output is binary; pass --out PATH instead of writing to stdout"
-            );
             // Tolerate a closed pipe (`trace ... | head`) instead of
             // panicking mid-write.
             use std::io::Write as _;

@@ -120,3 +120,38 @@ fn hostile_topologies_and_times_are_bad_values_not_panics() {
         "below 2^64 ns",
     );
 }
+
+/// Flags that parse on their own and cannot be honoured together used to be
+/// `assert!`s (`trace`: exit 101, two of them after the whole capture had
+/// run) or a run that went nowhere and said so with status 0 (`checkpoint
+/// resume --until` a time the snapshot is already past).
+#[test]
+fn flags_that_contradict_each_other_are_bad_values() {
+    let trace = env!("CARGO_BIN_EXE_trace");
+    assert_rejected(trace, &["--quick", "--mobility", "waypoint"], "needs --topology");
+    assert_rejected(trace, &["--quick", "--format", "pcap"], "needs --out");
+    assert_rejected(trace, &["--quick", "--hops", "0"], "a chain needs at least one hop");
+    assert_rejected(trace, &["--quick", "--hops", "65535"], "at most 65534");
+
+    let dir = std::env::temp_dir().join(format!("cli_exit_until_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let snap = dir.join("ck.snap");
+    let snap = snap.to_str().expect("utf-8 temp path");
+    let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");
+    let checkpoint = env!("CARGO_BIN_EXE_checkpoint");
+    let taken = Command::new(checkpoint)
+        .args(["snapshot", "--script", script, "--at", "4", "--out", snap])
+        .output()
+        .expect("spawn checkpoint");
+    assert!(taken.status.success(), "{}", String::from_utf8_lossy(&taken.stderr));
+    let resume = ["resume", "--script", script, "--from", snap, "--until", "1"];
+    let out = assert_error(checkpoint, &resume, "1.000000s is before t=4.000000s");
+    assert!(out.stdout.is_empty(), "a refused resume reports no run");
+    // The snapshot's own instant is a run of no events, not an error.
+    let at_cut = Command::new(checkpoint)
+        .args(["resume", "--script", script, "--from", snap, "--until", "4"])
+        .output()
+        .expect("spawn checkpoint");
+    assert!(at_cut.status.success(), "{}", String::from_utf8_lossy(&at_cut.stderr));
+    std::fs::remove_dir_all(&dir).expect("remove scratch directory");
+}
