@@ -553,15 +553,9 @@ impl Simulator {
                 if stale {
                     self.perf.timers_stale_popped += 1;
                 }
-                // Even a discarded pop flows through here so the checker's
-                // cwnd bookkeeping sees the same event stream as before.
-                self.drive_sender(node, flow, false, |tx| {
-                    if stale {
-                        Vec::new()
-                    } else {
-                        tx.on_timer(id, now)
-                    }
-                });
+                // A stale id still goes to the sender, which drops it, so the
+                // checker's cwnd bookkeeping sees every pop.
+                self.drive_sender(node, flow, SenderCall::Timer(id));
             }
             Event::JitteredEnqueue { node, packet, next_hop } => {
                 self.enqueue_ifq(node, packet, next_hop);
@@ -602,9 +596,8 @@ impl Simulator {
                 }
             }
             Event::FlowStart { flow } => {
-                let now = self.now;
                 let src = self.flows[flow.index()].src;
-                self.drive_sender(src, flow, true, |tx| tx.open(now));
+                self.drive_sender(src, flow, SenderCall::Open);
             }
             Event::Sample => {
                 let now = self.now;
@@ -767,19 +760,20 @@ impl Simulator {
     /// A sender moves its window only inside such a call, so the window
     /// curve is written here: one [`TraceRecord::TcpCwnd`] after the call's
     /// own records when the window it leaves differs from the one it found,
-    /// and always when the call `opening` the flow (the curve's first
-    /// point). The sender keeps no history; a log installed mid-run starts
-    /// at the next move.
-    fn drive_sender(
-        &mut self,
-        node: NodeId,
-        flow: FlowId,
-        opening: bool,
-        call: impl FnOnce(&mut Sender) -> Vec<TcpOutput>,
-    ) {
+    /// and always for [`SenderCall::Open`] (the curve's first point). The
+    /// sender keeps no history; a log installed mid-run starts at the next
+    /// move.
+    fn drive_sender(&mut self, node: NodeId, flow: FlowId, call: SenderCall<'_>) {
+        let now = self.now;
         let Some(ep) = self.nodes[node.index()].senders.get_mut(&flow) else { return };
         let (dst, before) = (ep.dst, ep.transport.cwnd());
-        for output in call(&mut ep.transport) {
+        let outputs = match call {
+            SenderCall::Open => ep.transport.open(now),
+            SenderCall::Ack(segment) => ep.transport.on_ack_segment(segment, now),
+            SenderCall::Timer(id) => ep.transport.on_timer(id, now),
+        };
+        let opening = matches!(call, SenderCall::Open);
+        for output in outputs {
             match output {
                 TcpOutput::SendSegment(segment) => {
                     let is_data = segment.is_data();
@@ -978,6 +972,15 @@ impl std::fmt::Debug for Simulator {
     }
 }
 
+/// The three calls the driver makes into a sender: `Transport::open`,
+/// `on_ack_segment` and `on_timer`.
+#[derive(Clone, Copy)]
+enum SenderCall<'a> {
+    Open,
+    Ack(&'a TcpSegment),
+    Timer(tcp::TcpTimer),
+}
+
 /// Builds an ACK packet travelling from the receiver back to the sender.
 fn ack_packet(uid: u64, from: NodeId, to: NodeId, segment: TcpSegment) -> Packet {
     Packet::new(uid, from, to, Payload::Tcp(segment))
@@ -1048,7 +1051,7 @@ impl Simulator {
                     rcv_nxt_after: echoed,
                 });
             }
-            self.drive_sender(node, flow, false, |tx| tx.on_ack_segment(segment, now));
+            self.drive_sender(node, flow, SenderCall::Ack(segment));
         }
     }
 }
