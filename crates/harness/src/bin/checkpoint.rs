@@ -114,11 +114,8 @@ fn resume(script: &ScenarioScript, duration: SimDuration, args: &[String]) -> Re
     sim.restore(&bytes).map_err(|e| CliError::file("resume", &from, e))?;
     let resumed_from = sim.now();
     if end < resumed_from {
-        return Err(CliError::BadValue {
-            flag: "--until".to_string(),
-            value: cli::parse_flag(args, "--until")?.unwrap_or_default(),
-            reason: format!("{end} is before t={resumed_from}, when {from} was taken"),
-        });
+        let reason = format!("{end} is before t={resumed_from}, when {from} was taken");
+        return Err(cli::conflicting(args, "--until", reason));
     }
     let baseline = sim.perf().events_processed;
     sim.run_until(end);

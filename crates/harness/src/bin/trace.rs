@@ -22,7 +22,7 @@
 
 use harness::cli::{self, parse_flag, parse_flag_with, CliError};
 use harness::tracecap::{self, TraceFormat};
-use netstack::{MobilitySpec, SimConfig, TcpVariant};
+use netstack::{MobilitySpec, SimConfig, TcpVariant, TopologySpec};
 use sim_core::SimDuration;
 use tracelog::{TraceEntry, TraceFilter};
 use wire::FlowId;
@@ -31,18 +31,10 @@ fn main() {
     cli::run_main(run);
 }
 
-/// `--hops`: a chain of one hop up to what node ids can address.
+/// `--hops N` is `--topology chain:N` as far as bounds go: at least one hop,
+/// no more nodes than ids address.
 fn parse_hops(text: &str) -> Result<usize, String> {
-    match text.parse::<u16>() {
-        Ok(hops) if (1..u16::MAX).contains(&hops) => Ok(usize::from(hops)),
-        _ => Err("a chain needs at least one hop and at most 65534".to_string()),
-    }
-}
-
-/// A flag whose value parsed but cannot be honoured beside the rest.
-fn unusable(args: &[String], flag: &str, reason: &str) -> CliError {
-    let value = parse_flag(args, flag).ok().flatten().unwrap_or_default();
-    CliError::BadValue { flag: flag.to_string(), value, reason: reason.to_string() }
+    TopologySpec::parse(&format!("chain:{text}")).map(|chain| chain.node_count() - 1)
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
@@ -74,14 +66,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let topology = parse_flag_with(args, "--topology", tracecap::flow_topology)?;
     let mobility = parse_flag_with(args, "--mobility", MobilitySpec::parse)?;
     if mobility.is_some() && topology.is_none() {
-        return Err(unusable(
-            args,
-            "--mobility",
-            "needs --topology SPEC; the default chain is fixed",
-        ));
+        let reason = "needs --topology SPEC; the default chain is fixed";
+        return Err(cli::conflicting(args, "--mobility", reason));
     }
     if format.is_binary() && out.is_none() {
-        return Err(unusable(args, "--format", "binary output needs --out PATH"));
+        return Err(cli::conflicting(args, "--format", "binary output needs --out PATH"));
     }
 
     let mut cfg = SimConfig::default();

@@ -54,6 +54,13 @@ impl CliError {
     }
 }
 
+/// A [`CliError::BadValue`] for a `flag` whose value parsed on its own but
+/// cannot be honoured beside the rest of `args`, for `reason`.
+pub fn conflicting(args: &[String], flag: &str, reason: impl Display) -> CliError {
+    let value = parse_flag(args, flag).ok().flatten().unwrap_or_default();
+    CliError::BadValue { flag: flag.to_string(), value, reason: reason.to_string() }
+}
+
 impl Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

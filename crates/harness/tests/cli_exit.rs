@@ -130,8 +130,8 @@ fn flags_that_contradict_each_other_are_bad_values() {
     let trace = env!("CARGO_BIN_EXE_trace");
     assert_rejected(trace, &["--quick", "--mobility", "waypoint"], "needs --topology");
     assert_rejected(trace, &["--quick", "--format", "pcap"], "needs --out");
-    assert_rejected(trace, &["--quick", "--hops", "0"], "a chain needs at least one hop");
-    assert_rejected(trace, &["--quick", "--hops", "65535"], "at most 65534");
+    assert_rejected(trace, &["--quick", "--hops", "0"], "bad chain hop count '0'");
+    assert_rejected(trace, &["--quick", "--hops", "65535"], "at most 65535");
 
     let dir = std::env::temp_dir().join(format!("cli_exit_until_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch directory");
