@@ -157,12 +157,29 @@ impl<E> EventQueue<E> {
     where
         E: Debug,
     {
+        let seq = self.reserve_seq();
+        self.push_reserved(time, seq, event);
+    }
+
+    /// Schedules `event` under a sequence number [`Self::reserve_seq`]
+    /// issued earlier: work that was being applied lazily becomes a queue
+    /// entry after all, with the `(time, seq)` key it would have had if it
+    /// had been pushed when the number was taken. It pops among entries
+    /// pushed since exactly where that push would have put it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::push`]: `time` may not lie before the last popped event.
+    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E)
+    where
+        E: Debug,
+    {
         assert!(
             time >= self.last_popped,
             "scheduled event at {time} before current time {}: {event:?}",
             self.last_popped
         );
-        let seq = self.reserve_seq();
+        debug_assert!(seq < self.next_seq, "seq {seq} was never issued");
         if self.len + 1 > self.buckets.len() * 2 {
             self.resize(self.buckets.len() * 2);
         }
@@ -200,7 +217,8 @@ impl<E> EventQueue<E> {
 
     /// Inserts keeping the deque sorted by `(time, seq)`. Fresh pushes carry
     /// the largest `seq` so far, so this walks back only past strictly later
-    /// times — O(1) for the common append case.
+    /// times — O(1) for the common append case; an entry under a reserved
+    /// `seq` also walks past the later-pushed ties at its own instant.
     fn insert_sorted(deque: &mut VecDeque<Entry<E>>, entry: Entry<E>) {
         let mut pos = deque.len();
         while pos > 0 {
@@ -449,12 +467,26 @@ impl<E> HeapQueue<E> {
     where
         E: Debug,
     {
+        let seq = self.reserve_seq();
+        self.push_reserved(time, seq, event);
+    }
+
+    /// Schedules `event` under a sequence number issued earlier by
+    /// [`Self::reserve_seq`] (see [`EventQueue::push_reserved`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::push`].
+    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E)
+    where
+        E: Debug,
+    {
         assert!(
             time >= self.last_popped,
             "scheduled event at {time} before current time {}: {event:?}",
             self.last_popped
         );
-        let seq = self.reserve_seq();
+        debug_assert!(seq < self.next_seq, "seq {seq} was never issued");
         self.heap.push(Entry { time, seq, event });
     }
 
@@ -825,6 +857,49 @@ mod tests {
             assert_eq!(q.pop_nth(0), Some((t(10), 0, 'a')), "{kind}");
         });
         assert_eq!(EventQueue::<()>::new().next_seq(), 0);
+    }
+
+    /// An entry pushed under a reserved number sorts by that number, not by
+    /// when it was pushed: ahead of the head's later-pushed ties, behind the
+    /// earlier one, and the head of the queue if its key is the smallest.
+    #[test]
+    fn push_reserved_lands_where_the_reserving_push_would_have() {
+        on_both_queues!(|new, kind| {
+            let mut q = new();
+            q.push(t(10), 'a'); // seq 0
+            let early = q.reserve_seq(); // 1
+            q.push(t(10), 'c'); // 2
+            let first = q.reserve_seq(); // 3
+            q.push(t(10), 'd'); // 4
+            q.push(t(20), 'z'); // 5
+            q.push_reserved(t(10), early, 'b');
+            q.push_reserved(t(5), first, '!');
+            assert_eq!(q.len(), 6, "{kind}");
+            assert_eq!(q.peek_time(), Some(t(5)), "{kind}: the new entry is the head");
+            assert_eq!(q.pop_nth(0), Some((t(5), 3, '!')), "{kind}");
+            assert_eq!(q.tie_count(), 4, "{kind}");
+            let mut seen = Vec::new();
+            q.for_each_tie(|&e| seen.push(e));
+            assert_eq!(seen, ['a', 'b', 'c', 'd'], "{kind}: key order, not push order");
+            assert_eq!(q.pop_nth(1), Some((t(10), 1, 'b')), "{kind}");
+            // At the instant of the entry popped last, under a number older
+            // than that entry's: still legal, still next.
+            let late = q.reserve_seq(); // 6
+            q.push(t(10), 'f'); // 7
+            q.push_reserved(t(10), late, 'e');
+            let rest: Vec<char> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(rest, ['a', 'c', 'd', 'e', 'f', 'z'], "{kind}");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "before current time")]
+    fn push_reserved_into_the_past_panics_like_push() {
+        let mut q = EventQueue::new();
+        let seq = q.reserve_seq();
+        q.push(t(10), ());
+        q.pop();
+        q.push_reserved(t(9), seq, ());
     }
 
     #[test]

@@ -123,41 +123,63 @@ proptest! {
     }
 
     /// Sequence numbers are part of the contract now that a driver can take
-    /// one without queueing anything (`reserve_seq`) and order lazily
-    /// applied work against popped entries by `(time, seq)`: reservations
+    /// one without queueing anything (`reserve_seq`), order lazily applied
+    /// work against popped entries by `(time, seq)`, and queue that work
+    /// after all under the number it took (`push_reserved`): reservations
     /// interleaved with pushes leave both queues issuing the same numbers,
-    /// every reserved number is one no entry carries, and `pop_nth(k)`
-    /// reports the key of the entry it chose — here predicted by a counter
-    /// the test keeps itself.
+    /// a reserved number is carried by no entry until it is pushed under,
+    /// and `pop_nth(k)` returns the `k`-th smallest key at the earliest
+    /// instant of a model that knows nothing but keys — so an entry pushed
+    /// under an old number pops ahead of the later-pushed ties at its
+    /// instant (the head's included) and behind the earlier ones, growing
+    /// and shrinking the calendar on the way.
     #[test]
     fn reserved_seqs_keep_the_queues_in_lock_step(
-        ops in proptest::collection::vec((0u8..6, 0u64..4, 0usize..4), 1..200),
+        ops in proptest::collection::vec((0u8..8, 0u64..4, 0usize..4), 1..200),
     ) {
         let mut calendar = EventQueue::new();
         let mut heap = HeapQueue::new();
+        let mut model = std::collections::BTreeSet::new();
         let mut issued = 0u64;
         let mut reserved = Vec::new();
         for &(kind, slot, pick) in &ops {
+            // Coarse time slots: most pushes tie with an earlier one, and
+            // slot 0 is the instant of the entry popped last.
+            let at = calendar.now() + SimDuration::from_nanos(slot * 1_000);
             match kind {
-                // Coarse time slots: most pushes tie with an earlier one.
                 0..=2 => {
-                    let at = calendar.now() + SimDuration::from_nanos(slot * 1_000);
                     // The payload is the seq the entry must be given.
                     calendar.push(at, issued);
                     heap.push(at, issued);
+                    model.insert((at, issued));
                     issued += 1;
                 }
-                3 => {
+                3 | 4 => {
                     prop_assert_eq!(calendar.reserve_seq(), issued);
                     prop_assert_eq!(heap.reserve_seq(), issued);
                     reserved.push(issued);
                     issued += 1;
                 }
+                5 if !reserved.is_empty() => {
+                    let seq = reserved.swap_remove(pick % reserved.len());
+                    calendar.push_reserved(at, seq, seq);
+                    heap.push_reserved(at, seq, seq);
+                    model.insert((at, seq));
+                }
                 _ => {
-                    prop_assert_eq!(calendar.tie_count(), heap.tie_count());
-                    let k = pick.min(calendar.tie_count().saturating_sub(1));
+                    let ties = model.first().map_or(0, |&(head, _)| {
+                        model.iter().take_while(|&&(time, _)| time == head).count()
+                    });
+                    prop_assert_eq!(calendar.tie_count(), ties);
+                    prop_assert_eq!(heap.tie_count(), ties);
+                    let k = pick.min(ties.saturating_sub(1));
+                    let expected = model.iter().nth(k).copied();
+                    if let Some(key) = expected {
+                        model.remove(&key);
+                    }
                     let popped = calendar.pop_nth(k);
                     prop_assert_eq!(popped, heap.pop_nth(k));
+                    prop_assert_eq!(popped.map(|(time, seq, _)| (time, seq)), expected);
                     if let Some((_, seq, payload)) = popped {
                         prop_assert_eq!(seq, payload, "pop_nth reported another entry's seq");
                         prop_assert!(!reserved.contains(&seq), "a reserved seq was queued");
@@ -165,7 +187,9 @@ proptest! {
                 }
             }
             prop_assert_eq!(calendar.next_seq(), issued);
-            prop_assert_eq!(calendar.len(), heap.len());
+            prop_assert_eq!(calendar.len(), model.len());
+            prop_assert_eq!(heap.len(), model.len());
+            prop_assert_eq!(calendar.peek_time(), model.first().map(|&(time, _)| time));
         }
     }
 
