@@ -8,11 +8,18 @@
 //! variants cannot share a tag (rustc E0081). Wildcard arms are refused in
 //! this module, which is what keeps those matches total.
 //!
-//! A signal's *start* edge is not in the taxonomy: it touches only the
-//! receiving node and produces nothing, so `transmit` parks it in the
+//! A signal edge that emits nothing is not in the taxonomy. The *start*
+//! edge touches only the receiving node, so `transmit` parks it in the
 //! receiver's `PhyState` under the `(time, seq)` key the event would have
-//! had and `Simulator::settle` applies it before the node's next event.
-//! Tag 1, which it used to carry, is retired and never reused.
+//! had and `Simulator::settle` applies it before the node's next event; tag
+//! 1, which it used to carry, is retired and never reused. The *end* edge
+//! at a listener out of decoding range arms EIFS and, if the MAC is
+//! deferring, restarts its countdown: while that MAC holds no packet there
+//! is nothing to restart and the edge is parked the same way, under the key
+//! reserved for it. It becomes an event — [`Event::CsEnd`], pushed under
+//! that key — when the MAC takes a packet (`Simulator::try_feed_mac`), or at
+//! once if the MAC already holds one. [`Event::RxEnd`] is the end of a
+//! signal the listener was in range to decode.
 
 #![deny(clippy::wildcard_enum_match_arm)]
 
@@ -28,8 +35,9 @@ use wire::{FlowId, MacFrame, NodeId, Packet};
 /// Events driving the simulation.
 #[derive(Debug)]
 pub(crate) enum Event {
-    /// A signal ends at `node`; `frame` is what was on the air.
-    RxEnd { node: NodeId, tx_id: TxId, frame: MacFrame, in_rx_range: bool },
+    /// A signal from a sender in decoding range ends at `node`; `frame` is
+    /// what was on the air.
+    RxEnd { node: NodeId, tx_id: TxId, frame: MacFrame },
     /// `node`'s own transmission left the air.
     TxDone { node: NodeId },
     /// MAC timer.
@@ -50,6 +58,9 @@ pub(crate) enum Event {
     Sample,
     /// A scripted fault fires (index into the loaded scenario fault list).
     Fault { index: usize },
+    /// A signal `node` could sense and never decode ends there, its MAC
+    /// holding a packet now or when the signal was sent.
+    CsEnd { node: NodeId, tx_id: TxId },
 }
 
 /// Every queue entry, and every shift of a calendar bucket, moves one of
@@ -73,6 +84,7 @@ pub(crate) enum EventKind {
     DelAckTimer = 10,
     Sample = 11,
     Fault = 12,
+    CsEnd = 13,
 }
 
 /// Whose liveness decides whether an event still runs under a fault script.
@@ -87,7 +99,7 @@ pub(crate) enum Owner {
 
 impl EventKind {
     /// Every kind, in tag order.
-    const ALL: [EventKind; 11] = [
+    const ALL: [EventKind; 12] = [
         EventKind::RxEnd,
         EventKind::TxDone,
         EventKind::MacTimer,
@@ -99,6 +111,7 @@ impl EventKind {
         EventKind::DelAckTimer,
         EventKind::Sample,
         EventKind::Fault,
+        EventKind::CsEnd,
     ];
 
     /// The work counter of the layer that owns this kind. Every kind has
@@ -106,7 +119,7 @@ impl EventKind {
     /// `events_processed` by construction.
     pub(crate) fn layer(self, perf: &mut RunPerf) -> &mut u64 {
         match self {
-            EventKind::RxEnd | EventKind::TxDone => &mut perf.phy_events,
+            EventKind::RxEnd | EventKind::TxDone | EventKind::CsEnd => &mut perf.phy_events,
             EventKind::MacTimer => &mut perf.mac_events,
             EventKind::AodvTimer | EventKind::JitteredEnqueue => &mut perf.routing_events,
             EventKind::TcpTimer | EventKind::FlowStart | EventKind::DelAckTimer => {
@@ -123,6 +136,7 @@ impl EventKind {
     pub(crate) fn tie(self) -> TieKind {
         match self {
             EventKind::RxEnd
+            | EventKind::CsEnd
             | EventKind::TxDone
             | EventKind::MacTimer
             | EventKind::AodvTimer
@@ -160,12 +174,14 @@ impl Event {
             Event::DelAckTimer { .. } => EventKind::DelAckTimer,
             Event::Sample => EventKind::Sample,
             Event::Fault { .. } => EventKind::Fault,
+            Event::CsEnd { .. } => EventKind::CsEnd,
         }
     }
 
     pub(crate) fn owner(&self) -> Owner {
         match self {
             Event::RxEnd { node, .. }
+            | Event::CsEnd { node, .. }
             | Event::TxDone { node }
             | Event::MacTimer { node, .. }
             | Event::AodvTimer { node, .. }
@@ -190,6 +206,7 @@ impl Event {
             |p: Option<&Packet>| p.and_then(Packet::tcp).is_none_or(|s| s.flow.index() < flows);
         match self {
             Event::TxDone { node }
+            | Event::CsEnd { node, .. }
             | Event::MacTimer { node, .. }
             | Event::AodvTimer { node, .. }
             | Event::MobilityTick { node } => node.index() < nodes,
@@ -223,12 +240,14 @@ impl Event {
     pub(crate) fn fold(&self, hash: &mut TraceHash, now: SimTime) {
         hash.write_u64(now.as_nanos()).write_u64(self.kind() as u64);
         match self {
-            Event::RxEnd { node, tx_id, frame, in_rx_range } => {
+            Event::RxEnd { node, tx_id, frame } => {
                 hash.write_u64(node.index() as u64)
                     .write_u64(tx_id.0)
                     .write_u64(frame.src.index() as u64)
-                    .write_u64(frame.dst.index() as u64)
-                    .write_u64(u64::from(*in_rx_range));
+                    .write_u64(frame.dst.index() as u64);
+            }
+            Event::CsEnd { node, tx_id } => {
+                hash.write_u64(node.index() as u64).write_u64(tx_id.0);
             }
             Event::TxDone { node }
             | Event::MacTimer { node, .. }
@@ -257,11 +276,14 @@ impl Snapshotable for Event {
     fn encode(&self, w: &mut SnapshotWriter) {
         w.put(&self.kind());
         match self {
-            Event::RxEnd { node, tx_id, frame, in_rx_range } => {
+            Event::RxEnd { node, tx_id, frame } => {
                 w.put(node);
                 w.put(tx_id);
                 w.put(frame);
-                w.put_bool(*in_rx_range);
+            }
+            Event::CsEnd { node, tx_id } => {
+                w.put(node);
+                w.put(tx_id);
             }
             Event::TxDone { node } | Event::MobilityTick { node } => w.put(node),
             Event::MacTimer { node, id } => {
@@ -295,12 +317,8 @@ impl Snapshotable for Event {
 
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {
         Ok(match r.get::<EventKind>()? {
-            EventKind::RxEnd => Event::RxEnd {
-                node: r.get()?,
-                tx_id: r.get()?,
-                frame: r.get()?,
-                in_rx_range: r.take_bool()?,
-            },
+            EventKind::RxEnd => Event::RxEnd { node: r.get()?, tx_id: r.get()?, frame: r.get()? },
+            EventKind::CsEnd => Event::CsEnd { node: r.get()?, tx_id: r.get()? },
             EventKind::TxDone => Event::TxDone { node: r.get()? },
             EventKind::MacTimer => Event::MacTimer { node: r.get()?, id: r.get()? },
             EventKind::AodvTimer => Event::AodvTimer { node: r.get()?, id: r.get()? },
@@ -323,19 +341,20 @@ impl Snapshotable for Event {
 mod tests {
     use super::*;
 
-    /// The tags are the discriminants: 2..=12 decode to the kind that
+    /// The tags are the discriminants: 2..=13 decode to the kind that
     /// re-encodes to the same byte; the neighbours on either side — 1 is
     /// the retired start-edge tag — are refused rather than misread.
     #[test]
     fn kind_tags_round_trip_and_reject_out_of_range() {
-        for tag in 2..=12u8 {
+        assert_eq!(EventKind::ALL.len(), 12);
+        for tag in 2..=13u8 {
             let kind = EventKind::decode(&mut SnapshotReader::new(&[tag])).expect("tag in range");
             assert_eq!(kind as u8, tag);
             let mut w = SnapshotWriter::new();
             w.put(&kind);
             assert_eq!(w.finish(), [tag]);
         }
-        for tag in [0u8, 1, 13] {
+        for tag in [0u8, 1, 14] {
             assert_eq!(
                 EventKind::decode(&mut SnapshotReader::new(&[tag])),
                 Err(SnapError::Invalid("event tag"))

@@ -135,7 +135,8 @@ impl Simulator {
     /// by a killed node are discarded (packets inside them become fault
     /// drops), and most events owned by a paused node are deferred for
     /// replay at resume time. Signal edges at a paused node are discarded —
-    /// its radio is off: end edges here, start edges by the same test in
+    /// its radio is off and `radio_off` has made it forget the signal: the
+    /// end edges that are events here, every other edge by the same test in
     /// [`Simulator::settle`].
     pub(crate) fn gate_event(&mut self, event: Event) -> Option<Event> {
         if self.fault.scripted.is_empty() {
@@ -158,7 +159,7 @@ impl Simulator {
                 _ => None,
             },
             NodeStatus::Paused => match event {
-                Event::RxEnd { .. } => None,
+                Event::RxEnd { .. } | Event::CsEnd { .. } => None,
                 _ => {
                     self.fault.nodes[node.index()].deferred.push(event);
                     None
@@ -248,10 +249,11 @@ impl Simulator {
     /// Takes `node` off the channel and makes its receiver forget the signals
     /// impinging on it: their end edges are discarded by [`Self::gate_event`]
     /// while it is down, so a reception left in the PHY would jam its carrier
-    /// sense for the rest of the run.
+    /// sense for the rest of the run. An end edge parked on one of them is
+    /// discarded here and now.
     fn radio_off(&mut self, node: NodeId) {
         self.channel.set_node_enabled(node, false);
-        self.nodes[node.index()].phy.radio_off();
+        self.perf.edges_settled += self.nodes[node.index()].phy.radio_off() as u64;
     }
 
     /// Crashes a node: radio off, every packet in its custody (interface
@@ -599,6 +601,47 @@ mod tests {
         sim.run_until(secs(sent + 0.001));
         assert_eq!(sim.nodes[relay.index()].phy.active_receptions(), 0, "the start edge was gated");
         assert!(delivered_after(&mut sim, flow, sent + 0.001, 50) >= 50);
+    }
+
+    /// The far end of the chain senses the source's frames without decoding
+    /// them, and while its MAC holds a packet — an ACK waiting out that very
+    /// frame — the signal's end edge is a queued `CsEnd`. Paused mid-signal,
+    /// the node's radio forgets the signal, so the edge must be dropped when
+    /// it pops, like an `RxEnd`: deferred, it would sit in snapshots'
+    /// `deferred` lists and be re-queued at resume for a signal nobody is
+    /// tracking.
+    #[test]
+    fn a_sense_only_end_edge_at_a_paused_node_is_dropped_not_deferred() {
+        let listener = NodeId::new(2);
+        let (mut sim, flow) = two_hop_flow();
+        // The one signal at the listener is the source's, 500 m away, and no
+        // end edge is parked with it: it is in the queue.
+        let mid_signal = |sim: &Simulator| {
+            let n = &sim.nodes[listener.index()];
+            sim.nodes[0].phy.is_transmitting(sim.now)
+                && !n.mac.is_idle()
+                && n.phy.active_receptions() == 1
+                && n.phy.parked_ends().count() == 0
+        };
+        let mut t = 2.0;
+        while !mid_signal(&sim) {
+            t += 0.000_1;
+            assert!(t < 2.5, "the ACK stream never had to wait out a data frame");
+            sim.run_until(secs(t));
+        }
+        // Longer than any frame: the edge pops while the node is paused.
+        let script = ScenarioScript::new("blink")
+            .at(t, FaultEvent::Pause { node: listener })
+            .at(t + 0.01, FaultEvent::Resume { node: listener });
+        sim.load_scenario(&script);
+        sim.run_until(secs(t + 0.009));
+        assert!(!sim.nodes[0].phy.is_transmitting(sim.now), "the frame has passed");
+        let is_signal_end = |e: &Event| matches!(e, Event::CsEnd { .. } | Event::RxEnd { .. });
+        assert!(!sim.fault.deferred().any(is_signal_end), "its end edge was not kept for later");
+        sim.run_until(secs(t + 0.01));
+        assert_eq!(sim.fault.deferred().count(), 0);
+        assert_eq!(sim.nodes[listener.index()].phy.active_receptions(), 0);
+        assert!(delivered_after(&mut sim, flow, t + 0.01, 50) >= 50);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use aodv::AodvOutput;
 use faultline::{CheckEvent, InvariantChecker};
 use mac80211::{MacOutput, MediumView};
-use phy::{Arrival, Channel, Position, RxOutcome, TxId};
+use phy::{Arrival, Channel, Edge, Position, RxOutcome, TxId};
 use sim_core::{DetMap, EventQueue, RunPerf, SimRng, SimTime, TieOrder, TraceHash};
 use tcp::{Sender, TcpOutput, TcpReceiver, Transport};
 use topo::MobilitySpec;
@@ -321,23 +321,35 @@ impl Simulator {
         self.settle_all(self.now, u64::MAX);
     }
 
-    /// Applies the signal start edges due at `node` before scheduler key
-    /// `(time, seq)`, in `(start, seq)` order: what the `RxStart` event of
-    /// each did at its own instant — note the signal in the PHY, the busy
-    /// period in the utilisation tracker, the busy edge in the MAC — behind
-    /// the liveness test [`Self::gate_event`] applied to it.
+    /// Applies the parked signal edges due at `node` before scheduler key
+    /// `(time, seq)`, in key order, behind the liveness test
+    /// [`Self::gate_event`] applies to events. A start edge does what its
+    /// `RxStart` event did at its own instant: note the signal in the PHY,
+    /// the busy period in the utilisation tracker, the busy edge in the MAC.
+    /// A parked end edge does what [`Event::CsEnd`] does at a MAC that holds
+    /// no packet: forget the signal and arm EIFS — the idle edge means
+    /// nothing to a MAC with no countdown to restart.
     ///
-    /// A start edge reads and writes only its own node and emits nothing,
+    /// Such an edge reads and writes only its own node and emits nothing,
     /// and nothing reads a node between two of its own events except a
     /// `Global` one and the caller between runs, each of which settles every
     /// node first. So the node is, whenever it is looked at, in the state
-    /// the never-materialised queue entries would have left it in.
+    /// the never-materialised queue entries would have left it in. A MAC
+    /// takes a packet only inside one of its node's own events, and takes
+    /// its parked ends out of here as it does ([`Self::try_feed_mac`]).
     fn settle(&mut self, node: NodeId, time: SimTime, seq: u64) {
         let Node { phy, busy, mac, .. } = &mut self.nodes[node.index()];
-        phy.settle(time, seq, self.fault.is_up(node), |edge| {
-            busy.note(edge.start, edge.end);
-            mac.on_medium_busy(edge.start);
+        let edges = phy.settle(time, seq, self.fault.is_up(node), |edge| match edge {
+            Edge::Start { start, end, .. } => {
+                busy.note(start, end);
+                mac.on_medium_busy(start);
+            }
+            Edge::End { at, .. } => {
+                debug_assert!(mac.is_idle(), "an end edge stayed parked at a MAC holding a packet");
+                mac.on_rx_corrupted(at);
+            }
         });
+        self.perf.edges_settled += edges as u64;
     }
 
     fn settle_all(&mut self, time: SimTime, seq: u64) {
@@ -439,7 +451,7 @@ impl Simulator {
     fn dispatch(&mut self, event: Event) {
         let Some(event) = self.gate_event(event) else { return };
         match event {
-            Event::RxEnd { node, tx_id, frame, in_rx_range } => {
+            Event::RxEnd { node, tx_id, frame } => {
                 let now = self.now;
                 // The radio was off when this signal started, or has been
                 // off since: the edge means nothing to it.
@@ -448,33 +460,24 @@ impl Simulator {
                 };
                 if self.log.is_some() {
                     let uid = frame.packet().map(|p| p.uid);
-                    match outcome {
-                        RxOutcome::Decoded => self.rec(TraceRecord::PhyRx {
+                    let (from, kind) = (frame.src, frame.kind());
+                    self.rec(match outcome {
+                        RxOutcome::Decoded => TraceRecord::PhyRx {
                             node,
-                            from: frame.src,
-                            frame: frame.kind(),
+                            from,
+                            frame: kind,
                             bytes: frame.size_bytes(),
                             uid,
-                        }),
-                        RxOutcome::CollisionLost => self.rec(TraceRecord::PhyCollision {
-                            node,
-                            from: frame.src,
-                            frame: frame.kind(),
-                            uid,
-                        }),
-                        // In-range but undecodable means the channel error
-                        // model corrupted it; out-of-range carrier sense is
-                        // not a loss and stays untraced.
-                        RxOutcome::NotDecodable if in_rx_range => {
-                            self.rec(TraceRecord::PhyLoss {
-                                node,
-                                from: frame.src,
-                                frame: frame.kind(),
-                                uid,
-                            });
+                        },
+                        RxOutcome::CollisionLost => {
+                            TraceRecord::PhyCollision { node, from, frame: kind, uid }
                         }
-                        RxOutcome::NotDecodable => {}
-                    }
+                        // In range but undecodable: the channel error model
+                        // corrupted it.
+                        RxOutcome::NotDecodable => {
+                            TraceRecord::PhyLoss { node, from, frame: kind, uid }
+                        }
+                    });
                 }
                 let medium = self.medium(node);
                 let mut outputs = Vec::new();
@@ -484,19 +487,28 @@ impl Simulator {
                         RxOutcome::Decoded => {
                             outputs.extend(n.mac.on_frame_decoded(frame, now, medium));
                         }
-                        RxOutcome::CollisionLost => n.mac.on_rx_corrupted(now),
-                        RxOutcome::NotDecodable => {
-                            // Any sensed-but-undecodable signal (carrier-
-                            // sense-only neighbours, random loss) triggers
-                            // the EIFS rule, exactly as in ns-2 — this is
-                            // what protects the CTS/ACK response windows of
-                            // exchanges two hops away.
-                            let _ = in_rx_range;
+                        // A frame lost to random channel error triggers the
+                        // EIFS rule like a collision, exactly as in ns-2.
+                        RxOutcome::CollisionLost | RxOutcome::NotDecodable => {
                             n.mac.on_rx_corrupted(now);
                         }
                     }
                     outputs.extend(n.mac.on_medium_maybe_idle(now, medium));
                 }
+                self.process_mac_outputs(node, outputs);
+            }
+            Event::CsEnd { node, tx_id } => {
+                let now = self.now;
+                let n = &mut self.nodes[node.index()];
+                if n.phy.on_rx_end(tx_id, now).is_none() {
+                    return; // as for `RxEnd`: the radio has been off
+                }
+                // A sensed-but-undecodable signal triggers the EIFS rule —
+                // this is what protects the CTS/ACK response windows of
+                // exchanges two hops away — and is not a loss: untraced.
+                n.mac.on_rx_corrupted(now);
+                let medium = MediumView { busy: n.phy.carrier_busy(now) };
+                let outputs = n.mac.on_medium_maybe_idle(now, medium);
                 self.process_mac_outputs(node, outputs);
             }
             Event::TxDone { node } => {
@@ -905,15 +917,27 @@ impl Simulator {
             let Some((packet, next_hop)) = n.ifq.pop(now) else { return };
             let len = n.ifq.len();
             n.router.drai_mut().observe_queue(len, now);
+            // From here until the packet leaves, an idle edge can restart
+            // this MAC's countdown, and the timer that arms takes its seq
+            // from the moment it is pushed: each end edge still parked here
+            // must pop at its own key. They are all ahead of this event's.
+            let events = &mut self.events;
+            n.phy.unpark_ends(|end, seq, tx_id| {
+                events.push_reserved(end, seq, Event::CsEnd { node, tx_id });
+            });
             n.mac.start_packet(packet, next_hop, now, medium)
         };
         self.process_mac_outputs(node, outputs);
     }
 
     /// Puts a frame on the air: marks the PHY, announces the signal to every
-    /// node in carrier-sense range and schedules its end there, and the
-    /// sender's TxDone. The start edge takes the sequence number its event
-    /// would have had, so every queued entry keeps its `(time, seq)` key.
+    /// node in carrier-sense range and sees to its end there, and schedules
+    /// the sender's TxDone. Per listener the start edge takes the sequence
+    /// number its event would have had and the end edge the next — as a
+    /// queued [`Event::RxEnd`] where the frame can be decoded, a queued
+    /// [`Event::CsEnd`] where it cannot and the MAC holds a packet, and parked
+    /// with the signal where it cannot and the MAC holds none — so every
+    /// queued entry keeps its `(time, seq)` key.
     fn transmit(&mut self, sender: NodeId, frame: MacFrame, airtime: sim_core::SimDuration) {
         let now = self.now;
         if self.log.is_some() {
@@ -950,12 +974,18 @@ impl Simulator {
             let rx_start = now + prop;
             let rx_end = rx_start + airtime;
             let seq = self.events.reserve_seq();
-            let edge = Arrival { start: rx_start, seq, tx_id, end: rx_end, decodable, power };
+            let parked_end = if in_rx_range {
+                self.schedule(rx_end, Event::RxEnd { node: nb, tx_id, frame: frame.clone() });
+                None
+            } else if self.nodes[nb.index()].mac.is_idle() {
+                Some(self.events.reserve_seq())
+            } else {
+                self.schedule(rx_end, Event::CsEnd { node: nb, tx_id });
+                None
+            };
+            let edge =
+                Arrival { start: rx_start, seq, tx_id, end: rx_end, decodable, power, parked_end };
             self.nodes[nb.index()].phy.announce(edge);
-            self.schedule(
-                rx_end,
-                Event::RxEnd { node: nb, tx_id, frame: frame.clone(), in_rx_range },
-            );
         }
         self.schedule(end, Event::TxDone { node: sender });
     }
@@ -1152,18 +1182,40 @@ impl Simulator {
                 return Err(sim_core::SnapError::Invalid("pending arrival seq from the future"));
             }
         }
+        // A parked end edge is one `settle` has yet to apply — later than
+        // `now`, under a seq already issued — at a MAC with no packet to
+        // contend for (taking one unparks them all).
+        for node in &nodes {
+            for (_, end, seq) in node.phy.parked_ends() {
+                if end <= now {
+                    return Err(sim_core::SnapError::Invalid("parked end not after now"));
+                }
+                if seq >= events.next_seq() {
+                    return Err(sim_core::SnapError::Invalid("parked end seq from the future"));
+                }
+                if !node.mac.is_idle() {
+                    return Err(sim_core::SnapError::Invalid(
+                        "parked end at a MAC holding a packet",
+                    ));
+                }
+            }
+        }
         let movements: DetMap<NodeId, Movement> = r.get()?;
         let fault: FaultState = r.get()?;
         if fault.node_count() != node_count {
             return Err(sim_core::SnapError::Invalid("fault state node count"));
         }
         let faults = fault.scripted_count();
-        if !events
-            .iter()
-            .chain(fault.deferred())
-            .all(|e| e.in_range(node_count, flows.len(), faults))
-        {
-            return Err(sim_core::SnapError::Invalid("queued event index out of range"));
+        for event in events.iter().chain(fault.deferred()) {
+            if !event.in_range(node_count, flows.len(), faults) {
+                return Err(sim_core::SnapError::Invalid("queued event index out of range"));
+            }
+            // One signal ends once at one listener: by an event or parked.
+            if let Event::RxEnd { node, tx_id, .. } | Event::CsEnd { node, tx_id } = event {
+                if nodes[node.index()].phy.parked_ends().any(|(parked, ..)| parked == *tx_id) {
+                    return Err(sim_core::SnapError::Invalid("signal end both parked and queued"));
+                }
+            }
         }
         if movements.keys().any(|node| node.index() >= node_count) {
             return Err(sim_core::SnapError::Invalid("movement for a missing node"));
@@ -1210,7 +1262,8 @@ mod tests {
         sim.next_tx_id += 1;
         let end = start + sim.cfg.mac.control_airtime(14);
         let seq = sim.events.reserve_seq();
-        let edge = Arrival { start, seq, tx_id, end, decodable: true, power: 1.0 };
+        let parked_end = None;
+        let edge = Arrival { start, seq, tx_id, end, decodable: true, power: 1.0, parked_end };
         sim.nodes[node.index()].phy.announce(edge);
         let frame = MacFrame {
             src: NodeId::new(7),
@@ -1218,7 +1271,34 @@ mod tests {
             body: wire::FrameBody::Control(FrameKind::Ack),
             nav_until_nanos: 0,
         };
-        sim.schedule(end, Event::RxEnd { node, tx_id, frame, in_rx_range: true });
+        sim.schedule(end, Event::RxEnd { node, tx_id, frame });
+        end
+    }
+
+    /// The same for a signal `node` can sense and not decode: with `park`
+    /// the end edge rides with the signal under its reserved number, as
+    /// `transmit` leaves it at a MAC that holds no packet; without, it is
+    /// the queued `CsEnd` a MAC holding one gets. Either way it takes the
+    /// same two sequence numbers.
+    fn sensed_from_nowhere(
+        sim: &mut Simulator,
+        node: NodeId,
+        start: SimTime,
+        park: bool,
+    ) -> SimTime {
+        let tx_id = TxId(sim.next_tx_id);
+        sim.next_tx_id += 1;
+        let end = start + sim.cfg.mac.control_airtime(14);
+        let seq = sim.events.reserve_seq();
+        let parked_end = if park {
+            Some(sim.events.reserve_seq())
+        } else {
+            sim.schedule(end, Event::CsEnd { node, tx_id });
+            None
+        };
+        let power = 1.0 / 16.0;
+        let edge = Arrival { start, seq, tx_id, end, decodable: false, power, parked_end };
+        sim.nodes[node.index()].phy.announce(edge);
         end
     }
 
@@ -1297,9 +1377,117 @@ mod tests {
         assert_eq!(run(vec![1]), (0, 1), "tick promoted: edge, tick, then a stale timer");
     }
 
+    /// A MAC that takes a packet while sense-only signals are on the air, or
+    /// on their way, has their parked end edges pushed into the queue under
+    /// the keys reserved for them. The twin whose every end edge was a queue
+    /// entry from the start — what `transmit` does at a MAC already holding
+    /// a packet — is from then on the same simulator byte for byte: same
+    /// queue keys, and the attempt timer the last idle edge arms, which takes
+    /// its sequence number when it is pushed, carries the same one.
+    #[test]
+    fn a_mac_that_takes_a_packet_gets_its_parked_ends_back_under_their_own_keys() {
+        let at = |micros| SimTime::ZERO + sim_core::SimDuration::from_micros(micros);
+        let node = NodeId::new(0);
+        let build = |park: bool| {
+            let mut sim = Simulator::new(topology::chain(1), SimConfig::default());
+            // On the air when the packet arrives, and still in flight then.
+            let first_end = sensed_from_nowhere(&mut sim, node, at(100), park);
+            let second_end = sensed_from_nowhere(&mut sim, node, at(300), park);
+            assert!(at(200) < first_end && at(300) < first_end && first_end < second_end);
+            sim.run_until(at(200));
+            start_a_broadcast(&mut sim, node);
+            // Pushed between the unparking and the idle edge: the timer's
+            // number depends on the edge being dispatched after this push.
+            sim.schedule(first_end, Event::MobilityTick { node });
+            (sim, second_end)
+        };
+        let (mut parked, idle_edge) = build(true);
+        let (mut eager, _) = build(false);
+        let phy = &parked.nodes[node.index()].phy;
+        assert_eq!(phy.parked_ends().count(), 0, "both ends were taken out");
+        assert_eq!((phy.active_receptions(), phy.pending().len()), (1, 1));
+        assert!(parked.snapshot() == eager.snapshot(), "same queue, same keys");
+        for sim in [&mut parked, &mut eager] {
+            sim.run_until(idle_edge);
+            assert_eq!(sim.nodes[node.index()].mac.stats().rx_collisions, 2);
+            assert_eq!(sim.perf().edges_settled, 2, "the two start edges and nothing else");
+        }
+        assert!(parked.snapshot() == eager.snapshot());
+        let eifs = parked.cfg.mac.eifs();
+        let timer = |sim: &mut Simulator| {
+            let (time, seq, event) = sim.events.pop_nth(0).expect("the attempt timer");
+            assert!(matches!(event, Event::MacTimer { .. }), "{event:?}");
+            (time, seq)
+        };
+        let armed = timer(&mut parked);
+        assert_eq!(armed.0, idle_edge + eifs, "armed by the second end edge, at its own instant");
+        assert_eq!(armed, timer(&mut eager));
+    }
+
+    /// A sense-only signal that comes and goes at a MAC with no packet
+    /// leaves no event behind, and still arms EIFS: the next attempt waits
+    /// EIFS, as it does when the end edge was a queue entry.
+    #[test]
+    fn a_parked_end_arms_eifs_for_the_next_attempt() {
+        let node = NodeId::new(0);
+        let attempt = |park: bool| {
+            let mut sim = Simulator::new(topology::chain(1), SimConfig::default());
+            let start = SimTime::ZERO + sim_core::SimDuration::from_micros(100);
+            let end = sensed_from_nowhere(&mut sim, node, start, park);
+            let later = end + sim_core::SimDuration::from_micros(50);
+            sim.run_until(later);
+            let n = &sim.nodes[node.index()];
+            assert_eq!((n.phy.active_receptions(), n.phy.parked_ends().count()), (0, 0));
+            assert_eq!(n.mac.stats().rx_collisions, 1);
+            let perf = sim.perf();
+            assert_eq!(
+                (perf.events_processed, perf.edges_settled),
+                if park { (0, 2) } else { (1, 1) }
+            );
+            start_a_broadcast(&mut sim, node);
+            let fires = sim.events.peek_time().expect("the attempt timer");
+            assert_eq!(fires, later + sim.cfg.mac.eifs(), "EIFS, not DIFS");
+            sim.run_until(fires);
+            assert_eq!(sim.nodes[node.index()].mac.stats().data_sent, 1);
+            fires
+        };
+        assert_eq!(attempt(true), attempt(false));
+    }
+
+    /// A pause landing inside a sense-only signal discards the end edge
+    /// parked on it and counts it, so events plus settled edges read what
+    /// they read when that edge is a queue entry popped at a paused node:
+    /// two faults, one start edge, one end edge.
+    #[test]
+    fn an_end_edge_parked_on_a_signal_a_pause_cuts_off_is_counted_once() {
+        use faultline::{FaultEvent, ScenarioScript};
+        let node = NodeId::new(0);
+        for park in [true, false] {
+            let mut sim = Simulator::new(topology::chain(1), SimConfig::default());
+            let start = SimTime::ZERO + sim_core::SimDuration::from_micros(100);
+            let end = sensed_from_nowhere(&mut sim, node, start, park);
+            assert!(secs(0.000_2) < end && end < secs(0.001), "the pause is mid-signal");
+            let script = ScenarioScript::new("blink")
+                .at(0.000_2, FaultEvent::Pause { node })
+                .at(0.001, FaultEvent::Resume { node });
+            sim.load_scenario(&script);
+            sim.run_until(secs(0.002));
+            let n = &sim.nodes[node.index()];
+            assert_eq!((n.phy.active_receptions(), n.phy.parked_ends().count()), (0, 0));
+            assert_eq!(n.mac.stats().rx_collisions, 0, "the radio was off when the signal ended");
+            assert_eq!(sim.fault.deferred().count(), 0);
+            let perf = sim.perf();
+            assert_eq!(
+                (perf.events_processed, perf.edges_settled),
+                if park { (2, 2) } else { (3, 1) }
+            );
+        }
+    }
+
     /// A start edge due exactly at a `run_until` boundary is applied by the
     /// first call's closing settle, and not again: one call across the
     /// boundary and two calls meeting at it leave byte-identical simulators.
+    /// The same for an end edge parked with its signal.
     #[test]
     fn an_edge_due_at_a_run_boundary_is_applied_once_either_way() {
         let build = || {
@@ -1308,35 +1496,52 @@ mod tests {
             sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
             sim
         };
-        // A frame goes on the air at `sent`; its edge reaches a listener at
-        // `boundary`.
+        // A frame goes on the air at `sent`: from the source, so that the
+        // far end of the chain senses it and cannot decode it, and does so
+        // with no packet in its MAC. Its start edge reaches the first
+        // listener at `boundary`, its end edge is parked at the far one
+        // until `parked_boundary`.
         let mut traced = build();
         traced.install_trace_log(TraceLog::new());
         traced.run_until(secs(1.1));
         let log = traced.take_trace_log().expect("log was installed");
-        let sent = log
+        let parked = |sim: &Simulator| -> Vec<SimTime> {
+            sim.nodes.iter().flat_map(|n| n.phy.parked_ends()).map(|(_, end, _)| end).collect()
+        };
+        let (probe, sent) = log
             .iter()
-            .find(|e| e.at > secs(1.0) && matches!(e.record, TraceRecord::PhyTx { .. }))
-            .map(|e| e.at);
-        let sent = sent.expect("a busy chain transmits within 100 ms");
-        let mut probe = build();
-        probe.run_until(sent);
+            .filter(|e| e.at > secs(1.0) && matches!(e.record, TraceRecord::PhyTx { .. }))
+            .find_map(|e| {
+                let mut probe = build();
+                probe.run_until(e.at);
+                (!parked(&probe).is_empty()).then_some((probe, e.at))
+            })
+            .expect("within 100 ms a busy chain sends a frame that an idle station only senses");
         let due = probe.nodes.iter().flat_map(|n| n.phy.pending()).map(|edge| edge.start).min();
         let boundary = due.expect("the frame just sent is in flight toward its listeners");
         assert!(boundary > sent);
+        let parked_boundary = parked(&probe).into_iter().min().expect("checked above");
+        assert!(parked_boundary > boundary);
 
-        let mut split = build();
-        split.run_until(boundary);
-        let heard =
-            |sim: &Simulator| sim.nodes.iter().map(|n| n.phy.active_receptions()).sum::<usize>();
-        assert!(heard(&split) > heard(&probe), "the boundary edge has been applied");
-        assert!(split.nodes.iter().flat_map(|n| n.phy.pending()).all(|e| e.start > boundary));
-        split.run_until(secs(2.0));
         let mut whole = build();
         whole.run_until(secs(2.0));
-        assert_eq!(split.trace_hash(), whole.trace_hash());
-        assert_eq!(split.perf(), whole.perf());
-        assert!(split.snapshot() == whole.snapshot(), "the two simulators differ somewhere");
+        let heard =
+            |sim: &Simulator| sim.nodes.iter().map(|n| n.phy.active_receptions()).sum::<usize>();
+        for boundary in [boundary, parked_boundary] {
+            let mut split = build();
+            split.run_until(boundary);
+            if boundary == parked_boundary {
+                assert!(heard(&split) <= heard(&probe), "the signal has ended");
+            } else {
+                assert!(heard(&split) > heard(&probe), "the boundary edge has been applied");
+            }
+            assert!(split.nodes.iter().flat_map(|n| n.phy.pending()).all(|e| e.start > boundary));
+            assert!(parked(&split).into_iter().all(|end| end > boundary));
+            split.run_until(secs(2.0));
+            assert_eq!(split.trace_hash(), whole.trace_hash());
+            assert_eq!(split.perf(), whole.perf());
+            assert!(split.snapshot() == whole.snapshot(), "the two simulators differ somewhere");
+        }
     }
 
     /// An installed tie-order hook with an empty decision vector must be a

@@ -26,7 +26,7 @@ mod state;
 pub use channel::Channel;
 pub use loss::{GeState, GilbertElliott};
 pub use params::RadioParams;
-pub use state::{Arrival, PhyState, RxOutcome, TxId};
+pub use state::{Arrival, Edge, PhyState, RxOutcome, TxId};
 // Geometry lives in the `topo` subsystem; re-exported here so PHY users keep
 // a single import path.
 pub use topo::Position;

@@ -17,7 +17,11 @@
 pub struct RunPerf {
     /// Total events dispatched by the driver loop.
     pub events_processed: u64,
-    /// Radio pipeline events (reception start/end, transmission done).
+    /// Radio pipeline events: the end of a signal at a listener that could
+    /// decode it or whose MAC holds a packet, and the sender's transmission
+    /// leaving the air. A signal's start edge is never an event, nor is the
+    /// end of a sense-only signal at a MAC with no packet — see
+    /// [`RunPerf::edges_settled`].
     pub phy_events: u64,
     /// MAC-layer timer events (backoff, CTS/ACK timeouts, NAV).
     pub mac_events: u64,
@@ -31,6 +35,14 @@ pub struct RunPerf {
     pub sampling_events: u64,
     /// Scripted fault-injection events.
     pub fault_events: u64,
+    /// Signal edges applied (or dropped at a radio that is off) without a
+    /// queue entry of their own: every start edge, and the end edge of a
+    /// sense-only signal while the listener's MAC holds no packet. Not an
+    /// event class and not in [`RunPerf::classified_total`]; but
+    /// `events_processed + edges_settled` is the per-listener work of a run,
+    /// a sum that stays comparable across changes to *which* edges are
+    /// events, where `events_processed` alone does not.
+    pub edges_settled: u64,
     /// Timers tombstoned before firing (lazy cancellation: the event stays
     /// queued and is discarded as a stale pop at dispatch).
     pub timers_cancelled: u64,
@@ -82,6 +94,7 @@ crate::snap_record! {
         mobility_events,
         sampling_events,
         fault_events,
+        edges_settled,
         timers_cancelled,
         timers_stale_popped,
         position_updates,

@@ -334,9 +334,11 @@ fn restore_rejects_a_config_mismatch() {
 /// blobs), v4 (fault state as eight parallel fields, a third mobility plan
 /// tag), v5 (signal start edges as queued events under tag 1, no pending
 /// arrivals in the PHY state), v6 (one sender record layout per variant,
-/// seven in all), v7 (every layer's configuration inside its record) and v8
+/// seven in all), v7 (every layer's configuration inside its record), v8
 /// (a window series in every sender, a delivery series in every receiver, a
-/// trace cursor in every sender endpoint) have no reader: the header is
+/// trace cursor in every sender endpoint) and v9 (every signal's end edge a
+/// queued event with an `in_rx_range` byte, no parked key in an arrival or
+/// a reception, no `edges_settled` counter) have no reader: the header is
 /// refused before any field is read.
 #[test]
 fn restore_rejects_the_previous_format_version() {
@@ -344,7 +346,7 @@ fn restore_rejects_the_previous_format_version() {
     let mut sim = build_sim(&script);
     sim.run_until(SimTime::from_secs_f64(0.5));
     let mut bytes = sim.snapshot();
-    for version in [3u16, 4, 5, 6, 7, 8] {
+    for version in [3u16, 4, 5, 6, 7, 8, 9] {
         bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 2]
             .copy_from_slice(&version.to_le_bytes());
         assert_eq!(build_sim(&script).restore(&bytes), Err(SnapError::UnsupportedVersion(version)));
@@ -508,6 +510,7 @@ fn queued_events_naming_missing_nodes_flows_or_faults_are_refused() {
         ("MacTimer node", 4u8, 0usize, 2usize, 4u8),
         ("TcpTimer flow", 6, 2, 4, 1),
         ("Fault index", 12, 0, 8, 1),
+        ("CsEnd node", 13, 0, 2, 4),
     ];
     for (what, tag, field, width, count) in cases {
         let hits: Vec<usize> = queued(tag)
@@ -635,6 +638,26 @@ fn a_cut_at_a_transmission_carries_its_start_edges_across() {
             SnapError::Invalid("pending arrival seq from the future")
         );
     }
+    // Some of them are sensed, not decoded, at a MAC with no packet, and
+    // carry their end edge with them: an option tag and the seq reserved for
+    // it. Such an edge comes after its start, at the end of a signal nobody
+    // decodes, under a number the queue has issued.
+    let parked: Vec<usize> =
+        arrivals.iter().copied().filter(|&at| bytes[at + 32] == 0 && bytes[at + 41] == 1).collect();
+    assert!(!parked.is_empty(), "no arrival at {t} has its end edge parked with it");
+    for &at in &parked {
+        assert_eq!(u64_at(at + 42), u64_at(at + 8) + 1, "reserved right after the start edge's");
+        let mut instant = put(at + 24, u64_at(at));
+        instant[at + 42..at + 50].copy_from_slice(&u64_at(at + 8).to_le_bytes());
+        assert_eq!(refused(&instant), SnapError::Invalid("parked end not after its start"));
+        let mut decodable = bytes.clone();
+        decodable[at + 32] = 1;
+        assert_eq!(refused(&decodable), SnapError::Invalid("parked end of a decodable signal"));
+        assert_eq!(
+            refused(&put(at + 42, u64::MAX)),
+            SnapError::Invalid("parked end seq from the future")
+        );
+    }
 
     // The transmission's end edges are queued (tag 2) well after `t`; under
     // tag 1 they would be the start-edge events v5 queued.
@@ -650,6 +673,176 @@ fn a_cut_at_a_transmission_carries_its_start_edges_across() {
             build().restore(&mutated) == Err(SnapError::Invalid("event tag"))
         });
     assert!(retagged, "no end edge queued at {t} to retag as a start edge");
+}
+
+/// The end edge of a signal a listener can sense and not decode is not a
+/// queue entry while that listener's MAC holds no packet: it is parked with
+/// the signal, in the pending arrival until the signal starts and in the
+/// reception from then on. This cut falls a millisecond into a data frame's
+/// airtime, where the listener two hops from the sender holds such a
+/// reception — found in the bytes by its encoding — and the resumed run must
+/// equal the uninterrupted one in `trace_hash`, `RunPerf` and trace records.
+///
+/// The same bytes then serve as untrusted input. A parked end that is due,
+/// carries a sequence number the queue never issued, belongs to a signal
+/// marked decodable, or is also in the queue as an event, is refused with a
+/// typed error; and so is one grafted onto a signal whose listener's MAC
+/// holds a packet (there the edge is a queued `CsEnd`, tag 13, and must stay
+/// one).
+#[test]
+fn a_cut_between_a_parked_start_and_its_end_carries_both_across() {
+    use tcp_muzha::sim::SimDuration;
+    use tcp_muzha::tracelog::TraceRecord;
+    use tcp_muzha::wire::FrameKind;
+
+    let build = || {
+        let mut sim = Simulator::new(topology::chain(3), SimConfig::default());
+        let (src, dst) = topology::chain_flow(3);
+        sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
+        sim
+    };
+    let end = SimTime::from_secs_f64(2.0);
+    let mut traced = build();
+    traced.install_trace_log(TraceLog::new());
+    traced.run_until(end);
+    let traced_log = traced.take_trace_log().expect("log was installed");
+    let issued = traced.perf().events_processed * 8;
+    // A millisecond into every data frame sent after t = 1 s.
+    let cuts: Vec<SimTime> = traced_log
+        .iter()
+        .filter(|e| e.at.as_nanos() > 1_000_000_000)
+        .filter(|e| matches!(e.record, TraceRecord::PhyTx { frame: FrameKind::Data, .. }))
+        .map(|e| e.at + SimDuration::from_millis(1))
+        .collect();
+    let cut_at = |t: SimTime| {
+        let mut sim = build();
+        sim.run_until(t);
+        sim.snapshot()
+    };
+    let soon =
+        |t: SimTime, nanos: u64| (t.as_nanos() + 1..=t.as_nanos() + 10_000_000).contains(&nanos);
+    // Offsets of receptions of a signal nobody here decodes — a small
+    // transmission id, `decodable` false, a bool, a power in [1e-3, 1e6] — whose
+    // end edge is parked (`true`: option tag 1, then a time soon after `t` and
+    // an issued seq) or not (`false`: tag 0).
+    let sensed = |bytes: &[u8], t: SimTime, parked: bool| -> Vec<usize> {
+        (0..bytes.len().saturating_sub(35))
+            .filter(|&i| {
+                let power = f64::from_bits(u64_at(bytes, i + 10));
+                u64_at(bytes, i) < issued
+                    && bytes[i + 8] == 0
+                    && bytes[i + 9] <= 1
+                    && (1e-3..=1e6).contains(&power)
+                    && bytes[i + 18] == u8::from(parked)
+                    && (!parked || soon(t, u64_at(bytes, i + 19)) && u64_at(bytes, i + 27) < issued)
+            })
+            .collect()
+    };
+    // Offsets of queued events of kind `tag`: a time soon after `t`, an issued
+    // seq, the tag; then a node (two bytes) and a transmission id.
+    let queued = |bytes: &[u8], t: SimTime, tag: u8| -> Vec<usize> {
+        (0..bytes.len().saturating_sub(27))
+            .filter(|&i| {
+                soon(t, u64_at(bytes, i)) && u64_at(bytes, i + 8) < issued && bytes[i + 16] == tag
+            })
+            .collect()
+    };
+
+    let (t, bytes, receptions) = cuts
+        .iter()
+        .find_map(|&t| {
+            let bytes = cut_at(t);
+            let receptions = sensed(&bytes, t, true);
+            (!receptions.is_empty()).then_some((t, bytes, receptions))
+        })
+        .expect("some data frame is sensed by a station whose MAC holds no packet");
+
+    let mut straight = build();
+    straight.install_trace_log(TraceLog::new());
+    straight.run_until(t);
+    assert!(straight.snapshot() == bytes);
+    straight.run_until(end);
+    let straight_log = straight.take_trace_log().expect("log was installed");
+    let mut resumed = build();
+    resumed.restore(&bytes).expect("the cut restores");
+    resumed.install_trace_log(TraceLog::new());
+    resumed.run_until(end);
+    let resumed_log = resumed.take_trace_log().expect("log was installed");
+    assert_eq!(straight.trace_hash(), resumed.trace_hash());
+    assert_eq!(straight.trace_hash(), traced.trace_hash(), "and snapshotting changed nothing");
+    assert_eq!(straight.perf(), resumed.perf());
+    let suffix: Vec<TraceEntry> = straight_log.iter().filter(|e| e.at > t).copied().collect();
+    assert!(!suffix.is_empty());
+    assert_eq!(suffix, resumed_log.snapshot());
+
+    let refused = |mutated: &[u8]| {
+        let mut twin = build();
+        let err = twin.restore(mutated).expect_err("malformed bytes must not restore");
+        twin.run_until(end);
+        assert_eq!(twin.trace_hash(), traced.trace_hash(), "a refused restore changes nothing");
+        err
+    };
+    let put = |at: usize, value: u64| {
+        let mut mutated = bytes.clone();
+        mutated[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        mutated
+    };
+    for &at in &receptions {
+        assert_eq!(
+            refused(&put(at + 19, t.as_nanos())),
+            SnapError::Invalid("parked end not after now")
+        );
+        assert_eq!(
+            refused(&put(at + 27, u64::MAX)),
+            SnapError::Invalid("parked end seq from the future")
+        );
+        let mut decodable = bytes.clone();
+        decodable[at + 8] = 1;
+        assert_eq!(refused(&decodable), SnapError::Invalid("parked end of a decodable signal"));
+        // The same frame ends as a queued `RxEnd` (tag 2) at the stations in
+        // range of its sender. Addressed to the station the parked end is at
+        // — whichever of the four that is — it ends the signal there twice.
+        let tx_id = u64_at(&bytes, at);
+        let twice = queued(&bytes, t, 2)
+            .into_iter()
+            .filter(|&i| u64_at(&bytes, i + 19) == tx_id)
+            .flat_map(|i| (0..4u8).map(move |node| (i, node)))
+            .filter(|&(i, node)| {
+                let mut mutated = bytes.clone();
+                mutated[i + 17] = node;
+                build().restore(&mutated)
+                    == Err(SnapError::Invalid("signal end both parked and queued"))
+            })
+            .count();
+        assert!(twice > 0, "no queued end of transmission {tx_id} could be re-addressed");
+    }
+
+    // A station that senses a frame while its MAC holds a packet has the end
+    // edge in the queue, as a `CsEnd`, and nothing parked on the reception.
+    let (t, bytes, at, edge) = cuts
+        .iter()
+        .find_map(|&t| {
+            let bytes = cut_at(t);
+            let receptions = sensed(&bytes, t, false);
+            let edge = queued(&bytes, t, 13).into_iter().find_map(|i| {
+                let at =
+                    receptions.iter().find(|&&at| u64_at(&bytes, at) == u64_at(&bytes, i + 19))?;
+                Some((*at, i))
+            });
+            edge.map(|(at, i)| (t, bytes, at, i))
+        })
+        .expect("some data frame is sensed by a station whose MAC holds a packet");
+    let mut grafted = bytes[..at + 18].to_vec();
+    grafted.push(1);
+    grafted.extend_from_slice(&bytes[edge..edge + 16]); // the queued edge's own time and seq
+    grafted.extend_from_slice(&bytes[at + 19..]);
+    let mut twin = build();
+    assert_eq!(
+        twin.restore(&grafted),
+        Err(SnapError::Invalid("parked end at a MAC holding a packet")),
+        "cut at {t}"
+    );
+    assert_eq!(twin.restore(&bytes), Ok(()), "the bytes it was grafted onto are sound");
 }
 
 /// Every variant's sender record crosses a snapshot. The corpus twin cuts
