@@ -63,11 +63,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let checker = sim.take_checker().expect("checker installed above");
 
     println!(
-        "trace hash {:#018x}  |  {} events in {:.2} s wall = {:.0} events/s",
+        "trace hash {:#018x}  |  {} events in {:.2} s wall = {:.0} events/s  |  \
+         {} signal edges settled off the queue",
         sim.trace_hash(),
         perf.events_processed,
         wall_s,
         perf.events_processed as f64 / wall_s.max(1e-9),
+        perf.edges_settled,
     );
     println!(
         "mobility: {} position updates, {} neighbor-row churn",

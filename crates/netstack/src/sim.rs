@@ -499,16 +499,16 @@ impl Simulator {
             }
             Event::CsEnd { node, tx_id } => {
                 let now = self.now;
-                let n = &mut self.nodes[node.index()];
-                if n.phy.on_rx_end(tx_id, now).is_none() {
+                if self.nodes[node.index()].phy.on_rx_end(tx_id, now).is_none() {
                     return; // as for `RxEnd`: the radio has been off
                 }
+                let medium = self.medium(node);
                 // A sensed-but-undecodable signal triggers the EIFS rule —
                 // this is what protects the CTS/ACK response windows of
                 // exchanges two hops away — and is not a loss: untraced.
-                n.mac.on_rx_corrupted(now);
-                let medium = MediumView { busy: n.phy.carrier_busy(now) };
-                let outputs = n.mac.on_medium_maybe_idle(now, medium);
+                let mac = &mut self.nodes[node.index()].mac;
+                mac.on_rx_corrupted(now);
+                let outputs = mac.on_medium_maybe_idle(now, medium);
                 self.process_mac_outputs(node, outputs);
             }
             Event::TxDone { node } => {
