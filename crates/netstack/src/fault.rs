@@ -5,6 +5,7 @@
 use faultline::{CheckEvent, FaultEvent, ScenarioScript, TimedFault};
 use phy::{GeState, GilbertElliott};
 use sim_core::{snap_enum, snap_record, DetSet};
+use tracelog::TraceRecord;
 use wire::NodeId;
 
 use crate::event::{Event, Owner};
@@ -153,6 +154,7 @@ impl Simulator {
                 // The physical node keeps moving even while crashed.
                 Event::MobilityTick { .. } => Some(event),
                 Event::JitteredEnqueue { packet, .. } => {
+                    self.rec(TraceRecord::FaultDrop { node, uid: packet.uid });
                     self.emit(CheckEvent::FaultDrop { node, uid: packet.uid });
                     None
                 }
@@ -182,6 +184,7 @@ impl Simulator {
                 if self.fault.nodes[node.index()].status == NodeStatus::Up {
                     self.fault.nodes[node.index()].status = NodeStatus::Paused;
                     self.radio_off(node);
+                    self.rec(TraceRecord::FaultNode { node, up: false });
                     self.emit(CheckEvent::NodeDown { node });
                 }
             }
@@ -189,6 +192,7 @@ impl Simulator {
                 if self.fault.nodes[node.index()].status == NodeStatus::Paused {
                     self.fault.nodes[node.index()].status = NodeStatus::Up;
                     self.channel.set_node_enabled(node, true);
+                    self.rec(TraceRecord::FaultNode { node, up: true });
                     self.emit(CheckEvent::NodeUp { node });
                     let backlog = std::mem::take(&mut self.fault.nodes[node.index()].deferred);
                     let now = self.now;
@@ -238,10 +242,12 @@ impl Simulator {
         if up {
             if self.fault.scripted_down.remove(&key) {
                 self.channel.set_link_blocked(a, b, false);
+                self.rec(TraceRecord::FaultLink { a, b, up });
                 self.emit(CheckEvent::ScriptedLinkUp { a, b });
             }
         } else if self.fault.scripted_down.insert(key) {
             self.channel.set_link_blocked(a, b, true);
+            self.rec(TraceRecord::FaultLink { a, b, up });
             self.emit(CheckEvent::ScriptedLinkDown { a, b });
         }
     }
@@ -287,8 +293,10 @@ impl Simulator {
             }
         }
         for uid in orphans {
+            self.rec(TraceRecord::FaultDrop { node, uid });
             self.emit(CheckEvent::FaultDrop { node, uid });
         }
+        self.rec(TraceRecord::FaultNode { node, up: false });
         self.emit(CheckEvent::NodeDown { node });
     }
 
@@ -299,6 +307,7 @@ impl Simulator {
         }
         self.fault.nodes[node.index()].status = NodeStatus::Up;
         self.channel.set_node_enabled(node, true);
+        self.rec(TraceRecord::FaultNode { node, up: true });
         self.emit(CheckEvent::NodeUp { node });
         if self.cfg.aodv.hello_interval.is_some() {
             let now = self.now;

@@ -693,15 +693,24 @@ impl Simulator {
                         self.note_forward(node, &packet, next_hop);
                     }
                     if self.log.is_some() {
+                        let kind = PacketKind::of(&packet);
+                        let route_valid_until = if kind == PacketKind::TcpData
+                            && !next_hop.is_broadcast()
+                        {
+                            self.nodes[node.index()].aodv.route_valid_until(packet.dst, self.now)
+                        } else {
+                            None
+                        };
                         self.rec(TraceRecord::RtrForward {
                             node,
                             next_hop,
-                            kind: PacketKind::of(&packet),
+                            kind,
                             uid: packet.uid,
                             flow: packet.tcp().map(|s| s.flow),
                             bytes: packet.size_bytes(),
                             ttl: packet.ttl,
                             origin: packet.src == node,
+                            route_valid_until,
                         });
                     }
                     if next_hop.is_broadcast() {
@@ -844,6 +853,7 @@ impl Simulator {
             // A scripted blackhole eats the packet with no feedback at all;
             // the checker accounts it as a fault drop, not congestion.
             let uid = packet.uid;
+            self.rec(TraceRecord::FaultDrop { node, uid });
             self.emit(CheckEvent::FaultDrop { node, uid });
             return;
         }
@@ -941,12 +951,16 @@ impl Simulator {
     fn transmit(&mut self, sender: NodeId, frame: MacFrame, airtime: sim_core::SimDuration) {
         let now = self.now;
         if self.log.is_some() {
+            let mac = &self.nodes[sender.index()].mac;
             self.rec(TraceRecord::PhyTx {
                 node: sender,
                 dst: frame.dst,
                 frame: frame.kind(),
                 bytes: frame.size_bytes(),
                 uid: frame.packet().map(|p| p.uid),
+                airtime,
+                cw: mac.current_cw(),
+                nav_ahead: mac.nav_ahead(now),
             });
         }
         if self.checker.is_some() {
@@ -1024,35 +1038,30 @@ impl Simulator {
         let uid = packet.uid;
         let Some(segment) = packet.tcp() else { return };
         let flow = segment.flow;
-        let is_data = segment.is_data();
-        if self.log.is_some() {
-            let record = match &segment.kind {
-                TcpSegmentKind::Data { seq, avbw, marked, .. } => TraceRecord::TcpRecvData {
-                    node,
-                    flow,
-                    seq: *seq,
-                    uid,
-                    avbw: *avbw,
-                    marked: *marked,
-                },
-                TcpSegmentKind::Ack { ack, mrai, .. } => {
-                    TraceRecord::TcpRecvAck { node, flow, ack: *ack, uid, mrai: *mrai }
-                }
-            };
-            self.rec(record);
-        }
-        if is_data {
+        if let TcpSegmentKind::Data { seq, avbw, marked, .. } = segment.kind {
             // The endpoint first: a node holds receivers only for flows the
             // table has, and a segment may name any flow at all.
             let n = &mut self.nodes[node.index()];
-            let Some(ep) = n.receivers.get_mut(&flow) else { return };
-            let (ack_segment, timer) = if self.flows[flow.index()].delayed_ack {
-                let out = ep.receiver.on_data_segment_delack(segment, now);
-                (out.ack, out.set_timer)
-            } else {
-                (Some(ep.receiver.on_data_segment(segment, now)), None)
-            };
-            let rcv_nxt_after = ep.receiver.rcv_nxt();
+            let outcome = n.receivers.get_mut(&flow).map(|ep| {
+                let (ack_segment, timer) = if self.flows[flow.index()].delayed_ack {
+                    let out = ep.receiver.on_data_segment_delack(segment, now);
+                    (out.ack, out.set_timer)
+                } else {
+                    (Some(ep.receiver.on_data_segment(segment, now)), None)
+                };
+                (ack_segment, timer, ep.receiver.rcv_nxt())
+            });
+            let rcv_nxt_after = outcome.as_ref().map(|&(_, _, rcv_nxt)| rcv_nxt);
+            self.rec(TraceRecord::TcpRecvData {
+                node,
+                flow,
+                seq,
+                uid,
+                avbw,
+                marked,
+                rcv_nxt_after,
+            });
+            let Some((ack_segment, timer, rcv_nxt_after)) = outcome else { return };
             self.emit(CheckEvent::Delivered { node, flow, uid, is_data: true, rcv_nxt_after });
             if let Some((id, at)) = timer {
                 self.schedule(at, Event::DelAckTimer { node, flow, id });
@@ -1068,6 +1077,9 @@ impl Simulator {
                 self.route_local(node, ack);
             }
         } else {
+            if let TcpSegmentKind::Ack { ack, mrai, .. } = segment.kind {
+                self.rec(TraceRecord::TcpRecvAck { node, flow, ack, uid, mrai });
+            }
             if self.checker.is_some() {
                 let echoed = match &segment.kind {
                     TcpSegmentKind::Ack { ack, .. } => *ack,
@@ -1817,9 +1829,11 @@ mod tracelog_tests {
     fn every_layer_shows_up_in_a_muzha_run() {
         let (log, _) = traced_chain(4, TcpVariant::Muzha, 3.0);
         for layer in Layer::ALL {
-            assert!(
+            // Every protocol layer speaks; no script was loaded, so no fault.
+            assert_eq!(
                 log.iter().any(|e| e.record.layer() == layer),
-                "no {layer:?} records in a 3 s multi-hop run"
+                layer != Layer::Fault,
+                "{layer:?} records in a 3 s fault-free multi-hop run"
             );
         }
         // Muzha data carries AVBW-S stamps through the queues.

@@ -10,7 +10,11 @@
 //! with `op` one of `s`end / `r`eceive / `d`rop / `f`orward. We keep that
 //! shape so output is eyeball-comparable with the paper's substrate, and add
 //! `v` lines for pure state observations ns-2 had no equivalent for
-//! (backoff draws, route-table changes, queue occupancy, cwnd snapshots).
+//! (backoff draws, route-table changes, queue occupancy, cwnd snapshots) and
+//! an `FLT` layer tag for scripted faults. A line prints what its ns-2
+//! counterpart would: the facts a record carries for the invariant checker
+//! alone (a transmission's airtime, contention window and NAV, a forward's
+//! route expiry, a delivery's `rcv_nxt`) are not in it.
 //!
 //! All formatting is integer-based or fixed-precision — byte-identical
 //! across runs and platforms for identical records.
@@ -161,6 +165,17 @@ pub fn line(entry: &TraceEntry) -> String {
                 "0 cwnd 0 [{flow} cwnd {cwnd:.3} ssthresh {ss} srtt {srtt} rto {rto} {phase}]"
             );
         }
+        TraceRecord::FaultDrop { uid, .. } => {
+            let _ = write!(s, "{uid} fault 0 [FLT]");
+        }
+        TraceRecord::FaultLink { a, b, up } => {
+            let state = if up { "up" } else { "down" };
+            let _ = write!(s, "0 link 0 [{a} {b} {state}]");
+        }
+        TraceRecord::FaultNode { up, .. } => {
+            let state = if up { "up" } else { "down" };
+            let _ = write!(s, "0 node 0 [{state}]");
+        }
     }
     s
 }
@@ -202,9 +217,30 @@ mod tests {
                 frame: FrameKind::Rts,
                 bytes: 20,
                 uid: None,
+                airtime: SimDuration::from_micros(352),
+                cw: 31,
+                nav_ahead: SimDuration::ZERO,
             },
         );
         assert_eq!(line(&e), "s 1.500000000 _n0_ MAC --- 0 RTS 20 [-> n1]");
+    }
+
+    #[test]
+    fn fault_line_shapes() {
+        let (a, b) = (NodeId::new(1), NodeId::new(2));
+        let at = 4_000_000_000;
+        assert_eq!(
+            line(&entry(at, TraceRecord::FaultLink { a, b, up: false })),
+            "v 4.000000000 _n1_ FLT --- 0 link 0 [n1 n2 down]"
+        );
+        assert_eq!(
+            line(&entry(at, TraceRecord::FaultNode { node: b, up: true })),
+            "v 4.000000000 _n2_ FLT --- 0 node 0 [up]"
+        );
+        assert_eq!(
+            line(&entry(at, TraceRecord::FaultDrop { node: b, uid: 77 })),
+            "d 4.000000000 _n2_ FLT --- 77 fault 0 [FLT]"
+        );
     }
 
     #[test]

@@ -22,11 +22,15 @@ pub enum Layer {
     Ifq,
     /// Transport agents: TCP send/receive and congestion-state snapshots.
     Agt,
+    /// Scripted faults (`faultline` scenarios): link and node transitions
+    /// and the packets a fault destroyed. No protocol layer did these.
+    Fault,
 }
 
 impl Layer {
     /// All layers, in filter-mask bit order.
-    pub const ALL: [Layer; 5] = [Layer::Phy, Layer::Mac, Layer::Rtr, Layer::Ifq, Layer::Agt];
+    pub const ALL: [Layer; 6] =
+        [Layer::Phy, Layer::Mac, Layer::Rtr, Layer::Ifq, Layer::Agt, Layer::Fault];
 
     /// Bit used in [`crate::TraceFilter`]'s layer mask.
     pub(crate) fn bit(self) -> u8 {
@@ -36,6 +40,7 @@ impl Layer {
             Layer::Rtr => 1 << 2,
             Layer::Ifq => 1 << 3,
             Layer::Agt => 1 << 4,
+            Layer::Fault => 1 << 5,
         }
     }
 
@@ -47,6 +52,7 @@ impl Layer {
             Layer::Rtr => 2,
             Layer::Ifq => 3,
             Layer::Agt => 4,
+            Layer::Fault => 5,
         }
     }
 
@@ -57,17 +63,20 @@ impl Layer {
 
     /// The ns-2 wireless trace layer tag. PHY-level frame events use the
     /// `MAC` tag because that is where ns-2's old wireless format logs
-    /// frames on the air — keeping lines eyeball-comparable.
+    /// frames on the air — keeping lines eyeball-comparable. `FLT` is ours:
+    /// ns-2 has no scripted faults to log.
     pub fn ns2_tag(self) -> &'static str {
         match self {
             Layer::Phy | Layer::Mac => "MAC",
             Layer::Rtr => "RTR",
             Layer::Ifq => "IFQ",
             Layer::Agt => "AGT",
+            Layer::Fault => "FLT",
         }
     }
 
-    /// Parses a CLI spelling (`phy`, `mac`, `rtr`/`aodv`, `ifq`, `agt`/`tcp`).
+    /// Parses a CLI spelling (`phy`, `mac`, `rtr`/`aodv`, `ifq`, `agt`/`tcp`,
+    /// `fault`).
     pub fn from_name(name: &str) -> Option<Layer> {
         match name {
             "phy" => Some(Layer::Phy),
@@ -75,6 +84,7 @@ impl Layer {
             "rtr" | "aodv" | "rtg" => Some(Layer::Rtr),
             "ifq" | "queue" => Some(Layer::Ifq),
             "agt" | "tcp" => Some(Layer::Agt),
+            "fault" | "flt" => Some(Layer::Fault),
             _ => None,
         }
     }
@@ -182,6 +192,12 @@ pub enum TraceRecord {
         bytes: u32,
         /// Uid of the carried packet (data frames only).
         uid: Option<u64>,
+        /// Time the frame occupies the medium.
+        airtime: SimDuration,
+        /// The sender's contention window as the frame leaves.
+        cw: u32,
+        /// How far beyond now the sender's own NAV reaches.
+        nav_ahead: SimDuration,
     },
     /// A frame decoded successfully at `node`.
     PhyRx {
@@ -276,6 +292,10 @@ pub enum TraceRecord {
         ttl: u8,
         /// Whether `node` originated the packet (ns-2 `s` vs `f`).
         origin: bool,
+        /// For unicast TCP data: expiry of the route entry backing the
+        /// forward, as the table held it at this instant — `None` if no
+        /// valid entry did. Always `None` for any other packet.
+        route_valid_until: Option<SimTime>,
     },
     /// The routing layer dropped a packet (no route, TTL expiry, …).
     RtrDrop {
@@ -367,6 +387,10 @@ pub enum TraceRecord {
         avbw: Option<Drai>,
         /// Whether the segment was congestion-marked en route.
         marked: bool,
+        /// The receiver's next expected in-order sequence number after
+        /// absorbing the segment; `None` where `node` holds no receiver for
+        /// `flow` and the segment went nowhere.
+        rcv_nxt_after: Option<u64>,
     },
     /// A receiver emitted an acknowledgement.
     TcpAckTx {
@@ -413,6 +437,32 @@ pub enum TraceRecord {
         /// `congestion-avoidance`, `fast-recovery`, or variant-specific).
         phase: &'static str,
     },
+    /// A scripted fault destroyed a packet in `node`'s custody: a blackholed
+    /// enqueue, a kill flushing queue / MAC / discovery buffers, or a flood
+    /// rebroadcast still waiting out its jitter at a killed node.
+    FaultDrop {
+        /// Node whose custody was wiped.
+        node: NodeId,
+        /// Packet uid.
+        uid: u64,
+    },
+    /// The scenario forced the `a`—`b` link down or released it.
+    FaultLink {
+        /// One endpoint (the record is attributed to it).
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+        /// Whether the link is usable after the transition.
+        up: bool,
+    },
+    /// The scenario took a node down (kill, pause) or brought it back
+    /// (revive, resume).
+    FaultNode {
+        /// The affected node.
+        node: NodeId,
+        /// Whether the node runs after the transition.
+        up: bool,
+    },
 }
 
 impl TraceRecord {
@@ -437,6 +487,9 @@ impl TraceRecord {
             | TraceRecord::TcpAckTx { .. }
             | TraceRecord::TcpRecvAck { .. }
             | TraceRecord::TcpCwnd { .. } => Layer::Agt,
+            TraceRecord::FaultDrop { .. }
+            | TraceRecord::FaultLink { .. }
+            | TraceRecord::FaultNode { .. } => Layer::Fault,
         }
     }
 
@@ -461,7 +514,10 @@ impl TraceRecord {
             | TraceRecord::TcpRecvData { node, .. }
             | TraceRecord::TcpAckTx { node, .. }
             | TraceRecord::TcpRecvAck { node, .. }
-            | TraceRecord::TcpCwnd { node, .. } => node,
+            | TraceRecord::TcpCwnd { node, .. }
+            | TraceRecord::FaultDrop { node, .. }
+            | TraceRecord::FaultLink { a: node, .. }
+            | TraceRecord::FaultNode { node, .. } => node,
         }
     }
 
@@ -486,7 +542,10 @@ impl TraceRecord {
             | TraceRecord::PhyMove { .. }
             | TraceRecord::MacBackoff { .. }
             | TraceRecord::MacRetryDrop { .. }
-            | TraceRecord::RtrRouteChange { .. } => None,
+            | TraceRecord::RtrRouteChange { .. }
+            | TraceRecord::FaultDrop { .. }
+            | TraceRecord::FaultLink { .. }
+            | TraceRecord::FaultNode { .. } => None,
         }
     }
 
@@ -507,11 +566,14 @@ impl TraceRecord {
             | TraceRecord::TcpSend { uid, .. }
             | TraceRecord::TcpRecvData { uid, .. }
             | TraceRecord::TcpAckTx { uid, .. }
-            | TraceRecord::TcpRecvAck { uid, .. } => Some(uid),
+            | TraceRecord::TcpRecvAck { uid, .. }
+            | TraceRecord::FaultDrop { uid, .. } => Some(uid),
             TraceRecord::PhyMove { .. }
             | TraceRecord::MacBackoff { .. }
             | TraceRecord::RtrRouteChange { .. }
-            | TraceRecord::TcpCwnd { .. } => None,
+            | TraceRecord::TcpCwnd { .. }
+            | TraceRecord::FaultLink { .. }
+            | TraceRecord::FaultNode { .. } => None,
         }
     }
 
@@ -529,7 +591,8 @@ impl TraceRecord {
             | TraceRecord::PhyLoss { .. }
             | TraceRecord::MacRetryDrop { .. }
             | TraceRecord::RtrDrop { .. }
-            | TraceRecord::IfqDrop { .. } => Direction::Drop,
+            | TraceRecord::IfqDrop { .. }
+            | TraceRecord::FaultDrop { .. } => Direction::Drop,
             TraceRecord::RtrForward { origin, .. } => {
                 if *origin {
                     Direction::Send
@@ -542,7 +605,9 @@ impl TraceRecord {
             | TraceRecord::RtrRouteChange { .. }
             | TraceRecord::IfqEnqueue { .. }
             | TraceRecord::IfqMark { .. }
-            | TraceRecord::TcpCwnd { .. } => Direction::Meta,
+            | TraceRecord::TcpCwnd { .. }
+            | TraceRecord::FaultLink { .. }
+            | TraceRecord::FaultNode { .. } => Direction::Meta,
         }
     }
 }
@@ -574,6 +639,7 @@ mod tests {
         assert_eq!(Layer::from_name("phy"), Some(Layer::Phy));
         assert_eq!(Layer::from_name("aodv"), Some(Layer::Rtr));
         assert_eq!(Layer::from_name("tcp"), Some(Layer::Agt));
+        assert_eq!(Layer::from_name("fault"), Some(Layer::Fault));
         assert_eq!(Layer::from_name("bogus"), None);
     }
 
@@ -637,8 +703,39 @@ mod tests {
             bytes: 1500,
             ttl: 62,
             origin,
+            route_valid_until: None,
         };
         assert_eq!(mk(true).direction(), Direction::Send);
         assert_eq!(mk(false).direction(), Direction::Forward);
+    }
+
+    #[test]
+    fn fault_records_have_their_own_layer() {
+        let link = TraceRecord::FaultLink { a: NodeId::new(2), b: NodeId::new(3), up: false };
+        assert_eq!(link.layer(), Layer::Fault);
+        assert_eq!(link.node(), NodeId::new(2));
+        assert_eq!(link.direction(), Direction::Meta);
+        assert_eq!(link.layer().ns2_tag(), "FLT");
+        let drop = TraceRecord::FaultDrop { node: NodeId::new(1), uid: 9 };
+        assert_eq!((drop.uid(), drop.flow(), drop.direction()), (Some(9), None, Direction::Drop));
+        let node = TraceRecord::FaultNode { node: NodeId::new(1), up: true };
+        assert_eq!((node.layer(), node.uid()), (Layer::Fault, None));
+    }
+
+    #[test]
+    fn record_sizes_are_pinned() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<TraceRecord>() <= 80,
+            "TraceRecord grew to {} B: an unbounded log keeps one per observation (200,341 on \
+             the benchmark's chain8_observed, most of its peak RSS, bounded at +12 %) — fit new \
+             fields under TcpCwnd, the widest variant",
+            size_of::<TraceRecord>()
+        );
+        assert!(
+            size_of::<TraceEntry>() <= 88,
+            "TraceEntry grew to {} B: it is what the log and the checker's trail store",
+            size_of::<TraceEntry>()
+        );
     }
 }

@@ -7,7 +7,9 @@
 //! prove the harness *can* fail — a checker that never fires is worthless.
 
 use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
-use tcp_muzha::faultline::{CheckEvent, InvariantChecker, LedgerSummary, ScenarioScript};
+use tcp_muzha::faultline::{
+    CheckEvent, FaultEvent, InvariantChecker, LedgerSummary, ScenarioScript,
+};
 use tcp_muzha::mc::{corpus_duration, corpus_sim};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::sim::{EventQueue, SimDuration, SimTime, TieClass, TieKind, TieOrder, TraceHash};
@@ -322,9 +324,8 @@ fn observable_digest_sees_a_flipped_tie_and_a_shifted_fault() {
     );
     assert!(steering.is_some(), "none of the first 16 ties changes what the run shows");
 
-    // A fault shows only through its consequences (there is no trace record
-    // for the fault itself), so shift one that lands on a busy relay: the
-    // kill of relay-crash, with packets in custody.
+    // A fault shows through its consequences — shift one that lands on a
+    // busy relay: the kill of relay-crash, with packets in custody.
     let script = ScenarioScript::parse(include_str!("scenarios/relay-crash.scn")).unwrap();
     let mut shifted = script.clone();
     shifted.events[0].at += SimDuration::from_millis(1);
@@ -332,6 +333,19 @@ fn observable_digest_sees_a_flipped_tie_and_a_shifted_fault() {
     let (shifted_hash, shifted_seen, _) = run(&shifted, Vec::new());
     assert_ne!(shifted_hash, hash);
     assert_ne!(shifted_seen, seen, "a kill 1 ms later must show in the observable stream");
+
+    // And through its own `Fault`-layer record, consequences or none: the
+    // chain's two ends never hear each other, so breaking that "link" steers
+    // nothing, and moving the break still shows.
+    let idle_break = |at: f64| {
+        let (a, b) = (NodeId::new(0), NodeId::new(4));
+        let script = ScenarioScript::new("idle-break").at(at, FaultEvent::LinkDown { a, b });
+        let (mut sim, _) = observed_corpus_run(&script, TieOrder::default());
+        (sim.flow_report(FlowId::new(0)), observable_digest(&mut sim))
+    };
+    let ((report, seen), (shifted_report, shifted_seen)) = (idle_break(2.0), idle_break(2.001));
+    assert_eq!(format!("{report:?}"), format!("{shifted_report:?}"), "the break steered the flow");
+    assert_ne!(shifted_seen, seen, "a link transition must show at its own instant");
 }
 
 /// Scenario seeds are not decorative: two corpus entries differing only in

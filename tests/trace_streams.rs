@@ -9,7 +9,8 @@ use tcp_muzha::faultline::{CheckerLimits, InvariantChecker, ScenarioScript};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::sim::{SimDuration, SimTime};
 use tcp_muzha::tracecap;
-use tcp_muzha::tracelog::{ns2, pcap, TraceEntry, TraceFilter, TraceLog};
+use tcp_muzha::tracelog::{ns2, pcap, Layer, TraceEntry, TraceFilter, TraceLog, TraceRecord};
+use tcp_muzha::wire::NodeId;
 
 /// The same corpus `tests/scenario_corpus.rs` runs clean; here every
 /// script must also produce a byte-identical trace stream on a twin run.
@@ -156,9 +157,66 @@ fn two_hop_newreno_stream_matches_golden_fixture() {
     );
 }
 
+/// A scripted fault is in the log under its own layer, at its scripted
+/// instant: the kill and revive of relay-crash, the break and heal of
+/// chain-break, and nothing but eaten packets — inside the window — for a
+/// blackhole.
+#[test]
+fn fault_script_runs_log_their_faults_at_the_scripted_instants() {
+    let faults_of = |text: &str| -> Vec<TraceEntry> {
+        let log = run_traced_scenario(&ScenarioScript::parse(text).expect("corpus parses"));
+        log.iter().filter(|e| e.record.layer() == Layer::Fault).copied().collect()
+    };
+    let t = SimTime::from_secs_f64;
+    let n = NodeId::new;
+
+    // The relay happens to be idle at the kill: two transitions, no drops.
+    let crash = faults_of(include_str!("scenarios/relay-crash.scn"));
+    assert_eq!(
+        crash,
+        [
+            TraceEntry { at: t(4.0), record: TraceRecord::FaultNode { node: n(2), up: false } },
+            TraceEntry { at: t(8.0), record: TraceRecord::FaultNode { node: n(2), up: true } },
+        ]
+    );
+
+    let brk = faults_of(include_str!("scenarios/chain-break.scn"));
+    assert_eq!(
+        brk,
+        [
+            TraceEntry {
+                at: t(4.0),
+                record: TraceRecord::FaultLink { a: n(2), b: n(3), up: false }
+            },
+            TraceEntry {
+                at: t(9.0),
+                record: TraceRecord::FaultLink { a: n(2), b: n(3), up: true }
+            },
+        ]
+    );
+
+    let hole = faults_of(include_str!("scenarios/blackhole-window.scn"));
+    assert!(!hole.is_empty(), "the blackhole ate nothing");
+    for e in &hole {
+        assert!(matches!(e.record, TraceRecord::FaultDrop { node, .. } if node == n(1)), "{e:?}");
+        assert!(t(3.0) <= e.at && e.at < t(6.0), "{e:?} outside the window");
+    }
+}
+
+/// The fault-free golden capture, and a fault script's log with its `FLT`
+/// lines, both survive the pcap sink: every packet parses back to its entry's
+/// instant, node, direction, layer and ns-2 line.
 #[test]
 fn pcap_capture_self_parses_and_mirrors_the_entries() {
-    let entries = golden_capture();
+    let script = ScenarioScript::parse(include_str!("scenarios/relay-crash.scn")).unwrap();
+    let crash = run_traced_scenario(&script).snapshot();
+    let fault_lines = crash.iter().filter(|e| ns2::line(e).contains("_ FLT --- ")).count();
+    assert_eq!(fault_lines, 2, "relay-crash logs a kill and a revive");
+    pcap_mirrors(&crash);
+    pcap_mirrors(&golden_capture());
+}
+
+fn pcap_mirrors(entries: &[TraceEntry]) {
     let bytes = pcap::write(entries.iter());
     let parsed = pcap::parse(&bytes).expect("own capture must self-parse");
     assert_eq!(parsed.link_type, pcap::DLT_USER0);
@@ -166,11 +224,11 @@ fn pcap_capture_self_parses_and_mirrors_the_entries() {
     for pair in parsed.packets.windows(2) {
         assert!(pair[0].ts_nanos <= pair[1].ts_nanos, "capture timestamps must be monotone");
     }
-    for (packet, entry) in parsed.packets.iter().zip(&entries) {
+    for (packet, entry) in parsed.packets.iter().zip(entries) {
         assert_eq!(packet.ts_nanos, entry.at.as_nanos());
         assert_eq!(packet.node, entry.record.node().index() as u16);
         assert_eq!(packet.direction, entry.record.direction().code());
-        assert_eq!(packet.layer, entry.record.layer().code());
+        assert_eq!(Layer::from_code(packet.layer), Some(entry.record.layer()));
         assert_eq!(packet.data, ns2::line(entry).into_bytes());
     }
 }
