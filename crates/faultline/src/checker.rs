@@ -1,143 +1,21 @@
 //! The runtime cross-layer invariant checker.
 //!
-//! The simulator translates its trace into owned [`CheckEvent`]s and feeds
-//! them to an [`InvariantChecker`]; the checker asserts protocol properties
-//! that must hold no matter what a fault scenario does to the network, and
-//! records a [`Violation`] (with the recent event trail) when one breaks.
+//! The simulator hands every [`TraceRecord`] it builds to an
+//! [`InvariantChecker`] — the same values, in the same order, that a
+//! `tracelog::TraceLog` stores; the checker asserts protocol properties that
+//! must hold no matter what a fault scenario does to the network, and
+//! records a [`Violation`] (with the recent records leading up to it) when
+//! one breaks.
+
+// What each record means to the checker is decided by name: a new variant
+// does not compile until someone has said which invariant reads it, or none.
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use std::collections::VecDeque;
 
 use sim_core::{DetMap, DetSet, SimDuration, SimTime};
+use tracelog::{PacketKind, TraceEntry, TraceRecord};
 use wire::{FlowId, NodeId};
-
-/// One cross-layer observation from the simulator, in checker vocabulary.
-///
-/// `uid`s are wire-level packet identities; the checker only tracks uids it
-/// saw born in an [`CheckEvent::Injected`] event (transport data packets),
-/// so routing-internal traffic never confuses the conservation ledger.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CheckEvent {
-    /// A transport data segment entered the network at its source.
-    Injected {
-        /// Source node.
-        node: NodeId,
-        /// Owning flow.
-        flow: FlowId,
-        /// Wire-level packet uid.
-        uid: u64,
-    },
-    /// AODV forwarded (or originated) a packet towards `next_hop`.
-    Forwarded {
-        /// Forwarding node.
-        node: NodeId,
-        /// Chosen next hop (may be broadcast for routing control).
-        next_hop: NodeId,
-        /// Wire-level packet uid.
-        uid: u64,
-        /// Whether the packet carries TCP data.
-        is_data: bool,
-        /// For unicast data: expiry of the route entry used, as observed at
-        /// forward time. `None` means no valid route backed the forward.
-        route_valid_until: Option<SimTime>,
-    },
-    /// A packet reached its destination node's transport layer.
-    Delivered {
-        /// Destination node.
-        node: NodeId,
-        /// Owning flow.
-        flow: FlowId,
-        /// Wire-level packet uid.
-        uid: u64,
-        /// Whether this was a data segment (vs. a pure ACK).
-        is_data: bool,
-        /// The receiver's next expected in-order sequence number *after*
-        /// absorbing the segment (data only; echoes the ACK for ACKs).
-        rcv_nxt_after: u64,
-    },
-    /// The interface queue dropped a packet (overflow, RED, blackhole).
-    QueueDrop {
-        /// Dropping node.
-        node: NodeId,
-        /// Wire-level packet uid.
-        uid: u64,
-    },
-    /// AODV dropped a packet (no route, TTL, buffer overflow, discovery
-    /// failure, or broken-link transit data).
-    RoutingDrop {
-        /// Dropping node.
-        node: NodeId,
-        /// Wire-level packet uid.
-        uid: u64,
-    },
-    /// Fault injection destroyed a packet in custody (e.g. a node kill
-    /// flushing its queues).
-    FaultDrop {
-        /// Node whose custody was wiped.
-        node: NodeId,
-        /// Wire-level packet uid.
-        uid: u64,
-    },
-    /// The MAC exhausted retries towards `next_hop` (link-layer failure).
-    LinkFailure {
-        /// Transmitting node.
-        node: NodeId,
-        /// Unreachable neighbor.
-        next_hop: NodeId,
-    },
-    /// The node broadcast an AODV route-error message.
-    RerrSent {
-        /// Origin of the RERR.
-        node: NodeId,
-    },
-    /// A frame hit the air.
-    FrameSent {
-        /// Transmitting node.
-        node: NodeId,
-        /// Time the frame occupies the medium.
-        airtime: SimDuration,
-        /// The sender's current contention window.
-        cw: u32,
-        /// How far beyond `now` the sender's NAV currently reaches.
-        nav_ahead: SimDuration,
-    },
-    /// A sender's congestion state, sampled periodically.
-    CwndUpdate {
-        /// Sending node.
-        node: NodeId,
-        /// Owning flow.
-        flow: FlowId,
-        /// TCP variant name (for diagnostics).
-        variant: &'static str,
-        /// Congestion window, in segments.
-        cwnd: f64,
-        /// Slow-start threshold, if the variant maintains one.
-        ssthresh: Option<f64>,
-    },
-    /// The scenario forced the `a`—`b` link down.
-    ScriptedLinkDown {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// The scenario released the `a`—`b` link.
-    ScriptedLinkUp {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// The scenario took a node down (kill or pause).
-    NodeDown {
-        /// The affected node.
-        node: NodeId,
-    },
-    /// The scenario brought a node back (revive or resume).
-    NodeUp {
-        /// The affected node.
-        node: NodeId,
-    },
-}
 
 /// Tunable bounds for the checker's sanity invariants.
 #[derive(Clone, Copy, Debug)]
@@ -155,7 +33,7 @@ pub struct CheckerLimits {
     /// A link failure within this window of data activity on a scripted-down
     /// link obliges the node to emit a RERR.
     pub rerr_window: SimDuration,
-    /// How many recent events a violation's trail captures.
+    /// How many recent records a violation's trail captures.
     pub trail_len: usize,
 }
 
@@ -175,16 +53,17 @@ impl Default for CheckerLimits {
     }
 }
 
-/// A broken invariant, with the event trail that led up to it.
+/// A broken invariant, with the records that led up to it.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Virtual time of the offending event (or of `finish`).
+    /// Virtual time of the offending record (or of `finish`).
     pub at: SimTime,
     /// Stable invariant identifier (see the DESIGN.md catalogue).
     pub invariant: &'static str,
     /// Human-readable description of what broke.
     pub detail: String,
-    /// The most recent events before the violation, oldest first.
+    /// The most recent records up to and including the offending one,
+    /// oldest first, every field printed.
     pub trail: Vec<String>,
 }
 
@@ -210,7 +89,7 @@ pub struct LedgerSummary {
     pub dropped: u64,
     /// Injected packets destroyed by fault injection.
     pub fault_dropped: u64,
-    /// Injected packets with no terminal event yet.
+    /// Injected packets with no terminal record yet.
     pub in_flight: u64,
 }
 
@@ -229,16 +108,22 @@ struct RerrObligation {
     at: SimTime,
 }
 
-/// Runtime invariant checker over the simulator's event stream.
+/// Runtime invariant checker over the simulator's record stream.
 ///
-/// Feed events with [`on_event`](Self::on_event), call
+/// Feed records with [`on_record`](Self::on_record), call
 /// [`finish`](Self::finish) once at the end of the run, then inspect
 /// [`violations`](Self::violations).
+///
+/// `uid`s are wire-level packet identities; the conservation ledger tracks
+/// only uids it saw born in a [`TraceRecord::TcpSend`] (transport data), so
+/// ACKs and routing-internal traffic pass through it untracked.
 #[derive(Clone, Debug, Default)]
 pub struct InvariantChecker {
     limits: CheckerLimits,
-    events_seen: u64,
-    trail: VecDeque<String>,
+    records_seen: u64,
+    /// The last `limits.trail_len` records, kept as they came: a violation
+    /// formats them, a clean run never does.
+    trail: VecDeque<TraceEntry>,
     violations: Vec<Violation>,
     /// Per-flow high-water mark of the receiver's `rcv_nxt`.
     rcv_nxt: DetMap<FlowId, u64>,
@@ -246,8 +131,6 @@ pub struct InvariantChecker {
     uids: DetMap<u64, UidState>,
     /// Links currently forced down by the scenario (normalised pairs).
     down_links: DetSet<(NodeId, NodeId)>,
-    /// Nodes currently down (killed or paused) by the scenario.
-    down_nodes: DetSet<NodeId>,
     /// `(node, neighbor)` pairs where the node has observed a link-layer
     /// failure on a scripted-down link; forwarding data there again while
     /// the link stays down is a stale-route bug.
@@ -279,9 +162,9 @@ impl InvariantChecker {
         InvariantChecker { limits, ..InvariantChecker::default() }
     }
 
-    /// Number of events observed so far.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
+    /// Number of records observed so far.
+    pub fn records_seen(&self) -> u64 {
+        self.records_seen
     }
 
     /// The violations recorded so far (in order of detection).
@@ -310,20 +193,25 @@ impl InvariantChecker {
     }
 
     fn violate(&mut self, at: SimTime, invariant: &'static str, detail: String) {
-        let trail = self.trail.iter().cloned().collect();
+        let trail = self
+            .trail
+            .iter()
+            .map(|e| format!("t={:.6}s {:?}", e.at.as_secs_f64(), e.record))
+            .collect();
         self.violations.push(Violation { at, invariant, detail, trail });
     }
 
-    /// Observes one event.
-    pub fn on_event(&mut self, now: SimTime, ev: &CheckEvent) {
-        self.events_seen += 1;
-        if self.trail.len() == self.limits.trail_len {
+    /// Observes one record.
+    pub fn on_record(&mut self, now: SimTime, record: &TraceRecord) {
+        self.records_seen += 1;
+        if self.trail.len() >= self.limits.trail_len {
             self.trail.pop_front();
         }
-        self.trail.push_back(format!("t={:.6}s {ev:?}", now.as_secs_f64()));
-        match ev {
-            CheckEvent::Injected { node, flow, uid } => {
-                if self.uids.insert(*uid, UidState::InFlight).is_some() {
+        self.trail.push_back(TraceEntry { at: now, record: *record });
+        match *record {
+            // A data segment enters the network at its source.
+            TraceRecord::TcpSend { node, flow, uid, .. } => {
+                if self.uids.insert(uid, UidState::InFlight).is_some() {
                     self.violate(
                         now,
                         "conservation",
@@ -331,99 +219,68 @@ impl InvariantChecker {
                     );
                 }
             }
-            CheckEvent::Forwarded { node, next_hop, uid, is_data, route_valid_until } => {
-                if *is_data && !next_hop.is_broadcast() {
-                    match route_valid_until {
-                        None => self.violate(
-                            now,
-                            "aodv-route-fresh",
-                            format!(
-                                "{node} forwarded data uid {uid:#x} to {next_hop} \
-                                 with no valid route entry"
-                            ),
-                        ),
-                        Some(expires) if *expires <= now => self.violate(
-                            now,
-                            "aodv-route-fresh",
-                            format!(
-                                "{node} forwarded data uid {uid:#x} to {next_hop} on a \
-                                 route expired at t={:.6}s",
-                                expires.as_secs_f64()
-                            ),
-                        ),
-                        Some(_) => {}
+            TraceRecord::RtrForward { node, next_hop, kind, uid, route_valid_until, .. } => {
+                match kind {
+                    PacketKind::Rerr => {
+                        self.rerr_sent.insert(node, now);
+                        self.rerr_due.retain(|o| o.node != node);
                     }
-                    self.last_data_forward.insert((*node, *next_hop), now);
-                    if self.dead_observed.contains(&(*node, *next_hop))
-                        && self.down_links.contains(&link_key(*node, *next_hop))
-                    {
-                        self.violate(
-                            now,
-                            "aodv-dead-link",
-                            format!(
-                                "{node} forwarded data uid {uid:#x} to {next_hop} over a \
-                                 scripted-down link it already saw fail"
-                            ),
-                        );
+                    PacketKind::TcpData if !next_hop.is_broadcast() => {
+                        self.on_data_forward(now, node, next_hop, uid, route_valid_until);
                     }
+                    PacketKind::TcpData
+                    | PacketKind::TcpAck
+                    | PacketKind::Rreq
+                    | PacketKind::Rrep
+                    | PacketKind::Hello => {}
                 }
             }
-            CheckEvent::Delivered { node, flow, uid, is_data, rcv_nxt_after } => {
-                if *is_data {
-                    if !self.uids.contains_key(uid) {
-                        self.violate(
-                            now,
-                            "conservation",
-                            format!(
-                                "data uid {uid:#x} delivered at {node} but was never \
-                                 injected"
-                            ),
-                        );
-                    }
-                    let prev = self.rcv_nxt.get(flow).copied().unwrap_or(0);
-                    if *rcv_nxt_after < prev {
-                        self.violate(
-                            now,
-                            "tcp-monotone",
-                            format!(
-                                "flow {flow}: receiver rcv_nxt went backwards \
-                                 ({prev} -> {rcv_nxt_after}) at {node}"
-                            ),
-                        );
-                    } else {
-                        self.rcv_nxt.insert(*flow, *rcv_nxt_after);
-                    }
+            // No receiver for the flow at this node: the segment went
+            // nowhere and its uid stays in flight.
+            TraceRecord::TcpRecvData { rcv_nxt_after: None, .. } => {}
+            TraceRecord::TcpRecvData { node, flow, uid, rcv_nxt_after: Some(rcv_nxt), .. } => {
+                if !self.uids.contains_key(&uid) {
+                    self.violate(
+                        now,
+                        "conservation",
+                        format!("data uid {uid:#x} delivered at {node} but was never injected"),
+                    );
                 }
-                self.terminate(now, *uid, UidState::Delivered);
+                let prev = self.rcv_nxt.get(&flow).copied().unwrap_or(0);
+                if rcv_nxt < prev {
+                    self.violate(
+                        now,
+                        "tcp-monotone",
+                        format!(
+                            "flow {flow}: receiver rcv_nxt went backwards \
+                             ({prev} -> {rcv_nxt}) at {node}"
+                        ),
+                    );
+                } else {
+                    self.rcv_nxt.insert(flow, rcv_nxt);
+                }
+                self.terminate(uid, UidState::Delivered);
             }
-            CheckEvent::QueueDrop { uid, .. } | CheckEvent::RoutingDrop { uid, .. } => {
-                self.terminate(now, *uid, UidState::Dropped);
+            TraceRecord::IfqDrop { uid, .. } | TraceRecord::RtrDrop { uid, .. } => {
+                self.terminate(uid, UidState::Dropped);
             }
-            CheckEvent::FaultDrop { uid, .. } => {
-                self.terminate(now, *uid, UidState::FaultDropped);
-            }
-            CheckEvent::LinkFailure { node, next_hop } => {
-                if self.down_links.contains(&link_key(*node, *next_hop)) {
-                    self.dead_observed.insert((*node, *next_hop));
+            TraceRecord::FaultDrop { uid, .. } => self.terminate(uid, UidState::FaultDropped),
+            // The MAC exhausted its retries towards `next_hop`: a link-layer
+            // failure, which on a scripted-down link the node now knows of.
+            TraceRecord::MacRetryDrop { node, next_hop, .. } => {
+                if self.down_links.contains(&link_key(node, next_hop)) {
+                    self.dead_observed.insert((node, next_hop));
                     let active = self
                         .last_data_forward
-                        .get(&(*node, *next_hop))
+                        .get(&(node, next_hop))
                         .is_some_and(|&t| now <= t + self.limits.rerr_window);
                     if active {
-                        self.rerr_due.push(RerrObligation {
-                            node: *node,
-                            neighbor: *next_hop,
-                            at: now,
-                        });
+                        self.rerr_due.push(RerrObligation { node, neighbor: next_hop, at: now });
                     }
                 }
             }
-            CheckEvent::RerrSent { node } => {
-                self.rerr_sent.insert(*node, now);
-                self.rerr_due.retain(|o| o.node != *node);
-            }
-            CheckEvent::FrameSent { node, airtime, cw, nav_ahead } => {
-                if *airtime > self.limits.max_airtime {
+            TraceRecord::PhyTx { node, airtime, cw, nav_ahead, .. } => {
+                if airtime > self.limits.max_airtime {
                     self.violate(
                         now,
                         "mac-bounds",
@@ -435,7 +292,7 @@ impl InvariantChecker {
                         ),
                     );
                 }
-                if *cw < self.limits.cw_min || *cw > self.limits.cw_max {
+                if cw < self.limits.cw_min || cw > self.limits.cw_max {
                     self.violate(
                         now,
                         "mac-bounds",
@@ -445,7 +302,7 @@ impl InvariantChecker {
                         ),
                     );
                 }
-                if *nav_ahead > self.limits.max_nav_ahead {
+                if nav_ahead > self.limits.max_nav_ahead {
                     self.violate(
                         now,
                         "mac-bounds",
@@ -457,46 +314,100 @@ impl InvariantChecker {
                     );
                 }
             }
-            CheckEvent::CwndUpdate { node, flow, variant, cwnd, ssthresh } => {
-                if !cwnd.is_finite() || *cwnd <= 0.0 || *cwnd > self.limits.max_cwnd_segments {
+            // Written when the window moves (and at open): a value that did
+            // not move was checked when it last did.
+            TraceRecord::TcpCwnd { node, flow, cwnd, ssthresh, .. } => {
+                if !cwnd.is_finite() || cwnd <= 0.0 || cwnd > self.limits.max_cwnd_segments {
                     self.violate(
                         now,
                         "tcp-cwnd-sane",
-                        format!("flow {flow} ({variant}) at {node}: insane cwnd {cwnd}"),
+                        format!("flow {flow} at {node}: insane cwnd {cwnd}"),
                     );
                 }
                 if let Some(ss) = ssthresh {
-                    if !ss.is_finite() || *ss <= 0.0 {
+                    if !ss.is_finite() || ss <= 0.0 {
                         self.violate(
                             now,
                             "tcp-cwnd-sane",
-                            format!("flow {flow} ({variant}) at {node}: insane ssthresh {ss}"),
+                            format!("flow {flow} at {node}: insane ssthresh {ss}"),
                         );
                     }
                 }
             }
-            CheckEvent::ScriptedLinkDown { a, b } => {
-                self.down_links.insert(link_key(*a, *b));
+            TraceRecord::FaultLink { a, b, up: false } => {
+                self.down_links.insert(link_key(a, b));
             }
-            CheckEvent::ScriptedLinkUp { a, b } => {
-                self.down_links.remove(&link_key(*a, *b));
-                self.dead_observed.remove(&(*a, *b));
-                self.dead_observed.remove(&(*b, *a));
-                self.rerr_due.retain(|o| link_key(o.node, o.neighbor) != link_key(*a, *b));
+            TraceRecord::FaultLink { a, b, up: true } => {
+                self.down_links.remove(&link_key(a, b));
+                self.dead_observed.remove(&(a, b));
+                self.dead_observed.remove(&(b, a));
+                self.rerr_due.retain(|o| link_key(o.node, o.neighbor) != link_key(a, b));
             }
-            CheckEvent::NodeDown { node } => {
-                self.down_nodes.insert(*node);
-            }
-            CheckEvent::NodeUp { node } => {
-                self.down_nodes.remove(node);
-            }
+            // No invariant reads these (an ACK's uid was never in the
+            // ledger; a node going down shows in what its neighbours do).
+            TraceRecord::TcpRecvAck { .. }
+            | TraceRecord::TcpAckTx { .. }
+            | TraceRecord::FaultNode { .. }
+            | TraceRecord::PhyRx { .. }
+            | TraceRecord::PhyCollision { .. }
+            | TraceRecord::PhyLoss { .. }
+            | TraceRecord::PhyMove { .. }
+            | TraceRecord::MacBackoff { .. }
+            | TraceRecord::RtrRecv { .. }
+            | TraceRecord::RtrRouteChange { .. }
+            | TraceRecord::IfqEnqueue { .. }
+            | TraceRecord::IfqMark { .. } => {}
         }
     }
 
-    fn terminate(&mut self, _now: SimTime, uid: u64, to: UidState) {
-        // Only packets born in an `Injected` event participate in the
-        // ledger; routing control and ACK uids pass through untracked.
-        // A second terminal is tolerated: a lost MAC-level ACK legitimately
+    /// A unicast data forward: the route behind it must be live, and the
+    /// link must not be one the node already saw fail while scripted down.
+    fn on_data_forward(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        next_hop: NodeId,
+        uid: u64,
+        route_valid_until: Option<SimTime>,
+    ) {
+        match route_valid_until {
+            None => self.violate(
+                now,
+                "aodv-route-fresh",
+                format!(
+                    "{node} forwarded data uid {uid:#x} to {next_hop} with no valid route entry"
+                ),
+            ),
+            Some(expires) if expires <= now => self.violate(
+                now,
+                "aodv-route-fresh",
+                format!(
+                    "{node} forwarded data uid {uid:#x} to {next_hop} on a route expired at \
+                     t={:.6}s",
+                    expires.as_secs_f64()
+                ),
+            ),
+            Some(_) => {}
+        }
+        self.last_data_forward.insert((node, next_hop), now);
+        if self.dead_observed.contains(&(node, next_hop))
+            && self.down_links.contains(&link_key(node, next_hop))
+        {
+            self.violate(
+                now,
+                "aodv-dead-link",
+                format!(
+                    "{node} forwarded data uid {uid:#x} to {next_hop} over a scripted-down \
+                     link it already saw fail"
+                ),
+            );
+        }
+    }
+
+    fn terminate(&mut self, uid: u64, to: UidState) {
+        // Only packets born in a `TcpSend` participate in the ledger;
+        // routing control and ACK uids pass through untracked. A second
+        // terminal is tolerated: a lost MAC-level ACK legitimately
         // duplicates custody (the data arrived, the sender retries), so the
         // first terminal wins and later ones are ignored.
         if let Some(state) = self.uids.get_mut(&uid) {
@@ -532,6 +443,7 @@ impl InvariantChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wire::FrameKind;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
@@ -543,31 +455,101 @@ mod tests {
 
     const FLOW: FlowId = FlowId::new(0);
 
-    fn delivered(uid: u64, rcv_nxt_after: u64) -> CheckEvent {
-        CheckEvent::Delivered { node: n(3), flow: FLOW, uid, is_data: true, rcv_nxt_after }
+    fn sent(uid: u64) -> TraceRecord {
+        TraceRecord::TcpSend {
+            node: n(0),
+            flow: FLOW,
+            seq: uid,
+            uid,
+            bytes: 1500,
+            retransmit: false,
+        }
     }
 
-    fn injected(uid: u64) -> CheckEvent {
-        CheckEvent::Injected { node: n(0), flow: FLOW, uid }
+    fn delivered(uid: u64, rcv_nxt_after: u64) -> TraceRecord {
+        TraceRecord::TcpRecvData {
+            node: n(3),
+            flow: FLOW,
+            seq: uid,
+            uid,
+            avbw: None,
+            marked: false,
+            rcv_nxt_after: Some(rcv_nxt_after),
+        }
+    }
+
+    /// `n1` hands a packet of `kind` to `next_hop`.
+    fn forward(
+        kind: PacketKind,
+        next_hop: NodeId,
+        uid: u64,
+        route_valid_until: Option<SimTime>,
+    ) -> TraceRecord {
+        TraceRecord::RtrForward {
+            node: n(1),
+            next_hop,
+            kind,
+            uid,
+            flow: Some(FLOW),
+            bytes: 1500,
+            ttl: 62,
+            origin: false,
+            route_valid_until,
+        }
+    }
+
+    /// `n1` forwards data to `n2` on a route good until `until`.
+    fn data_forward(uid: u64, until: f64) -> TraceRecord {
+        forward(PacketKind::TcpData, n(2), uid, Some(t(until)))
+    }
+
+    fn link(up: bool) -> TraceRecord {
+        TraceRecord::FaultLink { a: n(1), b: n(2), up }
+    }
+
+    /// `n1`'s MAC gives up on `n2`.
+    fn retry_drop() -> TraceRecord {
+        TraceRecord::MacRetryDrop { node: n(1), next_hop: n(2), uid: 1 }
+    }
+
+    fn frame(airtime: SimDuration, cw: u32, nav_ahead: SimDuration) -> TraceRecord {
+        TraceRecord::PhyTx {
+            node: n(0),
+            dst: n(1),
+            frame: FrameKind::Data,
+            bytes: 1534,
+            uid: Some(1),
+            airtime,
+            cw,
+            nav_ahead,
+        }
+    }
+
+    fn window(cwnd: f64, ssthresh: Option<f64>) -> TraceRecord {
+        TraceRecord::TcpCwnd {
+            node: n(0),
+            flow: FLOW,
+            cwnd,
+            ssthresh,
+            srtt: None,
+            rto: None,
+            phase: "slow-start",
+        }
+    }
+
+    fn invariants(c: &InvariantChecker) -> Vec<&'static str> {
+        c.violations().iter().map(|v| v.invariant).collect()
     }
 
     #[test]
     fn clean_stream_stays_clean() {
         let mut c = InvariantChecker::new();
-        c.on_event(t(1.0), &injected(1));
-        c.on_event(
-            t(1.1),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: n(2),
-                uid: 1,
-                is_data: true,
-                route_valid_until: Some(t(4.0)),
-            },
-        );
-        c.on_event(t(1.2), &delivered(1, 1460));
+        c.on_record(t(1.0), &sent(1));
+        c.on_record(t(1.1), &data_forward(1, 4.0));
+        c.on_record(t(1.2), &delivered(1, 1460));
         c.finish(t(2.0));
         assert!(c.is_clean(), "{:?}", c.violations());
+        assert_eq!(c.records_seen(), 3);
         assert_eq!(
             c.ledger(),
             LedgerSummary { injected: 1, delivered: 1, ..LedgerSummary::default() }
@@ -577,135 +559,106 @@ mod tests {
     #[test]
     fn receiver_regression_is_flagged() {
         let mut c = InvariantChecker::new();
-        c.on_event(t(1.0), &injected(1));
-        c.on_event(t(1.1), &delivered(1, 2920));
-        c.on_event(t(1.2), &injected(2));
-        c.on_event(t(1.3), &delivered(2, 1460)); // rcv_nxt went backwards
-        assert_eq!(c.violations().len(), 1);
-        assert_eq!(c.violations()[0].invariant, "tcp-monotone");
+        c.on_record(t(1.0), &sent(1));
+        c.on_record(t(1.1), &delivered(1, 2920));
+        c.on_record(t(1.2), &sent(2));
+        c.on_record(t(1.3), &delivered(2, 1460)); // rcv_nxt went backwards
+        assert_eq!(invariants(&c), ["tcp-monotone"]);
         assert!(!c.violations()[0].trail.is_empty());
     }
 
     #[test]
     fn delivery_from_nowhere_is_flagged() {
         let mut c = InvariantChecker::new();
-        c.on_event(t(1.0), &delivered(77, 1460));
-        assert_eq!(c.violations()[0].invariant, "conservation");
+        c.on_record(t(1.0), &delivered(77, 1460));
+        assert_eq!(invariants(&c), ["conservation"]);
+    }
+
+    #[test]
+    fn a_segment_for_a_flow_the_node_has_no_receiver_for_stays_in_flight() {
+        let mut c = InvariantChecker::new();
+        c.on_record(t(1.0), &sent(1));
+        let TraceRecord::TcpRecvData { node, flow, seq, uid, avbw, marked, .. } = delivered(1, 0)
+        else {
+            unreachable!()
+        };
+        let nowhere =
+            TraceRecord::TcpRecvData { node, flow, seq, uid, avbw, marked, rcv_nxt_after: None };
+        c.on_record(t(1.1), &nowhere);
+        assert!(c.is_clean());
+        assert_eq!(c.ledger().in_flight, 1);
     }
 
     #[test]
     fn double_injection_is_flagged() {
         let mut c = InvariantChecker::new();
-        c.on_event(t(1.0), &injected(5));
-        c.on_event(t(1.1), &injected(5));
-        assert_eq!(c.violations()[0].invariant, "conservation");
+        c.on_record(t(1.0), &sent(5));
+        c.on_record(t(1.1), &sent(5));
+        assert_eq!(invariants(&c), ["conservation"]);
     }
 
     #[test]
     fn forwarding_without_route_is_flagged() {
         let mut c = InvariantChecker::new();
-        c.on_event(
-            t(2.0),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: n(2),
-                uid: 9,
-                is_data: true,
-                route_valid_until: None,
-            },
-        );
-        c.on_event(
-            t(3.0),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: n(2),
-                uid: 10,
-                is_data: true,
-                route_valid_until: Some(t(2.5)), // already expired
-            },
-        );
-        // Control/broadcast forwards are exempt.
-        c.on_event(
-            t(4.0),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: NodeId::BROADCAST,
-                uid: 11,
-                is_data: false,
-                route_valid_until: None,
-            },
-        );
+        c.on_record(t(2.0), &forward(PacketKind::TcpData, n(2), 9, None));
+        c.on_record(t(3.0), &data_forward(10, 2.5)); // already expired
+        assert_eq!(invariants(&c), ["aodv-route-fresh", "aodv-route-fresh"]);
+        // Control, ACK and broadcast forwards carry no expiry and need none.
+        c.on_record(t(4.0), &forward(PacketKind::Rreq, NodeId::BROADCAST, 11, None));
+        c.on_record(t(4.0), &forward(PacketKind::TcpAck, n(2), 12, None));
+        c.on_record(t(4.0), &forward(PacketKind::TcpData, NodeId::BROADCAST, 13, None));
         assert_eq!(c.violations().len(), 2);
-        assert!(c.violations().iter().all(|v| v.invariant == "aodv-route-fresh"));
     }
 
     #[test]
     fn forwarding_on_an_observed_dead_link_is_flagged() {
         let mut c = InvariantChecker::new();
-        let fwd = |uid| CheckEvent::Forwarded {
-            node: n(1),
-            next_hop: n(2),
-            uid,
-            is_data: true,
-            route_valid_until: Some(t(100.0)),
-        };
-        c.on_event(t(1.0), &fwd(1));
-        c.on_event(t(5.0), &CheckEvent::ScriptedLinkDown { a: n(1), b: n(2) });
+        c.on_record(t(1.0), &data_forward(1, 100.0));
+        c.on_record(t(5.0), &link(false));
         // First attempt after the break is legitimate — the node cannot
         // know yet.
-        c.on_event(t(5.1), &fwd(2));
+        c.on_record(t(5.1), &data_forward(2, 100.0));
         assert!(c.is_clean());
-        c.on_event(t(5.2), &CheckEvent::LinkFailure { node: n(1), next_hop: n(2) });
+        c.on_record(t(5.2), &retry_drop());
         // ...but after the MAC told it, forwarding there again is a bug.
-        c.on_event(t(5.3), &fwd(3));
-        assert_eq!(c.violations().len(), 1);
-        assert_eq!(c.violations()[0].invariant, "aodv-dead-link");
+        c.on_record(t(5.3), &data_forward(3, 100.0));
+        assert_eq!(invariants(&c), ["aodv-dead-link"]);
         // Once the link heals the route may be reused.
-        c.on_event(t(6.0), &CheckEvent::ScriptedLinkUp { a: n(1), b: n(2) });
-        c.on_event(t(6.1), &fwd(4));
+        c.on_record(t(6.0), &link(true));
+        c.on_record(t(6.1), &data_forward(4, 100.0));
         assert_eq!(c.violations().len(), 1);
+    }
+
+    #[test]
+    fn a_retry_drop_on_a_link_nobody_scripted_down_teaches_nothing() {
+        let mut c = InvariantChecker::new();
+        c.on_record(t(1.0), &data_forward(1, 100.0));
+        c.on_record(t(1.1), &retry_drop());
+        c.on_record(t(1.2), &data_forward(2, 100.0));
+        c.finish(t(2.0));
+        assert!(c.is_clean(), "{:?}", c.violations());
     }
 
     #[test]
     fn missing_rerr_is_flagged_at_finish() {
         let mut c = InvariantChecker::new();
-        c.on_event(
-            t(4.9),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: n(2),
-                uid: 1,
-                is_data: true,
-                route_valid_until: Some(t(7.0)),
-            },
-        );
-        c.on_event(t(5.0), &CheckEvent::ScriptedLinkDown { a: n(1), b: n(2) });
-        c.on_event(t(5.1), &CheckEvent::LinkFailure { node: n(1), next_hop: n(2) });
-        let mut quiet = InvariantChecker::new();
-        std::mem::swap(&mut quiet, &mut c);
-        // Run A: no RERR ever -> violation.
-        let mut a = quiet;
-        a.finish(t(10.0));
-        assert_eq!(a.violations().len(), 1);
-        assert_eq!(a.violations()[0].invariant, "aodv-rerr");
+        c.on_record(t(4.9), &data_forward(1, 7.0));
+        c.on_record(t(5.0), &link(false));
+        c.on_record(t(5.1), &retry_drop());
+        assert!(c.is_clean(), "the obligation falls due at finish");
+        c.finish(t(10.0));
+        assert_eq!(invariants(&c), ["aodv-rerr"]);
+        assert_eq!(c.violations()[0].at, t(10.0));
+        assert!(!c.violations()[0].trail.is_empty());
     }
 
     #[test]
     fn rerr_discharges_the_obligation() {
         let mut c = InvariantChecker::new();
-        c.on_event(
-            t(4.9),
-            &CheckEvent::Forwarded {
-                node: n(1),
-                next_hop: n(2),
-                uid: 1,
-                is_data: true,
-                route_valid_until: Some(t(7.0)),
-            },
-        );
-        c.on_event(t(5.0), &CheckEvent::ScriptedLinkDown { a: n(1), b: n(2) });
-        c.on_event(t(5.1), &CheckEvent::LinkFailure { node: n(1), next_hop: n(2) });
-        c.on_event(t(5.1), &CheckEvent::RerrSent { node: n(1) });
+        c.on_record(t(4.9), &data_forward(1, 7.0));
+        c.on_record(t(5.0), &link(false));
+        c.on_record(t(5.1), &retry_drop());
+        c.on_record(t(5.1), &forward(PacketKind::Rerr, NodeId::BROADCAST, 50, None));
         c.finish(t(10.0));
         assert!(c.is_clean(), "{:?}", c.violations());
     }
@@ -715,8 +668,8 @@ mod tests {
         // A failure on a scripted-down link the node was not actively using
         // for data must not demand a RERR (there may be no route to report).
         let mut c = InvariantChecker::new();
-        c.on_event(t(5.0), &CheckEvent::ScriptedLinkDown { a: n(1), b: n(2) });
-        c.on_event(t(9.0), &CheckEvent::LinkFailure { node: n(1), next_hop: n(2) });
+        c.on_record(t(5.0), &link(false));
+        c.on_record(t(9.0), &retry_drop());
         c.finish(t(10.0));
         assert!(c.is_clean());
     }
@@ -724,64 +677,57 @@ mod tests {
     #[test]
     fn mac_bounds_are_enforced() {
         let mut c = InvariantChecker::new();
-        c.on_event(
-            t(1.0),
-            &CheckEvent::FrameSent {
-                node: n(0),
-                airtime: SimDuration::from_millis(25),
-                cw: 2048,
-                nav_ahead: SimDuration::from_millis(60),
-            },
-        );
-        assert_eq!(c.violations().len(), 3);
-        assert!(c.violations().iter().all(|v| v.invariant == "mac-bounds"));
+        let ms = SimDuration::from_millis;
+        c.on_record(t(1.0), &frame(ms(25), 2048, ms(60)));
+        assert_eq!(invariants(&c), ["mac-bounds"; 3]);
         // A legal frame is quiet.
-        c.on_event(
-            t(1.1),
-            &CheckEvent::FrameSent {
-                node: n(0),
-                airtime: SimDuration::from_micros(6328),
-                cw: 31,
-                nav_ahead: SimDuration::ZERO,
-            },
-        );
+        c.on_record(t(1.1), &frame(SimDuration::from_micros(6328), 31, SimDuration::ZERO));
         assert_eq!(c.violations().len(), 3);
     }
 
+    /// The window is checked on the records that carry it — one per move and
+    /// one at open — and each kind of nonsense fires on the first that does.
     #[test]
-    fn cwnd_sanity_is_enforced() {
-        let mut c = InvariantChecker::new();
-        let up = |cwnd: f64, ssthresh: Option<f64>| CheckEvent::CwndUpdate {
-            node: n(0),
-            flow: FLOW,
-            variant: "NewReno",
-            cwnd,
-            ssthresh,
-        };
-        c.on_event(t(1.0), &up(2.5, Some(64.0)));
-        assert!(c.is_clean());
-        c.on_event(t(1.1), &up(f64::NAN, None));
-        c.on_event(t(1.2), &up(0.0, None));
-        c.on_event(t(1.3), &up(4.0, Some(f64::INFINITY)));
-        assert_eq!(c.violations().len(), 3);
-        assert!(c.violations().iter().all(|v| v.invariant == "tcp-cwnd-sane"));
+    fn cwnd_sanity_fires_on_the_first_record_carrying_the_value() {
+        let cap = CheckerLimits::default().max_cwnd_segments;
+        for (bad, detail) in [
+            (window(f64::NAN, None), "insane cwnd NaN"),
+            (window(0.0, None), "insane cwnd 0"),
+            (window(cap * 2.0, Some(64.0)), "insane cwnd 2000000"),
+            (window(4.0, Some(f64::INFINITY)), "insane ssthresh inf"),
+            (window(4.0, Some(f64::NAN)), "insane ssthresh NaN"),
+        ] {
+            let mut c = InvariantChecker::new();
+            c.on_record(t(1.0), &window(2.5, Some(64.0)));
+            c.on_record(t(1.0), &window(cap, None));
+            assert!(c.is_clean(), "{:?}", c.violations());
+            c.on_record(t(1.1), &bad);
+            assert_eq!(invariants(&c), ["tcp-cwnd-sane"], "{bad:?}");
+            let v = &c.violations()[0];
+            assert!(v.detail.ends_with(detail), "{}", v.detail);
+            assert_eq!(v.at, t(1.1));
+            assert!(v.trail.last().is_some_and(|line| line.contains("TcpCwnd")));
+        }
     }
 
     #[test]
     fn ledger_tracks_every_terminal_kind() {
         let mut c = InvariantChecker::new();
-        for uid in 1..=4 {
-            c.on_event(t(1.0), &injected(uid));
+        for uid in 1..=5 {
+            c.on_record(t(1.0), &sent(uid));
         }
-        c.on_event(t(2.0), &delivered(1, 1460));
-        c.on_event(t(2.1), &CheckEvent::QueueDrop { node: n(1), uid: 2 });
-        c.on_event(t(2.2), &CheckEvent::FaultDrop { node: n(1), uid: 3 });
+        let flow = Some(FLOW);
+        c.on_record(t(2.0), &delivered(1, 1460));
+        c.on_record(t(2.1), &TraceRecord::IfqDrop { node: n(1), uid: 2, flow, early: false });
+        c.on_record(t(2.2), &TraceRecord::FaultDrop { node: n(1), uid: 3 });
+        let kind = PacketKind::TcpData;
+        c.on_record(t(2.3), &TraceRecord::RtrDrop { node: n(1), kind, uid: 4, flow });
         // Untracked uid: ignored by the ledger.
-        c.on_event(t(2.3), &CheckEvent::RoutingDrop { node: n(1), uid: 999 });
+        c.on_record(t(2.4), &TraceRecord::RtrDrop { node: n(1), kind, uid: 999, flow });
         let s = c.ledger();
         assert_eq!(
             s,
-            LedgerSummary { injected: 4, delivered: 1, dropped: 1, fault_dropped: 1, in_flight: 1 }
+            LedgerSummary { injected: 5, delivered: 1, dropped: 2, fault_dropped: 1, in_flight: 1 }
         );
         assert_eq!(s.injected, s.delivered + s.dropped + s.fault_dropped + s.in_flight);
     }
@@ -791,9 +737,10 @@ mod tests {
         // Lost MAC ACK: the data was delivered, the retrying relay later
         // drops its copy. Not a protocol violation.
         let mut c = InvariantChecker::new();
-        c.on_event(t(1.0), &injected(1));
-        c.on_event(t(2.0), &delivered(1, 1460));
-        c.on_event(t(2.5), &CheckEvent::RoutingDrop { node: n(1), uid: 1 });
+        c.on_record(t(1.0), &sent(1));
+        c.on_record(t(2.0), &delivered(1, 1460));
+        let kind = PacketKind::TcpData;
+        c.on_record(t(2.5), &TraceRecord::RtrDrop { node: n(1), kind, uid: 1, flow: Some(FLOW) });
         assert!(c.is_clean());
         assert_eq!(c.ledger().delivered, 1);
         assert_eq!(c.ledger().dropped, 0);
@@ -804,12 +751,15 @@ mod tests {
         let limits = CheckerLimits { trail_len: 4, ..CheckerLimits::default() };
         let mut c = InvariantChecker::with_limits(limits);
         for uid in 0..50 {
-            c.on_event(t(1.0 + uid as f64), &injected(uid));
+            c.on_record(t(1.0 + uid as f64), &sent(uid));
         }
-        c.on_event(t(60.0), &delivered(1000, 1460));
+        c.on_record(t(60.0), &delivered(1000, 1460));
         let v = &c.violations()[0];
         assert_eq!(v.trail.len(), 4);
-        assert!(v.trail.iter().last().is_some_and(|s| s.contains("uid: 1000")));
+        // Oldest first, ending on the offending record itself.
+        assert!(v.trail[0].starts_with("t=48.000000s TcpSend"), "{}", v.trail[0]);
+        assert!(v.trail[3].starts_with("t=60.000000s TcpRecvData"), "{}", v.trail[3]);
+        assert!(v.trail[3].contains("uid: 1000"));
         assert!(v.to_string().contains("conservation"));
     }
 }

@@ -35,9 +35,10 @@
 #![warn(missing_docs)]
 
 mod checker;
+pub mod legacy;
 pub mod mc;
 mod scenario;
 
-pub use checker::{CheckEvent, CheckerLimits, InvariantChecker, LedgerSummary, Violation};
+pub use checker::{CheckerLimits, InvariantChecker, LedgerSummary, Violation};
 pub use mc::{BranchOutcome, BranchRecord, CounterExample, McConfig, McVerdict};
 pub use scenario::{FaultEvent, ScenarioScript, TimedFault};

@@ -86,7 +86,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "conservation ledger out of balance"
     );
     if checker.violations().is_empty() {
-        println!("invariants: clean ({} events checked)", checker.events_seen());
+        println!("invariants: clean ({} events checked)", checker.records_seen());
     } else {
         for v in checker.violations() {
             println!("VIOLATION: {v}");

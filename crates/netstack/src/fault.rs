@@ -2,7 +2,8 @@
 //! does with it: gating events on node liveness, applying each fault, and
 //! the channel-loss draw a bursty-loss episode overrides.
 
-use faultline::{CheckEvent, FaultEvent, ScenarioScript, TimedFault};
+use faultline::legacy::CheckEvent;
+use faultline::{FaultEvent, ScenarioScript, TimedFault};
 use phy::{GeState, GilbertElliott};
 use sim_core::{snap_enum, snap_record, DetSet};
 use tracelog::TraceRecord;

@@ -96,7 +96,7 @@ impl Simulator {
         let churn = self.channel.set_position(node, position);
         self.perf.position_updates += 1;
         self.perf.link_churn += churn as u64;
-        if self.log.is_some() {
+        if self.observed() {
             self.rec(TraceRecord::PhyMove { node, x: position.x, y: position.y });
         }
     }

@@ -5,7 +5,8 @@
 //! `mobility.rs`.
 
 use aodv::AodvOutput;
-use faultline::{CheckEvent, InvariantChecker};
+use faultline::legacy::{self, CheckEvent};
+use faultline::InvariantChecker;
 use mac80211::{MacOutput, MediumView};
 use phy::{Arrival, Channel, Edge, Position, RxOutcome, TxId};
 use sim_core::{DetMap, EventQueue, RunPerf, SimRng, SimTime, TieOrder, TraceHash};
@@ -55,6 +56,8 @@ pub struct Simulator {
     pub(crate) log: Option<TraceLog>,
     /// Runtime invariant checker fed from the cross-layer event stream.
     checker: Option<InvariantChecker>,
+    /// The `CheckEvent`-fed checker, run beside `checker` for one commit.
+    legacy: Option<legacy::InvariantChecker>,
     /// Tie-order hook for the model-checking explorer: when installed,
     /// same-instant ties inside its window are broken by its decision
     /// vector instead of FIFO. `None` costs one branch per pop.
@@ -95,6 +98,7 @@ impl Simulator {
             trace_hash: TraceHash::new(),
             log: None,
             checker: None,
+            legacy: None,
             tie_order: None,
             perf: RunPerf::default(),
         };
@@ -225,12 +229,41 @@ impl Simulator {
         self.log.as_ref()
     }
 
-    /// Records one trace observation at the current virtual time.
+    /// Whether anyone is watching: a record is worth building only then.
+    #[inline]
+    pub(crate) fn observed(&self) -> bool {
+        self.log.is_some() || self.checker.is_some()
+    }
+
+    /// Reports one observation at the current virtual time: to the log
+    /// (through its filter), then to the checker (every record). A violation
+    /// makes a flight-recorder log dump its ring, whose last entry is then
+    /// the record that tripped the invariant.
     #[inline]
     pub(crate) fn rec(&mut self, record: TraceRecord) {
         if let Some(log) = &mut self.log {
             log.record(self.now, record);
         }
+        let Some(checker) = &mut self.checker else { return };
+        let before = checker.violations().len();
+        checker.on_record(self.now, &record);
+        if let (Some(violation), Some(log)) = (checker.violations().get(before), &mut self.log) {
+            if log.is_flight_recorder() {
+                log.dump(self.now, &violation.to_string());
+            }
+        }
+    }
+
+    /// Differential only: installs the `CheckEvent`-fed checker.
+    pub fn install_legacy_checker(&mut self, checker: legacy::InvariantChecker) {
+        self.legacy = Some(checker);
+    }
+
+    /// Differential only: removes and seals the `CheckEvent`-fed checker.
+    pub fn take_legacy_checker(&mut self) -> Option<legacy::InvariantChecker> {
+        let mut checker = self.legacy.take()?;
+        checker.finish(self.now);
+        Some(checker)
     }
 
     /// Removes the checker, sealing it with [`InvariantChecker::finish`] at
@@ -256,19 +289,8 @@ impl Simulator {
 
     #[inline]
     pub(crate) fn emit(&mut self, event: CheckEvent) {
-        let Some(checker) = &mut self.checker else { return };
-        let before = checker.violations().len();
-        checker.on_event(self.now, &event);
-        let violations = checker.violations();
-        if violations.len() > before {
-            // A flight-recorder log dumps its window the moment an
-            // invariant trips, capturing the lead-up to the failure.
-            let reason = violations.last().map(|v| v.to_string());
-            if let Some(log) = &mut self.log {
-                if log.is_flight_recorder() {
-                    log.dump(self.now, reason.as_deref().unwrap_or("?"));
-                }
-            }
+        if let Some(checker) = &mut self.legacy {
+            checker.on_event(self.now, &event);
         }
     }
 
@@ -458,7 +480,7 @@ impl Simulator {
                 let Some(outcome) = self.nodes[node.index()].phy.on_rx_end(tx_id, now) else {
                     return;
                 };
-                if self.log.is_some() {
+                if self.observed() {
                     let uid = frame.packet().map(|p| p.uid);
                     let (from, kind) = (frame.src, frame.kind());
                     self.rec(match outcome {
@@ -592,7 +614,7 @@ impl Simulator {
                 };
                 if let Some(segment) = ack {
                     let uid = self.nodes[node.index()].uid.next();
-                    if self.log.is_some() {
+                    if self.observed() {
                         if let TcpSegmentKind::Ack { ack, mrai, .. } = &segment.kind {
                             self.rec(TraceRecord::TcpAckTx {
                                 node,
@@ -650,7 +672,7 @@ impl Simulator {
                 }
                 MacOutput::Deliver { packet, from } => {
                     let now = self.now;
-                    if self.log.is_some() {
+                    if self.observed() {
                         self.rec(TraceRecord::RtrRecv {
                             node,
                             kind: PacketKind::of(&packet),
@@ -689,10 +711,10 @@ impl Simulator {
         for output in outputs {
             match output {
                 AodvOutput::Forward { packet, next_hop } => {
-                    if self.checker.is_some() {
+                    if self.legacy.is_some() {
                         self.note_forward(node, &packet, next_hop);
                     }
-                    if self.log.is_some() {
+                    if self.observed() {
                         let kind = PacketKind::of(&packet);
                         let route_valid_until = if kind == PacketKind::TcpData
                             && !next_hop.is_broadcast()
@@ -735,7 +757,7 @@ impl Simulator {
                 AodvOutput::Dropped { packet, .. } => {
                     self.nodes[node.index()].routing_drops += 1;
                     let uid = packet.uid;
-                    if self.log.is_some() {
+                    if self.observed() {
                         self.rec(TraceRecord::RtrDrop {
                             node,
                             kind: PacketKind::of(&packet),
@@ -799,7 +821,7 @@ impl Simulator {
                 TcpOutput::SendSegment(segment) => {
                     let is_data = segment.is_data();
                     let uid = self.nodes[node.index()].uid.next();
-                    if self.log.is_some() {
+                    if self.observed() {
                         let record = match &segment.kind {
                             TcpSegmentKind::Data { seq, retransmit, .. } => TraceRecord::TcpSend {
                                 node,
@@ -826,7 +848,7 @@ impl Simulator {
                 }
             }
         }
-        if self.checker.is_none() && self.log.is_none() {
+        if !self.observed() && self.legacy.is_none() {
             return;
         }
         let tx = &self.nodes[node.index()].senders[&flow].transport;
@@ -889,7 +911,7 @@ impl Simulator {
         self.perf.peak_ifq_depth = self.perf.peak_ifq_depth.max(depth);
         match outcome {
             IfqPush::Stored { marked: red_marked } => {
-                if self.log.is_some() {
+                if self.observed() {
                     self.rec(TraceRecord::IfqEnqueue {
                         node,
                         uid,
@@ -950,7 +972,7 @@ impl Simulator {
     /// queued entry keeps its `(time, seq)` key.
     fn transmit(&mut self, sender: NodeId, frame: MacFrame, airtime: sim_core::SimDuration) {
         let now = self.now;
-        if self.log.is_some() {
+        if self.observed() {
             let mac = &self.nodes[sender.index()].mac;
             self.rec(TraceRecord::PhyTx {
                 node: sender,
@@ -963,7 +985,7 @@ impl Simulator {
                 nav_ahead: mac.nav_ahead(now),
             });
         }
-        if self.checker.is_some() {
+        if self.legacy.is_some() {
             let cw = self.nodes[sender.index()].mac.current_cw();
             let nav_ahead = self.nodes[sender.index()].mac.nav_ahead(now);
             self.emit(CheckEvent::FrameSent { node: sender, airtime, cw, nav_ahead });
@@ -1068,7 +1090,7 @@ impl Simulator {
             }
             if let Some(segment) = ack_segment {
                 let uid = self.nodes[node.index()].uid.next();
-                if self.log.is_some() {
+                if self.observed() {
                     if let TcpSegmentKind::Ack { ack, mrai, .. } = &segment.kind {
                         self.rec(TraceRecord::TcpAckTx { node, flow, ack: *ack, uid, mrai: *mrai });
                     }
@@ -1080,7 +1102,7 @@ impl Simulator {
             if let TcpSegmentKind::Ack { ack, mrai, .. } = segment.kind {
                 self.rec(TraceRecord::TcpRecvAck { node, flow, ack, uid, mrai });
             }
-            if self.checker.is_some() {
+            if self.legacy.is_some() {
                 let echoed = match &segment.kind {
                     TcpSegmentKind::Ack { ack, .. } => *ack,
                     TcpSegmentKind::Data { .. } => 0,
@@ -1757,7 +1779,7 @@ mod tests {
         assert_eq!(plain.delivered_segments, instrumented.delivered_segments);
         assert_eq!(plain.sender.segments_sent, instrumented.sender.segments_sent);
         assert!(checker.is_clean(), "{:?}", checker.violations());
-        assert!(checker.events_seen() > 100);
+        assert!(checker.records_seen() > 100);
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn scripted_link_break_triggers_rerr_and_recovery() {
     // observed the failure), `aodv-rerr` (the obligation was discharged),
     // and conservation/monotonicity throughout.
     assert!(checker.is_clean(), "invariant violations:\n{:?}", checker.violations());
-    assert!(checker.events_seen() > 1000, "checker must have seen the whole run");
+    assert!(checker.records_seen() > 1000, "checker must have seen the whole run");
 }
 
 /// Twin runs of the same seed + script must be bit-identical, and a

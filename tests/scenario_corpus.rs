@@ -3,17 +3,15 @@
 //! must (a) parse, (b) produce bit-identical twin runs (same seed + script
 //! ⇒ same `trace_hash`), and (c) finish with zero invariant violations.
 //!
-//! A final test feeds the checker an intentionally-buggy event stream to
+//! A final test feeds the checker an intentionally-buggy record stream to
 //! prove the harness *can* fail — a checker that never fires is worthless.
 
 use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
-use tcp_muzha::faultline::{
-    CheckEvent, FaultEvent, InvariantChecker, LedgerSummary, ScenarioScript,
-};
+use tcp_muzha::faultline::{FaultEvent, InvariantChecker, LedgerSummary, ScenarioScript};
 use tcp_muzha::mc::{corpus_duration, corpus_sim};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::sim::{EventQueue, SimDuration, SimTime, TieClass, TieKind, TieOrder, TraceHash};
-use tcp_muzha::tracelog::TraceLog;
+use tcp_muzha::tracelog::{PacketKind, TraceLog, TraceRecord};
 use tcp_muzha::wire::{FlowId, NodeId};
 
 /// The corpus, embedded so the test binary is self-contained and the run
@@ -360,7 +358,7 @@ fn corpus_seeds_matter() {
     assert_ne!(a, b, "changing the seed must change the trace hash");
 }
 
-/// The intentionally-buggy fixture: a fabricated event stream with a
+/// The intentionally-buggy fixture: a fabricated record stream with a
 /// receiver sequence regression, a delivery that was never injected, and a
 /// forward over a route that expired. The checker must flag all three —
 /// proving a clean corpus means something.
@@ -368,59 +366,53 @@ fn corpus_seeds_matter() {
 fn checker_flags_an_intentionally_buggy_stream() {
     let t = SimTime::from_secs_f64;
     let flow = FlowId::new(0);
+    let sent = |uid| TraceRecord::TcpSend {
+        node: NodeId::new(0),
+        flow,
+        seq: uid,
+        uid,
+        bytes: 1500,
+        retransmit: false,
+    };
+    let delivered = |uid, rcv_nxt| TraceRecord::TcpRecvData {
+        node: NodeId::new(4),
+        flow,
+        seq: uid,
+        uid,
+        avbw: None,
+        marked: false,
+        rcv_nxt_after: Some(rcv_nxt),
+    };
     let mut checker = InvariantChecker::new();
-    checker.on_event(t(1.0), &CheckEvent::Injected { node: NodeId::new(0), flow, uid: 1 });
-    checker.on_event(
-        t(1.1),
-        &CheckEvent::Delivered {
-            node: NodeId::new(4),
-            flow,
-            uid: 1,
-            is_data: true,
-            rcv_nxt_after: 10,
-        },
-    );
+    checker.on_record(t(1.0), &sent(1));
+    checker.on_record(t(1.1), &delivered(1, 10));
     // Bug 1: rcv_nxt goes backwards.
-    checker.on_event(t(1.2), &CheckEvent::Injected { node: NodeId::new(0), flow, uid: 2 });
-    checker.on_event(
-        t(1.3),
-        &CheckEvent::Delivered {
-            node: NodeId::new(4),
-            flow,
-            uid: 2,
-            is_data: true,
-            rcv_nxt_after: 5,
-        },
-    );
+    checker.on_record(t(1.2), &sent(2));
+    checker.on_record(t(1.3), &delivered(2, 5));
     // Bug 2: a data packet materialises out of thin air.
-    checker.on_event(
-        t(2.0),
-        &CheckEvent::Delivered {
-            node: NodeId::new(4),
-            flow,
-            uid: 999,
-            is_data: true,
-            rcv_nxt_after: 11,
-        },
-    );
+    checker.on_record(t(2.0), &delivered(999, 11));
     // Bug 3: forwarding data on an expired route.
-    checker.on_event(
+    checker.on_record(
         t(3.0),
-        &CheckEvent::Forwarded {
+        &TraceRecord::RtrForward {
             node: NodeId::new(1),
             next_hop: NodeId::new(2),
+            kind: PacketKind::TcpData,
             uid: 3,
-            is_data: true,
+            flow: Some(flow),
+            bytes: 1500,
+            ttl: 62,
+            origin: false,
             route_valid_until: Some(t(2.5)),
         },
     );
     checker.finish(t(4.0));
     let invariants: Vec<&str> = checker.violations().iter().map(|v| v.invariant).collect();
-    assert!(invariants.contains(&"tcp-monotone"), "missing regression flag: {invariants:?}");
-    assert!(invariants.contains(&"conservation"), "missing conservation flag: {invariants:?}");
-    assert!(invariants.contains(&"aodv-route-fresh"), "missing route flag: {invariants:?}");
-    // Violations carry the recent event trail for diagnosis.
-    assert!(checker.violations().iter().all(|v| !v.trail.is_empty()));
+    assert_eq!(invariants, ["tcp-monotone", "conservation", "aodv-route-fresh"]);
+    // Each carries the records leading up to it, ending on the offender.
+    for (v, offender) in checker.violations().iter().zip(["uid: 2,", "uid: 999,", "uid: 3,"]) {
+        assert!(v.trail.last().is_some_and(|line| line.contains(offender)), "{v}");
+    }
 }
 
 /// `SimDuration` is re-exported through the facade for scenario tooling.
