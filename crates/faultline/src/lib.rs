@@ -11,19 +11,21 @@
 //!   as ordinary sim-time events, so a scripted run is exactly as
 //!   reproducible as a clean one: same seed + same script ⇒ identical
 //!   `trace_hash` on twin runs.
-//! * [`InvariantChecker`] — a cross-layer runtime checker fed a stream of
-//!   [`CheckEvent`]s by the simulator. It asserts, on every event, the
+//! * [`InvariantChecker`] — a cross-layer runtime checker fed the
+//!   simulator's one record stream: the `tracelog::TraceRecord`s a trace log
+//!   stores, every one of them, in order. It asserts, on every record, the
 //!   protocol properties that must hold *regardless* of what the scenario
 //!   does to the network: receiver sequence monotonicity, cwnd/ssthresh
 //!   sanity, AODV route freshness (no forwarding on expired or known-dead
 //!   routes, RERR actually emitted on a scripted break), MAC airtime /
 //!   NAV / contention-window bounds, and packet conservation. Violations
-//!   carry the tail of the event trace for diagnosis.
+//!   carry the tail of the record stream for diagnosis.
 //!
 //! The crate is deliberately independent of `netstack` (which depends on
-//! it): the checker consumes an owned event vocabulary, so it can also be
-//! driven directly by unit tests — including intentionally-buggy streams
-//! proving the checker fails when it should.
+//! it): the checker reads `tracelog`'s plain `Copy` records and nothing of
+//! the simulator, so it can also be driven directly by unit tests —
+//! including intentionally-buggy streams proving the checker fails when it
+//! should.
 //!
 //! On top of the two, [`mc`] turns sampled scenario regression into proof:
 //! a bounded exhaustive explorer that enumerates same-instant tie
@@ -35,7 +37,6 @@
 #![warn(missing_docs)]
 
 mod checker;
-pub mod legacy;
 pub mod mc;
 mod scenario;
 

@@ -2,7 +2,6 @@
 //! does with it: gating events on node liveness, applying each fault, and
 //! the channel-loss draw a bursty-loss episode overrides.
 
-use faultline::legacy::CheckEvent;
 use faultline::{FaultEvent, ScenarioScript, TimedFault};
 use phy::{GeState, GilbertElliott};
 use sim_core::{snap_enum, snap_record, DetSet};
@@ -156,7 +155,6 @@ impl Simulator {
                 Event::MobilityTick { .. } => Some(event),
                 Event::JitteredEnqueue { packet, .. } => {
                     self.rec(TraceRecord::FaultDrop { node, uid: packet.uid });
-                    self.emit(CheckEvent::FaultDrop { node, uid: packet.uid });
                     None
                 }
                 _ => None,
@@ -186,7 +184,6 @@ impl Simulator {
                     self.fault.nodes[node.index()].status = NodeStatus::Paused;
                     self.radio_off(node);
                     self.rec(TraceRecord::FaultNode { node, up: false });
-                    self.emit(CheckEvent::NodeDown { node });
                 }
             }
             FaultEvent::Resume { node } => {
@@ -194,7 +191,6 @@ impl Simulator {
                     self.fault.nodes[node.index()].status = NodeStatus::Up;
                     self.channel.set_node_enabled(node, true);
                     self.rec(TraceRecord::FaultNode { node, up: true });
-                    self.emit(CheckEvent::NodeUp { node });
                     let backlog = std::mem::take(&mut self.fault.nodes[node.index()].deferred);
                     let now = self.now;
                     for deferred in backlog {
@@ -235,21 +231,15 @@ impl Simulator {
         }
     }
 
-    /// Blocks or releases one scripted link, keeping the channel, the
-    /// bookkeeping set and the checker in sync. No-op if the link already
-    /// is in the requested state.
+    /// Blocks or releases one scripted link, keeping the channel and the
+    /// bookkeeping set in sync and putting the transition on record. No-op
+    /// if the link already is in the requested state.
     fn script_link(&mut self, a: NodeId, b: NodeId, up: bool) {
         let key = if a <= b { (a, b) } else { (b, a) };
-        if up {
-            if self.fault.scripted_down.remove(&key) {
-                self.channel.set_link_blocked(a, b, false);
-                self.rec(TraceRecord::FaultLink { a, b, up });
-                self.emit(CheckEvent::ScriptedLinkUp { a, b });
-            }
-        } else if self.fault.scripted_down.insert(key) {
-            self.channel.set_link_blocked(a, b, true);
+        let down = &mut self.fault.scripted_down;
+        if if up { down.remove(&key) } else { down.insert(key) } {
+            self.channel.set_link_blocked(a, b, !up);
             self.rec(TraceRecord::FaultLink { a, b, up });
-            self.emit(CheckEvent::ScriptedLinkDown { a, b });
         }
     }
 
@@ -295,10 +285,8 @@ impl Simulator {
         }
         for uid in orphans {
             self.rec(TraceRecord::FaultDrop { node, uid });
-            self.emit(CheckEvent::FaultDrop { node, uid });
         }
         self.rec(TraceRecord::FaultNode { node, up: false });
-        self.emit(CheckEvent::NodeDown { node });
     }
 
     /// Powers a killed node back up with empty routing state.
@@ -309,7 +297,6 @@ impl Simulator {
         self.fault.nodes[node.index()].status = NodeStatus::Up;
         self.channel.set_node_enabled(node, true);
         self.rec(TraceRecord::FaultNode { node, up: true });
-        self.emit(CheckEvent::NodeUp { node });
         if self.cfg.aodv.hello_interval.is_some() {
             let now = self.now;
             let outs = self.nodes[node.index()].aodv.start_hello(now);
@@ -593,6 +580,34 @@ mod tests {
         assert!(delivered_after(&mut sim, flow, mid_frame + 0.001, 50) >= 50);
         let checker = sim.take_checker().unwrap();
         assert!(checker.is_clean(), "{:?}", checker.violations());
+    }
+
+    /// A relay killed a millisecond after a data frame reached it dies with
+    /// that packet in custody: the log shows the flush — `FaultDrop`s at the
+    /// relay, at the kill instant, then the `FaultNode` transition — and the
+    /// ledger books the data among them as destroyed by the fault.
+    #[test]
+    fn a_kill_with_packets_in_custody_puts_the_flush_on_record() {
+        let relay = NodeId::new(1);
+        let kill = data_frame_toward_the_relay() + 0.0065;
+        let script = ScenarioScript::new("crash").at(kill, FaultEvent::Kill { node: relay });
+        let (mut sim, _) = two_hop_flow();
+        sim.load_scenario(&script);
+        sim.install_checker(InvariantChecker::new());
+        sim.install_trace_log(tracelog::TraceLog::with_filter(
+            tracelog::TraceFilter::all().layer(tracelog::Layer::Fault),
+        ));
+        sim.run_until(secs(4.0));
+        let log = sim.take_trace_log().expect("log was installed").snapshot();
+        let (last, flushed) = log.split_last().expect("the kill is on record");
+        assert_eq!(last.record, TraceRecord::FaultNode { node: relay, up: false });
+        assert!(!flushed.is_empty(), "the relay held nothing at t = {kill}");
+        for e in &log {
+            assert_eq!((e.at, e.record.node()), (secs(kill), relay), "{e:?}");
+        }
+        assert!(flushed.iter().all(|e| matches!(e.record, TraceRecord::FaultDrop { .. })));
+        let ledger = sim.take_checker().unwrap().ledger();
+        assert!((1..=flushed.len() as u64).contains(&ledger.fault_dropped), "{ledger:?}");
     }
 
     /// A radio switched off while a frame's leading edge is still in flight

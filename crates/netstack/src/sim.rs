@@ -3,9 +3,15 @@
 //! state machines' outputs. Per-node state lives in `node.rs`, the event
 //! taxonomy in `event.rs`, scripted faults in `fault.rs`, mobility in
 //! `mobility.rs`.
+//!
+//! What a run shows leaves through one door: every choke point builds a
+//! `tracelog::TraceRecord` — only when [`Simulator::observed`] says someone
+//! is watching — and hands it to [`Simulator::rec`], which writes it to the
+//! installed `TraceLog` (through the log's filter) and then feeds it to the
+//! installed `faultline::InvariantChecker` (unfiltered). There is no second
+//! vocabulary and no site reports an occurrence twice.
 
 use aodv::AodvOutput;
-use faultline::legacy::{self, CheckEvent};
 use faultline::InvariantChecker;
 use mac80211::{MacOutput, MediumView};
 use phy::{Arrival, Channel, Edge, Position, RxOutcome, TxId};
@@ -13,9 +19,7 @@ use sim_core::{DetMap, EventQueue, RunPerf, SimRng, SimTime, TieOrder, TraceHash
 use tcp::{Sender, TcpOutput, TcpReceiver, Transport};
 use topo::MobilitySpec;
 use tracelog::{PacketKind, TraceLog, TraceRecord};
-use wire::{
-    AodvMessage, FlowId, FrameKind, MacFrame, NodeId, Packet, Payload, TcpSegment, TcpSegmentKind,
-};
+use wire::{FlowId, FrameKind, MacFrame, NodeId, Packet, Payload, TcpSegment, TcpSegmentKind};
 
 use crate::event::{Event, Owner};
 use crate::fault::FaultState;
@@ -50,14 +54,13 @@ pub struct Simulator {
     pub(crate) flows: Vec<FlowSpec>,
     pub(crate) movements: DetMap<NodeId, Movement>,
     trace_hash: TraceHash,
-    /// Structured trace log fed from the same choke points as the checker
-    /// and the trace hash. A pure observer: `None` costs one branch per
-    /// choke point and recording never changes simulation behaviour.
+    /// Structured trace log, the first consumer of [`Self::rec`]. A pure
+    /// observer: recording never changes simulation behaviour, and with no
+    /// observer installed a choke point pays one [`Self::observed`] test.
     pub(crate) log: Option<TraceLog>,
-    /// Runtime invariant checker fed from the cross-layer event stream.
+    /// Runtime invariant checker, the second consumer of [`Self::rec`]: fed
+    /// every record, whatever the log's filter keeps.
     checker: Option<InvariantChecker>,
-    /// The `CheckEvent`-fed checker, run beside `checker` for one commit.
-    legacy: Option<legacy::InvariantChecker>,
     /// Tie-order hook for the model-checking explorer: when installed,
     /// same-instant ties inside its window are broken by its decision
     /// vector instead of FIFO. `None` costs one branch per pop.
@@ -98,7 +101,6 @@ impl Simulator {
             trace_hash: TraceHash::new(),
             log: None,
             checker: None,
-            legacy: None,
             tie_order: None,
             perf: RunPerf::default(),
         };
@@ -183,14 +185,8 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // Invariant checking & tie ordering (crates/faultline)
+    // Tie ordering (crates/faultline)
     // ------------------------------------------------------------------
-
-    /// Installs a runtime invariant checker fed from this simulator's
-    /// cross-layer event stream. Replaces any previous checker.
-    pub fn install_checker(&mut self, checker: InvariantChecker) {
-        self.checker = Some(checker);
-    }
 
     /// Installs a tie-order hook: same-instant scheduler ties inside the
     /// hook's window are broken by its decision vector instead of FIFO
@@ -208,7 +204,8 @@ impl Simulator {
     }
 
     // ------------------------------------------------------------------
-    // Structured tracing (crates/tracelog)
+    // Observation: one record stream, two consumers (crates/tracelog,
+    // crates/faultline)
     // ------------------------------------------------------------------
 
     /// Installs a structured trace log fed from the simulator's choke
@@ -229,6 +226,12 @@ impl Simulator {
         self.log.as_ref()
     }
 
+    /// Installs a runtime invariant checker fed every record this simulator
+    /// builds from here on. Replaces any previous checker.
+    pub fn install_checker(&mut self, checker: InvariantChecker) {
+        self.checker = Some(checker);
+    }
+
     /// Whether anyone is watching: a record is worth building only then.
     #[inline]
     pub(crate) fn observed(&self) -> bool {
@@ -236,9 +239,10 @@ impl Simulator {
     }
 
     /// Reports one observation at the current virtual time: to the log
-    /// (through its filter), then to the checker (every record). A violation
-    /// makes a flight-recorder log dump its ring, whose last entry is then
-    /// the record that tripped the invariant.
+    /// (through its filter) first, always, then to the checker (every
+    /// record). A violation makes a flight-recorder log dump its ring, which
+    /// therefore ends on the record that tripped the invariant if the filter
+    /// let it in.
     #[inline]
     pub(crate) fn rec(&mut self, record: TraceRecord) {
         if let Some(log) = &mut self.log {
@@ -252,18 +256,6 @@ impl Simulator {
                 log.dump(self.now, &violation.to_string());
             }
         }
-    }
-
-    /// Differential only: installs the `CheckEvent`-fed checker.
-    pub fn install_legacy_checker(&mut self, checker: legacy::InvariantChecker) {
-        self.legacy = Some(checker);
-    }
-
-    /// Differential only: removes and seals the `CheckEvent`-fed checker.
-    pub fn take_legacy_checker(&mut self) -> Option<legacy::InvariantChecker> {
-        let mut checker = self.legacy.take()?;
-        checker.finish(self.now);
-        Some(checker)
     }
 
     /// Removes the checker, sealing it with [`InvariantChecker::finish`] at
@@ -285,13 +277,6 @@ impl Simulator {
     /// A node's AODV counters (discoveries, RREQ/RREP/RERR sent, drops).
     pub fn aodv_stats(&self, node: NodeId) -> aodv::AodvStats {
         self.nodes[node.index()].aodv.stats()
-    }
-
-    #[inline]
-    pub(crate) fn emit(&mut self, event: CheckEvent) {
-        if let Some(checker) = &mut self.legacy {
-            checker.on_event(self.now, &event);
-        }
     }
 
     /// Pops the next event due at or before `end`, with its `(time, seq)`
@@ -586,9 +571,8 @@ impl Simulator {
                     .is_some_and(|ep| !ep.transport.timer_is_live(id));
                 if stale {
                     self.perf.timers_stale_popped += 1;
+                    return;
                 }
-                // A stale id still goes to the sender, which drops it, so the
-                // checker's cwnd bookkeeping sees every pop.
                 self.drive_sender(node, flow, SenderCall::Timer(id));
             }
             Event::JitteredEnqueue { node, packet, next_hop } => {
@@ -614,17 +598,7 @@ impl Simulator {
                 };
                 if let Some(segment) = ack {
                     let uid = self.nodes[node.index()].uid.next();
-                    if self.observed() {
-                        if let TcpSegmentKind::Ack { ack, mrai, .. } = &segment.kind {
-                            self.rec(TraceRecord::TcpAckTx {
-                                node,
-                                flow,
-                                ack: *ack,
-                                uid,
-                                mrai: *mrai,
-                            });
-                        }
-                    }
+                    self.rec_ack_tx(node, flow, uid, &segment);
                     let packet = ack_packet(uid, node, src, segment);
                     self.route_local(node, packet);
                 }
@@ -690,7 +664,6 @@ impl Simulator {
                 }
                 MacOutput::TxFailed { packet, next_hop } => {
                     let now = self.now;
-                    self.emit(CheckEvent::LinkFailure { node, next_hop });
                     self.rec(TraceRecord::MacRetryDrop { node, next_hop, uid: packet.uid });
                     let outs = self.nodes[node.index()].aodv.on_link_failure(packet, next_hop, now);
                     self.process_aodv_outputs(node, outs);
@@ -711,9 +684,6 @@ impl Simulator {
         for output in outputs {
             match output {
                 AodvOutput::Forward { packet, next_hop } => {
-                    if self.legacy.is_some() {
-                        self.note_forward(node, &packet, next_hop);
-                    }
                     if self.observed() {
                         let kind = PacketKind::of(&packet);
                         let route_valid_until = if kind == PacketKind::TcpData
@@ -765,7 +735,6 @@ impl Simulator {
                             flow: packet.tcp().map(|s| s.flow),
                         });
                     }
-                    self.emit(CheckEvent::RoutingDrop { node, uid });
                 }
                 AodvOutput::RouteChange { dst, next_hop, hop_count, valid } => {
                     self.rec(TraceRecord::RtrRouteChange {
@@ -780,23 +749,6 @@ impl Simulator {
         }
     }
 
-    /// Translates an AODV forward into checker vocabulary: data forwards
-    /// carry the expiry of the route entry backing them, and an outgoing
-    /// route-error message is reported as such.
-    fn note_forward(&mut self, node: NodeId, packet: &Packet, next_hop: NodeId) {
-        if let Payload::Aodv(AodvMessage::Rerr(_)) = &packet.payload {
-            self.emit(CheckEvent::RerrSent { node });
-        }
-        let is_data = packet.tcp().is_some_and(|s| s.is_data());
-        let route_valid_until = if is_data && !next_hop.is_broadcast() {
-            self.nodes[node.index()].aodv.route_valid_until(packet.dst, self.now)
-        } else {
-            None
-        };
-        let uid = packet.uid;
-        self.emit(CheckEvent::Forwarded { node, next_hop, uid, is_data, route_valid_until });
-    }
-
     /// Makes one call into `flow`'s sender at `node` — none if the node has
     /// no such sender — and executes what it asks for.
     ///
@@ -805,7 +757,8 @@ impl Simulator {
     /// own records when the window it leaves differs from the one it found,
     /// and always for [`SenderCall::Open`] (the curve's first point). The
     /// sender keeps no history; a log installed mid-run starts at the next
-    /// move.
+    /// move. These are also the records the checker's `tcp-cwnd-sane` reads:
+    /// a window that did not move was judged when it last did.
     fn drive_sender(&mut self, node: NodeId, flow: FlowId, call: SenderCall<'_>) {
         let now = self.now;
         let Some(ep) = self.nodes[node.index()].senders.get_mut(&flow) else { return };
@@ -819,28 +772,22 @@ impl Simulator {
         for output in outputs {
             match output {
                 TcpOutput::SendSegment(segment) => {
-                    let is_data = segment.is_data();
                     let uid = self.nodes[node.index()].uid.next();
-                    if self.observed() {
-                        let record = match &segment.kind {
-                            TcpSegmentKind::Data { seq, retransmit, .. } => TraceRecord::TcpSend {
+                    match segment.kind {
+                        TcpSegmentKind::Data { seq, retransmit, .. } => {
+                            let bytes = segment.size_bytes();
+                            self.rec(TraceRecord::TcpSend {
                                 node,
                                 flow,
-                                seq: *seq,
+                                seq,
                                 uid,
-                                bytes: segment.size_bytes(),
-                                retransmit: *retransmit,
-                            },
-                            TcpSegmentKind::Ack { ack, mrai, .. } => {
-                                TraceRecord::TcpAckTx { node, flow, ack: *ack, uid, mrai: *mrai }
-                            }
-                        };
-                        self.rec(record);
+                                bytes,
+                                retransmit,
+                            });
+                        }
+                        TcpSegmentKind::Ack { .. } => self.rec_ack_tx(node, flow, uid, &segment),
                     }
                     let packet = Packet::new(uid, node, dst, Payload::Tcp(segment));
-                    if is_data {
-                        self.emit(CheckEvent::Injected { node, flow, uid });
-                    }
                     self.route_local(node, packet);
                 }
                 TcpOutput::SetTimer { id, at } => {
@@ -848,15 +795,21 @@ impl Simulator {
                 }
             }
         }
-        if !self.observed() && self.legacy.is_none() {
+        if !self.observed() {
             return;
         }
         let tx = &self.nodes[node.index()].senders[&flow].transport;
-        let (variant, cwnd, ssthresh) = (tx.name(), tx.cwnd(), tx.ssthresh());
-        let (srtt, rto, phase) = (tx.srtt(), tx.rto(), tx.phase());
-        self.emit(CheckEvent::CwndUpdate { node, flow, variant, cwnd, ssthresh });
+        let cwnd = tx.cwnd();
         if opening || cwnd != before {
+            let (ssthresh, srtt, rto, phase) = (tx.ssthresh(), tx.srtt(), tx.rto(), tx.phase());
             self.rec(TraceRecord::TcpCwnd { node, flow, cwnd, ssthresh, srtt, rto, phase });
+        }
+    }
+
+    /// Puts an ACK leaving `node` on record.
+    fn rec_ack_tx(&mut self, node: NodeId, flow: FlowId, uid: u64, segment: &TcpSegment) {
+        if let TcpSegmentKind::Ack { ack, mrai, .. } = segment.kind {
+            self.rec(TraceRecord::TcpAckTx { node, flow, ack, uid, mrai });
         }
     }
 
@@ -876,7 +829,6 @@ impl Simulator {
             // the checker accounts it as a fault drop, not congestion.
             let uid = packet.uid;
             self.rec(TraceRecord::FaultDrop { node, uid });
-            self.emit(CheckEvent::FaultDrop { node, uid });
             return;
         }
         if let Some(cap) = self.fault.saturate_cap(node) {
@@ -885,7 +837,6 @@ impl Simulator {
                 let flow = packet.tcp().map(|s| s.flow);
                 self.nodes[node.index()].router.drai_mut().note_congestion_drop(now);
                 self.rec(TraceRecord::IfqDrop { node, uid, flow, early: false });
-                self.emit(CheckEvent::QueueDrop { node, uid });
                 self.try_feed_mac(node);
                 return;
             }
@@ -931,7 +882,6 @@ impl Simulator {
                 let uid = shed.uid;
                 let flow = shed.tcp().map(|s| s.flow);
                 self.rec(TraceRecord::IfqDrop { node, uid, flow, early });
-                self.emit(CheckEvent::QueueDrop { node, uid });
             }
         }
         self.try_feed_mac(node);
@@ -984,11 +934,6 @@ impl Simulator {
                 cw: mac.current_cw(),
                 nav_ahead: mac.nav_ahead(now),
             });
-        }
-        if self.legacy.is_some() {
-            let cw = self.nodes[sender.index()].mac.current_cw();
-            let nav_ahead = self.nodes[sender.index()].mac.nav_ahead(now);
-            self.emit(CheckEvent::FrameSent { node: sender, airtime, cw, nav_ahead });
         }
         let end = now + airtime;
         self.nodes[sender.index()].phy.begin_transmit(now, end);
@@ -1060,62 +1005,44 @@ impl Simulator {
         let uid = packet.uid;
         let Some(segment) = packet.tcp() else { return };
         let flow = segment.flow;
-        if let TcpSegmentKind::Data { seq, avbw, marked, .. } = segment.kind {
-            // The endpoint first: a node holds receivers only for flows the
-            // table has, and a segment may name any flow at all.
-            let n = &mut self.nodes[node.index()];
-            let outcome = n.receivers.get_mut(&flow).map(|ep| {
-                let (ack_segment, timer) = if self.flows[flow.index()].delayed_ack {
-                    let out = ep.receiver.on_data_segment_delack(segment, now);
-                    (out.ack, out.set_timer)
-                } else {
-                    (Some(ep.receiver.on_data_segment(segment, now)), None)
-                };
-                (ack_segment, timer, ep.receiver.rcv_nxt())
-            });
-            let rcv_nxt_after = outcome.as_ref().map(|&(_, _, rcv_nxt)| rcv_nxt);
-            self.rec(TraceRecord::TcpRecvData {
-                node,
-                flow,
-                seq,
-                uid,
-                avbw,
-                marked,
-                rcv_nxt_after,
-            });
-            let Some((ack_segment, timer, rcv_nxt_after)) = outcome else { return };
-            self.emit(CheckEvent::Delivered { node, flow, uid, is_data: true, rcv_nxt_after });
-            if let Some((id, at)) = timer {
-                self.schedule(at, Event::DelAckTimer { node, flow, id });
-            }
-            if let Some(segment) = ack_segment {
-                let uid = self.nodes[node.index()].uid.next();
-                if self.observed() {
-                    if let TcpSegmentKind::Ack { ack, mrai, .. } = &segment.kind {
-                        self.rec(TraceRecord::TcpAckTx { node, flow, ack: *ack, uid, mrai: *mrai });
-                    }
-                }
-                let ack = ack_packet(uid, node, packet.src, segment);
-                self.route_local(node, ack);
-            }
-        } else {
-            if let TcpSegmentKind::Ack { ack, mrai, .. } = segment.kind {
-                self.rec(TraceRecord::TcpRecvAck { node, flow, ack, uid, mrai });
-            }
-            if self.legacy.is_some() {
-                let echoed = match &segment.kind {
-                    TcpSegmentKind::Ack { ack, .. } => *ack,
-                    TcpSegmentKind::Data { .. } => 0,
-                };
-                self.emit(CheckEvent::Delivered {
+        match segment.kind {
+            TcpSegmentKind::Data { seq, avbw, marked, .. } => {
+                // The endpoint first: a node holds receivers only for flows
+                // the table has, and a segment may name any flow at all.
+                let absorbed = self.nodes[node.index()].receivers.get_mut(&flow).map(|ep| {
+                    let (ack, timer) = if self.flows[flow.index()].delayed_ack {
+                        let out = ep.receiver.on_data_segment_delack(segment, now);
+                        (out.ack, out.set_timer)
+                    } else {
+                        (Some(ep.receiver.on_data_segment(segment, now)), None)
+                    };
+                    (ack, timer, ep.receiver.rcv_nxt())
+                });
+                let rcv_nxt_after = absorbed.as_ref().map(|&(.., rcv_nxt)| rcv_nxt);
+                self.rec(TraceRecord::TcpRecvData {
                     node,
                     flow,
+                    seq,
                     uid,
-                    is_data: false,
-                    rcv_nxt_after: echoed,
+                    avbw,
+                    marked,
+                    rcv_nxt_after,
                 });
+                let Some((ack, timer, _)) = absorbed else { return };
+                if let Some((id, at)) = timer {
+                    self.schedule(at, Event::DelAckTimer { node, flow, id });
+                }
+                if let Some(segment) = ack {
+                    let uid = self.nodes[node.index()].uid.next();
+                    self.rec_ack_tx(node, flow, uid, &segment);
+                    let ack = ack_packet(uid, node, packet.src, segment);
+                    self.route_local(node, ack);
+                }
             }
-            self.drive_sender(node, flow, SenderCall::Ack(segment));
+            TcpSegmentKind::Ack { ack, mrai, .. } => {
+                self.rec(TraceRecord::TcpRecvAck { node, flow, ack, uid, mrai });
+                self.drive_sender(node, flow, SenderCall::Ack(segment));
+            }
         }
     }
 }
@@ -1339,7 +1266,7 @@ mod tests {
     /// Hands `node`'s idle MAC a broadcast: with nothing to defer to, its
     /// attempt timer is queued for exactly one DIFS from now.
     fn start_a_broadcast(sim: &mut Simulator, node: NodeId) {
-        let hello = Payload::Aodv(AodvMessage::Hello(wire::Hello { seq: 1 }));
+        let hello = Payload::Aodv(wire::AodvMessage::Hello(wire::Hello { seq: 1 }));
         let packet = Packet::new(1, node, NodeId::BROADCAST, hello);
         sim.enqueue_ifq(node, packet, NodeId::BROADCAST);
     }
@@ -1912,31 +1839,40 @@ mod tracelog_tests {
         assert_eq!(from_log, moves);
     }
 
+    /// `rec` writes the log before it feeds the checker, whatever the
+    /// record: a dump ends on the record that tripped the invariant. (The
+    /// forward is where a checker told first used to leave it out.)
     #[test]
-    fn flight_recorder_dumps_exactly_the_last_n_on_violation() {
-        // An absurdly tight cwnd limit guarantees a violation as soon as
-        // the window grows past two segments.
-        let limits = faultline::CheckerLimits {
-            max_cwnd_segments: 2.0,
-            ..faultline::CheckerLimits::default()
-        };
+    fn a_dump_ends_on_the_record_that_tripped_the_invariant() {
         let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
-        let (src, dst) = topology::chain_flow(2);
-        let _ = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-        sim.install_checker(InvariantChecker::with_limits(limits));
-        sim.install_trace_log(TraceLog::flight_recorder(16));
-        sim.run_until(secs(3.0));
+        sim.install_checker(InvariantChecker::new());
+        sim.install_trace_log(TraceLog::flight_recorder(2));
+        let (node, flow) = (NodeId::new(1), FlowId::new(0));
+        let quiet = TraceRecord::MacBackoff { node, slots: 3, cw: 31 };
+        let sent =
+            TraceRecord::TcpSend { node, flow, seq: 0, uid: 7, bytes: 1500, retransmit: false };
+        let routeless = TraceRecord::RtrForward {
+            node,
+            next_hop: NodeId::new(2),
+            kind: PacketKind::TcpData,
+            uid: 7,
+            flow: Some(flow),
+            bytes: 1500,
+            ttl: 62,
+            origin: false,
+            route_valid_until: None,
+        };
+        for record in [quiet, sent, routeless, quiet, sent] {
+            sim.rec(record);
+        }
         let checker = sim.take_checker().expect("checker installed");
-        assert!(!checker.is_clean(), "the tight limit must trip");
+        let tripped: Vec<&str> = checker.violations().iter().map(|v| v.invariant).collect();
+        assert_eq!(tripped, ["aodv-route-fresh", "conservation"]);
         let log = sim.take_trace_log().expect("log installed");
-        let dumps = log.dumps();
-        assert!(!dumps.is_empty(), "violation must trigger a dump");
-        let first = &dumps[0];
-        assert!(first.entries.len() <= 16, "dump window bounded by capacity");
-        assert!(!first.reason.is_empty(), "dump carries the violation text");
-        // The dumped window is exactly the ring content at dump time: the
-        // last ≤16 records seen before the violation.
-        assert!(!first.entries.is_empty());
+        let dumped: Vec<Vec<TraceRecord>> =
+            log.dumps().iter().map(|d| d.entries.iter().map(|e| e.record).collect()).collect();
+        assert_eq!(dumped, [[sent, routeless], [quiet, sent]]);
+        assert_eq!(log.dumps()[0].reason, checker.violations()[0].to_string());
     }
 
     #[test]

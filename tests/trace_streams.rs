@@ -233,34 +233,79 @@ fn pcap_mirrors(entries: &[TraceEntry]) {
     }
 }
 
+/// A short NewReno transfer on the 2-hop chain under a checker with
+/// `limits` beside `log`: the log, and the sealed checker.
+fn run_checked(limits: CheckerLimits, log: TraceLog) -> (TraceLog, InvariantChecker) {
+    let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
+    let (src, dst) = topology::chain_flow(2);
+    sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
+    sim.install_checker(InvariantChecker::with_limits(limits));
+    sim.install_trace_log(log);
+    sim.run_until(SimTime::from_secs_f64(3.0));
+    let log = sim.take_trace_log().expect("log was installed");
+    (log, sim.take_checker().expect("checker was installed"))
+}
+
+/// An absurdly low cwnd ceiling guarantees a violation early in any normal
+/// transfer.
+fn tight_window() -> CheckerLimits {
+    CheckerLimits { max_cwnd_segments: 2.0, ..CheckerLimits::default() }
+}
+
 #[test]
 fn flight_recorder_dump_is_the_tail_of_the_full_stream() {
     const CAP: usize = 24;
-    // An absurdly low cwnd ceiling guarantees a violation early in any
-    // normal transfer.
-    let limits = CheckerLimits { max_cwnd_segments: 2.0, ..CheckerLimits::default() };
-    let run = |log: TraceLog| {
+    let (full, _) = run_checked(tight_window(), TraceLog::new());
+    let (recorder, checker) = run_checked(tight_window(), TraceLog::flight_recorder(CAP));
+
+    let dumps = recorder.dumps();
+    assert_eq!(dumps.len(), checker.violations().len(), "one dump per violation");
+    let dump = &dumps[0];
+    assert_eq!(dump.entries.len(), CAP, "the dump must hold exactly the ring");
+    assert_eq!(dump.reason, checker.violations()[0].to_string());
+
+    // The log is written before the checker is fed, at every choke point:
+    // the dump ends on the very record that tripped the invariant — the
+    // first window above the ceiling.
+    let full = full.snapshot();
+    let offender = full
+        .iter()
+        .position(|e| matches!(e.record, TraceRecord::TcpCwnd { cwnd, .. } if cwnd > 2.0))
+        .expect("the window opens past two segments");
+    assert_eq!(dump.at, full[offender].at);
+    assert_eq!(dump.entries.last(), Some(&full[offender]));
+    // Both runs are deterministic twins, so the dump is the contiguous
+    // window of the full stream ending there.
+    assert_eq!(dump.entries, full[offender + 1 - CAP..=offender]);
+}
+
+/// A filter in front of the log must not starve the checker: beside a log
+/// that keeps one layer, or one node, or nothing at all, the checker reaches
+/// the verdict it reaches alone.
+#[test]
+fn a_filtered_log_beside_a_checker_leaves_its_verdict_alone() {
+    let verdict = |c: &InvariantChecker| {
+        let list: Vec<_> =
+            c.violations().iter().map(|v| (v.at, v.invariant, v.detail.clone())).collect();
+        (c.ledger(), c.records_seen(), list)
+    };
+    let alone = {
         let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
         let (src, dst) = topology::chain_flow(2);
         sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-        sim.install_checker(InvariantChecker::with_limits(limits));
-        sim.install_trace_log(log);
+        sim.install_checker(InvariantChecker::with_limits(tight_window()));
         sim.run_until(SimTime::from_secs_f64(3.0));
-        sim.take_trace_log().expect("log was installed")
+        verdict(&sim.take_checker().expect("checker was installed"))
     };
-    let full = run(TraceLog::new());
-    let recorder = run(TraceLog::flight_recorder(CAP));
-
-    let dumps = recorder.dumps();
-    assert!(!dumps.is_empty(), "the injected violation must trigger a dump");
-    let dump = &dumps[0];
-    assert_eq!(dump.entries.len(), CAP, "the dump must hold exactly the ring");
-    assert!(!dump.reason.is_empty(), "the dump must carry the violation text");
-
-    // Both runs are deterministic twins, so the dump must be a contiguous
-    // window of the full stream ending at the violation point.
-    let full_lines: Vec<String> = full.iter().map(ns2::line).collect();
-    let dump_lines: Vec<String> = dump.entries.iter().map(ns2::line).collect();
-    let found = full_lines.windows(CAP).any(|w| w == dump_lines.as_slice());
-    assert!(found, "dump is not a contiguous window of the full trace stream");
+    assert!(alone.0.delivered > 0 && !alone.2.is_empty());
+    for filter in [
+        TraceFilter::all(),
+        TraceFilter::all().layer(Layer::Phy),
+        TraceFilter::all().node(NodeId::new(1)),
+        TraceFilter::all().layers(&[]),
+    ] {
+        let (log, checker) = run_checked(tight_window(), TraceLog::with_filter(filter.clone()));
+        assert_eq!(verdict(&checker), alone, "beside a log filtered by {filter:?}");
+        assert_eq!(log.seen(), checker.records_seen(), "both were offered every record");
+    }
 }
