@@ -14,6 +14,10 @@
 //! specs: `static`, `waypoint` (1–20 m/s, no pause), `waypoint:1-20@30`
 //! (30 s pause). Defaults: `random-disc:40`, `waypoint`, one Muzha flow,
 //! 30 virtual seconds.
+//!
+//! Exit status 0 on a clean verdict; an invariant violation (or a ledger
+//! that does not balance) prints one `VIOLATION: …` line each and exits 2,
+//! as `mc` does on a counter-example.
 
 use faultline::InvariantChecker;
 use harness::cli::{self, parse_flag_with, CliError};
@@ -80,20 +84,33 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "ledger: injected {} = delivered {} + dropped {} + fault {} + in-flight {}",
         ledger.injected, ledger.delivered, ledger.dropped, ledger.fault_dropped, ledger.in_flight,
     );
-    assert_eq!(
-        ledger.injected,
-        ledger.delivered + ledger.dropped + ledger.fault_dropped + ledger.in_flight,
-        "conservation ledger out of balance"
-    );
-    if checker.violations().is_empty() {
-        println!("invariants: clean ({} events checked)", checker.records_seen());
-    } else {
-        for v in checker.violations() {
-            println!("VIOLATION: {v}");
-        }
-        panic!("{} invariant violation(s)", checker.violations().len());
+    let (lines, status) = verdict(&checker);
+    for line in lines {
+        println!("{line}");
+    }
+    if status != 0 {
+        std::process::exit(status);
     }
     Ok(())
+}
+
+/// What a sealed checker's findings print as, and the exit status they earn:
+/// 0 for a balanced ledger and no violation, otherwise one `VIOLATION: …`
+/// line each and 2, as `mc` exits on a counter-example.
+fn verdict(checker: &InvariantChecker) -> (Vec<String>, i32) {
+    let ledger = checker.ledger();
+    let mut lines = Vec::new();
+    if ledger.injected
+        != ledger.delivered + ledger.dropped + ledger.fault_dropped + ledger.in_flight
+    {
+        lines.push(format!("VIOLATION: conservation ledger out of balance: {ledger:?}"));
+    }
+    lines.extend(checker.violations().iter().map(|v| format!("VIOLATION: {v}")));
+    if lines.is_empty() {
+        (vec![format!("invariants: clean ({} records checked)", checker.records_seen())], 0)
+    } else {
+        (lines, 2)
+    }
 }
 
 /// Adds `flows` flows: the first between the most-separated pair, the rest
@@ -112,5 +129,32 @@ fn add_spread_flows(sim: &mut Simulator, variant: TcpVariant, flows: usize) {
             b = (b + 1) % n;
         }
         sim.add_flow(FlowSpec::new(NodeId::new(a as u16), NodeId::new(b as u16), variant));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tracelog::TraceRecord;
+    use wire::FlowId;
+
+    #[test]
+    fn a_violation_is_printed_and_exits_2_and_a_clean_run_exits_0() {
+        let at = SimTime::from_secs_f64(1.0);
+        let (node, flow) = (NodeId::new(0), FlowId::new(0));
+        let sent =
+            TraceRecord::TcpSend { node, flow, seq: 0, uid: 1, bytes: 1500, retransmit: false };
+        let mut clean = InvariantChecker::new();
+        clean.on_record(at, &sent);
+        clean.finish(at);
+        assert_eq!(verdict(&clean), (vec!["invariants: clean (1 records checked)".to_string()], 0));
+
+        // The same uid born twice: a fabricated `conservation` violation.
+        let mut dirty = clean.clone();
+        dirty.on_record(at, &sent);
+        let (lines, status) = verdict(&dirty);
+        assert_eq!(status, 2);
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].starts_with("VIOLATION: [conservation] t=1.000000s uid 0x1"), "{lines:?}");
     }
 }

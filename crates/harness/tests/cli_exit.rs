@@ -92,6 +92,19 @@ fn one_node_topology_is_a_bad_value_not_a_panic() {
     }
 }
 
+/// `topo` maps its checker's verdict to its exit status (`verdict` in the
+/// binary, unit-tested there on a fabricated violation): a clean run says how
+/// many records were checked and exits 0.
+#[test]
+fn topo_exits_0_on_a_clean_verdict() {
+    let args = ["--topology", "chain:2", "--mobility", "static", "--secs", "1"];
+    let out = Command::new(env!("CARGO_BIN_EXE_topo")).args(args).output().expect("spawn topo");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("invariants: clean (") && stdout.contains(" records checked)"));
+    assert!(!stdout.contains("VIOLATION"), "{stdout}");
+}
+
 /// Values the parsers used to accept and a later layer panicked on (exit
 /// 101 after the banner): a degenerate or unaddressable topology, and a
 /// time past `SimTime`'s `u64` nanoseconds.
