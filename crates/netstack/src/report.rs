@@ -78,7 +78,11 @@ pub struct NodeSummary {
     pub routing_drops: u64,
     /// Route discoveries originated by this node.
     pub discoveries: u64,
-    /// MAC-level collisions observed at this node.
+    /// Signal ends at this node that did not decode
+    /// (`mac80211::MacStats::rx_collisions`): collided or channel-corrupted
+    /// receptions plus every carrier-sense-only signal end, which is most of
+    /// them in a dense field. The per-cause losses are the `PhyCollision` /
+    /// `PhyLoss` trace records.
     pub collisions: u64,
 }
 

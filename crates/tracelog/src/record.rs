@@ -34,14 +34,7 @@ impl Layer {
 
     /// Bit used in [`crate::TraceFilter`]'s layer mask.
     pub(crate) fn bit(self) -> u8 {
-        match self {
-            Layer::Phy => 1 << 0,
-            Layer::Mac => 1 << 1,
-            Layer::Rtr => 1 << 2,
-            Layer::Ifq => 1 << 3,
-            Layer::Agt => 1 << 4,
-            Layer::Fault => 1 << 5,
-        }
+        1 << self.code()
     }
 
     /// Numeric code carried in the pcap pseudo-header.
