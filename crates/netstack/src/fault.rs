@@ -237,7 +237,8 @@ impl Simulator {
     fn script_link(&mut self, a: NodeId, b: NodeId, up: bool) {
         let key = if a <= b { (a, b) } else { (b, a) };
         let down = &mut self.fault.scripted_down;
-        if if up { down.remove(&key) } else { down.insert(key) } {
+        let changed = if up { down.remove(&key) } else { down.insert(key) };
+        if changed {
             self.channel.set_link_blocked(a, b, !up);
             self.rec(TraceRecord::FaultLink { a, b, up });
         }

@@ -1840,8 +1840,7 @@ mod tracelog_tests {
     }
 
     /// `rec` writes the log before it feeds the checker, whatever the
-    /// record: a dump ends on the record that tripped the invariant. (The
-    /// forward is where a checker told first used to leave it out.)
+    /// record: a dump ends on the record that tripped the invariant.
     #[test]
     fn a_dump_ends_on_the_record_that_tripped_the_invariant() {
         let mut sim = Simulator::new(topology::chain(2), SimConfig::default());

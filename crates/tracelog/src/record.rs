@@ -77,7 +77,7 @@ impl Layer {
             "rtr" | "aodv" | "rtg" => Some(Layer::Rtr),
             "ifq" | "queue" => Some(Layer::Ifq),
             "agt" | "tcp" => Some(Layer::Agt),
-            "fault" | "flt" => Some(Layer::Fault),
+            "fault" => Some(Layer::Fault),
             _ => None,
         }
     }

@@ -234,16 +234,20 @@ fn pcap_mirrors(entries: &[TraceEntry]) {
 }
 
 /// A short NewReno transfer on the 2-hop chain under a checker with
-/// `limits` beside `log`: the log, and the sealed checker.
-fn run_checked(limits: CheckerLimits, log: TraceLog) -> (TraceLog, InvariantChecker) {
+/// `limits`, beside `log` if there is one: the log, and the sealed checker.
+fn run_checked(
+    limits: CheckerLimits,
+    log: Option<TraceLog>,
+) -> (Option<TraceLog>, InvariantChecker) {
     let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
     let (src, dst) = topology::chain_flow(2);
     sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
     sim.install_checker(InvariantChecker::with_limits(limits));
-    sim.install_trace_log(log);
+    if let Some(log) = log {
+        sim.install_trace_log(log);
+    }
     sim.run_until(SimTime::from_secs_f64(3.0));
-    let log = sim.take_trace_log().expect("log was installed");
-    (log, sim.take_checker().expect("checker was installed"))
+    (sim.take_trace_log(), sim.take_checker().expect("checker was installed"))
 }
 
 /// An absurdly low cwnd ceiling guarantees a violation early in any normal
@@ -255,8 +259,9 @@ fn tight_window() -> CheckerLimits {
 #[test]
 fn flight_recorder_dump_is_the_tail_of_the_full_stream() {
     const CAP: usize = 24;
-    let (full, _) = run_checked(tight_window(), TraceLog::new());
-    let (recorder, checker) = run_checked(tight_window(), TraceLog::flight_recorder(CAP));
+    let (full, _) = run_checked(tight_window(), Some(TraceLog::new()));
+    let (recorder, checker) = run_checked(tight_window(), Some(TraceLog::flight_recorder(CAP)));
+    let (full, recorder) = (full.expect("installed"), recorder.expect("installed"));
 
     let dumps = recorder.dumps();
     assert_eq!(dumps.len(), checker.violations().len(), "one dump per violation");
@@ -289,14 +294,7 @@ fn a_filtered_log_beside_a_checker_leaves_its_verdict_alone() {
             c.violations().iter().map(|v| (v.at, v.invariant, v.detail.clone())).collect();
         (c.ledger(), c.records_seen(), list)
     };
-    let alone = {
-        let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
-        let (src, dst) = topology::chain_flow(2);
-        sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-        sim.install_checker(InvariantChecker::with_limits(tight_window()));
-        sim.run_until(SimTime::from_secs_f64(3.0));
-        verdict(&sim.take_checker().expect("checker was installed"))
-    };
+    let alone = verdict(&run_checked(tight_window(), None).1);
     assert!(alone.0.delivered > 0 && !alone.2.is_empty());
     for filter in [
         TraceFilter::all(),
@@ -304,8 +302,10 @@ fn a_filtered_log_beside_a_checker_leaves_its_verdict_alone() {
         TraceFilter::all().node(NodeId::new(1)),
         TraceFilter::all().layers(&[]),
     ] {
-        let (log, checker) = run_checked(tight_window(), TraceLog::with_filter(filter.clone()));
+        let log = TraceLog::with_filter(filter.clone());
+        let (log, checker) = run_checked(tight_window(), Some(log));
         assert_eq!(verdict(&checker), alone, "beside a log filtered by {filter:?}");
-        assert_eq!(log.seen(), checker.records_seen(), "both were offered every record");
+        let seen = log.expect("log was installed").seen();
+        assert_eq!(seen, checker.records_seen(), "both were offered every record");
     }
 }
