@@ -24,7 +24,8 @@
 //! handed is pending (two decodes are at least a PLCP apart on any PHY, and
 //! SIFS is shorter — the one pair the MAC's handlers do not define by
 //! input alone). What is *not* honoured: signals need not start before they
-//! end, NAV fields are arbitrary, peers answer or stay silent by dice.
+//! end, NAV fields are arbitrary, peers answer or stay silent by dice, and
+//! power is cut (`abort`) inside SIFS gaps far more often than chance would.
 
 use tcp_muzha::mac::{Mac, MacOutput, MacOutputs, MacParams, MacStats, MediumView, TimerId};
 use tcp_muzha::sim::{SimDuration, SimRng, SimTime, SnapshotReader, SnapshotWriter, TraceHash};
@@ -209,6 +210,7 @@ struct Coverage {
     nav_resets_after_our_cts: u64,
     aborts_with_custody: u64,
     aborts_with_two_live_timers: u64,
+    aborts_owing_an_answer_in_a_timeout: u64,
     abort_phases: std::collections::BTreeSet<String>,
     live_timers: u64,
     stale_timers: u64,
@@ -425,7 +427,12 @@ impl Script {
     /// One step: whatever is due first — a queued event of the script's own
     /// or the outside world's next input.
     fn step(&mut self, era: &Era) {
-        let gap = if self.rng.below(8) == 0 { 8 } else { era.gap_us };
+        // A power cut while an answer is owed *and* a timeout is running is
+        // where `abort`'s cancel order shows: the outside world is drawn
+        // into those SIFS gaps more often than into others.
+        let owing = !self.mac.is_idle() && self.sifs.iter().any(|&t| self.mac.timer_is_live(t));
+        let burst = self.rng.below(if owing { 2 } else { 8 }) == 0;
+        let gap = if burst { 8 } else { era.gap_us };
         let outside_at = self.now + SimDuration::from_micros(1 + u64::from(self.rng.below(gap)));
         // Timers that died in the queue are dropped unfired, as the driver's
         // dispatch does.
@@ -551,6 +558,7 @@ impl Script {
                         hit
                     })
                     .unwrap_or(3);
+                let kind = if owing && self.rng.below(4) == 0 { 6 } else { kind };
                 match kind {
                     0 if self.carrier < 2 => {
                         self.carrier += 1;
@@ -594,6 +602,9 @@ impl Script {
                             self.handed.iter().filter(|t| self.mac.timer_is_live(t.id)).count();
                         if live >= 2 {
                             self.cov.aborts_with_two_live_timers += 1;
+                        }
+                        if before.1.starts_with("Pending") && before.0.starts_with("Wait") {
+                            self.cov.aborts_owing_an_answer_in_a_timeout += 1;
                         }
                         self.cov.abort_phases.insert(before.0.clone());
                         let returned = self.mac.abort();
@@ -743,7 +754,7 @@ fn mac_transcripts_cover_the_chart() {
             assert!(RESPONDERS.contains(&name.as_str()), "unknown responder state {name:?}");
         }
     }
-    let counted: [(&str, u64, u64); 17] = [
+    let counted: [(&str, u64, u64); 18] = [
         ("TxFailed by CTS timeouts", sum(|c| c.failed_by_cts_timeouts), 5),
         ("TxFailed by ACK timeouts", sum(|c| c.failed_by_ack_timeouts), 5),
         ("countdowns frozen by a carrier", sum(|c| c.freezes), 20),
@@ -753,6 +764,11 @@ fn mac_transcripts_cover_the_chart() {
         ("NAV resets after our own CTS", sum(|c| c.nav_resets_after_our_cts), 5),
         ("aborts with a packet in custody", sum(|c| c.aborts_with_custody), 10),
         ("aborts with two or more live timers", sum(|c| c.aborts_with_two_live_timers), 5),
+        (
+            "aborts with an answer pending and a CTS / ACK timeout running",
+            sum(|c| c.aborts_owing_an_answer_in_a_timeout),
+            5,
+        ),
         ("live timers fired", sum(|c| c.live_timers), 1_000),
         ("stale timers fired", sum(|c| c.stale_timers), 100),
         ("DATA not redelivered", sum(|c| c.duplicates_not_redelivered), 10),
