@@ -1,5 +1,9 @@
 //! The DCF medium-access state machine.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
+use std::mem;
+
 use sim_core::{SimDuration, SimRng, SimTime, SmallVec, TimerHandle, TimerSlab};
 use wire::{FrameBody, FrameKind, MacFrame, NodeId, Packet, SharedPacket};
 
@@ -120,6 +124,7 @@ pub struct MacStats {
     pub rx_collisions: u64,
 }
 
+/// The packet in custody and how often it has been tried.
 #[derive(Clone, Debug)]
 struct Outgoing {
     /// Shared so each retry's DATA frame is an `Rc` clone, not a deep copy.
@@ -129,33 +134,70 @@ struct Outgoing {
     long_retries: u32,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The transmit side of the DCF: where the packet in custody stands. Each
+/// state owns what it needs — the packet, the countdown, the one timer it
+/// waits on — so a state without its data cannot be built. [`Mac::step`] is
+/// the chart (DESIGN §3.2).
+#[derive(Debug, Default)]
 enum Phase {
     /// No packet under transmission.
+    #[default]
     NoPacket,
     /// Have a packet; waiting for the medium to go idle. `carried_slots` is
     /// the frozen remainder of an interrupted backoff countdown.
-    Defer,
-    /// Countdown armed: timer fires at IFS + slots × slot after `started`.
-    Count,
+    Defer { pkt: Outgoing, carried_slots: Option<u32> },
+    /// Countdown armed: `timer` fires at IFS + slots × slot after `started`.
+    Count { pkt: Outgoing, countdown: Countdown, timer: TimerId },
     /// Our RTS is on the air.
-    TxRts,
+    TxRts { pkt: Outgoing },
+    /// RTS sent; `timer` is the CTS timeout.
+    WaitCts { pkt: Outgoing, timer: TimerId },
+    /// CTS in hand; `timer` releases our DATA one SIFS after it.
+    SifsData { pkt: Outgoing, timer: TimerId },
     /// Our DATA is on the air.
-    TxData,
-    /// RTS sent; waiting for CTS.
-    WaitCts,
-    /// DATA sent; waiting for MAC ACK.
-    WaitAck,
+    TxData { pkt: Outgoing },
+    /// DATA sent; `timer` is the ACK timeout.
+    WaitAck { pkt: Outgoing, timer: TimerId },
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ResponseKind {
+/// What can happen to the packet in custody, besides a carrier freezing its
+/// countdown ([`Mac::freeze_countdown`]) and [`Mac::abort`].
+#[derive(Clone, Copy, Debug)]
+enum Input {
+    /// The medium may have gone idle.
+    Resume,
+    /// A CTS for us was decoded.
+    Cts,
+    /// A MAC ACK for us was decoded.
+    Ack,
+    /// Our RTS or DATA left the air.
+    TxDone,
+    /// A live timer fired that is neither the NAV's nor the responder's.
+    Timer(TimerId),
+}
+
+/// A SIFS-timed answer owed to a peer.
+#[derive(Clone, Copy, Debug)]
+enum Response {
     /// CTS answering an RTS from `peer`; NAV field copied from the RTS.
     Cts { peer: NodeId, nav_until: SimTime },
     /// MAC ACK answering a DATA from `peer`.
     Ack { peer: NodeId },
-    /// Our own DATA, released SIFS after receiving CTS.
-    AttemptData,
+}
+
+/// The receive side's answers, beside the transmit side and independent of
+/// whose packet that holds. What of ours is on the air is read off the two
+/// ([`Mac::on_air`]) and stored nowhere.
+#[derive(Clone, Copy, Debug, Default)]
+enum Responder {
+    #[default]
+    Idle,
+    /// `timer` puts `kind` on the air one SIFS after the frame it answers.
+    Pending { kind: Response, timer: TimerId },
+    /// Our CTS is on the air.
+    SendingCts,
+    /// Our MAC ACK is on the air.
+    SendingAck,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -176,39 +218,27 @@ pub struct Mac {
     rng: SimRng,
 
     phase: Phase,
-    current: Option<Outgoing>,
-    countdown: Option<Countdown>,
-    carried_slots: Option<u32>,
+    responder: Responder,
+
+    // What outlives a packet: the window and the rules of the next countdown.
     cw: u32,
     needs_backoff: bool,
     use_eifs: bool,
 
+    // Virtual carrier sense, which is nobody's packet.
     nav_until: SimTime,
-
-    response: Option<ResponseKind>,
-    transmitting: Option<TxKind>,
-
-    timers: TimerSlab,
-    attempt_timer: Option<TimerId>,
-    response_timer: Option<TimerId>,
-    wait_timer: Option<TimerId>,
     nav_timer: Option<TimerId>,
     nav_reset_timer: Option<TimerId>,
     nav_reset_armed_at: SimTime,
     last_busy: Option<SimTime>,
+
+    timers: TimerSlab,
 
     /// Last delivered packet uid per transmitter, for duplicate filtering
     /// when our MAC ACK was lost and the peer retransmitted.
     rx_dedup: sim_core::DetMap<NodeId, u64>,
 
     stats: MacStats,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TxKind {
-    AttemptRts,
-    AttemptData,
-    Response(FrameKind),
 }
 
 sim_core::snap_record! { TimerId { 0 } }
@@ -221,49 +251,51 @@ sim_core::snap_record! {
 
 sim_core::snap_record! { Outgoing { packet, next_hop, short_retries, long_retries } }
 
-sim_core::snap_enum! {
-    Phase, "mac phase tag" {
-        0 => NoPacket, 1 => Defer, 2 => Count, 3 => TxRts, 4 => TxData, 5 => WaitCts, 6 => WaitAck
-    }
-}
-
-sim_core::snap_enum! {
-    ResponseKind, "mac response tag" {
-        0 => Cts { peer, nav_until }, 1 => Ack { peer }, 2 => AttemptData
-    }
-}
-
 sim_core::snap_record! { Countdown { started, ifs, slots } }
 
+// The tag *is* the state: a variant's packet, countdown and timer travel
+// with it, so no decoded `Mac` holds a state without its data.
 sim_core::snap_enum! {
-    TxKind, "mac tx kind tag" { 0 => AttemptRts, 1 => AttemptData, 2 => Response(kind) }
+    Phase, "mac phase tag" {
+        0 => NoPacket,
+        1 => Defer { pkt, carried_slots },
+        2 => Count { pkt, countdown, timer },
+        3 => TxRts { pkt },
+        4 => TxData { pkt },
+        5 => WaitCts { pkt, timer },
+        6 => WaitAck { pkt, timer },
+        7 => SifsData { pkt, timer }
+    }
 }
 
-// The MAC's full state: DCF phase, packet in custody, countdown and backoff,
-// NAV, pending response, timer slab, the private RNG and counters.
+sim_core::snap_enum! {
+    Response, "mac response tag" { 0 => Cts { peer, nav_until }, 1 => Ack { peer } }
+}
+
+sim_core::snap_enum! {
+    Responder, "mac responder tag" {
+        0 => Idle, 1 => Pending { kind, timer }, 2 => SendingCts, 3 => SendingAck
+    }
+}
+
+// The MAC's full state: the two charts, backoff, NAV, timer slab, the
+// private RNG and counters.
 sim_core::snap_record! {
     given (params: MacParams) Mac {
         params = params,
         addr,
         rng,
         phase,
-        current,
-        countdown,
-        carried_slots,
+        responder,
         cw,
         needs_backoff,
         use_eifs,
         nav_until,
-        response,
-        transmitting,
-        timers,
-        attempt_timer,
-        response_timer,
-        wait_timer,
         nav_timer,
         nav_reset_timer,
         nav_reset_armed_at,
         last_busy,
+        timers,
         rx_dedup,
         stats,
     }
@@ -283,22 +315,15 @@ impl Mac {
             addr,
             rng,
             phase: Phase::NoPacket,
-            current: None,
-            countdown: None,
-            carried_slots: None,
+            responder: Responder::Idle,
             needs_backoff: false,
             use_eifs: false,
             nav_until: SimTime::ZERO,
-            response: None,
-            transmitting: None,
-            timers: TimerSlab::new(),
-            attempt_timer: None,
-            response_timer: None,
-            wait_timer: None,
             nav_timer: None,
             nav_reset_timer: None,
             nav_reset_armed_at: SimTime::ZERO,
             last_busy: None,
+            timers: TimerSlab::new(),
             rx_dedup: sim_core::DetMap::new(),
             stats: MacStats::default(),
         }
@@ -306,7 +331,7 @@ impl Mac {
 
     /// Whether the MAC can accept a new packet via [`Mac::start_packet`].
     pub fn is_idle(&self) -> bool {
-        self.current.is_none()
+        matches!(self.phase, Phase::NoPacket)
     }
 
     /// Diagnostic counters.
@@ -354,24 +379,35 @@ impl Mac {
     /// already delivered; pending timers become stale ids, which
     /// [`Mac::on_timer`] already ignores.
     pub fn abort(&mut self) -> Option<Packet> {
-        let packet = self.current.take().map(|c| c.packet.into_owned());
-        self.phase = Phase::NoPacket;
-        self.countdown = None;
-        self.carried_slots = None;
+        let answer = match mem::take(&mut self.responder) {
+            Responder::Pending { timer, .. } => Some(timer),
+            Responder::Idle | Responder::SendingCts | Responder::SendingAck => None,
+        };
+        // Cancel order decides which slot the slab hands out next: a
+        // countdown or SIFS-before-DATA timer goes before the responder's,
+        // a CTS / ACK timeout after it, the NAV pair last.
+        let (pkt, first, second) = match mem::take(&mut self.phase) {
+            Phase::NoPacket => (None, answer, None),
+            Phase::Defer { pkt, .. } | Phase::TxRts { pkt } | Phase::TxData { pkt } => {
+                (Some(pkt), answer, None)
+            }
+            Phase::Count { pkt, timer, .. } | Phase::SifsData { pkt, timer } => {
+                (Some(pkt), Some(timer), answer)
+            }
+            Phase::WaitCts { pkt, timer } | Phase::WaitAck { pkt, timer } => {
+                (Some(pkt), answer, Some(timer))
+            }
+        };
+        for id in [first, second, self.nav_timer.take(), self.nav_reset_timer.take()] {
+            self.cancel(id);
+        }
         self.cw = self.params.cw_min;
         self.needs_backoff = false;
         self.use_eifs = false;
         self.nav_until = SimTime::ZERO;
-        self.response = None;
-        self.transmitting = None;
-        self.cancel_attempt_timer();
-        self.cancel_response_timer();
-        self.cancel_wait_timer();
-        self.cancel_nav_timer();
-        self.cancel_nav_reset_timer();
         self.nav_reset_armed_at = SimTime::ZERO;
         self.last_busy = None;
-        packet
+        pkt.map(|p| p.packet.into_owned())
     }
 
     /// Hands the MAC its next packet to transmit toward `next_hop`
@@ -387,17 +423,12 @@ impl Mac {
         now: SimTime,
         medium: MediumView,
     ) -> MacOutputs {
-        assert!(self.current.is_none(), "MAC already busy with a packet");
-        self.current = Some(Outgoing {
-            packet: SharedPacket::new(packet),
-            next_hop,
-            short_retries: 0,
-            long_retries: 0,
-        });
-        self.phase = Phase::Defer;
-        self.carried_slots = None;
+        assert!(self.is_idle(), "MAC already busy with a packet");
+        let packet = SharedPacket::new(packet);
+        let pkt = Outgoing { packet, next_hop, short_retries: 0, long_retries: 0 };
+        self.phase = Phase::Defer { pkt, carried_slots: None };
         let mut out = MacOutputs::new();
-        self.try_start_countdown(now, medium, &mut out);
+        self.step(Input::Resume, now, medium, &mut out);
         out
     }
 
@@ -413,7 +444,7 @@ impl Mac {
     /// backoff countdown.
     pub fn on_medium_maybe_idle(&mut self, now: SimTime, medium: MediumView) -> MacOutputs {
         let mut out = MacOutputs::new();
-        self.try_start_countdown(now, medium, &mut out);
+        self.step(Input::Resume, now, medium, &mut out);
         out
     }
 
@@ -427,27 +458,24 @@ impl Mac {
         let mut out = MacOutputs::new();
         // A correct reception ends any EIFS obligation.
         self.use_eifs = false;
-        let for_me = frame.addressed_to(self.addr);
-        if !for_me {
-            let was_rts = frame.kind() == FrameKind::Rts;
-            self.observe_nav(frame.nav_until_nanos, now, &mut out);
-            if was_rts && self.nav_until > now {
+        if !frame.addressed_to(self.addr) {
+            self.observe_nav(frame.nav_until_nanos, now);
+            if frame.kind() == FrameKind::Rts && self.nav_until > now {
                 // 802.11 NAV-reset rule: an RTS-established NAV is released
                 // if the granted exchange never starts (no carrier within
                 // 2·SIFS + CTS airtime + 2 slots of the RTS ending).
                 let wait = self.params.sifs * 2 + self.params.cts_airtime() + self.params.slot * 2;
                 self.arm_nav_reset(now, wait, &mut out);
             }
-            self.try_start_countdown(now, medium, &mut out);
-            return out;
+        } else {
+            match frame.kind() {
+                FrameKind::Rts => self.handle_rts(&frame, now, &mut out),
+                FrameKind::Cts => self.step(Input::Cts, now, medium, &mut out),
+                FrameKind::Data => self.handle_data(frame, now, &mut out),
+                FrameKind::Ack => self.step(Input::Ack, now, medium, &mut out),
+            }
         }
-        match frame.kind() {
-            FrameKind::Rts => self.handle_rts(frame, now, &mut out),
-            FrameKind::Cts => self.handle_cts(frame, now, &mut out),
-            FrameKind::Data => self.handle_data(frame, now, &mut out),
-            FrameKind::Ack => self.handle_ack(now, &mut out),
-        }
-        self.try_start_countdown(now, medium, &mut out);
+        self.step(Input::Resume, now, medium, &mut out);
         out
     }
 
@@ -465,110 +493,318 @@ impl Mac {
             // Cancelled (or already consumed): a lazy tombstone popping.
             return out;
         }
-        if self.attempt_timer == Some(id) {
-            self.attempt_timer = None;
-            self.fire_attempt(now, medium, &mut out);
-        } else if self.response_timer == Some(id) {
-            self.response_timer = None;
-            self.fire_response(now, &mut out);
-        } else if self.wait_timer == Some(id) {
-            self.wait_timer = None;
-            self.fire_wait_timeout(now, medium, &mut out);
-        } else if self.nav_timer == Some(id) {
+        if self.nav_timer == Some(id) {
             self.nav_timer = None;
-            self.try_start_countdown(now, medium, &mut out);
         } else if self.nav_reset_timer == Some(id) {
             self.nav_reset_timer = None;
             let heard_since = self.last_busy.is_some_and(|t| t >= self.nav_reset_armed_at);
-            if !heard_since && self.nav_until > now {
-                // Nothing hit the air since the reservation: release it.
-                self.nav_until = now;
-                self.try_start_countdown(now, medium, &mut out);
+            if heard_since || self.nav_until <= now {
+                return out;
+            }
+            // Nothing hit the air since the reservation: release it.
+            self.nav_until = now;
+        } else {
+            match self.responder {
+                Responder::Pending { kind, timer } if timer == id => {
+                    self.fire_response(kind, &mut out);
+                    return out;
+                }
+                Responder::Idle
+                | Responder::Pending { .. }
+                | Responder::SendingCts
+                | Responder::SendingAck => self.step(Input::Timer(id), now, medium, &mut out),
             }
         }
+        self.step(Input::Resume, now, medium, &mut out);
         out
     }
 
     /// Our transmission (started via [`MacOutput::Transmit`]) left the air.
     pub fn on_tx_done(&mut self, now: SimTime, medium: MediumView) -> MacOutputs {
         let mut out = MacOutputs::new();
-        let kind = self.transmitting.take().expect("tx done without transmission");
-        match kind {
-            TxKind::AttemptRts => {
-                debug_assert_eq!(self.phase, Phase::TxRts);
-                self.phase = Phase::WaitCts;
-                let id = self.alloc_timer();
-                self.wait_timer = Some(id);
-                out.push(MacOutput::SetTimer { id, at: now + self.params.cts_timeout() });
+        if !self.on_air() {
+            // Nothing of ours was on the air: the driver contract excludes
+            // the call, and it changes nothing.
+            return out;
+        }
+        match self.responder {
+            Responder::SendingCts => {
+                // We granted the medium; if the peer's DATA never starts,
+                // release our self-imposed deferral instead of staying deaf
+                // for the whole reserved exchange.
+                let wait = self.params.sifs + self.params.slot * 2 + self.params.max_prop * 2;
+                self.arm_nav_reset(now, wait, &mut out);
+                self.responder = Responder::Idle;
             }
-            TxKind::AttemptData => {
-                debug_assert_eq!(self.phase, Phase::TxData);
-                let broadcast =
-                    self.current.as_ref().map(|c| c.next_hop.is_broadcast()).unwrap_or(false);
-                if broadcast {
-                    self.finish_success(now, &mut out);
-                } else {
-                    self.phase = Phase::WaitAck;
-                    let id = self.alloc_timer();
-                    self.wait_timer = Some(id);
-                    out.push(MacOutput::SetTimer { id, at: now + self.params.ack_timeout() });
-                }
-            }
-            TxKind::Response(kind) => {
-                if kind == FrameKind::Cts {
-                    // We granted the medium; if the peer's DATA never
-                    // starts, release our self-imposed deferral instead of
-                    // staying deaf for the whole reserved exchange.
-                    let wait = self.params.sifs + self.params.slot * 2 + self.params.max_prop * 2;
-                    self.arm_nav_reset(now, wait, &mut out);
-                }
+            Responder::SendingAck => self.responder = Responder::Idle,
+            // Not an answer's frame: the attempt's.
+            Responder::Idle | Responder::Pending { .. } => {
+                self.step(Input::TxDone, now, medium, &mut out);
             }
         }
-        self.try_start_countdown(now, medium, &mut out);
+        self.step(Input::Resume, now, medium, &mut out);
         out
     }
 
     // ------------------------------------------------------------------
-    // Receive-side handlers
+    // The transmit-side chart
     // ------------------------------------------------------------------
 
-    fn handle_rts(&mut self, frame: MacFrame, now: SimTime, out: &mut MacOutputs) {
-        // Respond with CTS only if our virtual carrier sense is idle and we
-        // are not mid-transmission or already committed to a response.
-        let available = self.nav_until <= now
-            && self.transmitting.is_none()
-            && self.response.is_none()
-            && !matches!(self.phase, Phase::TxRts | Phase::TxData);
-        if available {
-            self.schedule_response(
-                ResponseKind::Cts {
-                    peer: frame.src,
-                    nav_until: SimTime::from_nanos(frame.nav_until_nanos),
-                },
-                now,
-                out,
-            );
+    /// One step of the chart: what `input` makes of the state the packet in
+    /// custody is in. A pair the chart has no edge for — a stale timer, a
+    /// CTS nobody waits for, a second one inside the SIFS gap — leaves the
+    /// state as it was and emits nothing.
+    fn step(&mut self, input: Input, now: SimTime, medium: MediumView, out: &mut MacOutputs) {
+        use Input::{Ack, Cts, Resume, Timer, TxDone};
+        self.phase = match mem::take(&mut self.phase) {
+            Phase::NoPacket => Phase::NoPacket,
+            Phase::Defer { pkt, carried_slots } => match input {
+                Resume if self.medium_clear(now, medium, out) => {
+                    self.start_countdown(pkt, carried_slots, now, out)
+                }
+                Resume | Cts | Ack | TxDone | Timer(_) => Phase::Defer { pkt, carried_slots },
+            },
+            Phase::Count { pkt, countdown, timer } => match input {
+                Timer(id) if id == timer => self.attempt(pkt, countdown, now, medium, out),
+                Resume | Cts | Ack | TxDone | Timer(_) => Phase::Count { pkt, countdown, timer },
+            },
+            Phase::TxRts { pkt } => match input {
+                TxDone => {
+                    let timer = self.set_timer(now + self.params.cts_timeout(), out);
+                    Phase::WaitCts { pkt, timer }
+                }
+                Resume | Cts | Ack | Timer(_) => Phase::TxRts { pkt },
+            },
+            Phase::WaitCts { mut pkt, timer } => match input {
+                // One radio, one SIFS slot: a CTS decoded while we owe (or
+                // are giving) somebody an answer is left to the CTS timeout.
+                // No PHY decodes two frames less than a SIFS apart.
+                Cts if matches!(self.responder, Responder::Idle) => {
+                    self.cancel(Some(timer));
+                    // Reset the short retry count: the RTS got through.
+                    pkt.short_retries = 0;
+                    let timer = self.set_timer(now + self.params.sifs, out);
+                    Phase::SifsData { pkt, timer }
+                }
+                Timer(id) if id == timer => {
+                    self.stats.cts_timeouts += 1;
+                    pkt.short_retries += 1;
+                    let spent = pkt.short_retries >= self.params.short_retry_limit;
+                    self.retry_or_fail(pkt, spent, out)
+                }
+                Resume | Cts | Ack | TxDone | Timer(_) => Phase::WaitCts { pkt, timer },
+            },
+            Phase::SifsData { pkt, timer } => match input {
+                Timer(id) if id == timer => self.transmit_data(pkt, now, out),
+                Resume | Cts | Ack | TxDone | Timer(_) => Phase::SifsData { pkt, timer },
+            },
+            Phase::TxData { pkt } => match input {
+                TxDone if pkt.next_hop.is_broadcast() => self.finish_success(pkt, out),
+                TxDone => {
+                    let timer = self.set_timer(now + self.params.ack_timeout(), out);
+                    Phase::WaitAck { pkt, timer }
+                }
+                Resume | Cts | Ack | Timer(_) => Phase::TxData { pkt },
+            },
+            Phase::WaitAck { mut pkt, timer } => match input {
+                Ack => {
+                    self.cancel(Some(timer));
+                    self.finish_success(pkt, out)
+                }
+                Timer(id) if id == timer => {
+                    self.stats.ack_timeouts += 1;
+                    pkt.long_retries += 1;
+                    let spent = pkt.long_retries >= self.params.long_retry_limit;
+                    self.retry_or_fail(pkt, spent, out)
+                }
+                Resume | Cts | TxDone | Timer(_) => Phase::WaitAck { pkt, timer },
+            },
+        };
+    }
+
+    /// Whether a deferring MAC may count down now; under a NAV, makes sure
+    /// a timer wakes it exactly at the NAV's expiry.
+    fn medium_clear(&mut self, now: SimTime, medium: MediumView, out: &mut MacOutputs) -> bool {
+        if medium.busy || !matches!(self.responder, Responder::Idle) {
+            // Stay deferred; the driver pings us again at the next idle
+            // edge, our own answer's end included.
+            return false;
+        }
+        if self.nav_until > now && self.nav_timer.is_none() {
+            self.nav_timer = Some(self.set_timer(self.nav_until, out));
+        }
+        self.nav_until <= now
+    }
+
+    fn start_countdown(
+        &mut self,
+        pkt: Outgoing,
+        carried_slots: Option<u32>,
+        now: SimTime,
+        out: &mut MacOutputs,
+    ) -> Phase {
+        let slots = match carried_slots {
+            Some(s) => s,
+            None if self.needs_backoff => self.rng.backoff_slot(self.cw),
+            None => 0,
+        };
+        let ifs = if self.use_eifs { self.params.eifs() } else { self.params.difs() };
+        if slots > 0 {
+            out.push(MacOutput::Backoff { slots, cw: self.cw });
+        }
+        let timer = self.set_timer(now + ifs + self.params.slot * u64::from(slots), out);
+        Phase::Count { pkt, countdown: Countdown { started: now, ifs, slots }, timer }
+    }
+
+    /// A running countdown stops — carrier, NAV, or an answer we owe — and
+    /// what is left of it is carried.
+    fn freeze_countdown(&mut self, now: SimTime) {
+        self.phase = match mem::take(&mut self.phase) {
+            Phase::Count { pkt, countdown, timer } => {
+                self.cancel(Some(timer)); // tombstone the pending timer
+                self.frozen(pkt, countdown, now)
+            }
+            other @ (Phase::NoPacket
+            | Phase::Defer { .. }
+            | Phase::TxRts { .. }
+            | Phase::WaitCts { .. }
+            | Phase::SifsData { .. }
+            | Phase::TxData { .. }
+            | Phase::WaitAck { .. }) => other,
+        };
+    }
+
+    fn frozen(&mut self, pkt: Outgoing, cd: Countdown, now: SimTime) -> Phase {
+        self.needs_backoff = true; // deferral always implies backoff
+        let elapsed = now.saturating_since(cd.started);
+        let remaining = if elapsed <= cd.ifs {
+            cd.slots
+        } else {
+            let consumed = (elapsed - cd.ifs).as_nanos() / self.params.slot.as_nanos().max(1);
+            cd.slots.saturating_sub(consumed as u32)
+        };
+        Phase::Defer { pkt, carried_slots: Some(remaining) }
+    }
+
+    /// The countdown ran out.
+    fn attempt(
+        &mut self,
+        pkt: Outgoing,
+        countdown: Countdown,
+        now: SimTime,
+        medium: MediumView,
+        out: &mut MacOutputs,
+    ) -> Phase {
+        if medium.busy || self.nav_until > now || !matches!(self.responder, Responder::Idle) {
+            // Lost the race with a late-arriving signal: refreeze.
+            self.frozen(pkt, countdown, now)
+        } else if pkt.next_hop.is_broadcast() || !self.params.rts_enabled {
+            // Backoff consumed; the next attempt draws afresh.
+            self.transmit_data(pkt, now, out)
+        } else {
+            self.transmit_rts(pkt, now, out)
         }
     }
 
-    fn handle_cts(&mut self, _frame: MacFrame, now: SimTime, out: &mut MacOutputs) {
-        if self.phase == Phase::WaitCts {
-            self.cancel_wait_timer();
-            // Reset the short retry count: the RTS got through.
-            if let Some(c) = self.current.as_mut() {
-                c.short_retries = 0;
-            }
-            self.schedule_response(ResponseKind::AttemptData, now, out);
-            // Phase stays WaitCts until the DATA actually launches.
+    fn transmit_rts(&mut self, pkt: Outgoing, now: SimTime, out: &mut MacOutputs) -> Phase {
+        let p = &self.params;
+        let airtime = p.rts_airtime();
+        // The NAV covers the whole exchange: CTS, DATA and ACK, a SIFS
+        // before each, and propagation guard time.
+        let data = p.data_airtime(pkt.packet.size_bytes() + wire::DATA_OVERHEAD_BYTES);
+        let rest = p.sifs * 3 + p.cts_airtime() + data + p.ack_airtime() + p.max_prop * 4;
+        let nav_until = now + airtime + rest;
+        let frame = MacFrame {
+            src: self.addr,
+            dst: pkt.next_hop,
+            body: FrameBody::Control(FrameKind::Rts),
+            nav_until_nanos: nav_until.as_nanos(),
+        };
+        self.stats.rts_sent += 1;
+        out.push(MacOutput::Transmit { frame, airtime });
+        Phase::TxRts { pkt }
+    }
+
+    fn transmit_data(&mut self, pkt: Outgoing, now: SimTime, out: &mut MacOutputs) -> Phase {
+        let p = &self.params;
+        let airtime = p.data_airtime(pkt.packet.size_bytes() + wire::DATA_OVERHEAD_BYTES);
+        let nav_until = if pkt.next_hop.is_broadcast() {
+            SimTime::ZERO
+        } else {
+            now + airtime + p.sifs + p.ack_airtime() + p.max_prop * 2
+        };
+        let frame = MacFrame {
+            src: self.addr,
+            dst: pkt.next_hop,
+            // An `Rc` clone: every retry's frame shares the one allocation.
+            body: FrameBody::Data(pkt.packet.clone()),
+            nav_until_nanos: nav_until.as_nanos(),
+        };
+        self.stats.data_sent += 1;
+        out.push(MacOutput::Transmit { frame, airtime });
+        Phase::TxData { pkt }
+    }
+
+    /// An attempt timed out: back to contention under a doubled window, or
+    /// — its retry limit `spent` — the link is reported broken.
+    fn retry_or_fail(&mut self, pkt: Outgoing, spent: bool, out: &mut MacOutputs) -> Phase {
+        self.needs_backoff = true;
+        if spent {
+            self.stats.drops += 1;
+            self.cw = self.params.cw_min;
+            let (packet, next_hop) = (pkt.packet.into_owned(), pkt.next_hop);
+            out.push(MacOutput::TxFailed { packet, next_hop });
+            out.push(MacOutput::ReadyForNext);
+            Phase::NoPacket
+        } else {
+            self.cw = self.cw.saturating_mul(2).saturating_add(1).min(self.params.cw_max);
+            Phase::Defer { pkt, carried_slots: None }
+        }
+    }
+
+    fn finish_success(&mut self, pkt: Outgoing, out: &mut MacOutputs) -> Phase {
+        self.cw = self.params.cw_min;
+        self.needs_backoff = true; // post-transmission backoff
+        if !pkt.next_hop.is_broadcast() {
+            let (packet, next_hop) = (pkt.packet.into_owned(), pkt.next_hop);
+            out.push(MacOutput::TxSuccess { packet, next_hop });
+        }
+        out.push(MacOutput::ReadyForNext);
+        Phase::NoPacket
+    }
+
+    // ------------------------------------------------------------------
+    // The responder (SIFS-timed CTS / ACK)
+    // ------------------------------------------------------------------
+
+    /// Whether a frame of ours is on the air: read off the two charts,
+    /// stored nowhere.
+    fn on_air(&self) -> bool {
+        matches!(self.phase, Phase::TxRts { .. } | Phase::TxData { .. })
+            || matches!(self.responder, Responder::SendingCts | Responder::SendingAck)
+    }
+
+    /// Whether a SIFS-timed answer can be promised: nothing of ours is on
+    /// the air and neither SIFS slot — the responder's, or our own DATA's
+    /// after a CTS — is taken.
+    fn can_respond(&self) -> bool {
+        let sifs_slot_taken = matches!(self.phase, Phase::SifsData { .. });
+        matches!(self.responder, Responder::Idle) && !self.on_air() && !sifs_slot_taken
+    }
+
+    fn handle_rts(&mut self, frame: &MacFrame, now: SimTime, out: &mut MacOutputs) {
+        // Respond with CTS only if our virtual carrier sense is idle too.
+        if self.nav_until <= now && self.can_respond() {
+            let nav_until = SimTime::from_nanos(frame.nav_until_nanos);
+            self.schedule_response(Response::Cts { peer: frame.src, nav_until }, now, out);
         }
     }
 
     fn handle_data(&mut self, frame: MacFrame, now: SimTime, out: &mut MacOutputs) {
         let src = frame.src;
-        let unicast = !frame.dst.is_broadcast();
         let seq_key = frame.packet().map(|p| p.uid).unwrap_or(0);
-        if unicast && self.transmitting.is_none() && self.response.is_none() {
-            self.schedule_response(ResponseKind::Ack { peer: src }, now, out);
+        if !frame.dst.is_broadcast() && self.can_respond() {
+            self.schedule_response(Response::Ack { peer: src }, now, out);
         }
         // Deliver unless we've already delivered this exact frame (ACK was
         // lost and the sender retried).
@@ -582,271 +818,49 @@ impl Mac {
         }
     }
 
-    fn handle_ack(&mut self, now: SimTime, out: &mut MacOutputs) {
-        if self.phase == Phase::WaitAck {
-            self.cancel_wait_timer();
-            self.finish_success(now, out);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Attempt path
-    // ------------------------------------------------------------------
-
-    fn try_start_countdown(&mut self, now: SimTime, medium: MediumView, out: &mut MacOutputs) {
-        if self.phase != Phase::Defer || self.current.is_none() {
-            return;
-        }
-        if medium.busy || self.transmitting.is_some() || self.response.is_some() {
-            // Stay deferred; the driver pings us again at the next idle edge.
-            return;
-        }
-        if self.nav_until > now {
-            // Virtually busy: wake up exactly at NAV expiry.
-            if self.nav_timer.is_none() {
-                let id = self.alloc_timer();
-                self.nav_timer = Some(id);
-                out.push(MacOutput::SetTimer { id, at: self.nav_until });
-            }
-            return;
-        }
-        let slots = match self.carried_slots.take() {
-            Some(s) => s,
-            None if self.needs_backoff => self.rng.backoff_slot(self.cw),
-            None => 0,
-        };
-        let ifs = if self.use_eifs { self.params.eifs() } else { self.params.difs() };
-        let fire = now + ifs + self.params.slot * u64::from(slots);
-        self.countdown = Some(Countdown { started: now, ifs, slots });
-        let id = self.alloc_timer();
-        self.attempt_timer = Some(id);
-        self.phase = Phase::Count;
-        if slots > 0 {
-            out.push(MacOutput::Backoff { slots, cw: self.cw });
-        }
-        out.push(MacOutput::SetTimer { id, at: fire });
-    }
-
-    fn freeze_countdown(&mut self, now: SimTime) {
-        if self.phase != Phase::Count {
-            return;
-        }
-        let cd = self.countdown.take().expect("counting without countdown");
-        let elapsed = now.saturating_since(cd.started);
-        let remaining = if elapsed <= cd.ifs {
-            cd.slots
-        } else {
-            let consumed = (elapsed - cd.ifs).as_nanos() / self.params.slot.as_nanos().max(1);
-            cd.slots.saturating_sub(consumed as u32)
-        };
-        self.carried_slots = Some(remaining);
-        self.cancel_attempt_timer(); // tombstone the pending timer
-        self.needs_backoff = true; // deferral always implies backoff
-        self.phase = Phase::Defer;
-    }
-
-    fn fire_attempt(&mut self, now: SimTime, medium: MediumView, out: &mut MacOutputs) {
-        if self.phase != Phase::Count {
-            return; // stale
-        }
-        if medium.busy || self.nav_until > now || self.transmitting.is_some() {
-            // Lost the race with a late-arriving signal: refreeze.
-            self.freeze_countdown(now);
-            self.try_start_countdown(now, medium, out);
-            return;
-        }
-        self.countdown = None;
-        // Backoff consumed; the next attempt draws afresh.
-        let current = self.current.as_ref().expect("attempt without packet");
-        let broadcast = current.next_hop.is_broadcast();
-        if broadcast || !self.params.rts_enabled {
-            self.transmit_attempt_data(now, out);
-        } else {
-            self.transmit_rts(now, out);
-        }
-    }
-
-    fn transmit_rts(&mut self, now: SimTime, out: &mut MacOutputs) {
-        let (dst, data_bytes) = {
-            let c = self.current.as_ref().expect("no packet");
-            (c.next_hop, c.packet.size_bytes() + wire::DATA_OVERHEAD_BYTES)
-        };
-        let p = &self.params;
-        let rts_end = now + p.rts_airtime();
-        let nav_until = rts_end
-            + p.sifs
-            + p.cts_airtime()
-            + p.sifs
-            + p.data_airtime(data_bytes)
-            + p.sifs
-            + p.ack_airtime()
-            + p.max_prop * 4;
-        let frame = MacFrame {
-            src: self.addr,
-            dst,
-            body: FrameBody::Control(FrameKind::Rts),
-            nav_until_nanos: nav_until.as_nanos(),
-        };
-        self.stats.rts_sent += 1;
-        self.phase = Phase::TxRts;
-        self.transmitting = Some(TxKind::AttemptRts);
-        let airtime = p.rts_airtime();
-        out.push(MacOutput::Transmit { frame, airtime });
-    }
-
-    fn transmit_attempt_data(&mut self, now: SimTime, out: &mut MacOutputs) {
-        let (dst, packet) = {
-            let c = self.current.as_ref().expect("no packet");
-            // An `Rc` clone: every retry's frame shares the one allocation.
-            (c.next_hop, c.packet.clone())
-        };
-        let p = &self.params;
-        let frame_bytes = packet.size_bytes() + wire::DATA_OVERHEAD_BYTES;
-        let data_end = now + p.data_airtime(frame_bytes);
-        let nav_until = if dst.is_broadcast() {
-            SimTime::ZERO
-        } else {
-            data_end + p.sifs + p.ack_airtime() + p.max_prop * 2
-        };
-        let frame = MacFrame {
-            src: self.addr,
-            dst,
-            body: FrameBody::Data(packet),
-            nav_until_nanos: nav_until.as_nanos(),
-        };
-        self.stats.data_sent += 1;
-        self.phase = Phase::TxData;
-        self.transmitting = Some(TxKind::AttemptData);
-        let airtime = p.data_airtime(frame_bytes);
-        out.push(MacOutput::Transmit { frame, airtime });
-    }
-
-    fn fire_wait_timeout(&mut self, now: SimTime, medium: MediumView, out: &mut MacOutputs) {
-        match self.phase {
-            Phase::WaitCts => {
-                self.stats.cts_timeouts += 1;
-                let limit_hit = {
-                    let c = self.current.as_mut().expect("waiting without packet");
-                    c.short_retries += 1;
-                    c.short_retries >= self.params.short_retry_limit
-                };
-                if limit_hit {
-                    self.finish_failure(now, out);
-                } else {
-                    self.retry(now, medium, out);
-                }
-            }
-            Phase::WaitAck => {
-                self.stats.ack_timeouts += 1;
-                let limit_hit = {
-                    let c = self.current.as_mut().expect("waiting without packet");
-                    c.long_retries += 1;
-                    c.long_retries >= self.params.long_retry_limit
-                };
-                if limit_hit {
-                    self.finish_failure(now, out);
-                } else {
-                    self.retry(now, medium, out);
-                }
-            }
-            _ => {} // stale
-        }
-    }
-
-    fn retry(&mut self, now: SimTime, medium: MediumView, out: &mut MacOutputs) {
-        self.cw = (self.cw * 2 + 1).min(self.params.cw_max);
-        self.needs_backoff = true;
-        self.carried_slots = None;
-        self.phase = Phase::Defer;
-        self.try_start_countdown(now, medium, out);
-    }
-
-    fn finish_success(&mut self, _now: SimTime, out: &mut MacOutputs) {
-        let c = self.current.take().expect("success without packet");
-        self.cw = self.params.cw_min;
-        self.needs_backoff = true; // post-transmission backoff
-        self.phase = Phase::NoPacket;
-        self.carried_slots = None;
-        if !c.next_hop.is_broadcast() {
-            out.push(MacOutput::TxSuccess { packet: c.packet.into_owned(), next_hop: c.next_hop });
-        }
-        out.push(MacOutput::ReadyForNext);
-    }
-
-    fn finish_failure(&mut self, _now: SimTime, out: &mut MacOutputs) {
-        let c = self.current.take().expect("failure without packet");
-        self.stats.drops += 1;
-        self.cw = self.params.cw_min;
-        self.needs_backoff = true;
-        self.phase = Phase::NoPacket;
-        self.carried_slots = None;
-        out.push(MacOutput::TxFailed { packet: c.packet.into_owned(), next_hop: c.next_hop });
-        out.push(MacOutput::ReadyForNext);
-    }
-
-    // ------------------------------------------------------------------
-    // Response path (SIFS-timed CTS / ACK / post-CTS DATA)
-    // ------------------------------------------------------------------
-
-    fn schedule_response(&mut self, kind: ResponseKind, now: SimTime, out: &mut MacOutputs) {
-        debug_assert!(self.response.is_none());
+    /// Promises `kind` one SIFS from now; callers have asked
+    /// [`Self::can_respond`].
+    fn schedule_response(&mut self, kind: Response, now: SimTime, out: &mut MacOutputs) {
         // Committing to a response suspends our own countdown.
         self.freeze_countdown(now);
-        self.response = Some(kind);
-        let id = self.alloc_timer();
-        self.response_timer = Some(id);
-        out.push(MacOutput::SetTimer { id, at: now + self.params.sifs });
+        let timer = self.set_timer(now + self.params.sifs, out);
+        self.responder = Responder::Pending { kind, timer };
     }
 
-    fn fire_response(&mut self, now: SimTime, out: &mut MacOutputs) {
-        let Some(kind) = self.response.take() else { return };
-        if self.transmitting.is_some() {
+    fn fire_response(&mut self, kind: Response, out: &mut MacOutputs) {
+        self.responder = Responder::Idle;
+        if self.on_air() {
             // Radio unexpectedly occupied; drop the response (peer retries).
             return;
         }
         let p = &self.params;
-        match kind {
-            ResponseKind::Cts { peer, nav_until } => {
-                let frame = MacFrame {
-                    src: self.addr,
-                    dst: peer,
-                    body: FrameBody::Control(FrameKind::Cts),
-                    nav_until_nanos: nav_until.as_nanos(),
-                };
+        let (dst, kind, nav_until, airtime) = match kind {
+            Response::Cts { peer, nav_until } => {
                 // Defer our own attempts until the protected exchange ends.
                 self.nav_until = self.nav_until.max(nav_until);
-                self.transmitting = Some(TxKind::Response(FrameKind::Cts));
-                let airtime = p.cts_airtime();
-                out.push(MacOutput::Transmit { frame, airtime });
+                self.responder = Responder::SendingCts;
+                (peer, FrameKind::Cts, nav_until, p.cts_airtime())
             }
-            ResponseKind::Ack { peer } => {
-                let frame = MacFrame {
-                    src: self.addr,
-                    dst: peer,
-                    body: FrameBody::Control(FrameKind::Ack),
-                    nav_until_nanos: 0,
-                };
-                self.transmitting = Some(TxKind::Response(FrameKind::Ack));
-                let airtime = p.ack_airtime();
-                out.push(MacOutput::Transmit { frame, airtime });
+            Response::Ack { peer } => {
+                self.responder = Responder::SendingAck;
+                (peer, FrameKind::Ack, SimTime::ZERO, p.ack_airtime())
             }
-            ResponseKind::AttemptData => {
-                if self.phase == Phase::WaitCts && self.current.is_some() {
-                    self.transmit_attempt_data(now, out);
-                }
-            }
-        }
+        };
+        let frame = MacFrame {
+            src: self.addr,
+            dst,
+            body: FrameBody::Control(kind),
+            nav_until_nanos: nav_until.as_nanos(),
+        };
+        out.push(MacOutput::Transmit { frame, airtime });
     }
 
     // ------------------------------------------------------------------
-    // NAV
+    // NAV and timers
     // ------------------------------------------------------------------
 
-    fn observe_nav(&mut self, nav_until_nanos: u64, now: SimTime, _out: &mut MacOutputs) {
-        let until = SimTime::from_nanos(nav_until_nanos);
-        if until > self.nav_until {
-            self.nav_until = until;
-        }
+    fn observe_nav(&mut self, nav_until_nanos: u64, now: SimTime) {
+        self.nav_until = self.nav_until.max(SimTime::from_nanos(nav_until_nanos));
         if self.nav_until > now {
             // Virtual carrier became busy: freeze a running countdown.
             self.freeze_countdown(now);
@@ -855,49 +869,28 @@ impl Mac {
 
     fn arm_nav_reset(&mut self, now: SimTime, wait: SimDuration, out: &mut MacOutputs) {
         // Re-arming tombstones the previous reset timer, if still pending.
-        self.cancel_nav_reset_timer();
-        let id = self.alloc_timer();
-        self.nav_reset_timer = Some(id);
+        let previous = self.nav_reset_timer.take();
+        self.cancel(previous);
+        self.nav_reset_timer = Some(self.set_timer(now + wait, out));
         self.nav_reset_armed_at = now;
-        out.push(MacOutput::SetTimer { id, at: now + wait });
     }
 
-    fn alloc_timer(&mut self) -> TimerId {
-        TimerId(self.timers.schedule())
+    /// Allocates a timer and asks the driver to fire it at `at`.
+    fn set_timer(&mut self, at: SimTime, out: &mut MacOutputs) -> TimerId {
+        let id = TimerId(self.timers.schedule());
+        out.push(MacOutput::SetTimer { id, at });
+        id
     }
 
-    fn cancel_attempt_timer(&mut self) {
-        if let Some(id) = self.attempt_timer.take() {
-            self.timers.cancel(id.0);
-        }
-    }
-
-    fn cancel_response_timer(&mut self) {
-        if let Some(id) = self.response_timer.take() {
-            self.timers.cancel(id.0);
-        }
-    }
-
-    fn cancel_wait_timer(&mut self) {
-        if let Some(id) = self.wait_timer.take() {
-            self.timers.cancel(id.0);
-        }
-    }
-
-    fn cancel_nav_timer(&mut self) {
-        if let Some(id) = self.nav_timer.take() {
-            self.timers.cancel(id.0);
-        }
-    }
-
-    fn cancel_nav_reset_timer(&mut self) {
-        if let Some(id) = self.nav_reset_timer.take() {
+    fn cancel(&mut self, id: Option<TimerId>) {
+        if let Some(id) = id {
             self.timers.cancel(id.0);
         }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::wildcard_enum_match_arm)]
 mod tests {
     use super::*;
     use sim_core::SimRng;
@@ -1420,5 +1413,244 @@ mod tests {
         assert_eq!(mac.stats().cts_timeouts, 1);
         let (_, _at2) = timer_of(&out);
         assert!(!mac.is_idle());
+    }
+
+    /// The transmit-side states, in the order one exchange walks them.
+    const STATES: [&str; 8] =
+        ["NoPacket", "Defer", "Count", "TxRts", "WaitCts", "SifsData", "TxData", "WaitAck"];
+    /// Those in which a DATA frame for us is promised an ACK.
+    const ANSWERING: [&str; 4] = ["NoPacket", "Defer", "WaitCts", "WaitAck"];
+
+    fn control(kind: FrameKind, src: u16, dst: u16) -> MacFrame {
+        MacFrame { src: n(src), dst: n(dst), body: FrameBody::Control(kind), nav_until_nanos: 0 }
+    }
+
+    /// A MAC walked by scripted calls into one transmit-side state, with the
+    /// instant it got there and every timer it was handed on the way.
+    struct Walk {
+        mac: Mac,
+        now: SimTime,
+        timers: Vec<(TimerId, SimTime)>,
+        airtime: SimDuration,
+    }
+
+    impl Walk {
+        fn note(&mut self, out: MacOutputs) {
+            for o in out.iter() {
+                match o {
+                    MacOutput::SetTimer { id, at } => self.timers.push((*id, *at)),
+                    MacOutput::Transmit { airtime, .. } => self.airtime = *airtime,
+                    _ => {}
+                }
+            }
+        }
+
+        fn fire_newest(&mut self) {
+            let (id, at) = self.timers.pop().expect("a timer to fire");
+            self.now = at;
+            let out = self.mac.on_timer(id, at, MediumView::idle());
+            self.note(out);
+        }
+
+        fn tx_done(&mut self) {
+            self.now += self.airtime;
+            let out = self.mac.on_tx_done(self.now, MediumView::idle());
+            self.note(out);
+        }
+
+        /// Walks to `stop`; with `answering`, a DATA frame for us is decoded
+        /// there, so the responder is pending with an ACK.
+        fn to(stop: &str, answering: bool) -> Walk {
+            let mut w =
+                Walk { mac: mk_mac(0), now: t(0), timers: Vec::new(), airtime: SimDuration::ZERO };
+            for state in STATES {
+                match state {
+                    "NoPacket" => {}
+                    "Defer" => {
+                        let out = w.mac.start_packet(
+                            data_packet(1, 0, 1),
+                            n(1),
+                            w.now,
+                            MediumView::busy(),
+                        );
+                        w.note(out);
+                    }
+                    "Count" => {
+                        w.now += SimDuration::from_micros(500);
+                        let out = w.mac.on_medium_maybe_idle(w.now, MediumView::idle());
+                        w.note(out);
+                    }
+                    "TxRts" | "TxData" => w.fire_newest(),
+                    "WaitCts" | "WaitAck" => w.tx_done(),
+                    "SifsData" => {
+                        w.now += SimDuration::from_micros(320);
+                        let cts = control(FrameKind::Cts, 1, 0);
+                        let out = w.mac.on_frame_decoded(cts, w.now, MediumView::idle());
+                        w.note(out);
+                    }
+                    other => unreachable!("{other}"),
+                }
+                if state == stop {
+                    break;
+                }
+            }
+            if answering {
+                w.now += SimDuration::from_micros(5);
+                let frame = MacFrame {
+                    src: n(2),
+                    dst: n(0),
+                    body: FrameBody::Data(SharedPacket::new(data_packet(77, 2, 0))),
+                    nav_until_nanos: 0,
+                };
+                let out = w.mac.on_frame_decoded(frame, w.now, MediumView::idle());
+                w.note(out);
+                assert!(matches!(w.mac.responder, Responder::Pending { .. }), "{stop}");
+            }
+            assert!(format!("{:?}", w.mac.phase).starts_with(stop), "{stop}: {:?}", w.mac.phase);
+            w
+        }
+    }
+
+    fn encoded(mac: &Mac) -> Vec<u8> {
+        let mut w = sim_core::SnapshotWriter::new();
+        mac.encode_state(&mut w);
+        w.finish()
+    }
+
+    /// Untrusted bytes: every single-byte mutation of an encoded MAC, in
+    /// every transmit-side state with the responder idle and pending, either
+    /// fails to decode or gives a MAC that runs on without panicking —
+    /// carrier, idle edge, every timer it ever handed out or hands out now,
+    /// a transmit end for every frame it puts on the air.
+    #[test]
+    fn mutated_mac_bytes_are_refused_or_run_without_panicking() {
+        let cases = STATES.iter().map(|s| (*s, false)).chain(ANSWERING.iter().map(|s| (*s, true)));
+        let (mut refused, mut ran) = (0, 0);
+        for (stop, answering) in cases {
+            let walk = Walk::to(stop, answering);
+            let clean = encoded(&walk.mac);
+            for offset in 0..clean.len() {
+                for delta in [1u8, 0x80, 0xff] {
+                    let mut bytes = clean.clone();
+                    bytes[offset] = bytes[offset].wrapping_add(delta);
+                    let mut r = sim_core::SnapshotReader::new(&bytes);
+                    let Ok(mut mac) = Mac::decode_state(&mut r, MacParams::default()) else {
+                        refused += 1;
+                        continue;
+                    };
+                    ran += 1;
+                    let mut now = walk.now + SimDuration::from_micros(1);
+                    mac.on_medium_busy(now);
+                    let mut due: Vec<MacOutput> = walk
+                        .timers
+                        .iter()
+                        .map(|&(id, at)| MacOutput::SetTimer { id, at })
+                        .collect();
+                    due.extend(mac.on_medium_maybe_idle(now, MediumView::idle()));
+                    // Bounded: a mutated retry count may keep an exchange
+                    // going for longer than is worth following.
+                    for _ in 0..64 {
+                        let Some(next) = due.pop() else { break };
+                        let out = match next {
+                            MacOutput::SetTimer { id, at } => {
+                                now = now.max(at.min(now + SimDuration::from_secs(1)));
+                                mac.on_timer(id, now, MediumView::idle())
+                            }
+                            MacOutput::Transmit { airtime, .. } => {
+                                now += airtime.min(SimDuration::from_secs(1));
+                                mac.on_tx_done(now, MediumView::idle())
+                            }
+                            _ => continue,
+                        };
+                        due.extend(out);
+                    }
+                }
+            }
+        }
+        assert!(refused > 1_000 && ran > 1_000, "{refused} refused, {ran} ran");
+    }
+
+    #[test]
+    fn second_cts_inside_the_sifs_gap_is_ignored() {
+        let mut w = Walk::to("SifsData", false);
+        let (sifs_id, sifs_at) = *w.timers.last().expect("the SIFS timer");
+        let cancelled = w.mac.timers_cancelled();
+        let again = w.now + SimDuration::from_micros(4);
+        let out = w.mac.on_frame_decoded(control(FrameKind::Cts, 1, 0), again, MediumView::idle());
+        assert!(out.is_empty(), "a second CTS re-armed something: {out:?}");
+        assert!(w.mac.timer_is_live(sifs_id), "the SIFS timer must stand");
+        assert_eq!(w.mac.timers_cancelled(), cancelled);
+        // DATA still leaves one SIFS after the *first* CTS.
+        let out = w.mac.on_timer(sifs_id, sifs_at, MediumView::idle());
+        assert_eq!(transmit_of(&out).0.kind(), FrameKind::Data);
+        assert_eq!(w.mac.stats().data_sent, 1);
+    }
+
+    /// `abort` in every state: custody comes back, every timer ever handed
+    /// out is dead, and the timers were cancelled in the order that makes
+    /// the slab hand out the same id next as it always has (the LIFO free
+    /// list makes cancel order visible; `rts/contended` and `basic/contended`
+    /// in `tests/fixtures/mac_transcripts.txt` fold the same ids).
+    /// The next three timers handed out after an abort in each state (`+ack`:
+    /// with an ACK pending), read off the build before the state chart.
+    /// As `state` then `slot generation` of each of the three.
+    const ABORT_NEXT_IDS: [&str; 12] = [
+        "NoPacket 0 3 1 1 2 1",
+        "Defer 0 3 1 3 2 1",
+        "Count 0 5 1 3 2 1",
+        "TxRts 0 5 1 1 2 1",
+        "WaitCts 1 3 0 5 2 1",
+        "SifsData 1 3 0 7 2 1",
+        "TxData 0 9 1 1 2 1",
+        "WaitAck 1 3 0 9 2 1",
+        "NoPacket+ack 1 3 0 3 2 1",
+        "Defer+ack 1 3 0 3 2 1",
+        "WaitCts+ack 2 3 0 5 1 3",
+        "WaitAck+ack 2 3 0 9 1 3",
+    ];
+
+    #[test]
+    fn abort_in_every_state_returns_custody_and_kills_every_timer_in_order() {
+        let cases = STATES.iter().map(|s| (*s, false)).chain(ANSWERING.iter().map(|s| (*s, true)));
+        let mut next_ids = Vec::new();
+        for (stop, answering) in cases {
+            let mut w = Walk::to(stop, answering);
+            // An overheard RTS first, so the NAV pair is armed as well.
+            let mut rts = control(FrameKind::Rts, 5, 6);
+            rts.nav_until_nanos = (w.now + SimDuration::from_millis(9)).as_nanos();
+            let out = w.mac.on_frame_decoded(rts, w.now, MediumView::idle());
+            w.note(out);
+            let held = !w.mac.is_idle();
+            assert_eq!(w.mac.abort().map(|p| p.uid), held.then_some(1), "{stop}");
+            assert!(w.mac.is_idle(), "{stop}");
+            for (id, _) in &w.timers {
+                assert!(!w.mac.timer_is_live(*id), "{stop}: {id:?} outlived abort");
+            }
+            // Three timers held at once afterwards — NAV reset, NAV expiry,
+            // a pending ACK — reach three deep into the slab's free list.
+            let mut after = Walk { timers: Vec::new(), ..w };
+            let mut rts = control(FrameKind::Rts, 5, 6);
+            rts.nav_until_nanos = (after.now + SimDuration::from_millis(9)).as_nanos();
+            let out = after.mac.on_frame_decoded(rts, after.now, MediumView::idle());
+            after.note(out);
+            let out =
+                after.mac.start_packet(data_packet(2, 0, 1), n(1), after.now, MediumView::idle());
+            after.note(out);
+            let frame = MacFrame {
+                src: n(2),
+                dst: n(0),
+                body: FrameBody::Data(SharedPacket::new(data_packet(78, 2, 0))),
+                nav_until_nanos: 0,
+            };
+            let out = after.mac.on_frame_decoded(frame, after.now, MediumView::idle());
+            after.note(out);
+            assert_eq!(after.timers.len(), 3, "{stop}");
+            let ids = format!("{:?}", after.timers.iter().map(|(id, _)| id).collect::<Vec<_>>());
+            let numbers: Vec<&str> =
+                ids.split(|c: char| !c.is_ascii_digit()).filter(|s| !s.is_empty()).collect();
+            let ack = if answering { "+ack" } else { "" };
+            next_ids.push(format!("{stop}{ack} {}", numbers.join(" ")));
+        }
+        assert_eq!(next_ids, ABORT_NEXT_IDS, "{next_ids:#?}");
     }
 }

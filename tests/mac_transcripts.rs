@@ -167,26 +167,13 @@ fn chart(mac: &Mac) -> (String, String) {
     let dbg = format!("{mac:?}");
     let word = |key: &str| -> String {
         let at = dbg.find(key).unwrap_or_else(|| panic!("no {key:?} in {dbg}")) + key.len();
-        dbg[at..].chars().take_while(|c| c.is_alphanumeric() || "( ".contains(*c)).collect()
+        dbg[at..].chars().take_while(|c| c.is_alphanumeric()).collect()
     };
-    let mut phase = word(", phase: ").trim().to_string();
-    if phase == "WaitCts" && word(", wait_timer: ").starts_with("None") {
-        phase = "SifsData".into();
+    let mut responder = word(", responder: ");
+    if responder == "Pending" {
+        responder += &word(", responder: Pending { kind: ");
     }
-    let transmitting = word(", transmitting: ");
-    let response = word(", response: ");
-    let responder = if transmitting.starts_with("Some(Response(Cts") {
-        "SendingCts"
-    } else if transmitting.starts_with("Some(Response(Ack") {
-        "SendingAck"
-    } else if response.starts_with("Some(Cts") {
-        "PendingCts"
-    } else if response.starts_with("Some(Ack") {
-        "PendingAck"
-    } else {
-        "Idle"
-    };
-    (phase, responder.into())
+    (word(", phase: "), responder)
 }
 
 const PHASES: [&str; 8] =
