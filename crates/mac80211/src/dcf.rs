@@ -428,7 +428,7 @@ impl Mac {
         let pkt = Outgoing { packet, next_hop, short_retries: 0, long_retries: 0 };
         self.phase = Phase::Defer { pkt, carried_slots: None };
         let mut out = MacOutputs::new();
-        self.step(Input::Resume, now, medium, &mut out);
+        self.resume(now, medium, &mut out);
         out
     }
 
@@ -444,7 +444,7 @@ impl Mac {
     /// backoff countdown.
     pub fn on_medium_maybe_idle(&mut self, now: SimTime, medium: MediumView) -> MacOutputs {
         let mut out = MacOutputs::new();
-        self.step(Input::Resume, now, medium, &mut out);
+        self.resume(now, medium, &mut out);
         out
     }
 
@@ -475,7 +475,7 @@ impl Mac {
                 FrameKind::Ack => self.step(Input::Ack, now, medium, &mut out),
             }
         }
-        self.step(Input::Resume, now, medium, &mut out);
+        self.resume(now, medium, &mut out);
         out
     }
 
@@ -515,7 +515,7 @@ impl Mac {
                 | Responder::SendingAck => self.step(Input::Timer(id), now, medium, &mut out),
             }
         }
-        self.step(Input::Resume, now, medium, &mut out);
+        self.resume(now, medium, &mut out);
         out
     }
 
@@ -542,13 +542,22 @@ impl Mac {
                 self.step(Input::TxDone, now, medium, &mut out);
             }
         }
-        self.step(Input::Resume, now, medium, &mut out);
+        self.resume(now, medium, &mut out);
         out
     }
 
     // ------------------------------------------------------------------
     // The transmit-side chart
     // ------------------------------------------------------------------
+
+    /// The medium may have gone idle. Most of what a MAC is told is this,
+    /// and only a deferring one acts on it: look before stepping.
+    #[inline]
+    fn resume(&mut self, now: SimTime, medium: MediumView, out: &mut MacOutputs) {
+        if matches!(self.phase, Phase::Defer { .. }) {
+            self.step(Input::Resume, now, medium, out);
+        }
+    }
 
     /// One step of the chart: what `input` makes of the state the packet in
     /// custody is in. A pair the chart has no edge for — a stale timer, a
@@ -565,7 +574,18 @@ impl Mac {
                 Resume | Cts | Ack | TxDone | Timer(_) => Phase::Defer { pkt, carried_slots },
             },
             Phase::Count { pkt, countdown, timer } => match input {
-                Timer(id) if id == timer => self.attempt(pkt, countdown, now, medium, out),
+                Timer(id) if id == timer => {
+                    let answering = !matches!(self.responder, Responder::Idle);
+                    if medium.busy || self.nav_until > now || answering {
+                        // Lost the race with a late-arriving signal: refreeze.
+                        self.frozen(pkt, countdown, now)
+                    } else if pkt.next_hop.is_broadcast() || !self.params.rts_enabled {
+                        // Backoff consumed; the next attempt draws afresh.
+                        self.transmit_data(pkt, now, out)
+                    } else {
+                        self.transmit_rts(pkt, now, out)
+                    }
+                }
                 Resume | Cts | Ack | TxDone | Timer(_) => Phase::Count { pkt, countdown, timer },
             },
             Phase::TxRts { pkt } => match input {
@@ -659,6 +679,9 @@ impl Mac {
     /// A running countdown stops — carrier, NAV, or an answer we owe — and
     /// what is left of it is carried.
     fn freeze_countdown(&mut self, now: SimTime) {
+        if !matches!(self.phase, Phase::Count { .. }) {
+            return; // every carrier edge comes here: look before taking
+        }
         self.phase = match mem::take(&mut self.phase) {
             Phase::Count { pkt, countdown, timer } => {
                 self.cancel(Some(timer)); // tombstone the pending timer
@@ -684,26 +707,6 @@ impl Mac {
             cd.slots.saturating_sub(consumed as u32)
         };
         Phase::Defer { pkt, carried_slots: Some(remaining) }
-    }
-
-    /// The countdown ran out.
-    fn attempt(
-        &mut self,
-        pkt: Outgoing,
-        countdown: Countdown,
-        now: SimTime,
-        medium: MediumView,
-        out: &mut MacOutputs,
-    ) -> Phase {
-        if medium.busy || self.nav_until > now || !matches!(self.responder, Responder::Idle) {
-            // Lost the race with a late-arriving signal: refreeze.
-            self.frozen(pkt, countdown, now)
-        } else if pkt.next_hop.is_broadcast() || !self.params.rts_enabled {
-            // Backoff consumed; the next attempt draws afresh.
-            self.transmit_data(pkt, now, out)
-        } else {
-            self.transmit_rts(pkt, now, out)
-        }
     }
 
     fn transmit_rts(&mut self, pkt: Outgoing, now: SimTime, out: &mut MacOutputs) -> Phase {
