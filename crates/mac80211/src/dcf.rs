@@ -459,7 +459,11 @@ impl Mac {
         // A correct reception ends any EIFS obligation.
         self.use_eifs = false;
         if !frame.addressed_to(self.addr) {
-            self.observe_nav(frame.nav_until_nanos, now);
+            self.nav_until = self.nav_until.max(SimTime::from_nanos(frame.nav_until_nanos));
+            if self.nav_until > now {
+                // Virtual carrier became busy: freeze a running countdown.
+                self.freeze_countdown(now);
+            }
             if frame.kind() == FrameKind::Rts && self.nav_until > now {
                 // 802.11 NAV-reset rule: an RTS-established NAV is released
                 // if the granted exchange never starts (no carrier within
@@ -861,14 +865,6 @@ impl Mac {
     // ------------------------------------------------------------------
     // NAV and timers
     // ------------------------------------------------------------------
-
-    fn observe_nav(&mut self, nav_until_nanos: u64, now: SimTime) {
-        self.nav_until = self.nav_until.max(SimTime::from_nanos(nav_until_nanos));
-        if self.nav_until > now {
-            // Virtual carrier became busy: freeze a running countdown.
-            self.freeze_countdown(now);
-        }
-    }
 
     fn arm_nav_reset(&mut self, now: SimTime, wait: SimDuration, out: &mut MacOutputs) {
         // Re-arming tombstones the previous reset timer, if still pending.

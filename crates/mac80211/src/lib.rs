@@ -18,6 +18,10 @@
 //! The MAC is a pure state machine: it never touches the event loop or the
 //! radio directly. The `netstack` driver feeds it frames, timer firings and
 //! medium transitions, and executes the [`MacOutput`] actions it returns.
+//! Inside are two charts and the NAV: `Phase`, the transmit side, whose
+//! states own the packet in custody, its countdown and the timer they wait
+//! on, and `Responder`, the SIFS-timed CTS / ACK owed to a peer. Handlers
+//! are total matches on the two; DESIGN §3.2 has the tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
