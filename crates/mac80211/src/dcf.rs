@@ -398,7 +398,8 @@ impl Mac {
                 (Some(pkt), answer, Some(timer))
             }
         };
-        for id in [first, second, self.nav_timer.take(), self.nav_reset_timer.take()] {
+        let nav_pair = [self.nav_timer.take(), self.nav_reset_timer.take()];
+        for id in [first, second].into_iter().chain(nav_pair).flatten() {
             self.cancel(id);
         }
         self.cw = self.params.cw_min;
@@ -604,7 +605,7 @@ impl Mac {
                 // are giving) somebody an answer is left to the CTS timeout.
                 // No PHY decodes two frames less than a SIFS apart.
                 Cts if matches!(self.responder, Responder::Idle) => {
-                    self.cancel(Some(timer));
+                    self.cancel(timer);
                     // Reset the short retry count: the RTS got through.
                     pkt.short_retries = 0;
                     let timer = self.set_timer(now + self.params.sifs, out);
@@ -632,7 +633,7 @@ impl Mac {
             },
             Phase::WaitAck { mut pkt, timer } => match input {
                 Ack => {
-                    self.cancel(Some(timer));
+                    self.cancel(timer);
                     self.finish_success(pkt, out)
                 }
                 Timer(id) if id == timer => {
@@ -688,7 +689,7 @@ impl Mac {
         }
         self.phase = match mem::take(&mut self.phase) {
             Phase::Count { pkt, countdown, timer } => {
-                self.cancel(Some(timer)); // tombstone the pending timer
+                self.cancel(timer); // tombstone the pending timer
                 self.frozen(pkt, countdown, now)
             }
             other @ (Phase::NoPacket
@@ -868,8 +869,9 @@ impl Mac {
 
     fn arm_nav_reset(&mut self, now: SimTime, wait: SimDuration, out: &mut MacOutputs) {
         // Re-arming tombstones the previous reset timer, if still pending.
-        let previous = self.nav_reset_timer.take();
-        self.cancel(previous);
+        if let Some(previous) = self.nav_reset_timer.take() {
+            self.cancel(previous);
+        }
         self.nav_reset_timer = Some(self.set_timer(now + wait, out));
         self.nav_reset_armed_at = now;
     }
@@ -881,10 +883,8 @@ impl Mac {
         id
     }
 
-    fn cancel(&mut self, id: Option<TimerId>) {
-        if let Some(id) = id {
-            self.timers.cancel(id.0);
-        }
+    fn cancel(&mut self, id: TimerId) {
+        self.timers.cancel(id.0);
     }
 }
 
@@ -1420,6 +1420,22 @@ mod tests {
     /// Those in which a DATA frame for us is promised an ACK.
     const ANSWERING: [&str; 4] = ["NoPacket", "Defer", "WaitCts", "WaitAck"];
 
+    /// Every transmit-side state with the responder idle, then those in
+    /// which it can be pending as well.
+    fn chart_cases() -> impl Iterator<Item = (&'static str, bool)> {
+        STATES.iter().map(|s| (*s, false)).chain(ANSWERING.iter().map(|s| (*s, true)))
+    }
+
+    /// A unicast DATA frame for station 0 from station 2.
+    fn data_for_us(uid: u64) -> MacFrame {
+        MacFrame {
+            src: n(2),
+            dst: n(0),
+            body: FrameBody::Data(SharedPacket::new(data_packet(uid, 2, 0))),
+            nav_until_nanos: 0,
+        }
+    }
+
     fn control(kind: FrameKind, src: u16, dst: u16) -> MacFrame {
         MacFrame { src: n(src), dst: n(dst), body: FrameBody::Control(kind), nav_until_nanos: 0 }
     }
@@ -1495,13 +1511,7 @@ mod tests {
             }
             if answering {
                 w.now += SimDuration::from_micros(5);
-                let frame = MacFrame {
-                    src: n(2),
-                    dst: n(0),
-                    body: FrameBody::Data(SharedPacket::new(data_packet(77, 2, 0))),
-                    nav_until_nanos: 0,
-                };
-                let out = w.mac.on_frame_decoded(frame, w.now, MediumView::idle());
+                let out = w.mac.on_frame_decoded(data_for_us(77), w.now, MediumView::idle());
                 w.note(out);
                 assert!(matches!(w.mac.responder, Responder::Pending { .. }), "{stop}");
             }
@@ -1523,9 +1533,8 @@ mod tests {
     /// a transmit end for every frame it puts on the air.
     #[test]
     fn mutated_mac_bytes_are_refused_or_run_without_panicking() {
-        let cases = STATES.iter().map(|s| (*s, false)).chain(ANSWERING.iter().map(|s| (*s, true)));
         let (mut refused, mut ran) = (0, 0);
-        for (stop, answering) in cases {
+        for (stop, answering) in chart_cases() {
             let walk = Walk::to(stop, answering);
             let clean = encoded(&walk.mac);
             for offset in 0..clean.len() {
@@ -1610,9 +1619,8 @@ mod tests {
 
     #[test]
     fn abort_in_every_state_returns_custody_and_kills_every_timer_in_order() {
-        let cases = STATES.iter().map(|s| (*s, false)).chain(ANSWERING.iter().map(|s| (*s, true)));
         let mut next_ids = Vec::new();
-        for (stop, answering) in cases {
+        for (stop, answering) in chart_cases() {
             let mut w = Walk::to(stop, answering);
             // An overheard RTS first, so the NAV pair is armed as well.
             let mut rts = control(FrameKind::Rts, 5, 6);
@@ -1635,13 +1643,7 @@ mod tests {
             let out =
                 after.mac.start_packet(data_packet(2, 0, 1), n(1), after.now, MediumView::idle());
             after.note(out);
-            let frame = MacFrame {
-                src: n(2),
-                dst: n(0),
-                body: FrameBody::Data(SharedPacket::new(data_packet(78, 2, 0))),
-                nav_until_nanos: 0,
-            };
-            let out = after.mac.on_frame_decoded(frame, after.now, MediumView::idle());
+            let out = after.mac.on_frame_decoded(data_for_us(78), after.now, MediumView::idle());
             after.note(out);
             assert_eq!(after.timers.len(), 3, "{stop}");
             let ids = format!("{:?}", after.timers.iter().map(|(id, _)| id).collect::<Vec<_>>());

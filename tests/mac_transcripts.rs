@@ -27,6 +27,8 @@
 //! end, NAV fields are arbitrary, peers answer or stay silent by dice, and
 //! power is cut (`abort`) inside SIFS gaps far more often than chance would.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use tcp_muzha::mac::{Mac, MacOutput, MacOutputs, MacParams, MacStats, MediumView, TimerId};
 use tcp_muzha::sim::{SimDuration, SimRng, SimTime, SnapshotReader, SnapshotWriter, TraceHash};
 use tcp_muzha::wire::{
@@ -132,9 +134,16 @@ fn n(i: u16) -> NodeId {
     NodeId::new(i)
 }
 
+/// A 512-byte DATA frame from a peer.
+fn peer_data(uid: u64, src: NodeId, dst: NodeId, nav_until_nanos: u64) -> MacFrame {
+    let segment = TcpSegment::data(FlowId::new(1), uid, 512, None);
+    let packet = Packet::new(uid, src, dst, Payload::Tcp(segment));
+    MacFrame { src, dst, body: FrameBody::Data(SharedPacket::new(packet)), nav_until_nanos }
+}
+
 /// Which call handed a timer out — all the script can know about one
 /// without looking inside the MAC.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Origin {
     Decoded,
     TxDone,
@@ -150,7 +159,6 @@ struct Handed {
 }
 
 /// What the script's own event queue holds.
-#[derive(Clone)]
 enum Due {
     Timer(TimerId),
     TxDone(FrameKind, NodeId, u64),
@@ -183,11 +191,11 @@ const RESPONDERS: [&str; 5] = ["Idle", "PendingCts", "PendingAck", "SendingCts",
 /// What the scripts reached, counted.
 #[derive(Default, Debug)]
 struct Coverage {
-    phases: std::collections::BTreeMap<String, u64>,
-    responders: std::collections::BTreeMap<String, u64>,
+    phases: BTreeMap<String, u64>,
+    responders: BTreeMap<String, u64>,
     /// The same, at the twin's cuts only.
-    cut_phases: std::collections::BTreeSet<String>,
-    cut_responders: std::collections::BTreeSet<String>,
+    cut_phases: BTreeSet<String>,
+    cut_responders: BTreeSet<String>,
     failed_by_cts_timeouts: u64,
     failed_by_ack_timeouts: u64,
     freezes: u64,
@@ -198,7 +206,7 @@ struct Coverage {
     aborts_with_custody: u64,
     aborts_with_two_live_timers: u64,
     aborts_owing_an_answer_in_a_timeout: u64,
-    abort_phases: std::collections::BTreeSet<String>,
+    abort_phases: BTreeSet<String>,
     live_timers: u64,
     stale_timers: u64,
     duplicates_not_redelivered: u64,
@@ -253,6 +261,11 @@ impl Script {
         MediumView { busy: self.carrier > 0 }
     }
 
+    /// Whether a SIFS timer `on_frame_decoded` handed out is still to fire.
+    fn sifs_pending(&self) -> bool {
+        self.sifs.iter().any(|&t| self.mac.timer_is_live(t))
+    }
+
     fn push(&mut self, at: SimTime, due: Due) {
         self.seq += 1;
         self.queue.push((at, self.seq, due));
@@ -281,8 +294,7 @@ impl Script {
         let kind = [FrameKind::Rts, FrameKind::Cts, FrameKind::Data, FrameKind::Ack]
             [self.rng.below(4) as usize];
         let mut dst = dst;
-        let sifs_pending = self.sifs.iter().any(|&t| self.mac.timer_is_live(t));
-        if kind == FrameKind::Cts && dst == n(ME) && sifs_pending {
+        if kind == FrameKind::Cts && dst == n(ME) && self.sifs_pending() {
             // The contract's exclusion: somebody else's CTS instead.
             self.cov.cts_for_us_withheld += 1;
             dst = n(6);
@@ -309,18 +321,8 @@ impl Script {
                     self.last_uid_from[peer] = uid;
                 }
                 let to = if broadcast { NodeId::BROADCAST } else { dst };
-                let packet = Packet::new(
-                    uid,
-                    src,
-                    to,
-                    Payload::Tcp(TcpSegment::data(FlowId::new(1), uid, 512, None)),
-                );
-                MacFrame {
-                    src,
-                    dst: to,
-                    body: FrameBody::Data(SharedPacket::new(packet)),
-                    nav_until_nanos: if broadcast { 0 } else { now + ahead(&mut self.rng, 400) },
-                }
+                let nav = if broadcast { 0 } else { now + ahead(&mut self.rng, 400) };
+                peer_data(uid, src, to, nav)
             }
         }
     }
@@ -393,7 +395,7 @@ impl Script {
             }
         }
         let mac = &self.mac;
-        let st: MacStats = mac.stats();
+        let st = mac.stats();
         for v in [
             u64::from(mac.current_cw()),
             mac.nav_ahead(self.now).as_nanos(),
@@ -417,7 +419,7 @@ impl Script {
         // A power cut while an answer is owed *and* a timeout is running is
         // where `abort`'s cancel order shows: the outside world is drawn
         // into those SIFS gaps more often than into others.
-        let owing = !self.mac.is_idle() && self.sifs.iter().any(|&t| self.mac.timer_is_live(t));
+        let owing = !self.mac.is_idle() && self.sifs_pending();
         let burst = self.rng.below(if owing { 2 } else { 8 }) == 0;
         let gap = if burst { 8 } else { era.gap_us };
         let outside_at = self.now + SimDuration::from_micros(1 + u64::from(self.rng.below(gap)));
@@ -488,27 +490,8 @@ impl Script {
                                     self.next_uid += 1;
                                     let peer = (dst.index() - 2).min(1);
                                     self.last_uid_from[peer] = self.next_uid;
-                                    let packet = Packet::new(
-                                        self.next_uid,
-                                        dst,
-                                        n(ME),
-                                        Payload::Tcp(TcpSegment::data(
-                                            FlowId::new(1),
-                                            self.next_uid,
-                                            512,
-                                            None,
-                                        )),
-                                    );
-                                    MacFrame {
-                                        src: dst,
-                                        dst: n(ME),
-                                        body: FrameBody::Data(SharedPacket::new(packet)),
-                                        nav_until_nanos: (start
-                                            + airtime
-                                            + p.sifs
-                                            + p.ack_airtime())
-                                        .as_nanos(),
-                                    }
+                                    let nav = start + airtime + p.sifs + p.ack_airtime();
+                                    peer_data(self.next_uid, dst, n(ME), nav.as_nanos())
                                 }
                                 FrameKind::Rts | FrameKind::Cts | FrameKind::Ack => MacFrame {
                                     src: dst,
@@ -768,7 +751,7 @@ fn mac_transcripts_cover_the_chart() {
     for (what, got, at_least) in counted {
         assert!(got >= at_least, "{what}: {got}, wanted at least {at_least}\n{cov:#?}");
     }
-    let abort_phases: std::collections::BTreeSet<&str> =
+    let abort_phases: BTreeSet<&str> =
         cov.iter().flat_map(|c| c.abort_phases.iter().map(String::as_str)).collect();
     assert!(abort_phases.len() >= 6, "abort was scripted in {abort_phases:?} only");
 }
@@ -786,9 +769,9 @@ fn mac_transcripts_survive_a_snapshot_at_every_kth_step() {
         "a decoded MAC behaves unlike the one encoded; with cuts this build produces:\n{}\n",
         rows.join("\n")
     );
-    let cut_phases: std::collections::BTreeSet<&str> =
+    let cut_phases: BTreeSet<&str> =
         cov.iter().flat_map(|c| c.cut_phases.iter().map(String::as_str)).collect();
-    let cut_responders: std::collections::BTreeSet<&str> =
+    let cut_responders: BTreeSet<&str> =
         cov.iter().flat_map(|c| c.cut_responders.iter().map(String::as_str)).collect();
     assert_eq!(cut_phases, PHASES.into_iter().collect(), "transmit-side states cut");
     assert_eq!(cut_responders, RESPONDERS.into_iter().collect(), "responder states cut");
