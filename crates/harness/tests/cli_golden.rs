@@ -1,0 +1,201 @@
+//! What the four run-driving programs print, pinned from the real binaries:
+//! the captures of `trace`, the verdict lines of `topo`, the `hash=` /
+//! `bytes` of the CI `checkpoint` sequence and the branch logs and verdict
+//! blocks of the three CI `mc` proofs. A change to how a run is *built*
+//! (from flags, from a script) or to which binary holds a subcommand must
+//! leave every expected byte below alone; only [`harness`] — how a
+//! subcommand is spawned — may be respelled.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use sim_core::TraceHash;
+
+/// Spawns subcommand `sub` with `args`.
+fn harness(sub: &str, args: &[&str]) -> Output {
+    let bin = match sub {
+        "trace" => env!("CARGO_BIN_EXE_trace"),
+        "topo" => env!("CARGO_BIN_EXE_topo"),
+        "mc" => env!("CARGO_BIN_EXE_mc"),
+        "checkpoint" => env!("CARGO_BIN_EXE_checkpoint"),
+        other => panic!("no subcommand {other}"),
+    };
+    Command::new(bin).args(args).output().expect("spawn harness binary")
+}
+
+/// [`harness`], required to exit 0; its stdout.
+fn stdout_of(sub: &str, args: &[&str]) -> Vec<u8> {
+    let out = harness(sub, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{sub} {args:?}: {stderr}");
+    out.stdout
+}
+
+fn text_of(sub: &str, args: &[&str]) -> String {
+    String::from_utf8(stdout_of(sub, args)).expect("utf-8 report")
+}
+
+fn digest(bytes: &[u8]) -> String {
+    format!("{:016x}", TraceHash::new().write_bytes(bytes).digest())
+}
+
+/// A scratch directory of this test's own, removed by the caller.
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cli_golden_{}_{test}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    dir
+}
+
+fn corpus(name: &str) -> String {
+    format!("{}/../../tests/scenarios/{name}.scn", env!("CARGO_MANIFEST_DIR"))
+}
+
+#[test]
+fn trace_captures_are_byte_identical() {
+    let dir = scratch("trace");
+    let pcap = dir.join("quick.pcap");
+    let pcap = pcap.to_str().expect("utf-8 temp path");
+    let captures: [&[&str]; 4] = [
+        &["--quick"],
+        &["--quick", "--format", "csv"],
+        &["--quick", "--hops", "2", "--variant", "NewReno"],
+        &["--quick", "--topology", "grid:3x3", "--mobility", "waypoint"],
+    ];
+    let mut digests: Vec<String> =
+        captures.iter().map(|args| digest(&stdout_of("trace", args))).collect();
+    assert!(stdout_of("trace", &["--quick", "--format", "pcap", "--out", pcap]).is_empty());
+    let bytes = std::fs::read(pcap).expect("pcap written");
+    assert_eq!(bytes.len(), 441_938);
+    digests.push(digest(&bytes));
+    assert_eq!(
+        digests,
+        [
+            "48e17dd1c5340c37",
+            "0d7a8424067d45aa",
+            "fafa837f5030efe9",
+            "ad94d9e898ac8625",
+            "fd7cf2019441595b"
+        ]
+    );
+    std::fs::remove_dir_all(&dir).expect("remove scratch directory");
+}
+
+/// The lines of a `topo` report that do not hold a wall-clock figure: the
+/// trace hash (cut before the event rate), the ledger and the verdict.
+fn topo_verdict(args: &[&str]) -> Vec<String> {
+    text_of("topo", args)
+        .lines()
+        .filter(|l| ["trace hash", "ledger:", "invariants:"].iter().any(|p| l.starts_with(p)))
+        .map(|l| l.split("  |  ").next().unwrap_or(l).to_string())
+        .collect()
+}
+
+#[test]
+fn topo_reports_the_same_hash_ledger_and_verdict() {
+    assert_eq!(
+        topo_verdict(&["--secs", "2", "--seed", "1"]),
+        [
+            "trace hash 0x6175379296ff7c03",
+            "ledger: injected 37 = delivered 36 + dropped 0 + fault 0 + in-flight 1",
+            "invariants: clean (24172 records checked)",
+        ]
+    );
+    let chain8 = ["--topology", "chain:8", "--mobility", "static", "--flows", "2", "--secs", "2"];
+    assert_eq!(
+        topo_verdict(&chain8),
+        [
+            "trace hash 0xf98ef042bcfe7f03",
+            "ledger: injected 47 = delivered 45 + dropped 2 + fault 0 + in-flight 0",
+            "invariants: clean (7691 records checked)",
+        ]
+    );
+}
+
+/// `line` from `from` on: what a `checkpoint` line says after the path it
+/// names, which differs from one scratch directory to the next.
+fn after<'a>(line: &'a str, from: &str) -> &'a str {
+    &line[line.find(from).unwrap_or_else(|| panic!("no {from:?} in {line:?}"))..]
+}
+
+/// The CI step "Checkpoint, resume in a new process, compare with a straight
+/// run", then one periodic sweep.
+#[test]
+fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
+    let dir = scratch("checkpoint");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
+    let (scn, ck, straight, cut) =
+        (corpus("chain-break"), path("ck.snap"), path("straight.snap"), path("cut.snap"));
+
+    let taken = text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "4", "--out", &ck]);
+    assert_eq!(
+        after(&taken, ": "),
+        ": 5723 bytes, t=4.000000s events=19891 hash=0x7810ea35368bc107\n"
+    );
+    let resumed = text_of("checkpoint", &["resume", "--script", &scn, "--from", &ck]);
+    assert_eq!(
+        after(&resumed, " at t="),
+        " at t=4.000000s, ran to t=15.000000s: events=39342 (+19451 after resume) \
+         hash=0x8769956ab53477cc\n"
+    );
+    let ran =
+        text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "15", "--out", &straight]);
+    assert_eq!(
+        after(&ran, ": "),
+        ": 5382 bytes, t=15.000000s events=39342 hash=0x8769956ab53477cc\n"
+    );
+    let size = |p: &str| std::fs::metadata(p).expect("snapshot written").len();
+    assert_eq!((size(&ck), size(&straight)), (5723, 5382));
+
+    let bytes = std::fs::read(&ck).expect("snapshot written");
+    std::fs::write(&cut, &bytes[..1000]).expect("write truncated snapshot");
+    let refused = harness("checkpoint", &["resume", "--script", &scn, "--from", &cut]);
+    assert_eq!(refused.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.ends_with("snapshot truncated mid-field\n"), "{stderr}");
+
+    let sweep = ["snapshot", "--script", &scn, "--checkpoint-every", "5", "--out-dir", &path("d")];
+    let sweep = text_of("checkpoint", &sweep);
+    let lines: Vec<&str> = sweep.lines().collect();
+    assert_eq!(lines.len(), 3, "{sweep}");
+    assert_eq!(after(lines[0], ": "), ": t=5.000000s events=20180 hash=0xafd2eb11e9d601e8");
+    assert_eq!(after(lines[1], ": "), ": t=10.000000s events=20349 hash=0x719a97ba8a6a98ca");
+    assert!(lines[2].starts_with("2 checkpoint(s) in "), "{sweep}");
+    assert_eq!(after(lines[2], "; "), "; final t=15.000000s hash=0x8769956ab53477cc");
+    std::fs::remove_dir_all(&dir).expect("remove scratch directory");
+}
+
+/// The three `mc-verify` proofs of CI: the verdict block on stdout and the
+/// branch log `--report` writes.
+#[test]
+fn mc_proofs_print_the_same_verdicts_and_branch_logs() {
+    let dir = scratch("mc");
+    let log = dir.join("branches.log");
+    let log = log.to_str().expect("utf-8 temp path");
+    let shifted: &[&str] = &["--shift-window", "0.002", "--shift-steps", "3"];
+    let mut proofs = Vec::new();
+    for (name, window, shift) in [
+        ("chain-break", "4.0:4.004", shifted),
+        ("relay-crash", "4.0:4.004", &[]),
+        ("pause-resume", "3.0:3.004", &[]),
+    ] {
+        let scn = corpus(name);
+        let mut args = vec!["--script", scn.as_str(), "--tie-window", window];
+        args.extend_from_slice(shift);
+        args.extend_from_slice(&["--max-branches", "2000", "--report", log, "--quiet"]);
+        let verdict = text_of("mc", &args).replace('\n', " ");
+        let branches = std::fs::read(log).expect("branch log written");
+        proofs.push(format!("{verdict}log={}", digest(&branches)));
+    }
+    assert_eq!(
+        proofs,
+        [
+            "mc-verdict script=chain-break status=PROVED placements=3 branches_explored=8 \
+             truncated=false max_choice_points=2 max_group=2 log=53d38ff49370c7ad",
+            "mc-verdict script=relay-crash status=PROVED placements=1 branches_explored=2 \
+             truncated=false max_choice_points=1 max_group=2 log=7dce7e1e40bd2039",
+            "mc-verdict script=pause-resume status=PROVED placements=1 branches_explored=6 \
+             truncated=false max_choice_points=2 max_group=3 log=8d08dc85afc24f3a",
+        ]
+    );
+    std::fs::remove_dir_all(&dir).expect("remove scratch directory");
+}
