@@ -42,4 +42,4 @@ mod scenario;
 
 pub use checker::{CheckerLimits, InvariantChecker, LedgerSummary, Violation};
 pub use mc::{BranchOutcome, BranchRecord, CounterExample, McConfig, McVerdict};
-pub use scenario::{FaultEvent, ScenarioScript, TimedFault};
+pub use scenario::{FaultEvent, FlowLine, ScenarioScript, TimedFault};

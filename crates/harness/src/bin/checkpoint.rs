@@ -22,9 +22,8 @@
 //! 0 on success, 2 on a bad command line, an unusable file or a snapshot
 //! that fails to restore.
 
-use faultline::ScenarioScript;
-use harness::cli::{self, parse_flag_with, parse_secs, required_flag, write_output, CliError};
-use harness::mc::{corpus_duration, corpus_sim};
+use harness::cli::{self, parse_flag_with, required_flag, write_output, CliError};
+use harness::run::Run;
 use sim_core::{SimDuration, SimTime};
 
 fn main() {
@@ -38,36 +37,30 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let Some(mode) = args.first().map(String::as_str) else {
         usage("missing subcommand");
     };
-    let script = cli::read_script(args)?;
-    let duration = corpus_duration(&script);
+    let run = cli::parse_run(args, None)?;
 
     match mode {
-        "snapshot" => snapshot(&script, duration, args),
-        "resume" => resume(&script, duration, args),
+        "snapshot" => snapshot(&run, args),
+        "resume" => resume(&run, args),
         other => usage(&format!("unknown subcommand {other:?} (want snapshot or resume)")),
     }
 }
 
 /// `snapshot`: run to `--at` and write one snapshot, or sweep
 /// `--checkpoint-every` writing one file per checkpoint instant.
-fn snapshot(
-    script: &ScenarioScript,
-    duration: SimDuration,
-    args: &[String],
-) -> Result<(), CliError> {
-    let mut sim = corpus_sim(script);
-    if let Some(every) = parse_flag_with(args, "--checkpoint-every", parse_secs)? {
-        if every == 0.0 {
+fn snapshot(run: &Run, args: &[String]) -> Result<(), CliError> {
+    let mut sim = run.build();
+    if let Some(step) = parse_flag_with(args, "--checkpoint-every", SimDuration::parse_secs)? {
+        if step == SimDuration::ZERO {
             usage("--checkpoint-every must be positive");
         }
         let out_dir = required_flag(args, "--out-dir")?;
         std::fs::create_dir_all(&out_dir).map_err(|e| CliError::file("create", &out_dir, e))?;
-        let step = SimDuration::from_secs_f64(every);
         let mut at = SimTime::ZERO + step;
         let mut written = 0usize;
-        while at < SimTime::ZERO + duration {
+        while at < run.end() {
             sim.run_until(at);
-            let path = format!("{out_dir}/{}-t{:.3}.snap", script.name, at.as_secs_f64());
+            let path = format!("{out_dir}/{}-t{:.3}.snap", run.name, at.as_secs_f64());
             write_output(&path, sim.snapshot())?;
             println!(
                 "checkpoint {path}: t={} events={} hash={:#018x}",
@@ -78,7 +71,7 @@ fn snapshot(
             written += 1;
             at += step;
         }
-        sim.run_until(SimTime::ZERO + duration);
+        sim.run_until(run.end());
         println!(
             "{} checkpoint(s) in {out_dir}; final t={} hash={:#018x}",
             written,
@@ -86,10 +79,10 @@ fn snapshot(
             sim.trace_hash()
         );
     } else {
-        let at = parse_flag_with(args, "--at", parse_secs)?
+        let at = parse_flag_with(args, "--at", SimDuration::parse_secs)?
             .unwrap_or_else(|| usage("snapshot wants --at SECS or --checkpoint-every SECS"));
         let out = required_flag(args, "--out")?;
-        sim.run_until(SimTime::from_secs_f64(at));
+        sim.run_until(SimTime::ZERO + at);
         let bytes = sim.snapshot();
         write_output(&out, &bytes)?;
         println!(
@@ -105,12 +98,12 @@ fn snapshot(
 
 /// `resume`: restore `--from` into a freshly built convention simulator and
 /// run to the script's duration (or `--until`).
-fn resume(script: &ScenarioScript, duration: SimDuration, args: &[String]) -> Result<(), CliError> {
+fn resume(run: &Run, args: &[String]) -> Result<(), CliError> {
     let from = required_flag(args, "--from")?;
     let bytes = std::fs::read(&from).map_err(|e| CliError::file("read", &from, e))?;
-    let end = parse_flag_with(args, "--until", parse_secs)?
-        .map_or(SimTime::ZERO + duration, SimTime::from_secs_f64);
-    let mut sim = corpus_sim(script);
+    let end = parse_flag_with(args, "--until", SimDuration::parse_secs)?
+        .map_or(run.end(), |until| SimTime::ZERO + until);
+    let mut sim = run.build();
     sim.restore(&bytes).map_err(|e| CliError::file("resume", &from, e))?;
     let resumed_from = sim.now();
     if end < resumed_from {

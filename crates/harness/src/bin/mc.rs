@@ -29,9 +29,9 @@
 //! search exits 3; a proof exits 0.
 
 use faultline::mc::McConfig;
-use harness::cli::{self, parse_flag, parse_flag_with, parse_secs, CliError};
+use harness::cli::{self, parse_flag, parse_flag_with, CliError};
 use harness::mc::{explore_scenario, flight_recorder_dump};
-use sim_core::SimTime;
+use sim_core::{SimDuration, SimTime};
 
 fn main() {
     cli::run_main(run);
@@ -40,12 +40,12 @@ fn main() {
 /// `START:END` in virtual seconds, `START <= END`.
 fn parse_window(text: &str) -> Result<(SimTime, SimTime), String> {
     let (start, end) = text.split_once(':').ok_or("want START:END seconds")?;
-    let start = parse_secs(start).map_err(|e| format!("start: {e}"))?;
-    let end = parse_secs(end).map_err(|e| format!("end: {e}"))?;
+    let start = SimDuration::parse_secs(start).map_err(|e| format!("start: {e}"))?;
+    let end = SimDuration::parse_secs(end).map_err(|e| format!("end: {e}"))?;
     if start > end {
         return Err("START must not exceed END".to_string());
     }
-    Ok((SimTime::from_secs_f64(start), SimTime::from_secs_f64(end)))
+    Ok((SimTime::ZERO + start, SimTime::ZERO + end))
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
@@ -59,7 +59,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "--report",
     ];
     cli::positionals(args, &valued, &["--quiet"])?;
-    let script = cli::read_script(args)?;
+    let run = cli::parse_run(args, None)?;
 
     let mut cfg = McConfig {
         tie_window: parse_flag_with(args, "--tie-window", parse_window)?,
@@ -71,8 +71,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if let Some(n) = parse_flag_with(args, "--max-depth", str::parse)? {
         cfg.max_depth = n;
     }
-    if let Some(secs) = parse_flag_with(args, "--shift-window", parse_secs)? {
-        cfg.shift_window_ns = sim_core::SimDuration::from_secs_f64(secs).as_nanos();
+    if let Some(half) = parse_flag_with(args, "--shift-window", SimDuration::parse_secs)? {
+        cfg.shift_window_ns = half.as_nanos();
     }
     if let Some(n) = parse_flag_with(args, "--shift-steps", str::parse)? {
         cfg.shift_steps = n;
@@ -83,10 +83,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if !quiet {
         eprintln!(
             "exploring {} (window {:?}, max {} branches, depth {}, {} placement step(s))...",
-            script.name, cfg.tie_window, cfg.max_branches, cfg.max_depth, cfg.shift_steps
+            run.name, cfg.tie_window, cfg.max_branches, cfg.max_depth, cfg.shift_steps
         );
     }
-    let (verdict, stats) = explore_scenario(&script, &cfg);
+    let (verdict, stats) = explore_scenario(&run, &cfg);
     if !quiet && stats.prefix_events > 0 {
         eprintln!(
             "checkpoint resume: {} events dispatched ({} prefix + {} replayed) vs {} for full replay",
@@ -107,7 +107,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
 
     print!("{}", verdict.render());
     if verdict.counter_example.is_some() {
-        if let Some(dump) = flight_recorder_dump(&script, &cfg, &verdict) {
+        if let Some(dump) = flight_recorder_dump(&run, &cfg, &verdict) {
             print!("{dump}");
         }
     }

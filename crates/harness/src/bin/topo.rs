@@ -19,54 +19,53 @@
 //! that does not balance) prints one `VIOLATION: …` line each and exits 2,
 //! as `mc` does on a counter-example.
 
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
+
 use faultline::InvariantChecker;
-use harness::cli::{self, parse_flag_with, CliError};
-use harness::tracecap;
+use harness::cli::{self, CliError};
 use harness::WallClock;
-use netstack::{FlowSpec, MobilitySpec, SimConfig, Simulator, TcpVariant, TopologySpec};
-use sim_core::SimTime;
-use wire::NodeId;
+use netstack::{MobilitySpec, TopologySpec};
+use sim_core::SimDuration;
 
 fn main() {
     cli::run_main(run);
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let valued = ["--topology", "--mobility", "--secs", "--seed", "--flows", "--variant"];
-    cli::positionals(args, &valued, &[])?;
-    let topology = parse_flag_with(args, "--topology", tracecap::flow_topology)?
-        .unwrap_or_else(|| TopologySpec::random_disc_dense(40, 250.0));
-    let mobility = parse_flag_with(args, "--mobility", MobilitySpec::parse)?
-        .unwrap_or(MobilitySpec::DEFAULT_WAYPOINT);
-    let secs = parse_flag_with(args, "--secs", cli::parse_secs)?.unwrap_or(30.0);
-    let seed = parse_flag_with(args, "--seed", str::parse::<u64>)?;
-    let flows = parse_flag_with(args, "--flows", str::parse::<usize>)?.unwrap_or(1);
-    let variant =
-        parse_flag_with(args, "--variant", tracecap::variant_by_name)?.unwrap_or(TcpVariant::Muzha);
-
-    let mut cfg = SimConfig { topology, mobility, ..SimConfig::default() };
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-
-    println!(
-        "topology {topology} ({} nodes), mobility {mobility}, \
-         {flows} {} flow(s), {secs} s virtual, seed {:#x}",
-        topology.node_count(),
-        variant.name(),
-        cfg.seed,
+    cli::positionals(args, &[&["--script"][..], &cli::SHAPE_FLAGS].concat(), &[])?;
+    let default = (
+        TopologySpec::random_disc_dense(40, 250.0),
+        MobilitySpec::DEFAULT_WAYPOINT,
+        SimDuration::from_secs(30),
     );
+    let run = cli::parse_run(args, Some(default))?;
 
-    let mut sim = Simulator::from_config(cfg);
+    let variants: BTreeSet<&str> = run.flows.iter().map(|f| f.variant.name()).collect();
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
+        "topology {} ({} nodes), mobility {}, {} {} flow(s), {} s virtual, seed {:#x}",
+        run.cfg.topology,
+        run.cfg.topology.node_count(),
+        run.cfg.mobility,
+        run.flows.len(),
+        variants.into_iter().collect::<Vec<_>>().join("/"),
+        run.duration.as_secs_f64(),
+        run.cfg.seed,
+    );
+    cli::print_report(std::mem::take(&mut report));
+
+    let mut sim = run.build();
     sim.install_checker(InvariantChecker::new());
-    add_spread_flows(&mut sim, variant, flows);
     let clock = WallClock::start();
-    sim.run_until(SimTime::from_secs_f64(secs));
+    sim.run_until(run.end());
     let wall_s = clock.elapsed_secs();
     let perf = sim.perf();
     let checker = sim.take_checker().expect("checker installed above");
 
-    println!(
+    let _ = writeln!(
+        report,
         "trace hash {:#018x}  |  {} events in {:.2} s wall = {:.0} events/s  |  \
          {} signal edges settled off the queue",
         sim.trace_hash(),
@@ -75,19 +74,22 @@ fn run(args: &[String]) -> Result<(), CliError> {
         perf.events_processed as f64 / wall_s.max(1e-9),
         perf.edges_settled,
     );
-    println!(
+    let _ = writeln!(
+        report,
         "mobility: {} position updates, {} neighbor-row churn",
         perf.position_updates, perf.link_churn
     );
     let ledger = checker.ledger();
-    println!(
+    let _ = writeln!(
+        report,
         "ledger: injected {} = delivered {} + dropped {} + fault {} + in-flight {}",
         ledger.injected, ledger.delivered, ledger.dropped, ledger.fault_dropped, ledger.in_flight,
     );
     let (lines, status) = verdict(&checker);
     for line in lines {
-        println!("{line}");
+        let _ = writeln!(report, "{line}");
     }
+    cli::print_report(report);
     if status != 0 {
         std::process::exit(status);
     }
@@ -113,30 +115,12 @@ fn verdict(checker: &InvariantChecker) -> (Vec<String>, i32) {
     }
 }
 
-/// Adds `flows` flows: the first between the most-separated pair, the rest
-/// between deterministically spread endpoints.
-fn add_spread_flows(sim: &mut Simulator, variant: TcpVariant, flows: usize) {
-    let n = sim.node_count();
-    assert!(n >= 2, "a flow needs two nodes");
-    let (src, dst) = tracecap::farthest_pair(sim);
-    sim.add_flow(FlowSpec::new(src, dst, variant));
-    for k in 1..flows {
-        // Spread the remaining endpoints around the node index space;
-        // nudge apart if a pair collides.
-        let a = (k * n / flows) % n;
-        let mut b = (a + n / 2) % n;
-        if a == b {
-            b = (b + 1) % n;
-        }
-        sim.add_flow(FlowSpec::new(NodeId::new(a as u16), NodeId::new(b as u16), variant));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::SimTime;
     use tracelog::TraceRecord;
-    use wire::FlowId;
+    use wire::{FlowId, NodeId};
 
     #[test]
     fn a_violation_is_printed_and_exits_2_and_a_clean_run_exits_0() {

@@ -22,7 +22,7 @@
 
 use harness::cli::{self, parse_flag, parse_flag_with, CliError};
 use harness::tracecap::{self, TraceFormat};
-use netstack::{MobilitySpec, SimConfig, TcpVariant, TopologySpec};
+use netstack::{MobilitySpec, TopologySpec};
 use sim_core::SimDuration;
 use tracelog::{TraceEntry, TraceFilter};
 use wire::FlowId;
@@ -31,72 +31,35 @@ fn main() {
     cli::run_main(run);
 }
 
-/// `--hops N` is `--topology chain:N` as far as bounds go: at least one hop,
-/// no more nodes than ids address.
-fn parse_hops(text: &str) -> Result<usize, String> {
-    TopologySpec::parse(&format!("chain:{text}")).map(|chain| chain.node_count() - 1)
-}
-
 fn run(args: &[String]) -> Result<(), CliError> {
-    let valued = [
-        "--hops",
-        "--variant",
-        "--secs",
-        "--seed",
-        "--format",
-        "--follow-flow",
-        "--last",
-        "--out",
-        "--topology",
-        "--mobility",
-    ];
-    cli::positionals(args, &valued, &["--quick"])?;
+    let own = ["--script", "--format", "--follow-flow", "--last", "--out"];
+    cli::positionals(args, &[&own[..], &cli::SHAPE_FLAGS].concat(), &["--quick"])?;
     let quick = args.iter().any(|a| a == "--quick");
 
-    let hops = parse_flag_with(args, "--hops", parse_hops)?.unwrap_or(4);
-    let variant =
-        parse_flag_with(args, "--variant", tracecap::variant_by_name)?.unwrap_or(TcpVariant::Muzha);
-    let secs =
-        parse_flag_with(args, "--secs", str::parse::<u64>)?.unwrap_or(if quick { 2 } else { 10 });
-    let seed = parse_flag_with(args, "--seed", str::parse::<u64>)?;
+    let secs = SimDuration::from_secs(if quick { 2 } else { 10 });
+    let run = cli::parse_run(args, Some((TopologySpec::default(), MobilitySpec::Static, secs)))?;
     let format = parse_flag_with(args, "--format", TraceFormat::parse)?.unwrap_or(TraceFormat::Ns2);
     let follow = parse_flag_with(args, "--follow-flow", str::parse::<u32>)?.map(FlowId::new);
     let last = parse_flag_with(args, "--last", str::parse::<usize>)?;
     let out = parse_flag(args, "--out")?;
-    let topology = parse_flag_with(args, "--topology", tracecap::flow_topology)?;
-    let mobility = parse_flag_with(args, "--mobility", MobilitySpec::parse)?;
-    if mobility.is_some() && topology.is_none() {
-        let reason = "needs --topology SPEC; the default chain is fixed";
-        return Err(cli::conflicting(args, "--mobility", reason));
-    }
     if format.is_binary() && out.is_none() {
         return Err(cli::conflicting(args, "--format", "binary output needs --out PATH"));
     }
 
-    let mut cfg = SimConfig::default();
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
     let mut filter = TraceFilter::all();
     if let Some(flow) = follow {
         filter = filter.flow(flow);
     }
-
-    let (log, flow) = if let Some(spec) = topology {
-        cfg.topology = spec;
-        cfg.mobility = mobility.unwrap_or_default();
-        eprintln!(
-            "capturing {spec} topology ({} nodes, {} mobility), {} flow, {secs} s virtual...",
-            spec.node_count(),
-            cfg.mobility,
-            variant.name()
-        );
-        tracecap::capture_topology(variant, SimDuration::from_secs(secs), cfg, filter)
-    } else {
-        eprintln!("capturing {hops}-hop chain, {} flow, {secs} s virtual...", variant.name());
-        tracecap::capture_chain(hops, variant, SimDuration::from_secs(secs), cfg, filter)
-    };
-    eprintln!("flow {flow}: {} records seen, {} kept", log.seen(), log.kept());
+    eprintln!(
+        "capturing {} ({} nodes, {} mobility), {} flow(s), {} s virtual...",
+        run.cfg.topology,
+        run.cfg.topology.node_count(),
+        run.cfg.mobility,
+        run.flows.len(),
+        run.duration.as_secs_f64()
+    );
+    let log = run.capture(filter);
+    eprintln!("{} records seen, {} kept", log.seen(), log.kept());
 
     let entries: Vec<TraceEntry> = tracecap::tail(log.iter().copied().collect(), last);
     let bytes = tracecap::render(&entries, format);
@@ -106,12 +69,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             cli::write_output(&path, &bytes)?;
             eprintln!("wrote {} records ({} bytes) to {path}", entries.len(), bytes.len());
         }
-        None => {
-            // Tolerate a closed pipe (`trace ... | head`) instead of
-            // panicking mid-write.
-            use std::io::Write as _;
-            let _ = std::io::stdout().write_all(&bytes);
-        }
+        None => cli::print_report(&bytes),
     }
     Ok(())
 }

@@ -1,12 +1,19 @@
-//! Flag lookup shared by the harness binaries: `--flag V` / `--flag=V`
-//! with typed errors, and the file reads and writes those flags name, so a
-//! bad command line or an unusable file is one line on stderr and exit
-//! status 2, never a panic.
+//! The command line of the harness binaries: `--flag V` / `--flag=V` lookup
+//! with typed errors, the one table of which `harness` subcommand takes
+//! which flag, the [`Run`] a command line states (a `--script` file, or the
+//! run-shape flags that spell one), and the file reads and writes flags
+//! name — so a bad command line or an unusable file is one line on stderr
+//! and exit status 2, never a panic.
 
 use std::fmt::{self, Display};
+use std::io::Write as _;
 use std::path::Path;
 
-use faultline::ScenarioScript;
+use faultline::{FlowLine, ScenarioScript};
+use netstack::{MobilitySpec, SimConfig, TcpVariant, TopologySpec};
+use sim_core::{SimDuration, SimTime};
+
+use crate::run::{spread_endpoints, Run};
 
 /// Why a command line was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,6 +42,13 @@ pub enum CliError {
         /// The parser's own message.
         reason: String,
     },
+    /// The subcommand is absent or not one the binary has.
+    Subcommand {
+        /// What stood where the subcommand belongs, if anything did.
+        given: Option<String>,
+        /// The subcommands there are.
+        want: &'static str,
+    },
     /// A file or directory the command line names could not be used.
     File {
         /// What was attempted: `read`, `parse`, `write`, `create`.
@@ -47,6 +61,11 @@ pub enum CliError {
 }
 
 impl CliError {
+    /// A [`CliError::Subcommand`] for `given` where one of `want` belongs.
+    pub fn subcommand(given: Option<impl Display>, want: &'static str) -> Self {
+        CliError::Subcommand { given: given.map(|g| g.to_string()), want }
+    }
+
     /// A [`CliError::File`] for `action` on `path` failing with `reason`.
     pub fn file(action: &'static str, path: impl AsRef<Path>, reason: impl Display) -> Self {
         let path = path.as_ref().display().to_string();
@@ -69,6 +88,12 @@ impl Display for CliError {
             CliError::UnknownFlag { flag } => write!(f, "unknown flag {flag}"),
             CliError::BadValue { flag, value, reason } => {
                 write!(f, "{flag}: cannot use {value:?}: {reason}")
+            }
+            CliError::Subcommand { given: None, want } => {
+                write!(f, "missing subcommand (want {want})")
+            }
+            CliError::Subcommand { given: Some(given), want } => {
+                write!(f, "unknown subcommand {given:?} (want {want})")
             }
             CliError::File { action, path, reason } => {
                 write!(f, "cannot {action} {path}: {reason}")
@@ -164,31 +189,81 @@ pub fn positionals<'a>(
     Ok(rest)
 }
 
-/// A value parser for [`parse_flag_with`]: a non-negative number of virtual
-/// seconds that fits `SimTime`'s `u64` nanoseconds (what
-/// `SimTime::from_secs_f64` accepts without panicking).
-///
-/// # Errors
-///
-/// The float parser's message, or the range complaint.
-pub fn parse_secs(text: &str) -> Result<f64, String> {
-    match text.parse::<f64>() {
-        Ok(v) if v >= 0.0 && v * 1e9 <= u64::MAX as f64 => Ok(v),
-        Ok(_) => Err("want a non-negative number of seconds below 2^64 ns".to_string()),
-        Err(e) => Err(e.to_string()),
+/// The flags that spell a run without a file. `--hops N` is `--topology
+/// chain:N`.
+pub const SHAPE_FLAGS: [&str; 7] =
+    ["--topology", "--mobility", "--hops", "--variant", "--flows", "--secs", "--seed"];
+
+/// Parses a `--topology` value for a run that drives flows across it: the
+/// spec grammar, plus the two nodes a flow needs.
+fn flow_topology(text: &str) -> Result<TopologySpec, String> {
+    let spec = TopologySpec::parse(text)?;
+    if spec.node_count() < 2 {
+        return Err(format!("a flow needs two nodes, this topology has {}", spec.node_count()));
     }
+    Ok(spec)
 }
 
-/// The scenario the required `--script PATH` flag names, read and parsed.
+/// The run a command line states. `--script PATH` reads a run file; without
+/// it the run-shape flags spell the run over `default` — the topology,
+/// mobility and duration of a subcommand that can run unprompted — with
+/// `--flows` flows of `--variant` (one Muzha flow when absent) between the
+/// endpoints [`spread_endpoints`] picks. Both ways end in
+/// [`Run::from_script`]. `None` for a subcommand that takes a file only.
 ///
 /// # Errors
 ///
-/// As [`required_flag`]; [`CliError::File`] when the file cannot be read
-/// or is not a scenario script.
-pub fn read_script(args: &[String]) -> Result<ScenarioScript, CliError> {
-    let path = required_flag(args, "--script")?;
-    let text = std::fs::read_to_string(&path).map_err(|e| CliError::file("read", &path, e))?;
-    ScenarioScript::parse(&text).map_err(|e| CliError::file("parse", &path, e))
+/// [`CliError::BadValue`] for a run-shape flag beside `--script`, `--hops`
+/// beside `--topology`, or a value its grammar refuses; [`CliError::File`]
+/// when the file cannot be read or is not a run; [`CliError::Required`]
+/// when there is neither a file nor a default.
+pub fn parse_run(
+    args: &[String],
+    default: Option<(TopologySpec, MobilitySpec, SimDuration)>,
+) -> Result<Run, CliError> {
+    if let Some(path) = parse_flag(args, "--script")? {
+        let named = |a: &String, flag: &str| a.split('=').next() == Some(flag);
+        if let Some(flag) = SHAPE_FLAGS.iter().find(|f| args.iter().any(|a| named(a, f))) {
+            return Err(conflicting(args, flag, "--script states the whole run"));
+        }
+        let text = std::fs::read_to_string(&path).map_err(|e| CliError::file("read", &path, e))?;
+        let script = ScenarioScript::parse(&text).and_then(|script| Run::from_script(&script));
+        return script.map_err(|e| CliError::file("parse", &path, e));
+    }
+    let Some((topology, mobility, duration)) = default else {
+        return Err(CliError::Required { flag: "--script".to_string() });
+    };
+    let chain = |hops: &str| flow_topology(&format!("chain:{hops}"));
+    let hops = parse_flag_with(args, "--hops", chain)?;
+    let stated = parse_flag_with(args, "--topology", flow_topology)?;
+    if hops.is_some() && stated.is_some() {
+        return Err(conflicting(args, "--hops", "--hops N is --topology chain:N; give one"));
+    }
+    let topology = stated.or(hops).unwrap_or(topology);
+    let seed = parse_flag_with(args, "--seed", str::parse::<u64>)?;
+    let seed = seed.unwrap_or(SimConfig::default().seed);
+    let variant = parse_flag_with(args, "--variant", TcpVariant::parse)?;
+    let variant = variant.unwrap_or(TcpVariant::Muzha);
+    let flows = parse_flag_with(args, "--flows", |n| match n.parse::<usize>() {
+        Ok(0) => Err("a run needs a flow".to_string()),
+        other => other.map_err(|e| e.to_string()),
+    })?;
+    let flow = |(src, dst)| FlowLine { src, dst, variant, start: SimTime::ZERO, window: None };
+    let script = ScenarioScript {
+        seed: Some(seed),
+        duration: parse_flag_with(args, "--secs", SimDuration::parse_secs)?.or(Some(duration)),
+        topology: Some(topology),
+        mobility: parse_flag_with(args, "--mobility", MobilitySpec::parse)?.or(Some(mobility)),
+        flows: spread_endpoints(topology, seed, flows.unwrap_or(1)).into_iter().map(flow).collect(),
+        ..ScenarioScript::default()
+    };
+    Run::from_script(&script).map_err(|reason| conflicting(args, "--flows", reason))
+}
+
+/// Writes a rendered report to stdout, tolerating a closed pipe
+/// (`harness topo … | head -3`) instead of panicking mid-write.
+pub fn print_report(report: impl AsRef<[u8]>) {
+    let _ = std::io::stdout().write_all(report.as_ref());
 }
 
 /// Writes `contents` to `path`.
@@ -266,20 +341,6 @@ mod tests {
             let err = positionals(&args(line), &valued, &switches).unwrap_err();
             assert_eq!(err, CliError::UnknownFlag { flag: flag.to_string() });
             assert_eq!(err.to_string(), format!("unknown flag {flag}"));
-        }
-    }
-
-    #[test]
-    fn seconds_must_be_non_negative_and_fit_simtime() {
-        assert_eq!(parse_secs("2.5"), Ok(2.5));
-        assert_eq!(parse_secs("0"), Ok(0.0));
-        for bad in ["-1", "NaN", "inf", "soon", "", "99999999999999", "1.9e10"] {
-            assert!(parse_secs(bad).is_err(), "{bad:?} must be rejected");
-        }
-        // Everything accepted converts without tripping SimTime's own check.
-        for edge in ["18446744073", "1.8e10"] {
-            let secs = parse_secs(edge).expect(edge);
-            assert!(sim_core::SimTime::from_secs_f64(secs) > sim_core::SimTime::ZERO);
         }
     }
 

@@ -28,6 +28,7 @@ pub mod experiments;
 pub mod export;
 pub mod mc;
 mod parallel;
+pub mod run;
 mod runner;
 mod table;
 pub mod tracecap;

@@ -1,61 +1,35 @@
 //! Glue between the generic explorer (`faultline::mc`) and the simulator:
-//! builds one full simulation per branch under the scenario-corpus
-//! convention (4-hop chain, one NewReno flow end to end, the script's seed
-//! and duration) and feeds the invariant checker's findings back to the
-//! search. `faultline` cannot depend on `netstack`, so this is where the
-//! two meet; the `mc` binary and the test suite both drive exploration
-//! through here so CLI verdicts and test assertions can never disagree.
+//! builds one full simulation per branch from the [`Run`] under exploration
+//! and feeds the invariant checker's findings back to the search.
+//! `faultline` cannot depend on `netstack`, so this is where the two meet;
+//! `harness mc` and the test suite both drive exploration through here so
+//! CLI verdicts and test assertions can never disagree.
 
 use faultline::mc::{self, BranchOutcome, McConfig, McVerdict};
-use faultline::{InvariantChecker, ScenarioScript};
-use netstack::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
-use sim_core::{SimDuration, SimTime, TieOrder};
+use faultline::InvariantChecker;
+use netstack::Simulator;
+use sim_core::{SimTime, TieOrder};
 use tracelog::TraceLog;
 
-/// Corpus-convention chain length (nodes 0..=4).
-const HOPS: usize = 4;
-/// Fallback duration for scripts that do not pin one.
-const DEFAULT_DURATION: SimDuration = SimDuration::from_secs(10);
+use crate::run::Run;
 
-/// Builds the bare corpus-convention simulator for `script`: 4-hop chain,
-/// one NewReno flow end to end, the script's seed. The scenario itself is
-/// *not* loaded — callers either load it (fresh run) or overwrite the whole
-/// state via [`Simulator::restore`] (branch resume).
-fn build_sim(script: &ScenarioScript) -> Simulator {
-    let seed = script.seed.unwrap_or(1);
-    let cfg = SimConfig { seed, ..SimConfig::default() };
-    let mut sim = Simulator::new(topology::chain(HOPS), cfg);
-    let (src, dst) = topology::chain_flow(HOPS);
-    sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-    sim
+/// `run` once per fault placement of `cfg`'s shift grid, the scripted
+/// placement first.
+fn placed_runs(run: &Run, cfg: &McConfig) -> Vec<Run> {
+    let placed = mc::placements(&run.script, cfg);
+    placed.into_iter().map(|script| Run { script, ..run.clone() }).collect()
 }
 
-/// The corpus-convention simulator for `script` with the scenario loaded —
-/// the shape every harness entry point (the test corpus, `--bin mc`,
-/// `--bin checkpoint`) runs. A [`Simulator::restore`] target for snapshots
-/// taken under the same convention: restoring overwrites the loaded
-/// scenario state wholesale, so the same builder serves both legs.
-pub fn corpus_sim(script: &ScenarioScript) -> Simulator {
-    let mut sim = build_sim(script);
-    sim.load_scenario(script);
-    sim
-}
-
-/// The script's run duration under the corpus convention (10 s fallback).
-pub fn corpus_duration(script: &ScenarioScript) -> SimDuration {
-    script.duration.unwrap_or(DEFAULT_DURATION)
-}
-
-/// Runs `sim` — corpus-convention, checker installed — to the script's
-/// duration under `order`, returning the sealed simulator, the consumed tie
-/// order, and the sealed checker.
+/// Runs `sim` — built from `run`, checker installed — to the run's end
+/// under `order`, returning the sealed simulator, the consumed tie order,
+/// and the sealed checker.
 fn run_to_end(
     mut sim: Simulator,
-    script: &ScenarioScript,
+    run: &Run,
     order: TieOrder,
 ) -> (Simulator, TieOrder, InvariantChecker) {
     sim.install_tie_order(order);
-    sim.run_until(SimTime::ZERO + corpus_duration(script));
+    sim.run_until(run.end());
     let order = sim.take_tie_order().expect("tie order was installed");
     let checker = sim.take_checker().expect("checker was installed");
     (sim, order, checker)
@@ -63,28 +37,24 @@ fn run_to_end(
 
 /// [`run_to_end`] from t = 0 on a freshly built simulator, optionally traced.
 fn run_with_order(
-    script: &ScenarioScript,
+    run: &Run,
     order: TieOrder,
     log: Option<TraceLog>,
 ) -> (Simulator, TieOrder, InvariantChecker) {
-    let mut sim = corpus_sim(script);
+    let mut sim = run.build();
     sim.install_checker(InvariantChecker::new());
     if let Some(log) = log {
         sim.install_trace_log(log);
     }
-    run_to_end(sim, script, order)
+    run_to_end(sim, run, order)
 }
 
-/// Runs one branch of the exploration from t = 0: `script` (already shifted
-/// to its placement) replayed under `decisions` with the tie window from
-/// `cfg`. Returns the outcome and the branch's dispatched-event count. This
-/// is the reference [`run_branch_resumed`] must match bit for bit.
-pub fn run_branch(
-    script: &ScenarioScript,
-    cfg: &McConfig,
-    decisions: &[usize],
-) -> (BranchOutcome, u64) {
-    let (sim, order, checker) = run_with_order(script, windowed_order(cfg, decisions), None);
+/// Runs one branch of the exploration from t = 0: `run` (already shifted to
+/// its placement) replayed under `decisions` with the tie window from `cfg`.
+/// Returns the outcome and the branch's dispatched-event count. This is the
+/// reference [`run_branch_resumed`] must match bit for bit.
+pub fn run_branch(run: &Run, cfg: &McConfig, decisions: &[usize]) -> (BranchOutcome, u64) {
+    let (sim, order, checker) = run_with_order(run, windowed_order(cfg, decisions), None);
     let events = sim.perf().events_processed;
     (seal_branch(&sim, order, &checker), events)
 }
@@ -107,7 +77,7 @@ fn seal_branch(sim: &Simulator, order: TieOrder, checker: &InvariantChecker) -> 
     BranchOutcome { trace_hash: sim.trace_hash(), choices: order.into_choices(), violations }
 }
 
-/// Explores every bounded interleaving of `script` under `cfg`: fault
+/// Explores every bounded interleaving of `run` under `cfg`: fault
 /// placements on the shift grid × tie permutations inside the window, the
 /// full invariant checker on every branch. See [`faultline::mc::explore`].
 ///
@@ -117,8 +87,8 @@ fn seal_branch(sim: &Simulator, order: TieOrder, checker: &InvariantChecker) -> 
 /// shared prefix and every branch replays from t = 0 ([`run_branch`]). The
 /// verdict is bit-identical either way — same hashes, same choices, same
 /// violations.
-pub fn explore_scenario(script: &ScenarioScript, cfg: &McConfig) -> (McVerdict, ResumeStats) {
-    let placed = mc::placements(script, cfg);
+pub fn explore_scenario(run: &Run, cfg: &McConfig) -> (McVerdict, ResumeStats) {
+    let placed = placed_runs(run, cfg);
     // A window opening at t = 0 has no prefix either: the checkpoint would
     // have to sit before the first instant.
     let checkpoints: Vec<Checkpoint> = match cfg.tie_window {
@@ -131,7 +101,7 @@ pub fn explore_scenario(script: &ScenarioScript, cfg: &McConfig) -> (McVerdict, 
         prefix_events: checkpoints.iter().map(|c| c.prefix_events).sum(),
         ..ResumeStats::default()
     };
-    let verdict = mc::explore(&script.name, placed.len(), cfg, |placement, decisions| {
+    let verdict = mc::explore(&run.name, placed.len(), cfg, |placement, decisions| {
         let (outcome, replayed, prefix) = match checkpoints.get(placement) {
             Some(checkpoint) => {
                 let (outcome, replayed) =
@@ -154,7 +124,7 @@ pub fn explore_scenario(script: &ScenarioScript, cfg: &McConfig) -> (McVerdict, 
 // Checkpointed branch resume (ROADMAP item 5)
 // ----------------------------------------------------------------------
 
-/// A mid-run checkpoint of one placement's corpus-convention simulation:
+/// A mid-run checkpoint of one placement's simulation:
 /// the serialized simulator plus the live (unsealed) checker state, taken
 /// just before the tie window opens. Branch resumes restore the bytes and
 /// re-install a clone of the checker, because observers are not part of
@@ -189,17 +159,17 @@ impl ResumeStats {
     }
 }
 
-/// Runs the shared prefix of `script` once — up to, but *not* including,
+/// Runs the shared prefix of `run` once — up to, but *not* including,
 /// the instant `at` — and captures a [`Checkpoint`]. Events at exactly
 /// `at` are tie candidates of the exploration window, so they must be
 /// dispatched under each branch's tie order, not consumed FIFO here. An
-/// `at` past the script's duration checkpoints the end of the run: no
-/// branch may see events the full replay never dispatches.
-pub fn checkpoint_before(script: &ScenarioScript, at: SimTime) -> Checkpoint {
-    let mut sim = corpus_sim(script);
+/// `at` past the run's duration checkpoints the end of the run: no branch
+/// may see events the full replay never dispatches.
+pub fn checkpoint_before(run: &Run, at: SimTime) -> Checkpoint {
+    let mut sim = run.build();
     sim.install_checker(InvariantChecker::new());
     let stop = SimTime::from_nanos(at.as_nanos().saturating_sub(1));
-    sim.run_until(stop.min(SimTime::ZERO + corpus_duration(script)));
+    sim.run_until(stop.min(run.end()));
     let checker = sim.checker().cloned().expect("checker was installed");
     Checkpoint { bytes: sim.snapshot(), checker, prefix_events: sim.perf().events_processed }
 }
@@ -209,15 +179,15 @@ pub fn checkpoint_before(script: &ScenarioScript, at: SimTime) -> Checkpoint {
 /// [`run_branch`] on the same inputs — and the number of suffix events
 /// replayed.
 pub fn run_branch_resumed(
-    script: &ScenarioScript,
+    run: &Run,
     cfg: &McConfig,
     checkpoint: &Checkpoint,
     decisions: &[usize],
 ) -> (BranchOutcome, u64) {
-    let mut sim = build_sim(script);
+    let mut sim = run.build();
     sim.restore(&checkpoint.bytes).expect("checkpoint restores into its config twin");
     sim.install_checker(checkpoint.checker.clone());
-    let (sim, order, checker) = run_to_end(sim, script, windowed_order(cfg, decisions));
+    let (sim, order, checker) = run_to_end(sim, run, windowed_order(cfg, decisions));
     let replayed = sim.perf().events_processed - checkpoint.prefix_events;
     (seal_branch(&sim, order, &checker), replayed)
 }
@@ -226,14 +196,10 @@ pub fn run_branch_resumed(
 /// installed and renders every dump it triggered (the lead-up window to
 /// each invariant violation) as ns-2 trace lines. Returns `None` when the
 /// verdict has no counter-example.
-pub fn flight_recorder_dump(
-    script: &ScenarioScript,
-    cfg: &McConfig,
-    verdict: &McVerdict,
-) -> Option<String> {
+pub fn flight_recorder_dump(run: &Run, cfg: &McConfig, verdict: &McVerdict) -> Option<String> {
     use std::fmt::Write as _;
     let ce = verdict.counter_example.as_ref()?;
-    let placed = mc::placements(script, cfg);
+    let placed = placed_runs(run, cfg);
     let placement = placed.get(ce.placement)?;
     let order = windowed_order(cfg, &ce.decisions);
     let (mut sim, _, _) = run_with_order(placement, order, Some(TraceLog::flight_recorder(64)));
@@ -250,19 +216,19 @@ pub fn flight_recorder_dump(
 mod tests {
     use super::*;
 
-    fn chain_break() -> ScenarioScript {
-        ScenarioScript::parse(
-            "name mini-break\nseed 3\nduration 4\nat 1.5 link-down 2 3\nat 2.5 link-up 2 3\n",
-        )
-        .expect("fixture parses")
+    fn chain_break() -> Run {
+        let text =
+            "name mini-break\nseed 3\nduration 4\nat 1.5 link-down 2 3\nat 2.5 link-up 2 3\n";
+        let script = faultline::ScenarioScript::parse(text).expect("fixture parses");
+        Run::from_script(&script).expect("fixture names nodes of chain:4")
     }
 
     #[test]
     fn branch_zero_matches_the_plain_corpus_run() {
-        let script = chain_break();
+        let run = chain_break();
         let cfg = McConfig::default();
-        let (a, _) = run_branch(&script, &cfg, &[]);
-        let (b, _) = run_branch(&script, &cfg, &[]);
+        let (a, _) = run_branch(&run, &cfg, &[]);
+        let (b, _) = run_branch(&run, &cfg, &[]);
         assert_eq!(a.trace_hash, b.trace_hash, "replays of the same branch must agree");
         assert_eq!(a.choices, b.choices);
         assert!(a.violations.is_empty(), "violations: {:?}", a.violations);
@@ -270,8 +236,8 @@ mod tests {
 
     #[test]
     fn windowed_exploration_of_a_short_break_proves_clean() {
-        let script = chain_break();
-        let (verdict, _) = explore_scenario(&script, &windowed_cfg());
+        let run = chain_break();
+        let (verdict, _) = explore_scenario(&run, &windowed_cfg());
         assert!(
             verdict.proved(),
             "expected a proof, got {} ({} branches)",
@@ -291,12 +257,12 @@ mod tests {
 
     #[test]
     fn resumed_branch_is_bit_identical_to_full_replay() {
-        let script = chain_break();
+        let run = chain_break();
         let cfg = windowed_cfg();
-        let checkpoint = checkpoint_before(&script, SimTime::from_secs_f64(1.5));
+        let checkpoint = checkpoint_before(&run, SimTime::from_secs_f64(1.5));
         for decisions in [vec![], vec![1]] {
-            let (full, total) = run_branch(&script, &cfg, &decisions);
-            let (resumed, replayed) = run_branch_resumed(&script, &cfg, &checkpoint, &decisions);
+            let (full, total) = run_branch(&run, &cfg, &decisions);
+            let (resumed, replayed) = run_branch_resumed(&run, &cfg, &checkpoint, &decisions);
             assert_eq!(full.trace_hash, resumed.trace_hash, "hash for decisions {decisions:?}");
             assert_eq!(full.choices, resumed.choices, "choices for decisions {decisions:?}");
             assert_eq!(full.violations, resumed.violations);
@@ -311,13 +277,13 @@ mod tests {
 
     #[test]
     fn checkpointed_exploration_matches_full_replay_with_fewer_events() {
-        let script = chain_break();
+        let run = chain_break();
         let cfg = windowed_cfg();
-        let placed = mc::placements(&script, &cfg);
-        let full = mc::explore(&script.name, placed.len(), &cfg, |p, decisions| {
+        let placed = placed_runs(&run, &cfg);
+        let full = mc::explore(&run.name, placed.len(), &cfg, |p, decisions| {
             run_branch(&placed[p], &cfg, decisions).0
         });
-        let (resumed, stats) = explore_scenario(&script, &cfg);
+        let (resumed, stats) = explore_scenario(&run, &cfg);
         assert_eq!(
             full.render_log(),
             resumed.render_log(),
@@ -330,7 +296,7 @@ mod tests {
         );
         // No window, no shared prefix: the same entry point replays in full.
         let unwindowed = McConfig { max_branches: 3, ..McConfig::default() };
-        let (_, unwindowed) = explore_scenario(&script, &unwindowed);
+        let (_, unwindowed) = explore_scenario(&run, &unwindowed);
         assert_eq!(unwindowed.prefix_events, 0);
         assert_eq!(unwindowed.resumed_events(), unwindowed.full_replay_events);
     }
@@ -342,7 +308,7 @@ mod tests {
     /// replay while dispatching strictly fewer events.
     #[test]
     fn checkpoint_resume_reproduces_the_planted_counter_example_cheaper() {
-        let script = chain_break();
+        let run = chain_break();
         let cfg = windowed_cfg();
         let plant = |mut outcome: BranchOutcome| {
             if outcome.choices.iter().any(|c| c.chosen != 0) {
@@ -351,9 +317,9 @@ mod tests {
             outcome
         };
 
-        let placed = mc::placements(&script, &cfg);
+        let placed = placed_runs(&run, &cfg);
         let mut full_events = 0u64;
-        let full = mc::explore(&script.name, placed.len(), &cfg, |p, decisions| {
+        let full = mc::explore(&run.name, placed.len(), &cfg, |p, decisions| {
             let (outcome, events) = run_branch(&placed[p], &cfg, decisions);
             full_events += events;
             plant(outcome)
@@ -365,7 +331,7 @@ mod tests {
         let checkpoints: Vec<Checkpoint> =
             placed.iter().map(|p| checkpoint_before(p, start)).collect();
         let mut resumed_events: u64 = checkpoints.iter().map(|c| c.prefix_events).sum();
-        let resumed = mc::explore(&script.name, placed.len(), &cfg, |p, decisions| {
+        let resumed = mc::explore(&run.name, placed.len(), &cfg, |p, decisions| {
             let (outcome, replayed) =
                 run_branch_resumed(&placed[p], &cfg, &checkpoints[p], decisions);
             resumed_events += replayed;

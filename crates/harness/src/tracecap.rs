@@ -1,17 +1,14 @@
-//! Shared capture plumbing for the trace sinks.
+//! Shared rendering plumbing for the trace sinks.
 //!
-//! Runs a scenario with a [`TraceLog`] installed and renders the captured
-//! entries in one of the supported formats (ns-2 trace lines, a pcap
-//! capture, or structured CSV). Everything here returns in-memory strings
-//! or byte vectors — file I/O stays in the binaries, on the wall-clock
-//! side of the determinism boundary.
+//! Renders the entries a traced run captured ([`crate::run::Run::capture`])
+//! in one of the supported formats (ns-2 trace lines, a pcap capture, or
+//! structured CSV). Everything here returns in-memory strings or byte
+//! vectors — file I/O stays in the binaries, on the wall-clock side of the
+//! determinism boundary.
 
 use std::fmt::Write as _;
 
-use netstack::{topology, FlowSpec, SimConfig, Simulator, TcpVariant, TopologySpec};
-use sim_core::{SimDuration, SimTime};
-use tracelog::{ns2, pcap, TraceEntry, TraceFilter, TraceLog};
-use wire::{FlowId, NodeId};
+use tracelog::{ns2, pcap, TraceEntry};
 
 /// Output format of a rendered capture.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,81 +45,6 @@ impl TraceFormat {
     pub fn is_binary(self) -> bool {
         matches!(self, TraceFormat::Pcap)
     }
-}
-
-/// Looks a [`TcpVariant`] up by its display name, case-insensitively.
-pub fn variant_by_name(name: &str) -> Result<TcpVariant, String> {
-    TcpVariant::ALL
-        .into_iter()
-        .find(|v| v.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown variant '{name}'; known: {:?}", TcpVariant::ALL))
-}
-
-/// Parses a `--topology` value for a binary that drives flows across it:
-/// the spec grammar, plus the two nodes a flow needs ([`farthest_pair`]).
-pub fn flow_topology(text: &str) -> Result<TopologySpec, String> {
-    let spec = TopologySpec::parse(text)?;
-    if spec.node_count() < 2 {
-        return Err(format!("a flow needs two nodes, this topology has {}", spec.node_count()));
-    }
-    Ok(spec)
-}
-
-/// Runs a single-flow `hops`-hop chain with a trace log installed and
-/// returns the captured log together with the flow id.
-pub fn capture_chain(
-    hops: usize,
-    variant: TcpVariant,
-    duration: SimDuration,
-    cfg: SimConfig,
-    filter: TraceFilter,
-) -> (TraceLog, FlowId) {
-    let mut sim = Simulator::new(topology::chain(hops), cfg);
-    let (src, dst) = topology::chain_flow(hops);
-    let flow = sim.add_flow(FlowSpec::new(src, dst, variant));
-    sim.install_trace_log(TraceLog::with_filter(filter));
-    sim.run_until(SimTime::ZERO + duration);
-    let log = sim.take_trace_log().expect("log installed above");
-    (log, flow)
-}
-
-/// The pair of nodes with the greatest initial separation (first such pair
-/// in row-major scan order — deterministic). A natural flow for arbitrary
-/// generated topologies: the longest line the routing layer must sustain.
-pub fn farthest_pair(sim: &Simulator) -> (NodeId, NodeId) {
-    let n = sim.node_count();
-    assert!(n >= 2, "a flow needs two nodes");
-    let (mut best, mut best_sq) = ((NodeId::new(0), NodeId::new(1)), -1.0);
-    for i in 0..n {
-        let pi = sim.position(NodeId::new(i as u16));
-        for j in (i + 1)..n {
-            let d = pi.distance_sq_to(sim.position(NodeId::new(j as u16)));
-            if d > best_sq {
-                best_sq = d;
-                best = (NodeId::new(i as u16), NodeId::new(j as u16));
-            }
-        }
-    }
-    best
-}
-
-/// Runs whatever topology and mobility model `cfg` describes (see
-/// [`netstack::TopologySpec`] / [`netstack::MobilitySpec`]) with a trace
-/// log installed, driving one flow between the two most-separated nodes,
-/// and returns the captured log with the flow id.
-pub fn capture_topology(
-    variant: TcpVariant,
-    duration: SimDuration,
-    cfg: SimConfig,
-    filter: TraceFilter,
-) -> (TraceLog, FlowId) {
-    let mut sim = Simulator::from_config(cfg);
-    let (src, dst) = farthest_pair(&sim);
-    let flow = sim.add_flow(FlowSpec::new(src, dst, variant));
-    sim.install_trace_log(TraceLog::with_filter(filter));
-    sim.run_until(SimTime::ZERO + duration);
-    let log = sim.take_trace_log().expect("log installed above");
-    (log, flow)
 }
 
 /// Renders entries as CSV with the common per-record columns:
@@ -181,17 +103,14 @@ pub fn tail(mut entries: Vec<TraceEntry>, last: Option<usize>) -> Vec<TraceEntry
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracelog::Layer;
+    use crate::run::Run;
+    use tracelog::{Layer, TraceFilter};
 
     fn short_capture() -> Vec<TraceEntry> {
-        let (log, _) = capture_chain(
-            2,
-            TcpVariant::NewReno,
-            SimDuration::from_secs(1),
-            SimConfig::default(),
-            TraceFilter::all(),
-        );
-        log.iter().copied().collect()
+        let text = "duration 1\ntopology chain:2\nflow 0 2 NewReno\n";
+        let script = faultline::ScenarioScript::parse(text).expect("run file parses");
+        let run = Run::from_script(&script).expect("run file names nodes of chain:2");
+        run.capture(TraceFilter::all()).iter().copied().collect()
     }
 
     #[test]
@@ -245,8 +164,5 @@ mod tests {
         assert_eq!(TraceFormat::parse("csv"), Ok(TraceFormat::Csv));
         assert!(TraceFormat::parse("json").is_err());
         assert!(TraceFormat::Pcap.is_binary() && !TraceFormat::Ns2.is_binary());
-        assert_eq!(variant_by_name("muzha"), Ok(TcpVariant::Muzha));
-        assert_eq!(variant_by_name("newreno"), Ok(TcpVariant::NewReno));
-        assert!(variant_by_name("bogus").is_err());
     }
 }

@@ -141,7 +141,11 @@ fn hostile_topologies_and_times_are_bad_values_not_panics() {
 #[test]
 fn flags_that_contradict_each_other_are_bad_values() {
     let trace = env!("CARGO_BIN_EXE_trace");
-    assert_rejected(trace, &["--quick", "--mobility", "waypoint"], "needs --topology");
+    // A chain is a topology like any other: it may roam, and `--hops` spells one.
+    let roaming = ["--quick", "--mobility", "waypoint", "--last", "1"];
+    let roaming = Command::new(trace).args(roaming).output().expect("spawn trace");
+    assert!(roaming.status.success(), "{}", String::from_utf8_lossy(&roaming.stderr));
+    assert_rejected(trace, &["--quick", "--hops", "2", "--topology", "chain:2"], "give one");
     assert_rejected(trace, &["--quick", "--format", "pcap"], "needs --out");
     assert_rejected(trace, &["--quick", "--hops", "0"], "bad chain hop count '0'");
     assert_rejected(trace, &["--quick", "--hops", "65535"], "at most 65535");

@@ -113,6 +113,23 @@ impl SimDuration {
         SimDuration(secs_to_nanos(secs))
     }
 
+    /// Parses a span written in seconds — a flag's value, a script's time —
+    /// refusing what [`Self::from_secs_f64`] would panic on. Every number of
+    /// seconds that enters as text comes through here, so there is one bound.
+    ///
+    /// # Errors
+    ///
+    /// The float parser's message, or the range complaint.
+    pub fn parse_secs(text: &str) -> Result<Self, String> {
+        let secs = text.parse::<f64>().map_err(|e| e.to_string())?;
+        let nanos = secs * 1e9;
+        if secs >= 0.0 && nanos <= u64::MAX as f64 {
+            Ok(SimDuration(nanos.round() as u64))
+        } else {
+            Err("want a non-negative number of seconds below 2^64 ns".to_string())
+        }
+    }
+
     /// The span in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -252,6 +269,20 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seconds_as_text_must_be_non_negative_and_fit() {
+        assert_eq!(SimDuration::parse_secs("2.5"), Ok(SimDuration::from_millis(2500)));
+        assert_eq!(SimDuration::parse_secs("0"), Ok(SimDuration::ZERO));
+        for bad in ["-1", "NaN", "inf", "-inf", "soon", "", "99999999999999", "1.9e10", "1e30"] {
+            assert!(SimDuration::parse_secs(bad).is_err(), "{bad:?} must be rejected");
+        }
+        // Everything accepted is what the panicking constructor makes of it.
+        for edge in ["18446744073", "1.8e10", "1e-12", "-0"] {
+            let secs: f64 = edge.parse().expect(edge);
+            assert_eq!(SimDuration::parse_secs(edge), Ok(SimDuration::from_secs_f64(secs)));
+        }
+    }
 
     #[test]
     fn constructors_round_trip() {

@@ -44,6 +44,19 @@ impl TcpVariant {
     pub const PAPER: [TcpVariant; 4] =
         [TcpVariant::NewReno, TcpVariant::Sack, TcpVariant::Vegas, TcpVariant::Muzha];
 
+    /// Looks a variant up by its display name, case-insensitively: what a
+    /// `--variant` flag and a scenario's `flow` line both accept.
+    ///
+    /// # Errors
+    ///
+    /// A message listing the known names.
+    pub fn parse(name: &str) -> Result<TcpVariant, String> {
+        TcpVariant::ALL
+            .into_iter()
+            .find(|v| v.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown variant '{name}'; known: {:?}", TcpVariant::ALL))
+    }
+
     /// Display name matching the paper.
     pub fn name(self) -> &'static str {
         match self {
@@ -109,5 +122,10 @@ mod tests {
         assert_eq!(TcpVariant::NewReno.to_string(), "NewReno");
         assert_eq!(TcpVariant::ALL.len(), 9);
         assert_eq!(TcpVariant::PAPER.len(), 4);
+        for v in TcpVariant::ALL {
+            assert_eq!(TcpVariant::parse(v.name()), Ok(v));
+            assert_eq!(TcpVariant::parse(&v.name().to_lowercase()), Ok(v));
+        }
+        assert!(TcpVariant::parse("bogus").is_err());
     }
 }

@@ -319,11 +319,8 @@ impl MobilitySpec {
                     spec.0 = lo;
                     spec.1 = hi;
                     if let Some(p) = pause_text {
-                        let secs = parse_f64(p, "waypoint pause seconds")?;
-                        if !(secs >= 0.0 && secs.is_finite()) {
-                            return Err(format!("bad waypoint pause '{p}'"));
-                        }
-                        spec.2 = SimDuration::from_secs_f64(secs);
+                        spec.2 = SimDuration::parse_secs(p)
+                            .map_err(|e| format!("bad waypoint pause '{p}': {e}"))?;
                     }
                 }
                 Ok(MobilitySpec::Waypoint {
@@ -475,6 +472,10 @@ mod tests {
         assert!(MobilitySpec::parse("waypoint:15-5").is_err(), "inverted range");
         assert!(MobilitySpec::parse("waypoint:0-5").is_err(), "zero speed");
         assert!(MobilitySpec::parse("brownian").is_err());
+        // A pause past `SimDuration` used to panic inside the parser.
+        for pause in ["1e30", "1.9e10", "-1", "NaN", "inf"] {
+            assert!(MobilitySpec::parse(&format!("waypoint:1-2@{pause}")).is_err(), "{pause}");
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@
 
 use tcp_muzha::experiments::{cwnd_traces, render_series};
 use tcp_muzha::export;
+use tcp_muzha::faultline::ScenarioScript;
 use tcp_muzha::net::{SimConfig, TcpVariant};
+use tcp_muzha::run::Run;
 use tcp_muzha::sim::{SimDuration, SimTime};
-use tcp_muzha::tracecap;
 use tcp_muzha::tracelog::{ns2, Layer, TraceFilter};
 
 fn main() {
@@ -62,13 +63,11 @@ fn main() {
     }
     if print_ns2 {
         println!("== raw transport trace, 4-hop Muzha, first 2 s (ns-2 format) ==");
-        let (log, _) = tracecap::capture_chain(
-            4,
-            TcpVariant::Muzha,
-            SimDuration::from_secs(2),
-            SimConfig::default(),
-            TraceFilter::all().layer(Layer::Agt),
-        );
+        let seed = SimConfig::default().seed;
+        let text = format!("seed {seed}\nduration 2\nflow 0 4 Muzha\n");
+        let script = ScenarioScript::parse(&text).expect("run file parses");
+        let run = Run::from_script(&script).expect("run file names nodes of chain:4");
+        let log = run.capture(TraceFilter::all().layer(Layer::Agt));
         print!("{}", ns2::render(log.iter()));
         println!();
     }

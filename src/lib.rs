@@ -95,10 +95,13 @@ pub mod experiments {
 /// CSV export of experiment results for external plotting.
 pub use harness::export;
 
-/// Model-checking glue: corpus-convention branch runner and scenario
-/// explorer over `faultline::mc` (the `harness --bin mc` engine).
+/// One run, stated completely: what a run file (or the flags that spell
+/// one) means, and the one constructor from it to a [`net::Simulator`].
+pub use harness::run;
+
+/// Model-checking glue: branch runner and scenario explorer over
+/// `faultline::mc` (the `harness mc` engine).
 pub use harness::mc;
 
-/// Trace capture and rendering plumbing behind the `trace` and `topo`
-/// binaries.
+/// Rendering plumbing behind `harness trace`: ns-2 lines, pcap, CSV.
 pub use harness::tracecap;

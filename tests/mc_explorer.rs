@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
 use tcp_muzha::faultline::{InvariantChecker, ScenarioScript};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
+use tcp_muzha::run::Run;
 use tcp_muzha::sim::{twin_run, EventQueue, SimTime, TieClass, TieKind, TieOrder, TraceHash};
 
 // ---------------------------------------------------------------------------
@@ -129,21 +130,21 @@ proptest! {
 // Real simulator: differential, corpus proofs, and the audited tie races.
 // ---------------------------------------------------------------------------
 
-/// Runs `script` under the scenario-corpus convention with *no* tie-order
-/// hook installed — the reference a hooked run must match.
-fn plain_corpus_hash(script: &ScenarioScript) -> u64 {
+/// Runs `run` with *no* tie-order hook installed — the reference a hooked
+/// run must match.
+fn plain_corpus_hash(run: &Run) -> u64 {
     twin_run(|| {
-        let seed = script.seed.unwrap_or(1);
-        let duration = script.duration.expect("corpus scripts pin a duration");
-        let cfg = SimConfig { seed, ..SimConfig::default() };
-        let mut sim = Simulator::new(topology::chain(4), cfg);
-        let (src, dst) = topology::chain_flow(4);
-        sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-        sim.load_scenario(script);
+        let mut sim = run.build();
         sim.install_checker(InvariantChecker::new());
-        sim.run_until(SimTime::ZERO + duration);
+        sim.run_until(run.end());
         sim.trace_hash()
     })
+}
+
+/// The run a script text states.
+fn run_of(text: &str) -> Run {
+    let script = ScenarioScript::parse(text).expect("script parses");
+    Run::from_script(&script).expect("script names nodes of its topology")
 }
 
 /// Differential: with the tie window pushed past the end of the run (and no
@@ -152,18 +153,17 @@ fn plain_corpus_hash(script: &ScenarioScript) -> u64 {
 /// corpus run — the `TieOrder` hook is a pure wrapper around FIFO popping.
 #[test]
 fn empty_window_exploration_is_exactly_the_plain_run() {
-    let script = ScenarioScript::parse(include_str!("scenarios/chain-break.scn"))
-        .expect("corpus script parses");
+    let run = run_of(include_str!("scenarios/chain-break.scn"));
     let past_end = SimTime::from_secs_f64(1_000.0);
     let cfg = McConfig { tie_window: Some((past_end, past_end)), ..McConfig::default() };
-    let (verdict, _) = tcp_muzha::mc::explore_scenario(&script, &cfg);
+    let (verdict, _) = tcp_muzha::mc::explore_scenario(&run, &cfg);
     assert!(verdict.proved(), "got {}", verdict.status());
     assert_eq!(verdict.placements, 1);
     assert_eq!(verdict.branches_explored, 1, "no ties in window ⇒ exactly one branch");
     assert_eq!(verdict.max_choice_points, 0);
     assert_eq!(
         verdict.log[0].trace_hash,
-        plain_corpus_hash(&script),
+        plain_corpus_hash(&run),
         "the single branch must be the plain corpus run, bit for bit"
     );
 }
@@ -180,8 +180,8 @@ fn explorer_proves_corpus_scripts_with_canonical_logs() {
         include_str!("scenarios/pause-resume.scn"),
     ];
     for text in corpus {
-        let script = ScenarioScript::parse(text).expect("corpus script parses");
-        let first_fault = script.events.first().expect("corpus scripts have faults").at;
+        let script = run_of(text);
+        let first_fault = script.script.events.first().expect("corpus scripts have faults").at;
         let cfg = McConfig {
             tie_window: Some((
                 first_fault,
@@ -216,10 +216,8 @@ fn explorer_proves_corpus_scripts_with_canonical_logs() {
 /// invariants — conservation, timer hygiene, route-state consistency.
 #[test]
 fn rerr_versus_data_delivery_ties_hold_invariants_in_every_order() {
-    let script = ScenarioScript::parse(
-        "name rerr-race\nseed 3\nduration 4\nat 1.5 link-down 2 3\nat 2.5 link-up 2 3\n",
-    )
-    .expect("fixture parses");
+    let script =
+        run_of("name rerr-race\nseed 3\nduration 4\nat 1.5 link-down 2 3\nat 2.5 link-up 2 3\n");
     let cfg = McConfig {
         tie_window: Some((SimTime::from_secs_f64(1.5), SimTime::from_secs_f64(1.504))),
         max_branches: 600,

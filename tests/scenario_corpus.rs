@@ -8,8 +8,8 @@
 
 use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
 use tcp_muzha::faultline::{FaultEvent, InvariantChecker, LedgerSummary, ScenarioScript};
-use tcp_muzha::mc::{corpus_duration, corpus_sim};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
+use tcp_muzha::run::Run;
 use tcp_muzha::sim::{EventQueue, SimDuration, SimTime, TieClass, TieKind, TieOrder, TraceHash};
 use tcp_muzha::tracelog::{PacketKind, TraceLog, TraceRecord};
 use tcp_muzha::wire::{FlowId, NodeId};
@@ -27,22 +27,47 @@ const CORPUS: [(&str, &str); 8] = [
     ("storm", include_str!("scenarios/storm.scn")),
 ];
 
-/// Corpus convention: every scenario runs on the 4-hop chain (nodes 0..=4)
-/// with one NewReno flow end to end, the script's seed, and the script's
-/// duration.
+/// The run `script` states: for a corpus script, which has no header line
+/// beyond name, seed and duration, the corpus convention.
+fn run_of(script: &ScenarioScript) -> Run {
+    Run::from_script(script).expect("corpus scripts name nodes of their topology")
+}
+
+/// Runs `script` under the invariant checker.
 fn run_scenario(script: &ScenarioScript) -> (u64, u64, LedgerSummary, Vec<String>) {
-    let seed = script.seed.expect("corpus scripts declare a seed");
-    let duration = script.duration.expect("corpus scripts declare a duration");
-    let cfg = SimConfig { seed, ..SimConfig::default() };
-    let mut sim = Simulator::new(topology::chain(4), cfg);
-    let (src, dst) = topology::chain_flow(4);
-    let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-    sim.load_scenario(script);
+    let run = run_of(script);
+    let mut sim = run.build();
     sim.install_checker(InvariantChecker::new());
-    sim.run_until(SimTime::ZERO + duration);
+    sim.run_until(run.end());
     let checker = sim.take_checker().expect("checker was installed");
     let violations = checker.violations().iter().map(|v| v.to_string()).collect();
-    (sim.trace_hash(), sim.flow_report(flow).delivered_segments, checker.ledger(), violations)
+    let delivered = sim.flow_report(FlowId::new(0)).delivered_segments;
+    (sim.trace_hash(), delivered, checker.ledger(), violations)
+}
+
+/// "Absent = convention" against the one hand-built reference there is: the
+/// run of a header-less script is a 4-hop chain placed by hand, one NewReno
+/// flow end to end, seed 1 and 10 s — same trace hash, same snapshot bytes.
+#[test]
+fn a_header_less_script_is_the_hand_built_corpus_convention() {
+    let script = ScenarioScript::parse("at 2 link-down 1 2\nat 3 link-up 1 2\n").unwrap();
+    let run = run_of(&script);
+    let cfg = SimConfig { seed: 1, ..SimConfig::default() };
+    let mut by_hand = Simulator::new(topology::chain(4), cfg);
+    let (src, dst) = topology::chain_flow(4);
+    by_hand.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
+    by_hand.load_scenario(&script);
+    let mut built = run.build();
+    for sim in [&mut by_hand, &mut built] {
+        sim.run_until(SimTime::from_secs_f64(2.5));
+    }
+    assert!(by_hand.snapshot() == built.snapshot(), "snapshot bytes differ mid-run");
+    assert_eq!(run.end(), SimTime::from_secs_f64(10.0));
+    for sim in [&mut by_hand, &mut built] {
+        sim.run_until(run.end());
+    }
+    assert_eq!(by_hand.trace_hash(), built.trace_hash());
+    assert_eq!(by_hand.perf(), built.perf());
 }
 
 #[test]
@@ -96,20 +121,21 @@ fn corpus_runs_clean_and_twin_runs_are_bit_identical() {
 fn pause_resume_delivers_more_after_the_resume_than_before_the_pause() {
     let script = ScenarioScript::parse(include_str!("scenarios/pause-resume.scn")).unwrap();
     let [pause, resume] = [script.events[0].at, script.events[1].at];
-    let mut sim = corpus_sim(&script);
+    let run = run_of(&script);
+    let mut sim = run.build();
     let delivered = |sim: &Simulator| sim.flow_report(FlowId::new(0)).delivered_segments;
     sim.run_until(pause);
     let before_pause = delivered(&sim);
     sim.run_until(resume);
     let at_resume = delivered(&sim);
-    sim.run_until(SimTime::ZERO + corpus_duration(&script));
+    sim.run_until(run.end());
     let after_resume = delivered(&sim) - at_resume;
     assert!(before_pause > 0, "the flow never got going before the pause");
     assert!(
         after_resume > before_pause,
         "{before_pause} segments in the {pause} before the pause, {after_resume} in the {} after \
          the resume",
-        corpus_duration(&script) - (resume - SimTime::ZERO)
+        run.end() - resume
     );
 }
 
@@ -131,8 +157,9 @@ fn corpus_digests_match_the_committed_fixture() {
     for (name, text) in CORPUS {
         let script = ScenarioScript::parse(text)
             .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
-        let mut sim = corpus_sim(&script);
-        sim.run_until(SimTime::ZERO + corpus_duration(&script));
+        let run = run_of(&script);
+        let mut sim = run.build();
+        sim.run_until(run.end());
         rows.push(digest_row(name, &sim));
     }
 
@@ -190,12 +217,13 @@ fn observe(sim: &mut Simulator) {
     sim.install_trace_log(TraceLog::new());
 }
 
-/// The corpus-convention run of `script` under tie order `order`, observed.
+/// The run `script` states under tie order `order`, observed.
 fn observed_corpus_run(script: &ScenarioScript, order: TieOrder) -> (Simulator, TieOrder) {
-    let mut sim = corpus_sim(script);
+    let run = run_of(script);
+    let mut sim = run.build();
     observe(&mut sim);
     sim.install_tie_order(order);
-    sim.run_until(SimTime::ZERO + corpus_duration(script));
+    sim.run_until(run.end());
     let order = sim.take_tie_order().expect("tie order was installed");
     (sim, order)
 }
@@ -231,7 +259,7 @@ const MC_PROOFS: [(&str, (f64, f64), u64, usize); 3] = [
 /// its observable digest: the exploration runs as `--bin mc` runs it, then
 /// every logged branch is replayed observed.
 fn observable_branch_log(script: &ScenarioScript, cfg: &McConfig) -> String {
-    let (verdict, _) = tcp_muzha::mc::explore_scenario(script, cfg);
+    let (verdict, _) = tcp_muzha::mc::explore_scenario(&run_of(script), cfg);
     assert!(verdict.proved(), "{}: {}", script.name, verdict.status());
     let placed = mc::placements(script, cfg);
     let (start, end) = cfg.tie_window.expect("the CI proofs pin a tie window");

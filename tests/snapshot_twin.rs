@@ -18,8 +18,8 @@ use tcp_muzha::faultline::{InvariantChecker, ScenarioScript};
 use tcp_muzha::net::{
     topology, FlowSpec, MobilitySpec, SimConfig, Simulator, TcpVariant, TopologySpec,
 };
+use tcp_muzha::run::{farthest_pair, Run};
 use tcp_muzha::sim::{SimTime, SnapError, TraceHash, SNAPSHOT_MAGIC};
-use tcp_muzha::tracecap;
 use tracelog::{ns2, TraceEntry, TraceLog};
 
 /// The corpus, embedded like `tests/scenario_corpus.rs` embeds it.
@@ -34,16 +34,10 @@ const CORPUS: [(&str, &str); 8] = [
     ("storm", include_str!("scenarios/storm.scn")),
 ];
 
-/// Corpus-convention simulator: 4-hop chain, one NewReno flow end to end,
-/// the script's seed. The scenario is *not* loaded — the straight leg
-/// loads it, the resumed leg gets it via `restore`.
+/// The simulator `script` states, faults scheduled: the straight leg runs
+/// it, the resumed leg overwrites it — faults and all — via `restore`.
 fn build_sim(script: &ScenarioScript) -> Simulator {
-    let seed = script.seed.expect("corpus scripts declare a seed");
-    let cfg = SimConfig { seed, ..SimConfig::default() };
-    let mut sim = Simulator::new(topology::chain(4), cfg);
-    let (src, dst) = topology::chain_flow(4);
-    sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-    sim
+    Run::from_script(script).expect("corpus scripts name nodes of their topology").build()
 }
 
 /// A deterministic pseudo-random snapshot instant in the middle 80% of the
@@ -76,15 +70,14 @@ fn snapshot_then_resume_is_bit_identical_across_the_corpus() {
         // Straight leg: run to T, snapshot (a pure observation), then
         // run on to the end of the scripted duration.
         let mut straight = build_sim(&script);
-        straight.load_scenario(&script);
         straight.install_trace_log(TraceLog::new());
         straight.run_until(t);
         let bytes = straight.snapshot();
         straight.run_until(end);
         let straight_log = straight.take_trace_log().expect("log was installed");
 
-        // Resumed leg: a fresh simulator (scenario never loaded — the
-        // snapshot carries the scripted faults) restored from T.
+        // Resumed leg: a fresh simulator restored from T (the snapshot
+        // carries the scripted faults and replaces the freshly loaded ones).
         let mut resumed = build_sim(&script);
         resumed.restore(&bytes).unwrap_or_else(|e| panic!("{name}: restore at {t} failed: {e}"));
         resumed.install_trace_log(TraceLog::new());
@@ -122,11 +115,9 @@ fn taking_a_snapshot_is_a_pure_observation() {
     let t = snapshot_instant(name, duration.as_nanos());
 
     let mut plain = build_sim(&script);
-    plain.load_scenario(&script);
     plain.run_until(end);
 
     let mut observed = build_sim(&script);
-    observed.load_scenario(&script);
     observed.run_until(t);
     let _bytes = observed.snapshot();
     observed.run_until(end);
@@ -143,10 +134,8 @@ fn snapshot_bytes_do_not_depend_on_installed_observers() {
     let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
     let t = SimTime::from_secs_f64(5.0);
     let mut plain = build_sim(&script);
-    plain.load_scenario(&script);
     plain.run_until(t);
     let mut watched = build_sim(&script);
-    watched.load_scenario(&script);
     watched.install_trace_log(TraceLog::new());
     watched.install_checker(InvariantChecker::new());
     watched.run_until(t);
@@ -194,7 +183,7 @@ fn mobile_run_resumes_bit_identically() {
         };
         let build = || {
             let mut sim = Simulator::from_config(cfg);
-            let (src, dst) = tracecap::farthest_pair(&sim);
+            let (src, dst) = farthest_pair(&cfg.topology.build(cfg.radio.tx_range_m, cfg.seed));
             sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
             sim
         };
@@ -267,7 +256,6 @@ fn snapshot_layout_matches_the_committed_fixture() {
         let script = ScenarioScript::parse(text).expect("corpus parses");
         let t = snapshot_instant(name, script.duration.expect("declared").as_nanos());
         let mut sim = build_sim(&script);
-        sim.load_scenario(&script);
         sim.run_until(t);
         rows.push(layout_row(name, t, &sim.snapshot()));
     }
@@ -279,7 +267,7 @@ fn snapshot_layout_matches_the_committed_fixture() {
         ..SimConfig::default()
     };
     let mut sim = Simulator::from_config(cfg);
-    let (src, dst) = tracecap::farthest_pair(&sim);
+    let (src, dst) = farthest_pair(&cfg.topology.build(cfg.radio.tx_range_m, cfg.seed));
     for variant in TcpVariant::ALL {
         sim.add_flow(FlowSpec::new(src, dst, variant).with_delayed_ack());
     }
@@ -313,7 +301,6 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 fn restore_rejects_a_config_mismatch() {
     let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
     let mut sim = build_sim(&script);
-    sim.load_scenario(&script);
     sim.run_until(SimTime::from_secs_f64(0.5));
     let bytes = sim.snapshot();
 
@@ -325,7 +312,6 @@ fn restore_rejects_a_config_mismatch() {
     assert!(matches!(err, SnapError::Mismatch(_)), "expected a fingerprint mismatch, got {err}");
 
     // A failed restore leaves the target untouched: it still runs from 0.
-    other.load_scenario(&reseeded);
     other.run_until(SimTime::from_secs_f64(0.5));
     assert!(other.perf().events_processed > 0);
 }

@@ -7,8 +7,8 @@
 use tcp_muzha::experiments::cwnd_traces_batch;
 use tcp_muzha::faultline::{CheckerLimits, InvariantChecker, ScenarioScript};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
+use tcp_muzha::run::Run;
 use tcp_muzha::sim::{SimDuration, SimTime};
-use tcp_muzha::tracecap;
 use tcp_muzha::tracelog::{ns2, pcap, Layer, TraceEntry, TraceFilter, TraceLog, TraceRecord};
 use tcp_muzha::wire::NodeId;
 
@@ -25,20 +25,10 @@ const CORPUS: [(&str, &str); 8] = [
     ("storm", include_str!("scenarios/storm.scn")),
 ];
 
-/// Corpus convention (see `tests/scenario_corpus.rs`): 4-hop chain, one
-/// NewReno flow, the script's seed and duration — here with a full trace
-/// log installed.
+/// The run `script` states, with a full trace log installed.
 fn run_traced_scenario(script: &ScenarioScript) -> TraceLog {
-    let seed = script.seed.expect("corpus scripts declare a seed");
-    let duration = script.duration.expect("corpus scripts declare a duration");
-    let cfg = SimConfig { seed, ..SimConfig::default() };
-    let mut sim = Simulator::new(topology::chain(4), cfg);
-    let (src, dst) = topology::chain_flow(4);
-    sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-    sim.load_scenario(script);
-    sim.install_trace_log(TraceLog::new());
-    sim.run_until(SimTime::ZERO + duration);
-    sim.take_trace_log().expect("log was installed")
+    let run = Run::from_script(script).expect("corpus scripts name nodes of their topology");
+    run.capture(TraceFilter::all())
 }
 
 #[test]
@@ -128,14 +118,9 @@ fn batch_worker_count_does_not_change_traces() {
 const GOLDEN_LINES: usize = 250;
 
 fn golden_capture() -> Vec<TraceEntry> {
-    let (log, _) = tracecap::capture_chain(
-        2,
-        TcpVariant::NewReno,
-        SimDuration::from_secs(1),
-        SimConfig::default(),
-        TraceFilter::all(),
-    );
-    log.snapshot()
+    let seed = SimConfig::default().seed;
+    let text = format!("seed {seed}\nduration 1\ntopology chain:2\nflow 0 2 NewReno\n");
+    run_traced_scenario(&ScenarioScript::parse(&text).expect("run file parses")).snapshot()
 }
 
 #[test]
@@ -144,7 +129,7 @@ fn two_hop_newreno_stream_matches_golden_fixture() {
     // checked in at tests/fixtures/trace_newreno_2hop.tr. Any change to
     // packet timing, uid assignment, or trace formatting shows up here as
     // a reviewable fixture diff (regenerate with:
-    // `cargo run -p harness --bin trace -- --hops 2 --variant newreno \
+    // `cargo run -p harness --bin harness -- trace --hops 2 --variant newreno \
     //    --secs 1 | head -n 250`).
     let entries = golden_capture();
     assert!(entries.len() >= GOLDEN_LINES, "run too short for the fixture");
