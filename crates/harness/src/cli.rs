@@ -191,8 +191,83 @@ pub fn positionals<'a>(
 
 /// The flags that spell a run without a file. `--hops N` is `--topology
 /// chain:N`.
-pub const SHAPE_FLAGS: [&str; 7] =
+const SHAPE_FLAGS: [&str; 7] =
     ["--topology", "--mobility", "--hops", "--variant", "--flows", "--secs", "--seed"];
+
+/// What `harness` can be told to do with a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Subcommand {
+    /// Capture it with the trace subsystem and render the capture.
+    Trace,
+    /// Run it under the invariant checker.
+    Topo,
+    /// Explore its bounded interleavings.
+    Mc,
+    /// Snapshot it, or resume a snapshot of it.
+    Checkpoint,
+}
+
+/// One row of the argv table.
+struct Row {
+    sub: Subcommand,
+    name: &'static str,
+    /// Whether the run may be spelled by [`SHAPE_FLAGS`]; `--script` always may.
+    shaped: bool,
+    /// The subcommand's own flags that take a value.
+    valued: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+/// The one argv table: what each `harness` subcommand accepts.
+const SUBCOMMANDS: [Row; 4] = [
+    Row {
+        sub: Subcommand::Trace,
+        name: "trace",
+        shaped: true,
+        valued: &["--format", "--follow-flow", "--last", "--out"],
+        switches: &["--quick"],
+    },
+    Row { sub: Subcommand::Topo, name: "topo", shaped: true, valued: &[], switches: &[] },
+    Row {
+        sub: Subcommand::Mc,
+        name: "mc",
+        shaped: false,
+        valued: &[
+            "--tie-window",
+            "--max-branches",
+            "--max-depth",
+            "--shift-window",
+            "--shift-steps",
+            "--report",
+        ],
+        switches: &["--quiet"],
+    },
+    Row {
+        sub: Subcommand::Checkpoint,
+        name: "checkpoint",
+        shaped: false,
+        valued: &["--at", "--out", "--checkpoint-every", "--out-dir", "--from", "--until"],
+        switches: &[],
+    },
+];
+
+/// Checks `args` — a subcommand name, then its arguments — against the
+/// table and returns it with the positionals that follow it.
+///
+/// # Errors
+///
+/// [`CliError::Subcommand`] for a first argument that is not in the table;
+/// [`CliError::UnknownFlag`] as [`positionals`].
+pub fn subcommand(args: &[String]) -> Result<(Subcommand, Vec<&str>), CliError> {
+    let given = args.first().filter(|a| !a.starts_with("--"));
+    let row = SUBCOMMANDS.iter().find(|row| Some(row.name) == given.map(String::as_str));
+    let Some(row) = row else {
+        return Err(CliError::subcommand(given, "trace, topo, mc or checkpoint"));
+    };
+    let shape: &[&str] = if row.shaped { &SHAPE_FLAGS } else { &[] };
+    let valued = [&["--script"], row.valued, shape].concat();
+    Ok((row.sub, positionals(&args[1..], &valued, row.switches)?))
+}
 
 /// Parses a `--topology` value for a run that drives flows across it: the
 /// spec grammar, plus the two nodes a flow needs.
@@ -341,6 +416,44 @@ mod tests {
             let err = positionals(&args(line), &valued, &switches).unwrap_err();
             assert_eq!(err, CliError::UnknownFlag { flag: flag.to_string() });
             assert_eq!(err.to_string(), format!("unknown flag {flag}"));
+        }
+    }
+
+    /// No knob was added when four argv tables became one: the flags
+    /// `harness` accepts are the 25 the four binaries accepted between them.
+    #[test]
+    fn the_table_holds_the_same_25_flags_the_four_binaries_had() {
+        let mut flags: Vec<&str> = vec!["--script"];
+        flags.extend(SHAPE_FLAGS);
+        for row in SUBCOMMANDS {
+            flags.extend(row.valued.iter().chain(row.switches));
+        }
+        flags.sort_unstable();
+        flags.dedup();
+        let before = "--at --checkpoint-every --flows --follow-flow --format --from --hops \
+                      --last --max-branches --max-depth --mobility --out --out-dir --quick \
+                      --quiet --report --script --secs --seed --shift-steps --shift-window \
+                      --tie-window --topology --until --variant";
+        assert_eq!(flags.join(" "), before);
+        assert_eq!(flags.len(), 25);
+    }
+
+    #[test]
+    fn the_subcommand_comes_first_and_brings_its_own_flags() {
+        let line = args(&["topo", "--secs", "2"]);
+        assert_eq!(subcommand(&line), Ok((Subcommand::Topo, vec![])));
+        let line = args(&["checkpoint", "resume", "--from=x", "--script", "y"]);
+        assert_eq!(subcommand(&line), Ok((Subcommand::Checkpoint, vec!["resume"])));
+        for line in [&[][..], &["--quick"], &["explain"]] {
+            let refused = subcommand(&args(line)).map(|(sub, _)| sub);
+            assert!(matches!(refused, Err(CliError::Subcommand { .. })), "{line:?}");
+        }
+        for (line, flag) in [
+            (&["mc", "--script", "y", "--hops", "2"][..], "--hops"),
+            (&["topo", "--quick"], "--quick"),
+        ] {
+            let refused = subcommand(&args(line)).map(|(sub, _)| sub);
+            assert_eq!(refused, Err(CliError::UnknownFlag { flag: flag.to_string() }));
         }
     }
 

@@ -5,6 +5,10 @@
 
 use std::process::{Command, Output};
 
+/// The run-driving binary; its first argument is the subcommand.
+const HARNESS: &str = env!("CARGO_BIN_EXE_harness");
+const REPRODUCE: &str = env!("CARGO_BIN_EXE_reproduce");
+
 /// Exactly one `error:` line naming `needle`, status 2, and never a panic —
 /// whatever else the binary had already said on stderr.
 fn assert_error(bin: &str, args: &[&str], needle: &str) -> Output {
@@ -28,22 +32,57 @@ fn assert_rejected(bin: &str, args: &[&str], needle: &str) {
 
 #[test]
 fn retired_and_misspelt_flags_exit_2() {
-    let topo = env!("CARGO_BIN_EXE_topo");
     // The reference-variant selectors this build no longer has.
-    assert_rejected(topo, &["--phy-index", "grid"], "unknown flag --phy-index");
-    assert_rejected(topo, &["--phy-indx=brute"], "unknown flag --phy-indx");
-    assert_rejected(topo, &["--twin"], "unknown flag --twin");
-    assert_rejected(topo, &["--scheduler", "heap"], "unknown flag --scheduler");
-    assert_rejected(topo, &["--secs", "1", "--bogus"], "unknown flag --bogus");
-    // Every other binary goes through the same check.
-    assert_rejected(env!("CARGO_BIN_EXE_trace"), &["--quick", "--shards", "2"], "--shards");
-    assert_rejected(env!("CARGO_BIN_EXE_mc"), &["--script", "x.scn", "--quite"], "--quite");
-    assert_rejected(env!("CARGO_BIN_EXE_checkpoint"), &["snapshot", "--att", "1"], "--att");
-    assert_rejected(env!("CARGO_BIN_EXE_reproduce"), &["--quik"], "--quik");
+    assert_rejected(HARNESS, &["topo", "--phy-index", "grid"], "unknown flag --phy-index");
+    assert_rejected(HARNESS, &["topo", "--phy-indx=brute"], "unknown flag --phy-indx");
+    assert_rejected(HARNESS, &["topo", "--twin"], "unknown flag --twin");
+    assert_rejected(HARNESS, &["topo", "--scheduler", "heap"], "unknown flag --scheduler");
+    assert_rejected(HARNESS, &["topo", "--secs", "1", "--bogus"], "unknown flag --bogus");
+    // Every other subcommand goes through the same check.
+    assert_rejected(HARNESS, &["trace", "--quick", "--shards", "2"], "--shards");
+    assert_rejected(HARNESS, &["mc", "--script", "x.scn", "--quite"], "--quite");
+    assert_rejected(HARNESS, &["checkpoint", "snapshot", "--att", "1"], "--att");
+    assert_rejected(REPRODUCE, &["--quik"], "--quik");
     // Forks the program now chooses for itself, and the capture `trace` owns.
-    assert_rejected(env!("CARGO_BIN_EXE_mc"), &["--script", "x.scn", "--resume"], "--resume");
-    assert_rejected(env!("CARGO_BIN_EXE_reproduce"), &["--trace", "x"], "unknown flag --trace");
-    assert_rejected(env!("CARGO_BIN_EXE_reproduce"), &["--pcap", "x"], "unknown flag --pcap");
+    assert_rejected(HARNESS, &["mc", "--script", "x.scn", "--resume"], "--resume");
+    assert_rejected(REPRODUCE, &["--trace", "x"], "unknown flag --trace");
+    assert_rejected(REPRODUCE, &["--pcap", "x"], "unknown flag --pcap");
+    // One table, but each subcommand keeps its own flags: another's is unknown,
+    // and `mc` and `checkpoint` take a run as a file only.
+    assert_rejected(HARNESS, &["topo", "--quick"], "unknown flag --quick");
+    assert_rejected(HARNESS, &["trace", "--tie-window", "1:2"], "unknown flag --tie-window");
+    assert_rejected(HARNESS, &["mc", "--script", "x.scn", "--hops", "2"], "unknown flag --hops");
+    assert_rejected(HARNESS, &["checkpoint", "snapshot", "--seed", "1"], "unknown flag --seed");
+}
+
+/// What to do comes first and is diagnosed first: `checkpoint bogus` used to
+/// complain that `--script` is required, and a missing or unknown
+/// `checkpoint` subcommand was a private usage text, not an error row.
+#[test]
+fn a_missing_or_unknown_subcommand_is_named_before_anything_else() {
+    let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");
+    let top = "(want trace, topo, mc or checkpoint)";
+    assert_rejected(HARNESS, &[], &format!("missing subcommand {top}"));
+    assert_rejected(HARNESS, &["--quick"], &format!("missing subcommand {top}"));
+    assert_rejected(
+        HARNESS,
+        &["explain", "--quick"],
+        &format!("unknown subcommand \"explain\" {top}"),
+    );
+    let leg = "(want snapshot or resume)";
+    assert_rejected(
+        HARNESS,
+        &["checkpoint", "bogus"],
+        &format!("unknown subcommand \"bogus\" {leg}"),
+    );
+    assert_rejected(
+        HARNESS,
+        &["checkpoint", "--script", script],
+        &format!("missing subcommand {leg}"),
+    );
+    assert_rejected(HARNESS, &["checkpoint", "snapshot"], "--script is required");
+    let neither = ["checkpoint", "snapshot", "--script", script];
+    assert_rejected(HARNESS, &neither, "--at SECS or --checkpoint-every SECS is required");
 }
 
 /// Files that cannot be read, parsed or written used to be panics (`mc`,
@@ -61,34 +100,37 @@ fn unusable_files_are_one_error_line_not_panics() {
     let under_a_file = under_a_file.to_str().expect("utf-8 temp path");
     let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");
 
-    let mc = env!("CARGO_BIN_EXE_mc");
-    assert_rejected(mc, &["--script", "/nonexistent.scn"], "cannot read /nonexistent.scn");
-    assert_rejected(mc, &["--script", bad_script], "cannot parse");
-    let report = ["--script", script, "--tie-window", "99:99", "--report", under_a_file];
-    assert_error(mc, &report, "cannot write");
+    assert_rejected(
+        HARNESS,
+        &["mc", "--script", "/nonexistent.scn"],
+        "cannot read /nonexistent.scn",
+    );
+    assert_rejected(HARNESS, &["mc", "--script", bad_script], "cannot parse");
+    let report = ["mc", "--script", script, "--tie-window", "99:99", "--report", under_a_file];
+    assert_error(HARNESS, &report, "cannot write");
 
-    let checkpoint = env!("CARGO_BIN_EXE_checkpoint");
     for (script, out, needle) in [
         ("/nonexistent.scn", "unwritten.snap", "cannot read /nonexistent.scn"),
         (bad_script, "unwritten.snap", "cannot parse"),
         (script, under_a_file, "cannot write"),
     ] {
-        let args = ["snapshot", "--script", script, "--at", "1", "--out", out];
-        assert_rejected(checkpoint, &args, needle);
+        let args = ["checkpoint", "snapshot", "--script", script, "--at", "1", "--out", out];
+        assert_rejected(HARNESS, &args, needle);
     }
     for (from, needle) in [("/nonexistent.snap", "cannot read"), (script, "cannot resume")] {
-        assert_rejected(checkpoint, &["resume", "--script", script, "--from", from], needle);
+        let args = ["checkpoint", "resume", "--script", script, "--from", from];
+        assert_rejected(HARNESS, &args, needle);
     }
 
-    assert_error(env!("CARGO_BIN_EXE_trace"), &["--quick", "--out", under_a_file], "cannot write");
-    assert_rejected(env!("CARGO_BIN_EXE_reproduce"), &[under_a_file, "--quick"], "cannot create");
+    assert_error(HARNESS, &["trace", "--quick", "--out", under_a_file], "cannot write");
+    assert_rejected(REPRODUCE, &[under_a_file, "--quick"], "cannot create");
     std::fs::remove_dir_all(&dir).expect("remove scratch directory");
 }
 
 #[test]
 fn one_node_topology_is_a_bad_value_not_a_panic() {
-    for bin in [env!("CARGO_BIN_EXE_topo"), env!("CARGO_BIN_EXE_trace")] {
-        assert_rejected(bin, &["--topology", "grid:1x1"], "a flow needs two nodes");
+    for sub in ["topo", "trace"] {
+        assert_rejected(HARNESS, &[sub, "--topology", "grid:1x1"], "a flow needs two nodes");
     }
 }
 
@@ -97,8 +139,8 @@ fn one_node_topology_is_a_bad_value_not_a_panic() {
 /// many records were checked and exits 0.
 #[test]
 fn topo_exits_0_on_a_clean_verdict() {
-    let args = ["--topology", "chain:2", "--mobility", "static", "--secs", "1"];
-    let out = Command::new(env!("CARGO_BIN_EXE_topo")).args(args).output().expect("spawn topo");
+    let args = ["topo", "--topology", "chain:2", "--mobility", "static", "--secs", "1"];
+    let out = Command::new(HARNESS).args(args).output().expect("spawn topo");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("invariants: clean (") && stdout.contains(" records checked)"));
@@ -110,26 +152,28 @@ fn topo_exits_0_on_a_clean_verdict() {
 /// time past `SimTime`'s `u64` nanoseconds.
 #[test]
 fn hostile_topologies_and_times_are_bad_values_not_panics() {
-    for bin in [env!("CARGO_BIN_EXE_topo"), env!("CARGO_BIN_EXE_trace")] {
+    for sub in ["topo", "trace"] {
         for area in ["0x0", "-5x10", "NaNxNaN"] {
             let spec = format!("random-disc:50@{area}");
-            assert_rejected(bin, &["--topology", &spec], "positive and finite");
+            assert_rejected(HARNESS, &[sub, "--topology", &spec], "positive and finite");
         }
         for spec in ["grid:300x300", "city-blocks:300x300"] {
-            assert_rejected(bin, &["--topology", spec], "at most 65535");
+            assert_rejected(HARNESS, &[sub, "--topology", spec], "at most 65535");
         }
     }
     let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");
     let never = "99999999999999";
-    assert_rejected(env!("CARGO_BIN_EXE_topo"), &["--secs", never], "below 2^64 ns");
+    assert_rejected(HARNESS, &["topo", "--secs", never], "below 2^64 ns");
+    // `trace --secs` is the same parser now; it used to be a `u64` of seconds.
+    assert_rejected(HARNESS, &["trace", "--secs", never], "below 2^64 ns");
     assert_rejected(
-        env!("CARGO_BIN_EXE_checkpoint"),
-        &["snapshot", "--script", script, "--at", never, "--out", "unwritten.snap"],
+        HARNESS,
+        &["checkpoint", "snapshot", "--script", script, "--at", never, "--out", "unwritten.snap"],
         "below 2^64 ns",
     );
     assert_rejected(
-        env!("CARGO_BIN_EXE_mc"),
-        &["--script", script, "--quiet", "--tie-window", &format!("4.0:{never}")],
+        HARNESS,
+        &["mc", "--script", script, "--quiet", "--tie-window", &format!("4.0:{never}")],
         "below 2^64 ns",
     );
 }
@@ -140,33 +184,37 @@ fn hostile_topologies_and_times_are_bad_values_not_panics() {
 /// resume --until` a time the snapshot is already past).
 #[test]
 fn flags_that_contradict_each_other_are_bad_values() {
-    let trace = env!("CARGO_BIN_EXE_trace");
     // A chain is a topology like any other: it may roam, and `--hops` spells one.
-    let roaming = ["--quick", "--mobility", "waypoint", "--last", "1"];
-    let roaming = Command::new(trace).args(roaming).output().expect("spawn trace");
+    let roaming = ["trace", "--quick", "--mobility", "waypoint", "--last", "1"];
+    let roaming = Command::new(HARNESS).args(roaming).output().expect("spawn trace");
     assert!(roaming.status.success(), "{}", String::from_utf8_lossy(&roaming.stderr));
-    assert_rejected(trace, &["--quick", "--hops", "2", "--topology", "chain:2"], "give one");
-    assert_rejected(trace, &["--quick", "--format", "pcap"], "needs --out");
-    assert_rejected(trace, &["--quick", "--hops", "0"], "bad chain hop count '0'");
-    assert_rejected(trace, &["--quick", "--hops", "65535"], "at most 65535");
+    assert_rejected(HARNESS, &["trace", "--hops", "2", "--topology", "chain:2"], "give one");
+    assert_rejected(HARNESS, &["trace", "--quick", "--format", "pcap"], "needs --out");
+    assert_rejected(HARNESS, &["trace", "--quick", "--hops", "0"], "bad chain hop count '0'");
+    assert_rejected(HARNESS, &["trace", "--quick", "--hops", "65535"], "at most 65535");
 
     let dir = std::env::temp_dir().join(format!("cli_exit_until_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch directory");
     let snap = dir.join("ck.snap");
     let snap = snap.to_str().expect("utf-8 temp path");
     let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");
-    let checkpoint = env!("CARGO_BIN_EXE_checkpoint");
-    let taken = Command::new(checkpoint)
-        .args(["snapshot", "--script", script, "--at", "4", "--out", snap])
+    // A run is stated once: by a file or by flags, whichever subcommand asks.
+    for (sub, flag) in [("trace", "--hops=2"), ("topo", "--seed=3"), ("topo", "--flows=2")] {
+        let needle = "--script states the whole run";
+        assert_rejected(HARNESS, &[sub, "--script", script, flag], needle);
+    }
+
+    let taken = Command::new(HARNESS)
+        .args(["checkpoint", "snapshot", "--script", script, "--at", "4", "--out", snap])
         .output()
         .expect("spawn checkpoint");
     assert!(taken.status.success(), "{}", String::from_utf8_lossy(&taken.stderr));
-    let resume = ["resume", "--script", script, "--from", snap, "--until", "1"];
-    let out = assert_error(checkpoint, &resume, "1.000000s is before t=4.000000s");
+    let resume = ["checkpoint", "resume", "--script", script, "--from", snap, "--until", "1"];
+    let out = assert_error(HARNESS, &resume, "1.000000s is before t=4.000000s");
     assert!(out.stdout.is_empty(), "a refused resume reports no run");
     // The snapshot's own instant is a run of no events, not an error.
-    let at_cut = Command::new(checkpoint)
-        .args(["resume", "--script", script, "--from", snap, "--until", "4"])
+    let at_cut = Command::new(HARNESS)
+        .args(["checkpoint", "resume", "--script", script, "--from", snap, "--until", "4"])
         .output()
         .expect("spawn checkpoint");
     assert!(at_cut.status.success(), "{}", String::from_utf8_lossy(&at_cut.stderr));

@@ -1,4 +1,4 @@
-//! What the four run-driving programs print, pinned from the real binaries:
+//! What the four run-driving subcommands print, pinned from the real binary:
 //! the captures of `trace`, the verdict lines of `topo`, the `hash=` /
 //! `bytes` of the CI `checkpoint` sequence and the branch logs and verdict
 //! blocks of the three CI `mc` proofs. A change to how a run is *built*
@@ -13,14 +13,8 @@ use sim_core::TraceHash;
 
 /// Spawns subcommand `sub` with `args`.
 fn harness(sub: &str, args: &[&str]) -> Output {
-    let bin = match sub {
-        "trace" => env!("CARGO_BIN_EXE_trace"),
-        "topo" => env!("CARGO_BIN_EXE_topo"),
-        "mc" => env!("CARGO_BIN_EXE_mc"),
-        "checkpoint" => env!("CARGO_BIN_EXE_checkpoint"),
-        other => panic!("no subcommand {other}"),
-    };
-    Command::new(bin).args(args).output().expect("spawn harness binary")
+    let bin = env!("CARGO_BIN_EXE_harness");
+    Command::new(bin).arg(sub).args(args).output().expect("spawn harness binary")
 }
 
 /// [`harness`], required to exit 0; its stdout.

@@ -256,7 +256,7 @@ const MC_PROOFS: [(&str, (f64, f64), u64, usize); 3] = [
 ];
 
 /// One `mc` proof's branch log with each branch's `trace_hash` replaced by
-/// its observable digest: the exploration runs as `--bin mc` runs it, then
+/// its observable digest: the exploration runs as `harness mc` runs it, then
 /// every logged branch is replayed observed.
 fn observable_branch_log(script: &ScenarioScript, cfg: &McConfig) -> String {
     let (verdict, _) = tcp_muzha::mc::explore_scenario(&run_of(script), cfg);
