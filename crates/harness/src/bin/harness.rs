@@ -83,7 +83,7 @@ use harness::run::Run;
 use harness::tracecap::{self, TraceFormat};
 use harness::WallClock;
 use netstack::{MobilitySpec, TopologySpec};
-use sim_core::{SimDuration, SimTime};
+use sim_core::{SimDuration, SimTime, SnapError};
 use tracelog::{TraceEntry, TraceFilter};
 use wire::FlowId;
 
@@ -137,7 +137,7 @@ fn trace(args: &[String]) -> Result<(), CliError> {
             cli::write_output(&path, &bytes)?;
             eprintln!("wrote {} records ({} bytes) to {path}", entries.len(), bytes.len());
         }
-        None => cli::print_report(&bytes),
+        None => cli::print_report(&bytes)?,
     }
     Ok(())
 }
@@ -164,7 +164,7 @@ fn topo(args: &[String]) -> Result<(), CliError> {
         run.duration.as_secs_f64(),
         run.cfg.seed,
     );
-    cli::print_report(std::mem::take(&mut report));
+    cli::print_report(std::mem::take(&mut report))?;
 
     let mut sim = run.build();
     sim.install_checker(InvariantChecker::new());
@@ -199,7 +199,7 @@ fn topo(args: &[String]) -> Result<(), CliError> {
     for line in lines {
         let _ = writeln!(report, "{line}");
     }
-    cli::print_report(report);
+    cli::print_report(report)?;
     if status != 0 {
         std::process::exit(status);
     }
@@ -284,11 +284,9 @@ fn mc(args: &[String]) -> Result<(), CliError> {
         );
     }
 
-    print!("{}", verdict.render());
-    if verdict.counter_example.is_some() {
-        if let Some(dump) = flight_recorder_dump(&run, &cfg, &verdict) {
-            print!("{dump}");
-        }
+    cli::print_report(verdict.render())?;
+    if let Some(dump) = flight_recorder_dump(&run, &cfg, &verdict) {
+        cli::print_report(dump)?;
     }
     if let Some(path) = report {
         cli::write_output(&path, verdict.render_log())?;
@@ -328,24 +326,26 @@ fn snapshot(run: &Run, args: &[String]) -> Result<(), CliError> {
         let mut written = 0usize;
         while at < run.end() {
             sim.run_until(at);
-            let path = format!("{out_dir}/{}-t{:.3}.snap", run.name, at.as_secs_f64());
+            // Whole nanoseconds, so two instants of one sweep never share a name.
+            let (secs, nanos) = (at.as_nanos() / 1_000_000_000, at.as_nanos() % 1_000_000_000);
+            let path = format!("{out_dir}/{}-t{secs}.{nanos:09}.snap", run.name);
             cli::write_output(&path, sim.snapshot())?;
-            println!(
-                "checkpoint {path}: t={} events={} hash={:#018x}",
+            cli::print_report(format!(
+                "checkpoint {path}: t={} events={} hash={:#018x}\n",
                 at,
                 sim.perf().events_processed,
                 sim.trace_hash()
-            );
+            ))?;
             written += 1;
             at += step;
         }
         sim.run_until(run.end());
-        println!(
-            "{} checkpoint(s) in {out_dir}; final t={} hash={:#018x}",
+        cli::print_report(format!(
+            "{} checkpoint(s) in {out_dir}; final t={} hash={:#018x}\n",
             written,
             sim.now(),
             sim.trace_hash()
-        );
+        ))?;
     } else {
         let at = parse_flag_with(args, "--at", SimDuration::parse_secs)?;
         let at = at.ok_or_else(|| CliError::Required {
@@ -355,26 +355,36 @@ fn snapshot(run: &Run, args: &[String]) -> Result<(), CliError> {
         sim.run_until(SimTime::ZERO + at);
         let bytes = sim.snapshot();
         cli::write_output(&out, &bytes)?;
-        println!(
-            "snapshot {out}: {} bytes, t={} events={} hash={:#018x}",
+        cli::print_report(format!(
+            "snapshot {out}: {} bytes, t={} events={} hash={:#018x}\n",
             bytes.len(),
             sim.now(),
             sim.perf().events_processed,
             sim.trace_hash()
-        );
+        ))?;
     }
     Ok(())
 }
 
-/// `resume`: restore `--from` into a freshly built convention simulator and
-/// run to the script's duration (or `--until`).
+/// `resume`: restore `--from` into the run built afresh and run to its
+/// duration (or `--until`).
 fn resume(run: &Run, args: &[String]) -> Result<(), CliError> {
     let from = required_flag(args, "--from")?;
     let bytes = std::fs::read(&from).map_err(|e| CliError::file("read", &from, e))?;
     let end = parse_flag_with(args, "--until", SimDuration::parse_secs)?
         .map_or(run.end(), |until| SimTime::ZERO + until);
     let mut sim = run.build();
-    sim.restore(&bytes).map_err(|e| CliError::file("resume", &from, e))?;
+    sim.restore(&bytes).map_err(|e| {
+        // The fingerprint is 64 bits of hash: it cannot say which line differs.
+        let hint = match e {
+            SnapError::Mismatch(_) => {
+                "; it resumes only under the `seed`, `topology` and \
+                                       `mobility` lines it was taken under"
+            }
+            _ => "",
+        };
+        CliError::file("resume", &from, format!("{e}{hint}"))
+    })?;
     let resumed_from = sim.now();
     if end < resumed_from {
         let reason = format!("{end} is before t={resumed_from}, when {from} was taken");
@@ -383,14 +393,13 @@ fn resume(run: &Run, args: &[String]) -> Result<(), CliError> {
     let baseline = sim.perf().events_processed;
     sim.run_until(end);
     let perf = sim.perf();
-    println!(
-        "resumed {from} at t={resumed_from}, ran to t={}: events={} (+{} after resume) hash={:#018x}",
+    cli::print_report(format!(
+        "resumed {from} at t={resumed_from}, ran to t={}: events={} (+{} after resume) hash={:#018x}\n",
         sim.now(),
         perf.events_processed,
         perf.events_processed - baseline,
         sim.trace_hash()
-    );
-    Ok(())
+    ))
 }
 
 #[cfg(test)]

@@ -335,10 +335,20 @@ pub fn parse_run(
     Run::from_script(&script).map_err(|reason| conflicting(args, "--flows", reason))
 }
 
-/// Writes a rendered report to stdout, tolerating a closed pipe
-/// (`harness topo … | head -3`) instead of panicking mid-write.
-pub fn print_report(report: impl AsRef<[u8]>) {
-    let _ = std::io::stdout().write_all(report.as_ref());
+/// Writes a rendered report to stdout. A closed pipe (`harness topo … |
+/// head -3`) is the reader's choice, not an error, and never a panic.
+///
+/// # Errors
+///
+/// [`CliError::File`] for any other failure to write.
+pub fn print_report(report: impl AsRef<[u8]>) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(report.as_ref()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError::file("write", "stdout", e))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Writes `contents` to `path`.

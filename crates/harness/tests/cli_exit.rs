@@ -220,3 +220,128 @@ fn flags_that_contradict_each_other_are_bad_values() {
     assert!(at_cut.status.success(), "{}", String::from_utf8_lossy(&at_cut.stderr));
     std::fs::remove_dir_all(&dir).expect("remove scratch directory");
 }
+
+/// A scratch directory of `test`'s own, removed by the caller.
+fn scratch(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("cli_exit_{test}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    dir
+}
+
+/// A run file is checked before anything runs, whoever reads it. Times past
+/// `SimTime` used to panic inside the parser (`time.rs`, exit 101), and a
+/// node the topology lacks was an index panic in `netstack::fault` one
+/// virtual second into the run.
+#[test]
+fn a_hostile_run_file_is_a_line_error_from_every_subcommand() {
+    let dir = scratch("hostile");
+    let path = dir.join("hostile.scn");
+    let path = path.to_str().expect("utf-8 temp path");
+    for (text, needle) in [
+        ("seed 1\nduration 1e30\n", "scenario line 2: bad duration `1e30`"),
+        ("at 1e30 kill 1\n", "scenario line 1: bad time `1e30`: want a non-negative"),
+        ("flow 0 1 muzha 1.9e10\n", "scenario line 1: bad start `1.9e10`"),
+        ("mobility waypoint:1-2@1e30\n", "scenario line 1: bad mobility"),
+        ("duration 3\nat 1 kill 9\n", "scenario line 2: no node n9 in chain:4 (5 nodes)"),
+        ("at 1 link-down 2 9\n", "scenario line 1: no node n9"),
+        ("flow 0 9 muzha\n", "scenario line 1: no node n9"),
+        ("\nflow 2 2 newreno\n", "scenario line 2: a flow needs two nodes"),
+        ("topology grid:2x2\nat 1 kill 4\n", "scenario line 2: no node n4 in grid:2x2"),
+    ] {
+        std::fs::write(path, text).expect("write run file");
+        for sub in [
+            &["trace"][..],
+            &["topo"],
+            &["mc"],
+            &["checkpoint", "snapshot", "--at", "2", "--out", "unwritten.snap"],
+        ] {
+            let args = [sub, &["--script", path]].concat();
+            assert_rejected(HARNESS, &args, needle);
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove scratch directory");
+}
+
+/// `--checkpoint-every 1e-12` passed a `== 0.0` test, rounded to a 0 ns step
+/// and rewrote one file for ever; any step below 1 ms wrote colliding
+/// `t{:.3}` names.
+#[test]
+fn a_checkpoint_sweep_needs_a_positive_step_and_never_reuses_a_path() {
+    let dir = scratch("sweep");
+    let script = dir.join("fine.scn");
+    std::fs::write(&script, "name fine\nduration 0.002\n").expect("write run file");
+    let (script, out) = (script.to_str().expect("utf-8"), dir.join("out"));
+    let sweep = |step: &str| {
+        let mut child = Command::new(HARNESS)
+            .args(["checkpoint", "snapshot", "--script", script, "--checkpoint-every", step])
+            .args(["--out-dir", out.to_str().expect("utf-8")])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn checkpoint");
+        // A sweep that never advances would hang the suite: give it 20 s.
+        for _ in 0..400 {
+            if child.try_wait().expect("poll checkpoint").is_some() {
+                return child.wait_with_output().expect("collect checkpoint");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        child.kill().expect("kill a sweep that does not end");
+        panic!("--checkpoint-every {step} did not end");
+    };
+    for step in ["1e-12", "0", "4e-10"] {
+        let refused = sweep(step);
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert_eq!(refused.status.code(), Some(2), "{step}: {stderr}");
+        assert!(stderr.contains("--checkpoint-every") && stderr.contains("must be positive"));
+        assert!(!out.exists(), "a refused sweep writes nothing");
+    }
+    let swept = sweep("0.0004");
+    let stdout = String::from_utf8_lossy(&swept.stdout);
+    assert!(swept.status.success(), "{}", String::from_utf8_lossy(&swept.stderr));
+    assert!(stdout.contains("4 checkpoint(s) in "), "{stdout}");
+    let files = std::fs::read_dir(&out).expect("out dir").count();
+    assert_eq!(files, 4, "one file per checkpoint printed:\n{stdout}");
+    std::fs::remove_dir_all(&dir).expect("remove scratch directory");
+}
+
+/// `--flows 0` printed `0 Muzha flow(s)` and ran one.
+#[test]
+fn a_run_of_no_flows_is_a_bad_value() {
+    for sub in ["topo", "trace"] {
+        let args = [sub, "--topology", "chain:3", "--secs", "1", "--flows", "0"];
+        assert_rejected(HARNESS, &args, "--flows: cannot use \"0\": a run needs a flow");
+        assert_rejected(HARNESS, &[sub, "--flows", "many"], "--flows: cannot use \"many\"");
+    }
+}
+
+/// `harness topo … | head -3`: a reader that goes away is not a panic in
+/// `println!` (exit 101 from `topo`, `mc` and `checkpoint` before).
+#[test]
+fn a_closed_stdout_is_tolerated_by_every_subcommand() {
+    let dir = scratch("pipe");
+    let snap = dir.join("ck.snap");
+    let snap = snap.to_str().expect("utf-8 temp path");
+    let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");
+    for args in [
+        &["trace", "--quick"][..],
+        &["topo", "--topology", "chain:2", "--mobility", "static", "--secs", "1"],
+        &["mc", "--script", script, "--tie-window", "99:99", "--quiet"],
+        &["checkpoint", "snapshot", "--script", script, "--at", "1", "--out", snap],
+        &["checkpoint", "snapshot", "--script", script, "--checkpoint-every", "6", "--out-dir"],
+    ] {
+        let mut child = Command::new(HARNESS)
+            .args(args)
+            .args(args.ends_with(&["--out-dir"]).then_some(dir.as_os_str()))
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn harness");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("collect harness");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove scratch directory");
+}
