@@ -103,6 +103,30 @@ fn snapshot_then_resume_is_bit_identical_across_the_corpus() {
     }
 }
 
+/// "Absent = convention" as a test, not a comment: each corpus script with
+/// the three header lines it leaves out spelled — `topology chain:4`,
+/// `mobility static`, `flow 0 4 NewReno` — is the same run: same snapshot
+/// bytes at the twin's cut, same trace hash and event count at the end.
+#[test]
+fn spelling_out_the_convention_changes_nothing_across_the_corpus() {
+    for (name, text) in CORPUS {
+        let spelled = format!("topology chain:4\nmobility static\nflow 0 4 NewReno\n{text}");
+        let [bare, spelled] = [text, &spelled].map(|t| ScenarioScript::parse(t).expect("parses"));
+        assert!(bare.topology.is_none() && bare.mobility.is_none() && bare.flows.is_empty());
+        assert!(spelled.topology.is_some() && spelled.mobility.is_some());
+        let duration = bare.duration.expect("corpus scripts declare a duration");
+        let t = snapshot_instant(name, duration.as_nanos());
+        let [mut bare, mut spelled] = [&bare, &spelled].map(build_sim);
+        bare.run_until(t);
+        spelled.run_until(t);
+        assert!(bare.snapshot() == spelled.snapshot(), "{name}: snapshot bytes differ at {t}");
+        bare.run_until(SimTime::ZERO + duration);
+        spelled.run_until(SimTime::ZERO + duration);
+        assert_eq!(bare.trace_hash(), spelled.trace_hash(), "{name}");
+        assert_eq!(bare.perf().events_processed, spelled.perf().events_processed, "{name}");
+    }
+}
+
 /// Taking a snapshot must not perturb the run: the straight leg above
 /// calls `snapshot()` mid-run, so pin that a run *without* the mid-run
 /// snapshot produces the same hash.
