@@ -4,10 +4,12 @@
 //! adversarial counterpart. It contributes two pieces that the `netstack`
 //! simulator wires through the whole stack:
 //!
-//! * [`ScenarioScript`] — a timed schedule of faults (link flaps, node
-//!   kill/pause/revive, Gilbert–Elliott bursty-loss episodes, queue
-//!   blackhole/saturation windows, partition/heal), parsed from a small
-//!   line-based text format or built programmatically. Faults are applied
+//! * [`ScenarioScript`] — a run file: optional header lines stating what the
+//!   run is built on (seed, duration, `topology`, `mobility`, `flow`s, each
+//!   parsed by the grammar its flag already used) and a timed schedule of
+//!   faults (link flaps, node kill/pause/revive, Gilbert–Elliott bursty-loss
+//!   episodes, queue blackhole/saturation windows, partition/heal), parsed
+//!   from a small line-based text format or built programmatically. Faults are applied
 //!   as ordinary sim-time events, so a scripted run is exactly as
 //!   reproducible as a clean one: same seed + same script ⇒ identical
 //!   `trace_hash` on twin runs.

@@ -15,6 +15,14 @@
 //! `--bin reproduce` is the one program that runs them all and writes the
 //! outputs; timing the simulator is `benchmark/`'s job, not this crate's.
 //!
+//! Beside the paper there is the single run: [`run::Run`] is what a run file
+//! (`faultline::ScenarioScript`: topology, mobility, flows, seed, duration,
+//! timed faults) or the flags that spell one mean, and `Run::build` the one
+//! place outside [`experiments`] that constructs a simulator. `--bin harness`
+//! drives a `Run` four ways — `trace` (capture, [`tracecap`]), `topo` (run
+//! checked), `mc` (explore, [`mc`]), `checkpoint` (snapshot / resume) — off
+//! the one argv table in [`cli`].
+//!
 //! Runs are averaged over several seeds (the paper reports single NS2 runs;
 //! we prefer mean ± spread for honesty about variance). All entry points
 //! return plain-data result structs whose `Display` impls print the same

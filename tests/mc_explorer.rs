@@ -6,7 +6,8 @@
 //! `netstack::Simulator` — where ground truth is computable: the branch
 //! count is the product of tie-group factorials, every decision vector
 //! must be distinct and every branch must replay to its recorded hash. The
-//! second half runs the real simulator:
+//! second half runs the real simulator, each run built by
+//! `harness::run::Run` from its script:
 //! a window with no ties degenerates to exactly the plain corpus run
 //! (the hook is a pure wrapper), three corpus scripts are *proved* clean
 //! over a small window around their first fault, and the two tie races the

@@ -1,7 +1,9 @@
-//! The scenario corpus runner: every script in `tests/scenarios/` runs on
-//! the reference topology under the runtime invariant checker, twice, and
-//! must (a) parse, (b) produce bit-identical twin runs (same seed + script
-//! ⇒ same `trace_hash`), and (c) finish with zero invariant violations.
+//! The scenario corpus runner: every script in `tests/scenarios/` runs as
+//! the `Run` it states — none states a topology, mobility or flow, so each
+//! is the corpus convention, which one test pins against a simulator built
+//! by hand — under the runtime invariant checker, twice, and must (a)
+//! parse, (b) produce bit-identical twin runs (same seed + script ⇒ same
+//! `trace_hash`), and (c) finish with zero invariant violations.
 //!
 //! A final test feeds the checker an intentionally-buggy record stream to
 //! prove the harness *can* fail — a checker that never fires is worthless.

@@ -2,7 +2,8 @@
 //! streams must be byte-identical across twin runs and across batch worker
 //! counts, the pcap sink must self-parse, the rendered ns-2 stream must
 //! match a checked-in golden fixture, and the flight recorder must dump
-//! exactly its ring on an injected invariant violation.
+//! exactly its ring on an injected invariant violation. Captures of a whole
+//! run go through `harness::run::Run::capture`, as `harness trace` does.
 
 use tcp_muzha::experiments::cwnd_traces_batch;
 use tcp_muzha::faultline::{CheckerLimits, InvariantChecker, ScenarioScript};
