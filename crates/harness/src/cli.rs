@@ -297,8 +297,7 @@ pub fn parse_run(
     default: Option<(TopologySpec, MobilitySpec, SimDuration)>,
 ) -> Result<Run, CliError> {
     if let Some(path) = parse_flag(args, "--script")? {
-        let named = |a: &String, flag: &str| a.split('=').next() == Some(flag);
-        if let Some(flag) = SHAPE_FLAGS.iter().find(|f| args.iter().any(|a| named(a, f))) {
+        if let Some(flag) = SHAPE_FLAGS.iter().find(|f| parse_flag(args, f) != Ok(None)) {
             return Err(conflicting(args, flag, "--script states the whole run"));
         }
         let text = std::fs::read_to_string(&path).map_err(|e| CliError::file("read", &path, e))?;

@@ -32,15 +32,6 @@ impl TraceFormat {
         }
     }
 
-    /// Conventional file extension for the format.
-    pub fn extension(self) -> &'static str {
-        match self {
-            TraceFormat::Ns2 => "tr",
-            TraceFormat::Pcap => "pcap",
-            TraceFormat::Csv => "csv",
-        }
-    }
-
     /// Whether the rendered bytes are binary (unsafe to print to a tty).
     pub fn is_binary(self) -> bool {
         matches!(self, TraceFormat::Pcap)

@@ -3,6 +3,8 @@
 //! silent run on the defaults (0) when a flag is misspelt or has been
 //! retired.
 
+mod common;
+
 use std::process::{Command, Output};
 
 /// The run-driving binary; its first argument is the subcommand.
@@ -89,8 +91,7 @@ fn a_missing_or_unknown_subcommand_is_named_before_anything_else() {
 /// `trace`, `reproduce`) or `checkpoint`'s private exit status 1.
 #[test]
 fn unusable_files_are_one_error_line_not_panics() {
-    let dir = std::env::temp_dir().join(format!("cli_exit_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let dir = common::scratch("files");
     let bad_script = dir.join("bad.scn");
     std::fs::write(&bad_script, "at zzz link-down 1 2\n").expect("write fixture");
     let bad_script = bad_script.to_str().expect("utf-8 temp path");
@@ -193,8 +194,7 @@ fn flags_that_contradict_each_other_are_bad_values() {
     assert_rejected(HARNESS, &["trace", "--quick", "--hops", "0"], "bad chain hop count '0'");
     assert_rejected(HARNESS, &["trace", "--quick", "--hops", "65535"], "at most 65535");
 
-    let dir = std::env::temp_dir().join(format!("cli_exit_until_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let dir = common::scratch("until");
     let snap = dir.join("ck.snap");
     let snap = snap.to_str().expect("utf-8 temp path");
     let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");
@@ -221,20 +221,13 @@ fn flags_that_contradict_each_other_are_bad_values() {
     std::fs::remove_dir_all(&dir).expect("remove scratch directory");
 }
 
-/// A scratch directory of `test`'s own, removed by the caller.
-fn scratch(test: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("cli_exit_{test}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch directory");
-    dir
-}
-
 /// A run file is checked before anything runs, whoever reads it. Times past
 /// `SimTime` used to panic inside the parser (`time.rs`, exit 101), and a
 /// node the topology lacks was an index panic in `netstack::fault` one
 /// virtual second into the run.
 #[test]
 fn a_hostile_run_file_is_a_line_error_from_every_subcommand() {
-    let dir = scratch("hostile");
+    let dir = common::scratch("hostile");
     let path = dir.join("hostile.scn");
     let path = path.to_str().expect("utf-8 temp path");
     for (text, needle) in [
@@ -267,7 +260,7 @@ fn a_hostile_run_file_is_a_line_error_from_every_subcommand() {
 /// `t{:.3}` names.
 #[test]
 fn a_checkpoint_sweep_needs_a_positive_step_and_never_reuses_a_path() {
-    let dir = scratch("sweep");
+    let dir = common::scratch("sweep");
     let script = dir.join("fine.scn");
     std::fs::write(&script, "name fine\nduration 0.002\n").expect("write run file");
     let (script, out) = (script.to_str().expect("utf-8"), dir.join("out"));
@@ -319,7 +312,7 @@ fn a_run_of_no_flows_is_a_bad_value() {
 /// `println!` (exit 101 from `topo`, `mc` and `checkpoint` before).
 #[test]
 fn a_closed_stdout_is_tolerated_by_every_subcommand() {
-    let dir = scratch("pipe");
+    let dir = common::scratch("pipe");
     let snap = dir.join("ck.snap");
     let snap = snap.to_str().expect("utf-8 temp path");
     let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");

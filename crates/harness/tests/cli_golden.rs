@@ -6,7 +6,8 @@
 //! leave every expected byte below alone; only [`harness`] — how a
 //! subcommand is spawned — may be respelled.
 
-use std::path::PathBuf;
+mod common;
+
 use std::process::{Command, Output};
 
 use sim_core::TraceHash;
@@ -33,20 +34,13 @@ fn digest(bytes: &[u8]) -> String {
     format!("{:016x}", TraceHash::new().write_bytes(bytes).digest())
 }
 
-/// A scratch directory of this test's own, removed by the caller.
-fn scratch(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cli_golden_{}_{test}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch directory");
-    dir
-}
-
 fn corpus(name: &str) -> String {
     format!("{}/../../tests/scenarios/{name}.scn", env!("CARGO_MANIFEST_DIR"))
 }
 
 #[test]
 fn trace_captures_are_byte_identical() {
-    let dir = scratch("trace");
+    let dir = common::scratch("trace");
     let pcap = dir.join("quick.pcap");
     let pcap = pcap.to_str().expect("utf-8 temp path");
     let captures: [&[&str]; 4] = [
@@ -115,7 +109,7 @@ fn after<'a>(line: &'a str, from: &str) -> &'a str {
 /// run", then one periodic sweep.
 #[test]
 fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
-    let dir = scratch("checkpoint");
+    let dir = common::scratch("checkpoint");
     let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
     let (scn, ck, straight, cut) =
         (corpus("chain-break"), path("ck.snap"), path("straight.snap"), path("cut.snap"));
@@ -162,7 +156,7 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
 /// branch log `--report` writes.
 #[test]
 fn mc_proofs_print_the_same_verdicts_and_branch_logs() {
-    let dir = scratch("mc");
+    let dir = common::scratch("mc");
     let log = dir.join("branches.log");
     let log = log.to_str().expect("utf-8 temp path");
     let shifted: &[&str] = &["--shift-window", "0.002", "--shift-steps", "3"];

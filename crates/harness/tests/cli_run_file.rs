@@ -4,6 +4,8 @@
 //! binary; and the run-shape flags build the run a file that spells them
 //! does.
 
+mod common;
+
 use std::process::Command;
 
 use harness::cli;
@@ -30,15 +32,9 @@ fn hash_of(line: &str) -> &str {
     line.trim_end().rsplit("hash=").next().filter(|h| h.starts_with("0x")).expect("a hash= field")
 }
 
-fn scratch(test: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("cli_run_file_{test}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch directory");
-    dir
-}
-
 #[test]
 fn one_run_file_is_captured_checked_proved_and_resumed() {
-    let dir = scratch("grid_roam");
+    let dir = common::scratch("grid_roam");
     let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
 
     // trace: ns-2 lines on stdout naming the cut link's fault, and a pcap.
@@ -83,7 +79,7 @@ fn one_run_file_is_captured_checked_proved_and_resumed() {
 /// `trace` prints the same bytes and `topo` the same hash either way.
 #[test]
 fn flags_build_the_run_a_file_that_spells_them_does() {
-    let dir = scratch("spelled");
+    let dir = common::scratch("spelled");
     let file = dir.join("spelled.scn");
     let file = file.to_str().expect("utf-8 temp path");
     // Each states topology, mobility and duration, so no subcommand's
