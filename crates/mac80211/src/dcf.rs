@@ -9,8 +9,13 @@ use wire::{FrameBody, FrameKind, MacFrame, NodeId, Packet, SharedPacket};
 
 use crate::MacParams;
 
-/// Output batch returned by the MAC's event handlers. Usually 0–3 entries,
-/// so the inline representation avoids a heap allocation per handler call.
+/// Output batch of the MAC's event handlers. Usually 0–3 entries, so the
+/// inline representation avoids a heap allocation per handler call.
+///
+/// Each handler has two spellings over one body: `on_x_into(.., out)` appends
+/// to a batch the caller owns — the driver builds one where it executes it, so
+/// nothing is moved between the MAC and the loop — and `on_x(..)`, which
+/// constructs a batch, calls the first and returns it.
 pub type MacOutputs = SmallVec<MacOutput, 4>;
 
 /// A snapshot of physical carrier sense, supplied by the driver on every
@@ -424,13 +429,29 @@ impl Mac {
         now: SimTime,
         medium: MediumView,
     ) -> MacOutputs {
+        let mut out = MacOutputs::new();
+        self.start_packet_into(packet, next_hop, now, medium, &mut out);
+        out
+    }
+
+    /// [`Mac::start_packet`], appending to the caller's batch.
+    ///
+    /// # Panics
+    ///
+    /// As [`Mac::start_packet`].
+    pub fn start_packet_into(
+        &mut self,
+        packet: Packet,
+        next_hop: NodeId,
+        now: SimTime,
+        medium: MediumView,
+        out: &mut MacOutputs,
+    ) {
         assert!(self.is_idle(), "MAC already busy with a packet");
         let packet = SharedPacket::new(packet);
         let pkt = Outgoing { packet, next_hop, short_retries: 0, long_retries: 0 };
         self.phase = Phase::Defer { pkt, carried_slots: None };
-        let mut out = MacOutputs::new();
-        self.resume(now, medium, &mut out);
-        out
+        self.resume(now, medium, out);
     }
 
     /// The driver reports that an external signal started impinging on this
@@ -445,8 +466,18 @@ impl Mac {
     /// backoff countdown.
     pub fn on_medium_maybe_idle(&mut self, now: SimTime, medium: MediumView) -> MacOutputs {
         let mut out = MacOutputs::new();
-        self.resume(now, medium, &mut out);
+        self.on_medium_maybe_idle_into(now, medium, &mut out);
         out
+    }
+
+    /// [`Mac::on_medium_maybe_idle`], appending to the caller's batch.
+    pub fn on_medium_maybe_idle_into(
+        &mut self,
+        now: SimTime,
+        medium: MediumView,
+        out: &mut MacOutputs,
+    ) {
+        self.resume(now, medium, out);
     }
 
     /// A frame was decoded at this node's PHY.
@@ -457,6 +488,18 @@ impl Mac {
         medium: MediumView,
     ) -> MacOutputs {
         let mut out = MacOutputs::new();
+        self.on_frame_decoded_into(frame, now, medium, &mut out);
+        out
+    }
+
+    /// [`Mac::on_frame_decoded`], appending to the caller's batch.
+    pub fn on_frame_decoded_into(
+        &mut self,
+        frame: MacFrame,
+        now: SimTime,
+        medium: MediumView,
+        out: &mut MacOutputs,
+    ) {
         // A correct reception ends any EIFS obligation.
         self.use_eifs = false;
         if !frame.addressed_to(self.addr) {
@@ -470,18 +513,17 @@ impl Mac {
                 // if the granted exchange never starts (no carrier within
                 // 2·SIFS + CTS airtime + 2 slots of the RTS ending).
                 let wait = self.params.sifs * 2 + self.params.cts_airtime() + self.params.slot * 2;
-                self.arm_nav_reset(now, wait, &mut out);
+                self.arm_nav_reset(now, wait, out);
             }
         } else {
             match frame.kind() {
-                FrameKind::Rts => self.handle_rts(&frame, now, &mut out),
-                FrameKind::Cts => self.step(Input::Cts, now, medium, &mut out),
-                FrameKind::Data => self.handle_data(frame, now, &mut out),
-                FrameKind::Ack => self.step(Input::Ack, now, medium, &mut out),
+                FrameKind::Rts => self.handle_rts(&frame, now, out),
+                FrameKind::Cts => self.step(Input::Cts, now, medium, out),
+                FrameKind::Data => self.handle_data(frame, now, out),
+                FrameKind::Ack => self.step(Input::Ack, now, medium, out),
             }
         }
-        self.resume(now, medium, &mut out);
-        out
+        self.resume(now, medium, out);
     }
 
     /// A corrupted (collided or undecodable) reception ended at this node.
@@ -494,9 +536,21 @@ impl Mac {
     /// A timer set via [`MacOutput::SetTimer`] fired.
     pub fn on_timer(&mut self, id: TimerId, now: SimTime, medium: MediumView) -> MacOutputs {
         let mut out = MacOutputs::new();
+        self.on_timer_into(id, now, medium, &mut out);
+        out
+    }
+
+    /// [`Mac::on_timer`], appending to the caller's batch.
+    pub fn on_timer_into(
+        &mut self,
+        id: TimerId,
+        now: SimTime,
+        medium: MediumView,
+        out: &mut MacOutputs,
+    ) {
         if !self.timers.fire(id.0) {
             // Cancelled (or already consumed): a lazy tombstone popping.
-            return out;
+            return;
         }
         if self.nav_timer == Some(id) {
             self.nav_timer = None;
@@ -504,33 +558,38 @@ impl Mac {
             self.nav_reset_timer = None;
             let heard_since = self.last_busy.is_some_and(|t| t >= self.nav_reset_armed_at);
             if heard_since || self.nav_until <= now {
-                return out;
+                return;
             }
             // Nothing hit the air since the reservation: release it.
             self.nav_until = now;
         } else {
             match self.responder {
                 Responder::Pending { kind, timer } if timer == id => {
-                    self.fire_response(kind, &mut out);
-                    return out;
+                    self.fire_response(kind, out);
+                    return;
                 }
                 Responder::Idle
                 | Responder::Pending { .. }
                 | Responder::SendingCts
-                | Responder::SendingAck => self.step(Input::Timer(id), now, medium, &mut out),
+                | Responder::SendingAck => self.step(Input::Timer(id), now, medium, out),
             }
         }
-        self.resume(now, medium, &mut out);
-        out
+        self.resume(now, medium, out);
     }
 
     /// Our transmission (started via [`MacOutput::Transmit`]) left the air.
     pub fn on_tx_done(&mut self, now: SimTime, medium: MediumView) -> MacOutputs {
         let mut out = MacOutputs::new();
+        self.on_tx_done_into(now, medium, &mut out);
+        out
+    }
+
+    /// [`Mac::on_tx_done`], appending to the caller's batch.
+    pub fn on_tx_done_into(&mut self, now: SimTime, medium: MediumView, out: &mut MacOutputs) {
         if !self.on_air() {
             // Nothing of ours was on the air: the driver contract excludes
             // the call, and it changes nothing.
-            return out;
+            return;
         }
         match self.responder {
             Responder::SendingCts => {
@@ -538,17 +597,16 @@ impl Mac {
                 // release our self-imposed deferral instead of staying deaf
                 // for the whole reserved exchange.
                 let wait = self.params.sifs + self.params.slot * 2 + self.params.max_prop * 2;
-                self.arm_nav_reset(now, wait, &mut out);
+                self.arm_nav_reset(now, wait, out);
                 self.responder = Responder::Idle;
             }
             Responder::SendingAck => self.responder = Responder::Idle,
             // Not an answer's frame: the attempt's.
             Responder::Idle | Responder::Pending { .. } => {
-                self.step(Input::TxDone, now, medium, &mut out);
+                self.step(Input::TxDone, now, medium, out);
             }
         }
-        self.resume(now, medium, &mut out);
-        out
+        self.resume(now, medium, out);
     }
 
     // ------------------------------------------------------------------
@@ -1576,6 +1634,88 @@ mod tests {
             }
         }
         assert!(refused > 1_000 && ran > 1_000, "{refused} refused, {ran} ran");
+    }
+
+    /// What `call` appends to a batch that already holds an element of
+    /// somebody else's — which must still be there, first, afterwards.
+    fn appended(call: impl FnOnce(&mut MacOutputs)) -> MacOutputs {
+        let mut out = MacOutputs::new();
+        out.push(MacOutput::Backoff { slots: u32::MAX, cw: u32::MAX });
+        call(&mut out);
+        let mut all = out.drain();
+        let first = all.next();
+        assert!(
+            matches!(first, Some(MacOutput::Backoff { slots: u32::MAX, cw: u32::MAX })),
+            "the batch was handed over holding an element and came back led by {first:?}"
+        );
+        all.collect()
+    }
+
+    /// In every state of the chart, under both views: every timer the walk
+    /// there was handed (live, or cancelled on the way) and a frame of every
+    /// kind — four for us, an RTS reserving the medium for somebody else —
+    /// do through the `_into` spelling what they do through the by-value
+    /// one, to the batch and to the MAC.
+    #[test]
+    fn the_into_spelling_appends_what_the_by_value_one_returns_in_every_state() {
+        let later = SimDuration::from_micros(7);
+        let mut calls = 0;
+        for (stop, answering) in chart_cases() {
+            let timers = Walk::to(stop, answering).timers;
+            let mut reserving = control(FrameKind::Rts, 5, 6);
+            reserving.nav_until_nanos = t(60_000).as_nanos();
+            let frames = [
+                control(FrameKind::Rts, 2, 0),
+                control(FrameKind::Cts, 1, 0),
+                data_for_us(90),
+                control(FrameKind::Ack, 1, 0),
+                reserving,
+            ];
+            for view in [MediumView::idle(), MediumView::busy()] {
+                for input in 0..timers.len() + frames.len() {
+                    let mut a = Walk::to(stop, answering);
+                    let mut b = Walk::to(stop, answering);
+                    let (by_value, into) = match timers.get(input) {
+                        Some(&(id, at)) => {
+                            let now = at.max(a.now + later);
+                            (
+                                a.mac.on_timer(id, now, view),
+                                appended(|out| b.mac.on_timer_into(id, now, view, out)),
+                            )
+                        }
+                        None => {
+                            let frame = &frames[input - timers.len()];
+                            let now = a.now + later;
+                            (
+                                a.mac.on_frame_decoded(frame.clone(), now, view),
+                                appended(|out| {
+                                    b.mac.on_frame_decoded_into(frame.clone(), now, view, out);
+                                }),
+                            )
+                        }
+                    };
+                    let case = format!("{stop}, answering {answering}, {view:?}, input {input}");
+                    assert_eq!(format!("{by_value:?}"), format!("{into:?}"), "{case}");
+                    assert_eq!(format!("{:?}", a.mac), format!("{:?}", b.mac), "{case}");
+                    calls += 1;
+                }
+            }
+        }
+        assert!(calls >= 12 * 2 * 6, "{calls} calls compared");
+    }
+
+    /// Every decoded frame ends in the idle-edge look a deferring MAC is
+    /// waiting for: nothing else tells it the reception is over.
+    #[test]
+    fn a_frame_decoded_while_deferring_under_an_idle_view_starts_the_countdown() {
+        let mut w = Walk::to("Defer", false);
+        let now = w.now + SimDuration::from_micros(300);
+        let overheard = control(FrameKind::Ack, 5, 6);
+        let out =
+            appended(|out| w.mac.on_frame_decoded_into(overheard, now, MediumView::idle(), out));
+        let (_, at) = timer_of(&out);
+        assert!(at >= now + MacParams::default().difs(), "{out:?}");
+        assert!(format!("{:?}", w.mac.phase).starts_with("Count"), "{:?}", w.mac.phase);
     }
 
     #[test]

@@ -66,6 +66,13 @@ pub(crate) enum Event {
 /// Every queue entry, and every shift of a calendar bucket, moves one of
 /// these: a variant that grows it is paid for by all the others.
 const _: () = assert!(std::mem::size_of::<Event>() <= 72);
+/// One per carrier-sense pair and direction, resident for the run and read
+/// once per listener per frame: a field that widens it is paid for in memory
+/// on every dense topology.
+const _: () = assert!(std::mem::size_of::<phy::Link>() <= 16);
+/// Taken out of its batch and matched on once per MAC action: a variant that
+/// grows it grows every batch the driver builds on its stack by four of them.
+const _: () = assert!(std::mem::size_of::<mac80211::MacOutput>() <= 72);
 
 /// Which [`Event`] variant, without its fields. The discriminant is the
 /// variant's tag in the trace digest and in the snapshot format.

@@ -13,8 +13,8 @@
 
 use aodv::AodvOutput;
 use faultline::InvariantChecker;
-use mac80211::{MacOutput, MediumView};
-use phy::{Arrival, Channel, Edge, Position, RxOutcome, TxId};
+use mac80211::{MacOutput, MacOutputs, MediumView};
+use phy::{Arrival, Channel, Edge, Link, Position, RxOutcome, TxId};
 use sim_core::{DetMap, EventQueue, RunPerf, SimRng, SimTime, TieOrder, TraceHash};
 use tcp::{Sender, TcpOutput, TcpReceiver, Transport};
 use topo::MobilitySpec;
@@ -487,22 +487,21 @@ impl Simulator {
                     });
                 }
                 let medium = self.medium(node);
-                let mut outputs = Vec::new();
-                {
-                    let n = &mut self.nodes[node.index()];
-                    match outcome {
-                        RxOutcome::Decoded => {
-                            outputs.extend(n.mac.on_frame_decoded(frame, now, medium));
-                        }
-                        // A frame lost to random channel error triggers the
-                        // EIFS rule like a collision, exactly as in ns-2.
-                        RxOutcome::CollisionLost | RxOutcome::NotDecodable => {
-                            n.mac.on_rx_corrupted(now);
-                        }
+                // Both MAC calls are made before any output is executed.
+                let mut outputs = MacOutputs::new();
+                let mac = &mut self.nodes[node.index()].mac;
+                match outcome {
+                    RxOutcome::Decoded => {
+                        mac.on_frame_decoded_into(frame, now, medium, &mut outputs);
                     }
-                    outputs.extend(n.mac.on_medium_maybe_idle(now, medium));
+                    // A frame lost to random channel error triggers the
+                    // EIFS rule like a collision, exactly as in ns-2.
+                    RxOutcome::CollisionLost | RxOutcome::NotDecodable => {
+                        mac.on_rx_corrupted(now);
+                    }
                 }
-                self.process_mac_outputs(node, outputs);
+                mac.on_medium_maybe_idle_into(now, medium, &mut outputs);
+                self.process_mac_outputs(node, &mut outputs);
             }
             Event::CsEnd { node, tx_id } => {
                 let now = self.now;
@@ -515,14 +514,16 @@ impl Simulator {
                 // exchanges two hops away — and is not a loss: untraced.
                 let mac = &mut self.nodes[node.index()].mac;
                 mac.on_rx_corrupted(now);
-                let outputs = mac.on_medium_maybe_idle(now, medium);
-                self.process_mac_outputs(node, outputs);
+                let mut outputs = MacOutputs::new();
+                mac.on_medium_maybe_idle_into(now, medium, &mut outputs);
+                self.process_mac_outputs(node, &mut outputs);
             }
             Event::TxDone { node } => {
                 let now = self.now;
                 let medium = self.medium(node);
-                let outputs = self.nodes[node.index()].mac.on_tx_done(now, medium);
-                self.process_mac_outputs(node, outputs);
+                let mut outputs = MacOutputs::new();
+                self.nodes[node.index()].mac.on_tx_done_into(now, medium, &mut outputs);
+                self.process_mac_outputs(node, &mut outputs);
             }
             Event::MacTimer { node, id } => {
                 // Lazy cancellation: a tombstoned timer's queued event still
@@ -533,8 +534,9 @@ impl Simulator {
                 }
                 let now = self.now;
                 let medium = self.medium(node);
-                let outputs = self.nodes[node.index()].mac.on_timer(id, now, medium);
-                self.process_mac_outputs(node, outputs);
+                let mut outputs = MacOutputs::new();
+                self.nodes[node.index()].mac.on_timer_into(id, now, medium, &mut outputs);
+                self.process_mac_outputs(node, &mut outputs);
             }
             Event::AodvTimer { node, id } => {
                 if !self.nodes[node.index()].aodv.timer_is_live(id) {
@@ -637,8 +639,13 @@ impl Simulator {
     // Output processing
     // ------------------------------------------------------------------
 
-    fn process_mac_outputs(&mut self, node: NodeId, outputs: impl IntoIterator<Item = MacOutput>) {
-        for output in outputs {
+    /// Executes a batch where it was filled: the caller built it on its own
+    /// stack frame and lent it to the MAC (DESIGN §9.5), so the elements
+    /// leave it here one at a time and the batch itself is never moved.
+    /// [`MacOutput::ReadyForNext`] re-enters through [`Self::try_feed_mac`],
+    /// which builds its own.
+    fn process_mac_outputs(&mut self, node: NodeId, outputs: &mut MacOutputs) {
+        for output in outputs.drain() {
             match output {
                 MacOutput::Transmit { frame, airtime } => self.transmit(node, frame, airtime),
                 MacOutput::SetTimer { id, at } => {
@@ -891,25 +898,24 @@ impl Simulator {
     fn try_feed_mac(&mut self, node: NodeId) {
         let now = self.now;
         let medium = self.medium(node);
-        let outputs = {
-            let n = &mut self.nodes[node.index()];
-            if !n.mac.is_idle() {
-                return;
-            }
-            let Some((packet, next_hop)) = n.ifq.pop(now) else { return };
-            let len = n.ifq.len();
-            n.router.drai_mut().observe_queue(len, now);
-            // From here until the packet leaves, an idle edge can restart
-            // this MAC's countdown, and the timer that arms takes its seq
-            // from the moment it is pushed: each end edge still parked here
-            // must pop at its own key. They are all ahead of this event's.
-            let events = &mut self.events;
-            n.phy.unpark_ends(|end, seq, tx_id| {
-                events.push_reserved(end, seq, Event::CsEnd { node, tx_id });
-            });
-            n.mac.start_packet(packet, next_hop, now, medium)
-        };
-        self.process_mac_outputs(node, outputs);
+        let n = &mut self.nodes[node.index()];
+        if !n.mac.is_idle() {
+            return;
+        }
+        let Some((packet, next_hop)) = n.ifq.pop(now) else { return };
+        let len = n.ifq.len();
+        n.router.drai_mut().observe_queue(len, now);
+        // From here until the packet leaves, an idle edge can restart
+        // this MAC's countdown, and the timer that arms takes its seq
+        // from the moment it is pushed: each end edge still parked here
+        // must pop at its own key. They are all ahead of this event's.
+        let events = &mut self.events;
+        n.phy.unpark_ends(|end, seq, tx_id| {
+            events.push_reserved(end, seq, Event::CsEnd { node, tx_id });
+        });
+        let mut outputs = MacOutputs::new();
+        n.mac.start_packet_into(packet, next_hop, now, medium, &mut outputs);
+        self.process_mac_outputs(node, &mut outputs);
     }
 
     /// Puts a frame on the air: marks the PHY, announces the signal to every
@@ -920,6 +926,11 @@ impl Simulator {
     /// [`Event::CsEnd`] where it cannot and the MAC holds a packet, and parked
     /// with the signal where it cannot and the MAC holds none — so every
     /// queued entry keeps its `(time, seq)` key.
+    ///
+    /// What a listener's share of this depends on besides the frame and the
+    /// run — delay, power, whether it can decode — is the channel's business
+    /// and changes only when the channel does: it is read off the sender's
+    /// link row (DESIGN §9.5), never derived here.
     fn transmit(&mut self, sender: NodeId, frame: MacFrame, airtime: sim_core::SimDuration) {
         let now = self.now;
         if self.observed() {
@@ -941,18 +952,16 @@ impl Simulator {
         let tx_id = TxId(self.next_tx_id);
         self.next_tx_id += 1;
         let loss_p = self.cfg.radio.per_frame_loss;
-        // Collect receivers first (channel borrows self.channel only).
-        let neighbours: Vec<NodeId> = self.channel.cs_neighbors(sender).to_vec();
-        for nb in neighbours {
-            let distance = self.channel.distance(sender, nb);
-            let prop = phy::RadioParams::propagation_delay(distance);
-            let in_rx_range = self.channel.in_rx_range(sender, nb);
-            // Random channel loss applies to data frames only.
-            let corrupted =
-                in_rx_range && frame.kind() == FrameKind::Data && self.frame_lost(nb, loss_p);
+        // Random channel loss applies to data frames only.
+        let lossy = frame.kind() == FrameKind::Data;
+        // The row leaves the channel for the loop: nothing in it writes the
+        // channel, and the loop needs the rest of `self`.
+        let links = self.channel.take_links(sender);
+        for link in &links {
+            let Link { peer: nb, power, in_rx_range, .. } = *link;
+            let corrupted = in_rx_range && lossy && self.frame_lost(nb, loss_p);
             let decodable = in_rx_range && !corrupted;
-            let power = self.cfg.radio.rx_power(distance);
-            let rx_start = now + prop;
+            let rx_start = now + link.prop();
             let rx_end = rx_start + airtime;
             let seq = self.events.reserve_seq();
             let parked_end = if in_rx_range {
@@ -968,6 +977,7 @@ impl Simulator {
                 Arrival { start: rx_start, seq, tx_id, end: rx_end, decodable, power, parked_end };
             self.nodes[nb.index()].phy.announce(edge);
         }
+        self.channel.put_links(sender, links);
         self.schedule(end, Event::TxDone { node: sender });
     }
 }

@@ -1,6 +1,8 @@
 //! The shared radio channel: who hears whom.
 
-use sim_core::DetSet;
+use std::mem;
+
+use sim_core::{DetSet, SimDuration};
 use topo::SpatialGrid;
 use wire::NodeId;
 
@@ -20,6 +22,12 @@ use crate::{Position, RadioParams};
 /// squared-distance predicate in the same ascending node order, so the
 /// incremental rows always equal a rebuild (the property test below and
 /// the snapshot twins pin that).
+///
+/// Beside each sender's carrier-sense row it keeps a row of [`Link`]s: what
+/// a transmission from that sender means to each peer that senses it, as far
+/// as that depends on geometry and fault state alone. A third derived cache,
+/// built on the sender's first transmission after a mutation touched it
+/// ([`Self::take_links`]).
 ///
 /// # Example
 ///
@@ -55,6 +63,45 @@ pub struct Channel {
     grid: SpatialGrid,
     /// Scratch buffer for grid candidate collection.
     scratch: Vec<usize>,
+    /// Scratch rows [`Self::refresh`] fills and swaps with the node's own,
+    /// so a position write allocates nothing.
+    scratch_rx: Vec<NodeId>,
+    scratch_cs: Vec<NodeId>,
+    /// One row per sender, parallel to its `cs_neighbors` row while
+    /// `links_fresh` says so.
+    links: Vec<Vec<Link>>,
+    links_fresh: Vec<bool>,
+}
+
+/// What a transmission from one node means to one peer inside its
+/// carrier-sense range, for as long as neither moves and no fault touches
+/// either: everything the per-listener loop of a transmission would
+/// otherwise derive from two positions, per frame.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Link {
+    /// Relative received power ([`RadioParams::rx_power`] of the distance).
+    pub power: f64,
+    /// [`RadioParams::propagation_delay`] of the distance, in nanoseconds.
+    prop_nanos: u32,
+    /// The listener.
+    pub peer: NodeId,
+    /// Whether the peer can decode the sender ([`Channel::in_rx_range`]);
+    /// otherwise it only senses it.
+    pub in_rx_range: bool,
+}
+
+impl Link {
+    /// How long the signal takes to reach the peer.
+    #[inline]
+    pub fn prop(&self) -> SimDuration {
+        SimDuration::from_nanos(u64::from(self.prop_nanos))
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many link rows this thread's channels have built.
+    static LINK_ROWS_BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -122,6 +169,16 @@ impl Channel {
     pub fn new(positions: Vec<Position>, params: RadioParams) -> Self {
         params.validate();
         let disabled = vec![false; positions.len()];
+        Self::assemble(params, positions, disabled, DetSet::new())
+    }
+
+    /// A channel in the given state, every derived cache built from it.
+    fn assemble(
+        params: RadioParams,
+        positions: Vec<Position>,
+        disabled: Vec<bool>,
+        blocked: DetSet<(NodeId, NodeId)>,
+    ) -> Self {
         let grid = SpatialGrid::new(params.cs_range_m, &positions);
         let mut ch = Channel {
             params,
@@ -129,9 +186,13 @@ impl Channel {
             rx_neighbors: Vec::new(),
             cs_neighbors: Vec::new(),
             disabled,
-            blocked: DetSet::new(),
+            blocked,
             grid,
             scratch: Vec::new(),
+            scratch_rx: Vec::new(),
+            scratch_cs: Vec::new(),
+            links: Vec::new(),
+            links_fresh: Vec::new(),
         };
         ch.recompute();
         ch
@@ -242,15 +303,58 @@ impl Channel {
         self.positions[a.index()].distance_sq_to(self.positions[b.index()])
     }
 
-    /// Builds node `i`'s rx/cs rows by filtering `candidates` (ascending
-    /// node indices) through the one squared-distance predicate every code
-    /// path shares — this is what makes incremental maintenance and a full
-    /// rebuild agree bit-for-bit.
-    fn rows_for(&self, i: usize, candidates: &[usize]) -> (Vec<NodeId>, Vec<NodeId>) {
-        let mut rx = Vec::new();
-        let mut cs = Vec::new();
+    /// Takes `sender`'s link row out of the channel — one [`Link`] per member
+    /// of [`Self::cs_neighbors`], in that order — building it first if a
+    /// mutation touched the sender or one of its peers since it was last
+    /// built. The caller hands it back through [`Self::put_links`] before it
+    /// mutates the channel; a row never handed back is built again.
+    #[inline]
+    pub fn take_links(&mut self, sender: NodeId) -> Vec<Link> {
+        let i = sender.index();
+        if !mem::take(&mut self.links_fresh[i]) {
+            self.build_links(sender);
+        }
+        mem::take(&mut self.links[i])
+    }
+
+    /// Returns a row [`Self::take_links`] handed out for `sender`.
+    #[inline]
+    pub fn put_links(&mut self, sender: NodeId, row: Vec<Link>) {
+        let i = sender.index();
+        self.links[i] = row;
+        self.links_fresh[i] = true;
+    }
+
+    fn build_links(&mut self, sender: NodeId) {
+        #[cfg(test)]
+        LINK_ROWS_BUILT.with(|built| built.set(built.get() + 1));
+        let i = sender.index();
+        let mut row = mem::take(&mut self.links[i]);
+        row.clear();
+        row.extend(self.cs_neighbors[i].iter().map(|&peer| {
+            let distance = self.distance(sender, peer);
+            let prop = RadioParams::propagation_delay(distance).as_nanos();
+            Link {
+                power: self.params.rx_power(distance),
+                // 2³² ns of light is 1.3 million km: no carrier-sense range
+                // reaches that far, and one that did would read as that.
+                prop_nanos: u32::try_from(prop).unwrap_or(u32::MAX),
+                peer,
+                in_rx_range: self.in_rx_range(sender, peer),
+            }
+        }));
+        self.links[i] = row;
+    }
+
+    /// Fills `rx` and `cs` with node `i`'s rows by filtering `candidates`
+    /// (ascending node indices) through the one squared-distance predicate
+    /// every code path shares — this is what makes incremental maintenance
+    /// and a full rebuild agree bit-for-bit.
+    fn rows_for(&self, i: usize, candidates: &[usize], rx: &mut Vec<NodeId>, cs: &mut Vec<NodeId>) {
+        rx.clear();
+        cs.clear();
         if self.disabled[i] {
-            return (rx, cs);
+            return;
         }
         let a = NodeId::new(i as u16);
         let tx_sq = sq(self.params.tx_range_m);
@@ -271,7 +375,6 @@ impl Channel {
                 cs.push(b);
             }
         }
-        (rx, cs)
     }
 
     /// Full O(N²) adjacency rebuild (construction and decode) — also the
@@ -282,34 +385,50 @@ impl Channel {
         let mut rx_rows = Vec::with_capacity(n);
         let mut cs_rows = Vec::with_capacity(n);
         for i in 0..n {
-            let (rx, cs) = self.rows_for(i, &everyone);
+            let (mut rx, mut cs) = (Vec::new(), Vec::new());
+            self.rows_for(i, &everyone, &mut rx, &mut cs);
             rx_rows.push(rx);
             cs_rows.push(cs);
         }
         self.rx_neighbors = rx_rows;
         self.cs_neighbors = cs_rows;
+        self.links.resize_with(n, Vec::new);
+        self.links_fresh.clear();
+        self.links_fresh.resize(n, false);
     }
 
     /// Re-derives adjacency after a mutation that only affects pairs
     /// containing `node` (a move, enable/disable, or link block/unblock —
     /// all three predicates are symmetric and localised to such pairs).
     /// Returns the churn of `node`'s own rows.
+    ///
+    /// This is the one place a position, a `disabled` flag or a `blocked`
+    /// pair takes effect, so it is where link rows go stale: `node`'s own,
+    /// and — adjacency being symmetric — the row of every peer that sensed
+    /// it before (it must leave that row, or sits in it at a new distance)
+    /// or senses it now (it must enter).
     fn refresh(&mut self, node: NodeId) -> usize {
         let i = node.index();
-        let mut candidates = std::mem::take(&mut self.scratch);
+        let mut candidates = mem::take(&mut self.scratch);
+        let mut new_rx = mem::take(&mut self.scratch_rx);
+        let mut new_cs = mem::take(&mut self.scratch_cs);
         self.grid.candidates(self.positions[i], &mut candidates);
-        let (rx, cs) = self.rows_for(i, &candidates);
+        self.rows_for(i, &candidates, &mut new_rx, &mut new_cs);
         self.scratch = candidates;
-        let old_rx = std::mem::replace(&mut self.rx_neighbors[i], rx);
-        let old_cs = std::mem::replace(&mut self.cs_neighbors[i], cs);
-        // Split borrows: clone nothing, patch peers against the freshly
-        // installed rows.
-        let new_rx = std::mem::take(&mut self.rx_neighbors[i]);
-        let new_cs = std::mem::take(&mut self.cs_neighbors[i]);
+        // Split borrows: clone nothing, patch peers with the node's own
+        // rows out of the table.
+        let old_rx = mem::take(&mut self.rx_neighbors[i]);
+        let old_cs = mem::take(&mut self.cs_neighbors[i]);
         let churn = patch_peers(&mut self.rx_neighbors, node, &old_rx, &new_rx)
             + patch_peers(&mut self.cs_neighbors, node, &old_cs, &new_cs);
+        self.links_fresh[i] = false;
+        for peer in old_cs.iter().chain(&new_cs) {
+            self.links_fresh[peer.index()] = false;
+        }
         self.rx_neighbors[i] = new_rx;
         self.cs_neighbors[i] = new_cs;
+        self.scratch_rx = old_rx;
+        self.scratch_cs = old_cs;
         churn
     }
 }
@@ -318,9 +437,9 @@ fn sq(r: f64) -> f64 {
     r * r
 }
 
-/// Hand-written: the adjacency rows and the grid are derived caches, rebuilt
-/// from positions, the radio parameters the decoder is given and the fault
-/// state.
+/// Hand-written: the adjacency rows, the link rows and the grid are derived
+/// caches, rebuilt from positions, the radio parameters the decoder is given
+/// and the fault state.
 impl Channel {
     /// Appends the channel's state — positions, disabled radios, blocked
     /// links — to `w`. The radio parameters are configuration and are not
@@ -350,19 +469,7 @@ impl Channel {
         if positions.len() >= usize::from(u16::MAX) {
             return Err(sim_core::SnapError::Invalid("channel node count"));
         }
-        let grid = SpatialGrid::new(params.cs_range_m, &positions);
-        let mut ch = Channel {
-            params,
-            positions,
-            rx_neighbors: Vec::new(),
-            cs_neighbors: Vec::new(),
-            disabled,
-            blocked,
-            grid,
-            scratch: Vec::new(),
-        };
-        ch.recompute();
-        Ok(ch)
+        Ok(Self::assemble(params, positions, disabled, blocked))
     }
 }
 
@@ -476,6 +583,67 @@ mod tests {
         assert!(!ch.in_rx_range(n(0), n(1)), "block must survive recompute");
     }
 
+    /// `sender`'s link row, taken and handed back.
+    fn links(ch: &mut Channel, sender: NodeId) -> Vec<Link> {
+        let row = ch.take_links(sender);
+        let copy = row.clone();
+        ch.put_links(sender, row);
+        copy
+    }
+
+    #[test]
+    fn a_link_row_says_what_each_sensing_peer_gets() {
+        let mut ch = chain(4, 250.0);
+        let row = links(&mut ch, n(1));
+        assert_eq!(row.iter().map(|l| l.peer).collect::<Vec<_>>(), ch.cs_neighbors(n(1)));
+        let [near, _, far] = row[..] else { panic!("three peers sense node 1, not {row:?}") };
+        // 250 m: the edge of the decode range, unit power, 834 ns of light.
+        assert!(near.in_rx_range);
+        assert_eq!(near.power, 1.0);
+        assert_eq!(near.prop(), RadioParams::propagation_delay(250.0));
+        assert_eq!(near.prop().as_nanos(), 834);
+        // 500 m: sensed only, 1/d⁴ down by sixteen.
+        assert!(!far.in_rx_range);
+        assert_eq!((far.peer, far.power), (n(3), 1.0 / 16.0));
+        assert_eq!(far.prop().as_nanos(), 1_668);
+        // A switched-off radio reaches nobody.
+        ch.set_node_enabled(n(1), false);
+        assert!(links(&mut ch, n(1)).is_empty());
+    }
+
+    #[test]
+    fn a_link_row_is_built_once_per_mutation_that_touches_it() {
+        let built = || LINK_ROWS_BUILT.with(std::cell::Cell::get);
+        let mut ch = chain(6, 250.0);
+        let start = built();
+        let first = links(&mut ch, n(2));
+        assert_eq!(built(), start + 1);
+        // Asked again with nothing changed: the same row, not a new one.
+        assert_eq!(links(&mut ch, n(2)), first);
+        assert_eq!(built(), start + 1);
+        // Node 5 is 750 m away, beyond carrier sense: its wiggle is not
+        // node 2's business.
+        ch.set_position(n(5), Position::new(1_250.0, 3.0));
+        assert_eq!(links(&mut ch, n(2)), first);
+        assert_eq!(built(), start + 1);
+        // A peer moves, the link to a peer is cut from either end, a peer
+        // dies: each makes the row stale once.
+        ch.set_position(n(1), Position::new(251.0, 0.0));
+        assert_ne!(links(&mut ch, n(2)), first);
+        assert_eq!(built(), start + 2);
+        ch.set_link_blocked(n(2), n(3), true);
+        assert_eq!(links(&mut ch, n(2)).len(), 3);
+        ch.set_link_blocked(n(3), n(2), false);
+        assert_eq!(links(&mut ch, n(2)).len(), 4);
+        ch.set_node_enabled(n(4), false);
+        assert_eq!(links(&mut ch, n(2)).len(), 3);
+        assert_eq!(built(), start + 5);
+        // A row never handed back is not mistaken for a fresh empty one.
+        drop(ch.take_links(n(2)));
+        assert_eq!(links(&mut ch, n(2)).len(), 3);
+        assert_eq!(built(), start + 6);
+    }
+
     #[test]
     fn node_never_its_own_neighbor() {
         let ch = chain(4, 100.0);
@@ -537,9 +705,32 @@ mod grid_differential {
         churn + (old.len() - oi) + (new.len() - ni)
     }
 
+    /// What `transmit` worked out per listener per frame before link rows
+    /// existed, by the four public calls it made: the oracle the rows are
+    /// held to, floats by their bits.
+    fn links_from_scratch(ch: &Channel, sender: NodeId) -> Vec<(NodeId, u64, SimDuration, bool)> {
+        let listeners = ch.cs_neighbors(sender).iter();
+        listeners
+            .map(|&peer| {
+                let distance = ch.distance(sender, peer);
+                let prop = RadioParams::propagation_delay(distance);
+                let power = ch.params().rx_power(distance);
+                (peer, power.to_bits(), prop, ch.in_rx_range(sender, peer))
+            })
+            .collect()
+    }
+
+    fn links_kept(ch: &mut Channel, sender: NodeId) -> Vec<(NodeId, u64, SimDuration, bool)> {
+        let row = ch.take_links(sender);
+        let seen = row.iter().map(|l| (l.peer, l.power.to_bits(), l.prop(), l.in_rx_range));
+        let seen = seen.collect();
+        ch.put_links(sender, row);
+        seen
+    }
+
     /// One randomly generated mutation against the channel.
-    fn apply(ch: &mut Channel, node_count: usize, op: (u8, usize, usize, f64, f64)) -> usize {
-        let (kind, a, b, x, y) = op;
+    fn apply(ch: &mut Channel, node_count: usize, op: (u8, usize, usize, f64, f64, u32)) -> usize {
+        let (kind, a, b, x, y, _) = op;
         let a = NodeId::new((a % node_count) as u16);
         let b = NodeId::new((b % node_count) as u16);
         match kind % 5 {
@@ -562,11 +753,17 @@ mod grid_differential {
         /// of moves, node disables/enables and link blocks/unblocks, the
         /// neighbor rows — and the churn reported for every mutation —
         /// equal those of a from-scratch all-pairs rebuild, entry for entry.
+        ///
+        /// So do the link rows. Each step asks for the rows of a random
+        /// subset of senders (the op's last field, a bit per node), so a row
+        /// is asked for fresh, one mutation stale and many mutations stale,
+        /// after mutations of its own node, of a peer from either end of a
+        /// link, and of strangers; the end asks for every sender's.
         #[test]
         fn grid_matches_brute_force(
             starts in proptest::collection::vec((0.0f64..2200.0, 0.0f64..2200.0), 2..24),
             ops in proptest::collection::vec(
-                (0u8..5, 0usize..24, 0usize..24, 0.0f64..2200.0, 0.0f64..2200.0),
+                (0u8..5, 0usize..24, 0usize..24, 0.0f64..2200.0, 0.0f64..2200.0, any::<u32>()),
                 1..40,
             )
         ) {
@@ -601,7 +798,25 @@ mod grid_differential {
                         node,
                         op
                     );
+                    if op.5 >> i & 1 == 1 {
+                        prop_assert_eq!(
+                            links_kept(&mut fast, node),
+                            links_from_scratch(&slow, node),
+                            "link row diverged at {} after {:?}",
+                            node,
+                            op
+                        );
+                    }
                 }
+            }
+            for i in 0..node_count as u16 {
+                let node = NodeId::new(i);
+                prop_assert_eq!(
+                    links_kept(&mut fast, node),
+                    links_from_scratch(&slow, node),
+                    "link row diverged at {} at the end",
+                    node
+                );
             }
         }
     }

@@ -23,7 +23,7 @@ mod loss;
 mod params;
 mod state;
 
-pub use channel::Channel;
+pub use channel::{Channel, Link};
 pub use loss::{GeState, GilbertElliott};
 pub use params::RadioParams;
 pub use state::{Arrival, Edge, PhyState, RxOutcome, TxId};

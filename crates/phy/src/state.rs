@@ -164,6 +164,7 @@ impl PhyState {
     }
 
     /// Whether the node's own transmission is still on the air.
+    #[inline]
     pub fn is_transmitting(&self, now: SimTime) -> bool {
         self.transmitting_until.is_some_and(|t| now < t)
     }
@@ -221,6 +222,7 @@ impl PhyState {
     }
 
     /// Parks a signal whose start edge [`Self::settle`] will apply.
+    #[inline]
     pub fn announce(&mut self, arrival: Arrival) {
         // Edges mostly arrive in the order they were announced: walk back
         // only past the ones a nearer sender has overtaken.
@@ -341,6 +343,7 @@ impl PhyState {
     /// ([`Self::radio_off`]) after the signal started, or was off when it
     /// did. Such an end edge means nothing to this receiver and the caller
     /// ignores it.
+    #[inline]
     pub fn on_rx_end(&mut self, tx_id: TxId, _now: SimTime) -> Option<RxOutcome> {
         let idx = self.receptions.iter().position(|r| r.tx_id == tx_id)?;
         let r = self.receptions.swap_remove(idx);
@@ -373,6 +376,7 @@ impl PhyState {
 
     /// Physical carrier sense: busy while transmitting or while any sensed
     /// signal is on the air.
+    #[inline]
     pub fn carrier_busy(&self, now: SimTime) -> bool {
         self.is_transmitting(now) || !self.receptions.is_empty() || now < self.energy_until
     }

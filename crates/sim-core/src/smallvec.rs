@@ -8,8 +8,9 @@
 //! The workspace forbids `unsafe`, so the inline buffer is `[Option<T>; N]`
 //! rather than uninitialised memory. That rules out `Deref<Target = [T]>`
 //! (inline storage is not contiguous `T`s); iteration goes through
-//! [`SmallVec::iter`] / `IntoIterator` instead, which is all the driver
-//! loop's `for` consumption needs.
+//! [`SmallVec::iter`], the owning `IntoIterator`, or [`SmallVec::drain`] —
+//! which empties a batch its caller owns and goes on using, so no batch is
+//! moved to be consumed.
 
 use std::fmt;
 
@@ -27,6 +28,7 @@ enum Repr<T, const N: usize> {
 
 impl<T, const N: usize> SmallVec<T, N> {
     /// Creates an empty vector (no allocation).
+    #[inline]
     pub fn new() -> Self {
         SmallVec { repr: Repr::Inline { buf: std::array::from_fn(|_| None), len: 0 } }
     }
@@ -51,6 +53,7 @@ impl<T, const N: usize> SmallVec<T, N> {
 
     /// Appends an element, spilling to the heap on overflow of the inline
     /// buffer.
+    #[inline]
     pub fn push(&mut self, value: T) {
         match &mut self.repr {
             Repr::Inline { buf, len } => {
@@ -89,6 +92,21 @@ impl<T, const N: usize> SmallVec<T, N> {
             Repr::Heap(v) => (&[], v.as_slice()),
         };
         inline.iter().filter_map(Option::as_ref).chain(heap.iter())
+    }
+
+    /// Takes the elements out in insertion order. The vector is empty and
+    /// reusable as soon as this returns, whether or not the iterator is run
+    /// to its end: dropping it drops what it has not yielded. A spilled
+    /// vector stays spilled and keeps its capacity.
+    #[inline]
+    pub fn drain(&mut self) -> Drain<'_, T, N> {
+        match &mut self.repr {
+            Repr::Inline { buf, len } => {
+                let full = std::mem::take(len);
+                Drain::Inline(buf[..full].iter_mut())
+            }
+            Repr::Heap(v) => Drain::Heap(v.drain(..)),
+        }
     }
 
     /// Moves the elements into a plain `Vec`.
@@ -179,12 +197,41 @@ impl<T, const N: usize> Iterator for IntoIter<T, N> {
     }
 }
 
-impl<'a, T, const N: usize> IntoIterator for &'a SmallVec<T, N> {
-    type Item = &'a T;
-    type IntoIter = Box<dyn Iterator<Item = &'a T> + 'a>;
+/// Draining iterator over a [`SmallVec`]'s elements ([`SmallVec::drain`]).
+#[derive(Debug)]
+pub enum Drain<'a, T, const N: usize> {
+    /// The inline slots that held an element when the drain began.
+    Inline(std::slice::IterMut<'a, Option<T>>),
+    /// The spilled heap vector's own drain: linear, capacity kept.
+    Heap(std::vec::Drain<'a, T>),
+}
 
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+impl<T, const N: usize> Iterator for Drain<'_, T, N> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match self {
+            Drain::Inline(slots) => slots.next().and_then(Option::take),
+            Drain::Heap(drain) => drain.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Drain::Inline(slots) => slots.size_hint(),
+            Drain::Heap(drain) => drain.size_hint(),
+        }
+    }
+}
+
+impl<T, const N: usize> Drop for Drain<'_, T, N> {
+    fn drop(&mut self) {
+        // Slots past `len` hold `None`: finish the job an early exit left.
+        if let Drain::Inline(slots) = self {
+            for slot in slots {
+                *slot = None;
+            }
+        }
     }
 }
 
@@ -240,6 +287,59 @@ mod tests {
             let owned: Vec<usize> = v.into_iter().collect();
             assert_eq!(borrowed, owned);
             assert_eq!(owned, (0..count).collect::<Vec<_>>());
+        }
+    }
+
+    /// `count` elements in, all of them out in order, an empty vector left.
+    fn drained(count: usize) -> SmallVec<usize, 4> {
+        let mut v: SmallVec<usize, 4> = (0..count).collect();
+        let mut drain = v.drain();
+        assert_eq!(drain.size_hint(), (count, Some(count)));
+        assert_eq!(drain.by_ref().collect::<Vec<_>>(), (0..count).collect::<Vec<_>>());
+        assert_eq!(drain.next(), None);
+        drop(drain);
+        assert!(v.is_empty());
+        assert_eq!(v.iter().count(), 0);
+        v
+    }
+
+    #[test]
+    fn drain_yields_everything_in_order_and_leaves_the_vector_empty() {
+        // Empty, part-filled, inline-full, just spilled, well spilled.
+        for count in [0, 3, 4, 5, 9] {
+            let v = drained(count);
+            assert_eq!(v.spilled(), count > 4, "a drain does not change the representation");
+        }
+    }
+
+    #[test]
+    fn a_drain_dropped_half_way_still_empties_the_vector() {
+        use std::rc::Rc;
+        for count in [4usize, 9] {
+            let token = Rc::new(());
+            let mut v: SmallVec<Rc<()>, 4> = (0..count).map(|_| Rc::clone(&token)).collect();
+            assert_eq!(Rc::strong_count(&token), count + 1);
+            let first = v.drain().next();
+            assert!(first.is_some());
+            // The rest went with the iterator, not into hiding past `len`.
+            assert_eq!(Rc::strong_count(&token), 2);
+            assert!(v.is_empty());
+            assert_eq!(v.get(0), None);
+        }
+    }
+
+    #[test]
+    fn a_drained_vector_is_reusable() {
+        for count in [2usize, 4, 9] {
+            let mut v = drained(count);
+            // Early drop, then refill past the inline capacity: nothing the
+            // first batch held comes back.
+            v.extend(10..13);
+            assert_eq!(v.drain().next(), Some(10));
+            v.extend(20..26);
+            assert_eq!(v.len(), 6);
+            assert_eq!(v.drain().collect::<Vec<_>>(), (20..26).collect::<Vec<_>>());
+            assert!(v.is_empty());
         }
     }
 

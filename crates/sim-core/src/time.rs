@@ -158,6 +158,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `bits_per_sec` is zero.
+    #[inline]
     pub fn for_bits(bits: u64, bits_per_sec: u64) -> Self {
         assert!(bits_per_sec > 0, "link rate must be positive");
         // Round up: a partially-serialised bit still occupies the medium.
@@ -189,6 +190,7 @@ fn secs_to_nanos(secs: f64) -> u64 {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
@@ -216,12 +218,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -242,6 +246,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }

@@ -48,6 +48,7 @@ impl TimerSlab {
     }
 
     /// Registers a new live timer and returns its handle.
+    #[inline]
     pub fn schedule(&mut self) -> TimerHandle {
         self.scheduled += 1;
         let slot = match self.free.pop() {
@@ -70,6 +71,7 @@ impl TimerSlab {
 
     /// Tombstones `handle` without firing it. Returns whether the handle
     /// was live (idempotent: cancelling twice is a no-op).
+    #[inline]
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
         let retired = self.retire(handle);
         if retired {
@@ -80,6 +82,7 @@ impl TimerSlab {
 
     /// Consumes `handle` as fired. Returns whether the handle was live;
     /// firing a cancelled handle is a no-op (and how stale pops surface).
+    #[inline]
     pub fn fire(&mut self, handle: TimerHandle) -> bool {
         self.retire(handle)
     }

@@ -28,6 +28,7 @@ impl NodeId {
     /// # Panics
     ///
     /// Panics if `index` collides with the broadcast address.
+    #[inline]
     pub fn new(index: u16) -> Self {
         assert!(index != u16::MAX, "node id {index} is reserved for broadcast");
         NodeId(index)

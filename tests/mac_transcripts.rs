@@ -15,6 +15,11 @@
 //! twin run at the bottom is what pins the `Mac` record (encode and decode
 //! every few steps, same digest required).
 //!
+//! The five calls that emit have two spellings — `on_x(..) -> MacOutputs`
+//! and `on_x_into(.., &mut MacOutputs)` — and the scripts are replayed
+//! through each ([`Script::emit`]): the second into a batch that already
+//! holds somebody else's element, which must come back first and untouched.
+//!
 //! The script honours the driver contract and not PHY physics. The contract,
 //! as `netstack::sim` keeps it: time is monotone; a timer the MAC asked for
 //! fires at its instant if it is still live, and a queued `TxDone` exactly
@@ -217,8 +222,19 @@ struct Coverage {
     idle_view_pings: u64,
 }
 
+/// The MAC's five calls that emit, as the script makes them.
+enum Call {
+    StartPacket(Packet, NodeId),
+    MaybeIdle,
+    Decoded(MacFrame),
+    Timer(TimerId),
+    TxDone,
+}
+
 struct Script {
     params: MacParams,
+    /// Make the calls that emit through their `_into` spelling.
+    into: bool,
     mac: Mac,
     rng: SimRng,
     now: SimTime,
@@ -237,9 +253,10 @@ struct Script {
 }
 
 impl Script {
-    fn new(params: MacParams, seed: u64) -> Self {
+    fn new(params: MacParams, seed: u64, into: bool) -> Self {
         Script {
             params,
+            into,
             mac: Mac::new(n(ME), params, SimRng::new(seed ^ 0xD0C)),
             rng: SimRng::new(seed),
             now: SimTime::ZERO,
@@ -259,6 +276,41 @@ impl Script {
 
     fn view(&self) -> MediumView {
         MediumView { busy: self.carrier > 0 }
+    }
+
+    /// One emitting call, now, in the script's spelling. The `_into` forms
+    /// append: handed a batch that holds an element already, they leave it
+    /// where it was.
+    fn emit(&mut self, call: Call) -> MacOutputs {
+        let (now, view) = (self.now, self.view());
+        let mac = &mut self.mac;
+        if !self.into {
+            return match call {
+                Call::StartPacket(packet, hop) => mac.start_packet(packet, hop, now, view),
+                Call::MaybeIdle => mac.on_medium_maybe_idle(now, view),
+                Call::Decoded(frame) => mac.on_frame_decoded(frame, now, view),
+                Call::Timer(id) => mac.on_timer(id, now, view),
+                Call::TxDone => mac.on_tx_done(now, view),
+            };
+        }
+        let mut out = MacOutputs::new();
+        out.push(MacOutput::Backoff { slots: u32::MAX, cw: u32::MAX });
+        match call {
+            Call::StartPacket(packet, hop) => {
+                mac.start_packet_into(packet, hop, now, view, &mut out)
+            }
+            Call::MaybeIdle => mac.on_medium_maybe_idle_into(now, view, &mut out),
+            Call::Decoded(frame) => mac.on_frame_decoded_into(frame, now, view, &mut out),
+            Call::Timer(id) => mac.on_timer_into(id, now, view, &mut out),
+            Call::TxDone => mac.on_tx_done_into(now, view, &mut out),
+        }
+        let mut all = out.drain();
+        let first = all.next();
+        assert!(
+            matches!(first, Some(MacOutput::Backoff { slots: u32::MAX, cw: u32::MAX })),
+            "an `_into` call was handed a batch holding an element and left it led by {first:?}"
+        );
+        all.collect()
     }
 
     /// Whether a SIFS timer `on_frame_decoded` handed out is still to fire.
@@ -331,14 +383,13 @@ impl Script {
     /// — corrupted; then the idle ping, as `netstack` does at every `RxEnd`.
     fn signal_end(&mut self, frame: Option<MacFrame>) -> MacOutputs {
         self.carrier = self.carrier.saturating_sub(1);
-        let view = self.view();
         let mut out = MacOutputs::new();
         match frame {
             Some(frame) if !self.on_air => {
                 let nav_before = self.mac.nav_ahead(self.now);
                 let rts_for_us = frame.kind() == FrameKind::Rts && frame.dst == n(ME);
                 let data_to = (frame.kind() == FrameKind::Data).then_some(frame.dst);
-                let got = self.mac.on_frame_decoded(frame, self.now, view);
+                let got = self.emit(Call::Decoded(frame));
                 let delivered = got.iter().any(|o| matches!(o, MacOutput::Deliver { .. }));
                 if data_to == Some(n(ME)) && !delivered {
                     self.cov.duplicates_not_redelivered += 1;
@@ -360,7 +411,7 @@ impl Script {
             }
             Some(_) | None => self.mac.on_rx_corrupted(self.now),
         }
-        out.extend(self.mac.on_medium_maybe_idle(self.now, view));
+        out.extend(self.emit(Call::MaybeIdle));
         out
     }
 
@@ -447,7 +498,7 @@ impl Script {
                     Due::Timer(id) => {
                         self.cov.live_timers += 1;
                         let handed = self.handed.iter().rev().find(|t| t.id == id).copied();
-                        let out = self.mac.on_timer(id, self.now, self.view());
+                        let out = self.emit(Call::Timer(id));
                         let nav_after = self.mac.nav_ahead(self.now);
                         let after = chart(&self.mac);
                         if let Some(t) = handed {
@@ -466,7 +517,7 @@ impl Script {
                     }
                     Due::TxDone(kind, dst, nav) => {
                         self.on_air = false;
-                        let out = self.mac.on_tx_done(self.now, self.view());
+                        let out = self.emit(Call::TxDone);
                         let p = self.params;
                         let roll = self.rng.below(100);
                         let answer = match kind {
@@ -550,8 +601,7 @@ impl Script {
                             k => n(2 + (k % 2) as u16),
                         };
                         let packet = self.packet(dst);
-                        let out = self.mac.start_packet(packet, dst, self.now, self.view());
-                        (4, Origin::Other, out)
+                        (4, Origin::Other, self.emit(Call::StartPacket(packet, dst)))
                     }
                     5 if !self.handed.is_empty() => {
                         // A timer event that outlived its timer: any id we
@@ -559,10 +609,10 @@ impl Script {
                         let pick = self.rng.below(self.handed.len() as u32) as usize;
                         let id = self.handed[pick].id;
                         if self.mac.timer_is_live(id) {
-                            (3, Origin::Other, self.mac.on_medium_maybe_idle(self.now, self.view()))
+                            (3, Origin::Other, self.emit(Call::MaybeIdle))
                         } else {
                             self.cov.stale_timers += 1;
-                            let out = self.mac.on_timer(id, self.now, self.view());
+                            let out = self.emit(Call::Timer(id));
                             assert!(out.is_empty(), "a stale timer did something: {out:?}");
                             (5, Origin::Other, out)
                         }
@@ -599,7 +649,7 @@ impl Script {
                         } else {
                             self.cov.idle_view_pings += 1;
                         }
-                        (3, Origin::Other, self.mac.on_medium_maybe_idle(self.now, self.view()))
+                        (3, Origin::Other, self.emit(Call::MaybeIdle))
                     }
                 }
             }
@@ -660,11 +710,12 @@ fn seed_of(p: usize, m: usize) -> u64 {
 
 /// One fixture row: its name, the digest, and — so that a moved row says
 /// something — what the script added up to.
-fn rows(twin: bool, cov: &mut Vec<Coverage>) -> Vec<String> {
+fn rows(twin: bool, into: bool, cov: &mut Vec<Coverage>) -> Vec<String> {
     let mut rows = Vec::new();
     for (p, (pname, params)) in params().into_iter().enumerate() {
         for (m, (mname, mix)) in MIXES.into_iter().enumerate() {
-            let (digest, st, cancelled, c) = Script::new(params, seed_of(p, m)).run(mix, twin);
+            let script = Script::new(params, seed_of(p, m), into);
+            let (digest, st, cancelled, c) = script.run(mix, twin);
             rows.push(format!(
                 "{pname}/{mname} {digest:016x} {} {} {} {} {} {} {} {cancelled}",
                 st.rts_sent,
@@ -691,11 +742,25 @@ fn committed() -> Vec<&'static str> {
 #[test]
 fn mac_transcripts_match_the_committed_fixture() {
     let mut cov = Vec::new();
-    let rows = rows(false, &mut cov);
+    let rows = rows(false, false, &mut cov);
     assert!(
         rows == committed(),
         "the MAC's behaviour changed against tests/fixtures/mac_transcripts.txt; this build \
          produces:\n{}\n",
+        rows.join("\n")
+    );
+}
+
+/// The driver's spelling of the same calls — a batch it owns, lent to the
+/// MAC, one already holding something — reads the same rows.
+#[test]
+fn mac_transcripts_read_the_same_through_the_into_spelling() {
+    let mut cov = Vec::new();
+    let rows = rows(false, true, &mut cov);
+    assert!(
+        rows == committed(),
+        "the `_into` spelling of a MAC call does not do what the by-value one does; through it \
+         this build produces:\n{}\n",
         rows.join("\n")
     );
 }
@@ -705,7 +770,7 @@ fn mac_transcripts_match_the_committed_fixture() {
 #[test]
 fn mac_transcripts_cover_the_chart() {
     let mut cov = Vec::new();
-    rows(false, &mut cov);
+    rows(false, false, &mut cov);
     let sum = |f: fn(&Coverage) -> u64| cov.iter().map(f).sum::<u64>();
     for phase in PHASES {
         let steps: u64 = cov.iter().map(|c| c.phases.get(phase).copied().unwrap_or(0)).sum();
@@ -763,7 +828,7 @@ fn mac_transcripts_cover_the_chart() {
 fn mac_transcripts_survive_a_snapshot_at_every_kth_step() {
     assert_eq!(ERA_LEN % CUT_EVERY, 5, "the cut must walk through the eras");
     let mut cov = Vec::new();
-    let rows = rows(true, &mut cov);
+    let rows = rows(true, false, &mut cov);
     assert!(
         rows == committed(),
         "a decoded MAC behaves unlike the one encoded; with cuts this build produces:\n{}\n",

@@ -84,6 +84,31 @@ fn a_non_chain_run_file_is_traced_checked_snapshotted_and_resumed() {
     assert_eq!(resumed.perf(), straight.perf());
 }
 
+/// Link rows are derived, not stored: a cut that falls between two moves —
+/// this run's moves land on multiples of the 100 ms mobility tick, and the
+/// cut is at 2.25 s — leaves the straight run holding rows built transmission
+/// by transmission and staled move by move, and the resumed one holding none.
+/// Both go on to the same hash, through the link cut as well.
+#[test]
+fn a_cut_between_two_moves_resumes_to_the_straight_hash() {
+    let script = ScenarioScript::parse(GRID_ROAM).expect("grid-roam parses");
+    let run = Run::from_script(&script).expect("grid-roam names nodes of its grid");
+    let cut = SimTime::from_secs_f64(2.25);
+    let mut straight = run.build();
+    straight.run_until(cut);
+    let moved_before = straight.perf().position_updates;
+    assert!(moved_before > 0, "nobody moved before the cut");
+    let bytes = straight.snapshot();
+    straight.run_until(run.end());
+    assert!(straight.perf().position_updates > moved_before, "nobody moved after the cut");
+
+    let mut resumed = run.build();
+    resumed.restore(&bytes).expect("the run's own snapshot restores");
+    resumed.run_until(run.end());
+    assert_eq!(resumed.trace_hash(), straight.trace_hash());
+    assert_eq!(resumed.perf(), straight.perf());
+}
+
 /// Numbers and tokens a near-valid run file might hold in any position.
 const HOSTILE: [&str; 16] = [
     "1e30",
