@@ -17,7 +17,9 @@
 //!
 //! The MAC is a pure state machine: it never touches the event loop or the
 //! radio directly. The `netstack` driver feeds it frames, timer firings and
-//! medium transitions, and executes the [`MacOutput`] actions it returns.
+//! medium transitions, and executes the [`MacOutput`] actions it emits —
+//! returned as a [`MacOutputs`] batch, or appended to one the driver owns
+//! (`on_x_into`; one body, two spellings).
 //! Inside are two charts and the NAV: `Phase`, the transmit side, whose
 //! states own the packet in custody, its countdown and the timer they wait
 //! on, and `Responder`, the SIFS-timed CTS / ACK owed to a peer. Handlers

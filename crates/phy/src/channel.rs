@@ -311,10 +311,11 @@ impl Channel {
     #[inline]
     pub fn take_links(&mut self, sender: NodeId) -> Vec<Link> {
         let i = sender.index();
+        let mut row = mem::take(&mut self.links[i]);
         if !mem::take(&mut self.links_fresh[i]) {
-            self.build_links(sender);
+            self.build_links(sender, &mut row);
         }
-        mem::take(&mut self.links[i])
+        row
     }
 
     /// Returns a row [`Self::take_links`] handed out for `sender`.
@@ -325,13 +326,11 @@ impl Channel {
         self.links_fresh[i] = true;
     }
 
-    fn build_links(&mut self, sender: NodeId) {
+    fn build_links(&self, sender: NodeId, row: &mut Vec<Link>) {
         #[cfg(test)]
         LINK_ROWS_BUILT.with(|built| built.set(built.get() + 1));
-        let i = sender.index();
-        let mut row = mem::take(&mut self.links[i]);
         row.clear();
-        row.extend(self.cs_neighbors[i].iter().map(|&peer| {
+        row.extend(self.cs_neighbors[sender.index()].iter().map(|&peer| {
             let distance = self.distance(sender, peer);
             let prop = RadioParams::propagation_delay(distance).as_nanos();
             Link {
@@ -343,7 +342,6 @@ impl Channel {
                 in_rx_range: self.in_rx_range(sender, peer),
             }
         }));
-        self.links[i] = row;
     }
 
     /// Fills `rx` and `cs` with node `i`'s rows by filtering `candidates`
@@ -584,7 +582,7 @@ mod tests {
     }
 
     /// `sender`'s link row, taken and handed back.
-    fn links(ch: &mut Channel, sender: NodeId) -> Vec<Link> {
+    pub(super) fn links(ch: &mut Channel, sender: NodeId) -> Vec<Link> {
         let row = ch.take_links(sender);
         let copy = row.clone();
         ch.put_links(sender, row);
@@ -721,11 +719,8 @@ mod grid_differential {
     }
 
     fn links_kept(ch: &mut Channel, sender: NodeId) -> Vec<(NodeId, u64, SimDuration, bool)> {
-        let row = ch.take_links(sender);
-        let seen = row.iter().map(|l| (l.peer, l.power.to_bits(), l.prop(), l.in_rx_range));
-        let seen = seen.collect();
-        ch.put_links(sender, row);
-        seen
+        let row = super::tests::links(ch, sender);
+        row.iter().map(|l| (l.peer, l.power.to_bits(), l.prop(), l.in_rx_range)).collect()
     }
 
     /// One randomly generated mutation against the channel.
