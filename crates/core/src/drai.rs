@@ -277,9 +277,9 @@ impl DraiComputer {
 sim_core::snap_record! {
     given (cfg: DraiConfig) DraiComputer {
         cfg = cfg,
-        queue,
-        utilisation,
-        retry_ratio,
+        queue: Ewma(cfg.ewma_alpha),
+        utilisation: Ewma(cfg.util_alpha),
+        retry_ratio: Ewma(cfg.util_alpha),
         last_congestion_drop,
     }
 }
@@ -390,6 +390,33 @@ mod tests {
         assert!(d.should_mark(t(10)));
         assert!(d.should_mark(t(509)));
         assert!(!d.should_mark(t(511)));
+    }
+
+    /// The three weights are configuration: not in the bytes, and each
+    /// average decodes under its own — the queue's `ewma_alpha`, utilisation
+    /// and retry ratio `util_alpha` — so a twin smooths the next samples
+    /// exactly as the original does.
+    #[test]
+    fn a_decoded_computer_smooths_each_signal_with_its_own_weight() {
+        let cfg = DraiConfig::default();
+        assert_ne!(cfg.ewma_alpha, cfg.util_alpha);
+        let mut d = DraiComputer::new(cfg);
+        d.observe_queue(10, t(0));
+        d.observe_utilisation(0.5);
+        d.observe_retry_ratio(0.5);
+        let mut w = sim_core::SnapshotWriter::new();
+        d.encode_state(&mut w);
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), 3 * (8 + 1) + 1, "three (value, initialised), no drop yet");
+        let mut r = sim_core::SnapshotReader::new(&bytes);
+        let mut twin = DraiComputer::decode_state(&mut r, cfg).expect("own encoding");
+        let smoothed = |d: &mut DraiComputer| {
+            d.observe_queue(0, t(1));
+            d.observe_utilisation(0.0);
+            d.observe_retry_ratio(0.0);
+            (d.smoothed_queue(), d.smoothed_utilisation(), d.smoothed_retry_ratio())
+        };
+        assert_eq!(smoothed(&mut twin), smoothed(&mut d));
     }
 
     #[test]

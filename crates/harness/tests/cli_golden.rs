@@ -117,7 +117,7 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
     let taken = text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "4", "--out", &ck]);
     assert_eq!(
         after(&taken, ": "),
-        ": 5723 bytes, t=4.000000s events=19891 hash=0x7810ea35368bc107\n"
+        ": 5483 bytes, t=4.000000s events=19891 hash=0x7810ea35368bc107\n"
     );
     let resumed = text_of("checkpoint", &["resume", "--script", &scn, "--from", &ck]);
     assert_eq!(
@@ -129,10 +129,10 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
         text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "15", "--out", &straight]);
     assert_eq!(
         after(&ran, ": "),
-        ": 5382 bytes, t=15.000000s events=39342 hash=0x8769956ab53477cc\n"
+        ": 5142 bytes, t=15.000000s events=39342 hash=0x8769956ab53477cc\n"
     );
     let size = |p: &str| std::fs::metadata(p).expect("snapshot written").len();
-    assert_eq!((size(&ck), size(&straight)), (5723, 5382));
+    assert_eq!((size(&ck), size(&straight)), (5483, 5142));
 
     let bytes = std::fs::read(&ck).expect("snapshot written");
     std::fs::write(&cut, &bytes[..1000]).expect("write truncated snapshot");

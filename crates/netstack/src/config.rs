@@ -131,7 +131,7 @@ pub struct FlowSpec {
     /// while the source has no route to the destination, the flow's
     /// retransmission timer is held (checked every 100 ms) instead of
     /// firing into the void — so a route outage does not compound the
-    /// exponential RTO backoff. Off by default (the paper's senders run
+    /// exponential RTO backoff. Off by default (the paper's TCP agents run
     /// unassisted).
     pub elfn: bool,
 }

@@ -145,7 +145,7 @@ impl Simulator {
         }
         let node = match event.owner() {
             Owner::Node(node) => node,
-            Owner::FlowSource(flow) => self.flows[flow.index()].src,
+            Owner::FlowSource(flow) => self.flows[flow.index()].spec.src,
             Owner::Global => return Some(event),
         };
         match self.fault.nodes[node.index()].status {

@@ -1,25 +1,16 @@
 //! One node's protocol stack — PHY state, MAC, AODV, interface queue,
-//! Muzha router agent, TCP endpoints — and its snapshot codec.
+//! Muzha router agent — and its snapshot codec. A node holds no transport
+//! state: a flow owns its sender and receiver (`sim::Flow`).
 
 use aodv::Aodv;
 use mac80211::Mac;
 use muzha::RouterAgent;
 use phy::PhyState;
-use sim_core::{DetMap, SimRng, SimTime, SnapError, SnapshotReader, SnapshotWriter};
-use tcp::{Sender, TcpReceiver};
-use wire::{FlowId, NodeId, Packet, UidGen};
+use sim_core::{SimRng, SimTime, SnapError, SnapshotReader, SnapshotWriter};
+use wire::{NodeId, Packet, UidGen};
 
 use crate::config::QueueDiscipline;
-use crate::{BusyTracker, DropTailQueue, FlowSpec, RedConfig, RedOutcome, RedQueue, SimConfig};
-
-pub(crate) struct SenderEndpoint {
-    pub(crate) dst: NodeId,
-    pub(crate) transport: Sender,
-}
-
-pub(crate) struct ReceiverEndpoint {
-    pub(crate) receiver: TcpReceiver,
-}
+use crate::{BusyTracker, DropTailQueue, RedConfig, RedOutcome, RedQueue, SimConfig};
 
 /// The node's interface queue under either discipline.
 #[derive(Debug)]
@@ -101,8 +92,6 @@ pub(crate) struct Node {
     pub(crate) router: RouterAgent,
     pub(crate) uid: UidGen,
     pub(crate) busy: BusyTracker,
-    pub(crate) senders: DetMap<FlowId, SenderEndpoint>,
-    pub(crate) receivers: DetMap<FlowId, ReceiverEndpoint>,
     pub(crate) routing_drops: u64,
 }
 
@@ -123,15 +112,13 @@ impl Node {
             // never confuses them with routing packets.
             uid: UidGen::with_stream(id, 1),
             busy: BusyTracker::new(SimTime::ZERO),
-            senders: DetMap::new(),
-            receivers: DetMap::new(),
             routing_drops: 0,
         }
     }
 
-    /// Hand-written, with [`Node::decode_state`]: the endpoint maps are
-    /// checked entry by entry against the flow table, and every layer's
-    /// configuration is handed down from `cfg` instead of read.
+    /// Hand-written, with [`Node::decode_state`]: every layer's
+    /// configuration is handed down from `cfg` instead of read, and
+    /// `cfg.queue` says which interface queue the bytes hold.
     pub(crate) fn encode_state(&self, w: &mut SnapshotWriter) {
         w.put(&self.phy);
         w.put(&self.last_mac_stats);
@@ -144,32 +131,15 @@ impl Node {
         self.router.encode_state(w);
         w.put(&self.uid);
         w.put(&self.busy);
-        w.put_usize(self.senders.len());
-        for (flow, ep) in self.senders.iter() {
-            w.put(flow);
-            w.put(&ep.dst);
-            ep.transport.encode_state(w);
-        }
-        w.put_usize(self.receivers.len());
-        for (flow, ep) in self.receivers.iter() {
-            w.put(flow);
-            w.put(&ep.receiver);
-        }
         w.put_u64(self.routing_drops);
     }
 
     /// Decodes one node's state around `cfg`, the target simulator's
     /// configuration: MAC, AODV and DRAI parameters, the queue discipline and
-    /// its capacity are not in the bytes. `flows` is the already-decoded flow
-    /// table: each serialized sender names its flow, whose spec says which
-    /// variant its record must be for and what it was configured with.
-    /// `index` is the node's own position, used to reject snapshots whose
-    /// endpoints landed on the wrong node.
+    /// its capacity are not in the bytes.
     pub(crate) fn decode_state(
         r: &mut SnapshotReader<'_>,
         cfg: &SimConfig,
-        flows: &[FlowSpec],
-        index: usize,
     ) -> Result<Node, SnapError> {
         let phy = r.get()?;
         let last_mac_stats = r.get()?;
@@ -186,54 +156,15 @@ impl Node {
         let router = RouterAgent::decode_state(r, cfg.drai)?;
         let uid = r.get()?;
         let busy = r.get()?;
-        let mut senders = DetMap::new();
-        for _ in 0..r.take_usize()? {
-            let flow: FlowId = r.get()?;
-            let dst: NodeId = r.get()?;
-            let spec = flows.get(flow.index()).ok_or(SnapError::Invalid("sender flow id"))?;
-            if spec.src.index() != index || spec.dst != dst {
-                return Err(SnapError::Invalid("sender endpoint mismatch"));
-            }
-            let transport = Sender::decode_state(
-                r,
-                flow,
-                spec.variant,
-                spec.tcp,
-                spec.vegas,
-                spec.muzha_cadence,
-            )?;
-            senders.insert(flow, SenderEndpoint { dst, transport });
-        }
-        let mut receivers = DetMap::new();
-        for _ in 0..r.take_usize()? {
-            let flow: FlowId = r.get()?;
-            let spec = flows.get(flow.index()).ok_or(SnapError::Invalid("receiver flow id"))?;
-            if spec.dst.index() != index {
-                return Err(SnapError::Invalid("receiver endpoint mismatch"));
-            }
-            receivers.insert(flow, ReceiverEndpoint { receiver: r.get()? });
-        }
         let routing_drops = r.take_u64()?;
-        Ok(Node {
-            phy,
-            last_mac_stats,
-            mac,
-            aodv,
-            ifq,
-            router,
-            uid,
-            busy,
-            senders,
-            receivers,
-            routing_drops,
-        })
+        Ok(Node { phy, last_mac_stats, mac, aodv, ifq, router, uid, busy, routing_drops })
     }
 }
 
 #[cfg(test)]
 mod red_integration_tests {
     use super::*;
-    use crate::{topology, Simulator, TcpVariant};
+    use crate::{topology, FlowSpec, Simulator, TcpVariant};
 
     fn secs(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)

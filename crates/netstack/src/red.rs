@@ -254,7 +254,7 @@ sim_core::snap_record! {
     given (cfg: RedConfig) RedQueue {
         items,
         cfg = cfg,
-        avg,
+        avg: Ewma(cfg.queue_weight),
         stats,
         early_marks,
         early_drops,

@@ -69,10 +69,7 @@ impl Ewma {
     }
 }
 
-crate::snap_record! {
-    Ewma { alpha, value, initialised }
-    check |e| e.alpha > 0.0 && e.alpha <= 1.0 => "ewma alpha";
-}
+crate::snap_record! { given (alpha: f64) Ewma { alpha = alpha, value, initialised } }
 
 /// A time series of `(time, value)` samples, e.g. a congestion-window trace.
 ///

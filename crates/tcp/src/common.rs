@@ -254,7 +254,7 @@ sim_core::snap_record! {
         una,
         nxt,
         dupacks,
-        rtt,
+        rtt: RttEstimator(cfg.initial_rto, cfg.min_rto, cfg.max_rto),
         stats,
         cfg = cfg,
         high_water,

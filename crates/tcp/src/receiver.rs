@@ -77,15 +77,15 @@ pub struct TcpReceiver {
 }
 
 sim_core::snap_record! {
-    TcpReceiver {
-        flow,
+    given (flow: FlowId, sack_enabled: bool, delack_enabled: bool) TcpReceiver {
+        flow = flow,
         rcv_nxt,
         out_of_order,
-        sack_enabled,
+        sack_enabled = sack_enabled,
         stats,
         payload_bytes_seen,
         max_seq_seen,
-        delack_enabled,
+        delack_enabled = delack_enabled,
         pending_ack,
         delack_timer,
         next_delack_id,
@@ -421,6 +421,36 @@ mod tests {
         ));
         assert_eq!(mrai, Some(Drai::AggressiveDeceleration));
         assert!(marked);
+    }
+
+    /// What a receiver is built with — its flow, SACK, delayed ACKs — is not
+    /// in its bytes: two fresh receivers built differently write the same
+    /// record, and a busy one decoded around its settings acknowledges the
+    /// next segment as the original does.
+    #[test]
+    fn the_flow_and_both_modes_are_given_not_read() {
+        let encoded = |rx: &TcpReceiver| {
+            let mut w = sim_core::SnapshotWriter::new();
+            rx.encode_state(&mut w);
+            w.finish()
+        };
+        let flow = FlowId::new(3);
+        let segment = |seq| TcpSegment::data(flow, seq, 1460, None);
+        assert_eq!(encoded(&rx(false)), encoded(&TcpReceiver::with_delayed_ack(flow, true)));
+        let mut busy = TcpReceiver::with_delayed_ack(flow, true);
+        for seq in [0, 2, 3] {
+            let _ = busy.on_data_segment_delack(&segment(seq), SimTime::ZERO);
+        }
+        let bytes = encoded(&busy);
+        let mut r = sim_core::SnapshotReader::new(&bytes);
+        let mut twin = TcpReceiver::decode_state(&mut r, flow, true, true).expect("own encoding");
+        let at = SimTime::from_nanos(1);
+        let (a, b) = (
+            busy.on_data_segment_delack(&segment(1), at),
+            twin.on_data_segment_delack(&segment(1), at),
+        );
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(encoded(&twin), encoded(&busy));
     }
 
     #[test]

@@ -94,13 +94,28 @@ impl RttEstimator {
 }
 
 sim_core::snap_record! {
-    RttEstimator { srtt, rttvar, initial_rto, min_rto, max_rto, backoff }
+    given (initial_rto: SimDuration, min_rto: SimDuration, max_rto: SimDuration) RttEstimator {
+        srtt,
+        rttvar,
+        initial_rto = initial_rto,
+        min_rto = min_rto,
+        max_rto = max_rto,
+        backoff,
+    }
     check |e| e.backoff <= 16 => "rtt backoff exponent";
+    // `rto()` adds `rttvar * 4` to `srtt` and `sample()` takes `srtt * 7`.
+    check |e| e.srtt.unwrap_or(SimDuration::ZERO) <= ESTIMATE_BOUND && e.rttvar <= ESTIMATE_BOUND
+        => "rtt estimate out of range";
 }
+
+/// The largest `srtt` or `rttvar` a decoded estimator may hold: one whose
+/// own arithmetic cannot overflow.
+const ESTIMATE_BOUND: SimDuration = SimDuration::from_nanos(u64::MAX / 8);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::SnapError;
 
     fn est() -> RttEstimator {
         RttEstimator::new(
@@ -230,6 +245,51 @@ mod tests {
         e.sample(SimDuration::from_millis(100));
         assert_eq!(e.backoff_level(), 0);
         assert!(e.rto() <= SimDuration::from_millis(300));
+    }
+
+    fn encoded(e: &RttEstimator) -> Vec<u8> {
+        let mut w = sim_core::SnapshotWriter::new();
+        e.encode_state(&mut w);
+        w.finish()
+    }
+
+    fn decoded(bytes: &[u8], initial_rto: SimDuration) -> Result<RttEstimator, SnapError> {
+        let mut r = sim_core::SnapshotReader::new(bytes);
+        let max = SimDuration::from_secs(60);
+        RttEstimator::decode_state(&mut r, initial_rto, SimDuration::from_millis(200), max)
+    }
+
+    /// The three bounds are configuration: not in the bytes, and what the
+    /// decoder is given is what the estimator then runs with.
+    #[test]
+    fn the_bounds_are_given_not_read() {
+        let bytes = encoded(&est());
+        assert_eq!(bytes.len(), 1 + 8 + 4, "an empty srtt, rttvar, backoff");
+        let e = decoded(&bytes, SimDuration::from_secs(1)).expect("own encoding");
+        assert_eq!(e.rto(), SimDuration::from_secs(1));
+    }
+
+    /// A decoded `srtt` or `rttvar` — each spoilt on its own — past an eighth
+    /// of the range is refused, since `rto()` and `sample()` would overflow
+    /// on it; one at the bound decodes and runs.
+    #[test]
+    fn an_estimate_whose_arithmetic_overflows_is_refused() {
+        type Spoil = fn(&mut RttEstimator, SimDuration);
+        let spoils: [Spoil; 2] = [|e, d| e.srtt = Some(d), |e, d| e.rttvar = d];
+        for (i, spoil) in spoils.into_iter().enumerate() {
+            let mut e = est();
+            e.sample(SimDuration::from_millis(100));
+            spoil(&mut e, ESTIMATE_BOUND);
+            let mut at_bound = decoded(&encoded(&e), SimDuration::from_secs(3)).expect("at bound");
+            let _ = at_bound.rto();
+            at_bound.sample(SimDuration::from_millis(100));
+            spoil(&mut e, ESTIMATE_BOUND + SimDuration::from_nanos(1));
+            assert_eq!(
+                decoded(&encoded(&e), SimDuration::from_secs(3)).err(),
+                Some(SnapError::Invalid("rtt estimate out of range")),
+                "field {i}"
+            );
+        }
     }
 
     #[test]

@@ -346,17 +346,19 @@ fn restore_rejects_a_config_mismatch() {
 /// arrivals in the PHY state), v6 (one sender record layout per variant,
 /// seven in all), v7 (every layer's configuration inside its record), v8
 /// (a window series in every sender, a delivery series in every receiver, a
-/// trace cursor in every sender endpoint) and v9 (every signal's end edge a
+/// trace cursor in every sender endpoint), v9 (every signal's end edge a
 /// queued event with an `in_rx_range` byte, no parked key in an arrival or
-/// a reception, no `edges_settled` counter) have no reader: the header is
-/// refused before any field is read.
+/// a reception, no `edges_settled` counter), v10 (a MAC record's fields each
+/// an option beside a phase byte) and v11 (TCP endpoints in per-node maps,
+/// receiver flags, RTO bounds and EWMA weights in the bytes) have no reader:
+/// the header is refused before any field is read.
 #[test]
 fn restore_rejects_the_previous_format_version() {
     let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
     let mut sim = build_sim(&script);
     sim.run_until(SimTime::from_secs_f64(0.5));
     let mut bytes = sim.snapshot();
-    for version in [3u16, 4, 5, 6, 7, 8, 9] {
+    for version in [3u16, 4, 5, 6, 7, 8, 9, 10, 11] {
         bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 2]
             .copy_from_slice(&version.to_le_bytes());
         assert_eq!(build_sim(&script).restore(&bytes), Err(SnapError::UnsupportedVersion(version)));
