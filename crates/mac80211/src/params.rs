@@ -1,7 +1,7 @@
 //! MAC-layer timing and policy parameters.
 
 use sim_core::SimDuration;
-use wire::{FrameKind, MacFrame, CTS_BYTES, MAC_ACK_BYTES, RTS_BYTES};
+use wire::{CTS_BYTES, MAC_ACK_BYTES, RTS_BYTES};
 
 /// Timing and policy parameters of the 802.11 DCF MAC.
 ///
@@ -81,14 +81,6 @@ impl MacParams {
     /// Airtime of a DATA frame of `bytes` bytes.
     pub fn data_airtime(&self, bytes: u32) -> SimDuration {
         self.plcp + SimDuration::for_bits(u64::from(bytes) * 8, self.data_rate_bps)
-    }
-
-    /// Airtime of any frame.
-    pub fn frame_airtime(&self, frame: &MacFrame) -> SimDuration {
-        match frame.kind() {
-            FrameKind::Data => self.data_airtime(frame.size_bytes()),
-            _ => self.control_airtime(frame.size_bytes()),
-        }
     }
 
     /// Airtime of an RTS frame.

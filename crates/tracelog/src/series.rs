@@ -53,13 +53,6 @@ impl FlowSeries {
         }
     }
 
-    /// Enables the queue-depth series, fed from `node`'s interface queue.
-    #[must_use]
-    pub fn watch_queue(mut self, node: NodeId) -> Self {
-        self.queue_node = Some(node);
-        self
-    }
-
     /// Folds one trace entry into the series (entries must arrive in time
     /// order, as a [`crate::TraceLog`] stores them).
     pub fn observe(&mut self, entry: &TraceEntry) {
