@@ -2,15 +2,14 @@
 //!
 //! Two implementations share one contract:
 //!
-//! * [`EventQueue`] — a calendar queue (Brown's O(1) event list, the
-//!   scheduler ns-2 ships as its default), used by the driver loop.
+//! * [`EventQueue`] — a one-lap calendar for the next 8.39 ms and a binary
+//!   heap beyond it, used by the driver loop.
 //! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept only as
 //!   the oracle the calendar is checked against (`calendar_matches_heap*`
 //!   below, `tests/scheduler_differential.rs`); no simulation runs on it.
 //!
 //! Both pop events in `(time, seq)` order with FIFO tie-break.
 
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt::Debug;
@@ -44,17 +43,20 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Smallest bucket count the calendar ever shrinks to.
-const MIN_BUCKETS: usize = 4;
-/// Initial estimate of the gap between consecutive event times (ns).
-const INITIAL_GAP: u64 = 1_024;
+/// Each bucket spans 2^16 = 65,536 ns: a DIFS (50 µs) plus the longest
+/// propagation delay, or three 20 µs backoff slots — a few DCF steps and
+/// the burst of `RxEnd`s that ends a frame.
+const BUCKET_SHIFT: u32 = 16;
+/// Buckets in one lap, one bit each in `EventQueue::occupied`: 128 ×
+/// 65,536 ns = 8.39 ms, longer than anything a transmission schedules (a
+/// 1,534-byte DATA frame lasts 6.33 ms at 2 Mbit/s, PLCP included, plus
+/// propagation). TCP, AODV and sampling timers, and CWmax countdowns
+/// (20.5 ms), wait in the far heap.
+const BUCKETS: u64 = u128::BITS as u64;
 
-/// Cached location of the earliest pending entry: `bucket` holds the head
-/// with the minimal `(time, seq)` over the whole queue.
-#[derive(Clone, Copy, Debug)]
-struct Hint {
-    time: SimTime,
-    bucket: usize,
+/// The bucket window holding `time`.
+fn window(time: SimTime) -> u64 {
+    time.as_nanos() >> BUCKET_SHIFT
 }
 
 /// A priority queue of `(SimTime, E)` pairs that pops events in time order,
@@ -66,18 +68,19 @@ struct Hint {
 ///
 /// # Implementation
 ///
-/// A calendar queue: a power-of-two array of buckets, each a `(time, seq)`-
-/// sorted deque, with bucket `(t / width) & mask` owning every event whose
-/// time is `t` modulo one "year" (`nbuckets × width`). Pops scan at most one
-/// lap from a cursor committed at the previous pop; a lap that finds nothing
-/// in its year window falls back to a direct minimum search, which also
-/// handles far-future jumps. The bucket width tracks an EWMA of observed
-/// pop-to-pop gaps, and the bucket count doubles when occupancy exceeds two
-/// per bucket and halves below one per two buckets (ns-2's resize policy),
-/// so push and pop stay O(1) amortised against the heap's O(log n).
+/// Two tiers with no adaptive state. The near tier is a one-lap calendar:
+/// the lap is the 128 windows of 65,536 ns from the window of
+/// [`Self::now`], and window `w` of the lap lives in bucket `w % 128`, so
+/// each bucket holds only its own window's entries, in `(time, seq)`
+/// order, and an occupancy bitmap finds the next non-empty one. The far
+/// tier is a binary heap of every entry at or past the lap's horizon. A
+/// pop that moves [`Self::now`] into a later window moves the lap with it
+/// and files the far entries the lap now reaches into their buckets; a pop
+/// that finds the lap empty jumps it to the heap's head.
 ///
-/// Because equal times always map to the same bucket, FIFO ties cost one
-/// sorted-insert into a run of equal-time entries and pop in insertion order.
+/// Because equal times always share a bucket or the heap, FIFO ties cost
+/// one sorted insert into a run of equal-time entries and pop in insertion
+/// order.
 ///
 /// # Example
 ///
@@ -94,9 +97,14 @@ struct Hint {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    buckets: Vec<VecDeque<Entry<E>>>,
-    /// Bucket width in nanoseconds (≥ 1).
-    width: u64,
+    /// The near tier: window `w` of the lap in bucket `w % BUCKETS`.
+    near: Box<[VecDeque<Entry<E>>; BUCKETS as usize]>,
+    /// Bit `i` is set while bucket `i` holds an entry.
+    occupied: u128,
+    /// The far tier: every entry in window `cursor + BUCKETS` or later.
+    far: BinaryHeap<Entry<E>>,
+    /// The lap's first window: that of [`Self::now`].
+    cursor: u64,
     len: usize,
     next_seq: u64,
     /// Time of the most recent pop — the queue's notion of "now" and the
@@ -105,45 +113,20 @@ pub struct EventQueue<E> {
     /// this stamp is a bug (it would mean an event tried to reach into the
     /// simulated past) and panics with the event's debug summary.
     last_popped: SimTime,
-    /// Bucket the next lap scan starts from. Committed only at pop time
-    /// (and at resize), which keeps the scan invariant `window start ≤`
-    /// [`Self::now`] `≤ every queued time` true at all times.
-    cursor: usize,
-    /// Exclusive end of the cursor bucket's current year window (u128: the
-    /// window math must not overflow near `SimTime::MAX`).
-    year_end: u128,
-    /// EWMA of nonzero gaps between consecutively popped times; feeds the
-    /// bucket width at the next resize.
-    gap_avg: u64,
-    /// Cached minimum, maintained by pushes and invalidated by pops and
-    /// resizes; `Cell` so [`Self::peek_time`] can memoise its search.
-    hint: Cell<Option<Hint>>,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        let width = INITIAL_GAP * 2;
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
-            width,
+            near: Box::new([const { VecDeque::new() }; BUCKETS as usize]),
+            occupied: 0,
+            far: BinaryHeap::new(),
+            cursor: 0,
             len: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
-            cursor: 0,
-            year_end: u128::from(width),
-            gap_avg: INITIAL_GAP,
-            hint: Cell::new(None),
         }
-    }
-
-    fn bucket_of(&self, time: SimTime) -> usize {
-        ((time.as_nanos() / self.width) as usize) & (self.buckets.len() - 1)
-    }
-
-    fn window_end(&self, time: SimTime) -> u128 {
-        let w = u128::from(self.width);
-        (u128::from(time.as_nanos()) / w + 1) * w
     }
 
     /// Schedules `event` to fire at `time`.
@@ -180,21 +163,8 @@ impl<E> EventQueue<E> {
             self.last_popped
         );
         debug_assert!(seq < self.next_seq, "seq {seq} was never issued");
-        if self.len + 1 > self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-        let bucket = self.bucket_of(time);
-        Self::insert_sorted(&mut self.buckets[bucket], Entry { time, seq, event });
+        self.file(Entry { time, seq, event });
         self.len += 1;
-        if let Some(h) = self.hint.get() {
-            if time < h.time {
-                self.hint.set(Some(Hint { time, bucket }));
-            }
-        } else if self.len == 1 {
-            // Only event in the queue: it is trivially the minimum. The
-            // cursor is NOT moved here — commits happen at pop time only.
-            self.hint.set(Some(Hint { time, bucket }));
-        }
     }
 
     /// Issues the sequence number the next [`Self::push`] would have been
@@ -215,55 +185,70 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// Inserts keeping the deque sorted by `(time, seq)`. Fresh pushes carry
-    /// the largest `seq` so far, so this walks back only past strictly later
-    /// times — O(1) for the common append case; an entry under a reserved
-    /// `seq` also walks past the later-pushed ties at its own instant.
-    fn insert_sorted(deque: &mut VecDeque<Entry<E>>, entry: Entry<E>) {
-        let mut pos = deque.len();
-        while pos > 0 {
-            let prev = &deque[pos - 1];
-            if (prev.time, prev.seq) <= (entry.time, entry.seq) {
-                break;
-            }
-            pos -= 1;
-        }
-        deque.insert(pos, entry);
+    /// Whether `time` falls inside the lap, before its horizon.
+    fn in_lap(&self, time: SimTime) -> bool {
+        window(time) < self.cursor + BUCKETS
     }
 
-    /// Locates the bucket holding the global `(time, seq)` minimum: one lap
-    /// from the committed cursor checking each bucket head against its year
-    /// window, then a direct minimum search over all heads (far-future
-    /// fallback). Equal times share a bucket, so the minimal head time is
-    /// unique and identifies the bucket unambiguously.
-    fn locate_min(&self) -> Hint {
-        if let Some(h) = self.hint.get() {
-            return h;
+    /// Puts `entry` in its bucket if the lap reaches it, in the far heap
+    /// otherwise.
+    fn file(&mut self, entry: Entry<E>) {
+        if !self.in_lap(entry.time) {
+            self.far.push(entry);
+            return;
         }
-        let n = self.buckets.len();
-        let mut top = self.year_end;
-        for i in 0..n {
-            let b = (self.cursor + i) & (n - 1);
-            if let Some(head) = self.buckets[b].front() {
-                if u128::from(head.time.as_nanos()) < top {
-                    let h = Hint { time: head.time, bucket: b };
-                    self.hint.set(Some(h));
-                    return h;
-                }
+        let slot = window(entry.time) % BUCKETS;
+        let bucket = &mut self.near[slot as usize];
+        // Walk back past later keys. Fresh pushes carry the largest seq so
+        // far, so this is O(1) for the common append; an entry under a
+        // reserved seq also walks past the later-pushed ties at its instant.
+        let mut pos = bucket.len();
+        while pos > 0 && (entry.time, entry.seq) < (bucket[pos - 1].time, bucket[pos - 1].seq) {
+            pos -= 1;
+        }
+        // `VecDeque::insert` is an out-of-line call; appends skip it.
+        if pos == bucket.len() {
+            bucket.push_back(entry);
+        } else {
+            bucket.insert(pos, entry);
+        }
+        self.occupied |= 1 << slot;
+    }
+
+    /// The first non-empty bucket from the cursor's, wrapping past the last
+    /// bucket to the lap's later windows. Only called with the lap non-empty.
+    fn first_bucket(&self) -> usize {
+        let start = self.cursor % BUCKETS;
+        let ahead = u64::from(self.occupied.rotate_right(start as u32).trailing_zeros());
+        ((start + ahead) % BUCKETS) as usize
+    }
+
+    /// Starts the lap at `time`'s window and files every far entry the lap
+    /// now reaches into its bucket.
+    fn advance(&mut self, time: SimTime) {
+        if window(time) == self.cursor {
+            return;
+        }
+        self.cursor = window(time);
+        while self.far.peek().is_some_and(|head| self.in_lap(head.time)) {
+            if let Some(entry) = self.far.pop() {
+                self.file(entry);
             }
-            top += u128::from(self.width);
         }
-        let mut best: Option<Hint> = None;
-        for (b, q) in self.buckets.iter().enumerate() {
-            if let Some(head) = q.front() {
-                if best.is_none_or(|h| head.time < h.time) {
-                    best = Some(Hint { time: head.time, bucket: b });
-                }
-            }
+    }
+
+    /// The entries tied at the earliest pending time, in FIFO order. While
+    /// the lap is empty they are in the far heap.
+    fn ties(&self) -> Vec<&Entry<E>> {
+        if self.occupied != 0 {
+            let bucket = &self.near[self.first_bucket()];
+            let time = bucket.front().map(|head| head.time);
+            return bucket.iter().take_while(|e| Some(e.time) == time).collect();
         }
-        let Some(h) = best else { unreachable!("locate_min called on an empty queue") };
-        self.hint.set(Some(h));
-        h
+        let Some(head) = self.far.peek() else { return Vec::new() };
+        let mut tied: Vec<&Entry<E>> = self.far.iter().filter(|e| e.time == head.time).collect();
+        tied.sort_unstable_by_key(|e| e.seq);
+        tied
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is empty.
@@ -278,98 +263,63 @@ impl<E> EventQueue<E> {
     /// in that case). The remaining tied events keep their original
     /// insertion sequence, so FIFO order among them survives.
     pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, u64, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        let Hint { time, bucket } = self.locate_min();
-        // Equal times share a bucket and sort contiguously at its front, so
-        // the tie run occupies positions `0..k` of the min bucket's deque.
-        if self.buckets[bucket].get(n).is_none_or(|e| e.time != time) {
-            return None;
-        }
-        // Commit the cursor: the window start is ≤ the popped time, which
-        // becomes `last_popped`, so every later push lands at or ahead of it.
-        self.cursor = bucket;
-        self.year_end = self.window_end(time);
-        let Some(entry) = self.buckets[bucket].remove(n) else {
-            unreachable!("tie entry vanished from its bucket")
-        };
-        debug_assert!(entry.time == time, "hint disagreed with bucket head");
-        self.len -= 1;
-        let gap = entry.time.as_nanos() - self.last_popped.as_nanos();
-        if gap > 0 {
-            self.gap_avg = (self.gap_avg.saturating_mul(3).saturating_add(gap)) / 4;
-        }
-        self.last_popped = entry.time;
-        self.hint.set(None);
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.resize(self.buckets.len() / 2);
-        } else if let Some(head) = self.buckets[bucket].front() {
-            // The next head of the popped bucket is the global minimum while
-            // it stays inside the committed year window (same argument as
-            // the lap scan's first bucket) — covers bursts and FIFO ties.
-            if u128::from(head.time.as_nanos()) < self.year_end {
-                self.hint.set(Some(Hint { time: head.time, bucket }));
+        if self.occupied == 0 {
+            // The lap is empty: jump it to the far heap's head. Check `n`
+            // first — a lap that starts past `now` could not file a later
+            // push at `now`, so a pop that fails must leave the lap alone.
+            let head = self.far.peek()?.time;
+            if n > 0 && n >= self.ties().len() {
+                return None;
             }
+            self.advance(head);
         }
+        let slot = self.first_bucket();
+        let bucket = &mut self.near[slot];
+        let time = bucket.front()?.time;
+        // The tie run occupies positions `0..k` of the first bucket.
+        if bucket.get(n).is_none_or(|e| e.time != time) {
+            return None;
+        }
+        // As in `file`: the common case skips the out-of-line `remove`.
+        let entry = if n == 0 { bucket.pop_front() } else { bucket.remove(n) }?;
+        if bucket.is_empty() {
+            self.occupied &= !(1 << slot);
+        }
+        self.len -= 1;
+        self.last_popped = entry.time;
+        self.advance(entry.time);
         Some((entry.time, entry.seq, entry.event))
     }
 
     /// Number of pending events tied at the earliest time (0 when empty).
     pub fn tie_count(&self) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        let Hint { time, bucket } = self.locate_min();
-        self.buckets[bucket].iter().take_while(|e| e.time == time).count()
+        self.ties().len()
     }
 
     /// Visits each event tied at the earliest time, in FIFO order.
     pub fn for_each_tie(&self, mut f: impl FnMut(&E)) {
-        if self.len == 0 {
-            return;
-        }
-        let Hint { time, bucket } = self.locate_min();
-        for entry in self.buckets[bucket].iter().take_while(|e| e.time == time) {
+        for entry in self.ties() {
             f(&entry.event);
         }
     }
 
-    /// Rebuilds the bucket array at `nbuckets` (a power of two), re-deriving
-    /// the width from the pop-gap EWMA so each bucket spans roughly two
-    /// expected events, and re-anchoring the cursor at [`Self::now`].
-    fn resize(&mut self, nbuckets: usize) {
-        debug_assert!(nbuckets.is_power_of_two());
-        self.width = self.gap_avg.saturating_mul(2).max(1);
-        let mut all: Vec<Entry<E>> = Vec::with_capacity(self.len);
-        for q in &mut self.buckets {
-            all.extend(q.drain(..));
-        }
-        all.sort_unstable_by_key(|a| (a.time, a.seq));
-        self.buckets = (0..nbuckets).map(|_| VecDeque::new()).collect();
-        for entry in all {
-            let b = self.bucket_of(entry.time);
-            // Entries arrive in (time, seq) order, so push_back keeps every
-            // bucket sorted without a search.
-            self.buckets[b].push_back(entry);
-        }
-        self.cursor = self.bucket_of(self.last_popped);
-        self.year_end = self.window_end(self.last_popped);
-        self.hint.set(None);
-    }
-
     /// The firing time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
+        if self.occupied == 0 {
+            return self.far.peek().map(|head| head.time);
         }
-        Some(self.locate_min().time)
+        self.near[self.first_bucket()].front().map(|head| head.time)
+    }
+
+    /// Every pending entry, both tiers, in no particular order.
+    fn entries(&self) -> impl Iterator<Item = &Entry<E>> {
+        self.near.iter().flatten().chain(&self.far)
     }
 
     /// Every pending event, in no particular order — for validating a
     /// restored queue's contents, never for deciding what runs next.
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.buckets.iter().flatten().map(|entry| &entry.event)
+        self.entries().map(|entry| &entry.event)
     }
 
     /// The virtual time of the most recently popped event — the tie stamp
@@ -384,8 +334,9 @@ impl<E> EventQueue<E> {
         self.last_popped
     }
 
-    /// Number of pending events. This is a live count maintained by
-    /// push/pop, so the driver's high-water mark reads it for free.
+    /// Number of pending events, in both tiers. This is a live count
+    /// maintained by push/pop, so the driver's high-water mark reads it for
+    /// free.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -404,13 +355,12 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Every pending entry as `(time, seq, event)` in `(time, seq)` order —
-    /// the canonical form the snapshot codec stores. Calendar internals
-    /// (bucket layout, width, gap EWMA) are deliberately not part of it:
-    /// they are a performance cache, rebuilt on restore, and the pop order
-    /// depends only on `(time, seq)`.
+    /// the canonical form the snapshot codec stores. Which tier holds an
+    /// entry is not part of it: that follows from its time and
+    /// `last_popped`, and the pop order depends only on `(time, seq)`.
     fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
         let mut all: Vec<(SimTime, u64, &E)> =
-            self.buckets.iter().flatten().map(|e| (e.time, e.seq, &e.event)).collect();
+            self.entries().map(|e| (e.time, e.seq, &e.event)).collect();
         all.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
         all
     }
@@ -418,24 +368,15 @@ impl<E> EventQueue<E> {
     /// Rebuilds a queue from its canonical snapshot form. Entries must
     /// arrive in `(time, seq)` order at or after `last_popped`; sequence
     /// numbers are preserved so FIFO ties replay identically.
-    fn from_restored(last_popped: SimTime, next_seq: u64, entries: Vec<(SimTime, u64, E)>) -> Self
-    where
-        E: Debug,
-    {
+    fn from_restored(last_popped: SimTime, next_seq: u64, entries: Vec<(SimTime, u64, E)>) -> Self {
         let mut q = EventQueue::new();
         q.last_popped = last_popped;
-        q.cursor = q.bucket_of(last_popped);
-        q.year_end = q.window_end(last_popped);
-        for (time, seq, event) in entries {
-            if q.len + 1 > q.buckets.len() * 2 {
-                q.resize(q.buckets.len() * 2);
-            }
-            let bucket = q.bucket_of(time);
-            Self::insert_sorted(&mut q.buckets[bucket], Entry { time, seq, event });
-            q.len += 1;
-        }
-        q.hint.set(None);
+        q.cursor = window(last_popped);
+        q.len = entries.len();
         q.next_seq = next_seq;
+        for (time, seq, event) in entries {
+            q.file(Entry { time, seq, event });
+        }
         q
     }
 }
@@ -711,23 +652,128 @@ mod tests {
     }
 
     #[test]
-    fn grow_and_shrink_preserve_order() {
-        // Push enough to force several grows, drain to force shrinks, with
-        // deliberately colliding times so sorted-insert paths are exercised.
+    fn both_tiers_drain_in_order() {
+        // A second of colliding times: most start in the far heap and
+        // migrate lap by lap, through sorted inserts at every tie.
         let mut q = EventQueue::new();
         let mut expect = Vec::new();
         for i in 0u64..5_000 {
-            let time = t((i * 7919) % 1_000 * 1_000);
+            let time = t((i * 7919) % 1_000 * 1_000_000);
             q.push(time, i);
             expect.push((time, i));
         }
-        assert!(q.buckets.len() > MIN_BUCKETS, "growth heuristic never fired");
+        assert!(q.occupied != 0 && !q.far.is_empty(), "both tiers must be in use");
         expect.sort_by_key(|&(time, i)| (time, i));
         for (time, i) in expect {
             assert_eq!(q.pop(), Some((time, i)));
         }
-        assert_eq!(q.buckets.len(), MIN_BUCKETS, "drained queue should shrink back");
+        assert!(q.occupied == 0 && q.far.is_empty());
         assert_eq!(q.pop(), None);
+    }
+
+    /// The first nanosecond past the lap of `q`.
+    fn horizon<E>(q: &EventQueue<E>) -> u64 {
+        (q.cursor + BUCKETS) << BUCKET_SHIFT
+    }
+
+    /// An entry at the horizon has the bucket number of the lap's first
+    /// window: it waits in the heap, not behind that window's entries.
+    #[test]
+    fn the_horizon_is_the_far_tiers_and_len_counts_both() {
+        let mut q = EventQueue::new();
+        q.push(t(100), 'a');
+        let h = horizon(&q);
+        q.push(t(h), 'c');
+        q.push(t(h - 1), 'b');
+        q.push(t(h + 1), 'd');
+        assert_eq!((q.len(), q.far.len()), (4, 2), "len counts both tiers");
+        let popped: Vec<char> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(popped, ['a', 'b', 'c', 'd']);
+    }
+
+    /// A pop that moves the lap on files what the new lap reaches, and
+    /// nothing at its horizon.
+    #[test]
+    fn migration_stops_short_of_the_new_horizon() {
+        const W: u64 = 1 << BUCKET_SHIFT;
+        let mut q = EventQueue::new();
+        for (time, e) in [(W, 'a'), (W + 1, 'b'), (2 * W, 'c'), ((1 + BUCKETS) * W, 'd')] {
+            q.push(t(time), e);
+        }
+        assert_eq!(q.pop(), Some((t(W), 'a')));
+        assert_eq!((q.len(), q.far.len()), (3, 1));
+        let popped: Vec<char> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(popped, ['b', 'c', 'd']);
+    }
+
+    /// The bucket search wraps: a later window can sit in a lower bucket.
+    #[test]
+    fn the_bucket_search_wraps_past_the_last_bucket() {
+        const W: u64 = 1 << BUCKET_SHIFT;
+        let mut q = EventQueue::new();
+        q.push(t(100 * W), 'x');
+        q.pop();
+        q.push(t(130 * W), 'b'); // bucket 2
+        q.push(t(101 * W), 'a'); // bucket 101
+        assert_eq!(q.peek_time(), Some(t(101 * W)));
+        assert_eq!(q.pop(), Some((t(101 * W), 'a')));
+        assert_eq!(q.pop(), Some((t(130 * W), 'b')));
+    }
+
+    /// While the lap is empty the tie run is in the heap: it is counted and
+    /// visited there, and a `pop_nth` past it must not move the lap — a
+    /// push at `now` afterwards is still the next pop.
+    #[test]
+    fn a_failed_pop_nth_leaves_an_empty_lap_where_it_was() {
+        let mut q = EventQueue::new();
+        q.push(t(10), 'x');
+        q.pop();
+        let rto = 3_000_000_000;
+        for e in ['a', 'b', 'c'] {
+            q.push(t(rto), e);
+        }
+        assert_eq!((q.occupied, q.far.len()), (0, 3));
+        assert_eq!(q.tie_count(), 3);
+        let mut seen = Vec::new();
+        q.for_each_tie(|&e| seen.push(e));
+        assert_eq!(seen, ['a', 'b', 'c']);
+        assert_eq!(q.pop_nth(3), None);
+        assert_eq!(q.len(), 3);
+        q.push(t(10), 'n');
+        assert_eq!(q.pop(), Some((t(10), 'n')));
+        assert_eq!(q.pop_nth(1), Some((t(rto), 2, 'b')));
+        assert_eq!(q.pop(), Some((t(rto), 'a')));
+        assert_eq!(q.pop(), Some((t(rto), 'c')));
+    }
+
+    /// A restored queue files each entry where the long-running one holds
+    /// it, and pops exactly as it does.
+    #[test]
+    fn a_queue_straddling_the_horizon_round_trips_through_a_snapshot() {
+        use crate::{SnapshotReader, SnapshotWriter, Snapshotable};
+        let mut q = EventQueue::new();
+        q.push(t(1_000_000), 0u64);
+        q.pop();
+        let h = horizon(&q);
+        let times = [h, h - 1, h + 1, 1_000_000, 21_460_000, 101_000_000, h, 101_000_000];
+        for (i, &time) in times.iter().enumerate() {
+            q.push(t(time), i as u64 + 1);
+        }
+        let mut w = SnapshotWriter::new();
+        q.encode(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes);
+        let mut restored = EventQueue::<u64>::decode(&mut r).expect("its own bytes decode");
+        assert_eq!(r.finish(), Ok(()));
+        assert_eq!((restored.len(), restored.far.len()), (q.len(), q.far.len()));
+        assert_eq!((restored.occupied, restored.next_seq()), (q.occupied, q.next_seq()));
+        loop {
+            let popped = q.pop_nth(0);
+            assert_eq!(restored.pop_nth(0), popped);
+            if popped.is_none() {
+                break;
+            }
+        }
     }
 
     #[test]
@@ -985,10 +1031,15 @@ mod proptests {
 
         /// The calendar queue and the reference heap agree on tie-group
         /// shape and on `pop_nth` for arbitrary decision sequences — the
-        /// contract the model-checking explorer's replays lean on.
+        /// contract the model-checking explorer's replays lean on. Times
+        /// fall in clusters 10 ms apart, farther than one lap, so tie runs
+        /// are counted, visited and popped in the heap tier as well.
         #[test]
         fn calendar_matches_heap_under_pop_nth(
-            times in proptest::collection::vec(0u64..2_000, 1..120),
+            times in proptest::collection::vec(
+                (0u64..4, 0u64..6).prop_map(|(cluster, k)| cluster * 10_000_000 + k * 1_000),
+                1..120,
+            ),
             picks in proptest::collection::vec(0usize..8, 1..120),
         ) {
             let mut cal = EventQueue::new();
@@ -1004,11 +1055,59 @@ mod proptests {
                 let mut heap_ties = Vec::new();
                 heap.for_each_tie(|&e| heap_ties.push(e));
                 prop_assert_eq!(&cal_ties, &heap_ties, "tie runs diverged");
+                let past = cal.tie_count();
+                prop_assert_eq!(cal.pop_nth(past), None);
+                prop_assert_eq!(heap.pop_nth(past), None);
+                prop_assert_eq!(cal.len(), heap.len());
                 // Clamp into the run so every iteration pops something.
                 let n = pick.min(cal.tie_count().saturating_sub(1));
                 prop_assert_eq!(cal.pop_nth(n), heap.pop_nth(n));
             }
             prop_assert!(cal.is_empty() && heap.is_empty());
+        }
+
+        /// Pushes relative to `now` that land on the lap's horizon and a
+        /// nanosecond either side of it, CWmax countdowns (1023 × 20 µs) and
+        /// bursts of 400 at one instant 100 ms out, interleaved with
+        /// `pop_nth`: pops cross the tiers, migrate and jump, and the
+        /// calendar agrees with the heap on every observation.
+        #[test]
+        fn calendar_matches_heap_across_the_horizon(
+            ops in proptest::collection::vec((0u8..10, 0usize..4), 1..200),
+        ) {
+            let mut cal = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            let mut payload = 0u32;
+            for &(kind, pick) in &ops {
+                let now = cal.now().as_nanos();
+                let horizon = ((now >> BUCKET_SHIFT) + BUCKETS) << BUCKET_SHIFT;
+                let times = match kind {
+                    0..=2 => vec![horizon + u64::from(kind) - 1],
+                    3 => vec![now + 20_460_000],
+                    4 => vec![now + 100_000_000; 400],
+                    5 => vec![now + pick as u64 * 5_000],
+                    _ => Vec::new(),
+                };
+                for at in times {
+                    cal.push(SimTime::from_nanos(at), payload);
+                    heap.push(SimTime::from_nanos(at), payload);
+                    payload += 1;
+                }
+                if kind >= 6 {
+                    prop_assert_eq!(cal.tie_count(), heap.tie_count());
+                    let n = pick.min(cal.tie_count().saturating_sub(1));
+                    prop_assert_eq!(cal.pop_nth(n), heap.pop_nth(n));
+                }
+                prop_assert_eq!(cal.len(), heap.len());
+                prop_assert_eq!(cal.peek_time(), heap.peek_time());
+            }
+            loop {
+                let (a, b) = (cal.pop(), heap.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
         }
 
         /// The calendar queue and the reference heap agree pop-for-pop on

@@ -4,8 +4,9 @@
 //! builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a stable (FIFO-on-tie) calendar queue of timed events,
-//!   with [`HeapQueue`] as the reference the differential tests compare it
+//! * [`EventQueue`] — a stable (FIFO-on-tie) queue of timed events: a
+//!   one-lap calendar for the next 8.39 ms and a heap beyond it, with
+//!   [`HeapQueue`] as the reference the differential tests compare it
 //!   against,
 //! * [`TimerSlab`] — generation-checked timer handles for lazy cancellation,
 //! * [`SmallVec`] — an inline-first vector for hot-path output batches,

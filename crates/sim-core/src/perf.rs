@@ -60,8 +60,8 @@ pub struct RunPerf {
     /// spatial grid optimises — and a topology-dynamics measure: high churn
     /// means routes break faster than AODV can repair them.
     pub link_churn: u64,
-    /// High-water mark of the pending-event queue (the calendar queue's
-    /// live length, sampled before every pop).
+    /// High-water mark of the pending-event queue (the event queue's live
+    /// length over both tiers, sampled before every pop).
     pub peak_event_queue: usize,
     /// High-water mark of any node's interface queue.
     pub peak_ifq_depth: usize,

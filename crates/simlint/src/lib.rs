@@ -159,10 +159,10 @@ impl Rule {
             }
             Rule::AdHocHeap => {
                 "std::collections::BinaryHeap breaks ties arbitrarily. The event \
-                 schedulers in crates/sim-core (calendar queue, HeapQueue reference) \
-                 implement a FIFO tie discipline the trace-hash contract depends on; \
-                 any ad-hoc heap elsewhere would bypass it and reintroduce ordering \
-                 nondeterminism."
+                 schedulers in crates/sim-core (EventQueue and its far-future heap, \
+                 HeapQueue reference) implement a FIFO tie discipline the trace-hash \
+                 contract depends on; any ad-hoc heap elsewhere would bypass it and \
+                 reintroduce ordering nondeterminism."
             }
             Rule::CastTruncate => {
                 "`as` silently truncates. On time (nanos), sequence, ack, and uid \
@@ -299,8 +299,8 @@ pub fn wallclock_licensed(rel_path: &str) -> bool {
 /// Whether `rel_path` may use `std::collections::BinaryHeap`. Only the
 /// scheduler's home (`crates/sim-core/src/`) is licensed: `BinaryHeap`
 /// breaks ties arbitrarily, so any ad-hoc priority queue elsewhere risks
-/// reintroducing the event-ordering nondeterminism the calendar queue and
-/// its FIFO tie discipline were built to rule out. Everything else must
+/// reintroducing the event-ordering nondeterminism `EventQueue` and its
+/// FIFO tie discipline were built to rule out. Everything else must
 /// schedule through `sim_core::EventQueue`.
 pub fn binaryheap_licensed(rel_path: &str) -> bool {
     rel_path.starts_with("crates/sim-core/src/")

@@ -5,12 +5,23 @@
 //! same tombstone skips. The heap is a reference only — no simulation can
 //! be configured onto it — so this queue-level stream equality, with
 //! sim-core's `calendar_matches_heap*` proptests, is where the calendar's
-//! bucket/resize/lap machinery is checked against an implementation that
-//! has none. End to end, `tests/snapshot_twin.rs` checks that a calendar
-//! laid out afresh by `restore` pops as the long-running one does.
+//! two tiers (a one-lap calendar of 128 buckets × 65,536 ns and a heap past
+//! its horizon) are checked against an implementation that has neither.
+//! End to end, `tests/snapshot_twin.rs` checks that a calendar laid out
+//! afresh by `restore` pops as the long-running one does.
 
 use proptest::prelude::*;
 use tcp_muzha::sim::{EventQueue, HeapQueue, SimDuration, SimRng, SimTime, TimerSlab};
+
+/// The calendar's lap: 128 buckets of 65,536 ns. Entries at or past the
+/// lap's horizon wait in the far heap.
+const LAP_NS: u64 = 128 * 65_536;
+
+/// The first nanosecond past the lap that starts in `now`'s bucket.
+fn horizon(now: SimTime) -> SimTime {
+    let start = now.as_nanos() / 65_536 * 65_536;
+    SimTime::from_nanos(start + LAP_NS)
+}
 
 /// One scripted operation against both queues.
 #[derive(Clone, Debug)]
@@ -18,6 +29,13 @@ enum Op {
     /// Schedule a fresh timer at `now + offset_ns` (quantised so ties are
     /// frequent — the FIFO tie discipline is the property under test).
     Push { offset_ns: u64 },
+    /// Schedule a fresh timer at the lap's horizon shifted by `delta_ns`
+    /// (-1, 0 or +1): the last nanosecond of the near tier, the first of
+    /// the far one, and the next.
+    Horizon { delta_ns: i64 },
+    /// Schedule 400 fresh timers at one instant 100 ms out, as the city's
+    /// mobility ticks are.
+    Burst,
     /// Pop the earliest event from both queues and compare.
     Pop,
     /// Tombstone the `sel`-th still-live handle (lazy cancellation: the
@@ -26,15 +44,20 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..7, 0u64..64).prop_map(|(discriminant, x)| match discriminant {
-        // Quantised offsets (weight 3/7): ~1/8 of pushes collide exactly in
-        // time, so the FIFO tie discipline is constantly under load.
+    (0u8..10, 0u64..64).prop_map(|(discriminant, x)| match discriminant {
+        // Quantised offsets (weight 3/10): ~1/8 of pushes collide exactly
+        // in time, so the FIFO tie discipline is constantly under load.
         0..=2 => Op::Push { offset_ns: (x % 8) * 125_000 },
-        // Far-future outliers (1/7) exercise the calendar's lap scan and
-        // direct-search fallback across resizes.
+        // Far-future outliers (1/10) jump the lap to the heap's head.
         3 => Op::Push { offset_ns: (1 + x % 4) * 1_000_000_000 },
-        // Pops (2/7) interleave with pushes so `now` keeps advancing.
-        4 | 5 => Op::Pop,
+        // CWmax countdowns (1023 slots of 20 µs) and horizon edges (1/10
+        // each) migrate from the heap as the lap moves.
+        4 => Op::Push { offset_ns: 20_460_000 },
+        5 => Op::Horizon { delta_ns: (x % 3) as i64 - 1 },
+        6 if x < 8 => Op::Burst,
+        // Pops (2/10, more when the burst is skipped) interleave with
+        // pushes so `now` keeps advancing.
+        6..=8 => Op::Pop,
         _ => Op::Cancel { sel: x as usize },
     })
 }
@@ -60,14 +83,24 @@ proptest! {
 
         for op in &ops {
             match *op {
-                Op::Push { offset_ns } => {
+                Op::Push { .. } | Op::Horizon { .. } | Op::Burst => {
                     // Both queues agree on `now` (asserted below), so the
-                    // same absolute time is legal for each.
-                    let at = calendar.now() + SimDuration::from_nanos(offset_ns);
-                    let handle = slab.schedule();
-                    live.push(handle);
-                    calendar.push(at, handle);
-                    heap.push(at, handle);
+                    // same absolute times are legal for each.
+                    let now = calendar.now();
+                    let (at, count) = match *op {
+                        Op::Push { offset_ns } => (now + SimDuration::from_nanos(offset_ns), 1),
+                        Op::Horizon { delta_ns } => {
+                            let edge = horizon(now).as_nanos().saturating_add_signed(delta_ns);
+                            (SimTime::from_nanos(edge), 1)
+                        }
+                        _ => (now + SimDuration::from_millis(100), 400),
+                    };
+                    for _ in 0..count {
+                        let handle = slab.schedule();
+                        live.push(handle);
+                        calendar.push(at, handle);
+                        heap.push(at, handle);
+                    }
                 }
                 Op::Cancel { sel } => {
                     if !live.is_empty() {
@@ -96,8 +129,8 @@ proptest! {
         }
 
         if drain {
-            // Drain both queues to the end: tail order (including events far
-            // in the future of the last resize) must also agree.
+            // Drain both queues to the end: tail order (including events
+            // still in the far heap) must also agree.
             loop {
                 let a = calendar.pop();
                 let b = heap.pop();
@@ -131,8 +164,7 @@ proptest! {
     /// and `pop_nth(k)` returns the `k`-th smallest key at the earliest
     /// instant of a model that knows nothing but keys — so an entry pushed
     /// under an old number pops ahead of the later-pushed ties at its
-    /// instant (the head's included) and behind the earlier ones, growing
-    /// and shrinking the calendar on the way.
+    /// instant (the head's included) and behind the earlier ones.
     #[test]
     fn reserved_seqs_keep_the_queues_in_lock_step(
         ops in proptest::collection::vec((0u8..8, 0u64..4, 0usize..4), 1..200),

@@ -82,7 +82,7 @@ fn topology_subsystem_is_held_to_sim_state_policy() {
 #[test]
 fn binaryheap_licence_covers_sim_core_only() {
     // Pin the binary-heap carve-out: the scheduler's home crate may use
-    // `std::collections::BinaryHeap` (the calendar queue's in-bucket spill
+    // `std::collections::BinaryHeap` (the event queue's far-future tier
     // and the `HeapQueue` differential reference live there); everywhere
     // else an ad-hoc heap would bypass the FIFO tie discipline the
     // trace-hash determinism contract depends on.
