@@ -484,7 +484,7 @@ impl Aodv {
         if ttl > u32::from(self.cfg.ring_ttl_threshold) {
             self.cfg.rreq_ttl
         } else {
-            (ttl as u8).min(self.cfg.rreq_ttl)
+            u8::try_from(ttl).unwrap_or(u8::MAX).min(self.cfg.rreq_ttl)
         }
     }
 

@@ -9,7 +9,7 @@
 
 // What each record means to the checker is decided by name: a new variant
 // does not compile until someone has said which invariant reads it, or none.
-#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
 use std::collections::VecDeque;
 

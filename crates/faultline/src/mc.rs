@@ -227,6 +227,7 @@ pub fn placements(script: &ScenarioScript, cfg: &McConfig) -> Vec<ScenarioScript
         let mut shifted = script.clone();
         for timed in &mut shifted.events {
             let at = i128::from(timed.at.as_nanos()) + offset;
+            #[expect(clippy::cast_possible_truncation, reason = "clamped to u64's range")]
             let clamped = at.clamp(0, i128::from(u64::MAX)) as u64;
             timed.at = SimTime::from_nanos(clamped);
         }

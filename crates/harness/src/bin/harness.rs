@@ -172,6 +172,7 @@ fn topo(args: &[String]) -> Result<(), CliError> {
     sim.run_until(run.end());
     let wall_s = clock.elapsed_secs();
     let perf = sim.perf();
+    #[expect(clippy::expect_used, reason = "the checker is installed above")]
     let checker = sim.take_checker().expect("checker installed above");
 
     let _ = writeln!(

@@ -44,6 +44,7 @@ impl CwndTrace {
 
 /// Runs Simulation 1 for the given chain length and variants, over
 /// `duration` with one seed (the paper shows single-run traces).
+#[expect(clippy::expect_used, reason = "the batch returns one entry per chain length asked for")]
 pub fn cwnd_traces(
     hops: usize,
     variants: &[TcpVariant],
@@ -81,6 +82,7 @@ pub fn cwnd_traces_batch(
         // from a trace file: keep the transport layer, extract per flow.
         sim.install_trace_log(TraceLog::with_filter(TraceFilter::all().layer(Layer::Agt)));
         sim.run_until(SimTime::ZERO + duration);
+        #[expect(clippy::expect_used, reason = "the log is installed above")]
         let log = sim.take_trace_log().expect("log installed above");
         let series = FlowSeries::collect(flow, None, log.iter());
         CwndTrace { hops, variant, trace: series.cwnd }

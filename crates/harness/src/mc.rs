@@ -23,6 +23,10 @@ fn placed_runs(run: &Run, cfg: &McConfig) -> Vec<Run> {
 /// Runs `sim` — built from `run`, checker installed — to the run's end
 /// under `order`, returning the sealed simulator, the consumed tie order,
 /// and the sealed checker.
+#[expect(
+    clippy::expect_used,
+    reason = "the tie order is installed here and the checker by every caller"
+)]
 fn run_to_end(
     mut sim: Simulator,
     run: &Run,
@@ -170,6 +174,7 @@ pub fn checkpoint_before(run: &Run, at: SimTime) -> Checkpoint {
     sim.install_checker(InvariantChecker::new());
     let stop = SimTime::from_nanos(at.as_nanos().saturating_sub(1));
     sim.run_until(stop.min(run.end()));
+    #[expect(clippy::expect_used, reason = "the checker is installed above")]
     let checker = sim.checker().cloned().expect("checker was installed");
     Checkpoint { bytes: sim.snapshot(), checker, prefix_events: sim.perf().events_processed }
 }
@@ -185,6 +190,10 @@ pub fn run_branch_resumed(
     decisions: &[usize],
 ) -> (BranchOutcome, u64) {
     let mut sim = run.build();
+    #[expect(
+        clippy::expect_used,
+        reason = "the checkpoint was taken in-process from this run's build"
+    )]
     sim.restore(&checkpoint.bytes).expect("checkpoint restores into its config twin");
     sim.install_checker(checkpoint.checker.clone());
     let (sim, order, checker) = run_to_end(sim, run, windowed_order(cfg, decisions));
@@ -203,6 +212,7 @@ pub fn flight_recorder_dump(run: &Run, cfg: &McConfig, verdict: &McVerdict) -> O
     let placement = placed.get(ce.placement)?;
     let order = windowed_order(cfg, &ce.decisions);
     let (mut sim, _, _) = run_with_order(placement, order, Some(TraceLog::flight_recorder(64)));
+    #[expect(clippy::expect_used, reason = "`run_with_order` installs the recorder it is given")]
     let log = sim.take_trace_log().expect("flight recorder was installed");
     let mut out = String::new();
     for dump in log.dumps() {

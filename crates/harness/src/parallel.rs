@@ -34,6 +34,14 @@ pub fn effective_jobs(jobs: usize) -> usize {
 /// # Panics
 ///
 /// Propagates a panic from any `task` invocation.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one licensed thread pool: whole runs, merged into slots by item index"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "a worker's panic is re-raised here, and every index is claimed exactly once"
+)]
 pub fn run_batch<I, T, F>(items: &[I], jobs: usize, task: F) -> Vec<T>
 where
     I: Sync,

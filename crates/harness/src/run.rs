@@ -79,7 +79,7 @@ impl Run {
             if nodes < 2 {
                 return Err(format!("a flow needs two nodes, {} has {nodes}", cfg.topology));
             }
-            vec![FlowSpec::new(NodeId::new(0), NodeId::new(nodes as u16 - 1), TcpVariant::NewReno)]
+            vec![FlowSpec::new(NodeId::new(0), NodeId::from_index(nodes - 1), TcpVariant::NewReno)]
         } else {
             script.flows.iter().map(flow_spec).collect()
         };
@@ -112,6 +112,7 @@ impl Run {
 
     /// Runs to the end with a trace log behind `filter` installed and
     /// returns the log.
+    #[expect(clippy::expect_used, reason = "the log is installed two lines up")]
     pub fn capture(&self, filter: TraceFilter) -> TraceLog {
         let mut sim = self.build();
         sim.install_trace_log(TraceLog::with_filter(filter));
@@ -160,7 +161,7 @@ pub fn farthest_pair(positions: &[Position]) -> (NodeId, NodeId) {
             let d = pi.distance_sq_to(*pj);
             if d > best_sq {
                 best_sq = d;
-                best = (NodeId::new(i as u16), NodeId::new(j as u16));
+                best = (NodeId::from_index(i), NodeId::from_index(j));
             }
         }
     }
@@ -182,7 +183,7 @@ pub fn spread_endpoints(topology: TopologySpec, seed: u64, flows: usize) -> Vec<
         if a == b {
             b = (b + 1) % n;
         }
-        ends.push((NodeId::new(a as u16), NodeId::new(b as u16)));
+        ends.push((NodeId::from_index(a), NodeId::from_index(b)));
     }
     ends
 }
@@ -294,7 +295,7 @@ mod tests {
             ),
         ) {
             let spec = topology(family, a, b);
-            let n = spec.node_count() as u16;
+            let n = u16::try_from(spec.node_count()).unwrap();
             let mobility = match lo {
                 0 => MobilitySpec::Static,
                 _ => MobilitySpec::Waypoint {

@@ -1,13 +1,14 @@
 //! The one sanctioned wall-clock shim in the workspace.
 //!
 //! Simulation state must never observe host time — determinism depends on
-//! it, and `simlint` bans `std::time::Instant` in every sim-state crate.
-//! Measurement code is different: events-per-second and batch speed-up
-//! numbers *are* wall-clock quantities. [`WallClock`] is the narrow door
-//! those measurements go through; it lives in the harness (the one crate
-//! simlint licenses, so this is the only `Instant` in the tree) and its
-//! readings must only ever flow into reports, never back into simulator
-//! inputs.
+//! it, and the root `clippy.toml` disallows `std::time::Instant` across the
+//! workspace. Measurement code is different: events-per-second and batch
+//! speed-up numbers *are* wall-clock quantities. [`WallClock`] is the narrow
+//! door those measurements go through; this module's `#![expect]` is the one
+//! licence, so this is the only `Instant` in the tree, and its readings must
+//! only ever flow into reports, never back into simulator inputs.
+
+#![expect(clippy::disallowed_types, reason = "the one licensed reader of wall time")]
 
 use std::time::Instant;
 

@@ -3,6 +3,8 @@
 //! silent run on the defaults (0) when a flag is misspelt or has been
 //! retired.
 
+#![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
+
 mod common;
 
 use std::process::{Command, Output};

@@ -6,6 +6,8 @@
 //! leave every expected byte below alone; only [`harness`] — how a
 //! subcommand is spawned — may be respelled.
 
+#![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
+
 mod common;
 
 use std::process::{Command, Output};

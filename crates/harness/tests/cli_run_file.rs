@@ -4,6 +4,8 @@
 //! binary; and the run-shape flags build the run a file that spells them
 //! does.
 
+#![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
+
 mod common;
 
 use std::process::Command;

@@ -1,5 +1,7 @@
 //! Shared by the CLI tests, each of which spawns the real binaries.
 
+#![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
+
 use std::path::PathBuf;
 
 /// A scratch directory of `test`'s own under the system's, removed by the

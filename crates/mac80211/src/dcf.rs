@@ -1,6 +1,6 @@
 //! The DCF medium-access state machine.
 
-#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
 use std::mem;
 
@@ -767,7 +767,7 @@ impl Mac {
             cd.slots
         } else {
             let consumed = (elapsed - cd.ifs).as_nanos() / self.params.slot.as_nanos().max(1);
-            cd.slots.saturating_sub(consumed as u32)
+            cd.slots.saturating_sub(u32::try_from(consumed).unwrap_or(u32::MAX))
         };
         Phase::Defer { pkt, carried_slots: Some(remaining) }
     }
@@ -947,7 +947,7 @@ impl Mac {
 }
 
 #[cfg(test)]
-#[allow(clippy::wildcard_enum_match_arm)]
+#[allow(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 mod tests {
     use super::*;
     use sim_core::SimRng;

@@ -21,7 +21,7 @@
 //! once if the MAC already holds one. [`Event::RxEnd`] is the end of a
 //! signal the listener was in range to decode.
 
-#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
 use aodv::AodvTimer;
 use phy::TxId;
@@ -234,7 +234,7 @@ impl Event {
     /// class, pinned to the owning node when there is exactly one.
     pub(crate) fn fingerprint(&self) -> TieClass {
         let node = match self.owner() {
-            Owner::Node(node) => Some(node.index() as u32),
+            Owner::Node(node) => Some(u32::from(node.raw())),
             Owner::FlowSource(_) | Owner::Global => None,
         };
         TieClass { node, kind: self.kind().tie() }

@@ -445,9 +445,9 @@ mod tests {
         };
         let mut sim = Simulator::from_config(cfg);
         assert_eq!(sim.node_count(), 9);
-        let before: Vec<Position> = (0..9).map(|i| sim.position(NodeId::new(i as u16))).collect();
+        let before: Vec<Position> = (0..9).map(|i| sim.position(NodeId::from_index(i))).collect();
         sim.run_until(secs(5.0));
-        let moved = (0..9).any(|i| sim.position(NodeId::new(i as u16)) != before[i]);
+        let moved = (0..9).any(|i| sim.position(NodeId::from_index(i)) != before[i]);
         assert!(moved, "waypoint mobility moves nodes");
         // Deterministic in the config.
         let mut twin = Simulator::from_config(cfg);

@@ -286,7 +286,7 @@ mod tests {
             Payload::Aodv(AodvMessage::Rreq(RouteRequest {
                 origin: NodeId::new(0),
                 origin_seq: 1,
-                broadcast_id: uid as u32,
+                broadcast_id: u32::try_from(uid).unwrap(),
                 dst: NodeId::new(4),
                 dst_seq: 0,
                 hop_count: 0,

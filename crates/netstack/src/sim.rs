@@ -94,7 +94,7 @@ impl Simulator {
         let mut rng = SimRng::new(cfg.seed);
         let channel = Channel::new(positions, cfg.radio);
         let nodes: Vec<Node> = (0..channel.node_count())
-            .map(|i| Node::new(NodeId::new(i as u16), &cfg, &mut rng))
+            .map(|i| Node::new(NodeId::from_index(i), &cfg, &mut rng))
             .collect();
         let mut events = EventQueue::new();
         events.push(SimTime::ZERO + cfg.sample_interval, Event::Sample);
@@ -118,7 +118,7 @@ impl Simulator {
         // Kick off HELLO beaconing if the AODV config asks for it.
         if cfg.aodv.hello_interval.is_some() {
             for i in 0..sim.nodes.len() {
-                let node = NodeId::new(i as u16);
+                let node = NodeId::from_index(i);
                 let outs = sim.nodes[i].aodv.start_hello(SimTime::ZERO);
                 sim.process_aodv_outputs(node, outs);
             }
@@ -149,7 +149,7 @@ impl Simulator {
                 max_pause: pause,
             };
             for i in 0..sim.node_count() {
-                sim.set_random_waypoint(NodeId::new(i as u16), plan);
+                sim.set_random_waypoint(NodeId::from_index(i), plan);
             }
         }
         sim
@@ -164,7 +164,7 @@ impl Simulator {
         assert!(spec.src.index() < self.nodes.len(), "flow src out of range");
         assert!(spec.dst.index() < self.nodes.len(), "flow dst out of range");
         assert_ne!(spec.src, spec.dst, "flow endpoints must differ");
-        let flow = FlowId::new(self.flows.len() as u32);
+        let flow = FlowId::from_index(self.flows.len());
         let sender = Sender::new(flow, spec.variant, spec.tcp, spec.vegas, spec.muzha_cadence);
         let sack = spec.variant == TcpVariant::Sack;
         let receiver = if spec.delayed_ack {
@@ -185,7 +185,8 @@ impl Simulator {
     /// Running digest of every event dispatched so far (order- and
     /// content-sensitive). Two simulators built from the same topology,
     /// config and seed must report identical digests after identical
-    /// `run_until` calls — the runtime twin of the `simlint` static policy.
+    /// `run_until` calls — the runtime twin of the static determinism policy
+    /// (the root `clippy.toml`).
     /// Compare digests with [`sim_core::twin_run`].
     pub fn trace_hash(&self) -> u64 {
         self.trace_hash.digest()
@@ -370,7 +371,7 @@ impl Simulator {
 
     fn settle_all(&mut self, time: SimTime, seq: u64) {
         for i in 0..self.nodes.len() {
-            self.settle(NodeId::new(i as u16), time, seq);
+            self.settle(NodeId::from_index(i), time, seq);
         }
     }
 
@@ -409,7 +410,7 @@ impl Simulator {
 
     /// Reports for all flows, in registration order.
     pub fn all_flow_reports(&self) -> Vec<FlowReport> {
-        (0..self.flows.len()).map(|i| self.flow_report(FlowId::new(i as u32))).collect()
+        (0..self.flows.len()).map(|i| self.flow_report(FlowId::from_index(i))).collect()
     }
 
     /// Everything the run produced in one bundle: all flow reports, all
@@ -436,7 +437,7 @@ impl Simulator {
 
     /// Summaries for every node.
     pub fn all_node_summaries(&self) -> Vec<NodeSummary> {
-        (0..self.nodes.len()).map(|i| self.node_summary(NodeId::new(i as u16))).collect()
+        (0..self.nodes.len()).map(|i| self.node_summary(NodeId::from_index(i))).collect()
     }
 
     /// Number of nodes.
@@ -862,7 +863,7 @@ impl Simulator {
                         node,
                         uid,
                         flow,
-                        depth: depth as u32,
+                        depth: u32::try_from(depth).unwrap_or(u32::MAX),
                         avbw,
                         marked: marked || red_marked,
                     });
@@ -1127,7 +1128,7 @@ impl Simulator {
         // either was configured with.
         let mut flows = Vec::new();
         for i in 0..r.take_usize()? {
-            let (id, spec): (FlowId, FlowSpec) = (FlowId::new(i as u32), r.get()?);
+            let (id, spec): (FlowId, FlowSpec) = (FlowId::from_index(i), r.get()?);
             let FlowSpec { variant, tcp, vegas, muzha_cadence, delayed_ack, .. } = spec;
             let sender = Sender::decode_state(&mut r, id, variant, tcp, vegas, muzha_cadence)?;
             let sack = variant == TcpVariant::Sack;

@@ -11,7 +11,7 @@ pub use topo::generators::{chain, grid, is_connected, random_disc as random_conn
 
 /// Endpoints of the single flow on a [`chain`].
 pub fn chain_flow(hops: usize) -> (NodeId, NodeId) {
-    (NodeId::new(0), NodeId::new(hops as u16))
+    (NodeId::new(0), NodeId::from_index(hops))
 }
 
 /// An `hops`-hop cross: a horizontal and a vertical chain sharing their
@@ -49,20 +49,18 @@ pub fn cross(hops: usize) -> Vec<Position> {
 
 /// Endpoints of the horizontal flow on a [`cross`] (west → east).
 pub fn cross_horizontal_flow(hops: usize) -> (NodeId, NodeId) {
-    (NodeId::new(0), NodeId::new(hops as u16))
+    (NodeId::new(0), NodeId::from_index(hops))
 }
 
 /// Endpoints of the vertical flow on a [`cross`] (north → south).
 pub fn cross_vertical_flow(hops: usize) -> (NodeId, NodeId) {
-    let first_vertical = hops as u16 + 1;
-    let last_vertical = 2 * hops as u16;
-    (NodeId::new(first_vertical), NodeId::new(last_vertical))
+    (NodeId::from_index(hops + 1), NodeId::from_index(2 * hops))
 }
 
 /// The node at grid coordinate `(row, col)` of a [`grid`] with `cols`
 /// columns.
 pub fn grid_node(row: usize, col: usize, cols: usize) -> NodeId {
-    NodeId::new((row * cols + col) as u16)
+    NodeId::from_index(row * cols + col)
 }
 
 /// `count` parallel `hops`-hop chains stacked 500 m apart (outside
@@ -89,8 +87,8 @@ pub fn parallel_chains(count: usize, hops: usize) -> Vec<Position> {
 
 /// Endpoints of chain `k`'s flow on [`parallel_chains`].
 pub fn parallel_chain_flow(k: usize, hops: usize) -> (NodeId, NodeId) {
-    let base = (k * (hops + 1)) as u16;
-    (NodeId::new(base), NodeId::new(base + hops as u16))
+    let base = k * (hops + 1);
+    (NodeId::from_index(base), NodeId::from_index(base + hops))
 }
 
 #[cfg(test)]

@@ -354,14 +354,14 @@ impl Channel {
         if self.disabled[i] {
             return;
         }
-        let a = NodeId::new(i as u16);
+        let a = NodeId::from_index(i);
         let tx_sq = sq(self.params.tx_range_m);
         let cs_sq = sq(self.params.cs_range_m);
         for &j in candidates {
             if j == i || self.disabled[j] {
                 continue;
             }
-            let b = NodeId::new(j as u16);
+            let b = NodeId::from_index(j);
             if self.blocked.contains(&link_key(a, b)) {
                 continue;
             }
@@ -726,8 +726,8 @@ mod grid_differential {
     /// One randomly generated mutation against the channel.
     fn apply(ch: &mut Channel, node_count: usize, op: (u8, usize, usize, f64, f64, u32)) -> usize {
         let (kind, a, b, x, y, _) = op;
-        let a = NodeId::new((a % node_count) as u16);
-        let b = NodeId::new((b % node_count) as u16);
+        let a = NodeId::from_index(a % node_count);
+        let b = NodeId::from_index(b % node_count);
         match kind % 5 {
             0 | 1 => ch.set_position(a, Position::new(x, y)),
             2 => ch.set_node_enabled(a, false),
@@ -773,12 +773,12 @@ mod grid_differential {
                 slow = fast.clone();
                 slow.recompute();
                 // Every mutation reports the churn of its first operand's rows.
-                let moved = NodeId::new((op.1 % node_count) as u16);
+                let moved = NodeId::from_index(op.1 % node_count);
                 let slow_churn = row_diff(before.rx_neighbors(moved), slow.rx_neighbors(moved))
                     + row_diff(before.cs_neighbors(moved), slow.cs_neighbors(moved));
                 prop_assert_eq!(fast_churn, slow_churn, "churn diverged on {:?}", op);
-                for i in 0..node_count as u16 {
-                    let node = NodeId::new(i);
+                for i in 0..node_count {
+                    let node = NodeId::from_index(i);
                     prop_assert_eq!(
                         fast.rx_neighbors(node),
                         slow.rx_neighbors(node),
@@ -804,8 +804,8 @@ mod grid_differential {
                     }
                 }
             }
-            for i in 0..node_count as u16 {
-                let node = NodeId::new(i);
+            for i in 0..node_count {
+                let node = NodeId::from_index(i);
                 prop_assert_eq!(
                     links_kept(&mut fast, node),
                     links_from_scratch(&slow, node),

@@ -859,6 +859,7 @@ mod proptests {
         /// probe the same radio — a probe under an edge's own key comes
         /// before that edge — and end in equal states.
         #[test]
+        #[expect(clippy::cast_possible_truncation, reason = "tx ids here are indices into `arrivals`")]
         fn settled_edges_match_eager_ones(
             frames in proptest::collection::vec(
                 (0u64..300, 0u64..4, 1u64..60, any::<bool>(), 0usize..5, any::<bool>()), 1..24),

@@ -14,7 +14,7 @@
 //! * **Fully deterministic.** The generator seed is derived from the test's
 //!   `module_path!()` and name, never from the environment or the clock, so
 //!   a red case stays red until the code (not the schedule) changes. This
-//!   matches the workspace's determinism policy (see `simlint`).
+//!   matches the workspace's determinism policy (the root `clippy.toml`).
 //!
 //! # Example
 //!
@@ -32,6 +32,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "strategies narrow uniform u64 draws into their value types on purpose"
+)]
 
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};

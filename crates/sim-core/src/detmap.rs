@@ -3,8 +3,8 @@
 //! `std::collections::HashMap`/`HashSet` use a per-process random hash seed
 //! (`RandomState`), so their iteration order differs between runs. Any such
 //! iteration feeding the event loop silently breaks bit-for-bit replay — the
-//! property every figure reproduced from the paper depends on. The `simlint`
-//! analyzer therefore forbids hash containers in simulation-state crates;
+//! property every figure reproduced from the paper depends on. The root
+//! `clippy.toml` therefore disallows hash containers across the workspace;
 //! these aliases are the sanctioned replacement.
 //!
 //! Both *are* `BTreeMap`/`BTreeSet`: iteration order is the key order,

@@ -10,6 +10,11 @@
 //!
 //! Both pop events in `(time, seq)` order with FIFO tie-break.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the scheduler's home: both heaps here pop in (time, seq) order, never by arbitrary tie"
+)]
+
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt::Debug;
@@ -53,6 +58,8 @@ const BUCKET_SHIFT: u32 = 16;
 /// propagation). TCP, AODV and sampling timers, and CWmax countdowns
 /// (20.5 ms), wait in the far heap.
 const BUCKETS: u64 = u128::BITS as u64;
+/// [`BUCKETS`] as the near tier's array length.
+const LAP_LEN: usize = u128::BITS as usize;
 
 /// The bucket window holding `time`.
 fn window(time: SimTime) -> u64 {
@@ -98,7 +105,7 @@ fn window(time: SimTime) -> u64 {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// The near tier: window `w` of the lap in bucket `w % BUCKETS`.
-    near: Box<[VecDeque<Entry<E>>; BUCKETS as usize]>,
+    near: Box<[VecDeque<Entry<E>>; LAP_LEN]>,
     /// Bit `i` is set while bucket `i` holds an entry.
     occupied: u128,
     /// The far tier: every entry in window `cursor + BUCKETS` or later.
@@ -119,7 +126,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            near: Box::new([const { VecDeque::new() }; BUCKETS as usize]),
+            near: Box::new([const { VecDeque::new() }; LAP_LEN]),
             occupied: 0,
             far: BinaryHeap::new(),
             cursor: 0,

@@ -3,8 +3,8 @@
 //! Implemented in-repo (xoshiro256++ seeded through SplitMix64 — the same
 //! construction `rand`'s `SmallRng` uses on 64-bit targets) so the
 //! workspace has **no** external randomness dependency and every draw is a
-//! pure function of the seed. The determinism policy enforced by `simlint`
-//! requires all randomness to flow through this type.
+//! pure function of the seed. The workspace's determinism policy (the root
+//! `clippy.toml`) requires all randomness to flow through this type.
 
 /// A deterministic random number generator owned by a simulation run.
 ///
@@ -70,12 +70,17 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a draw's low 32 bits are a uniform u32; the product shifted right by 32 is below `bound`"
+    )]
     pub fn below(&mut self, bound: u32) -> u32 {
         assert!(bound > 0, "bound must be positive");
         ((u64::from(self.next_u64() as u32) * u64::from(bound)) >> 32) as u32
     }
 
     /// A uniformly random integer in `[0, cw]` — the 802.11 backoff slot draw.
+    #[expect(clippy::cast_possible_truncation, reason = "a draw's low 32 bits are a uniform u32")]
     pub fn backoff_slot(&mut self, cw: u32) -> u32 {
         if cw == u32::MAX {
             return self.next_u64() as u32;

@@ -788,6 +788,10 @@ mod proptests {
         check |m| m.v.len() < 9 => "mixed vector length";
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a draw's low bits are a uniform value of the narrower type"
+    )]
     fn mixed_from(seed: u64) -> Mixed {
         let mut rng = proptest::TestRng::new(seed);
         let mut next = move || rng.next_u64();
@@ -919,7 +923,7 @@ mod proptests {
             let mut w = SnapshotWriter::with_header();
             w.put(&value);
             let bytes = w.finish();
-            let cut = (cut_seed % bytes.len() as u64) as usize;
+            let cut = usize::try_from(cut_seed % bytes.len() as u64).unwrap();
             let err = SnapshotReader::with_header(&bytes[..cut])
                 .and_then(|mut r| {
                     let v: Mixed = r.get()?;
@@ -940,7 +944,7 @@ mod proptests {
             let mut w = SnapshotWriter::with_header();
             w.put(&value);
             let mut bytes = w.finish();
-            let pos = (pos_seed % bytes.len() as u64) as usize;
+            let pos = usize::try_from(pos_seed % bytes.len() as u64).unwrap();
             bytes[pos] ^= xor;
             let _ = SnapshotReader::with_header(&bytes).and_then(|mut r| {
                 let v: Mixed = r.get()?;

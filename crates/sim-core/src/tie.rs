@@ -156,7 +156,7 @@ mod tests {
     }
 
     fn group(n: usize) -> Vec<TieClass> {
-        (0..n as u32).map(|i| TieClass::node(i, TieKind::NodeWork)).collect()
+        (0..n).map(|i| TieClass::node(u32::try_from(i).unwrap(), TieKind::NodeWork)).collect()
     }
 
     #[test]

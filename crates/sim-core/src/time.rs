@@ -122,9 +122,8 @@ impl SimDuration {
     /// The float parser's message, or the range complaint.
     pub fn parse_secs(text: &str) -> Result<Self, String> {
         let secs = text.parse::<f64>().map_err(|e| e.to_string())?;
-        let nanos = secs * 1e9;
-        if secs >= 0.0 && nanos <= u64::MAX as f64 {
-            Ok(SimDuration(nanos.round() as u64))
+        if secs >= 0.0 && secs * 1e9 <= u64::MAX as f64 {
+            Ok(Self::from_secs_f64(secs))
         } else {
             Err("want a non-negative number of seconds below 2^64 ns".to_string())
         }
@@ -159,6 +158,10 @@ impl SimDuration {
     ///
     /// Panics if `bits_per_sec` is zero.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bits * 1e9 / rate fits a u64 for any frame under 1.8e10 bits"
+    )]
     pub fn for_bits(bits: u64, bits_per_sec: u64) -> Self {
         assert!(bits_per_sec > 0, "link rate must be positive");
         // Round up: a partially-serialised bit still occupies the medium.
@@ -181,6 +184,10 @@ impl SimDuration {
     }
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "asserted finite, non-negative and at most 2^64 above"
+)]
 fn secs_to_nanos(secs: f64) -> u64 {
     assert!(secs.is_finite() && secs >= 0.0, "invalid time in seconds: {secs}");
     let nanos = secs * 1e9;
@@ -191,6 +198,10 @@ fn secs_to_nanos(secs: f64) -> u64 {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "time arithmetic overflow must abort; wrapping would reorder events"
+    )]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
@@ -204,6 +215,10 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "time arithmetic overflow must abort; wrapping would reorder events"
+    )]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
@@ -211,6 +226,10 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "time arithmetic overflow must abort; wrapping would reorder events"
+    )]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("SimTime subtraction underflow"))
     }
@@ -219,6 +238,10 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "time arithmetic overflow must abort; wrapping would reorder events"
+    )]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
@@ -233,6 +256,10 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "time arithmetic overflow must abort; wrapping would reorder events"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("SimDuration underflow"))
     }
@@ -247,6 +274,10 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "time arithmetic overflow must abort; wrapping would reorder events"
+    )]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }

@@ -51,6 +51,10 @@ impl TimerSlab {
     #[inline]
     pub fn schedule(&mut self) -> TimerHandle {
         self.scheduled += 1;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "one slot per live timer, far below 2^32"
+        )]
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -205,7 +209,7 @@ mod tests {
             let h = slab.schedule();
             live.push(h);
             if round % 3 == 0 {
-                let victim = live.remove((round as usize / 3) % live.len());
+                let victim = live.remove(usize::try_from(round / 3).unwrap() % live.len());
                 assert!(slab.cancel(victim));
             }
         }

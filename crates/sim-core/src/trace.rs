@@ -1,10 +1,11 @@
-//! Event-trace hashing: the runtime twin of the `simlint` static policy.
+//! Event-trace hashing: the runtime twin of the static determinism policy.
 //!
-//! The static analyzer keeps nondeterminism *sources* out of the tree; this
-//! module proves the property end-to-end: a simulator folds every dispatched
-//! event into a [`TraceHash`], and two runs with the same seed must produce
-//! the same digest. Any hash-ordered iteration, uninitialised read, or
-//! wall-clock leak shows up as a digest mismatch within one test run.
+//! Clippy, under the root `clippy.toml`, keeps nondeterminism *sources* out
+//! of the tree; this module proves the property end-to-end: a simulator
+//! folds every dispatched event into a [`TraceHash`], and two runs with the
+//! same seed must produce the same digest. Any hash-ordered iteration,
+//! uninitialised read, or wall-clock leak shows up as a digest mismatch
+//! within one test run.
 //!
 //! The digest is tiny, dependency-free, and plenty for equality comparison
 //! (this is a replication check, not a cryptographic commitment): words —
@@ -117,8 +118,8 @@ pub fn twin_run<T: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> T) -> T {
         first, second,
         "twin-run determinism check failed: two identical-seed runs diverged \
          (a nondeterminism source leaked into the simulation — run \
-         `cargo run -p simlint` and check recent changes for hash-ordered \
-         iteration)"
+         `cargo clippy --workspace --all-targets -- -D warnings` and check \
+         recent changes for hash-ordered iteration)"
     );
     first
 }

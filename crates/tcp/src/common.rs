@@ -64,6 +64,10 @@ impl SendState {
 
     /// The usable window in segments: `min(cwnd, advertised)` with a floor
     /// of one segment.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates: a huge window caps, never wraps"
+    )]
     pub fn usable_window(&self, cwnd: f64) -> u64 {
         let c = cwnd.floor().max(1.0) as u64;
         c.min(u64::from(self.cfg.advertised_window))

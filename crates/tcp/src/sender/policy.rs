@@ -1,7 +1,7 @@
 //! The window policies of the one [`crate::Sender`] (DESIGN §3.1): a closed
 //! set, every hook a total `match`, so a tenth variant fails to compile at
 //! each of them instead of inheriting a default.
-#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
 use std::collections::BTreeSet;
 

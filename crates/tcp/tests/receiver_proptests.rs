@@ -8,6 +8,8 @@
 //! while these tests push the reassembly machine through far nastier
 //! arrival patterns than a simulation run would generate.
 
+#![allow(clippy::cast_possible_truncation, reason = "test inputs are small generated values")]
+
 use proptest::prelude::*;
 use sim_core::SimTime;
 use tcp::TcpReceiver;

@@ -115,6 +115,10 @@ pub fn dense_side_m(count: usize, range_m: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if either block count is zero or `block_m` is not positive.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "block counts come from a u16 spec, so `blocks + 1` fits a u32"
+)]
 pub fn city_blocks(
     blocks_x: usize,
     blocks_y: usize,

@@ -76,6 +76,10 @@ impl SpatialGrid {
     }
 
     /// The cell coordinate containing `p`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int `as` saturates: a far-off position lands in an edge cell"
+    )]
     pub fn cell_of(&self, p: Position) -> (i64, i64) {
         ((p.x / self.cell_m).floor() as i64, (p.y / self.cell_m).floor() as i64)
     }
@@ -135,6 +139,10 @@ impl SpatialGrid {
 mod tests {
     use super::*;
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the same saturating cell arithmetic as `cell_of`"
+    )]
     fn brute_candidates(positions: &[Position], p: Position, cell_m: f64) -> Vec<usize> {
         // Reference: every node within the 3×3 cell block, computed per
         // node without the index.

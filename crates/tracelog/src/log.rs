@@ -196,8 +196,8 @@ mod tests {
     #[test]
     fn unbounded_log_keeps_everything() {
         let mut log = TraceLog::new();
-        for i in 0..100 {
-            log.record(SimTime::from_nanos(i), backoff(i as u32));
+        for i in 0..100u32 {
+            log.record(SimTime::from_nanos(u64::from(i)), backoff(i));
         }
         assert_eq!(log.len(), 100);
         assert_eq!(log.seen(), 100);

@@ -19,6 +19,8 @@
 //! All formatting is integer-based or fixed-precision — byte-identical
 //! across runs and platforms for identical records.
 
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+
 use std::fmt::Write as _;
 
 use crate::record::{TraceEntry, TraceRecord};

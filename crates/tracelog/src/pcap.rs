@@ -34,7 +34,7 @@ pub fn write<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> Vec<u8> {
     for entry in entries {
         let nanos = entry.at.as_nanos();
         let line = ns2::line(entry);
-        let len = (PSEUDO_HEADER_BYTES + line.len()) as u32;
+        let len = u32::try_from(PSEUDO_HEADER_BYTES + line.len()).unwrap_or(u32::MAX);
         // pcap's per-record timestamp is 32-bit seconds: a sim time past
         // 2^32 s (~136 years) saturates rather than silently wrapping and
         // reordering the capture. The nanos remainder is < 1e9 by
@@ -45,7 +45,7 @@ pub fn write<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> Vec<u8> {
         out.extend_from_slice(&nsec.to_le_bytes());
         out.extend_from_slice(&len.to_le_bytes());
         out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&(entry.record.node().index() as u16).to_le_bytes());
+        out.extend_from_slice(&(entry.record.node().raw()).to_le_bytes());
         out.push(entry.record.direction().code());
         out.push(entry.record.layer().code());
         out.extend_from_slice(line.as_bytes());

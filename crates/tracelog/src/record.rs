@@ -5,6 +5,8 @@
 //! in hand at its choke points — recording allocates nothing per record
 //! beyond the log's own growth.
 
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+
 use sim_core::{SimDuration, SimTime};
 use wire::{Drai, FlowId, FrameKind, NodeId, Packet, Payload};
 

@@ -81,6 +81,10 @@ impl AodvMessage {
     ///
     /// Sizes follow RFC 3561 message formats (RREQ 24 B, RREP 20 B, RERR
     /// 4 + 8 B per destination) plus a 20-byte IP header, mirroring ns-2.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a RERR lists at most one entry per u16 node id"
+    )]
     pub fn size_bytes(&self) -> u32 {
         const IP_HEADER: u32 = 20;
         match self {

@@ -34,9 +34,28 @@ impl NodeId {
         NodeId(index)
     }
 
+    /// The id of the node at `index` in a per-node vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit below the broadcast address
+    /// (`topo::TopologySpec::parse` refuses such topologies).
+    #[inline]
+    pub fn from_index(index: usize) -> Self {
+        match u16::try_from(index) {
+            Ok(index) => NodeId::new(index),
+            Err(_) => panic!("node index {index} is past the u16 address space"),
+        }
+    }
+
     /// The raw index, usable to address into per-node vectors.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The address as it travels: [`NodeId::BROADCAST`] is `u16::MAX`.
+    pub fn raw(self) -> u16 {
+        self.0
     }
 
     /// Whether this is the broadcast address.
@@ -77,6 +96,18 @@ impl FlowId {
     /// Creates a flow id.
     pub const fn new(index: u32) -> Self {
         FlowId(index)
+    }
+
+    /// The id of the flow at `index` in a per-flow vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit in a `u32`.
+    pub fn from_index(index: usize) -> Self {
+        match u32::try_from(index) {
+            Ok(index) => FlowId(index),
+            Err(_) => panic!("flow index {index} is past the u32 id space"),
+        }
     }
 
     /// The raw index.

@@ -13,8 +13,7 @@ use crate::{
 /// that `NodeId::new` refuses.
 impl Snapshotable for NodeId {
     fn encode(&self, w: &mut SnapshotWriter) {
-        let raw = if self.is_broadcast() { u16::MAX } else { self.index() as u16 };
-        w.put_u16(raw);
+        w.put_u16(self.raw());
     }
 
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapError> {

@@ -17,6 +17,8 @@
 //! cargo run --release --example cwnd_trace -- --ns2     # + raw trace lines
 //! ```
 
+#![allow(clippy::expect_used, reason = "an example reports a failure by panicking")]
+
 use tcp_muzha::experiments::{cwnd_traces, render_series};
 use tcp_muzha::export;
 use tcp_muzha::faultline::ScenarioScript;

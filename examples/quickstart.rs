@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(clippy::expect_used, reason = "an example reports a failure by panicking")]
+
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::sim::SimTime;
 use tcp_muzha::tracelog::{FlowSeries, Layer, TraceFilter, TraceLog};

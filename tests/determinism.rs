@@ -1,5 +1,6 @@
-//! Twin-run determinism regression: the runtime counterpart of the
-//! `simlint` static policy (see `tests/simlint_policy.rs`).
+//! Twin-run determinism regression: the runtime counterpart of the static
+//! determinism policy (the root `clippy.toml`, enforced by
+//! `cargo clippy --workspace --all-targets -- -D warnings`).
 //!
 //! Two simulators built from the same topology, config and seed are run
 //! through identical schedules; their per-flow statistics *and* the

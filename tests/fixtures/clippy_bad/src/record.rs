@@ -1,6 +1,9 @@
-//! Fixture: a record catalogue with a dead variant, a wildcard accessor,
-//! and an incomplete `Layer::ALL`.
+//! A record catalogue with an unproduced variant, a wildcard accessor and
+//! an incomplete `Layer::ALL`.
 
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+
+#[derive(Clone, Copy, Debug)]
 pub enum Layer {
     Phy,
     Agt,

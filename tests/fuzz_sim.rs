@@ -4,6 +4,8 @@
 //! each case is run twice and the event-trace digests compared (the
 //! twin-run check, see `sim_core::twin_run` and `tests/determinism.rs`).
 
+#![allow(clippy::cast_possible_truncation, reason = "test inputs are small generated values")]
+
 use proptest::prelude::*;
 use tcp_muzha::faultline::InvariantChecker;
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
@@ -50,8 +52,8 @@ proptest! {
             let mut sim = Simulator::new(positions, cfg);
             let mut flows = Vec::new();
             for (i, (vidx, elfn)) in flow_picks.iter().enumerate() {
-                let src = NodeId::new((i % node_count) as u16);
-                let dst = NodeId::new(((i + 1 + node_count / 2) % node_count) as u16);
+                let src = NodeId::from_index(i % node_count);
+                let dst = NodeId::from_index((i + 1 + node_count / 2) % node_count);
                 if src == dst {
                     continue;
                 }
@@ -166,8 +168,8 @@ proptest! {
             let cfg = SimConfig { seed: sim_seed, queue, ..SimConfig::default() };
             let mut sim = Simulator::new(positions, cfg);
             for (i, (vidx, dack)) in flow_picks.iter().enumerate() {
-                let src = NodeId::new((i % node_count) as u16);
-                let dst = NodeId::new(((i + 1 + node_count / 2) % node_count) as u16);
+                let src = NodeId::from_index(i % node_count);
+                let dst = NodeId::from_index((i + 1 + node_count / 2) % node_count);
                 if src == dst {
                     continue;
                 }

@@ -32,6 +32,9 @@
 //! end, NAV fields are arbitrary, peers answer or stay silent by dice, and
 //! power is cut (`abort`) inside SIFS gaps far more often than chance would.
 
+#![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
+#![allow(clippy::cast_possible_truncation, reason = "test inputs are small generated values")]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use tcp_muzha::mac::{Mac, MacOutput, MacOutputs, MacParams, MacStats, MediumView, TimerId};

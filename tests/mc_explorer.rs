@@ -14,6 +14,9 @@
 //! PR audited — same-instant RERR-vs-data work and delayed-ACK-vs-RTO —
 //! hold every invariant in every order.
 
+#![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
+#![allow(clippy::cast_possible_truncation, reason = "test inputs are small generated values")]
+
 use proptest::prelude::*;
 use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
 use tcp_muzha::faultline::{InvariantChecker, ScenarioScript};

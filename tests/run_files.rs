@@ -203,3 +203,95 @@ fn mutations_reach_both_verdicts() {
     assert!(twice.ends_with("topology grid:3x3\n"), "{twice}");
     assert!(verdict(&twice).is_ok());
 }
+
+/// Every spelling of a topology and a mobility model the grammars document.
+const SPECS: [&str; 11] = [
+    "chain",
+    "chain:8",
+    "grid",
+    "grid:4x8",
+    "random-disc:100",
+    "random-disc:100@2500x2500",
+    "city-blocks",
+    "city-blocks:4x4@20",
+    "static",
+    "waypoint",
+    "waypoint:5-15@2",
+];
+
+/// `spec` with the character at `at` dropped, said twice, or replaced by a
+/// separator, a spec word or a hostile number.
+fn mutate_spec(spec: &str, at: usize, kind: u8, pick: usize) -> String {
+    const WORDS: [&str; 10] = [":", "x", "@", "-", ".", "e", "chain", "grid", "waypoint", ""];
+    let mut chars: Vec<String> = spec.chars().map(String::from).collect();
+    let at = at % (chars.len() + 1);
+    match kind % 4 {
+        0 if at < chars.len() => drop(chars.remove(at)),
+        1 if at < chars.len() => chars.insert(at, chars[at].clone()),
+        2 => chars.insert(at, WORDS[pick % WORDS.len()].to_string()),
+        _ => chars.insert(at, HOSTILE[pick % HOSTILE.len()].to_string()),
+    }
+    chars.concat()
+}
+
+/// Both parsers return on `text`; whatever they accept is usable as is.
+fn parse_specs(text: &str) {
+    if let Ok(topology) = TopologySpec::parse(text) {
+        topology.validate();
+        assert!(topology.node_count() <= usize::from(u16::MAX), "{text}: too many nodes");
+    }
+    if let Ok(MobilitySpec::Waypoint { min_speed_mps: lo, max_speed_mps: hi, .. }) =
+        MobilitySpec::parse(text)
+    {
+        assert!(0.0 < lo && lo <= hi && hi.is_finite(), "{text}: speeds {lo}-{hi}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+    /// Arbitrary bytes are refused or accepted by both spec parsers, never a panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_spec_parser(
+        bytes in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        parse_specs(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// One to three character-level mutations of a documented spelling are
+    /// refused or accepted by both spec parsers, never a panic.
+    #[test]
+    fn near_valid_specs_are_refused_or_accepted_never_a_panic(
+        spec in 0usize..SPECS.len(),
+        mutations in proptest::collection::vec(
+            (any::<usize>(), any::<u8>(), any::<usize>()),
+            1..4,
+        ),
+    ) {
+        let mut text = SPECS[spec].to_string();
+        for (at, kind, pick) in mutations {
+            text = mutate_spec(&text, at, kind, pick);
+        }
+        parse_specs(&text);
+    }
+}
+
+/// The spec mutator reaches both verdicts, so the property above is not vacuous.
+#[test]
+fn spec_mutations_reach_both_verdicts() {
+    let accepted =
+        |text: &str| TopologySpec::parse(text).is_ok() || MobilitySpec::parse(text).is_ok();
+    let (mut yes, mut no) = (0, 0);
+    for (i, spec) in SPECS.iter().enumerate() {
+        for at in 0..=spec.len() {
+            for kind in 0..4 {
+                if accepted(&mutate_spec(spec, at, kind, i)) {
+                    yes += 1;
+                } else {
+                    no += 1;
+                }
+            }
+        }
+    }
+    assert!(yes >= 50 && no >= 50, "{yes} accepted, {no} refused");
+}

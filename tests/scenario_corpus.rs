@@ -8,6 +8,8 @@
 //! A final test feeds the checker an intentionally-buggy record stream to
 //! prove the harness *can* fail — a checker that never fires is worthless.
 
+#![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
+
 use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
 use tcp_muzha::faultline::{FaultEvent, InvariantChecker, LedgerSummary, ScenarioScript};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
@@ -206,7 +208,7 @@ fn observable_digest(sim: &mut Simulator) -> u64 {
         h.write_str(&format!("{flow:?}"));
     }
     for i in 0..sim.node_count() {
-        let node = NodeId::new(i as u16);
+        let node = NodeId::from_index(i);
         h.write_str(&format!("{:?} {:?}", sim.node_summary(node), sim.aodv_stats(node)));
     }
     h.write_str(&format!("{:?}", checker.ledger()));
@@ -245,7 +247,7 @@ fn disc60_waypoint() -> Simulator {
     };
     let mut sim = Simulator::from_config(cfg);
     let last = sim.node_count() - 1;
-    sim.add_flow(FlowSpec::new(NodeId::new(0), NodeId::new(last as u16), TcpVariant::Muzha));
+    sim.add_flow(FlowSpec::new(NodeId::new(0), NodeId::from_index(last), TcpVariant::Muzha));
     sim
 }
 

@@ -10,6 +10,8 @@
 //! End to end, `tests/snapshot_twin.rs` checks that a calendar laid out
 //! afresh by `restore` pops as the long-running one does.
 
+#![allow(clippy::cast_possible_truncation, reason = "test inputs are small generated values")]
+
 use proptest::prelude::*;
 use tcp_muzha::sim::{EventQueue, HeapQueue, SimDuration, SimRng, SimTime, TimerSlab};
 

@@ -13,6 +13,8 @@
 //! `TcpOutput`s rather than whole-simulation hashes. It folds no snapshot
 //! byte, so a snapshot format change leaves it alone.
 
+#![allow(clippy::cast_possible_truncation, reason = "test inputs are small generated values")]
+
 use tcp_muzha::muzha::AdjustmentCadence;
 use tcp_muzha::net::TcpVariant;
 use tcp_muzha::sim::{SimDuration, SimRng, SimTime, TraceHash};

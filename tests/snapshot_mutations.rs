@@ -13,6 +13,8 @@
 //! for its node, so its idle MAC transmits over it — an agreement between the
 //! PHY record and the event queue, `validate`'s to check, not one record's.
 
+#![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
+
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -64,7 +66,7 @@ fn flow_table(bytes: &[u8]) -> Range<usize> {
         .expect("the flow table is in the snapshot");
     let mut r = SnapshotReader::new(&bytes[start..]);
     for i in 0..r.take_usize().expect("the count") {
-        let id = FlowId::new(i as u32);
+        let id = FlowId::from_index(i);
         let spec: FlowSpec = r.get().expect("a spec");
         let (variant, sack) = (spec.variant, spec.variant == TcpVariant::Sack);
         Sender::decode_state(&mut r, id, variant, spec.tcp, spec.vegas, spec.muzha_cadence)

@@ -14,6 +14,8 @@
 //! accumulated since t = 0. Equal hashes mean neither history leaks into
 //! behaviour.
 
+#![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
+
 use tcp_muzha::faultline::{InvariantChecker, ScenarioScript};
 use tcp_muzha::net::{
     topology, FlowSpec, MobilitySpec, SimConfig, Simulator, TcpVariant, TopologySpec,
@@ -393,7 +395,7 @@ fn ack_for_unsent_data_in_a_snapshot_cannot_run_the_sender_away() {
     // `Payload::Tcp`, the flow id, `TcpSegmentKind::Ack`, then the number.
     let mut prefix = SnapshotWriter::new();
     prefix.put_u8(0);
-    prefix.put(&FlowId::new(flow.index() as u32));
+    prefix.put(&FlowId::from_index(flow.index()));
     prefix.put_u8(1);
     let prefix = prefix.finish();
     let acks: Vec<usize> = (0..bytes.len().saturating_sub(prefix.len() + 8))

@@ -5,6 +5,8 @@
 //! exactly its ring on an injected invariant violation. Captures of a whole
 //! run go through `harness::run::Run::capture`, as `harness trace` does.
 
+#![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
+
 use tcp_muzha::experiments::cwnd_traces_batch;
 use tcp_muzha::faultline::{CheckerLimits, InvariantChecker, ScenarioScript};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
@@ -212,7 +214,7 @@ fn pcap_mirrors(entries: &[TraceEntry]) {
     }
     for (packet, entry) in parsed.packets.iter().zip(entries) {
         assert_eq!(packet.ts_nanos, entry.at.as_nanos());
-        assert_eq!(packet.node, entry.record.node().index() as u16);
+        assert_eq!(packet.node, entry.record.node().raw());
         assert_eq!(packet.direction, entry.record.direction().code());
         assert_eq!(Layer::from_code(packet.layer), Some(entry.record.layer()));
         assert_eq!(packet.data, ns2::line(entry).into_bytes());
