@@ -17,10 +17,10 @@ use crate::{Position, RadioParams};
 ///
 /// Adjacency is maintained incrementally through a spatial grid: a mutation
 /// visits only the moved node's candidate cells and patches the affected
-/// peers' rows. Construction and snapshot decode instead rebuild every row
-/// from scratch over all pairs; both filter through the *same*
-/// squared-distance predicate in the same ascending node order, so the
-/// incremental rows always equal a rebuild (the property test below and
+/// peers' rows. Construction and snapshot decode instead build every row
+/// from scratch, testing each unordered pair once. Both paths ask the one
+/// pair predicate (`link_between`) and produce ascending rows, so the
+/// incremental rows always equal a rebuild (the property tests below and
 /// the snapshot twins pin that).
 ///
 /// Beside each sender's carrier-sense row it keeps a row of [`Link`]s: what
@@ -344,49 +344,64 @@ impl Channel {
         }));
     }
 
+    /// The one pair predicate both row builders share: `None` if `i` and `j`
+    /// do not sense each other, else whether they also decode each other.
+    /// Distance goes first: it is the cheapest test and rejects most pairs.
+    /// Symmetric in `i` and `j`, bit for bit (IEEE subtraction negates
+    /// exactly), which is what lets [`Self::recompute`] test a pair once.
+    ///
+    /// Forced inline: with the `blocked` lookup inside it is too large for
+    /// the inliner, and a call per pair cost a tenth of the city's set-up.
+    #[inline(always)]
+    fn link_between(&self, i: usize, j: usize) -> Option<bool> {
+        let d_sq = self.positions[i].distance_sq_to(self.positions[j]);
+        let sensed = d_sq <= sq(self.params.cs_range_m)
+            && self.link_usable(NodeId::from_index(i), NodeId::from_index(j));
+        sensed.then(|| d_sq <= sq(self.params.tx_range_m))
+    }
+
     /// Fills `rx` and `cs` with node `i`'s rows by filtering `candidates`
-    /// (ascending node indices) through the one squared-distance predicate
-    /// every code path shares — this is what makes incremental maintenance
-    /// and a full rebuild agree bit-for-bit.
+    /// (ascending node indices) through [`Self::link_between`]: the
+    /// incremental half of the maintenance, which [`Self::recompute`]'s
+    /// rows are the reference for.
     fn rows_for(&self, i: usize, candidates: &[usize], rx: &mut Vec<NodeId>, cs: &mut Vec<NodeId>) {
         rx.clear();
         cs.clear();
-        if self.disabled[i] {
-            return;
-        }
-        let a = NodeId::from_index(i);
-        let tx_sq = sq(self.params.tx_range_m);
-        let cs_sq = sq(self.params.cs_range_m);
         for &j in candidates {
-            if j == i || self.disabled[j] {
+            if j == i {
                 continue;
             }
-            let b = NodeId::from_index(j);
-            if self.blocked.contains(&link_key(a, b)) {
-                continue;
-            }
-            let d_sq = self.positions[i].distance_sq_to(self.positions[j]);
-            if d_sq <= tx_sq {
-                rx.push(b);
-            }
-            if d_sq <= cs_sq {
+            if let Some(decodes) = self.link_between(i, j) {
+                let b = NodeId::from_index(j);
+                if decodes {
+                    rx.push(b);
+                }
                 cs.push(b);
             }
         }
     }
 
-    /// Full O(N²) adjacency rebuild (construction and decode) — also the
-    /// reference the property test checks [`Self::refresh`] against.
+    /// Full adjacency rebuild (construction and decode) — also the reference
+    /// the property tests check [`Self::refresh`] against. Visits each
+    /// unordered pair once, `i` ascending and then `j > i` ascending, and
+    /// writes a link into both rows: every row comes out ascending with no
+    /// sort, equal to [`Self::rows_for`] over `0..n`.
     fn recompute(&mut self) {
         let n = self.positions.len();
-        let everyone: Vec<usize> = (0..n).collect();
-        let mut rx_rows = Vec::with_capacity(n);
-        let mut cs_rows = Vec::with_capacity(n);
+        let mut rx_rows = vec![Vec::new(); n];
+        let mut cs_rows = vec![Vec::new(); n];
         for i in 0..n {
-            let (mut rx, mut cs) = (Vec::new(), Vec::new());
-            self.rows_for(i, &everyone, &mut rx, &mut cs);
-            rx_rows.push(rx);
-            cs_rows.push(cs);
+            for j in i + 1..n {
+                if let Some(decodes) = self.link_between(i, j) {
+                    let (a, b) = (NodeId::from_index(i), NodeId::from_index(j));
+                    if decodes {
+                        rx_rows[i].push(b);
+                        rx_rows[j].push(a);
+                    }
+                    cs_rows[i].push(b);
+                    cs_rows[j].push(a);
+                }
+            }
         }
         self.rx_neighbors = rx_rows;
         self.cs_neighbors = cs_rows;
@@ -499,6 +514,15 @@ mod tests {
         let ch = chain(5, 250.0);
         assert_eq!(ch.rx_neighbors(n(0)), &[n(1)]);
         assert_eq!(ch.cs_neighbors(n(0)), &[n(1), n(2)]);
+    }
+
+    #[test]
+    fn both_ranges_include_their_edge() {
+        // 275 m spacing: 0 and 2 are exactly 550 m apart, 0 and 1 beyond 250.
+        let ch = chain(3, 275.0);
+        assert_eq!(ch.cs_neighbors(n(0)), &[n(1), n(2)]);
+        assert!(ch.rx_neighbors(n(0)).is_empty());
+        assert_eq!(chain(2, 250.0).rx_neighbors(n(0)), &[n(1)]);
     }
 
     #[test]
@@ -642,6 +666,61 @@ mod tests {
         assert_eq!(built(), start + 6);
     }
 
+    /// Every row equals the one a rebuild of the same state produces.
+    fn assert_rows_rebuild(ch: &Channel) {
+        let mut rebuilt = ch.clone();
+        rebuilt.recompute();
+        for i in 0..ch.node_count() {
+            let node = NodeId::from_index(i);
+            assert_eq!(ch.rx_neighbors(node), rebuilt.rx_neighbors(node));
+            assert_eq!(ch.cs_neighbors(node), rebuilt.cs_neighbors(node));
+        }
+    }
+
+    #[test]
+    fn extreme_positions_neither_panic_nor_lose_a_link() {
+        // A decoded `Position` is any `f64`: moves to the edge of the grid's
+        // cell range must not overflow its arithmetic, and a pair 100 m
+        // apart out there is still a link (infinite coordinates have no
+        // distance, so theirs is not).
+        let mut ch = chain(3, 250.0);
+        for e in [1e300, -1e300, f64::MAX, -f64::MAX, f64::INFINITY, f64::NEG_INFINITY] {
+            for (p1, p2) in [
+                (Position::new(0.0, e), Position::new(100.0, e)),
+                (Position::new(e, 0.0), Position::new(e, 100.0)),
+            ] {
+                ch.set_position(n(1), p1);
+                ch.set_position(n(2), p2);
+                let linked: &[NodeId] = if e.is_finite() { &[n(2)] } else { &[] };
+                assert_eq!(ch.rx_neighbors(n(1)), linked, "at {p1:?}");
+                assert!(ch.cs_neighbors(n(0)).is_empty(), "at {p1:?}");
+                assert_rows_rebuild(&ch);
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_node_is_in_no_row() {
+        // Placed at NaN, moved to a number, another moved to NaN: while a
+        // coordinate is NaN the node senses nobody and nobody senses it
+        // (rx rows are subsets of cs rows).
+        let isolated = |ch: &Channel, k: u16| {
+            ch.cs_neighbors(n(k)).is_empty()
+                && (0..4).all(|i| !ch.cs_neighbors(n(i)).contains(&n(k)))
+        };
+        let mut positions: Vec<Position> =
+            (0..4).map(|i| Position::new(f64::from(i) * 100.0, 0.0)).collect();
+        positions[1] = Position::new(f64::NAN, 0.0);
+        let mut ch = Channel::new(positions, RadioParams::default());
+        assert!(isolated(&ch, 1));
+        assert_eq!(ch.cs_neighbors(n(0)), &[n(2), n(3)]);
+        ch.set_position(n(1), Position::new(100.0, 0.0));
+        assert_eq!(ch.cs_neighbors(n(1)), &[n(0), n(2), n(3)]);
+        ch.set_position(n(2), Position::new(200.0, f64::NAN));
+        assert!(isolated(&ch, 2));
+        assert_rows_rebuild(&ch);
+    }
+
     #[test]
     fn node_never_its_own_neighbor() {
         let ch = chain(4, 100.0);
@@ -743,7 +822,92 @@ mod grid_differential {
         }
     }
 
+    /// A placement biased to where `<=` and the grid's cell edges decide:
+    /// each node is uniform, coincident with an earlier node, exactly 250 m
+    /// or 550 m from one (along an axis or a 3-4-5 diagonal), or on a cell
+    /// boundary on one or both axes. Coordinates are whole metres, so every
+    /// one of those distances is exact.
+    fn placement(specs: &[(u8, usize, u32, u32)]) -> Vec<Position> {
+        let boundary = |v: f64| (v / 550.0).floor() * 550.0;
+        let mut out: Vec<Position> = Vec::with_capacity(specs.len());
+        for &(kind, of, x, y) in specs {
+            let (x, y) = (f64::from(x), f64::from(y));
+            let base = out.get(of % out.len().max(1)).copied().unwrap_or(Position::new(x, y));
+            out.push(match kind % 8 {
+                0 => Position::new(x, y),
+                1 => base,
+                2 => Position::new(base.x + 250.0, base.y),
+                3 => Position::new(base.x - 150.0, base.y + 200.0),
+                4 => Position::new(base.x, base.y - 550.0),
+                5 => Position::new(base.x + 330.0, base.y + 440.0),
+                6 => Position::new(boundary(x), y),
+                _ => Position::new(boundary(x), boundary(y)),
+            });
+        }
+        out
+    }
+
+    /// Every `recompute` row equals [`Channel::rows_for`] over all nodes.
+    fn rows_are_the_full_scan(ch: &Channel) {
+        let everyone: Vec<usize> = (0..ch.node_count()).collect();
+        let (mut rx, mut cs) = (Vec::new(), Vec::new());
+        for i in 0..ch.node_count() {
+            let node = NodeId::from_index(i);
+            ch.rows_for(i, &everyone, &mut rx, &mut cs);
+            prop_assert_eq!(ch.rx_neighbors(node), &rx[..], "rx row of {}", node);
+            prop_assert_eq!(ch.cs_neighbors(node), &cs[..], "cs row of {}", node);
+        }
+    }
+
     proptest! {
+        /// The pair-once build is the per-node scan, entry for entry: on a
+        /// fresh channel, and on one decoded from the state a channel was
+        /// mutated into (a random quarter of the radios off, random links
+        /// cut, most of them links that exist), whose patched rows it must
+        /// also equal.
+        #[test]
+        fn recompute_equals_the_full_scan_and_the_patched_rows(
+            specs in proptest::collection::vec(
+                (any::<u8>(), any::<usize>(), 0u32..2200, 0u32..2200),
+                2..32,
+            ),
+            off in any::<u64>(),
+            cuts in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..12),
+        ) {
+            use sim_core::{SnapshotReader, SnapshotWriter};
+            let positions = placement(&specs);
+            let count = positions.len();
+            let mut ch = Channel::new(positions, RadioParams::default());
+            rows_are_the_full_scan(&ch);
+            for i in (0..count).filter(|i| off >> (2 * i) & 3 == 0) {
+                ch.set_node_enabled(NodeId::from_index(i), false);
+            }
+            for &(a, k) in &cuts {
+                let a = NodeId::from_index(a % count);
+                let peers = ch.cs_neighbors(a);
+                let b = match peers.len() {
+                    0 => NodeId::from_index(k % count),
+                    len => peers[k % len],
+                };
+                if a != b {
+                    ch.set_link_blocked(a, b, true);
+                }
+            }
+            let mut w = SnapshotWriter::new();
+            ch.encode_state(&mut w);
+            let bytes = w.finish();
+            let mut r = SnapshotReader::new(&bytes);
+            let decoded =
+                Channel::decode_state(&mut r, RadioParams::default()).expect("own bytes decode");
+            rows_are_the_full_scan(&decoded);
+            for i in 0..count {
+                let node = NodeId::from_index(i);
+                prop_assert_eq!(decoded.rx_neighbors(node), ch.rx_neighbors(node));
+                prop_assert_eq!(decoded.cs_neighbors(node), ch.cs_neighbors(node));
+                prop_assert_eq!(decoded.is_node_enabled(node), ch.is_node_enabled(node));
+            }
+        }
+
         /// Incremental maintenance is a pure accelerator: after any sequence
         /// of moves, node disables/enables and link blocks/unblocks, the
         /// neighbor rows — and the churn reported for every mutation —

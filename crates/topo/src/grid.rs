@@ -118,12 +118,15 @@ impl SpatialGrid {
     /// Collects into `out` every node binned in the 3×3 block of cells
     /// around `p`, sorted ascending — a superset of all nodes within
     /// `cell_m` metres of `p` (including any node at `p` itself).
+    ///
+    /// At the saturated edge cells the block is clipped to the cells that
+    /// exist, so no cell is visited twice and no offset overflows.
     pub fn candidates(&self, p: Position, out: &mut Vec<usize>) {
         out.clear();
         let (cx, cy) = self.cell_of(p);
-        for dx in -1..=1i64 {
-            for dy in -1..=1i64 {
-                if let Some(members) = self.cells.get(&(cx + dx, cy + dy)) {
+        for x in cx.saturating_sub(1)..=cx.saturating_add(1) {
+            for y in cy.saturating_sub(1)..=cy.saturating_add(1) {
+                if let Some(members) = self.cells.get(&(x, y)) {
                     out.extend_from_slice(members);
                 }
             }
@@ -151,7 +154,7 @@ mod tests {
         (0..positions.len())
             .filter(|&i| {
                 let (x, y) = cell(positions[i]);
-                (x - cx).abs() <= 1 && (y - cy).abs() <= 1
+                x.abs_diff(cx) <= 1 && y.abs_diff(cy) <= 1
             })
             .collect()
     }
@@ -208,5 +211,40 @@ mod tests {
         let mut out = Vec::new();
         grid.candidates(positions[1], &mut out);
         assert_eq!(out, vec![0, 1], "3×3 block spans the origin");
+    }
+
+    #[test]
+    fn extreme_coordinates_clip_the_block_instead_of_overflowing() {
+        // `cell_of` saturates far-off and infinite coordinates to the edge
+        // cells and sends NaN to cell 0; the block around an edge cell must
+        // neither overflow nor visit that cell twice.
+        let extremes =
+            [1e300, -1e300, f64::MAX, -f64::MAX, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut out = Vec::new();
+        for e in extremes {
+            for (x, y) in [(0.0, e), (e, 0.0), (e, e)] {
+                let positions = vec![
+                    Position::new(x, y),
+                    Position::new(if x == 0.0 { 100.0 } else { x }, y),
+                    Position::new(0.0, 0.0),
+                ];
+                let mut grid = SpatialGrid::new(550.0, &positions);
+                for &p in &positions {
+                    grid.candidates(p, &mut out);
+                    assert_eq!(out, brute_candidates(&positions, p, 550.0), "at ({x}, {y})");
+                    for (i, &q) in positions.iter().enumerate() {
+                        if p.distance_to(q) <= 550.0 {
+                            assert!(out.contains(&i), "in-range node {i} missing at ({x}, {y})");
+                        }
+                    }
+                }
+                grid.set(2, Position::new(x, y));
+                grid.candidates(positions[0], &mut out);
+                assert_eq!(out, vec![0, 1, 2], "moved next to the extreme pair at ({x}, {y})");
+                grid.set(2, Position::new(0.0, 0.0));
+                grid.candidates(positions[2], &mut out);
+                assert!(out.windows(2).all(|w| w[0] < w[1]), "candidates sorted and unique");
+            }
+        }
     }
 }
