@@ -84,7 +84,7 @@ use harness::tracecap::{self, TraceFormat};
 use harness::WallClock;
 use netstack::{MobilitySpec, TopologySpec};
 use sim_core::{SimDuration, SimTime, SnapError};
-use tracelog::{TraceEntry, TraceFilter};
+use tracelog::TraceFilter;
 use wire::FlowId;
 
 fn main() {
@@ -127,15 +127,16 @@ fn trace(args: &[String]) -> Result<(), CliError> {
         run.duration.as_secs_f64()
     );
     let log = run.capture(filter);
-    eprintln!("{} records seen, {} kept", log.seen(), log.kept());
+    eprintln!("{} records seen, {} kept in {} bytes", log.seen(), log.kept(), log.stored_bytes());
 
-    let entries: Vec<TraceEntry> = tracecap::tail(log.iter().copied().collect(), last);
-    let bytes = tracecap::render(&entries, format);
+    let skipped = last.map_or(0, |n| log.len().saturating_sub(n));
+    let bytes = tracecap::render(log.iter().skip(skipped), format);
 
     match out {
         Some(path) => {
             cli::write_output(&path, &bytes)?;
-            eprintln!("wrote {} records ({} bytes) to {path}", entries.len(), bytes.len());
+            let records = log.len() - skipped;
+            eprintln!("wrote {records} records ({} bytes) to {path}", bytes.len());
         }
         None => cli::print_report(&bytes)?,
     }

@@ -217,7 +217,7 @@ pub fn flight_recorder_dump(run: &Run, cfg: &McConfig, verdict: &McVerdict) -> O
     let mut out = String::new();
     for dump in log.dumps() {
         let _ = writeln!(out, "# flight-recorder dump at {} — {}", dump.at, dump.reason);
-        out.push_str(&tracelog::ns2::render(dump.entries.iter()));
+        out.push_str(&tracelog::ns2::render(dump.entries.iter().copied()));
     }
     Some(out)
 }

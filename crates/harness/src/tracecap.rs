@@ -41,7 +41,7 @@ impl TraceFormat {
 /// Renders entries as CSV with the common per-record columns:
 /// `time_s,op,node,layer,uid,flow`. Uids and flows absent from a record
 /// render as `-`; no field ever needs quoting.
-pub fn csv<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> String {
+pub fn csv(entries: impl IntoIterator<Item = TraceEntry>) -> String {
     let mut out = String::from("time_s,op,node,layer,uid,flow\n");
     for entry in entries {
         let rec = &entry.record;
@@ -73,35 +73,29 @@ pub fn csv<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> String {
 
 /// Renders entries in the requested format. `Ns2` and `Csv` are UTF-8
 /// text; `Pcap` is binary.
-pub fn render(entries: &[TraceEntry], format: TraceFormat) -> Vec<u8> {
+pub fn render(entries: impl IntoIterator<Item = TraceEntry>, format: TraceFormat) -> Vec<u8> {
     match format {
-        TraceFormat::Ns2 => ns2::render(entries.iter()).into_bytes(),
-        TraceFormat::Pcap => pcap::write(entries.iter()),
-        TraceFormat::Csv => csv(entries.iter()).into_bytes(),
+        TraceFormat::Ns2 => ns2::render(entries).into_bytes(),
+        TraceFormat::Pcap => pcap::write(entries),
+        TraceFormat::Csv => csv(entries).into_bytes(),
     }
-}
-
-/// Keeps only the final `last` entries when a limit is given.
-pub fn tail(mut entries: Vec<TraceEntry>, last: Option<usize>) -> Vec<TraceEntry> {
-    if let Some(n) = last {
-        if entries.len() > n {
-            entries.drain(..entries.len() - n);
-        }
-    }
-    entries
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::run::Run;
-    use tracelog::{Layer, TraceFilter};
+    use tracelog::{Layer, TraceFilter, TraceLog};
 
-    fn short_capture() -> Vec<TraceEntry> {
+    fn short_log() -> TraceLog {
         let text = "duration 1\ntopology chain:2\nflow 0 2 NewReno\n";
         let script = faultline::ScenarioScript::parse(text).expect("run file parses");
         let run = Run::from_script(&script).expect("run file names nodes of chain:2");
-        run.capture(TraceFilter::all()).iter().copied().collect()
+        run.capture(TraceFilter::all())
+    }
+
+    fn short_capture() -> Vec<TraceEntry> {
+        short_log().snapshot()
     }
 
     #[test]
@@ -118,7 +112,7 @@ mod tests {
     #[test]
     fn csv_is_rectangular_and_unquoted() {
         let entries = short_capture();
-        let text = csv(entries.iter());
+        let text = csv(entries.iter().copied());
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("time_s,op,node,layer,uid,flow"));
         for line in lines {
@@ -131,21 +125,22 @@ mod tests {
     #[test]
     fn pcap_render_self_parses() {
         let entries = short_capture();
-        let bytes = render(&entries, TraceFormat::Pcap);
+        let bytes = render(entries.iter().copied(), TraceFormat::Pcap);
         let parsed = pcap::parse(&bytes).expect("own capture parses");
         assert_eq!(parsed.packets.len(), entries.len());
         assert_eq!(parsed.link_type, pcap::DLT_USER0);
     }
 
+    /// `harness trace --last N` renders `log.iter().skip(len − N)`: the
+    /// decoder, resumed past the skipped entries, yields the stored tail.
     #[test]
-    fn tail_keeps_the_last_n() {
-        let entries = short_capture();
+    fn skipping_the_log_yields_its_last_n() {
+        let log = short_log();
+        let entries = log.snapshot();
         assert!(entries.len() > 10);
-        let kept = tail(entries.clone(), Some(10));
-        assert_eq!(kept.len(), 10);
-        assert_eq!(kept.last(), entries.last());
-        assert_eq!(tail(entries.clone(), None).len(), entries.len());
-        assert_eq!(tail(entries.clone(), Some(usize::MAX)).len(), entries.len());
+        let kept: Vec<TraceEntry> = log.iter().skip(log.len() - 10).collect();
+        assert_eq!(kept, entries[entries.len() - 10..]);
+        assert_eq!(log.iter().skip(log.len()).count(), 0);
     }
 
     #[test]

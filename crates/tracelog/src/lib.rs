@@ -14,7 +14,9 @@
 //!   and therefore never changes a run. Twin runs produce byte-identical
 //!   streams.
 //! * **Allocation-light.** [`TraceRecord`] is `Copy`; the only per-record
-//!   cost is appending to the log's backing storage.
+//!   cost is appending to the log's backing storage: snapshot-codec bytes
+//!   in an unbounded log (about 27 B a record on a chain, against an
+//!   88-byte [`TraceEntry`]), a typed slot in a flight-recorder ring.
 //! * **Sinks live outside the sim crates.** The [`ns2`] formatter, the
 //!   [`pcap`] writer, and [`FlowSeries`] all consume a finished (or
 //!   in-flight) log; file I/O stays in `harness`.
@@ -45,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod codec;
 mod filter;
 mod log;
 pub mod ns2;

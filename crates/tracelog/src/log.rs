@@ -1,7 +1,8 @@
 //! The trace store: an append-only log or a bounded flight-recorder ring.
 
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 
+use crate::codec::{Decoded, EntryBytes};
 use crate::filter::TraceFilter;
 use crate::record::{TraceEntry, TraceRecord};
 use sim_core::SimTime;
@@ -23,7 +24,8 @@ pub struct TraceDump {
 /// Two shapes:
 ///
 /// * [`TraceLog::new`] — an unbounded append-only log of every admitted
-///   record (use a [`TraceFilter`] to keep it manageable);
+///   record (use a [`TraceFilter`] to keep it manageable), held as
+///   snapshot-codec bytes, about a third of a typed [`TraceEntry`] each;
 /// * [`TraceLog::flight_recorder`] — a bounded ring keeping only the most
 ///   recent `capacity` records, meant to be dumped (see [`TraceLog::dump`])
 ///   the moment an invariant trips.
@@ -45,15 +47,46 @@ pub struct TraceDump {
 /// assert_eq!(log.len(), 2); // only the last two survive
 /// assert_eq!(log.seen(), 5);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TraceLog {
     filter: TraceFilter,
-    capacity: Option<usize>,
-    entries: VecDeque<TraceEntry>,
+    store: Store,
     dumps: Vec<TraceDump>,
     seen: u64,
     kept: u64,
     evicted: u64,
+}
+
+#[derive(Debug)]
+enum Store {
+    /// Every admitted entry, as codec bytes.
+    Log(EntryBytes),
+    /// The most recent `capacity` admitted entries, typed.
+    Ring { capacity: usize, entries: VecDeque<TraceEntry> },
+}
+
+/// The stored entries of either shape, oldest first.
+enum Entries<'a> {
+    Log(Decoded<'a>),
+    Ring(vec_deque::Iter<'a, TraceEntry>),
+}
+
+impl Iterator for Entries<'_> {
+    type Item = TraceEntry;
+
+    fn next(&mut self) -> Option<TraceEntry> {
+        match self {
+            Entries::Log(it) => it.next(),
+            Entries::Ring(it) => it.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Entries::Log(it) => it.size_hint(),
+            Entries::Ring(it) => it.size_hint(),
+        }
+    }
 }
 
 impl Default for TraceLog {
@@ -70,15 +103,7 @@ impl TraceLog {
 
     /// An unbounded log admitting only what `filter` passes.
     pub fn with_filter(filter: TraceFilter) -> Self {
-        TraceLog {
-            filter,
-            capacity: None,
-            entries: VecDeque::new(),
-            dumps: Vec::new(),
-            seen: 0,
-            kept: 0,
-            evicted: 0,
-        }
+        TraceLog::with_store(filter, Store::Log(EntryBytes::default()))
     }
 
     /// A bounded ring keeping the most recent `capacity` admitted records.
@@ -97,25 +122,25 @@ impl TraceLog {
     /// Panics if `capacity` is zero.
     pub fn flight_recorder_with_filter(capacity: usize, filter: TraceFilter) -> Self {
         assert!(capacity > 0, "flight recorder capacity must be positive");
-        TraceLog {
-            filter,
-            capacity: Some(capacity),
-            entries: VecDeque::with_capacity(capacity),
-            dumps: Vec::new(),
-            seen: 0,
-            kept: 0,
-            evicted: 0,
-        }
+        let entries = VecDeque::with_capacity(capacity);
+        TraceLog::with_store(filter, Store::Ring { capacity, entries })
+    }
+
+    fn with_store(filter: TraceFilter, store: Store) -> Self {
+        TraceLog { filter, store, dumps: Vec::new(), seen: 0, kept: 0, evicted: 0 }
     }
 
     /// Whether this log is a bounded flight recorder.
     pub fn is_flight_recorder(&self) -> bool {
-        self.capacity.is_some()
+        self.capacity().is_some()
     }
 
     /// The ring capacity, for flight recorders.
     pub fn capacity(&self) -> Option<usize> {
-        self.capacity
+        match self.store {
+            Store::Log(_) => None,
+            Store::Ring { capacity, .. } => Some(capacity),
+        }
     }
 
     /// The filter in front of the store.
@@ -130,34 +155,52 @@ impl TraceLog {
         if !self.filter.is_all() && !self.filter.admits(&record) {
             return;
         }
-        if let Some(cap) = self.capacity {
-            if self.entries.len() == cap {
-                self.entries.pop_front();
-                self.evicted += 1;
+        match &mut self.store {
+            Store::Log(bytes) => bytes.push(&TraceEntry { at, record }),
+            Store::Ring { capacity, entries } => {
+                if entries.len() == *capacity {
+                    entries.pop_front();
+                    self.evicted += 1;
+                }
+                entries.push_back(TraceEntry { at, record });
             }
         }
-        self.entries.push_back(TraceEntry { at, record });
         self.kept += 1;
     }
 
-    /// The stored entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter()
+    /// The stored entries, oldest first: exactly [`TraceLog::len`] of them.
+    pub fn iter(&self) -> impl Iterator<Item = TraceEntry> + '_ {
+        match &self.store {
+            Store::Log(bytes) => Entries::Log(bytes.iter()),
+            Store::Ring { entries, .. } => Entries::Ring(entries.iter()),
+        }
     }
 
     /// The stored entries as a contiguous vector, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEntry> {
-        self.entries.iter().copied().collect()
+        self.iter().collect()
     }
 
     /// Number of entries currently stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        match &self.store {
+            Store::Log(bytes) => bytes.len(),
+            Store::Ring { entries, .. } => entries.len(),
+        }
     }
 
     /// Whether nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
+    }
+
+    /// Bytes the stored entries occupy: the codec bytes of an unbounded log,
+    /// `len() × size_of::<TraceEntry>()` for a ring.
+    pub fn stored_bytes(&self) -> usize {
+        match &self.store {
+            Store::Log(bytes) => bytes.byte_len(),
+            Store::Ring { entries, .. } => entries.len() * std::mem::size_of::<TraceEntry>(),
+        }
     }
 
     /// Total records offered (stored or not).

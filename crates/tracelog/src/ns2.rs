@@ -184,10 +184,10 @@ pub fn line(entry: &TraceEntry) -> String {
 
 /// Renders a whole trace, one line per entry, with a trailing newline when
 /// non-empty.
-pub fn render<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> String {
+pub fn render(entries: impl IntoIterator<Item = TraceEntry>) -> String {
     let mut out = String::new();
     for entry in entries {
-        out.push_str(&line(entry));
+        out.push_str(&line(&entry));
         out.push('\n');
     }
     out
@@ -312,7 +312,7 @@ mod tests {
             entry(1, TraceRecord::MacBackoff { node: NodeId::new(0), slots: 3, cw: 31 }),
             entry(2, TraceRecord::MacBackoff { node: NodeId::new(1), slots: 0, cw: 31 }),
         ];
-        let text = render(entries.iter());
+        let text = render(entries);
         assert_eq!(text.lines().count(), 2);
         assert!(text.ends_with('\n'));
         assert_eq!(render(std::iter::empty()), "");

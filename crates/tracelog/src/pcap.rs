@@ -20,7 +20,7 @@ pub const MAGIC_NANOS: u32 = 0xA1B2_3C4D;
 pub const PSEUDO_HEADER_BYTES: usize = 4;
 
 /// Serialises entries into a complete pcap capture.
-pub fn write<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> Vec<u8> {
+pub fn write(entries: impl IntoIterator<Item = TraceEntry>) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024);
     // Global header: magic, version 2.4, thiszone 0, sigfigs 0, snaplen,
     // network.
@@ -33,7 +33,7 @@ pub fn write<'a>(entries: impl IntoIterator<Item = &'a TraceEntry>) -> Vec<u8> {
     out.extend_from_slice(&DLT_USER0.to_le_bytes());
     for entry in entries {
         let nanos = entry.at.as_nanos();
-        let line = ns2::line(entry);
+        let line = ns2::line(&entry);
         let len = u32::try_from(PSEUDO_HEADER_BYTES + line.len()).unwrap_or(u32::MAX);
         // pcap's per-record timestamp is 32-bit seconds: a sim time past
         // 2^32 s (~136 years) saturates rather than silently wrapping and
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn round_trips_structure() {
-        let bytes = write(entries().iter());
+        let bytes = write(entries());
         let parsed = parse(&bytes).expect("own output must parse");
         assert_eq!(parsed.link_type, DLT_USER0);
         assert_eq!(parsed.packets.len(), 2);
@@ -200,7 +200,7 @@ mod tests {
             at: SimTime::from_nanos((u64::from(u32::MAX) + 2) * 1_000_000_000 + 123),
             record: TraceRecord::MacBackoff { node: NodeId::new(0), slots: 1, cw: 15 },
         };
-        let bytes = write(std::iter::once(&far));
+        let bytes = write([far]);
         let parsed = parse(&bytes).expect("saturated capture still parses");
         let expect = u64::from(u32::MAX) * 1_000_000_000 + 123;
         assert_eq!(parsed.packets[0].ts_nanos, expect);
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn rejects_truncation() {
-        let bytes = write(entries().iter());
+        let bytes = write(entries());
         let cut = &bytes[..bytes.len() - 3];
         assert!(parse(cut).expect_err("must fail").contains("truncated"));
     }

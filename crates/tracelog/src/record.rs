@@ -722,14 +722,15 @@ mod tests {
         use std::mem::size_of;
         assert!(
             size_of::<TraceRecord>() <= 80,
-            "TraceRecord grew to {} B: an unbounded log keeps one per observation (200,341 on \
-             the benchmark's chain8_observed, most of its peak RSS, bounded at +12 %) — fit new \
-             fields under TcpCwnd, the widest variant",
+            "TraceRecord grew to {} B: every choke point builds one and moves it into the log \
+             and the checker — fit new fields under TcpCwnd, the widest variant",
             size_of::<TraceRecord>()
         );
         assert!(
             size_of::<TraceEntry>() <= 88,
-            "TraceEntry grew to {} B: it is what the log and the checker's trail store",
+            "TraceEntry grew to {} B: the flight-recorder ring and the checker's 24-entry trail \
+             store it typed (the unbounded log stores codec bytes; their lengths are pinned in \
+             codec.rs)",
             size_of::<TraceEntry>()
         );
     }

@@ -83,15 +83,15 @@ impl FlowSeries {
     }
 
     /// Builds the series from a finished trace in one pass.
-    pub fn collect<'a>(
+    pub fn collect(
         flow: FlowId,
         queue_node: Option<NodeId>,
-        entries: impl IntoIterator<Item = &'a TraceEntry>,
+        entries: impl IntoIterator<Item = TraceEntry>,
     ) -> Self {
         let mut series = FlowSeries::new(flow);
         series.queue_node = queue_node;
         for entry in entries {
-            series.observe(entry);
+            series.observe(&entry);
         }
         series
     }
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn collect_extracts_matching_flow_only() {
         let entries = [cwnd_entry(10, 0, 2.0), cwnd_entry(20, 1, 9.0), cwnd_entry(30, 0, 3.0)];
-        let s = FlowSeries::collect(FlowId::new(0), None, entries.iter());
+        let s = FlowSeries::collect(FlowId::new(0), None, entries);
         assert_eq!(s.cwnd.len(), 2);
         assert_eq!(s.cwnd.last(), Some((t(30), 3.0)));
         assert_eq!(s.ssthresh.len(), 2);
@@ -182,10 +182,10 @@ mod tests {
             enqueue_entry(20, 1, 0, 7, None),
             enqueue_entry(30, 0, 1, 9, None), // other flow
         ];
-        let watched = FlowSeries::collect(FlowId::new(0), Some(NodeId::new(0)), entries.iter());
+        let watched = FlowSeries::collect(FlowId::new(0), Some(NodeId::new(0)), entries);
         assert_eq!(watched.queue_depth.samples(), [(t(10), 3.0)]);
         assert_eq!(watched.avbw.samples(), [(t(10), 3.0)]);
-        let any = FlowSeries::collect(FlowId::new(0), None, entries.iter());
+        let any = FlowSeries::collect(FlowId::new(0), None, entries);
         assert_eq!(any.queue_depth.len(), 2);
     }
 

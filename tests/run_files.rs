@@ -68,10 +68,10 @@ fn a_non_chain_run_file_is_traced_checked_snapshotted_and_resumed() {
     for flow in [0, 1].map(FlowId::new) {
         let delivered = straight.flow_report(flow).delivered_segments;
         assert!(delivered > 0, "flow {flow} delivered nothing");
-        let traced = |e: &&tcp_muzha::tracelog::TraceEntry| {
+        let traced = |e: tcp_muzha::tracelog::TraceEntry| {
             e.record.layer() == Layer::Agt && e.record.flow() == Some(flow)
         };
-        assert!(log.iter().any(|e| traced(&e)), "flow {flow} left no transport record");
+        assert!(log.iter().any(traced), "flow {flow} left no transport record");
     }
     assert!(straight.perf().position_updates > 0, "nobody moved");
 

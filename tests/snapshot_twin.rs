@@ -56,8 +56,7 @@ fn snapshot_instant(name: &str, duration_ns: u64) -> SimTime {
 /// ns-2 rendering of the log entries strictly after `t` (the straight
 /// run's resumable suffix).
 fn suffix_stream(log: &TraceLog, t: SimTime) -> String {
-    let entries: Vec<TraceEntry> = log.iter().filter(|e| e.at > t).copied().collect();
-    ns2::render(entries.iter())
+    ns2::render(log.iter().filter(|e| e.at > t))
 }
 
 #[test]
@@ -599,7 +598,7 @@ fn a_cut_at_a_transmission_carries_its_start_edges_across() {
     assert_eq!(straight.trace_hash(), resumed.trace_hash());
     assert_eq!(straight.trace_hash(), traced.trace_hash(), "and snapshotting changed nothing");
     assert_eq!(straight.perf(), resumed.perf());
-    let suffix: Vec<TraceEntry> = straight_log.iter().filter(|e| e.at > t).copied().collect();
+    let suffix: Vec<TraceEntry> = straight_log.iter().filter(|e| e.at > t).collect();
     assert!(!suffix.is_empty());
     assert_eq!(suffix, resumed_log.snapshot());
 
@@ -785,7 +784,7 @@ fn a_cut_between_a_parked_start_and_its_end_carries_both_across() {
     assert_eq!(straight.trace_hash(), resumed.trace_hash());
     assert_eq!(straight.trace_hash(), traced.trace_hash(), "and snapshotting changed nothing");
     assert_eq!(straight.perf(), resumed.perf());
-    let suffix: Vec<TraceEntry> = straight_log.iter().filter(|e| e.at > t).copied().collect();
+    let suffix: Vec<TraceEntry> = straight_log.iter().filter(|e| e.at > t).collect();
     assert!(!suffix.is_empty());
     assert_eq!(suffix, resumed_log.snapshot());
 

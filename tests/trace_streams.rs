@@ -86,7 +86,7 @@ fn a_log_installed_after_restore_starts_at_the_restore_instant() {
     straight.install_trace_log(TraceLog::new());
     straight.run_until(end);
     let straight = straight.take_trace_log().expect("log was installed");
-    let suffix: Vec<TraceEntry> = straight.iter().filter(|e| e.at > t).copied().collect();
+    let suffix: Vec<TraceEntry> = straight.iter().filter(|e| e.at > t).collect();
     assert!(!suffix.is_empty());
     assert_eq!(resumed, suffix);
 }
@@ -136,7 +136,7 @@ fn two_hop_newreno_stream_matches_golden_fixture() {
     //    --secs 1 | head -n 250`).
     let entries = golden_capture();
     assert!(entries.len() >= GOLDEN_LINES, "run too short for the fixture");
-    let rendered = ns2::render(entries[..GOLDEN_LINES].iter());
+    let rendered = ns2::render(entries[..GOLDEN_LINES].iter().copied());
     let golden = include_str!("fixtures/trace_newreno_2hop.tr");
     assert_eq!(
         rendered, golden,
@@ -153,7 +153,7 @@ fn two_hop_newreno_stream_matches_golden_fixture() {
 fn fault_script_runs_log_their_faults_at_the_scripted_instants() {
     let faults_of = |text: &str| -> Vec<TraceEntry> {
         let log = run_traced_scenario(&ScenarioScript::parse(text).expect("corpus parses"));
-        log.iter().filter(|e| e.record.layer() == Layer::Fault).copied().collect()
+        log.iter().filter(|e| e.record.layer() == Layer::Fault).collect()
     };
     let t = SimTime::from_secs_f64;
     let n = NodeId::new;
@@ -205,7 +205,7 @@ fn pcap_capture_self_parses_and_mirrors_the_entries() {
 }
 
 fn pcap_mirrors(entries: &[TraceEntry]) {
-    let bytes = pcap::write(entries.iter());
+    let bytes = pcap::write(entries.iter().copied());
     let parsed = pcap::parse(&bytes).expect("own capture must self-parse");
     assert_eq!(parsed.link_type, pcap::DLT_USER0);
     assert_eq!(parsed.packets.len(), entries.len());
