@@ -49,8 +49,8 @@ impl Packet {
         Packet { uid, src, dst, ttl: DEFAULT_TTL, payload }
     }
 
-    /// Creates a packet with an explicit TTL (used by AODV expanding-ring
-    /// search and RREQ floods).
+    /// Creates a packet with an explicit TTL (used by AODV's RREQ floods and
+    /// one-hop RERR broadcasts).
     pub fn with_ttl(uid: u64, src: NodeId, dst: NodeId, ttl: u8, payload: Payload) -> Self {
         Packet { uid, src, dst, ttl, payload }
     }
