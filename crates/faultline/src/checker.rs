@@ -231,8 +231,7 @@ impl InvariantChecker {
                     PacketKind::TcpData
                     | PacketKind::TcpAck
                     | PacketKind::Rreq
-                    | PacketKind::Rrep
-                    | PacketKind::Hello => {}
+                    | PacketKind::Rrep => {}
                 }
             }
             // No receiver for the flow at this node: the segment went

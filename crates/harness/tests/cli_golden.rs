@@ -119,7 +119,7 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
     let taken = text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "4", "--out", &ck]);
     assert_eq!(
         after(&taken, ": "),
-        ": 5483 bytes, t=4.000000s events=19891 hash=0x7810ea35368bc107\n"
+        ": 5234 bytes, t=4.000000s events=19891 hash=0x7810ea35368bc107\n"
     );
     let resumed = text_of("checkpoint", &["resume", "--script", &scn, "--from", &ck]);
     assert_eq!(
@@ -131,10 +131,10 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
         text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "15", "--out", &straight]);
     assert_eq!(
         after(&ran, ": "),
-        ": 5142 bytes, t=15.000000s events=39342 hash=0x8769956ab53477cc\n"
+        ": 4893 bytes, t=15.000000s events=39342 hash=0x8769956ab53477cc\n"
     );
     let size = |p: &str| std::fs::metadata(p).expect("snapshot written").len();
-    assert_eq!((size(&ck), size(&straight)), (5483, 5142));
+    assert_eq!((size(&ck), size(&straight)), (5234, 4893));
 
     let bytes = std::fs::read(&ck).expect("snapshot written");
     std::fs::write(&cut, &bytes[..1000]).expect("write truncated snapshot");

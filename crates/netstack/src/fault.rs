@@ -298,11 +298,6 @@ impl Simulator {
         self.fault.nodes[node.index()].status = NodeStatus::Up;
         self.channel.set_node_enabled(node, true);
         self.rec(TraceRecord::FaultNode { node, up: true });
-        if self.cfg.aodv.hello_interval.is_some() {
-            let now = self.now;
-            let outs = self.nodes[node.index()].aodv.start_hello(now);
-            self.process_aodv_outputs(node, outs);
-        }
     }
 
     /// Whether the channel corrupts a data frame heading to `nb`: the
@@ -343,10 +338,10 @@ mod tests {
         let mut state = FaultState::new(3);
         state.scripted.push(TimedFault { at: secs(1.0), fault: FaultEvent::Pause { node: b } });
         state.nodes[1].status = NodeStatus::Paused;
-        let hello = wire::Payload::Aodv(wire::AodvMessage::Hello(wire::Hello { seq: 7 }));
+        let rerr = wire::AodvMessage::Rerr(wire::RouteError { unreachable: vec![] });
         state.nodes[1].deferred.push(Event::JitteredEnqueue {
             node: b,
-            packet: wire::Packet::new(42, b, NodeId::BROADCAST, hello),
+            packet: wire::Packet::new(42, b, NodeId::BROADCAST, wire::Payload::Aodv(rerr)),
             next_hop: NodeId::BROADCAST,
         });
         let ge = GilbertElliott::new(1.0, 1e-9, 0.0, 0.9).expect("valid episode");

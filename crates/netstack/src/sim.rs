@@ -98,7 +98,7 @@ impl Simulator {
             .collect();
         let mut events = EventQueue::new();
         events.push(SimTime::ZERO + cfg.sample_interval, Event::Sample);
-        let mut sim = Simulator {
+        Simulator {
             cfg,
             channel,
             fault: FaultState::new(nodes.len()),
@@ -114,16 +114,7 @@ impl Simulator {
             checker: None,
             tie_order: None,
             perf: RunPerf::default(),
-        };
-        // Kick off HELLO beaconing if the AODV config asks for it.
-        if cfg.aodv.hello_interval.is_some() {
-            for i in 0..sim.nodes.len() {
-                let node = NodeId::from_index(i);
-                let outs = sim.nodes[i].aodv.start_hello(SimTime::ZERO);
-                sim.process_aodv_outputs(node, outs);
-            }
         }
-        sim
     }
 
     /// Creates a simulator whose node placement and mobility come entirely
@@ -1281,8 +1272,8 @@ mod tests {
     /// Hands `node`'s idle MAC a broadcast: with nothing to defer to, its
     /// attempt timer is queued for exactly one DIFS from now.
     fn start_a_broadcast(sim: &mut Simulator, node: NodeId) {
-        let hello = Payload::Aodv(wire::AodvMessage::Hello(wire::Hello { seq: 1 }));
-        let packet = Packet::new(1, node, NodeId::BROADCAST, hello);
+        let rerr = Payload::Aodv(wire::AodvMessage::Rerr(wire::RouteError { unreachable: vec![] }));
+        let packet = Packet::new(1, node, NodeId::BROADCAST, rerr);
         sim.enqueue_ifq(node, packet, NodeId::BROADCAST);
     }
 
@@ -2070,36 +2061,5 @@ mod delack_integration_tests {
         assert!(log
             .iter()
             .any(|e| matches!(e.record, TraceRecord::TcpCwnd { cwnd, .. } if cwnd > 2.0)));
-    }
-}
-
-#[cfg(test)]
-mod hello_integration_tests {
-    use super::*;
-    use crate::topology;
-    use sim_core::SimDuration;
-
-    #[test]
-    fn hello_beacons_detect_a_vanished_neighbour() {
-        let aodv = aodv::AodvConfig {
-            hello_interval: Some(SimDuration::from_millis(500)),
-            allowed_hello_loss: 2,
-            ..aodv::AodvConfig::default()
-        };
-        let cfg = SimConfig { aodv, ..SimConfig::default() };
-        let mut sim = Simulator::new(topology::chain(3), cfg);
-        let (src, dst) = topology::chain_flow(3);
-        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-        sim.run_until(SimTime::from_secs_f64(3.0));
-        assert!(sim.flow_report(flow).delivered_segments > 20, "beacons must not break traffic");
-        // Vanish node 1; with no data in flight the MAC gives no feedback,
-        // so only HELLO loss can tear the route down.
-        sim.set_position(NodeId::new(1), phy::Position::new(50_000.0, 0.0));
-        sim.run_until(SimTime::from_secs_f64(6.0));
-        assert!(
-            !sim.nodes[0].aodv.has_route(NodeId::new(1), sim.now())
-                || !sim.nodes[0].aodv.has_route(dst, sim.now()),
-            "silent neighbour should have been invalidated somewhere"
-        );
     }
 }

@@ -21,7 +21,7 @@ use crate::record::{PacketKind, TraceEntry, TraceRecord};
 
 snap_enum! {
     PacketKind, "packet kind tag" {
-        0 => TcpData, 1 => TcpAck, 2 => Rreq, 3 => Rrep, 4 => Rerr, 5 => Hello,
+        0 => TcpData, 1 => TcpAck, 2 => Rreq, 3 => Rrep, 4 => Rerr,
     }
 }
 
@@ -215,8 +215,7 @@ mod tests {
                 PacketKind::Rreq,
                 PacketKind::Rrep,
                 PacketKind::Rerr,
-                PacketKind::Hello,
-            ][(draw % 6) as usize]
+            ][(draw % 5) as usize]
         };
         let flow = |draw: u64| some(draw).then(|| FlowId::new((draw >> 2) as u32));
         let drai = |draw: u64| some(draw).then(|| Drai::ALL[((draw >> 2) % 5) as usize]);
@@ -475,6 +474,13 @@ mod tests {
             decode_all(&clean[..clean.len() - 1], &store.labels, 1),
             Err(SnapError::Truncated)
         );
+        // Tag 5 was the HELLO beacon's.
+        for tag in [5, u8::MAX] {
+            assert_eq!(
+                SnapshotReader::new(&[tag]).get::<PacketKind>(),
+                Err(SnapError::Invalid("packet kind tag"))
+            );
+        }
     }
 
     /// The snapshot sweep's rule for untrusted bytes, applied to a store

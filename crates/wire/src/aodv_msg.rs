@@ -40,14 +40,6 @@ pub struct RouteError {
     pub unreachable: Vec<(NodeId, u32)>,
 }
 
-/// A HELLO beacon: a 1-hop broadcast advertising the sender's liveness
-/// (RFC 3561 §6.9 models it as a TTL-1 RREP; we give it its own variant).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Hello {
-    /// The sender's current sequence number.
-    pub seq: u32,
-}
-
 /// An AODV control message.
 ///
 /// # Example
@@ -70,10 +62,8 @@ pub enum AodvMessage {
     Rreq(RouteRequest),
     /// Route reply (unicast on the reverse path).
     Rrep(RouteReply),
-    /// Route error (broadcast to precursors).
+    /// Route error (a TTL-1 broadcast to every neighbour).
     Rerr(RouteError),
-    /// HELLO beacon (TTL-1 broadcast).
-    Hello(Hello),
 }
 
 impl AodvMessage {
@@ -91,8 +81,6 @@ impl AodvMessage {
             AodvMessage::Rreq(_) => IP_HEADER + 24 + 4,
             AodvMessage::Rrep(_) => IP_HEADER + 20,
             AodvMessage::Rerr(e) => IP_HEADER + 4 + 8 * e.unreachable.len() as u32,
-            // Same format as a TTL-1 RREP (RFC 3561 §6.9).
-            AodvMessage::Hello(_) => IP_HEADER + 20,
         }
     }
 }

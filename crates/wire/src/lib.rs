@@ -27,7 +27,7 @@ mod shared;
 mod snap;
 mod tcp_seg;
 
-pub use aodv_msg::{AodvMessage, Hello, RouteError, RouteReply, RouteRequest};
+pub use aodv_msg::{AodvMessage, RouteError, RouteReply, RouteRequest};
 pub use drai::Drai;
 pub use ids::{FlowId, NodeId, UidGen};
 pub use ip::{Packet, Payload, DEFAULT_TTL};

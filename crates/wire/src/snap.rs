@@ -5,7 +5,7 @@
 use sim_core::{snap_enum, snap_record, SnapError, SnapshotReader, SnapshotWriter, Snapshotable};
 
 use crate::{
-    AodvMessage, Drai, FrameBody, FrameKind, Hello, MacFrame, NodeId, Packet, Payload, RouteError,
+    AodvMessage, Drai, FrameBody, FrameKind, MacFrame, NodeId, Packet, Payload, RouteError,
     RouteReply, RouteRequest, SackBlock, SharedPacket, TcpSegment, TcpSegmentKind,
 };
 
@@ -58,11 +58,7 @@ snap_record! { RouteReply { origin, dst, dst_seq, hop_count } }
 
 snap_record! { RouteError { unreachable } }
 
-snap_record! { Hello { seq } }
-
-snap_enum! {
-    AodvMessage, "aodv message tag" { 0 => Rreq(m), 1 => Rrep(m), 2 => Rerr(m), 3 => Hello(m) }
-}
+snap_enum! { AodvMessage, "aodv message tag" { 0 => Rreq(m), 1 => Rrep(m), 2 => Rerr(m) } }
 
 snap_enum! { Payload, "payload tag" { 0 => Tcp(segment), 1 => Aodv(message) } }
 
@@ -88,3 +84,24 @@ snap_enum! {
 }
 
 snap_record! { MacFrame { src, dst, body, nav_until_nanos } }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Tag 3 was the HELLO beacon's; a snapshot holding one is refused like
+    /// any tag no variant claims.
+    #[test]
+    fn aodv_message_tag_3_is_refused() {
+        let rerr = AodvMessage::Rerr(RouteError { unreachable: vec![(NodeId::new(3), 6)] });
+        let mut w = SnapshotWriter::new();
+        w.put(&rerr);
+        let mut bytes = w.finish();
+        assert_eq!(SnapshotReader::new(&bytes).get::<AodvMessage>(), Ok(rerr));
+        bytes[0] = 3;
+        assert_eq!(
+            SnapshotReader::new(&bytes).get::<AodvMessage>(),
+            Err(SnapError::Invalid("aodv message tag"))
+        );
+    }
+}
