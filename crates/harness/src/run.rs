@@ -269,8 +269,9 @@ mod tests {
 
     /// A generated topology of at least two nodes, by family.
     fn topology(family: u8, a: u16, b: u16) -> TopologySpec {
-        match family % 4 {
+        match family % 5 {
             0 => TopologySpec::Chain { hops: a },
+            4 => TopologySpec::Cross { hops: 2 * a },
             1 => TopologySpec::Grid { rows: a.min(9), cols: b.min(9) + 1 },
             2 => TopologySpec::RandomDisc {
                 count: a + 1,

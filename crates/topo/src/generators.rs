@@ -38,6 +38,40 @@ pub fn chain(hops: usize) -> Vec<Position> {
     (0..=hops).map(|i| Position::new(i as f64 * SPACING_M, 0.0)).collect()
 }
 
+/// An `hops`-hop cross: a horizontal and a vertical chain sharing their
+/// centre node (paper Fig. 5.15 — 4 hops, 9 nodes, 2 flows). `hops` must
+/// be even so the centre lands on a node.
+///
+/// Node layout: indices `0..=hops` form the horizontal chain (west→east);
+/// indices `hops+1 ..= 2*hops` form the vertical chain (north→south),
+/// with the centre shared with horizontal node `hops/2`. The vertical arm
+/// spans `±hops/2` spacings around y = 0.
+///
+/// # Example
+///
+/// ```
+/// use topo::generators;
+/// let positions = generators::cross(4);
+/// assert_eq!(positions.len(), 9); // 2*(4+1) - 1 shared centre
+/// ```
+///
+/// # Panics
+///
+/// Panics if `hops` is zero or odd.
+pub fn cross(hops: usize) -> Vec<Position> {
+    assert!(hops > 0 && hops.is_multiple_of(2), "cross topology needs an even, positive hop count");
+    let mut positions = chain(hops);
+    let centre_x = (hops / 2) as f64 * SPACING_M;
+    for j in 0..=hops {
+        if j == hops / 2 {
+            continue; // shared centre node
+        }
+        let y = (hops / 2) as f64 * SPACING_M - j as f64 * SPACING_M;
+        positions.push(Position::new(centre_x, y));
+    }
+    positions
+}
+
 /// An `rows × cols` grid with 250 m spacing. Node `(r, c)` has index
 /// `r * cols + c`.
 ///
@@ -188,6 +222,33 @@ mod tests {
             assert_eq!(pos.x, i as f64 * 250.0);
             assert_eq!(pos.y, 0.0);
         }
+    }
+
+    #[test]
+    fn cross_geometry_4_hops() {
+        let p = cross(4);
+        assert_eq!(p.len(), 9, "paper Fig. 5.15: 9 nodes");
+        // Horizontal chain on y = 0.
+        for pos in &p[0..=4] {
+            assert_eq!(pos.y, 0.0);
+        }
+        // Vertical nodes share x with the centre (node 2 at x = 500) and
+        // span ±500 m, skipping the shared centre.
+        for pos in &p[5..9] {
+            assert_eq!(pos.x, 500.0);
+        }
+        let ys: Vec<f64> = p[5..9].iter().map(|q| q.y).collect();
+        assert_eq!(ys, vec![500.0, 250.0, -250.0, -500.0]);
+        // The vertical flow's path is 5-6-2-7-8, one spacing per hop.
+        for (a, b) in [(5, 6), (6, 2), (2, 7), (7, 8)] {
+            assert_eq!(p[a].distance_to(p[b]), 250.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "even")]
+    fn odd_cross_rejected() {
+        let _ = cross(3);
     }
 
     #[test]

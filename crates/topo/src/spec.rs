@@ -27,6 +27,12 @@ pub enum TopologySpec {
         /// Number of hops (nodes minus one).
         hops: u16,
     },
+    /// Two `hops`-hop chains crossing at their shared centre node, `2·hops
+    /// + 1` nodes at 250 m spacing (paper Fig. 5.15); `hops` is even.
+    Cross {
+        /// Hops along each arm (nodes per arm minus one).
+        hops: u16,
+    },
     /// `rows × cols` lattice at 250 m spacing.
     Grid {
         /// Rows.
@@ -74,6 +80,7 @@ impl TopologySpec {
     pub fn node_count(&self) -> usize {
         match *self {
             TopologySpec::Chain { hops } => hops as usize + 1,
+            TopologySpec::Cross { hops } => 2 * hops as usize + 1,
             TopologySpec::Grid { rows, cols } => rows as usize * cols as usize,
             TopologySpec::RandomDisc { count, .. } => count as usize,
             TopologySpec::CityBlocks { blocks_x, blocks_y, extra } => {
@@ -89,6 +96,9 @@ impl TopologySpec {
         let s = generators::SPACING_M;
         match *self {
             TopologySpec::Chain { hops } => ((hops as f64 * s).max(s), s),
+            // The vertical arm reaches below y = 0; a waypoint walk only
+            // needs the box's size.
+            TopologySpec::Cross { hops } => (hops as f64 * s, hops as f64 * s),
             TopologySpec::Grid { rows, cols } => {
                 (((cols as f64 - 1.0) * s).max(s), ((rows as f64 - 1.0) * s).max(s))
             }
@@ -111,6 +121,7 @@ impl TopologySpec {
     pub fn build(&self, range_m: f64, seed: u64) -> Vec<Position> {
         match *self {
             TopologySpec::Chain { hops } => generators::chain(hops as usize),
+            TopologySpec::Cross { hops } => generators::cross(hops as usize),
             TopologySpec::Grid { rows, cols } => generators::grid(rows as usize, cols as usize),
             TopologySpec::RandomDisc { count, width_m, height_m } => {
                 generators::random_disc(count as usize, width_m, height_m, range_m, seed)
@@ -133,6 +144,12 @@ impl TopologySpec {
     pub fn validate(&self) {
         match *self {
             TopologySpec::Chain { hops } => assert!(hops > 0, "a chain needs at least one hop"),
+            TopologySpec::Cross { hops } => {
+                assert!(
+                    hops > 0 && hops.is_multiple_of(2),
+                    "a cross needs an even, positive hop count"
+                );
+            }
             TopologySpec::Grid { rows, cols } => {
                 assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
             }
@@ -152,6 +169,7 @@ impl TopologySpec {
     /// Parses the CLI syntax:
     ///
     /// * `chain` / `chain:8`
+    /// * `cross` / `cross:6` (hops per arm, even)
     /// * `grid` / `grid:4x8` (rows×cols)
     /// * `random-disc` / `random-disc:100` / `random-disc:100@2500x2500`
     /// * `city-blocks` / `city-blocks:4x4@20` (blocks, extra nodes)
@@ -162,7 +180,7 @@ impl TopologySpec {
     /// # Errors
     ///
     /// A message naming the bad part: unknown family, malformed or zero
-    /// count, an area that is not positive and finite, or more nodes than
+    /// count, an odd cross, an area that is not positive and finite, or more nodes than
     /// a `NodeId` can address (65,535).
     pub fn parse(text: &str) -> Result<Self, String> {
         let spec = Self::parse_grammar(text)?;
@@ -193,6 +211,16 @@ impl TopologySpec {
                     None => 4,
                 };
                 Ok(TopologySpec::Chain { hops })
+            }
+            "cross" => {
+                let hops = match arg {
+                    Some(a) => parse_u16(a, "cross hop count")?,
+                    None => 4,
+                };
+                if !hops.is_multiple_of(2) {
+                    return Err(format!("cross hop count '{hops}' must be even"));
+                }
+                Ok(TopologySpec::Cross { hops })
             }
             "grid" => {
                 let (rows, cols) = match arg {
@@ -243,9 +271,9 @@ impl TopologySpec {
                     extra,
                 })
             }
-            other => {
-                Err(format!("unknown topology '{other}' (chain, grid, random-disc, city-blocks)"))
-            }
+            other => Err(format!(
+                "unknown topology '{other}' (chain, cross, grid, random-disc, city-blocks)"
+            )),
         }
     }
 }
@@ -254,6 +282,7 @@ impl fmt::Display for TopologySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             TopologySpec::Chain { hops } => write!(f, "chain:{hops}"),
+            TopologySpec::Cross { hops } => write!(f, "cross:{hops}"),
             TopologySpec::Grid { rows, cols } => write!(f, "grid:{rows}x{cols}"),
             TopologySpec::RandomDisc { count, width_m, height_m } => {
                 write!(f, "random-disc:{count}@{width_m:.0}x{height_m:.0}")
@@ -407,7 +436,14 @@ mod tests {
 
     #[test]
     fn topology_parse_round_trips() {
-        for text in ["chain:8", "grid:3x4", "random-disc:100@2500x2500", "city-blocks:4x4@20"] {
+        for text in [
+            "chain:8",
+            "cross:4",
+            "cross:32766",
+            "grid:3x4",
+            "random-disc:100@2500x2500",
+            "city-blocks:4x4@20",
+        ] {
             let spec = TopologySpec::parse(text).expect(text);
             assert_eq!(spec.to_string(), text, "round trip {text}");
         }
@@ -428,6 +464,25 @@ mod tests {
         }
         assert!(TopologySpec::parse("torus").is_err());
         assert!(TopologySpec::parse("chain:0").is_err());
+        assert_eq!(TopologySpec::parse("cross"), Ok(TopologySpec::Cross { hops: 4 }));
+    }
+
+    #[test]
+    fn a_cross_is_even_nonzero_and_addressable() {
+        for (text, needle) in [
+            ("cross:0", "bad cross hop count"),
+            ("cross:3", "must be even"),
+            ("cross:65534", "at most 65535"),
+            ("cross:-2", "bad cross hop count"),
+        ] {
+            let err = TopologySpec::parse(text).expect_err(text);
+            assert!(err.contains(needle), "{text}: {err}");
+        }
+        // The largest cross whose nodes a `NodeId` can name.
+        assert_eq!(TopologySpec::parse("cross:32766").map(|s| s.node_count()), Ok(65_533));
+        let spec = TopologySpec::Cross { hops: 6 };
+        assert_eq!(spec.build(250.0, 1), generators::cross(6), "a cross places what it names");
+        assert_eq!(spec.extent(), (1500.0, 1500.0));
     }
 
     #[test]
@@ -447,7 +502,7 @@ mod tests {
 
     #[test]
     fn topology_specs_build_and_count() {
-        for text in ["chain:6", "grid:3x4", "random-disc:30", "city-blocks:3x3@10"] {
+        for text in ["chain:6", "cross:6", "grid:3x4", "random-disc:30", "city-blocks:3x3@10"] {
             let spec = TopologySpec::parse(text).expect(text);
             spec.validate();
             let positions = spec.build(250.0, 11);

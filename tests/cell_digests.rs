@@ -6,7 +6,9 @@
 //! The cell rows build each simulator by hand, the way the experiments
 //! placed and populated it when the fixture was committed; the group rows
 //! run the experiments themselves. A change to how an experiment builds its
-//! cells that keeps what they do leaves both byte-identical.
+//! cells that keeps what they do leaves both byte-identical. Every cell but
+//! the ablations' (whose DRAI thresholds and cadence no run-file line
+//! spells) is also written as run-file text, which must build the same row.
 //!
 //! A legitimate behaviour change regenerates the fixture from the table the
 //! failure prints — and says so in its commit.
@@ -17,8 +19,10 @@ use tcp_muzha::experiments::{
     ablations, coexistence, cwnd_traces_batch, run_batch, throughput_dynamics_batch,
     throughput_vs_hops, CoexistKind, ExperimentConfig,
 };
+use tcp_muzha::faultline::ScenarioScript;
 use tcp_muzha::muzha::{AdjustmentCadence, DraiConfig};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
+use tcp_muzha::run::Run;
 use tcp_muzha::sim::{SimDuration, SimTime, TraceHash};
 use tcp_muzha::tracelog::{Layer, TraceFilter, TraceLog};
 
@@ -160,6 +164,49 @@ impl Cell {
         }
     }
 
+    /// The cell as a run file; `None` for an ablation row.
+    fn scn(&self) -> Option<String> {
+        let (seed, duration, topology, flows) = match *self {
+            Cell::Cwnd { hops, variant } => (
+                SimConfig::default().seed,
+                HORIZON,
+                format!("chain:{hops}"),
+                vec![format!("0 {hops} {variant}")],
+            ),
+            Cell::Sweep { hops, window, variant, seed } => (
+                seed,
+                HORIZON,
+                format!("chain:{hops}"),
+                vec![format!("0 {hops} {variant} 0 {window}")],
+            ),
+            Cell::Coexist { hops, kind, seed } => (
+                seed,
+                HORIZON,
+                format!("cross:{hops}"),
+                vec![
+                    format!("0 {hops} {}", kind.horizontal),
+                    format!("{} {} {}", hops + 1, 2 * hops, kind.vertical),
+                ],
+            ),
+            Cell::Dynamics { variant } => (
+                SimConfig::default().seed,
+                DYNAMICS_HORIZON,
+                "chain:4".to_string(),
+                [0, 10, 20].map(|start| format!("0 4 {variant} {start}")).to_vec(),
+            ),
+            Cell::AblationChain { .. } | Cell::AblationCross { .. } => return None,
+        };
+        let mut text = format!(
+            "name {}\nseed {seed}\nduration {}\ntopology {topology}\n",
+            self.name().replace(' ', "-"),
+            duration.as_secs_f64()
+        );
+        for flow in flows {
+            text.push_str(&format!("flow {flow}\n"));
+        }
+        Some(text)
+    }
+
     /// The cell's simulator at t = 0, placed and populated by hand.
     fn by_hand(&self) -> Simulator {
         let seeded = |seed| SimConfig { seed, ..SimConfig::default() };
@@ -252,6 +299,29 @@ fn every_quick_cell_matches_the_committed_fixture() {
     assert_eq!(cells.len(), 12 + 72 + 12 + 4 + 36);
     let rows = run_batch(&cells, 0, |cell, _| finish(&cell.name(), cell.by_hand(), cell.end()));
     assert_committed(&rows, false);
+}
+
+/// Each non-ablation cell, read from its run-file text and built by
+/// `Run::build`, is the row its hand-built twin committed.
+#[test]
+fn every_non_ablation_cell_is_its_run_file_twin() {
+    let cells: Vec<(String, String)> =
+        cells().iter().filter_map(|cell| Some((cell.name(), cell.scn()?))).collect();
+    assert_eq!(cells.len(), 12 + 72 + 12 + 4);
+    let rows = run_batch(&cells, 0, |(name, text), _| {
+        let script = ScenarioScript::parse(text).unwrap_or_else(|e| panic!("{e} in\n{text}"));
+        let run = Run::from_script(&script).unwrap_or_else(|e| panic!("{e} in\n{text}"));
+        finish(name, run.build(), run.end())
+    });
+    let committed: Vec<&str> = committed(false)
+        .into_iter()
+        .filter(|row| cells.iter().any(|(name, _)| row.starts_with(&format!("{name} "))))
+        .collect();
+    assert!(
+        rows == committed,
+        "a run-file twin differs from its hand-built cell; the twins produce:\n{}\n",
+        rows.join("\n")
+    );
 }
 
 /// One digest per experiment entry point, over the `Debug` of its result,

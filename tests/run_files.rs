@@ -110,7 +110,7 @@ fn a_cut_between_two_moves_resumes_to_the_straight_hash() {
 }
 
 /// Numbers and tokens a near-valid run file might hold in any position.
-const HOSTILE: [&str; 16] = [
+const HOSTILE: [&str; 17] = [
     "1e30",
     "1.9e10",
     "99999999999999",
@@ -127,6 +127,7 @@ const HOSTILE: [&str; 16] = [
     "#",
     "waypoint:1e-320-1e308@1e30",
     "grid:65535x65535",
+    "cross:3",
 ];
 
 /// `text` with one token dropped, duplicated or replaced by a hostile one, or
