@@ -264,7 +264,7 @@ fn mc(args: &[String]) -> Result<(), CliError> {
     if !quiet {
         eprintln!(
             "exploring {} (window {:?}, max {} branches, depth {}, {} placement step(s))...",
-            run.name, cfg.tie_window, cfg.max_branches, cfg.max_depth, cfg.shift_steps
+            run.script.name, cfg.tie_window, cfg.max_branches, cfg.max_depth, cfg.shift_steps
         );
     }
     let (verdict, stats) = explore_scenario(&run, &cfg);
@@ -330,7 +330,7 @@ fn snapshot(run: &Run, args: &[String]) -> Result<(), CliError> {
             sim.run_until(at);
             // Whole nanoseconds, so two instants of one sweep never share a name.
             let (secs, nanos) = (at.as_nanos() / 1_000_000_000, at.as_nanos() % 1_000_000_000);
-            let path = format!("{out_dir}/{}-t{secs}.{nanos:09}.snap", run.name);
+            let path = format!("{out_dir}/{}-t{secs}.{nanos:09}.snap", run.script.name);
             cli::write_output(&path, sim.snapshot())?;
             cli::print_report(format!(
                 "checkpoint {path}: t={} events={} hash={:#018x}\n",

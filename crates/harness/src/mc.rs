@@ -105,7 +105,7 @@ pub fn explore_scenario(run: &Run, cfg: &McConfig) -> (McVerdict, ResumeStats) {
         prefix_events: checkpoints.iter().map(|c| c.prefix_events).sum(),
         ..ResumeStats::default()
     };
-    let verdict = mc::explore(&run.name, placed.len(), cfg, |placement, decisions| {
+    let verdict = mc::explore(&run.script.name, placed.len(), cfg, |placement, decisions| {
         let (outcome, replayed, prefix) = match checkpoints.get(placement) {
             Some(checkpoint) => {
                 let (outcome, replayed) =
@@ -290,7 +290,7 @@ mod tests {
         let run = chain_break();
         let cfg = windowed_cfg();
         let placed = placed_runs(&run, &cfg);
-        let full = mc::explore(&run.name, placed.len(), &cfg, |p, decisions| {
+        let full = mc::explore(&run.script.name, placed.len(), &cfg, |p, decisions| {
             run_branch(&placed[p], &cfg, decisions).0
         });
         let (resumed, stats) = explore_scenario(&run, &cfg);
@@ -329,7 +329,7 @@ mod tests {
 
         let placed = placed_runs(&run, &cfg);
         let mut full_events = 0u64;
-        let full = mc::explore(&run.name, placed.len(), &cfg, |p, decisions| {
+        let full = mc::explore(&run.script.name, placed.len(), &cfg, |p, decisions| {
             let (outcome, events) = run_branch(&placed[p], &cfg, decisions);
             full_events += events;
             plant(outcome)
@@ -341,7 +341,7 @@ mod tests {
         let checkpoints: Vec<Checkpoint> =
             placed.iter().map(|p| checkpoint_before(p, start)).collect();
         let mut resumed_events: u64 = checkpoints.iter().map(|c| c.prefix_events).sum();
-        let resumed = mc::explore(&run.name, placed.len(), &cfg, |p, decisions| {
+        let resumed = mc::explore(&run.script.name, placed.len(), &cfg, |p, decisions| {
             let (outcome, replayed) =
                 run_branch_resumed(&placed[p], &cfg, &checkpoints[p], decisions);
             resumed_events += replayed;

@@ -11,7 +11,9 @@
 use std::fmt;
 
 use faultline::{FlowLine, ScenarioScript};
-use netstack::{FlowSpec, SimConfig, Simulator, TcpVariant, TopologySpec};
+use netstack::{
+    FlowSpec, MobilitySpec, RandomWaypoint, SimConfig, Simulator, TcpVariant, TopologySpec,
+};
 use sim_core::{SimDuration, SimTime};
 use tcp::TcpConfig;
 use topo::Position;
@@ -26,8 +28,6 @@ const DEFAULT_DURATION: SimDuration = SimDuration::from_secs(10);
 /// A run, ready to build: configuration, flows, horizon and faults.
 #[derive(Clone, Debug)]
 pub struct Run {
-    /// The script's name (empty for a run spelled by flags).
-    pub name: String,
     /// Table 5.1's defaults under the script's seed, topology and mobility.
     pub cfg: SimConfig,
     /// The flows, in the order their ids are handed out.
@@ -84,7 +84,6 @@ impl Run {
             script.flows.iter().map(flow_spec).collect()
         };
         Ok(Run {
-            name: script.name.clone(),
             cfg,
             flows,
             duration: script.duration.unwrap_or(DEFAULT_DURATION),
@@ -92,12 +91,31 @@ impl Run {
         })
     }
 
-    /// The simulator of this run at t = 0: nodes placed and moving as the
-    /// configuration says, flows registered, faults scheduled. Also the
-    /// restore target for a snapshot of the same run — restoring overwrites
-    /// the scheduled faults wholesale.
+    /// The simulator of this run at t = 0: nodes placed from
+    /// `(cfg.topology, cfg.seed)`, every node on a random-waypoint plan over
+    /// the topology's extent if `cfg.mobility` asks for one, flows
+    /// registered, faults scheduled. Also the restore target for a snapshot
+    /// of the same run — restoring overwrites the scheduled faults wholesale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is inconsistent (see
+    /// [`SimConfig::validate`]) or a flow names a node the topology lacks —
+    /// what [`Run::from_script`] refuses.
     pub fn build(&self) -> Simulator {
-        let mut sim = Simulator::from_config(self.cfg);
+        let cfg = self.cfg;
+        let mut sim = Simulator::new(cfg.topology.build(cfg.radio.tx_range_m, cfg.seed), cfg);
+        if let MobilitySpec::Waypoint { min_speed_mps, max_speed_mps, pause } = cfg.mobility {
+            let (width_m, height_m) = cfg.topology.extent();
+            let plan = RandomWaypoint {
+                min_pause: pause,
+                max_pause: pause,
+                ..RandomWaypoint::roaming(width_m, height_m, min_speed_mps, max_speed_mps)
+            };
+            for i in 0..sim.node_count() {
+                sim.set_random_waypoint(NodeId::from_index(i), plan);
+            }
+        }
         for flow in &self.flows {
             sim.add_flow(*flow);
         }
@@ -133,8 +151,8 @@ fn flow_spec(line: &FlowLine) -> FlowSpec {
 /// then [`Run::from_script`], gives the same run back (faults aside).
 impl fmt::Display for Run {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.name.is_empty() {
-            writeln!(f, "name {}", self.name)?;
+        if !self.script.name.is_empty() {
+            writeln!(f, "name {}", self.script.name)?;
         }
         writeln!(f, "seed {}", self.cfg.seed)?;
         writeln!(f, "duration {}", self.duration.as_secs_f64())?;
@@ -222,6 +240,22 @@ mod tests {
         let mut sim = run.build();
         sim.run_until(SimTime::from_secs_f64(0.5));
         assert!(sim.perf().position_updates > 0, "nobody moved");
+    }
+
+    #[test]
+    fn build_places_the_topology_and_puts_every_node_on_the_waypoint_plan() {
+        let run = run_of("seed 9\ntopology grid:3x3\nmobility waypoint:5-10\n").expect("a run");
+        let mut sim = run.build();
+        assert_eq!(sim.node_count(), 9);
+        let node = |i| NodeId::from_index(i);
+        let placed = TopologySpec::Grid { rows: 3, cols: 3 }.build(250.0, 9);
+        assert!((0..9).all(|i| sim.position(node(i)) == placed[i]), "placed as the spec says");
+        sim.run_until(SimTime::from_secs_f64(5.0));
+        assert!((0..9).all(|i| sim.position(node(i)) != placed[i]), "every node roams");
+        // Deterministic in the run.
+        let mut twin = run.build();
+        twin.run_until(SimTime::from_secs_f64(5.0));
+        assert_eq!(sim.trace_hash(), twin.trace_hash());
     }
 
     #[test]
@@ -324,7 +358,7 @@ mod tests {
             let run = Run::from_script(&script).expect("generated endpoints are nodes");
             let text = run.to_string();
             let again = run_of(&text).unwrap_or_else(|e| panic!("{e} in\n{text}"));
-            let shape = |r: &Run| format!("{:?}", (&r.name, r.cfg, &r.flows, r.duration));
+            let shape = |r: &Run| format!("{:?}", (&r.script.name, r.cfg, &r.flows, r.duration));
             prop_assert_eq!(shape(&again), shape(&run), "{}", text);
         }
     }

@@ -266,7 +266,6 @@ mod tests {
     use super::*;
     use crate::{topology, FlowSpec, SimConfig, TcpVariant};
     use sim_core::SimTime;
-    use topo::{MobilitySpec, TopologySpec};
 
     fn secs(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
@@ -430,43 +429,6 @@ mod tests {
         twin.run_until(secs(30.0));
         // Same waypoint sequence (same RNG draws), different timing.
         assert!(sim.position(node).x >= 0.0 && twin.position(node).x >= 0.0);
-    }
-
-    #[test]
-    fn from_config_builds_topology_and_applies_mobility() {
-        let cfg = SimConfig {
-            topology: TopologySpec::Grid { rows: 3, cols: 3 },
-            mobility: MobilitySpec::Waypoint {
-                min_speed_mps: 5.0,
-                max_speed_mps: 10.0,
-                pause: sim_core::SimDuration::ZERO,
-            },
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::from_config(cfg);
-        assert_eq!(sim.node_count(), 9);
-        let before: Vec<Position> = (0..9).map(|i| sim.position(NodeId::from_index(i))).collect();
-        sim.run_until(secs(5.0));
-        let moved = (0..9).any(|i| sim.position(NodeId::from_index(i)) != before[i]);
-        assert!(moved, "waypoint mobility moves nodes");
-        // Deterministic in the config.
-        let mut twin = Simulator::from_config(cfg);
-        twin.run_until(secs(5.0));
-        assert_eq!(sim.trace_hash(), twin.trace_hash());
-    }
-
-    #[test]
-    fn from_config_static_matches_explicit_positions() {
-        let cfg = SimConfig { topology: TopologySpec::Chain { hops: 4 }, ..SimConfig::default() };
-        let mut a = Simulator::from_config(cfg);
-        let mut b = Simulator::new(topology::chain(4), cfg);
-        let (src, dst) = topology::chain_flow(4);
-        let fa = a.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-        let fb = b.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-        a.run_until(secs(5.0));
-        b.run_until(secs(5.0));
-        assert_eq!(a.trace_hash(), b.trace_hash(), "config-built chain is the explicit chain");
-        assert_eq!(a.flow_report(fa).delivered_segments, b.flow_report(fb).delivered_segments);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use mac80211::{MacOutput, MacOutputs, MediumView};
 use phy::{Arrival, Channel, Edge, Link, Position, RxOutcome, TxId};
 use sim_core::{DetMap, EventQueue, RunPerf, SimRng, SimTime, TieOrder, TraceHash};
 use tcp::{Sender, TcpOutput, TcpReceiver, Transport};
-use topo::MobilitySpec;
 use tracelog::{PacketKind, TraceLog, TraceRecord};
 use wire::{FlowId, FrameKind, MacFrame, NodeId, Packet, Payload, TcpSegment, TcpSegmentKind};
 
@@ -25,7 +24,7 @@ use crate::event::{Event, Owner};
 use crate::fault::FaultState;
 use crate::mobility::Movement;
 use crate::node::{IfqPush, Node};
-use crate::{FlowReport, FlowSpec, NodeSummary, RandomWaypoint, SimConfig, TcpVariant};
+use crate::{FlowReport, FlowSpec, NodeSummary, SimConfig, TcpVariant};
 
 /// The simulator: a set of nodes on a shared radio channel plus the global
 /// event loop.
@@ -115,35 +114,6 @@ impl Simulator {
             tie_order: None,
             perf: RunPerf::default(),
         }
-    }
-
-    /// Creates a simulator whose node placement and mobility come entirely
-    /// from the config: positions are regenerated from `cfg.topology` and
-    /// `cfg.seed`, and `cfg.mobility` (if not static) is applied to every
-    /// node over the topology's bounding area. Fully deterministic in the
-    /// config — scenario scripts never need to serialise positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is inconsistent.
-    pub fn from_config(cfg: SimConfig) -> Self {
-        let positions = cfg.topology.build(cfg.radio.tx_range_m, cfg.seed);
-        let mut sim = Simulator::new(positions, cfg);
-        if let MobilitySpec::Waypoint { min_speed_mps, max_speed_mps, pause } = cfg.mobility {
-            let (width_m, height_m) = cfg.topology.extent();
-            let plan = RandomWaypoint {
-                width_m,
-                height_m,
-                min_speed_mps,
-                max_speed_mps,
-                min_pause: pause,
-                max_pause: pause,
-            };
-            for i in 0..sim.node_count() {
-                sim.set_random_waypoint(NodeId::from_index(i), plan);
-            }
-        }
-        sim
     }
 
     /// Registers a flow; its FTP source starts at `spec.start`.

@@ -199,7 +199,7 @@ fn explorer_proves_corpus_scripts_with_canonical_logs() {
         assert!(
             verdict.proved(),
             "{}: expected a proof, got {} after {} branches",
-            script.name,
+            script.script.name,
             verdict.status(),
             verdict.branches_explored
         );
@@ -208,7 +208,7 @@ fn explorer_proves_corpus_scripts_with_canonical_logs() {
             verdict.render_log(),
             run().render_log(),
             "{}: two explorations must emit byte-identical branch logs",
-            script.name
+            script.script.name
         );
     }
 }

@@ -245,10 +245,10 @@ fn disc60_waypoint() -> Simulator {
         },
         ..SimConfig::default()
     };
-    let mut sim = Simulator::from_config(cfg);
-    let last = sim.node_count() - 1;
-    sim.add_flow(FlowSpec::new(NodeId::new(0), NodeId::from_index(last), TcpVariant::Muzha));
-    sim
+    let last = NodeId::from_index(cfg.topology.node_count() - 1);
+    let flows = vec![FlowSpec::new(NodeId::new(0), last, TcpVariant::Muzha)];
+    Run { cfg, flows, duration: SimDuration::from_secs(3), script: ScenarioScript::default() }
+        .build()
 }
 
 /// The three CI `mc-verify` proofs: script, tie window (s), fault-shift

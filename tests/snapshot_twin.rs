@@ -184,7 +184,7 @@ fn snapshot_size_is_bounded_by_state_not_by_run_length() {
 }
 
 /// Mobility state rides the snapshot too: every generator family
-/// (`Simulator::from_config`, every node roaming under random waypoint)
+/// (`Run::build`, every node roaming under random waypoint)
 /// snapshotted mid-flight — motion plans in progress, pause timers pending,
 /// adjacency rows patched move by move since t = 0 — and resumed in a fresh
 /// simulator, whose adjacency is an all-pairs rebuild, must replay
@@ -206,12 +206,14 @@ fn mobile_run_resumes_bit_identically() {
             mobility: MobilitySpec::DEFAULT_WAYPOINT,
             ..SimConfig::default()
         };
-        let build = || {
-            let mut sim = Simulator::from_config(cfg);
-            let (src, dst) = farthest_pair(&cfg.topology.build(cfg.radio.tx_range_m, cfg.seed));
-            sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-            sim
+        let (src, dst) = farthest_pair(&cfg.topology.build(cfg.radio.tx_range_m, cfg.seed));
+        let run = Run {
+            cfg,
+            flows: vec![FlowSpec::new(src, dst, TcpVariant::Muzha)],
+            duration: end - SimTime::ZERO,
+            script: ScenarioScript::default(),
         };
+        let build = || run.build();
 
         let mut straight = build();
         straight.install_checker(InvariantChecker::new());
@@ -291,12 +293,11 @@ fn snapshot_layout_matches_the_committed_fixture() {
         queue: QueueDiscipline::Red(RedConfig::default()),
         ..SimConfig::default()
     };
-    let mut sim = Simulator::from_config(cfg);
     let (src, dst) = farthest_pair(&cfg.topology.build(cfg.radio.tx_range_m, cfg.seed));
-    for variant in TcpVariant::ALL {
-        sim.add_flow(FlowSpec::new(src, dst, variant).with_delayed_ack());
-    }
+    let flows = TcpVariant::ALL.map(|v| FlowSpec::new(src, dst, v).with_delayed_ack()).to_vec();
     let t = SimTime::from_secs_f64(2.0);
+    let run = Run { cfg, flows, duration: t - SimTime::ZERO, script: ScenarioScript::default() };
+    let mut sim = run.build();
     sim.run_until(t);
     rows.push(layout_row("disc24-every-variant-red", t, &sim.snapshot()));
 
