@@ -17,10 +17,12 @@
 //!   each adjustment once per RTT (the paper) or spread over a round's ACKs.
 
 use muzha::{AdjustmentCadence, DraiConfig};
-use netstack::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
-use sim_core::{SimDuration, SimTime};
+use netstack::{topology, FlowSpec, SimConfig, TcpVariant};
+use sim_core::SimDuration;
+use wire::FlowId;
 
-use super::{coexistence, CoexistKind};
+use super::{coexistence, on_chain, CoexistKind};
+use crate::run::Run;
 use crate::{average, render_table, run_matrix, ExperimentConfig};
 
 const HOPS: usize = 4;
@@ -65,12 +67,13 @@ pub fn ablations(cfg: &ExperimentConfig, cross_duration: SimDuration) -> String 
         &chains,
         cfg,
         |&(drai, cadence), sim_cfg| {
-            let mut sim = Simulator::new(topology::chain(HOPS), SimConfig { drai, ..sim_cfg });
             let (src, dst) = topology::chain_flow(HOPS);
-            let spec = FlowSpec::new(src, dst, TcpVariant::Muzha).with_muzha_cadence(cadence);
-            let flow = sim.add_flow(spec);
-            sim.run_until(SimTime::ZERO + cfg.duration);
-            sim.flow_report(flow).throughput_kbps(sim.now())
+            let flow = FlowSpec::new(src, dst, TcpVariant::Muzha).with_muzha_cadence(cadence);
+            let run =
+                Run::new(on_chain(SimConfig { drai, ..sim_cfg }, HOPS), vec![flow], cfg.duration);
+            let mut sim = run.build();
+            sim.run_until(run.end());
+            sim.flow_report(FlowId::new(0)).throughput_kbps(sim.now())
         },
         |_, kbps| average(&kbps).pm(),
     );

@@ -4,9 +4,11 @@
 //! A single FTP flow over an h-hop chain, 30 s, no background traffic,
 //! swept over h and the advertised window (`window_` ∈ {4, 8, 32}).
 
-use netstack::{topology, FlowSpec, Simulator, TcpVariant};
-use sim_core::SimTime;
+use netstack::{topology, FlowSpec, TcpVariant};
+use wire::FlowId;
 
+use super::on_chain;
+use crate::run::Run;
 use crate::{average, render_table, run_matrix, ExperimentConfig, Mean};
 
 /// One measured point of the sweep (one bar in Figs. 5.8–5.13).
@@ -116,11 +118,12 @@ pub fn throughput_vs_hops(
         &combos,
         cfg,
         |&(window, hops, variant), sim_cfg| {
-            let mut sim = Simulator::new(topology::chain(hops), sim_cfg);
             let (src, dst) = topology::chain_flow(hops);
-            let flow = sim.add_flow(FlowSpec::new(src, dst, variant).with_window(window));
-            sim.run_until(SimTime::ZERO + cfg.duration);
-            let report = sim.flow_report(flow);
+            let flow = FlowSpec::new(src, dst, variant).with_window(window);
+            let run = Run::new(on_chain(sim_cfg, hops), vec![flow], cfg.duration);
+            let mut sim = run.build();
+            sim.run_until(run.end());
+            let report = sim.flow_report(FlowId::new(0));
             (
                 report.throughput_kbps(sim.now()),
                 report.sender.retransmissions as f64,

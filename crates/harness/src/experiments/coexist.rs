@@ -6,10 +6,12 @@
 //! NewReno-vs-Vegas (NewReno steals the channel) against NewReno-vs-Muzha
 //! (fair sharing), reporting per-flow throughput and Jain's fairness index.
 
-use netstack::{topology, FlowSpec, Simulator, TcpVariant};
+use netstack::{topology, FlowSpec, TcpVariant};
 use sim_core::stats::jain_fairness_index;
-use sim_core::SimTime;
+use wire::FlowId;
 
+use super::on_cross;
+use crate::run::Run;
 use crate::{average, render_table, run_matrix, ExperimentConfig, Mean};
 
 /// Which pair of variants coexists.
@@ -86,15 +88,15 @@ pub fn coexistence(
         &combos,
         cfg,
         |&(hops, kind), sim_cfg| {
-            let mut sim = Simulator::new(topology::cross(hops), sim_cfg);
             let (hs, hd) = topology::cross_horizontal_flow(hops);
             let (vs, vd) = topology::cross_vertical_flow(hops);
-            let fh = sim.add_flow(FlowSpec::new(hs, hd, kind.horizontal));
-            let fv = sim.add_flow(FlowSpec::new(vs, vd, kind.vertical));
-            sim.run_until(SimTime::ZERO + cfg.duration);
-            let rh = sim.flow_report(fh);
-            let rv = sim.flow_report(fv);
-            (rh.throughput_kbps(sim.now()), rv.throughput_kbps(sim.now()))
+            let flows =
+                vec![FlowSpec::new(hs, hd, kind.horizontal), FlowSpec::new(vs, vd, kind.vertical)];
+            let run = Run::new(on_cross(sim_cfg, hops), flows, cfg.duration);
+            let mut sim = run.build();
+            sim.run_until(run.end());
+            let [h, v] = [0, 1].map(|i| sim.flow_report(FlowId::new(i)).throughput_kbps(sim.now()));
+            (h, v)
         },
         |&(hops, kind), seed_runs| {
             let h_kbps: Vec<f64> = seed_runs.iter().map(|r| r.0).collect();

@@ -3,10 +3,14 @@
 //! A single FTP/TCP flow over an h-hop chain (h ∈ {4, 8, 16}); the paper
 //! plots each variant's congestion window over 0–10 s (and zoomed 0–2 s).
 
-use netstack::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
+use netstack::{topology, FlowSpec, SimConfig, TcpVariant};
 use sim_core::stats::TimeSeries;
 use sim_core::{SimDuration, SimTime};
-use tracelog::{FlowSeries, Layer, TraceFilter, TraceLog};
+use tracelog::{FlowSeries, Layer, TraceFilter};
+use wire::FlowId;
+
+use super::on_chain;
+use crate::run::Run;
 
 /// One congestion-window trace (one curve in Figs. 5.2–5.7).
 #[derive(Clone, Debug)]
@@ -75,16 +79,12 @@ pub fn cwnd_traces_batch(
         }
     }
     let mut traces = crate::run_batch(&combos, jobs, |&(hops, variant), _| {
-        let mut sim = Simulator::new(topology::chain(hops), cfg);
         let (src, dst) = topology::chain_flow(hops);
-        let flow = sim.add_flow(FlowSpec::new(src, dst, variant));
+        let run = Run::new(on_chain(cfg, hops), vec![FlowSpec::new(src, dst, variant)], duration);
         // The window curve is the run's `TcpCwnd` records, as ns-2 reads it
         // from a trace file: keep the transport layer, extract per flow.
-        sim.install_trace_log(TraceLog::with_filter(TraceFilter::all().layer(Layer::Agt)));
-        sim.run_until(SimTime::ZERO + duration);
-        #[expect(clippy::expect_used, reason = "the log is installed above")]
-        let log = sim.take_trace_log().expect("log installed above");
-        let series = FlowSeries::collect(flow, None, log.iter());
+        let log = run.capture(TraceFilter::all().layer(Layer::Agt));
+        let series = FlowSeries::collect(FlowId::new(0), None, log.iter());
         CwndTrace { hops, variant, trace: series.cwnd }
     });
     hops_list.iter().map(|_| traces.drain(..variants.len()).collect()).collect()

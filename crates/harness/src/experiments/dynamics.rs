@@ -6,11 +6,14 @@
 //! time and argues Muzha's flows converge to a fair share quickly and
 //! smoothly while the other variants oscillate.
 
-use netstack::{topology, FlowReport, FlowSpec, SimConfig, Simulator, TcpVariant};
+use netstack::{topology, FlowReport, FlowSpec, SimConfig, TcpVariant};
 use sim_core::stats::jain_fairness_index;
 use sim_core::{SimDuration, SimTime};
+use wire::FlowId;
 
+use super::on_chain;
 use crate::render_series;
+use crate::run::Run;
 
 /// The windowed throughput series of the three flows.
 #[derive(Clone, Debug)]
@@ -89,13 +92,12 @@ pub fn throughput_dynamics(
         SimTime::ZERO + SimDuration::from_secs(10),
         SimTime::ZERO + SimDuration::from_secs(20),
     ];
-    let mut sim = Simulator::new(topology::chain(HOPS), cfg);
     let (src, dst) = topology::chain_flow(HOPS);
-    let flows: Vec<_> = starts
-        .iter()
-        .map(|&start| sim.add_flow(FlowSpec::new(src, dst, variant).starting_at(start)))
-        .collect();
-    let end = SimTime::ZERO + duration;
+    let specs = starts.map(|start| FlowSpec::new(src, dst, variant).starting_at(start));
+    let run = Run::new(on_chain(cfg, HOPS), specs.to_vec(), duration);
+    let mut sim = run.build();
+    let flows: Vec<FlowId> = (0..starts.len()).map(FlowId::from_index).collect();
+    let end = run.end();
     // One point per window `[t - window, t)`: each receiver's cumulative
     // count read one clock tick before `t`, less its reading a window ago.
     let tick = SimDuration::from_nanos(1);

@@ -15,11 +15,14 @@
 //! `--bin reproduce` is the one program that runs them all and writes the
 //! outputs; timing the simulator is `benchmark/`'s job, not this crate's.
 //!
-//! Beside the paper there is the single run: [`run::Run`] is what a run file
+//! Every cell of those experiments is a [`run::Run`]: what a run file
 //! (`faultline::ScenarioScript`: topology, mobility, flows, seed, duration,
 //! timed faults) or the flags that spell one mean, and `Run::build` the one
-//! place outside [`experiments`] that constructs a simulator. `--bin harness`
-//! drives a `Run` four ways — `trace` (capture, [`tracecap`]), `topo` (run
+//! place in this crate that constructs a simulator. A cell other than an
+//! ablation row (whose DRAI thresholds and cadence no run-file line spells)
+//! can be written as a run file — a `chain:h` or `cross:h` topology and its
+//! `flow` lines — that builds the same simulator. `--bin harness` drives a
+//! `Run` four ways — `trace` (capture, [`tracecap`]), `topo` (run
 //! checked), `mc` (explore, [`mc`]), `checkpoint` (snapshot / resume) — off
 //! the one argv table in [`cli`].
 //!

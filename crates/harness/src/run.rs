@@ -1,12 +1,13 @@
 //! One run, stated completely: the seam between a run file (or the flags
-//! that spell one) and a [`Simulator`].
+//! that spell one, or an experiment's cell) and a [`Simulator`].
 //!
 //! A [`Run`] is what a [`ScenarioScript`] means once every absent header line
 //! has taken its default and every node id has been checked against the
-//! topology. [`Run::build`] is the only place in this crate, outside
-//! `experiments`, that constructs a simulator: the corpus tests, `harness
-//! trace|topo|mc|checkpoint` and the model checker's branches all run what
-//! it returns.
+//! topology; [`Run::new`] states one in code, as every Chapter-5 cell of
+//! [`crate::experiments`] does. [`Run::build`] is the only place in this
+//! crate that constructs a simulator: the paper's cells, the corpus tests,
+//! `harness trace|topo|mc|checkpoint` and the model checker's branches all
+//! run what it returns.
 
 use std::fmt;
 
@@ -89,6 +90,12 @@ impl Run {
             duration: script.duration.unwrap_or(DEFAULT_DURATION),
             script: script.clone(),
         })
+    }
+
+    /// A run stated in code rather than text: `cfg` as given — topology,
+    /// mobility, DRAI thresholds and all —, `flows` in id order, no faults.
+    pub fn new(cfg: SimConfig, flows: Vec<FlowSpec>, duration: SimDuration) -> Run {
+        Run { cfg, flows, duration, script: ScenarioScript::default() }
     }
 
     /// The simulator of this run at t = 0: nodes placed from

@@ -247,8 +247,7 @@ fn disc60_waypoint() -> Simulator {
     };
     let last = NodeId::from_index(cfg.topology.node_count() - 1);
     let flows = vec![FlowSpec::new(NodeId::new(0), last, TcpVariant::Muzha)];
-    Run { cfg, flows, duration: SimDuration::from_secs(3), script: ScenarioScript::default() }
-        .build()
+    Run::new(cfg, flows, SimDuration::from_secs(3)).build()
 }
 
 /// The three CI `mc-verify` proofs: script, tie window (s), fault-shift

@@ -207,12 +207,8 @@ fn mobile_run_resumes_bit_identically() {
             ..SimConfig::default()
         };
         let (src, dst) = farthest_pair(&cfg.topology.build(cfg.radio.tx_range_m, cfg.seed));
-        let run = Run {
-            cfg,
-            flows: vec![FlowSpec::new(src, dst, TcpVariant::Muzha)],
-            duration: end - SimTime::ZERO,
-            script: ScenarioScript::default(),
-        };
+        let run =
+            Run::new(cfg, vec![FlowSpec::new(src, dst, TcpVariant::Muzha)], end - SimTime::ZERO);
         let build = || run.build();
 
         let mut straight = build();
@@ -296,7 +292,7 @@ fn snapshot_layout_matches_the_committed_fixture() {
     let (src, dst) = farthest_pair(&cfg.topology.build(cfg.radio.tx_range_m, cfg.seed));
     let flows = TcpVariant::ALL.map(|v| FlowSpec::new(src, dst, v).with_delayed_ack()).to_vec();
     let t = SimTime::from_secs_f64(2.0);
-    let run = Run { cfg, flows, duration: t - SimTime::ZERO, script: ScenarioScript::default() };
+    let run = Run::new(cfg, flows, t - SimTime::ZERO);
     let mut sim = run.build();
     sim.run_until(t);
     rows.push(layout_row("disc24-every-variant-red", t, &sim.snapshot()));
