@@ -7,8 +7,10 @@
 //!   larger (550 m) carrier-sense/interference range,
 //! * boolean "disc" propagation — exact 250 m node spacing in the paper's
 //!   topologies makes reception binary in NS2's two-ray-ground model too,
-//! * per-receiver collision detection with no capture: any overlap of two
-//!   signals at a receiver corrupts both,
+//! * per-receiver collision detection with ns-2's capture rule: when two
+//!   signals overlap at a receiver, the frame being received survives if it
+//!   is at least 10× (10 dB, ns-2's `CPThresh_`) stronger than the
+//!   newcomer; otherwise both are corrupted (see [`PhyState`]),
 //! * an optional i.i.d. per-frame random loss probability standing in for
 //!   channel bit errors (the paper's "random loss").
 //!
