@@ -27,9 +27,7 @@ fn on_cross(cfg: SimConfig, hops: usize) -> SimConfig {
     SimConfig { topology: TopologySpec::Cross { hops: arm(hops) }, ..cfg }
 }
 
+#[expect(clippy::expect_used, reason = "no paper topology has 65,536 hops")]
 fn arm(hops: usize) -> u16 {
-    match u16::try_from(hops) {
-        Ok(hops) => hops,
-        Err(_) => panic!("{hops} hops is past what a topology can place"),
-    }
+    u16::try_from(hops).expect("a hop count a topology can place")
 }

@@ -4,8 +4,6 @@
 //! and round-trips through standard CSV readers (no quoting is needed
 //! because all emitted fields are numeric or simple identifiers).
 
-use netstack::TcpVariant;
-
 use crate::experiments::{ChainSweep, CoexistResult, CwndTrace, DynamicsResult};
 
 /// One `(x, y)` series as two-column CSV with a header.
@@ -89,22 +87,12 @@ pub fn dynamics_csv(result: &DynamicsResult) -> String {
     out
 }
 
-/// Variant list helper for scripts: one name per line.
-pub fn variants_csv(variants: &[TcpVariant]) -> String {
-    let mut out = String::from("variant\n");
-    for v in variants {
-        out.push_str(v.name());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::throughput_vs_hops;
     use crate::ExperimentConfig;
-    use netstack::SimConfig;
+    use netstack::{SimConfig, TcpVariant};
     use sim_core::SimDuration;
 
     #[test]
@@ -127,12 +115,5 @@ mod tests {
     fn series_csv_shape() {
         let csv = series_csv("a", "b", &[(1.0, 2.0)]);
         assert_eq!(csv, "a,b\n1,2\n");
-    }
-
-    #[test]
-    fn variants_csv_lists_names() {
-        let csv = variants_csv(&TcpVariant::PAPER);
-        assert_eq!(csv.lines().count(), 5);
-        assert!(csv.contains("Muzha"));
     }
 }

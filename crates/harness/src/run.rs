@@ -106,9 +106,7 @@ impl Run {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`SimConfig::validate`]) or a flow names a node the topology lacks —
-    /// what [`Run::from_script`] refuses.
+    /// On what [`SimConfig::validate`] or [`Run::from_script`] refuses.
     pub fn build(&self) -> Simulator {
         let cfg = self.cfg;
         let mut sim = Simulator::new(cfg.topology.build(cfg.radio.tx_range_m, cfg.seed), cfg);

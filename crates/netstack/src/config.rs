@@ -43,12 +43,14 @@ pub struct SimConfig {
     /// for its DRAI computer.
     pub sample_interval: SimDuration,
     /// Initial node placement, regenerated deterministically from
-    /// `(topology, seed)` by [`crate::Simulator::from_config`]. Ignored by
-    /// [`crate::Simulator::new`], which takes explicit positions.
+    /// `(topology, seed)` by `harness::run::Run::build`, its one reader.
+    /// [`crate::Simulator::new`] takes explicit positions and ignores it; it
+    /// stays here because the snapshot fingerprint is this struct's `Debug`,
+    /// so a snapshot is refused by a run placed differently.
     pub topology: TopologySpec,
-    /// Mobility model applied to every node by
-    /// [`crate::Simulator::from_config`] (waypoint streams draw from the
-    /// master RNG, so runs stay seed-deterministic).
+    /// Mobility model `Run::build` applies to every node (waypoint streams
+    /// draw from the master RNG, so runs stay seed-deterministic). Ignored
+    /// by [`crate::Simulator::new`]; here for the fingerprint, as `topology`.
     pub mobility: MobilitySpec,
 }
 

@@ -47,14 +47,6 @@ pub fn chain(hops: usize) -> Vec<Position> {
 /// with the centre shared with horizontal node `hops/2`. The vertical arm
 /// spans `±hops/2` spacings around y = 0.
 ///
-/// # Example
-///
-/// ```
-/// use topo::generators;
-/// let positions = generators::cross(4);
-/// assert_eq!(positions.len(), 9); // 2*(4+1) - 1 shared centre
-/// ```
-///
 /// # Panics
 ///
 /// Panics if `hops` is zero or odd.

@@ -205,22 +205,16 @@ impl TopologySpec {
             None => (text, None),
         };
         match name {
-            "chain" => {
+            "chain" | "cross" => {
                 let hops = match arg {
-                    Some(a) => parse_u16(a, "chain hop count")?,
+                    Some(a) => parse_u16(a, &format!("{name} hop count"))?,
                     None => 4,
                 };
-                Ok(TopologySpec::Chain { hops })
-            }
-            "cross" => {
-                let hops = match arg {
-                    Some(a) => parse_u16(a, "cross hop count")?,
-                    None => 4,
-                };
-                if !hops.is_multiple_of(2) {
-                    return Err(format!("cross hop count '{hops}' must be even"));
+                match name {
+                    "chain" => Ok(TopologySpec::Chain { hops }),
+                    _ if hops.is_multiple_of(2) => Ok(TopologySpec::Cross { hops }),
+                    _ => Err(format!("cross hop count '{hops}' must be even")),
                 }
-                Ok(TopologySpec::Cross { hops })
             }
             "grid" => {
                 let (rows, cols) = match arg {
