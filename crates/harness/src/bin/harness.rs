@@ -19,8 +19,8 @@
 //! DESIGN.md "A run file") — *or* the run-shape flags that spell one:
 //! `[--topology SPEC | --hops N] [--mobility SPEC] [--variant NAME]
 //! [--flows N] [--secs S] [--seed S]`, never both. Topology specs: `chain:8`
-//! (`--hops 8`), `grid:4x5`, `random-disc:100`, `random-disc:100@2000x2000`,
-//! `city-blocks:4x4@16`; mobility specs: `static`, `waypoint` (1–20 m/s, no
+//! (`--hops 8`), `cross:4`, `grid:4x5`, `random-disc:100`,
+//! `random-disc:100@2000x2000`, `city-blocks:4x4@16`; mobility specs: `static`, `waypoint` (1–20 m/s, no
 //! pause), `waypoint:1-20@30`. `--flows N` flows of `--variant` (one Muzha
 //! flow when absent) run between the two most-separated nodes, then between
 //! spread endpoints. Either way the command line becomes one
