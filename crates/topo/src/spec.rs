@@ -27,8 +27,8 @@ pub enum TopologySpec {
         /// Number of hops (nodes minus one).
         hops: u16,
     },
-    /// Two `hops`-hop chains crossing at their shared centre node, `2·hops
-    /// + 1` nodes at 250 m spacing (paper Fig. 5.15); `hops` is even.
+    /// Two `hops`-hop chains crossing at their shared centre node, so
+    /// `2·hops + 1` nodes at 250 m spacing (paper Fig. 5.15); `hops` is even.
     Cross {
         /// Hops along each arm (nodes per arm minus one).
         hops: u16,

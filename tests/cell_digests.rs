@@ -302,7 +302,8 @@ fn every_quick_cell_matches_the_committed_fixture() {
 }
 
 /// Each non-ablation cell, read from its run-file text and built by
-/// `Run::build`, is the row its hand-built twin committed.
+/// `Run::build`, is the row its hand-built twin committed. The twins install
+/// no trace log: an observer changes none of a row's columns.
 #[test]
 fn every_non_ablation_cell_is_its_run_file_twin() {
     let cells: Vec<(String, String)> =
