@@ -23,11 +23,11 @@ use crate::{Position, RadioParams};
 /// incremental rows always equal a rebuild (the property tests below and
 /// the snapshot twins pin that).
 ///
-/// Beside each sender's carrier-sense row it keeps a row of [`Link`]s: what
-/// a transmission from that sender means to each peer that senses it, as far
-/// as that depends on geometry and fault state alone. A third derived cache,
-/// built on the sender's first transmission after a mutation touched it
-/// ([`Self::take_links`]).
+/// Beside each sender's carrier-sense row it keeps a [`LinkRow`]: what a
+/// transmission from that sender means to each peer that senses it, as far
+/// as that depends on geometry and fault state alone, and the order in which
+/// its signal reaches them. A third derived cache, built on the sender's
+/// first transmission after a mutation touched it ([`Self::take_links`]).
 ///
 /// # Example
 ///
@@ -69,7 +69,7 @@ pub struct Channel {
     scratch_cs: Vec<NodeId>,
     /// One row per sender, parallel to its `cs_neighbors` row while
     /// `links_fresh` says so.
-    links: Vec<Vec<Link>>,
+    links: Vec<LinkRow>,
     links_fresh: Vec<bool>,
 }
 
@@ -95,6 +95,41 @@ impl Link {
     #[inline]
     pub fn prop(&self) -> SimDuration {
         SimDuration::from_nanos(u64::from(self.prop_nanos))
+    }
+}
+
+/// A sender's [`Link`]s and the order in which its signal reaches them.
+///
+/// Built and staled as one: the order is a function of the links, so it is
+/// sorted once per rebuild and read once per frame, where the trailing edges
+/// of one frame are filed in the order they arrive.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct LinkRow {
+    links: Vec<Link>,
+    /// Positions in `links` sorted by `(prop, position)`. A carrier-sense
+    /// row holds at most 65,535 peers: a [`NodeId`] is 16 bits and the
+    /// sender is not its own peer.
+    by_delay: Vec<u16>,
+}
+
+impl LinkRow {
+    /// One [`Link`] per member of the sender's carrier-sense row, in that
+    /// order.
+    #[inline]
+    pub fn links(&self) -> &[Link] {
+        &self.links
+    }
+
+    /// The links with their positions in [`Self::links`], by propagation
+    /// delay and, between equal delays, by position: for one frame, the order
+    /// of its edges' `(time, seq)` keys when each peer's seqs follow its
+    /// position.
+    #[inline]
+    pub fn in_delay_order(&self) -> impl Iterator<Item = (usize, &Link)> + '_ {
+        self.by_delay.iter().map(|&at| {
+            let at = usize::from(at);
+            (at, &self.links[at])
+        })
     }
 }
 
@@ -304,12 +339,13 @@ impl Channel {
     }
 
     /// Takes `sender`'s link row out of the channel — one [`Link`] per member
-    /// of [`Self::cs_neighbors`], in that order — building it first if a
-    /// mutation touched the sender or one of its peers since it was last
-    /// built. The caller hands it back through [`Self::put_links`] before it
-    /// mutates the channel; a row never handed back is built again.
+    /// of [`Self::cs_neighbors`], in that order, and their delay order —
+    /// building it first if a mutation touched the sender or one of its peers
+    /// since it was last built. The caller hands it back through
+    /// [`Self::put_links`] before it mutates the channel; a row never handed
+    /// back is built again.
     #[inline]
-    pub fn take_links(&mut self, sender: NodeId) -> Vec<Link> {
+    pub fn take_links(&mut self, sender: NodeId) -> LinkRow {
         let i = sender.index();
         let mut row = mem::take(&mut self.links[i]);
         if !mem::take(&mut self.links_fresh[i]) {
@@ -320,17 +356,18 @@ impl Channel {
 
     /// Returns a row [`Self::take_links`] handed out for `sender`.
     #[inline]
-    pub fn put_links(&mut self, sender: NodeId, row: Vec<Link>) {
+    pub fn put_links(&mut self, sender: NodeId, row: LinkRow) {
         let i = sender.index();
         self.links[i] = row;
         self.links_fresh[i] = true;
     }
 
-    fn build_links(&self, sender: NodeId, row: &mut Vec<Link>) {
+    fn build_links(&self, sender: NodeId, row: &mut LinkRow) {
         #[cfg(test)]
         LINK_ROWS_BUILT.with(|built| built.set(built.get() + 1));
-        row.clear();
-        row.extend(self.cs_neighbors[sender.index()].iter().map(|&peer| {
+        let LinkRow { links, by_delay } = row;
+        links.clear();
+        links.extend(self.cs_neighbors[sender.index()].iter().map(|&peer| {
             let distance = self.distance(sender, peer);
             let prop = RadioParams::propagation_delay(distance).as_nanos();
             Link {
@@ -342,6 +379,9 @@ impl Channel {
                 in_rx_range: self.in_rx_range(sender, peer),
             }
         }));
+        by_delay.clear();
+        by_delay.extend((0..=u16::MAX).take(links.len()));
+        by_delay.sort_unstable_by_key(|&at| (links[usize::from(at)].prop_nanos, at));
     }
 
     /// The one pair predicate both row builders share: `None` if `i` and `j`
@@ -405,7 +445,7 @@ impl Channel {
         }
         self.rx_neighbors = rx_rows;
         self.cs_neighbors = cs_rows;
-        self.links.resize_with(n, Vec::new);
+        self.links.resize_with(n, LinkRow::default);
         self.links_fresh.clear();
         self.links_fresh.resize(n, false);
     }
@@ -606,11 +646,16 @@ mod tests {
     }
 
     /// `sender`'s link row, taken and handed back.
-    pub(super) fn links(ch: &mut Channel, sender: NodeId) -> Vec<Link> {
+    pub(super) fn link_row(ch: &mut Channel, sender: NodeId) -> LinkRow {
         let row = ch.take_links(sender);
         let copy = row.clone();
         ch.put_links(sender, row);
         copy
+    }
+
+    /// `sender`'s links, taken and handed back.
+    fn links(ch: &mut Channel, sender: NodeId) -> Vec<Link> {
+        link_row(ch, sender).links
     }
 
     #[test]
@@ -782,10 +827,13 @@ mod grid_differential {
         churn + (old.len() - oi) + (new.len() - ni)
     }
 
+    /// Links as the oracle spells them: peer, power's bits, delay, decodes.
+    type Spelled = Vec<(NodeId, u64, SimDuration, bool)>;
+
     /// What `transmit` worked out per listener per frame before link rows
     /// existed, by the four public calls it made: the oracle the rows are
     /// held to, floats by their bits.
-    fn links_from_scratch(ch: &Channel, sender: NodeId) -> Vec<(NodeId, u64, SimDuration, bool)> {
+    fn links_from_scratch(ch: &Channel, sender: NodeId) -> Spelled {
         let listeners = ch.cs_neighbors(sender).iter();
         listeners
             .map(|&peer| {
@@ -797,9 +845,25 @@ mod grid_differential {
             .collect()
     }
 
-    fn links_kept(ch: &mut Channel, sender: NodeId) -> Vec<(NodeId, u64, SimDuration, bool)> {
-        let row = super::tests::links(ch, sender);
-        row.iter().map(|l| (l.peer, l.power.to_bits(), l.prop(), l.in_rx_range)).collect()
+    /// `sender`'s kept row as [`links_from_scratch`] spells it, in row
+    /// order, then in the row's own delay order.
+    fn links_kept(ch: &mut Channel, sender: NodeId) -> (Spelled, Spelled) {
+        let row = super::tests::link_row(ch, sender);
+        let spell = |l: &Link| (l.peer, l.power.to_bits(), l.prop(), l.in_rx_range);
+        (
+            row.links().iter().map(spell).collect(),
+            row.in_delay_order().map(|(_, l)| spell(l)).collect(),
+        )
+    }
+
+    /// [`links_from_scratch`], and the same links sorted afresh by
+    /// `(prop, row position)`: the delay order a kept row must carry.
+    fn links_and_order_from_scratch(ch: &Channel, sender: NodeId) -> (Spelled, Spelled) {
+        let row = links_from_scratch(ch, sender);
+        let mut by_delay: Vec<usize> = (0..row.len()).collect();
+        by_delay.sort_by_key(|&at| (row[at].2, at));
+        let order = by_delay.iter().map(|&at| row[at]).collect();
+        (row, order)
     }
 
     /// One randomly generated mutation against the channel.
@@ -913,11 +977,13 @@ mod grid_differential {
         /// neighbor rows — and the churn reported for every mutation —
         /// equal those of a from-scratch all-pairs rebuild, entry for entry.
         ///
-        /// So do the link rows. Each step asks for the rows of a random
-        /// subset of senders (the op's last field, a bit per node), so a row
-        /// is asked for fresh, one mutation stale and many mutations stale,
-        /// after mutations of its own node, of a peer from either end of a
-        /// link, and of strangers; the end asks for every sender's.
+        /// So do the link rows, and each row's delay order equals a fresh
+        /// sort of the rebuilt row by `(prop, row position)`. Each step asks
+        /// for the rows of a random subset of senders (the op's last field, a
+        /// bit per node), so a row is asked for fresh, one mutation stale and
+        /// many mutations stale, after mutations of its own node, of a peer
+        /// from either end of a link, and of strangers; the end asks for
+        /// every sender's.
         #[test]
         fn grid_matches_brute_force(
             starts in proptest::collection::vec((0.0f64..2200.0, 0.0f64..2200.0), 2..24),
@@ -960,7 +1026,7 @@ mod grid_differential {
                     if op.5 >> i & 1 == 1 {
                         prop_assert_eq!(
                             links_kept(&mut fast, node),
-                            links_from_scratch(&slow, node),
+                            links_and_order_from_scratch(&slow, node),
                             "link row diverged at {} after {:?}",
                             node,
                             op
@@ -972,7 +1038,7 @@ mod grid_differential {
                 let node = NodeId::from_index(i);
                 prop_assert_eq!(
                     links_kept(&mut fast, node),
-                    links_from_scratch(&slow, node),
+                    links_and_order_from_scratch(&slow, node),
                     "link row diverged at {} at the end",
                     node
                 );

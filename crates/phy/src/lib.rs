@@ -25,7 +25,7 @@ mod loss;
 mod params;
 mod state;
 
-pub use channel::{Channel, Link};
+pub use channel::{Channel, Link, LinkRow};
 pub use loss::{GeState, GilbertElliott};
 pub use params::RadioParams;
 pub use state::{Arrival, Edge, PhyState, RxOutcome, TxId};

@@ -181,9 +181,19 @@ impl<E> EventQueue<E> {
     /// `(time, seq)` key it would have had, and the driver can order the
     /// lazy work against popped entries by comparing keys.
     pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
+        self.reserve_seqs(1)
+    }
+
+    /// Issues `count` consecutive sequence numbers at once and returns the
+    /// first: a block for work whose entries are filed in some other order
+    /// than their numbers. Each entry later filed under a number of the
+    /// block with [`Self::push_reserved`] pops exactly where it would have
+    /// had it been pushed when the block was taken, whatever the order of
+    /// filing; filing in key order keeps each insertion at its bucket's tail.
+    pub fn reserve_seqs(&mut self, count: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += count;
+        first
     }
 
     /// The sequence number the next push or [`Self::reserve_seq`] will be
@@ -441,9 +451,15 @@ impl<E> HeapQueue<E> {
     /// Issues the next sequence number without queueing anything (see
     /// [`EventQueue::reserve_seq`]).
     pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
+        self.reserve_seqs(1)
+    }
+
+    /// Issues `count` consecutive sequence numbers and returns the first
+    /// (see [`EventQueue::reserve_seqs`]).
+    pub fn reserve_seqs(&mut self, count: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += count;
+        first
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is empty.
@@ -1112,6 +1128,67 @@ mod proptests {
                 let (a, b) = (cal.pop(), heap.pop());
                 prop_assert_eq!(a, b);
                 if a.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// A block of reserved numbers may be filed in any order: entries
+        /// under one block, filed in a random permutation among ordinary
+        /// pushes made before and after the block was taken, pop exactly as
+        /// the same entries filed in seq order, and as the reference heap
+        /// pops them. Times fall in one bucket and in the next lap, so
+        /// insertions walk back past block members and far-tier members
+        /// migrate; a shared instant makes ties that only seqs break.
+        #[test]
+        fn a_reserved_block_pops_the_same_whatever_order_it_is_filed_in(
+            before in proptest::collection::vec(0usize..3, 0..20),
+            block in proptest::collection::vec((0usize..3, any::<u64>()), 1..40),
+            after in proptest::collection::vec(0usize..3, 0..20),
+        ) {
+            const AT: [u64; 3] = [40_000, 40_000 + 1_000, 40_000 + 10_000_000];
+            let mut shuffled = EventQueue::new();
+            let mut sorted = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            let mut payload = 0usize;
+            let mut push_all = |at: usize,
+                                shuffled: &mut EventQueue<usize>,
+                                sorted: &mut EventQueue<usize>,
+                                heap: &mut HeapQueue<usize>| {
+                let at = SimTime::from_nanos(AT[at]);
+                shuffled.push(at, payload);
+                sorted.push(at, payload);
+                heap.push(at, payload);
+                payload += 1;
+            };
+            for &at in &before {
+                push_all(at, &mut shuffled, &mut sorted, &mut heap);
+            }
+            let n = block.len() as u64;
+            let first = shuffled.reserve_seqs(n);
+            prop_assert_eq!(sorted.reserve_seqs(n), first);
+            prop_assert_eq!(heap.reserve_seqs(n), first);
+            for &at in &after {
+                push_all(at, &mut shuffled, &mut sorted, &mut heap);
+            }
+            // Member `i` of the block, under seq `first + i`; filed in the
+            // order of its random rank.
+            let mut order: Vec<usize> = (0..block.len()).collect();
+            order.sort_by_key(|&i| block[i].1);
+            for (i, &(at, _)) in block.iter().enumerate() {
+                let at = SimTime::from_nanos(AT[at]);
+                sorted.push_reserved(at, first + i as u64, payload + i);
+            }
+            for &i in &order {
+                let at = SimTime::from_nanos(AT[block[i].0]);
+                shuffled.push_reserved(at, first + i as u64, payload + i);
+                heap.push_reserved(at, first + i as u64, payload + i);
+            }
+            loop {
+                let popped = shuffled.pop_nth(0);
+                prop_assert_eq!(popped, sorted.pop_nth(0));
+                prop_assert_eq!(popped, heap.pop_nth(0));
+                if popped.is_none() {
                     break;
                 }
             }
