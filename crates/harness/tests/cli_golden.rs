@@ -85,7 +85,7 @@ fn topo_reports_the_same_hash_ledger_and_verdict() {
     assert_eq!(
         topo_verdict(&["--secs", "2", "--seed", "1"]),
         [
-            "trace hash 0x6175379296ff7c03",
+            "trace hash 0x4b2f7850985e919d",
             "ledger: injected 37 = delivered 36 + dropped 0 + fault 0 + in-flight 1",
             "invariants: clean (24172 records checked)",
         ]
@@ -94,7 +94,7 @@ fn topo_reports_the_same_hash_ledger_and_verdict() {
     assert_eq!(
         topo_verdict(&chain8),
         [
-            "trace hash 0xf98ef042bcfe7f03",
+            "trace hash 0x116ff2ef2f798958",
             "ledger: injected 47 = delivered 45 + dropped 2 + fault 0 + in-flight 0",
             "invariants: clean (7691 records checked)",
         ]
@@ -119,19 +119,19 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
     let taken = text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "4", "--out", &ck]);
     assert_eq!(
         after(&taken, ": "),
-        ": 5234 bytes, t=4.000000s events=19891 hash=0x7810ea35368bc107\n"
+        ": 5234 bytes, t=4.000000s events=19721 hash=0x71534f49066f9e30\n"
     );
     let resumed = text_of("checkpoint", &["resume", "--script", &scn, "--from", &ck]);
     assert_eq!(
         after(&resumed, " at t="),
-        " at t=4.000000s, ran to t=15.000000s: events=39342 (+19451 after resume) \
-         hash=0x8769956ab53477cc\n"
+        " at t=4.000000s, ran to t=15.000000s: events=39044 (+19323 after resume) \
+         hash=0x237736b373f481a7\n"
     );
     let ran =
         text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "15", "--out", &straight]);
     assert_eq!(
         after(&ran, ": "),
-        ": 4893 bytes, t=15.000000s events=39342 hash=0x8769956ab53477cc\n"
+        ": 4893 bytes, t=15.000000s events=39044 hash=0x237736b373f481a7\n"
     );
     let size = |p: &str| std::fs::metadata(p).expect("snapshot written").len();
     assert_eq!((size(&ck), size(&straight)), (5234, 4893));
@@ -147,10 +147,10 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
     let sweep = text_of("checkpoint", &sweep);
     let lines: Vec<&str> = sweep.lines().collect();
     assert_eq!(lines.len(), 3, "{sweep}");
-    assert_eq!(after(lines[0], ": "), ": t=5.000000s events=20180 hash=0xafd2eb11e9d601e8");
-    assert_eq!(after(lines[1], ": "), ": t=10.000000s events=20349 hash=0x719a97ba8a6a98ca");
+    assert_eq!(after(lines[0], ": "), ": t=5.000000s events=20010 hash=0x3baddeb1c0009b30");
+    assert_eq!(after(lines[1], ": "), ": t=10.000000s events=20179 hash=0x1a91917993cb12de");
     assert!(lines[2].starts_with("2 checkpoint(s) in "), "{sweep}");
-    assert_eq!(after(lines[2], "; "), "; final t=15.000000s hash=0x8769956ab53477cc");
+    assert_eq!(after(lines[2], "; "), "; final t=15.000000s hash=0x237736b373f481a7");
     std::fs::remove_dir_all(&dir).expect("remove scratch directory");
 }
 
@@ -180,11 +180,11 @@ fn mc_proofs_print_the_same_verdicts_and_branch_logs() {
         proofs,
         [
             "mc-verdict script=chain-break status=PROVED placements=3 branches_explored=8 \
-             truncated=false max_choice_points=2 max_group=2 log=53d38ff49370c7ad",
+             truncated=false max_choice_points=2 max_group=2 log=1e82883bbaa06a37",
             "mc-verdict script=relay-crash status=PROVED placements=1 branches_explored=2 \
-             truncated=false max_choice_points=1 max_group=2 log=7dce7e1e40bd2039",
+             truncated=false max_choice_points=1 max_group=2 log=0e3b4585aba519e1",
             "mc-verdict script=pause-resume status=PROVED placements=1 branches_explored=6 \
-             truncated=false max_choice_points=2 max_group=3 log=8d08dc85afc24f3a",
+             truncated=false max_choice_points=2 max_group=3 log=bfcf765f68bbe414",
         ]
     );
     std::fs::remove_dir_all(&dir).expect("remove scratch directory");

@@ -14,12 +14,16 @@
 //! had and `Simulator::settle` applies it before the node's next event; tag
 //! 1, which it used to carry, is retired and never reused. The *end* edge
 //! at a listener out of decoding range arms EIFS and, if the MAC is
-//! deferring, restarts its countdown: while that MAC holds no packet there
-//! is nothing to restart and the edge is parked the same way, under the key
-//! reserved for it. It becomes an event — [`Event::CsEnd`], pushed under
-//! that key — when the MAC takes a packet (`Simulator::try_feed_mac`), or at
-//! once if the MAC already holds one. [`Event::RxEnd`] is the end of a
-//! signal the listener was in range to decode.
+//! deferring and the medium goes idle there, restarts its countdown. Where
+//! neither can happen — the MAC holds no packet, or the listener's PHY
+//! already knows a signal or its own transmission lasting past the edge, so
+//! the medium stays busy (`PhyState::covers`) — the edge is parked the same
+//! way, under the key reserved for it. It becomes an event — [`Event::CsEnd`],
+//! pushed under that key — when the MAC takes a packet
+//! (`Simulator::try_feed_mac`) or the radio is switched off and may forget
+//! the cover (`Simulator::radio_off`), or at once if neither rule admits it
+//! when the frame is sent. [`Event::RxEnd`] is the end of a signal the
+//! listener was in range to decode.
 
 #![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
@@ -58,8 +62,10 @@ pub(crate) enum Event {
     Sample,
     /// A scripted fault fires (index into the loaded scenario fault list).
     Fault { index: usize },
-    /// A signal `node` could sense and never decode ends there, its MAC
-    /// holding a packet now or when the signal was sent.
+    /// A signal `node` could sense and never decode ends there: its MAC held
+    /// a packet when the signal was sent and its medium was not known to stay
+    /// busy past the end, or the edge was parked and has been taken back (see
+    /// the module docs).
     CsEnd { node: NodeId, tx_id: TxId },
 }
 

@@ -248,10 +248,20 @@ impl Simulator {
     /// impinging on it: their end edges are discarded by [`Self::gate_event`]
     /// while it is down, so a reception left in the PHY would jam its carrier
     /// sense for the rest of the run. An end edge parked on one of them is
-    /// discarded here and now.
+    /// discarded here and now. One parked on a signal still in flight is
+    /// pushed into the queue as an [`Event::CsEnd`] under its own key: the
+    /// cover it was parked under may be the energy just forgotten, and if the
+    /// radio is back on when that signal arrives, its end is an idle edge
+    /// that can restart the MAC's countdown (DESIGN §9.4). The fault is a
+    /// `Global` event, which settled the node against its own key first, so
+    /// every such end lies ahead of that key.
     fn radio_off(&mut self, node: NodeId) {
         self.channel.set_node_enabled(node, false);
-        self.perf.edges_settled += self.nodes[node.index()].phy.radio_off() as u64;
+        let events = &mut self.events;
+        let dropped = self.nodes[node.index()].phy.radio_off(|end, seq, tx_id| {
+            events.push_reserved(end, seq, Event::CsEnd { node, tx_id });
+        });
+        self.perf.edges_settled += dropped as u64;
     }
 
     /// Crashes a node: radio off, every packet in its custody (interface

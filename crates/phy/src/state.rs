@@ -56,7 +56,10 @@ pub struct Arrival {
     /// `(end, seq)`, and [`PhyState::unpark_ends`] hands it back for queueing
     /// under that key if it has to become an entry after all. For a signal
     /// that is sensed and never decodable only — the end of such a signal
-    /// has no outcome to report. `None`: the driver delivers the end edge
+    /// has no outcome to report — and only where nobody cares when the
+    /// medium goes idle at that edge: a station with no packet to send, or
+    /// one whose medium is sure to be busy then anyway
+    /// ([`PhyState::covers`]). `None`: the driver delivers the end edge
     /// itself ([`PhyState::on_rx_end`]).
     pub parked_end: Option<u64>,
 }
@@ -67,8 +70,9 @@ impl Arrival {
     }
 }
 
-/// A signal edge [`PhyState::settle`] has just applied, reported for the
-/// caller's own bookkeeping of the same edge.
+/// A signal edge [`PhyState::settle`] has just applied, reported with the
+/// radio as it stands after it, for the caller's own bookkeeping of the same
+/// edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Edge {
     /// A leading edge: the signal occupies the medium here over
@@ -235,8 +239,9 @@ impl PhyState {
     /// ([`Self::on_rx_start`] stamped with the arrival's own `start`) and the
     /// end edges parked with signals ([`Self::on_rx_end`] at the edge's own
     /// instant, its outcome always [`RxOutcome::NotDecodable`]) — calling
-    /// `on_edge` after each for the caller's bookkeeping of the same edge.
-    /// Returns how many edges that was.
+    /// `on_edge` after each, with the radio as that edge left it, for the
+    /// caller's bookkeeping of the same edge. Returns how many edges that
+    /// was.
     ///
     /// With `radio_on` false the due arrivals reach a receiver that is
     /// switched off and are dropped unheard, each taking its parked end with
@@ -248,7 +253,7 @@ impl PhyState {
         time: SimTime,
         seq: u64,
         radio_on: bool,
-        on_edge: impl FnMut(Edge),
+        on_edge: impl FnMut(&PhyState, Edge),
     ) -> usize {
         let key = (time, seq);
         let start_due = self.pending.first().is_some_and(|a| a.key() < key);
@@ -262,7 +267,7 @@ impl PhyState {
         &mut self,
         key: (SimTime, u64),
         radio_on: bool,
-        mut on_edge: impl FnMut(Edge),
+        mut on_edge: impl FnMut(&PhyState, Edge),
     ) -> usize {
         if !radio_on {
             let due = self.pending.iter().take_while(|a| a.key() < key).count();
@@ -282,13 +287,13 @@ impl PhyState {
                 (Some(a), end) if end.is_none_or(|(end, _)| a.key() < end) => {
                     let parked_end = a.parked_end.map(|seq| (a.end, seq));
                     self.start_reception(a.tx_id, a.start, a.end, a.decodable, a.power, parked_end);
-                    on_edge(Edge::Start { tx_id: a.tx_id, start: a.start, end: a.end });
+                    on_edge(self, Edge::Start { tx_id: a.tx_id, start: a.start, end: a.end });
                     started += 1;
                 }
                 (_, Some(((at, _), idx))) => {
                     let r = self.receptions.swap_remove(idx);
                     debug_assert!(!r.decodable, "the end of a decodable signal was parked");
-                    on_edge(Edge::End { tx_id: r.tx_id, at });
+                    on_edge(self, Edge::End { tx_id: r.tx_id, at });
                 }
                 (_, None) => break,
             }
@@ -320,6 +325,22 @@ impl PhyState {
                 queue(a.end, seq, a.tx_id);
             }
         }
+    }
+
+    /// Whether the medium here is sure to be busy just after the end edge
+    /// keyed `(end, seq)`, whatever else happens before it, unless the radio
+    /// is switched off first: the node's own transmission lasts past `end`,
+    /// or sensed energy does, or a signal does whose start edge comes before
+    /// that key. Sensed energy only grows until [`Self::radio_off`], and a
+    /// start edge due before the key is applied before it, so an edge parked
+    /// under cover finds the medium busy when it is applied. Unapplied edges
+    /// do not change the answer: a signal still to arrive counts here as
+    /// the energy it becomes. For the end of a signal already announced,
+    /// that signal does not cover its own end.
+    pub fn covers(&self, end: SimTime, seq: u64) -> bool {
+        self.transmitting_until.is_some_and(|t| t > end)
+            || self.energy_until > end
+            || self.pending.iter().any(|a| a.key() < (end, seq) && a.end > end)
     }
 
     /// Every end edge parked here, as `(transmission, time, seq)`: those of
@@ -362,15 +383,19 @@ impl PhyState {
     /// signals still arrive and find nothing ([`Self::on_rx_end`] returns
     /// `None`), and the ones parked here go with their signals: the return
     /// value is how many of those there were, edges dropped like the ones
-    /// [`Self::settle`] counts. Signals announced but still in flight are not
-    /// touched here: each is dropped when its edge comes due, if the radio is
-    /// still off then ([`Self::settle`] with `radio_on` false). The node's
-    /// own transmission, if one is on the air, is not this receiver's
-    /// business and runs out by itself.
-    pub fn radio_off(&mut self) -> usize {
+    /// [`Self::settle`] counts. Signals announced but still in flight are
+    /// dropped when their edge comes due, if the radio is still off then
+    /// ([`Self::settle`] with `radio_on` false), and otherwise heard as usual;
+    /// but the end edges parked on them are handed to `queue` as
+    /// [`Self::unpark_ends`] hands them, since forgetting energy can take
+    /// away the cover an edge was parked under ([`Self::covers`]). A radio
+    /// switched off parks nothing. The node's own transmission, if one is on
+    /// the air, is not this receiver's business and runs out by itself.
+    pub fn radio_off(&mut self, queue: impl FnMut(SimTime, u64, TxId)) -> usize {
         let parked = self.receptions.iter().filter(|r| r.parked_end.is_some()).count();
         self.receptions.clear();
         self.energy_until = SimTime::ZERO;
+        self.unpark_ends(queue);
         parked
     }
 
@@ -532,7 +557,7 @@ mod tests {
         let mut phy = PhyState::new();
         phy.on_rx_start(TxId(1), t(0), t(100), true, 1.0);
         phy.on_rx_start(TxId(2), t(10), t(300), false, 1.0);
-        phy.radio_off();
+        phy.radio_off(|_, _, _| unreachable!("nothing is parked"));
         assert_eq!(phy.active_receptions(), 0);
         assert!(!phy.carrier_busy(t(20)), "no reception and no energy horizon left");
         assert_eq!(phy.idle_at(t(20)), t(20));
@@ -580,14 +605,17 @@ mod tests {
         assert_eq!(keys(&phy), [2, 0, 4]);
         let mut heard = Vec::new();
         // An event at t = 50 with seq 3 sits between the two t = 50 edges.
-        assert_eq!(phy.settle(t(50), 3, true, |e| heard.push(signed(e))), 2);
+        assert_eq!(phy.settle(t(50), 3, true, |_, e| heard.push(signed(e))), 2);
         assert_eq!(heard, [2, 1]);
         assert_eq!(keys(&phy), [4], "the edge behind the key stays parked");
         assert_eq!(phy.active_receptions(), 2);
         assert!(phy.carrier_busy(t(50)));
-        assert_eq!(phy.settle(t(50), 3, true, |_| unreachable!("nothing new is due")), 0);
-        assert_eq!(phy.settle(t(50), 4, true, |_| unreachable!("a key is not before itself")), 0);
-        phy.settle(t(50), u64::MAX, true, |e| heard.push(signed(e)));
+        assert_eq!(phy.settle(t(50), 3, true, |_, _| unreachable!("nothing new is due")), 0);
+        assert_eq!(
+            phy.settle(t(50), 4, true, |_, _| unreachable!("a key is not before itself")),
+            0
+        );
+        phy.settle(t(50), u64::MAX, true, |_, e| heard.push(signed(e)));
         assert_eq!(heard, [2, 1, 3]);
         assert!(phy.pending().is_empty());
     }
@@ -603,13 +631,13 @@ mod tests {
         phy.announce(edge(60, 4, 3, 90)); // starts as signal 1 ends, queued after it
         phy.announce(sensed(40, 6, 4, 95, 7)); // starts as signal 2 ends, queued after it
         let mut seen = Vec::new();
-        assert_eq!(phy.settle(t(15), 0, true, |e| seen.push(signed(e))), 1);
+        assert_eq!(phy.settle(t(15), 0, true, |_, e| seen.push(signed(e))), 1);
         assert_eq!(seen, [1]);
         assert_eq!(phy.parked_ends().map(|(tx, ..)| tx.0).collect::<Vec<_>>(), [1, 2, 4]);
-        assert_eq!(phy.settle(t(60), 4, true, |e| seen.push(signed(e))), 4);
+        assert_eq!(phy.settle(t(60), 4, true, |_, e| seen.push(signed(e))), 4);
         assert_eq!(seen, [1, 2, -2, 4, -1], "signal 3's own key is the bound");
         assert_eq!(phy.active_receptions(), 1);
-        assert_eq!(phy.settle(t(1000), 0, true, |e| seen.push(signed(e))), 2);
+        assert_eq!(phy.settle(t(1000), 0, true, |_, e| seen.push(signed(e))), 2);
         assert_eq!(seen, [1, 2, -2, 4, -1, 3, -4]);
         assert!(phy.carrier_busy(t(80)) && phy.parked_ends().next().is_none());
         assert_eq!(phy.on_rx_end(TxId(3), t(90)), Some(RxOutcome::CollisionLost));
@@ -623,14 +651,14 @@ mod tests {
         let mut phy = PhyState::new();
         phy.announce(sensed(10, 0, 1, 60, 1));
         phy.announce(sensed(30, 2, 2, 70, 3));
-        phy.settle(t(20), 0, true, |_| {});
+        phy.settle(t(20), 0, true, |_, _| {});
         let mut queued = Vec::new();
         phy.unpark_ends(|end, seq, tx| queued.push((end, seq, tx.0)));
         assert_eq!(queued, [(t(60), 1, 1), (t(70), 3, 2)]);
         assert!(phy.parked_ends().next().is_none());
         phy.unpark_ends(|_, _, _| unreachable!("nothing is parked any more"));
         let mut seen = Vec::new();
-        phy.settle(t(1000), 0, true, |e| seen.push(signed(e)));
+        phy.settle(t(1000), 0, true, |_, e| seen.push(signed(e)));
         assert_eq!(seen, [2], "only the start edge still in flight");
         assert_eq!(phy.active_receptions(), 2);
         assert_eq!(phy.on_rx_end(TxId(1), t(60)), Some(RxOutcome::NotDecodable));
@@ -643,30 +671,57 @@ mod tests {
         phy.announce(edge(10, 0, 1, 100));
         phy.announce(sensed(15, 2, 3, 25, 3));
         phy.announce(edge(30, 4, 2, 130));
-        let dropped = phy.settle(t(20), 0, false, |_| unreachable!("an off radio hears nothing"));
+        let dropped =
+            phy.settle(t(20), 0, false, |_, _| unreachable!("an off radio hears nothing"));
         assert_eq!(dropped, 3, "two start edges and the end parked with one of them");
         assert_eq!(phy.active_receptions(), 0);
         assert!(!phy.carrier_busy(t(20)));
         assert_eq!(phy.pending().len(), 1, "the edge still in flight is not touched");
         assert_eq!(phy.on_rx_end(TxId(1), t(100)), None);
-        assert_eq!(phy.settle(t(40), 0, true, |_| {}), 1);
+        assert_eq!(phy.settle(t(40), 0, true, |_, _| {}), 1);
         assert_eq!(phy.on_rx_end(TxId(2), t(130)), Some(RxOutcome::Decoded));
     }
 
     /// Switching the receiver off forgets the tracked signals with the end
-    /// edges parked on them; a signal still in flight keeps its own.
+    /// edges parked on them, and hands back the ones parked on a signal still
+    /// in flight: that signal is heard if the radio is back on in time, and
+    /// its end edge, perhaps parked under the cover of energy just forgotten,
+    /// is the driver's to deliver.
     #[test]
     fn radio_off_forgets_parked_ends_with_their_signals() {
         let mut phy = PhyState::new();
         phy.announce(sensed(10, 0, 1, 60, 1));
         phy.announce(sensed(50, 2, 2, 90, 3));
-        phy.settle(t(20), 0, true, |_| {});
-        assert_eq!(phy.radio_off(), 1);
-        assert_eq!(phy.parked_ends().map(|(tx, ..)| tx.0).collect::<Vec<_>>(), [2]);
+        phy.settle(t(20), 0, true, |_, _| {});
+        let mut queued = Vec::new();
+        assert_eq!(phy.radio_off(|end, seq, tx| queued.push((end, seq, tx.0))), 1);
+        assert_eq!(queued, [(t(90), 3, 2)]);
+        assert!(phy.parked_ends().next().is_none(), "a radio switched off parks nothing");
         let mut seen = Vec::new();
-        assert_eq!(phy.settle(t(1000), 0, true, |e| seen.push(signed(e))), 2);
-        assert_eq!(seen, [2, -2], "signal 1's end has nothing to end");
+        assert_eq!(phy.settle(t(1000), 0, true, |_, e| seen.push(signed(e))), 1);
+        assert_eq!(seen, [2], "signal 1's end has nothing to end, signal 2's is queued");
+        assert_eq!(phy.on_rx_end(TxId(2), t(90)), Some(RxOutcome::NotDecodable));
         assert!(!phy.carrier_busy(t(90)));
+    }
+
+    /// What covers an end edge: the node's own transmission, sensed energy,
+    /// or a signal whose start edge is keyed before the end's, lasting past
+    /// the end's instant — strictly, each of them.
+    #[test]
+    fn an_end_is_covered_by_whatever_is_sure_to_outlast_it() {
+        let mut phy = PhyState::new();
+        assert!(!phy.covers(t(50), 9));
+        phy.begin_transmit(t(0), t(100));
+        assert!(phy.covers(t(99), 9));
+        assert!(!phy.covers(t(100), 9), "the transmission ends with the edge");
+        phy.on_rx_start(TxId(1), t(10), t(150), false, 1.0);
+        assert!(phy.covers(t(149), 9) && !phy.covers(t(150), 9));
+        phy.announce(edge(200, 4, 2, 300));
+        assert!(phy.covers(t(200), 5), "a signal starting at the edge's instant, keyed first");
+        assert!(!phy.covers(t(200), 3), "keyed after the edge");
+        assert!(!phy.covers(t(300), 5), "a signal does not outlast its own end");
+        phy.radio_off(|_, _, _| unreachable!("nothing is parked"));
+        assert!(!phy.covers(t(149), 9), "the energy is forgotten");
     }
 
     #[test]
@@ -681,7 +736,7 @@ mod tests {
         let mut phy = PhyState::new();
         phy.on_rx_start(TxId(7), t(0), t(90), true, 2.0);
         phy.announce(sensed(5, 4, 3, 95, 5));
-        phy.settle(t(10), 0, true, |_| {});
+        phy.settle(t(10), 0, true, |_, _| {});
         phy.announce(edge(40, 2, 2, 140));
         phy.announce(edge(50, 0, 1, 150));
         phy.announce(sensed(60, 6, 4, 160, 7));
@@ -802,6 +857,13 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// How long a signal takes to arrive: mostly a few nanoseconds, so that
+    /// edges tie, and now and then long enough for a signal announced
+    /// earlier to start after a later one has ended.
+    fn flight() -> impl Strategy<Value = u64> {
+        (0u64..16).prop_map(|k| if k < 12 { k % 4 } else { 20 * k })
+    }
+
     proptest! {
         /// Any schedule of receptions: at most one frame in any overlapping
         /// group decodes, and a frame decodes only if it overlapped nothing.
@@ -858,14 +920,20 @@ mod proptests {
         /// same outcomes, apply the edges in the same order, show every
         /// probe the same radio — a probe under an edge's own key comes
         /// before that edge — and end in equal states.
+        ///
+        /// An `unpark_ends` call stands for the station taking a packet; at
+        /// random points it hands it on again. While it holds one, the lazy
+        /// world parks a sense-only end exactly when [`PhyState::covers`]
+        /// admits it as the signal goes on the air, and every end it parks
+        /// must find the medium busy when it is applied.
         #[test]
         #[expect(clippy::cast_possible_truncation, reason = "tx ids here are indices into `arrivals`")]
         fn settled_edges_match_eager_ones(
             frames in proptest::collection::vec(
-                (0u64..300, 0u64..4, 1u64..60, any::<bool>(), 0usize..5, any::<bool>()), 1..24),
+                (0u64..300, flight(), 1u64..60, any::<bool>(), 0usize..5, any::<bool>()), 1..24),
             transmits in proptest::collection::vec((0u64..300, 1u64..40), 0..6),
             probes in proptest::collection::vec((0u64..400, 0usize..48), 0..16),
-            unparks in proptest::collection::vec(0u64..400, 0..4),
+            custody in proptest::collection::vec((0u64..400, any::<bool>()), 0..6),
         ) {
             const POWERS: [f64; 5] = [1.0 / 16.0, 1.0, 2.0, 10.0, 16.0];
             #[derive(Clone, Copy)]
@@ -882,6 +950,8 @@ mod proptests {
                 Transmit(u64),
                 /// The station takes a packet (lazy world only).
                 Unpark,
+                /// The station hands its packet on (lazy world only).
+                Release,
             }
             type Key = (u64, u64);
             // Sequence numbers as the queue would issue them: a start edge
@@ -892,6 +962,7 @@ mod proptests {
             let mut eager: Vec<(Key, Act)> = Vec::new();
             let mut lazy: Vec<(Key, Act)> = Vec::new();
             let mut arrivals = Vec::new();
+            let mut parks = Vec::new();
             let mut edge_keys = Vec::new();
             for (i, &(sent, flight, airtime, decodable, power, park)) in frames.iter().enumerate() {
                 let (start, end) = (sent + flight, sent + flight + airtime);
@@ -903,8 +974,9 @@ mod proptests {
                     end: SimTime::from_nanos(end),
                     decodable,
                     power: POWERS[power],
-                    parked_end: (park && !decodable).then_some(end_seq),
+                    parked_end: None,
                 });
+                parks.push((!decodable).then_some((park, end_seq)));
                 edge_keys.extend([(start, start_seq), (end, end_seq)]);
                 eager.push(((start, start_seq), Act::Start(i)));
                 eager.push(((end, end_seq), Act::End(i)));
@@ -923,8 +995,8 @@ mod proptests {
                 eager.push((key, Act::Probe));
                 lazy.push((key, Act::Probe));
             }
-            for &at in &unparks {
-                lazy.push(((at, next_seq()), Act::Unpark));
+            for &(at, take) in &custody {
+                lazy.push(((at, next_seq()), if take { Act::Unpark } else { Act::Release }));
             }
             // One last look once everything has happened.
             eager.push(((u64::MAX, u64::MAX), Act::Probe));
@@ -939,14 +1011,16 @@ mod proptests {
                 let mut applied: Vec<i64> = Vec::new();
                 let mut outcomes = vec![None; arrivals.len()];
                 let mut parked = vec![false; arrivals.len()];
+                let mut holding = false;
                 let mut seen = Vec::new();
                 let mut settled = 0;
                 for &((time, seq), act) in script {
                     let now = SimTime::from_nanos(time);
                     if !matches!(act, Act::Announce(_) | Act::Start(_)) {
-                        settled += phy.settle(now, seq, true, |edge| match edge {
+                        settled += phy.settle(now, seq, true, |radio, edge| match edge {
                             Edge::Start { tx_id, .. } => applied.push(tx_id.0 as i64),
-                            Edge::End { tx_id, .. } => {
+                            Edge::End { tx_id, at } => {
+                                assert!(!holding || radio.carrier_busy(at), "an uncovered end at {at}");
                                 applied.push(-(tx_id.0 as i64) - 1);
                                 outcomes[tx_id.0 as usize] = Some(RxOutcome::NotDecodable);
                             }
@@ -957,8 +1031,13 @@ mod proptests {
                             seen.push((phy.active_receptions(), phy.carrier_busy(now), phy.idle_at(now)));
                         }
                         Act::Announce(i) => {
-                            parked[i] = arrivals[i].parked_end.is_some();
-                            phy.announce(arrivals[i]);
+                            let a = arrivals[i];
+                            let parked_end = parks[i].and_then(|(park, end_seq)| {
+                                let admitted = if holding { phy.covers(a.end, end_seq) } else { park };
+                                admitted.then_some(end_seq)
+                            });
+                            parked[i] = parked_end.is_some();
+                            phy.announce(Arrival { parked_end, ..a });
                         }
                         Act::Start(i) => {
                             let a = arrivals[i];
@@ -974,12 +1053,17 @@ mod proptests {
                             phy.begin_transmit(now, now + sim_core::SimDuration::from_nanos(airtime));
                         }
                         Act::Transmit(_) => {}
-                        Act::Unpark => phy.unpark_ends(|end, end_seq, tx_id| {
-                            let a = arrivals[tx_id.0 as usize];
-                            assert_eq!((end, Some(end_seq)), (a.end, a.parked_end), "another edge's key");
-                            assert!((end.as_nanos(), end_seq) > (time, seq), "an edge that was due");
-                            assert!(std::mem::take(&mut parked[tx_id.0 as usize]), "handed back twice");
-                        }),
+                        Act::Unpark => {
+                            holding = true;
+                            phy.unpark_ends(|end, end_seq, tx_id| {
+                                let i = tx_id.0 as usize;
+                                let key = parks[i].map(|(_, end_seq)| end_seq);
+                                assert_eq!((end, Some(end_seq)), (arrivals[i].end, key), "another edge's key");
+                                assert!((end.as_nanos(), end_seq) > (time, seq), "an edge that was due");
+                                assert!(std::mem::take(&mut parked[i]), "handed back twice");
+                            });
+                        }
+                        Act::Release => holding = false,
                     }
                 }
                 (phy, applied, outcomes, seen, settled, parked)

@@ -827,8 +827,11 @@ fn a_cut_between_a_parked_start_and_its_end_carries_both_across() {
         assert!(twice > 0, "no queued end of transmission {tx_id} could be re-addressed");
     }
 
-    // A station that senses a frame while its MAC holds a packet has the end
-    // edge in the queue, as a `CsEnd`, and nothing parked on the reception.
+    // A station that senses a frame while its MAC holds a packet, its medium
+    // not sure to stay busy past the frame's end, has the end edge in the
+    // queue, as a `CsEnd`, and nothing parked on the reception. Parked there
+    // instead, the end would be applied lazily where the idle edge it makes
+    // can restart a countdown.
     let (t, bytes, at, edge) = cuts
         .iter()
         .find_map(|&t| {
@@ -849,7 +852,7 @@ fn a_cut_between_a_parked_start_and_its_end_carries_both_across() {
     let mut twin = build();
     assert_eq!(
         twin.restore(&grafted),
-        Err(SnapError::Invalid("parked end at a MAC holding a packet")),
+        Err(SnapError::Invalid("uncovered parked end at a MAC holding a packet")),
         "cut at {t}"
     );
     assert_eq!(twin.restore(&bytes), Ok(()), "the bytes it was grafted onto are sound");
