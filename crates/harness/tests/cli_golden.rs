@@ -101,6 +101,54 @@ fn topo_reports_the_same_hash_ledger_and_verdict() {
     );
 }
 
+/// Every line of a `topo` report but its first, with the wall-clock figures
+/// cut from the trace hash line: the hash, the event count, the edges settled
+/// off the queue, the mobility counts, the ledger and the verdict.
+fn topo_lines(args: &[&str]) -> Vec<String> {
+    text_of("topo", args)
+        .lines()
+        .skip(1)
+        .map(|l| {
+            let cells: Vec<&str> = l.split("  |  ").collect();
+            match cells.as_slice() {
+                [hash, events, settled] => {
+                    let events = events.split(" in ").next().unwrap_or(events);
+                    format!("{hash}  |  {events}  |  {settled}")
+                }
+                _ => l.to_string(),
+            }
+        })
+        .collect()
+}
+
+/// The two run files with the most motion: a 1,040-node city, where a grid
+/// that dropped a candidate would change the rows, and nine roaming nodes.
+#[test]
+fn topo_pins_the_mobile_run_files() {
+    let fixture =
+        |name: &str| format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    assert_eq!(
+        topo_lines(&["--script", &fixture("city-1k.scn")]),
+        [
+            "trace hash 0x4d2c88cf63ddfe9a  |  78544 events  |  \
+             124043 signal edges settled off the queue",
+            "mobility: 41600 position updates, 8525 neighbor-row churn",
+            "ledger: injected 60 = delivered 52 + dropped 2 + fault 0 + in-flight 6",
+            "invariants: clean (75169 records checked)",
+        ]
+    );
+    assert_eq!(
+        topo_lines(&["--script", &fixture("grid-roam.scn")]),
+        [
+            "trace hash 0xf256784346e63ae6  |  40741 events  |  \
+             50430 signal edges settled off the queue",
+            "mobility: 540 position updates, 65 neighbor-row churn",
+            "ledger: injected 146 = delivered 134 + dropped 10 + fault 0 + in-flight 2",
+            "invariants: clean (28581 records checked)",
+        ]
+    );
+}
+
 /// `line` from `from` on: what a `checkpoint` line says after the path it
 /// names, which differs from one scratch directory to the next.
 fn after<'a>(line: &'a str, from: &str) -> &'a str {
