@@ -6,11 +6,12 @@
 //! * **Geometry** — [`Position`] on the metre plane, with both exact
 //!   ([`Position::distance_to`]) and hot-path squared
 //!   ([`Position::distance_sq_to`]) distance forms.
-//! * **Spatial index** — [`SpatialGrid`], a deterministic cell grid keyed
-//!   to the carrier-sense radius so neighbor queries and position updates
-//!   visit O(density) candidates instead of all N nodes. Candidate sets
-//!   are returned in ascending node order, making the grid a *pure
-//!   accelerator*: the same rows an all-pairs scan would produce.
+//! * **Spatial index** — [`SpatialGrid`], a dense cell grid keyed to the
+//!   carrier-sense radius so neighbor queries and position updates visit
+//!   O(density) candidates instead of all N nodes. It returns a candidate
+//!   *set* in no particular order; a caller that filters it by distance and
+//!   sorts what survives gets the rows an all-pairs scan would produce,
+//!   which makes the grid a *pure accelerator*.
 //! * **Scenario vocabulary** — topology generators ([`generators`]) and
 //!   the declarative [`TopologySpec`] / [`MobilitySpec`] specs that
 //!   `SimConfig` and the harness `--topology`/`--mobility` flags speak,
