@@ -1,10 +1,10 @@
 //! What the four run-driving subcommands print, pinned from the real binary:
 //! the captures of `trace`, the verdict lines of `topo`, the `hash=` /
 //! `bytes` of the CI `checkpoint` sequence and the branch logs and verdict
-//! blocks of the three CI `mc` proofs. A change to how a run is *built*
-//! (from flags, from a script) or to which binary holds a subcommand must
-//! leave every expected byte below alone; only [`harness`] — how a
-//! subcommand is spawned — may be respelled.
+//! blocks of the four CI `mc` proofs and of one truncated `mc` run. A
+//! change to how a run is *built* (from flags, from a script) or to which
+//! binary holds a subcommand must leave every expected byte below alone;
+//! only [`harness`] — how a subcommand is spawned — may be respelled.
 
 #![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
 
@@ -202,8 +202,8 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
     std::fs::remove_dir_all(&dir).expect("remove scratch directory");
 }
 
-/// The three `mc-verify` proofs of CI: the verdict block on stdout and the
-/// branch log `--report` writes.
+/// The `mc-verify` proofs of CI, and one windowless run its budget cuts
+/// short: the verdict block on stdout and the branch log `--report` writes.
 #[test]
 fn mc_proofs_print_the_same_verdicts_and_branch_logs() {
     let dir = common::scratch("mc");
@@ -234,6 +234,32 @@ fn mc_proofs_print_the_same_verdicts_and_branch_logs() {
             "mc-verdict script=pause-resume status=PROVED placements=1 branches_explored=6 \
              truncated=false max_choice_points=2 max_group=3 log=bfcf765f68bbe414",
         ]
+    );
+
+    // Ties under mobility: the grid-roam run file, over the window its
+    // proof in CI uses.
+    let grid_roam = format!("{}/../../tests/fixtures/grid-roam.scn", env!("CARGO_MANIFEST_DIR"));
+    let args = ["--script", &grid_roam, "--tie-window", "3.02:3.04", "--report", log, "--quiet"];
+    let verdict = text_of("mc", &args).replace('\n', " ");
+    let branches = std::fs::read(log).expect("branch log written");
+    assert_eq!(
+        format!("{verdict}log={}", digest(&branches)),
+        "mc-verdict script=grid-roam status=PROVED placements=1 branches_explored=12 \
+         truncated=false max_choice_points=3 max_group=3 log=0dff87fbf098bb66"
+    );
+
+    // No window: every frame end is a choice point, and the budget runs out
+    // (exit 3) thousands of choice points deep, with groups of four.
+    let scn = corpus("chain-break");
+    let args = ["--script", &scn, "--max-branches", "40", "--report", log, "--quiet"];
+    let truncated = harness("mc", &args);
+    assert_eq!(truncated.status.code(), Some(3));
+    let verdict = String::from_utf8(truncated.stdout).expect("utf-8 report").replace('\n', " ");
+    let branches = std::fs::read(log).expect("branch log written");
+    assert_eq!(
+        format!("{verdict}log={}", digest(&branches)),
+        "mc-verdict script=chain-break status=TRUNCATED placements=1 branches_explored=40 \
+         truncated=true max_choice_points=5589 max_group=4 log=d21153ab2b7748dc"
     );
     std::fs::remove_dir_all(&dir).expect("remove scratch directory");
 }
