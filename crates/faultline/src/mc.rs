@@ -2,8 +2,8 @@
 //!
 //! The simulator is bit-for-bit deterministic given a seed and a tie-order
 //! decision vector (`sim_core::TieOrder`), so a *branch* of the exploration
-//! is simply a full re-run with a different vector: no state snapshots, no
-//! in-memory forking. The explorer below enumerates
+//! is a re-run with a different vector: no in-memory forking. The explorer
+//! below enumerates
 //!
 //! 1. permutations of same-instant `(time, seq)` ties at the scheduler,
 //!    bounded to a virtual-time window and a decision-vector depth, and
@@ -11,21 +11,23 @@
 //!    grid inside a configurable window,
 //!
 //! running the caller's branch closure (which installs the full invariant
-//! checker) on every branch. Every permutation is explored — no class of
-//! scheduler event commutes with another (see `sim_core::TieKind`) — and
-//! hard branch budgets keep the search bounded. Exploration order is
-//! canonical — depth-first, earliest
-//! choice point first, lowest alternative first — so two runs over the same
-//! script produce byte-identical branch logs.
+//! checker) on every branch. Every permutation is explored — no scheduler
+//! event commutes with another, so each member of a tie run is an
+//! alternative and the explorer reads only the run's size — and hard branch
+//! budgets keep the search bounded. Exploration order is canonical —
+//! depth-first, earliest choice point first, lowest alternative first — so
+//! two runs over the same script produce byte-identical branch logs.
 //!
 //! The crate stays independent of the network stack: the explorer is
 //! generic over a `run(placement, decisions) -> BranchOutcome` closure, and
 //! the harness supplies the glue that builds a simulator per branch.
 //!
-//! Replay-based branching re-executes the shared prefix of every branch, so
-//! cost grows with (branches × run length). The planned upgrade path
-//! (ROADMAP item 5) is state snapshot/restore, which would turn each branch
-//! into an O(suffix) resume without touching this module's search logic.
+//! A branch re-executes the prefix it shares with its siblings unless the
+//! glue can skip it: with a tie window, `harness::mc` runs each placement's
+//! prefix once, snapshots it before the window opens, and resumes every
+//! branch from the snapshot (`harness::mc::run_branch_resumed`), without
+//! touching this module's search logic. Without a window every branch
+//! replays from t = 0, so cost grows with (branches × run length).
 
 use std::fmt::Write as _;
 
@@ -74,8 +76,8 @@ impl Default for McConfig {
 pub struct BranchOutcome {
     /// The run's trace digest (identifies the interleaving).
     pub trace_hash: u64,
-    /// Choice points encountered inside the tie window, in order, with the
-    /// FIFO-ordered fingerprints of each group.
+    /// Choice points encountered inside the tie window, in order, each with
+    /// the size of its tie run.
     pub choices: Vec<TieChoice>,
     /// Rendered invariant violations; empty means the branch ran clean.
     pub violations: Vec<String>,
@@ -272,9 +274,8 @@ where
             let outcome = run(placement, &decisions);
             verdict.branches_explored += 1;
             verdict.max_choice_points = verdict.max_choice_points.max(outcome.choices.len());
-            verdict.max_group = verdict
-                .max_group
-                .max(outcome.choices.iter().map(|c| c.group.len()).max().unwrap_or(0));
+            verdict.max_group =
+                verdict.max_group.max(outcome.choices.iter().map(|c| c.ties).max().unwrap_or(0));
             verdict.log.push(BranchRecord {
                 placement,
                 decisions: decisions.clone(),
@@ -311,7 +312,7 @@ where
                 if i < decisions.len() {
                     continue;
                 }
-                for j in 1..choice.group.len() {
+                for j in 1..choice.ties {
                     let mut child = Vec::with_capacity(i + 1);
                     child.extend_from_slice(&decisions);
                     child.resize(i, 0);
@@ -330,53 +331,36 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::{SimDuration, TieClass, TieKind};
+    use sim_core::{EventQueue, SimDuration, TieOrder, TraceHash};
 
-    fn t(n: u64) -> SimTime {
-        SimTime::from_nanos(n)
-    }
-
-    fn work(node: u32) -> TieClass {
-        TieClass::node(node, TieKind::NodeWork)
-    }
-
-    /// A toy branch runner over a fixed list of tie groups: "dispatching"
-    /// the k-th remaining member of a group just permutes indices, and the
-    /// trace hash is the fold of the resulting total order.
-    fn toy_runner(groups: Vec<Vec<TieClass>>) -> impl FnMut(usize, &[usize]) -> BranchOutcome {
+    /// A toy branch runner over tie groups of the given sizes, group `g`
+    /// queued at `g` ns: the trace hash folds the order in which the
+    /// members pop through the decision vector.
+    fn toy_runner(groups: Vec<usize>) -> impl FnMut(usize, &[usize]) -> BranchOutcome {
         move |_placement, decisions| {
-            let mut order = sim_core::TieOrder::new(decisions.to_vec());
-            let mut hash = 0xcbf29ce484222325u64;
-            let mut fold = |x: u64| {
-                hash ^= x;
-                hash = hash.wrapping_mul(0x100000001b3);
-            };
-            for (g, group) in groups.iter().enumerate() {
-                let mut remaining: Vec<(usize, TieClass)> =
-                    group.iter().copied().enumerate().collect();
-                while !remaining.is_empty() {
-                    let idx = if remaining.len() > 1 {
-                        order.choose(t(g as u64), remaining.iter().map(|&(_, c)| c).collect())
-                    } else {
-                        0
-                    };
-                    let (original, _) = remaining.remove(idx);
-                    fold((g as u64) << 32 | original as u64);
+            let mut queue = EventQueue::new();
+            for (g, &size) in groups.iter().enumerate() {
+                for member in 0..size {
+                    queue.push(SimTime::from_nanos(g as u64), (g as u64) << 32 | member as u64);
                 }
             }
-            BranchOutcome { trace_hash: hash, choices: order.into_choices(), violations: vec![] }
+            let mut order = TieOrder::new(decisions.to_vec());
+            let mut hash = TraceHash::new();
+            while let Some((_, _, member)) = order.pop(&mut queue) {
+                hash.write_u64(member);
+            }
+            BranchOutcome {
+                trace_hash: hash.digest(),
+                choices: order.into_choices(),
+                violations: vec![],
+            }
         }
     }
 
     #[test]
     fn a_tie_group_explores_every_permutation() {
         // One group of 3 events: 3! = 6 branches, all trace hashes distinct.
-        let verdict = explore(
-            "toy",
-            1,
-            &McConfig::default(),
-            toy_runner(vec![vec![work(0), work(1), work(2)]]),
-        );
+        let verdict = explore("toy", 1, &McConfig::default(), toy_runner(vec![3]));
         assert!(verdict.proved());
         assert_eq!(verdict.branches_explored, 6);
         let mut hashes: Vec<u64> = verdict.log.iter().map(|r| r.trace_hash).collect();
@@ -388,7 +372,7 @@ mod tests {
     #[test]
     fn branch_budget_truncates_and_says_so() {
         let cfg = McConfig { max_branches: 3, ..McConfig::default() };
-        let verdict = explore("toy", 1, &cfg, toy_runner(vec![vec![work(0), work(1), work(2)]]));
+        let verdict = explore("toy", 1, &cfg, toy_runner(vec![3]));
         assert!(verdict.truncated);
         assert!(!verdict.proved());
         assert_eq!(verdict.branches_explored, 3);
@@ -397,7 +381,7 @@ mod tests {
     #[test]
     fn depth_budget_truncates_and_says_so() {
         let cfg = McConfig { max_depth: 1, ..McConfig::default() };
-        let verdict = explore("toy", 1, &cfg, toy_runner(vec![vec![work(0), work(1), work(2)]]));
+        let verdict = explore("toy", 1, &cfg, toy_runner(vec![3]));
         // Only the first choice point branches: 1 base + 2 alternatives.
         assert_eq!(verdict.branches_explored, 3);
         assert!(verdict.truncated, "unexplored deeper alternatives are not a proof");
@@ -405,7 +389,7 @@ mod tests {
 
     #[test]
     fn exploration_stops_at_the_first_violation() {
-        let mut runner = toy_runner(vec![vec![work(0), work(1)]]);
+        let mut runner = toy_runner(vec![2]);
         let verdict = explore("toy", 1, &McConfig::default(), move |p, d| {
             let mut out = runner(p, d);
             if d == [1] {
@@ -421,14 +405,7 @@ mod tests {
 
     #[test]
     fn verdict_and_log_render_deterministically() {
-        let run = || {
-            explore(
-                "toy",
-                1,
-                &McConfig::default(),
-                toy_runner(vec![vec![work(0), work(1)], vec![work(3), work(4), work(5)]]),
-            )
-        };
+        let run = || explore("toy", 1, &McConfig::default(), toy_runner(vec![2, 3]));
         let (a, b) = (run(), run());
         assert_eq!(a.render(), b.render());
         assert_eq!(a.render_log(), b.render_log());

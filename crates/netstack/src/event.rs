@@ -30,8 +30,7 @@
 use aodv::AodvTimer;
 use phy::TxId;
 use sim_core::{
-    RunPerf, SimTime, SnapError, SnapshotReader, SnapshotWriter, Snapshotable, TieClass, TieKind,
-    TraceHash,
+    RunPerf, SimTime, SnapError, SnapshotReader, SnapshotWriter, Snapshotable, TraceHash,
 };
 use tcp::TcpTimer;
 use wire::{FlowId, MacFrame, NodeId, Packet};
@@ -143,23 +142,6 @@ impl EventKind {
             EventKind::Fault => &mut perf.fault_events,
         }
     }
-
-    /// The scheduling class recorded for the model-checking explorer: what
-    /// kind of state the event's dispatch can reach beyond its own node.
-    pub(crate) fn tie(self) -> TieKind {
-        match self {
-            EventKind::RxEnd
-            | EventKind::CsEnd
-            | EventKind::TxDone
-            | EventKind::MacTimer
-            | EventKind::AodvTimer
-            | EventKind::TcpTimer
-            | EventKind::JitteredEnqueue
-            | EventKind::DelAckTimer => TieKind::NodeWork,
-            EventKind::MobilityTick => TieKind::ChannelWrite,
-            EventKind::FlowStart | EventKind::Sample | EventKind::Fault => TieKind::Global,
-        }
-    }
 }
 
 impl Snapshotable for EventKind {
@@ -234,16 +216,6 @@ impl Event {
             Event::Sample => true,
             Event::Fault { index } => *index < faults,
         }
-    }
-
-    /// The fingerprint the tie-order hook shows the explorer: the kind's
-    /// class, pinned to the owning node when there is exactly one.
-    pub(crate) fn fingerprint(&self) -> TieClass {
-        let node = match self.owner() {
-            Owner::Node(node) => Some(u32::from(node.raw())),
-            Owner::FlowSource(_) | Owner::Global => None,
-        };
-        TieClass { node, kind: self.kind().tie() }
     }
 
     /// Folds this event, dispatched at `now`, into the running trace digest:

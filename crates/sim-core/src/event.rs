@@ -254,51 +254,22 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The entries tied at the earliest pending time, in FIFO order. While
-    /// the lap is empty they are in the far heap.
-    fn ties(&self) -> Vec<&Entry<E>> {
-        if self.occupied != 0 {
-            let bucket = &self.near[self.first_bucket()];
-            let time = bucket.front().map(|head| head.time);
-            return bucket.iter().take_while(|e| Some(e.time) == time).collect();
-        }
-        let Some(head) = self.far.peek() else { return Vec::new() };
-        let mut tied: Vec<&Entry<E>> = self.far.iter().filter(|e| e.time == head.time).collect();
-        tied.sort_unstable_by_key(|e| e.seq);
-        tied
-    }
-
     /// Removes and returns the earliest event, or `None` if the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_nth(0).map(|(time, _, event)| (time, event))
+        self.pop_entry().map(|(time, _, event)| (time, event))
     }
 
-    /// Removes the `n`-th event (FIFO order) among those tied at the
-    /// earliest pending time and returns it with its `(time, seq)` key;
-    /// `pop_nth(0)` pops what [`Self::pop`] pops. Returns `None` when the
-    /// queue is empty or `n` is outside the tie run (the queue is untouched
-    /// in that case). The remaining tied events keep their original
-    /// insertion sequence, so FIFO order among them survives.
-    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, u64, E)> {
+    /// Removes the earliest event and returns it with its `(time, seq)` key,
+    /// or `None` if the queue is empty.
+    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         if self.occupied == 0 {
-            // The lap is empty: jump it to the far heap's head. Check `n`
-            // first — a lap that starts past `now` could not file a later
-            // push at `now`, so a pop that fails must leave the lap alone.
+            // The lap is empty: jump it to the far heap's head.
             let head = self.far.peek()?.time;
-            if n > 0 && n >= self.ties().len() {
-                return None;
-            }
             self.advance(head);
         }
         let slot = self.first_bucket();
         let bucket = &mut self.near[slot];
-        let time = bucket.front()?.time;
-        // The tie run occupies positions `0..k` of the first bucket.
-        if bucket.get(n).is_none_or(|e| e.time != time) {
-            return None;
-        }
-        // As in `file`: the common case skips the out-of-line `remove`.
-        let entry = if n == 0 { bucket.pop_front() } else { bucket.remove(n) }?;
+        let entry = bucket.pop_front()?;
         if bucket.is_empty() {
             self.occupied &= !(1 << slot);
         }
@@ -306,18 +277,6 @@ impl<E> EventQueue<E> {
         self.last_popped = entry.time;
         self.advance(entry.time);
         Some((entry.time, entry.seq, entry.event))
-    }
-
-    /// Number of pending events tied at the earliest time (0 when empty).
-    pub fn tie_count(&self) -> usize {
-        self.ties().len()
-    }
-
-    /// Visits each event tied at the earliest time, in FIFO order.
-    pub fn for_each_tie(&self, mut f: impl FnMut(&E)) {
-        for entry in self.ties() {
-            f(&entry.event);
-        }
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -464,54 +423,16 @@ impl<E> HeapQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_entry().map(|(time, _, event)| (time, event))
+    }
+
+    /// Removes the earliest event and returns it with its `(time, seq)` key
+    /// (see [`EventQueue::pop_entry`]).
+    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.time >= self.last_popped, "event queue went backwards");
         self.last_popped = entry.time;
-        Some((entry.time, entry.event))
-    }
-
-    /// Removes the `n`-th event (FIFO order) among those tied at the
-    /// earliest pending time and returns it with its `(time, seq)` key (see
-    /// [`EventQueue::pop_nth`]). The other tied entries are re-inserted with
-    /// their original sequence numbers, so FIFO order among the survivors
-    /// is preserved.
-    pub fn pop_nth(&mut self, n: usize) -> Option<(SimTime, u64, E)> {
-        let time = self.heap.peek()?.time;
-        // The heap pops `(time, seq)` ascending, so draining the tie run
-        // yields it already in FIFO order.
-        let mut tied: Vec<Entry<E>> = Vec::new();
-        while self.heap.peek().is_some_and(|e| e.time == time) {
-            if let Some(entry) = self.heap.pop() {
-                tied.push(entry);
-            }
-        }
-        if n >= tied.len() {
-            self.heap.extend(tied);
-            return None;
-        }
-        // swap_remove scrambles the survivors' order, but re-inserting into
-        // the heap restores `(time, seq)` order from the preserved seqs.
-        let entry = tied.swap_remove(n);
-        self.heap.extend(tied);
-        debug_assert!(entry.time >= self.last_popped, "event queue went backwards");
-        self.last_popped = entry.time;
         Some((entry.time, entry.seq, entry.event))
-    }
-
-    /// Number of pending events tied at the earliest time (0 when empty).
-    pub fn tie_count(&self) -> usize {
-        let Some(head) = self.heap.peek() else { return 0 };
-        self.heap.iter().filter(|e| e.time == head.time).count()
-    }
-
-    /// Visits each event tied at the earliest time, in FIFO order.
-    pub fn for_each_tie(&self, mut f: impl FnMut(&E)) {
-        let Some(head) = self.heap.peek() else { return };
-        let mut tied: Vec<&Entry<E>> = self.heap.iter().filter(|e| e.time == head.time).collect();
-        tied.sort_unstable_by_key(|e| e.seq);
-        for entry in tied {
-            f(&entry.event);
-        }
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -743,32 +664,6 @@ mod tests {
         assert_eq!(q.pop(), Some((t(130 * W), 'b')));
     }
 
-    /// While the lap is empty the tie run is in the heap: it is counted and
-    /// visited there, and a `pop_nth` past it must not move the lap — a
-    /// push at `now` afterwards is still the next pop.
-    #[test]
-    fn a_failed_pop_nth_leaves_an_empty_lap_where_it_was() {
-        let mut q = EventQueue::new();
-        q.push(t(10), 'x');
-        q.pop();
-        let rto = 3_000_000_000;
-        for e in ['a', 'b', 'c'] {
-            q.push(t(rto), e);
-        }
-        assert_eq!((q.occupied, q.far.len()), (0, 3));
-        assert_eq!(q.tie_count(), 3);
-        let mut seen = Vec::new();
-        q.for_each_tie(|&e| seen.push(e));
-        assert_eq!(seen, ['a', 'b', 'c']);
-        assert_eq!(q.pop_nth(3), None);
-        assert_eq!(q.len(), 3);
-        q.push(t(10), 'n');
-        assert_eq!(q.pop(), Some((t(10), 'n')));
-        assert_eq!(q.pop_nth(1), Some((t(rto), 2, 'b')));
-        assert_eq!(q.pop(), Some((t(rto), 'a')));
-        assert_eq!(q.pop(), Some((t(rto), 'c')));
-    }
-
     /// A restored queue files each entry where the long-running one holds
     /// it, and pops exactly as it does.
     #[test]
@@ -791,8 +686,8 @@ mod tests {
         assert_eq!((restored.len(), restored.far.len()), (q.len(), q.far.len()));
         assert_eq!((restored.occupied, restored.next_seq()), (q.occupied, q.next_seq()));
         loop {
-            let popped = q.pop_nth(0);
-            assert_eq!(restored.pop_nth(0), popped);
+            let popped = q.pop_entry();
+            assert_eq!(restored.pop_entry(), popped);
             if popped.is_none() {
                 break;
             }
@@ -869,48 +764,6 @@ mod tests {
         }};
     }
 
-    #[test]
-    fn tie_count_and_for_each_tie_see_the_fifo_run() {
-        on_both_queues!(|new, kind| {
-            let mut q = new();
-            assert_eq!(q.tie_count(), 0);
-            q.push(t(10), 'a');
-            q.push(t(10), 'b');
-            q.push(t(10), 'c');
-            q.push(t(20), 'z');
-            assert_eq!(q.tie_count(), 3);
-            let mut seen = Vec::new();
-            q.for_each_tie(|&e| seen.push(e));
-            assert_eq!(seen, vec!['a', 'b', 'c'], "{kind}: ties must visit in FIFO order");
-            q.pop();
-            assert_eq!(q.tie_count(), 2);
-            q.pop();
-            q.pop();
-            assert_eq!(q.tie_count(), 1, "{kind}: a lone head is a tie run of one");
-        });
-    }
-
-    #[test]
-    fn pop_nth_picks_one_tie_and_keeps_fifo_for_the_rest() {
-        on_both_queues!(|new, kind| {
-            let mut q = new();
-            for e in ['a', 'b', 'c', 'd'] {
-                q.push(t(10), e);
-            }
-            q.push(t(20), 'z');
-            assert_eq!(q.pop_nth(2), Some((t(10), 2, 'c')), "{kind}: third pushed, seq 2");
-            assert_eq!(q.pop_nth(4), None, "{kind}: out-of-run index must not pop");
-            assert_eq!(q.len(), 4, "{kind}: failed pop_nth must not lose events");
-            assert_eq!(q.pop(), Some((t(10), 'a')), "{kind}");
-            assert_eq!(q.pop(), Some((t(10), 'b')), "{kind}");
-            assert_eq!(q.pop(), Some((t(10), 'd')), "{kind}");
-            assert_eq!(q.pop(), Some((t(20), 'z')), "{kind}");
-            // Pushing at `now` after a pop_nth keeps working (cursor committed).
-            q.push(t(20), 'y');
-            assert_eq!(q.pop_nth(0), Some((t(20), 5, 'y')), "{kind}");
-        });
-    }
-
     /// A reserved number is one no entry will ever carry: the pushes around
     /// it keep the keys they would have had if it had been a push.
     #[test]
@@ -922,8 +775,8 @@ mod tests {
             q.push(t(10), 'b');
             assert_eq!(q.reserve_seq(), 3, "{kind}");
             assert_eq!(q.len(), 2, "{kind}: reserving queues nothing");
-            assert_eq!(q.pop_nth(1), Some((t(10), 2, 'b')), "{kind}");
-            assert_eq!(q.pop_nth(0), Some((t(10), 0, 'a')), "{kind}");
+            assert_eq!(q.pop_entry(), Some((t(10), 0, 'a')), "{kind}");
+            assert_eq!(q.pop_entry(), Some((t(10), 2, 'b')), "{kind}");
         });
         assert_eq!(EventQueue::<()>::new().next_seq(), 0);
     }
@@ -945,19 +798,16 @@ mod tests {
             q.push_reserved(t(5), first, '!');
             assert_eq!(q.len(), 6, "{kind}");
             assert_eq!(q.peek_time(), Some(t(5)), "{kind}: the new entry is the head");
-            assert_eq!(q.pop_nth(0), Some((t(5), 3, '!')), "{kind}");
-            assert_eq!(q.tie_count(), 4, "{kind}");
-            let mut seen = Vec::new();
-            q.for_each_tie(|&e| seen.push(e));
-            assert_eq!(seen, ['a', 'b', 'c', 'd'], "{kind}: key order, not push order");
-            assert_eq!(q.pop_nth(1), Some((t(10), 1, 'b')), "{kind}");
+            assert_eq!(q.pop_entry(), Some((t(5), 3, '!')), "{kind}");
+            assert_eq!(q.pop_entry(), Some((t(10), 0, 'a')), "{kind}");
+            assert_eq!(q.pop_entry(), Some((t(10), 1, 'b')), "{kind}: key order, not push order");
             // At the instant of the entry popped last, under a number older
-            // than that entry's: still legal, still next.
+            // than the next push's: still legal, still next.
             let late = q.reserve_seq(); // 6
             q.push(t(10), 'f'); // 7
             q.push_reserved(t(10), late, 'e');
             let rest: Vec<char> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(rest, ['a', 'c', 'd', 'e', 'f', 'z'], "{kind}");
+            assert_eq!(rest, ['c', 'd', 'e', 'f', 'z'], "{kind}");
         });
     }
 
@@ -969,43 +819,6 @@ mod tests {
         q.push(t(10), ());
         q.pop();
         q.push_reserved(t(9), seq, ());
-    }
-
-    #[test]
-    fn pop_nth_zero_is_exactly_pop() {
-        // Same deterministic mixed workload on four queues: two popped with
-        // `pop()`, two with `pop_nth(0)` — every observation must agree.
-        on_both_queues!(|new, kind| {
-            let mut plain = new();
-            let mut nth = new();
-            let mut state = 0xdeadbeefu64;
-            let step = |s: &mut u64| {
-                *s ^= *s << 13;
-                *s ^= *s >> 7;
-                *s ^= *s << 17;
-                *s
-            };
-            for i in 0..5_000u64 {
-                let r = step(&mut state);
-                if r % 10 < 6 {
-                    let base = plain.now().as_nanos();
-                    let delta = if r % 2 == 0 { r % 20 } else { r % 500_000 };
-                    plain.push(t(base + delta), i);
-                    nth.push(t(base + delta), i);
-                } else {
-                    assert_eq!(plain.pop(), nth.pop_nth(0).map(|(t, _, e)| (t, e)), "{kind}");
-                    assert_eq!(plain.now(), nth.now(), "{kind}");
-                    assert_eq!(plain.peek_time(), nth.peek_time(), "{kind}");
-                }
-            }
-            loop {
-                let (a, b) = (plain.pop(), nth.pop_nth(0).map(|(t, _, e)| (t, e)));
-                assert_eq!(a, b, "{kind}");
-                if a.is_none() {
-                    break;
-                }
-            }
-        });
     }
 }
 
@@ -1052,18 +865,17 @@ mod proptests {
             prop_assert_eq!(popped, expected);
         }
 
-        /// The calendar queue and the reference heap agree on tie-group
-        /// shape and on `pop_nth` for arbitrary decision sequences — the
-        /// contract the model-checking explorer's replays lean on. Times
-        /// fall in clusters 10 ms apart, farther than one lap, so tie runs
-        /// are counted, visited and popped in the heap tier as well.
+        /// The calendar queue and the reference heap pop the same keys from
+        /// tie runs. Times fall in clusters 10 ms apart, farther than one
+        /// lap, so runs are also popped out of the heap tier with the lap
+        /// empty, and pushes at `now` between pops join the run being popped.
         #[test]
-        fn calendar_matches_heap_under_pop_nth(
+        fn calendar_matches_heap_on_clustered_ties(
             times in proptest::collection::vec(
                 (0u64..4, 0u64..6).prop_map(|(cluster, k)| cluster * 10_000_000 + k * 1_000),
                 1..120,
             ),
-            picks in proptest::collection::vec(0usize..8, 1..120),
+            pushes in proptest::collection::vec(any::<bool>(), 1..120),
         ) {
             let mut cal = EventQueue::new();
             let mut heap = HeapQueue::new();
@@ -1071,28 +883,27 @@ mod proptests {
                 cal.push(SimTime::from_nanos(nanos), i);
                 heap.push(SimTime::from_nanos(nanos), i);
             }
-            for &pick in picks.iter().cycle().take(times.len()) {
-                prop_assert_eq!(cal.tie_count(), heap.tie_count());
-                let mut cal_ties = Vec::new();
-                cal.for_each_tie(|&e| cal_ties.push(e));
-                let mut heap_ties = Vec::new();
-                heap.for_each_tie(|&e| heap_ties.push(e));
-                prop_assert_eq!(&cal_ties, &heap_ties, "tie runs diverged");
-                let past = cal.tie_count();
-                prop_assert_eq!(cal.pop_nth(past), None);
-                prop_assert_eq!(heap.pop_nth(past), None);
+            for (i, &push) in pushes.iter().enumerate() {
+                if push {
+                    cal.push(cal.now(), times.len() + i);
+                    heap.push(heap.now(), times.len() + i);
+                }
+                prop_assert_eq!(cal.pop_entry(), heap.pop_entry());
                 prop_assert_eq!(cal.len(), heap.len());
-                // Clamp into the run so every iteration pops something.
-                let n = pick.min(cal.tie_count().saturating_sub(1));
-                prop_assert_eq!(cal.pop_nth(n), heap.pop_nth(n));
             }
-            prop_assert!(cal.is_empty() && heap.is_empty());
+            loop {
+                let (a, b) = (cal.pop_entry(), heap.pop_entry());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
         }
 
         /// Pushes relative to `now` that land on the lap's horizon and a
         /// nanosecond either side of it, CWmax countdowns (1023 × 20 µs) and
         /// bursts of 400 at one instant 100 ms out, interleaved with
-        /// `pop_nth`: pops cross the tiers, migrate and jump, and the
+        /// pops: pops cross the tiers, migrate and jump, and the
         /// calendar agrees with the heap on every observation.
         #[test]
         fn calendar_matches_heap_across_the_horizon(
@@ -1117,9 +928,7 @@ mod proptests {
                     payload += 1;
                 }
                 if kind >= 6 {
-                    prop_assert_eq!(cal.tie_count(), heap.tie_count());
-                    let n = pick.min(cal.tie_count().saturating_sub(1));
-                    prop_assert_eq!(cal.pop_nth(n), heap.pop_nth(n));
+                    prop_assert_eq!(cal.pop_entry(), heap.pop_entry());
                 }
                 prop_assert_eq!(cal.len(), heap.len());
                 prop_assert_eq!(cal.peek_time(), heap.peek_time());
@@ -1185,9 +994,9 @@ mod proptests {
                 heap.push_reserved(at, first + i as u64, payload + i);
             }
             loop {
-                let popped = shuffled.pop_nth(0);
-                prop_assert_eq!(popped, sorted.pop_nth(0));
-                prop_assert_eq!(popped, heap.pop_nth(0));
+                let popped = shuffled.pop_entry();
+                prop_assert_eq!(popped, sorted.pop_entry());
+                prop_assert_eq!(popped, heap.pop_entry());
                 if popped.is_none() {
                     break;
                 }

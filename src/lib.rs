@@ -40,8 +40,8 @@ pub mod sim {
     pub use sim_core::stats;
     pub use sim_core::{
         twin_run, EventQueue, HeapQueue, RunPerf, SimDuration, SimRng, SimTime, SnapError,
-        SnapshotReader, SnapshotWriter, Snapshotable, TieChoice, TieClass, TieKind, TieOrder,
-        TimerHandle, TimerSlab, TraceHash, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+        SnapshotReader, SnapshotWriter, Snapshotable, TieChoice, TieOrder, TimerHandle, TimerSlab,
+        TraceHash, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
     };
 }
 

@@ -2,7 +2,7 @@
 //! `harness::mc` glue, PR 7).
 //!
 //! The first half drives the explorer over a *toy* scheduler — a real
-//! `EventQueue` popped through the same tie-order choke point as
+//! `EventQueue` popped through the same `TieOrder::pop` as
 //! `netstack::Simulator` — where ground truth is computable: the branch
 //! count is the product of tie-group factorials, every decision vector
 //! must be distinct and every branch must replay to its recorded hash. The
@@ -22,44 +22,25 @@ use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
 use tcp_muzha::faultline::{InvariantChecker, ScenarioScript};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::run::Run;
-use tcp_muzha::sim::{twin_run, EventQueue, SimTime, TieClass, TieKind, TieOrder, TraceHash};
+use tcp_muzha::sim::{twin_run, EventQueue, SimTime, TieOrder, TraceHash};
 
 // ---------------------------------------------------------------------------
-// Toy model: an EventQueue popped exactly the way netstack pops it.
+// Toy model: an EventQueue popped through the same `TieOrder::pop` as
+// netstack's `Simulator::pop_event`; each event is its id.
 // ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, Debug)]
-struct ToyEvent {
-    id: u32,
-    class: TieClass,
-}
-
-/// Mirror of `Simulator::pop_event`: when the head of the queue is a tie
-/// inside the window, ask the `TieOrder` which member to dispatch first.
-fn pop_toy(q: &mut EventQueue<ToyEvent>, order: &mut TieOrder) -> Option<(SimTime, ToyEvent)> {
-    if let Some(t) = q.peek_time() {
-        if order.covers(t) && q.tie_count() > 1 {
-            let mut group = Vec::new();
-            q.for_each_tie(|e| group.push(e.class));
-            let chosen = order.choose(t, group);
-            return q.pop_nth(chosen).map(|(t, _, ev)| (t, ev));
-        }
-    }
-    q.pop()
-}
 
 /// Replays `batch` under `decisions`; the trace hash folds the total
 /// dispatch order, so every interleaving is distinguishable.
-fn run_toy(batch: &[(u64, ToyEvent)], decisions: &[usize]) -> BranchOutcome {
+fn run_toy(batch: &[(u64, u32)], decisions: &[usize]) -> BranchOutcome {
     let mut q = EventQueue::new();
-    for &(at, ev) in batch {
-        q.push(SimTime::from_nanos(at), ev);
+    for &(at, id) in batch {
+        q.push(SimTime::from_nanos(at), id);
     }
     let mut order = TieOrder::new(decisions.to_vec());
     let mut trace = TraceHash::new();
-    while let Some((t, ev)) = pop_toy(&mut q, &mut order) {
+    while let Some((t, _, id)) = order.pop(&mut q) {
         trace.write_u64(t.as_nanos());
-        trace.write_u64(u64::from(ev.id));
+        trace.write_u64(u64::from(id));
     }
     BranchOutcome {
         trace_hash: trace.digest(),
@@ -71,21 +52,13 @@ fn run_toy(batch: &[(u64, ToyEvent)], decisions: &[usize]) -> BranchOutcome {
 /// Builds a toy batch from proptest picks: `times` are drawn from a tiny
 /// alphabet so ties actually form, and ids stay unique so orders are
 /// distinguishable.
-fn toy_batch(times: &[u8], nodes: &[u8]) -> Vec<(u64, ToyEvent)> {
-    times
-        .iter()
-        .zip(nodes)
-        .enumerate()
-        .map(|(i, (&t, &n))| {
-            let class = TieClass::node(u32::from(n % 4), TieKind::NodeWork);
-            (u64::from(t % 3) * 1_000, ToyEvent { id: i as u32, class })
-        })
-        .collect()
+fn toy_batch(times: &[u8]) -> Vec<(u64, u32)> {
+    times.iter().enumerate().map(|(i, &t)| (u64::from(t % 3) * 1_000, i as u32)).collect()
 }
 
 /// Product of k! over the tie-group sizes of `batch` — the exact number of
 /// interleavings.
-fn factorial_product(batch: &[(u64, ToyEvent)]) -> usize {
+fn factorial_product(batch: &[(u64, u32)]) -> usize {
     let mut counts = std::collections::BTreeMap::new();
     for &(at, _) in batch {
         *counts.entry(at).or_insert(0usize) += 1;
@@ -105,9 +78,8 @@ proptest! {
     #[test]
     fn conflicting_ties_enumerate_the_exact_factorial_product(
         times in proptest::collection::vec(0u8..3, 2..6),
-        nodes in proptest::collection::vec(any::<u8>(), 6),
     ) {
-        let batch = toy_batch(&times, &nodes);
+        let batch = toy_batch(&times);
         let verdict = mc::explore("toy", 1, &McConfig::default(), |_, d| run_toy(&batch, d));
         prop_assert!(verdict.proved());
         prop_assert_eq!(verdict.branches_explored, factorial_product(&batch));

@@ -14,7 +14,7 @@ use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
 use tcp_muzha::faultline::{FaultEvent, InvariantChecker, LedgerSummary, ScenarioScript};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::run::Run;
-use tcp_muzha::sim::{EventQueue, SimDuration, SimTime, TieClass, TieKind, TieOrder, TraceHash};
+use tcp_muzha::sim::{EventQueue, SimDuration, SimTime, TieOrder, TraceHash};
 use tcp_muzha::tracelog::{PacketKind, TraceLog, TraceRecord};
 use tcp_muzha::wire::{FlowId, NodeId};
 
@@ -342,15 +342,14 @@ fn observable_digest_sees_a_flipped_tie_and_a_shifted_fault() {
     // Most ties commute (two neighbours hearing one frame end): flipping
     // them moves `trace_hash` and, rightly, nothing observable. Flip ties in
     // encounter order until one steers the run.
-    let steering = choices.iter().enumerate().filter(|(_, c)| c.group.len() >= 2).take(16).find(
-        |&(target, _)| {
+    let steering =
+        choices.iter().enumerate().filter(|(_, c)| c.ties >= 2).take(16).find(|&(target, _)| {
             let mut decisions = vec![0; target];
             decisions.push(1);
             let (hash, seen, _) = run(&script, decisions);
             assert_ne!(hash, fifo_hash, "tie {target}: a permuted tie must move the trace hash");
             seen != fifo_seen
-        },
-    );
+        });
     assert!(steering.is_some(), "none of the first 16 ties changes what the run shows");
 
     // A fault shows through its consequences — shift one that lands on a
@@ -494,16 +493,8 @@ fn run_timer_toy(
     let mut fired: Vec<u32> = Vec::new();
     let mut trace = TraceHash::new();
     trace.write_u64(seed);
-    loop {
-        // The same choke point as `Simulator::pop_event`.
-        let popped = if q.tie_count() > 1 {
-            let group = vec![TieClass::node(0, TieKind::NodeWork); q.tie_count()];
-            let chosen = order.choose(q.peek_time().expect("tie implies a head"), group);
-            q.pop_nth(chosen).map(|(now, _, ev)| (now, ev))
-        } else {
-            q.pop()
-        };
-        let Some((now, ev)) = popped else { break };
+    // The same tie pop as `Simulator::pop_event`.
+    while let Some((now, _, ev)) = order.pop(&mut q) {
         match ev {
             TimerToyEvent::Fire { token } => {
                 let hit = if guarded { armed == Some(token) } else { armed.is_some() };

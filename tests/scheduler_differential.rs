@@ -163,10 +163,10 @@ proptest! {
     /// after all under the number it took (`push_reserved`): reservations
     /// interleaved with pushes leave both queues issuing the same numbers,
     /// a reserved number is carried by no entry until it is pushed under,
-    /// and `pop_nth(k)` returns the `k`-th smallest key at the earliest
-    /// instant of a model that knows nothing but keys — so an entry pushed
-    /// under an old number pops ahead of the later-pushed ties at its
-    /// instant (the head's included) and behind the earlier ones.
+    /// and `pop_entry` returns the smallest key of a model that knows
+    /// nothing but keys — so an entry pushed under an old number pops ahead
+    /// of the later-pushed ties at its instant (the head's included) and
+    /// behind the earlier ones.
     #[test]
     fn reserved_seqs_keep_the_queues_in_lock_step(
         ops in proptest::collection::vec((0u8..8, 0u64..4, 0usize..4), 1..200),
@@ -201,21 +201,12 @@ proptest! {
                     model.insert((at, seq));
                 }
                 _ => {
-                    let ties = model.first().map_or(0, |&(head, _)| {
-                        model.iter().take_while(|&&(time, _)| time == head).count()
-                    });
-                    prop_assert_eq!(calendar.tie_count(), ties);
-                    prop_assert_eq!(heap.tie_count(), ties);
-                    let k = pick.min(ties.saturating_sub(1));
-                    let expected = model.iter().nth(k).copied();
-                    if let Some(key) = expected {
-                        model.remove(&key);
-                    }
-                    let popped = calendar.pop_nth(k);
-                    prop_assert_eq!(popped, heap.pop_nth(k));
+                    let expected = model.pop_first();
+                    let popped = calendar.pop_entry();
+                    prop_assert_eq!(popped, heap.pop_entry());
                     prop_assert_eq!(popped.map(|(time, seq, _)| (time, seq)), expected);
                     if let Some((_, seq, payload)) = popped {
-                        prop_assert_eq!(seq, payload, "pop_nth reported another entry's seq");
+                        prop_assert_eq!(seq, payload, "pop_entry reported another entry's seq");
                         prop_assert!(!reserved.contains(&seq), "a reserved seq was queued");
                     }
                 }
@@ -232,7 +223,7 @@ proptest! {
     #[test]
     fn fifo_ties_survive_mixed_traffic(
         seed in 0u64..1000,
-        tie_count in 2usize..20,
+        ties in 2usize..20,
         noise in 0usize..40,
     ) {
         let mut rng = SimRng::new(seed);
@@ -247,7 +238,7 @@ proptest! {
             payload += 1;
         }
         let first_tie = payload;
-        for _ in 0..tie_count {
+        for _ in 0..ties {
             calendar.push(tie_time, payload);
             heap.push(tie_time, payload);
             payload += 1;
@@ -260,7 +251,7 @@ proptest! {
             }
         }
         prop_assert_eq!(heap.pop(), None);
-        let expected: Vec<u64> = (first_tie..first_tie + tie_count as u64).collect();
+        let expected: Vec<u64> = (first_tie..first_tie + ties as u64).collect();
         prop_assert_eq!(seen_ties, expected, "FIFO tie order violated");
     }
 }
