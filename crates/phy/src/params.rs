@@ -14,8 +14,10 @@ use sim_core::SimDuration;
 /// ```
 /// use phy::RadioParams;
 /// let p = RadioParams::default();
-/// // A 1500-byte packet plus 34 bytes MAC overhead at 2 Mbps + PLCP:
-/// assert_eq!(p.data_tx_time(1534).as_micros(), 192 + 6136);
+/// p.validate();
+/// // Two-ray ground: a frame from 250 m arrives 16× stronger than one from
+/// // 500 m, enough to capture the receiver over it.
+/// assert_eq!(p.rx_power(250.0) / p.rx_power(500.0), 16.0);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RadioParams {
@@ -63,18 +65,6 @@ impl RadioParams {
         assert!((0.0..=1.0).contains(&self.per_frame_loss), "loss probability must be in [0, 1]");
     }
 
-    /// Airtime of a DATA frame of `bytes` bytes (PLCP + payload at the data
-    /// rate).
-    pub fn data_tx_time(&self, bytes: u32) -> SimDuration {
-        self.plcp_overhead + SimDuration::for_bits(u64::from(bytes) * 8, self.data_rate_bps)
-    }
-
-    /// Airtime of a control frame of `bytes` bytes (PLCP + payload at the
-    /// basic rate).
-    pub fn control_tx_time(&self, bytes: u32) -> SimDuration {
-        self.plcp_overhead + SimDuration::for_bits(u64::from(bytes) * 8, self.basic_rate_bps)
-    }
-
     /// Propagation delay over `distance_m` metres at the speed of light.
     pub fn propagation_delay(distance_m: f64) -> SimDuration {
         const C: f64 = 299_792_458.0;
@@ -102,15 +92,6 @@ mod tests {
         p.validate();
         assert_eq!(p.data_rate_bps, 2_000_000);
         assert_eq!(p.tx_range_m, 250.0);
-    }
-
-    #[test]
-    fn tx_times() {
-        let p = RadioParams::default();
-        // 20-byte RTS at 1 Mbps = 160 us + 192 us PLCP.
-        assert_eq!(p.control_tx_time(20).as_micros(), 352);
-        // 1534 bytes at 2 Mbps = 6136 us + 192 us PLCP.
-        assert_eq!(p.data_tx_time(1534).as_micros(), 6328);
     }
 
     #[test]

@@ -108,14 +108,6 @@ impl<T, const N: usize> SmallVec<T, N> {
             Repr::Heap(v) => Drain::Heap(v.drain(..)),
         }
     }
-
-    /// Moves the elements into a plain `Vec`.
-    pub fn into_vec(self) -> Vec<T> {
-        match self.repr {
-            Repr::Inline { buf, len } => buf.into_iter().take(len).flatten().collect(),
-            Repr::Heap(v) => v,
-        }
-    }
 }
 
 impl<T, const N: usize> Default for SmallVec<T, N> {
@@ -273,7 +265,7 @@ mod tests {
         }
         assert!(v.spilled());
         assert_eq!(v.len(), 10);
-        assert_eq!(v.into_vec(), (0..10).collect::<Vec<_>>());
+        assert_eq!(v.into_iter().collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -112,18 +112,9 @@ impl TraceLog {
     ///
     /// Panics if `capacity` is zero.
     pub fn flight_recorder(capacity: usize) -> Self {
-        TraceLog::flight_recorder_with_filter(capacity, TraceFilter::all())
-    }
-
-    /// A bounded ring with a filter in front of it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn flight_recorder_with_filter(capacity: usize, filter: TraceFilter) -> Self {
         assert!(capacity > 0, "flight recorder capacity must be positive");
         let entries = VecDeque::with_capacity(capacity);
-        TraceLog::with_store(filter, Store::Ring { capacity, entries })
+        TraceLog::with_store(TraceFilter::all(), Store::Ring { capacity, entries })
     }
 
     fn with_store(filter: TraceFilter, store: Store) -> Self {
