@@ -15,7 +15,7 @@
 //! ```
 //!
 //! `RUN` is `--script PATH.scn` — a run file stating topology, mobility,
-//! flows, seed, duration and faults (grammar: `faultline::ScenarioScript`,
+//! flows, seed, duration and faults (grammar: `harness::run::Run::parse`,
 //! DESIGN.md "A run file") — *or* the run-shape flags that spell one:
 //! `[--topology SPEC | --hops N] [--mobility SPEC] [--variant NAME]
 //! [--flows N] [--secs S] [--seed S]`, never both. Topology specs: `chain:8`
@@ -75,10 +75,9 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use faultline::mc::McConfig;
 use faultline::InvariantChecker;
 use harness::cli::{self, parse_flag, parse_flag_with, required_flag, CliError, Subcommand};
-use harness::mc::{explore_scenario, flight_recorder_dump};
+use harness::mc::{explore_scenario, flight_recorder_dump, McConfig};
 use harness::run::Run;
 use harness::tracecap::{self, TraceFormat};
 use harness::WallClock;
@@ -264,7 +263,7 @@ fn mc(args: &[String]) -> Result<(), CliError> {
     if !quiet {
         eprintln!(
             "exploring {} (window {:?}, max {} branches, depth {}, {} placement step(s))...",
-            run.script.name, cfg.tie_window, cfg.max_branches, cfg.max_depth, cfg.shift_steps
+            run.name, cfg.tie_window, cfg.max_branches, cfg.max_depth, cfg.shift_steps
         );
     }
     let (verdict, stats) = explore_scenario(&run, &cfg);
@@ -330,7 +329,7 @@ fn snapshot(run: &Run, args: &[String]) -> Result<(), CliError> {
             sim.run_until(at);
             // Whole nanoseconds, so two instants of one sweep never share a name.
             let (secs, nanos) = (at.as_nanos() / 1_000_000_000, at.as_nanos() % 1_000_000_000);
-            let path = format!("{out_dir}/{}-t{secs}.{nanos:09}.snap", run.script.name);
+            let path = format!("{out_dir}/{}-t{secs}.{nanos:09}.snap", run.name);
             cli::write_output(&path, sim.snapshot())?;
             cli::print_report(format!(
                 "checkpoint {path}: t={} events={} hash={:#018x}\n",

@@ -9,9 +9,8 @@ use std::fmt::{self, Display};
 use std::io::Write as _;
 use std::path::Path;
 
-use faultline::{FlowLine, ScenarioScript};
-use netstack::{MobilitySpec, SimConfig, TcpVariant, TopologySpec};
-use sim_core::{SimDuration, SimTime};
+use netstack::{FlowSpec, MobilitySpec, SimConfig, TcpVariant, TopologySpec};
+use sim_core::SimDuration;
 
 use crate::run::{spread_endpoints, Run};
 
@@ -283,8 +282,8 @@ fn flow_topology(text: &str) -> Result<TopologySpec, String> {
 /// it the run-shape flags spell the run over `default` — the topology,
 /// mobility and duration of a subcommand that can run unprompted — with
 /// `--flows` flows of `--variant` (one Muzha flow when absent) between the
-/// endpoints [`spread_endpoints`] picks. Both ways end in
-/// [`Run::from_script`]. `None` for a subcommand that takes a file only.
+/// endpoints [`spread_endpoints`] picks, stated with [`Run::new`]. `None`
+/// for a subcommand that takes a file only.
 ///
 /// # Errors
 ///
@@ -301,8 +300,7 @@ pub fn parse_run(
             return Err(conflicting(args, flag, "--script states the whole run"));
         }
         let text = std::fs::read_to_string(&path).map_err(|e| CliError::file("read", &path, e))?;
-        let script = ScenarioScript::parse(&text).and_then(|script| Run::from_script(&script));
-        return script.map_err(|e| CliError::file("parse", &path, e));
+        return Run::parse(&text).map_err(|e| CliError::file("parse", &path, e));
     }
     let Some((topology, mobility, duration)) = default else {
         return Err(CliError::Required { flag: "--script".to_string() });
@@ -322,16 +320,11 @@ pub fn parse_run(
         Ok(0) => Err("a run needs a flow".to_string()),
         other => other.map_err(|e| e.to_string()),
     })?;
-    let flow = |(src, dst)| FlowLine { src, dst, variant, start: SimTime::ZERO, window: None };
-    let script = ScenarioScript {
-        seed: Some(seed),
-        duration: parse_flag_with(args, "--secs", SimDuration::parse_secs)?.or(Some(duration)),
-        topology: Some(topology),
-        mobility: parse_flag_with(args, "--mobility", MobilitySpec::parse)?.or(Some(mobility)),
-        flows: spread_endpoints(topology, seed, flows.unwrap_or(1)).into_iter().map(flow).collect(),
-        ..ScenarioScript::default()
-    };
-    Run::from_script(&script).map_err(|reason| conflicting(args, "--flows", reason))
+    let duration = parse_flag_with(args, "--secs", SimDuration::parse_secs)?.unwrap_or(duration);
+    let mobility = parse_flag_with(args, "--mobility", MobilitySpec::parse)?.unwrap_or(mobility);
+    let ends = spread_endpoints(topology, seed, flows.unwrap_or(1));
+    let flows = ends.into_iter().map(|(src, dst)| FlowSpec::new(src, dst, variant)).collect();
+    Ok(Run::new(SimConfig { seed, topology, mobility, ..SimConfig::default() }, flows, duration))
 }
 
 /// Writes a rendered report to stdout. A closed pipe (`harness topo … |

@@ -16,14 +16,15 @@
 //! outputs; timing the simulator is `benchmark/`'s job, not this crate's.
 //!
 //! Every cell of those experiments is a [`run::Run`]: what a run file
-//! (`faultline::ScenarioScript`: topology, mobility, flows, seed, duration,
-//! timed faults) or the flags that spell one mean, and `Run::build` the one
-//! place in this crate that constructs a simulator. A cell other than an
+//! (`Run::parse`: topology, mobility, flows, seed, duration, timed faults)
+//! or the flags that spell one mean, and `Run::build` the one place in this
+//! crate that constructs a simulator. A cell other than an
 //! ablation row (whose DRAI thresholds and cadence no run-file line spells)
 //! can be written as a run file — a `chain:h` or `cross:h` topology and its
 //! `flow` lines — that builds the same simulator. `--bin harness` drives a
 //! `Run` four ways — `trace` (capture, [`tracecap`]), `topo` (run
-//! checked), `mc` (explore, [`mc`]), `checkpoint` (snapshot / resume) — off
+//! checked), `mc` (explore, [`mc`]: the model checker, search and simulator
+//! branches in one module), `checkpoint` (snapshot / resume) — off
 //! the one argv table in [`cli`].
 //!
 //! Runs are averaged over several seeds (the paper reports single NS2 runs;

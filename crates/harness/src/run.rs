@@ -1,101 +1,196 @@
 //! One run, stated completely: the seam between a run file (or the flags
 //! that spell one, or an experiment's cell) and a [`Simulator`].
 //!
-//! A [`Run`] is what a [`ScenarioScript`] means once every absent header line
-//! has taken its default and every node id has been checked against the
-//! topology; [`Run::new`] states one in code, as every Chapter-5 cell of
-//! [`crate::experiments`] does. [`Run::build`] is the only place in this
-//! crate that constructs a simulator: the paper's cells, the corpus tests,
-//! `harness trace|topo|mc|checkpoint` and the model checker's branches all
-//! run what it returns.
+//! A run file states what a run is built on and the timed faults it
+//! suffers. The text format is line-based; `#` starts a comment:
+//!
+//! ```text
+//! # Two flows across a roaming grid, one link cut mid-transfer.
+//! name grid-break
+//! seed 7
+//! duration 30
+//! topology grid:3x3
+//! mobility waypoint:1-5@2
+//! flow 0 8 Muzha
+//! flow 2 6 NewReno 1.5 8     # starts at 1.5 s, advertised window 8
+//! at 5.0  link-down 1 2
+//! at 12.0 link-up 1 2
+//! at 15.0 ge 0.02 0.2 0.0 0.8
+//! at 20.0 ge-off
+//! ```
+//!
+//! [`Run::parse`] turns it into a [`Run`]: every absent header line takes
+//! its default and every node id is checked against the topology. Every
+//! `at` keyword maps 1:1 onto a [`FaultEvent`] variant. [`Run::new`] states
+//! a run in code, as every Chapter-5 cell of [`crate::experiments`] does.
+//! [`Run::build`] is the only place in this crate that constructs a
+//! simulator: the paper's cells, the corpus tests, `harness
+//! trace|topo|mc|checkpoint` and the model checker's branches all run what
+//! it returns.
 
 use std::fmt;
+use std::num::NonZeroU32;
+use std::str::SplitWhitespace;
 
-use faultline::{FlowLine, ScenarioScript};
 use netstack::{
-    FlowSpec, MobilitySpec, RandomWaypoint, SimConfig, Simulator, TcpVariant, TopologySpec,
+    FaultEvent, FlowSpec, MobilitySpec, RandomWaypoint, SimConfig, Simulator, TcpVariant,
+    TimedFault, TopologySpec,
 };
+use phy::GilbertElliott;
 use sim_core::{SimDuration, SimTime};
 use tcp::TcpConfig;
 use topo::Position;
 use tracelog::{TraceFilter, TraceLog};
 use wire::NodeId;
 
-/// Seed of a script that states none.
+/// Seed of a run file that states none.
 const DEFAULT_SEED: u64 = 1;
-/// Duration of a script that states none.
+/// Duration of a run file that states none.
 const DEFAULT_DURATION: SimDuration = SimDuration::from_secs(10);
 
-/// A run, ready to build: configuration, flows, horizon and faults.
+/// A run, ready to build: name, configuration, flows, horizon and faults.
 #[derive(Clone, Debug)]
 pub struct Run {
-    /// Table 5.1's defaults under the script's seed, topology and mobility.
+    /// The run's name (a `name` line), or empty.
+    pub name: String,
+    /// Table 5.1's defaults under the run's seed, topology and mobility.
     pub cfg: SimConfig,
     /// The flows, in the order their ids are handed out.
     pub flows: Vec<FlowSpec>,
     /// How long the run lasts.
     pub duration: SimDuration,
-    /// The script the run came from; [`Run::build`] loads its faults.
-    pub script: ScenarioScript,
+    /// The timed faults, in file order; [`Run::build`] loads them.
+    pub faults: Vec<TimedFault>,
 }
 
 impl Run {
-    /// What `script` means. An absent `seed` is 1, an absent `duration`
+    /// Parses a run file.
+    ///
+    /// Grammar (one directive per line, `#` to end of line is a comment):
+    ///
+    /// ```text
+    /// name <word>
+    /// seed <u64>
+    /// duration <seconds>
+    /// topology <spec>            (as `--topology`: chain:8, grid:3x3, ...)
+    /// mobility <spec>            (as `--mobility`: static, waypoint:1-20@2)
+    /// flow <src> <dst> <variant> [start-seconds] [window]
+    /// at <seconds> link-down <a> <b>
+    /// at <seconds> link-up <a> <b>
+    /// at <seconds> kill <node>
+    /// at <seconds> revive <node>
+    /// at <seconds> pause <node>
+    /// at <seconds> resume <node>
+    /// at <seconds> ge <p_gb> <p_bg> <loss_good> <loss_bad>
+    /// at <seconds> ge-off
+    /// at <seconds> blackhole <node>
+    /// at <seconds> blackhole-off <node>
+    /// at <seconds> saturate <node> <capacity>
+    /// at <seconds> saturate-off <node>
+    /// at <seconds> partition <node>... | <node>...
+    /// at <seconds> heal
+    /// ```
+    ///
+    /// A header line given twice is last-wins, except `flow`, where every
+    /// line is one more flow. An absent `seed` is 1, an absent `duration`
     /// 10 s, an absent `topology` `chain:4`, an absent `mobility` `static`,
-    /// and a script without a `flow` line carries one NewReno flow from node
-    /// 0 to the last node: the convention every corpus script is written to.
+    /// and a file without a `flow` line carries one NewReno flow from node 0
+    /// to the last node: the convention every corpus script is written to.
+    /// Faults keep file order; the simulator's FIFO-on-tie queue keeps it
+    /// for same-time faults.
     ///
     /// # Errors
     ///
-    /// A message naming the line of a flow or fault whose node the topology
-    /// does not have, or of a flow from a node to itself.
-    pub fn from_script(script: &ScenarioScript) -> Result<Run, String> {
-        let cfg = SimConfig {
-            seed: script.seed.unwrap_or(DEFAULT_SEED),
-            topology: script.topology.unwrap_or_default(),
-            mobility: script.mobility.unwrap_or_default(),
-            ..SimConfig::default()
-        };
-        let nodes = cfg.topology.node_count();
-        let check = |node: NodeId, k: usize| {
+    /// A message naming the first line that does not parse; once the whole
+    /// text has, the line of a flow or fault whose node the topology does not
+    /// have, or of a flow from a node to itself.
+    pub fn parse(text: &str) -> Result<Run, String> {
+        let mut name = String::new();
+        let (mut seed, mut duration) = (DEFAULT_SEED, DEFAULT_DURATION);
+        let (mut topology, mut mobility) = (TopologySpec::default(), MobilitySpec::default());
+        let (mut flows, mut faults) = (Vec::new(), Vec::new());
+        for (idx, raw) in text.lines().enumerate() {
+            let lineno = idx + 1;
+            let line = match raw.find('#') {
+                Some(pos) => &raw[..pos],
+                None => raw,
+            };
+            let mut toks = line.split_whitespace();
+            let Some(head) = toks.next() else { continue };
+            let fail = |msg: String| format!("scenario line {lineno}: {msg}");
+            match head {
+                "name" => name = toks.next().ok_or_else(|| fail("missing name".into()))?.into(),
+                "seed" => seed = parse_num::<u64>(&mut toks, "seed").map_err(fail)?,
+                "duration" => {
+                    let parsed = parse_tok(toks.next(), "duration", SimDuration::parse_secs);
+                    duration = parsed.map_err(fail)?;
+                    if duration == SimDuration::ZERO {
+                        return Err(fail("duration must be positive".into()));
+                    }
+                }
+                "topology" => {
+                    let spec = parse_tok(toks.next(), "topology", TopologySpec::parse);
+                    topology = spec.map_err(fail)?;
+                }
+                "mobility" => {
+                    let spec = parse_tok(toks.next(), "mobility", MobilitySpec::parse);
+                    mobility = spec.map_err(fail)?;
+                }
+                "flow" => flows.push((lineno, parse_flow(&mut toks).map_err(fail)?)),
+                "at" => {
+                    let at = parse_tok(toks.next(), "time", SimDuration::parse_secs);
+                    let at = SimTime::ZERO + at.map_err(fail)?;
+                    let fault = parse_fault(&mut toks).map_err(fail)?;
+                    faults.push((lineno, TimedFault { at, fault }));
+                }
+                other => return Err(fail(format!("unknown directive `{other}`"))),
+            }
+            if let Some(extra) = toks.next() {
+                return Err(format!("scenario line {lineno}: trailing token `{extra}`"));
+            }
+        }
+        let nodes = topology.node_count();
+        let check = |line: usize, node: NodeId| {
             if node.index() >= nodes {
-                let (at, topology) = (script.place(k), cfg.topology);
-                return Err(format!("{at}: no node {node} in {topology} ({nodes} nodes)"));
+                return Err(format!(
+                    "scenario line {line}: no node {node} in {topology} ({nodes} nodes)"
+                ));
             }
             Ok(())
         };
-        for (k, flow) in script.flows.iter().enumerate() {
-            check(flow.src, k)?;
-            check(flow.dst, k)?;
+        for &(line, flow) in &flows {
+            check(line, flow.src)?;
+            check(line, flow.dst)?;
             if flow.src == flow.dst {
-                return Err(format!("{}: a flow needs two nodes", script.place(k)));
+                return Err(format!("scenario line {line}: a flow needs two nodes"));
             }
         }
-        for (k, timed) in script.events.iter().enumerate() {
+        for (line, timed) in &faults {
             for node in timed.fault.nodes() {
-                check(node, script.flows.len() + k)?;
+                check(*line, node)?;
             }
         }
-        let flows = if script.flows.is_empty() {
+        let flows = if flows.is_empty() {
             if nodes < 2 {
-                return Err(format!("a flow needs two nodes, {} has {nodes}", cfg.topology));
+                return Err(format!("a flow needs two nodes, {topology} has {nodes}"));
             }
             vec![FlowSpec::new(NodeId::new(0), NodeId::from_index(nodes - 1), TcpVariant::NewReno)]
         } else {
-            script.flows.iter().map(flow_spec).collect()
+            flows.into_iter().map(|(_, flow)| flow).collect()
         };
         Ok(Run {
-            cfg,
+            name,
+            cfg: SimConfig { seed, topology, mobility, ..SimConfig::default() },
             flows,
-            duration: script.duration.unwrap_or(DEFAULT_DURATION),
-            script: script.clone(),
+            duration,
+            faults: faults.into_iter().map(|(_, timed)| timed).collect(),
         })
     }
 
     /// A run stated in code rather than text: `cfg` as given — topology,
     /// mobility, DRAI thresholds and all —, `flows` in id order, no faults.
     pub fn new(cfg: SimConfig, flows: Vec<FlowSpec>, duration: SimDuration) -> Run {
-        Run { cfg, flows, duration, script: ScenarioScript::default() }
+        Run { name: String::new(), cfg, flows, duration, faults: Vec::new() }
     }
 
     /// The simulator of this run at t = 0: nodes placed from
@@ -106,7 +201,7 @@ impl Run {
     ///
     /// # Panics
     ///
-    /// On what [`SimConfig::validate`] or [`Run::from_script`] refuses.
+    /// On what [`SimConfig::validate`] or [`Run::parse`] refuses.
     pub fn build(&self) -> Simulator {
         let cfg = self.cfg;
         let mut sim = Simulator::new(cfg.topology.build(cfg.radio.tx_range_m, cfg.seed), cfg);
@@ -124,7 +219,7 @@ impl Run {
         for flow in &self.flows {
             sim.add_flow(*flow);
         }
-        sim.load_scenario(&self.script);
+        sim.load_faults(&self.faults);
         sim
     }
 
@@ -144,33 +239,125 @@ impl Run {
     }
 }
 
-fn flow_spec(line: &FlowLine) -> FlowSpec {
-    let spec = FlowSpec::new(line.src, line.dst, line.variant).starting_at(line.start);
-    match line.window {
-        Some(window) => spec.with_window(window),
-        None => spec,
-    }
-}
-
-/// The header lines that state this run; [`ScenarioScript::parse`] of them,
-/// then [`Run::from_script`], gives the same run back (faults aside).
+/// The header lines that state this run; [`Run::parse`] of them gives the
+/// same run back (faults aside).
 impl fmt::Display for Run {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.script.name.is_empty() {
-            writeln!(f, "name {}", self.script.name)?;
+        if !self.name.is_empty() {
+            writeln!(f, "name {}", self.name)?;
         }
         writeln!(f, "seed {}", self.cfg.seed)?;
         writeln!(f, "duration {}", self.duration.as_secs_f64())?;
         writeln!(f, "topology {}", self.cfg.topology)?;
         writeln!(f, "mobility {}", self.cfg.mobility)?;
         for flow in &self.flows {
-            let default = TcpConfig::default().advertised_window;
-            let window = Some(flow.tcp.advertised_window).filter(|w| *w != default);
             let FlowSpec { src, dst, variant, start, .. } = *flow;
-            writeln!(f, "{}", FlowLine { src, dst, variant, start, window })?;
+            write!(f, "flow {} {} {variant}", src.index(), dst.index())?;
+            let window = flow.tcp.advertised_window;
+            if window != TcpConfig::default().advertised_window {
+                writeln!(f, " {} {window}", start.as_secs_f64())?;
+            } else if start > SimTime::ZERO {
+                writeln!(f, " {}", start.as_secs_f64())?;
+            } else {
+                writeln!(f)?;
+            }
         }
         Ok(())
     }
+}
+
+/// The token `tok`, parsed by `parse`: a number's `FromStr`, a spec grammar.
+fn parse_tok<T, E: fmt::Display>(
+    tok: Option<&str>,
+    what: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, String> {
+    let tok = tok.ok_or_else(|| format!("missing {what}"))?;
+    parse(tok).map_err(|e| format!("bad {what} `{tok}`: {e}"))
+}
+
+fn parse_num<T: std::str::FromStr>(toks: &mut SplitWhitespace<'_>, what: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    parse_tok(toks.next(), what, str::parse::<T>)
+}
+
+fn parse_flow(toks: &mut SplitWhitespace<'_>) -> Result<FlowSpec, String> {
+    let (src, dst) = (parse_node(toks)?, parse_node(toks)?);
+    let variant = parse_tok(toks.next(), "variant", TcpVariant::parse)?;
+    let start = toks.next().map(|t| parse_tok(Some(t), "start", SimDuration::parse_secs));
+    // A zero window is refused here: the transport asserts it away.
+    let window = toks.next().map(|t| parse_tok(Some(t), "window", str::parse::<NonZeroU32>));
+    let start = SimTime::ZERO + start.transpose()?.unwrap_or(SimDuration::ZERO);
+    let spec = FlowSpec::new(src, dst, variant).starting_at(start);
+    Ok(match window.transpose()? {
+        Some(window) => spec.with_window(window.get()),
+        None => spec,
+    })
+}
+
+fn parse_node(toks: &mut SplitWhitespace<'_>) -> Result<NodeId, String> {
+    let raw = parse_num::<u16>(toks, "node id")?;
+    if raw == u16::MAX {
+        return Err(format!("node id {raw} is reserved for broadcast"));
+    }
+    Ok(NodeId::new(raw))
+}
+
+fn parse_fault(toks: &mut SplitWhitespace<'_>) -> Result<FaultEvent, String> {
+    let Some(kind) = toks.next() else {
+        return Err("missing fault keyword after time".into());
+    };
+    let fault = match kind {
+        "link-down" => FaultEvent::LinkDown { a: parse_node(toks)?, b: parse_node(toks)? },
+        "link-up" => FaultEvent::LinkUp { a: parse_node(toks)?, b: parse_node(toks)? },
+        "kill" => FaultEvent::Kill { node: parse_node(toks)? },
+        "revive" => FaultEvent::Revive { node: parse_node(toks)? },
+        "pause" => FaultEvent::Pause { node: parse_node(toks)? },
+        "resume" => FaultEvent::Resume { node: parse_node(toks)? },
+        "ge" => {
+            let p_gb = parse_num::<f64>(toks, "p_gb")?;
+            let p_bg = parse_num::<f64>(toks, "p_bg")?;
+            let loss_good = parse_num::<f64>(toks, "loss_good")?;
+            let loss_bad = parse_num::<f64>(toks, "loss_bad")?;
+            FaultEvent::GeStart(GilbertElliott::new(p_gb, p_bg, loss_good, loss_bad)?)
+        }
+        "ge-off" => FaultEvent::GeStop,
+        "blackhole" => FaultEvent::Blackhole { node: parse_node(toks)? },
+        "blackhole-off" => FaultEvent::BlackholeOff { node: parse_node(toks)? },
+        "saturate" => FaultEvent::Saturate {
+            node: parse_node(toks)?,
+            capacity: parse_num::<usize>(toks, "capacity")?,
+        },
+        "saturate-off" => FaultEvent::SaturateOff { node: parse_node(toks)? },
+        "partition" => {
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            let mut after_bar = false;
+            for tok in toks.by_ref() {
+                if tok == "|" {
+                    if after_bar {
+                        return Err("partition has more than one `|`".into());
+                    }
+                    after_bar = true;
+                    continue;
+                }
+                let raw: u16 = tok.parse().map_err(|e| format!("bad node id `{tok}`: {e}"))?;
+                if raw == u16::MAX {
+                    return Err(format!("node id {raw} is reserved for broadcast"));
+                }
+                let side = if after_bar { &mut right } else { &mut left };
+                side.push(NodeId::new(raw));
+            }
+            if !after_bar || left.is_empty() || right.is_empty() {
+                return Err("partition needs nodes on both sides of `|`".into());
+            }
+            FaultEvent::Partition { left, right }
+        }
+        "heal" => FaultEvent::Heal,
+        other => return Err(format!("unknown fault `{other}`")),
+    };
+    Ok(fault)
 }
 
 /// The pair of nodes with the greatest separation (first such pair in
@@ -193,20 +380,19 @@ pub fn farthest_pair(positions: &[Position]) -> (NodeId, NodeId) {
 
 /// The endpoints `flows` flows get on `topology` as `seed` places it when
 /// only their number is given: the first between the most-separated pair,
-/// the rest between deterministically spread endpoints.
+/// the rest between deterministically spread endpoints half the node index
+/// space apart — two distinct nodes of the topology, as it has at least two.
+///
+/// # Panics
+///
+/// On a topology of fewer than two nodes, as [`farthest_pair`].
 pub fn spread_endpoints(topology: TopologySpec, seed: u64, flows: usize) -> Vec<(NodeId, NodeId)> {
     let positions = topology.build(SimConfig::default().radio.tx_range_m, seed);
     let n = positions.len();
     let mut ends = vec![farthest_pair(&positions)];
     for k in 1..flows {
-        // Spread the remaining endpoints around the node index space;
-        // nudge apart if a pair collides.
         let a = (k * n / flows) % n;
-        let mut b = (a + n / 2) % n;
-        if a == b {
-            b = (b + 1) % n;
-        }
-        ends.push((NodeId::from_index(a), NodeId::from_index(b)));
+        ends.push((NodeId::from_index(a), NodeId::from_index((a + n / 2) % n)));
     }
     ends
 }
@@ -217,13 +403,177 @@ mod tests {
     use netstack::MobilitySpec;
     use proptest::prelude::*;
 
-    fn run_of(text: &str) -> Result<Run, String> {
-        Run::from_script(&ScenarioScript::parse(text)?)
+    #[test]
+    fn parses_full_grammar() {
+        let text = "\
+# comment
+name storm
+seed 99
+duration 25
+at 1.0 link-down 0 1
+at 2.0 link-up 0 1   # inline comment
+at 3.0 kill 2
+at 4.0 revive 2
+at 5.0 pause 3
+at 6.0 resume 3
+at 7.0 ge 0.02 0.2 0.0 0.8
+at 8.0 ge-off
+at 9.0 blackhole 1
+at 10.0 blackhole-off 1
+at 11.0 saturate 1 4
+at 12.0 saturate-off 1
+at 13.0 partition 0 1 | 2 3
+at 14.0 heal
+";
+        let s = Run::parse(text).unwrap();
+        assert_eq!(s.name, "storm");
+        assert_eq!(s.cfg.seed, 99);
+        assert_eq!(s.duration, SimDuration::from_secs_f64(25.0));
+        assert_eq!(s.faults.len(), 14);
+        assert_eq!(
+            s.faults[0],
+            TimedFault {
+                at: SimTime::from_secs_f64(1.0),
+                fault: FaultEvent::LinkDown { a: NodeId::new(0), b: NodeId::new(1) },
+            }
+        );
+        assert!(matches!(s.faults[6].fault, FaultEvent::GeStart(_)));
+        assert_eq!(
+            s.faults[12].fault,
+            FaultEvent::Partition {
+                left: vec![NodeId::new(0), NodeId::new(1)],
+                right: vec![NodeId::new(2), NodeId::new(3)],
+            }
+        );
+        assert_eq!(s.faults[13].fault, FaultEvent::Heal);
+    }
+
+    #[test]
+    fn header_lines_state_topology_mobility_and_flows() {
+        let text = "\
+name grid-break
+topology grid:3x3      # rows x cols
+mobility waypoint:1-5@2
+flow 0 8 muzha
+at 5 link-down 1 2
+flow 2 6 NewReno 1.5 8
+flow 1 7 SACK 0.25
+";
+        let s = Run::parse(text).unwrap();
+        assert_eq!(s.cfg.topology, TopologySpec::Grid { rows: 3, cols: 3 });
+        assert_eq!(Ok(s.cfg.mobility), MobilitySpec::parse("waypoint:1-5@2"));
+        let flows = |run: &Run| -> Vec<_> {
+            let flow = |f: &FlowSpec| (f.src, f.dst, f.variant, f.start, f.tcp.advertised_window);
+            run.flows.iter().map(flow).collect()
+        };
+        let (default, node, secs) =
+            (TcpConfig::default().advertised_window, NodeId::new, SimTime::from_secs_f64);
+        assert_eq!(
+            flows(&s),
+            [
+                (node(0), node(8), TcpVariant::Muzha, secs(0.0), default),
+                (node(2), node(6), TcpVariant::NewReno, secs(1.5), 8),
+                (node(1), node(7), TcpVariant::Sack, secs(0.25), default),
+            ]
+        );
+        // The flow lines render as the text that parses back to them.
+        assert_eq!(flows(&Run::parse(&s.to_string()).unwrap()), flows(&s));
+    }
+
+    /// Pinned: a single-valued header line given twice is last-wins, like
+    /// `name`, `seed` and `duration` before it; `flow` lines add up.
+    #[test]
+    fn a_repeated_header_line_is_last_wins() {
+        let s = Run::parse(
+            "seed 1\nseed 2\ntopology chain:8\ntopology grid:2x2\n\
+             mobility waypoint\nmobility static\n",
+        )
+        .unwrap();
+        assert_eq!(s.cfg.seed, 2);
+        assert_eq!(s.cfg.topology, TopologySpec::Grid { rows: 2, cols: 2 });
+        assert_eq!(s.cfg.mobility, MobilitySpec::Static);
+    }
+
+    /// Every time in a run file goes through `SimDuration::parse_secs`: these
+    /// used to panic inside `parse` (`time.rs`, "time out of range").
+    #[test]
+    fn times_beyond_simtime_are_line_errors_not_panics() {
+        for (bad, line) in [
+            ("duration 1e30", 1),
+            ("seed 3\nduration 1.9e10", 2),
+            ("at 1e30 kill 1", 1),
+            ("\n\nat 99999999999999 heal", 3),
+            ("flow 0 1 muzha 1e30", 1),
+            ("mobility waypoint:1-2@1e30", 1),
+        ] {
+            let err = Run::parse(bad).expect_err(bad);
+            assert!(err.starts_with(&format!("scenario line {line}: ")), "{bad:?}: {err}");
+        }
+        let edge = Run::parse("duration 1.8e10\nat 1.8e10 heal\n").unwrap();
+        assert_eq!(edge.duration, SimDuration::from_secs_f64(1.8e10));
+    }
+
+    #[test]
+    fn script_order_is_preserved_for_ties() {
+        let s = Run::parse("at 5 link-down 0 1\nat 5 link-down 1 2\n").unwrap();
+        assert_eq!(
+            s.faults[0].fault,
+            FaultEvent::LinkDown { a: NodeId::new(0), b: NodeId::new(1) }
+        );
+        assert_eq!(
+            s.faults[1].fault,
+            FaultEvent::LinkDown { a: NodeId::new(1), b: NodeId::new(2) }
+        );
+    }
+
+    #[test]
+    fn rejects_malformed_lines() {
+        for bad in [
+            "at",
+            "at x kill 1",
+            "at 1.0 frobnicate 2",
+            "at 1.0 kill",
+            "at 1.0 kill 65535",
+            "at 1.0 ge 2.0 0.5 0 1",
+            "at 1.0 ge 0.1 0.0 0 1", // absorbing bad state
+            "at 1.0 partition 0 1",
+            "at 1.0 partition | 1",
+            "at 1.0 partition 0 | 1 | 2",
+            "at -1 kill 1",
+            "duration 0",
+            "topology",
+            "topology moebius:3",
+            "topology grid:300x300",
+            "mobility brownian",
+            "flow 0",
+            "flow 0 1",
+            "flow 0 1 bogus",
+            "flow 0 65535 muzha",
+            "flow 0 1 muzha soon",
+            "flow 0 1 muzha 1 -8",
+            "flow 0 1 muzha 1 0",
+            "flow 0 1 muzha 1 8 extra",
+            "bogus 3",
+            "at 1.0 kill 1 extra",
+        ] {
+            let got = Run::parse(bad);
+            assert!(got.is_err(), "should reject {bad:?}, got {got:?}");
+        }
+        // A zero window is the transport's assert, so it is a line error first.
+        let zero = Run::parse("seed 4\nflow 0 4 muzha 0 0\n").unwrap_err();
+        assert!(zero.starts_with("scenario line 2: bad window `0`: "), "{zero}");
+    }
+
+    #[test]
+    fn empty_script_is_valid() {
+        let s = Run::parse("# nothing\n\n").unwrap();
+        assert!(s.faults.is_empty());
+        assert_eq!(s.cfg.seed, DEFAULT_SEED);
     }
 
     #[test]
     fn absent_lines_mean_the_corpus_convention() {
-        let run = run_of("").expect("the empty script is a run");
+        let run = Run::parse("").expect("the empty script is a run");
         assert_eq!(run.cfg.seed, 1);
         assert_eq!(run.duration, SimDuration::from_secs(10));
         assert_eq!(run.cfg.topology, TopologySpec::Chain { hops: 4 });
@@ -231,15 +581,15 @@ mod tests {
         let default = FlowSpec::new(NodeId::new(0), NodeId::new(4), TcpVariant::NewReno);
         assert_eq!(format!("{:?}", run.flows), format!("{:?}", [default]));
         // "End to end" on another topology is node 0 to the last node.
-        let grid = run_of("topology grid:3x3\n").expect("a run");
+        let grid = Run::parse("topology grid:3x3\n").expect("a run");
         assert_eq!((grid.flows[0].src, grid.flows[0].dst), (NodeId::new(0), NodeId::new(8)));
         assert_eq!(grid.flows[0].variant, TcpVariant::NewReno);
-        assert!(run_of("topology grid:1x1\n").unwrap_err().contains("a flow needs two nodes"));
+        assert!(Run::parse("topology grid:1x1\n").unwrap_err().contains("a flow needs two nodes"));
     }
 
     #[test]
     fn a_mobility_line_needs_no_topology_line() {
-        let run = run_of("mobility waypoint\n").expect("a roaming chain is a run");
+        let run = Run::parse("mobility waypoint\n").expect("a roaming chain is a run");
         assert_eq!(run.cfg.topology, TopologySpec::Chain { hops: 4 });
         assert_eq!(run.cfg.mobility, MobilitySpec::DEFAULT_WAYPOINT);
         let mut sim = run.build();
@@ -249,7 +599,7 @@ mod tests {
 
     #[test]
     fn build_places_the_topology_and_puts_every_node_on_the_waypoint_plan() {
-        let run = run_of("seed 9\ntopology grid:3x3\nmobility waypoint:5-10\n").expect("a run");
+        let run = Run::parse("seed 9\ntopology grid:3x3\nmobility waypoint:5-10\n").expect("a run");
         let mut sim = run.build();
         assert_eq!(sim.node_count(), 9);
         let node = |i| NodeId::from_index(i);
@@ -265,7 +615,7 @@ mod tests {
 
     #[test]
     fn a_flow_line_carries_its_start_and_window() {
-        let run = run_of("flow 1 3 muzha 1.5 8\nflow 3 1 vegas\n").expect("a run");
+        let run = Run::parse("flow 1 3 muzha 1.5 8\nflow 3 1 vegas\n").expect("a run");
         let [a, b] = run.flows[..] else { panic!("two flow lines, {} flows", run.flows.len()) };
         assert_eq!((a.src, a.dst, a.variant), (NodeId::new(1), NodeId::new(3), TcpVariant::Muzha));
         assert_eq!((a.start, a.tcp.advertised_window), (SimTime::from_secs_f64(1.5), 8));
@@ -289,21 +639,14 @@ mod tests {
             ("at 1 heal\nflow 2 2 newreno\n", 2, "a flow needs two nodes"),
             ("topology grid:2x2\nat 1 pause 4\n", 2, "no node n4 in grid:2x2 (4 nodes)"),
         ] {
-            let err = run_of(text).expect_err(text);
+            let err = Run::parse(text).expect_err(text);
             assert_eq!(err.split(": ").next(), Some(format!("scenario line {line}").as_str()));
             assert!(err.contains(needle), "{text:?}: {err}");
         }
         // The last node is a node, and a larger topology has the one chain:4 lacks.
         for text in ["at 1 kill 4\nflow 4 0 muzha\n", "topology chain:9\nat 1 kill 9\n"] {
-            assert!(run_of(text).is_ok(), "{text:?}");
+            assert!(Run::parse(text).is_ok(), "{text:?}");
         }
-        // A script built in code has no lines to name; it is refused all the same.
-        let built = ScenarioScript::new("coded")
-            .at(1.0, faultline::FaultEvent::Kill { node: NodeId::new(9) });
-        assert_eq!(
-            Run::from_script(&built).unwrap_err(),
-            "scenario `coded`: no node n9 in chain:4 (5 nodes)"
-        );
     }
 
     /// A generated topology of at least two nodes, by family.
@@ -331,7 +674,7 @@ mod tests {
             (lo, spread, pause_ms) in (0u32..20, 0u32..20, 0u64..5_000),
             flows in proptest::collection::vec(
                 (any::<u16>(), 1u16..500, 0usize..9, 0u64..20_000, 0u32..64),
-                0..5,
+                1..5,
             ),
         ) {
             let spec = topology(family, a, b);
@@ -344,26 +687,23 @@ mod tests {
                     pause: SimDuration::from_millis(pause_ms),
                 },
             };
-            let flows = flows.into_iter().map(|(src, hop, variant, start_ms, window)| FlowLine {
-                src: NodeId::new(src % n),
-                dst: NodeId::new((src % n + 1 + hop % (n - 1)) % n),
-                variant: TcpVariant::ALL[variant],
-                start: SimTime::ZERO + SimDuration::from_millis(start_ms),
-                window: Some(window).filter(|w| *w > 0),
+            let flows = flows.into_iter().map(|(src, hop, variant, start_ms, window)| {
+                let (src, dst) = (src % n, (src % n + 1 + hop % (n - 1)) % n);
+                let start = SimTime::ZERO + SimDuration::from_millis(start_ms);
+                let flow = FlowSpec::new(NodeId::new(src), NodeId::new(dst), TcpVariant::ALL[variant]);
+                let flow = flow.starting_at(start);
+                if window > 0 { flow.with_window(window) } else { flow }
             });
-            let script = ScenarioScript {
+            let run = Run {
                 name: if seed % 2 == 0 { "generated".into() } else { String::new() },
-                seed: Some(seed),
-                duration: Some(SimDuration::from_millis(millis)),
-                topology: Some(spec),
-                mobility: Some(mobility),
+                cfg: SimConfig { seed, topology: spec, mobility, ..SimConfig::default() },
                 flows: flows.collect(),
-                ..ScenarioScript::default()
+                duration: SimDuration::from_millis(millis),
+                faults: Vec::new(),
             };
-            let run = Run::from_script(&script).expect("generated endpoints are nodes");
             let text = run.to_string();
-            let again = run_of(&text).unwrap_or_else(|e| panic!("{e} in\n{text}"));
-            let shape = |r: &Run| format!("{:?}", (&r.script.name, r.cfg, &r.flows, r.duration));
+            let again = Run::parse(&text).unwrap_or_else(|e| panic!("{e} in\n{text}"));
+            let shape = |r: &Run| format!("{:?}", (&r.name, r.cfg, &r.flows, r.duration));
             prop_assert_eq!(shape(&again), shape(&run), "{}", text);
         }
     }
@@ -372,10 +712,18 @@ mod tests {
     fn spread_endpoints_start_at_the_farthest_pair_and_never_pair_a_node_with_itself() {
         let chain = TopologySpec::Chain { hops: 8 };
         assert_eq!(spread_endpoints(chain, 1, 1), [(NodeId::new(0), NodeId::new(8))]);
-        for (spec, flows) in [(chain, 2), (chain, 9), (TopologySpec::Chain { hops: 1 }, 5)] {
-            let ends = spread_endpoints(spec, 1, flows);
-            assert_eq!(ends.len(), flows);
-            assert!(ends.iter().all(|(a, b)| a != b), "{ends:?}");
+        for family in 0..5 {
+            for (a, b) in [(1, 1), (2, 3), (7, 5)] {
+                let spec = topology(family, a, b);
+                for flows in [1, 2, 3, 9, 17] {
+                    let ends = spread_endpoints(spec, 1, flows);
+                    assert_eq!(ends.len(), flows);
+                    let n = spec.node_count();
+                    let named =
+                        |(a, b): &(NodeId, NodeId)| a != b && a.index() < n && b.index() < n;
+                    assert!(ends.iter().all(named), "{spec}, {flows} flows: {ends:?}");
+                }
+            }
         }
     }
 }

@@ -89,8 +89,7 @@ mod tests {
 
     fn short_log() -> TraceLog {
         let text = "duration 1\ntopology chain:2\nflow 0 2 NewReno\n";
-        let script = faultline::ScenarioScript::parse(text).expect("run file parses");
-        let run = Run::from_script(&script).expect("run file names nodes of chain:2");
+        let run = Run::parse(text).expect("run file parses and names nodes of chain:2");
         run.capture(TraceFilter::all())
     }
 

@@ -242,6 +242,7 @@ fn a_hostile_run_file_is_a_line_error_from_every_subcommand() {
         ("flow 0 9 muzha\n", "scenario line 1: no node n9"),
         ("\nflow 2 2 newreno\n", "scenario line 2: a flow needs two nodes"),
         ("topology grid:2x2\nat 1 kill 4\n", "scenario line 2: no node n4 in grid:2x2"),
+        ("flow 0 4 muzha 0 0\n", "scenario line 1: bad window `0`: "),
     ] {
         std::fs::write(path, text).expect("write run file");
         for sub in [

@@ -95,7 +95,7 @@ fn flags_build_the_run_a_file_that_spells_them_does() {
         let unused = (TopologySpec::default(), MobilitySpec::Static, SimDuration::ZERO);
         let run = cli::parse_run(&args, Some(unused)).expect("flags spell a run");
         assert_eq!(run.flows.len(), 1, "a single flow between the farthest pair");
-        assert!(run.script.events.is_empty(), "no fault");
+        assert!(run.faults.is_empty(), "no fault");
         let spelled = run.to_string();
         std::fs::write(file, &spelled).expect("write run file");
 

@@ -1,15 +1,150 @@
-//! Scripted-fault state (crates/faultline scenarios) and what the simulator
-//! does with it: gating events on node liveness, applying each fault, and
-//! the channel-loss draw a bursty-loss episode overrides.
+//! Scripted faults — what a run file's `at` lines state — and what the
+//! simulator does with them: gating events on node liveness, applying each
+//! fault, and the channel-loss draw a bursty-loss episode overrides.
 
-use faultline::{FaultEvent, ScenarioScript, TimedFault};
 use phy::{GeState, GilbertElliott};
-use sim_core::{snap_enum, snap_record, DetSet};
+use sim_core::{snap_enum, snap_record, DetSet, SimTime};
 use tracelog::TraceRecord;
 use wire::NodeId;
 
 use crate::event::{Event, Owner};
 use crate::Simulator;
+
+/// One scripted fault.
+///
+/// Faults are applied by the simulator at their scheduled virtual time, on
+/// the ordinary event queue, so they cannot perturb determinism.
+#[derive(Clone, Debug, PartialEq)]
+pub enum FaultEvent {
+    /// Force the bidirectional `a`—`b` link down, independent of geometry.
+    LinkDown {
+        /// One endpoint of the link.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+    },
+    /// Release a previously scripted link block.
+    LinkUp {
+        /// One endpoint of the link.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+    },
+    /// Crash a node: radio off, interface queue and MAC state flushed,
+    /// routing tables cleared. Packets in custody are accounted as fault
+    /// drops, not silently lost.
+    Kill {
+        /// The node to crash.
+        node: NodeId,
+    },
+    /// Power a killed node back up (fresh routes, same identity — packet
+    /// uid streams continue so deduplication keeps working).
+    Revive {
+        /// The node to revive.
+        node: NodeId,
+    },
+    /// Freeze a node: it stops processing timers and queued work but keeps
+    /// all state; the radio stays off while paused.
+    Pause {
+        /// The node to freeze.
+        node: NodeId,
+    },
+    /// Unfreeze a paused node, replaying the work deferred while frozen.
+    Resume {
+        /// The node to unfreeze.
+        node: NodeId,
+    },
+    /// Begin a Gilbert–Elliott bursty-loss episode on the whole channel
+    /// (replaces the flat Bernoulli `per_frame_loss` while active).
+    GeStart(GilbertElliott),
+    /// End the bursty-loss episode, returning to the configured flat loss.
+    GeStop,
+    /// Queue blackhole: the node's interface queue silently discards every
+    /// enqueue attempt (a classic misbehaving-router fault).
+    Blackhole {
+        /// The misbehaving node.
+        node: NodeId,
+    },
+    /// End a blackhole window.
+    BlackholeOff {
+        /// The node to restore.
+        node: NodeId,
+    },
+    /// Clamp the node's interface queue to `capacity` packets (saturation
+    /// window: a much smaller buffer than configured).
+    Saturate {
+        /// The node whose queue shrinks.
+        node: NodeId,
+        /// Temporary queue capacity in packets (0 behaves as blackhole).
+        capacity: usize,
+    },
+    /// End a saturation window, restoring the configured capacity.
+    SaturateOff {
+        /// The node to restore.
+        node: NodeId,
+    },
+    /// Partition the network: every link between a `left` node and a
+    /// `right` node is forced down.
+    Partition {
+        /// Nodes on one side of the cut.
+        left: Vec<NodeId>,
+        /// Nodes on the other side.
+        right: Vec<NodeId>,
+    },
+    /// Heal: release *all* currently scripted link blocks (from
+    /// `link-down` and `partition` alike).
+    Heal,
+}
+
+snap_enum! {
+    FaultEvent, "fault event tag" {
+        0 => LinkDown { a, b },
+        1 => LinkUp { a, b },
+        2 => Kill { node },
+        3 => Revive { node },
+        4 => Pause { node },
+        5 => Resume { node },
+        6 => GeStart(ge),
+        7 => GeStop,
+        8 => Blackhole { node },
+        9 => BlackholeOff { node },
+        10 => Saturate { node, capacity },
+        11 => SaturateOff { node },
+        12 => Partition { left, right },
+        13 => Heal,
+    }
+}
+
+impl FaultEvent {
+    /// Every node the fault names, so a run can check them against its
+    /// topology before the simulator indexes by one.
+    pub fn nodes(&self) -> Vec<NodeId> {
+        match self {
+            FaultEvent::LinkDown { a, b } | FaultEvent::LinkUp { a, b } => vec![*a, *b],
+            FaultEvent::Kill { node }
+            | FaultEvent::Revive { node }
+            | FaultEvent::Pause { node }
+            | FaultEvent::Resume { node }
+            | FaultEvent::Blackhole { node }
+            | FaultEvent::BlackholeOff { node }
+            | FaultEvent::Saturate { node, .. }
+            | FaultEvent::SaturateOff { node } => vec![*node],
+            FaultEvent::Partition { left, right } => [left.as_slice(), right].concat(),
+            FaultEvent::GeStart(_) | FaultEvent::GeStop | FaultEvent::Heal => Vec::new(),
+        }
+    }
+}
+
+/// A fault scheduled at a virtual time.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TimedFault {
+    /// When the fault fires.
+    pub at: SimTime,
+    /// What happens.
+    pub fault: FaultEvent,
+}
+
+snap_record! { TimedFault { at, fault } }
 
 /// Scenario-driven liveness of a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,14 +253,12 @@ snap_record! { NodeFault { status, deferred, blackhole, saturate_cap, ge } }
 snap_record! { FaultState { scripted, nodes, ge_episode, scripted_down } }
 
 impl Simulator {
-    /// Loads a fault scenario: every timed fault is scheduled on the
+    /// Loads scripted faults: every timed fault is scheduled on the
     /// ordinary event queue at its scripted virtual time (past times fire
-    /// immediately), so twin runs with the same seed and script stay
-    /// bit-identical. Same-time faults keep script order. The script's
-    /// `seed` / `duration` headers are advisory metadata for harnesses —
-    /// they do not reconfigure an already-built simulator.
-    pub fn load_scenario(&mut self, script: &ScenarioScript) {
-        for timed in &script.events {
+    /// immediately), so twin runs with the same seed and faults stay
+    /// bit-identical. Same-time faults keep list order.
+    pub fn load_faults(&mut self, faults: &[TimedFault]) {
+        for timed in faults {
             let index = self.fault.scripted.len();
             self.fault.scripted.push(timed.clone());
             self.schedule(timed.at.max(self.now), Event::Fault { index });
@@ -331,10 +464,14 @@ mod tests {
     use super::*;
     use crate::{topology, FlowReport, FlowSpec, SimConfig, TcpVariant};
     use faultline::InvariantChecker;
-    use sim_core::{SimTime, SnapError, SnapshotReader, SnapshotWriter};
+    use sim_core::{SnapError, SnapshotReader, SnapshotWriter};
 
     fn secs(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
+    }
+
+    fn at(s: f64, fault: FaultEvent) -> TimedFault {
+        TimedFault { at: secs(s), fault }
     }
 
     fn encoded(state: &FaultState) -> Vec<u8> {
@@ -365,6 +502,20 @@ mod tests {
         state.nodes[2].saturate_cap = Some(1);
         state.scripted_down.insert((a, c));
         state
+    }
+
+    #[test]
+    fn fault_nodes_lists_every_node_a_fault_names() {
+        let n = NodeId::new;
+        let faults = [
+            FaultEvent::LinkDown { a: n(1), b: n(2) },
+            FaultEvent::Saturate { node: n(3), capacity: 4 },
+            FaultEvent::Partition { left: vec![n(0), n(1)], right: vec![n(7), n(9)] },
+            FaultEvent::GeStop,
+        ];
+        let named: Vec<Vec<usize>> =
+            faults.iter().map(|f| f.nodes().iter().map(|n| n.index()).collect()).collect();
+        assert_eq!(named, [vec![1, 2], vec![3], vec![0, 1, 7, 9], vec![]]);
     }
 
     #[test]
@@ -414,13 +565,13 @@ mod tests {
 
     fn faulted_chain(
         hops: usize,
-        script: &ScenarioScript,
+        faults: &[TimedFault],
         duration: f64,
     ) -> (FlowReport, InvariantChecker, u64) {
         let mut sim = Simulator::new(topology::chain(hops), SimConfig::default());
         let (src, dst) = topology::chain_flow(hops);
         let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-        sim.load_scenario(script);
+        sim.load_faults(faults);
         sim.install_checker(InvariantChecker::new());
         sim.run_until(secs(duration));
         let checker = sim.take_checker().unwrap();
@@ -429,11 +580,12 @@ mod tests {
 
     #[test]
     fn scripted_link_break_twin_runs_bit_identical() {
-        let script = ScenarioScript::new("break")
-            .at(2.0, FaultEvent::LinkDown { a: NodeId::new(1), b: NodeId::new(2) })
-            .at(4.0, FaultEvent::Heal);
-        let (ra, ca, ha) = faulted_chain(4, &script, 8.0);
-        let (rb, cb, hb) = faulted_chain(4, &script, 8.0);
+        let faults = [
+            at(2.0, FaultEvent::LinkDown { a: NodeId::new(1), b: NodeId::new(2) }),
+            at(4.0, FaultEvent::Heal),
+        ];
+        let (ra, ca, ha) = faulted_chain(4, &faults, 8.0);
+        let (rb, cb, hb) = faulted_chain(4, &faults, 8.0);
         assert_eq!(ha, hb, "same seed + script must give identical trace hashes");
         assert_eq!(ra.delivered_segments, rb.delivered_segments);
         assert!(ca.is_clean(), "{:?}", ca.violations());
@@ -443,10 +595,11 @@ mod tests {
 
     #[test]
     fn kill_and_revive_relay_stalls_then_recovers() {
-        let script = ScenarioScript::new("crash")
-            .at(2.0, FaultEvent::Kill { node: NodeId::new(1) })
-            .at(5.0, FaultEvent::Revive { node: NodeId::new(1) });
-        let (report, checker, _) = faulted_chain(2, &script, 10.0);
+        let faults = [
+            at(2.0, FaultEvent::Kill { node: NodeId::new(1) }),
+            at(5.0, FaultEvent::Revive { node: NodeId::new(1) }),
+        ];
+        let (report, checker, _) = faulted_chain(2, &faults, 10.0);
         assert!(checker.is_clean(), "{:?}", checker.violations());
         assert!(report.delivered_segments > 10, "flow must resume after revive");
         // Everything injected is accounted for: delivered, dropped
@@ -460,10 +613,11 @@ mod tests {
 
     #[test]
     fn blackhole_window_shows_up_as_fault_drops() {
-        let script = ScenarioScript::new("blackhole")
-            .at(2.0, FaultEvent::Blackhole { node: NodeId::new(1) })
-            .at(4.0, FaultEvent::BlackholeOff { node: NodeId::new(1) });
-        let (report, checker, _) = faulted_chain(2, &script, 8.0);
+        let faults = [
+            at(2.0, FaultEvent::Blackhole { node: NodeId::new(1) }),
+            at(4.0, FaultEvent::BlackholeOff { node: NodeId::new(1) }),
+        ];
+        let (report, checker, _) = faulted_chain(2, &faults, 8.0);
         assert!(checker.is_clean(), "{:?}", checker.violations());
         assert!(checker.ledger().fault_dropped > 0, "blackhole ate nothing?");
         assert!(report.delivered_segments > 10, "flow must survive the window");
@@ -472,12 +626,10 @@ mod tests {
     #[test]
     fn ge_episode_hurts_throughput_and_stays_deterministic() {
         let ge = GilbertElliott::new(0.05, 0.3, 0.0, 0.9).unwrap();
-        let script = ScenarioScript::new("bursts")
-            .at(1.0, FaultEvent::GeStart(ge))
-            .at(4.0, FaultEvent::GeStop);
-        let (bursty_a, ca, ha) = faulted_chain(4, &script, 5.0);
-        let (bursty_b, _, hb) = faulted_chain(4, &script, 5.0);
-        let (clean, _, _) = faulted_chain(4, &ScenarioScript::new("idle"), 5.0);
+        let faults = [at(1.0, FaultEvent::GeStart(ge)), at(4.0, FaultEvent::GeStop)];
+        let (bursty_a, ca, ha) = faulted_chain(4, &faults, 5.0);
+        let (bursty_b, _, hb) = faulted_chain(4, &faults, 5.0);
+        let (clean, _, _) = faulted_chain(4, &[], 5.0);
         assert_eq!(ha, hb);
         assert_eq!(bursty_a.delivered_segments, bursty_b.delivered_segments);
         assert!(ca.is_clean(), "{:?}", ca.violations());
@@ -492,10 +644,11 @@ mod tests {
 
     #[test]
     fn saturate_clamps_the_queue() {
-        let script = ScenarioScript::new("squeeze")
-            .at(1.0, FaultEvent::Saturate { node: NodeId::new(1), capacity: 1 })
-            .at(4.0, FaultEvent::SaturateOff { node: NodeId::new(1) });
-        let (report, checker, _) = faulted_chain(2, &script, 8.0);
+        let faults = [
+            at(1.0, FaultEvent::Saturate { node: NodeId::new(1), capacity: 1 }),
+            at(4.0, FaultEvent::SaturateOff { node: NodeId::new(1) }),
+        ];
+        let (report, checker, _) = faulted_chain(2, &faults, 8.0);
         assert!(checker.is_clean(), "{:?}", checker.violations());
         assert!(checker.ledger().dropped > 0, "a 1-slot queue must shed load");
         assert!(report.delivered_segments > 10);
@@ -527,11 +680,12 @@ mod tests {
         for i in 0..200u32 {
             let pause = 2.0 + f64::from(i) * 0.000_37;
             for outage in [0.000_5, 0.002, 0.5] {
-                let script = ScenarioScript::new("sweep")
-                    .at(pause, FaultEvent::Pause { node: relay })
-                    .at(pause + outage, FaultEvent::Resume { node: relay });
+                let faults = [
+                    at(pause, FaultEvent::Pause { node: relay }),
+                    at(pause + outage, FaultEvent::Resume { node: relay }),
+                ];
                 let (mut sim, flow) = two_hop_flow();
-                sim.load_scenario(&script);
+                sim.load_faults(&faults);
                 if delivered_after(&mut sim, flow, pause + outage, 50) < 50 {
                     let stuck = sim.nodes[relay.index()].phy.active_receptions();
                     deaf.push((pause, outage, stuck));
@@ -574,11 +728,12 @@ mod tests {
     fn kill_and_revive_inside_one_frame_keeps_the_relay_usable() {
         let relay = NodeId::new(1);
         let mid_frame = data_frame_toward_the_relay() + 0.001;
-        let script = ScenarioScript::new("blink")
-            .at(mid_frame, FaultEvent::Kill { node: relay })
-            .at(mid_frame + 0.000_5, FaultEvent::Revive { node: relay });
+        let faults = [
+            at(mid_frame, FaultEvent::Kill { node: relay }),
+            at(mid_frame + 0.000_5, FaultEvent::Revive { node: relay }),
+        ];
         let (mut sim, flow) = two_hop_flow();
-        sim.load_scenario(&script);
+        sim.load_faults(&faults);
         sim.install_checker(InvariantChecker::new());
         sim.run_until(secs(mid_frame));
         assert_eq!(
@@ -597,11 +752,9 @@ mod tests {
     #[test]
     fn killing_a_paused_node_ends_its_tick_chain() {
         let node = NodeId::new(0);
-        let script = ScenarioScript::new("freeze")
-            .at(1.0, FaultEvent::Pause { node })
-            .at(1.5, FaultEvent::Kill { node });
+        let faults = [at(1.0, FaultEvent::Pause { node }), at(1.5, FaultEvent::Kill { node })];
         let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
-        sim.load_scenario(&script);
+        sim.load_faults(&faults);
         let target = phy::Position::new(1000.0, 0.0);
         sim.move_node(node, target, 10.0);
         sim.run_until(secs(2.0));
@@ -621,9 +774,9 @@ mod tests {
     fn a_kill_with_packets_in_custody_puts_the_flush_on_record() {
         let relay = NodeId::new(1);
         let kill = data_frame_toward_the_relay() + 0.0065;
-        let script = ScenarioScript::new("crash").at(kill, FaultEvent::Kill { node: relay });
+        let faults = [at(kill, FaultEvent::Kill { node: relay })];
         let (mut sim, _) = two_hop_flow();
-        sim.load_scenario(&script);
+        sim.load_faults(&faults);
         sim.install_checker(InvariantChecker::new());
         sim.install_trace_log(tracelog::TraceLog::with_filter(
             tracelog::TraceFilter::all().layer(tracelog::Layer::Fault),
@@ -649,11 +802,12 @@ mod tests {
     fn resume_inside_a_frame_whose_start_was_gated_ignores_its_end_edge() {
         let relay = NodeId::new(1);
         let sent = data_frame_toward_the_relay();
-        let script = ScenarioScript::new("blink")
-            .at(sent + 0.000_000_3, FaultEvent::Pause { node: relay })
-            .at(sent + 0.001, FaultEvent::Resume { node: relay });
+        let faults = [
+            at(sent + 0.000_000_3, FaultEvent::Pause { node: relay }),
+            at(sent + 0.001, FaultEvent::Resume { node: relay }),
+        ];
         let (mut sim, flow) = two_hop_flow();
-        sim.load_scenario(&script);
+        sim.load_faults(&faults);
         sim.run_until(secs(sent + 0.001));
         assert_eq!(sim.nodes[relay.index()].phy.active_receptions(), 0, "the start edge was gated");
         assert!(delivered_after(&mut sim, flow, sent + 0.001, 50) >= 50);
@@ -686,10 +840,11 @@ mod tests {
             sim.run_until(secs(t));
         }
         // Longer than any frame: the edge pops while the node is paused.
-        let script = ScenarioScript::new("blink")
-            .at(t, FaultEvent::Pause { node: listener })
-            .at(t + 0.01, FaultEvent::Resume { node: listener });
-        sim.load_scenario(&script);
+        let faults = [
+            at(t, FaultEvent::Pause { node: listener }),
+            at(t + 0.01, FaultEvent::Resume { node: listener }),
+        ];
+        sim.load_faults(&faults);
         sim.run_until(secs(t + 0.009));
         assert!(!sim.nodes[0].phy.is_transmitting(sim.now), "the frame has passed");
         let is_signal_end = |e: &Event| matches!(e, Event::CsEnd { .. } | Event::RxEnd { .. });
@@ -702,10 +857,11 @@ mod tests {
 
     #[test]
     fn pause_defers_and_resume_replays() {
-        let script = ScenarioScript::new("freeze")
-            .at(2.0, FaultEvent::Pause { node: NodeId::new(1) })
-            .at(4.0, FaultEvent::Resume { node: NodeId::new(1) });
-        let (report, checker, _) = faulted_chain(2, &script, 10.0);
+        let faults = [
+            at(2.0, FaultEvent::Pause { node: NodeId::new(1) }),
+            at(4.0, FaultEvent::Resume { node: NodeId::new(1) }),
+        ];
+        let (report, checker, _) = faulted_chain(2, &faults, 10.0);
         assert!(checker.is_clean(), "{:?}", checker.violations());
         assert!(report.delivered_segments > 10, "flow must resume after unfreeze");
     }

@@ -20,7 +20,9 @@
 //! * [`Simulator`] — build from a topology + [`SimConfig`], add
 //!   [`FlowSpec`]s, `run_until`, then collect [`FlowReport`]s,
 //! * [`topology`] — the paper's chain and cross topologies,
-//! * [`TcpVariant`] — which sender implementation a flow uses.
+//! * [`TcpVariant`] — which sender implementation a flow uses,
+//! * [`TimedFault`] — a scripted [`FaultEvent`], loaded with
+//!   [`Simulator::load_faults`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +41,7 @@ pub mod topology;
 
 pub use busy::BusyTracker;
 pub use config::{FlowSpec, QueueDiscipline, SimConfig, TcpVariant};
+pub use fault::{FaultEvent, TimedFault};
 pub use mobility::RandomWaypoint;
 pub use queue::DropTailQueue;
 pub use red::{RedConfig, RedOutcome, RedQueue};

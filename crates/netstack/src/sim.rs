@@ -1434,17 +1434,17 @@ mod tests {
     /// two faults, one start edge, one end edge.
     #[test]
     fn an_end_edge_parked_on_a_signal_a_pause_cuts_off_is_counted_once() {
-        use faultline::{FaultEvent, ScenarioScript};
+        use crate::{FaultEvent, TimedFault};
         let node = NodeId::new(0);
         for park in [true, false] {
             let mut sim = Simulator::new(topology::chain(1), SimConfig::default());
             let start = SimTime::ZERO + sim_core::SimDuration::from_micros(100);
             let end = sensed_from_nowhere(&mut sim, node, start, park);
             assert!(secs(0.000_2) < end && end < secs(0.001), "the pause is mid-signal");
-            let script = ScenarioScript::new("blink")
-                .at(0.000_2, FaultEvent::Pause { node })
-                .at(0.001, FaultEvent::Resume { node });
-            sim.load_scenario(&script);
+            sim.load_faults(&[
+                TimedFault { at: secs(0.000_2), fault: FaultEvent::Pause { node } },
+                TimedFault { at: secs(0.001), fault: FaultEvent::Resume { node } },
+            ]);
             sim.run_until(secs(0.002));
             let n = &sim.nodes[node.index()];
             assert_eq!((n.phy.active_receptions(), n.phy.parked_ends().count()), (0, 0));
@@ -1467,7 +1467,7 @@ mod tests {
     /// the MAC restarts its countdown at that edge, EIFS on.
     #[test]
     fn a_pause_that_forgets_a_cover_queues_the_end_parked_under_it() {
-        use faultline::{FaultEvent, ScenarioScript};
+        use crate::{FaultEvent, TimedFault};
         let at = |nanos| SimTime::ZERO + sim_core::SimDuration::from_nanos(nanos);
         let node = NodeId::new(0);
         // The cover: 100 µs to 4.1 ms.
@@ -1481,10 +1481,10 @@ mod tests {
             start_a_broadcast(&mut sim, node);
             let end = sensed_from_nowhere(&mut sim, node, arrives, park);
             assert!(end < cover_end);
-            let script = ScenarioScript::new("blink")
-                .at(blink.as_secs_f64(), FaultEvent::Pause { node })
-                .at(blink.as_secs_f64(), FaultEvent::Resume { node });
-            sim.load_scenario(&script);
+            sim.load_faults(&[
+                TimedFault { at: blink, fault: FaultEvent::Pause { node } },
+                TimedFault { at: blink, fault: FaultEvent::Resume { node } },
+            ]);
             (sim, end)
         };
         let (mut lazy, idle_edge) = build(true);

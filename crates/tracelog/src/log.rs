@@ -8,7 +8,7 @@ use crate::record::{TraceEntry, TraceRecord};
 use sim_core::SimTime;
 
 /// A snapshot of the flight-recorder ring, taken when something went wrong
-/// (typically an invariant violation reported by `faultline`).
+/// (typically an invariant violation reported by `faultline::InvariantChecker`).
 #[derive(Clone, Debug)]
 pub struct TraceDump {
     /// Virtual time the dump was triggered.

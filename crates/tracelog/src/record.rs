@@ -24,7 +24,7 @@ pub enum Layer {
     Ifq,
     /// Transport agents: TCP send/receive and congestion-state snapshots.
     Agt,
-    /// Scripted faults (`faultline` scenarios): link and node transitions
+    /// Scripted faults (a run file's `at` lines): link and node transitions
     /// and the packets a fault destroyed. No protocol layer did these.
     Fault,
 }

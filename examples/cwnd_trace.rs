@@ -21,7 +21,6 @@
 
 use tcp_muzha::experiments::{cwnd_traces, render_series};
 use tcp_muzha::export;
-use tcp_muzha::faultline::ScenarioScript;
 use tcp_muzha::net::{SimConfig, TcpVariant};
 use tcp_muzha::run::Run;
 use tcp_muzha::sim::{SimDuration, SimTime};
@@ -67,8 +66,7 @@ fn main() {
         println!("== raw transport trace, 4-hop Muzha, first 2 s (ns-2 format) ==");
         let seed = SimConfig::default().seed;
         let text = format!("seed {seed}\nduration 2\nflow 0 4 Muzha\n");
-        let script = ScenarioScript::parse(&text).expect("run file parses");
-        let run = Run::from_script(&script).expect("run file names nodes of chain:4");
+        let run = Run::parse(&text).expect("run file parses and names nodes of chain:4");
         let log = run.capture(TraceFilter::all().layer(Layer::Agt));
         print!("{}", ns2::render(log.iter()));
         println!();

@@ -67,7 +67,7 @@ pub use tcp as transport;
 /// TCP Muzha: DRAI computation, router agent, Muzha sender.
 pub use muzha;
 
-/// Deterministic fault injection and the runtime invariant checker.
+/// The runtime protocol invariant checker.
 pub use faultline;
 
 /// Deterministic trace subsystem: typed records, filters, flight recorder,
@@ -77,9 +77,9 @@ pub use tracelog;
 /// Assembled network stack: nodes, simulator, topologies, flow reports.
 pub mod net {
     pub use netstack::{
-        topology, BusyTracker, DropTailQueue, FlowReport, FlowSpec, MobilitySpec, NodeSummary,
-        QueueDiscipline, RedConfig, RunReport, SimConfig, Simulator, TcpVariant, TopologySpec,
-        WaypointLeg,
+        topology, BusyTracker, DropTailQueue, FaultEvent, FlowReport, FlowSpec, MobilitySpec,
+        NodeSummary, QueueDiscipline, RedConfig, RunReport, SimConfig, Simulator, TcpVariant,
+        TimedFault, TopologySpec, WaypointLeg,
     };
 }
 
@@ -99,8 +99,8 @@ pub use harness::export;
 /// one) means, and the one constructor from it to a [`net::Simulator`].
 pub use harness::run;
 
-/// Model-checking glue: branch runner and scenario explorer over
-/// `faultline::mc` (the `harness mc` engine).
+/// The model checker: bounded interleaving search and its simulator
+/// branches (the `harness mc` engine).
 pub use harness::mc;
 
 /// Rendering plumbing behind `harness trace`: ns-2 lines, pcap, CSV.

@@ -19,7 +19,6 @@ use tcp_muzha::experiments::{
     ablations, coexistence, cwnd_traces_batch, run_batch, throughput_dynamics_batch,
     throughput_vs_hops, CoexistKind, ExperimentConfig,
 };
-use tcp_muzha::faultline::ScenarioScript;
 use tcp_muzha::muzha::{AdjustmentCadence, DraiConfig};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::run::Run;
@@ -310,8 +309,7 @@ fn every_non_ablation_cell_is_its_run_file_twin() {
         cells().iter().filter_map(|cell| Some((cell.name(), cell.scn()?))).collect();
     assert_eq!(cells.len(), 12 + 72 + 12 + 4);
     let rows = run_batch(&cells, 0, |(name, text), _| {
-        let script = ScenarioScript::parse(text).unwrap_or_else(|e| panic!("{e} in\n{text}"));
-        let run = Run::from_script(&script).unwrap_or_else(|e| panic!("{e} in\n{text}"));
+        let run = Run::parse(text).unwrap_or_else(|e| panic!("{e} in\n{text}"));
         finish(name, run.build(), run.end())
     });
     let committed: Vec<&str> = committed(false)

@@ -130,15 +130,17 @@ fn killed_relay_partitions_and_revive_heals() {
     // re-discover and traffic resume. The invariant checker rides along
     // the whole run and its conservation ledger must account for every
     // injected packet — nothing silently vanishes in the crash.
-    use tcp_muzha::faultline::{FaultEvent, InvariantChecker, ScenarioScript};
+    use tcp_muzha::faultline::InvariantChecker;
+    use tcp_muzha::net::{FaultEvent, TimedFault};
 
     let mut sim = Simulator::new(topology::chain(4), SimConfig::default());
     let (src, dst) = topology::chain_flow(4);
     let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-    let script = ScenarioScript::new("partition-heal")
-        .at(5.0, FaultEvent::Kill { node: NodeId::new(2) })
-        .at(10.0, FaultEvent::Revive { node: NodeId::new(2) });
-    sim.load_scenario(&script);
+    let faults = [
+        TimedFault { at: secs(5.0), fault: FaultEvent::Kill { node: NodeId::new(2) } },
+        TimedFault { at: secs(10.0), fault: FaultEvent::Revive { node: NodeId::new(2) } },
+    ];
+    sim.load_faults(&faults);
     sim.install_checker(InvariantChecker::new());
 
     sim.run_until(secs(5.0));

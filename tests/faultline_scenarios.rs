@@ -2,13 +2,19 @@
 //! scripted faults applied to full simulations, checked by the runtime
 //! invariant checker.
 
-use tcp_muzha::faultline::{FaultEvent, InvariantChecker, ScenarioScript};
-use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
+use tcp_muzha::faultline::InvariantChecker;
+use tcp_muzha::net::{
+    topology, FaultEvent, FlowSpec, SimConfig, Simulator, TcpVariant, TimedFault,
+};
 use tcp_muzha::sim::SimTime;
 use tcp_muzha::wire::NodeId;
 
 fn secs(s: f64) -> SimTime {
     SimTime::from_secs_f64(s)
+}
+
+fn at(s: f64, fault: FaultEvent) -> TimedFault {
+    TimedFault { at: secs(s), fault }
 }
 
 /// The satellite regression from the issue: a scripted link break
@@ -21,10 +27,11 @@ fn scripted_link_break_triggers_rerr_and_recovery() {
     let mut sim = Simulator::new(topology::chain(4), SimConfig::default());
     let (src, dst) = topology::chain_flow(4);
     let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-    let script = ScenarioScript::new("chain-break")
-        .at(5.0, FaultEvent::LinkDown { a: NodeId::new(2), b: NodeId::new(3) })
-        .at(10.0, FaultEvent::LinkUp { a: NodeId::new(2), b: NodeId::new(3) });
-    sim.load_scenario(&script);
+    let faults = [
+        at(5.0, FaultEvent::LinkDown { a: NodeId::new(2), b: NodeId::new(3) }),
+        at(10.0, FaultEvent::LinkUp { a: NodeId::new(2), b: NodeId::new(3) }),
+    ];
+    sim.load_faults(&faults);
     sim.install_checker(InvariantChecker::new());
 
     sim.run_until(secs(5.0));
@@ -78,12 +85,13 @@ fn scenario_twin_runs_are_bit_identical() {
         let mut sim = Simulator::new(topology::chain(4), cfg);
         let (src, dst) = topology::chain_flow(4);
         let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-        let script = ScenarioScript::new("flap")
-            .at(2.0, FaultEvent::LinkDown { a: NodeId::new(1), b: NodeId::new(2) })
-            .at(3.0, FaultEvent::LinkUp { a: NodeId::new(1), b: NodeId::new(2) })
-            .at(4.0, FaultEvent::Kill { node: NodeId::new(3) })
-            .at(6.0, FaultEvent::Revive { node: NodeId::new(3) });
-        sim.load_scenario(&script);
+        let faults = [
+            at(2.0, FaultEvent::LinkDown { a: NodeId::new(1), b: NodeId::new(2) }),
+            at(3.0, FaultEvent::LinkUp { a: NodeId::new(1), b: NodeId::new(2) }),
+            at(4.0, FaultEvent::Kill { node: NodeId::new(3) }),
+            at(6.0, FaultEvent::Revive { node: NodeId::new(3) }),
+        ];
+        sim.load_faults(&faults);
         sim.install_checker(InvariantChecker::new());
         sim.run_until(secs(8.0));
         let checker = sim.take_checker().expect("checker was installed");
@@ -108,16 +116,18 @@ fn same_time_faults_keep_script_order() {
         let (src, dst) = topology::chain_flow(2);
         let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
         let link = (NodeId::new(0), NodeId::new(1));
-        let script = if first_down {
-            ScenarioScript::new("flap")
-                .at(2.0, FaultEvent::LinkDown { a: link.0, b: link.1 })
-                .at(2.0, FaultEvent::LinkUp { a: link.0, b: link.1 })
+        let faults = if first_down {
+            [
+                at(2.0, FaultEvent::LinkDown { a: link.0, b: link.1 }),
+                at(2.0, FaultEvent::LinkUp { a: link.0, b: link.1 }),
+            ]
         } else {
-            ScenarioScript::new("drop")
-                .at(2.0, FaultEvent::LinkUp { a: link.0, b: link.1 })
-                .at(2.0, FaultEvent::LinkDown { a: link.0, b: link.1 })
+            [
+                at(2.0, FaultEvent::LinkUp { a: link.0, b: link.1 }),
+                at(2.0, FaultEvent::LinkDown { a: link.0, b: link.1 }),
+            ]
         };
-        sim.load_scenario(&script);
+        sim.load_faults(&faults);
         sim.run_until(secs(6.0));
         sim.flow_report(flow).delivered_segments
     };

@@ -1,5 +1,4 @@
-//! Properties of the model-checking explorer (`faultline::mc` + the
-//! `harness::mc` glue, PR 7).
+//! Properties of the model-checking explorer (`harness::mc`).
 //!
 //! The first half drives the explorer over a *toy* scheduler — a real
 //! `EventQueue` popped through the same `TieOrder::pop` as
@@ -18,8 +17,8 @@
 #![allow(clippy::cast_possible_truncation, reason = "test inputs are small generated values")]
 
 use proptest::prelude::*;
-use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
-use tcp_muzha::faultline::{InvariantChecker, ScenarioScript};
+use tcp_muzha::faultline::InvariantChecker;
+use tcp_muzha::mc::{self, BranchOutcome, McConfig};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::run::Run;
 use tcp_muzha::sim::{twin_run, EventQueue, SimTime, TieOrder, TraceHash};
@@ -119,8 +118,7 @@ fn plain_corpus_hash(run: &Run) -> u64 {
 
 /// The run a script text states.
 fn run_of(text: &str) -> Run {
-    let script = ScenarioScript::parse(text).expect("script parses");
-    Run::from_script(&script).expect("script names nodes of its topology")
+    Run::parse(text).expect("script parses and names nodes of its topology")
 }
 
 /// Differential: with the tie window pushed past the end of the run (and no
@@ -132,7 +130,7 @@ fn empty_window_exploration_is_exactly_the_plain_run() {
     let run = run_of(include_str!("scenarios/chain-break.scn"));
     let past_end = SimTime::from_secs_f64(1_000.0);
     let cfg = McConfig { tie_window: Some((past_end, past_end)), ..McConfig::default() };
-    let (verdict, _) = tcp_muzha::mc::explore_scenario(&run, &cfg);
+    let (verdict, _) = mc::explore_scenario(&run, &cfg);
     assert!(verdict.proved(), "got {}", verdict.status());
     assert_eq!(verdict.placements, 1);
     assert_eq!(verdict.branches_explored, 1, "no ties in window ⇒ exactly one branch");
@@ -157,7 +155,7 @@ fn explorer_proves_corpus_scripts_with_canonical_logs() {
     ];
     for text in corpus {
         let script = run_of(text);
-        let first_fault = script.script.events.first().expect("corpus scripts have faults").at;
+        let first_fault = script.faults.first().expect("corpus scripts have faults").at;
         let cfg = McConfig {
             tie_window: Some((
                 first_fault,
@@ -166,12 +164,12 @@ fn explorer_proves_corpus_scripts_with_canonical_logs() {
             max_branches: 600,
             ..McConfig::default()
         };
-        let run = || tcp_muzha::mc::explore_scenario(&script, &cfg).0;
+        let run = || mc::explore_scenario(&script, &cfg).0;
         let verdict = run();
         assert!(
             verdict.proved(),
             "{}: expected a proof, got {} after {} branches",
-            script.script.name,
+            script.name,
             verdict.status(),
             verdict.branches_explored
         );
@@ -180,7 +178,7 @@ fn explorer_proves_corpus_scripts_with_canonical_logs() {
             verdict.render_log(),
             run().render_log(),
             "{}: two explorations must emit byte-identical branch logs",
-            script.script.name
+            script.name
         );
     }
 }
@@ -199,7 +197,7 @@ fn rerr_versus_data_delivery_ties_hold_invariants_in_every_order() {
         max_branches: 600,
         ..McConfig::default()
     };
-    let (verdict, _) = tcp_muzha::mc::explore_scenario(&script, &cfg);
+    let (verdict, _) = mc::explore_scenario(&script, &cfg);
     assert!(
         verdict.proved(),
         "expected a proof, got {} ({:?})",
@@ -216,22 +214,20 @@ fn rerr_versus_data_delivery_ties_hold_invariants_in_every_order() {
 /// `with_delayed_ack()` so both timers are live during the outage window.
 #[test]
 fn delayed_ack_versus_rto_ties_hold_invariants_in_every_order() {
-    let script = ScenarioScript::parse(
-        "name delack-rto\nseed 5\nduration 4\nat 1.2 link-down 1 2\nat 2.2 link-up 1 2\n",
-    )
-    .expect("fixture parses");
+    let script =
+        run_of("name delack-rto\nseed 5\nduration 4\nat 1.2 link-down 1 2\nat 2.2 link-up 1 2\n");
     let window = (SimTime::from_secs_f64(1.2), SimTime::from_secs_f64(1.204));
     let cfg = McConfig { tie_window: Some(window), max_branches: 600, ..McConfig::default() };
     let verdict = mc::explore(&script.name, 1, &cfg, |_, decisions| {
         let mut order = TieOrder::new(decisions.to_vec()).with_window(window.0, window.1);
-        let sim_cfg = SimConfig { seed: script.seed.unwrap_or(1), ..SimConfig::default() };
+        let sim_cfg = SimConfig { seed: script.cfg.seed, ..SimConfig::default() };
         let mut sim = Simulator::new(topology::chain(2), sim_cfg);
         let (src, dst) = topology::chain_flow(2);
         sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno).with_delayed_ack());
-        sim.load_scenario(&script);
+        sim.load_faults(&script.faults);
         sim.install_checker(InvariantChecker::new());
         sim.install_tie_order(order);
-        sim.run_until(SimTime::ZERO + script.duration.expect("fixture pins a duration"));
+        sim.run_until(script.end());
         order = sim.take_tie_order().expect("tie order was installed");
         let checker = sim.take_checker().expect("checker was installed");
         let mut violations: Vec<String> =

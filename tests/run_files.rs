@@ -2,10 +2,10 @@
 //! nothing like the corpus convention — a roaming grid, two flows of
 //! different variants, a staggered start, a link cut — and is traced,
 //! checked, snapshotted mid-run and resumed like any corpus script; and no
-//! near-miss of a run file makes the parser or [`Run::from_script`] panic.
+//! near-miss of a run file makes [`Run::parse`] or [`Run::build`] panic.
 
 use proptest::prelude::*;
-use tcp_muzha::faultline::{InvariantChecker, ScenarioScript};
+use tcp_muzha::faultline::InvariantChecker;
 use tcp_muzha::net::{MobilitySpec, TcpVariant, TopologySpec};
 use tcp_muzha::run::Run;
 use tcp_muzha::sim::SimTime;
@@ -29,8 +29,7 @@ const RUN_FILES: [&str; 9] = [
 
 #[test]
 fn a_non_chain_run_file_is_traced_checked_snapshotted_and_resumed() {
-    let script = ScenarioScript::parse(GRID_ROAM).expect("grid-roam parses");
-    let run = Run::from_script(&script).expect("grid-roam names nodes of its grid");
+    let run = Run::parse(GRID_ROAM).expect("grid-roam parses and names nodes of its grid");
     assert_eq!(run.cfg.topology, TopologySpec::Grid { rows: 3, cols: 3 });
     assert!(matches!(run.cfg.mobility, MobilitySpec::Waypoint { .. }));
     let [muzha, newreno] = run.flows[..] else { panic!("two flows, not {}", run.flows.len()) };
@@ -64,7 +63,7 @@ fn a_non_chain_run_file_is_traced_checked_snapshotted_and_resumed() {
             _ => None,
         })
         .collect();
-    assert_eq!(cuts, [(script.events[0].at, false), (script.events[1].at, true)]);
+    assert_eq!(cuts, [(run.faults[0].at, false), (run.faults[1].at, true)]);
     for flow in [0, 1].map(FlowId::new) {
         let delivered = straight.flow_report(flow).delivered_segments;
         assert!(delivered > 0, "flow {flow} delivered nothing");
@@ -91,8 +90,7 @@ fn a_non_chain_run_file_is_traced_checked_snapshotted_and_resumed() {
 /// Both go on to the same hash, through the link cut as well.
 #[test]
 fn a_cut_between_two_moves_resumes_to_the_straight_hash() {
-    let script = ScenarioScript::parse(GRID_ROAM).expect("grid-roam parses");
-    let run = Run::from_script(&script).expect("grid-roam names nodes of its grid");
+    let run = Run::parse(GRID_ROAM).expect("grid-roam parses and names nodes of its grid");
     let cut = SimTime::from_secs_f64(2.25);
     let mut straight = run.build();
     straight.run_until(cut);
@@ -159,7 +157,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
 
     /// Untrusted text in, a `Run` or a message out: whatever one to three
-    /// mutations make of a run file, `parse` and `Run::from_script` return.
+    /// mutations make of a run file, `Run::parse` returns, and what it
+    /// accepts builds (all nine files are small enough to build each case).
     #[test]
     fn near_valid_run_files_are_refused_or_accepted_never_a_panic(
         file in 0usize..9,
@@ -175,12 +174,12 @@ proptest! {
                 break;
             }
         }
-        if let Ok(script) = ScenarioScript::parse(&text) {
-            if let Ok(run) = Run::from_script(&script) {
-                // What was accepted is a run: every endpoint is a node.
-                let n = run.cfg.topology.node_count();
-                prop_assert!(run.flows.iter().all(|f| f.src.index() < n && f.dst.index() < n));
-            }
+        if let Ok(run) = Run::parse(&text) {
+            // What was accepted is a run: every endpoint is a node, and the
+            // simulator takes it as it is.
+            let n = run.cfg.topology.node_count();
+            prop_assert!(run.flows.iter().all(|f| f.src.index() < n && f.dst.index() < n));
+            prop_assert_eq!(run.build().node_count(), n);
         }
     }
 }
@@ -188,7 +187,7 @@ proptest! {
 /// The mutator reaches both verdicts, so the property above is not vacuous.
 #[test]
 fn mutations_reach_both_verdicts() {
-    let verdict = |text: &str| ScenarioScript::parse(text).and_then(|s| Run::from_script(&s));
+    let verdict = |text: &str| Run::parse(text).map(|run| run.build());
     let (mut accepted, mut refused) = (0, 0);
     for line in 0..9 {
         for kind in 0..4 {

@@ -10,9 +10,11 @@
 
 #![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
 
-use tcp_muzha::faultline::mc::{self, BranchOutcome, McConfig};
-use tcp_muzha::faultline::{FaultEvent, InvariantChecker, LedgerSummary, ScenarioScript};
-use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
+use tcp_muzha::faultline::{InvariantChecker, LedgerSummary};
+use tcp_muzha::mc::{self, BranchOutcome, McConfig};
+use tcp_muzha::net::{
+    topology, FaultEvent, FlowSpec, SimConfig, Simulator, TcpVariant, TimedFault,
+};
 use tcp_muzha::run::Run;
 use tcp_muzha::sim::{EventQueue, SimDuration, SimTime, TieOrder, TraceHash};
 use tcp_muzha::tracelog::{PacketKind, TraceLog, TraceRecord};
@@ -31,15 +33,14 @@ const CORPUS: [(&str, &str); 8] = [
     ("storm", include_str!("scenarios/storm.scn")),
 ];
 
-/// The run `script` states: for a corpus script, which has no header line
+/// The run `text` states: for a corpus script, which has no header line
 /// beyond name, seed and duration, the corpus convention.
-fn run_of(script: &ScenarioScript) -> Run {
-    Run::from_script(script).expect("corpus scripts name nodes of their topology")
+fn run_of(text: &str) -> Run {
+    Run::parse(text).expect("corpus scripts parse and name nodes of their topology")
 }
 
-/// Runs `script` under the invariant checker.
-fn run_scenario(script: &ScenarioScript) -> (u64, u64, LedgerSummary, Vec<String>) {
-    let run = run_of(script);
+/// Runs `run` under the invariant checker.
+fn run_scenario(run: &Run) -> (u64, u64, LedgerSummary, Vec<String>) {
     let mut sim = run.build();
     sim.install_checker(InvariantChecker::new());
     sim.run_until(run.end());
@@ -54,13 +55,12 @@ fn run_scenario(script: &ScenarioScript) -> (u64, u64, LedgerSummary, Vec<String
 /// flow end to end, seed 1 and 10 s — same trace hash, same snapshot bytes.
 #[test]
 fn a_header_less_script_is_the_hand_built_corpus_convention() {
-    let script = ScenarioScript::parse("at 2 link-down 1 2\nat 3 link-up 1 2\n").unwrap();
-    let run = run_of(&script);
+    let run = run_of("at 2 link-down 1 2\nat 3 link-up 1 2\n");
     let cfg = SimConfig { seed: 1, ..SimConfig::default() };
     let mut by_hand = Simulator::new(topology::chain(4), cfg);
     let (src, dst) = topology::chain_flow(4);
     by_hand.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
-    by_hand.load_scenario(&script);
+    by_hand.load_faults(&run.faults);
     let mut built = run.build();
     for sim in [&mut by_hand, &mut built] {
         sim.run_until(SimTime::from_secs_f64(2.5));
@@ -77,15 +77,15 @@ fn a_header_less_script_is_the_hand_built_corpus_convention() {
 #[test]
 fn corpus_parses_and_is_well_formed() {
     for (name, text) in CORPUS {
-        let script = ScenarioScript::parse(text)
-            .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
-        assert_eq!(script.name, name, "file name and `name` header must agree");
-        assert!(script.seed.is_some(), "{name}: corpus scripts must pin a seed");
-        assert!(script.duration.is_some(), "{name}: corpus scripts must pin a duration");
-        assert!(!script.events.is_empty(), "{name}: corpus scripts must inject something");
+        let run =
+            Run::parse(text).unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
+        assert_eq!(run.name, name, "file name and `name` header must agree");
+        let states = |head| text.lines().any(|l| l.split_whitespace().next() == Some(head));
+        assert!(states("seed"), "{name}: corpus scripts must pin a seed");
+        assert!(states("duration"), "{name}: corpus scripts must pin a duration");
+        assert!(!run.faults.is_empty(), "{name}: corpus scripts must inject something");
         assert!(
-            script.duration
-                > script.events.iter().map(|e| Some(e.at - SimTime::ZERO)).max().flatten(),
+            run.faults.iter().all(|e| e.at < run.end()),
             "{name}: every fault must fire within the run"
         );
     }
@@ -94,10 +94,10 @@ fn corpus_parses_and_is_well_formed() {
 #[test]
 fn corpus_runs_clean_and_twin_runs_are_bit_identical() {
     for (name, text) in CORPUS {
-        let script = ScenarioScript::parse(text)
-            .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
-        let (hash_a, delivered_a, ledger_a, violations_a) = run_scenario(&script);
-        let (hash_b, delivered_b, _, _) = run_scenario(&script);
+        let run =
+            Run::parse(text).unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
+        let (hash_a, delivered_a, ledger_a, violations_a) = run_scenario(&run);
+        let (hash_b, delivered_b, _, _) = run_scenario(&run);
         assert_eq!(
             hash_a, hash_b,
             "{name}: twin runs with the same seed + script must be bit-identical"
@@ -123,9 +123,8 @@ fn corpus_runs_clean_and_twin_runs_are_bit_identical() {
 /// segments by t = 4 s and not one more. The flow must outlive the outage.
 #[test]
 fn pause_resume_delivers_more_after_the_resume_than_before_the_pause() {
-    let script = ScenarioScript::parse(include_str!("scenarios/pause-resume.scn")).unwrap();
-    let [pause, resume] = [script.events[0].at, script.events[1].at];
-    let run = run_of(&script);
+    let run = run_of(include_str!("scenarios/pause-resume.scn"));
+    let [pause, resume] = [run.faults[0].at, run.faults[1].at];
     let mut sim = run.build();
     let delivered = |sim: &Simulator| sim.flow_report(FlowId::new(0)).delivered_segments;
     sim.run_until(pause);
@@ -159,9 +158,8 @@ fn digest_row(name: &str, sim: &Simulator) -> String {
 fn corpus_digests_match_the_committed_fixture() {
     let mut rows = Vec::new();
     for (name, text) in CORPUS {
-        let script = ScenarioScript::parse(text)
-            .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
-        let run = run_of(&script);
+        let run =
+            Run::parse(text).unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
         let mut sim = run.build();
         sim.run_until(run.end());
         rows.push(digest_row(name, &sim));
@@ -221,9 +219,8 @@ fn observe(sim: &mut Simulator) {
     sim.install_trace_log(TraceLog::new());
 }
 
-/// The run `script` states under tie order `order`, observed.
-fn observed_corpus_run(script: &ScenarioScript, order: TieOrder) -> (Simulator, TieOrder) {
-    let run = run_of(script);
+/// `run` under tie order `order`, observed.
+fn observed_corpus_run(run: &Run, order: TieOrder) -> (Simulator, TieOrder) {
     let mut sim = run.build();
     observe(&mut sim);
     sim.install_tie_order(order);
@@ -261,10 +258,10 @@ const MC_PROOFS: [(&str, (f64, f64), u64, usize); 3] = [
 /// One `mc` proof's branch log with each branch's `trace_hash` replaced by
 /// its observable digest: the exploration runs as `harness mc` runs it, then
 /// every logged branch is replayed observed.
-fn observable_branch_log(script: &ScenarioScript, cfg: &McConfig) -> String {
-    let (verdict, _) = tcp_muzha::mc::explore_scenario(&run_of(script), cfg);
-    assert!(verdict.proved(), "{}: {}", script.name, verdict.status());
-    let placed = mc::placements(script, cfg);
+fn observable_branch_log(run: &Run, cfg: &McConfig) -> String {
+    let (verdict, _) = mc::explore_scenario(run, cfg);
+    assert!(verdict.proved(), "{}: {}", run.name, verdict.status());
+    let placed = mc::placements(run, cfg);
     let (start, end) = cfg.tie_window.expect("the CI proofs pin a tie window");
     let mut out = String::new();
     for rec in &verdict.log {
@@ -293,8 +290,7 @@ fn observable_branch_log(script: &ScenarioScript, cfg: &McConfig) -> String {
 fn observable_digests_match_the_committed_fixture() {
     let mut rows = Vec::new();
     for (name, text) in CORPUS {
-        let script = ScenarioScript::parse(text).expect("corpus parses");
-        let (mut sim, _) = observed_corpus_run(&script, TieOrder::default());
+        let (mut sim, _) = observed_corpus_run(&run_of(text), TieOrder::default());
         rows.push(format!("{name} {:016x}", observable_digest(&mut sim)));
     }
     let mut sim = disc60_waypoint();
@@ -302,7 +298,7 @@ fn observable_digests_match_the_committed_fixture() {
     sim.run_until(SimTime::from_secs_f64(3.0));
     rows.push(format!("disc60-waypoint {:016x}", observable_digest(&mut sim)));
     for (text, (from, to), shift_window_ns, shift_steps) in MC_PROOFS {
-        let script = ScenarioScript::parse(text).expect("corpus parses");
+        let run = run_of(text);
         let cfg = McConfig {
             tie_window: Some((SimTime::from_secs_f64(from), SimTime::from_secs_f64(to))),
             max_branches: 2000,
@@ -311,8 +307,8 @@ fn observable_digests_match_the_committed_fixture() {
             ..McConfig::default()
         };
         let mut h = TraceHash::new();
-        h.write_str(&observable_branch_log(&script, &cfg));
-        rows.push(format!("mc:{} {:016x}", script.name, h.digest()));
+        h.write_str(&observable_branch_log(&run, &cfg));
+        rows.push(format!("mc:{} {:016x}", run.name, h.digest()));
     }
 
     let committed: Vec<&str> = include_str!("fixtures/observable_digests.txt")
@@ -332,8 +328,8 @@ fn observable_digests_match_the_committed_fixture() {
 /// moved by a millisecond each change both.
 #[test]
 fn observable_digest_sees_a_flipped_tie_and_a_shifted_fault() {
-    let script = ScenarioScript::parse(include_str!("scenarios/chain-break.scn")).unwrap();
-    let run = |script: &ScenarioScript, decisions: Vec<usize>| {
+    let script = run_of(include_str!("scenarios/chain-break.scn"));
+    let run = |script: &Run, decisions: Vec<usize>| {
         let (mut sim, order) = observed_corpus_run(script, TieOrder::new(decisions));
         (sim.trace_hash(), observable_digest(&mut sim), order.into_choices())
     };
@@ -354,9 +350,9 @@ fn observable_digest_sees_a_flipped_tie_and_a_shifted_fault() {
 
     // A fault shows through its consequences — shift one that lands on a
     // busy relay: the kill of relay-crash, with packets in custody.
-    let script = ScenarioScript::parse(include_str!("scenarios/relay-crash.scn")).unwrap();
+    let script = run_of(include_str!("scenarios/relay-crash.scn"));
     let mut shifted = script.clone();
-    shifted.events[0].at += SimDuration::from_millis(1);
+    shifted.faults[0].at += SimDuration::from_millis(1);
     let (hash, seen, _) = run(&script, Vec::new());
     let (shifted_hash, shifted_seen, _) = run(&shifted, Vec::new());
     assert_ne!(shifted_hash, hash);
@@ -367,7 +363,11 @@ fn observable_digest_sees_a_flipped_tie_and_a_shifted_fault() {
     // nothing, and moving the break still shows.
     let idle_break = |at: f64| {
         let (a, b) = (NodeId::new(0), NodeId::new(4));
-        let script = ScenarioScript::new("idle-break").at(at, FaultEvent::LinkDown { a, b });
+        let mut script = run_of("name idle-break\n");
+        script.faults.push(TimedFault {
+            at: SimTime::from_secs_f64(at),
+            fault: FaultEvent::LinkDown { a, b },
+        });
         let (mut sim, _) = observed_corpus_run(&script, TieOrder::default());
         (sim.flow_report(FlowId::new(0)), observable_digest(&mut sim))
     };
@@ -380,10 +380,10 @@ fn observable_digest_sees_a_flipped_tie_and_a_shifted_fault() {
 /// seed must produce different traces.
 #[test]
 fn corpus_seeds_matter() {
-    let script = ScenarioScript::parse(include_str!("scenarios/chain-break.scn")).unwrap();
-    let mut reseeded = script.clone();
-    reseeded.seed = Some(999);
-    let (a, ..) = run_scenario(&script);
+    let run = run_of(include_str!("scenarios/chain-break.scn"));
+    let mut reseeded = run.clone();
+    reseeded.cfg.seed = 999;
+    let (a, ..) = run_scenario(&run);
     let (b, ..) = run_scenario(&reseeded);
     assert_ne!(a, b, "changing the seed must change the trace hash");
 }
@@ -448,8 +448,8 @@ fn checker_flags_an_intentionally_buggy_stream() {
 /// `SimDuration` is re-exported through the facade for scenario tooling.
 #[test]
 fn scenario_duration_roundtrips_through_facade_types() {
-    let script = ScenarioScript::parse("duration 2.5\nat 1 heal\n").unwrap();
-    assert_eq!(script.duration, Some(SimDuration::from_secs_f64(2.5)));
+    let run = run_of("duration 2.5\nat 1 heal\n");
+    assert_eq!(run.duration, SimDuration::from_secs_f64(2.5));
 }
 
 // ---------------------------------------------------------------------------
@@ -478,13 +478,8 @@ enum TimerToyEvent {
 /// legitimately consumes token 1, and the bug is invisible; only the
 /// flipped permutation — ACK first, then the now-stale `Fire{1}` — makes
 /// the unguarded handler swallow token 2's arming and drop the obligation.
-fn run_timer_toy(
-    script: &ScenarioScript,
-    guarded: bool,
-    seed: u64,
-    decisions: &[usize],
-) -> BranchOutcome {
-    let at = script.events.first().expect("fixture pins the tie instant").at;
+fn run_timer_toy(run: &Run, guarded: bool, seed: u64, decisions: &[usize]) -> BranchOutcome {
+    let at = run.faults.first().expect("fixture pins the tie instant").at;
     let mut q = EventQueue::new();
     q.push(at, TimerToyEvent::Fire { token: 1 }); // queued before the ACK ⇒ FIFO runs it first
     q.push(at, TimerToyEvent::AckRearm { next: 2 });
@@ -525,22 +520,19 @@ fn run_timer_toy(
 /// the same space.
 #[test]
 fn explorer_catches_the_planted_timer_guard_bug() {
-    let script = ScenarioScript::parse(include_str!("fixtures/mc-ordering-bug.scn"))
-        .expect("fixture parses");
-    assert_eq!(script.name, "mc-ordering-bug");
+    let run = run_of(include_str!("fixtures/mc-ordering-bug.scn"));
+    assert_eq!(run.name, "mc-ordering-bug");
 
     // Seed sampling never flips same-instant FIFO order, so every seed
     // takes the clean path and the bug stays invisible.
     for seed in 1..=8 {
-        let fifo = run_timer_toy(&script, false, seed, &[]);
+        let fifo = run_timer_toy(&run, false, seed, &[]);
         assert!(fifo.violations.is_empty(), "seed {seed} sampling must miss the bug");
     }
 
     // The explorer flips the tie and finds the counter-example immediately.
     let cfg = McConfig::default();
-    let buggy = mc::explore(&script.name, 1, &cfg, |_, d| {
-        run_timer_toy(&script, false, script.seed.unwrap_or(1), d)
-    });
+    let buggy = mc::explore(&run.name, 1, &cfg, |_, d| run_timer_toy(&run, false, run.cfg.seed, d));
     assert_eq!(buggy.status(), "VIOLATION");
     let ce = buggy.counter_example.expect("the flipped tie must violate");
     assert_eq!(ce.decisions, vec![1], "ACK-before-stale-fire is the losing order");
@@ -548,9 +540,8 @@ fn explorer_catches_the_planted_timer_guard_bug() {
 
     // With the id-match guard the same exploration is a proof: both orders
     // of the tie keep the obligation alive.
-    let guarded = mc::explore(&script.name, 1, &cfg, |_, d| {
-        run_timer_toy(&script, true, script.seed.unwrap_or(1), d)
-    });
+    let guarded =
+        mc::explore(&run.name, 1, &cfg, |_, d| run_timer_toy(&run, true, run.cfg.seed, d));
     assert!(guarded.proved(), "got {}", guarded.status());
     assert_eq!(guarded.branches_explored, 2, "one tie of two conflicting events ⇒ two branches");
 }

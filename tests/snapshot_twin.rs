@@ -16,7 +16,7 @@
 
 #![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
 
-use tcp_muzha::faultline::{InvariantChecker, ScenarioScript};
+use tcp_muzha::faultline::InvariantChecker;
 use tcp_muzha::net::{
     topology, FlowSpec, MobilitySpec, SimConfig, Simulator, TcpVariant, TopologySpec,
 };
@@ -36,10 +36,11 @@ const CORPUS: [(&str, &str); 8] = [
     ("storm", include_str!("scenarios/storm.scn")),
 ];
 
-/// The simulator `script` states, faults scheduled: the straight leg runs
-/// it, the resumed leg overwrites it — faults and all — via `restore`.
-fn build_sim(script: &ScenarioScript) -> Simulator {
-    Run::from_script(script).expect("corpus scripts name nodes of their topology").build()
+/// The run a corpus script states. Its simulator has the faults scheduled:
+/// the straight leg runs it, the resumed leg overwrites it — faults and all —
+/// via `restore`.
+fn run_of(text: &str) -> Run {
+    Run::parse(text).expect("corpus scripts parse and name nodes of their topology")
 }
 
 /// A deterministic pseudo-random snapshot instant in the middle 80% of the
@@ -62,15 +63,14 @@ fn suffix_stream(log: &TraceLog, t: SimTime) -> String {
 #[test]
 fn snapshot_then_resume_is_bit_identical_across_the_corpus() {
     for (name, text) in CORPUS {
-        let script = ScenarioScript::parse(text)
-            .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
-        let duration = script.duration.expect("corpus scripts declare a duration");
-        let end = SimTime::ZERO + duration;
-        let t = snapshot_instant(name, duration.as_nanos());
+        let run =
+            Run::parse(text).unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
+        let end = run.end();
+        let t = snapshot_instant(name, run.duration.as_nanos());
 
         // Straight leg: run to T, snapshot (a pure observation), then
         // run on to the end of the scripted duration.
-        let mut straight = build_sim(&script);
+        let mut straight = run.build();
         straight.install_trace_log(TraceLog::new());
         straight.run_until(t);
         let bytes = straight.snapshot();
@@ -79,7 +79,7 @@ fn snapshot_then_resume_is_bit_identical_across_the_corpus() {
 
         // Resumed leg: a fresh simulator restored from T (the snapshot
         // carries the scripted faults and replaces the freshly loaded ones).
-        let mut resumed = build_sim(&script);
+        let mut resumed = run.build();
         resumed.restore(&bytes).unwrap_or_else(|e| panic!("{name}: restore at {t} failed: {e}"));
         resumed.install_trace_log(TraceLog::new());
         resumed.run_until(end);
@@ -112,17 +112,16 @@ fn snapshot_then_resume_is_bit_identical_across_the_corpus() {
 fn spelling_out_the_convention_changes_nothing_across_the_corpus() {
     for (name, text) in CORPUS {
         let spelled = format!("topology chain:4\nmobility static\nflow 0 4 NewReno\n{text}");
-        let [bare, spelled] = [text, &spelled].map(|t| ScenarioScript::parse(t).expect("parses"));
-        assert!(bare.topology.is_none() && bare.mobility.is_none() && bare.flows.is_empty());
-        assert!(spelled.topology.is_some() && spelled.mobility.is_some());
-        let duration = bare.duration.expect("corpus scripts declare a duration");
-        let t = snapshot_instant(name, duration.as_nanos());
-        let [mut bare, mut spelled] = [&bare, &spelled].map(build_sim);
+        let [bare, spelled] = [text, &spelled].map(run_of);
+        let shape = |run: &Run| format!("{:?}", (run.cfg, &run.flows, run.duration));
+        assert_eq!(shape(&bare), shape(&spelled), "{name}");
+        let (t, end) = (snapshot_instant(name, bare.duration.as_nanos()), bare.end());
+        let [mut bare, mut spelled] = [&bare, &spelled].map(Run::build);
         bare.run_until(t);
         spelled.run_until(t);
         assert!(bare.snapshot() == spelled.snapshot(), "{name}: snapshot bytes differ at {t}");
-        bare.run_until(SimTime::ZERO + duration);
-        spelled.run_until(SimTime::ZERO + duration);
+        bare.run_until(end);
+        spelled.run_until(end);
         assert_eq!(bare.trace_hash(), spelled.trace_hash(), "{name}");
         assert_eq!(bare.perf().events_processed, spelled.perf().events_processed, "{name}");
     }
@@ -134,15 +133,14 @@ fn spelling_out_the_convention_changes_nothing_across_the_corpus() {
 #[test]
 fn taking_a_snapshot_is_a_pure_observation() {
     let (name, text) = CORPUS[0];
-    let script = ScenarioScript::parse(text).expect("corpus parses");
-    let duration = script.duration.expect("corpus scripts declare a duration");
-    let end = SimTime::ZERO + duration;
-    let t = snapshot_instant(name, duration.as_nanos());
+    let run = run_of(text);
+    let end = run.end();
+    let t = snapshot_instant(name, run.duration.as_nanos());
 
-    let mut plain = build_sim(&script);
+    let mut plain = run.build();
     plain.run_until(end);
 
-    let mut observed = build_sim(&script);
+    let mut observed = run.build();
     observed.run_until(t);
     let _bytes = observed.snapshot();
     observed.run_until(end);
@@ -156,11 +154,11 @@ fn taking_a_snapshot_is_a_pure_observation() {
 /// same run unwatched.
 #[test]
 fn snapshot_bytes_do_not_depend_on_installed_observers() {
-    let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
+    let run = run_of(CORPUS[0].1);
     let t = SimTime::from_secs_f64(5.0);
-    let mut plain = build_sim(&script);
+    let mut plain = run.build();
     plain.run_until(t);
-    let mut watched = build_sim(&script);
+    let mut watched = run.build();
     watched.install_trace_log(TraceLog::new());
     watched.install_checker(InvariantChecker::new());
     watched.run_until(t);
@@ -276,9 +274,9 @@ fn snapshot_layout_matches_the_committed_fixture() {
 
     let mut rows = vec![format!("version {SNAPSHOT_VERSION}")];
     for (name, text) in CORPUS {
-        let script = ScenarioScript::parse(text).expect("corpus parses");
-        let t = snapshot_instant(name, script.duration.expect("declared").as_nanos());
-        let mut sim = build_sim(&script);
+        let run = run_of(text);
+        let t = snapshot_instant(name, run.duration.as_nanos());
+        let mut sim = run.build();
         sim.run_until(t);
         rows.push(layout_row(name, t, &sim.snapshot()));
     }
@@ -321,15 +319,15 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 /// configuration or topology — the fingerprint gate.
 #[test]
 fn restore_rejects_a_config_mismatch() {
-    let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
-    let mut sim = build_sim(&script);
+    let run = run_of(CORPUS[0].1);
+    let mut sim = run.build();
     sim.run_until(SimTime::from_secs_f64(0.5));
     let bytes = sim.snapshot();
 
     // Different seed ⇒ different fingerprint.
-    let mut reseeded = script.clone();
-    reseeded.seed = Some(4242);
-    let mut other = build_sim(&reseeded);
+    let mut reseeded = run.clone();
+    reseeded.cfg.seed = 4242;
+    let mut other = reseeded.build();
     let err = other.restore(&bytes).expect_err("a reseeded twin must be rejected");
     assert!(matches!(err, SnapError::Mismatch(_)), "expected a fingerprint mismatch, got {err}");
 
@@ -352,14 +350,14 @@ fn restore_rejects_a_config_mismatch() {
 /// the header is refused before any field is read.
 #[test]
 fn restore_rejects_the_previous_format_version() {
-    let script = ScenarioScript::parse(CORPUS[0].1).expect("corpus parses");
-    let mut sim = build_sim(&script);
+    let run = run_of(CORPUS[0].1);
+    let mut sim = run.build();
     sim.run_until(SimTime::from_secs_f64(0.5));
     let mut bytes = sim.snapshot();
     for version in [3u16, 4, 5, 6, 7, 8, 9, 10, 11] {
         bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 2]
             .copy_from_slice(&version.to_le_bytes());
-        assert_eq!(build_sim(&script).restore(&bytes), Err(SnapError::UnsupportedVersion(version)));
+        assert_eq!(run.build().restore(&bytes), Err(SnapError::UnsupportedVersion(version)));
     }
 }
 
@@ -494,7 +492,7 @@ fn queued_events_naming_missing_nodes_flows_or_faults_are_refused() {
         let mut sim = Simulator::new(topology::chain(3), SimConfig::default());
         let (src, dst) = topology::chain_flow(3);
         sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
-        sim.load_scenario(&ScenarioScript::parse("at 5 link-down 1 2\n").expect("script parses"));
+        sim.load_faults(&run_of("at 5 link-down 1 2\n").faults);
         sim
     };
     let mut sim = build();

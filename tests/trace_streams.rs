@@ -8,7 +8,7 @@
 #![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
 
 use tcp_muzha::experiments::cwnd_traces_batch;
-use tcp_muzha::faultline::{CheckerLimits, InvariantChecker, ScenarioScript};
+use tcp_muzha::faultline::{CheckerLimits, InvariantChecker};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::run::Run;
 use tcp_muzha::sim::{SimDuration, SimTime};
@@ -28,19 +28,17 @@ const CORPUS: [(&str, &str); 8] = [
     ("storm", include_str!("scenarios/storm.scn")),
 ];
 
-/// The run `script` states, with a full trace log installed.
-fn run_traced_scenario(script: &ScenarioScript) -> TraceLog {
-    let run = Run::from_script(script).expect("corpus scripts name nodes of their topology");
+/// The run `text` states, with a full trace log installed.
+fn run_traced_scenario(text: &str) -> TraceLog {
+    let run = Run::parse(text).expect("corpus scripts parse and name nodes of their topology");
     run.capture(TraceFilter::all())
 }
 
 #[test]
 fn corpus_twin_runs_produce_byte_identical_trace_streams() {
     for (name, text) in CORPUS {
-        let script = ScenarioScript::parse(text)
-            .unwrap_or_else(|e| panic!("scenario {name} failed to parse: {e}"));
-        let a = run_traced_scenario(&script);
-        let b = run_traced_scenario(&script);
+        let a = run_traced_scenario(text);
+        let b = run_traced_scenario(text);
         assert!(!a.is_empty(), "{name}: the traced run recorded nothing");
         let stream_a = ns2::render(a.iter());
         let stream_b = ns2::render(b.iter());
@@ -123,7 +121,7 @@ const GOLDEN_LINES: usize = 250;
 fn golden_capture() -> Vec<TraceEntry> {
     let seed = SimConfig::default().seed;
     let text = format!("seed {seed}\nduration 1\ntopology chain:2\nflow 0 2 NewReno\n");
-    run_traced_scenario(&ScenarioScript::parse(&text).expect("run file parses")).snapshot()
+    run_traced_scenario(&text).snapshot()
 }
 
 #[test]
@@ -152,7 +150,7 @@ fn two_hop_newreno_stream_matches_golden_fixture() {
 #[test]
 fn fault_script_runs_log_their_faults_at_the_scripted_instants() {
     let faults_of = |text: &str| -> Vec<TraceEntry> {
-        let log = run_traced_scenario(&ScenarioScript::parse(text).expect("corpus parses"));
+        let log = run_traced_scenario(text);
         log.iter().filter(|e| e.record.layer() == Layer::Fault).collect()
     };
     let t = SimTime::from_secs_f64;
@@ -196,8 +194,7 @@ fn fault_script_runs_log_their_faults_at_the_scripted_instants() {
 /// instant, node, direction, layer and ns-2 line.
 #[test]
 fn pcap_capture_self_parses_and_mirrors_the_entries() {
-    let script = ScenarioScript::parse(include_str!("scenarios/relay-crash.scn")).unwrap();
-    let crash = run_traced_scenario(&script).snapshot();
+    let crash = run_traced_scenario(include_str!("scenarios/relay-crash.scn")).snapshot();
     let fault_lines = crash.iter().filter(|e| ns2::line(e).contains("_ FLT --- ")).count();
     assert_eq!(fault_lines, 2, "relay-crash logs a kill and a revive");
     pcap_mirrors(&crash);
