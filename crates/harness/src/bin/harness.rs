@@ -65,9 +65,10 @@
 //! resumed run is bit-identical to the straight run — same `trace_hash`,
 //! same perf counters (the twin test `tests/snapshot_twin.rs` pins this over
 //! the whole corpus). Both print the final trace hash so straight and
-//! resumed legs can be compared from the shell. A snapshot carries the flows
-//! but not the configuration: it resumes only under the `seed`, `topology`
-//! and `mobility` it was taken under.
+//! resumed legs can be compared from the shell. A snapshot carries the flows,
+//! every position and every node's movement, but not the configuration: it
+//! resumes only under the `seed` it was taken under, on a topology of the
+//! same node count.
 //!
 //! Exit codes everywhere: 0 on success, 2 on a bad command line, an unusable
 //! file or a snapshot that fails to restore.
@@ -119,9 +120,9 @@ fn trace(args: &[String]) -> Result<(), CliError> {
     }
     eprintln!(
         "capturing {} ({} nodes, {} mobility), {} flow(s), {} s virtual...",
-        run.cfg.topology,
-        run.cfg.topology.node_count(),
-        run.cfg.mobility,
+        run.topology,
+        run.topology.node_count(),
+        run.mobility,
         run.flows.len(),
         run.duration.as_secs_f64()
     );
@@ -156,9 +157,9 @@ fn topo(args: &[String]) -> Result<(), CliError> {
     let _ = writeln!(
         report,
         "topology {} ({} nodes), mobility {}, {} {} flow(s), {} s virtual, seed {:#x}",
-        run.cfg.topology,
-        run.cfg.topology.node_count(),
-        run.cfg.mobility,
+        run.topology,
+        run.topology.node_count(),
+        run.mobility,
         run.flows.len(),
         variants.into_iter().collect::<Vec<_>>().join("/"),
         run.duration.as_secs_f64(),
@@ -379,8 +380,8 @@ fn resume(run: &Run, args: &[String]) -> Result<(), CliError> {
         // The fingerprint is 64 bits of hash: it cannot say which line differs.
         let hint = match e {
             SnapError::Mismatch(_) => {
-                "; it resumes only under the `seed`, `topology` and \
-                                       `mobility` lines it was taken under"
+                "; it resumes only under the `seed` it was taken under, on a \
+                 topology of the same node count"
             }
             _ => "",
         };

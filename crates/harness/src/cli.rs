@@ -288,7 +288,8 @@ fn flow_topology(text: &str) -> Result<TopologySpec, String> {
 /// # Errors
 ///
 /// [`CliError::BadValue`] for a run-shape flag beside `--script`, `--hops`
-/// beside `--topology`, or a value its grammar refuses; [`CliError::File`]
+/// beside `--topology`, a value its grammar refuses, or a `--topology` the
+/// seed cannot place (a `random-disc` too sparse to connect); [`CliError::File`]
 /// when the file cannot be read or is not a run; [`CliError::Required`]
 /// when there is neither a file nor a default.
 pub fn parse_run(
@@ -313,7 +314,9 @@ pub fn parse_run(
     }
     let topology = stated.or(hops).unwrap_or(topology);
     let seed = parse_flag_with(args, "--seed", str::parse::<u64>)?;
-    let seed = seed.unwrap_or(SimConfig::default().seed);
+    let cfg = SimConfig { seed: seed.unwrap_or(SimConfig::default().seed), ..SimConfig::default() };
+    let placed = topology.try_build(cfg.radio.tx_range_m, cfg.seed);
+    let positions = placed.map_err(|e| conflicting(args, "--topology", e))?;
     let variant = parse_flag_with(args, "--variant", TcpVariant::parse)?;
     let variant = variant.unwrap_or(TcpVariant::Muzha);
     let flows = parse_flag_with(args, "--flows", |n| match n.parse::<usize>() {
@@ -322,9 +325,9 @@ pub fn parse_run(
     })?;
     let duration = parse_flag_with(args, "--secs", SimDuration::parse_secs)?.unwrap_or(duration);
     let mobility = parse_flag_with(args, "--mobility", MobilitySpec::parse)?.unwrap_or(mobility);
-    let ends = spread_endpoints(topology, seed, flows.unwrap_or(1));
+    let ends = spread_endpoints(&positions, flows.unwrap_or(1));
     let flows = ends.into_iter().map(|(src, dst)| FlowSpec::new(src, dst, variant)).collect();
-    Ok(Run::new(SimConfig { seed, topology, mobility, ..SimConfig::default() }, flows, duration))
+    Ok(Run::new(cfg, topology, mobility, flows, duration))
 }
 
 /// Writes a rendered report to stdout. A closed pipe (`harness topo … |

@@ -22,7 +22,6 @@ use sim_core::SimDuration;
 use wire::FlowId;
 
 use super::{coexistence, on_chain, CoexistKind};
-use crate::run::Run;
 use crate::{average, render_table, run_matrix, ExperimentConfig};
 
 const HOPS: usize = 4;
@@ -69,8 +68,7 @@ pub fn ablations(cfg: &ExperimentConfig, cross_duration: SimDuration) -> String 
         |&(drai, cadence), sim_cfg| {
             let (src, dst) = topology::chain_flow(HOPS);
             let flow = FlowSpec::new(src, dst, TcpVariant::Muzha).with_muzha_cadence(cadence);
-            let run =
-                Run::new(on_chain(SimConfig { drai, ..sim_cfg }, HOPS), vec![flow], cfg.duration);
+            let run = on_chain(SimConfig { drai, ..sim_cfg }, HOPS, vec![flow], cfg.duration);
             let mut sim = run.build();
             sim.run_until(run.end());
             sim.flow_report(FlowId::new(0)).throughput_kbps(sim.now())

@@ -8,7 +8,6 @@ use netstack::{topology, FlowSpec, TcpVariant};
 use wire::FlowId;
 
 use super::on_chain;
-use crate::run::Run;
 use crate::{average, render_table, run_matrix, ExperimentConfig, Mean};
 
 /// One measured point of the sweep (one bar in Figs. 5.8–5.13).
@@ -120,7 +119,7 @@ pub fn throughput_vs_hops(
         |&(window, hops, variant), sim_cfg| {
             let (src, dst) = topology::chain_flow(hops);
             let flow = FlowSpec::new(src, dst, variant).with_window(window);
-            let run = Run::new(on_chain(sim_cfg, hops), vec![flow], cfg.duration);
+            let run = on_chain(sim_cfg, hops, vec![flow], cfg.duration);
             let mut sim = run.build();
             sim.run_until(run.end());
             let report = sim.flow_report(FlowId::new(0));

@@ -11,7 +11,6 @@ use sim_core::stats::jain_fairness_index;
 use wire::FlowId;
 
 use super::on_cross;
-use crate::run::Run;
 use crate::{average, render_table, run_matrix, ExperimentConfig, Mean};
 
 /// Which pair of variants coexists.
@@ -92,7 +91,7 @@ pub fn coexistence(
             let (vs, vd) = topology::cross_vertical_flow(hops);
             let flows =
                 vec![FlowSpec::new(hs, hd, kind.horizontal), FlowSpec::new(vs, vd, kind.vertical)];
-            let run = Run::new(on_cross(sim_cfg, hops), flows, cfg.duration);
+            let run = on_cross(sim_cfg, hops, flows, cfg.duration);
             let mut sim = run.build();
             sim.run_until(run.end());
             let [h, v] = [0, 1].map(|i| sim.flow_report(FlowId::new(i)).throughput_kbps(sim.now()));

@@ -10,7 +10,6 @@ use tracelog::{FlowSeries, Layer, TraceFilter};
 use wire::FlowId;
 
 use super::on_chain;
-use crate::run::Run;
 
 /// One congestion-window trace (one curve in Figs. 5.2–5.7).
 #[derive(Clone, Debug)]
@@ -80,7 +79,7 @@ pub fn cwnd_traces_batch(
     }
     let mut traces = crate::run_batch(&combos, jobs, |&(hops, variant), _| {
         let (src, dst) = topology::chain_flow(hops);
-        let run = Run::new(on_chain(cfg, hops), vec![FlowSpec::new(src, dst, variant)], duration);
+        let run = on_chain(cfg, hops, vec![FlowSpec::new(src, dst, variant)], duration);
         // The window curve is the run's `TcpCwnd` records, as ns-2 reads it
         // from a trace file: keep the transport layer, extract per flow.
         let log = run.capture(TraceFilter::all().layer(Layer::Agt));

@@ -13,7 +13,6 @@ use wire::FlowId;
 
 use super::on_chain;
 use crate::render_series;
-use crate::run::Run;
 
 /// The windowed throughput series of the three flows.
 #[derive(Clone, Debug)]
@@ -94,7 +93,7 @@ pub fn throughput_dynamics(
     ];
     let (src, dst) = topology::chain_flow(HOPS);
     let specs = starts.map(|start| FlowSpec::new(src, dst, variant).starting_at(start));
-    let run = Run::new(on_chain(cfg, HOPS), specs.to_vec(), duration);
+    let run = on_chain(cfg, HOPS, specs.to_vec(), duration);
     let mut sim = run.build();
     let flows: Vec<FlowId> = (0..starts.len()).map(FlowId::from_index).collect();
     let end = run.end();

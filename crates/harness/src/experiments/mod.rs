@@ -3,7 +3,10 @@
 //! [`Run`](crate::run::Run) on the chain of Fig. 5.1 or the cross of
 //! Fig. 5.15, built by `Run::build`.
 
-use netstack::{SimConfig, TopologySpec};
+use netstack::{FlowSpec, MobilitySpec, SimConfig, TopologySpec};
+use sim_core::SimDuration;
+
+use crate::run::Run;
 
 mod ablations;
 mod chain_sweep;
@@ -17,14 +20,14 @@ pub use coexist::{coexistence, CoexistKind, CoexistResult, CoexistRun};
 pub use cwnd::{cwnd_traces, cwnd_traces_batch, CwndTrace};
 pub use dynamics::{throughput_dynamics, throughput_dynamics_batch, DynamicsResult};
 
-/// `cfg` placed on the `hops`-hop chain of Fig. 5.1.
-fn on_chain(cfg: SimConfig, hops: usize) -> SimConfig {
-    SimConfig { topology: TopologySpec::Chain { hops: arm(hops) }, ..cfg }
+/// The static run of `flows` under `cfg` on the `hops`-hop chain of Fig. 5.1.
+fn on_chain(cfg: SimConfig, hops: usize, flows: Vec<FlowSpec>, duration: SimDuration) -> Run {
+    Run::new(cfg, TopologySpec::Chain { hops: arm(hops) }, MobilitySpec::Static, flows, duration)
 }
 
-/// `cfg` placed on the cross of Fig. 5.15 with `hops`-hop arms.
-fn on_cross(cfg: SimConfig, hops: usize) -> SimConfig {
-    SimConfig { topology: TopologySpec::Cross { hops: arm(hops) }, ..cfg }
+/// The static run of `flows` under `cfg` on the cross of Fig. 5.15.
+fn on_cross(cfg: SimConfig, hops: usize, flows: Vec<FlowSpec>, duration: SimDuration) -> Run {
+    Run::new(cfg, TopologySpec::Cross { hops: arm(hops) }, MobilitySpec::Static, flows, duration)
 }
 
 #[expect(clippy::expect_used, reason = "no paper topology has 65,536 hops")]

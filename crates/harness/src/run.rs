@@ -48,13 +48,17 @@ const DEFAULT_SEED: u64 = 1;
 /// Duration of a run file that states none.
 const DEFAULT_DURATION: SimDuration = SimDuration::from_secs(10);
 
-/// A run, ready to build: name, configuration, flows, horizon and faults.
+/// A run, ready to build: name, configuration, placement, flows, horizon, faults.
 #[derive(Clone, Debug)]
 pub struct Run {
     /// The run's name (a `name` line), or empty.
     pub name: String,
-    /// Table 5.1's defaults under the run's seed, topology and mobility.
+    /// Table 5.1's defaults under the run's seed.
     pub cfg: SimConfig,
+    /// Where the nodes start, placed from `(topology, cfg.seed)`.
+    pub topology: TopologySpec,
+    /// How every node moves once placed.
+    pub mobility: MobilitySpec,
     /// The flows, in the order their ids are handed out.
     pub flows: Vec<FlowSpec>,
     /// How long the run lasts.
@@ -102,12 +106,14 @@ impl Run {
     /// # Errors
     ///
     /// A message naming the first line that does not parse; once the whole
-    /// text has, the line of a flow or fault whose node the topology does not
-    /// have, or of a flow from a node to itself.
+    /// text has, the `topology` line if the seed cannot place it, then the
+    /// line of a flow or fault whose node the topology does not have, or of a
+    /// flow from a node to itself.
     pub fn parse(text: &str) -> Result<Run, String> {
         let mut name = String::new();
         let (mut seed, mut duration) = (DEFAULT_SEED, DEFAULT_DURATION);
         let (mut topology, mut mobility) = (TopologySpec::default(), MobilitySpec::default());
+        let mut topology_line = 0;
         let (mut flows, mut faults) = (Vec::new(), Vec::new());
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
@@ -131,6 +137,7 @@ impl Run {
                 "topology" => {
                     let spec = parse_tok(toks.next(), "topology", TopologySpec::parse);
                     topology = spec.map_err(fail)?;
+                    topology_line = lineno;
                 }
                 "mobility" => {
                     let spec = parse_tok(toks.next(), "mobility", MobilitySpec::parse);
@@ -148,6 +155,10 @@ impl Run {
             if let Some(extra) = toks.next() {
                 return Err(format!("scenario line {lineno}: trailing token `{extra}`"));
             }
+        }
+        let cfg = SimConfig { seed, ..SimConfig::default() };
+        if let Err(e) = topology.try_build(cfg.radio.tx_range_m, seed) {
+            return Err(format!("scenario line {topology_line}: {e}"));
         }
         let nodes = topology.node_count();
         let check = |line: usize, node: NodeId| {
@@ -178,35 +189,38 @@ impl Run {
         } else {
             flows.into_iter().map(|(_, flow)| flow).collect()
         };
-        Ok(Run {
-            name,
-            cfg: SimConfig { seed, topology, mobility, ..SimConfig::default() },
-            flows,
-            duration,
-            faults: faults.into_iter().map(|(_, timed)| timed).collect(),
-        })
+        let faults = faults.into_iter().map(|(_, timed)| timed).collect();
+        Ok(Run { name, cfg, topology, mobility, flows, duration, faults })
     }
 
-    /// A run stated in code rather than text: `cfg` as given — topology,
-    /// mobility, DRAI thresholds and all —, `flows` in id order, no faults.
-    pub fn new(cfg: SimConfig, flows: Vec<FlowSpec>, duration: SimDuration) -> Run {
-        Run { name: String::new(), cfg, flows, duration, faults: Vec::new() }
+    /// A run stated in code rather than text: `cfg` as given — seed, DRAI
+    /// thresholds and all —, `flows` in id order, no faults.
+    pub fn new(
+        cfg: SimConfig,
+        topology: TopologySpec,
+        mobility: MobilitySpec,
+        flows: Vec<FlowSpec>,
+        duration: SimDuration,
+    ) -> Run {
+        Run { name: String::new(), cfg, topology, mobility, flows, duration, faults: Vec::new() }
     }
 
     /// The simulator of this run at t = 0: nodes placed from
-    /// `(cfg.topology, cfg.seed)`, every node on a random-waypoint plan over
-    /// the topology's extent if `cfg.mobility` asks for one, flows
-    /// registered, faults scheduled. Also the restore target for a snapshot
-    /// of the same run — restoring overwrites the scheduled faults wholesale.
+    /// `(topology, cfg.seed)`, every node on a random-waypoint plan over
+    /// the topology's extent if `mobility` asks for one, flows registered,
+    /// faults scheduled. Also the restore target for a snapshot of the same
+    /// run — restoring overwrites the scheduled faults wholesale, and the
+    /// positions and movements with what the snapshot holds.
     ///
     /// # Panics
     ///
-    /// On what [`SimConfig::validate`] or [`Run::parse`] refuses.
+    /// On what [`Run::parse`] refuses, or a part of `cfg` its constructor
+    /// refuses ([`Simulator::new`]).
     pub fn build(&self) -> Simulator {
         let cfg = self.cfg;
-        let mut sim = Simulator::new(cfg.topology.build(cfg.radio.tx_range_m, cfg.seed), cfg);
-        if let MobilitySpec::Waypoint { min_speed_mps, max_speed_mps, pause } = cfg.mobility {
-            let (width_m, height_m) = cfg.topology.extent();
+        let mut sim = Simulator::new(self.topology.build(cfg.radio.tx_range_m, cfg.seed), cfg);
+        if let MobilitySpec::Waypoint { min_speed_mps, max_speed_mps, pause } = self.mobility {
+            let (width_m, height_m) = self.topology.extent();
             let plan = RandomWaypoint {
                 min_pause: pause,
                 max_pause: pause,
@@ -248,8 +262,8 @@ impl fmt::Display for Run {
         }
         writeln!(f, "seed {}", self.cfg.seed)?;
         writeln!(f, "duration {}", self.duration.as_secs_f64())?;
-        writeln!(f, "topology {}", self.cfg.topology)?;
-        writeln!(f, "mobility {}", self.cfg.mobility)?;
+        writeln!(f, "topology {}", self.topology)?;
+        writeln!(f, "mobility {}", self.mobility)?;
         for flow in &self.flows {
             let FlowSpec { src, dst, variant, start, .. } = *flow;
             write!(f, "flow {} {} {variant}", src.index(), dst.index())?;
@@ -378,18 +392,17 @@ pub fn farthest_pair(positions: &[Position]) -> (NodeId, NodeId) {
     best
 }
 
-/// The endpoints `flows` flows get on `topology` as `seed` places it when
-/// only their number is given: the first between the most-separated pair,
-/// the rest between deterministically spread endpoints half the node index
-/// space apart — two distinct nodes of the topology, as it has at least two.
+/// The endpoints `flows` flows get on `positions` when only their number is
+/// given: the first between the most-separated pair, the rest between
+/// deterministically spread endpoints half the node index space apart — two
+/// distinct nodes of the placement, as it has at least two.
 ///
 /// # Panics
 ///
-/// On a topology of fewer than two nodes, as [`farthest_pair`].
-pub fn spread_endpoints(topology: TopologySpec, seed: u64, flows: usize) -> Vec<(NodeId, NodeId)> {
-    let positions = topology.build(SimConfig::default().radio.tx_range_m, seed);
+/// On a placement of fewer than two nodes, as [`farthest_pair`].
+pub fn spread_endpoints(positions: &[Position], flows: usize) -> Vec<(NodeId, NodeId)> {
     let n = positions.len();
-    let mut ends = vec![farthest_pair(&positions)];
+    let mut ends = vec![farthest_pair(positions)];
     for k in 1..flows {
         let a = (k * n / flows) % n;
         ends.push((NodeId::from_index(a), NodeId::from_index((a + n / 2) % n)));
@@ -460,8 +473,8 @@ flow 2 6 NewReno 1.5 8
 flow 1 7 SACK 0.25
 ";
         let s = Run::parse(text).unwrap();
-        assert_eq!(s.cfg.topology, TopologySpec::Grid { rows: 3, cols: 3 });
-        assert_eq!(Ok(s.cfg.mobility), MobilitySpec::parse("waypoint:1-5@2"));
+        assert_eq!(s.topology, TopologySpec::Grid { rows: 3, cols: 3 });
+        assert_eq!(Ok(s.mobility), MobilitySpec::parse("waypoint:1-5@2"));
         let flows = |run: &Run| -> Vec<_> {
             let flow = |f: &FlowSpec| (f.src, f.dst, f.variant, f.start, f.tcp.advertised_window);
             run.flows.iter().map(flow).collect()
@@ -490,8 +503,8 @@ flow 1 7 SACK 0.25
         )
         .unwrap();
         assert_eq!(s.cfg.seed, 2);
-        assert_eq!(s.cfg.topology, TopologySpec::Grid { rows: 2, cols: 2 });
-        assert_eq!(s.cfg.mobility, MobilitySpec::Static);
+        assert_eq!(s.topology, TopologySpec::Grid { rows: 2, cols: 2 });
+        assert_eq!(s.mobility, MobilitySpec::Static);
     }
 
     /// Every time in a run file goes through `SimDuration::parse_secs`: these
@@ -576,8 +589,8 @@ flow 1 7 SACK 0.25
         let run = Run::parse("").expect("the empty script is a run");
         assert_eq!(run.cfg.seed, 1);
         assert_eq!(run.duration, SimDuration::from_secs(10));
-        assert_eq!(run.cfg.topology, TopologySpec::Chain { hops: 4 });
-        assert_eq!(run.cfg.mobility, MobilitySpec::Static);
+        assert_eq!(run.topology, TopologySpec::Chain { hops: 4 });
+        assert_eq!(run.mobility, MobilitySpec::Static);
         let default = FlowSpec::new(NodeId::new(0), NodeId::new(4), TcpVariant::NewReno);
         assert_eq!(format!("{:?}", run.flows), format!("{:?}", [default]));
         // "End to end" on another topology is node 0 to the last node.
@@ -590,8 +603,8 @@ flow 1 7 SACK 0.25
     #[test]
     fn a_mobility_line_needs_no_topology_line() {
         let run = Run::parse("mobility waypoint\n").expect("a roaming chain is a run");
-        assert_eq!(run.cfg.topology, TopologySpec::Chain { hops: 4 });
-        assert_eq!(run.cfg.mobility, MobilitySpec::DEFAULT_WAYPOINT);
+        assert_eq!(run.topology, TopologySpec::Chain { hops: 4 });
+        assert_eq!(run.mobility, MobilitySpec::DEFAULT_WAYPOINT);
         let mut sim = run.build();
         sim.run_until(SimTime::from_secs_f64(0.5));
         assert!(sim.perf().position_updates > 0, "nobody moved");
@@ -696,14 +709,18 @@ flow 1 7 SACK 0.25
             });
             let run = Run {
                 name: if seed % 2 == 0 { "generated".into() } else { String::new() },
-                cfg: SimConfig { seed, topology: spec, mobility, ..SimConfig::default() },
+                cfg: SimConfig { seed, ..SimConfig::default() },
+                topology: spec,
+                mobility,
                 flows: flows.collect(),
                 duration: SimDuration::from_millis(millis),
                 faults: Vec::new(),
             };
             let text = run.to_string();
             let again = Run::parse(&text).unwrap_or_else(|e| panic!("{e} in\n{text}"));
-            let shape = |r: &Run| format!("{:?}", (&r.name, r.cfg, &r.flows, r.duration));
+            let shape = |r: &Run| {
+                format!("{:?}", (&r.name, r.cfg, r.topology, r.mobility, &r.flows, r.duration))
+            };
             prop_assert_eq!(shape(&again), shape(&run), "{}", text);
         }
     }
@@ -711,12 +728,13 @@ flow 1 7 SACK 0.25
     #[test]
     fn spread_endpoints_start_at_the_farthest_pair_and_never_pair_a_node_with_itself() {
         let chain = TopologySpec::Chain { hops: 8 };
-        assert_eq!(spread_endpoints(chain, 1, 1), [(NodeId::new(0), NodeId::new(8))]);
+        let placed = |spec: TopologySpec| spec.build(250.0, 1);
+        assert_eq!(spread_endpoints(&placed(chain), 1), [(NodeId::new(0), NodeId::new(8))]);
         for family in 0..5 {
             for (a, b) in [(1, 1), (2, 3), (7, 5)] {
                 let spec = topology(family, a, b);
                 for flows in [1, 2, 3, 9, 17] {
-                    let ends = spread_endpoints(spec, 1, flows);
+                    let ends = spread_endpoints(&placed(spec), flows);
                     assert_eq!(ends.len(), flows);
                     let n = spec.node_count();
                     let named =

@@ -163,6 +163,10 @@ fn hostile_topologies_and_times_are_bad_values_not_panics() {
         for spec in ["grid:300x300", "city-blocks:300x300"] {
             assert_rejected(HARNESS, &[sub, "--topology", spec], "at most 65535");
         }
+        // Parses, but no seed connects it: a placement panic at `generators.rs`.
+        for spec in ["random-disc:40@5000x5000", "random-disc:40@1e6x1e6"] {
+            assert_rejected(HARNESS, &[sub, "--topology", spec, "--seed", "3"], "at seed 3 ");
+        }
     }
     let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/scenarios/chain-break.scn");
     let never = "99999999999999";
@@ -243,6 +247,10 @@ fn a_hostile_run_file_is_a_line_error_from_every_subcommand() {
         ("\nflow 2 2 newreno\n", "scenario line 2: a flow needs two nodes"),
         ("topology grid:2x2\nat 1 kill 4\n", "scenario line 2: no node n4 in grid:2x2"),
         ("flow 0 4 muzha 0 0\n", "scenario line 1: bad window `0`: "),
+        (
+            "seed 5\ntopology random-disc:40@5000x5000\n",
+            "scenario line 2: random-disc:40@5000x5000 has no connected placement at seed 5 ",
+        ),
     ] {
         std::fs::write(path, text).expect("write run file");
         for sub in [

@@ -30,11 +30,11 @@ pub struct MacParams {
     pub short_retry_limit: u32,
     /// Maximum DATA attempts before declaring link failure.
     pub long_retry_limit: u32,
-    /// Bit rate for DATA frames (must match the PHY).
+    /// Bit rate for DATA frames; the MAC alone holds the rates and the PLCP.
     pub data_rate_bps: u64,
-    /// Bit rate for control frames (must match the PHY).
+    /// Bit rate for RTS/CTS/ACK control frames.
     pub basic_rate_bps: u64,
-    /// PLCP preamble + header time (must match the PHY).
+    /// PLCP preamble + header time (192 µs, the 802.11b long preamble).
     pub plcp: SimDuration,
     /// Upper bound on propagation delay, used as guard time in timeouts
     /// and NAV values.

@@ -6,10 +6,9 @@ use muzha::DraiConfig;
 
 use crate::RedConfig;
 use phy::RadioParams;
-use sim_core::{SimDuration, SimTime};
+use sim_core::SimTime;
 pub use tcp::TcpVariant;
 use tcp::{AdjustmentCadence, TcpConfig, VegasConfig};
-use topo::{MobilitySpec, TopologySpec};
 use wire::NodeId;
 
 /// Which queueing discipline every node's interface queue uses.
@@ -22,12 +21,15 @@ pub enum QueueDiscipline {
     Red(RedConfig),
 }
 
-/// Whole-simulation configuration (paper Table 5.1 defaults).
+/// Whole-simulation configuration (paper Table 5.1 defaults), each part
+/// checked by the constructor it feeds ([`phy::Channel::new`],
+/// [`mac80211::Mac::new`], [`aodv::Aodv::new`], [`muzha::DraiComputer::new`],
+/// the interface queue's). Placement is the caller's.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
-    /// Radio parameters (2 Mbps, 250 m range, ...).
+    /// Radio parameters (250 m range, 550 m carrier sense, frame loss).
     pub radio: RadioParams,
-    /// 802.11 DCF parameters.
+    /// 802.11 DCF parameters, the bit rates (2 / 1 Mbps) among them.
     pub mac: MacParams,
     /// AODV parameters.
     pub aodv: AodvConfig,
@@ -39,19 +41,6 @@ pub struct SimConfig {
     pub queue: QueueDiscipline,
     /// Master RNG seed; every run with the same seed is identical.
     pub seed: u64,
-    /// How often each node samples channel utilisation and queue length
-    /// for its DRAI computer.
-    pub sample_interval: SimDuration,
-    /// Initial node placement, regenerated deterministically from
-    /// `(topology, seed)` by `harness::run::Run::build`, its one reader.
-    /// [`crate::Simulator::new`] takes explicit positions and ignores it; it
-    /// stays here because the snapshot fingerprint is this struct's `Debug`,
-    /// so a snapshot is refused by a run placed differently.
-    pub topology: TopologySpec,
-    /// Mobility model `Run::build` applies to every node (waypoint streams
-    /// draw from the master RNG, so runs stay seed-deterministic). Ignored
-    /// by [`crate::Simulator::new`]; here for the fingerprint, as `topology`.
-    pub mobility: MobilitySpec,
 }
 
 impl Default for SimConfig {
@@ -64,46 +53,7 @@ impl Default for SimConfig {
             ifq_capacity: 50,
             queue: QueueDiscipline::DropTail,
             seed: 0x4d757a6861, // "Muzha"
-            sample_interval: SimDuration::from_millis(50),
-            topology: TopologySpec::default(),
-            mobility: MobilitySpec::default(),
         }
-    }
-}
-
-impl SimConfig {
-    /// Derives consistent MAC timing from the radio parameters.
-    pub fn with_radio(mut self, radio: RadioParams) -> Self {
-        self.radio = radio;
-        self.mac.data_rate_bps = radio.data_rate_bps;
-        self.mac.basic_rate_bps = radio.basic_rate_bps;
-        self.mac.plcp = radio.plcp_overhead;
-        self
-    }
-
-    /// Validates all nested configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any nested config is inconsistent, if MAC and PHY rates
-    /// disagree, or if the IFQ capacity is zero.
-    pub fn validate(&self) {
-        self.radio.validate();
-        self.mac.validate();
-        self.aodv.validate();
-        self.drai.validate();
-        self.topology.validate();
-        if let MobilitySpec::Waypoint { min_speed_mps, max_speed_mps, .. } = self.mobility {
-            assert!(
-                min_speed_mps > 0.0 && min_speed_mps <= max_speed_mps && max_speed_mps.is_finite(),
-                "waypoint speed range must be positive and ordered"
-            );
-        }
-        assert!(self.ifq_capacity > 0, "IFQ capacity must be positive");
-        assert_eq!(
-            self.mac.data_rate_bps, self.radio.data_rate_bps,
-            "MAC and PHY data rates must agree"
-        );
     }
 }
 
@@ -205,19 +155,6 @@ sim_core::snap_record! {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_config_valid() {
-        SimConfig::default().validate();
-    }
-
-    #[test]
-    fn with_radio_syncs_mac() {
-        let radio = RadioParams { data_rate_bps: 11_000_000, ..RadioParams::default() };
-        let cfg = SimConfig::default().with_radio(radio);
-        cfg.validate();
-        assert_eq!(cfg.mac.data_rate_bps, 11_000_000);
-    }
 
     #[test]
     fn flow_spec_builders() {

@@ -15,7 +15,7 @@ use aodv::AodvOutput;
 use faultline::InvariantChecker;
 use mac80211::{MacOutput, MacOutputs, MediumView};
 use phy::{Arrival, Channel, Edge, Link, Position, RxOutcome, TxId};
-use sim_core::{EventQueue, RunPerf, SimRng, SimTime, TieOrder, TraceHash};
+use sim_core::{EventQueue, RunPerf, SimDuration, SimRng, SimTime, TieOrder, TraceHash};
 use tcp::{Sender, TcpOutput, TcpReceiver, Transport};
 use tracelog::{PacketKind, TraceLog, TraceRecord};
 use wire::{FlowId, FrameKind, MacFrame, NodeId, Packet, Payload, TcpSegment, TcpSegmentKind};
@@ -25,6 +25,10 @@ use crate::fault::FaultState;
 use crate::mobility::{decode_movements, encode_movements, Movement};
 use crate::node::{IfqPush, Node};
 use crate::{FlowReport, FlowSpec, NodeSummary, SimConfig, TcpVariant};
+
+/// How often each node samples channel utilisation, queue length and the
+/// MAC's retry ratio for its DRAI computer.
+const SAMPLE_INTERVAL: SimDuration = SimDuration::from_millis(50);
 
 /// The simulator: a set of nodes on a shared radio channel plus the global
 /// event loop.
@@ -91,9 +95,9 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is inconsistent or `positions` is empty.
+    /// Panics if `positions` is empty, or on a part of `cfg` the constructor
+    /// it feeds refuses ([`SimConfig`] names them; every node builds each).
     pub fn new(positions: Vec<Position>, cfg: SimConfig) -> Self {
-        cfg.validate();
         assert!(!positions.is_empty(), "need at least one node");
         let mut rng = SimRng::new(cfg.seed);
         let channel = Channel::new(positions, cfg.radio);
@@ -101,7 +105,7 @@ impl Simulator {
             .map(|i| Node::new(NodeId::from_index(i), &cfg, &mut rng))
             .collect();
         let mut events = EventQueue::new();
-        events.push(SimTime::ZERO + cfg.sample_interval, Event::Sample);
+        events.push(SimTime::ZERO + SAMPLE_INTERVAL, Event::Sample);
         Simulator {
             cfg,
             channel,
@@ -576,7 +580,7 @@ impl Simulator {
                     }
                     n.last_mac_stats = cur;
                 }
-                self.schedule(now + self.cfg.sample_interval, Event::Sample);
+                self.schedule(now + SAMPLE_INTERVAL, Event::Sample);
             }
             Event::Fault { index } => self.apply_fault(index),
         }
@@ -1046,6 +1050,7 @@ impl Simulator {
     /// trace hash. Snapshots embed it because the configuration itself is
     /// *not* serialized — [`Self::restore`] targets a simulator rebuilt with
     /// the same config, and refuses bytes taken under a different one.
+    /// Placement needs no gate: positions and movements are in the bytes.
     fn cfg_fingerprint(&self) -> u64 {
         let mut h = TraceHash::new();
         h.write_str(&format!("{:?}", self.cfg)).write_u64(self.nodes.len() as u64);
@@ -1766,8 +1771,8 @@ mod tests {
     #[test]
     fn random_loss_still_delivers() {
         let radio = phy::RadioParams { per_frame_loss: 0.02, ..Default::default() };
-        let cfg = SimConfig::default().with_radio(radio);
-        let mut sim = Simulator::new(topology::chain(4), cfg);
+        let mut sim =
+            Simulator::new(topology::chain(4), SimConfig { radio, ..SimConfig::default() });
         let (src, dst) = topology::chain_flow(4);
         let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
         sim.run_until(secs(5.0));

@@ -4,10 +4,10 @@ use sim_core::SimDuration;
 
 /// Physical-layer parameters of every radio in the network.
 ///
-/// Defaults reproduce the paper's NS2 setup: 2 Mbps data rate, 1 Mbps basic
-/// rate for control frames and the PLCP preamble/header (192 µs, the 802.11b
-/// long preamble), 250 m transmission range, 550 m carrier-sense range, no
-/// random loss.
+/// Defaults reproduce the paper's NS2 setup: 250 m transmission range, 550 m
+/// carrier-sense range, no random loss. The bit rates and PLCP timing are the
+/// MAC's (`mac80211::MacParams`), as in ns-2's 802.11 model: nothing in the
+/// PHY reads them.
 ///
 /// # Example
 ///
@@ -21,12 +21,6 @@ use sim_core::SimDuration;
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RadioParams {
-    /// Bit rate for DATA frames (bits per second).
-    pub data_rate_bps: u64,
-    /// Bit rate for RTS/CTS/ACK control frames.
-    pub basic_rate_bps: u64,
-    /// Fixed PLCP preamble + header time prepended to every frame.
-    pub plcp_overhead: SimDuration,
     /// Distance within which a frame can be decoded (metres).
     pub tx_range_m: f64,
     /// Distance within which a transmission is sensed and interferes
@@ -39,14 +33,7 @@ pub struct RadioParams {
 
 impl Default for RadioParams {
     fn default() -> Self {
-        RadioParams {
-            data_rate_bps: 2_000_000,
-            basic_rate_bps: 1_000_000,
-            plcp_overhead: SimDuration::from_micros(192),
-            tx_range_m: 250.0,
-            cs_range_m: 550.0,
-            per_frame_loss: 0.0,
-        }
+        RadioParams { tx_range_m: 250.0, cs_range_m: 550.0, per_frame_loss: 0.0 }
     }
 }
 
@@ -55,11 +42,9 @@ impl RadioParams {
     ///
     /// # Panics
     ///
-    /// Panics if rates are zero, ranges are non-positive or inverted, or the
-    /// loss probability is outside `[0, 1]`.
+    /// Panics if ranges are non-positive or inverted, or the loss
+    /// probability is outside `[0, 1]`.
     pub fn validate(&self) {
-        assert!(self.data_rate_bps > 0, "data rate must be positive");
-        assert!(self.basic_rate_bps > 0, "basic rate must be positive");
         assert!(self.tx_range_m > 0.0, "tx range must be positive");
         assert!(self.cs_range_m >= self.tx_range_m, "carrier-sense range must cover the tx range");
         assert!((0.0..=1.0).contains(&self.per_frame_loss), "loss probability must be in [0, 1]");
@@ -90,7 +75,6 @@ mod tests {
     fn default_matches_paper() {
         let p = RadioParams::default();
         p.validate();
-        assert_eq!(p.data_rate_bps, 2_000_000);
         assert_eq!(p.tx_range_m, 250.0);
     }
 

@@ -89,31 +89,28 @@ pub fn grid(rows: usize, cols: usize) -> Vec<Position> {
 }
 
 /// `count` nodes placed uniformly at random in a `width × height` area,
-/// re-sampled (up to a bounded number of attempts) until the topology is
-/// connected under the given transmission range. Deterministic in `seed`.
+/// re-sampled (up to 1000 times) until connected under the given transmission
+/// range. Deterministic in `seed`; `None` when no draw is connected — choose
+/// a denser configuration (see [`dense_side_m`]).
 ///
 /// # Panics
 ///
-/// Panics if no connected placement is found within 1000 attempts —
-/// choose a denser configuration (see [`dense_side_m`]).
+/// Panics if `count` is zero.
 pub fn random_disc(
     count: usize,
     width_m: f64,
     height_m: f64,
     range_m: f64,
     seed: u64,
-) -> Vec<Position> {
+) -> Option<Vec<Position>> {
     assert!(count > 0, "need at least one node");
     let mut rng = SimRng::new(seed);
-    for _ in 0..1000 {
+    (0..1000).find_map(|_| {
         let positions: Vec<Position> = (0..count)
             .map(|_| Position::new(rng.unit_f64() * width_m, rng.unit_f64() * height_m))
             .collect();
-        if is_connected(&positions, range_m) {
-            return positions;
-        }
-    }
-    panic!("no connected placement found in 1000 attempts; increase density");
+        is_connected(&positions, range_m).then_some(positions)
+    })
 }
 
 /// The side of a square area in which `count` uniformly placed nodes with
@@ -253,11 +250,11 @@ mod tests {
 
     #[test]
     fn random_disc_is_deterministic_and_connected() {
-        let a = random_disc(12, 800.0, 800.0, 250.0, 7);
-        let b = random_disc(12, 800.0, 800.0, 250.0, 7);
+        let a = random_disc(12, 800.0, 800.0, 250.0, 7).unwrap();
+        let b = random_disc(12, 800.0, 800.0, 250.0, 7).unwrap();
         assert_eq!(a, b, "same seed, same placement");
         assert!(is_connected(&a, 250.0));
-        let c = random_disc(12, 800.0, 800.0, 250.0, 8);
+        let c = random_disc(12, 800.0, 800.0, 250.0, 8).unwrap();
         assert!(a.iter().zip(&c).any(|(x, y)| x != y), "different seeds differ");
     }
 
@@ -267,7 +264,7 @@ mod tests {
         // node count the scaling benchmark uses.
         for count in [25usize, 100, 400] {
             let side = dense_side_m(count, 250.0);
-            let p = random_disc(count, side, side, 250.0, 42);
+            let p = random_disc(count, side, side, 250.0, 42).unwrap();
             assert_eq!(p.len(), count);
             assert!(is_connected(&p, 250.0));
         }

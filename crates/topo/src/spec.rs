@@ -1,6 +1,6 @@
 //! Declarative topology / mobility specifications.
 //!
-//! These are the `SimConfig`-level descriptions of *where nodes start*
+//! These are the run-level descriptions of *where nodes start*
 //! ([`TopologySpec`]) and *how they move* ([`MobilitySpec`]). Both parse
 //! from the compact CLI syntax the harness bins accept
 //! (`--topology random-disc:100`, `--mobility waypoint:1-20@2`) and render
@@ -19,7 +19,7 @@ const MAX_NODES: usize = u16::MAX as usize;
 /// A generated initial node placement.
 ///
 /// Every variant regenerates bit-identically from `(spec, seed)`, so a
-/// topology is fully described by its `SimConfig`.
+/// topology is fully described by the spec and the run's seed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TopologySpec {
     /// `hops + 1` nodes in a line at 250 m spacing (paper Fig. 5.1).
@@ -113,18 +113,22 @@ impl TopologySpec {
     /// (used by the random-disc connectivity retry); `seed` drives all
     /// randomness.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the spec is degenerate (zero hops/rows/cols/count) or if
-    /// a random placement cannot be made connected — the same conditions
-    /// [`Self::validate`] rejects.
-    pub fn build(&self, range_m: f64, seed: u64) -> Vec<Position> {
-        match *self {
+    /// A message naming the spec and the seed when a random placement cannot
+    /// be made connected. Every other spec [`Self::parse`] returns places.
+    pub fn try_build(&self, range_m: f64, seed: u64) -> Result<Vec<Position>, String> {
+        Ok(match *self {
             TopologySpec::Chain { hops } => generators::chain(hops as usize),
             TopologySpec::Cross { hops } => generators::cross(hops as usize),
             TopologySpec::Grid { rows, cols } => generators::grid(rows as usize, cols as usize),
             TopologySpec::RandomDisc { count, width_m, height_m } => {
-                generators::random_disc(count as usize, width_m, height_m, range_m, seed)
+                let sparse = || {
+                    format!("{self} has no connected placement at seed {seed} ({range_m} m range)")
+                };
+                let placed =
+                    generators::random_disc(count as usize, width_m, height_m, range_m, seed);
+                placed.ok_or_else(sparse)?
             }
             TopologySpec::CityBlocks { blocks_x, blocks_y, extra } => generators::city_blocks(
                 blocks_x as usize,
@@ -133,37 +137,17 @@ impl TopologySpec {
                 extra as usize,
                 seed,
             ),
-        }
+        })
     }
 
-    /// Validates the spec.
+    /// [`Self::try_build`] for a spec stated in code, known to place.
     ///
     /// # Panics
     ///
-    /// Panics on degenerate dimensions or a non-finite area.
-    pub fn validate(&self) {
-        match *self {
-            TopologySpec::Chain { hops } => assert!(hops > 0, "a chain needs at least one hop"),
-            TopologySpec::Cross { hops } => {
-                assert!(
-                    hops > 0 && hops.is_multiple_of(2),
-                    "a cross needs an even, positive hop count"
-                );
-            }
-            TopologySpec::Grid { rows, cols } => {
-                assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
-            }
-            TopologySpec::RandomDisc { count, width_m, height_m } => {
-                assert!(count > 0, "need at least one node");
-                assert!(
-                    width_m > 0.0 && width_m.is_finite() && height_m > 0.0 && height_m.is_finite(),
-                    "random-disc area must be positive and finite"
-                );
-            }
-            TopologySpec::CityBlocks { blocks_x, blocks_y, .. } => {
-                assert!(blocks_x > 0 && blocks_y > 0, "need at least one city block per axis");
-            }
-        }
+    /// Panics if the spec is degenerate (zero hops/rows/cols/count) or if
+    /// a random placement cannot be made connected.
+    pub fn build(&self, range_m: f64, seed: u64) -> Vec<Position> {
+        self.try_build(range_m, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Parses the CLI syntax:
@@ -498,12 +482,19 @@ mod tests {
     fn topology_specs_build_and_count() {
         for text in ["chain:6", "cross:6", "grid:3x4", "random-disc:30", "city-blocks:3x3@10"] {
             let spec = TopologySpec::parse(text).expect(text);
-            spec.validate();
             let positions = spec.build(250.0, 11);
             assert_eq!(positions.len(), spec.node_count(), "{text}");
             let (w, h) = spec.extent();
             assert!(w >= 250.0 && h >= 250.0, "{text} extent ({w}, {h})");
         }
+    }
+
+    #[test]
+    fn a_disc_too_sparse_to_connect_is_an_error_naming_spec_and_seed() {
+        let spec = TopologySpec::parse("random-disc:40@5000x5000").expect("parses");
+        let err = spec.try_build(250.0, 3).expect_err("no connected placement");
+        assert!(err.starts_with("random-disc:40@5000x5000 has no connected placement"), "{err}");
+        assert!(err.contains("at seed 3 "), "{err}");
     }
 
     #[test]

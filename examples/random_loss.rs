@@ -31,7 +31,7 @@ fn main() {
             let mut retx = Vec::new();
             for &seed in &seeds {
                 let radio = RadioParams { per_frame_loss: loss, ..RadioParams::default() };
-                let cfg = SimConfig { seed, ..SimConfig::default() }.with_radio(radio);
+                let cfg = SimConfig { seed, radio, ..SimConfig::default() };
                 let mut sim = Simulator::new(topology::chain(HOPS), cfg);
                 let (src, dst) = topology::chain_flow(HOPS);
                 let flow = sim.add_flow(FlowSpec::new(src, dst, variant));

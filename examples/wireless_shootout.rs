@@ -23,7 +23,7 @@ fn measure(variant: TcpVariant, loss: f64, seeds: &[u64]) -> (f64, f64, f64) {
     let mut retx = Vec::new();
     for &seed in seeds {
         let radio = RadioParams { per_frame_loss: loss, ..RadioParams::default() };
-        let cfg = SimConfig { seed, ..SimConfig::default() }.with_radio(radio);
+        let cfg = SimConfig { seed, radio, ..SimConfig::default() };
         let mut sim = Simulator::new(topology::chain(4), cfg);
         let (src, dst) = topology::chain_flow(4);
         let flow = sim.add_flow(FlowSpec::new(src, dst, variant));

@@ -48,7 +48,7 @@ fn same_seed_runs_are_identical_under_loss_and_mobility() {
     // mobility exercises the movements table (formerly hash-ordered).
     let digest = twin_run(|| {
         let radio = RadioParams { per_frame_loss: 0.02, ..RadioParams::default() };
-        let cfg = SimConfig { seed: 7, ..SimConfig::default() }.with_radio(radio);
+        let cfg = SimConfig { seed: 7, radio, ..SimConfig::default() };
         let mut sim = Simulator::new(topology::cross(4), cfg);
         let (hs, hd) = topology::cross_horizontal_flow(4);
         let (vs, vd) = topology::cross_vertical_flow(4);
@@ -71,7 +71,7 @@ fn different_seeds_produce_different_traces() {
     // seeds on a lossy link should (overwhelmingly) diverge.
     let run = |seed: u64| {
         let radio = RadioParams { per_frame_loss: 0.05, ..RadioParams::default() };
-        let cfg = SimConfig { seed, ..SimConfig::default() }.with_radio(radio);
+        let cfg = SimConfig { seed, radio, ..SimConfig::default() };
         let mut sim = Simulator::new(topology::chain(4), cfg);
         let (src, dst) = topology::chain_flow(4);
         sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));

@@ -82,7 +82,7 @@ fn random_loss_degrades_but_does_not_kill() {
     let mut lossy_kbps = 0.0;
     for (loss, out) in [(0.0, &mut clean_kbps), (0.03, &mut lossy_kbps)] {
         let radio = RadioParams { per_frame_loss: loss, ..RadioParams::default() };
-        let cfg = SimConfig::default().with_radio(radio);
+        let cfg = SimConfig { radio, ..SimConfig::default() };
         let mut sim = Simulator::new(topology::chain(4), cfg);
         let (src, dst) = topology::chain_flow(4);
         let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));

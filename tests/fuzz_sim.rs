@@ -43,12 +43,13 @@ proptest! {
                 700.0,
                 250.0,
                 topo_seed,
-            );
+            )
+            .expect("up to ten nodes in a 700 m square connect");
             let radio = RadioParams {
                 per_frame_loss: loss_milli as f64 / 1000.0,
                 ..RadioParams::default()
             };
-            let cfg = SimConfig { seed: sim_seed, ..SimConfig::default() }.with_radio(radio);
+            let cfg = SimConfig { seed: sim_seed, radio, ..SimConfig::default() };
             let mut sim = Simulator::new(positions, cfg);
             let mut flows = Vec::new();
             for (i, (vidx, elfn)) in flow_picks.iter().enumerate() {
@@ -159,7 +160,8 @@ proptest! {
                 700.0,
                 250.0,
                 topo_seed,
-            );
+            )
+            .expect("up to ten nodes in a 700 m square connect");
             let queue = if use_red {
                 QueueDiscipline::Red(tcp_muzha::net::RedConfig::default())
             } else {

@@ -165,7 +165,7 @@ fn muzha_is_more_loss_resilient_than_newreno() {
         let mut total = 0.0;
         for seed in [11u64, 23, 37] {
             let radio = RadioParams { per_frame_loss: loss, ..RadioParams::default() };
-            let cfg = SimConfig { seed, ..SimConfig::default() }.with_radio(radio);
+            let cfg = SimConfig { seed, radio, ..SimConfig::default() };
             let mut sim = Simulator::new(topology::chain(4), cfg);
             let (src, dst) = topology::chain_flow(4);
             let flow = sim.add_flow(FlowSpec::new(src, dst, variant));

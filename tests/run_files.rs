@@ -30,8 +30,8 @@ const RUN_FILES: [&str; 9] = [
 #[test]
 fn a_non_chain_run_file_is_traced_checked_snapshotted_and_resumed() {
     let run = Run::parse(GRID_ROAM).expect("grid-roam parses and names nodes of its grid");
-    assert_eq!(run.cfg.topology, TopologySpec::Grid { rows: 3, cols: 3 });
-    assert!(matches!(run.cfg.mobility, MobilitySpec::Waypoint { .. }));
+    assert_eq!(run.topology, TopologySpec::Grid { rows: 3, cols: 3 });
+    assert!(matches!(run.mobility, MobilitySpec::Waypoint { .. }));
     let [muzha, newreno] = run.flows[..] else { panic!("two flows, not {}", run.flows.len()) };
     assert_eq!((muzha.variant, newreno.variant), (TcpVariant::Muzha, TcpVariant::NewReno));
     assert_eq!((muzha.start, newreno.start), (SimTime::ZERO, SimTime::from_secs_f64(1.5)));
@@ -177,7 +177,7 @@ proptest! {
         if let Ok(run) = Run::parse(&text) {
             // What was accepted is a run: every endpoint is a node, and the
             // simulator takes it as it is.
-            let n = run.cfg.topology.node_count();
+            let n = run.topology.node_count();
             prop_assert!(run.flows.iter().all(|f| f.src.index() < n && f.dst.index() < n));
             prop_assert_eq!(run.build().node_count(), n);
         }
@@ -205,13 +205,14 @@ fn mutations_reach_both_verdicts() {
 }
 
 /// Every spelling of a topology and a mobility model the grammars document.
-const SPECS: [&str; 11] = [
+const SPECS: [&str; 12] = [
     "chain",
     "chain:8",
     "grid",
     "grid:4x8",
     "random-disc:100",
     "random-disc:100@2500x2500",
+    "random-disc:40@5000x5000",
     "city-blocks",
     "city-blocks:4x4@20",
     "static",
@@ -234,11 +235,17 @@ fn mutate_spec(spec: &str, at: usize, kind: u8, pick: usize) -> String {
     chars.concat()
 }
 
-/// Both parsers return on `text`; whatever they accept is usable as is.
+/// Both parsers return on `text`; whatever they accept is usable as is: a
+/// topology places or says why it cannot (tried where it is small enough to
+/// place in every case), never a panic.
 fn parse_specs(text: &str) {
     if let Ok(topology) = TopologySpec::parse(text) {
-        topology.validate();
         assert!(topology.node_count() <= usize::from(u16::MAX), "{text}: too many nodes");
+        if topology.node_count() <= 400 {
+            if let Ok(positions) = topology.try_build(250.0, 1) {
+                assert_eq!(positions.len(), topology.node_count(), "{text}");
+            }
+        }
     }
     if let Ok(MobilitySpec::Waypoint { min_speed_mps: lo, max_speed_mps: hi, .. }) =
         MobilitySpec::parse(text)

@@ -232,19 +232,16 @@ fn observed_corpus_run(run: &Run, order: TieOrder) -> (Simulator, TieOrder) {
 /// The 60-node random-waypoint disc of the digest fixtures, built but not run.
 fn disc60_waypoint() -> Simulator {
     use tcp_muzha::net::{MobilitySpec, TopologySpec};
-    let cfg = SimConfig {
-        seed: 77,
-        topology: TopologySpec::RandomDisc { count: 60, width_m: 1500.0, height_m: 1100.0 },
-        mobility: MobilitySpec::Waypoint {
-            min_speed_mps: 2.0,
-            max_speed_mps: 20.0,
-            pause: SimDuration::from_millis(250),
-        },
-        ..SimConfig::default()
+    let topology = TopologySpec::RandomDisc { count: 60, width_m: 1500.0, height_m: 1100.0 };
+    let mobility = MobilitySpec::Waypoint {
+        min_speed_mps: 2.0,
+        max_speed_mps: 20.0,
+        pause: SimDuration::from_millis(250),
     };
-    let last = NodeId::from_index(cfg.topology.node_count() - 1);
+    let last = NodeId::from_index(topology.node_count() - 1);
     let flows = vec![FlowSpec::new(NodeId::new(0), last, TcpVariant::Muzha)];
-    Run::new(cfg, flows, SimDuration::from_secs(3)).build()
+    let cfg = SimConfig { seed: 77, ..SimConfig::default() };
+    Run::new(cfg, topology, mobility, flows, SimDuration::from_secs(3)).build()
 }
 
 /// The three CI `mc-verify` proofs: script, tie window (s), fault-shift

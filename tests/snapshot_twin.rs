@@ -198,15 +198,11 @@ fn mobile_run_resumes_bit_identically() {
         ("city-blocks", TopologySpec::CityBlocks { blocks_x: 3, blocks_y: 3, extra: 4 }),
     ];
     for (name, topology) in cases {
-        let cfg = SimConfig {
-            seed: 0x0B11_E77E,
-            topology,
-            mobility: MobilitySpec::DEFAULT_WAYPOINT,
-            ..SimConfig::default()
-        };
-        let (src, dst) = farthest_pair(&cfg.topology.build(cfg.radio.tx_range_m, cfg.seed));
-        let run =
-            Run::new(cfg, vec![FlowSpec::new(src, dst, TcpVariant::Muzha)], end - SimTime::ZERO);
+        let cfg = SimConfig { seed: 0x0B11_E77E, ..SimConfig::default() };
+        let (src, dst) = farthest_pair(&topology.build(cfg.radio.tx_range_m, cfg.seed));
+        let flows = vec![FlowSpec::new(src, dst, TcpVariant::Muzha)];
+        let waypoint = MobilitySpec::DEFAULT_WAYPOINT;
+        let run = Run::new(cfg, topology, waypoint, flows, end - SimTime::ZERO);
         let build = || run.build();
 
         let mut straight = build();
@@ -282,15 +278,14 @@ fn snapshot_layout_matches_the_committed_fixture() {
     }
     let cfg = SimConfig {
         seed: 0x1A_7007,
-        topology: TopologySpec::random_disc_dense(24, 250.0),
-        mobility: MobilitySpec::DEFAULT_WAYPOINT,
         queue: QueueDiscipline::Red(RedConfig::default()),
         ..SimConfig::default()
     };
-    let (src, dst) = farthest_pair(&cfg.topology.build(cfg.radio.tx_range_m, cfg.seed));
+    let topology = TopologySpec::random_disc_dense(24, 250.0);
+    let (src, dst) = farthest_pair(&topology.build(cfg.radio.tx_range_m, cfg.seed));
     let flows = TcpVariant::ALL.map(|v| FlowSpec::new(src, dst, v).with_delayed_ack()).to_vec();
     let t = SimTime::from_secs_f64(2.0);
-    let run = Run::new(cfg, flows, t - SimTime::ZERO);
+    let run = Run::new(cfg, topology, MobilitySpec::DEFAULT_WAYPOINT, flows, t - SimTime::ZERO);
     let mut sim = run.build();
     sim.run_until(t);
     rows.push(layout_row("disc24-every-variant-red", t, &sim.snapshot()));
@@ -316,24 +311,68 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 }
 
 /// A snapshot refuses to restore into a simulator built under a different
-/// configuration or topology — the fingerprint gate.
+/// configuration or node count — the fingerprint gate. It covers exactly
+/// what the bytes do not carry.
 #[test]
 fn restore_rejects_a_config_mismatch() {
     let run = run_of(CORPUS[0].1);
+    assert_eq!(run.topology, TopologySpec::Chain { hops: 4 });
     let mut sim = run.build();
     sim.run_until(SimTime::from_secs_f64(0.5));
     let bytes = sim.snapshot();
 
-    // Different seed ⇒ different fingerprint.
     let mut reseeded = run.clone();
     reseeded.cfg.seed = 4242;
-    let mut other = reseeded.build();
-    let err = other.restore(&bytes).expect_err("a reseeded twin must be rejected");
-    assert!(matches!(err, SnapError::Mismatch(_)), "expected a fingerprint mismatch, got {err}");
+    let mut longer = run.clone();
+    longer.topology = TopologySpec::Chain { hops: 5 };
+    let mut lossy = run.clone();
+    lossy.cfg.radio.per_frame_loss = 0.02;
+    for (what, twin) in [("a reseeded", reseeded), ("a chain:5", longer), ("a lossy", lossy)] {
+        let mut other = twin.build();
+        let err = other.restore(&bytes).expect_err(what);
+        assert!(matches!(err, SnapError::Mismatch(_)), "{what} twin: {err}");
 
-    // A failed restore leaves the target untouched: it still runs from 0.
-    other.run_until(SimTime::from_secs_f64(0.5));
-    assert!(other.perf().events_processed > 0);
+        // A failed restore leaves the target untouched: it still runs from 0.
+        other.run_until(SimTime::from_secs_f64(0.5));
+        assert!(other.perf().events_processed > 0, "{what} twin");
+    }
+}
+
+/// Where the nodes stand and how they move travel in the bytes — every
+/// position, every node's movement and its waypoint plan — so a snapshot
+/// resumes into a run whose `topology` and `mobility` lines say anything of
+/// the same node count, and ends where the straight run does.
+#[test]
+fn placement_travels_in_a_snapshot() {
+    const GRID_ROAM: &str = include_str!("fixtures/grid-roam.scn");
+    const DISC_DENSE: &str = include_str!("fixtures/disc-dense.scn");
+    let restated = |text: &str, topology: &str, mobility: &str| {
+        let lines = text.lines().map(|line| match line.split_whitespace().next() {
+            Some("topology") => format!("topology {topology}"),
+            Some("mobility") => format!("mobility {mobility}"),
+            _ => line.to_string(),
+        });
+        run_of(&lines.collect::<Vec<_>>().join("\n"))
+    };
+    for (text, cut, topology, mobility) in [
+        (GRID_ROAM, 1.2, "chain:8", "static"),
+        (GRID_ROAM, 3.5, "random-disc:9", "waypoint:2-3@0"),
+        (DISC_DENSE, 2.0, "chain:99", "waypoint"),
+    ] {
+        let run = run_of(text);
+        let mut straight = run.build();
+        straight.run_until(SimTime::from_secs_f64(cut));
+        let bytes = straight.snapshot();
+        straight.run_until(run.end());
+
+        let elsewhere = restated(text, topology, mobility);
+        assert_ne!((elsewhere.topology, elsewhere.mobility), (run.topology, run.mobility));
+        let mut resumed = elsewhere.build();
+        resumed.restore(&bytes).unwrap_or_else(|e| panic!("{} into {topology}: {e}", run.name));
+        resumed.run_until(run.end());
+        assert_eq!(resumed.trace_hash(), straight.trace_hash(), "{} into {topology}", run.name);
+        assert_eq!(resumed.perf(), straight.perf(), "{} into {topology}", run.name);
+    }
 }
 
 /// Formats v3 (scheduler- and index-kind bytes in the queue and channel
@@ -871,7 +910,7 @@ fn every_variant_resumes_bit_identically_from_a_loss_episode() {
     use tcp_muzha::tracelog::TraceRecord;
 
     let radio = RadioParams { per_frame_loss: 0.25, ..RadioParams::default() };
-    let cfg = SimConfig::default().with_radio(radio);
+    let cfg = SimConfig { radio, ..SimConfig::default() };
     let end = SimTime::from_secs_f64(8.0);
     for variant in TcpVariant::ALL {
         let build = || {
