@@ -3,23 +3,11 @@
 use aodv::AodvConfig;
 use mac80211::MacParams;
 use muzha::DraiConfig;
-
-use crate::RedConfig;
 use phy::RadioParams;
 use sim_core::SimTime;
 pub use tcp::TcpVariant;
 use tcp::{AdjustmentCadence, TcpConfig, VegasConfig};
 use wire::NodeId;
-
-/// Which queueing discipline every node's interface queue uses.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum QueueDiscipline {
-    /// ns-2's `Queue/DropTail` — the paper's setup (Table 5.1).
-    DropTail,
-    /// RED with optional ECN marking — the standardised router-assisted
-    /// baseline the paper discusses in §3.2.
-    Red(RedConfig),
-}
 
 /// Whole-simulation configuration (paper Table 5.1 defaults), each part
 /// checked by the constructor it feeds ([`phy::Channel::new`],
@@ -35,10 +23,8 @@ pub struct SimConfig {
     pub aodv: AodvConfig,
     /// Muzha DRAI thresholds (used by every node's router agent).
     pub drai: DraiConfig,
-    /// Interface queue capacity in packets (ns-2 IFQ: 50).
+    /// Drop-tail interface queue capacity in packets (ns-2 IFQ: 50).
     pub ifq_capacity: usize,
-    /// Queueing discipline of the interface queues.
-    pub queue: QueueDiscipline,
     /// Master RNG seed; every run with the same seed is identical.
     pub seed: u64,
 }
@@ -51,7 +37,6 @@ impl Default for SimConfig {
             aodv: AodvConfig::default(),
             drai: DraiConfig::default(),
             ifq_capacity: 50,
-            queue: QueueDiscipline::DropTail,
             seed: 0x4d757a6861, // "Muzha"
         }
     }

@@ -410,9 +410,8 @@ impl Simulator {
         self.radio_off(node);
         let mut orphans: Vec<u64> = Vec::new();
         {
-            let now = self.now;
             let n = &mut self.nodes[node.index()];
-            while let Some((packet, _)) = n.ifq.pop(now) {
+            while let Some((packet, _)) = n.ifq.pop() {
                 orphans.push(packet.uid);
             }
             if let Some(packet) = n.mac.abort() {

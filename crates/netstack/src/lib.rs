@@ -40,7 +40,7 @@ mod sim;
 pub mod topology;
 
 pub use busy::BusyTracker;
-pub use config::{FlowSpec, QueueDiscipline, SimConfig, TcpVariant};
+pub use config::{FlowSpec, SimConfig, TcpVariant};
 pub use fault::{FaultEvent, TimedFault};
 pub use mobility::RandomWaypoint;
 pub use queue::DropTailQueue;

@@ -1,6 +1,9 @@
 //! Random Early Detection (RED) queue with optional ECN marking — the
 //! standardised router-assisted mechanism the paper positions DRAI against
 //! (§3.2: RED/ECN give only "single-bit congestion-status information").
+//!
+//! A standalone queue: no node runs it. The simulator's interface queue is
+//! the paper's drop-tail IFQ ([`crate::DropTailQueue`], Table 5.1).
 
 use sim_core::stats::Ewma;
 use sim_core::{SimDuration, SimRng, SimTime};
@@ -248,19 +251,6 @@ impl RedQueue {
     pub fn average_len(&self) -> f64 {
         self.avg.value()
     }
-}
-
-sim_core::snap_record! {
-    given (cfg: RedConfig) RedQueue {
-        items,
-        cfg = cfg,
-        avg: Ewma(cfg.queue_weight),
-        stats,
-        early_marks,
-        early_drops,
-        idle_since,
-    }
-    check |q| q.items.len() <= q.cfg.capacity => "red queue over capacity";
 }
 
 #[cfg(test)]

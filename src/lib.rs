@@ -78,8 +78,8 @@ pub use tracelog;
 pub mod net {
     pub use netstack::{
         topology, BusyTracker, DropTailQueue, FaultEvent, FlowReport, FlowSpec, MobilitySpec,
-        NodeSummary, QueueDiscipline, RedConfig, RunReport, SimConfig, Simulator, TcpVariant,
-        TimedFault, TopologySpec, WaypointLeg,
+        NodeSummary, RunReport, SimConfig, Simulator, TcpVariant, TimedFault, TopologySpec,
+        WaypointLeg,
     };
 }
 

@@ -135,8 +135,8 @@ proptest! {
     })]
 
     /// Whole-simulator snapshot fuzz: random topologies, *all nine* TCP
-    /// variants (the twin-run fuzz above stops at 8), both queue
-    /// disciplines and delayed ACKs. Mid-run, `restore(snapshot())` into a
+    /// variants (the twin-run fuzz above stops at 8) and delayed ACKs.
+    /// Mid-run, `restore(snapshot())` into a
     /// fresh simulator must re-encode to byte-identical bytes (pinning
     /// decode(encode(x)) == x for every layer struct a real run reaches),
     /// the resumed run must match the straight run hash for hash, and
@@ -146,11 +146,9 @@ proptest! {
         node_count in 3usize..8,
         topo_seed in 50u64..90,
         sim_seed in 0u64..50,
-        use_red in any::<bool>(),
         flow_picks in proptest::collection::vec((0u8..9, any::<bool>()), 1..4),
         cut_seed in any::<u64>(),
     ) {
-        use tcp_muzha::net::QueueDiscipline;
         use tcp_muzha::sim::{SnapshotReader, SnapError};
 
         let build = || {
@@ -162,12 +160,7 @@ proptest! {
                 topo_seed,
             )
             .expect("up to ten nodes in a 700 m square connect");
-            let queue = if use_red {
-                QueueDiscipline::Red(tcp_muzha::net::RedConfig::default())
-            } else {
-                QueueDiscipline::DropTail
-            };
-            let cfg = SimConfig { seed: sim_seed, queue, ..SimConfig::default() };
+            let cfg = SimConfig { seed: sim_seed, ..SimConfig::default() };
             let mut sim = Simulator::new(positions, cfg);
             for (i, (vidx, dack)) in flow_picks.iter().enumerate() {
                 let src = NodeId::from_index(i % node_count);

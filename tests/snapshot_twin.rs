@@ -259,13 +259,12 @@ fn layout_row(name: &str, t: SimTime, bytes: &[u8]) -> String {
 /// "Any layout change bumps `SNAPSHOT_VERSION`" as a gate: the snapshot of
 /// every corpus script at its twin's cut instant, and of one run that puts
 /// what the corpus never holds into the bytes — all nine sender records, a
-/// delayed-ACK receiver, RED queues, waypoint plans in progress — pinned
+/// delayed-ACK receiver, waypoint plans in progress — pinned
 /// beside the version that wrote them. Behaviour changes move these rows too,
 /// but they move `corpus_digests.txt` first; when that fixture holds and this
 /// one fails, the bytes changed under an unchanged run.
 #[test]
 fn snapshot_layout_matches_the_committed_fixture() {
-    use tcp_muzha::net::{QueueDiscipline, RedConfig};
     use tcp_muzha::sim::SNAPSHOT_VERSION;
 
     let mut rows = vec![format!("version {SNAPSHOT_VERSION}")];
@@ -276,11 +275,7 @@ fn snapshot_layout_matches_the_committed_fixture() {
         sim.run_until(t);
         rows.push(layout_row(name, t, &sim.snapshot()));
     }
-    let cfg = SimConfig {
-        seed: 0x1A_7007,
-        queue: QueueDiscipline::Red(RedConfig::default()),
-        ..SimConfig::default()
-    };
+    let cfg = SimConfig { seed: 0x1A_7007, ..SimConfig::default() };
     let topology = TopologySpec::random_disc_dense(24, 250.0);
     let (src, dst) = farthest_pair(&topology.build(cfg.radio.tx_range_m, cfg.seed));
     let flows = TcpVariant::ALL.map(|v| FlowSpec::new(src, dst, v).with_delayed_ack()).to_vec();
@@ -288,7 +283,7 @@ fn snapshot_layout_matches_the_committed_fixture() {
     let run = Run::new(cfg, topology, MobilitySpec::DEFAULT_WAYPOINT, flows, t - SimTime::ZERO);
     let mut sim = run.build();
     sim.run_until(t);
-    rows.push(layout_row("disc24-every-variant-red", t, &sim.snapshot()));
+    rows.push(layout_row("disc24-every-variant", t, &sim.snapshot()));
 
     let committed: Vec<&str> = include_str!("fixtures/snapshot_layout.txt")
         .lines()
