@@ -294,3 +294,20 @@ fn a_filtered_log_beside_a_checker_leaves_its_verdict_alone() {
         assert_eq!(seen, checker.records_seen(), "both were offered every record");
     }
 }
+
+/// The unbounded log's compact store on a real run: an 8-hop Muzha chain
+/// traced for 10 virtual seconds keeps at most 12 B a record (a fixed-width
+/// layout of the same fields takes about 27).
+#[test]
+fn a_traced_chain_stores_at_most_twelve_bytes_a_record() {
+    let mut sim = Simulator::new(topology::chain(8), SimConfig::default());
+    let (src, dst) = topology::chain_flow(8);
+    sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
+    sim.install_trace_log(TraceLog::new());
+    sim.run_until(SimTime::from_secs_f64(10.0));
+    let log = sim.take_trace_log().expect("log was installed");
+    assert!(log.len() > 10_000, "only {} records", log.len());
+    let (bytes, records) = (log.stored_bytes(), log.len());
+    assert!(bytes <= 12 * records, "{bytes} B for {records} records");
+    assert_eq!(log.iter().count(), records);
+}
