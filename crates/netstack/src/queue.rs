@@ -7,12 +7,8 @@ use wire::{NodeId, Packet};
 /// Queue statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Packets accepted into the queue.
-    pub enqueued: u64,
     /// Packets dropped because the queue was full (congestion drops).
     pub dropped: u64,
-    /// High-water mark of the queue length.
-    pub max_len: usize,
 }
 
 /// A bounded drop-tail interface queue holding `(packet, next_hop)` pairs
@@ -84,8 +80,6 @@ impl DropTailQueue {
         } else {
             self.items.push_back((packet, next_hop));
         }
-        self.stats.enqueued += 1;
-        self.stats.max_len = self.stats.max_len.max(self.items.len());
         dropped
     }
 
@@ -115,7 +109,7 @@ impl DropTailQueue {
     }
 }
 
-sim_core::snap_record! { QueueStats { enqueued, dropped, max_len } }
+sim_core::snap_record! { QueueStats { dropped } }
 
 sim_core::snap_record! {
     given (capacity: usize) DropTailQueue { items, capacity = capacity, stats }
@@ -198,18 +192,6 @@ mod tests {
         let _ = q.push(control(2), hop(), true);
         let dropped = q.push(control(3), hop(), true).unwrap();
         assert_eq!(dropped.uid, 3);
-    }
-
-    #[test]
-    fn stats_track_highwater() {
-        let mut q = DropTailQueue::new(5);
-        for uid in 0..4 {
-            let _ = q.push(data(uid), hop(), false);
-        }
-        let _ = q.pop();
-        assert_eq!(q.stats().max_len, 4);
-        assert_eq!(q.stats().enqueued, 4);
-        assert_eq!(q.len(), 3);
     }
 
     #[test]

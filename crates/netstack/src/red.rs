@@ -142,14 +142,14 @@ impl RedQueue {
                     .rposition(|(p, _)| !p.is_control())
                     .and_then(|idx| self.items.remove(idx))
                 {
-                    self.store_front(packet, next_hop);
+                    self.items.push_front((packet, next_hop));
                     self.stats.dropped += 1;
                     return RedOutcome::Dropped { packet: evicted, early: false };
                 }
                 self.stats.dropped += 1;
                 return RedOutcome::Dropped { packet, early: false };
             }
-            self.store_front(packet, next_hop);
+            self.items.push_front((packet, next_hop));
             return RedOutcome::Enqueued;
         }
         // ns-2 RED idle-time correction: age the average across the gap the
@@ -168,7 +168,7 @@ impl RedQueue {
         if avg >= self.cfg.max_threshold {
             if self.cfg.ecn && packet.is_tcp_data() {
                 self.mark(&mut packet);
-                self.store_back(packet, next_hop);
+                self.items.push_back((packet, next_hop));
                 return RedOutcome::EnqueuedMarked;
             }
             self.early_drops += 1;
@@ -181,7 +181,7 @@ impl RedQueue {
             if rng.chance(p) {
                 if self.cfg.ecn && packet.is_tcp_data() {
                     self.mark(&mut packet);
-                    self.store_back(packet, next_hop);
+                    self.items.push_back((packet, next_hop));
                     return RedOutcome::EnqueuedMarked;
                 }
                 self.early_drops += 1;
@@ -189,7 +189,7 @@ impl RedQueue {
                 return RedOutcome::Dropped { packet, early: true };
             }
         }
-        self.store_back(packet, next_hop);
+        self.items.push_back((packet, next_hop));
         RedOutcome::Enqueued
     }
 
@@ -198,18 +198,6 @@ impl RedQueue {
             seg.set_congestion_mark();
         }
         self.early_marks += 1;
-    }
-
-    fn store_back(&mut self, packet: Packet, next_hop: NodeId) {
-        self.items.push_back((packet, next_hop));
-        self.stats.enqueued += 1;
-        self.stats.max_len = self.stats.max_len.max(self.items.len());
-    }
-
-    fn store_front(&mut self, packet: Packet, next_hop: NodeId) {
-        self.items.push_front((packet, next_hop));
-        self.stats.enqueued += 1;
-        self.stats.max_len = self.stats.max_len.max(self.items.len());
     }
 
     /// Removes the packet at the head of the queue. `now` starts the idle

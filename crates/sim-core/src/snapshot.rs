@@ -38,7 +38,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUZSNAP0";
 
 /// Current snapshot format version. Bumps on any layout change; decoders
 /// reject every other version outright (no migration).
-pub const SNAPSHOT_VERSION: u16 = 13;
+pub const SNAPSHOT_VERSION: u16 = 14;
 
 /// Why a snapshot failed to decode. Always an error value, never a panic:
 /// snapshots cross process boundaries and must be treated as untrusted
@@ -674,9 +674,9 @@ mod tests {
 
     #[test]
     fn bumped_version_is_rejected_not_misread() {
-        // The next version, and the previous ten: no v3, v4, v5, v6, v7,
-        // v8, v9, v10, v11 or v12 reader exists.
-        for version in [SNAPSHOT_VERSION + 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12] {
+        // The next version, and the previous eleven: no v3, v4, v5, v6, v7,
+        // v8, v9, v10, v11, v12 or v13 reader exists.
+        for version in [SNAPSHOT_VERSION + 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13] {
             let mut w = SnapshotWriter::new();
             w.put_bytes(&[]); // placeholder so the buffer is non-trivial
             let mut bytes = Vec::from(SNAPSHOT_MAGIC);
