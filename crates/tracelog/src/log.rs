@@ -24,8 +24,8 @@ pub struct TraceDump {
 /// Two shapes:
 ///
 /// * [`TraceLog::new`] — an unbounded append-only log of every admitted
-///   record (use a [`TraceFilter`] to keep it manageable), held as
-///   snapshot-codec bytes, about a third of a typed [`TraceEntry`] each;
+///   record (use a [`TraceFilter`] to keep it manageable), held as compact
+///   delta-coded bytes, about an eighth of a typed [`TraceEntry`] each;
 /// * [`TraceLog::flight_recorder`] — a bounded ring keeping only the most
 ///   recent `capacity` records, meant to be dumped (see [`TraceLog::dump`])
 ///   the moment an invariant trips.
@@ -54,7 +54,6 @@ pub struct TraceLog {
     dumps: Vec<TraceDump>,
     seen: u64,
     kept: u64,
-    evicted: u64,
 }
 
 #[derive(Debug)]
@@ -118,7 +117,7 @@ impl TraceLog {
     }
 
     fn with_store(filter: TraceFilter, store: Store) -> Self {
-        TraceLog { filter, store, dumps: Vec::new(), seen: 0, kept: 0, evicted: 0 }
+        TraceLog { filter, store, dumps: Vec::new(), seen: 0, kept: 0 }
     }
 
     /// Whether this log is a bounded flight recorder.
@@ -151,7 +150,6 @@ impl TraceLog {
             Store::Ring { capacity, entries } => {
                 if entries.len() == *capacity {
                     entries.pop_front();
-                    self.evicted += 1;
                 }
                 entries.push_back(TraceEntry { at, record });
             }
