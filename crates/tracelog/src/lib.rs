@@ -14,8 +14,8 @@
 //!   and therefore never changes a run. Twin runs produce byte-identical
 //!   streams.
 //! * **Allocation-light.** [`TraceRecord`] is `Copy`; the only per-record
-//!   cost is appending to the log's backing storage: snapshot-codec bytes
-//!   in an unbounded log (about 27 B a record on a chain, against an
+//!   cost is appending to the log's backing storage: delta-coded varint
+//!   bytes in an unbounded log (about 10 B a record on a chain, against an
 //!   88-byte [`TraceEntry`]), a typed slot in a flight-recorder ring.
 //! * **Sinks live outside the sim crates.** The [`ns2`] formatter, the
 //!   [`pcap`] writer, and [`FlowSeries`] all consume a finished (or
