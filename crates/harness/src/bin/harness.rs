@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! cargo run --release -p harness --bin harness -- trace      RUN [--quick] \
-//!     [--format ns2|pcap|csv] [--follow-flow F] [--last N] [--out PATH]
+//!     [--format ns2|csv] [--follow-flow F] [--last N] [--out PATH]
 //! cargo run --release -p harness --bin harness -- topo       RUN
 //! cargo run --release -p harness --bin harness -- mc         --script PATH.scn \
 //!     [--tie-window START:END] [--max-branches N] [--max-depth N] \
@@ -28,11 +28,11 @@
 //! `checkpoint` take a file only.
 //!
 //! **`trace`** captures the run with the trace subsystem enabled and emits
-//! ns-2 trace lines, a pcap file or CSV. Given no `RUN`: a 4-hop chain, one
+//! ns-2 trace lines or CSV. Given no `RUN`: a 4-hop chain, one
 //! Muzha flow, 10 virtual seconds (`--quick`: 2 s, the CI smoke job), ns-2
 //! format on stdout. `--follow-flow F` keeps only records attributable to
 //! flow `F`; `--last N` keeps only the final `N` records. `--out` writes to
-//! a file instead of stdout; pcap output is binary and requires it.
+//! a file instead of stdout.
 //!
 //! **`topo`** runs under the runtime invariant checker and reports the trace
 //! hash, the packet-conservation ledger and the wall-clock event rate. Given
@@ -110,9 +110,6 @@ fn trace(args: &[String]) -> Result<(), CliError> {
     let follow = parse_flag_with(args, "--follow-flow", str::parse::<u32>)?.map(FlowId::new);
     let last = parse_flag_with(args, "--last", str::parse::<usize>)?;
     let out = parse_flag(args, "--out")?;
-    if format.is_binary() && out.is_none() {
-        return Err(cli::conflicting(args, "--format", "binary output needs --out PATH"));
-    }
 
     let mut filter = TraceFilter::all();
     if let Some(flow) = follow {
@@ -130,15 +127,15 @@ fn trace(args: &[String]) -> Result<(), CliError> {
     eprintln!("{} records seen, {} kept in {} bytes", log.seen(), log.kept(), log.stored_bytes());
 
     let skipped = last.map_or(0, |n| log.len().saturating_sub(n));
-    let bytes = tracecap::render(log.iter().skip(skipped), format);
+    let text = tracecap::render(log.iter().skip(skipped), format);
 
     match out {
         Some(path) => {
-            cli::write_output(&path, &bytes)?;
+            cli::write_output(&path, &text)?;
             let records = log.len() - skipped;
-            eprintln!("wrote {records} records ({} bytes) to {path}", bytes.len());
+            eprintln!("wrote {records} records ({} bytes) to {path}", text.len());
         }
-        None => cli::print_report(&bytes)?,
+        None => cli::print_report(&text)?,
     }
     Ok(())
 }

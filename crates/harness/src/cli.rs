@@ -288,8 +288,9 @@ fn flow_topology(text: &str) -> Result<TopologySpec, String> {
 /// # Errors
 ///
 /// [`CliError::BadValue`] for a run-shape flag beside `--script`, `--hops`
-/// beside `--topology`, a value its grammar refuses, or a `--topology` the
-/// seed cannot place (a `random-disc` too sparse to connect); [`CliError::File`]
+/// beside `--topology`, a value its grammar refuses, a `--topology` the
+/// seed cannot place (a `random-disc` too sparse to connect), or more
+/// `--flows` than the topology has nodes; [`CliError::File`]
 /// when the file cannot be read or is not a run; [`CliError::Required`]
 /// when there is neither a file nor a default.
 pub fn parse_run(
@@ -325,7 +326,12 @@ pub fn parse_run(
     })?;
     let duration = parse_flag_with(args, "--secs", SimDuration::parse_secs)?.unwrap_or(duration);
     let mobility = parse_flag_with(args, "--mobility", MobilitySpec::parse)?.unwrap_or(mobility);
-    let ends = spread_endpoints(&positions, flows.unwrap_or(1));
+    let (flows, nodes) = (flows.unwrap_or(1), positions.len());
+    if flows > nodes {
+        let reason = format!("at most {nodes} flows on a {nodes}-node topology");
+        return Err(conflicting(args, "--flows", reason));
+    }
+    let ends = spread_endpoints(&positions, flows);
     let flows = ends.into_iter().map(|(src, dst)| FlowSpec::new(src, dst, variant)).collect();
     Ok(Run::new(cfg, topology, mobility, flows, duration))
 }
@@ -424,15 +430,17 @@ mod tests {
         }
     }
 
+    /// Every flag the table knows, each subcommand's and the run-shape ones.
+    fn every_flag() -> Vec<&'static str> {
+        let rows = SUBCOMMANDS.iter().flat_map(|row| row.valued.iter().chain(row.switches));
+        ["--script"].iter().chain(&SHAPE_FLAGS).chain(rows).copied().collect()
+    }
+
     /// No knob was added when four argv tables became one: the flags
     /// `harness` accepts are the 25 the four binaries accepted between them.
     #[test]
     fn the_table_holds_the_same_25_flags_the_four_binaries_had() {
-        let mut flags: Vec<&str> = vec!["--script"];
-        flags.extend(SHAPE_FLAGS);
-        for row in SUBCOMMANDS {
-            flags.extend(row.valued.iter().chain(row.switches));
-        }
+        let mut flags = every_flag();
         flags.sort_unstable();
         flags.dedup();
         let before = "--at --checkpoint-every --flows --follow-flow --format --from --hops \
@@ -459,6 +467,71 @@ mod tests {
         ] {
             let refused = subcommand(&args(line)).map(|(sub, _)| sub);
             assert_eq!(refused, Err(CliError::UnknownFlag { flag: flag.to_string() }));
+        }
+    }
+
+    /// The words an argv case is drawn from: the subcommands and one
+    /// garbage word, then values and small specs. No spec places more than
+    /// a few dozen nodes, so every case is cheap.
+    const WORDS: [&str; 24] = [
+        "trace",
+        "topo",
+        "mc",
+        "checkpoint",
+        "explain",
+        "0",
+        "1",
+        "3",
+        "-1",
+        "nan",
+        "1e309",
+        "18446744073709551615",
+        "many",
+        "chain:3",
+        "chain:0",
+        "grid:2x2",
+        "cross:2",
+        "random-disc:12",
+        "city-blocks:1x1@2",
+        "waypoint",
+        "waypoint:5-1@2",
+        "NewReno",
+        "muzha",
+        "/nonexistent/run.scn",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 2048, ..Default::default() })]
+
+        /// Whatever the command line, `subcommand` then `parse_run` (with
+        /// `trace`'s default run) returns a run or one typed, one-line
+        /// error; neither panics. After the lead, a draw is a word, a bare
+        /// flag (so `--f v` when a word follows) or a joined `--f=v`.
+        #[test]
+        fn any_argv_is_a_run_or_a_typed_error(
+            lead in 0usize..6,
+            draws in proptest::collection::vec((0u8..3, 0usize..64, 0usize..64), 0..=7),
+        ) {
+            let flags = every_flag();
+            let rest = draws.iter().map(|&(kind, a, b)| match kind {
+                0 => WORDS[a % WORDS.len()].to_string(),
+                1 => flags[a % flags.len()].to_string(),
+                _ => format!("{}={}", flags[a % flags.len()], WORDS[b % WORDS.len()]),
+            });
+            // Most cases lead with a subcommand name or the garbage word;
+            // one in six leads with whatever the first draw is.
+            let lead = WORDS[..5].get(lead).map(|sub| sub.to_string());
+            let argv: Vec<String> = lead.into_iter().chain(rest).collect();
+            let default =
+                (TopologySpec::default(), MobilitySpec::Static, SimDuration::from_secs(10));
+            let parsed = std::panic::catch_unwind(|| {
+                subcommand(&argv)?;
+                parse_run(&argv[1..], Some(default)).map(|_| ())
+            });
+            let Ok(parsed) = parsed else { panic!("{argv:?} panicked") };
+            if let Err(e) = parsed {
+                proptest::prop_assert!(!e.to_string().contains('\n'), "{argv:?}: {e}");
+            }
         }
     }
 

@@ -1,22 +1,19 @@
 //! Shared rendering plumbing for the trace sinks.
 //!
 //! Renders the entries a traced run captured ([`crate::run::Run::capture`])
-//! in one of the supported formats (ns-2 trace lines, a pcap capture, or
-//! structured CSV). Everything here returns in-memory strings or byte
-//! vectors — file I/O stays in the binaries, on the wall-clock side of the
-//! determinism boundary.
+//! in one of the supported formats (ns-2 trace lines or structured CSV).
+//! Everything here returns in-memory strings — file I/O stays in the
+//! binaries, on the wall-clock side of the determinism boundary.
 
 use std::fmt::Write as _;
 
-use tracelog::{ns2, pcap, TraceEntry};
+use tracelog::{ns2, TraceEntry};
 
 /// Output format of a rendered capture.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceFormat {
     /// ns-2-style wireless trace lines (see [`tracelog::ns2`]).
     Ns2,
-    /// A libpcap capture with `DLT_USER0` records (see [`tracelog::pcap`]).
-    Pcap,
     /// Structured CSV: one row per record, common columns only.
     Csv,
 }
@@ -26,15 +23,9 @@ impl TraceFormat {
     pub fn parse(name: &str) -> Result<TraceFormat, String> {
         match name {
             "ns2" => Ok(TraceFormat::Ns2),
-            "pcap" => Ok(TraceFormat::Pcap),
             "csv" => Ok(TraceFormat::Csv),
-            other => Err(format!("unknown format '{other}' (ns2, pcap, csv)")),
+            other => Err(format!("unknown format '{other}' (ns2, csv)")),
         }
-    }
-
-    /// Whether the rendered bytes are binary (unsafe to print to a tty).
-    pub fn is_binary(self) -> bool {
-        matches!(self, TraceFormat::Pcap)
     }
 }
 
@@ -71,13 +62,11 @@ pub fn csv(entries: impl IntoIterator<Item = TraceEntry>) -> String {
     out
 }
 
-/// Renders entries in the requested format. `Ns2` and `Csv` are UTF-8
-/// text; `Pcap` is binary.
-pub fn render(entries: impl IntoIterator<Item = TraceEntry>, format: TraceFormat) -> Vec<u8> {
+/// Renders entries in the requested format.
+pub fn render(entries: impl IntoIterator<Item = TraceEntry>, format: TraceFormat) -> String {
     match format {
-        TraceFormat::Ns2 => ns2::render(entries).into_bytes(),
-        TraceFormat::Pcap => pcap::write(entries),
-        TraceFormat::Csv => csv(entries).into_bytes(),
+        TraceFormat::Ns2 => ns2::render(entries),
+        TraceFormat::Csv => csv(entries),
     }
 }
 
@@ -121,15 +110,6 @@ mod tests {
         assert_eq!(text.lines().count(), entries.len() + 1);
     }
 
-    #[test]
-    fn pcap_render_self_parses() {
-        let entries = short_capture();
-        let bytes = render(entries.iter().copied(), TraceFormat::Pcap);
-        let parsed = pcap::parse(&bytes).expect("own capture parses");
-        assert_eq!(parsed.packets.len(), entries.len());
-        assert_eq!(parsed.link_type, pcap::DLT_USER0);
-    }
-
     /// `harness trace --last N` renders `log.iter().skip(len − N)`: the
     /// decoder, resumed past the skipped entries, yields the stored tail.
     #[test]
@@ -145,9 +125,7 @@ mod tests {
     #[test]
     fn format_parsing() {
         assert_eq!(TraceFormat::parse("ns2"), Ok(TraceFormat::Ns2));
-        assert_eq!(TraceFormat::parse("pcap"), Ok(TraceFormat::Pcap));
         assert_eq!(TraceFormat::parse("csv"), Ok(TraceFormat::Csv));
-        assert!(TraceFormat::parse("json").is_err());
-        assert!(TraceFormat::Pcap.is_binary() && !TraceFormat::Ns2.is_binary());
+        assert_eq!(TraceFormat::parse("json"), Err("unknown format 'json' (ns2, csv)".into()));
     }
 }

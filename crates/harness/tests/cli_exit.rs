@@ -196,7 +196,8 @@ fn flags_that_contradict_each_other_are_bad_values() {
     let roaming = Command::new(HARNESS).args(roaming).output().expect("spawn trace");
     assert!(roaming.status.success(), "{}", String::from_utf8_lossy(&roaming.stderr));
     assert_rejected(HARNESS, &["trace", "--hops", "2", "--topology", "chain:2"], "give one");
-    assert_rejected(HARNESS, &["trace", "--quick", "--format", "pcap"], "needs --out");
+    let retired = ["trace", "--quick", "--format", "pcap"];
+    assert_rejected(HARNESS, &retired, "unknown format 'pcap' (ns2, csv)");
     assert_rejected(HARNESS, &["trace", "--quick", "--hops", "0"], "bad chain hop count '0'");
     assert_rejected(HARNESS, &["trace", "--quick", "--hops", "65535"], "at most 65535");
 
@@ -309,13 +310,19 @@ fn a_checkpoint_sweep_needs_a_positive_step_and_never_reuses_a_path() {
     std::fs::remove_dir_all(&dir).expect("remove scratch directory");
 }
 
-/// `--flows 0` printed `0 Muzha flow(s)` and ran one.
+/// `--flows 0` printed `0 Muzha flow(s)` and ran one; a count past the
+/// topology's nodes asked for that many endpoint pairs before anything
+/// checked it.
 #[test]
 fn a_run_of_no_flows_is_a_bad_value() {
     for sub in ["topo", "trace"] {
         let args = [sub, "--topology", "chain:3", "--secs", "1", "--flows", "0"];
         assert_rejected(HARNESS, &args, "--flows: cannot use \"0\": a run needs a flow");
         assert_rejected(HARNESS, &[sub, "--flows", "many"], "--flows: cannot use \"many\"");
+        let args = [sub, "--topology", "chain:3", "--secs", "1", "--flows", "5"];
+        assert_rejected(HARNESS, &args, "--flows: cannot use \"5\": at most 4 flows on a 4-node");
+        let args = [sub, "--flows", "18446744073709551615"];
+        assert_rejected(HARNESS, &args, "--flows: cannot use \"18446744073709551615\": at most");
     }
 }
 

@@ -39,14 +39,14 @@ fn one_run_file_is_captured_checked_proved_and_resumed() {
     let dir = common::scratch("grid_roam");
     let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
 
-    // trace: ns-2 lines on stdout naming the cut link's fault, and a pcap.
+    // trace: ns-2 lines on stdout naming the cut link's fault, and a CSV file.
     let ns2 = text_of(&["trace", "--script", GRID_ROAM]);
     assert!(ns2.lines().count() > 10_000 && ns2.contains(" FLT "), "{}", ns2.len());
-    let pcap = path("grid-roam.pcap");
+    let csv = path("grid-roam.csv");
     assert!(
-        stdout_of(&["trace", "--script", GRID_ROAM, "--format", "pcap", "--out", &pcap]).is_empty()
+        stdout_of(&["trace", "--script", GRID_ROAM, "--format", "csv", "--out", &csv]).is_empty()
     );
-    assert!(std::fs::metadata(&pcap).expect("pcap written").len() > 100_000);
+    assert!(std::fs::metadata(&csv).expect("CSV written").len() > 100_000);
 
     // topo: checked, clean.
     let report = text_of(&["topo", "--script", GRID_ROAM]);

@@ -17,9 +17,9 @@
 //!   cost is appending to the log's backing storage: delta-coded varint
 //!   bytes in an unbounded log (about 10 B a record on a chain, against an
 //!   88-byte [`TraceEntry`]), a typed slot in a flight-recorder ring.
-//! * **Sinks live outside the sim crates.** The [`ns2`] formatter, the
-//!   [`pcap`] writer, and [`FlowSeries`] all consume a finished (or
-//!   in-flight) log; file I/O stays in `harness`.
+//! * **Sinks live outside the sim crates.** The [`ns2`] formatter and
+//!   [`FlowSeries`] consume a finished (or in-flight) log; file I/O stays
+//!   in `harness`.
 //!
 //! # Example
 //!
@@ -51,7 +51,6 @@ mod codec;
 mod filter;
 mod log;
 pub mod ns2;
-pub mod pcap;
 mod record;
 mod series;
 

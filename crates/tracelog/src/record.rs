@@ -11,7 +11,7 @@ use sim_core::{SimDuration, SimTime};
 use wire::{Drai, FlowId, FrameKind, NodeId, Packet, Payload};
 
 /// The protocol layer a record belongs to, used by [`crate::TraceFilter`]
-/// and as the pseudo-header tag in pcap output.
+/// and tagged in every rendering by [`Layer::ns2_tag`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Layer {
     /// Radio channel: frames on the air, collisions, channel losses.
@@ -36,24 +36,14 @@ impl Layer {
 
     /// Bit used in [`crate::TraceFilter`]'s layer mask.
     pub(crate) fn bit(self) -> u8 {
-        1 << self.code()
-    }
-
-    /// Numeric code carried in the pcap pseudo-header.
-    pub fn code(self) -> u8 {
         match self {
-            Layer::Phy => 0,
-            Layer::Mac => 1,
-            Layer::Rtr => 2,
-            Layer::Ifq => 3,
-            Layer::Agt => 4,
-            Layer::Fault => 5,
+            Layer::Phy => 1,
+            Layer::Mac => 1 << 1,
+            Layer::Rtr => 1 << 2,
+            Layer::Ifq => 1 << 3,
+            Layer::Agt => 1 << 4,
+            Layer::Fault => 1 << 5,
         }
-    }
-
-    /// Inverse of [`Layer::code`].
-    pub fn from_code(code: u8) -> Option<Layer> {
-        Layer::ALL.iter().copied().find(|l| l.code() == code)
     }
 
     /// The ns-2 wireless trace layer tag. PHY-level frame events use the
@@ -85,8 +75,8 @@ impl Layer {
     }
 }
 
-/// Which way a record points, encoded in the pcap pseudo-header and mapped
-/// to the ns-2 operation character (`s`/`r`/`d`/`f`/`v`).
+/// Which way a record points, rendered as the ns-2 operation character
+/// (`s`/`r`/`d`/`f`/`v`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Originating transmission (`s`).
@@ -102,17 +92,6 @@ pub enum Direction {
 }
 
 impl Direction {
-    /// Numeric code carried in the pcap pseudo-header.
-    pub fn code(self) -> u8 {
-        match self {
-            Direction::Send => 0,
-            Direction::Recv => 1,
-            Direction::Drop => 2,
-            Direction::Forward => 3,
-            Direction::Meta => 4,
-        }
-    }
-
     /// The ns-2 trace-line operation character.
     pub fn ns2_op(self) -> char {
         match self {
@@ -599,14 +578,6 @@ pub struct TraceEntry {
 mod tests {
     use super::*;
     use wire::TcpSegment;
-
-    #[test]
-    fn layer_codes_round_trip() {
-        for layer in Layer::ALL {
-            assert_eq!(Layer::from_code(layer.code()), Some(layer));
-        }
-        assert_eq!(Layer::from_code(9), None);
-    }
 
     #[test]
     fn layer_names_parse() {

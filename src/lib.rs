@@ -71,7 +71,7 @@ pub use muzha;
 pub use faultline;
 
 /// Deterministic trace subsystem: typed records, filters, flight recorder,
-/// ns-2/pcap sink adapters, per-flow time series.
+/// ns-2 sink adapter, per-flow time series.
 pub use tracelog;
 
 /// Assembled network stack: nodes, simulator, topologies, flow reports.
@@ -103,5 +103,5 @@ pub use harness::run;
 /// branches (the `harness mc` engine).
 pub use harness::mc;
 
-/// Rendering plumbing behind `harness trace`: ns-2 lines, pcap, CSV.
+/// Rendering plumbing behind `harness trace`: ns-2 lines, CSV.
 pub use harness::tracecap;

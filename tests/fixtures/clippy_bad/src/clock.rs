@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::time::Instant;
 
-pub fn pcap_seconds(now_nanos: u64) -> u32 {
+pub fn trace_seconds(now_nanos: u64) -> u32 {
     (now_nanos / 1_000_000_000) as u32
 }
 

@@ -4,7 +4,7 @@
 //! `#![deny(clippy::wildcard_enum_match_arm, …)]`. What no `match` states is
 //! that each variant is *constructed* where the simulator reports from
 //! (`crates/netstack/src`, outside its tests), and that `Layer::ALL` — which
-//! the filter and pcap sinks iterate — names every layer. Both are read off
+//! the every-layer tests iterate — names every layer. Both are read off
 //! the source, here and in the planted-defect crate `tests/fixtures/clippy_bad`.
 
 #![allow(

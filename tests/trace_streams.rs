@@ -1,9 +1,10 @@
 //! Tier-1 gate for the trace subsystem (`crates/tracelog`): captured
 //! streams must be byte-identical across twin runs and across batch worker
-//! counts, the pcap sink must self-parse, the rendered ns-2 stream must
-//! match a checked-in golden fixture, and the flight recorder must dump
-//! exactly its ring on an injected invariant violation. Captures of a whole
-//! run go through `harness::run::Run::capture`, as `harness trace` does.
+//! counts, every ns-2 line must lead with its entry's fields, the rendered
+//! ns-2 stream must match a checked-in golden fixture, and the flight
+//! recorder must dump exactly its ring on an injected invariant violation.
+//! Captures of a whole run go through `harness::run::Run::capture`, as
+//! `harness trace` does.
 
 #![allow(clippy::expect_used, reason = "a test helper reports a failure by panicking")]
 
@@ -12,7 +13,8 @@ use tcp_muzha::faultline::{CheckerLimits, InvariantChecker};
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::run::Run;
 use tcp_muzha::sim::{SimDuration, SimTime};
-use tcp_muzha::tracelog::{ns2, pcap, Layer, TraceEntry, TraceFilter, TraceLog, TraceRecord};
+use tcp_muzha::tracecap;
+use tcp_muzha::tracelog::{ns2, Layer, TraceEntry, TraceFilter, TraceLog, TraceRecord};
 use tcp_muzha::wire::NodeId;
 
 /// The same corpus `tests/scenario_corpus.rs` runs clean; here every
@@ -43,11 +45,11 @@ fn corpus_twin_runs_produce_byte_identical_trace_streams() {
         let stream_a = ns2::render(a.iter());
         let stream_b = ns2::render(b.iter());
         assert_eq!(stream_a, stream_b, "{name}: twin runs must render byte-identical ns-2 streams");
-        // The binary sink must agree too — same entries, same bytes.
+        // The CSV sink must agree too — same entries, same bytes.
         assert_eq!(
-            pcap::write(a.iter()),
-            pcap::write(b.iter()),
-            "{name}: twin runs must render byte-identical pcap captures"
+            tracecap::csv(a.iter()),
+            tracecap::csv(b.iter()),
+            "{name}: twin runs must render byte-identical CSV captures"
         );
     }
 }
@@ -190,31 +192,30 @@ fn fault_script_runs_log_their_faults_at_the_scripted_instants() {
 }
 
 /// The fault-free golden capture, and a fault script's log with its `FLT`
-/// lines, both survive the pcap sink: every packet parses back to its entry's
-/// instant, node, direction, layer and ns-2 line.
+/// lines: every ns-2 line leads with its entry's direction, instant, node
+/// and layer, and the lines are in time order.
 #[test]
-fn pcap_capture_self_parses_and_mirrors_the_entries() {
+fn ns2_lines_mirror_the_entries() {
     let crash = run_traced_scenario(include_str!("scenarios/relay-crash.scn")).snapshot();
     let fault_lines = crash.iter().filter(|e| ns2::line(e).contains("_ FLT --- ")).count();
     assert_eq!(fault_lines, 2, "relay-crash logs a kill and a revive");
-    pcap_mirrors(&crash);
-    pcap_mirrors(&golden_capture());
+    ns2_mirrors(&crash);
+    ns2_mirrors(&golden_capture());
 }
 
-fn pcap_mirrors(entries: &[TraceEntry]) {
-    let bytes = pcap::write(entries.iter().copied());
-    let parsed = pcap::parse(&bytes).expect("own capture must self-parse");
-    assert_eq!(parsed.link_type, pcap::DLT_USER0);
-    assert_eq!(parsed.packets.len(), entries.len());
-    for pair in parsed.packets.windows(2) {
-        assert!(pair[0].ts_nanos <= pair[1].ts_nanos, "capture timestamps must be monotone");
+fn ns2_mirrors(entries: &[TraceEntry]) {
+    assert!(!entries.is_empty());
+    for pair in entries.windows(2) {
+        assert!(pair[0].at <= pair[1].at, "entry times must be monotone");
     }
-    for (packet, entry) in parsed.packets.iter().zip(entries) {
-        assert_eq!(packet.ts_nanos, entry.at.as_nanos());
-        assert_eq!(packet.node, entry.record.node().raw());
-        assert_eq!(packet.direction, entry.record.direction().code());
-        assert_eq!(Layer::from_code(packet.layer), Some(entry.record.layer()));
-        assert_eq!(packet.data, ns2::line(entry).into_bytes());
+    for entry in entries {
+        let rec = &entry.record;
+        let nanos = entry.at.as_nanos();
+        let (s, ns) = (nanos / 1_000_000_000, nanos % 1_000_000_000);
+        let (op, node, tag) = (rec.direction().ns2_op(), rec.node(), rec.layer().ns2_tag());
+        let head = format!("{op} {s}.{ns:09} _{node}_ {tag} ");
+        let line = ns2::line(entry);
+        assert!(line.starts_with(&head), "{line:?} does not lead with {head:?}");
     }
 }
 
