@@ -16,7 +16,7 @@
 )]
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::fmt::Debug;
 
 use crate::SimTime;
@@ -58,12 +58,39 @@ const BUCKET_SHIFT: u32 = 16;
 /// propagation). TCP, AODV and sampling timers, and CWmax countdowns
 /// (20.5 ms), wait in the far heap.
 const BUCKETS: u64 = u128::BITS as u64;
-/// [`BUCKETS`] as the near tier's array length.
+/// [`BUCKETS`] as the length of the near tier's array of list ends.
 const LAP_LEN: usize = u128::BITS as usize;
+
+/// No slot: the link past either end of a bucket's list, and past the last
+/// free slot.
+const NIL: usize = usize::MAX;
 
 /// The bucket window holding `time`.
 fn window(time: SimTime) -> u64 {
     time.as_nanos() >> BUCKET_SHIFT
+}
+
+/// One place in the near tier's arena: a queued entry's key and its links
+/// in its bucket's list, then its event. A slot on the free list holds no
+/// event and links only forward, to the next free slot.
+#[derive(Debug)]
+struct Slot<E> {
+    time: SimTime,
+    seq: u64,
+    /// The previous entry of the bucket; [`NIL`] at its head.
+    prev: usize,
+    /// The next entry of the bucket, or the next free slot; [`NIL`] at the
+    /// end of either list.
+    next: usize,
+    event: Option<E>,
+}
+
+/// The first and last slots of a bucket's list, read only while the
+/// bucket's bit in `EventQueue::occupied` is set.
+#[derive(Clone, Copy, Debug)]
+struct Ends {
+    head: usize,
+    tail: usize,
 }
 
 /// A priority queue of `(SimTime, E)` pairs that pops events in time order,
@@ -85,6 +112,13 @@ fn window(time: SimTime) -> u64 {
 /// and files the far entries the lap now reaches into their buckets; a pop
 /// that finds the lap empty jumps it to the heap's head.
 ///
+/// A bucket is a doubly linked list threaded through one arena of slots
+/// that all 128 buckets share, as ns-2 threads its calendar through the
+/// events themselves; the bucket itself is two indices. A popped entry's
+/// slot goes on a free list that the next filing into any bucket takes
+/// first, so the arena holds as many slots as the most near entries ever
+/// queued at once, not the largest burst each bucket ever took.
+///
 /// Because equal times always share a bucket or the heap, FIFO ties cost
 /// one sorted insert into a run of equal-time entries and pop in insertion
 /// order.
@@ -104,8 +138,13 @@ fn window(time: SimTime) -> u64 {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The near tier: window `w` of the lap in bucket `w % BUCKETS`.
-    near: Box<[VecDeque<Entry<E>>; LAP_LEN]>,
+    /// The near tier's entries, whichever bucket holds them, and the free
+    /// slots between them.
+    slots: Vec<Slot<E>>,
+    /// The first free slot.
+    free: usize,
+    /// The near tier: window `w` of the lap is the list `ends[w % BUCKETS]`.
+    ends: [Ends; LAP_LEN],
     /// Bit `i` is set while bucket `i` holds an entry.
     occupied: u128,
     /// The far tier: every entry in window `cursor + BUCKETS` or later.
@@ -126,7 +165,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            near: Box::new([const { VecDeque::new() }; LAP_LEN]),
+            slots: Vec::new(),
+            free: NIL,
+            ends: [Ends { head: NIL, tail: NIL }; LAP_LEN],
             occupied: 0,
             far: BinaryHeap::new(),
             cursor: 0,
@@ -214,22 +255,48 @@ impl<E> EventQueue<E> {
             self.far.push(entry);
             return;
         }
-        let slot = window(entry.time) % BUCKETS;
-        let bucket = &mut self.near[slot as usize];
+        let bucket = (window(entry.time) % BUCKETS) as usize;
+        let key = (entry.time, entry.seq);
+        let slot = self.take_slot(entry);
+        if self.occupied & (1 << bucket) == 0 {
+            self.occupied |= 1 << bucket;
+            self.ends[bucket] = Ends { head: slot, tail: slot };
+            return;
+        }
         // Walk back past later keys. Fresh pushes carry the largest seq so
         // far, so this is O(1) for the common append; an entry under a
         // reserved seq also walks past the later-pushed ties at its instant.
-        let mut pos = bucket.len();
-        while pos > 0 && (entry.time, entry.seq) < (bucket[pos - 1].time, bucket[pos - 1].seq) {
-            pos -= 1;
+        let (mut before, mut after) = (self.ends[bucket].tail, NIL);
+        while before != NIL && key < (self.slots[before].time, self.slots[before].seq) {
+            after = before;
+            before = self.slots[before].prev;
         }
-        // `VecDeque::insert` is an out-of-line call; appends skip it.
-        if pos == bucket.len() {
-            bucket.push_back(entry);
+        self.slots[slot].prev = before;
+        self.slots[slot].next = after;
+        if before == NIL {
+            self.ends[bucket].head = slot;
         } else {
-            bucket.insert(pos, entry);
+            self.slots[before].next = slot;
         }
-        self.occupied |= 1 << slot;
+        if after == NIL {
+            self.ends[bucket].tail = slot;
+        } else {
+            self.slots[after].prev = slot;
+        }
+    }
+
+    /// Stores `entry` in the first free slot, or in a new one if none is
+    /// free, unlinked, and returns its index.
+    fn take_slot(&mut self, Entry { time, seq, event }: Entry<E>) -> usize {
+        let slot = Slot { time, seq, prev: NIL, next: NIL, event: Some(event) };
+        if self.free == NIL {
+            self.slots.push(slot);
+            return self.slots.len() - 1;
+        }
+        let index = self.free;
+        self.free = self.slots[index].next;
+        self.slots[index] = slot;
+        index
     }
 
     /// The first non-empty bucket from the cursor's, wrapping past the last
@@ -262,21 +329,42 @@ impl<E> EventQueue<E> {
     /// Removes the earliest event and returns it with its `(time, seq)` key,
     /// or `None` if the queue is empty.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
+        self.pop_due(SimTime::MAX)
+    }
+
+    /// Removes the earliest event and returns it with its `(time, seq)` key
+    /// if it fires at or before `end`; `None`, with the queue untouched, if
+    /// it fires later or the queue is empty. One lookup for what
+    /// [`Self::peek_time`] and then [`Self::pop_entry`] would find.
+    pub fn pop_due(&mut self, end: SimTime) -> Option<(SimTime, u64, E)> {
         if self.occupied == 0 {
             // The lap is empty: jump it to the far heap's head.
             let head = self.far.peek()?.time;
+            if head > end {
+                return None;
+            }
             self.advance(head);
         }
-        let slot = self.first_bucket();
-        let bucket = &mut self.near[slot];
-        let entry = bucket.pop_front()?;
-        if bucket.is_empty() {
-            self.occupied &= !(1 << slot);
+        let bucket = self.first_bucket();
+        let index = self.ends[bucket].head;
+        let slot = &mut self.slots[index];
+        if slot.time > end {
+            return None;
+        }
+        let event = slot.event.take()?;
+        let (time, seq, next) = (slot.time, slot.seq, slot.next);
+        slot.next = self.free;
+        self.free = index;
+        if next == NIL {
+            self.occupied &= !(1 << bucket);
+        } else {
+            self.ends[bucket].head = next;
+            self.slots[next].prev = NIL;
         }
         self.len -= 1;
-        self.last_popped = entry.time;
-        self.advance(entry.time);
-        Some((entry.time, entry.seq, entry.event))
+        self.last_popped = time;
+        self.advance(time);
+        Some((time, seq, event))
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -284,18 +372,20 @@ impl<E> EventQueue<E> {
         if self.occupied == 0 {
             return self.far.peek().map(|head| head.time);
         }
-        self.near[self.first_bucket()].front().map(|head| head.time)
+        Some(self.slots[self.ends[self.first_bucket()].head].time)
     }
 
-    /// Every pending entry, both tiers, in no particular order.
-    fn entries(&self) -> impl Iterator<Item = &Entry<E>> {
-        self.near.iter().flatten().chain(&self.far)
+    /// Every pending entry as `(time, seq, event)`, both tiers, in no
+    /// particular order.
+    fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
+        let near = self.slots.iter().filter_map(|s| Some((s.time, s.seq, s.event.as_ref()?)));
+        near.chain(self.far.iter().map(|e| (e.time, e.seq, &e.event)))
     }
 
     /// Every pending event, in no particular order — for validating a
     /// restored queue's contents, never for deciding what runs next.
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.entries().map(|entry| &entry.event)
+        self.entries().map(|(_, _, event)| event)
     }
 
     /// The virtual time of the most recently popped event — the tie stamp
@@ -331,12 +421,11 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Every pending entry as `(time, seq, event)` in `(time, seq)` order —
-    /// the canonical form the snapshot codec stores. Which tier holds an
-    /// entry is not part of it: that follows from its time and
+    /// the canonical form the snapshot codec stores. Which tier or slot
+    /// holds an entry is not part of it: the tier follows from its time and
     /// `last_popped`, and the pop order depends only on `(time, seq)`.
     fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut all: Vec<(SimTime, u64, &E)> =
-            self.entries().map(|e| (e.time, e.seq, &e.event)).collect();
+        let mut all: Vec<(SimTime, u64, &E)> = self.entries().collect();
         all.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
         all
     }
@@ -350,6 +439,9 @@ impl<E> EventQueue<E> {
         q.cursor = window(last_popped);
         q.len = entries.len();
         q.next_seq = next_seq;
+        // In key order the lap's entries come first: the arena is sized to
+        // them, and each is appended at its bucket's tail.
+        q.slots.reserve_exact(entries.partition_point(|&(time, ..)| q.in_lap(time)));
         for (time, seq, event) in entries {
             q.file(Entry { time, seq, event });
         }
@@ -819,6 +911,88 @@ mod tests {
         q.push(t(10), ());
         q.pop();
         q.push_reserved(t(9), seq, ());
+    }
+
+    /// Twenty laps, each filing a burst of 400 entries at one instant (the
+    /// city's mobility ticks), popping half a lap, then filing three
+    /// 60-entry frame bursts into other buckets and popping the rest: every
+    /// slot is reused by the next burst, whatever bucket it lands in.
+    #[test]
+    fn the_arena_never_holds_more_slots_than_near_entries_queued_at_once() {
+        use crate::{SnapshotReader, SnapshotWriter, Snapshotable};
+        const W: u64 = 1 << BUCKET_SHIFT;
+        let near = |q: &EventQueue<u64>| q.len() - q.far.len();
+        let mut q = EventQueue::new();
+        let mut most_near = 0;
+        let mut payload = 0u64;
+        let pop_to = |q: &mut EventQueue<u64>, end: u64, most_near: &mut usize| {
+            while q.pop_due(t(end)).is_some() {
+                *most_near = (*most_near).max(near(q));
+                assert!(q.slots.len() <= *most_near, "{} slots", q.slots.len());
+            }
+        };
+        for lap in 0..20u64 {
+            let start = q.now().as_nanos();
+            let ticks = [(start + (7 * lap % 60 + 1) * W, 400)];
+            let frames = (1..=3).map(|f| (start + (7 * lap + 20 * f) % 60 * W + 1_234 * f, 60));
+            for (i, (at, count)) in ticks.into_iter().chain(frames).enumerate() {
+                if i == 1 {
+                    pop_to(&mut q, start + 32 * W, &mut most_near);
+                }
+                for _ in 0..count {
+                    q.push(t(at.max(q.now().as_nanos())), payload);
+                    payload += 1;
+                    most_near = most_near.max(near(&q));
+                    assert!(q.slots.len() <= most_near, "lap {lap}: {} slots", q.slots.len());
+                }
+            }
+            pop_to(&mut q, start + 64 * W, &mut most_near);
+            assert!(q.is_empty());
+        }
+        assert!((400..=580).contains(&most_near), "{most_near} near entries at once");
+        assert_eq!(q.slots.len(), most_near, "the arena grew to the peak and no further");
+
+        // Half a lap's bursts left queued: a restored arena holds exactly
+        // the entries the lap reaches, with no free slot.
+        let now = q.now().as_nanos();
+        for k in 0..700u64 {
+            q.push(t(now + k * 3 * W / 2), k);
+        }
+        let mut w = SnapshotWriter::new();
+        q.encode(&mut w);
+        let bytes = w.finish();
+        let mut restored =
+            EventQueue::<u64>::decode(&mut SnapshotReader::new(&bytes)).expect("its own bytes");
+        assert!(!restored.far.is_empty() && near(&restored) > 0, "both tiers must be in use");
+        assert_eq!(restored.slots.len(), near(&restored));
+        assert_eq!(restored.free, NIL);
+        loop {
+            let popped = q.pop_entry();
+            assert_eq!(restored.pop_entry(), popped);
+            if popped.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// `pop_due` pops what `peek_time` then `pop_entry` would, and leaves
+    /// the queue untouched when its head is later than the bound, in
+    /// either tier.
+    #[test]
+    fn pop_due_pops_only_what_is_due() {
+        const W: u64 = 1 << BUCKET_SHIFT;
+        let mut q = EventQueue::new();
+        q.push(t(5 * W), 'a');
+        q.push(t(300 * W), 'z');
+        assert_eq!(q.pop_due(t(5 * W - 1)), None);
+        assert_eq!((q.len(), q.now()), (2, SimTime::ZERO));
+        assert_eq!(q.pop_due(t(5 * W)), Some((t(5 * W), 0, 'a')));
+        // The lap is empty and the heap's head is past the bound: the lap
+        // does not jump.
+        assert_eq!(q.pop_due(t(299 * W)), None);
+        assert_eq!((q.len(), q.cursor), (1, 5));
+        assert_eq!(q.pop_due(SimTime::MAX), Some((t(300 * W), 1, 'z')));
+        assert_eq!(q.pop_due(SimTime::MAX), None);
     }
 }
 

@@ -5,9 +5,10 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`EventQueue`] — a stable (FIFO-on-tie) queue of timed events: a
-//!   one-lap calendar for the next 8.39 ms and a heap beyond it, with
-//!   [`HeapQueue`] as the reference the differential tests compare it
-//!   against,
+//!   one-lap calendar for the next 8.39 ms, whose buckets are linked lists
+//!   through one arena of slots that holds no more than the most entries
+//!   the lap ever held at once, and a heap beyond it, with [`HeapQueue`]
+//!   as the reference the differential tests compare it against,
 //! * [`TieOrder`] — the model checker's one tie pop: it pops an
 //!   [`EventQueue`], choosing among same-instant ties by a decision vector
 //!   and logging each choice as a [`TieChoice`],

@@ -166,56 +166,11 @@ proptest! {
     /// and `pop_entry` returns the smallest key of a model that knows
     /// nothing but keys — so an entry pushed under an old number pops ahead
     /// of the later-pushed ties at its instant (the head's included) and
-    /// behind the earlier ones.
+    /// behind the earlier ones. Entries land in three buckets, so pops that
+    /// empty one leave slots that filings into another take.
     #[test]
-    fn reserved_seqs_keep_the_queues_in_lock_step(
-        ops in proptest::collection::vec((0u8..8, 0u64..4, 0usize..4), 1..200),
-    ) {
-        let mut calendar = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut model = std::collections::BTreeSet::new();
-        let mut issued = 0u64;
-        let mut reserved = Vec::new();
-        for &(kind, slot, pick) in &ops {
-            // Coarse time slots: most pushes tie with an earlier one, and
-            // slot 0 is the instant of the entry popped last.
-            let at = calendar.now() + SimDuration::from_nanos(slot * 1_000);
-            match kind {
-                0..=2 => {
-                    // The payload is the seq the entry must be given.
-                    calendar.push(at, issued);
-                    heap.push(at, issued);
-                    model.insert((at, issued));
-                    issued += 1;
-                }
-                3 | 4 => {
-                    prop_assert_eq!(calendar.reserve_seq(), issued);
-                    prop_assert_eq!(heap.reserve_seq(), issued);
-                    reserved.push(issued);
-                    issued += 1;
-                }
-                5 if !reserved.is_empty() => {
-                    let seq = reserved.swap_remove(pick % reserved.len());
-                    calendar.push_reserved(at, seq, seq);
-                    heap.push_reserved(at, seq, seq);
-                    model.insert((at, seq));
-                }
-                _ => {
-                    let expected = model.pop_first();
-                    let popped = calendar.pop_entry();
-                    prop_assert_eq!(popped, heap.pop_entry());
-                    prop_assert_eq!(popped.map(|(time, seq, _)| (time, seq)), expected);
-                    if let Some((_, seq, payload)) = popped {
-                        prop_assert_eq!(seq, payload, "pop_entry reported another entry's seq");
-                        prop_assert!(!reserved.contains(&seq), "a reserved seq was queued");
-                    }
-                }
-            }
-            prop_assert_eq!(calendar.next_seq(), issued);
-            prop_assert_eq!(calendar.len(), model.len());
-            prop_assert_eq!(heap.len(), model.len());
-            prop_assert_eq!(calendar.peek_time(), model.first().map(|&(time, _)| time));
-        }
+    fn reserved_seqs_keep_the_queues_in_lock_step(ops in lock_step_ops()) {
+        lock_step(&ops, &mut Rewrites::default());
     }
 
     /// Ties at one timestamp pop in exact insertion order from both queues,
@@ -254,4 +209,126 @@ proptest! {
         let expected: Vec<u64> = (first_tie..first_tie + ties as u64).collect();
         prop_assert_eq!(seen_ties, expected, "FIFO tie order violated");
     }
+}
+
+/// Where an entry of [`lock_step`] lands, after the instant of the entry
+/// popped last: four instants 1 µs apart, in `now`'s bucket unless it is
+/// about to end, and two in the next two buckets.
+const LOCK_STEP_AT_NS: [u64; 6] = [0, 1_000, 2_000, 3_000, 65_536, 2 * 65_536 + 500];
+
+/// `(kind, instant, pick)`: a push (kinds 0–2), a reservation (3–4), a
+/// `push_reserved` under the `pick`-th outstanding number (5) or a pop.
+fn lock_step_ops() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+    proptest::collection::vec((0u8..8, 0usize..LOCK_STEP_AT_NS.len(), 0usize..4), 1..200)
+}
+
+/// How the filings and pops of one [`lock_step`] run met their bucket's
+/// list, told from the model's keys and the lap's geometry alone.
+#[derive(Debug, Default)]
+struct Rewrites {
+    /// Filed into an empty bucket, setting its bit.
+    first: u64,
+    /// Filed ahead of every entry of its bucket.
+    head: u64,
+    /// Filed between two entries of its bucket.
+    mid: u64,
+    /// Filed behind every entry of its bucket.
+    tail: u64,
+    /// Filed under a reserved seq ahead of a later-pushed tie.
+    walked_past_ties: u64,
+    /// Popped its bucket's last entry, clearing its bit.
+    emptied: u64,
+    /// Filed into another bucket than the one a pop just emptied.
+    refilled_elsewhere: u64,
+}
+
+/// The lap's bucket window of `time`: 65,536 ns each.
+fn window(time: SimTime) -> u64 {
+    time.as_nanos() / 65_536
+}
+
+/// Runs `ops` on both queues beside a model of their keys, checks them
+/// after every op, and adds the rewrites the filings and pops made to
+/// `seen`.
+fn lock_step(ops: &[(u8, usize, usize)], seen: &mut Rewrites) {
+    let mut calendar = EventQueue::new();
+    let mut heap = HeapQueue::new();
+    let mut model = std::collections::BTreeSet::new();
+    let mut issued = 0u64;
+    let mut reserved = Vec::new();
+    let mut last_emptied = None;
+    for &(kind, slot, pick) in ops {
+        // Coarse instants: most pushes tie with an earlier one, and slot 0
+        // is the instant of the entry popped last.
+        let at = calendar.now() + SimDuration::from_nanos(LOCK_STEP_AT_NS[slot]);
+        let seq = match kind {
+            0..=2 => Some(issued),
+            5 if !reserved.is_empty() => Some(reserved.swap_remove(pick % reserved.len())),
+            _ => None,
+        };
+        if let Some(seq) = seq {
+            let bucket = || model.iter().filter(|&&(time, _)| window(time) == window(at));
+            let ahead = bucket().filter(|&&key| key > (at, seq)).count();
+            match (bucket().count(), ahead) {
+                (0, _) => seen.first += 1,
+                (n, a) if a == n => seen.head += 1,
+                (_, 0) => seen.tail += 1,
+                _ => seen.mid += 1,
+            }
+            if bucket().any(|&(time, later)| time == at && later > seq) {
+                seen.walked_past_ties += 1;
+            }
+            if last_emptied.take().is_some_and(|emptied| emptied != window(at)) {
+                seen.refilled_elsewhere += 1;
+            }
+            if seq == issued {
+                // The payload is the seq the entry must be given.
+                calendar.push(at, seq);
+                heap.push(at, seq);
+                issued += 1;
+            } else {
+                calendar.push_reserved(at, seq, seq);
+                heap.push_reserved(at, seq, seq);
+            }
+            model.insert((at, seq));
+        } else if kind == 3 || kind == 4 {
+            assert_eq!(calendar.reserve_seq(), issued);
+            assert_eq!(heap.reserve_seq(), issued);
+            reserved.push(issued);
+            issued += 1;
+        } else {
+            let expected = model.pop_first();
+            let popped = calendar.pop_entry();
+            assert_eq!(popped, heap.pop_entry());
+            assert_eq!(popped.map(|(time, seq, _)| (time, seq)), expected);
+            if let Some((time, seq, payload)) = popped {
+                assert_eq!(seq, payload, "pop_entry reported another entry's seq");
+                assert!(!reserved.contains(&seq), "a reserved seq was queued");
+                if !model.iter().any(|&(other, _)| window(other) == window(time)) {
+                    seen.emptied += 1;
+                    last_emptied = Some(window(time));
+                }
+            }
+        }
+        assert_eq!(calendar.next_seq(), issued);
+        assert_eq!(calendar.len(), model.len());
+        assert_eq!(heap.len(), model.len());
+        assert_eq!(calendar.peek_time(), model.first().map(|&(time, _)| time));
+    }
+}
+
+/// The lock-step property's own inputs reach every way a filing or a pop
+/// rewrites a bucket's list: a head, a middle and a tail insertion, an
+/// insertion into an empty bucket, a reserved seq filed ahead of the ties
+/// pushed after it, the pop that empties a bucket, and the filing into
+/// another bucket that takes the slot that pop freed.
+#[test]
+fn lock_step_reaches_every_link_rewrite() {
+    let mut seen = Rewrites::default();
+    for case in 0..48 {
+        lock_step(&lock_step_ops().generate(&mut TestRng::new(case)), &mut seen);
+    }
+    let Rewrites { first, head, mid, tail, walked_past_ties, emptied, refilled_elsewhere } = seen;
+    let counts = [first, head, mid, tail, walked_past_ties, emptied, refilled_elsewhere];
+    assert!(counts.iter().all(|&n| n >= 20), "{seen:?}");
 }
