@@ -259,13 +259,16 @@ impl Simulator {
 
     /// Pops the next event due at or before `end`, with its `(time, seq)`
     /// key: through the tie-order hook when one is installed
-    /// ([`TieOrder::pop`]), straight off the queue otherwise, so an absent
-    /// hook costs one branch per event.
+    /// ([`TieOrder::pop`]), straight off the queue otherwise, in one call
+    /// that looks at the head once, so an absent hook costs one branch per
+    /// event.
     fn pop_event(&mut self, end: SimTime) -> Option<(SimTime, u64, Event)> {
-        self.events.peek_time().filter(|&t| t <= end)?;
         match &mut self.tie_order {
-            Some(order) => order.pop(&mut self.events),
-            None => self.events.pop_entry(),
+            Some(order) => {
+                self.events.peek_time().filter(|&t| t <= end)?;
+                order.pop(&mut self.events)
+            }
+            None => self.events.pop_due(end),
         }
     }
 
