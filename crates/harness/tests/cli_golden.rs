@@ -40,19 +40,33 @@ fn corpus(name: &str) -> String {
     format!("{}/../../tests/scenarios/{name}.scn", env!("CARGO_MANIFEST_DIR"))
 }
 
+fn fixture(name: &str) -> String {
+    format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The last capture is the 1,040-node city: every record of a mobile run,
+/// position updates included, decoded back out of the trace log's store.
 #[test]
 fn trace_captures_are_byte_identical() {
-    let captures: [&[&str]; 4] = [
+    let city = fixture("city-1k.scn");
+    let captures: [&[&str]; 5] = [
         &["--quick"],
         &["--quick", "--format", "csv"],
         &["--quick", "--hops", "2", "--variant", "NewReno"],
         &["--quick", "--topology", "grid:3x3", "--mobility", "waypoint"],
+        &["--script", &city],
     ];
     let digests: Vec<String> =
         captures.iter().map(|args| digest(&stdout_of("trace", args))).collect();
     assert_eq!(
         digests,
-        ["48e17dd1c5340c37", "0d7a8424067d45aa", "fafa837f5030efe9", "ad94d9e898ac8625"]
+        [
+            "48e17dd1c5340c37",
+            "0d7a8424067d45aa",
+            "fafa837f5030efe9",
+            "ad94d9e898ac8625",
+            "16bb38faaf5bd27a",
+        ]
     );
 }
 
@@ -111,8 +125,6 @@ fn topo_lines(args: &[&str]) -> Vec<String> {
 /// that dropped a candidate would change the rows, and nine roaming nodes.
 #[test]
 fn topo_pins_the_mobile_run_files() {
-    let fixture =
-        |name: &str| format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     assert_eq!(
         topo_lines(&["--script", &fixture("city-1k.scn")]),
         [
