@@ -124,7 +124,13 @@ fn trace(args: &[String]) -> Result<(), CliError> {
         run.duration.as_secs_f64()
     );
     let log = run.capture(filter);
-    eprintln!("{} records seen, {} kept in {} bytes", log.seen(), log.kept(), log.stored_bytes());
+    eprintln!(
+        "{} records seen, {} kept in {} bytes ({:.2} B a record)",
+        log.seen(),
+        log.kept(),
+        log.stored_bytes(),
+        log.stored_bytes() as f64 / log.len().max(1) as f64
+    );
 
     let skipped = last.map_or(0, |n| log.len().saturating_sub(n));
     let text = tracecap::render(log.iter().skip(skipped), format);

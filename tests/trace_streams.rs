@@ -297,10 +297,10 @@ fn a_filtered_log_beside_a_checker_leaves_its_verdict_alone() {
 }
 
 /// The unbounded log's compact store on a real run: an 8-hop Muzha chain
-/// traced for 10 virtual seconds keeps at most 12 B a record (a fixed-width
-/// layout of the same fields takes about 27).
+/// traced for 10 virtual seconds keeps at most 9 B a record (8.17 when
+/// written; a fixed-width layout of the same fields takes about 27).
 #[test]
-fn a_traced_chain_stores_at_most_twelve_bytes_a_record() {
+fn a_traced_chain_stores_at_most_nine_bytes_a_record() {
     let mut sim = Simulator::new(topology::chain(8), SimConfig::default());
     let (src, dst) = topology::chain_flow(8);
     sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha));
@@ -309,6 +309,6 @@ fn a_traced_chain_stores_at_most_twelve_bytes_a_record() {
     let log = sim.take_trace_log().expect("log was installed");
     assert!(log.len() > 10_000, "only {} records", log.len());
     let (bytes, records) = (log.stored_bytes(), log.len());
-    assert!(bytes <= 12 * records, "{bytes} B for {records} records");
+    assert!(bytes <= 9 * records, "{bytes} B for {records} records");
     assert_eq!(log.iter().count(), records);
 }
