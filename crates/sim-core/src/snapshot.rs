@@ -164,11 +164,6 @@ impl SnapshotWriter {
         self.buf.is_empty()
     }
 
-    /// The bytes written so far, for a reader over a writer still in use.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// Consumes the writer, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

@@ -14,9 +14,10 @@
 //!   and therefore never changes a run. Twin runs produce byte-identical
 //!   streams.
 //! * **Allocation-light.** [`TraceRecord`] is `Copy`; the only per-record
-//!   cost is appending to the log's backing storage: delta-coded varint
-//!   bytes in an unbounded log (about 10 B a record on a chain, against an
-//!   88-byte [`TraceEntry`]), a typed slot in a flight-recorder ring.
+//!   cost is appending to the log's backing storage: varint bytes coded
+//!   against the entries before them in an unbounded log (about 8 B a
+//!   record on a chain, against an 88-byte [`TraceEntry`]), a typed slot
+//!   in a flight-recorder ring.
 //! * **Sinks live outside the sim crates.** The [`ns2`] formatter and
 //!   [`FlowSeries`] consume a finished (or in-flight) log; file I/O stays
 //!   in `harness`.

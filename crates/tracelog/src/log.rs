@@ -25,7 +25,8 @@ pub struct TraceDump {
 ///
 /// * [`TraceLog::new`] — an unbounded append-only log of every admitted
 ///   record (use a [`TraceFilter`] to keep it manageable), held as compact
-///   delta-coded bytes, about an eighth of a typed [`TraceEntry`] each;
+///   bytes coded against the entries before them, about a tenth of a typed
+///   [`TraceEntry`] each;
 /// * [`TraceLog::flight_recorder`] — a bounded ring keeping only the most
 ///   recent `capacity` records, meant to be dumped (see [`TraceLog::dump`])
 ///   the moment an invariant trips.
