@@ -50,10 +50,7 @@ fn configs() -> [(TcpConfig, VegasConfig); 4] {
             TcpConfig { advertised_window: 8, initial_ssthresh: 6.0, ..d },
             VegasConfig { alpha: 2.0, beta: 4.0, gamma: 2.0 },
         ),
-        (
-            TcpConfig { advertised_window: 4, initial_cwnd: 3.0, fixed_rto: true, ..d },
-            VegasConfig::default(),
-        ),
+        (TcpConfig { advertised_window: 4, initial_cwnd: 3.0, ..d }, VegasConfig::default()),
         (
             TcpConfig {
                 advertised_window: 64,
