@@ -2,7 +2,7 @@
 //! seeded scripts of every call their driver makes — `route_packet`
 //! (packets to ourselves included), `on_packet_received` of RREQ / RREP /
 //! RERR / transit TCP, `on_link_failure` of control and data, own and
-//! foreign, live and stale `on_timer`, `ensure_route` and `reset_routes` —
+//! foreign, live and stale `on_timer` and `reset_routes` —
 //! with everything the engines emit and show folded into one digest per
 //! (configuration, shape) and compared against rows committed by an earlier
 //! build (`tests/fixtures/aodv_transcripts.txt`).
@@ -174,13 +174,18 @@ impl Script {
 
     /// A TCP packet from `src` to `dst`: data, one time in five an ACK.
     fn tcp(&mut self, src: NodeId, dst: NodeId) -> Packet {
-        let uid = self.uid();
-        let segment = if self.pick(5) == 0 {
-            TcpSegment::ack(FlowId::new(0), uid)
+        if self.pick(5) == 0 {
+            let uid = self.uid();
+            Packet::new(uid, src, dst, Payload::Tcp(TcpSegment::ack(FlowId::new(0), uid)))
         } else {
-            TcpSegment::data(FlowId::new(0), uid, 512, None)
-        };
-        Packet::new(uid, src, dst, Payload::Tcp(segment))
+            self.data(src, dst)
+        }
+    }
+
+    /// A TCP data packet from `src` to `dst`.
+    fn data(&mut self, src: NodeId, dst: NodeId) -> Packet {
+        let uid = self.uid();
+        Packet::new(uid, src, dst, Payload::Tcp(TcpSegment::data(FlowId::new(0), uid, 512, None)))
     }
 
     /// The valid routes of engine `i` right now: `(dst, next_hop, dst_seq)`.
@@ -605,7 +610,8 @@ impl Script {
             }
             84..=87 => {
                 let dst = self.dst(n(0), 8);
-                (0, 7, self.nodes[0].ensure_route(dst, now))
+                let p = self.data(n(0), dst);
+                (0, 1, self.nodes[0].route_packet(p, now))
             }
             88..=92 => match self.stale_timer() {
                 Some((i, out)) => (i, 8, out),
@@ -633,7 +639,10 @@ impl Script {
                 };
                 (i, 1, self.nodes[i].route_packet(p, now))
             }
-            45..=52 => (i, 7, self.nodes[i].ensure_route(dst, now)),
+            45..=52 => {
+                let p = self.data(n(i as u16), dst);
+                (i, 1, self.nodes[i].route_packet(p, now))
+            }
             53..=57 => {
                 let link = self.pick(2) as usize;
                 let down = SimDuration::from_millis(200 + u64::from(self.pick(3_800)));
