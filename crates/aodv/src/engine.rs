@@ -294,23 +294,6 @@ impl Aodv {
         out
     }
 
-    /// Starts a route discovery toward `dst` if none is pending and no
-    /// usable route exists — used by ELFN-style probing, where the caller
-    /// wants a route re-established without having a packet to buffer.
-    pub fn ensure_route(&mut self, dst: NodeId, now: SimTime) -> AodvOutputs {
-        let mut out = AodvOutputs::new();
-        if dst == self.addr
-            || self.table.lookup(dst, now).is_some()
-            || self.pending.contains_key(&dst)
-        {
-            return out;
-        }
-        self.pending.insert(dst, Pending { retries: 0, timer: None, buffered: VecDeque::new() });
-        self.stats.discoveries += 1;
-        self.send_rreq(dst, now, &mut out);
-        out
-    }
-
     /// A discovery timer fired.
     pub fn on_timer(&mut self, id: AodvTimer, now: SimTime) -> AodvOutputs {
         let mut out = AodvOutputs::new();
@@ -1014,18 +997,6 @@ mod tests {
             Some(AodvOutput::Dropped { packet, .. }) => assert_eq!(packet.uid, 1),
             _ => panic!("expected overflow drop: {out:?}"),
         }
-    }
-
-    #[test]
-    fn ensure_route_probes_once() {
-        let mut a = mk(0);
-        let out = a.ensure_route(n(2), t0());
-        assert!(find_rreq(&out).is_some());
-        // Idempotent while the discovery is pending.
-        let out = a.ensure_route(n(2), t0());
-        assert!(out.is_empty());
-        // And a no-op for ourselves or known routes.
-        assert!(a.ensure_route(n(0), t0()).is_empty());
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
     let taken = text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "4", "--out", &ck]);
     assert_eq!(
         after(&taken, ": "),
-        ": 5154 bytes, t=4.000000s events=19721 hash=0x71534f49066f9e30\n"
+        ": 5129 bytes, t=4.000000s events=19721 hash=0x71534f49066f9e30\n"
     );
     let resumed = text_of("checkpoint", &["resume", "--script", &scn, "--from", &ck]);
     assert_eq!(
@@ -177,10 +177,10 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
         text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "15", "--out", &straight]);
     assert_eq!(
         after(&ran, ": "),
-        ": 4813 bytes, t=15.000000s events=39044 hash=0x237736b373f481a7\n"
+        ": 4788 bytes, t=15.000000s events=39044 hash=0x237736b373f481a7\n"
     );
     let size = |p: &str| std::fs::metadata(p).expect("snapshot written").len();
-    assert_eq!((size(&ck), size(&straight)), (5154, 4813));
+    assert_eq!((size(&ck), size(&straight)), (5129, 4788));
 
     let bytes = std::fs::read(&ck).expect("snapshot written");
     std::fs::write(&cut, &bytes[..1000]).expect("write truncated snapshot");

@@ -59,18 +59,6 @@ pub struct FlowSpec {
     pub vegas: VegasConfig,
     /// Muzha window-adjustment cadence (ignored by other variants).
     pub muzha_cadence: AdjustmentCadence,
-    /// RFC 1122 delayed ACKs at the receiver: acknowledge every second
-    /// in-order segment or after 100 ms. Halves the reverse ACK traffic —
-    /// a meaningful effect in a contended wireless chain. Off by default
-    /// (ns-2's sink, and hence the paper, ACKs every segment).
-    pub delayed_ack: bool,
-    /// ELFN-style route-failure assistance (paper §3, TCP-ELFN/TCP-F):
-    /// while the source has no route to the destination, the flow's
-    /// retransmission timer is held (checked every 100 ms) instead of
-    /// firing into the void — so a route outage does not compound the
-    /// exponential RTO backoff. Off by default (the paper's TCP agents run
-    /// unassisted).
-    pub elfn: bool,
 }
 
 impl FlowSpec {
@@ -84,8 +72,6 @@ impl FlowSpec {
             tcp: TcpConfig::default(),
             vegas: VegasConfig::default(),
             muzha_cadence: AdjustmentCadence::default(),
-            delayed_ack: false,
-            elfn: false,
         }
     }
 
@@ -109,31 +95,10 @@ impl FlowSpec {
         self.muzha_cadence = cadence;
         self
     }
-
-    /// Enables ELFN-style route-failure assistance for this flow.
-    #[must_use]
-    pub fn with_elfn(mut self) -> Self {
-        self.elfn = true;
-        self
-    }
-
-    /// Enables the fixed-RTO heuristic (paper §3.1 \[40\]) for this flow.
-    #[must_use]
-    pub fn with_fixed_rto(mut self) -> Self {
-        self.tcp.fixed_rto = true;
-        self
-    }
-
-    /// Enables RFC 1122 delayed ACKs at this flow's receiver.
-    #[must_use]
-    pub fn with_delayed_ack(mut self) -> Self {
-        self.delayed_ack = true;
-        self
-    }
 }
 
 sim_core::snap_record! {
-    FlowSpec { src, dst, variant, start, tcp, vegas, muzha_cadence, delayed_ack, elfn }
+    FlowSpec { src, dst, variant, start, tcp, vegas, muzha_cadence }
     check |f| f.src != f.dst => "flow endpoints equal";
 }
 

@@ -55,8 +55,6 @@ pub(crate) enum Event {
     JitteredEnqueue { node: NodeId, packet: Packet, next_hop: NodeId },
     /// Periodic position update for a moving node.
     MobilityTick { node: NodeId },
-    /// Delayed-ACK release timer at a flow's receiver.
-    DelAckTimer { node: NodeId, flow: FlowId, id: tcp::DelAckTimer },
     /// Periodic DRAI sampling tick.
     Sample,
     /// A scripted fault fires (index into the loaded scenario fault list).
@@ -93,7 +91,7 @@ pub(crate) enum EventKind {
     FlowStart = 7,
     JitteredEnqueue = 8,
     MobilityTick = 9,
-    DelAckTimer = 10,
+    // 10 was the delayed-ACK timer.
     Sample = 11,
     Fault = 12,
     CsEnd = 13,
@@ -111,7 +109,7 @@ pub(crate) enum Owner {
 
 impl EventKind {
     /// Every kind, in tag order.
-    const ALL: [EventKind; 12] = [
+    const ALL: [EventKind; 11] = [
         EventKind::RxEnd,
         EventKind::TxDone,
         EventKind::MacTimer,
@@ -120,7 +118,6 @@ impl EventKind {
         EventKind::FlowStart,
         EventKind::JitteredEnqueue,
         EventKind::MobilityTick,
-        EventKind::DelAckTimer,
         EventKind::Sample,
         EventKind::Fault,
         EventKind::CsEnd,
@@ -134,9 +131,7 @@ impl EventKind {
             EventKind::RxEnd | EventKind::TxDone | EventKind::CsEnd => &mut perf.phy_events,
             EventKind::MacTimer => &mut perf.mac_events,
             EventKind::AodvTimer | EventKind::JitteredEnqueue => &mut perf.routing_events,
-            EventKind::TcpTimer | EventKind::FlowStart | EventKind::DelAckTimer => {
-                &mut perf.transport_events
-            }
+            EventKind::TcpTimer | EventKind::FlowStart => &mut perf.transport_events,
             EventKind::MobilityTick => &mut perf.mobility_events,
             EventKind::Sample => &mut perf.sampling_events,
             EventKind::Fault => &mut perf.fault_events,
@@ -166,7 +161,6 @@ impl Event {
             Event::FlowStart { .. } => EventKind::FlowStart,
             Event::JitteredEnqueue { .. } => EventKind::JitteredEnqueue,
             Event::MobilityTick { .. } => EventKind::MobilityTick,
-            Event::DelAckTimer { .. } => EventKind::DelAckTimer,
             Event::Sample => EventKind::Sample,
             Event::Fault { .. } => EventKind::Fault,
             Event::CsEnd { .. } => EventKind::CsEnd,
@@ -182,8 +176,7 @@ impl Event {
             | Event::AodvTimer { node, .. }
             | Event::TcpTimer { node, .. }
             | Event::JitteredEnqueue { node, .. }
-            | Event::MobilityTick { node }
-            | Event::DelAckTimer { node, .. } => Owner::Node(*node),
+            | Event::MobilityTick { node } => Owner::Node(*node),
             Event::FlowStart { flow } => Owner::FlowSource(*flow),
             Event::Sample | Event::Fault { .. } => Owner::Global,
         }
@@ -206,9 +199,7 @@ impl Event {
             | Event::AodvTimer { node, .. }
             | Event::MobilityTick { node } => node.index() < nodes,
             Event::RxEnd { node, frame, .. } => node.index() < nodes && segment_ok(frame.packet()),
-            Event::TcpTimer { node, flow, .. } | Event::DelAckTimer { node, flow, .. } => {
-                node.index() < nodes && flow.index() < flows
-            }
+            Event::TcpTimer { node, flow, .. } => node.index() < nodes && flow.index() < flows,
             Event::FlowStart { flow } => flow.index() < flows,
             Event::JitteredEnqueue { node, packet, next_hop: _ } => {
                 node.index() < nodes && segment_ok(Some(packet))
@@ -240,7 +231,7 @@ impl Event {
             | Event::MobilityTick { node } => {
                 hash.write_u64(node.index() as u64);
             }
-            Event::TcpTimer { node, flow, .. } | Event::DelAckTimer { node, flow, .. } => {
+            Event::TcpTimer { node, flow, .. } => {
                 hash.write_u64(node.index() as u64).write_u64(flow.index() as u64);
             }
             Event::FlowStart { flow } => {
@@ -290,11 +281,6 @@ impl Snapshotable for Event {
                 w.put(packet);
                 w.put(next_hop);
             }
-            Event::DelAckTimer { node, flow, id } => {
-                w.put(node);
-                w.put(flow);
-                w.put(id);
-            }
             Event::Sample => {}
             Event::Fault { index } => w.put_usize(*index),
         }
@@ -313,9 +299,6 @@ impl Snapshotable for Event {
                 Event::JitteredEnqueue { node: r.get()?, packet: r.get()?, next_hop: r.get()? }
             }
             EventKind::MobilityTick => Event::MobilityTick { node: r.get()? },
-            EventKind::DelAckTimer => {
-                Event::DelAckTimer { node: r.get()?, flow: r.get()?, id: r.get()? }
-            }
             EventKind::Sample => Event::Sample,
             EventKind::Fault => Event::Fault { index: r.take_usize()? },
         })
@@ -326,20 +309,21 @@ impl Snapshotable for Event {
 mod tests {
     use super::*;
 
-    /// The tags are the discriminants: 2..=13 decode to the kind that
-    /// re-encodes to the same byte; the neighbours on either side — 1 is
-    /// the retired start-edge tag — are refused rather than misread.
+    /// The tags are the discriminants: 2..=13 but 10 decode to the kind
+    /// that re-encodes to the same byte; the neighbours on either side and
+    /// the retired tags — 1 was the start edge, 10 the delayed-ACK timer —
+    /// are refused rather than misread.
     #[test]
     fn kind_tags_round_trip_and_reject_out_of_range() {
-        assert_eq!(EventKind::ALL.len(), 12);
-        for tag in 2..=13u8 {
+        assert_eq!(EventKind::ALL.len(), 11);
+        for tag in (2..=13u8).filter(|&t| t != 10) {
             let kind = EventKind::decode(&mut SnapshotReader::new(&[tag])).expect("tag in range");
             assert_eq!(kind as u8, tag);
             let mut w = SnapshotWriter::new();
             w.put(&kind);
             assert_eq!(w.finish(), [tag]);
         }
-        for tag in [0u8, 1, 14] {
+        for tag in [0u8, 1, 10, 14] {
             assert_eq!(
                 EventKind::decode(&mut SnapshotReader::new(&[tag])),
                 Err(SnapError::Invalid("event tag"))

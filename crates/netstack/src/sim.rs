@@ -137,12 +137,7 @@ impl Simulator {
         assert_ne!(spec.src, spec.dst, "flow endpoints must differ");
         let flow = FlowId::from_index(self.flows.len());
         let sender = Sender::new(flow, spec.variant, spec.tcp, spec.vegas, spec.muzha_cadence);
-        let sack = spec.variant == TcpVariant::Sack;
-        let receiver = if spec.delayed_ack {
-            TcpReceiver::with_delayed_ack(flow, sack)
-        } else {
-            TcpReceiver::new(flow, sack)
-        };
+        let receiver = TcpReceiver::new(flow, spec.variant == TcpVariant::Sack);
         self.schedule(spec.start.max(self.now), Event::FlowStart { flow });
         self.flows.push(Flow { spec, sender, receiver });
         flow
@@ -350,7 +345,7 @@ impl Simulator {
             perf.timers_cancelled += n.mac.timers_cancelled() + n.aodv.timers_cancelled();
         }
         for f in &self.flows {
-            perf.timers_cancelled += f.sender.timers_cancelled() + f.receiver.timers_cancelled();
+            perf.timers_cancelled += f.sender.timers_cancelled();
         }
         perf
     }
@@ -513,26 +508,10 @@ impl Simulator {
                 self.process_aodv_outputs(node, outputs);
             }
             Event::TcpTimer { node, flow, id } => {
-                let now = self.now;
                 let Some(f) = self.flows.get(flow.index()).filter(|f| f.spec.src == node) else {
                     return;
                 };
-                let (elfn, dst) = (f.spec.elfn, f.spec.dst);
-                if elfn && !self.nodes[node.index()].aodv.has_route(dst, now) {
-                    // ELFN freeze: the route is down, so firing the
-                    // retransmission timer would only compound the RTO
-                    // backoff. Probe for a route and re-check shortly.
-                    let outs = self.nodes[node.index()].aodv.ensure_route(dst, now);
-                    self.process_aodv_outputs(node, outs);
-                    self.schedule(
-                        now + sim_core::SimDuration::from_millis(100),
-                        Event::TcpTimer { node, flow, id },
-                    );
-                    return;
-                }
-                // The staleness check must come after the ELFN freeze above:
-                // a frozen timer is still the armed one and keeps re-probing.
-                if !self.flows[flow.index()].sender.timer_is_live(id) {
+                if !f.sender.timer_is_live(id) {
                     self.perf.timers_stale_popped += 1;
                     return;
                 }
@@ -542,23 +521,6 @@ impl Simulator {
                 self.enqueue_ifq(node, packet, next_hop);
             }
             Event::MobilityTick { node } => self.mobility_tick(node),
-            Event::DelAckTimer { node, flow, id } => {
-                let Some(f) = self.flows.get_mut(flow.index()).filter(|f| f.spec.dst == node)
-                else {
-                    return;
-                };
-                if !f.receiver.delack_is_live(id) {
-                    self.perf.timers_stale_popped += 1;
-                    return;
-                }
-                let src = f.spec.src;
-                if let Some(segment) = f.receiver.on_delack_timer(id) {
-                    let uid = self.nodes[node.index()].uid.next();
-                    self.rec_ack_tx(node, flow, uid, &segment);
-                    let packet = ack_packet(uid, node, src, segment);
-                    self.route_local(node, packet);
-                }
-            }
             Event::FlowStart { flow } => {
                 let src = self.flows[flow.index()].spec.src;
                 self.drive_sender(src, flow, SenderCall::Open);
@@ -977,11 +939,6 @@ enum SenderCall<'a> {
     Timer(tcp::TcpTimer),
 }
 
-/// Builds an ACK packet travelling from the receiver back to the sender.
-fn ack_packet(uid: u64, from: NodeId, to: NodeId, segment: TcpSegment) -> Packet {
-    Packet::new(uid, from, to, Payload::Tcp(segment))
-}
-
 impl Simulator {
     /// Hands a packet that reached its final destination to the transport
     /// layer (data → receiver → ACK back; ACK → sender).
@@ -996,15 +953,10 @@ impl Simulator {
                 // only the flow's own destination has its receiver.
                 let receiving = self.flows.get_mut(flow.index()).filter(|f| f.spec.dst == node);
                 let absorbed = receiving.map(|f| {
-                    let (ack, timer) = if f.spec.delayed_ack {
-                        let out = f.receiver.on_data_segment_delack(segment, now);
-                        (out.ack, out.set_timer)
-                    } else {
-                        (Some(f.receiver.on_data_segment(segment, now)), None)
-                    };
-                    (ack, timer, f.receiver.rcv_nxt())
+                    let ack = f.receiver.on_data_segment(segment, now);
+                    (ack, f.receiver.rcv_nxt())
                 });
-                let rcv_nxt_after = absorbed.as_ref().map(|&(.., rcv_nxt)| rcv_nxt);
+                let rcv_nxt_after = absorbed.as_ref().map(|&(_, rcv_nxt)| rcv_nxt);
                 self.rec(TraceRecord::TcpRecvData {
                     node,
                     flow,
@@ -1014,16 +966,10 @@ impl Simulator {
                     marked,
                     rcv_nxt_after,
                 });
-                let Some((ack, timer, _)) = absorbed else { return };
-                if let Some((id, at)) = timer {
-                    self.schedule(at, Event::DelAckTimer { node, flow, id });
-                }
-                if let Some(segment) = ack {
-                    let uid = self.nodes[node.index()].uid.next();
-                    self.rec_ack_tx(node, flow, uid, &segment);
-                    let ack = ack_packet(uid, node, packet.src, segment);
-                    self.route_local(node, ack);
-                }
+                let Some((segment, _)) = absorbed else { return };
+                let uid = self.nodes[node.index()].uid.next();
+                self.rec_ack_tx(node, flow, uid, &segment);
+                self.route_local(node, Packet::new(uid, node, packet.src, Payload::Tcp(segment)));
             }
             TcpSegmentKind::Ack { ack, mrai, .. } => {
                 self.rec(TraceRecord::TcpRecvAck { node, flow, ack, uid, mrai });
@@ -1116,10 +1062,9 @@ impl Simulator {
         let mut flows = Vec::new();
         for i in 0..r.take_usize()? {
             let (id, spec): (FlowId, FlowSpec) = (FlowId::from_index(i), r.get()?);
-            let FlowSpec { variant, tcp, vegas, muzha_cadence, delayed_ack, .. } = spec;
+            let FlowSpec { variant, tcp, vegas, muzha_cadence, .. } = spec;
             let sender = Sender::decode_state(&mut r, id, variant, tcp, vegas, muzha_cadence)?;
-            let sack = variant == TcpVariant::Sack;
-            let receiver = TcpReceiver::decode_state(&mut r, id, sack, delayed_ack)?;
+            let receiver = TcpReceiver::decode_state(&mut r, id, variant == TcpVariant::Sack)?;
             flows.push(Flow { spec, sender, receiver });
         }
         let events: EventQueue<Event> = r.get()?;
@@ -1634,35 +1579,24 @@ mod tests {
     }
 
     /// Which node hosts an endpoint is the flow's to say: a data segment, an
-    /// ACK, a retransmission timer and a delayed-ACK timer — live and stale —
-    /// arriving at any node other than the flow's own endpoint find nothing
-    /// there, and the simulator is byte for byte what it was.
+    /// ACK and a retransmission timer — live and stale — arriving at any
+    /// node other than the flow's own endpoint find nothing there, and the
+    /// simulator is byte for byte what it was.
     #[test]
     fn transport_input_at_a_node_that_is_not_the_endpoint_changes_nothing() {
         let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
         let (src, dst) = topology::chain_flow(2);
-        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno).with_delayed_ack());
-        // The live timers, once both endpoints have one armed.
-        let armed = |sim: &Simulator| {
-            let f = &sim.flows[flow.index()];
-            let (mut rto, mut delack) = (None, None);
-            for event in sim.events.iter() {
-                match *event {
-                    Event::TcpTimer { id, .. } if f.sender.timer_is_live(id) => rto = Some(id),
-                    Event::DelAckTimer { id, .. } if f.receiver.delack_is_live(id) => {
-                        delack = Some(id);
-                    }
-                    _ => {}
-                }
-            }
-            rto.zip(delack)
-        };
-        let (rto, delack) = (1_000..1_100)
-            .find_map(|ms| {
-                sim.run_until(secs(f64::from(ms) / 1e3));
-                armed(&sim)
+        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::NewReno));
+        sim.run_until(secs(1.0));
+        let f = &sim.flows[flow.index()];
+        let rto = sim
+            .events
+            .iter()
+            .find_map(|e| match *e {
+                Event::TcpTimer { id, .. } if f.sender.timer_is_live(id) => Some(id),
+                _ => None,
             })
-            .expect("within 100 ms the receiver holds an ACK");
+            .expect("a sender with data in flight has its timer armed");
         let next = sim.flows[flow.index()].receiver.rcv_nxt();
         assert!(sim.flows[flow.index()].sender.stats().segments_sent > next, "data in flight");
         let before = sim.snapshot();
@@ -1677,11 +1611,6 @@ mod tests {
         for node in [NodeId::new(1), dst] {
             for id in [rto, tcp::TcpTimer(u64::MAX)] {
                 sim.dispatch(Event::TcpTimer { node, flow, id });
-            }
-        }
-        for node in [src, NodeId::new(1)] {
-            for id in [delack, tcp::DelAckTimer(u64::MAX)] {
-                sim.dispatch(Event::DelAckTimer { node, flow, id });
             }
         }
         assert!(sim.snapshot() == before, "an input at the wrong node moved something");
@@ -2059,127 +1988,5 @@ mod tracelog_tests {
         let mut sim = Simulator::new(topology::chain(2), SimConfig::default());
         assert!(sim.trace_log().is_none());
         assert!(sim.take_trace_log().is_none());
-    }
-}
-
-#[cfg(test)]
-mod elfn_tests {
-    use super::*;
-    use crate::topology;
-    use phy::Position;
-
-    fn secs(s: f64) -> SimTime {
-        SimTime::from_secs_f64(s)
-    }
-
-    /// Runs the mobile-relay outage scenario and reports (delivered in the
-    /// post-recovery tail, sender timeouts).
-    fn outage_run(elfn: bool) -> (u64, u64) {
-        let mut sim = Simulator::new(topology::chain(4), SimConfig::default());
-        let (src, dst) = topology::chain_flow(4);
-        let mut spec = FlowSpec::new(src, dst, TcpVariant::NewReno);
-        if elfn {
-            spec = spec.with_elfn();
-        }
-        let flow = sim.add_flow(spec);
-        sim.run_until(secs(3.0));
-        // 12-second outage: long enough for several unassisted RTO doublings.
-        let home = sim.position(NodeId::new(2));
-        sim.set_position(NodeId::new(2), Position::new(10_000.0, 10_000.0));
-        sim.run_until(secs(15.0));
-        sim.set_position(NodeId::new(2), home);
-        let at_return = sim.flow_report(flow).delivered_segments;
-        sim.run_until(secs(30.0));
-        let r = sim.flow_report(flow);
-        (r.delivered_segments - at_return, r.sender.timeouts)
-    }
-
-    #[test]
-    fn elfn_recovers_faster_after_an_outage() {
-        let (plain_tail, plain_timeouts) = outage_run(false);
-        let (elfn_tail, elfn_timeouts) = outage_run(true);
-        // The frozen timer means strictly fewer blind timeouts during the
-        // outage (the unassisted sender keeps firing into the void)...
-        assert!(
-            elfn_timeouts < plain_timeouts,
-            "ELFN timeouts {elfn_timeouts} vs plain {plain_timeouts}"
-        );
-        // ...and the flow resumes with comparable vigour once the route
-        // heals (exact counts differ run to run as recovery timing shifts
-        // the contention pattern).
-        assert!(elfn_tail > 20, "ELFN flow must resume, got {elfn_tail}");
-        assert!(
-            elfn_tail * 2 > plain_tail,
-            "ELFN tail {elfn_tail} unreasonably below plain {plain_tail}"
-        );
-    }
-
-    #[test]
-    fn elfn_is_inert_on_a_stable_route() {
-        let run = |elfn: bool| {
-            let mut sim = Simulator::new(topology::chain(3), SimConfig::default());
-            let (src, dst) = topology::chain_flow(3);
-            let mut spec = FlowSpec::new(src, dst, TcpVariant::Muzha);
-            if elfn {
-                spec = spec.with_elfn();
-            }
-            let flow = sim.add_flow(spec);
-            sim.run_until(secs(10.0));
-            sim.flow_report(flow).delivered_segments
-        };
-        let plain = run(false);
-        let with = run(true);
-        let diff = plain.abs_diff(with);
-        // Identical routes throughout: ELFN may only shift the initial
-        // discovery timing slightly.
-        assert!(diff * 20 <= plain, "ELFN changed a stable run too much: {plain} vs {with}");
-    }
-}
-
-#[cfg(test)]
-mod delack_integration_tests {
-    use super::*;
-    use crate::topology;
-
-    #[test]
-    fn delayed_ack_flow_works_and_halves_ack_traffic() {
-        let run = |delayed: bool| {
-            let mut sim = Simulator::new(topology::chain(4), SimConfig::default());
-            let (src, dst) = topology::chain_flow(4);
-            let mut spec = FlowSpec::new(src, dst, TcpVariant::NewReno);
-            if delayed {
-                spec = spec.with_delayed_ack();
-            }
-            let flow = sim.add_flow(spec);
-            sim.run_until(SimTime::from_secs_f64(10.0));
-            let r = sim.flow_report(flow);
-            let acks = sim.flows[flow.index()].receiver.stats().acks_sent;
-            (r.delivered_segments, acks)
-        };
-        let (plain_segs, plain_acks) = run(false);
-        let (delack_segs, delack_acks) = run(true);
-        assert!(delack_segs > 50, "delayed-ACK flow must carry data: {delack_segs}");
-        // Immediate mode: one ACK per received segment. Delayed: roughly half.
-        assert!(plain_acks >= plain_segs);
-        assert!(
-            (delack_acks as f64) < 0.75 * delack_segs as f64,
-            "delack {delack_acks} ACKs for {delack_segs} segments"
-        );
-    }
-
-    #[test]
-    fn delayed_ack_with_muzha_keeps_feedback_loop() {
-        let mut sim = Simulator::new(topology::chain(4), SimConfig::default());
-        let (src, dst) = topology::chain_flow(4);
-        let flow = sim.add_flow(FlowSpec::new(src, dst, TcpVariant::Muzha).with_delayed_ack());
-        sim.install_trace_log(TraceLog::new());
-        sim.run_until(SimTime::from_secs_f64(10.0));
-        let r = sim.flow_report(flow);
-        assert!(r.delivered_segments > 50, "{}", r.delivered_segments);
-        // MRAI feedback still drove the window above its initial value.
-        let log = sim.take_trace_log().expect("log installed");
-        assert!(log
-            .iter()
-            .any(|e| matches!(e.record, TraceRecord::TcpCwnd { cwnd, .. } if cwnd > 2.0)));
     }
 }

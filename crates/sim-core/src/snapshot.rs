@@ -38,7 +38,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUZSNAP0";
 
 /// Current snapshot format version. Bumps on any layout change; decoders
 /// reject every other version outright (no migration).
-pub const SNAPSHOT_VERSION: u16 = 14;
+pub const SNAPSHOT_VERSION: u16 = 15;
 
 /// Why a snapshot failed to decode. Always an error value, never a panic:
 /// snapshots cross process boundaries and must be treated as untrusted

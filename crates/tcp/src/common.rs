@@ -23,7 +23,6 @@ pub struct SendState {
     pub(crate) stats: TcpStats,
     cfg: TcpConfig,
     high_water: u64,
-    consecutive_timeouts: u32,
     /// Send times of candidate RTT-sample segments (Karn: entries are
     /// removed when a segment is retransmitted).
     send_times: DetMap<u64, SimTime>,
@@ -44,7 +43,6 @@ impl SendState {
             stats: TcpStats::default(),
             cfg,
             high_water: 0,
-            consecutive_timeouts: 0,
             send_times: DetMap::new(),
             armed_timer: None,
             next_timer_id: 0,
@@ -165,7 +163,6 @@ impl SendState {
         self.una = ack;
         self.stats.acked_segments = self.stats.acked_segments.max(ack);
         self.dupacks = 0;
-        self.consecutive_timeouts = 0;
         if let Some(rtt) = sample {
             self.rtt.sample(rtt);
         }
@@ -233,24 +230,6 @@ impl SendState {
     pub(crate) fn clear_rtt_candidates(&mut self) {
         self.send_times.clear();
     }
-
-    /// Records a retransmission timeout: applies exponential RTO backoff
-    /// unless the fixed-RTO heuristic (paper §3.1 \[40\]) is enabled and this
-    /// is at least the second consecutive timeout — consecutive timeouts
-    /// are read as a route loss, so the timer is held to probe promptly
-    /// once the route returns.
-    pub(crate) fn note_timeout(&mut self) {
-        self.consecutive_timeouts += 1;
-        if self.cfg.fixed_rto && self.consecutive_timeouts >= 2 {
-            return;
-        }
-        self.rtt.back_off();
-    }
-
-    /// Consecutive timeouts without an intervening new ACK (diagnostics).
-    pub fn consecutive_timeouts(&self) -> u32 {
-        self.consecutive_timeouts
-    }
 }
 
 sim_core::snap_record! {
@@ -262,7 +241,6 @@ sim_core::snap_record! {
         stats,
         cfg = cfg,
         high_water,
-        consecutive_timeouts,
         send_times,
         armed_timer,
         next_timer_id,
@@ -398,41 +376,5 @@ mod tests {
         s.arm_timer(t(3), &mut out);
         s.arm_timer(t(4), &mut out);
         assert_eq!(s.timers_cancelled(), 2);
-    }
-}
-
-#[cfg(test)]
-mod fixed_rto_tests {
-    use super::*;
-    use crate::sender::testkit::t;
-
-    #[test]
-    fn standard_backoff_keeps_doubling() {
-        let mut s = SendState::new(TcpConfig::default());
-        s.rtt.sample(SimDuration::from_millis(100)); // RTO 300 ms
-        s.note_timeout();
-        s.note_timeout();
-        s.note_timeout();
-        assert_eq!(s.rtt.rto(), SimDuration::from_millis(2_400));
-        assert_eq!(s.consecutive_timeouts(), 3);
-    }
-
-    #[test]
-    fn fixed_rto_freezes_after_second_consecutive_timeout() {
-        let cfg = TcpConfig { fixed_rto: true, ..TcpConfig::default() };
-        let mut s = SendState::new(cfg);
-        s.rtt.sample(SimDuration::from_millis(100)); // RTO 300 ms
-        s.note_timeout(); // first timeout still doubles (could be congestion)
-        assert_eq!(s.rtt.rto(), SimDuration::from_millis(600));
-        s.note_timeout(); // consecutive: route loss — hold
-        s.note_timeout();
-        assert_eq!(s.rtt.rto(), SimDuration::from_millis(600), "RTO frozen");
-        // A new ACK ends the episode; backoff resumes normally after it.
-        s.register_send(0, t(0));
-        s.nxt = 1;
-        let _ = s.advance_una(1, t(10));
-        assert_eq!(s.consecutive_timeouts(), 0);
-        s.note_timeout();
-        assert!(s.rtt.rto() > SimDuration::from_millis(200));
     }
 }

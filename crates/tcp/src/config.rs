@@ -27,11 +27,6 @@ pub struct TcpConfig {
     pub min_rto: SimDuration,
     /// Upper bound on the RTO.
     pub max_rto: SimDuration,
-    /// The fixed-RTO heuristic of Dyer & Boppana (paper §3.1, ref. \[40\]):
-    /// after two *consecutive* timeouts — taken as evidence of a route
-    /// loss, not congestion — the RTO stops doubling until new data is
-    /// acknowledged. Off by default (standard TCP behaviour).
-    pub fixed_rto: bool,
 }
 
 impl Default for TcpConfig {
@@ -45,7 +40,6 @@ impl Default for TcpConfig {
             initial_rto: SimDuration::from_secs(3),
             min_rto: SimDuration::from_millis(200),
             max_rto: SimDuration::from_secs(60),
-            fixed_rto: false,
         }
     }
 }
@@ -105,7 +99,6 @@ sim_core::snap_record! {
         initial_rto,
         min_rto,
         max_rto,
-        fixed_rto,
     }
     // Mirror `validate()` as a total check: a flow table must never panic.
     check |c| c.payload_bytes > 0

@@ -47,7 +47,7 @@ mod variant;
 pub use common::SendState;
 pub use config::{TcpConfig, VegasConfig};
 pub use output::{TcpOutput, TcpStats, TcpTimer, Transport};
-pub use receiver::{DelAckTimer, ReceiverOutput, TcpReceiver};
+pub use receiver::TcpReceiver;
 pub use rtt::RttEstimator;
 pub use sender::{RenoSender, Sender};
 pub use variant::{AdjustmentCadence, TcpVariant};

@@ -2,26 +2,8 @@
 
 use std::collections::BTreeSet;
 
-use sim_core::{SimDuration, SimTime};
+use sim_core::SimTime;
 use wire::{FlowId, SackBlock, TcpSegment, TcpSegmentKind};
-
-/// Identifies one delayed-ACK timer set by the receiver; the driver
-/// schedules an event and calls [`TcpReceiver::on_delack_timer`] with it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct DelAckTimer(pub u64);
-
-/// What the receiver wants done after processing a data segment in
-/// delayed-ACK mode.
-#[derive(Clone, Debug, Default)]
-pub struct ReceiverOutput {
-    /// An ACK to send now, if any.
-    pub ack: Option<TcpSegment>,
-    /// A delayed-ACK timer to arm, if any.
-    pub set_timer: Option<(DelAckTimer, SimTime)>,
-}
-
-/// RFC 1122's delayed-ACK ceiling.
-const DELACK_TIMEOUT: SimDuration = SimDuration::from_millis(100);
 
 /// Receiver-side counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,8 +15,6 @@ pub struct ReceiverStats {
     /// ACKs generated.
     pub acks_sent: u64,
 }
-
-sim_core::snap_record! { DelAckTimer { 0 } }
 
 sim_core::snap_record! { ReceiverStats { segments_received, duplicates, acks_sent } }
 
@@ -68,16 +48,10 @@ pub struct TcpReceiver {
     payload_bytes_seen: u32,
     /// Highest sequence number ever seen (for out-of-order detection).
     max_seq_seen: Option<u64>,
-    delack_enabled: bool,
-    /// A fully-built ACK waiting for the delayed-ACK rule to release it.
-    pending_ack: Option<TcpSegment>,
-    delack_timer: Option<DelAckTimer>,
-    next_delack_id: u64,
-    delack_cancelled: u64,
 }
 
 sim_core::snap_record! {
-    given (flow: FlowId, sack_enabled: bool, delack_enabled: bool) TcpReceiver {
+    given (flow: FlowId, sack_enabled: bool) TcpReceiver {
         flow = flow,
         rcv_nxt,
         out_of_order,
@@ -85,11 +59,6 @@ sim_core::snap_record! {
         stats,
         payload_bytes_seen,
         max_seq_seen,
-        delack_enabled = delack_enabled,
-        pending_ack,
-        delack_timer,
-        next_delack_id,
-        delack_cancelled,
     }
     // Already delivered data cannot also be buffered.
     check |rx| rx.out_of_order.first().is_none_or(|&lo| lo > rx.rcv_nxt)
@@ -111,22 +80,7 @@ impl TcpReceiver {
             stats: ReceiverStats::default(),
             payload_bytes_seen: wire::TCP_PAYLOAD_BYTES,
             max_seq_seen: None,
-            delack_enabled: false,
-            pending_ack: None,
-            delack_timer: None,
-            next_delack_id: 0,
-            delack_cancelled: 0,
         }
-    }
-
-    /// Creates a receiver with RFC 1122 delayed ACKs: in-order segments are
-    /// acknowledged every second segment or after 100 ms, whichever comes
-    /// first; out-of-order or duplicate arrivals are acknowledged
-    /// immediately (they carry loss/reorder information the sender needs
-    /// now). In a contended wireless chain this roughly halves the reverse
-    /// ACK traffic.
-    pub fn with_delayed_ack(flow: FlowId, sack_enabled: bool) -> Self {
-        TcpReceiver { delack_enabled: true, ..Self::new(flow, sack_enabled) }
     }
 
     /// The flow this receiver serves.
@@ -149,85 +103,13 @@ impl TcpReceiver {
         self.rcv_nxt * u64::from(self.payload_bytes_seen)
     }
 
-    /// Processes a data segment and returns the ACK to send back
-    /// (immediate-ACK mode; see [`Self::on_data_segment_delack`] for the
-    /// delayed variant, the only one of the two that reads the clock).
+    /// Processes a data segment and returns the ACK to send back: every
+    /// segment is acknowledged at once, as ns-2's sink does.
     ///
     /// # Panics
     ///
     /// Panics if called with a non-data segment or one for another flow.
     pub fn on_data_segment(&mut self, segment: &TcpSegment, _now: SimTime) -> TcpSegment {
-        let (ack, _advanced) = self.absorb(segment);
-        self.stats.acks_sent += 1;
-        ack
-    }
-
-    /// Processes a data segment under the delayed-ACK policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with a non-data segment or one for another flow.
-    pub fn on_data_segment_delack(&mut self, segment: &TcpSegment, now: SimTime) -> ReceiverOutput {
-        assert!(self.delack_enabled, "receiver not in delayed-ACK mode");
-        let (ack, advanced_in_order) = self.absorb(segment);
-        if !advanced_in_order {
-            // Dup or out-of-order: the sender needs this signal now. Any
-            // pending delayed ACK is superseded by this fresher one.
-            self.pending_ack = None;
-            self.cancel_delack_timer();
-            self.stats.acks_sent += 1;
-            return ReceiverOutput { ack: Some(ack), set_timer: None };
-        }
-        if self.pending_ack.take().is_some() {
-            // Second in-order segment: release one coalesced ACK.
-            self.cancel_delack_timer();
-            self.stats.acks_sent += 1;
-            return ReceiverOutput { ack: Some(ack), set_timer: None };
-        }
-        // First in-order segment: hold the ACK briefly.
-        self.pending_ack = Some(ack);
-        let id = DelAckTimer(self.next_delack_id);
-        self.next_delack_id += 1;
-        self.delack_timer = Some(id);
-        ReceiverOutput { ack: None, set_timer: Some((id, now + DELACK_TIMEOUT)) }
-    }
-
-    /// Whether `id` is the currently armed delayed-ACK timer. The driver
-    /// consults this at its dispatch choke point to discard stale timer
-    /// pops without entering the receiver.
-    pub fn delack_is_live(&self, id: DelAckTimer) -> bool {
-        self.delack_timer == Some(id)
-    }
-
-    /// Number of delayed-ACK timers tombstoned before firing (superseded
-    /// by an immediate ACK); their queued events pop stale.
-    pub fn timers_cancelled(&self) -> u64 {
-        self.delack_cancelled
-    }
-
-    fn cancel_delack_timer(&mut self) {
-        if self.delack_timer.take().is_some() {
-            self.delack_cancelled += 1;
-        }
-    }
-
-    /// A delayed-ACK timer fired; returns the held ACK if `id` is current.
-    pub fn on_delack_timer(&mut self, id: DelAckTimer) -> Option<TcpSegment> {
-        if self.delack_timer == Some(id) {
-            self.delack_timer = None;
-            let ack = self.pending_ack.take();
-            if ack.is_some() {
-                self.stats.acks_sent += 1;
-            }
-            ack
-        } else {
-            None
-        }
-    }
-
-    /// Core segment processing; returns the (possibly withheld) ACK and
-    /// whether the segment advanced the in-order stream.
-    fn absorb(&mut self, segment: &TcpSegment) -> (TcpSegment, bool) {
         assert_eq!(segment.flow, self.flow, "segment for wrong flow");
         let TcpSegmentKind::Data { seq, payload_bytes, avbw, marked, retransmit } = segment.kind
         else {
@@ -240,7 +122,6 @@ impl TcpReceiver {
         // packets — in a MANET, almost always a route change (§3.1 [39]).
         let ooo = !retransmit && self.max_seq_seen.is_some_and(|m| seq < m);
         self.max_seq_seen = Some(self.max_seq_seen.map_or(seq, |m| m.max(seq)));
-        let mut advanced = false;
         if seq < self.rcv_nxt || self.out_of_order.contains(&seq) {
             self.stats.duplicates += 1;
         } else if seq == self.rcv_nxt {
@@ -249,11 +130,11 @@ impl TcpReceiver {
             while self.out_of_order.remove(&self.rcv_nxt) {
                 self.rcv_nxt += 1;
             }
-            advanced = true;
         } else {
             self.out_of_order.insert(seq);
         }
-        let ack = TcpSegment {
+        self.stats.acks_sent += 1;
+        TcpSegment {
             flow: self.flow,
             kind: TcpSegmentKind::Ack {
                 ack: self.rcv_nxt,
@@ -262,8 +143,7 @@ impl TcpReceiver {
                 ooo,
                 sack: if self.sack_enabled { self.sack_blocks() } else { Vec::new() },
             },
-        };
-        (ack, advanced)
+        }
     }
 
     /// Contiguous runs of out-of-order data, lowest first, capped at
@@ -423,12 +303,12 @@ mod tests {
         assert!(marked);
     }
 
-    /// What a receiver is built with — its flow, SACK, delayed ACKs — is not
-    /// in its bytes: two fresh receivers built differently write the same
-    /// record, and a busy one decoded around its settings acknowledges the
-    /// next segment as the original does.
+    /// What a receiver is built with — its flow and SACK — is not in its
+    /// bytes: two fresh receivers built differently write the same record,
+    /// and a busy one decoded around its settings acknowledges the next
+    /// segment as the original does.
     #[test]
-    fn the_flow_and_both_modes_are_given_not_read() {
+    fn the_flow_and_sack_are_given_not_read() {
         let encoded = |rx: &TcpReceiver| {
             let mut w = sim_core::SnapshotWriter::new();
             rx.encode_state(&mut w);
@@ -436,19 +316,16 @@ mod tests {
         };
         let flow = FlowId::new(3);
         let segment = |seq| TcpSegment::data(flow, seq, 1460, None);
-        assert_eq!(encoded(&rx(false)), encoded(&TcpReceiver::with_delayed_ack(flow, true)));
-        let mut busy = TcpReceiver::with_delayed_ack(flow, true);
+        assert_eq!(encoded(&rx(false)), encoded(&TcpReceiver::new(flow, true)));
+        let mut busy = TcpReceiver::new(flow, true);
         for seq in [0, 2, 3] {
-            let _ = busy.on_data_segment_delack(&segment(seq), SimTime::ZERO);
+            let _ = busy.on_data_segment(&segment(seq), SimTime::ZERO);
         }
         let bytes = encoded(&busy);
         let mut r = sim_core::SnapshotReader::new(&bytes);
-        let mut twin = TcpReceiver::decode_state(&mut r, flow, true, true).expect("own encoding");
+        let mut twin = TcpReceiver::decode_state(&mut r, flow, true).expect("own encoding");
         let at = SimTime::from_nanos(1);
-        let (a, b) = (
-            busy.on_data_segment_delack(&segment(1), at),
-            twin.on_data_segment_delack(&segment(1), at),
-        );
+        let (a, b) = (busy.on_data_segment(&segment(1), at), twin.on_data_segment(&segment(1), at));
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(encoded(&twin), encoded(&busy));
     }
@@ -502,98 +379,5 @@ mod proptests {
 
     fn data(seq: u64) -> TcpSegment {
         TcpSegment::data(FlowId::new(0), seq, 1460, None)
-    }
-}
-
-#[cfg(test)]
-mod delack_tests {
-    use super::*;
-
-    fn rx() -> TcpReceiver {
-        TcpReceiver::with_delayed_ack(FlowId::new(0), false)
-    }
-
-    fn data(seq: u64) -> TcpSegment {
-        TcpSegment::data(FlowId::new(0), seq, 1460, None)
-    }
-
-    fn t(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
-    fn ack_no(seg: &TcpSegment) -> u64 {
-        match seg.kind {
-            TcpSegmentKind::Ack { ack, .. } => ack,
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn first_segment_is_held_second_releases() {
-        let mut r = rx();
-        let out = r.on_data_segment_delack(&data(0), t(0));
-        assert!(out.ack.is_none(), "first in-order segment is held");
-        assert!(out.set_timer.is_some());
-        let out = r.on_data_segment_delack(&data(1), t(10));
-        let ack = out.ack.expect("second segment releases one ACK");
-        assert_eq!(ack_no(&ack), 2, "coalesced cumulative ACK");
-        assert!(out.set_timer.is_none());
-        // Exactly one ACK for two segments.
-        assert_eq!(r.stats().acks_sent, 1);
-    }
-
-    #[test]
-    fn timer_releases_a_lone_segment() {
-        let mut r = rx();
-        let out = r.on_data_segment_delack(&data(0), t(0));
-        let (id, at) = out.set_timer.unwrap();
-        assert_eq!(at, t(100), "RFC 1122 100 ms ceiling");
-        let ack = r.on_delack_timer(id).expect("held ACK released");
-        assert_eq!(ack_no(&ack), 1);
-        // Stale firing is a no-op.
-        assert!(r.on_delack_timer(id).is_none());
-    }
-
-    #[test]
-    fn out_of_order_acks_immediately() {
-        let mut r = rx();
-        let _ = r.on_data_segment_delack(&data(0), t(0));
-        let _ = r.on_data_segment_delack(&data(1), t(5));
-        // Gap: segment 3 arrives before 2 — dup-ACK must go out NOW.
-        let out = r.on_data_segment_delack(&data(3), t(10));
-        let ack = out.ack.expect("OOO arrival must ACK immediately");
-        assert_eq!(ack_no(&ack), 2);
-        assert!(out.set_timer.is_none());
-    }
-
-    #[test]
-    fn pending_ack_superseded_by_immediate_event() {
-        let mut r = rx();
-        // Segment 0 held...
-        let out = r.on_data_segment_delack(&data(0), t(0));
-        let (id, _) = out.set_timer.unwrap();
-        // ...then a gap arrival forces an immediate (and fresher) ACK.
-        assert!(r.delack_is_live(id));
-        let out = r.on_data_segment_delack(&data(5), t(10));
-        assert!(out.ack.is_some());
-        // The old timer must now be stale: no double-ACK.
-        assert!(!r.delack_is_live(id), "superseded timer must read dead");
-        assert_eq!(r.timers_cancelled(), 1);
-        assert!(r.on_delack_timer(id).is_none());
-    }
-
-    #[test]
-    fn immediate_mode_unaffected() {
-        let mut r = TcpReceiver::new(FlowId::new(0), false);
-        let ack = r.on_data_segment(&data(0), t(0));
-        assert_eq!(ack_no(&ack), 1);
-        assert_eq!(r.stats().acks_sent, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in delayed-ACK mode")]
-    fn delack_call_requires_mode() {
-        let mut r = TcpReceiver::new(FlowId::new(0), false);
-        let _ = r.on_data_segment_delack(&data(0), t(0));
     }
 }

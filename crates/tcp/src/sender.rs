@@ -264,7 +264,7 @@ impl Transport for Sender {
         self.s.dupacks = 0;
         self.s.nxt = self.s.una;
         self.s.clear_rtt_candidates();
-        self.s.note_timeout();
+        self.s.rtt.back_off();
         self.send_fresh(now, &mut out);
         out
     }

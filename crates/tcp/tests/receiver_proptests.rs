@@ -1,7 +1,7 @@
 //! Property tests for TCP receiver reassembly: any mix of duplicated,
 //! overlapping and reordered segment arrivals must produce exactly-once,
-//! in-order delivery — for the plain (Reno/Vegas-style) receiver, the
-//! SACK-enabled receiver, and the delayed-ACK receiver alike.
+//! in-order delivery — for the plain (Reno/Vegas-style) receiver and the
+//! SACK-enabled receiver alike.
 //!
 //! These are the faultline test corpus's transport-layer counterpart: the
 //! runtime invariant checker asserts `rcv_nxt` monotonicity on live runs,
@@ -130,27 +130,5 @@ proptest! {
             prop_assert_eq!(ack_no(&a), ack_no(&b));
         }
         prop_assert_eq!(plain.delivered_bytes(), sack.delivered_bytes());
-    }
-
-    /// The delayed-ACK receiver delivers byte-for-byte the same stream as
-    /// the immediate receiver; only ACK emission timing differs.
-    #[test]
-    fn delack_receiver_delivers_identically(
-        arrivals in proptest::collection::vec(0u64..10, 30)
-    ) {
-        let mut immediate = TcpReceiver::new(FLOW, false);
-        let mut delack = TcpReceiver::with_delayed_ack(FLOW, false);
-        for (i, &seq) in arrivals.iter().enumerate() {
-            let t = SimTime::from_nanos(i as u64);
-            let _ = immediate.on_data_segment(&data(seq), t);
-            let out = delack.on_data_segment_delack(&data(seq), t);
-            if let Some((id, _)) = out.set_timer {
-                // Fire the held ACK immediately; delivery must not depend
-                // on when (or whether) the coalesced ACK leaves.
-                let _ = delack.on_delack_timer(id);
-            }
-            prop_assert_eq!(immediate.rcv_nxt(), delack.rcv_nxt());
-        }
-        prop_assert_eq!(immediate.delivered_bytes(), delack.delivered_bytes());
     }
 }

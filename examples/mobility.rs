@@ -22,32 +22,21 @@ fn main() {
     let seeds = [11u64, 23, 37];
     println!("Mobile relay scenario: 4-hop chain, node 2 oscillates ±150 m, {DURATION_S} s\n");
     let mut rows = Vec::new();
-    // (variant, elfn assistance, fixed-RTO heuristic)
-    let cases = [
-        (TcpVariant::NewReno, false, false),
-        (TcpVariant::Sack, false, false),
-        (TcpVariant::Vegas, false, false),
-        (TcpVariant::Door, false, false),
-        (TcpVariant::Muzha, false, false),
-        (TcpVariant::NewReno, false, true),
-        (TcpVariant::NewReno, true, false),
-        (TcpVariant::Muzha, true, false),
+    let variants = [
+        TcpVariant::NewReno,
+        TcpVariant::Sack,
+        TcpVariant::Vegas,
+        TcpVariant::Door,
+        TcpVariant::Muzha,
     ];
-    for (variant, elfn, fixed_rto) in cases {
+    for variant in variants {
         let mut kbps = Vec::new();
         let mut discoveries = Vec::new();
         for &seed in &seeds {
             let cfg = SimConfig { seed, ..SimConfig::default() };
             let mut sim = Simulator::new(topology::chain(4), cfg);
             let (src, dst) = topology::chain_flow(4);
-            let mut spec = FlowSpec::new(src, dst, variant);
-            if elfn {
-                spec = spec.with_elfn();
-            }
-            if fixed_rto {
-                spec = spec.with_fixed_rto();
-            }
-            let flow = sim.add_flow(spec);
+            let flow = sim.add_flow(FlowSpec::new(src, dst, variant));
             let relay = NodeId::new(2);
             let home = sim.position(relay);
             let away = Position::new(home.x, 150.0);
@@ -66,12 +55,11 @@ fn main() {
             discoveries
                 .push(sim.all_node_summaries().iter().map(|s| s.discoveries).sum::<u64>() as f64);
         }
-        let label = match (elfn, fixed_rto) {
-            (true, _) => format!("{} + ELFN", variant.name()),
-            (_, true) => format!("{} + fixed-RTO", variant.name()),
-            _ => variant.name().to_string(),
-        };
-        rows.push(vec![label, average(&kbps).pm(), format!("{:.0}", average(&discoveries).mean)]);
+        rows.push(vec![
+            variant.name().to_string(),
+            average(&kbps).pm(),
+            format!("{:.0}", average(&discoveries).mean),
+        ]);
     }
     println!("{}", render_table(&["variant", "goodput kbps", "route discoveries"], &rows));
     println!(

@@ -33,7 +33,7 @@ proptest! {
         topo_seed in 0u64..50,
         sim_seed in 0u64..50,
         loss_milli in 0u64..40, // up to 4% frame loss
-        flow_picks in proptest::collection::vec((0u8..8, any::<bool>()), 1..4),
+        flow_picks in proptest::collection::vec(0u8..8, 1..4),
         wander in any::<bool>(),
     ) {
         let run_once = || {
@@ -52,17 +52,13 @@ proptest! {
             let cfg = SimConfig { seed: sim_seed, radio, ..SimConfig::default() };
             let mut sim = Simulator::new(positions, cfg);
             let mut flows = Vec::new();
-            for (i, (vidx, elfn)) in flow_picks.iter().enumerate() {
+            for (i, &vidx) in flow_picks.iter().enumerate() {
                 let src = NodeId::from_index(i % node_count);
                 let dst = NodeId::from_index((i + 1 + node_count / 2) % node_count);
                 if src == dst {
                     continue;
                 }
-                let mut spec = FlowSpec::new(src, dst, variant_from(*vidx));
-                if *elfn {
-                    spec = spec.with_elfn();
-                }
-                flows.push(sim.add_flow(spec));
+                flows.push(sim.add_flow(FlowSpec::new(src, dst, variant_from(vidx))));
             }
             if wander {
                 sim.move_node(NodeId::new(0), Position::new(350.0, 350.0), 40.0);
@@ -134,9 +130,8 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Whole-simulator snapshot fuzz: random topologies, *all nine* TCP
-    /// variants (the twin-run fuzz above stops at 8) and delayed ACKs.
-    /// Mid-run, `restore(snapshot())` into a
+    /// Whole-simulator snapshot fuzz: random topologies and *all nine* TCP
+    /// variants (the twin-run fuzz above stops at 8). Mid-run, `restore(snapshot())` into a
     /// fresh simulator must re-encode to byte-identical bytes (pinning
     /// decode(encode(x)) == x for every layer struct a real run reaches),
     /// the resumed run must match the straight run hash for hash, and
@@ -146,7 +141,7 @@ proptest! {
         node_count in 3usize..8,
         topo_seed in 50u64..90,
         sim_seed in 0u64..50,
-        flow_picks in proptest::collection::vec((0u8..9, any::<bool>()), 1..4),
+        flow_picks in proptest::collection::vec(0u8..9, 1..4),
         cut_seed in any::<u64>(),
     ) {
         use tcp_muzha::sim::{SnapshotReader, SnapError};
@@ -162,17 +157,13 @@ proptest! {
             .expect("up to ten nodes in a 700 m square connect");
             let cfg = SimConfig { seed: sim_seed, ..SimConfig::default() };
             let mut sim = Simulator::new(positions, cfg);
-            for (i, (vidx, dack)) in flow_picks.iter().enumerate() {
+            for (i, &vidx) in flow_picks.iter().enumerate() {
                 let src = NodeId::from_index(i % node_count);
                 let dst = NodeId::from_index((i + 1 + node_count / 2) % node_count);
                 if src == dst {
                     continue;
                 }
-                let mut spec = FlowSpec::new(src, dst, variant_from(*vidx));
-                if *dack {
-                    spec = spec.with_delayed_ack();
-                }
-                sim.add_flow(spec);
+                sim.add_flow(FlowSpec::new(src, dst, variant_from(vidx)));
             }
             sim
         };

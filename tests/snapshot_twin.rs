@@ -258,9 +258,8 @@ fn layout_row(name: &str, t: SimTime, bytes: &[u8]) -> String {
 
 /// "Any layout change bumps `SNAPSHOT_VERSION`" as a gate: the snapshot of
 /// every corpus script at its twin's cut instant, and of one run that puts
-/// what the corpus never holds into the bytes — all nine sender records, a
-/// delayed-ACK receiver, waypoint plans in progress — pinned
-/// beside the version that wrote them. Behaviour changes move these rows too,
+/// what the corpus never holds into the bytes — all nine sender records,
+/// waypoint plans in progress — pinned beside the version that wrote them. Behaviour changes move these rows too,
 /// but they move `corpus_digests.txt` first; when that fixture holds and this
 /// one fails, the bytes changed under an unchanged run.
 #[test]
@@ -278,7 +277,7 @@ fn snapshot_layout_matches_the_committed_fixture() {
     let cfg = SimConfig { seed: 0x1A_7007, ..SimConfig::default() };
     let topology = TopologySpec::random_disc_dense(24, 250.0);
     let (src, dst) = farthest_pair(&topology.build(cfg.radio.tx_range_m, cfg.seed));
-    let flows = TcpVariant::ALL.map(|v| FlowSpec::new(src, dst, v).with_delayed_ack()).to_vec();
+    let flows = TcpVariant::ALL.map(|v| FlowSpec::new(src, dst, v)).to_vec();
     let t = SimTime::from_secs_f64(2.0);
     let run = Run::new(cfg, topology, MobilitySpec::DEFAULT_WAYPOINT, flows, t - SimTime::ZERO);
     let mut sim = run.build();
