@@ -27,7 +27,7 @@ pub struct RunPerf {
     pub mac_events: u64,
     /// Routing events (AODV timers and jittered flood enqueues).
     pub routing_events: u64,
-    /// Transport events (TCP timers, flow starts, delayed-ACK timers).
+    /// Transport events (TCP retransmission timers and flow starts).
     pub transport_events: u64,
     /// Mobility position-update ticks.
     pub mobility_events: u64,
