@@ -477,17 +477,20 @@ fn newreno_chain_cut() -> (Vec<u8>, SimTime, u64, impl Fn() -> Simulator) {
 ///
 /// The segments are found by their encoding: `Payload::Tcp`, the flow id,
 /// `TcpSegmentKind::Data`, a sequence number the sender has used, the
-/// payload size.
+/// payload size, then what a NewReno data segment carries after it (no
+/// AVBW-S option, no mark, a retransmit flag).
 #[test]
 fn a_parked_segment_naming_a_missing_flow_is_dropped_not_indexed() {
     use tcp_muzha::wire::TCP_PAYLOAD_BYTES;
 
     let (bytes, t, sent, build) = newreno_chain_cut();
-    let parked: Vec<usize> = (0..bytes.len().saturating_sub(18))
+    let parked: Vec<usize> = (0..bytes.len().saturating_sub(21))
         .filter(|&i| {
             bytes[i..i + 6] == [0, 0, 0, 0, 0, 0]
                 && u64_at(&bytes, i + 6) < sent
                 && bytes[i + 14..i + 18] == TCP_PAYLOAD_BYTES.to_le_bytes()
+                && bytes[i + 18..i + 20] == [0, 0]
+                && bytes[i + 20] <= 1
         })
         .map(|i| i + 1)
         .collect();
