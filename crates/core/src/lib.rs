@@ -38,7 +38,7 @@ mod drai;
 mod router;
 
 pub use drai::{DraiComputer, DraiConfig};
-pub use router::{RouterAgent, RouterStats};
+pub use router::RouterAgent;
 pub use tcp::AdjustmentCadence;
 
 /// Constructor-only facade kept for `benchmark/`, whose Muzha kernel is

@@ -5,17 +5,6 @@ use wire::{Packet, TcpSegmentKind};
 
 use crate::{DraiComputer, DraiConfig};
 
-/// Counters for the router side of Muzha.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Data packets whose `AVBW-S` option was folded at this node.
-    pub packets_stamped: u64,
-    /// Data packets congestion-marked at this node.
-    pub packets_marked: u64,
-}
-
-sim_core::snap_record! { RouterStats { packets_stamped, packets_marked } }
-
 /// The Muzha router agent: every node (source, relays, even the
 /// destination) runs one and applies it to every TCP data packet it
 /// originates or forwards.
@@ -51,15 +40,14 @@ sim_core::snap_record! { RouterStats { packets_stamped, packets_marked } }
 #[derive(Debug)]
 pub struct RouterAgent {
     drai: DraiComputer,
-    stats: RouterStats,
 }
 
-sim_core::snap_record! { given (cfg: DraiConfig) RouterAgent { drai: DraiComputer(cfg), stats } }
+sim_core::snap_record! { given (cfg: DraiConfig) RouterAgent { drai: DraiComputer(cfg) } }
 
 impl RouterAgent {
     /// Creates an agent with the given DRAI thresholds.
     pub fn new(cfg: DraiConfig) -> Self {
-        RouterAgent { drai: DraiComputer::new(cfg), stats: RouterStats::default() }
+        RouterAgent { drai: DraiComputer::new(cfg) }
     }
 
     /// Access to the underlying DRAI computer (to feed observations).
@@ -72,11 +60,6 @@ impl RouterAgent {
         &self.drai
     }
 
-    /// Counters.
-    pub fn stats(&self) -> RouterStats {
-        self.stats
-    }
-
     /// Applies the node's recommendation and marking policy to a packet
     /// about to be queued for transmission. No-op for ACKs, routing
     /// control packets, and non-Muzha data.
@@ -86,10 +69,8 @@ impl RouterAgent {
         let Some(seg) = packet.tcp_mut() else { return };
         if let TcpSegmentKind::Data { avbw: Some(_), .. } = seg.kind {
             seg.fold_drai(level);
-            self.stats.packets_stamped += 1;
             if mark {
                 seg.set_congestion_mark();
-                self.stats.packets_marked += 1;
             }
         }
     }
@@ -146,18 +127,15 @@ mod tests {
         let mut busy = agent_with_queue(20);
         busy.process_packet(&mut pkt, SimTime::ZERO);
         assert!(marked(&pkt));
-        assert_eq!(busy.stats().packets_marked, 1);
-        assert_eq!(busy.stats().packets_stamped, 1);
     }
 
     #[test]
     fn non_muzha_data_untouched() {
         let mut pkt = muzha_packet(None);
+        let before = pkt.clone();
         let mut busy = agent_with_queue(30);
         busy.process_packet(&mut pkt, SimTime::ZERO);
-        assert_eq!(avbw_of(&pkt), None);
-        assert!(!marked(&pkt), "non-Muzha flows are not marked");
-        assert_eq!(busy.stats().packets_stamped, 0);
+        assert_eq!(pkt, before, "non-Muzha flows are neither stamped nor marked");
     }
 
     #[test]
@@ -168,9 +146,9 @@ mod tests {
             NodeId::new(0),
             Payload::Tcp(TcpSegment::ack(FlowId::new(0), 3)),
         );
+        let before = ack.clone();
         let mut busy = agent_with_queue(30);
         busy.process_packet(&mut ack, SimTime::ZERO);
-        assert!(ack.is_tcp_ack());
-        assert_eq!(busy.stats().packets_stamped, 0);
+        assert_eq!(ack, before);
     }
 }

@@ -13,8 +13,10 @@ use crate::{BusyTracker, DropTailQueue, SimConfig};
 
 pub(crate) struct Node {
     pub(crate) phy: PhyState,
-    /// MAC stats snapshot at the previous DRAI sample (for retry deltas).
-    pub(crate) last_mac_stats: mac80211::MacStats,
+    /// The MAC's transmission attempts (RTS and DATA frames sent) and failed
+    /// handshakes (CTS and ACK timeouts) at the previous DRAI sample: what
+    /// the next retry ratio is taken against.
+    pub(crate) retry_baseline: (u64, u64),
     pub(crate) mac: Mac,
     pub(crate) aodv: Aodv,
     pub(crate) ifq: DropTailQueue,
@@ -29,7 +31,7 @@ impl Node {
     pub(crate) fn new(id: NodeId, cfg: &SimConfig, rng: &mut SimRng) -> Node {
         Node {
             phy: PhyState::new(),
-            last_mac_stats: mac80211::MacStats::default(),
+            retry_baseline: (0, 0),
             mac: Mac::new(id, cfg.mac, rng.fork()),
             aodv: Aodv::new(id, cfg.aodv, UidGen::new(id)),
             ifq: DropTailQueue::new(cfg.ifq_capacity),
@@ -46,7 +48,7 @@ impl Node {
     /// configuration is handed down from `cfg` instead of read.
     pub(crate) fn encode_state(&self, w: &mut SnapshotWriter) {
         w.put(&self.phy);
-        w.put(&self.last_mac_stats);
+        w.put(&self.retry_baseline);
         self.mac.encode_state(w);
         self.aodv.encode_state(w);
         self.ifq.encode_state(w);
@@ -64,7 +66,7 @@ impl Node {
         cfg: &SimConfig,
     ) -> Result<Node, SnapError> {
         let phy = r.get()?;
-        let last_mac_stats = r.get()?;
+        let retry_baseline = r.get()?;
         let mac = Mac::decode_state(r, cfg.mac)?;
         let aodv = Aodv::decode_state(r, cfg.aodv)?;
         let ifq = DropTailQueue::decode_state(r, cfg.ifq_capacity)?;
@@ -72,6 +74,6 @@ impl Node {
         let uid = r.get()?;
         let busy = r.get()?;
         let routing_drops = r.take_u64()?;
-        Ok(Node { phy, last_mac_stats, mac, aodv, ifq, router, uid, busy, routing_drops })
+        Ok(Node { phy, retry_baseline, mac, aodv, ifq, router, uid, busy, routing_drops })
     }
 }

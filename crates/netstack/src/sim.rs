@@ -534,16 +534,16 @@ impl Simulator {
                     n.router.drai_mut().observe_queue(len, now);
                     // Retry ratio over this window: failed handshakes per
                     // transmission attempt.
-                    let cur = n.mac.stats();
-                    let prev = n.last_mac_stats;
-                    let attempts = (cur.rts_sent + cur.data_sent)
-                        .saturating_sub(prev.rts_sent + prev.data_sent);
-                    let failures = (cur.cts_timeouts + cur.ack_timeouts)
-                        .saturating_sub(prev.cts_timeouts + prev.ack_timeouts);
-                    if attempts > 0 {
-                        n.router.drai_mut().observe_retry_ratio(failures as f64 / attempts as f64);
+                    let mac = n.mac.stats();
+                    let attempts = mac.rts_sent + mac.data_sent;
+                    let failures = mac.cts_timeouts + mac.ack_timeouts;
+                    let (prev_attempts, prev_failures) = n.retry_baseline;
+                    let tried = attempts.saturating_sub(prev_attempts);
+                    let failed = failures.saturating_sub(prev_failures);
+                    if tried > 0 {
+                        n.router.drai_mut().observe_retry_ratio(failed as f64 / tried as f64);
                     }
-                    n.last_mac_stats = cur;
+                    n.retry_baseline = (attempts, failures);
                 }
                 self.schedule(now + SAMPLE_INTERVAL, Event::Sample);
             }

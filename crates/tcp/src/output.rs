@@ -37,7 +37,9 @@ pub struct TcpStats {
     pub timeouts: u64,
     /// Fast-retransmit events entered.
     pub fast_retransmits: u64,
-    /// Highest cumulatively acknowledged segment.
+    /// Highest cumulatively acknowledged segment. It always equals the
+    /// sender's `una`, which sets it; it stays only because the benchmark
+    /// package reads it, and goes when that reads `una` instead.
     pub acked_segments: u64,
     /// Duplicate ACKs received.
     pub dupacks: u64,

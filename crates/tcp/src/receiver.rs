@@ -5,19 +5,6 @@ use std::collections::BTreeSet;
 use sim_core::SimTime;
 use wire::{FlowId, SackBlock, TcpSegment, TcpSegmentKind};
 
-/// Receiver-side counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReceiverStats {
-    /// Data segments received (including duplicates and out-of-order).
-    pub segments_received: u64,
-    /// Segments that were duplicates of already-delivered data.
-    pub duplicates: u64,
-    /// ACKs generated.
-    pub acks_sent: u64,
-}
-
-sim_core::snap_record! { ReceiverStats { segments_received, duplicates, acks_sent } }
-
 /// A one-way TCP receiver: acknowledges every arriving data segment with a
 /// cumulative ACK (generating duplicate ACKs on reordering/loss), optionally
 /// attaches SACK blocks, and — for Muzha flows — echoes the path's minimum
@@ -44,7 +31,6 @@ pub struct TcpReceiver {
     rcv_nxt: u64,
     out_of_order: BTreeSet<u64>,
     sack_enabled: bool,
-    stats: ReceiverStats,
     payload_bytes_seen: u32,
     /// Highest sequence number ever seen (for out-of-order detection).
     max_seq_seen: Option<u64>,
@@ -56,7 +42,6 @@ sim_core::snap_record! {
         rcv_nxt,
         out_of_order,
         sack_enabled = sack_enabled,
-        stats,
         payload_bytes_seen,
         max_seq_seen,
     }
@@ -77,7 +62,6 @@ impl TcpReceiver {
             rcv_nxt: 0,
             out_of_order: BTreeSet::new(),
             sack_enabled,
-            stats: ReceiverStats::default(),
             payload_bytes_seen: wire::TCP_PAYLOAD_BYTES,
             max_seq_seen: None,
         }
@@ -91,11 +75,6 @@ impl TcpReceiver {
     /// Next expected in-order segment (segments `< rcv_nxt` delivered).
     pub fn rcv_nxt(&self) -> u64 {
         self.rcv_nxt
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> ReceiverStats {
-        self.stats
     }
 
     /// In-order delivered bytes so far (goodput numerator).
@@ -116,24 +95,22 @@ impl TcpReceiver {
             panic!("receiver fed a non-data segment");
         };
         self.payload_bytes_seen = payload_bytes;
-        self.stats.segments_received += 1;
         // TCP-DOOR's signal: a *fresh* (non-retransmitted) segment arriving
         // below the highest sequence seen means the network reordered
         // packets — in a MANET, almost always a route change (§3.1 [39]).
         let ooo = !retransmit && self.max_seq_seen.is_some_and(|m| seq < m);
         self.max_seq_seen = Some(self.max_seq_seen.map_or(seq, |m| m.max(seq)));
-        if seq < self.rcv_nxt || self.out_of_order.contains(&seq) {
-            self.stats.duplicates += 1;
-        } else if seq == self.rcv_nxt {
+        // A duplicate (below `rcv_nxt`, or already buffered) changes no
+        // state; it is only acknowledged again.
+        if seq == self.rcv_nxt {
             self.rcv_nxt += 1;
             // Drain any contiguous run buffered out of order.
             while self.out_of_order.remove(&self.rcv_nxt) {
                 self.rcv_nxt += 1;
             }
-        } else {
+        } else if seq > self.rcv_nxt {
             self.out_of_order.insert(seq);
         }
-        self.stats.acks_sent += 1;
         TcpSegment {
             flow: self.flow,
             kind: TcpSegmentKind::Ack {
@@ -246,15 +223,15 @@ mod tests {
     }
 
     #[test]
-    fn old_duplicate_counted() {
+    fn duplicates_re_ack_the_frontier() {
         let mut r = rx(false);
         let _ = r.on_data_segment(&data(0), SimTime::ZERO);
-        let _ = r.on_data_segment(&data(0), SimTime::from_nanos(1));
-        assert_eq!(r.stats().duplicates, 1);
-        // Buffered out-of-order duplicate too.
+        let (ack, ..) = ack_of(r.on_data_segment(&data(0), SimTime::from_nanos(1)));
+        assert_eq!((ack, r.rcv_nxt()), (1, 1), "an old duplicate");
+        // A duplicate of a segment buffered out of order.
         let _ = r.on_data_segment(&data(5), SimTime::from_nanos(2));
-        let _ = r.on_data_segment(&data(5), SimTime::from_nanos(3));
-        assert_eq!(r.stats().duplicates, 2);
+        let (ack, ..) = ack_of(r.on_data_segment(&data(5), SimTime::from_nanos(3)));
+        assert_eq!((ack, r.rcv_nxt()), (1, 1), "a buffered duplicate");
     }
 
     #[test]

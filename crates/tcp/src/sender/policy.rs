@@ -470,7 +470,7 @@ snap_record! {
 }
 snap_record! { Veno { ssthresh, rtts, ca_acks } }
 snap_record! { Westwood { ssthresh, bwe, rtt_min, round_acked, round_start, round_end } }
-snap_record! { Door { ssthresh, cc_disabled_until, last_reduction, unreduced, ooo_events } }
+snap_record! { Door { ssthresh, cc_disabled_until, last_reduction, unreduced } }
 snap_record! {
     given (cadence: AdjustmentCadence) Muzha {
         cadence = cadence,
@@ -705,8 +705,6 @@ pub(crate) struct Door {
     /// While in a recovery episode opened inside T1, without a reduction:
     /// the window it opened at.
     pub unreduced: Option<f64>,
-    /// OOO events acted upon (diagnostics).
-    pub ooo_events: u64,
 }
 
 impl Door {
@@ -719,7 +717,6 @@ impl Door {
     /// that reduction opened ends with it, or its exit deflation would
     /// re-apply, or wildly overshoot, the undone cut.
     fn on_ooo(&mut self, cx: Cx<'_>) -> bool {
-        self.ooo_events += 1;
         // T1/T2: DOOR ties both to the RTT scale.
         let span = cx.s.rtt.srtt().unwrap_or(SimDuration::from_millis(100));
         let undo = self.last_reduction.take_if(|(at, ..)| cx.now.saturating_since(*at) <= span);
@@ -1202,7 +1199,6 @@ mod tests {
             dupacks(&mut tx, 3, 3, 310);
             assert!(recovering(&tx), "the hole is still repaired");
             assert_eq!(ssthresh(&tx), ss_before, "no reduction during T1");
-            assert_eq!(door(&mut tx).ooo_events, 1);
         }
 
         #[test]
