@@ -333,7 +333,7 @@ pub fn parse_run(
     }
     let ends = spread_endpoints(&positions, flows);
     let flows = ends.into_iter().map(|(src, dst)| FlowSpec::new(src, dst, variant)).collect();
-    Ok(Run::new(cfg, topology, mobility, flows, duration))
+    Ok(Run::new(cfg, topology, mobility, flows, duration).placed_at(positions))
 }
 
 /// Writes a rendered report to stdout. A closed pipe (`harness topo … |

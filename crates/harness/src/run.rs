@@ -65,6 +65,17 @@ pub struct Run {
     pub duration: SimDuration,
     /// The timed faults, in file order; [`Run::build`] loads them.
     pub faults: Vec<TimedFault>,
+    /// The placement made while the run was checked, kept for
+    /// [`Run::build`].
+    placed: Option<Placement>,
+}
+
+/// A placement and what it was placed from: a run whose topology, seed or
+/// range changed since is placed afresh.
+#[derive(Clone, Debug)]
+struct Placement {
+    from: (TopologySpec, u64, f64),
+    positions: Vec<Position>,
 }
 
 impl Run {
@@ -157,10 +168,11 @@ impl Run {
             }
         }
         let cfg = SimConfig { seed, ..SimConfig::default() };
-        if let Err(e) = topology.try_build(cfg.radio.tx_range_m, seed) {
-            return Err(format!("scenario line {topology_line}: {e}"));
-        }
-        let nodes = topology.node_count();
+        let positions = match topology.try_build(cfg.radio.tx_range_m, seed) {
+            Ok(positions) => positions,
+            Err(e) => return Err(format!("scenario line {topology_line}: {e}")),
+        };
+        let nodes = positions.len();
         let check = |line: usize, node: NodeId| {
             if node.index() >= nodes {
                 return Err(format!(
@@ -190,7 +202,8 @@ impl Run {
             flows.into_iter().map(|(_, flow)| flow).collect()
         };
         let faults = faults.into_iter().map(|(_, timed)| timed).collect();
-        Ok(Run { name, cfg, topology, mobility, flows, duration, faults })
+        let run = Run { name, cfg, topology, mobility, flows, duration, faults, placed: None };
+        Ok(run.placed_at(positions))
     }
 
     /// A run stated in code rather than text: `cfg` as given — seed, DRAI
@@ -202,11 +215,25 @@ impl Run {
         flows: Vec<FlowSpec>,
         duration: SimDuration,
     ) -> Run {
-        Run { name: String::new(), cfg, topology, mobility, flows, duration, faults: Vec::new() }
+        let faults = Vec::new();
+        Run { name: String::new(), cfg, topology, mobility, flows, duration, faults, placed: None }
+    }
+
+    /// This run, keeping `positions` — its topology placed under its seed
+    /// and transmission range — for [`Run::build`].
+    pub(crate) fn placed_at(mut self, positions: Vec<Position>) -> Run {
+        self.placed = Some(Placement { from: self.placement_inputs(), positions });
+        self
+    }
+
+    fn placement_inputs(&self) -> (TopologySpec, u64, f64) {
+        (self.topology, self.cfg.seed, self.cfg.radio.tx_range_m)
     }
 
     /// The simulator of this run at t = 0: nodes placed from
-    /// `(topology, cfg.seed)`, every node on a random-waypoint plan over
+    /// `(topology, cfg.seed)` — the placement [`Run::parse`] or
+    /// [`crate::cli::parse_run`] made, if the run still states what it was
+    /// made from —, every node on a random-waypoint plan over
     /// the topology's extent if `mobility` asks for one, flows registered,
     /// faults scheduled. Also the restore target for a snapshot of the same
     /// run — restoring overwrites the scheduled faults wholesale, and the
@@ -218,7 +245,11 @@ impl Run {
     /// refuses ([`Simulator::new`]).
     pub fn build(&self) -> Simulator {
         let cfg = self.cfg;
-        let mut sim = Simulator::new(self.topology.build(cfg.radio.tx_range_m, cfg.seed), cfg);
+        let positions = match &self.placed {
+            Some(placed) if placed.from == self.placement_inputs() => placed.positions.clone(),
+            _ => self.topology.build(cfg.radio.tx_range_m, cfg.seed),
+        };
+        let mut sim = Simulator::new(positions, cfg);
         if let MobilitySpec::Waypoint { min_speed_mps, max_speed_mps, pause } = self.mobility {
             let (width_m, height_m) = self.topology.extent();
             let plan = RandomWaypoint {
@@ -377,12 +408,29 @@ fn parse_fault(toks: &mut SplitWhitespace<'_>) -> Result<FaultEvent, String> {
 /// The pair of nodes with the greatest separation (first such pair in
 /// row-major scan order — deterministic). A natural flow for arbitrary
 /// generated topologies: the longest line the routing layer must sustain.
+///
+/// Exact without testing all pairs. Let `c` be the centre of the
+/// placement's bounding box, `R` the largest distance of a node from it,
+/// and `D` the squared separation of the node at `R` from the node
+/// farthest from it: the farthest pair is at least `D` apart. Node `i` is
+/// at most `|p_i − c| + R` from any node, so a node whose `(|p_i − c| +
+/// R)²` falls short of `D` (by a margin far above rounding) is in no
+/// farthest pair. The pairs of the nodes left are scanned in the row-major
+/// order, so ties fall as in a scan of all pairs. On a generated placement
+/// that leaves the nodes near the box's corners; positions whose squared
+/// distances are not normal numbers (NaN, infinite, all coincident) leave
+/// every node in.
+///
+/// # Panics
+///
+/// Panics if `positions` holds fewer than two nodes.
 pub fn farthest_pair(positions: &[Position]) -> (NodeId, NodeId) {
     assert!(positions.len() >= 2, "a flow needs two nodes");
+    let left = farthest_pair_candidates(positions);
     let (mut best, mut best_sq) = ((NodeId::new(0), NodeId::new(1)), -1.0);
-    for (i, pi) in positions.iter().enumerate() {
-        for (j, pj) in positions.iter().enumerate().skip(i + 1) {
-            let d = pi.distance_sq_to(*pj);
+    for (k, &i) in left.iter().enumerate() {
+        for &j in &left[k + 1..] {
+            let d = positions[i].distance_sq_to(positions[j]);
             if d > best_sq {
                 best_sq = d;
                 best = (NodeId::from_index(i), NodeId::from_index(j));
@@ -390,6 +438,34 @@ pub fn farthest_pair(positions: &[Position]) -> (NodeId, NodeId) {
         }
     }
     best
+}
+
+/// The nodes, ascending, that [`farthest_pair`]'s bound cannot rule out of
+/// a farthest pair.
+fn farthest_pair_candidates(positions: &[Position]) -> Vec<usize> {
+    let (lo, hi) = positions.iter().fold(
+        (Position::new(f64::MAX, f64::MAX), Position::new(f64::MIN, f64::MIN)),
+        |(lo, hi), p| {
+            (
+                Position::new(lo.x.min(p.x), lo.y.min(p.y)),
+                Position::new(hi.x.max(p.x), hi.y.max(p.y)),
+            )
+        },
+    );
+    let centre = Position::new(lo.x / 2.0 + hi.x / 2.0, lo.y / 2.0 + hi.y / 2.0);
+    let radii: Vec<f64> = positions.iter().map(|p| p.distance_to(centre)).collect();
+    let (mut far, mut reach) = (0, f64::NEG_INFINITY);
+    for (i, &r) in radii.iter().enumerate() {
+        if r > reach {
+            (far, reach) = (i, r);
+        }
+    }
+    let found = positions.iter().map(|p| p.distance_sq_to(positions[far])).fold(0.0, f64::max);
+    // Below the square root of the least normal number the squares of the
+    // radii may underflow, which no relative margin covers.
+    let prunes = found.is_finite() && found >= f64::MIN_POSITIVE.sqrt();
+    let short = |r: f64| prunes && (r + reach) * (r + reach) * (1.0 + 1e-9) < found;
+    (0..positions.len()).filter(|&i| !short(radii[i])).collect()
 }
 
 /// The endpoints `flows` flows get on `positions` when only their number is
@@ -626,6 +702,30 @@ flow 1 7 SACK 0.25
         assert_eq!(sim.trace_hash(), twin.trace_hash());
     }
 
+    /// The placement `parse` checks is the one `build` uses; a run whose
+    /// seed or topology changed since is placed again.
+    #[test]
+    fn a_run_is_placed_once_and_again_when_it_changes() {
+        let positions = |sim: &Simulator| -> Vec<Position> {
+            (0..sim.node_count()).map(|i| sim.position(NodeId::from_index(i))).collect()
+        };
+        let mut run = Run::parse("seed 5\ntopology random-disc:30\n").expect("a run");
+        let placed = run.placed.as_ref().map(|p| (p.from, p.positions.clone()));
+        let want = run.topology.build(250.0, 5);
+        assert_eq!(placed, Some(((run.topology, 5, 250.0), want.clone())));
+        assert_eq!(positions(&run.build()), want);
+        run.cfg.seed = 6;
+        assert_eq!(positions(&run.build()), run.topology.build(250.0, 6));
+        run.topology = TopologySpec::Grid { rows: 5, cols: 6 };
+        assert_eq!(positions(&run.build()), run.topology.build(250.0, 6));
+        let flagged = crate::cli::parse_run(
+            &["--topology".into(), "random-disc:30".into(), "--seed".into(), "5".into()],
+            Some((TopologySpec::default(), MobilitySpec::Static, SimDuration::from_secs(1))),
+        )
+        .expect("a run");
+        assert_eq!(flagged.placed.map(|p| p.positions), Some(want));
+    }
+
     #[test]
     fn a_flow_line_carries_its_start_and_window() {
         let run = Run::parse("flow 1 3 muzha 1.5 8\nflow 3 1 vegas\n").expect("a run");
@@ -715,6 +815,7 @@ flow 1 7 SACK 0.25
                 flows: flows.collect(),
                 duration: SimDuration::from_millis(millis),
                 faults: Vec::new(),
+                placed: None,
             };
             let text = run.to_string();
             let again = Run::parse(&text).unwrap_or_else(|e| panic!("{e} in\n{text}"));
@@ -722,6 +823,103 @@ flow 1 7 SACK 0.25
                 format!("{:?}", (&r.name, r.cfg, r.topology, r.mobility, &r.flows, r.duration))
             };
             prop_assert_eq!(shape(&again), shape(&run), "{}", text);
+        }
+    }
+
+    /// The all-pairs scan [`farthest_pair`] replaced: the reference it is
+    /// held to.
+    fn farthest_pair_all_pairs(positions: &[Position]) -> (NodeId, NodeId) {
+        let (mut best, mut best_sq) = ((NodeId::new(0), NodeId::new(1)), -1.0);
+        for (i, pi) in positions.iter().enumerate() {
+            for (j, pj) in positions.iter().enumerate().skip(i + 1) {
+                let d = pi.distance_sq_to(*pj);
+                if d > best_sq {
+                    best_sq = d;
+                    best = (NodeId::from_index(i), NodeId::from_index(j));
+                }
+            }
+        }
+        best
+    }
+
+    proptest! {
+        /// The pruned scan picks the all-pairs scan's pair: on random discs,
+        /// on `grid` and `city-blocks` lattices (whose corners tie, two or
+        /// four ways, so the pick is the first in row-major order), on both
+        /// with nodes copied onto others (coincident farthest ends), and on
+        /// every two-node prefix.
+        #[test]
+        fn the_pruned_scan_picks_the_all_pairs_pair(
+            (count, width, height, seed) in (2u16..300, 1u32..5000, 1u32..5000, any::<u64>()),
+            (rows, cols, extra) in (1u16..12, 1u16..12, 0u16..40),
+            copies in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..12),
+        ) {
+            let (width_m, height_m) = (f64::from(width), f64::from(height));
+            let cases = [
+                TopologySpec::RandomDisc { count, width_m, height_m },
+                TopologySpec::Grid { rows, cols: cols + 1 },
+                TopologySpec::CityBlocks { blocks_x: rows, blocks_y: cols, extra },
+            ];
+            for spec in cases {
+                // Placed without the connectivity retry, which a sparse
+                // disc would not pass.
+                let mut positions = match spec {
+                    TopologySpec::RandomDisc { .. } => {
+                        let mut rng = sim_core::SimRng::new(seed);
+                        (0..count)
+                            .map(|_| Position::new(rng.unit_f64() * width_m, rng.unit_f64() * height_m))
+                            .collect()
+                    }
+                    _ => spec.build(250.0, seed),
+                };
+                let n = positions.len();
+                prop_assert_eq!(farthest_pair(&positions), farthest_pair_all_pairs(&positions));
+                prop_assert_eq!(farthest_pair(&positions[..2]), farthest_pair_all_pairs(&positions[..2]));
+                for &(to, from) in &copies {
+                    positions[to % n] = positions[from % n];
+                }
+                prop_assert_eq!(farthest_pair(&positions), farthest_pair_all_pairs(&positions), "{}", spec);
+            }
+        }
+    }
+
+    #[test]
+    fn the_pruned_scan_keeps_every_node_where_distances_are_not_normal() {
+        let p = Position::new;
+        let cases: [&[Position]; 6] = [
+            &[p(5.0, 5.0); 4],
+            &[p(0.0, 0.0), p(f64::NAN, 1.0), p(300.0, 0.0), p(0.0, 300.0)],
+            &[p(f64::NAN, 0.0), p(1.0, 0.0), p(2.0, 0.0)],
+            &[p(0.0, 0.0), p(f64::INFINITY, 0.0), p(10.0, 0.0), p(f64::INFINITY, 1.0)],
+            &[p(0.0, 0.0), p(1e-160, 0.0), p(0.0, 2e-160), p(1e-161, 1e-161)],
+            &[p(-1e300, 0.0), p(1e300, 0.0), p(0.0, 1e300), p(1e300, 1e300)],
+        ];
+        for positions in cases {
+            assert_eq!(
+                farthest_pair(positions),
+                farthest_pair_all_pairs(positions),
+                "{positions:?}"
+            );
+        }
+    }
+
+    /// What makes the scan cheap: on each generated family only nodes near
+    /// the corners are left to pair, and the ties come out row-major.
+    #[test]
+    fn the_bound_leaves_the_corners() {
+        let left = |spec: &str| {
+            let positions = TopologySpec::parse(spec).unwrap().build(250.0, 1);
+            (farthest_pair_candidates(&positions), farthest_pair(&positions))
+        };
+        let ends = |a, b| (NodeId::new(a), NodeId::new(b));
+        assert_eq!(left("chain:8"), (vec![0, 8], ends(0, 8)));
+        assert_eq!(left("grid:3x3"), (vec![0, 2, 6, 8], ends(0, 8)));
+        assert_eq!(left("cross:4").0, [0, 4, 5, 8]);
+        assert_eq!(left("grid:20x20"), (vec![0, 19, 380, 399], ends(0, 399)));
+        for spec in ["random-disc:2000", "city-blocks:19x19@400"] {
+            let (candidates, pair) = left(spec);
+            assert!(candidates.len() <= 16, "{spec}: {} nodes left", candidates.len());
+            assert!(candidates.contains(&pair.0.index()) && candidates.contains(&pair.1.index()));
         }
     }
 

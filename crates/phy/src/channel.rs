@@ -18,10 +18,10 @@ use crate::{Position, RadioParams};
 /// Adjacency is maintained incrementally through a spatial grid: a mutation
 /// visits only the moved node's candidate cells and patches the affected
 /// peers' rows. Construction and snapshot decode instead build every row
-/// from scratch, testing each unordered pair once. Both paths ask the one
-/// pair predicate (`link_between`) and produce ascending rows, so the
-/// incremental rows always equal a rebuild (the property tests below and
-/// the snapshot twins pin that).
+/// from scratch, testing each unordered pair in one grid block once. Both
+/// paths ask the one pair predicate (`link_between`) and produce ascending
+/// rows, so the incremental rows always equal a rebuild (the property tests
+/// below, held to an all-pairs scan, and the snapshot twins pin that).
 ///
 /// Beside each sender's carrier-sense row it keeps a [`LinkRow`]: what a
 /// transmission from that sender means to each peer that senses it, as far
@@ -67,10 +67,9 @@ pub struct Channel {
     /// so a position write allocates nothing.
     scratch_rx: Vec<NodeId>,
     scratch_cs: Vec<NodeId>,
-    /// One row per sender, parallel to its `cs_neighbors` row while
-    /// `links_fresh` says so.
+    /// One row per sender, parallel to its `cs_neighbors` row while the
+    /// row says it is fresh.
     links: Vec<LinkRow>,
-    links_fresh: Vec<bool>,
 }
 
 /// What a transmission from one node means to one peer inside its
@@ -110,6 +109,9 @@ pub struct LinkRow {
     /// row holds at most 65,535 peers: a [`NodeId`] is 16 bits and the
     /// sender is not its own peer.
     by_delay: Vec<u16>,
+    /// Whether the row was built since a mutation last touched the sender
+    /// or a peer; a row taken out leaves a stale default in its place.
+    fresh: bool,
 }
 
 impl LinkRow {
@@ -195,6 +197,16 @@ fn patch_peers(rows: &mut [Vec<NodeId>], node: NodeId, old: &[NodeId], new: &[No
     churn
 }
 
+/// Pushes `j` onto the row of each peer in `rows[j]`, all of which lie
+/// below `j`.
+fn mirror_below(rows: &mut [Vec<NodeId>], j: usize) {
+    let (below, from) = rows.split_at_mut(j);
+    let node = NodeId::from_index(j);
+    for peer in &from[0] {
+        below[peer.index()].push(node);
+    }
+}
+
 impl Channel {
     /// Creates a channel for nodes at the given positions.
     ///
@@ -227,7 +239,6 @@ impl Channel {
             scratch_rx: Vec::new(),
             scratch_cs: Vec::new(),
             links: Vec::new(),
-            links_fresh: Vec::new(),
         };
         ch.recompute();
         ch
@@ -348,7 +359,7 @@ impl Channel {
     pub fn take_links(&mut self, sender: NodeId) -> LinkRow {
         let i = sender.index();
         let mut row = mem::take(&mut self.links[i]);
-        if !mem::take(&mut self.links_fresh[i]) {
+        if !row.fresh {
             self.build_links(sender, &mut row);
         }
         row
@@ -357,15 +368,13 @@ impl Channel {
     /// Returns a row [`Self::take_links`] handed out for `sender`.
     #[inline]
     pub fn put_links(&mut self, sender: NodeId, row: LinkRow) {
-        let i = sender.index();
-        self.links[i] = row;
-        self.links_fresh[i] = true;
+        self.links[sender.index()] = LinkRow { fresh: true, ..row };
     }
 
     fn build_links(&self, sender: NodeId, row: &mut LinkRow) {
         #[cfg(test)]
         LINK_ROWS_BUILT.with(|built| built.set(built.get() + 1));
-        let LinkRow { links, by_delay } = row;
+        let LinkRow { links, by_delay, .. } = row;
         links.clear();
         links.extend(self.cs_neighbors[sender.index()].iter().map(|&peer| {
             let distance = self.distance(sender, peer);
@@ -444,33 +453,58 @@ impl Channel {
         cs.sort_unstable();
     }
 
-    /// Full adjacency rebuild (construction and decode) — also the reference
-    /// the property tests check [`Self::refresh`] against. Visits each
-    /// unordered pair once, `i` ascending and then `j > i` ascending, and
-    /// writes a link into both rows: every row comes out ascending with no
-    /// sort, equal to [`Self::rows_for`] over `0..n`.
+    /// Full adjacency rebuild (construction and decode). Each row is
+    /// allocated once, with room for every other node of its grid block,
+    /// and each pair that shares a block is tested once, from its lower
+    /// end, with no sort:
+    ///
+    /// - The nodes are taken in runs of consecutive indices binned in one
+    ///   cell, runs ascending. A run's block is walked once, and each
+    ///   member `c` is tested against the run's nodes `j < c`, ascending;
+    ///   a link pushes `j` onto `c`'s rows.
+    /// - Then each `j` of the run, ascending, is pushed onto the rows of
+    ///   its peers below it — which `j`'s row now holds, and nothing else.
+    ///
+    /// Every push onto a row pushes a larger index than the one before,
+    /// so every row comes out ascending: [`Self::rows_for`] over `0..n`.
     fn recompute(&mut self) {
         let n = self.positions.len();
-        let mut rx_rows = vec![Vec::new(); n];
-        let mut cs_rows = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in i + 1..n {
-                if let Some(decodes) = self.link_between(i, j) {
-                    let (a, b) = (NodeId::from_index(i), NodeId::from_index(j));
-                    if decodes {
-                        rx_rows[i].push(b);
-                        rx_rows[j].push(a);
-                    }
-                    cs_rows[i].push(b);
-                    cs_rows[j].push(a);
-                }
+        let (mut rx_rows, mut cs_rows) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+        self.grid.for_each_cell_with_block_len(|members, block| {
+            for &m in members {
+                rx_rows[m] = Vec::with_capacity(block - 1);
+                cs_rows[m] = Vec::with_capacity(block - 1);
             }
+        });
+        let mut start = 0;
+        while start < n {
+            let mut end = start + 1;
+            while end < n && self.grid.same_cell(start, end) {
+                end += 1;
+            }
+            self.grid.for_each_cell_of_block(start, |members| {
+                for &c in members {
+                    for j in start..end.min(c) {
+                        if let Some(decodes) = self.link_between(j, c) {
+                            let node = NodeId::from_index(j);
+                            if decodes {
+                                rx_rows[c].push(node);
+                            }
+                            cs_rows[c].push(node);
+                        }
+                    }
+                }
+            });
+            for j in start..end {
+                mirror_below(&mut rx_rows, j);
+                mirror_below(&mut cs_rows, j);
+            }
+            start = end;
         }
         self.rx_neighbors = rx_rows;
         self.cs_neighbors = cs_rows;
+        self.links.clear();
         self.links.resize_with(n, LinkRow::default);
-        self.links_fresh.clear();
-        self.links_fresh.resize(n, false);
     }
 
     /// Re-derives adjacency after a mutation that only affects pairs
@@ -497,9 +531,9 @@ impl Channel {
         let old_cs = mem::take(&mut self.cs_neighbors[i]);
         let churn = patch_peers(&mut self.rx_neighbors, node, &old_rx, &new_rx)
             + patch_peers(&mut self.cs_neighbors, node, &old_cs, &new_cs);
-        self.links_fresh[i] = false;
+        self.links[i].fresh = false;
         for peer in old_cs.iter().chain(&new_cs) {
-            self.links_fresh[peer.index()] = false;
+            self.links[peer.index()].fresh = false;
         }
         self.rx_neighbors[i] = new_rx;
         self.cs_neighbors[i] = new_cs;
@@ -734,14 +768,37 @@ mod tests {
         assert_eq!(built(), start + 6);
     }
 
-    /// Every row equals the one a rebuild of the same state produces.
+    /// Every node's rx and cs rows as an all-pairs scan over the public
+    /// state finds them, peers ascending: the reference both row builders
+    /// are held to, sharing no code with either.
+    pub(super) fn all_pairs_rows(ch: &Channel) -> (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>) {
+        let count = ch.node_count();
+        let (mut rx, mut cs) = (vec![Vec::new(); count], vec![Vec::new(); count]);
+        let (tx_sq, cs_sq) = (sq(ch.params().tx_range_m), sq(ch.params().cs_range_m));
+        for i in 0..count {
+            for j in (0..count).filter(|&j| j != i) {
+                let (a, b) = (NodeId::from_index(i), NodeId::from_index(j));
+                let up =
+                    ch.is_node_enabled(a) && ch.is_node_enabled(b) && !ch.is_link_blocked(a, b);
+                let d_sq = ch.position(a).distance_sq_to(ch.position(b));
+                if up && d_sq <= tx_sq {
+                    rx[i].push(b);
+                }
+                if up && d_sq <= cs_sq {
+                    cs[i].push(b);
+                }
+            }
+        }
+        (rx, cs)
+    }
+
+    /// Every row equals the all-pairs scan's.
     fn assert_rows_rebuild(ch: &Channel) {
-        let mut rebuilt = ch.clone();
-        rebuilt.recompute();
+        let (rx, cs) = all_pairs_rows(ch);
         for i in 0..ch.node_count() {
             let node = NodeId::from_index(i);
-            assert_eq!(ch.rx_neighbors(node), rebuilt.rx_neighbors(node));
-            assert_eq!(ch.cs_neighbors(node), rebuilt.cs_neighbors(node));
+            assert_eq!(ch.rx_neighbors(node), &rx[i][..]);
+            assert_eq!(ch.cs_neighbors(node), &cs[i][..]);
         }
     }
 
@@ -854,11 +911,10 @@ mod grid_differential {
     type Spelled = Vec<(NodeId, u64, SimDuration, bool)>;
 
     /// What `transmit` worked out per listener per frame before link rows
-    /// existed, by the four public calls it made: the oracle the rows are
-    /// held to, floats by their bits.
-    fn links_from_scratch(ch: &Channel, sender: NodeId) -> Spelled {
-        let listeners = ch.cs_neighbors(sender).iter();
-        listeners
+    /// existed, by the four public calls it made, for the listeners in
+    /// `row`: the oracle the rows are held to, floats by their bits.
+    fn links_from_scratch(ch: &Channel, sender: NodeId, row: &[NodeId]) -> Spelled {
+        row.iter()
             .map(|&peer| {
                 let distance = ch.distance(sender, peer);
                 let prop = RadioParams::propagation_delay(distance);
@@ -881,8 +937,12 @@ mod grid_differential {
 
     /// [`links_from_scratch`], and the same links sorted afresh by
     /// `(prop, row position)`: the delay order a kept row must carry.
-    fn links_and_order_from_scratch(ch: &Channel, sender: NodeId) -> (Spelled, Spelled) {
-        let row = links_from_scratch(ch, sender);
+    fn links_and_order_from_scratch(
+        ch: &Channel,
+        sender: NodeId,
+        row: &[NodeId],
+    ) -> (Spelled, Spelled) {
+        let row = links_from_scratch(ch, sender, row);
         let mut by_delay: Vec<usize> = (0..row.len()).collect();
         by_delay.sort_by_key(|&at| (row[at].2, at));
         let order = by_delay.iter().map(|&at| row[at]).collect();
@@ -911,16 +971,18 @@ mod grid_differential {
 
     /// A placement biased to where `<=` and the grid's cell edges decide:
     /// each node is uniform, coincident with an earlier node, exactly 250 m
-    /// or 550 m from one (along an axis or a 3-4-5 diagonal), or on a cell
-    /// boundary on one or both axes. Coordinates are whole metres, so every
-    /// one of those distances is exact.
+    /// or 550 m from one (along an axis or a 3-4-5 diagonal), on a cell
+    /// boundary on one or both axes, or on a 250 m lattice (where many
+    /// pairs tie at 250 m and 500 m, and lattice points coincide).
+    /// Coordinates are whole metres, so every one of those distances is
+    /// exact.
     fn placement(specs: &[(u8, usize, u32, u32)]) -> Vec<Position> {
         let boundary = |v: f64| (v / 550.0).floor() * 550.0;
         let mut out: Vec<Position> = Vec::with_capacity(specs.len());
         for &(kind, of, x, y) in specs {
             let (x, y) = (f64::from(x), f64::from(y));
             let base = out.get(of % out.len().max(1)).copied().unwrap_or(Position::new(x, y));
-            out.push(match kind % 8 {
+            out.push(match kind % 9 {
                 0 => Position::new(x, y),
                 1 => base,
                 2 => Position::new(base.x + 250.0, base.y),
@@ -928,25 +990,62 @@ mod grid_differential {
                 4 => Position::new(base.x, base.y - 550.0),
                 5 => Position::new(base.x + 330.0, base.y + 440.0),
                 6 => Position::new(boundary(x), y),
-                _ => Position::new(boundary(x), boundary(y)),
+                7 => Position::new(boundary(x), boundary(y)),
+                _ => Position::new((x / 250.0).floor() * 250.0, (y / 250.0).floor() * 250.0),
             });
         }
         out
     }
 
-    /// Every `recompute` row equals [`Channel::rows_for`] over all nodes.
+    /// Every row equals the all-pairs scan's.
     fn rows_are_the_full_scan(ch: &Channel) {
-        let (mut rx, mut cs) = (Vec::new(), Vec::new());
+        let (rx, cs) = super::tests::all_pairs_rows(ch);
         for i in 0..ch.node_count() {
             let node = NodeId::from_index(i);
-            ch.rows_for(i, &mut (0..ch.node_count()).collect(), &mut rx, &mut cs);
-            prop_assert_eq!(ch.rx_neighbors(node), &rx[..], "rx row of {}", node);
-            prop_assert_eq!(ch.cs_neighbors(node), &cs[..], "cs row of {}", node);
+            prop_assert_eq!(ch.rx_neighbors(node), &rx[i][..], "rx row of {}", node);
+            prop_assert_eq!(ch.cs_neighbors(node), &cs[i][..], "cs row of {}", node);
         }
     }
 
+    /// Switches off the radios `off` picks (two bits a node, a quarter of
+    /// them) and cuts the links `cuts` names, most of them links that exist;
+    /// returns the channel decoded from the state that leaves, after
+    /// checking it holds the same rows and radios.
+    fn cut_and_decode(ch: &mut Channel, off: u64, cuts: &[(usize, usize)]) -> Channel {
+        use sim_core::{SnapshotReader, SnapshotWriter};
+        let count = ch.node_count();
+        let quarter = |i: usize| (off >> (2 * i % 64)) & 3 == 0;
+        for i in (0..count).filter(|&i| quarter(i)) {
+            ch.set_node_enabled(NodeId::from_index(i), false);
+        }
+        for &(a, k) in cuts {
+            let a = NodeId::from_index(a % count);
+            let peers = ch.cs_neighbors(a);
+            let b = match peers.len() {
+                0 => NodeId::from_index(k % count),
+                len => peers[k % len],
+            };
+            if a != b {
+                ch.set_link_blocked(a, b, true);
+            }
+        }
+        let mut w = SnapshotWriter::new();
+        ch.encode_state(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes);
+        let decoded =
+            Channel::decode_state(&mut r, RadioParams::default()).expect("own bytes decode");
+        for i in 0..count {
+            let node = NodeId::from_index(i);
+            prop_assert_eq!(decoded.rx_neighbors(node), ch.rx_neighbors(node));
+            prop_assert_eq!(decoded.cs_neighbors(node), ch.cs_neighbors(node));
+            prop_assert_eq!(decoded.is_node_enabled(node), ch.is_node_enabled(node));
+        }
+        decoded
+    }
+
     proptest! {
-        /// The pair-once build is the per-node scan, entry for entry: on a
+        /// The pair-once build is the all-pairs scan, entry for entry: on a
         /// fresh channel, and on one decoded from the state a channel was
         /// mutated into (a random quarter of the radios off, random links
         /// cut, most of them links that exist), whose patched rows it must
@@ -960,44 +1059,56 @@ mod grid_differential {
             off in any::<u64>(),
             cuts in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..12),
         ) {
-            use sim_core::{SnapshotReader, SnapshotWriter};
-            let positions = placement(&specs);
-            let count = positions.len();
+            let mut ch = Channel::new(placement(&specs), RadioParams::default());
+            rows_are_the_full_scan(&ch);
+            rows_are_the_full_scan(&cut_and_decode(&mut ch, off, &cuts));
+        }
+
+        /// The same at a few hundred nodes over many cells, with one to
+        /// three outliers at least 200 km out on one axis or both: the
+        /// cells the placement spans are more than `CELLS_PER_NODE` (4) a
+        /// node, so the grid trims its box and clamps the rest onto its
+        /// edge, and blocks hold nodes far out of range.
+        #[test]
+        fn recompute_at_scale_equals_the_full_scan(
+            specs in proptest::collection::vec(
+                (any::<u8>(), any::<usize>(), 0u32..8800, 0u32..8800),
+                200..400,
+            ),
+            far in proptest::collection::vec((any::<u8>(), 0u32..200_000, 0u32..200_000), 1..4),
+            off in any::<u64>(),
+            cuts in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..40),
+        ) {
+            let mut positions = placement(&specs);
+            for &(kind, x, y) in &far {
+                let out = |v: u32, sign: u8| {
+                    let v = 200_000.0 + f64::from(v);
+                    if sign & 1 == 0 { v } else { -v }
+                };
+                positions.push(match kind % 3 {
+                    0 => Position::new(out(x, kind >> 2), f64::from(y % 8800)),
+                    1 => Position::new(f64::from(x % 8800), out(y, kind >> 3)),
+                    _ => Position::new(out(x, kind >> 2), out(y, kind >> 3)),
+                });
+            }
+            let span = |v: fn(&Position) -> f64| {
+                let (lo, hi) = positions.iter().map(v).fold((f64::MAX, f64::MIN), |(lo, hi), v| {
+                    (lo.min(v), hi.max(v))
+                });
+                ((hi - lo) / 550.0).floor() + 1.0
+            };
+            let cells = span(|p| p.x) * span(|p| p.y);
+            prop_assert!(cells > 4.0 * positions.len() as f64, "{} cells untrimmed", cells);
             let mut ch = Channel::new(positions, RadioParams::default());
             rows_are_the_full_scan(&ch);
-            for i in (0..count).filter(|i| off >> (2 * i) & 3 == 0) {
-                ch.set_node_enabled(NodeId::from_index(i), false);
-            }
-            for &(a, k) in &cuts {
-                let a = NodeId::from_index(a % count);
-                let peers = ch.cs_neighbors(a);
-                let b = match peers.len() {
-                    0 => NodeId::from_index(k % count),
-                    len => peers[k % len],
-                };
-                if a != b {
-                    ch.set_link_blocked(a, b, true);
-                }
-            }
-            let mut w = SnapshotWriter::new();
-            ch.encode_state(&mut w);
-            let bytes = w.finish();
-            let mut r = SnapshotReader::new(&bytes);
-            let decoded =
-                Channel::decode_state(&mut r, RadioParams::default()).expect("own bytes decode");
-            rows_are_the_full_scan(&decoded);
-            for i in 0..count {
-                let node = NodeId::from_index(i);
-                prop_assert_eq!(decoded.rx_neighbors(node), ch.rx_neighbors(node));
-                prop_assert_eq!(decoded.cs_neighbors(node), ch.cs_neighbors(node));
-                prop_assert_eq!(decoded.is_node_enabled(node), ch.is_node_enabled(node));
-            }
+            rows_are_the_full_scan(&cut_and_decode(&mut ch, off, &cuts));
         }
 
         /// Incremental maintenance is a pure accelerator: after any sequence
         /// of moves, node disables/enables and link blocks/unblocks, the
         /// neighbor rows — and the churn reported for every mutation —
-        /// equal those of a from-scratch all-pairs rebuild, entry for entry.
+        /// equal those of an all-pairs scan of the state, entry for entry
+        /// (and so do the rows the channel is built with).
         /// Moves reach kilometres past the box the starts span, so the grid
         /// bins nodes in clamped edge cells. A twin that is now and then
         /// replaced by a channel decoded from the run's bytes (whose grid is
@@ -1005,7 +1116,7 @@ mod grid_differential {
         /// mutations and must report the same churn and rows.
         ///
         /// So do the link rows, and each row's delay order equals a fresh
-        /// sort of the rebuilt row by `(prop, row position)`. Each step asks
+        /// sort of the scanned row by `(prop, row position)`. Each step asks
         /// for the rows of a random subset of senders (the op's last field, a
         /// bit per node), so a row is asked for fresh, one mutation stale and
         /// many mutations stale, after mutations of its own node, of a peer
@@ -1038,32 +1149,32 @@ mod grid_differential {
                 starts.iter().map(|&(x, y)| Position::new(x, y)).collect();
             let node_count = positions.len();
             let mut fast = Channel::new(positions, RadioParams::default());
-            let mut slow = fast.clone();
+            rows_are_the_full_scan(&fast);
+            let (mut rx, mut cs) = super::tests::all_pairs_rows(&fast);
             let mut twin = fast.clone();
             for &op in &ops {
                 let fast_churn = apply(&mut fast, node_count, op);
                 let twin_churn = apply(&mut twin, node_count, op);
                 prop_assert_eq!(twin_churn, fast_churn, "twin churn on {:?}", op);
-                let before = slow;
-                slow = fast.clone();
-                slow.recompute();
+                let (rx_before, cs_before) = (rx, cs);
+                (rx, cs) = super::tests::all_pairs_rows(&fast);
                 // Every mutation reports the churn of its first operand's rows.
-                let moved = NodeId::from_index(op.1 % node_count);
-                let slow_churn = row_diff(before.rx_neighbors(moved), slow.rx_neighbors(moved))
-                    + row_diff(before.cs_neighbors(moved), slow.cs_neighbors(moved));
+                let moved = op.1 % node_count;
+                let slow_churn = row_diff(&rx_before[moved], &rx[moved])
+                    + row_diff(&cs_before[moved], &cs[moved]);
                 prop_assert_eq!(fast_churn, slow_churn, "churn diverged on {:?}", op);
                 for i in 0..node_count {
                     let node = NodeId::from_index(i);
                     prop_assert_eq!(
                         fast.rx_neighbors(node),
-                        slow.rx_neighbors(node),
+                        &rx[i][..],
                         "rx rows diverged at {} after {:?}",
                         node,
                         op
                     );
                     prop_assert_eq!(
                         fast.cs_neighbors(node),
-                        slow.cs_neighbors(node),
+                        &cs[i][..],
                         "cs rows diverged at {} after {:?}",
                         node,
                         op
@@ -1073,7 +1184,7 @@ mod grid_differential {
                     if op.5 >> i & 1 == 1 {
                         prop_assert_eq!(
                             links_kept(&mut fast, node),
-                            links_and_order_from_scratch(&slow, node),
+                            links_and_order_from_scratch(&fast, node, &cs[i]),
                             "link row diverged at {} after {:?}",
                             node,
                             op
@@ -1084,11 +1195,11 @@ mod grid_differential {
                     twin = decoded(&fast);
                 }
             }
-            for i in 0..node_count {
+            for (i, row) in cs.iter().enumerate() {
                 let node = NodeId::from_index(i);
                 prop_assert_eq!(
                     links_kept(&mut fast, node),
-                    links_and_order_from_scratch(&slow, node),
+                    links_and_order_from_scratch(&fast, node, row),
                     "link row diverged at {} at the end",
                     node
                 );

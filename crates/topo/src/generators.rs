@@ -7,7 +7,7 @@
 
 use sim_core::SimRng;
 
-use crate::Position;
+use crate::{Position, SpatialGrid};
 
 /// Node spacing used throughout the paper: exactly the 250 m transmission
 /// range, so each node connects only to its immediate neighbours.
@@ -174,34 +174,42 @@ pub fn city_blocks(
 }
 
 /// Whether the unit-disc graph over `positions` with radius `range_m` is
-/// connected.
+/// connected: a depth-first search from node 0 that looks for each node's
+/// neighbours among the candidates of a [`SpatialGrid`] with cells of side
+/// `range_m`, so it costs the nodes times the mean block size, not the
+/// nodes squared.
+///
+/// # Panics
+///
+/// Panics if `range_m` is not strictly positive and finite.
 pub fn is_connected(positions: &[Position], range_m: f64) -> bool {
-    if positions.is_empty() {
-        return true;
-    }
-    let n = positions.len();
+    let grid = SpatialGrid::new(range_m, positions);
     let range_sq = range_m * range_m;
-    let mut seen = vec![false; n];
-    let mut stack = vec![0usize];
+    let mut seen = vec![false; positions.len()];
+    let mut stack = Vec::new();
     if let Some(first) = seen.first_mut() {
         *first = true;
+        stack.push(0);
     }
-    let mut visited = 1;
+    let mut visited = stack.len();
     while let Some(i) = stack.pop() {
-        for j in 0..n {
-            if !seen[j] && positions[i].distance_sq_to(positions[j]) <= range_sq {
-                seen[j] = true;
-                visited += 1;
-                stack.push(j);
+        grid.for_each_cell_of_block(i, |members| {
+            for &j in members {
+                if !seen[j] && positions[i].distance_sq_to(positions[j]) <= range_sq {
+                    seen[j] = true;
+                    visited += 1;
+                    stack.push(j);
+                }
             }
-        }
+        });
     }
-    visited == n
+    visited == positions.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn chain_geometry() {
@@ -283,6 +291,70 @@ mod tests {
         }
         let q = city_blocks(4, 3, 250.0, 25, 9);
         assert_eq!(p, q, "deterministic in seed");
+    }
+
+    /// The all-pairs search [`is_connected`] replaced: the reference it is
+    /// held to.
+    fn is_connected_all_pairs(positions: &[Position], range_m: f64) -> bool {
+        if positions.is_empty() {
+            return true;
+        }
+        let n = positions.len();
+        let range_sq = range_m * range_m;
+        let mut seen = vec![false; n];
+        let mut stack = vec![0usize];
+        seen[0] = true;
+        let mut visited = 1;
+        while let Some(i) = stack.pop() {
+            for j in 0..n {
+                if !seen[j] && positions[i].distance_sq_to(positions[j]) <= range_sq {
+                    seen[j] = true;
+                    visited += 1;
+                    stack.push(j);
+                }
+            }
+        }
+        visited == n
+    }
+
+    proptest! {
+        /// The grid search gives the all-pairs verdict, both ways: on
+        /// uniform draws from sparse to dense, on `grid` and `city-blocks`
+        /// lattices (whose links are exactly the range long) with and
+        /// without a node pulled off, on draws with coincident nodes, and
+        /// on two nodes exactly one range apart or a metre further.
+        #[test]
+        fn grid_search_gives_the_all_pairs_verdict(
+            (count, side, seed) in (1usize..160, 200u32..4000, any::<u64>()),
+            (rows, cols, extra) in (1usize..12, 1usize..12, 0usize..30),
+            pulled in any::<usize>(),
+            copies in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..20),
+        ) {
+            let mut rng = SimRng::new(seed);
+            let side = f64::from(side);
+            let mut disc: Vec<Position> = (0..count)
+                .map(|_| Position::new(rng.unit_f64() * side, rng.unit_f64() * side))
+                .collect();
+            let mut lattices = [grid(rows, cols), city_blocks(rows, cols, SPACING_M, extra, seed)];
+            let mut cases = vec![disc.clone()];
+            for lattice in &mut lattices {
+                cases.push(lattice.clone());
+                let at = pulled % lattice.len();
+                lattice[at] = Position::new(lattice[at].x + 1.0, lattice[at].y + 0.5);
+                cases.push(lattice.clone());
+            }
+            for &(to, from) in &copies {
+                disc[to % count] = disc[from % count];
+            }
+            cases.push(disc);
+            for gap in [SPACING_M, SPACING_M + 1.0] {
+                cases.push(vec![Position::new(3.0, 7.0), Position::new(3.0 + gap, 7.0)]);
+            }
+            for (k, case) in cases.iter().enumerate() {
+                let want = is_connected_all_pairs(case, SPACING_M);
+                prop_assert_eq!(is_connected(case, SPACING_M), want, "case {}", k);
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,22 @@ use crate::Position;
 /// The most cells a grid allocates per node it was built over.
 const CELLS_PER_NODE: usize = 4;
 
+/// `v.floor() as i64`, bit for bit, without the call into the C library
+/// that `floor` is on a target without SSE4.1: `as` truncates toward zero
+/// (and saturates, sending NaN to 0), and a negative value with a
+/// fraction is one below its truncation. Below `i64::MIN` the truncation
+/// saturates to `i64::MIN` and stays there.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    reason = "float-to-int `as` saturates: a far-off position lands in an edge cell; \
+              a truncated double converts back exactly"
+)]
+fn floor_to_i64(v: f64) -> i64 {
+    let t = v as i64;
+    t.saturating_sub(i64::from(t as f64 > v))
+}
+
 /// Spatial hash of node indices into square cells of side `cell_m`.
 ///
 /// # Example
@@ -117,12 +133,8 @@ impl SpatialGrid {
     }
 
     /// The cell coordinate containing `p`, before clamping onto the box.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "float-to-int `as` saturates: a far-off position lands in an edge cell"
-    )]
     pub fn cell_of(&self, p: Position) -> (i64, i64) {
-        ((p.x / self.cell_m).floor() as i64, (p.y / self.cell_m).floor() as i64)
+        (floor_to_i64(p.x / self.cell_m), floor_to_i64(p.y / self.cell_m))
     }
 
     /// Cell coordinate `(x, y)` clamped onto the box, as a column and a row.
@@ -169,12 +181,53 @@ impl SpatialGrid {
     /// Panics if `node` is out of range.
     pub fn candidates(&self, node: usize, out: &mut Vec<usize>) {
         out.clear();
+        self.for_each_cell_of_block(node, |members| out.extend_from_slice(members));
+    }
+
+    /// Whether nodes `a` and `b` are binned in the same cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either is out of range.
+    pub fn same_cell(&self, a: usize, b: usize) -> bool {
+        self.bins[a] == self.bins[b]
+    }
+
+    /// Calls `f` with the members of each cell of the 3×3 block around
+    /// `node`'s, clipped to the box, row by row: what [`Self::candidates`]
+    /// collects, without the copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn for_each_cell_of_block<'a>(&'a self, node: usize, f: impl FnMut(&'a [usize])) {
         let (c, r) = self.bins[node];
-        let cols = c.saturating_sub(1)..=(c + 1).min(self.cols - 1);
-        for row in r.saturating_sub(1)..=(r + 1).min(self.rows - 1) {
+        self.block_of(c, r, f);
+    }
+
+    /// Calls `f` with the members of each occupied cell, and how many
+    /// nodes the 3×3 block around that cell holds: the number of
+    /// [`Self::candidates`] of each of those members.
+    pub fn for_each_cell_with_block_len(&self, mut f: impl FnMut(&[usize], usize)) {
+        for (r, row) in self.cells.chunks_exact(self.cols).enumerate() {
+            for (c, members) in row.iter().enumerate() {
+                if !members.is_empty() {
+                    let mut len = 0;
+                    self.block_of(c, r, |cell| len += cell.len());
+                    f(members, len);
+                }
+            }
+        }
+    }
+
+    /// Calls `f` with the members of each cell of the 3×3 block around
+    /// column `c`, row `r`, clipped to the box.
+    fn block_of<'a>(&'a self, c: usize, r: usize, mut f: impl FnMut(&'a [usize])) {
+        let cols = c.saturating_sub(1)..(c + 2).min(self.cols);
+        for row in r.saturating_sub(1)..(r + 2).min(self.rows) {
             let base = row * self.cols;
-            for col in cols.clone() {
-                out.extend_from_slice(&self.cells[base + col]);
+            for members in &self.cells[base + cols.start..base + cols.end] {
+                f(members);
             }
         }
     }
@@ -220,6 +273,45 @@ mod tests {
         assert_eq!((grid.cols, grid.rows), (4, 2));
         let corner: Vec<usize> = (0..50).filter(|i| i % 10 <= 5).collect();
         assert_eq!(sorted_candidates(&grid, 0), corner);
+    }
+
+    #[test]
+    fn floor_to_i64_is_floor_as_i64() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1.5,
+            2.5e15 + 0.5,
+            -2.5e15 - 0.5,
+            9.007_199_254_740_993e15,
+            -9.007_199_254_740_993e15,
+            9.223_372_036_854_775e18,
+            -9.223_372_036_854_775e18,
+            9.3e18,
+            -9.3e18,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = sim_core::SimRng::new(3);
+        for _ in 0..10_000 {
+            let scale = f64::from(rng.below(64)).exp2();
+            values.push((rng.unit_f64() - 0.5) * scale);
+            values.push(f64::from_bits(rng.next_u64()));
+        }
+        for v in values {
+            #[expect(clippy::cast_possible_truncation, reason = "the reference being matched")]
+            let want = v.floor() as i64;
+            assert_eq!(floor_to_i64(v), want, "{v:e}");
+        }
     }
 
     #[test]

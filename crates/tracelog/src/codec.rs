@@ -47,7 +47,7 @@
 
 #![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
-use sim_core::{snap_enum, SimDuration, SimTime, SnapError, SnapshotReader};
+use sim_core::{snap_enum, DetMap, SimDuration, SimTime, SnapError, SnapshotReader};
 use wire::{Drai, FlowId, FrameKind, NodeId};
 
 use crate::record::{PacketKind, TraceEntry, TraceRecord};
@@ -162,20 +162,45 @@ struct Context {
     word: u64,
     /// Each frame kind's last airtime, by its snapshot tag.
     airtimes: [u64; 4],
-    /// Each node's last `PhyTx`, by node id.
-    sent: Vec<Option<Sent>>,
-    /// Each node's last coordinates' bit patterns, by node id.
-    xs: Vec<u64>,
-    ys: Vec<u64>,
+    /// Each node's last `PhyTx`.
+    sent: NodeTable<Option<Sent>>,
+    /// Each node's last coordinates' bit patterns, `x` then `y`.
+    coords: NodeTable<(u64, u64)>,
 }
 
-/// `node`'s slot in a per-node table, grown to hold it.
-fn node_slot<T: Clone + Default>(table: &mut Vec<T>, node: NodeId) -> &mut T {
-    let index = node.index();
-    if index >= table.len() {
-        table.resize(index + 1, T::default());
+/// Node ids a [`NodeTable`] keeps in its vector; the rest go to its map.
+const DENSE_IDS: usize = 4096;
+
+/// A value per node: ids below [`DENSE_IDS`] in a vector grown to the
+/// largest one stored, the rest in a map. A record naming node 65,534 —
+/// which decoded bytes may — costs one map entry, not a table of 65,535
+/// slots.
+#[derive(Debug, Default)]
+struct NodeTable<T> {
+    dense: Vec<T>,
+    sparse: DetMap<NodeId, T>,
+}
+
+impl<T: Clone + Default> NodeTable<T> {
+    /// `node`'s slot, made if absent.
+    fn slot(&mut self, node: NodeId) -> &mut T {
+        let index = node.index();
+        if index >= DENSE_IDS {
+            return self.sparse.entry(node).or_default();
+        }
+        if index >= self.dense.len() {
+            self.dense.resize(index + 1, T::default());
+        }
+        &mut self.dense[index]
     }
-    &mut table[index]
+
+    /// `node`'s slot, if it was ever made.
+    fn get(&self, node: NodeId) -> Option<&T> {
+        match node.index() {
+            index if index < DENSE_IDS => self.dense.get(index),
+            _ => self.sparse.get(&node),
+        }
+    }
 }
 
 impl Context {
@@ -184,22 +209,22 @@ impl Context {
     }
 
     fn last_x(&mut self, node: NodeId) -> &mut u64 {
-        node_slot(&mut self.xs, node)
+        &mut self.coords.slot(node).0
     }
 
     fn last_y(&mut self, node: NodeId) -> &mut u64 {
-        node_slot(&mut self.ys, node)
+        &mut self.coords.slot(node).1
     }
 
     fn sent_by(&self, node: NodeId) -> Option<Sent> {
-        self.sent.get(node.index()).copied().flatten()
+        self.sent.get(node).copied().flatten()
     }
 
     /// Steps the tables the fields did not: a `PhyTx` becomes its
     /// sender's last.
     fn note(&mut self, record: &TraceRecord) {
         if let TraceRecord::PhyTx { node, frame, bytes, uid, .. } = *record {
-            *node_slot(&mut self.sent, node) = Some(Sent { frame, bytes, uid });
+            *self.sent.slot(node) = Some(Sent { frame, bytes, uid });
         }
     }
 }
@@ -1182,6 +1207,48 @@ mod tests {
         let store = stored(&entries);
         let back = decode_all(&store.bytes, &store.labels, entries.len());
         assert_eq!(back, Ok(entries));
+    }
+
+    /// Senders on both sides of the tables' bound, and the largest id a
+    /// node may have, are heard by reference and move against their last
+    /// coordinates as any other; only the ids below the bound take vector
+    /// slots.
+    #[test]
+    fn ids_past_the_dense_bound_are_coded_against_their_own_last_values() {
+        let tx = every_variant(3, true).remove(0);
+        let TraceRecord::PhyTx { dst, frame, bytes, uid, airtime, cw, nav_ahead, .. } = tx.record
+        else {
+            unreachable!("every_variant starts with a PhyTx")
+        };
+        let ids = [4095, 4096, 65_534].map(NodeId::new);
+        let mut entries = Vec::new();
+        for (k, &node) in ids.iter().enumerate() {
+            let send = TraceRecord::PhyTx { node, dst, frame, bytes, uid, airtime, cw, nav_ahead };
+            let heard =
+                TraceRecord::PhyRx { node: ids[(k + 1) % 3], from: node, frame, bytes, uid };
+            for x in [10.0, 10.5] {
+                entries
+                    .push(TraceEntry { at: tx.at, record: TraceRecord::PhyMove { node, x, y: x } });
+            }
+            entries.extend([send, heard].map(|record| TraceEntry { at: tx.at, record }));
+        }
+        let store = stored(&entries);
+        assert_eq!(decode_all(&store.bytes, &store.labels, entries.len()), Ok(entries.clone()));
+        // Receptions of another size are written in full, and take more.
+        let resized: Vec<TraceEntry> = entries
+            .iter()
+            .map(|&entry| {
+                let TraceRecord::PhyRx { node, from, frame, bytes, uid } = entry.record else {
+                    return entry;
+                };
+                let record = TraceRecord::PhyRx { node, from, frame, bytes: bytes + 1, uid };
+                TraceEntry { record, ..entry }
+            })
+            .collect();
+        assert!(store.byte_len() < stored(&resized).byte_len());
+        let tables = &store.context;
+        assert_eq!((tables.sent.dense.len(), tables.coords.dense.len()), (DENSE_IDS, DENSE_IDS));
+        assert_eq!(tables.sent.sparse.keys().copied().collect::<Vec<_>>(), ids[1..]);
     }
 
     /// The snapshot sweep's rule for untrusted bytes, applied to a store
