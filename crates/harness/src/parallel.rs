@@ -8,8 +8,11 @@
 //! collecting results **by submission index**: workers race over which runs
 //! they execute, never over where results land.
 //!
-//! Built on [`std::thread::scope`] only — no extra dependencies — so
-//! closures may borrow from the caller's stack.
+//! A batch of `jobs` workers is the calling thread plus `jobs − 1` threads
+//! it starts, all running one claim loop over a shared counter, so a
+//! one-job batch starts no thread and a serial run takes the same path as
+//! a parallel one. Built on [`std::thread::scope`] only — no extra
+//! dependencies — so closures may borrow from the caller's stack.
 
 use crate::runner::ExperimentConfig;
 use netstack::SimConfig;
@@ -27,13 +30,14 @@ pub fn effective_jobs(jobs: usize) -> usize {
 }
 
 /// Runs `task` once per item of `items` and returns the outputs in item
-/// order, fanning the runs across `jobs` worker threads (`0` = auto,
-/// `1` = serial inline). The output vector is independent of the worker
-/// count and of scheduling: slot `i` always holds `task(&items[i], i)`.
+/// order, fanning the runs across `jobs` workers in all (`0` = auto): the
+/// calling thread and `jobs − 1` scoped threads, so one job starts no
+/// thread. The output vector is independent of the worker count and of
+/// scheduling: slot `i` always holds `task(&items[i], i)`.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any `task` invocation.
+/// Propagates a panic from any `task` invocation, on whichever worker ran it.
 #[expect(
     clippy::disallowed_methods,
     reason = "the one licensed thread pool: whole runs, merged into slots by item index"
@@ -49,33 +53,25 @@ where
     F: Fn(&I, usize) -> T + Sync,
 {
     let jobs = effective_jobs(jobs).min(items.len().max(1));
-    if jobs <= 1 {
-        return items.iter().enumerate().map(|(i, item)| task(item, i)).collect();
-    }
     let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut produced: Vec<(usize, T)> = Vec::new();
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= items.len() {
+                break;
+            }
+            produced.push((idx, task(&items[idx], idx)));
+        }
+        produced
+    };
     let mut slots: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                let next = &next;
-                let task = &task;
-                scope.spawn(move || {
-                    let mut produced: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= items.len() {
-                            break;
-                        }
-                        produced.push((idx, task(&items[idx], idx)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (idx, value) in handle.join().expect("batch worker panicked") {
-                slots[idx] = Some(value);
-            }
+        let spawned: Vec<_> = (1..jobs).map(|_| scope.spawn(claim)).collect();
+        let own = claim();
+        let joined = spawned.into_iter().map(|h| h.join().expect("batch worker panicked"));
+        for (idx, value) in std::iter::once(own).chain(joined).flatten() {
+            slots[idx] = Some(value);
         }
     });
     slots.into_iter().map(|s| s.expect("every index executed exactly once")).collect()
@@ -116,6 +112,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::Barrier;
+    use std::thread;
 
     #[test]
     fn batch_preserves_item_order_at_any_worker_count() {
@@ -132,7 +131,60 @@ mod tests {
     fn batch_handles_empty_and_single() {
         let empty: Vec<u32> = Vec::new();
         assert!(run_batch(&empty, 4, |&x, _| x).is_empty());
+        assert!(run_batch(&empty, 1, |&x, _| x).is_empty());
         assert_eq!(run_batch(&[7u32], 4, |&x, _| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn order_is_kept_with_more_jobs_than_items() {
+        let items: Vec<usize> = (0..5).collect();
+        for jobs in [6, 64] {
+            assert_eq!(
+                run_batch(&items, jobs, |&x, i| (x * 3, i)),
+                run_batch(&items, 1, |&x, i| (x * 3, i))
+            );
+        }
+    }
+
+    /// A batch of `jobs` cells in which every cell waits at a barrier for
+    /// all the others: no worker can claim a second cell before each has
+    /// claimed one, so each of the `jobs` workers runs exactly one.
+    fn one_cell_per_worker<T: Send>(jobs: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let barrier = Barrier::new(jobs);
+        let items: Vec<usize> = (0..jobs).collect();
+        run_batch(&items, jobs, |&i, _| {
+            barrier.wait();
+            task(i)
+        })
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        let caller = thread::current().id();
+        let ids = one_cell_per_worker(2, |_| thread::current().id());
+        assert!(ids.contains(&caller), "the caller ran none of the cells: {ids:?}");
+        assert!(ids.iter().any(|&id| id != caller), "no spawned worker ran a cell: {ids:?}");
+        let items: Vec<u32> = (0..9).collect();
+        let ids = run_batch(&items, 1, |_, _| thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller), "one job started a thread: {ids:?}");
+    }
+
+    #[test]
+    fn a_panicking_cell_panics_the_batch_on_any_worker() {
+        let caller = thread::current().id();
+        for jobs in [1, 2, 3] {
+            for on_caller in [true, false] {
+                if jobs == 1 && !on_caller {
+                    continue; // one job has no spawned worker to claim it
+                }
+                let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                    one_cell_per_worker(jobs, |i| {
+                        assert!((thread::current().id() == caller) != on_caller, "cell {i} fails");
+                    })
+                }));
+                assert!(ran.is_err(), "jobs {jobs}, on the caller {on_caller}: the batch returned");
+            }
+        }
     }
 
     #[test]
