@@ -5,23 +5,33 @@
 //! counter must be identical to the serial output, because each
 //! `(combo, seed)` run owns a fresh simulator with its own seeded RNG and
 //! results are collected by submission index, never by completion order.
+//! Each batch is held against two parallel runs: two workers (the calling
+//! thread and one it starts) and more workers than the batch has cells.
 
 use sim_core::twin_run;
 use tcp_muzha::experiments::{
-    ablations, coexistence, cwnd_traces_batch, throughput_dynamics_batch, throughput_vs_hops,
-    CoexistKind, ExperimentConfig, SweepMetric,
+    ablations, coexistence, cwnd_traces_batch, run_batch, throughput_dynamics_batch,
+    throughput_vs_hops, CoexistKind, ExperimentConfig, SweepMetric,
 };
 use tcp_muzha::export;
 use tcp_muzha::net::{topology, FlowSpec, SimConfig, Simulator, TcpVariant};
 use tcp_muzha::sim::{SimDuration, SimTime};
 
+const SEEDS: [u64; 3] = [11, 23, 37];
+
 fn cfg(jobs: usize) -> ExperimentConfig {
     ExperimentConfig {
-        seeds: vec![11, 23, 37],
+        seeds: SEEDS.to_vec(),
         duration: SimDuration::from_secs(4),
         base: SimConfig::default(),
         jobs,
     }
+}
+
+/// The job counts a batch of `cells` is held against besides one: two, and
+/// one above the cell count.
+fn parallel_jobs(cells: usize) -> [usize; 2] {
+    [2, cells + 1]
 }
 
 #[test]
@@ -30,30 +40,58 @@ fn parallel_chain_sweep_tables_and_csv_are_byte_identical() {
     let windows = [4u32, 8];
     let variants = [TcpVariant::NewReno, TcpVariant::Muzha];
     let serial = throughput_vs_hops(&hops, &windows, &variants, &cfg(1));
-    let parallel = throughput_vs_hops(&hops, &windows, &variants, &cfg(4));
-    for w in windows {
-        assert_eq!(
-            serial.render(w, SweepMetric::ThroughputKbps),
-            parallel.render(w, SweepMetric::ThroughputKbps),
-            "window {w}: parallel table must match serial byte for byte"
-        );
-        assert_eq!(
-            serial.render(w, SweepMetric::Retransmissions),
-            parallel.render(w, SweepMetric::Retransmissions)
-        );
+    let cells = hops.len() * windows.len() * variants.len() * SEEDS.len();
+    for jobs in parallel_jobs(cells) {
+        let parallel = throughput_vs_hops(&hops, &windows, &variants, &cfg(jobs));
+        for w in windows {
+            for metric in [SweepMetric::ThroughputKbps, SweepMetric::Retransmissions] {
+                assert_eq!(
+                    serial.render(w, metric),
+                    parallel.render(w, metric),
+                    "jobs {jobs}, window {w}: parallel table must match serial byte for byte"
+                );
+            }
+        }
+        assert_eq!(export::sweep_csv(&serial), export::sweep_csv(&parallel), "jobs {jobs}: CSV");
     }
-    assert_eq!(export::sweep_csv(&serial), export::sweep_csv(&parallel), "CSV bytes must match");
+
+    // The sweep's `RunPerf` blocks, one a chain cell, through the same engine.
+    let chains: Vec<(usize, TcpVariant, u64)> = hops
+        .iter()
+        .flat_map(|&h| variants.iter().flat_map(move |&v| SEEDS.map(|seed| (h, v, seed))))
+        .collect();
+    let perf_blocks = |jobs| {
+        run_batch(&chains, jobs, |&(hops, variant, seed), _| {
+            let mut sim =
+                Simulator::new(topology::chain(hops), SimConfig { seed, ..SimConfig::default() });
+            let (src, dst) = topology::chain_flow(hops);
+            sim.add_flow(FlowSpec::new(src, dst, variant));
+            sim.run_until(SimTime::from_secs_f64(2.0));
+            format!("{:?}", sim.perf())
+        })
+    };
+    let serial = perf_blocks(1);
+    for jobs in parallel_jobs(chains.len()) {
+        assert_eq!(perf_blocks(jobs), serial, "jobs {jobs}: RunPerf blocks");
+    }
 }
 
 #[test]
 fn parallel_coexistence_output_is_byte_identical() {
     let pairs = [CoexistKind { horizontal: TcpVariant::NewReno, vertical: TcpVariant::Muzha }];
     let serial = coexistence(&[4], &pairs, &cfg(1));
-    let parallel = coexistence(&[4], &pairs, &cfg(0)); // 0 = all cores
-    assert_eq!(serial.render(), parallel.render());
-    assert_eq!(export::coexist_csv(&serial), export::coexist_csv(&parallel));
-    // `reproduce`'s ablation step: the same pair under each DRAI variant,
-    // beside a batch of single-flow chain runs.
+    for jobs in parallel_jobs(SEEDS.len()) {
+        let parallel = coexistence(&[4], &pairs, &cfg(jobs));
+        assert_eq!(serial.render(), parallel.render(), "jobs {jobs}: table");
+        assert_eq!(
+            export::coexist_csv(&serial),
+            export::coexist_csv(&parallel),
+            "jobs {jobs}: CSV"
+        );
+    }
+    assert_eq!(serial.render(), coexistence(&[4], &pairs, &cfg(0)).render()); // 0 = all cores
+                                                                              // `reproduce`'s ablation step: the same pair under each DRAI variant,
+                                                                              // beside a batch of single-flow chain runs.
     let cross = SimDuration::from_secs(4);
     assert_eq!(ablations(&cfg(1), cross), ablations(&cfg(3), cross));
 }
