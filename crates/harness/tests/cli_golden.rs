@@ -165,7 +165,7 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
     let taken = text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "4", "--out", &ck]);
     assert_eq!(
         after(&taken, ": "),
-        ": 4825 bytes, t=4.000000s events=19721 hash=0x71534f49066f9e30\n"
+        ": 4745 bytes, t=4.000000s events=19721 hash=0x71534f49066f9e30\n"
     );
     let resumed = text_of("checkpoint", &["resume", "--script", &scn, "--from", &ck]);
     assert_eq!(
@@ -177,10 +177,10 @@ fn checkpoint_sequence_prints_the_same_hashes_and_sizes() {
         text_of("checkpoint", &["snapshot", "--script", &scn, "--at", "15", "--out", &straight]);
     assert_eq!(
         after(&ran, ": "),
-        ": 4484 bytes, t=15.000000s events=39044 hash=0x237736b373f481a7\n"
+        ": 4404 bytes, t=15.000000s events=39044 hash=0x237736b373f481a7\n"
     );
     let size = |p: &str| std::fs::metadata(p).expect("snapshot written").len();
-    assert_eq!((size(&ck), size(&straight)), (4825, 4484));
+    assert_eq!((size(&ck), size(&straight)), (4745, 4404));
 
     let bytes = std::fs::read(&ck).expect("snapshot written");
     std::fs::write(&cut, &bytes[..1000]).expect("write truncated snapshot");

@@ -38,7 +38,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MUZSNAP0";
 
 /// Current snapshot format version. Bumps on any layout change; decoders
 /// reject every other version outright (no migration).
-pub const SNAPSHOT_VERSION: u16 = 16;
+pub const SNAPSHOT_VERSION: u16 = 17;
 
 /// Why a snapshot failed to decode. Always an error value, never a panic:
 /// snapshots cross process boundaries and must be treated as untrusted
@@ -671,7 +671,7 @@ mod tests {
     fn bumped_version_is_rejected_not_misread() {
         // The next version, and every earlier one from v3: no reader of an
         // older layout exists.
-        for version in [SNAPSHOT_VERSION + 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15] {
+        for version in [SNAPSHOT_VERSION + 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16] {
             let mut w = SnapshotWriter::new();
             w.put_bytes(&[]); // placeholder so the buffer is non-trivial
             let mut bytes = Vec::from(SNAPSHOT_MAGIC);

@@ -37,7 +37,6 @@ pub struct TimerSlab {
     generations: Vec<u64>,
     /// Free slots, reused LIFO.
     free: Vec<u32>,
-    scheduled: u64,
     cancelled: u64,
 }
 
@@ -50,7 +49,6 @@ impl TimerSlab {
     /// Registers a new live timer and returns its handle.
     #[inline]
     pub fn schedule(&mut self) -> TimerHandle {
-        self.scheduled += 1;
         #[expect(
             clippy::cast_possible_truncation,
             reason = "one slot per live timer, far below 2^32"
@@ -107,11 +105,6 @@ impl TimerSlab {
         self.generations.len() - self.free.len()
     }
 
-    /// Total timers ever scheduled.
-    pub fn scheduled_count(&self) -> u64 {
-        self.scheduled
-    }
-
     /// Total timers cancelled before firing (the lazy tombstones a driver
     /// will later discard as stale pops).
     pub fn cancelled_count(&self) -> u64 {
@@ -122,7 +115,7 @@ impl TimerSlab {
 crate::snap_record! { TimerHandle { slot, generation } }
 
 crate::snap_record! {
-    TimerSlab { generations, free, scheduled, cancelled }
+    TimerSlab { generations, free, cancelled }
     // A free-list entry must point at an even-generation (free) slot, or a
     // corrupted snapshot could hand out a slot twice.
     check |s| s.free.iter().all(|&f| s.generations.get(f as usize).is_some_and(|g| g % 2 == 0))
@@ -155,7 +148,6 @@ mod tests {
         assert!(!slab.cancel(h), "cancel is idempotent");
         assert!(!slab.fire(h), "a cancelled timer pops stale");
         assert_eq!(slab.cancelled_count(), 1);
-        assert_eq!(slab.scheduled_count(), 1);
     }
 
     #[test]
@@ -176,12 +168,7 @@ mod tests {
     /// cycles — without paying for the cycles.
     fn slab_at_generation(generation: u64) -> TimerSlab {
         assert!(generation.is_multiple_of(2), "a free slot has an even generation");
-        TimerSlab {
-            generations: vec![generation],
-            free: vec![0],
-            scheduled: generation / 2,
-            cancelled: 0,
-        }
+        TimerSlab { generations: vec![generation], free: vec![0], cancelled: 0 }
     }
 
     #[test]
@@ -219,7 +206,6 @@ mod tests {
             assert!(slab.fire(*h));
         }
         assert_eq!(slab.live(), 0);
-        assert_eq!(slab.scheduled_count(), 100);
     }
 }
 
@@ -241,12 +227,7 @@ mod proptests {
             cancel_mask in 0u32..(1 << 24),
         ) {
             let start = (u64::from(u32::MAX) - 8 + offset) & !1; // even: free slot
-            let mut slab = TimerSlab {
-                generations: vec![start],
-                free: vec![0],
-                scheduled: start / 2,
-                cancelled: 0,
-            };
+            let mut slab = TimerSlab { generations: vec![start], free: vec![0], cancelled: 0 };
             let mut retired: Vec<TimerHandle> = Vec::new();
             for round in 0..cycles {
                 let h = slab.schedule();
