@@ -89,9 +89,10 @@ fn parallel_coexistence_output_is_byte_identical() {
             "jobs {jobs}: CSV"
         );
     }
-    assert_eq!(serial.render(), coexistence(&[4], &pairs, &cfg(0)).render()); // 0 = all cores
-                                                                              // `reproduce`'s ablation step: the same pair under each DRAI variant,
-                                                                              // beside a batch of single-flow chain runs.
+    // 0 = all cores.
+    assert_eq!(serial.render(), coexistence(&[4], &pairs, &cfg(0)).render());
+    // `reproduce`'s ablation step: the same pair under each DRAI variant,
+    // beside a batch of single-flow chain runs.
     let cross = SimDuration::from_secs(4);
     assert_eq!(ablations(&cfg(1), cross), ablations(&cfg(3), cross));
 }
