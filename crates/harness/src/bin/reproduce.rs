@@ -8,10 +8,10 @@
 //! `OUT_DIR` defaults to `results/`. `--quick` uses fewer seeds and shorter
 //! runs (minutes instead of tens of minutes). `--jobs N` fans the
 //! independent `(experiment, variant, seed)` runs across `N` worker
-//! threads (`0` = one per core); every output file is byte-identical to a
-//! serial (`--jobs 1`, the default) run. The DRAI ablations of step 5 keep
-//! their own three seeds and horizons under `--quick` too, so the table in
-//! EXPERIMENTS.md regenerates from either.
+//! threads (`0` = one per core, counted once per process); every output
+//! file is byte-identical to a serial (`--jobs 1`, the default) run. The
+//! DRAI ablations of step 5 keep their own three seeds and horizons under
+//! `--quick` too, so the table in EXPERIMENTS.md regenerates from either.
 
 use std::path::PathBuf;
 

@@ -16,14 +16,19 @@
 
 use crate::runner::ExperimentConfig;
 use netstack::SimConfig;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Resolves a user-facing jobs setting: `0` means one worker per available
 /// core (serial if parallelism cannot be probed), anything else is taken
-/// literally.
+/// literally. The core count is read from the host once per process and
+/// kept: the probe may walk the cgroup files, which takes about as long as
+/// starting a worker thread.
 pub fn effective_jobs(jobs: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
     } else {
         jobs
     }
@@ -178,9 +183,27 @@ mod tests {
     }
 
     #[test]
-    fn auto_jobs_resolves_to_at_least_one() {
-        assert!(effective_jobs(0) >= 1);
-        assert_eq!(effective_jobs(3), 3);
+    fn auto_jobs_resolves_to_the_host_core_count_once() {
+        let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(effective_jobs(0), cores);
+        assert!((0..8).all(|_| effective_jobs(0) == cores), "the cached count moved");
+        for jobs in [1, 2, 3, 64] {
+            assert_eq!(effective_jobs(jobs), jobs, "an explicit count is taken literally");
+        }
+    }
+
+    #[test]
+    fn an_auto_batch_runs_on_at_most_the_core_count_with_the_caller() {
+        let caller = thread::current().id();
+        let items: Vec<u32> = (0..64).collect();
+        let mut workers = Vec::new();
+        for id in run_batch(&items, 0, |_, _| thread::current().id()) {
+            if !workers.contains(&id) {
+                workers.push(id);
+            }
+        }
+        assert!(workers.contains(&caller), "the caller ran none of the cells: {workers:?}");
+        assert!(workers.len() <= effective_jobs(0), "more workers than cores: {workers:?}");
     }
 
     #[test]

@@ -13,9 +13,9 @@ pub struct ExperimentConfig {
     /// Base simulator configuration (the seed field is overridden per run).
     pub base: SimConfig,
     /// Worker threads for batch execution: 1 = serial (the default),
-    /// 0 = one per available core. Results are identical at any setting —
-    /// every run owns a fresh simulator and outputs are collected in
-    /// submission order.
+    /// 0 = one per available core, read from the host once per process.
+    /// Results are identical at any setting — every run owns a fresh
+    /// simulator and outputs are collected in submission order.
     pub jobs: usize,
 }
 

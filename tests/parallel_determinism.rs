@@ -5,8 +5,10 @@
 //! counter must be identical to the serial output, because each
 //! `(combo, seed)` run owns a fresh simulator with its own seeded RNG and
 //! results are collected by submission index, never by completion order.
-//! Each batch is held against two parallel runs: two workers (the calling
-//! thread and one it starts) and more workers than the batch has cells.
+//! Each batch is held against parallel runs at two workers (the calling
+//! thread and one it starts), at more workers than the batch has cells, and
+//! at one worker per core twice, the second time on the core count the
+//! process kept.
 
 use sim_core::twin_run;
 use tcp_muzha::experiments::{
@@ -28,10 +30,11 @@ fn cfg(jobs: usize) -> ExperimentConfig {
     }
 }
 
-/// The job counts a batch of `cells` is held against besides one: two, and
-/// one above the cell count.
-fn parallel_jobs(cells: usize) -> [usize; 2] {
-    [2, cells + 1]
+/// The job counts a batch of `cells` is held against besides one: two, one
+/// above the cell count, and `0` (one per core) twice, so that at least the
+/// second run reads the count the process kept.
+fn parallel_jobs(cells: usize) -> [usize; 4] {
+    [2, cells + 1, 0, 0]
 }
 
 #[test]
@@ -89,8 +92,6 @@ fn parallel_coexistence_output_is_byte_identical() {
             "jobs {jobs}: CSV"
         );
     }
-    // 0 = all cores.
-    assert_eq!(serial.render(), coexistence(&[4], &pairs, &cfg(0)).render());
     // `reproduce`'s ablation step: the same pair under each DRAI variant,
     // beside a batch of single-flow chain runs.
     let cross = SimDuration::from_secs(4);
